@@ -9,16 +9,16 @@
 //! lines, 15% remote paying customers); cross-shard transactions go through
 //! the coordinator's two-phase commit.
 //!
-//! Durability is ON (synchronous WAL per shard) and the sweep measures the
-//! commit-path cost directly: every shard count runs twice, once over the
-//! **legacy** commit path (one device flush per prepare/commit/decision
-//! record, every participant parked) and once over the **grouped** path
-//! (cross-transaction flush coalescing, read-only participant votes, and
-//! the one-phase degenerate case). The emitted rows carry `flushes`,
-//! `flushes_per_commit`, and `prepared_lock_window_ns` so the savings are
-//! regression-tracked.
+//! Durability is ON (synchronous WAL per shard) and every leg runs the
+//! **grouped** commit path (cross-transaction flush coalescing, read-only
+//! participant votes, and the one-phase degenerate case). The emitted rows
+//! carry `flushes`, `flushes_per_commit`, and `prepared_lock_window_ns` so
+//! the commit-path cost is regression-tracked. (The retired one-flush-per-
+//! record path measured 9.2x the flushes per commit of the grouped path at
+//! 4 shards: 9.99 vs 1.09 when PR 3 introduced group commit, 10.02 vs 0.90
+//! in its last rows, `BENCH_cluster_tpcc.json` as of PR 10.)
 //!
-//! A third leg re-runs the grouped path with every shard behind the
+//! A TCP leg re-runs the grouped path with every shard behind the
 //! **TCP/loopback transport** (length-prefixed frames, per-shard server
 //! loops), and the rows carry `messages_sent`/`bytes_on_wire` so the
 //! transport cost of 2PC is regression-trackable too.
@@ -149,35 +149,22 @@ fn main() {
         "msgs"
     );
 
-    // The sweep: both commit paths in process, the grouped path over
-    // TCP/loopback frames (the wire cost column), and the prepare-pipeline
-    // window crossed over both transports. Window 1 is the unpipelined
-    // baseline (pre-pipelining behavior); the wide window is the pipeline
-    // the acceptance criteria compare against it.
+    // The sweep: the grouped path in process and over TCP/loopback frames
+    // (the wire cost column), with the prepare-pipeline window crossed over
+    // both transports. Window 1 is the unpipelined baseline (pre-pipelining
+    // behavior); the wide window is the pipeline the acceptance criteria
+    // compare against it.
     let pipeline_window = 32usize;
-    let legs: [(&'static str, bool, TransportKind, usize, bool); 6] = [
-        ("legacy", false, TransportKind::InProcess, 1, false),
-        ("grouped", true, TransportKind::InProcess, 1, false),
-        (
-            "grouped",
-            true,
-            TransportKind::InProcess,
-            pipeline_window,
-            false,
-        ),
-        ("grouped", true, TransportKind::Tcp, 1, false),
-        ("grouped", true, TransportKind::Tcp, pipeline_window, false),
+    let legs: [(&'static str, TransportKind, usize, bool); 5] = [
+        ("grouped", TransportKind::InProcess, 1, false),
+        ("grouped", TransportKind::InProcess, pipeline_window, false),
+        ("grouped", TransportKind::Tcp, 1, false),
+        ("grouped", TransportKind::Tcp, pipeline_window, false),
         // Quorum-replicated leg: one backup per shard, every commit ack
         // gated on the backup's durable ack. Same transport and window as
         // the fastest unreplicated tcp leg, so the replication overhead
         // is the only delta between the two rows.
-        (
-            "replicated",
-            true,
-            TransportKind::Tcp,
-            pipeline_window,
-            true,
-        ),
+        ("replicated", TransportKind::Tcp, pipeline_window, true),
     ];
     // Short runs on a loaded 1-core box drift hugely run-to-run; report
     // the median of several trials per leg so one lucky (or starved)
@@ -185,7 +172,7 @@ fn main() {
     let trials = if options.quick { 1 } else { 3 };
     let mut rows = Vec::new();
     for &shards in &shard_counts {
-        for &(commit_path, group_commit, transport, max_inflight, replicated) in &legs {
+        for &(commit_path, transport, max_inflight, replicated) in &legs {
             let transport_label = match transport {
                 TransportKind::InProcess => "in-process",
                 TransportKind::Tcp => "tcp",
@@ -203,8 +190,6 @@ fn main() {
                 let workload: Arc<dyn ClusterWorkload> = Arc::new(workload_impl);
                 let mut cluster_config = ClusterConfig::for_benchmarks(shards);
                 cluster_config.db_config.durability = DurabilityMode::Synchronous;
-                cluster_config.db_config.group_commit = group_commit;
-                cluster_config.db_config.read_only_votes = group_commit;
                 cluster_config.transport = transport;
                 cluster_config.max_inflight_per_shard = max_inflight;
                 if replicated {
@@ -369,8 +354,6 @@ fn main() {
             let workload: Arc<dyn ClusterWorkload> = Arc::new(workload_impl);
             let mut cluster_config = ClusterConfig::for_benchmarks(read_shards);
             cluster_config.db_config.durability = DurabilityMode::Synchronous;
-            cluster_config.db_config.group_commit = true;
-            cluster_config.db_config.read_only_votes = true;
             cluster_config.max_inflight_per_shard = pipeline_window;
             if snapshot {
                 cluster_config.default_read_consistency = ReadConsistency::Snapshot;
@@ -540,28 +523,6 @@ fn main() {
     // Always refresh the trajectory file; --json adds a custom copy.
     tebaldi_bench::common::write_trajectory("cluster_tpcc", &report);
     options.maybe_write_json(&report);
-
-    // Commit-path savings mirrored by the acceptance criteria: the grouped
-    // path must cut flushes-per-commit vs. the legacy path at 4 shards
-    // (window-1 legs: the commit-path comparison predates the pipeline).
-    let per_commit = |path: &str| {
-        report
-            .rows
-            .iter()
-            .find(|r| {
-                r.shards == 4
-                    && r.commit_path == path
-                    && r.transport == "in-process"
-                    && r.max_inflight == 1
-            })
-            .map(|r| r.flushes_per_commit)
-    };
-    if let (Some(legacy), Some(grouped)) = (per_commit("legacy"), per_commit("grouped")) {
-        println!(
-            "commit path at 4 shards: {legacy:.2} flushes/commit legacy vs {grouped:.2} grouped ({:.1}x fewer)",
-            legacy / grouped.max(f64::MIN_POSITIVE)
-        );
-    }
 
     // Scale-out sanity check: more shards must not be slower than one shard
     // on this mix (grouped path, unpipelined baseline legs).

@@ -20,13 +20,6 @@ use std::hash::{Hash, Hasher};
 use std::time::Instant;
 use tebaldi_storage::{Key, TxnId};
 
-/// True when `TEBALDI_DEBUG_LOCKS` is set: every grant/release is printed to
-/// stderr. Checked once and cached (the lock path is hot).
-fn debug_locks() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("TEBALDI_DEBUG_LOCKS").is_some())
-}
-
 /// Lock mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LockMode {
@@ -158,20 +151,6 @@ impl LockManager {
             match entry.conflict_with(ctx.txn, lane, mode) {
                 None => {
                     let newly = entry.grant(ctx.txn, lane, mode);
-                    if debug_locks() {
-                        eprintln!(
-                            "LOCK grant txn={:?} key={:?} mode={:?} newly={} holders={:?}",
-                            ctx.txn,
-                            key,
-                            mode,
-                            newly,
-                            entry
-                                .holders
-                                .iter()
-                                .map(|h| (h.txn, h.mode))
-                                .collect::<Vec<_>>()
-                        );
-                    }
                     drop(entries);
                     if newly {
                         self.held_of(ctx.txn)
@@ -214,9 +193,6 @@ impl LockManager {
 
     /// Releases the locks held by `txn` on the given keys.
     pub fn release_keys(&self, txn: TxnId, keys: &[Key]) {
-        if debug_locks() && !keys.is_empty() {
-            eprintln!("LOCK release_keys txn={txn:?} keys={keys:?}");
-        }
         for key in keys {
             let shard = self.shard_of(key);
             let mut entries = shard.entries.lock();
@@ -247,9 +223,6 @@ impl LockManager {
             let mut held = self.held_of(txn).lock();
             held.remove(&txn).unwrap_or_default()
         };
-        if debug_locks() && !keys.is_empty() {
-            eprintln!("LOCK release_all txn={txn:?} keys={keys:?}");
-        }
         for key in &keys {
             let shard = self.shard_of(key);
             let mut entries = shard.entries.lock();

@@ -4,13 +4,11 @@
 //! engine's commit timestamps are all drawn from one logical clock. The
 //! paper dedicates a machine to timestamp assignment and batch management
 //! (§4.6); inside a single process an atomic counter gives the same total
-//! order. A configurable per-issue delay can emulate the round trip to a
-//! remote timestamp server for the overhead experiments of §4.6.5.
+//! order.
 
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 use tebaldi_storage::Timestamp;
 
 /// A monotonically increasing timestamp oracle.
@@ -24,7 +22,6 @@ use tebaldi_storage::Timestamp;
 #[derive(Debug)]
 pub struct TsOracle {
     next: AtomicU64,
-    issue_delay: Option<Duration>,
     inflight_commits: Mutex<BTreeSet<u64>>,
 }
 
@@ -40,26 +37,12 @@ impl TsOracle {
     pub fn new() -> Self {
         TsOracle {
             next: AtomicU64::new(1),
-            issue_delay: None,
-            inflight_commits: Mutex::new(BTreeSet::new()),
-        }
-    }
-
-    /// Creates an oracle that sleeps for `delay` on every issue, emulating a
-    /// remote timestamp server.
-    pub fn with_issue_delay(delay: Duration) -> Self {
-        TsOracle {
-            next: AtomicU64::new(1),
-            issue_delay: Some(delay),
             inflight_commits: Mutex::new(BTreeSet::new()),
         }
     }
 
     /// Issues a fresh, unique timestamp.
     pub fn issue(&self) -> Timestamp {
-        if let Some(d) = self.issue_delay {
-            std::thread::sleep(d);
-        }
         Timestamp(self.next.fetch_add(1, Ordering::Relaxed))
     }
 
@@ -87,9 +70,6 @@ impl TsOracle {
     /// A snapshot timestamp: the largest timestamp such that every commit at
     /// or below it has been fully applied. Monotonically non-decreasing.
     pub fn snapshot_ts(&self) -> Timestamp {
-        if let Some(d) = self.issue_delay {
-            std::thread::sleep(d);
-        }
         let inflight = self.inflight_commits.lock();
         match inflight.iter().next() {
             Some(min) => Timestamp(min.saturating_sub(1)),

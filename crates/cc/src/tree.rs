@@ -238,7 +238,6 @@ pub struct PathEntry {
 
 struct TreeNode {
     id: NodeId,
-    kind: CcKind,
     label: String,
     mechanism: Arc<dyn CcMechanism>,
 }
@@ -481,7 +480,6 @@ impl CcTree {
             mechanism_of.insert(inner.node, Arc::clone(&mech));
             nodes.push(TreeNode {
                 id: inner.node,
-                kind: inner.kind,
                 label: inner.label.clone(),
                 mechanism: mech,
             });
@@ -498,7 +496,6 @@ impl CcTree {
             mechanism_of.insert(leaf.node, Arc::clone(&mech));
             nodes.push(TreeNode {
                 id: leaf.node,
-                kind: leaf.kind,
                 label: leaf.label.clone(),
                 mechanism: mech,
             });
@@ -588,11 +585,6 @@ impl CcTree {
     /// Number of leaf groups.
     pub fn group_count(&self) -> usize {
         self.paths.len()
-    }
-
-    /// The kind of mechanism at a node.
-    pub fn kind_of(&self, node: NodeId) -> Option<CcKind> {
-        self.nodes.iter().find(|n| n.id == node).map(|n| n.kind)
     }
 
     /// The smallest GC watermark across every mechanism in the tree.

@@ -57,15 +57,6 @@ pub enum ShardRequest {
         /// Coordinator-chosen HLC decision stamp (`0` = unstamped).
         hlc: u64,
     },
-    /// One-phase commit of the lone read-write participant: behaviorally a
-    /// [`Commit`](ShardRequest::Commit), kept distinct so the wire protocol
-    /// (and shard-side diagnostics) can tell the degenerate case apart.
-    CommitOnePhase {
-        /// Cluster-global transaction id.
-        global: u64,
-        /// Coordinator-chosen HLC decision stamp (`0` = unstamped).
-        hlc: u64,
-    },
     /// 2PC phase two: abort `global` (also delivered for timed-out votes,
     /// where the shard may not have prepared yet — see the orphan-abort
     /// table in [`crate::worker`]).
@@ -89,8 +80,6 @@ pub enum ShardRequest {
         /// The keys to read, all owned by this shard.
         keys: Vec<tebaldi_storage::Key>,
     },
-    /// Admin: snapshot the shard's engine counters.
-    Stats,
     /// Admin: seal the shard's current durability epoch and flush its WAL
     /// device.
     Flush,
@@ -128,44 +117,9 @@ impl ShardRequest {
     pub fn is_decision(&self) -> bool {
         matches!(
             self,
-            ShardRequest::Commit { .. }
-                | ShardRequest::CommitOnePhase { .. }
-                | ShardRequest::Abort { .. }
+            ShardRequest::Commit { .. } | ShardRequest::Abort { .. }
         )
     }
-}
-
-/// A shard's engine counters as reported by [`ShardRequest::Stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStatsReply {
-    /// Transactions committed on this shard.
-    pub committed: u64,
-    /// Aborted attempts on this shard.
-    pub aborted: u64,
-    /// WAL device flushes on this shard.
-    pub flushes: u64,
-    /// Prepared transactions currently awaiting a decision.
-    pub in_doubt: u64,
-    /// Mean nanoseconds a body-running request spent in the submission
-    /// queue before a worker picked it up (the execute-wait share of the
-    /// prepare latency).
-    pub queue_wait_ns: u64,
-    /// Peak number of simultaneously in-flight bodies (executing or
-    /// awaiting hardening) this shard's pipeline has observed.
-    pub pipeline_depth: u64,
-    /// Bounded-staleness reads served by this shard's followers.
-    pub follower_reads: u64,
-    /// Backup promotions that installed this shard's current primary.
-    pub failovers: u64,
-    /// Hardened batches acked on local durability alone because the
-    /// replica quorum missed its ack deadline (degraded mode).
-    pub replica_acks_timed_out: u64,
-    /// HLC snapshot-read requests served by this shard (the zero-2PC read
-    /// path; one request may cover many keys).
-    pub snapshot_reads: u64,
-    /// Total nanoseconds snapshot reads spent waiting out in-flight
-    /// writers before their versions resolved.
-    pub snapshot_read_wait_ns: u64,
 }
 
 /// A shard's reply to a [`ShardRequest`].
@@ -204,8 +158,6 @@ pub enum ShardResponse {
         /// clock merge for in-process transports).
         hlc: u64,
     },
-    /// Reply to [`Stats`](ShardRequest::Stats).
-    Stats(ShardStatsReply),
     /// Acknowledges [`Flush`](ShardRequest::Flush).
     Flushed,
     /// Reply to [`Metrics`](ShardRequest::Metrics): the shard's full

@@ -115,7 +115,8 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A small cluster configuration for tests: modulo partitioning, two
+    /// A small cluster configuration for tests: range partitioning with
+    /// span 1 (consecutive partition keys round-robin over the shards), two
     /// workers per shard, the test engine config. The transport honors
     /// `TEBALDI_TEST_TRANSPORT=tcp` so CI can run the whole cluster test
     /// group over the wire protocol.
@@ -143,8 +144,8 @@ impl ClusterConfig {
         }
     }
 
-    /// Benchmark configuration: modulo partitioning and enough workers to
-    /// keep a shard busy under closed-loop load.
+    /// Benchmark configuration: range partitioning with span 1 and enough
+    /// workers to keep a shard busy under closed-loop load.
     pub fn for_benchmarks(shards: usize) -> Self {
         ClusterConfig {
             shards,
@@ -289,65 +290,6 @@ impl ReadPart {
     }
 }
 
-/// Per-transaction options for [`Cluster::execute`]: the retry budget, the
-/// declared key sets the batch scheduler orders conflicts by, and the
-/// consistency level reads run at. One builder replaces the old
-/// `execute_multi` / `execute_multi_with_retry` /
-/// `execute_multi_batch_declared` entry-point fan — those remain as thin
-/// wrappers.
-#[derive(Clone, Debug)]
-pub struct TxnOptions {
-    /// Total attempts (1 = no retry). Retryable conflicts and unreachable
-    /// shards re-run the transaction under a fresh id; other errors
-    /// surface immediately.
-    pub max_attempts: usize,
-    /// The key sets this transaction declares it will touch. Only
-    /// consulted by the batch scheduler ([`Cluster::execute_batch`]),
-    /// which orders declared conflicts instead of letting them abort; a
-    /// hint, never a correctness requirement.
-    pub declared_sets: Option<BatchKeySets>,
-    /// The consistency level reads made through this options bundle use
-    /// (see [`Cluster::read`]). Writes always run Strong.
-    pub consistency: ReadConsistency,
-}
-
-impl Default for TxnOptions {
-    fn default() -> Self {
-        TxnOptions {
-            max_attempts: 1,
-            declared_sets: None,
-            consistency: ReadConsistency::Strong,
-        }
-    }
-}
-
-impl TxnOptions {
-    /// Starts an options builder with the defaults: single attempt, no
-    /// declarations, strong reads.
-    pub fn new() -> Self {
-        TxnOptions::default()
-    }
-
-    /// Sets the total attempt budget (1 = no retry).
-    pub fn retry(mut self, max_attempts: usize) -> Self {
-        self.max_attempts = max_attempts.max(1);
-        self
-    }
-
-    /// Declares the transaction's read/write key sets for the batch
-    /// scheduler.
-    pub fn declared(mut self, sets: BatchKeySets) -> Self {
-        self.declared_sets = Some(sets);
-        self
-    }
-
-    /// Sets the read consistency level.
-    pub fn consistency(mut self, consistency: ReadConsistency) -> Self {
-        self.consistency = consistency;
-        self
-    }
-}
-
 /// The keys a batched transaction declares it will touch, used by the
 /// dependency-graph batch scheduler to order conflicting transactions
 /// instead of letting the CC layer abort them. Declarations are a
@@ -432,7 +374,7 @@ pub struct ClusterStats {
     /// no prepare record, excluded from the decision).
     pub read_only_votes: u64,
     /// Flushes that concurrent transactions shared through group commit
-    /// (each one a device flush the legacy path would have performed).
+    /// (each one a device flush saved).
     pub coalesced_flushes: u64,
     /// Request messages the transport put on the wire (zero in process).
     pub messages_sent: u64,
@@ -752,10 +694,7 @@ impl ClusterBuilder {
         }
         Ok(Cluster {
             router: ShardRouter::new(n, self.config.partitioning),
-            coordinator: TxnCoordinator::with_options(
-                decision_log,
-                self.config.db_config.group_commit,
-            ),
+            coordinator: TxnCoordinator::new(decision_log),
             shards: RwLock::new(shards),
             transport,
             shard_logs: RwLock::new(shard_logs),
@@ -1346,29 +1285,6 @@ impl Cluster {
             .map(|(value, aborts)| (value, aborts as usize))
     }
 
-    /// Asynchronous submission through the shard's batched mailbox (or the
-    /// shard's socket, over TCP).
-    pub fn submit(
-        &self,
-        shard: usize,
-        proc: ProcId,
-        call: ProcedureCall,
-        args: Vec<u8>,
-        max_attempts: usize,
-    ) -> Ticket<ShardResult> {
-        self.single_shard.inc();
-        self.transport.submit(
-            shard,
-            ShardRequest::Execute {
-                proc,
-                call,
-                args,
-                max_attempts: max_attempts as u32,
-                trace: self.next_trace(),
-            },
-        )
-    }
-
     /// Decides whether the next transaction is traced, allocating a
     /// process-unique trace id when it is. Every `trace_sample_every`-th
     /// transaction samples; `0` turns the sampler off.
@@ -1452,23 +1368,18 @@ impl Cluster {
     /// (bounded by `max_inflight_per_shard` backpressure) instead of
     /// driving them one 2PC at a time. Votes are then collected and each
     /// transaction decided independently — a transaction's outcome never
-    /// depends on its batch-mates. Returns one result per input
-    /// transaction, in order.
-    pub fn execute_multi_batch(&self, batch: Vec<Vec<ShardPart>>) -> Vec<CcResult<Vec<Value>>> {
-        self.execute_multi_batch_declared(batch.into_iter().map(BatchTxn::undeclared).collect())
-    }
-
-    /// [`execute_multi_batch`](Cluster::execute_multi_batch) with
-    /// dependency-graph scheduling over declared key sets (the DGCC idea
-    /// from the paper's batching line of work): instead of racing every
-    /// transaction in the batch and letting the CC mechanisms abort the
-    /// conflicting ones, the coordinator builds the intra-batch conflict
-    /// graph from the declared read/write sets and defers a transaction
-    /// until the wave after its last conflicting predecessor. Waves are
-    /// fully overlapped internally (every member's phase one is in flight
-    /// before any vote is collected), so non-conflicting transactions keep
-    /// the old pipeline parallelism while conflicting ones serialize by
-    /// scheduling instead of aborting.
+    /// depends on its batch-mates.
+    ///
+    /// On top of the overlap sits dependency-graph scheduling over
+    /// declared key sets (the DGCC idea from the paper's batching line of
+    /// work): instead of racing every transaction in the batch and letting
+    /// the CC mechanisms abort the conflicting ones, the coordinator builds
+    /// the intra-batch conflict graph from the declared read/write sets and
+    /// defers a transaction until the wave after its last conflicting
+    /// predecessor. Waves are fully overlapped internally (every member's
+    /// phase one is in flight before any vote is collected), so
+    /// non-conflicting transactions keep the pipeline parallelism while
+    /// conflicting ones serialize by scheduling instead of aborting.
     ///
     /// Transaction `j` conflicts with an earlier `i` when `i`'s writes
     /// intersect `j`'s reads or writes, or `i`'s reads intersect `j`'s
@@ -1821,16 +1732,13 @@ impl Cluster {
         trace: TraceCtx,
     ) -> usize {
         let started = (self.metrics.is_enabled() || trace.is_sampled()).then(obs::now_ns);
-        let one_phase = commit && shards.len() == 1;
         let acks: Vec<Ticket<ShardResult>> = shards
             .iter()
             .map(|&shard| {
-                let request = if !commit {
-                    ShardRequest::Abort { global }
-                } else if one_phase {
-                    ShardRequest::CommitOnePhase { global, hlc }
-                } else {
+                let request = if commit {
                     ShardRequest::Commit { global, hlc }
+                } else {
+                    ShardRequest::Abort { global }
                 };
                 self.transport.submit(shard, request)
             })
@@ -1862,29 +1770,15 @@ impl Cluster {
         failed
     }
 
-    /// The unified transaction entry point: runs `parts` as one
-    /// multi-shard transaction under `opts` — up to `opts.max_attempts`
-    /// attempts, parts cloned per attempt. Returns the results and the
-    /// number of aborted attempts. The old entry-point fan
-    /// ([`execute_multi`](Cluster::execute_multi),
-    /// [`execute_multi_with_retry`](Cluster::execute_multi_with_retry),
-    /// [`execute_multi_batch_declared`](Cluster::execute_multi_batch_declared))
-    /// delegates here or to [`execute_batch`](Cluster::execute_batch).
-    pub fn execute(
+    /// Retries [`execute_multi`](Cluster::execute_multi) on retryable
+    /// conflicts and unreachable shards, up to `max_attempts` attempts in
+    /// total (1 = no retry), rebuilding the parts each attempt (fresh
+    /// instance seeds, re-read dependent state). Distributed deadlocks
+    /// resolve through lock timeouts, so retry is the normal path under
+    /// contention. Returns the results and the number of aborted attempts.
+    pub fn execute_multi_with_retry(
         &self,
-        parts: Vec<ShardPart>,
-        opts: &TxnOptions,
-    ) -> CcResult<(Vec<Value>, usize)> {
-        self.execute_with(opts, || parts.clone())
-    }
-
-    /// [`execute`](Cluster::execute) for transactions whose parts must be
-    /// rebuilt each attempt (fresh instance seeds, re-read dependent
-    /// state). Distributed deadlocks resolve through lock timeouts, so
-    /// retry is the normal path under contention.
-    pub fn execute_with(
-        &self,
-        opts: &TxnOptions,
+        max_attempts: usize,
         mut parts: impl FnMut() -> Vec<ShardPart>,
     ) -> CcResult<(Vec<Value>, usize)> {
         let mut aborts = 0;
@@ -1895,13 +1789,7 @@ impl Cluster {
             if attempt.len() == 1 {
                 let part = attempt.into_iter().next().expect("one part");
                 return self
-                    .execute_single(
-                        part.shard,
-                        part.proc,
-                        &part.call,
-                        part.args,
-                        opts.max_attempts,
-                    )
+                    .execute_single(part.shard, part.proc, &part.call, part.args, max_attempts)
                     .map(|(value, part_aborts)| (vec![value], aborts + part_aborts));
             }
             match self.execute_multi(attempt) {
@@ -1913,7 +1801,7 @@ impl Cluster {
                 // attempt under a new transaction id cannot double-apply.
                 Err(err)
                     if (err.is_retryable() || err.is_unreachable())
-                        && aborts + 1 < opts.max_attempts =>
+                        && aborts + 1 < max_attempts =>
                 {
                     aborts += 1;
                     std::thread::sleep(std::time::Duration::from_micros(
@@ -1923,35 +1811,6 @@ impl Cluster {
                 Err(err) => return Err(err),
             }
         }
-    }
-
-    /// Runs a batch of transactions, each under its options' declared key
-    /// sets (dependency-graph scheduled — see
-    /// [`execute_multi_batch_declared`](Cluster::execute_multi_batch_declared)).
-    pub fn execute_batch(
-        &self,
-        batch: Vec<(Vec<ShardPart>, TxnOptions)>,
-    ) -> Vec<CcResult<Vec<Value>>> {
-        self.execute_multi_batch_declared(
-            batch
-                .into_iter()
-                .map(|(parts, opts)| match opts.declared_sets {
-                    Some(sets) => BatchTxn::declared(parts, sets),
-                    None => BatchTxn::undeclared(parts),
-                })
-                .collect(),
-        )
-    }
-
-    /// Retries [`execute_multi`](Cluster::execute_multi) on retryable
-    /// conflicts, rebuilding the parts each attempt. Thin wrapper over
-    /// [`execute_with`](Cluster::execute_with).
-    pub fn execute_multi_with_retry(
-        &self,
-        max_attempts: usize,
-        parts: impl FnMut() -> Vec<ShardPart>,
-    ) -> CcResult<(Vec<Value>, usize)> {
-        self.execute_with(&TxnOptions::new().retry(max_attempts), parts)
     }
 
     /// Loads a key on the shard owning `partition_key`, bypassing
@@ -2022,12 +1881,6 @@ impl Cluster {
             .checked_div(self.lock_windows.get())
             .unwrap_or(0);
         stats
-    }
-
-    /// The coordinator-side metrics registry (the cluster's own counters
-    /// and 2PC phase histograms; shard engines keep their own registries).
-    pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
     }
 
     /// One merged metrics snapshot for the whole cluster: the coordinator
@@ -2660,10 +2513,10 @@ mod tests {
         }
         // One thread, one call: every transaction's phase one is submitted
         // before any vote is collected.
-        let batch: Vec<Vec<ShardPart>> = (0..n)
-            .map(|i| transfer_parts(&cluster, 2 * i + 1, 2 * i + 2, 30))
+        let batch: Vec<BatchTxn> = (0..n)
+            .map(|i| BatchTxn::undeclared(transfer_parts(&cluster, 2 * i + 1, 2 * i + 2, 30)))
             .collect();
-        let results = cluster.execute_multi_batch(batch);
+        let results = cluster.execute_multi_batch_declared(batch);
         assert_eq!(results.len(), n as usize);
         for result in &results {
             assert!(result.is_ok(), "batched transfer failed: {result:?}");
@@ -2692,10 +2545,10 @@ mod tests {
         for account in 1..=8 {
             cluster.load(account, account_key(account), Value::Int(100));
         }
-        let batch: Vec<Vec<ShardPart>> = (0..4)
-            .map(|i| transfer_parts(&cluster, 2 * i + 1, 2 * i + 2, 10))
+        let batch: Vec<BatchTxn> = (0..4)
+            .map(|i| BatchTxn::undeclared(transfer_parts(&cluster, 2 * i + 1, 2 * i + 2, 10)))
             .collect();
-        for result in cluster.execute_multi_batch(batch) {
+        for result in cluster.execute_multi_batch_declared(batch) {
             result.unwrap();
         }
         let stats = cluster.stats();
@@ -2717,14 +2570,14 @@ mod tests {
         cluster.load(1, account_key(1), Value::Int(100));
         cluster.load(2, account_key(2), Value::Int(100));
         let batch = vec![
-            transfer_parts(&cluster, 1, 2, 25),
+            BatchTxn::undeclared(transfer_parts(&cluster, 1, 2, 25)),
             // Both parts on one shard: rejected at validation.
-            vec![
+            BatchTxn::undeclared(vec![
                 procs::increment_part(0, ProcedureCall::new(TY), account_key(4), 0, 1),
                 procs::increment_part(0, ProcedureCall::new(TY), account_key(6), 0, 1),
-            ],
+            ]),
         ];
-        let results = cluster.execute_multi_batch(batch);
+        let results = cluster.execute_multi_batch_declared(batch);
         assert!(results[0].is_ok());
         assert!(results[1].is_err());
         assert_eq!(balance(&cluster, 1), 75);
@@ -3146,10 +2999,10 @@ mod tests {
         assert_eq!(balance(&cluster, 2), 700);
     }
 
-    /// `execute` under `TxnOptions` retries retryable aborts exactly like
-    /// the old `execute_multi_with_retry` wrapper it subsumes.
+    /// `execute_multi_with_retry` surfaces a non-retryable abort at once
+    /// and routes a one-part list down the single-shard fast path.
     #[test]
-    fn txn_options_execute_retries_poisoned_attempts() {
+    fn execute_multi_with_retry_surfaces_poisoned_attempts() {
         let cluster = cluster(2);
         cluster.load(1, account_key(1), Value::Int(10));
         // POISON increments then self-aborts: never commits, not
@@ -3161,21 +3014,20 @@ mod tests {
             procs::key_args(account_key(1)),
         )];
         let err = cluster
-            .execute(poisoned, &TxnOptions::new().retry(3))
+            .execute_multi_with_retry(3, || poisoned.clone())
             .unwrap_err();
         assert!(matches!(err, CcError::Requested), "got {err:?}");
-        // A clean transfer through the unified entry point commits.
+        // A clean increment through the same entry point commits.
         let (values, aborts) = cluster
-            .execute(
+            .execute_multi_with_retry(3, || {
                 vec![procs::increment_part(
                     cluster.shard_of(1),
                     ProcedureCall::new(TY),
                     account_key(1),
                     0,
                     7,
-                )],
-                &TxnOptions::new().retry(3),
-            )
+                )]
+            })
             .unwrap();
         assert_eq!(values, vec![Value::Int(17)]);
         assert_eq!(aborts, 0);

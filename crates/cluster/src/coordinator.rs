@@ -64,13 +64,11 @@ pub struct TxnCoordinator {
     reserve_lock: Mutex<()>,
     decision_log: Arc<dyn LogDevice>,
     group: GroupCommit,
-    coalesce: bool,
     committed: AtomicU64,
     aborted: AtomicU64,
     one_phase: AtomicU64,
     read_only: AtomicU64,
     decisions_logged: AtomicU64,
-    uncoalesced_flushes: AtomicU64,
 }
 
 impl std::fmt::Debug for TxnCoordinator {
@@ -95,12 +93,6 @@ impl TxnCoordinator {
     /// A coordinator over the given decision-log device, with decision
     /// flushes coalesced across concurrent transactions.
     pub fn new(decision_log: Arc<dyn LogDevice>) -> Self {
-        TxnCoordinator::with_options(decision_log, true)
-    }
-
-    /// [`TxnCoordinator::new`] with explicit control over decision-flush
-    /// coalescing (`false` restores the one-flush-per-decision baseline).
-    pub fn with_options(decision_log: Arc<dyn LogDevice>, coalesce: bool) -> Self {
         // Resume the id sequence above anything already decided *or
         // reserved*: every id ever handed out lies below some logged
         // record (decision or reservation marker), so restarts can never
@@ -117,13 +109,11 @@ impl TxnCoordinator {
             reserve_lock: Mutex::new(()),
             group: GroupCommit::new(Arc::clone(&decision_log)),
             decision_log,
-            coalesce,
             committed: AtomicU64::new(0),
             aborted: AtomicU64::new(0),
             one_phase: AtomicU64::new(0),
             read_only: AtomicU64::new(0),
             decisions_logged: AtomicU64::new(0),
-            uncoalesced_flushes: AtomicU64::new(0),
         }
     }
 
@@ -166,13 +156,7 @@ impl TxnCoordinator {
             hlc,
         };
         self.decisions_logged.fetch_add(1, Ordering::Relaxed);
-        if self.coalesce {
-            self.group.append_durable(std::slice::from_ref(&record));
-        } else {
-            self.decision_log.append(&record);
-            self.decision_log.flush();
-            self.uncoalesced_flushes.fetch_add(1, Ordering::Relaxed);
-        }
+        self.group.append_durable(std::slice::from_ref(&record));
     }
 
     /// The commit point: durably records the commit decision for `global`
@@ -267,8 +251,7 @@ impl TxnCoordinator {
             one_phase: self.one_phase.load(Ordering::Relaxed),
             read_only: self.read_only.load(Ordering::Relaxed),
             decisions_logged: self.decisions_logged.load(Ordering::Relaxed),
-            decision_flushes: self.group.flush_count()
-                + self.uncoalesced_flushes.load(Ordering::Relaxed),
+            decision_flushes: self.group.flush_count(),
         }
     }
 }

@@ -28,7 +28,7 @@
 //! * **Partition** — a window of consecutive messages to one shard is
 //!   dropped wholesale, as if the link went away and came back.
 //!
-//! Admin requests (`Stats`, `Metrics`, `Flush`) pass through untouched so
+//! Admin requests (`Metrics`, `Flush`) pass through untouched so
 //! tests can always observe the cluster they are torturing.
 //!
 //! Every injected fault increments a `transport.faults.*` counter in the

@@ -15,8 +15,8 @@
 //! ```text
 //!                 ┌────────────────────────────────────────────┐
 //!   Cluster ──────│ ShardRequest { Execute | Prepare | Commit  │
-//!   (router, 2PC  │   | CommitOnePhase | Abort | Stats | Flush │
-//!   coordinator)  │   | Metrics }                              │
+//!   (router, 2PC  │   | Abort | SnapshotRead | Flush | Metrics │
+//!   coordinator)  │   }                                        │
 //!                 └────────────────┬───────────────────────────┘
 //!                                  │  ShardTransport
 //!                   ┌──────────────┴─────────────┐
@@ -33,9 +33,8 @@
 //! * **single-shard fast path** — the router classifies the transaction's
 //!   partition keys; when they land on one shard, the call ships the
 //!   procedure id + arguments to that shard
-//!   ([`Cluster::execute_single`] synchronously — inline on the calling
-//!   thread for the in-process transport — or [`Cluster::submit`]
-//!   asynchronously through the shard's batched mailbox);
+//!   ([`Cluster::execute_single`] — inline on the calling thread for the
+//!   in-process transport, a frame round trip over TCP);
 //! * **multi-shard 2PC** — each participant shard *prepares* its part
 //!   (execute, validate, wait dependencies, flush a `Prepare` WAL record,
 //!   keep the locks), the coordinator logs the commit decision durably (the
@@ -73,11 +72,11 @@ pub mod transport;
 pub mod wire;
 pub mod worker;
 
-pub use api::{ShardRequest, ShardResponse, ShardResult, ShardStatsReply};
+pub use api::{ShardRequest, ShardResponse, ShardResult};
 pub use cluster::{
     recover_cluster, test_read_consistency, test_replication, test_transport, BatchKeySets,
     BatchTxn, Cluster, ClusterBuilder, ClusterClock, ClusterConfig, ClusterStats, ReadConsistency,
-    ReadPart, ShardPart, SnapshotHandle, TxnOptions,
+    ReadPart, ShardPart, SnapshotHandle,
 };
 pub use coordinator::{CoordinatorStats, TxnCoordinator};
 pub use faults::{FaultPlan, FaultyTransport, LogLinkVerdict, ReplicaLinkLane};

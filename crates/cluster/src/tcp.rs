@@ -682,12 +682,6 @@ impl TcpTransport {
         }
     }
 
-    /// The addresses of the servers this transport owns (empty when it
-    /// only connected to external servers).
-    pub fn server_addrs(&self) -> Vec<SocketAddr> {
-        self.servers.iter().map(|s| s.addr()).collect()
-    }
-
     /// Returns `shard`'s live link, re-dialing within the backoff policy
     /// when the previous connection died. Fails fast with a retryable
     /// [`CcError::Unreachable`] while the backoff window is closed or the

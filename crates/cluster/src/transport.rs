@@ -241,13 +241,17 @@ mod tests {
         let (value, _) = ticket.wait().unwrap().unwrap().into_executed().unwrap();
         assert_eq!(value, Value::Int(2));
         // Admin ops resolve synchronously.
-        let ticket = transport.submit(0, ShardRequest::Stats);
+        let ticket = transport.submit(0, ShardRequest::Metrics);
         assert!(matches!(
             ticket.wait().unwrap().unwrap(),
-            ShardResponse::Stats(_)
+            ShardResponse::Metrics(_)
         ));
+        assert_eq!(
+            transport.call(0, ShardRequest::Flush),
+            Ok(ShardResponse::Flushed)
+        );
         // Out-of-range shard is a clean error.
-        assert!(transport.call(9, ShardRequest::Stats).is_err());
+        assert!(transport.call(9, ShardRequest::Flush).is_err());
         assert_eq!(transport.stats(), TransportStats::default());
         workers.shutdown();
     }

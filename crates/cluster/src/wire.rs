@@ -13,7 +13,7 @@
 //! connection, the client by failing the affected tickets with a clean
 //! `CcError::Internal` (which aborts the transaction that was waiting).
 
-use crate::api::{ShardRequest, ShardResponse, ShardStatsReply};
+use crate::api::{ShardRequest, ShardResponse};
 use crate::worker::Vote;
 use std::io::{Read, Write};
 use tebaldi_cc::CcError;
@@ -258,6 +258,11 @@ fn get_metrics(r: &mut ByteReader<'_>) -> CodecResult<MetricsSnapshot> {
 /// Encodes a request payload (without the frame length prefix). `hlc` is
 /// the sender's clock reading at send time, merged into the receiving
 /// shard's clock before the request is dispatched.
+///
+/// Request tags 3 and 5 and response tag 3 belonged to retired variants
+/// (a one-phase flavor of `Commit`, and a stats admin request/reply); they
+/// stay unassigned — never renumber the others — and decode to
+/// [`CodecError::Malformed`].
 pub fn encode_request(req_id: u64, hlc: u64, request: &ShardRequest) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u64(req_id);
@@ -296,16 +301,10 @@ pub fn encode_request(req_id: u64, hlc: u64, request: &ShardRequest) -> Vec<u8> 
             w.put_u64(*global);
             w.put_u64(*hlc);
         }
-        ShardRequest::CommitOnePhase { global, hlc } => {
-            w.put_u8(3);
-            w.put_u64(*global);
-            w.put_u64(*hlc);
-        }
         ShardRequest::Abort { global } => {
             w.put_u8(4);
             w.put_u64(*global);
         }
-        ShardRequest::Stats => w.put_u8(5),
         ShardRequest::Flush => w.put_u8(6),
         ShardRequest::Metrics => w.put_u8(7),
         ShardRequest::SnapshotRead {
@@ -349,12 +348,7 @@ pub fn decode_request(payload: &[u8]) -> CodecResult<(u64, u64, ShardRequest)> {
             global: r.u64()?,
             hlc: r.u64()?,
         },
-        3 => ShardRequest::CommitOnePhase {
-            global: r.u64()?,
-            hlc: r.u64()?,
-        },
         4 => ShardRequest::Abort { global: r.u64()? },
-        5 => ShardRequest::Stats,
         6 => ShardRequest::Flush,
         7 => ShardRequest::Metrics,
         8 => {
@@ -407,20 +401,6 @@ pub fn encode_result(req_id: u64, hlc: u64, result: &Result<ShardResponse, CcErr
                     w.put_u64(*hlc);
                 }
                 ShardResponse::Decided => w.put_u8(2),
-                ShardResponse::Stats(stats) => {
-                    w.put_u8(3);
-                    w.put_u64(stats.committed);
-                    w.put_u64(stats.aborted);
-                    w.put_u64(stats.flushes);
-                    w.put_u64(stats.in_doubt);
-                    w.put_u64(stats.queue_wait_ns);
-                    w.put_u64(stats.pipeline_depth);
-                    w.put_u64(stats.follower_reads);
-                    w.put_u64(stats.failovers);
-                    w.put_u64(stats.replica_acks_timed_out);
-                    w.put_u64(stats.snapshot_reads);
-                    w.put_u64(stats.snapshot_read_wait_ns);
-                }
                 ShardResponse::Flushed => w.put_u8(4),
                 ShardResponse::Metrics(snapshot) => {
                     w.put_u8(5);
@@ -465,19 +445,6 @@ pub fn decode_result(payload: &[u8]) -> CodecResult<(u64, u64, Result<ShardRespo
                 hlc: r.u64()?,
             },
             2 => ShardResponse::Decided,
-            3 => ShardResponse::Stats(ShardStatsReply {
-                committed: r.u64()?,
-                aborted: r.u64()?,
-                flushes: r.u64()?,
-                in_doubt: r.u64()?,
-                queue_wait_ns: r.u64()?,
-                pipeline_depth: r.u64()?,
-                follower_reads: r.u64()?,
-                failovers: r.u64()?,
-                replica_acks_timed_out: r.u64()?,
-                snapshot_reads: r.u64()?,
-                snapshot_read_wait_ns: r.u64()?,
-            }),
             4 => ShardResponse::Flushed,
             5 => ShardResponse::Metrics(Box::new(get_metrics(&mut r)?)),
             6 => {
@@ -572,12 +539,7 @@ mod tests {
                 global: 1,
                 hlc: 0x7777,
             },
-            ShardRequest::CommitOnePhase {
-                global: 2,
-                hlc: 0x8888,
-            },
             ShardRequest::Abort { global: 3 },
-            ShardRequest::Stats,
             ShardRequest::Flush,
             ShardRequest::Metrics,
             ShardRequest::SnapshotRead {
@@ -629,19 +591,6 @@ mod tests {
                 values: Vec::new(),
                 hlc: 0,
             }),
-            Ok(ShardResponse::Stats(ShardStatsReply {
-                committed: 5,
-                aborted: 2,
-                flushes: 9,
-                in_doubt: 1,
-                queue_wait_ns: 1_234,
-                pipeline_depth: 17,
-                follower_reads: 21,
-                failovers: 1,
-                replica_acks_timed_out: 3,
-                snapshot_reads: 44,
-                snapshot_read_wait_ns: 5_678,
-            })),
             Ok(ShardResponse::Flushed),
             Ok(ShardResponse::Metrics(Box::new(MetricsSnapshot {
                 counters: vec![("cluster.multi_shard".to_string(), 12)],
@@ -718,7 +667,7 @@ mod tests {
     fn garbage_payloads_error_cleanly() {
         assert!(decode_request(&[]).is_err());
         assert!(decode_result(&[]).is_err());
-        let good = encode_request(1, 0, &ShardRequest::Stats);
+        let good = encode_request(1, 0, &ShardRequest::Flush);
         // Truncations at every split point.
         for cut in 0..good.len() {
             assert!(decode_request(&good[..cut]).is_err(), "cut at {cut}");
@@ -727,10 +676,24 @@ mod tests {
         let mut padded = good.clone();
         padded.push(0);
         assert!(decode_request(&padded).is_err());
-        // Bad tags.
-        let mut bad = good;
-        *bad.last_mut().unwrap() = 0xEE;
-        assert!(decode_request(&bad).is_err());
+        // Bad tags — 3 and 5 are retired requests (see `encode_request`):
+        // refused, never decoded as some other variant.
+        for tag in [3, 5, 0xEE] {
+            let mut bad = good.clone();
+            *bad.last_mut().unwrap() = tag;
+            assert_eq!(
+                decode_request(&bad),
+                Err(CodecError::Malformed("request tag")),
+                "request tag {tag}"
+            );
+        }
+        // Likewise the retired `Stats` response (tag 3).
+        let mut bad = encode_result(1, 0, &Ok(ShardResponse::Flushed));
+        *bad.last_mut().unwrap() = 3;
+        assert_eq!(
+            decode_result(&bad),
+            Err(CodecError::Malformed("response tag"))
+        );
     }
 
     #[test]

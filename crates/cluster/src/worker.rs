@@ -12,10 +12,10 @@
 //!
 //! A 2PC prepare has two halves with very different costs: *executing* the
 //! body (CPU + lock waits) and *hardening* the yes-vote (waiting for the
-//! `Prepare` WAL record's device flush). The legacy engine ran both on the
-//! worker thread, so one in-flight prepare pinned one worker for its whole
-//! latency and the number of overlapping prepares was bounded by the pool
-//! size — scheduling, not hardware. With pipelining enabled
+//! `Prepare` WAL record's device flush). Run both on the worker thread and
+//! one in-flight prepare pins one worker for its whole latency, so the
+//! number of overlapping prepares is bounded by the pool size —
+//! scheduling, not hardware. With pipelining enabled
 //! (`max_inflight > workers`), a worker instead:
 //!
 //! 1. pops the next submission (admission is bounded by the in-flight
@@ -43,7 +43,7 @@
 //! decisions apply inline on the delivering thread so they never queue
 //! behind blocking prepares.
 
-use crate::api::{ShardRequest, ShardResponse, ShardResult, ShardStatsReply};
+use crate::api::{ShardRequest, ShardResponse, ShardResult};
 use crate::replication::ShardReplication;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
@@ -315,13 +315,6 @@ pub struct ShardWorkers {
     /// quorum gate the ack paths call before a hardened batch (or a
     /// synchronous prepare/execute) is acknowledged.
     replication: Mutex<Option<Arc<ShardReplication>>>,
-    /// `replication.*` counters surfaced through [`ShardRequest::Stats`].
-    /// Shared by name with [`ShardReplication`]'s registrations in the
-    /// same shard registry (and bumped by promotion), so the reply needs
-    /// no replication handle.
-    follower_reads: Arc<Counter>,
-    failovers: Arc<Counter>,
-    replica_ack_timeouts: Arc<Counter>,
     /// `snapshot.*` instruments for the zero-2PC HLC read path: requests
     /// served, total nanoseconds spent waiting out in-flight writers, and
     /// the per-request service latency distribution.
@@ -384,9 +377,6 @@ impl ShardWorkers {
             dup_decisions: metrics.counter("decisions.duplicate"),
             conflict_decisions: metrics.counter("decisions.conflict"),
             replication: Mutex::new(None),
-            follower_reads: metrics.counter("replication.follower_reads"),
-            failovers: metrics.counter("replication.failovers"),
-            replica_ack_timeouts: metrics.counter("replication.acks_timed_out"),
             snapshot_reads: metrics.counter("snapshot.reads"),
             snapshot_read_wait_ns: metrics.counter("snapshot.read_wait_ns"),
             snapshot_read_latency: metrics.histogram("snapshot.read_ns"),
@@ -526,7 +516,7 @@ impl ShardWorkers {
                 args,
                 ..
             } => self.prepare_now(global, proc, &call, &args),
-            ShardRequest::Commit { global, hlc } | ShardRequest::CommitOnePhase { global, hlc } => {
+            ShardRequest::Commit { global, hlc } => {
                 self.decide_stamped(global, true, hlc);
                 Ok(ShardResponse::Decided)
             }
@@ -539,26 +529,6 @@ impl ShardWorkers {
                 wait_ms,
                 keys,
             } => self.snapshot_read_now(snapshot, wait_ms, &keys),
-            ShardRequest::Stats => {
-                let snapshot = self.db.stats();
-                let pipeline = self.pipeline_stats();
-                Ok(ShardResponse::Stats(ShardStatsReply {
-                    committed: snapshot.committed,
-                    aborted: snapshot.aborted,
-                    flushes: self.db.durability().stats().flushes,
-                    in_doubt: self.in_doubt_count() as u64,
-                    queue_wait_ns: pipeline
-                        .queue_wait_ns
-                        .checked_div(pipeline.queued)
-                        .unwrap_or(0),
-                    pipeline_depth: pipeline.max_depth,
-                    follower_reads: self.follower_reads.get(),
-                    failovers: self.failovers.get(),
-                    replica_acks_timed_out: self.replica_ack_timeouts.get(),
-                    snapshot_reads: self.snapshot_reads.get(),
-                    snapshot_read_wait_ns: self.snapshot_read_wait_ns.get(),
-                }))
-            }
             ShardRequest::Flush => {
                 self.db.durability().seal_current_epoch();
                 Ok(ShardResponse::Flushed)
@@ -745,8 +715,7 @@ impl ShardWorkers {
                 }
             }
             Ok((value, ParticipantVote::ReadWrite(prepared), None)) => {
-                // Nothing to defer (durability off, or legacy uncoalesced
-                // flushing already hardened synchronously): finish inline.
+                // Nothing to defer (durability off): finish inline.
                 Some((self.park_prepared(global, value, prepared), reply))
             }
             Ok((value, ParticipantVote::ReadWrite(prepared), Some(seq))) => {
@@ -887,13 +856,6 @@ impl ShardWorkers {
                 prepared.abort();
             }
         }
-    }
-
-    /// The global ids of every prepared transaction currently parked in
-    /// the in-doubt table. Failover uses this to re-resolve entries whose
-    /// decisions raced with a promotion.
-    pub fn in_doubt_globals(&self) -> Vec<u64> {
-        self.in_doubt.lock().keys().copied().collect()
     }
 
     /// Serves a multi-key read at the global HLC snapshot `snapshot` — the
@@ -1510,15 +1472,15 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_flush_admin_requests() {
+    fn metrics_and_flush_admin_requests() {
         let pool = ShardWorkers::spawn(0, db(), 1, registry());
         pool.db().load(Key::simple(TABLE, 1), Value::Int(0));
         pool.execute_now(BUMP, &ProcedureCall::new(TY), &args(1), 5)
             .unwrap();
-        match pool.handle_inline(ShardRequest::Stats).unwrap() {
-            ShardResponse::Stats(stats) => {
-                assert_eq!(stats.committed, 1);
-                assert_eq!(stats.in_doubt, 0);
+        match pool.handle_inline(ShardRequest::Metrics).unwrap() {
+            ShardResponse::Metrics(metrics) => {
+                let latency = metrics.histogram("proc.bump.latency_ns");
+                assert_eq!(latency.map(|h| h.count), Some(1));
             }
             other => panic!("unexpected reply {other:?}"),
         }

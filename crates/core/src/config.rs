@@ -43,15 +43,6 @@ pub struct DbConfig {
     pub sim_network_rtt_us: u64,
     /// Registry shards (transaction directory).
     pub registry_shards: usize,
-    /// Coalesce synchronous WAL flushes across concurrent transactions
-    /// (cross-transaction group commit). Disabled only by benches that
-    /// measure the legacy one-flush-per-record commit path.
-    pub group_commit: bool,
-    /// Let a 2PC participant whose write set is empty vote `ReadOnly`:
-    /// it commits and releases at phase one, writes no prepare record, and
-    /// is excluded from the decision. Disabled only by benches measuring
-    /// the legacy full-2PC path.
-    pub read_only_votes: bool,
 }
 
 impl Default for DbConfig {
@@ -63,8 +54,6 @@ impl Default for DbConfig {
             record_history: false,
             sim_network_rtt_us: 0,
             registry_shards: 64,
-            group_commit: true,
-            read_only_votes: true,
         }
     }
 }

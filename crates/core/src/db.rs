@@ -166,8 +166,7 @@ impl DatabaseBuilder {
             .metrics
             .unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
         store.attach_metrics(&metrics);
-        let durability =
-            DurabilityManager::with_metrics(device, policy, self.config.group_commit, &metrics);
+        let durability = DurabilityManager::with_metrics(device, policy, &metrics);
         let history = if self.config.record_history {
             Some(Arc::new(HistoryRecorder::new()))
         } else {
@@ -474,8 +473,7 @@ impl Database {
     /// [`wait_hardened`](Database::wait_hardened) with that sequence
     /// before acknowledging the yes-vote to anyone: a vote on an unflushed
     /// prepare record could be silently lost by a crash. A `None` sequence
-    /// means there is nothing to wait for (durability disabled, or legacy
-    /// uncoalesced flushing, which hardened synchronously). A read-only
+    /// means there is nothing to wait for (durability disabled). A read-only
     /// vote may also carry a sequence: the read-acknowledgement barrier
     /// over deferred commits it may have read from.
     pub fn prepare_deferred<R>(
@@ -548,7 +546,7 @@ impl Database {
 
         match outcome {
             Ok(value) => {
-                let read_only = txn.ctx().write_keys.is_empty() && self.config.read_only_votes;
+                let read_only = txn.ctx().write_keys.is_empty();
                 let mut harden = None;
                 if !read_only && self.durability.is_enabled() {
                     // Harden the yes-vote: the prepare record is group-
@@ -669,12 +667,6 @@ impl Database {
     pub(crate) fn next_version_id(&self) -> u64 {
         self.version_ids.fetch_add(1, Ordering::Relaxed)
     }
-
-    /// Registers a transaction type at runtime — used by tests; workloads
-    /// normally register everything up front through the builder.
-    pub fn type_name(&self, ty: TxnTypeId) -> String {
-        self.procedures.name(ty)
-    }
 }
 
 impl Drop for Database {
@@ -702,12 +694,4 @@ fn retry_attempts<R>(
             Err(err) => return Err(err),
         }
     }
-}
-
-/// True when `TEBALDI_DEBUG_READS` is set: the read path prints a line
-/// whenever the chosen version differs from the newest version of the key
-/// (useful when chasing staleness/visibility bugs). Checked once and cached.
-pub(crate) fn debug_reads() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("TEBALDI_DEBUG_READS").is_some())
 }

@@ -265,33 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn read_only_vote_disabled_parks_like_a_writer() {
-        let mut procedures = ProcedureSet::new();
-        procedures.insert(ProcedureInfo::new(
-            TY,
-            "write",
-            vec![(TABLE, AccessMode::Write)],
-        ));
-        let db = Arc::new(
-            Database::builder(DbConfig {
-                read_only_votes: false,
-                ..DbConfig::for_tests()
-            })
-            .procedures(procedures)
-            .cc_spec(CcTreeSpec::monolithic(CcKind::TwoPl, vec![TY]))
-            .build()
-            .unwrap(),
-        );
-        let key = Key::simple(TABLE, 5);
-        db.load(key, Value::Int(1));
-        let (_, vote) = db
-            .prepare(&ProcedureCall::new(TY), 81, |txn| txn.get(key))
-            .unwrap();
-        let prepared = vote.into_prepared().expect("legacy path parks every part");
-        prepared.commit();
-    }
-
-    #[test]
     fn prepare_failure_cleans_up() {
         let db = db();
         let key = Key::simple(TABLE, 3);

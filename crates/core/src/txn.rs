@@ -69,11 +69,6 @@ impl<'a> Txn<'a> {
         self.ctx.group
     }
 
-    /// The dependencies reported so far (diagnostics, tests).
-    pub fn dependency_count(&self) -> usize {
-        self.ctx.deps.len()
-    }
-
     /// Start phase: top-down pass over the path.
     pub(crate) fn begin(&mut self) -> CcResult<()> {
         if self.path.is_empty() {
@@ -119,23 +114,6 @@ impl<'a> Txn<'a> {
                     candidate,
                     chain,
                 );
-            }
-            if crate::db::debug_reads() {
-                if let (Some(pick), Some(last)) = (&candidate, chain.last()) {
-                    if pick.writer != last.writer && pick.writer != self.ctx.txn {
-                        eprintln!(
-                            "DEBUG stale-pick: reader={:?} key={:?} pick_writer={:?} pick_committed={} \
-                             last_writer={:?} last_committed={} chain_len={}",
-                            self.ctx.txn,
-                            key,
-                            pick.writer,
-                            pick.committed,
-                            last.writer,
-                            last.is_committed(),
-                            chain.len(),
-                        );
-                    }
-                }
             }
             candidate
         });

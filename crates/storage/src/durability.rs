@@ -229,7 +229,6 @@ pub struct DurabilityManager {
     device: Arc<dyn LogDevice>,
     policy: FlushPolicy,
     group: GroupCommit,
-    coalesce: bool,
     current_epoch: AtomicU64,
     sealed: Mutex<EpochState>,
     sealed_cv: Condvar,
@@ -258,26 +257,14 @@ impl std::fmt::Debug for DurabilityManager {
 }
 
 impl DurabilityManager {
-    /// Creates a manager over the given device with group commit enabled.
-    /// When the policy is asynchronous a background flusher thread is
-    /// started; call [`DurabilityManager::shutdown`] (or drop the manager)
-    /// to stop it.
+    /// Creates a manager over the given device. When the policy is
+    /// asynchronous a background flusher thread is started; call
+    /// [`DurabilityManager::shutdown`] (or drop the manager) to stop it.
     pub fn new(device: Arc<dyn LogDevice>, policy: FlushPolicy) -> Arc<Self> {
-        DurabilityManager::with_options(device, policy, true)
+        DurabilityManager::with_metrics(device, policy, &MetricsRegistry::new())
     }
 
-    /// [`DurabilityManager::new`] with explicit control over flush
-    /// coalescing. `coalesce: false` restores the one-flush-per-record
-    /// baseline the benches use as the legacy comparison point.
-    pub fn with_options(
-        device: Arc<dyn LogDevice>,
-        policy: FlushPolicy,
-        coalesce: bool,
-    ) -> Arc<Self> {
-        DurabilityManager::with_metrics(device, policy, coalesce, &MetricsRegistry::new())
-    }
-
-    /// [`DurabilityManager::with_options`] with the durability counters
+    /// [`DurabilityManager::new`] with the durability counters
     /// registered in `metrics` (under `durability.*` names), so a metrics
     /// snapshot exposes them without a separate stats plumbing path. The
     /// counters are live regardless of whether the registry's histograms
@@ -285,7 +272,6 @@ impl DurabilityManager {
     pub fn with_metrics(
         device: Arc<dyn LogDevice>,
         policy: FlushPolicy,
-        coalesce: bool,
         metrics: &MetricsRegistry,
     ) -> Arc<Self> {
         let mgr = Arc::new(DurabilityManager {
@@ -296,7 +282,6 @@ impl DurabilityManager {
                 metrics.counter("durability.group_appends"),
                 metrics.counter("durability.coalesced"),
             ),
-            coalesce,
             policy: policy.clone(),
             current_epoch: AtomicU64::new(1),
             sealed: Mutex::new(EpochState { sealed: 0 }),
@@ -369,36 +354,17 @@ impl DurabilityManager {
     /// arrive while a flush is in flight are buffered and hardened by a
     /// single follow-up flush, with each caller blocking only until *its*
     /// record is durable; a multi-record call hardens the whole batch with
-    /// one flush. With coalescing disabled this degenerates to the legacy
-    /// one-flush-per-record path.
+    /// one flush.
     pub fn flush_coalesced(&self, records: &[LogRecord]) {
-        if self.coalesce {
-            self.group.append_durable(records);
-        } else {
-            for record in records {
-                self.device.append(record);
-                self.device.flush();
-                self.flushes.inc();
-            }
-        }
+        self.group.append_durable(records);
     }
 
     /// Hardens one transaction's whole commit — every per-data-server
     /// precommit record plus the commit notification — as a single batch:
     /// one (coalesced) flush under the synchronous policy instead of one
-    /// per record. The blocking half of
-    /// [`commit_transaction_deferred`](DurabilityManager::commit_transaction_deferred).
-    pub fn commit_transaction(
-        &self,
-        txn: TxnId,
-        by_shard: Vec<(u32, Vec<(Key, Value)>)>,
-        commit_ts: Timestamp,
-    ) {
-        self.commit_transaction_stamped(txn, by_shard, commit_ts, 0);
-    }
-
-    /// [`commit_transaction`](DurabilityManager::commit_transaction)
-    /// carrying the cluster-wide HLC stamp persisted in the commit record.
+    /// per record — stamped with the cluster-wide HLC persisted in the
+    /// commit record. The blocking half of
+    /// [`commit_transaction_deferred_stamped`](DurabilityManager::commit_transaction_deferred_stamped).
     pub fn commit_transaction_stamped(
         &self,
         txn: TxnId,
@@ -412,7 +378,7 @@ impl DurabilityManager {
     }
 
     /// The pipelined variant of
-    /// [`commit_transaction`](DurabilityManager::commit_transaction):
+    /// [`commit_transaction_stamped`](DurabilityManager::commit_transaction_stamped):
     /// appends the whole batch into the group-commit funnel *without
     /// waiting for the flush* and returns the funnel sequence to pass to
     /// [`wait_group_seq`](DurabilityManager::wait_group_seq) before
@@ -422,20 +388,8 @@ impl DurabilityManager {
     /// log is always a prefix of the append order) — a crash can lose an
     /// *unacknowledged* suffix but never an acknowledged commit or a
     /// read-from edge. Returns `None` when there is nothing left to wait
-    /// for: durability disabled, a non-synchronous policy (the background
-    /// sealer owns the flush), or coalescing off (flushed synchronously
-    /// before returning, the legacy baseline).
-    pub fn commit_transaction_deferred(
-        &self,
-        txn: TxnId,
-        by_shard: Vec<(u32, Vec<(Key, Value)>)>,
-        commit_ts: Timestamp,
-    ) -> Option<u64> {
-        self.commit_transaction_deferred_stamped(txn, by_shard, commit_ts, 0)
-    }
-
-    /// [`commit_transaction_deferred`](DurabilityManager::commit_transaction_deferred)
-    /// carrying the cluster-wide HLC stamp persisted in the commit record.
+    /// for: durability disabled, or a non-synchronous policy (the
+    /// background sealer owns the flush).
     pub fn commit_transaction_deferred_stamped(
         &self,
         txn: TxnId,
@@ -476,15 +430,10 @@ impl DurabilityManager {
             }
             return None;
         }
-        if self.coalesce {
-            let seq = self.group.append(&records);
-            self.last_deferred_commit_seq
-                .fetch_max(seq, Ordering::Relaxed);
-            Some(seq)
-        } else {
-            self.flush_coalesced(&records);
-            None
-        }
+        let seq = self.group.append(&records);
+        self.last_deferred_commit_seq
+            .fetch_max(seq, Ordering::Relaxed);
+        Some(seq)
     }
 
     /// The read-only acknowledgement barrier of the pipelined path. A
@@ -499,10 +448,9 @@ impl DurabilityManager {
     /// sequence to pass to [`wait_group_seq`](DurabilityManager::wait_group_seq),
     /// or `None` when there is nothing unflushed to wait for (also under
     /// non-synchronous policies, where acknowledgements are decoupled from
-    /// durability by design, and with coalescing off, where every commit
-    /// flushed inline).
+    /// durability by design).
     pub fn read_barrier(&self) -> Option<u64> {
-        if self.policy != FlushPolicy::Synchronous || !self.coalesce {
+        if self.policy != FlushPolicy::Synchronous {
             return None;
         }
         let seq = self.last_deferred_commit_seq.load(Ordering::Relaxed);
@@ -586,10 +534,8 @@ impl DurabilityManager {
     /// waiting for the flush* and returns the funnel sequence to pass to
     /// [`wait_group_seq`](DurabilityManager::wait_group_seq). The record —
     /// and therefore the shard's yes-vote — is durable only after that wait
-    /// completes. Returns `None` when there is nothing left to wait for:
-    /// durability is disabled (no record at all), or flush coalescing is
-    /// off (the legacy baseline), in which case the record was flushed
-    /// synchronously before returning.
+    /// completes. Returns `None` when durability is disabled (no record at
+    /// all, nothing to wait for).
     pub fn prepare_deferred(
         &self,
         txn: TxnId,
@@ -605,14 +551,7 @@ impl DurabilityManager {
             global,
             writes,
         };
-        if self.coalesce {
-            Some(self.group.append(std::slice::from_ref(&record)))
-        } else {
-            self.device.append(&record);
-            self.device.flush();
-            self.flushes.inc();
-            None
-        }
+        Some(self.group.append(std::slice::from_ref(&record)))
     }
 
     /// Blocks until the funnel sequence returned by
@@ -728,9 +667,8 @@ impl DurabilityManager {
         }
     }
 
-    /// Counter snapshot. `flushes` counts device flushes from every source:
-    /// epoch seals, uncoalesced synchronous flushes, and group-commit
-    /// leader flushes.
+    /// Counter snapshot. `flushes` counts device flushes from both sources:
+    /// epoch seals and group-commit leader flushes.
     pub fn stats(&self) -> DurabilityStats {
         DurabilityStats {
             operations: self.operations.get(),
@@ -846,18 +784,6 @@ mod tests {
             mgr.group.flush_count() + mgr.group.coalesced_count()
         );
         assert!(stats.flushes <= 8, "never more flushes than records");
-    }
-
-    #[test]
-    fn uncoalesced_manager_flushes_per_record() {
-        let dev = Arc::new(MemLogDevice::new());
-        let mgr = DurabilityManager::with_options(dev, FlushPolicy::Synchronous, false);
-        for i in 0..4u64 {
-            mgr.prepare(TxnId(i + 1), i, vec![(k(i), Value::Int(1))]);
-        }
-        let stats = mgr.stats();
-        assert_eq!(stats.flushes, 4, "legacy path: one flush per prepare");
-        assert_eq!(stats.coalesced, 0);
     }
 
     #[test]

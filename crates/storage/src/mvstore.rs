@@ -655,9 +655,6 @@ pub struct MvStore {
     net: Option<Arc<SimNet>>,
     reads: AtomicU64,
     writes: AtomicU64,
-    /// Closed-timestamp watermark: highest HLC stamp on any committed
-    /// version (see [`MvStore::hlc_watermark`]).
-    commit_hlc: AtomicU64,
     // O(1) aggregate statistics.
     n_keys: AtomicU64,
     n_versions: AtomicU64,
@@ -694,7 +691,6 @@ impl MvStore {
             net: None,
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
-            commit_hlc: AtomicU64::new(0),
             n_keys: AtomicU64::new(0),
             n_versions: AtomicU64::new(0),
             n_uncommitted: AtomicU64::new(0),
@@ -879,25 +875,13 @@ impl MvStore {
     }
 
     /// [`commit_writes`](MvStore::commit_writes) carrying the cluster-wide
-    /// HLC stamp of the commit, and advancing the store's closed-timestamp
-    /// watermark (the highest stamp any committed version carries).
+    /// HLC stamp of the commit.
     pub fn commit_writes_stamped(&self, txn: TxnId, keys: &[Key], commit_ts: Timestamp, hlc: u64) {
         for key in keys {
             self.with_chain_mut(key, |chain| {
                 chain.commit_stamped(txn, commit_ts, hlc);
             });
         }
-        if hlc > 0 {
-            self.commit_hlc.fetch_max(hlc, Ordering::SeqCst);
-        }
-    }
-
-    /// The closed-timestamp watermark: the highest HLC stamp carried by any
-    /// version this store has committed or recovered. Observability and
-    /// staleness accounting only — snapshot-read visibility is decided per
-    /// chain (see [`MvStore::read_snapshot_hlc`]), not against this global.
-    pub fn hlc_watermark(&self) -> u64 {
-        self.commit_hlc.load(Ordering::SeqCst)
     }
 
     /// Reads `key` at the global HLC snapshot `h`: the newest committed

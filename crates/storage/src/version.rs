@@ -171,11 +171,6 @@ pub trait ChainRead {
         self.find_newest_first(&mut |v| v.writer == writer && !v.is_committed())
     }
 
-    /// The version written by `writer`, committed or not (newest first).
-    fn by_writer(&self, writer: TxnId) -> Option<&Version> {
-        self.find_newest_first(&mut |v| v.writer == writer)
-    }
-
     /// True if some transaction other than `txn` has an uncommitted
     /// version on this key.
     fn has_other_uncommitted(&self, txn: TxnId) -> bool {
@@ -210,11 +205,6 @@ pub trait ChainRead {
             true
         });
         found
-    }
-
-    /// The most recent version regardless of state, in chain order.
-    fn last(&self) -> Option<&Version> {
-        self.find_newest_first(&mut |_| true)
     }
 }
 
@@ -377,11 +367,6 @@ impl VersionChain {
         self.versions
             .iter()
             .find(|v| v.writer == writer && !v.is_committed())
-    }
-
-    /// The version written by `writer`, committed or not.
-    pub fn by_writer(&self, writer: TxnId) -> Option<&Version> {
-        self.versions.iter().rev().find(|v| v.writer == writer)
     }
 
     /// All uncommitted versions.

@@ -143,11 +143,6 @@ impl Seats {
         }
     }
 
-    /// Creates the workload with the paper's parameters.
-    pub fn standard() -> Self {
-        Seats::new(SeatsParams::default())
-    }
-
     /// Executes one new_reservation for a specific flight/seat/customer:
     /// books the seat iff it is still free (a taken seat commits as a
     /// no-op). Public so deterministic tests can drive exact interleavings.

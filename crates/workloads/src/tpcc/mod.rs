@@ -63,11 +63,6 @@ impl Tpcc {
         }
     }
 
-    /// Creates the workload with default parameters.
-    pub fn standard() -> Self {
-        Tpcc::new(TpccParams::default())
-    }
-
     /// Replaces the standard transaction mix.
     pub fn with_mix(mut self, mix: Vec<(TxnTypeId, f64)>) -> Self {
         self.custom_mix = Some(mix);

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 use tebaldi_suite::cc::{AccessMode, CcKind, CcTreeSpec, ProcedureInfo, ProcedureSet};
-use tebaldi_suite::cluster::{procs, Cluster, ClusterConfig};
+use tebaldi_suite::cluster::{procs, BatchTxn, Cluster, ClusterConfig};
 use tebaldi_suite::core::{ProcId, ProcedureCall};
 use tebaldi_suite::storage::codec::ByteReader;
 use tebaldi_suite::storage::{Key, TableId, TxnTypeId, Value};
@@ -122,26 +122,6 @@ fn main() {
         .expect("cross-shard transfer");
     println!("cross-shard transfer committed: balances {values:?}");
 
-    // --- Asynchronous submission through the shard mailboxes --------------
-    let tickets: Vec<_> = (0..16u64)
-        .map(|i| {
-            let account = i % N_ACCOUNTS;
-            cluster.submit(
-                cluster.shard_of(account),
-                procs::KV_INCREMENT,
-                ProcedureCall::new(TRANSFER),
-                procs::increment_args(Key::simple(ACCOUNTS, account), 0, 1),
-                10,
-            )
-        })
-        .collect();
-    let mut committed = 0usize;
-    for ticket in tickets {
-        ticket.wait().expect("worker reply").expect("commit");
-        committed += 1;
-    }
-    println!("asynchronously committed {committed} mailbox transactions");
-
     // --- Pipelined phase one across a batch of 2PC transactions -----------
     // One thread submits every transaction's prepares before collecting any
     // vote: the shards keep many prepare bodies in flight at once (bounded
@@ -151,7 +131,7 @@ fn main() {
         .map(|i| {
             let from = (2 * i + 1) % N_ACCOUNTS;
             let to = (2 * i + 2) % N_ACCOUNTS;
-            vec![
+            BatchTxn::undeclared(vec![
                 procs::increment_part(
                     cluster.shard_of(from),
                     ProcedureCall::new(TRANSFER),
@@ -166,11 +146,11 @@ fn main() {
                     0,
                     10,
                 ),
-            ]
+            ])
         })
         .collect();
     let batch_len = batch.len();
-    let results = cluster.execute_multi_batch(batch);
+    let results = cluster.execute_multi_batch_declared(batch);
     let batch_committed = results.iter().filter(|r| r.is_ok()).count();
     println!(
         "batched 2PC: {batch_committed}/{batch_len} transfers committed with overlapped phase one \
@@ -192,11 +172,8 @@ fn main() {
             .and_then(|v| v.as_int())
             .unwrap_or(0);
     }
-    println!(
-        "total balance: {total} (loads {} + mailbox increments {committed})",
-        1_000 * N_ACCOUNTS as i64
-    );
-    assert_eq!(total, 1_000 * N_ACCOUNTS as i64 + committed as i64);
+    println!("total balance: {total}");
+    assert_eq!(total, 1_000 * N_ACCOUNTS as i64);
 
     let stats = cluster.stats();
     println!(

@@ -18,8 +18,8 @@
 use std::sync::Arc;
 use tebaldi_suite::cc::{AccessMode, CcKind, CcTreeSpec, ProcedureInfo, ProcedureSet};
 use tebaldi_suite::cluster::{
-    procs, Cluster, ClusterConfig, ShardRequest, ShardTransport, ShardWorkers, TcpShardServer,
-    TcpTransport, TransportKind,
+    procs, Cluster, ClusterConfig, ShardRequest, ShardResponse, ShardTransport, ShardWorkers,
+    TcpShardServer, TcpTransport, TransportKind,
 };
 use tebaldi_suite::core::{Database, DbConfig, ProcRegistry, ProcedureCall};
 use tebaldi_suite::storage::{Key, TableId, TxnTypeId, Value};
@@ -113,8 +113,17 @@ fn main() {
         )
         .expect("remote execute");
     println!("remote increment reply: {reply:?}");
-    let stats_reply = client.call(0, ShardRequest::Stats).expect("remote stats");
-    println!("remote shard stats: {stats_reply:?}");
+    match client
+        .call(0, ShardRequest::Metrics)
+        .expect("remote metrics")
+    {
+        ShardResponse::Metrics(metrics) => println!(
+            "remote shard metrics: {} counters, {} histograms",
+            metrics.counters.len(),
+            metrics.histograms.len()
+        ),
+        other => panic!("unexpected reply {other:?}"),
+    }
 
     client.shutdown();
     server.shutdown();

@@ -56,9 +56,20 @@ fn build_db(spec: CcTreeSpec) -> Arc<Database> {
     db
 }
 
-/// Runs `threads` workers each performing `iterations` random transfers and
-/// audits, then checks the DSG and the balance invariant.
-fn run_and_check(spec: CcTreeSpec, threads: usize, iterations: usize) {
+/// What each worker iteration of [`run_and_check`] runs.
+#[derive(Clone, Copy)]
+enum Mix {
+    /// 80% transfers between random accounts, 20% full-table audits.
+    TransfersAndAudits,
+    /// Transfers only, `to = from + 1` over the first two accounts: every
+    /// pair of concurrent transfers touches the same two rows in opposite
+    /// order (the shape that once lost updates under SSI over RP).
+    AdjacentTransfers,
+}
+
+/// Runs `threads` workers each performing `iterations` transactions drawn
+/// from `mix`, then checks the DSG and the balance invariant.
+fn run_and_check(spec: CcTreeSpec, threads: usize, iterations: usize, mix: Mix) {
     let label = spec.describe();
     let db = build_db(spec);
     // (audit txn id, observed total) of any committed audit that saw a
@@ -74,12 +85,21 @@ fn run_and_check(spec: CcTreeSpec, threads: usize, iterations: usize) {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(worker as u64 + 1);
             for _ in 0..iterations {
-                if rng.gen_bool(0.8) {
-                    let from = rng.gen_range(0..N_ACCOUNTS);
-                    let mut to = rng.gen_range(0..N_ACCOUNTS);
-                    if to == from {
-                        to = (to + 1) % N_ACCOUNTS;
+                let transfer = match mix {
+                    Mix::TransfersAndAudits => rng.gen_bool(0.8).then(|| {
+                        let from = rng.gen_range(0..N_ACCOUNTS);
+                        let mut to = rng.gen_range(0..N_ACCOUNTS);
+                        if to == from {
+                            to = (to + 1) % N_ACCOUNTS;
+                        }
+                        (from, to)
+                    }),
+                    Mix::AdjacentTransfers => {
+                        let from = rng.gen_range(0..2);
+                        Some((from, (from + 1) % 2))
                     }
+                };
+                if let Some((from, to)) = transfer {
                     let amount = rng.gen_range(1..20);
                     let call = ProcedureCall::new(TRANSFER).with_instance_seed(from);
                     let _ = db.execute_with_retry(&call, 30, |txn| {
@@ -206,6 +226,7 @@ fn monolithic_2pl_is_serializable() {
         CcTreeSpec::monolithic(CcKind::TwoPl, vec![TRANSFER, AUDIT]),
         4,
         120,
+        Mix::TransfersAndAudits,
     );
 }
 
@@ -215,6 +236,7 @@ fn monolithic_ssi_is_serializable() {
         CcTreeSpec::monolithic(CcKind::Ssi, vec![TRANSFER, AUDIT]),
         4,
         120,
+        Mix::TransfersAndAudits,
     );
 }
 
@@ -224,22 +246,35 @@ fn monolithic_tso_is_serializable() {
         CcTreeSpec::monolithic(CcKind::Tso, vec![TRANSFER, AUDIT]),
         4,
         120,
+        Mix::TransfersAndAudits,
     );
 }
 
 #[test]
 fn ssi_over_rp_hierarchy_is_serializable() {
-    run_and_check(two_group_spec(CcKind::Rp, CcKind::Ssi), 4, 120);
+    let spec = two_group_spec(CcKind::Rp, CcKind::Ssi);
+    run_and_check(spec.clone(), 4, 120, Mix::TransfersAndAudits);
+    run_and_check(spec, 4, 120, Mix::AdjacentTransfers);
 }
 
 #[test]
 fn ssi_over_2pl_hierarchy_is_serializable() {
-    run_and_check(two_group_spec(CcKind::TwoPl, CcKind::Ssi), 4, 120);
+    run_and_check(
+        two_group_spec(CcKind::TwoPl, CcKind::Ssi),
+        4,
+        120,
+        Mix::TransfersAndAudits,
+    );
 }
 
 #[test]
 fn twopl_over_tso_hierarchy_is_serializable() {
-    run_and_check(two_group_spec(CcKind::Tso, CcKind::TwoPl), 4, 120);
+    run_and_check(
+        two_group_spec(CcKind::Tso, CcKind::TwoPl),
+        4,
+        120,
+        Mix::TransfersAndAudits,
+    );
 }
 
 #[test]
@@ -258,7 +293,7 @@ fn ssi_over_2pl_over_tso_is_serializable() {
             ),
         ],
     ));
-    run_and_check(spec, 4, 120);
+    run_and_check(spec, 4, 120, Mix::TransfersAndAudits);
 }
 
 #[test]
@@ -272,7 +307,7 @@ fn twopl_over_tso_by_instance_is_serializable() {
             CcNodeSpec::leaf_by_instance(CcKind::Tso, "transfers", vec![TRANSFER], 4),
         ],
     ));
-    run_and_check(spec, 4, 120);
+    run_and_check(spec, 4, 120, Mix::TransfersAndAudits);
 }
 
 #[test]
@@ -295,7 +330,7 @@ fn three_layer_hierarchy_is_serializable() {
             ),
         ],
     ));
-    run_and_check(spec, 4, 120);
+    run_and_check(spec, 4, 120, Mix::TransfersAndAudits);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,10 +9,59 @@
 use proptest::prelude::*;
 use tebaldi_suite::cc::CcError;
 use tebaldi_suite::cluster::wire;
-use tebaldi_suite::cluster::{ShardRequest, ShardResponse, ShardStatsReply, Vote};
+use tebaldi_suite::cluster::{ShardRequest, ShardResponse, Vote};
 use tebaldi_suite::core::{ProcId, ProcedureCall};
-use tebaldi_suite::obs::TraceCtx;
+use tebaldi_suite::obs::{HistogramSnapshot, MetricsSnapshot, TraceCtx};
 use tebaldi_suite::storage::{Key, TableId, TxnTypeId, Value};
+
+/// The `variant` seed that makes [`request_from_seed`] produce this kind of
+/// request. Wildcard-free on purpose: a `ShardRequest` variant added
+/// without an arm here fails to compile, and
+/// `generators_cover_every_variant` then demands a generator arm for it.
+fn request_variant(request: &ShardRequest) -> u32 {
+    match request {
+        ShardRequest::Execute { .. } => 0,
+        ShardRequest::Prepare { .. } => 1,
+        ShardRequest::Commit { .. } => 2,
+        ShardRequest::Abort { .. } => 3,
+        ShardRequest::SnapshotRead { .. } => 4,
+        ShardRequest::Flush => 5,
+        ShardRequest::Metrics => 6,
+    }
+}
+const REQUEST_VARIANTS: u32 = 7;
+
+/// [`request_variant`] for successful responses (errors take the seeds
+/// from `RESPONSE_VARIANTS` up).
+fn response_variant(response: &ShardResponse) -> u32 {
+    match response {
+        ShardResponse::Executed { .. } => 0,
+        ShardResponse::Prepared { .. } => 1,
+        ShardResponse::Decided => 2,
+        ShardResponse::Snapshot { .. } => 3,
+        ShardResponse::Flushed => 4,
+        ShardResponse::Metrics(_) => 5,
+    }
+}
+const RESPONSE_VARIANTS: u32 = 6;
+const RESULT_VARIANTS: u32 = RESPONSE_VARIANTS + 4;
+
+#[test]
+fn generators_cover_every_variant() {
+    for variant in 0..REQUEST_VARIANTS {
+        assert_eq!(
+            request_variant(&request_from_seed((variant, 5, 9))),
+            variant
+        );
+    }
+    for variant in 0..RESPONSE_VARIANTS {
+        let response = result_from_seed((variant, 5, 9)).expect("a response seed");
+        assert_eq!(response_variant(&response), variant);
+    }
+    for variant in RESPONSE_VARIANTS..RESULT_VARIANTS {
+        assert!(result_from_seed((variant, 5, 9)).is_err());
+    }
+}
 
 /// Deterministically expands a seed tuple into a request covering every
 /// variant, with value-dependent payloads.
@@ -30,7 +79,7 @@ fn request_from_seed((variant, a, b): (u32, u64, u64)) -> ShardRequest {
     let trace = TraceCtx {
         trace_id: if a % 3 == 0 { 0 } else { a ^ b.rotate_left(17) },
     };
-    match variant % 9 {
+    match variant % REQUEST_VARIANTS {
         0 => ShardRequest::Execute {
             proc: ProcId((a % 1000) as u32),
             call,
@@ -49,21 +98,16 @@ fn request_from_seed((variant, a, b): (u32, u64, u64)) -> ShardRequest {
             global: a,
             hlc: a.wrapping_mul(7),
         },
-        3 => ShardRequest::CommitOnePhase {
-            global: b,
-            hlc: b.rotate_left(9),
-        },
-        4 => ShardRequest::Abort { global: a ^ b },
-        5 => ShardRequest::Stats,
-        6 => ShardRequest::Metrics,
-        7 => ShardRequest::SnapshotRead {
+        3 => ShardRequest::Abort { global: a ^ b },
+        4 => ShardRequest::SnapshotRead {
             snapshot: a.wrapping_add(b),
             wait_ms: b % 10_000,
             keys: (0..(a % 5))
                 .map(|i| Key::simple(TableId((b % 7) as u32), i ^ b))
                 .collect(),
         },
-        _ => ShardRequest::Flush,
+        5 => ShardRequest::Flush,
+        _ => ShardRequest::Metrics,
     }
 }
 
@@ -77,7 +121,7 @@ fn result_from_seed((variant, a, b): (u32, u64, u64)) -> Result<ShardResponse, C
         3 => Value::str("wire-payload"),
         _ => Value::Bytes(bytes::Bytes::from(vec![(a % 251) as u8; (b % 24) as usize])),
     };
-    match variant % 10 {
+    match variant % RESULT_VARIANTS {
         0 => Ok(ShardResponse::Executed {
             value,
             aborts: (b % 30) as u32,
@@ -92,30 +136,32 @@ fn result_from_seed((variant, a, b): (u32, u64, u64)) -> Result<ShardResponse, C
             hlc: a.wrapping_mul(b) | 1,
         }),
         2 => Ok(ShardResponse::Decided),
-        3 => Ok(ShardResponse::Stats(ShardStatsReply {
-            committed: a,
-            aborted: b,
-            flushes: a ^ b,
-            in_doubt: a % 7,
-            queue_wait_ns: a.wrapping_add(b),
-            pipeline_depth: b % 33,
-            follower_reads: b.rotate_left(17),
-            failovers: a % 3,
-            replica_acks_timed_out: a.wrapping_mul(31) ^ b,
-            snapshot_reads: b % 101,
-            snapshot_read_wait_ns: a.rotate_left(23),
-        })),
-        4 => Ok(ShardResponse::Flushed),
-        8 => Ok(ShardResponse::Snapshot {
+        3 => Ok(ShardResponse::Snapshot {
             values: (0..(a % 4)).map(|i| Value::Int((i ^ b) as i64)).collect(),
             hlc: a.wrapping_add(b),
         }),
-        5 => Err(CcError::Conflict {
+        4 => Ok(ShardResponse::Flushed),
+        5 => Ok(ShardResponse::Metrics(Box::new(MetricsSnapshot {
+            counters: vec![(format!("counter.{}", a % 13), b)],
+            gauges: (0..(b % 3))
+                .map(|i| (format!("gauge.{i}"), a ^ i))
+                .collect(),
+            histograms: vec![(
+                "latency_ns".to_string(),
+                HistogramSnapshot {
+                    count: a % 100,
+                    sum: a.wrapping_mul(b),
+                    max: b,
+                    buckets: (0..(a % 5) as u32).map(|i| (i, b % 7 + 1)).collect(),
+                },
+            )],
+        }))),
+        6 => Err(CcError::Conflict {
             mechanism: "seats-workload",
             reason: "reservation no-op",
         }),
-        6 => Err(CcError::Internal(format!("remote failure {a}"))),
-        7 => Err(CcError::Unreachable {
+        7 => Err(CcError::Internal(format!("remote failure {a}"))),
+        8 => Err(CcError::Unreachable {
             target: format!("shard {}", a % 16),
             maybe_delivered: b % 2 == 0,
         }),
@@ -128,7 +174,7 @@ proptest! {
     /// layer.
     #[test]
     fn shard_requests_roundtrip_through_frames(
-        seeds in proptest::collection::vec((0u32..9, 0u64..1_000_000, 0u64..1_000_000), 1..24),
+        seeds in proptest::collection::vec((0..REQUEST_VARIANTS, 0u64..1_000_000, 0u64..1_000_000), 1..24),
         req_id in 0u64..1_000_000_000,
         hlc in 0u64..u64::MAX,
     ) {
@@ -150,7 +196,7 @@ proptest! {
     /// encode→decode equality for random responses and errors.
     #[test]
     fn shard_results_roundtrip(
-        seeds in proptest::collection::vec((0u32..10, 0u64..1_000_000, 0u64..1_000_000), 1..24),
+        seeds in proptest::collection::vec((0..RESULT_VARIANTS, 0u64..1_000_000, 0u64..1_000_000), 1..24),
         req_id in 0u64..1_000_000_000,
         hlc in 0u64..u64::MAX,
     ) {
@@ -170,7 +216,7 @@ proptest! {
     #[test]
     fn garbage_and_truncated_payloads_never_panic(
         garbage in proptest::collection::vec(0u32..256, 0..64),
-        seed in (0u32..9, 0u64..1_000_000, 0u64..1_000_000),
+        seed in (0..REQUEST_VARIANTS, 0u64..1_000_000, 0u64..1_000_000),
     ) {
         let bytes: Vec<u8> = garbage.iter().map(|&b| b as u8).collect();
         let _ = wire::decode_request(&bytes);
