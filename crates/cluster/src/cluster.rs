@@ -593,54 +593,61 @@ impl ClusterBuilder {
             .metrics
             .unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
         let registry = Arc::new(self.registry);
+        let replicas = self.config.replication.filter(|rcfg| rcfg.replicas > 0);
         let mut shards = Vec::with_capacity(n);
+        let mut replication = Vec::with_capacity(n);
         for (index, (log, store)) in shard_logs.iter().zip(stores).enumerate() {
             let shard_metrics = Arc::new(if metrics.is_enabled() {
                 MetricsRegistry::new()
             } else {
                 MetricsRegistry::disabled()
             });
+            // A replication group follows the shard's WAL device: it ships
+            // only what `log.durable_len()` covers, so a follower's log is
+            // always a durable prefix of its primary's. The database writes
+            // through the group's handle on that device, whose every flush
+            // wakes the shippers.
+            let group = match replicas {
+                Some(rcfg) => Some(ShardReplication::spawn(
+                    index,
+                    rcfg,
+                    Arc::clone(log),
+                    self.config.db_config.shards,
+                    &shard_metrics,
+                    self.config.fault_plan.as_ref(),
+                )?),
+                None => None,
+            };
+            let device = match &group {
+                Some(group) => group.primary_log(),
+                None => Arc::clone(log),
+            };
             let mut builder = Database::builder(self.config.db_config.clone())
                 .procedures(self.procedures.clone())
                 .cc_spec(spec.clone())
                 .metrics(shard_metrics)
-                .log_device(Arc::clone(log));
+                .log_device(device);
             if let Some(store) = store {
                 builder = builder.store(store);
             }
-            let db = Arc::new(builder.build()?);
-            shards.push(ShardWorkers::spawn_with_window(
+            let db = Arc::new(builder.build().inspect_err(|_| {
+                if let Some(group) = &group {
+                    group.shutdown();
+                }
+            })?);
+            let workers = ShardWorkers::spawn_with_window(
                 index,
                 db,
                 self.config.workers_per_shard,
                 Arc::clone(&registry),
                 self.config.max_inflight_per_shard,
-            ));
-        }
-
-        // Replication groups ride the shard WAL devices directly: the
-        // shipper follows `log.durable_len()`, so everything it ships is
-        // already primary-durable and a follower's log is always a durable
-        // prefix of its primary's.
-        let replication: Vec<Option<Arc<ShardReplication>>> = match &self.config.replication {
-            Some(rcfg) if rcfg.replicas > 0 => {
-                let mut groups = Vec::with_capacity(n);
-                for (index, log) in shard_logs.iter().enumerate() {
-                    let group = ShardReplication::spawn(
-                        index,
-                        *rcfg,
-                        Arc::clone(log),
-                        self.config.db_config.shards,
-                        shards[index].db().metrics(),
-                        self.config.fault_plan.as_ref(),
-                    )?;
-                    shards[index].set_replication(Arc::clone(&group));
-                    groups.push(Some(group));
-                }
-                groups
+            );
+            if let Some(group) = &group {
+                workers.set_replication(Arc::clone(group));
             }
-            _ => (0..n).map(|_| None).collect(),
-        };
+            shards.push(workers);
+            replication.push(group);
+        }
 
         let mut transport: Arc<dyn ShardTransport> = match self.transport_factory {
             Some(factory) => factory(&shards)?,

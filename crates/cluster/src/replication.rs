@@ -3,27 +3,44 @@
 //!
 //! Every shard primary streams its WAL to N backups as length-prefixed
 //! frames — the same wire idiom `tcp.rs`/`wire.rs` speak — and the group-
-//! commit completion loop waits for a quorum of replica acks before a batch
-//! is acknowledged to clients. Replication therefore rides the existing
-//! coalesced-flush path: one `sync()` call per hardened batch, not one
+//! commit completion loop releases a hardened batch to its clients once a
+//! quorum of replicas has acknowledged the LSN that batch needs
+//! ([`ShardReplication::wait_quorum`]). Replication therefore rides the
+//! existing coalesced-flush path: one gate per hardened batch, not one
 //! blocking seam per transaction.
 //!
-//! The shipping protocol is deliberately idempotent. A shipper always
-//! resumes from the replica's *acknowledged* LSN (a record index into the
-//! durable log), so dropped or partitioned frames cost lag, never
-//! divergence; a replica applies a batch only where it extends its applied
-//! prefix and re-acks its current LSN otherwise, which doubles as the
-//! resync handshake after a reconnect.
+//! ## The ship stream
+//!
+//! Each replica link is a *stream*, not a request/response exchange. The
+//! shipper thread follows the primary's durable watermark — the flush that
+//! advances it wakes the shipper ([`ShardReplication::primary_log`]) — and
+//! writes batch after batch without waiting for acknowledgements, bounded
+//! by a fixed window of unacknowledged bytes (`SHIP_WINDOW_BYTES`). An
+//! ack reader on the same connection advances the replica's acknowledged
+//! LSN, reopens the window and wakes exactly the quorum waiters that LSN
+//! now covers. Nothing on this path polls: every wait is a condition wait
+//! whose notifier holds the waiter's mutex, so a wake-up cannot be lost.
+//!
+//! Only *durable* records are ever shipped, in order (ship-after-flush), so
+//! a follower's log is always a durable prefix of the primary's.
+//!
+//! The protocol is deliberately idempotent. A replica applies a batch only
+//! where it extends its applied prefix — overlapping resends are
+//! deduplicated, gapped batches refused — and answers every batch with its
+//! current LSN. A link that loses its connection, or whose replica refuses
+//! a batch, restarts the stream on a fresh connection from the replica's
+//! *acknowledged* LSN; a frame the fault lane drops or partitions away
+//! stops the stream at that frame until the lane delivers it. Dropped or
+//! partitioned frames therefore cost lag, never divergence.
 //!
 //! Followers materialize a read snapshot from their shipped log via the
 //! standard recovery replay ([`recover_with_resolver`]) and serve
 //! bounded-staleness reads and read-only participant votes: a follower
 //! whose applied LSN is behind the caller's minimum refuses (or waits out)
 //! the read rather than serving a snapshot it cannot justify. Because the
-//! primary ships only *durable* records in order, a follower's log is
-//! always a durable prefix of the primary's — sealing the epochs it holds
-//! before replay is exactly as safe as the primary's own group-commit ack
-//! discipline.
+//! primary ships only *durable* records in order, sealing the epochs a
+//! follower holds before replay is exactly as safe as the primary's own
+//! group-commit ack discipline.
 //!
 //! Failover: [`ShardReplication::promote`] stops shipping and hands back
 //! the chosen backup's log (sealed) for the cluster to recover a fresh
@@ -32,22 +49,33 @@
 //! resurface.
 
 use crate::faults::{FaultPlan, LogLinkVerdict, ReplicaLinkLane};
-use crate::wire::{read_frame, write_frame};
+use crate::wire::{self, FrameReader};
 use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tebaldi_obs::{Counter, MaxGauge, MetricsRegistry};
-use tebaldi_storage::codec::{ByteReader, ByteWriter};
+use tebaldi_storage::codec::{ByteReader, ByteWriter, CodecResult};
 use tebaldi_storage::recovery::recover_with_resolver;
 use tebaldi_storage::wal::{LogDevice, LogRecord, MemLogDevice};
 use tebaldi_storage::{Key, MvStore, ReadSpec, Value};
 
-/// Records per shipped frame. Bounds frame size well under
-/// `wire::MAX_FRAME_LEN` while keeping per-frame overhead negligible.
+/// A shipped frame is full at this many records or [`SHIP_FRAME_BYTES`],
+/// whichever comes first: small enough that several fit the in-flight
+/// window, far below `wire::MAX_FRAME_LEN` even with one oversized record
+/// on top.
 const SHIP_CHUNK: usize = 256;
+const SHIP_FRAME_BYTES: usize = 64 << 10;
+
+/// Bytes one link may have on the wire without an acknowledgement. The
+/// shipper streams freely below it and waits for acks above it (a single
+/// frame larger than the window still goes out, alone), so a slow replica
+/// backs the stream up here instead of in socket buffers.
+const SHIP_WINDOW_BYTES: usize = 256 << 10;
 
 /// How a replication group is sized and how long the group-commit path
 /// waits for replica acknowledgements before degrading to local-only
@@ -101,46 +129,41 @@ impl std::fmt::Display for StaleFollower {
     }
 }
 
-/// Serializes a shipped batch: start LSN, record count, then each record
-/// as a length-prefixed JSON blob (the `FileLogDevice` on-disk idiom).
-fn encode_batch(start: u64, records: &[LogRecord]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+/// Serializes the head of `records` as one batch — its start LSN, then
+/// records in the storage crate's binary codec until the frame is full —
+/// and returns how many records it took (at least one, if there is one).
+fn put_batch(w: &mut ByteWriter, start: u64, records: &[LogRecord]) -> usize {
+    let begin = w.len();
     w.put_u64(start);
-    w.put_u32(records.len() as u32);
-    for record in records {
-        let blob = serde_json::to_string(record).expect("log records serialize");
-        w.put_bytes(blob.as_bytes());
+    let mut taken = 0;
+    for record in records.iter().take(SHIP_CHUNK) {
+        w.put_log_record(record);
+        taken += 1;
+        if w.len() - begin >= SHIP_FRAME_BYTES {
+            break;
+        }
     }
-    w.into_bytes()
+    taken
 }
 
-/// Decodes a shipped batch. Malformed frames yield an error and tear the
-/// connection down — the shipper reconnects and resyncs from the ack.
-fn decode_batch(bytes: &[u8]) -> Result<(u64, Vec<LogRecord>), String> {
+/// Decodes a shipped batch (the frame's end delimits it). Malformed
+/// frames yield an error and tear the connection down — the shipper
+/// reconnects and resyncs from the ack.
+fn decode_batch(bytes: &[u8]) -> CodecResult<(u64, Vec<LogRecord>)> {
     let mut r = ByteReader::new(bytes);
-    let start = r.u64().map_err(|e| e.to_string())?;
-    let count = r.u32().map_err(|e| e.to_string())? as usize;
-    let mut records = Vec::with_capacity(count.min(SHIP_CHUNK));
-    for _ in 0..count {
-        let blob = r.bytes().map_err(|e| e.to_string())?;
-        let text = std::str::from_utf8(blob).map_err(|e| e.to_string())?;
-        let record = serde_json::from_str(text).map_err(|e| e.to_string())?;
-        records.push(record);
+    let start = r.u64()?;
+    let mut records = Vec::new();
+    while r.remaining() > 0 {
+        records.push(r.log_record()?);
     }
-    r.expect_end().map_err(|e| e.to_string())?;
     Ok((start, records))
 }
 
-fn encode_ack(applied: u64) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(applied);
-    w.into_bytes()
-}
-
-fn decode_ack(bytes: &[u8]) -> Result<u64, String> {
+/// An ack is the replica's applied LSN, nothing else.
+fn decode_ack(bytes: &[u8]) -> CodecResult<u64> {
     let mut r = ByteReader::new(bytes);
-    let applied = r.u64().map_err(|e| e.to_string())?;
-    r.expect_end().map_err(|e| e.to_string())?;
+    let applied = r.u64()?;
+    r.expect_end()?;
     Ok(applied)
 }
 
@@ -218,10 +241,15 @@ impl ReplicaNode {
     /// `store_shards` is the shard count for materialized read stores
     /// (the engine's `DbConfig::shards`).
     pub fn spawn(store_shards: usize) -> std::io::Result<Arc<Self>> {
+        ReplicaNode::spawn_on(Arc::new(MemLogDevice::new()), store_shards)
+    }
+
+    /// [`spawn`](ReplicaNode::spawn) over a given follower log.
+    fn spawn_on(log: Arc<MemLogDevice>, store_shards: usize) -> std::io::Result<Arc<Self>> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let node = Arc::new(ReplicaNode {
-            log: Arc::new(MemLogDevice::new()),
+            log,
             applied: Mutex::new(0),
             applied_cv: Condvar::new(),
             addr,
@@ -232,23 +260,29 @@ impl ReplicaNode {
             cache: Mutex::new(SnapshotCache::default()),
         });
         let accept_node = Arc::clone(&node);
-        let handle = std::thread::spawn(move || {
+        let named = |name: &str| std::thread::Builder::new().name(name.to_string());
+        let handle = named("tebaldi-replica-accept").spawn(move || {
             let mut serving = Vec::new();
             for conn in listener.incoming() {
+                let Ok(stream) = conn else { continue };
+                wire::tune(&stream);
                 if accept_node.stopping.load(Ordering::SeqCst) {
                     break;
                 }
-                let Ok(stream) = conn else { continue };
                 if let Ok(clone) = stream.try_clone() {
                     accept_node.conns.lock().push(clone);
                 }
                 let serve_node = Arc::clone(&accept_node);
-                serving.push(std::thread::spawn(move || serve_node.serve(stream)));
+                if let Ok(h) =
+                    named("tebaldi-replica-apply").spawn(move || serve_node.serve(stream))
+                {
+                    serving.push(h);
+                }
             }
             for h in serving {
                 let _ = h.join();
             }
-        });
+        })?;
         *node.accept_handle.lock() = Some(handle);
         Ok(node)
     }
@@ -298,29 +332,34 @@ impl ReplicaNode {
         (applied, Arc::clone(cache.store.as_ref().expect("cached")))
     }
 
-    /// One shipper connection: apply batches, ack the applied LSN.
-    fn serve(&self, mut stream: TcpStream) {
-        loop {
-            if self.stopping.load(Ordering::SeqCst) {
-                return;
-            }
-            let payload = match read_frame(&mut stream) {
-                Ok(Some(p)) => p,
+    /// One shipper connection: apply each batch of the stream, answer each
+    /// with the applied LSN.
+    fn serve(&self, stream: TcpStream) {
+        let Ok(mut acks) = stream.try_clone() else {
+            return;
+        };
+        let mut frames = FrameReader::new(stream);
+        let mut ack = Vec::new();
+        while !self.stopping.load(Ordering::SeqCst) {
+            let applied = match frames.next_frame() {
+                Ok(Some(payload)) => match decode_batch(payload) {
+                    Ok((start, records)) => self.apply(start, records),
+                    Err(_) => return,
+                },
                 Ok(None) | Err(_) => return,
             };
-            let applied = match decode_batch(&payload) {
-                Ok((start, records)) => self.apply(start, records),
-                Err(_) => return,
-            };
-            if write_frame(&mut stream, &encode_ack(applied)).is_err() {
+            ack.clear();
+            wire::append_frame(&mut ack, |w| w.put_u64(applied));
+            if acks.write_all(&ack).is_err() {
                 return;
             }
         }
     }
 
     /// Applies a batch where it extends the applied prefix; overlapping
-    /// resends are deduplicated, gapped batches ignored. Always returns
-    /// the current applied LSN — the re-ack is the resync handshake.
+    /// resends are deduplicated, gapped batches refused. Always returns
+    /// the current applied LSN — an ack below a batch's start tells the
+    /// shipper the batch was refused and where to restart the stream.
     fn apply(&self, start: u64, records: Vec<LogRecord>) -> u64 {
         let mut applied = self.applied.lock();
         if start <= *applied {
@@ -359,28 +398,80 @@ impl Drop for ReplicaNode {
     }
 }
 
-struct ShipGate {
-    paused: bool,
+/// A frame written to a replica and not yet covered by one of its acks.
+struct SentFrame {
+    start: u64,
+    end: u64,
+    bytes: usize,
 }
 
-/// Primary-side replication for one shard: per-replica shipper threads,
-/// the quorum gate the completion loop blocks on, and the follower-read
-/// entry points.
+/// One replica link's position in the ship stream.
+#[derive(Default)]
+struct Link {
+    /// Next LSN the shipper puts on the wire.
+    next: u64,
+    /// Frames on the wire, oldest first, and their total size — what the
+    /// in-flight window bounds.
+    inflight: VecDeque<SentFrame>,
+    inflight_bytes: usize,
+    /// The shipper is waiting for the window to open (so an ack is worth a
+    /// wake-up; otherwise it waits for a flush, which acks know nothing of).
+    window_full: bool,
+    /// The stream must restart from the acknowledged LSN on a fresh
+    /// connection: the old one died, or the replica refused a frame.
+    broken: bool,
+}
+
+/// Everything the shippers, the ack readers and the quorum waiters
+/// coordinate through, under one mutex: whoever changes a condition another
+/// thread waits for does so — and notifies — holding it, so no wake-up
+/// falls between a waiter's check and its wait.
+struct ShipState {
+    paused: bool,
+    stopping: bool,
+    links: Vec<Link>,
+    /// The LSNs `wait_quorum` callers are blocked on, so an ack wakes them
+    /// only when it covers one.
+    waiting: Vec<u64>,
+}
+
+/// A shipper's live connection: the write half it streams batches into and
+/// the thread reading acks off the other half.
+struct ShipConn {
+    stream: TcpStream,
+    ack_reader: JoinHandle<()>,
+}
+
+impl ShipConn {
+    fn close(self) {
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        let _ = self.ack_reader.join();
+    }
+}
+
+/// Primary-side replication for one shard: per-replica shipper threads
+/// streaming the durable log, the quorum gate commit acknowledgements wait
+/// on, and the follower-read entry points.
 pub struct ShardReplication {
     cfg: ReplicationConfig,
     log: Arc<dyn LogDevice>,
     replicas: Vec<Arc<ReplicaNode>>,
-    acked: Vec<Arc<AtomicU64>>,
-    gate: Mutex<ShipGate>,
+    /// Per-replica acknowledged LSN. Written under `state`; read lock-free
+    /// by the gate's fast path and the accessors.
+    acked: Vec<AtomicU64>,
+    state: Mutex<ShipState>,
+    /// Shippers wait here: for durable records past their `next`, for the
+    /// in-flight window to open, for shipping to resume.
     ship_cv: Condvar,
-    quorum_mx: Mutex<()>,
+    /// Blocking quorum waiters wait here for the quorum LSN to advance.
     quorum_cv: Condvar,
-    stopping: Arc<AtomicBool>,
     shippers: Mutex<Vec<JoinHandle<()>>>,
     shipped_records: Arc<Counter>,
     shipped_bytes: Arc<Counter>,
     lag_records: Arc<MaxGauge>,
     lag_bytes: Arc<MaxGauge>,
+    inflight_frames: Arc<MaxGauge>,
+    inflight_bytes: Arc<MaxGauge>,
     quorum_waits: Arc<Counter>,
     quorum_wait_ns: Arc<Counter>,
     acks_timed_out: Arc<Counter>,
@@ -389,6 +480,36 @@ pub struct ShardReplication {
     frames_dropped: Arc<Counter>,
     frames_delayed: Arc<Counter>,
     frames_partitioned: Arc<Counter>,
+}
+
+/// The primary's WAL as its database sees it: the shard's own device, plus
+/// a wake-up of the shippers behind every flush — the durable watermark
+/// moves nowhere else, so the shippers never have to poll for it.
+struct ShippedLog {
+    device: Arc<dyn LogDevice>,
+    replication: Arc<ShardReplication>,
+}
+
+impl LogDevice for ShippedLog {
+    fn append(&self, record: &LogRecord) {
+        self.device.append(record);
+    }
+    fn flush(&self) {
+        self.device.flush();
+        self.replication.wake_shippers();
+    }
+    fn read_back(&self) -> Vec<LogRecord> {
+        self.device.read_back()
+    }
+    fn durable_len(&self) -> usize {
+        self.device.durable_len()
+    }
+    fn read_from(&self, from: usize) -> Vec<LogRecord> {
+        self.device.read_from(from)
+    }
+    fn truncate_to(&self, len: usize) -> bool {
+        self.device.truncate_to(len)
+    }
 }
 
 impl ShardReplication {
@@ -408,24 +529,40 @@ impl ShardReplication {
         for _ in 0..cfg.replicas {
             replicas.push(ReplicaNode::spawn(store_shards).map_err(|e| e.to_string())?);
         }
-        let acked: Vec<Arc<AtomicU64>> = (0..cfg.replicas)
-            .map(|_| Arc::new(AtomicU64::new(0)))
-            .collect();
+        Ok(ShardReplication::spawn_over(
+            shard, cfg, log, replicas, metrics, faults,
+        ))
+    }
+
+    /// [`spawn`](ShardReplication::spawn) over already-running replicas.
+    fn spawn_over(
+        shard: usize,
+        cfg: ReplicationConfig,
+        log: Arc<dyn LogDevice>,
+        replicas: Vec<Arc<ReplicaNode>>,
+        metrics: &MetricsRegistry,
+        faults: Option<&FaultPlan>,
+    ) -> Arc<Self> {
         let repl = Arc::new(ShardReplication {
             cfg,
             log,
+            acked: replicas.iter().map(|_| AtomicU64::new(0)).collect(),
+            state: Mutex::new(ShipState {
+                paused: false,
+                stopping: false,
+                links: replicas.iter().map(|_| Link::default()).collect(),
+                waiting: Vec::new(),
+            }),
             replicas,
-            acked,
-            gate: Mutex::new(ShipGate { paused: false }),
             ship_cv: Condvar::new(),
-            quorum_mx: Mutex::new(()),
             quorum_cv: Condvar::new(),
-            stopping: Arc::new(AtomicBool::new(false)),
             shippers: Mutex::new(Vec::new()),
             shipped_records: metrics.counter("replication.shipped_records"),
             shipped_bytes: metrics.counter("replication.shipped_bytes"),
             lag_records: metrics.max_gauge("replication.lag_records"),
             lag_bytes: metrics.max_gauge("replication.lag_bytes"),
+            inflight_frames: metrics.max_gauge("replication.inflight_frames"),
+            inflight_bytes: metrics.max_gauge("replication.inflight_bytes"),
             quorum_waits: metrics.counter("replication.quorum_waits"),
             quorum_wait_ns: metrics.counter("replication.quorum_wait_ns"),
             acks_timed_out: metrics.counter("replication.acks_timed_out"),
@@ -435,14 +572,29 @@ impl ShardReplication {
             frames_delayed: metrics.counter("replication.frames_delayed"),
             frames_partitioned: metrics.counter("replication.frames_partitioned"),
         });
-        let mut shippers = Vec::with_capacity(cfg.replicas);
-        for index in 0..cfg.replicas {
-            let shipper = Arc::clone(&repl);
-            let lane = faults.map(|plan| plan.replica_lane(shard, index));
-            shippers.push(std::thread::spawn(move || shipper.run_shipper(index, lane)));
-        }
+        let shippers = (0..repl.replicas.len())
+            .map(|index| {
+                let shipper = Arc::clone(&repl);
+                let lane = faults.map(|plan| plan.replica_lane(shard, index));
+                std::thread::Builder::new()
+                    .name(format!("tebaldi-shard-{shard}-ship-{index}"))
+                    .spawn(move || shipper.run_shipper(index, lane))
+                    .expect("spawn log shipper")
+            })
+            .collect();
         *repl.shippers.lock() = shippers;
-        Ok(repl)
+        repl
+    }
+
+    /// The device to build the primary's database on: the shard's log with
+    /// every flush waking the shippers. A flush made on the bare device
+    /// still ships — at the next flush through this handle, or the next
+    /// [`wait_quorum`](ShardReplication::wait_quorum).
+    pub fn primary_log(self: &Arc<Self>) -> Arc<dyn LogDevice> {
+        Arc::new(ShippedLog {
+            device: Arc::clone(&self.log),
+            replication: Arc::clone(self),
+        })
     }
 
     /// The replication configuration in force.
@@ -491,45 +643,55 @@ impl ShardReplication {
         if quorum == 0 {
             return u64::MAX;
         }
-        let mut acks: Vec<u64> = self
-            .acked
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
-        acks.sort_unstable_by(|a, b| b.cmp(a));
-        acks[quorum - 1]
+        // The k-th highest ack: the largest acked LSN that at least
+        // `quorum` replicas have reached. Replica counts are tiny, so the
+        // quadratic scan beats sorting a copy on every ack.
+        let acks = || self.acked.iter().map(|a| a.load(Ordering::Relaxed));
+        acks()
+            .filter(|&lsn| acks().filter(|&other| other >= lsn).count() >= quorum)
+            .max()
+            .unwrap_or(0)
     }
 
-    /// The quorum gate: blocks until a quorum of replicas has
-    /// acknowledged everything durable on the primary right now, or the
-    /// configured ack timeout expires. Returns `false` on timeout — the
+    /// The primary's durable length right now — the LSN a batch that has
+    /// just hardened needs the quorum to reach.
+    pub(crate) fn durable_lsn(&self) -> u64 {
+        self.log.durable_len() as u64
+    }
+
+    /// The quorum gate: blocks until a quorum of replicas has acknowledged
+    /// `lsn` — the durable length the caller's own records need, not
+    /// whatever later transactions have made durable since — or the
+    /// configured ack timeout expires. Returns `false` on timeout: the
     /// caller proceeds on local durability (degraded mode) so a dead
-    /// replica cannot wedge the commit pipeline, and the timeout is
-    /// counted for the operator.
-    pub fn sync(&self) -> bool {
-        let target = self.log.durable_len() as u64;
-        if self.quorum_lsn() >= target {
+    /// replica cannot wedge the commit pipeline, and the timeout is counted
+    /// for the operator.
+    pub fn wait_quorum(&self, lsn: u64) -> bool {
+        if self.quorum_lsn() >= lsn {
             return true;
         }
         self.quorum_waits.inc();
         let start = Instant::now();
         let deadline = start + Duration::from_millis(self.cfg.ack_timeout_ms.max(1));
-        self.ship_cv.notify_all();
-        let mut guard = self.quorum_mx.lock();
+        let mut state = self.state.lock();
+        // Whatever made `lsn` durable may not have come through
+        // `primary_log`: a shipper that has not put it on the wire yet may
+        // not know it is there.
+        if state.links.iter().any(|link| link.next < lsn) {
+            self.ship_cv.notify_all();
+        }
+        state.waiting.push(lsn);
         let ok = loop {
-            if self.quorum_lsn() >= target {
+            if self.quorum_lsn() >= lsn {
                 break true;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                break false;
+            if self.quorum_cv.wait_until(&mut state, deadline).timed_out() {
+                break self.quorum_lsn() >= lsn;
             }
-            // Short slices: a missed notify costs a millisecond, not the
-            // remainder of the timeout.
-            let slice = (deadline - now).min(Duration::from_millis(1));
-            self.quorum_cv.wait_for(&mut guard, slice);
         };
-        drop(guard);
+        let slot = state.waiting.iter().position(|&l| l == lsn);
+        state.waiting.swap_remove(slot.expect("registered above"));
+        drop(state);
         self.quorum_wait_ns.add(start.elapsed().as_nanos() as u64);
         if !ok {
             self.acks_timed_out.inc();
@@ -537,10 +699,28 @@ impl ShardReplication {
         ok
     }
 
+    /// [`wait_quorum`](ShardReplication::wait_quorum) for everything
+    /// durable on the primary right now — for callers with no LSN of their
+    /// own (tests, operators draining a shard).
+    pub fn sync(&self) -> bool {
+        self.wait_quorum(self.durable_lsn())
+    }
+
+    /// Wakes the shippers to re-read the durable watermark. Taking the
+    /// state lock first is what makes this safe to call after any flush: a
+    /// shipper is either before its check (and will see the new length) or
+    /// already waiting (and gets the notification).
+    fn wake_shippers(&self) {
+        let _state = self.state.lock();
+        self.ship_cv.notify_all();
+    }
+
     /// Pauses or resumes shipping (fault-injection hook for staleness
-    /// tests; the quorum gate keeps timing out while paused).
+    /// tests; the quorum gate keeps timing out while paused). A pause takes
+    /// effect at the next frame.
     pub fn set_paused(&self, paused: bool) {
-        self.gate.lock().paused = paused;
+        let mut state = self.state.lock();
+        state.paused = paused;
         self.ship_cv.notify_all();
     }
 
@@ -621,10 +801,14 @@ impl ShardReplication {
     /// with shipping stopped, any prepare still in flight on the primary
     /// fails its quorum gate and votes abort instead of yes.
     pub fn stop_shipping(&self) {
-        if self.stopping.swap(true, Ordering::SeqCst) {
-            return;
+        {
+            let mut state = self.state.lock();
+            if state.stopping {
+                return;
+            }
+            state.stopping = true;
+            self.ship_cv.notify_all();
         }
-        self.ship_cv.notify_all();
         for handle in self.shippers.lock().drain(..) {
             let _ = handle.join();
         }
@@ -638,44 +822,37 @@ impl ShardReplication {
         }
     }
 
-    /// One shipper: follows the primary's durable log from the replica's
-    /// acknowledged LSN, shipping chunked frames through the fault lane.
-    fn run_shipper(&self, index: usize, mut lane: Option<ReplicaLinkLane>) {
+    /// One shipper: streams the primary's durable log to replica `index`
+    /// from its acknowledged LSN, cut into frames judged one by one by the
+    /// fault lane, never waiting for an ack except on a full window.
+    fn run_shipper(self: Arc<Self>, index: usize, mut lane: Option<ReplicaLinkLane>) {
         let addr = self.replicas[index].addr();
-        let acked = Arc::clone(&self.acked[index]);
-        let mut stream: Option<TcpStream> = None;
-        while !self.stopping.load(Ordering::SeqCst) {
-            {
-                let mut gate = self.gate.lock();
-                if gate.paused {
-                    self.ship_cv.wait_for(&mut gate, Duration::from_millis(20));
-                    continue;
-                }
-            }
-            let from = acked.load(Ordering::Relaxed) as usize;
-            let durable = self.log.durable_len();
-            if durable <= from {
-                let mut gate = self.gate.lock();
-                if !self.stopping.load(Ordering::SeqCst) {
-                    self.ship_cv.wait_for(&mut gate, Duration::from_millis(5));
-                }
-                continue;
-            }
-            let records = self.log.read_from(from);
+        let mut conn: Option<ShipConn> = None;
+        let mut frame = Vec::new();
+        'stream: while let Some(from) = self.next_to_ship(index, &mut conn) {
+            let records = self.log.read_from(from as usize);
             self.lag_records.observe(records.len() as u64);
-            let mut attempt_bytes = 0u64;
-            let mut start = from as u64;
-            for chunk in records.chunks(SHIP_CHUNK) {
-                let payload = encode_batch(start, chunk);
-                attempt_bytes += payload.len() as u64;
+            let mut tail_bytes = 0u64;
+            let mut start = from;
+            let mut unsent = &records[..];
+            while !unsent.is_empty() {
+                frame.clear();
+                let taken = wire::append_frame(&mut frame, |w| put_batch(w, start, unsent));
+                let end = start + taken as u64;
+                let payload_bytes = frame.len() - 4;
+                tail_bytes += payload_bytes as u64;
+                self.lag_bytes.observe(tail_bytes);
+                // A frame the lane swallows stops the stream here: `next`
+                // stays at `start`, exactly where the replica's acks will
+                // stop too, and the frame is judged again.
                 match lane.as_mut().map(|l| l.judge()) {
                     Some(LogLinkVerdict::Drop) => {
                         self.frames_dropped.inc();
-                        break;
+                        continue 'stream;
                     }
                     Some(LogLinkVerdict::Partitioned) => {
                         self.frames_partitioned.inc();
-                        break;
+                        continue 'stream;
                     }
                     Some(LogLinkVerdict::Delay(delay)) => {
                         self.frames_delayed.inc();
@@ -683,41 +860,147 @@ impl ShardReplication {
                     }
                     Some(LogLinkVerdict::Deliver) | None => {}
                 }
-                if stream.is_none() {
-                    stream = TcpStream::connect(addr).ok();
+                if conn.is_none() {
+                    conn = self.connect(index, addr);
                 }
-                let Some(conn) = stream.as_mut() else {
+                let Some(live) = conn.as_mut() else {
+                    // Replica unreachable: back off before the next dial.
                     std::thread::sleep(Duration::from_millis(1));
-                    break;
+                    continue 'stream;
                 };
-                let shipped = write_frame(conn, &payload).and_then(|_| read_frame(conn));
-                match shipped {
-                    Ok(Some(ack_bytes)) => match decode_ack(&ack_bytes) {
-                        Ok(ack) => {
-                            acked.store(ack, Ordering::Relaxed);
-                            self.shipped_records.add(chunk.len() as u64);
-                            self.shipped_bytes.add(payload.len() as u64);
-                            self.quorum_cv.notify_all();
-                            if ack != start + chunk.len() as u64 {
-                                // Resync: the replica applied from a
-                                // different prefix; restart from its ack.
-                                break;
-                            }
-                            start = ack;
-                        }
-                        Err(_) => {
-                            stream = None;
-                            break;
-                        }
-                    },
-                    _ => {
-                        stream = None;
-                        break;
-                    }
+                let sent = SentFrame {
+                    start,
+                    end,
+                    bytes: frame.len(),
+                };
+                if !self.admit(index, sent) {
+                    continue 'stream;
                 }
+                if live.stream.write_all(&frame).is_err() {
+                    self.break_link(index);
+                    continue 'stream;
+                }
+                self.shipped_records.add(taken as u64);
+                self.shipped_bytes.add(payload_bytes as u64);
+                start = end;
+                unsent = &unsent[taken..];
             }
-            self.lag_bytes.observe(attempt_bytes);
         }
+        if let Some(conn) = conn {
+            conn.close();
+        }
+    }
+
+    /// Blocks until there is something for shipper `index` to send and
+    /// returns the LSN to send from; `None` once shipping is stopped. A
+    /// broken link is reset here: its connection closed, its stream
+    /// position moved back to the replica's acknowledged LSN.
+    fn next_to_ship(&self, index: usize, conn: &mut Option<ShipConn>) -> Option<u64> {
+        let mut state = self.state.lock();
+        loop {
+            if state.stopping {
+                return None;
+            }
+            if state.links[index].broken {
+                // Joining the ack reader needs the lock released: it is
+                // about to take it to report the connection's end.
+                drop(state);
+                if let Some(conn) = conn.take() {
+                    conn.close();
+                }
+                state = self.state.lock();
+                let link = &mut state.links[index];
+                link.broken = false;
+                link.inflight.clear();
+                link.inflight_bytes = 0;
+                link.next = self.acked[index].load(Ordering::Relaxed);
+                continue;
+            }
+            let next = state.links[index].next;
+            if !state.paused && self.durable_lsn() > next {
+                return Some(next);
+            }
+            self.ship_cv.wait(&mut state);
+        }
+    }
+
+    /// Dials the replica and starts the ack reader on the connection.
+    fn connect(self: &Arc<Self>, index: usize, addr: SocketAddr) -> Option<ShipConn> {
+        let stream = TcpStream::connect(addr).ok()?;
+        wire::tune(&stream);
+        let acks = stream.try_clone().ok()?;
+        let reader = Arc::clone(self);
+        let ack_reader = std::thread::Builder::new()
+            .name(format!("tebaldi-ship-acks-{index}"))
+            .spawn(move || reader.run_ack_reader(index, acks))
+            .ok()?;
+        Some(ShipConn { stream, ack_reader })
+    }
+
+    /// Takes window space for `frame` and advances the stream position
+    /// past it, waiting (for acks) while the window is full. `false` means
+    /// the stream must not continue from here: shipping stopped or paused,
+    /// or the link broke while waiting.
+    fn admit(&self, index: usize, frame: SentFrame) -> bool {
+        let mut state = self.state.lock();
+        loop {
+            if state.stopping || state.paused || state.links[index].broken {
+                return false;
+            }
+            let link = &mut state.links[index];
+            if link.inflight_bytes == 0 || link.inflight_bytes + frame.bytes <= SHIP_WINDOW_BYTES {
+                link.inflight_bytes += frame.bytes;
+                link.next = frame.end;
+                link.inflight.push_back(frame);
+                self.inflight_frames.observe(link.inflight.len() as u64);
+                self.inflight_bytes.observe(link.inflight_bytes as u64);
+                return true;
+            }
+            link.window_full = true;
+            self.ship_cv.wait(&mut state);
+            state.links[index].window_full = false;
+        }
+    }
+
+    /// Marks link `index` for a restart from its acknowledged LSN.
+    fn break_link(&self, index: usize) {
+        let mut state = self.state.lock();
+        state.links[index].broken = true;
+        self.ship_cv.notify_all();
+    }
+
+    /// The ack half of one ship connection: every ack advances the
+    /// replica's acknowledged LSN, retires the frames it covers, reopens
+    /// the window if the shipper waits on it, and wakes the quorum waiters
+    /// once the quorum LSN covers one of them. Ends (breaking the link)
+    /// with the connection.
+    fn run_ack_reader(self: Arc<Self>, index: usize, stream: TcpStream) {
+        let mut frames = FrameReader::new(stream);
+        while let Ok(Some(payload)) = frames.next_frame() {
+            let Ok(ack) = decode_ack(payload) else {
+                break;
+            };
+            let mut state = self.state.lock();
+            self.acked[index].store(ack, Ordering::Relaxed);
+            let link = &mut state.links[index];
+            while link.inflight.front().is_some_and(|f| f.end <= ack) {
+                let covered = link.inflight.pop_front().expect("front exists");
+                link.inflight_bytes -= covered.bytes;
+            }
+            // An ack below the oldest frame's start is a refusal: the
+            // replica saw a gap before it.
+            if link.inflight.front().is_some_and(|f| ack < f.start) {
+                link.broken = true;
+            }
+            if link.window_full || link.broken {
+                self.ship_cv.notify_all();
+            }
+            let quorum = self.quorum_lsn();
+            if state.waiting.iter().any(|&lsn| lsn <= quorum) {
+                self.quorum_cv.notify_all();
+            }
+        }
+        self.break_link(index);
     }
 }
 
@@ -766,12 +1049,238 @@ mod tests {
     #[test]
     fn batch_and_ack_codecs_roundtrip() {
         let records = committed_write(7, 3, 30, 2);
-        let bytes = encode_batch(41, &records);
-        let (start, back) = decode_batch(&bytes).unwrap();
+        let mut batch = Vec::new();
+        let taken = wire::append_frame(&mut batch, |w| put_batch(w, 41, &records));
+        assert_eq!(taken, records.len());
+        let payload = &batch[4..];
+        assert_eq!(batch[..4], (payload.len() as u32).to_le_bytes());
+        let (start, back) = decode_batch(payload).unwrap();
         assert_eq!(start, 41);
         assert_eq!(back, records);
-        assert_eq!(decode_ack(&encode_ack(99)).unwrap(), 99);
-        assert!(decode_batch(&bytes[..bytes.len() - 1]).is_err());
+        assert!(decode_batch(&payload[..payload.len() - 1]).is_err());
+        let mut ack = Vec::new();
+        wire::append_frame(&mut ack, |w| w.put_u64(99));
+        assert_eq!(decode_ack(&ack[4..]).unwrap(), 99);
+    }
+
+    /// A group of one replica whose every apply takes `apply_latency` (its
+    /// log's flush barrier), so its acks trail the stream by that much.
+    fn group_with_slow_replica(
+        log: &Arc<dyn LogDevice>,
+        apply_latency: Duration,
+        reg: &MetricsRegistry,
+        faults: Option<&FaultPlan>,
+    ) -> Arc<ShardReplication> {
+        let follower_log = Arc::new(MemLogDevice::with_flush_latency(apply_latency));
+        let replica = ReplicaNode::spawn_on(follower_log, 4).unwrap();
+        let cfg = ReplicationConfig {
+            replicas: 1,
+            quorum: 1,
+            ack_timeout_ms: 30_000,
+        };
+        ShardReplication::spawn_over(0, cfg, Arc::clone(log), vec![replica], reg, faults)
+    }
+
+    #[test]
+    fn wait_quorum_returns_at_its_own_lsn_while_the_log_runs_ahead() {
+        let log: Arc<dyn LogDevice> = Arc::new(MemLogDevice::new());
+        let reg = metrics();
+        let repl = group_with_slow_replica(&log, Duration::from_millis(20), &reg, None);
+        let primary = repl.primary_log();
+        for record in committed_write(1, 1, 10, 1) {
+            primary.append(&record);
+        }
+        primary.flush();
+        let lsn = repl.durable_lsn();
+        // A writer keeps appending and flushing behind the caller's LSN.
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (primary, stop) = (Arc::clone(&primary), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut txn = 2;
+                while !stop.load(Ordering::SeqCst) {
+                    for record in committed_write(txn, txn, 1, 1) {
+                        primary.append(&record);
+                    }
+                    primary.flush();
+                    txn += 1;
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            })
+        };
+        // The log is well past the caller's LSN before it even asks.
+        while repl.durable_lsn() < lsn + 40 {
+            std::thread::yield_now();
+        }
+        let durable_when_asked = repl.durable_lsn();
+        assert!(repl.wait_quorum(lsn));
+        let quorum = repl.quorum_lsn();
+        assert!(quorum >= lsn);
+        assert!(
+            quorum < durable_when_asked,
+            "the gate over-waited: it returned at quorum LSN {quorum}, past everything \
+             that was durable ({durable_when_asked}) when lsn {lsn} was asked for"
+        );
+        stop.store(true, Ordering::SeqCst);
+        writer.join().unwrap();
+        assert!(repl.sync());
+        assert_eq!(repl.replica(0).unwrap().log().read_back(), log.read_back());
+        repl.shutdown();
+    }
+
+    /// One `Prepare` record of about 34 KB.
+    fn fat_record(txn: u64) -> LogRecord {
+        LogRecord::Prepare {
+            txn: TxnId(txn),
+            global: txn,
+            writes: (0..600)
+                .map(|i| (Key::simple(TableId(1), i), Value::row(&[1, 2, 3, 4])))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn slow_acks_put_several_frames_in_flight_but_never_more_than_the_window() {
+        let log: Arc<dyn LogDevice> = Arc::new(MemLogDevice::new());
+        let reg = metrics();
+        let repl = group_with_slow_replica(&log, Duration::from_millis(3), &reg, None);
+        let primary = repl.primary_log();
+        // ~1.3 MB in 40 flushes: five windows' worth, faster than the
+        // replica acknowledges any of it.
+        for txn in 0..40 {
+            primary.append(&fat_record(txn));
+            primary.flush();
+        }
+        assert!(repl.sync());
+        let frames = reg.max_gauge("replication.inflight_frames").get();
+        let bytes = reg.max_gauge("replication.inflight_bytes").get();
+        assert!(
+            frames > 1,
+            "the shipper waited for every ack ({frames} in flight)"
+        );
+        assert!(
+            bytes as usize <= SHIP_WINDOW_BYTES,
+            "{bytes} bytes in flight exceed the {SHIP_WINDOW_BYTES}-byte window"
+        );
+        assert!(
+            bytes as usize > SHIP_WINDOW_BYTES / 2,
+            "the window never filled ({bytes} bytes): the test is not testing the bound"
+        );
+        assert_eq!(repl.replica(0).unwrap().log().read_back(), log.read_back());
+        repl.shutdown();
+    }
+
+    #[test]
+    fn a_dropped_frame_stops_the_stream_which_resumes_from_the_acked_lsn() {
+        let log: Arc<dyn LogDevice> = Arc::new(MemLogDevice::new());
+        let reg = metrics();
+        let mut plan = FaultPlan::quiet(0xd209);
+        plan.drop_log_frame = 0.4;
+        // Slow acks keep frames in flight around every dropped one.
+        let repl = group_with_slow_replica(&log, Duration::from_millis(1), &reg, Some(&plan));
+        let primary = repl.primary_log();
+        for txn in 0..60 {
+            for record in committed_write(txn, txn, txn as i64, 1) {
+                primary.append(&record);
+            }
+            primary.flush();
+        }
+        assert!(repl.sync(), "drops cost lag, not loss");
+        assert!(reg.counter("replication.frames_dropped").get() > 0);
+        // Nothing skipped, nothing doubled, nothing reordered.
+        assert_eq!(repl.replica(0).unwrap().log().read_back(), log.read_back());
+        assert_eq!(repl.acked_lsn(0), log.durable_len() as u64);
+        repl.shutdown();
+    }
+
+    /// Sends one batch on a raw ship connection and returns the replica's
+    /// answer.
+    fn ship_raw(conn: &mut TcpStream, start: u64, records: &[LogRecord]) -> u64 {
+        let mut frame = Vec::new();
+        wire::append_frame(&mut frame, |w| put_batch(w, start, records));
+        conn.write_all(&frame).unwrap();
+        let ack = wire::read_frame(conn).unwrap().expect("an ack");
+        decode_ack(&ack).unwrap()
+    }
+
+    #[test]
+    fn replica_refuses_a_gap_and_reacks_until_the_stream_resumes_there() {
+        let node = ReplicaNode::spawn(4).unwrap();
+        let mut conn = TcpStream::connect(node.addr()).unwrap();
+        let records: Vec<LogRecord> = (0..6).flat_map(|t| committed_write(t, t, 1, 1)).collect();
+        assert_eq!(ship_raw(&mut conn, 0, &records[..4]), 4);
+        // Records 4..8 are lost on the way: what follows leaves a gap.
+        assert_eq!(ship_raw(&mut conn, 8, &records[8..10]), 4, "gap refused");
+        assert_eq!(ship_raw(&mut conn, 10, &records[10..]), 4, "still refused");
+        assert_eq!(node.log().read_back(), records[..4]);
+        // The stream resumes from the re-acked LSN; an overlapping resend
+        // is deduplicated.
+        assert_eq!(ship_raw(&mut conn, 2, &records[2..8]), 8);
+        assert_eq!(ship_raw(&mut conn, 8, &records[8..]), 12);
+        assert_eq!(node.log().read_back(), records);
+        node.shutdown();
+    }
+
+    #[test]
+    fn a_lost_connection_restarts_the_stream_from_the_acked_lsn() {
+        let log: Arc<dyn LogDevice> = Arc::new(MemLogDevice::new());
+        let reg = metrics();
+        let repl = group_with_slow_replica(&log, Duration::ZERO, &reg, None);
+        let primary = repl.primary_log();
+        for round in 0..5u64 {
+            for txn in 0..10 {
+                for record in committed_write(round * 10 + txn, txn, 1, 1) {
+                    primary.append(&record);
+                }
+                primary.flush();
+            }
+            assert!(repl.sync());
+            // The replica hangs up; the next records find a dead link.
+            for conn in repl.replica(0).unwrap().conns.lock().drain(..) {
+                let _ = conn.shutdown(std::net::Shutdown::Both);
+            }
+        }
+        assert_eq!(repl.replica(0).unwrap().log().read_back(), log.read_back());
+        repl.shutdown();
+    }
+
+    #[test]
+    fn shipper_follows_a_file_device_without_ever_flushing_it() {
+        let dir = std::env::temp_dir().join(format!("tebaldi-ship-file-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.log");
+        let _ = std::fs::remove_file(&path);
+        let file = tebaldi_storage::wal::FileLogDevice::open(&path).unwrap();
+        let log: Arc<dyn LogDevice> = Arc::new(file);
+        let reg = metrics();
+        let repl = group_with_slow_replica(&log, Duration::ZERO, &reg, None);
+        let flushed = committed_write(1, 1, 10, 1);
+        let buffered = committed_write(2, 2, 20, 1);
+        for record in &flushed {
+            log.append(record);
+        }
+        log.flush();
+        for record in &buffered {
+            log.append(record);
+        }
+        assert!(repl.wait_quorum(flushed.len() as u64));
+        // Wake the shipper a few more times: it must find nothing new.
+        for _ in 0..5 {
+            repl.wake_shippers();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(
+            log.durable_len(),
+            flushed.len(),
+            "a reader moved the durable prefix"
+        );
+        assert_eq!(repl.replica(0).unwrap().log().read_back(), flushed);
+        log.flush();
+        assert!(repl.sync());
+        let all: Vec<LogRecord> = flushed.into_iter().chain(buffered).collect();
+        assert_eq!(repl.replica(0).unwrap().log().read_back(), all);
+        repl.shutdown();
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

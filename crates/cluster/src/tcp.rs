@@ -14,8 +14,16 @@
 //!   ops are handled inline on the reader thread — the same
 //!   "decisions never queue behind prepares" rule the mailbox enforces
 //!   in process;
-//! * the writer drains the outbox and writes `(req_id, ShardResult)`
-//!   frames in completion order.
+//! * the writer blocks for a reply, drains whatever else the outbox holds
+//!   by then, and writes the whole burst of `(req_id, ShardResult)` frames
+//!   — completion order — with one `write`.
+//!
+//! Both halves are built for small frames on `TCP_NODELAY` sockets
+//! (`wire::tune`, applied at both ends): nothing ever waits in the kernel
+//! for a Nagle/delayed-ACK timer, and the syscalls that would cost are
+//! bought back by batching in user space — a burst of replies is one
+//! `write`, and the readers pull a burst of frames in with one `read`
+//! through a `wire::FrameReader`.
 //!
 //! A malformed frame (truncated, oversized, garbage) drops the connection;
 //! the server itself stays up and keeps serving other connections.
@@ -23,9 +31,9 @@
 //! ## Client
 //!
 //! [`TcpTransport`] keeps one connection per shard. Requests are tagged
-//! with a fresh id, registered in a pending map, and written under a small
-//! send lock; a per-shard reader thread resolves tickets as reply frames
-//! arrive. A lost connection fails every pending ticket with a clean
+//! with a fresh id, registered in a pending map, and written (one frame,
+//! one `write`) under a small send lock; a per-shard reader thread resolves
+//! tickets as reply frames arrive. A lost connection fails every pending ticket with a clean
 //! [`CcError::Unreachable`] (the waiting transactions abort) instead of
 //! hanging them — and then the transport *re-dials*: the next submission
 //! establishes a fresh connection (a new [`Link`] generation) under a
@@ -119,10 +127,11 @@ impl TcpShardServer {
             .spawn(move || {
                 let mut next_conn_id = 0u64;
                 for stream in listener.incoming() {
+                    let Ok(stream) = stream else { continue };
+                    wire::tune(&stream);
                     if stopping.load(Ordering::SeqCst) {
                         return;
                     }
-                    let Ok(stream) = stream else { continue };
                     let conn_id = next_conn_id;
                     next_conn_id += 1;
                     match stream.try_clone() {
@@ -203,27 +212,18 @@ fn serve_connection(
     conn_inflight: usize,
     stopping: Arc<AtomicBool>,
 ) {
-    let mut reader = match stream.try_clone() {
-        Ok(clone) => clone,
+    let mut frames = match stream.try_clone() {
+        Ok(clone) => wire::FrameReader::new(clone),
         Err(_) => return,
     };
     // Completion-order writer: jobs finish on worker threads and forward
-    // their framed results here. Every reply frame carries the shard's
-    // current HLC reading, so the client's clock converges on the shard's
-    // within one reply delay.
+    // their results here; the writer frames whatever has piled up into one
+    // burst per `write`.
     let reply_clock = Arc::clone(workers.db().hlc());
     let (outbox, outbox_rx) = mpsc::channel::<(u64, ShardResult)>();
     let writer_handle = std::thread::spawn(move || {
         let mut stream = stream;
-        while let Ok((req_id, result)) = outbox_rx.recv() {
-            let payload = wire::encode_result(req_id, reply_clock.last(), &result);
-            if wire::write_frame(&mut stream, &payload).is_err() {
-                return;
-            }
-            if stream.flush().is_err() {
-                return;
-            }
-        }
+        write_replies(&outbox_rx, &mut stream, &reply_clock);
     });
 
     // This connection's share of the shard pipeline: body-running requests
@@ -245,8 +245,8 @@ fn serve_connection(
     // A clean close, I/O error, or oversized frame ends the loop and drops
     // the connection. Pending pipeline jobs still complete; their replies
     // are discarded when the outbox disconnects.
-    while let Ok(Some(payload)) = wire::read_frame(&mut reader) {
-        let (req_id, frame_hlc, request) = match wire::decode_request(&payload) {
+    while let Ok(Some(payload)) = frames.next_frame() {
+        let (req_id, frame_hlc, request) = match wire::decode_request(payload) {
             Ok(decoded) => decoded,
             // Garbage frame: protocol error, drop the connection (the
             // client fails its pending tickets cleanly).
@@ -294,9 +294,37 @@ fn serve_connection(
     // Actively shut the socket down: the server's shutdown list holds
     // another clone of this stream, so merely dropping ours would never
     // send FIN and the peer would block forever.
-    let _ = reader.shutdown(std::net::Shutdown::Both);
+    let _ = frames.get_ref().shutdown(std::net::Shutdown::Both);
     drop(outbox);
     let _ = writer_handle.join();
+}
+
+/// Upper bound on one reply burst: past this the writer stops draining and
+/// writes, so a flood of completions cannot grow the buffer without bound.
+const REPLY_BURST_BYTES: usize = 64 << 10;
+
+/// Writer half of one server connection: blocks for a reply, then drains
+/// everything else the outbox already holds into the same buffer and puts
+/// the burst on the wire with one `write` — with `TCP_NODELAY` set, one
+/// syscall and one segment per burst instead of per reply. Every reply
+/// frame carries the shard's current HLC reading, so the client's clock
+/// converges on the shard's within one reply delay. Returns when the outbox
+/// disconnects or the peer stops taking bytes.
+fn write_replies(outbox: &mpsc::Receiver<(u64, ShardResult)>, out: &mut impl Write, clock: &Hlc) {
+    let mut burst = Vec::new();
+    while let Ok((req_id, result)) = outbox.recv() {
+        burst.clear();
+        wire::append_result_frame(&mut burst, req_id, clock.last(), &result);
+        while burst.len() < REPLY_BURST_BYTES {
+            let Ok((req_id, result)) = outbox.try_recv() else {
+                break;
+            };
+            wire::append_result_frame(&mut burst, req_id, clock.last(), &result);
+        }
+        if out.write_all(&burst).is_err() {
+            return;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -491,7 +519,7 @@ fn dial(
     clock: Arc<Hlc>,
 ) -> std::io::Result<Arc<Link>> {
     let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true).ok();
+    wire::tune(&stream);
     let reader_stream = stream.try_clone()?;
     let pending: PendingMap = Arc::new(Mutex::new(Some(HashMap::new())));
     let gate = Arc::new(InflightGate::new(window, format!("shard {shard}")));
@@ -504,12 +532,12 @@ fn dial(
     let handle = std::thread::Builder::new()
         .name(format!("tebaldi-rpc-client-shard-{shard}"))
         .spawn(move || {
-            let mut stream = reader_stream;
-            while let Ok(Some(payload)) = wire::read_frame(&mut stream) {
+            let mut frames = wire::FrameReader::new(reader_stream);
+            while let Ok(Some(payload)) = frames.next_frame() {
                 counters
                     .bytes_on_wire
                     .fetch_add(payload.len() as u64 + 4, Ordering::Relaxed);
-                let Ok((req_id, frame_hlc, result)) = wire::decode_result(&payload) else {
+                let Ok((req_id, frame_hlc, result)) = wire::decode_result(payload) else {
                     // Garbage reply: the stream is no longer trustworthy.
                     break;
                 };
@@ -818,17 +846,15 @@ impl ShardTransport for TcpTransport {
                 }
             }
         }
-        let payload = wire::encode_request(req_id, self.clock.last(), &request);
-        let write_result = {
-            let mut writer = link.writer.lock();
-            wire::write_frame(&mut *writer, &payload).and_then(|n| writer.flush().map(|()| n))
-        };
-        match write_result {
-            Ok(frame_len) => {
+        let mut frame = Vec::with_capacity(128);
+        wire::append_request_frame(&mut frame, req_id, self.clock.last(), &request);
+        let written = link.writer.lock().write_all(&frame);
+        match written {
+            Ok(()) => {
                 self.counters.messages_sent.fetch_add(1, Ordering::Relaxed);
                 self.counters
                     .bytes_on_wire
-                    .fetch_add(frame_len as u64, Ordering::Relaxed);
+                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
                 ticket
             }
             Err(err) => {
@@ -945,6 +971,78 @@ mod tests {
         assert!(stats.bytes_on_wire > 0);
         ShardTransport::shutdown(&transport);
         workers.shutdown();
+    }
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct RecordingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn queued_replies_leave_in_one_write() {
+        let clock = Hlc::new();
+        let (outbox, outbox_rx) = mpsc::channel::<(u64, ShardResult)>();
+        // Eight replies pile up before the writer gets to run.
+        for id in 0..8u64 {
+            let reply = if id % 2 == 0 {
+                Ok(crate::api::ShardResponse::Executed {
+                    value: Value::Int(id as i64),
+                    aborts: 0,
+                })
+            } else {
+                Err(CcError::Requested)
+            };
+            outbox.send((id, reply)).unwrap();
+        }
+        drop(outbox);
+        let mut out = RecordingWriter::default();
+        write_replies(&outbox_rx, &mut out, &clock);
+        assert_eq!(out.writes.len(), 1, "one burst, one write");
+        let mut frames = wire::FrameReader::new(std::io::Cursor::new(&out.writes[0]));
+        for id in 0..8u64 {
+            let payload = frames.next_frame().unwrap().expect("a reply frame");
+            let (req_id, _hlc, result) = wire::decode_result(payload).unwrap();
+            assert_eq!(req_id, id);
+            assert_eq!(result.is_ok(), id % 2 == 0);
+        }
+        assert!(frames.next_frame().unwrap().is_none());
+    }
+
+    #[test]
+    fn a_reply_flood_is_cut_into_bounded_bursts() {
+        let clock = Hlc::new();
+        let (outbox, outbox_rx) = mpsc::channel::<(u64, ShardResult)>();
+        let big = vec![0x42u8; REPLY_BURST_BYTES / 4];
+        for id in 0..16u64 {
+            let value = Value::Bytes(big.clone().into());
+            let reply = crate::api::ShardResponse::Executed { value, aborts: 0 };
+            outbox.send((id, Ok(reply))).unwrap();
+        }
+        drop(outbox);
+        let mut out = RecordingWriter::default();
+        write_replies(&outbox_rx, &mut out, &clock);
+        assert!(out.writes.len() > 1, "sixteen quarter-bursts need several");
+        // A burst stops growing once it passes the bound: at most one
+        // reply over it.
+        let limit = REPLY_BURST_BYTES + big.len() + 64;
+        assert!(out.writes.iter().all(|w| w.len() <= limit));
+        let stream: Vec<u8> = out.writes.concat();
+        let mut frames = wire::FrameReader::new(std::io::Cursor::new(stream));
+        for id in 0..16u64 {
+            let payload = frames.next_frame().unwrap().expect("a reply frame");
+            assert_eq!(wire::decode_result(payload).unwrap().0, id);
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use crate::api::{ShardRequest, ShardResponse};
 use crate::worker::Vote;
 use std::io::{Read, Write};
+use std::net::TcpStream;
 use tebaldi_cc::CcError;
 use tebaldi_core::{ProcId, ProcedureCall};
 use tebaldi_obs::{HistogramSnapshot, MetricsSnapshot, TraceCtx};
@@ -265,6 +266,22 @@ fn get_metrics(r: &mut ByteReader<'_>) -> CodecResult<MetricsSnapshot> {
 /// [`CodecError::Malformed`].
 pub fn encode_request(req_id: u64, hlc: u64, request: &ShardRequest) -> Vec<u8> {
     let mut w = ByteWriter::new();
+    put_request(&mut w, req_id, hlc, request);
+    w.into_bytes()
+}
+
+/// Appends one whole request frame — length prefix and
+/// [`encode_request`] payload — to `buf`.
+pub(crate) fn append_request_frame(
+    buf: &mut Vec<u8>,
+    req_id: u64,
+    hlc: u64,
+    request: &ShardRequest,
+) {
+    append_frame(buf, |w| put_request(w, req_id, hlc, request));
+}
+
+fn put_request(w: &mut ByteWriter, req_id: u64, hlc: u64, request: &ShardRequest) {
     w.put_u64(req_id);
     w.put_u64(hlc);
     match request {
@@ -277,7 +294,7 @@ pub fn encode_request(req_id: u64, hlc: u64, request: &ShardRequest) -> Vec<u8> 
         } => {
             w.put_u8(0);
             w.put_u32(proc.0);
-            put_call(&mut w, call);
+            put_call(w, call);
             w.put_bytes(args);
             w.put_u32(*max_attempts);
             w.put_u64(trace.trace_id);
@@ -292,7 +309,7 @@ pub fn encode_request(req_id: u64, hlc: u64, request: &ShardRequest) -> Vec<u8> 
             w.put_u8(1);
             w.put_u64(*global);
             w.put_u32(proc.0);
-            put_call(&mut w, call);
+            put_call(w, call);
             w.put_bytes(args);
             w.put_u64(trace.trace_id);
         }
@@ -321,7 +338,6 @@ pub fn encode_request(req_id: u64, hlc: u64, request: &ShardRequest) -> Vec<u8> 
             }
         }
     }
-    w.into_bytes()
 }
 
 /// Decodes a request payload into `(req_id, sender_hlc, request)`.
@@ -380,6 +396,22 @@ pub fn decode_request(payload: &[u8]) -> CodecResult<(u64, u64, ShardRequest)> {
 /// on receive.
 pub fn encode_result(req_id: u64, hlc: u64, result: &Result<ShardResponse, CcError>) -> Vec<u8> {
     let mut w = ByteWriter::new();
+    put_result(&mut w, req_id, hlc, result);
+    w.into_bytes()
+}
+
+/// Appends one whole reply frame — length prefix and [`encode_result`]
+/// payload — to `buf`.
+pub(crate) fn append_result_frame(
+    buf: &mut Vec<u8>,
+    req_id: u64,
+    hlc: u64,
+    result: &Result<ShardResponse, CcError>,
+) {
+    append_frame(buf, |w| put_result(w, req_id, hlc, result));
+}
+
+fn put_result(w: &mut ByteWriter, req_id: u64, hlc: u64, result: &Result<ShardResponse, CcError>) {
     w.put_u64(req_id);
     w.put_u64(hlc);
     match result {
@@ -404,7 +436,7 @@ pub fn encode_result(req_id: u64, hlc: u64, result: &Result<ShardResponse, CcErr
                 ShardResponse::Flushed => w.put_u8(4),
                 ShardResponse::Metrics(snapshot) => {
                     w.put_u8(5);
-                    put_metrics(&mut w, snapshot);
+                    put_metrics(w, snapshot);
                 }
                 ShardResponse::Snapshot { values, hlc } => {
                     w.put_u8(6);
@@ -418,10 +450,9 @@ pub fn encode_result(req_id: u64, hlc: u64, result: &Result<ShardResponse, CcErr
         }
         Err(err) => {
             w.put_u8(1);
-            put_cc_error(&mut w, err);
+            put_cc_error(w, err);
         }
     }
-    w.into_bytes()
 }
 
 /// Decodes a result payload into `(req_id, shard_hlc, result)`.
@@ -475,7 +506,33 @@ pub fn decode_result(payload: &[u8]) -> CodecResult<(u64, u64, Result<ShardRespo
 // Framing
 // ---------------------------------------------------------------------------
 
+/// Socket tuning applied at every end of every cluster connection (shard
+/// RPC and WAL shipping alike). Frames are small and each one is somebody's
+/// reply: with Nagle on, a frame written while an earlier one is unacked
+/// sits in the kernel until the peer's delayed-ACK timer (40 ms) fires.
+/// Writers batch in user space instead — one `write` per burst of frames.
+pub(crate) fn tune(stream: &TcpStream) {
+    stream.set_nodelay(true).ok();
+}
+
+/// Appends one frame to `buf`: reserves the length prefix, lets `encode`
+/// write the payload behind it, then fills the length in place — so a
+/// burst of frames shares one buffer and goes out in one `write`.
+pub(crate) fn append_frame<R>(buf: &mut Vec<u8>, encode: impl FnOnce(&mut ByteWriter) -> R) -> R {
+    let at = buf.len();
+    let mut w = ByteWriter::from_vec(std::mem::take(buf));
+    w.put_u32(0);
+    let encoded = encode(&mut w);
+    *buf = w.into_bytes();
+    let len = buf.len() - at - 4;
+    debug_assert!(len <= MAX_FRAME_LEN);
+    buf[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    encoded
+}
+
 /// Writes one length-prefixed frame. Returns the bytes put on the wire.
+/// The one-shot form: connection loops build bursts with
+/// `append_request_frame`/`append_result_frame` instead.
 pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<usize> {
     debug_assert!(payload.len() <= MAX_FRAME_LEN);
     let mut frame = Vec::with_capacity(4 + payload.len());
@@ -485,9 +542,17 @@ pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<u
     Ok(frame.len())
 }
 
+fn oversized(len: usize) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("frame length {len} exceeds the {MAX_FRAME_LEN}-byte limit"),
+    )
+}
+
 /// Reads one length-prefixed frame. `Ok(None)` means the peer closed the
 /// connection cleanly at a frame boundary; an oversized length prefix is a
-/// protocol error.
+/// protocol error. The one-shot form (two `read`s and one allocation per
+/// frame): connection loops read through a `FrameReader` instead.
 pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     match stream.read_exact(&mut len_buf) {
@@ -497,14 +562,84 @@ pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     }
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds the {MAX_FRAME_LEN}-byte limit"),
-        ));
+        return Err(oversized(len));
     }
     let mut payload = vec![0u8; len];
     stream.read_exact(&mut payload)?;
     Ok(Some(payload))
+}
+
+/// A buffered frame reader for a connection loop: one `read` pulls in
+/// however many frames the peer's burst carried, and each is handed out as
+/// a slice of the buffer — no per-frame syscall pair, no per-frame
+/// allocation. Same contract as [`read_frame`]: `Ok(None)` on a clean close
+/// at a frame boundary, an error on a close mid-frame or an oversized
+/// length prefix.
+pub(crate) struct FrameReader<R> {
+    inner: R,
+    buf: Vec<u8>,
+    /// `buf[start..end]` holds bytes read and not yet handed out.
+    start: usize,
+    end: usize,
+}
+
+/// Initial buffer: several bursts of workload-sized frames.
+const FRAME_READER_CAPACITY: usize = 16 << 10;
+
+impl<R: Read> FrameReader<R> {
+    /// Wraps `inner` with an empty buffer.
+    pub(crate) fn new(inner: R) -> Self {
+        FrameReader {
+            inner,
+            buf: vec![0; FRAME_READER_CAPACITY],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// The wrapped reader (a connection loop shuts its socket down
+    /// through this).
+    pub(crate) fn get_ref(&self) -> &R {
+        &self.inner
+    }
+
+    /// The next frame's payload, reading more only when the buffer does
+    /// not already hold a whole frame.
+    pub(crate) fn next_frame(&mut self) -> std::io::Result<Option<&[u8]>> {
+        let mut need = 4;
+        loop {
+            let have = self.end - self.start;
+            if have >= 4 {
+                let prefix = &self.buf[self.start..self.start + 4];
+                let len = u32::from_le_bytes(prefix.try_into().expect("4-byte slice")) as usize;
+                if len > MAX_FRAME_LEN {
+                    return Err(oversized(len));
+                }
+                need = 4 + len;
+                if have >= need {
+                    let payload = self.start + 4..self.start + need;
+                    self.start += need;
+                    return Ok(Some(&self.buf[payload]));
+                }
+            }
+            // Make room for the rest of this frame behind what is held.
+            if self.start + need > self.buf.len() {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end = have;
+                self.start = 0;
+                if need > self.buf.len() {
+                    self.buf.resize(need, 0);
+                }
+            }
+            match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(0) if have == 0 => return Ok(None),
+                Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.end += n,
+                Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(err) => return Err(err),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -694,6 +829,121 @@ mod tests {
             decode_result(&bad),
             Err(CodecError::Malformed("response tag"))
         );
+    }
+
+    /// Hands out one scripted chunk per `read` call and counts the calls.
+    struct ScriptedReader {
+        chunks: std::collections::VecDeque<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl ScriptedReader {
+        fn new(chunks: Vec<Vec<u8>>) -> Self {
+            ScriptedReader {
+                chunks: chunks.into(),
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for ScriptedReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let Some(mut chunk) = self.chunks.pop_front() else {
+                return Ok(0);
+            };
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            if n < chunk.len() {
+                self.chunks.push_front(chunk.split_off(n));
+            }
+            Ok(n)
+        }
+    }
+
+    fn flush_requests(ids: std::ops::Range<u64>) -> Vec<u8> {
+        let mut segment = Vec::new();
+        for id in ids {
+            append_request_frame(&mut segment, id, 7, &ShardRequest::Abort { global: id });
+        }
+        segment
+    }
+
+    #[test]
+    fn appended_frames_match_the_one_shot_writer() {
+        let request = ShardRequest::Commit { global: 9, hlc: 3 };
+        let mut one_shot = Vec::new();
+        write_frame(&mut one_shot, &encode_request(5, 1, &request)).unwrap();
+        // Appending behind existing bytes fills in the right prefix.
+        let mut burst = vec![0xAA];
+        append_request_frame(&mut burst, 5, 1, &request);
+        assert_eq!(burst[1..], one_shot[..]);
+        let result = Ok(ShardResponse::Decided);
+        let mut one_shot = Vec::new();
+        write_frame(&mut one_shot, &encode_result(5, 1, &result)).unwrap();
+        let mut burst = Vec::new();
+        append_result_frame(&mut burst, 5, 1, &result);
+        assert_eq!(burst, one_shot);
+    }
+
+    #[test]
+    fn a_burst_in_one_segment_decodes_from_one_read() {
+        let mut frames = FrameReader::new(ScriptedReader::new(vec![flush_requests(0..8)]));
+        for id in 0..8 {
+            let payload = frames.next_frame().unwrap().expect("a frame");
+            let (req_id, hlc, request) = decode_request(payload).unwrap();
+            assert_eq!((req_id, hlc), (id, 7));
+            assert_eq!(request, ShardRequest::Abort { global: id });
+            assert_eq!(frames.get_ref().reads, 1, "frame {id} cost another read");
+        }
+        // Clean EOF at a frame boundary.
+        assert!(frames.next_frame().unwrap().is_none());
+    }
+
+    #[test]
+    fn frames_split_across_reads_still_decode() {
+        let segment = flush_requests(0..3);
+        // Every split point, including inside a length prefix.
+        for cut in 1..segment.len() {
+            let chunks = vec![segment[..cut].to_vec(), segment[cut..].to_vec()];
+            let mut frames = FrameReader::new(ScriptedReader::new(chunks));
+            for id in 0..3 {
+                let payload = frames.next_frame().unwrap().expect("a frame");
+                assert_eq!(decode_request(payload).unwrap().0, id, "cut at {cut}");
+            }
+            assert!(frames.next_frame().unwrap().is_none());
+        }
+        // A frame larger than the reader's buffer grows it.
+        let big = ShardRequest::Execute {
+            proc: ProcId(1),
+            call: ProcedureCall::new(tebaldi_storage::TxnTypeId(0)),
+            args: vec![0x5A; 3 * FRAME_READER_CAPACITY],
+            max_attempts: 1,
+            trace: TraceCtx::NONE,
+        };
+        let mut segment = flush_requests(0..2);
+        append_request_frame(&mut segment, 2, 7, &big);
+        segment.extend(flush_requests(3..4));
+        let mut frames = FrameReader::new(ScriptedReader::new(vec![segment]));
+        for id in 0..4 {
+            let payload = frames.next_frame().unwrap().expect("a frame");
+            assert_eq!(decode_request(payload).unwrap().0, id);
+        }
+        // A close mid-frame is an error, not a clean end.
+        let mut torn = flush_requests(0..1);
+        torn.pop();
+        let mut frames = FrameReader::new(ScriptedReader::new(vec![torn]));
+        assert!(frames.next_frame().is_err());
+    }
+
+    #[test]
+    fn an_oversized_length_prefix_fails_the_reader() {
+        let mut segment = flush_requests(0..1);
+        segment.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut frames = FrameReader::new(ScriptedReader::new(vec![segment]));
+        assert!(frames.next_frame().unwrap().is_some());
+        // An error, not an allocation: the connection loop drops the link.
+        assert!(frames.next_frame().is_err());
     }
 
     #[test]

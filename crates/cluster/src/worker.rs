@@ -34,6 +34,15 @@
 //! many in-flight prepares; the prepared-lock window is bounded by the
 //! flush latency, not by queueing behind other transactions' flushes.
 //!
+//! On a replicated shard a hardened batch additionally waits for the
+//! replica quorum to reach the batch's own LSN — the log's durable length
+//! as its flush returned ([`ShardReplication::wait_quorum`]). The loop
+//! blocks in that gate on purpose: completions that arrive meanwhile pile
+//! up behind it and share the next flush, the next shipped frame and the
+//! next ack, which on a CPU-bound box is worth more than overlapping the
+//! flush of batch N+1 with the shipping of batch N (measured both ways,
+//! see CHANGES.md, PR 14).
+//!
 //! With `max_inflight <= workers` the pipeline is disabled and every
 //! request runs start-to-finish on its worker — exactly the pre-pipelining
 //! engine, kept as the measured baseline (`max_inflight_per_shard = 1`).
@@ -431,20 +440,19 @@ impl ShardWorkers {
         self.replication.lock().clone()
     }
 
-    /// The quorum gate: a no-op without replication; otherwise blocks
-    /// until a quorum of replicas acked everything durable here, or the
-    /// ack timeout degrades the batch to local-only durability (the
-    /// timeout is counted, the caller proceeds either way).
+    /// The quorum gate of the synchronous paths, called once the caller's
+    /// own records are durable: a no-op without replication; otherwise
+    /// blocks until a quorum of replicas acked the durable log as it stands
+    /// (which is at least what the caller needs).
     /// Returns `false` only when a quorum was required and the ack
     /// timeout expired first. Commit acks proceed degraded on `false`
     /// (local durability, counted for the operator); read-write prepare
     /// votes must NOT — a yes-vote on a record the replicas never saw
     /// could commit a cross-shard transaction whose part dies with this
     /// primary.
-    fn replication_sync(&self) -> bool {
-        let replication = self.replication.lock().clone();
-        match replication {
-            Some(replication) => replication.sync(),
+    fn quorum_gate(&self) -> bool {
+        match self.replication() {
+            Some(replication) => replication.wait_quorum(replication.durable_lsn()),
             None => true,
         }
     }
@@ -576,7 +584,7 @@ impl ShardWorkers {
             }
             // Quorum gate: what this ack makes visible must survive the
             // loss of the primary's device.
-            self.replication_sync();
+            self.quorum_gate();
         }
         result
     }
@@ -612,7 +620,7 @@ impl ShardWorkers {
                 // loss of this primary: the prepare record must reach the
                 // replica quorum before the vote goes out. A gate timeout
                 // aborts the part instead of voting degraded.
-                if self.replication_sync() {
+                if self.quorum_gate() {
                     self.park_prepared(global, value, prepared)
                 } else {
                     prepared.abort();
@@ -1047,8 +1055,10 @@ impl ShardWorkers {
 
     /// Completion loop: drain every parked continuation, wait once for the
     /// highest funnel sequence (one coalesced flush hardens the whole
-    /// batch), then acknowledge each one — parking prepares in the
-    /// in-doubt table, releasing executes to their clients.
+    /// batch) and, on a replicated shard, for the replica quorum to reach
+    /// the LSN that flush produced, then acknowledge each one — parking
+    /// prepares in the in-doubt table, releasing executes to their
+    /// clients.
     fn run_completer(&self) {
         loop {
             let batch: Vec<PendingCompletion> = {
@@ -1072,12 +1082,9 @@ impl ShardWorkers {
             let highest = batch.iter().map(|c| c.seq).max().unwrap_or(0);
             self.db.wait_hardened(highest);
             // The quorum gate rides the coalesced-flush path: one wait
-            // for the whole hardened batch, not one per transaction.
-            let quorum_ok = if highest > 0 {
-                self.replication_sync()
-            } else {
-                true
-            };
+            // for the whole hardened batch — at the LSN its flush just
+            // produced — not one per transaction.
+            let quorum_ok = highest == 0 || self.quorum_gate();
             // Only `Prepare` completions still hold a window slot (`Reply`
             // completions released theirs when they were parked).
             let slots = batch

@@ -12,7 +12,9 @@
 
 use crate::key::Key;
 use crate::schema::TableId;
+use crate::types::{Timestamp, TxnId};
 use crate::value::Value;
+use crate::wal::LogRecord;
 use bytes::Bytes;
 use std::sync::Arc;
 
@@ -56,6 +58,12 @@ impl ByteWriter {
     /// An empty writer.
     pub fn new() -> Self {
         ByteWriter::default()
+    }
+
+    /// A writer that appends behind what `buf` already holds, so several
+    /// encodings can share one buffer (and one allocation).
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        ByteWriter { buf }
     }
 
     /// Finishes and returns the encoded bytes.
@@ -142,6 +150,81 @@ impl ByteWriter {
             Value::Bytes(b) => {
                 self.put_u8(4);
                 self.put_bytes(b);
+            }
+        }
+    }
+
+    fn put_writes(&mut self, writes: &[(Key, Value)]) {
+        self.put_u32(writes.len() as u32);
+        for (key, value) in writes {
+            self.put_key(*key);
+            self.put_value(value);
+        }
+    }
+
+    /// Appends a [`LogRecord`] with a one-byte variant tag — what the log
+    /// shipper puts on the wire (the file device keeps its JSON lines).
+    pub fn put_log_record(&mut self, record: &LogRecord) {
+        match record {
+            LogRecord::Operation { txn, key, value } => {
+                self.put_u8(0);
+                self.put_u64(txn.0);
+                self.put_key(*key);
+                self.put_value(value);
+            }
+            LogRecord::Precommit {
+                txn,
+                participants,
+                shard,
+                gcp_epoch,
+                writes,
+            } => {
+                self.put_u8(1);
+                self.put_u64(txn.0);
+                self.put_u32(*participants);
+                self.put_u32(*shard);
+                self.put_u64(*gcp_epoch);
+                self.put_writes(writes);
+            }
+            LogRecord::Commit {
+                txn,
+                global_epoch,
+                commit_ts,
+                hlc,
+            } => {
+                self.put_u8(2);
+                self.put_u64(txn.0);
+                self.put_u64(*global_epoch);
+                self.put_u64(commit_ts.0);
+                self.put_u64(*hlc);
+            }
+            LogRecord::EpochSeal { epoch } => {
+                self.put_u8(3);
+                self.put_u64(*epoch);
+            }
+            LogRecord::Prepare {
+                txn,
+                global,
+                writes,
+            } => {
+                self.put_u8(4);
+                self.put_u64(txn.0);
+                self.put_u64(*global);
+                self.put_writes(writes);
+            }
+            LogRecord::Abort { txn } => {
+                self.put_u8(5);
+                self.put_u64(txn.0);
+            }
+            LogRecord::Decision {
+                global,
+                commit,
+                hlc,
+            } => {
+                self.put_u8(6);
+                self.put_u64(*global);
+                self.put_bool(*commit);
+                self.put_u64(*hlc);
             }
         }
     }
@@ -269,11 +352,133 @@ impl<'a> ByteReader<'a> {
             _ => Err(CodecError::Malformed("value tag")),
         }
     }
+
+    fn writes(&mut self) -> CodecResult<Vec<(Key, Value)>> {
+        let len = self.len_prefix()?;
+        // A write costs at least a key (20 bytes) and a value tag.
+        if self.remaining() < len * 21 {
+            return Err(CodecError::Truncated);
+        }
+        let mut writes = Vec::with_capacity(len);
+        for _ in 0..len {
+            writes.push((self.key()?, self.value()?));
+        }
+        Ok(writes)
+    }
+
+    /// Reads a [`LogRecord`] written by
+    /// [`put_log_record`](ByteWriter::put_log_record).
+    pub fn log_record(&mut self) -> CodecResult<LogRecord> {
+        Ok(match self.u8()? {
+            0 => LogRecord::Operation {
+                txn: TxnId(self.u64()?),
+                key: self.key()?,
+                value: self.value()?,
+            },
+            1 => LogRecord::Precommit {
+                txn: TxnId(self.u64()?),
+                participants: self.u32()?,
+                shard: self.u32()?,
+                gcp_epoch: self.u64()?,
+                writes: self.writes()?,
+            },
+            2 => LogRecord::Commit {
+                txn: TxnId(self.u64()?),
+                global_epoch: self.u64()?,
+                commit_ts: Timestamp(self.u64()?),
+                hlc: self.u64()?,
+            },
+            3 => LogRecord::EpochSeal { epoch: self.u64()? },
+            4 => LogRecord::Prepare {
+                txn: TxnId(self.u64()?),
+                global: self.u64()?,
+                writes: self.writes()?,
+            },
+            5 => LogRecord::Abort {
+                txn: TxnId(self.u64()?),
+            },
+            6 => LogRecord::Decision {
+                global: self.u64()?,
+                commit: self.bool()?,
+                hlc: self.u64()?,
+            },
+            _ => return Err(CodecError::Malformed("log record tag")),
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn log_records_roundtrip_and_reject_truncation() {
+        let writes = vec![
+            (Key::simple(TableId(2), 5), Value::Int(50)),
+            (Key::composite(TableId(3), &[1, 2]), Value::row(&[7, -8, 9])),
+            (Key::simple(TableId(4), 0), Value::Null),
+        ];
+        let records = [
+            LogRecord::Operation {
+                txn: TxnId(9),
+                key: Key::simple(TableId(1), 3),
+                value: Value::Str(Arc::from("payload")),
+            },
+            LogRecord::Precommit {
+                txn: TxnId(9),
+                participants: 3,
+                shard: 1,
+                gcp_epoch: 12,
+                writes: writes.clone(),
+            },
+            LogRecord::Commit {
+                txn: TxnId(9),
+                global_epoch: 12,
+                commit_ts: Timestamp(77),
+                hlc: 0xABCD,
+            },
+            LogRecord::EpochSeal { epoch: 12 },
+            LogRecord::Prepare {
+                txn: TxnId(10),
+                global: u64::MAX,
+                writes,
+            },
+            LogRecord::Abort { txn: TxnId(10) },
+            LogRecord::Decision {
+                global: 4,
+                commit: true,
+                hlc: 99,
+            },
+        ];
+        for record in &records {
+            let mut w = ByteWriter::new();
+            w.put_log_record(record);
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(&r.log_record().unwrap(), record);
+            r.expect_end().unwrap();
+            for cut in 0..bytes.len() {
+                assert!(
+                    ByteReader::new(&bytes[..cut]).log_record().is_err(),
+                    "{record:?} cut at {cut}"
+                );
+            }
+        }
+        assert_eq!(
+            ByteReader::new(&[0xEE]).log_record(),
+            Err(CodecError::Malformed("log record tag"))
+        );
+        // A hostile write count cannot make the decoder allocate for it.
+        let mut w = ByteWriter::new();
+        w.put_u8(4);
+        w.put_u64(1);
+        w.put_u64(1);
+        w.put_u32(1 << 20);
+        assert_eq!(
+            ByteReader::new(&w.into_bytes()).log_record(),
+            Err(CodecError::Truncated)
+        );
+    }
 
     #[test]
     fn primitives_roundtrip() {

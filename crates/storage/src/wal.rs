@@ -18,8 +18,9 @@ use crate::value::Value;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A single log record.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
@@ -117,14 +118,19 @@ pub trait LogDevice: Send + Sync {
     fn flush(&self);
     /// Reads every durable record back, in append order.
     fn read_back(&self) -> Vec<LogRecord>;
-    /// Number of durable records (diagnostics).
+    /// Number of durable records — the watermark a log shipper follows, so
+    /// devices override this with an O(1) count. The default pays a full
+    /// [`read_back`](LogDevice::read_back), with whatever side effects the
+    /// device's `read_back` has.
     fn durable_len(&self) -> usize {
         self.read_back().len()
     }
     /// Reads the durable records from index `from` onward, in append order
     /// — the incremental tail a log shipper follows. An index at or past
-    /// the durable length yields an empty vector, never an error: the
-    /// shipper polls ahead of the flusher all the time.
+    /// the durable length yields an empty vector, never an error. Must not
+    /// make anything durable that `flush` has not; the default goes through
+    /// [`read_back`](LogDevice::read_back) and inherits its behaviour, so
+    /// devices a shipper follows override it.
     fn read_from(&self, from: usize) -> Vec<LogRecord> {
         let mut records = self.read_back();
         if from >= records.len() {
@@ -229,14 +235,40 @@ impl LogDevice for MemLogDevice {
 }
 
 /// A file-backed log device writing one JSON record per line.
+///
+/// The device keeps a byte-offset index of the records it holds and the
+/// count `flush` last made durable, so a log shipper following it pays
+/// O(1) for [`durable_len`](LogDevice::durable_len) and reads only the
+/// tail it asks for — and, unlike [`read_back`](LogDevice::read_back),
+/// neither accessor flushes: a reader never moves the durable prefix.
 pub struct FileLogDevice {
-    writer: Mutex<BufWriter<File>>,
+    inner: Mutex<FileLogInner>,
+    /// Records durable as of the last `flush` (or found at `open`).
+    durable: AtomicUsize,
     path: std::path::PathBuf,
+}
+
+struct FileLogInner {
+    writer: BufWriter<File>,
+    /// `offsets[i]` is the byte offset where record `i`'s line starts; the
+    /// final entry is the end of everything appended so far.
+    offsets: Vec<u64>,
+}
+
+/// Parses the records of a one-JSON-record-per-line stream, skipping blank
+/// and unparsable (torn) lines.
+fn parse_lines(reader: impl Read) -> Vec<LogRecord> {
+    BufReader::new(reader)
+        .lines()
+        .map_while(Result::ok)
+        .filter(|l| !l.trim().is_empty())
+        .filter_map(|l| serde_json::from_str(&l).ok())
+        .collect()
 }
 
 impl FileLogDevice {
     /// Opens (or creates) the log file at `path`, appending to existing
-    /// content.
+    /// content. Records already in the file count as durable.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new()
@@ -244,8 +276,30 @@ impl FileLogDevice {
             .append(true)
             .read(true)
             .open(&path)?;
+        // Index what is already there with the same filter `read_back`
+        // applies, so record indices agree between the two.
+        let mut offsets = Vec::new();
+        let mut at = 0u64;
+        let mut existing = BufReader::new(File::open(&path)?);
+        let mut line = String::new();
+        loop {
+            line.clear();
+            let n = existing.read_line(&mut line)?;
+            if n == 0 {
+                break;
+            }
+            if !line.trim().is_empty() && serde_json::from_str::<LogRecord>(&line).is_ok() {
+                offsets.push(at);
+            }
+            at += n as u64;
+        }
+        offsets.push(at);
         Ok(FileLogDevice {
-            writer: Mutex::new(BufWriter::new(file)),
+            durable: AtomicUsize::new(offsets.len() - 1),
+            inner: Mutex::new(FileLogInner {
+                writer: BufWriter::new(file),
+                offsets,
+            }),
             path,
         })
     }
@@ -253,30 +307,53 @@ impl FileLogDevice {
 
 impl LogDevice for FileLogDevice {
     fn append(&self, record: &LogRecord) {
-        let mut writer = self.writer.lock();
+        let mut inner = self.inner.lock();
         let line = serde_json::to_string(record).expect("log records serialize");
-        writeln!(writer, "{line}").expect("log append");
+        writeln!(inner.writer, "{line}").expect("log append");
+        let end = inner.offsets.last().expect("offsets hold the end") + line.len() as u64 + 1;
+        inner.offsets.push(end);
     }
 
     fn flush(&self) {
-        let mut writer = self.writer.lock();
-        writer.flush().expect("log flush");
-        writer.get_ref().sync_data().ok();
+        let mut inner = self.inner.lock();
+        inner.writer.flush().expect("log flush");
+        inner.writer.get_ref().sync_data().ok();
+        self.durable
+            .store(inner.offsets.len() - 1, Ordering::Release);
     }
 
     fn read_back(&self) -> Vec<LogRecord> {
         // Ensure buffered data is visible to the reader.
         self.flush();
-        let file = match File::open(&self.path) {
-            Ok(f) => f,
-            Err(_) => return Vec::new(),
+        match File::open(&self.path) {
+            Ok(file) => parse_lines(file),
+            Err(_) => Vec::new(),
+        }
+    }
+
+    fn durable_len(&self) -> usize {
+        self.durable.load(Ordering::Acquire)
+    }
+
+    fn read_from(&self, from: usize) -> Vec<LogRecord> {
+        // The byte range of records `from..durable`: everything in it was
+        // written out by the flush that advanced `durable`, and nothing
+        // below `from` is read, let alone parsed.
+        let (start, end) = {
+            let inner = self.inner.lock();
+            let durable = self.durable.load(Ordering::Acquire);
+            if from >= durable {
+                return Vec::new();
+            }
+            (inner.offsets[from], inner.offsets[durable])
         };
-        BufReader::new(file)
-            .lines()
-            .map_while(Result::ok)
-            .filter(|l| !l.trim().is_empty())
-            .filter_map(|l| serde_json::from_str(&l).ok())
-            .collect()
+        let Ok(mut file) = File::open(&self.path) else {
+            return Vec::new();
+        };
+        if file.seek(SeekFrom::Start(start)).is_err() {
+            return Vec::new();
+        }
+        parse_lines(file.take(end - start))
     }
 }
 
@@ -347,6 +424,42 @@ mod tests {
         let records = dev.read_back();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0], op(1, 1));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn file_device_tail_reads_never_flush() {
+        let dir = std::env::temp_dir().join(format!("tebaldi-wal-tail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.log");
+        let _ = std::fs::remove_file(&path);
+        let dev = FileLogDevice::open(&path).unwrap();
+        for i in 0..3 {
+            dev.append(&op(1, i));
+        }
+        dev.flush();
+        dev.append(&op(2, 3));
+        dev.append(&op(2, 4));
+        // Neither accessor moves the durable prefix, however often asked.
+        for _ in 0..3 {
+            assert_eq!(dev.durable_len(), 3);
+            assert_eq!(dev.read_from(0), vec![op(1, 0), op(1, 1), op(1, 2)]);
+            assert_eq!(dev.read_from(2), vec![op(1, 2)]);
+            assert_eq!(dev.read_from(3), Vec::new());
+            assert_eq!(dev.read_from(99), Vec::new());
+        }
+        dev.flush();
+        assert_eq!(dev.durable_len(), 5);
+        assert_eq!(dev.read_from(3), vec![op(2, 3), op(2, 4)]);
+        drop(dev);
+        // Reopening indexes what the file holds: indices keep their meaning.
+        let dev = FileLogDevice::open(&path).unwrap();
+        assert_eq!(dev.durable_len(), 5);
+        dev.append(&op(3, 5));
+        assert_eq!(dev.read_from(4), vec![op(2, 4)]);
+        dev.flush();
+        assert_eq!(dev.read_from(4), vec![op(2, 4), op(3, 5)]);
+        assert_eq!(dev.read_back().len(), 6);
         let _ = std::fs::remove_file(&path);
     }
 

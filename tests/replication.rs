@@ -18,16 +18,17 @@
 //!   prefix of the new one.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tebaldi_suite::cc::{AccessMode, CcKind, CcTreeSpec, ProcedureInfo, ProcedureSet};
 use tebaldi_suite::cluster::procs;
 use tebaldi_suite::cluster::{
     truncate_divergent_suffix, Cluster, ClusterBuilder, ClusterConfig, ReplicationConfig,
-    TransportKind,
+    ShardReplication, TransportKind,
 };
 use tebaldi_suite::core::{DurabilityMode, ProcedureCall};
+use tebaldi_suite::obs::MetricsRegistry;
 use tebaldi_suite::storage::wal::{LogDevice, LogRecord, MemLogDevice};
-use tebaldi_suite::storage::{Key, TableId, TxnTypeId};
+use tebaldi_suite::storage::{Key, TableId, TxnId, TxnTypeId};
 
 const TABLE: TableId = TableId(0);
 const TY: TxnTypeId = TxnTypeId(0);
@@ -110,6 +111,94 @@ fn quorum_gate_ships_every_hardened_record_before_ack() {
     assert!(stats.follower_reads >= 2, "follower reads must be counted");
     assert_eq!(stats.failovers, 0);
     cluster.shutdown();
+}
+
+/// A log whose `durable_len` answers late: the length it reports is 200 µs
+/// old by the time the caller sees it. That is the window every follower of
+/// a log has to live with — a flush landing right after it looked — held
+/// open long enough that every round of the test below falls into it.
+struct LateLenLog {
+    inner: MemLogDevice,
+}
+
+impl LogDevice for LateLenLog {
+    fn append(&self, record: &LogRecord) {
+        self.inner.append(record);
+    }
+    fn flush(&self) {
+        self.inner.flush();
+    }
+    fn read_back(&self) -> Vec<LogRecord> {
+        self.inner.read_back()
+    }
+    fn durable_len(&self) -> usize {
+        let len = self.inner.durable_len();
+        // Spin, not sleep: a sleeping thread can oversleep by a scheduler
+        // tick, which is the very magnitude the test measures.
+        let read_at = Instant::now();
+        while read_at.elapsed() < Duration::from_micros(200) {
+            std::hint::spin_loop();
+        }
+        len
+    }
+    fn read_from(&self, from: usize) -> Vec<LogRecord> {
+        self.inner.read_from(from)
+    }
+}
+
+/// No commit waits on a timer. Ten thousand flush → `wait_quorum` rounds,
+/// each a full wake-the-shipper, ship, apply, ack, wake-the-waiter cycle,
+/// with every flush landing just after the shipper read the durable length
+/// ([`LateLenLog`]): every round must still finish in scheduling time. A
+/// shipper that reads the length outside the lock it then sleeps on loses
+/// the wake-up of such a flush and sits out its timed wait (the old 5 ms:
+/// 85 % of these rounds took longer than 4 ms on the code before this
+/// test); a waiter notified without its mutex held sits out its slice.
+/// Even rounds flush the bare device, so the gate's own wake-up is what
+/// reaches the shipper; odd rounds flush through the group's handle, so
+/// the flush's is.
+#[test]
+fn flush_then_wait_quorum_never_sits_out_a_lost_wakeup() {
+    const ROUNDS: u64 = 10_000;
+    const SLOW: Duration = Duration::from_millis(4);
+    let log: Arc<dyn LogDevice> = Arc::new(LateLenLog {
+        inner: MemLogDevice::new(),
+    });
+    let metrics = MetricsRegistry::new();
+    let config = ReplicationConfig {
+        replicas: 1,
+        quorum: 1,
+        ack_timeout_ms: 5_000,
+    };
+    let group = ShardReplication::spawn(0, config, Arc::clone(&log), 4, &metrics, None).unwrap();
+    let handle = group.primary_log();
+    let mut slow = Vec::new();
+    for round in 0..ROUNDS {
+        let device = if round % 2 == 0 { &log } else { &handle };
+        device.append(&LogRecord::Abort { txn: TxnId(round) });
+        let started = Instant::now();
+        device.flush();
+        assert!(group.wait_quorum(round + 1), "round {round} timed out");
+        let took = started.elapsed();
+        if took >= SLOW {
+            slow.push((round, took));
+        }
+    }
+    println!("rounds slower than {SLOW:?}: {slow:?}");
+    // A lost wake-up is never a one-off here (nor would anything but the
+    // 5 s ack timeout rescue it). One round in a thousand is what a test
+    // machine that preempts the shipper mid-spin, lock held, may cost.
+    assert!(
+        slow.len() as u64 * 1_000 <= ROUNDS,
+        "{} of {ROUNDS} rounds took {SLOW:?} or longer: {slow:?}",
+        slow.len()
+    );
+    assert_eq!(group.acks_timed_out(), 0);
+    assert_eq!(
+        group.replica(0).unwrap().log().read_back().len() as u64,
+        ROUNDS
+    );
+    group.shutdown();
 }
 
 /// A follower behind the required LSN refuses both reads and read-only

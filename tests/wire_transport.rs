@@ -741,3 +741,152 @@ mod tcp_cluster {
         cluster.shutdown();
     }
 }
+
+/// The delayed-ACK stall: a server that writes small replies on a socket
+/// with Nagle on leaves every reply behind an unacknowledged one sitting in
+/// the kernel until the client ACKs — which a client with nothing to send
+/// does 40 ms later. It takes a link shared by several callers, one of
+/// which is slow to come back with its next request (in a cluster: it is
+/// busy on another shard): while its last reply stays un-ACKed, everybody
+/// else's replies queue behind it.
+mod stall {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+    use tebaldi_suite::cc::{AccessMode, CcKind, CcTreeSpec, ProcedureInfo, ProcedureSet};
+    use tebaldi_suite::cluster::{
+        procs, Cluster, ClusterConfig, ReplicationConfig, ShardRequest, ShardTransport,
+        ShardWorkers, TcpShardServer, TcpTransport, TransportKind,
+    };
+    use tebaldi_suite::core::{Database, DbConfig, DurabilityMode, ProcRegistry, ProcedureCall};
+    use tebaldi_suite::obs::TraceCtx;
+    use tebaldi_suite::storage::{Key, TableId, TxnTypeId};
+
+    const TABLE: TableId = TableId(0);
+    const TY: TxnTypeId = TxnTypeId(0);
+    /// Back-to-back callers, and the calls each makes.
+    const FAST_CLIENTS: u64 = 3;
+    const CALLS: u64 = 300;
+    /// How long the slow caller stays away between its calls: longer than
+    /// `STALL`, so a reply held until it returns counts as stalled.
+    const THINK: Duration = Duration::from_millis(25);
+    const STALL: Duration = Duration::from_millis(20);
+
+    fn procedures() -> ProcedureSet {
+        let mut set = ProcedureSet::new();
+        set.insert(ProcedureInfo::new(
+            TY,
+            "increment",
+            vec![(TABLE, AccessMode::Write)],
+        ));
+        set
+    }
+
+    /// Four callers on one link — three back to back for `CALLS` calls
+    /// each, one that pauses `THINK` between calls for as long as the
+    /// others run — and the assertion that fewer than 1 % of all calls
+    /// stalled. (With Nagle on the server's accepted socket 2 % of them
+    /// did on the bare link and 11 % on the replicated shard, 25–44 ms
+    /// each: held until the slow caller's next request carried the ACK.)
+    fn hammer(what: &str, call: impl Fn(u64) + Sync) {
+        let timed = |client: u64| {
+            let started = Instant::now();
+            call(client);
+            started.elapsed()
+        };
+        let running = AtomicU64::new(FAST_CLIENTS);
+        let mut latencies: Vec<Duration> = std::thread::scope(|scope| {
+            let mut clients: Vec<_> = (1..=FAST_CLIENTS)
+                .map(|client| {
+                    let (timed, running) = (&timed, &running);
+                    scope.spawn(move || {
+                        let latencies = (0..CALLS).map(|_| timed(client)).collect::<Vec<_>>();
+                        running.fetch_sub(1, Ordering::SeqCst);
+                        latencies
+                    })
+                })
+                .collect();
+            clients.push(scope.spawn(|| {
+                let mut latencies = Vec::new();
+                while running.load(Ordering::SeqCst) > 0 {
+                    latencies.push(timed(0));
+                    std::thread::sleep(THINK);
+                }
+                latencies
+            }));
+            clients
+                .into_iter()
+                .flat_map(|client| client.join().expect("client thread"))
+                .collect()
+        });
+        latencies.sort();
+        let stalled = latencies.iter().filter(|l| **l > STALL).count();
+        println!(
+            "{what}: {} calls, median {:?}, p99 {:?}, slowest {:?}, {stalled} over {STALL:?}",
+            latencies.len(),
+            latencies[latencies.len() / 2],
+            latencies[latencies.len() * 99 / 100],
+            latencies[latencies.len() - 1],
+        );
+        assert!(
+            stalled * 100 < latencies.len(),
+            "{what}: {stalled} of {} calls took longer than {STALL:?} (slowest {:?})",
+            latencies.len(),
+            latencies[latencies.len() - 1],
+        );
+    }
+
+    #[test]
+    fn no_delayed_ack_stall_on_a_multiplexed_link() {
+        let db = Arc::new(
+            Database::builder(DbConfig::for_tests())
+                .procedures(procedures())
+                .cc_spec(CcTreeSpec::monolithic(CcKind::TwoPl, vec![TY]))
+                .build()
+                .unwrap(),
+        );
+        let mut registry = ProcRegistry::new();
+        procs::register_builtins(&mut registry);
+        let workers = ShardWorkers::spawn(0, db, 2, Arc::new(registry));
+        let server = TcpShardServer::spawn(0, Arc::clone(&workers)).unwrap();
+        let transport = TcpTransport::connect(&[server.addr()]).unwrap();
+        hammer("one link, one shard server", |client| {
+            let request = ShardRequest::Execute {
+                proc: procs::KV_INCREMENT,
+                call: ProcedureCall::new(TY),
+                args: procs::increment_args(Key::simple(TABLE, client), 0, 1),
+                max_attempts: 50,
+                trace: TraceCtx::NONE,
+            };
+            transport.call(0, request).expect("increment commits");
+        });
+        ShardTransport::shutdown(&transport);
+        server.shutdown();
+        workers.shutdown();
+    }
+
+    #[test]
+    fn no_delayed_ack_stall_on_a_replicated_shard() {
+        let mut config = ClusterConfig::for_tests(1);
+        config.transport = TransportKind::Tcp;
+        config.db_config.durability = DurabilityMode::Synchronous;
+        config.replication = Some(ReplicationConfig {
+            replicas: 1,
+            quorum: 1,
+            ack_timeout_ms: 5_000,
+        });
+        let cluster = Cluster::builder(config)
+            .procedures(procedures())
+            .cc_spec(CcTreeSpec::monolithic(CcKind::TwoPl, vec![TY]))
+            .build()
+            .unwrap();
+        hammer("one link, one replicated shard", |client| {
+            let args = procs::increment_args(Key::simple(TABLE, client), 0, 1);
+            cluster
+                .execute_single(0, procs::KV_INCREMENT, &ProcedureCall::new(TY), args, 50)
+                .expect("increment commits");
+        });
+        assert_eq!(cluster.stats().replica_acks_timed_out, 0);
+        cluster.shutdown();
+    }
+}
