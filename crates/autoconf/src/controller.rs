@@ -184,7 +184,6 @@ pub fn run_auto_configuration(
             {
                 continue;
             }
-            db.reset_stats();
             let throughput = load(db, options.test_duration);
             if throughput > best_throughput {
                 best_throughput = throughput;

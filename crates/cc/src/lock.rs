@@ -259,12 +259,11 @@ mod tests {
     use super::*;
     use crate::events::VecSink;
     use crate::mechanism::Lane;
-    use crate::oracle::TsOracle;
     use crate::registry::TxnRegistry;
     use crate::topology::Topology;
     use std::sync::Arc;
     use std::time::Duration;
-    use tebaldi_storage::{GroupId, NodeId, TableId, TxnTypeId};
+    use tebaldi_storage::{GroupId, TableId, TxnTypeId};
 
     fn env(timeout_ms: u64) -> (NodeEnv, Arc<VecSink>) {
         let sink = Arc::new(VecSink::new());
@@ -274,12 +273,8 @@ mod tests {
         registry.register(TxnId(3), TxnTypeId(3), GroupId(1));
         (
             NodeEnv {
-                node: NodeId(0),
-                registry,
-                topology: Arc::new(Topology::new()),
                 events: sink.clone(),
-                oracle: Arc::new(TsOracle::new()),
-                wait_timeout: Duration::from_millis(timeout_ms),
+                ..NodeEnv::for_test(Topology::new(), registry, timeout_ms)
             },
             sink,
         )

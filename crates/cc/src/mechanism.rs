@@ -20,7 +20,9 @@ use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tebaldi_storage::{ChainRead, GroupId, Key, NodeId, Timestamp, TxnId, TxnTypeId, Value};
+use tebaldi_storage::{
+    ChainRead, GroupId, Key, NodeId, Timestamp, TxnId, TxnTypeId, Value, Version,
+};
 
 /// The relation between the executing transaction and the node whose
 /// mechanism is being invoked (see [`LaneSel`]). A `Lane` is passed to every
@@ -107,8 +109,6 @@ pub struct TxnCtx {
     /// Keys written so far (needed for commit/abort in storage and for the
     /// durability precommit record).
     pub write_keys: Vec<Key>,
-    /// Keys read so far (used by history recording and diagnostics).
-    pub read_keys: Vec<Key>,
     /// Ordering timestamp assigned by a timestamp-ordering mechanism at
     /// start time; the engine tags installed versions with it.
     pub order_ts: Option<Timestamp>,
@@ -127,7 +127,6 @@ impl TxnCtx {
             deps: HashSet::new(),
             order_deps: HashSet::new(),
             write_keys: Vec::new(),
-            read_keys: Vec::new(),
             order_ts: None,
             must_abort: false,
         }
@@ -219,6 +218,76 @@ impl NodeEnv {
     }
 }
 
+#[cfg(test)]
+impl NodeEnv {
+    /// The environment every unit test of this crate builds its mechanism
+    /// on: node 0, no profiler, a fresh oracle.
+    pub(crate) fn for_test(
+        topology: Topology,
+        registry: Arc<TxnRegistry>,
+        wait_timeout_ms: u64,
+    ) -> NodeEnv {
+        NodeEnv {
+            node: NodeId(0),
+            registry,
+            topology: Arc::new(topology),
+            events: Arc::new(crate::events::NullSink),
+            oracle: Arc::new(TsOracle::new()),
+            wait_timeout: Duration::from_millis(wait_timeout_ms),
+        }
+    }
+}
+
+/// A version as `writer` leaves it on a chain before committing (test
+/// fixture; the value is the writer's id).
+#[cfg(test)]
+pub(crate) fn uncommitted_version(writer: u64, order_ts: Option<Timestamp>) -> Version {
+    Version {
+        id: tebaldi_storage::VersionId(writer),
+        writer: TxnId(writer),
+        value: Value::Int(writer as i64),
+        state: tebaldi_storage::VersionState::Uncommitted,
+        commit_ts: None,
+        order_ts,
+        hlc: 0,
+    }
+}
+
+/// The read rule of every node (§4.2.1, consistent ordering) — the one place
+/// that decides which version a read sees.
+///
+/// A node judges only the versions written inside its own group; a write from
+/// outside the group is visible to it once the parent has ordered it, i.e.
+/// once it is committed. So: the child's `candidate` stands when `accept`
+/// says so; otherwise the read sees the newest version by chain position that
+/// is either in-group and visible under the mechanism's own rule (`judge`
+/// returns `Some(visible)`) or foreign (`judge` returns `None`) and
+/// committed; a chain with no such version leaves the candidate as it was.
+///
+/// A mechanism is its two closures. 2PL judges nothing (`None` throughout:
+/// the newest committed version), RP shows every version of its subtree, TSO
+/// shows an in-group version stamped at or below the reader, `NoCc` and the
+/// trait default accept any candidate.
+///
+/// [`Ssi`](crate::ssi::Ssi) does not come through here: it reads the newest
+/// version committed at or before the reader's *snapshot*, not the newest by
+/// position, and it must mark an anti-dependency on each newer version it
+/// passes over, so its `choose_version` stays a separate rule.
+pub fn visible_version(
+    candidate: Option<VersionPick>,
+    chain: &dyn ChainRead,
+    accept: impl FnOnce(&VersionPick) -> bool,
+    mut judge: impl FnMut(&Version) -> Option<bool>,
+) -> Option<VersionPick> {
+    if candidate.as_ref().is_some_and(accept) {
+        return candidate;
+    }
+    chain
+        .find_newest_first(&mut |v| judge(v).unwrap_or_else(|| v.is_committed()))
+        .map(VersionPick::from_version)
+        .or(candidate)
+}
+
 /// Kinds of supported mechanisms; also the unit of configuration used by
 /// tree specifications and the automatic configurator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -267,9 +336,6 @@ impl CcKind {
 /// Default implementations are no-ops so trivial mechanisms (e.g.
 /// [`NoCc`](crate::nocc::NoCc)) only override what they need.
 pub trait CcMechanism: Send + Sync {
-    /// Short name for diagnostics and abort attribution.
-    fn name(&self) -> &'static str;
-
     /// Which kind of mechanism this is.
     fn kind(&self) -> CcKind;
 
@@ -290,7 +356,9 @@ pub trait CcMechanism: Send + Sync {
 
     /// Execution phase, bottom-up pass: amend the read candidate proposed by
     /// the child (or propose one when `candidate` is `None`). The chain is
-    /// the full version history of `key`.
+    /// the full version history of `key`. Every mechanism but SSI is a call
+    /// into [`visible_version`]; the default accepts any candidate and
+    /// otherwise proposes the newest committed version.
     fn choose_version(
         &self,
         _ctx: &mut TxnCtx,
@@ -299,7 +367,7 @@ pub trait CcMechanism: Send + Sync {
         candidate: Option<VersionPick>,
         chain: &dyn ChainRead,
     ) -> Option<VersionPick> {
-        candidate.or_else(|| chain.latest_committed().map(VersionPick::from_version))
+        visible_version(candidate, chain, |_| true, |_| None)
     }
 
     /// Execution phase: called with the key's version chain right before the

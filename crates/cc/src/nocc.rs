@@ -2,73 +2,35 @@
 //!
 //! Read-only groups "require no in-group concurrency control" (§4.6.1): two
 //! read-only transactions can never conflict, so the group's leaf node only
-//! has to propose a read version — the latest committed one — and let its
-//! ancestors amend it. Using `NoCc` for a group containing writers would be
-//! incorrect; the tree builder and the automatic configurator only assign it
-//! to groups whose transaction types are all read-only.
+//! has to propose a read version — the latest committed one, which is the
+//! trait's default `choose_version` — and let its ancestors amend it. Using
+//! `NoCc` for a group containing writers would be incorrect; the tree builder
+//! and the automatic configurator only assign it to groups whose transaction
+//! types are all read-only.
 
-use crate::mechanism::{CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
-use tebaldi_storage::{ChainRead, Key};
+use crate::mechanism::{CcKind, CcMechanism};
 
 /// The no-op mechanism for read-only groups.
-pub struct NoCc {
-    #[allow(dead_code)]
-    env: NodeEnv,
-}
-
-impl NoCc {
-    /// Creates the mechanism.
-    pub fn new(env: NodeEnv) -> Self {
-        NoCc { env }
-    }
-}
+pub struct NoCc;
 
 impl CcMechanism for NoCc {
-    fn name(&self) -> &'static str {
-        "NoCC"
-    }
-
     fn kind(&self) -> CcKind {
         CcKind::NoCc
-    }
-
-    fn choose_version(
-        &self,
-        _ctx: &mut TxnCtx,
-        _lane: Lane,
-        _key: &Key,
-        candidate: Option<VersionPick>,
-        chain: &dyn ChainRead,
-    ) -> Option<VersionPick> {
-        candidate.or_else(|| chain.latest_committed().map(VersionPick::from_version))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::NullSink;
-    use crate::oracle::TsOracle;
-    use crate::registry::TxnRegistry;
-    use crate::topology::Topology;
-    use std::sync::Arc;
-    use std::time::Duration;
+    use crate::mechanism::{Lane, TxnCtx};
     use tebaldi_storage::{
-        GroupId, NodeId, TableId, Timestamp, TxnId, TxnTypeId, Value, Version, VersionChain,
+        GroupId, Key, TableId, Timestamp, TxnId, TxnTypeId, Value, Version, VersionChain,
         VersionId, VersionState,
     };
 
     #[test]
     fn proposes_latest_committed() {
-        let env = NodeEnv {
-            node: NodeId(0),
-            registry: Arc::new(TxnRegistry::default()),
-            topology: Arc::new(Topology::new()),
-            events: Arc::new(NullSink),
-            oracle: Arc::new(TsOracle::new()),
-            wait_timeout: Duration::from_millis(10),
-        };
-        let cc = NoCc::new(env);
+        let cc = NoCc;
         let mut chain = VersionChain::new();
         chain.install(Version {
             id: VersionId(1),

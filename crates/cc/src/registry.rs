@@ -67,18 +67,13 @@ impl std::fmt::Debug for TxnRegistry {
     }
 }
 
+/// Shards of the directory — the count the engine has always run with.
+const SHARDS: usize = 64;
+
 impl Default for TxnRegistry {
     fn default() -> Self {
-        TxnRegistry::new(32)
-    }
-}
-
-impl TxnRegistry {
-    /// Creates a registry with the given number of shards.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0);
         TxnRegistry {
-            shards: (0..shards)
+            shards: (0..SHARDS)
                 .map(|_| Shard {
                     txns: Mutex::new(HashMap::new()),
                     finished: Condvar::new(),
@@ -86,7 +81,9 @@ impl TxnRegistry {
                 .collect(),
         }
     }
+}
 
+impl TxnRegistry {
     fn shard(&self, txn: TxnId) -> &Shard {
         &self.shards[(txn.0 as usize) % self.shards.len()]
     }

@@ -17,12 +17,12 @@
 
 use crate::error::{CcError, CcResult};
 use crate::lock::{LockManager, LockMode};
-use crate::mechanism::{CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
+use crate::mechanism::{visible_version, CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
 use crate::rp_analysis::RpPlan;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
-use tebaldi_storage::{ChainRead, Key, Timestamp, TxnId};
+use tebaldi_storage::{ChainRead, Key, Timestamp, TxnId, Version};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Progress {
@@ -169,10 +169,6 @@ impl Rp {
 }
 
 impl CcMechanism for Rp {
-    fn name(&self) -> &'static str {
-        "RP"
-    }
-
     fn kind(&self) -> CcKind {
         CcKind::Rp
     }
@@ -207,21 +203,15 @@ impl CcMechanism for Rp {
         chain: &dyn ChainRead,
     ) -> Option<VersionPick> {
         // Accept the child's proposal if it comes from this node's group.
-        if let Some(pick) = &candidate {
-            if pick.writer == ctx.txn || pick.committed || self.env.same_group(lane, pick.writer) {
-                return candidate;
-            }
-        }
-        // Otherwise prefer the latest (possibly uncommitted, step-committed)
-        // write from inside this RP group — exposing intermediate states is
-        // the mechanism's whole point — and fall back to the latest
-        // committed version.
-        let in_group =
-            chain.find_newest_first(&mut |v| v.writer == ctx.txn || self.env.in_subtree(v.writer));
-        in_group
-            .map(VersionPick::from_version)
-            .or_else(|| chain.latest_committed().map(VersionPick::from_version))
-            .or(candidate)
+        let accept = |pick: &VersionPick| {
+            pick.writer == ctx.txn || pick.committed || self.env.same_group(lane, pick.writer)
+        };
+        // Every write from inside this RP subtree is visible, committed or
+        // only step-committed — exposing intermediate states is the
+        // mechanism's whole point. A foreign write is not RP's to judge.
+        let judge =
+            |v: &Version| (v.writer == ctx.txn || self.env.in_subtree(v.writer)).then_some(true);
+        visible_version(candidate, chain, accept, judge)
     }
 
     fn commit(&self, ctx: &mut TxnCtx, _lane: Lane, _commit_ts: Timestamp) {
@@ -236,15 +226,14 @@ impl CcMechanism for Rp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::NullSink;
-    use crate::oracle::TsOracle;
+    use crate::mechanism::uncommitted_version;
     use crate::procinfo::{AccessMode, ProcedureInfo};
     use crate::registry::TxnRegistry;
     use crate::rp_analysis::analyze;
     use crate::topology::Topology;
     use std::sync::Arc;
     use std::time::Duration;
-    use tebaldi_storage::{GroupId, NodeId, TableId, TxnTypeId};
+    use tebaldi_storage::{GroupId, NodeId, TableId, TxnTypeId, VersionChain};
 
     fn plan() -> RpPlan {
         // Three tables accessed in a fixed order by a single procedure.
@@ -262,14 +251,7 @@ mod tests {
 
     fn make_rp(timeout_ms: u64) -> (Arc<Rp>, Arc<TxnRegistry>) {
         let registry = Arc::new(TxnRegistry::default());
-        let env = NodeEnv {
-            node: NodeId(0),
-            registry: Arc::clone(&registry),
-            topology: Arc::new(Topology::new()),
-            events: Arc::new(NullSink),
-            oracle: Arc::new(TsOracle::new()),
-            wait_timeout: Duration::from_millis(timeout_ms),
-        };
+        let env = NodeEnv::for_test(Topology::new(), Arc::clone(&registry), timeout_ms);
         (Arc::new(Rp::new(env, plan())), registry)
     }
 
@@ -365,5 +347,60 @@ mod tests {
         rp.before_write(&mut t2, Lane::child(0), &k(0, 5)).unwrap();
         rp.commit(&mut t1, Lane::child(0), Timestamp(1));
         rp.commit(&mut t2, Lane::child(0), Timestamp(2));
+    }
+
+    /// An RP leaf (node 0, group 0) with T1..T3 as members and T9 in a
+    /// sibling group.
+    fn read_rule_leaf() -> Rp {
+        let mut topology = Topology::new();
+        topology.record_leaf(NodeId(0), GroupId(0));
+        let registry = Arc::new(TxnRegistry::default());
+        for id in 1..=3 {
+            registry.register(TxnId(id), TxnTypeId(0), GroupId(0));
+        }
+        registry.register(TxnId(9), TxnTypeId(1), GroupId(1));
+        Rp::new(NodeEnv::for_test(topology, registry, 30), plan())
+    }
+
+    fn install(chain: &mut VersionChain, writer: u64, commit: Option<u64>) {
+        chain.install(uncommitted_version(writer, None));
+        if let Some(ts) = commit {
+            chain.commit(TxnId(writer), Timestamp(ts));
+        }
+    }
+
+    #[test]
+    fn newer_foreign_committed_version_beats_older_in_group_one() {
+        let rp = read_rule_leaf();
+        let mut chain = VersionChain::new();
+        install(&mut chain, 1, Some(1)); // in-group, committed long ago
+        install(&mut chain, 9, Some(2)); // sibling group, committed after it
+        let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
+        let pick = rp
+            .choose_version(&mut reader, Lane::leaf(), &k(0, 1), None, &chain)
+            .unwrap();
+        assert_eq!(pick.writer, TxnId(9), "the parent ordered T9 after T1");
+    }
+
+    #[test]
+    fn newest_in_group_version_is_exposed_uncommitted() {
+        let rp = read_rule_leaf();
+        let mut chain = VersionChain::new();
+        install(&mut chain, 9, Some(1));
+        install(&mut chain, 3, None); // step-committed by a pipeline member
+        let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
+        let pick = rp
+            .choose_version(&mut reader, Lane::leaf(), &k(0, 1), None, &chain)
+            .unwrap();
+        assert_eq!(pick.writer, TxnId(3));
+        assert!(!pick.committed);
+        // A foreign uncommitted version on top is skipped, not exposed.
+        let mut chain = VersionChain::new();
+        install(&mut chain, 1, Some(1));
+        install(&mut chain, 9, None);
+        let pick = rp
+            .choose_version(&mut reader, Lane::leaf(), &k(0, 1), None, &chain)
+            .unwrap();
+        assert_eq!(pick.writer, TxnId(1));
     }
 }

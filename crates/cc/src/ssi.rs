@@ -145,10 +145,6 @@ impl Ssi {
 }
 
 impl CcMechanism for Ssi {
-    fn name(&self) -> &'static str {
-        "SSI"
-    }
-
     fn kind(&self) -> CcKind {
         CcKind::Ssi
     }
@@ -496,12 +492,9 @@ impl Ssi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::NullSink;
-    use crate::oracle::TsOracle;
     use crate::registry::TxnRegistry;
     use crate::topology::Topology;
     use std::sync::Arc;
-    use std::time::Duration;
     use tebaldi_storage::{
         GroupId, NodeId, TableId, TxnTypeId, Value, Version, VersionChain, VersionId, VersionState,
     };
@@ -511,14 +504,7 @@ mod tests {
         let mut topo = Topology::new();
         topo.record_child(NodeId(0), GroupId(0), 0);
         topo.record_child(NodeId(0), GroupId(1), 1);
-        let env = NodeEnv {
-            node: NodeId(0),
-            registry: Arc::clone(&registry),
-            topology: Arc::new(topo),
-            events: Arc::new(NullSink),
-            oracle: Arc::new(TsOracle::new()),
-            wait_timeout: Duration::from_millis(20),
-        };
+        let env = NodeEnv::for_test(topo, Arc::clone(&registry), 20);
         let config = SsiConfig {
             batching,
             read_only_lanes: HashSet::new(),
@@ -714,15 +700,10 @@ mod tests {
         let mut topo = Topology::new();
         topo.record_child(NodeId(0), GroupId(0), 0); // read-only child
         topo.record_child(NodeId(0), GroupId(1), 1); // update child
-        let env = NodeEnv {
-            node: NodeId(0),
-            registry,
-            topology: Arc::new(topo),
-            events: Arc::new(NullSink),
-            oracle: Arc::new(TsOracle::new()),
-            wait_timeout: Duration::from_millis(20),
-        };
-        let ssi = Ssi::new(env, SsiConfig::root_read_only([0]));
+        let ssi = Ssi::new(
+            NodeEnv::for_test(topo, registry, 20),
+            SsiConfig::root_read_only([0]),
+        );
         let mut reader = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut writer = TxnCtx::new(TxnId(2), TxnTypeId(1), GroupId(1));
         ssi.begin(&mut reader, Lane::child(0)).unwrap();

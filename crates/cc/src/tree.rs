@@ -439,7 +439,7 @@ impl CcTree {
          -> Result<Arc<dyn CcMechanism>, String> {
             Ok(match kind {
                 CcKind::TwoPl => Arc::new(TwoPl::new(make_env(node))),
-                CcKind::NoCc => Arc::new(NoCc::new(make_env(node))),
+                CcKind::NoCc => Arc::new(NoCc),
                 CcKind::Tso => Arc::new(Tso::new(make_env(node))),
                 CcKind::Rp => {
                     let infos: Vec<&crate::procinfo::ProcedureInfo> = subtree_types

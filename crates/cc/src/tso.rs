@@ -18,11 +18,11 @@
 //! exercised by the paper's experiments.
 
 use crate::error::{CcError, CcResult};
-use crate::mechanism::{CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
+use crate::mechanism::{visible_version, CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::time::Instant;
-use tebaldi_storage::{ChainRead, Key, Timestamp, TxnId};
+use tebaldi_storage::{ChainRead, Key, Timestamp, TxnId, Version};
 
 #[derive(Debug, Default)]
 struct TsoShared {
@@ -68,6 +68,12 @@ impl Tso {
         }
     }
 
+    /// True when `writer` is the reader itself or a member of its group at
+    /// this node: the versions TSO's timestamps order.
+    fn in_group(&self, reader: TxnId, lane: Lane, writer: TxnId) -> bool {
+        writer == reader || self.env.same_group(lane, writer)
+    }
+
     fn my_ts(&self, txn: TxnId) -> Option<Timestamp> {
         self.shared.lock().txn_ts.get(&txn).copied()
     }
@@ -79,10 +85,6 @@ impl Tso {
 }
 
 impl CcMechanism for Tso {
-    fn name(&self) -> &'static str {
-        "TSO"
-    }
-
     fn kind(&self) -> CcKind {
         CcKind::Tso
     }
@@ -177,8 +179,8 @@ impl CcMechanism for Tso {
         // the retry pick a fresh, larger timestamp.
         let violation = _chain
             .find_newest_first(&mut |v| {
-                let in_group = v.writer == ctx.txn || self.env.same_group(_lane, v.writer);
-                !in_group && matches!(v.sort_ts(), Some(ts) if ts > my_ts)
+                !self.in_group(ctx.txn, _lane, v.writer)
+                    && matches!(v.sort_ts(), Some(ts) if ts > my_ts)
             })
             .is_some();
         if violation {
@@ -264,28 +266,17 @@ impl CcMechanism for Tso {
         }
         drop(shared);
 
-        if let Some(pick) = &candidate {
-            if pick.writer == ctx.txn || self.env.same_group(lane, pick.writer) {
-                return candidate;
-            }
-        }
-        // Latest version (by chain position) that is either an in-group
-        // version whose ordering timestamp is not after ours (the MVTO read
-        // rule — uncommitted values are exposed), or a *committed* version
-        // from outside the group: the parent CC already ordered its writer
-        // before us, so skipping it would contradict the parent's ordering
-        // (consistent ordering, §4.2.1).
-        chain
-            .find_newest_first(&mut |v| {
-                let in_group = v.writer == ctx.txn || self.env.same_group(lane, v.writer);
-                if in_group {
-                    matches!(v.sort_ts(), Some(ts) if ts <= my_ts) || v.writer == ctx.txn
-                } else {
-                    v.is_committed()
-                }
-            })
-            .map(VersionPick::from_version)
-            .or(candidate)
+        // An in-group version is visible when its ordering timestamp is not
+        // after ours (the MVTO read rule — uncommitted values are exposed).
+        // A version from outside the group is not TSO's to judge: once it
+        // is committed the parent CC has ordered its writer before us, and
+        // skipping it would contradict that order (§4.2.1).
+        let in_group = |writer: TxnId| self.in_group(ctx.txn, lane, writer);
+        let judge = |v: &Version| {
+            in_group(v.writer)
+                .then(|| v.writer == ctx.txn || matches!(v.sort_ts(), Some(ts) if ts <= my_ts))
+        };
+        visible_version(candidate, chain, |pick| in_group(pick.writer), judge)
     }
 
     fn commit(&self, ctx: &mut TxnCtx, _lane: Lane, _commit_ts: Timestamp) {
@@ -329,8 +320,7 @@ impl Tso {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::NullSink;
-    use crate::oracle::TsOracle;
+    use crate::mechanism::uncommitted_version;
     use crate::registry::TxnRegistry;
     use crate::topology::Topology;
     use std::sync::Arc;
@@ -348,14 +338,7 @@ mod tests {
         for id in 1..=8u64 {
             registry.register(TxnId(id), TxnTypeId(0), GroupId(0));
         }
-        let env = NodeEnv {
-            node: NodeId(0),
-            registry: Arc::clone(&registry),
-            topology: Arc::new(topology),
-            events: Arc::new(NullSink),
-            oracle: Arc::new(TsOracle::new()),
-            wait_timeout: Duration::from_millis(30),
-        };
+        let env = NodeEnv::for_test(topology, Arc::clone(&registry), 30);
         (Tso::new(env), registry)
     }
 
@@ -520,5 +503,44 @@ mod tests {
         // Aborting the promiser releases the promise.
         tso.abort(&mut writer, Lane::leaf());
         assert!(tso.before_read(&mut reader, Lane::leaf(), &k(6)).is_ok());
+    }
+
+    #[test]
+    fn newer_foreign_committed_version_beats_older_in_group_one() {
+        let (tso, _registry) = setup();
+        let mut writer = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
+        let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
+        tso.begin(&mut writer, Lane::leaf()).unwrap();
+        tso.begin(&mut reader, Lane::leaf()).unwrap();
+        let mut chain = VersionChain::new();
+        for (id, order_ts) in [(1, writer.order_ts), (900, None)] {
+            // 900 is unregistered: cross-group.
+            chain.install(uncommitted_version(id, order_ts));
+            chain.commit(TxnId(id), Timestamp(1_000_000 + id));
+        }
+        let pick = tso
+            .choose_version(&mut reader, Lane::leaf(), &k(4), None, &chain)
+            .unwrap();
+        assert_eq!(pick.writer, TxnId(900), "the parent ordered T900 last");
+    }
+
+    #[test]
+    fn in_group_version_stamped_above_the_reader_is_hidden() {
+        let (tso, _registry) = setup();
+        let mut reader = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
+        let mut later = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
+        tso.begin(&mut reader, Lane::leaf()).unwrap();
+        tso.begin(&mut later, Lane::leaf()).unwrap();
+        let mut chain = VersionChain::new();
+        chain.install(uncommitted_version(2, later.order_ts));
+        // Hidden while uncommitted and still hidden once committed: the
+        // timestamp order, not the commit, decides inside the group.
+        assert!(tso
+            .choose_version(&mut reader, Lane::leaf(), &k(7), None, &chain)
+            .is_none());
+        chain.commit(TxnId(2), Timestamp(1_000_000));
+        assert!(tso
+            .choose_version(&mut reader, Lane::leaf(), &k(7), None, &chain)
+            .is_none());
     }
 }

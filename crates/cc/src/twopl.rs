@@ -19,7 +19,7 @@
 
 use crate::error::CcResult;
 use crate::lock::{LockManager, LockMode};
-use crate::mechanism::{CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
+use crate::mechanism::{visible_version, CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
 use tebaldi_storage::{ChainRead, Key, Timestamp};
 
 /// A two-phase-locking node.
@@ -44,10 +44,6 @@ impl TwoPl {
 }
 
 impl CcMechanism for TwoPl {
-    fn name(&self) -> &'static str {
-        "2PL"
-    }
-
     fn kind(&self) -> CcKind {
         CcKind::TwoPl
     }
@@ -85,17 +81,13 @@ impl CcMechanism for TwoPl {
         chain: &dyn ChainRead,
     ) -> Option<VersionPick> {
         // Accept the child's proposal when it comes from inside this node's
-        // own group (the child is responsible for those conflicts), else
-        // return the latest committed value.
-        if let Some(pick) = &candidate {
-            if pick.writer == ctx.txn || pick.committed || self.env.same_group(lane, pick.writer) {
-                return candidate;
-            }
-        }
-        chain
-            .latest_committed()
-            .map(VersionPick::from_version)
-            .or(candidate)
+        // own group (the child is responsible for those conflicts); 2PL
+        // judges no version itself, so anything else is the newest
+        // committed value.
+        let accept = |pick: &VersionPick| {
+            pick.writer == ctx.txn || pick.committed || self.env.same_group(lane, pick.writer)
+        };
+        visible_version(candidate, chain, accept, |_| None)
     }
 
     fn commit(&self, ctx: &mut TxnCtx, _lane: Lane, _commit_ts: Timestamp) {
@@ -110,26 +102,16 @@ impl CcMechanism for TwoPl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::NullSink;
-    use crate::oracle::TsOracle;
     use crate::registry::TxnRegistry;
     use crate::topology::Topology;
     use std::sync::Arc;
-    use std::time::Duration;
     use tebaldi_storage::{
         GroupId, NodeId, TableId, TxnId, TxnTypeId, Value, Version, VersionChain, VersionId,
         VersionState,
     };
 
     fn make_env(topology: Topology, registry: Arc<TxnRegistry>) -> NodeEnv {
-        NodeEnv {
-            node: NodeId(0),
-            registry,
-            topology: Arc::new(topology),
-            events: Arc::new(NullSink),
-            oracle: Arc::new(TsOracle::new()),
-            wait_timeout: Duration::from_millis(25),
-        }
+        NodeEnv::for_test(topology, registry, 25)
     }
 
     fn key(id: u64) -> Key {

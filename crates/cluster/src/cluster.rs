@@ -7,7 +7,7 @@ use crate::coordinator::{CoordinatorStats, TxnCoordinator};
 use crate::faults::{FaultPlan, FaultyTransport};
 use crate::replication::{ReplicationConfig, ShardReplication};
 use crate::router::{Partitioning, Routing, ShardRouter};
-use crate::tcp::{ReconnectPolicy, TcpShardServer};
+use crate::tcp::TcpShardServer;
 use crate::transport::{
     InProcessTransport, ShardTransport, TransportFactory, TransportKind, TransportStats,
 };
@@ -88,14 +88,6 @@ pub struct ClusterConfig {
     /// cluster's trace scope only; other clusters in the process keep
     /// their own. `0` arms nothing.
     pub slow_trace_threshold_ms: u64,
-    /// Base delay of the TCP transport's reconnect backoff. After a shard
-    /// link dies, the first re-dial happens immediately on the next
-    /// submission; each *failed* dial then closes the link for
-    /// `base * 2^(failures-1)`, capped at `reconnect_backoff_max_ms`.
-    /// Ignored by the in-process transport.
-    pub reconnect_backoff_ms: u64,
-    /// Cap on the reconnect backoff delay.
-    pub reconnect_backoff_max_ms: u64,
     /// When set, the cluster's transport is wrapped in a
     /// [`FaultyTransport`](crate::faults::FaultyTransport) injecting the
     /// plan's deterministic drop/delay/duplicate/partition schedule.
@@ -136,8 +128,6 @@ impl ClusterConfig {
             // clusters isolated in the shared sink either way.
             trace_sample_every: 0,
             slow_trace_threshold_ms: 0,
-            reconnect_backoff_ms: 20,
-            reconnect_backoff_max_ms: 1_000,
             fault_plan: None,
             replication: test_replication(),
             default_read_consistency: test_read_consistency(),
@@ -159,8 +149,6 @@ impl ClusterConfig {
             // observability cost off the bench hot path.
             trace_sample_every: 64,
             slow_trace_threshold_ms: 0,
-            reconnect_backoff_ms: 20,
-            reconnect_backoff_max_ms: 1_000,
             fault_plan: None,
             replication: None,
             default_read_consistency: ReadConsistency::Strong,
@@ -664,16 +652,11 @@ impl ClusterBuilder {
                         } else {
                             0
                         };
-                    let mut tcp = crate::tcp::TcpTransport::over_loopback_with_window(
+                    Arc::new(crate::tcp::TcpTransport::over_loopback_with_window(
                         &shards,
                         window,
                         self.config.prepare_timeout(),
-                    )?;
-                    tcp.set_reconnect_policy(ReconnectPolicy::new(
-                        Duration::from_millis(self.config.reconnect_backoff_ms),
-                        Duration::from_millis(self.config.reconnect_backoff_max_ms),
-                    ));
-                    Arc::new(tcp)
+                    )?)
                 }
             },
         };
@@ -1915,13 +1898,6 @@ impl Cluster {
     /// The merged cluster metrics as a JSON document.
     pub fn metrics_json(&self) -> String {
         serde_json::to_string_pretty(&self.metrics()).unwrap_or_default()
-    }
-
-    /// Resets per-shard engine counters (between benchmark phases).
-    pub fn reset_stats(&self) {
-        for shard in self.shards.read().iter() {
-            shard.db().reset_stats();
-        }
     }
 
     /// Number of prepared transactions currently in doubt across shards.

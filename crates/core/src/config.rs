@@ -3,9 +3,7 @@
 //! A [`DbConfig`] bundles everything that is *not* the MCC configuration:
 //! how many data-server shards to create, how long internal waits may last
 //! before a transaction is timed out (deadlock resolution), whether and how
-//! durability is enabled, whether the blocking-event profiler and the
-//! history recorder are active, and whether a simulated network delay is
-//! injected between coordinators and data servers.
+//! durability is enabled, and whether the history recorder is active.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -38,11 +36,6 @@ pub struct DbConfig {
     pub durability: DurabilityMode,
     /// Record an Adya-style execution history (tests only; costs memory).
     pub record_history: bool,
-    /// Simulated coordinator↔data-server round-trip latency in
-    /// microseconds; 0 disables the delay entirely.
-    pub sim_network_rtt_us: u64,
-    /// Registry shards (transaction directory).
-    pub registry_shards: usize,
 }
 
 impl Default for DbConfig {
@@ -52,8 +45,6 @@ impl Default for DbConfig {
             wait_timeout_ms: 100,
             durability: DurabilityMode::Off,
             record_history: false,
-            sim_network_rtt_us: 0,
-            registry_shards: 64,
         }
     }
 }

@@ -27,7 +27,6 @@ use tebaldi_cc::{
 use tebaldi_obs::{Histogram, MetricsRegistry};
 use tebaldi_storage::durability::{DurabilityManager, FlushPolicy};
 use tebaldi_storage::gc::GcManager;
-use tebaldi_storage::sim::SimNet;
 use tebaldi_storage::wal::{LogDevice, MemLogDevice};
 use tebaldi_storage::{GroupId, MvStore, Timestamp, TxnId, TxnTypeId};
 
@@ -131,19 +130,10 @@ impl DatabaseBuilder {
     /// Builds the database.
     pub fn build(self) -> Result<Database, String> {
         let spec = self.spec.ok_or("a CC-tree specification is required")?;
-        let mut store = self.store.unwrap_or_else(|| {
-            if self.config.sim_network_rtt_us > 0 {
-                MvStore::with_network(
-                    self.config.shards,
-                    Arc::new(SimNet::with_round_trip_micros(
-                        self.config.sim_network_rtt_us,
-                    )),
-                )
-            } else {
-                MvStore::new(self.config.shards)
-            }
-        });
-        let registry = Arc::new(TxnRegistry::new(self.config.registry_shards));
+        let mut store = self
+            .store
+            .unwrap_or_else(|| MvStore::new(self.config.shards));
+        let registry = Arc::new(TxnRegistry::default());
         let oracle = Arc::new(TsOracle::new());
         let services = TreeServices {
             registry: Arc::clone(&registry),
@@ -292,11 +282,6 @@ impl Database {
         self.stats.snapshot()
     }
 
-    /// Resets the engine counters (between benchmark phases).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
     /// Number of reconfigurations applied so far.
     pub fn reconfiguration_count(&self) -> u64 {
         self.reconfigurations.load(Ordering::Relaxed)
@@ -395,7 +380,7 @@ impl Database {
             history.begin(txn_id, call.ty, group);
         }
 
-        let mut txn = Txn::new(self, Arc::clone(tree), txn_id, call.ty, group);
+        let mut txn = Txn::new(self, tree, txn_id, call.ty, group);
         let outcome = txn.begin().and_then(|()| {
             if !call.promised_keys.is_empty() {
                 txn.promise_writes(&call.promised_keys);
@@ -413,7 +398,7 @@ impl Database {
                 match committed {
                     Ok((commit_ts, harden)) => {
                         self.gc.transaction_finished(gc_epoch, Some(commit_ts));
-                        self.stats.record_commit(call.ty);
+                        self.stats.record_commit();
                         Ok((value, harden))
                     }
                     Err(err) => {
@@ -530,7 +515,7 @@ impl Database {
             history.begin(txn_id, call.ty, group);
         }
 
-        let mut txn = Txn::new(self, Arc::clone(&tree), txn_id, call.ty, group);
+        let mut txn = Txn::new(self, &tree, txn_id, call.ty, group);
         let outcome = txn
             .begin()
             .and_then(|()| {

@@ -137,7 +137,7 @@ impl PreparedTxn {
 
     fn commit_inner(mut self, stamp: Option<u64>) -> Timestamp {
         let commit_ts = txn::apply_commit_prepared(&self.db, &self.path, &mut self.ctx, stamp);
-        self.db.stats.record_commit(self.ctx.ty);
+        self.db.stats.record_commit();
         self.finish(Some(commit_ts));
         commit_ts
     }

@@ -8,7 +8,6 @@
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use tebaldi_storage::TxnTypeId;
 
 /// A snapshot of the engine counters.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -17,8 +16,6 @@ pub struct StatsSnapshot {
     pub committed: u64,
     /// Aborted transaction attempts.
     pub aborted: u64,
-    /// Committed transactions per type.
-    pub committed_by_type: HashMap<TxnTypeId, u64>,
     /// Aborts attributed to each mechanism (by
     /// [`CcError::mechanism`](tebaldi_cc::CcError::mechanism)).
     pub aborts_by_mechanism: HashMap<String, u64>,
@@ -41,7 +38,6 @@ impl StatsSnapshot {
 pub struct DbStats {
     committed: AtomicU64,
     aborted: AtomicU64,
-    committed_by_type: Mutex<HashMap<TxnTypeId, u64>>,
     aborts_by_mechanism: Mutex<HashMap<&'static str, u64>>,
 }
 
@@ -52,9 +48,8 @@ impl DbStats {
     }
 
     /// Records a commit.
-    pub fn record_commit(&self, ty: TxnTypeId) {
+    pub fn record_commit(&self) {
         self.committed.fetch_add(1, Ordering::Relaxed);
-        *self.committed_by_type.lock().entry(ty).or_insert(0) += 1;
     }
 
     /// Records an aborted attempt attributed to `mechanism`.
@@ -82,7 +77,6 @@ impl DbStats {
         StatsSnapshot {
             committed: self.committed(),
             aborted: self.aborted(),
-            committed_by_type: self.committed_by_type.lock().clone(),
             aborts_by_mechanism: self
                 .aborts_by_mechanism
                 .lock()
@@ -90,14 +84,6 @@ impl DbStats {
                 .map(|(k, v)| (k.to_string(), *v))
                 .collect(),
         }
-    }
-
-    /// Resets every counter (between benchmark configurations).
-    pub fn reset(&self) {
-        self.committed.store(0, Ordering::Relaxed);
-        self.aborted.store(0, Ordering::Relaxed);
-        self.committed_by_type.lock().clear();
-        self.aborts_by_mechanism.lock().clear();
     }
 }
 
@@ -108,18 +94,15 @@ mod tests {
     #[test]
     fn counts_and_snapshot() {
         let s = DbStats::new();
-        s.record_commit(TxnTypeId(1));
-        s.record_commit(TxnTypeId(1));
-        s.record_commit(TxnTypeId(2));
+        s.record_commit();
+        s.record_commit();
+        s.record_commit();
         s.record_abort("2PL");
         let snap = s.snapshot();
         assert_eq!(snap.committed, 3);
         assert_eq!(snap.aborted, 1);
-        assert_eq!(snap.committed_by_type[&TxnTypeId(1)], 2);
         assert_eq!(snap.aborts_by_mechanism["2PL"], 1);
         assert!((snap.abort_rate() - 0.25).abs() < 1e-9);
-        s.reset();
-        assert_eq!(s.snapshot().committed, 0);
         assert_eq!(StatsSnapshot::default().abort_rate(), 0.0);
     }
 }

@@ -18,7 +18,6 @@
 //! visible.
 
 use crate::db::Database;
-use std::sync::Arc;
 use tebaldi_cc::{CcError, CcResult, CcTree, PathEntry, TxnCtx, VersionPick};
 use tebaldi_storage::{
     GroupId, Key, Timestamp, TxnId, TxnTypeId, Value, Version, VersionId, VersionState,
@@ -34,8 +33,6 @@ enum TxnPhase {
 /// A handle through which the transaction body reads and writes.
 pub struct Txn<'a> {
     db: &'a Database,
-    #[allow(dead_code)]
-    tree: Arc<CcTree>,
     path: Vec<PathEntry>,
     ctx: TxnCtx,
     phase: TxnPhase,
@@ -44,7 +41,7 @@ pub struct Txn<'a> {
 impl<'a> Txn<'a> {
     pub(crate) fn new(
         db: &'a Database,
-        tree: Arc<CcTree>,
+        tree: &CcTree,
         txn: TxnId,
         ty: TxnTypeId,
         group: GroupId,
@@ -52,7 +49,6 @@ impl<'a> Txn<'a> {
         let path = tree.path(group).map(|p| p.to_vec()).unwrap_or_default();
         Txn {
             db,
-            tree,
             path,
             ctx: TxnCtx::new(txn, ty, group),
             phase: TxnPhase::Running,
@@ -74,8 +70,7 @@ impl<'a> Txn<'a> {
         if self.path.is_empty() {
             return Err(CcError::Internal("empty CC path".to_string()));
         }
-        for i in 0..self.path.len() {
-            let entry = self.path[i].clone();
+        for entry in &self.path {
             entry.mechanism.begin(&mut self.ctx, entry.lane)?;
         }
         Ok(())
@@ -92,8 +87,7 @@ impl<'a> Txn<'a> {
     /// its visible version is a delete).
     pub fn get(&mut self, key: Key) -> CcResult<Option<Value>> {
         // Top-down pass: every mechanism may block or abort the read.
-        for i in 0..self.path.len() {
-            let entry = self.path[i].clone();
+        for entry in &self.path {
             entry
                 .mechanism
                 .before_read(&mut self.ctx, entry.lane, &key)?;
@@ -117,7 +111,6 @@ impl<'a> Txn<'a> {
             }
             candidate
         });
-        self.ctx.read_keys.push(key);
 
         let Some(pick) = pick else {
             if let Some(history) = &self.db.history {
@@ -143,8 +136,7 @@ impl<'a> Txn<'a> {
     /// Writes a key.
     pub fn put(&mut self, key: Key, value: Value) -> CcResult<()> {
         // Top-down pass: locks, timestamp checks.
-        for i in 0..self.path.len() {
-            let entry = self.path[i].clone();
+        for entry in &self.path {
             entry
                 .mechanism
                 .before_write(&mut self.ctx, entry.lane, &key)?;
@@ -178,8 +170,7 @@ impl<'a> Txn<'a> {
         if let Some(history) = &self.db.history {
             history.write(self.ctx.txn, key);
         }
-        for i in 0..self.path.len() {
-            let entry = self.path[i].clone();
+        for entry in &self.path {
             entry.mechanism.after_write(&mut self.ctx, entry.lane, &key);
         }
         Ok(())
@@ -252,8 +243,7 @@ impl<'a> Txn<'a> {
             });
         }
         // Validation phase, top-down.
-        for i in 0..self.path.len() {
-            let entry = self.path[i].clone();
+        for entry in &self.path {
             entry.mechanism.validate(&mut self.ctx, entry.lane)?;
         }
         // Dependency wait: every transaction we read from (or trail in a
@@ -298,8 +288,7 @@ impl<'a> Txn<'a> {
     /// transaction's yes-vote cannot be invalidated by concurrent
     /// transactions while it is parked awaiting the coordinator's decision.
     pub(crate) fn mark_prepared(&mut self) -> CcResult<()> {
-        for i in 0..self.path.len() {
-            let entry = self.path[i].clone();
+        for entry in &self.path {
             entry.mechanism.mark_prepared(&mut self.ctx, entry.lane)?;
         }
         Ok(())

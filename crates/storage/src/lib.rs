@@ -19,8 +19,6 @@
 //!   of §4.5.4.
 //! * [`recovery`] — the three-step recovery protocol of §4.5.4.
 //! * [`gc`] — the epoch-based garbage collection of §4.5.3.
-//! * [`sim`] — an optional simulated network delay standing in for the
-//!   datacenter round trips of the paper's CloudLab testbed.
 
 pub mod arena;
 pub mod codec;
@@ -30,7 +28,6 @@ pub mod key;
 pub mod mvstore;
 pub mod recovery;
 pub mod schema;
-pub mod sim;
 pub mod types;
 pub mod value;
 pub mod version;

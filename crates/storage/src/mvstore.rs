@@ -31,7 +31,6 @@
 use crate::arena::{VersionArena, NIL};
 use crate::ebr;
 use crate::key::Key;
-use crate::sim::SimNet;
 use crate::types::{Sequence, Timestamp, TxnId};
 use crate::value::Value;
 use crate::version::{ChainRead, Version, VersionId, VersionState};
@@ -652,7 +651,6 @@ pub struct MvStore {
     limbo_bytes: AtomicU64,
     retired_since_reclaim: AtomicU64,
     version_ids: Sequence,
-    net: Option<Arc<SimNet>>,
     reads: AtomicU64,
     writes: AtomicU64,
     // O(1) aggregate statistics.
@@ -688,7 +686,6 @@ impl MvStore {
             limbo_bytes: AtomicU64::new(0),
             retired_since_reclaim: AtomicU64::new(0),
             version_ids: Sequence::default(),
-            net: None,
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             n_keys: AtomicU64::new(0),
@@ -699,13 +696,6 @@ impl MvStore {
             m_epoch_lag: Arc::new(MaxGauge::new()),
             m_chain_len: Arc::new(MaxGauge::new()),
         }
-    }
-
-    /// Creates a store with a simulated coordinator↔data-server network.
-    pub fn with_network(shards: usize, net: Arc<SimNet>) -> Self {
-        let mut s = MvStore::new(shards);
-        s.net = Some(net);
-        s
     }
 
     /// Rebinds the store's GC/arena instruments to `registry` so they show
@@ -740,12 +730,6 @@ impl MvStore {
         let shard = (h as usize) % self.shards.len();
         let bucket = ((h >> 32) as usize ^ h as usize) & BUCKET_MASK;
         (h, shard, bucket)
-    }
-
-    fn maybe_delay(&self) {
-        if let Some(net) = &self.net {
-            net.round_trip();
-        }
     }
 
     /// Lock-free index lookup (no shard lock, no latch).
@@ -791,7 +775,6 @@ impl MvStore {
     /// call pins the reclamation epoch for its duration; no shard or chain
     /// lock is taken.
     pub fn with_chain<R>(&self, key: &Key, f: impl FnOnce(&dyn ChainRead) -> R) -> R {
-        self.maybe_delay();
         self.reads.fetch_add(1, Ordering::Relaxed);
         let _pin = ebr::pin();
         f(&ChainRef {
@@ -804,7 +787,6 @@ impl MvStore {
     /// the key's write latch), creating the chain if needed. Other keys —
     /// including keys of the same shard — stay fully accessible.
     pub fn with_chain_mut<R>(&self, key: &Key, f: impl FnOnce(&mut ChainWrite<'_>) -> R) -> R {
-        self.maybe_delay();
         self.writes.fetch_add(1, Ordering::Relaxed);
         let _pin = ebr::pin();
         let entry = self.lookup_or_insert(key);
@@ -902,7 +884,6 @@ impl MvStore {
     /// a ww-predecessor commits before its successor's vote leaves the
     /// shard, and the decision stamp is drawn after observing that vote.
     pub fn read_snapshot_hlc(&self, key: &Key, h: u64) -> SnapshotRead {
-        self.maybe_delay();
         self.reads.fetch_add(1, Ordering::Relaxed);
         let _pin = ebr::pin();
         let Some(entry) = self.lookup(key) else {

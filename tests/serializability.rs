@@ -17,19 +17,24 @@ const ACCOUNTS_TABLE: TableId = TableId(0);
 const AUDIT_TABLE: TableId = TableId(1);
 const TRANSFER: TxnTypeId = TxnTypeId(0);
 const AUDIT: TxnTypeId = TxnTypeId(1);
+/// A second writer type running the same transfer body, so a spec can put
+/// writers in two sibling leaves.
+const TRANSFER_B: TxnTypeId = TxnTypeId(2);
 const N_ACCOUNTS: u64 = 16;
 const INITIAL_BALANCE: i64 = 1_000;
 
 fn procedures() -> ProcedureSet {
     let mut set = ProcedureSet::new();
-    set.insert(ProcedureInfo::new(
-        TRANSFER,
-        "transfer",
-        vec![
-            (ACCOUNTS_TABLE, AccessMode::Write),
-            (AUDIT_TABLE, AccessMode::Write),
-        ],
-    ));
+    for (ty, name) in [(TRANSFER, "transfer"), (TRANSFER_B, "transfer_b")] {
+        set.insert(ProcedureInfo::new(
+            ty,
+            name,
+            vec![
+                (ACCOUNTS_TABLE, AccessMode::Write),
+                (AUDIT_TABLE, AccessMode::Write),
+            ],
+        ));
+    }
     set.insert(ProcedureInfo::new(
         AUDIT,
         "audit",
@@ -65,12 +70,16 @@ enum Mix {
     /// pair of concurrent transfers touches the same two rows in opposite
     /// order (the shape that once lost updates under SSI over RP).
     AdjacentTransfers,
+    /// `TransfersAndAudits` with every transfer typed `TRANSFER` or
+    /// `TRANSFER_B` at random: with the two types in sibling leaves, reads
+    /// cross writer groups.
+    SplitTransfers,
 }
 
 /// Runs `threads` workers each performing `iterations` transactions drawn
 /// from `mix`, then checks the DSG and the balance invariant.
 fn run_and_check(spec: CcTreeSpec, threads: usize, iterations: usize, mix: Mix) {
-    let label = spec.describe();
+    let label = format!("{} threads, {}", threads, spec.describe());
     let db = build_db(spec);
     // (audit txn id, observed total) of any committed audit that saw a
     // non-conserved total; reported together with the DSG verdict below so a
@@ -86,7 +95,7 @@ fn run_and_check(spec: CcTreeSpec, threads: usize, iterations: usize, mix: Mix) 
             let mut rng = rand::rngs::StdRng::seed_from_u64(worker as u64 + 1);
             for _ in 0..iterations {
                 let transfer = match mix {
-                    Mix::TransfersAndAudits => rng.gen_bool(0.8).then(|| {
+                    Mix::TransfersAndAudits | Mix::SplitTransfers => rng.gen_bool(0.8).then(|| {
                         let from = rng.gen_range(0..N_ACCOUNTS);
                         let mut to = rng.gen_range(0..N_ACCOUNTS);
                         if to == from {
@@ -101,7 +110,11 @@ fn run_and_check(spec: CcTreeSpec, threads: usize, iterations: usize, mix: Mix) 
                 };
                 if let Some((from, to)) = transfer {
                     let amount = rng.gen_range(1..20);
-                    let call = ProcedureCall::new(TRANSFER).with_instance_seed(from);
+                    let ty = match mix {
+                        Mix::SplitTransfers if rng.gen_bool(0.5) => TRANSFER_B,
+                        _ => TRANSFER,
+                    };
+                    let call = ProcedureCall::new(ty).with_instance_seed(from);
                     let _ = db.execute_with_retry(&call, 30, |txn| {
                         txn.increment(Key::simple(ACCOUNTS_TABLE, from), 0, -amount)?;
                         txn.increment(Key::simple(ACCOUNTS_TABLE, to), 0, amount)?;
@@ -331,6 +344,143 @@ fn three_layer_hierarchy_is_serializable() {
         ],
     ));
     run_and_check(spec, 4, 120, Mix::TransfersAndAudits);
+}
+
+// ---------------------------------------------------------------------------
+// Reads that cross sibling writer groups
+// ---------------------------------------------------------------------------
+
+/// The writers split over two sibling leaves of kind `leaf`: the smallest
+/// shape in which a read at one leaf must see a version its *sibling*
+/// committed. (Above, only the instance-partitioned TSO specs have more than
+/// one writer leaf.)
+fn writer_leaves(leaf: CcKind) -> Vec<CcNodeSpec> {
+    vec![
+        CcNodeSpec::leaf(leaf, "transfers-a", vec![TRANSFER]),
+        CcNodeSpec::leaf(leaf, "transfers-b", vec![TRANSFER_B]),
+    ]
+}
+
+/// One client (A writes x, B writes x, A reads x: no concurrency needed),
+/// then four.
+fn check_split_transfers(spec: CcTreeSpec) {
+    run_and_check(spec.clone(), 1, 300, Mix::SplitTransfers);
+    run_and_check(spec, 4, 120, Mix::SplitTransfers);
+}
+
+/// `parent` over the two writer leaves and the read-only audits.
+fn check_sibling_writers(parent: CcKind, leaf: CcKind) {
+    let mut children = writer_leaves(leaf);
+    children.push(CcNodeSpec::leaf(CcKind::NoCc, "audits", vec![AUDIT]));
+    check_split_transfers(CcTreeSpec::new(CcNodeSpec::inner(parent, "root", children)));
+}
+
+#[test]
+fn twopl_over_sibling_rp_writers_is_serializable() {
+    check_sibling_writers(CcKind::TwoPl, CcKind::Rp);
+}
+
+#[test]
+fn twopl_over_sibling_tso_writers_is_serializable() {
+    check_sibling_writers(CcKind::TwoPl, CcKind::Tso);
+}
+
+#[test]
+fn twopl_over_sibling_2pl_writers_is_serializable() {
+    check_sibling_writers(CcKind::TwoPl, CcKind::TwoPl);
+}
+
+#[test]
+fn ssi_over_sibling_rp_writers_is_serializable() {
+    check_sibling_writers(CcKind::Ssi, CcKind::Rp);
+}
+
+#[test]
+fn ssi_over_sibling_tso_writers_is_serializable() {
+    check_sibling_writers(CcKind::Ssi, CcKind::Tso);
+}
+
+#[test]
+fn ssi_over_sibling_2pl_writers_is_serializable() {
+    check_sibling_writers(CcKind::Ssi, CcKind::TwoPl);
+}
+
+#[test]
+fn ssi_over_2pl_over_sibling_rp_writers_is_serializable() {
+    // The paper's three-layer shape: SSI(root) -> [NoCC audits, 2PL -> [RP, RP]]
+    let spec = CcTreeSpec::new(CcNodeSpec::inner(
+        CcKind::Ssi,
+        "root",
+        vec![
+            CcNodeSpec::leaf(CcKind::NoCc, "audits", vec![AUDIT]),
+            CcNodeSpec::inner(CcKind::TwoPl, "updates", writer_leaves(CcKind::Rp)),
+        ],
+    ));
+    check_split_transfers(spec);
+}
+
+/// One TPC-C client on the paper's trees with a 2PL node over several RP
+/// leaves: `new_order` and `payment` run in one leaf, `delivery` in its
+/// sibling, and both rewrite the district row. A leaf that reads its own
+/// group's older version writes a district counter backwards.
+#[test]
+fn one_client_tpcc_never_moves_a_district_counter_backwards() {
+    use rand::SeedableRng;
+    use tebaldi_suite::workloads::tpcc::schema::{types, TpccParams};
+    use tebaldi_suite::workloads::tpcc::transactions::district_fields;
+    use tebaldi_suite::workloads::tpcc::{configs, Tpcc};
+    use tebaldi_suite::workloads::Workload;
+
+    let params = TpccParams::tiny();
+    for (label, spec) in [
+        ("tebaldi_three_layer", configs::tebaldi_three_layer()),
+        ("callas_1", configs::callas_1()),
+        ("callas_2", configs::callas_2()),
+    ] {
+        let workload = Tpcc::new(params).with_mix(vec![
+            (types::NEW_ORDER, 0.45),
+            (types::PAYMENT, 0.43),
+            (types::DELIVERY, 0.12),
+        ]);
+        let db = Database::builder(DbConfig::for_tests())
+            .procedures(workload.procedures())
+            .cc_spec(spec)
+            .build()
+            .unwrap();
+        workload.load(&db);
+        let counters = |db: &Database| -> Vec<(i64, i64)> {
+            (0..params.warehouses)
+                .flat_map(|w| (0..params.districts_per_warehouse).map(move |d| (w, d)))
+                .map(|(w, d)| {
+                    let row = db
+                        .store()
+                        .read(&workload.keys.district(w, d), ReadSpec::LatestCommitted)
+                        .expect("district row");
+                    (
+                        row.field(district_fields::NEXT_O_ID).unwrap_or(0),
+                        row.field(district_fields::NEXT_DELIVERY_O_ID).unwrap_or(0),
+                    )
+                })
+                .collect()
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let mut before = counters(&db);
+        for unit in 0..400 {
+            let outcome = workload.run_once(&db, &mut rng);
+            assert!(outcome.committed, "[{label}] unit {unit} failed");
+            let after = counters(&db);
+            for (district, (b, a)) in before.iter().zip(&after).enumerate() {
+                assert!(
+                    a.0 >= b.0 && a.1 >= b.1,
+                    "[{label}] unit {unit} ({:?}) moved district {district} \
+                     (NEXT_O_ID, NEXT_DELIVERY_O_ID) backwards: {b:?} -> {a:?}",
+                    outcome.ty
+                );
+            }
+            before = after;
+        }
+        db.shutdown();
+    }
 }
 
 // ---------------------------------------------------------------------------
