@@ -137,19 +137,13 @@ fn main() {
             customers: customers_per_shard * shards as u32,
             open_seat_probes: if options.quick { 10 } else { 30 },
         };
-        // The transport × pipeline-window sweep: the median-of-trials
-        // in-process curve at both windows (1 = the unpipelined baseline),
-        // plus one TCP/loopback leg per window (wire-cost tracking).
-        for (transport_label, transport, max_inflight, leg_trials) in [
-            ("in-process", TransportKind::InProcess, 1usize, trials),
-            (
-                "in-process",
-                TransportKind::InProcess,
-                pipeline_window,
-                trials,
-            ),
-            ("tcp", TransportKind::Tcp, 1, tcp_trials),
-            ("tcp", TransportKind::Tcp, pipeline_window, tcp_trials),
+        // The transport sweep: the median-of-trials in-process curve plus
+        // a TCP/loopback leg (wire-cost tracking), both at one in-flight
+        // window.
+        let max_inflight = pipeline_window;
+        for (transport_label, transport, leg_trials) in [
+            ("in-process", TransportKind::InProcess, trials),
+            ("tcp", TransportKind::Tcp, tcp_trials),
         ] {
             let mut samples: Vec<Row> = Vec::with_capacity(leg_trials);
             for _ in 0..leg_trials {
@@ -331,45 +325,20 @@ fn main() {
     options.maybe_write_json(&report);
 
     // Scale-out sanity check mirrored by the acceptance criteria: four
-    // shards must clearly beat one shard on this mix (unpipelined legs).
-    if let (Some(first), Some(four)) = (
+    // shards must clearly beat one shard on this mix (in-process legs).
+    let in_process_at = |shards: usize| {
         report
             .rows
             .iter()
-            .find(|r| r.shards == 1 && r.transport == "in-process" && r.max_inflight == 1)
-            .map(|r| r.throughput),
-        report
-            .rows
-            .iter()
-            .find(|r| r.shards == 4 && r.transport == "in-process" && r.max_inflight == 1)
-            .map(|r| r.throughput),
-    ) {
+            .find(|r| r.shards == shards && r.transport == "in-process")
+    };
+    if let (Some(first), Some(four)) = (in_process_at(1), in_process_at(4)) {
         println!(
-            "scale-out: 4-shard {} vs 1-shard {} ({:.2}x)",
-            fmt_tput(four),
-            fmt_tput(first),
-            four / first
+            "scale-out: 4-shard {} vs 1-shard {} ({:.2}x); pipeline depth at 4 shards {}",
+            fmt_tput(four.throughput),
+            fmt_tput(first.throughput),
+            four.throughput / first.throughput,
+            four.pipeline_depth,
         );
-    }
-
-    // Pipeline comparison at 4 shards: the wide window vs. the window-1
-    // baseline on each transport.
-    for transport in ["in-process", "tcp"] {
-        let at = |window: usize| {
-            report
-                .rows
-                .iter()
-                .find(|r| r.shards == 4 && r.transport == transport && r.max_inflight == window)
-        };
-        if let (Some(w1), Some(wide)) = (at(1), at(pipeline_window)) {
-            println!(
-                "pipeline at 4 shards ({transport}): window 1 {} vs window {pipeline_window} {} ({:+.1}%); depth {} -> {}",
-                fmt_tput(w1.throughput),
-                fmt_tput(wide.throughput),
-                (wide.throughput / w1.throughput - 1.0) * 100.0,
-                w1.pipeline_depth,
-                wide.pipeline_depth,
-            );
-        }
     }
 }

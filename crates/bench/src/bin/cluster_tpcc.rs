@@ -23,21 +23,19 @@
 //! loops), and the rows carry `messages_sent`/`bytes_on_wire` so the
 //! transport cost of 2PC is regression-trackable too.
 //!
-//! A **replicated** leg re-runs the fastest tcp leg with one backup per
+//! A **replicated** leg re-runs the tcp leg with one backup per
 //! shard and every commit ack gated on the backup's durable ack (the
 //! quorum-gated group-commit path); its rows carry `replication_lag`
 //! (peak ship lag in records) and `follower_reads`, and the acceptance
 //! comparison holds it within 2x of the unreplicated tcp leg at 4
 //! shards.
 //!
-//! On top of the commit-path legs, the sweep crosses the **prepare
-//! pipeline window** (`max_inflight_per_shard`): `1` is the unpipelined
-//! baseline (a worker blocks through each prepare's WAL flush —
-//! pre-pipelining behavior), the wide window lets one worker multiplex
-//! many in-flight prepares with their hardening batched in the shard's
-//! completion loop. Rows carry `max_inflight`, `queue_wait_ns`,
-//! `hardening_ns`, and `pipeline_depth` so `prepared_lock_window_ns`
-//! decomposes into execute-wait vs. hardening.
+//! Every leg runs the shard pipeline at one **in-flight window**
+//! (`max_inflight_per_shard = 32`): one worker multiplexes many in-flight
+//! prepares with their hardening batched in the shard's completion loop.
+//! Rows carry `max_inflight`, `queue_wait_ns`, `hardening_ns`, and
+//! `pipeline_depth` so `prepared_lock_window_ns` decomposes into
+//! execute-wait vs. hardening.
 //!
 //! ```text
 //! cargo run --release --bin cluster_tpcc -- [--quick] [--json PATH]
@@ -150,21 +148,16 @@ fn main() {
     );
 
     // The sweep: the grouped path in process and over TCP/loopback frames
-    // (the wire cost column), with the prepare-pipeline window crossed over
-    // both transports. Window 1 is the unpipelined baseline (pre-pipelining
-    // behavior); the wide window is the pipeline the acceptance criteria
-    // compare against it.
+    // (the wire cost column), every leg at one in-flight window.
     let pipeline_window = 32usize;
-    let legs: [(&'static str, TransportKind, usize, bool); 5] = [
-        ("grouped", TransportKind::InProcess, 1, false),
-        ("grouped", TransportKind::InProcess, pipeline_window, false),
-        ("grouped", TransportKind::Tcp, 1, false),
-        ("grouped", TransportKind::Tcp, pipeline_window, false),
+    let legs: [(&'static str, TransportKind, bool); 3] = [
+        ("grouped", TransportKind::InProcess, false),
+        ("grouped", TransportKind::Tcp, false),
         // Quorum-replicated leg: one backup per shard, every commit ack
         // gated on the backup's durable ack. Same transport and window as
-        // the fastest unreplicated tcp leg, so the replication overhead
-        // is the only delta between the two rows.
-        ("replicated", TransportKind::Tcp, pipeline_window, true),
+        // the unreplicated tcp leg, so the replication overhead is the
+        // only delta between the two rows.
+        ("replicated", TransportKind::Tcp, true),
     ];
     // Short runs on a loaded 1-core box drift hugely run-to-run; report
     // the median of several trials per leg so one lucky (or starved)
@@ -172,7 +165,8 @@ fn main() {
     let trials = if options.quick { 1 } else { 3 };
     let mut rows = Vec::new();
     for &shards in &shard_counts {
-        for &(commit_path, transport, max_inflight, replicated) in &legs {
+        for &(commit_path, transport, replicated) in &legs {
+            let max_inflight = pipeline_window;
             let transport_label = match transport {
                 TransportKind::InProcess => "in-process",
                 TransportKind::Tcp => "tcp",
@@ -525,13 +519,11 @@ fn main() {
     options.maybe_write_json(&report);
 
     // Scale-out sanity check: more shards must not be slower than one shard
-    // on this mix (grouped path, unpipelined baseline legs).
+    // on this mix (grouped path, in-process legs).
     let grouped_tputs: Vec<f64> = report
         .rows
         .iter()
-        .filter(|r| {
-            r.commit_path == "grouped" && r.transport == "in-process" && r.max_inflight == 1
-        })
+        .filter(|r| r.commit_path == "grouped" && r.transport == "in-process")
         .map(|r| r.throughput)
         .collect();
     if let (Some(&first), Some(best)) = (
@@ -549,45 +541,30 @@ fn main() {
         );
     }
 
-    // Transport and pipeline cost at 4 shards on the grouped path.
-    let grouped_at = |transport: &str, window: usize| {
-        report.rows.iter().find(|r| {
-            r.shards == 4
-                && r.commit_path == "grouped"
-                && r.transport == transport
-                && r.max_inflight == window
-        })
+    // Transport cost at 4 shards on the grouped path, and where each
+    // transport's prepare latency lives (queue-wait vs. hardening).
+    let grouped_at = |transport: &str| {
+        report
+            .rows
+            .iter()
+            .find(|r| r.shards == 4 && r.commit_path == "grouped" && r.transport == transport)
     };
-    if let (Some(inproc), Some(tcp)) = (grouped_at("in-process", 1), grouped_at("tcp", 1)) {
+    if let (Some(inproc), Some(tcp)) = (grouped_at("in-process"), grouped_at("tcp")) {
         println!(
-            "transport at 4 shards (window 1): {} in-process vs {} tcp ({:.0}% of fast path; {} msgs, {} bytes on wire)",
+            "transport at 4 shards: {} in-process vs {} tcp ({:.0}% of fast path; {} msgs, {} bytes on wire)",
             fmt_tput(inproc.throughput),
             fmt_tput(tcp.throughput),
             tcp.throughput / inproc.throughput * 100.0,
             tcp.messages_sent,
             tcp.bytes_on_wire,
         );
-    }
-    // The pipeline acceptance comparison: the wide window must not regress
-    // the tcp leg vs. the window-1 baseline, and the queue-wait/hardening
-    // decomposition shows where the prepare latency lives.
-    for transport in ["in-process", "tcp"] {
-        if let (Some(w1), Some(wide)) = (
-            grouped_at(transport, 1),
-            grouped_at(transport, pipeline_window),
-        ) {
+        for row in [inproc, tcp] {
             println!(
-                "pipeline at 4 shards ({transport}): window 1 {} vs window {pipeline_window} {} ({:+.1}%); \
-                 depth {} -> {}, queue-wait {:.1}us -> {:.1}us, hardening {:.1}us -> {:.1}us",
-                fmt_tput(w1.throughput),
-                fmt_tput(wide.throughput),
-                (wide.throughput / w1.throughput - 1.0) * 100.0,
-                w1.pipeline_depth,
-                wide.pipeline_depth,
-                w1.queue_wait_ns as f64 / 1_000.0,
-                wide.queue_wait_ns as f64 / 1_000.0,
-                w1.hardening_ns as f64 / 1_000.0,
-                wide.hardening_ns as f64 / 1_000.0,
+                "pipeline at 4 shards ({}): depth {}, queue-wait {:.1}us, hardening {:.1}us",
+                row.transport,
+                row.pipeline_depth,
+                row.queue_wait_ns as f64 / 1_000.0,
+                row.hardening_ns as f64 / 1_000.0,
             );
         }
     }
@@ -598,7 +575,7 @@ fn main() {
         .rows
         .iter()
         .find(|r| r.shards == 4 && r.commit_path == "replicated");
-    if let (Some(plain), Some(replicated)) = (grouped_at("tcp", pipeline_window), replicated_at_4) {
+    if let (Some(plain), Some(replicated)) = (grouped_at("tcp"), replicated_at_4) {
         println!(
             "replication at 4 shards: {} unreplicated vs {} quorum-gated ({:.0}% of unreplicated; \
              peak ship lag {} records, {} follower reads)",

@@ -56,21 +56,18 @@ pub struct ClusterConfig {
     /// How the coordinator reaches the shards: the in-process mailbox
     /// fast path, or length-prefixed frames over TCP loopback sockets.
     pub transport: TransportKind,
-    /// Upper bound on body-running requests (`Execute`/`Prepare`) one
-    /// shard may have in flight at once — executing on a worker or parked
-    /// in the hardening stage of the prepare pipeline. (A committed
-    /// execute awaiting only its durability acknowledgement releases its
-    /// slot early: it holds no locks and runs no body.) Values greater than
-    /// `workers_per_shard` enable the pipeline: a worker appends a
-    /// prepare's WAL record without waiting for the flush, hands the
-    /// continuation to the shard's completion loop, and starts the next
-    /// body, so one worker multiplexes many in-flight prepares.
-    /// Values less than or equal to `workers_per_shard` (canonically `1`)
-    /// disable pipelining entirely: every request runs start-to-finish on
-    /// its worker and in-flight concurrency is bounded by the worker count
-    /// — exactly the pre-pipelining engine, kept as the baseline leg the
-    /// benches sweep against. With the pipeline on, admission beyond the
-    /// bound queues (backpressure); over TCP the bound also caps
+    /// Upper bound (at least 1) on body-running requests
+    /// (`Execute`/`Prepare`/`SnapshotRead`) one shard may have in flight
+    /// at once — executing on a worker or parked in the hardening stage of
+    /// the prepare pipeline. (A committed execute awaiting only its
+    /// durability acknowledgement releases its slot early: it holds no
+    /// locks and runs no body.) A worker appends a prepare's WAL record
+    /// without waiting for the flush, hands the continuation to the
+    /// shard's completion loop, and starts the next body, so with a window
+    /// above `workers_per_shard` one worker multiplexes many in-flight
+    /// prepares. The value is only a size — every value runs the same
+    /// pipeline, `1` keeps one body in flight per shard. Admission beyond
+    /// the bound queues (backpressure); over TCP the bound also caps
     /// outstanding body-running requests per shard connection, with
     /// submissions failing after `prepare_timeout_ms` if the window never
     /// opens (a wedged shard's full pipeline must not hang queued
@@ -120,8 +117,6 @@ impl ClusterConfig {
             partitioning: Partitioning::Range { span: 1 },
             prepare_timeout_ms: 10_000,
             transport: test_transport(),
-            // Pipelined by default under test so the whole cluster group
-            // exercises the deferred-hardening path.
             max_inflight_per_shard: 32,
             // Tracing off under test by default (tests that assert on
             // traces opt in explicitly). Scoped trace ids keep parallel
@@ -381,10 +376,9 @@ pub struct ClusterStats {
     /// submission queue before a worker picked it up — the *execute-wait*
     /// share of the prepare latency (scheduling, not hardware).
     pub prepare_queue_wait_ns: u64,
-    /// Mean nanoseconds between a pipelined prepare's body completion and
-    /// its durable yes-vote acknowledgement — the *hardening* share (the
-    /// WAL flush the completion loop batches across transactions). Zero
-    /// when the pipeline is disabled (`max_inflight_per_shard = 1`).
+    /// Mean nanoseconds between a read-write prepare's body completion
+    /// and its durable yes-vote acknowledgement — the *hardening* share
+    /// (the WAL flush the completion loop batches across transactions).
     pub prepare_hardening_ns: u64,
     /// Peak number of simultaneously in-flight bodies observed on any
     /// shard (bounded by `max_inflight_per_shard`). Values above
@@ -623,7 +617,7 @@ impl ClusterBuilder {
                     group.shutdown();
                 }
             })?);
-            let workers = ShardWorkers::spawn_with_window(
+            let workers = ShardWorkers::spawn(
                 index,
                 db,
                 self.config.workers_per_shard,
@@ -641,23 +635,11 @@ impl ClusterBuilder {
             Some(factory) => factory(&shards)?,
             None => match self.config.transport {
                 TransportKind::InProcess => Arc::new(InProcessTransport::new(shards.clone())),
-                TransportKind::Tcp => {
-                    // The client-side window only engages when the pipeline
-                    // does: an unpipelined cluster keeps the pre-pipelining
-                    // transport behavior (unbounded outstanding requests,
-                    // concurrency bounded by the shard worker count).
-                    let window =
-                        if self.config.max_inflight_per_shard > self.config.workers_per_shard {
-                            self.config.max_inflight_per_shard
-                        } else {
-                            0
-                        };
-                    Arc::new(crate::tcp::TcpTransport::over_loopback_with_window(
-                        &shards,
-                        window,
-                        self.config.prepare_timeout(),
-                    )?)
-                }
+                TransportKind::Tcp => Arc::new(crate::tcp::TcpTransport::over_loopback(
+                    &shards,
+                    self.config.max_inflight_per_shard,
+                    self.config.prepare_timeout(),
+                )?),
             },
         };
         if let Some(plan) = &self.config.fault_plan {
@@ -1207,20 +1189,19 @@ impl Cluster {
         // post-failover commit ordered below a pre-failover one.
         db.hlc().advance_past(report.max_hlc);
 
-        let workers = ShardWorkers::spawn_with_window(
+        let workers = ShardWorkers::spawn(
             shard,
             db,
             self.config.workers_per_shard,
             Arc::clone(&self.proc_registry),
             self.config.max_inflight_per_shard,
         );
-        let window = if self.config.max_inflight_per_shard > self.config.workers_per_shard {
-            self.config.max_inflight_per_shard
-        } else {
-            0
-        };
-        let server = TcpShardServer::spawn_with_window(shard, Arc::clone(&workers), window)
-            .map_err(|err| format!("promoted shard {shard} server: {err}"))?;
+        let server = TcpShardServer::spawn(
+            shard,
+            Arc::clone(&workers),
+            self.config.max_inflight_per_shard,
+        )
+        .map_err(|err| format!("promoted shard {shard} server: {err}"))?;
         if !self.transport.repoint(shard, server.addr()) {
             server.shutdown();
             workers.shutdown();
@@ -2446,10 +2427,11 @@ mod tests {
         );
     }
 
-    /// Builds a 2-shard cluster over flush-latency WAL devices so hardening
-    /// takes real time — the only way a single submitting thread finishes a
-    /// batch quickly is the prepare pipeline.
-    fn pipelined_cluster(window: usize) -> Cluster {
+    /// Builds a 2-shard, one-worker-per-shard cluster with the given
+    /// in-flight window over flush-latency WAL devices, so hardening takes
+    /// real time — the only way a single submitting thread finishes a batch
+    /// quickly is overlapping prepares in the pipeline.
+    fn slow_flush_cluster(window: usize) -> Cluster {
         let mut config = ClusterConfig::for_tests(2);
         config.db_config.durability = tebaldi_core::DurabilityMode::Synchronous;
         config.workers_per_shard = 1;
@@ -2489,7 +2471,7 @@ mod tests {
 
     #[test]
     fn batched_phase_one_overlaps_prepares_from_one_thread() {
-        let cluster = pipelined_cluster(32);
+        let cluster = slow_flush_cluster(32);
         let n = 8u64;
         for account in 1..=2 * n {
             cluster.load(account, account_key(account), Value::Int(100));
@@ -2523,8 +2505,8 @@ mod tests {
     }
 
     #[test]
-    fn window_one_batch_matches_unpipelined_semantics() {
-        let cluster = pipelined_cluster(1);
+    fn window_one_keeps_one_body_in_flight_per_shard() {
+        let cluster = slow_flush_cluster(1);
         for account in 1..=8 {
             cluster.load(account, account_key(account), Value::Int(100));
         }
@@ -2540,11 +2522,14 @@ mod tests {
             stats.max_pipeline_depth, 1,
             "window 1 must keep one body in flight per shard"
         );
-        assert_eq!(
-            stats.prepare_hardening_ns, 0,
-            "window 1 must never defer hardening"
-        );
         assert_eq!(cluster.in_doubt_count(), 0);
+        // Same pipeline, smaller window: every transfer moved its 10 and
+        // nothing was created or lost.
+        for i in 0..4 {
+            assert_eq!(balance(&cluster, 2 * i + 1), 90);
+            assert_eq!(balance(&cluster, 2 * i + 2), 110);
+        }
+        assert_eq!((1..=8).map(|a| balance(&cluster, a)).sum::<i64>(), 800);
     }
 
     #[test]
@@ -2575,7 +2560,7 @@ mod tests {
 
     #[test]
     fn declared_conflicts_schedule_into_waves_and_all_commit() {
-        let cluster = pipelined_cluster(32);
+        let cluster = slow_flush_cluster(32);
         let n = 4u64;
         cluster.load(1, account_key(1), Value::Int(100));
         for i in 1..=n {
@@ -2613,7 +2598,7 @@ mod tests {
 
     #[test]
     fn disjoint_declarations_keep_the_whole_batch_in_wave_zero() {
-        let cluster = pipelined_cluster(32);
+        let cluster = slow_flush_cluster(32);
         let n = 8u64;
         for account in 1..=2 * n {
             cluster.load(account, account_key(account), Value::Int(100));

@@ -58,19 +58,6 @@ use std::time::{Duration, Instant};
 use tebaldi_cc::CcError;
 use tebaldi_core::Hlc;
 
-/// Default per-connection bound on body-running requests the server admits
-/// into the shard pipeline at once. One bursty (or hostile) client then
-/// stops being *read* once its budget is full — kernel-level TCP
-/// backpressure — instead of monopolizing the shard's submission queue and
-/// starving other connections. Well-behaved clients bound themselves with
-/// the same window and never hit the server-side cap.
-pub const DEFAULT_CONN_INFLIGHT: usize = 256;
-
-/// How long a client submission may wait for the per-shard in-flight
-/// window to open before failing the request (a full pipeline on a wedged
-/// shard must not turn into an unbounded head-of-line hang).
-const DEFAULT_WINDOW_WAIT: Duration = Duration::from_secs(10);
-
 /// How long the server waits for a connection's admission budget to open
 /// before giving up on the connection entirely. A client that keeps its
 /// whole budget saturated this long is wedged or hostile; dropping the
@@ -96,18 +83,14 @@ pub struct TcpShardServer {
 
 impl TcpShardServer {
     /// Binds a loopback listener and starts accepting connections served
-    /// by `workers`, with the default per-connection in-flight budget
-    /// ([`DEFAULT_CONN_INFLIGHT`]).
-    pub fn spawn(shard_index: usize, workers: Arc<ShardWorkers>) -> std::io::Result<Arc<Self>> {
-        TcpShardServer::spawn_with_window(shard_index, workers, DEFAULT_CONN_INFLIGHT)
-    }
-
-    /// [`spawn`](TcpShardServer::spawn) with an explicit per-connection
-    /// bound on concurrently admitted body-running requests (`0` disables
-    /// the bound). A connection at its budget stops being read until one of
-    /// its requests completes, so no single client can starve the others
-    /// out of the shard's submission queue.
-    pub fn spawn_with_window(
+    /// by `workers`, each admitting at most `conn_inflight` (at least 1)
+    /// body-running requests into the shard pipeline at once. A connection
+    /// at its budget stops being *read* until one of its requests
+    /// completes — kernel-level TCP backpressure — so one bursty (or
+    /// hostile) client cannot monopolize the shard's submission queue and
+    /// starve the others. Well-behaved clients bound themselves with the
+    /// same window and never hit the server-side cap.
+    pub fn spawn(
         shard_index: usize,
         workers: Arc<ShardWorkers>,
         conn_inflight: usize,
@@ -344,7 +327,7 @@ type PendingMap = Arc<Mutex<Option<HashMap<u64, (mpsc::Sender<ShardResult>, bool
 /// the given wait) while the window is full and fails fast once the gate
 /// is closed.
 struct InflightGate {
-    /// 0 = unbounded.
+    /// Slots in the window; at least 1.
     limit: usize,
     /// Who the gate protects, for error messages ("shard 3", "connection").
     label: String,
@@ -360,7 +343,7 @@ struct GateState {
 impl InflightGate {
     fn new(limit: usize, label: String) -> Self {
         InflightGate {
-            limit,
+            limit: limit.max(1),
             label,
             state: Mutex::new(GateState {
                 inflight: 0,
@@ -372,9 +355,6 @@ impl InflightGate {
 
     /// Takes one window slot, waiting at most `timeout` for one to open.
     fn acquire(&self, timeout: Duration) -> Result<(), CcError> {
-        if self.limit == 0 {
-            return Ok(());
-        }
         let deadline = Instant::now() + timeout;
         let mut state = self.state.lock();
         loop {
@@ -401,9 +381,6 @@ impl InflightGate {
     }
 
     fn release(&self) {
-        if self.limit == 0 {
-            return;
-        }
         let mut state = self.state.lock();
         state.inflight = state.inflight.saturating_sub(1);
         drop(state);
@@ -491,7 +468,7 @@ struct LinkState {
 
 struct ShardConn {
     shard: usize,
-    /// Client-side in-flight window limit for each link (0 = unbounded).
+    /// Client-side in-flight window limit for each link.
     window: usize,
     state: Mutex<LinkState>,
     /// Request ids stay unique across link generations (diagnostics only;
@@ -592,52 +569,34 @@ pub struct TcpTransport {
 
 impl TcpTransport {
     /// Spawns a loopback server in front of every worker pool and connects
-    /// to each with an unbounded in-flight window: the single-process
-    /// deployment of the wire protocol.
-    pub fn over_loopback(shards: &[Arc<ShardWorkers>]) -> Result<Self, String> {
-        TcpTransport::over_loopback_with_window(shards, 0, DEFAULT_WINDOW_WAIT)
-    }
-
-    /// [`over_loopback`](TcpTransport::over_loopback) with a bounded
-    /// in-flight window: at most `window` body-running requests outstanding
-    /// per shard connection (`0` = unbounded), waiting at most
-    /// `window_wait` for a slot before failing the submission. The same
-    /// bound is installed server-side as each connection's admission
-    /// budget.
-    pub fn over_loopback_with_window(
+    /// to each — the single-process deployment of the wire protocol — with
+    /// at most `window` (at least 1) body-running requests outstanding per
+    /// shard connection, waiting at most `window_wait` for a slot before
+    /// failing the submission (a full pipeline on a wedged shard must not
+    /// turn into an unbounded head-of-line hang). The same bound is
+    /// installed server-side as each connection's admission budget.
+    pub fn over_loopback(
         shards: &[Arc<ShardWorkers>],
         window: usize,
         window_wait: Duration,
     ) -> Result<Self, String> {
-        let conn_inflight = if window == 0 {
-            DEFAULT_CONN_INFLIGHT
-        } else {
-            window
-        };
         let mut servers = Vec::with_capacity(shards.len());
         for (index, workers) in shards.iter().enumerate() {
             servers.push(
-                TcpShardServer::spawn_with_window(index, Arc::clone(workers), conn_inflight)
+                TcpShardServer::spawn(index, Arc::clone(workers), window)
                     .map_err(|err| format!("shard {index} rpc server: {err}"))?,
             );
         }
         let addrs: Vec<SocketAddr> = servers.iter().map(|s| s.addr()).collect();
-        let mut transport = TcpTransport::connect_with_window(&addrs, window, window_wait)?;
+        let mut transport = TcpTransport::connect(&addrs, window, window_wait)?;
         transport.servers = servers;
         Ok(transport)
     }
 
     /// Connects to already-running shard servers (which may live in other
-    /// processes; this client does not own them), with an unbounded
-    /// in-flight window.
-    pub fn connect(addrs: &[SocketAddr]) -> Result<Self, String> {
-        TcpTransport::connect_with_window(addrs, 0, DEFAULT_WINDOW_WAIT)
-    }
-
-    /// [`connect`](TcpTransport::connect) with a bounded in-flight window
-    /// per shard connection (`0` = unbounded; see
-    /// [`over_loopback_with_window`](TcpTransport::over_loopback_with_window)).
-    pub fn connect_with_window(
+    /// processes; this client does not own them), with the in-flight
+    /// window of [`over_loopback`](TcpTransport::over_loopback).
+    pub fn connect(
         addrs: &[SocketAddr],
         window: usize,
         window_wait: Duration,
@@ -921,6 +880,9 @@ mod tests {
     const TABLE: TableId = TableId(0);
     const TY: TxnTypeId = TxnTypeId(0);
     const BUMP: ProcId = ProcId(1);
+    /// In-flight window used on every side of these tests.
+    const WINDOW: usize = 8;
+    const WINDOW_WAIT: Duration = Duration::from_secs(10);
 
     fn pool() -> Arc<ShardWorkers> {
         let mut procedures = ProcedureSet::new();
@@ -941,7 +903,7 @@ mod tests {
         reg.register_fn(BUMP, |txn, _args| {
             txn.increment(Key::simple(TABLE, 1), 0, 1).map(Value::Int)
         });
-        ShardWorkers::spawn(0, db, 2, Arc::new(reg))
+        ShardWorkers::spawn(0, db, 2, Arc::new(reg), WINDOW)
     }
 
     fn execute() -> ShardRequest {
@@ -957,7 +919,8 @@ mod tests {
     #[test]
     fn loopback_roundtrip_counts_wire_traffic() {
         let workers = pool();
-        let transport = TcpTransport::over_loopback(&[Arc::clone(&workers)]).unwrap();
+        let transport =
+            TcpTransport::over_loopback(&[Arc::clone(&workers)], WINDOW, WINDOW_WAIT).unwrap();
         let (value, _) = transport
             .call(0, execute())
             .unwrap()
@@ -1048,7 +1011,7 @@ mod tests {
     #[test]
     fn garbage_frame_drops_connection_but_server_survives() {
         let workers = pool();
-        let server = TcpShardServer::spawn(0, Arc::clone(&workers)).unwrap();
+        let server = TcpShardServer::spawn(0, Arc::clone(&workers), WINDOW).unwrap();
 
         // A hostile client: raw garbage bytes.
         {
@@ -1072,7 +1035,7 @@ mod tests {
         }
 
         // A well-formed client still gets served afterwards.
-        let transport = TcpTransport::connect(&[server.addr()]).unwrap();
+        let transport = TcpTransport::connect(&[server.addr()], WINDOW, WINDOW_WAIT).unwrap();
         let (value, _) = transport
             .call(0, execute())
             .unwrap()
@@ -1087,8 +1050,8 @@ mod tests {
     #[test]
     fn lost_connection_fails_pending_tickets_cleanly() {
         let workers = pool();
-        let server = TcpShardServer::spawn(0, Arc::clone(&workers)).unwrap();
-        let transport = TcpTransport::connect(&[server.addr()]).unwrap();
+        let server = TcpShardServer::spawn(0, Arc::clone(&workers), WINDOW).unwrap();
+        let transport = TcpTransport::connect(&[server.addr()], WINDOW, WINDOW_WAIT).unwrap();
         // Kill the server, then submit: either the send fails or the
         // pending ticket resolves with a shard-unreachable error — never a
         // hang, and never a generic internal error a retry loop cannot
@@ -1108,8 +1071,8 @@ mod tests {
     #[test]
     fn reconnects_to_restarted_server_without_rebuilding() {
         let workers = pool();
-        let server = TcpShardServer::spawn(0, Arc::clone(&workers)).unwrap();
-        let mut transport = TcpTransport::connect(&[server.addr()]).unwrap();
+        let server = TcpShardServer::spawn(0, Arc::clone(&workers), WINDOW).unwrap();
+        let mut transport = TcpTransport::connect(&[server.addr()], WINDOW, WINDOW_WAIT).unwrap();
         transport.set_reconnect_policy(ReconnectPolicy::new(
             Duration::from_millis(5),
             Duration::from_millis(50),
@@ -1139,7 +1102,7 @@ mod tests {
         // ...until a replacement comes up (a fresh port: loopback binds to
         // port 0) and the transport is re-pointed at it. Traffic resumes
         // on the same transport — no rebuild.
-        let restarted = TcpShardServer::spawn(0, Arc::clone(&workers)).unwrap();
+        let restarted = TcpShardServer::spawn(0, Arc::clone(&workers), WINDOW).unwrap();
         transport.set_shard_addr(0, restarted.addr());
         let deadline = Instant::now() + Duration::from_secs(10);
         let value = loop {
@@ -1168,8 +1131,8 @@ mod tests {
     #[test]
     fn backoff_fails_fast_while_the_window_is_closed() {
         let workers = pool();
-        let server = TcpShardServer::spawn(0, Arc::clone(&workers)).unwrap();
-        let mut transport = TcpTransport::connect(&[server.addr()]).unwrap();
+        let server = TcpShardServer::spawn(0, Arc::clone(&workers), WINDOW).unwrap();
+        let mut transport = TcpTransport::connect(&[server.addr()], WINDOW, WINDOW_WAIT).unwrap();
         transport.set_reconnect_policy(ReconnectPolicy::new(
             Duration::from_secs(60),
             Duration::from_secs(60),

@@ -15,11 +15,10 @@
 //! `Prepare` WAL record's device flush). Run both on the worker thread and
 //! one in-flight prepare pins one worker for its whole latency, so the
 //! number of overlapping prepares is bounded by the pool size —
-//! scheduling, not hardware. With pipelining enabled
-//! (`max_inflight > workers`), a worker instead:
+//! scheduling, not hardware. A worker instead:
 //!
 //! 1. pops the next submission (admission is bounded by the in-flight
-//!    window — backpressure, not an unbounded queue),
+//!    window `max_inflight` — backpressure, not an unbounded queue),
 //! 2. runs the body and **appends** the prepare record into the
 //!    group-commit funnel without waiting for the flush
 //!    ([`Database::prepare_deferred`]),
@@ -33,6 +32,10 @@
 //! only then acknowledges the yes-votes. One worker thereby multiplexes
 //! many in-flight prepares; the prepared-lock window is bounded by the
 //! flush latency, not by queueing behind other transactions' flushes.
+//! That acknowledgement rule — durable, then quorum-replicated, then
+//! parked, then answered — is one function (`acknowledge`): the loop
+//! calls it per batch, and a prepare handled inline calls it on the
+//! caller's thread for its own single continuation.
 //!
 //! On a replicated shard a hardened batch additionally waits for the
 //! replica quorum to reach the batch's own LSN — the log's durable length
@@ -43,9 +46,21 @@
 //! flush of batch N+1 with the shipping of batch N (measured both ways,
 //! see CHANGES.md, PR 14).
 //!
-//! With `max_inflight <= workers` the pipeline is disabled and every
-//! request runs start-to-finish on its worker — exactly the pre-pipelining
-//! engine, kept as the measured baseline (`max_inflight_per_shard = 1`).
+//! Every shard runs this one pipeline; `max_inflight` is only its size.
+//! `1` means one body in flight at a time (executing or awaiting its
+//! hardening), not another engine.
+//!
+//! ## Who publishes before the flush, and which reads wait
+//!
+//! A *queued* execute commits visible-then-durable
+//! ([`Database::execute_deferred`]): its versions are published and its
+//! locks released before the flush, and only the acknowledgement waits.
+//! An *inline* execute ([`ShardWorkers::execute_now`], the in-process
+//! single-shard path) commits durable-then-visible. So a read may observe
+//! a version a crash could still lose only if a queued execute wrote it,
+//! and every read-only answer — execute, read-only vote, snapshot read —
+//! is held until [`DurabilityManager::read_barrier`](tebaldi_storage::durability::DurabilityManager::read_barrier)
+//! is durable; with no queued commit outstanding that costs one load.
 //!
 //! The 2PC coordinator submits its `Prepare` phase through the same queue
 //! (prepares of one global transaction run on their shards in parallel);
@@ -149,14 +164,17 @@ struct Submission {
     enqueued_at: Instant,
 }
 
-/// A request whose body finished but whose durability records are not yet
-/// flushed: the continuation the worker hands to the completion loop.
-struct PendingCompletion {
-    /// Group-commit funnel sequence of the appended records.
-    seq: u64,
+/// A request whose body finished and whose acknowledgement is still owed:
+/// the continuation a worker hands to the completion loop, or that the
+/// inline path acknowledges on the caller's thread.
+struct Completion {
+    /// Group-commit funnel sequence the acknowledgement waits on — the
+    /// request's own appended records, or the read barrier a read-only
+    /// result is gated by. `None` when the body left nothing unflushed
+    /// behind it (durability off, or a read with no deferred commit
+    /// outstanding).
+    seq: Option<u64>,
     kind: CompletionKind,
-    reply: ReplySink,
-    body_done_at: Instant,
     /// Trace context of the originating request (for the hardening span).
     trace: TraceCtx,
 }
@@ -170,12 +188,27 @@ enum CompletionKind {
         global: u64,
         value: tebaldi_storage::Value,
         prepared: Box<PreparedTxn>,
+        /// When the body finished: the start of the hardening share.
+        body_done_at: Instant,
     },
     /// A finished request whose acknowledgement waits on durability only:
     /// a committed execute (its own commit records), or a read-only
-    /// result gated by the read barrier (deferred commits it may have
-    /// read from). Versions are already visible and locks released.
+    /// result — execute, vote or snapshot read — gated by the read barrier
+    /// (deferred commits it may have read from). Versions are already
+    /// visible and locks released.
     Reply(ShardResponse),
+}
+
+impl Completion {
+    /// A finished request with nothing left to park: only its answer is
+    /// owed, once `seq` (if any) is durable.
+    fn reply(response: ShardResponse, seq: Option<u64>, trace: TraceCtx) -> Self {
+        Completion {
+            seq,
+            kind: CompletionKind::Reply(response),
+            trace,
+        }
+    }
 }
 
 /// Shared pipeline state: the submission queue workers pop from and the
@@ -184,7 +217,7 @@ enum CompletionKind {
 /// than a second lock.
 struct PipeState {
     queue: VecDeque<Submission>,
-    completions: VecDeque<PendingCompletion>,
+    completions: VecDeque<(Completion, ReplySink)>,
     /// Body-running requests admitted and not yet fully completed
     /// (executing on a worker or parked awaiting hardening).
     inflight: usize,
@@ -201,10 +234,11 @@ pub struct PipelineStats {
     /// worker picked them up (the *execute-wait* share of the prepare
     /// latency).
     pub queue_wait_ns: u64,
-    /// Prepares whose hardening was deferred to the completion loop.
+    /// Read-write prepares acknowledged (parked, or aborted at the quorum
+    /// gate).
     pub hardened: u64,
-    /// Total nanoseconds between a deferred prepare's body completion and
-    /// its durable acknowledgement (the *hardening* share).
+    /// Total nanoseconds between those prepares' body completion and
+    /// their durable acknowledgement (the *hardening* share).
     pub hardening_ns: u64,
     /// Peak number of simultaneously in-flight bodies (executing or
     /// awaiting hardening) observed on this shard.
@@ -300,10 +334,8 @@ pub struct ShardWorkers {
     decided: Mutex<DecisionMemory>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     stopping: std::sync::atomic::AtomicBool,
-    workers: usize,
-    /// Upper bound on in-flight bodies. Values <= `workers` disable the
-    /// deferred-hardening pipeline (each worker then completes one request
-    /// start-to-finish: the measured pre-pipelining baseline).
+    /// Upper bound on in-flight bodies — executing on a worker or parked
+    /// awaiting their hardening. At least 1.
     max_inflight: usize,
     /// This shard's index, tagged onto trace spans.
     shard: i32,
@@ -321,8 +353,8 @@ pub struct ShardWorkers {
     /// counted and dropped, the first decision wins.
     conflict_decisions: Arc<Counter>,
     /// Primary-side replication for this shard, when configured: the
-    /// quorum gate the ack paths call before a hardened batch (or a
-    /// synchronous prepare/execute) is acknowledged.
+    /// quorum gate the ack paths call before a hardened batch (or an
+    /// inline execute) is acknowledged.
     replication: Mutex<Option<Arc<ShardReplication>>>,
     /// `snapshot.*` instruments for the zero-2PC HLC read path: requests
     /// served, total nanoseconds spent waiting out in-flight writers, and
@@ -333,24 +365,11 @@ pub struct ShardWorkers {
 }
 
 impl ShardWorkers {
-    /// Spawns `workers` threads serving `db`'s submission queue with the
-    /// pipeline disabled (`max_inflight = 1`): every request runs
-    /// start-to-finish on its worker, the pre-pipelining behavior.
-    pub fn spawn(
-        shard_index: usize,
-        db: Arc<Database>,
-        workers: usize,
-        registry: Arc<ProcRegistry>,
-    ) -> Arc<Self> {
-        ShardWorkers::spawn_with_window(shard_index, db, workers, registry, 1)
-    }
-
     /// Spawns `workers` threads serving `db`'s submission queue, resolving
-    /// procedure ids against `registry`, with up to `max_inflight`
-    /// body-running requests in flight at once. When `max_inflight`
-    /// exceeds the worker count, a completion loop is started and workers
-    /// pipeline prepares through it (deferred hardening).
-    pub fn spawn_with_window(
+    /// procedure ids against `registry`, plus the shard's completion loop,
+    /// with up to `max_inflight` (at least 1) body-running requests in
+    /// flight at once.
+    pub fn spawn(
         shard_index: usize,
         db: Arc<Database>,
         workers: usize,
@@ -375,7 +394,6 @@ impl ShardWorkers {
             decided: Mutex::new(DecisionMemory::new()),
             handles: Mutex::new(Vec::new()),
             stopping: std::sync::atomic::AtomicBool::new(false),
-            workers,
             max_inflight: max_inflight.max(1),
             shard: shard_index as i32,
             queued: metrics.counter("pipeline.queued"),
@@ -391,7 +409,7 @@ impl ShardWorkers {
             snapshot_read_latency: metrics.histogram("snapshot.read_ns"),
         });
         let mut handles = pool.handles.lock();
-        for worker in 0..pool.workers {
+        for worker in 0..workers {
             let pool_ref = Arc::clone(&pool);
             handles.push(
                 std::thread::Builder::new()
@@ -400,15 +418,13 @@ impl ShardWorkers {
                     .expect("spawn shard worker"),
             );
         }
-        if pool.pipelined() {
-            let pool_ref = Arc::clone(&pool);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("tebaldi-shard-{shard_index}-completer"))
-                    .spawn(move || pool_ref.run_completer())
-                    .expect("spawn shard completer"),
-            );
-        }
+        let pool_ref = Arc::clone(&pool);
+        handles.push(
+            std::thread::Builder::new()
+                .name(format!("tebaldi-shard-{shard_index}-completer"))
+                .spawn(move || pool_ref.run_completer())
+                .expect("spawn shard completer"),
+        );
         drop(handles);
         pool
     }
@@ -440,8 +456,8 @@ impl ShardWorkers {
         self.replication.lock().clone()
     }
 
-    /// The quorum gate of the synchronous paths, called once the caller's
-    /// own records are durable: a no-op without replication; otherwise
+    /// The quorum gate, called once the caller's own records are durable:
+    /// a no-op without replication; otherwise
     /// blocks until a quorum of replicas acked the durable log as it stands
     /// (which is at least what the caller needs).
     /// Returns `false` only when a quorum was required and the ack
@@ -455,13 +471,6 @@ impl ShardWorkers {
             Some(replication) => replication.wait_quorum(replication.durable_lsn()),
             None => true,
         }
-    }
-
-    /// True when deferred hardening is active: the in-flight window allows
-    /// more bodies than there are workers, so overlapping them needs the
-    /// completion loop.
-    pub fn pipelined(&self) -> bool {
-        self.max_inflight > self.workers
     }
 
     /// The configured in-flight window.
@@ -522,8 +531,11 @@ impl ShardWorkers {
                 proc,
                 call,
                 args,
-                ..
-            } => self.prepare_now(global, proc, &call, &args),
+                trace,
+            } => {
+                let completion = self.prepare_body(global, proc, &call, &args, trace)?;
+                self.acknowledge_now(completion)
+            }
             ShardRequest::Commit { global, hlc } => {
                 self.decide_stamped(global, true, hlc);
                 Ok(ShardResponse::Decided)
@@ -571,17 +583,14 @@ impl ShardWorkers {
                 value,
                 aborts: aborts as u32,
             });
-        // The inline path must honor the read barrier too: with the
-        // pipeline active on this shard, this execute may have read a
-        // deferred commit whose flush is still pending, and a read-only
-        // transaction appends nothing of its own to wait on. (A writing
-        // transaction's own synchronous flush already hardened everything
-        // appended before it, making this a no-op; with no deferred
-        // commits outstanding the barrier is `None` and costs one load.)
+        // The inline path must honor the read barrier too: this execute
+        // may have read a queued execute's deferred commit whose flush is
+        // still pending, and a read-only transaction appends nothing of
+        // its own to wait on. (A writing transaction's own synchronous
+        // flush already hardened everything appended before it, making
+        // this a no-op.)
         if result.is_ok() {
-            if let Some(seq) = self.db.durability().read_barrier() {
-                self.db.wait_hardened(seq);
-            }
+            self.wait_read_barrier();
             // Quorum gate: what this ack makes visible must survive the
             // loss of the primary's device.
             self.quorum_gate();
@@ -589,47 +598,12 @@ impl ShardWorkers {
         result
     }
 
-    /// 2PC phase one on the calling thread: run the registered body up to
-    /// the prepared state and park it in the in-doubt table keyed by the
-    /// cluster-global id (read-write votes) or commit it outright
-    /// (read-only votes). The synchronous (unpipelined) path.
-    pub fn prepare_now(
-        &self,
-        global: u64,
-        proc: ProcId,
-        call: &ProcedureCall,
-        args: &[u8],
-    ) -> ShardResult {
-        let body = self.resolve(proc)?;
-        // The coordinator may already have aborted this global (vote
-        // timeout): don't waste the execution.
-        if self.orphan_aborts.lock().remove(&global).is_some() {
-            return Err(CcError::Internal(
-                "coordinator aborted the transaction before its prepare ran".to_string(),
-            ));
+    /// Holds a read-only answer back until every deferred commit it may
+    /// reflect is durable. With none outstanding this costs one load.
+    fn wait_read_barrier(&self) {
+        if let Some(seq) = self.db.durability().read_barrier() {
+            self.db.wait_hardened(seq);
         }
-        let result = self.db.prepare(call, global, |txn| body.run(txn, args));
-        result.and_then(|(value, vote)| match vote {
-            ParticipantVote::ReadOnly => Ok(ShardResponse::Prepared {
-                value,
-                vote: Vote::ReadOnly,
-                hlc: self.db.hlc().now(),
-            }),
-            ParticipantVote::ReadWrite(prepared) => {
-                // The yes-vote promises commit-on-demand even across the
-                // loss of this primary: the prepare record must reach the
-                // replica quorum before the vote goes out. A gate timeout
-                // aborts the part instead of voting degraded.
-                if self.quorum_gate() {
-                    self.park_prepared(global, value, prepared)
-                } else {
-                    prepared.abort();
-                    Err(CcError::Internal(
-                        "prepare not quorum-replicated within the ack timeout".to_string(),
-                    ))
-                }
-            }
-        })
     }
 
     /// Parks a hardened read-write prepare in the in-doubt table, unless
@@ -667,125 +641,171 @@ impl ShardWorkers {
         }
     }
 
-    /// The pipelined prepare: run the body, append the prepare record
-    /// without waiting for its flush, and hand the continuation to the
-    /// completion loop. Returns `None` when the continuation was parked
-    /// (the reply is now owned by the completion loop) or `Some(result)`
-    /// when the request finished synchronously (error, read-only vote, or
-    /// nothing to harden).
-    fn prepare_pipelined(
+    /// Runs a body-running request up to the point where only its
+    /// acknowledgement is owed: records appended (their place in the log
+    /// order fixed), nothing waited for.
+    fn run_body(&self, request: ShardRequest) -> CcResult<Completion> {
+        match request {
+            ShardRequest::Prepare {
+                global,
+                proc,
+                call,
+                args,
+                trace,
+            } => self.prepare_body(global, proc, &call, &args, trace),
+            ShardRequest::Execute {
+                proc,
+                call,
+                args,
+                max_attempts,
+                trace,
+            } => {
+                let body = self.resolve(proc)?;
+                let (value, aborts, seq) = self.db.execute_with_retry_deferred(
+                    &call,
+                    max_attempts.max(1) as usize,
+                    |txn| body.run(txn, &args),
+                )?;
+                let response = ShardResponse::Executed {
+                    value,
+                    aborts: aborts as u32,
+                };
+                Ok(Completion::reply(response, seq, trace))
+            }
+            ShardRequest::SnapshotRead {
+                snapshot,
+                wait_ms,
+                keys,
+            } => {
+                let response = self.read_snapshot(snapshot, wait_ms, &keys)?;
+                let barrier = self.db.durability().read_barrier();
+                Ok(Completion::reply(response, barrier, TraceCtx::NONE))
+            }
+            other => Ok(Completion::reply(
+                self.handle_inline(other)?,
+                None,
+                TraceCtx::NONE,
+            )),
+        }
+    }
+
+    /// 2PC phase one up to the vote: run the registered body to the
+    /// prepared state and append its prepare record. A read-write part's
+    /// vote is owed once that record is durable and quorum-replicated; a
+    /// read-only part has already committed and released, and its vote is
+    /// gated only by the read barrier.
+    fn prepare_body(
         &self,
         global: u64,
         proc: ProcId,
         call: &ProcedureCall,
         args: &[u8],
         trace: TraceCtx,
-        reply: ReplySink,
-    ) -> Option<(ShardResult, ReplySink)> {
-        let body = match self.resolve(proc) {
-            Ok(body) => body,
-            Err(err) => return Some((Err(err), reply)),
-        };
+    ) -> CcResult<Completion> {
+        let body = self.resolve(proc)?;
+        // The coordinator may already have aborted this global (vote
+        // timeout): don't waste the execution.
         if self.orphan_aborts.lock().remove(&global).is_some() {
-            return Some((
-                Err(CcError::Internal(
-                    "coordinator aborted the transaction before its prepare ran".to_string(),
-                )),
-                reply,
+            return Err(CcError::Internal(
+                "coordinator aborted the transaction before its prepare ran".to_string(),
             ));
         }
-        match self
+        let (value, vote, seq) = self
             .db
-            .prepare_deferred(call, global, |txn| body.run(txn, args))
-        {
-            Err(err) => Some((Err(err), reply)),
-            Ok((value, ParticipantVote::ReadOnly, barrier)) => {
-                let response = ShardResponse::Prepared {
+            .prepare_deferred(call, global, |txn| body.run(txn, args))?;
+        Ok(match vote {
+            ParticipantVote::ReadOnly => Completion::reply(
+                ShardResponse::Prepared {
                     value,
                     vote: Vote::ReadOnly,
                     hlc: self.db.hlc().now(),
-                };
-                match barrier {
-                    // The read-only result may reflect a published
-                    // deferred commit that is not durable yet: its
-                    // acknowledgement waits out the read barrier.
-                    Some(seq) => {
-                        self.park_completion(PendingCompletion {
-                            seq,
-                            kind: CompletionKind::Reply(response),
-                            reply,
-                            body_done_at: Instant::now(),
-                            trace,
-                        });
-                        None
-                    }
-                    None => Some((Ok(response), reply)),
-                }
-            }
-            Ok((value, ParticipantVote::ReadWrite(prepared), None)) => {
-                // Nothing to defer (durability off): finish inline.
-                Some((self.park_prepared(global, value, prepared), reply))
-            }
-            Ok((value, ParticipantVote::ReadWrite(prepared), Some(seq))) => {
-                self.park_completion(PendingCompletion {
-                    seq,
-                    kind: CompletionKind::Prepare {
-                        global,
-                        value,
-                        prepared: Box::new(prepared),
-                    },
-                    reply,
+                },
+                seq,
+                trace,
+            ),
+            ParticipantVote::ReadWrite(prepared) => Completion {
+                seq,
+                kind: CompletionKind::Prepare {
+                    global,
+                    value,
+                    prepared: Box::new(prepared),
                     body_done_at: Instant::now(),
-                    trace,
-                });
-                None
+                },
+                trace,
+            },
+        })
+    }
+
+    /// Acknowledges a batch of finished bodies — the one place a vote or a
+    /// reply is released. Waits once for the batch's highest funnel
+    /// sequence (one coalesced flush hardens the whole batch) and, on a
+    /// replicated shard, for the replica quorum to reach the LSN that flush
+    /// produced; then parks each prepare in the in-doubt table and hands
+    /// every result to `deliver`. The completion loop calls this for queued
+    /// requests, [`handle_inline`](ShardWorkers::handle_inline) on the
+    /// caller's thread.
+    fn acknowledge<R>(&self, batch: Vec<(Completion, R)>, mut deliver: impl FnMut(R, ShardResult)) {
+        // The quorum gate rides the coalesced-flush path: one wait for the
+        // whole hardened batch, not one per transaction. A batch that
+        // appended nothing has nothing to replicate either.
+        let quorum_ok = match batch.iter().filter_map(|(c, _)| c.seq).max() {
+            Some(highest) => {
+                self.db.wait_hardened(highest);
+                self.quorum_gate()
             }
+            None => true,
+        };
+        for (completion, reply) in batch {
+            let result = match completion.kind {
+                CompletionKind::Prepare {
+                    global,
+                    value,
+                    prepared,
+                    body_done_at,
+                } => {
+                    // Only prepares count in the hardening metrics: they
+                    // are what the queue-wait/hardening decomposition of
+                    // the prepared-lock window is about (executes and read
+                    // acks released their locks before parking).
+                    let hardening = body_done_at.elapsed().as_nanos() as u64;
+                    self.hardened.inc();
+                    self.hardening_ns.add(hardening);
+                    if completion.trace.is_sampled() {
+                        let end = obs::now_ns();
+                        obs::record_span(
+                            completion.trace,
+                            "shard.harden",
+                            self.shard,
+                            end.saturating_sub(hardening),
+                            end,
+                            "ok",
+                        );
+                    }
+                    if quorum_ok {
+                        self.park_prepared(global, value, *prepared)
+                    } else {
+                        // The yes-vote promises commit-on-demand even
+                        // across the loss of this primary: a prepare the
+                        // replicas never saw aborts rather than voting
+                        // degraded. Commit acks (Reply) proceed degraded.
+                        prepared.abort();
+                        Err(CcError::Internal(
+                            "prepare not quorum-replicated within the ack timeout".to_string(),
+                        ))
+                    }
+                }
+                CompletionKind::Reply(response) => Ok(response),
+            };
+            deliver(reply, result);
         }
     }
 
-    /// The pipelined execute: run the body with retry, and when the final
-    /// commit's durability wait was deferred, hand the acknowledgement to
-    /// the completion loop (versions are already visible, locks released).
-    fn execute_pipelined(
-        &self,
-        proc: ProcId,
-        call: &ProcedureCall,
-        args: &[u8],
-        max_attempts: u32,
-        trace: TraceCtx,
-        reply: ReplySink,
-    ) -> Option<(ShardResult, ReplySink)> {
-        let body = match self.resolve(proc) {
-            Ok(body) => body,
-            Err(err) => return Some((Err(err), reply)),
-        };
-        match self
-            .db
-            .execute_with_retry_deferred(call, max_attempts.max(1) as usize, |txn| {
-                body.run(txn, args)
-            }) {
-            Err(err) => Some((Err(err), reply)),
-            Ok((value, aborts, None)) => Some((
-                Ok(ShardResponse::Executed {
-                    value,
-                    aborts: aborts as u32,
-                }),
-                reply,
-            )),
-            Ok((value, aborts, Some(seq))) => {
-                self.park_completion(PendingCompletion {
-                    seq,
-                    kind: CompletionKind::Reply(ShardResponse::Executed {
-                        value,
-                        aborts: aborts as u32,
-                    }),
-                    reply,
-                    body_done_at: Instant::now(),
-                    trace,
-                });
-                None
-            }
-        }
+    /// [`acknowledge`](ShardWorkers::acknowledge) for one completion on
+    /// the calling thread.
+    fn acknowledge_now(&self, completion: Completion) -> ShardResult {
+        let mut acked = None;
+        self.acknowledge(vec![(completion, ())], |(), result| acked = Some(result));
+        acked.expect("acknowledge delivers every completion it is given")
     }
 
     /// Parks a continuation for the completion loop. A `Reply` completion
@@ -795,10 +815,10 @@ impl ShardWorkers {
     /// until the flush; a `Prepare` completion keeps its slot until the
     /// yes-vote is hardened (that hardening *is* the pipeline stage the
     /// window bounds).
-    fn park_completion(&self, completion: PendingCompletion) {
+    fn park_completion(&self, completion: Completion, reply: ReplySink) {
         let release_slot = matches!(completion.kind, CompletionKind::Reply(_));
         let mut state = self.state.lock();
-        state.completions.push_back(completion);
+        state.completions.push_back((completion, reply));
         if release_slot {
             state.inflight -= 1;
             self.work_cv.notify_all();
@@ -817,14 +837,11 @@ impl ShardWorkers {
     /// coordinator may have timed the vote out while the prepare was still
     /// running (or hardening), and the late prepare must abort instead of
     /// parking forever.
-    pub fn decide(&self, global: u64, commit: bool) {
-        self.decide_stamped(global, commit, 0);
-    }
-
-    /// [`decide`](ShardWorkers::decide) carrying the coordinator's HLC
-    /// decision stamp: a commit stamps its versions with exactly `hlc`
-    /// (after merging it into the shard clock), which is what makes the
-    /// cross-shard commit atomically visible to snapshot reads.
+    ///
+    /// `hlc` is the coordinator's decision stamp: a commit stamps its
+    /// versions with exactly `hlc` (after merging it into the shard
+    /// clock), which is what makes the cross-shard commit atomically
+    /// visible to snapshot reads (`0` draws a fresh local stamp).
     pub fn decide_stamped(&self, global: u64, commit: bool, hlc: u64) {
         // Replay guard first: a duplicated or replayed decision frame must
         // be absorbed without side effects. In particular a replayed Abort
@@ -873,8 +890,23 @@ impl ShardWorkers {
     /// newest committed version stamped `<= snapshot`, waiting out (up to
     /// `wait_ms` in total) any in-flight writer whose outcome is still
     /// unknown. Writes nothing: no prepare record, no decision-log entry,
-    /// no vote.
+    /// no vote. The answer is held until the read barrier is durable: a
+    /// queued execute publishes before its flush, and an acknowledged read
+    /// must not reflect a commit a crash could still lose.
     pub fn snapshot_read_now(
+        &self,
+        snapshot: u64,
+        wait_ms: u64,
+        keys: &[tebaldi_storage::Key],
+    ) -> ShardResult {
+        let response = self.read_snapshot(snapshot, wait_ms, keys)?;
+        self.wait_read_barrier();
+        Ok(response)
+    }
+
+    /// The read half of [`snapshot_read_now`](ShardWorkers::snapshot_read_now);
+    /// the caller owes the read-barrier wait before it answers.
+    fn read_snapshot(
         &self,
         snapshot: u64,
         wait_ms: u64,
@@ -947,7 +979,7 @@ impl ShardWorkers {
         let mut handles = self.handles.lock();
         // Join workers first: after they exit, no new continuations can
         // appear, so the completion loop can drain to empty and stop. The
-        // completer (if any) is the last handle.
+        // completer is the last handle.
         for handle in handles.drain(..) {
             self.done_cv.notify_all();
             let _ = handle.join();
@@ -955,25 +987,17 @@ impl ShardWorkers {
     }
 
     /// Worker loop: pop a submission (respecting the in-flight window),
-    /// execute it, and either finish it inline or park its continuation.
+    /// run its body, and either park its continuation for the completion
+    /// loop or — nothing left to wait for — acknowledge it here.
     fn run(&self) {
         loop {
-            // Unpipelined (window <= workers), admission needs no explicit
-            // gate: each worker holds exactly one request start-to-finish,
-            // so the worker count itself is the bound — the pre-pipelining
-            // behavior, exactly.
-            let admission = if self.pipelined() {
-                self.max_inflight
-            } else {
-                usize::MAX
-            };
             let submission = {
                 let mut state = self.state.lock();
                 loop {
                     if state.stopping {
                         return;
                     }
-                    if state.inflight < admission {
+                    if state.inflight < self.max_inflight {
                         if let Some(submission) = state.queue.pop_front() {
                             state.inflight += 1;
                             self.max_depth.observe(state.inflight as u64);
@@ -1000,31 +1024,11 @@ impl ShardWorkers {
             }
             let exec_start = trace.is_sampled().then(obs::now_ns);
             let Submission { request, reply, .. } = submission;
-            let finished = match request {
-                ShardRequest::Prepare {
-                    global,
-                    proc,
-                    call,
-                    args,
-                    trace,
-                } if self.pipelined() => {
-                    self.prepare_pipelined(global, proc, &call, &args, trace, reply)
-                }
-                ShardRequest::Execute {
-                    proc,
-                    call,
-                    args,
-                    max_attempts,
-                    trace,
-                } if self.pipelined() => {
-                    self.execute_pipelined(proc, &call, &args, max_attempts, trace, reply)
-                }
-                other => Some((self.handle_inline(other), reply)),
-            };
+            let outcome = self.run_body(request);
             if let Some(start) = exec_start {
-                let status = match &finished {
-                    Some((Err(err), _)) => error_status(err),
-                    _ => "ok",
+                let status = match &outcome {
+                    Err(err) => error_status(err),
+                    Ok(_) => "ok",
                 };
                 obs::record_span(
                     trace,
@@ -1035,9 +1039,14 @@ impl ShardWorkers {
                     status,
                 );
             }
-            if let Some((result, reply)) = finished {
-                reply(result);
-                self.finish_inflight(1);
+            match outcome {
+                Ok(completion) if completion.seq.is_some() => {
+                    self.park_completion(completion, reply)
+                }
+                outcome => {
+                    reply(outcome.and_then(|completion| self.acknowledge_now(completion)));
+                    self.finish_inflight(1);
+                }
             }
         }
     }
@@ -1053,87 +1062,35 @@ impl ShardWorkers {
         self.done_cv.notify_all();
     }
 
-    /// Completion loop: drain every parked continuation, wait once for the
-    /// highest funnel sequence (one coalesced flush hardens the whole
-    /// batch) and, on a replicated shard, for the replica quorum to reach
-    /// the LSN that flush produced, then acknowledge each one — parking
-    /// prepares in the in-doubt table, releasing executes to their
-    /// clients.
+    /// Completion loop: drain every parked continuation and
+    /// [`acknowledge`](ShardWorkers::acknowledge) them as one batch —
+    /// parking prepares in the in-doubt table, releasing executes and
+    /// read answers to their clients.
     fn run_completer(&self) {
         loop {
-            let batch: Vec<PendingCompletion> = {
+            let batch: Vec<(Completion, ReplySink)> = {
                 let mut state = self.state.lock();
                 while state.completions.is_empty() {
                     // Exit only once no body is still executing: a worker
                     // mid-body at shutdown may yet park a continuation,
-                    // and its caller's reply must not be orphaned.
+                    // and its caller's reply must not be orphaned. Both
+                    // fields change only under `state`, and every path
+                    // that changes them notifies `done_cv` after
+                    // releasing it.
                     if state.stopping && state.inflight == 0 {
                         return;
                     }
-                    // Bounded wait: the exit predicate reads two fields
-                    // updated under separate notifications, so re-check on
-                    // a timer rather than trusting every path to notify —
-                    // a missed wakeup then costs 50ms, not a hung
-                    // shutdown.
-                    let _ = self.done_cv.wait_for(&mut state, Duration::from_millis(50));
+                    self.done_cv.wait(&mut state);
                 }
                 state.completions.drain(..).collect()
             };
-            let highest = batch.iter().map(|c| c.seq).max().unwrap_or(0);
-            self.db.wait_hardened(highest);
-            // The quorum gate rides the coalesced-flush path: one wait
-            // for the whole hardened batch — at the LSN its flush just
-            // produced — not one per transaction.
-            let quorum_ok = highest == 0 || self.quorum_gate();
             // Only `Prepare` completions still hold a window slot (`Reply`
             // completions released theirs when they were parked).
             let slots = batch
                 .iter()
-                .filter(|c| matches!(c.kind, CompletionKind::Prepare { .. }))
+                .filter(|(c, _)| matches!(c.kind, CompletionKind::Prepare { .. }))
                 .count();
-            for completion in batch {
-                let result = match completion.kind {
-                    CompletionKind::Prepare {
-                        global,
-                        value,
-                        prepared,
-                    } => {
-                        // Only prepares count in the hardening metrics:
-                        // they are what the queue-wait/hardening
-                        // decomposition of the prepared-lock window is
-                        // about (executes and read acks released their
-                        // locks before parking).
-                        let hardening = completion.body_done_at.elapsed().as_nanos() as u64;
-                        self.hardened.inc();
-                        self.hardening_ns.add(hardening);
-                        if completion.trace.is_sampled() {
-                            let end = obs::now_ns();
-                            obs::record_span(
-                                completion.trace,
-                                "shard.harden",
-                                self.shard,
-                                end.saturating_sub(hardening),
-                                end,
-                                "ok",
-                            );
-                        }
-                        if quorum_ok {
-                            self.park_prepared(global, value, *prepared)
-                        } else {
-                            // Same rule as the synchronous vote path: an
-                            // unreplicated prepare aborts rather than
-                            // promising a commit the backups cannot honor.
-                            // Commit acks (Reply) proceed degraded.
-                            prepared.abort();
-                            Err(CcError::Internal(
-                                "prepare not quorum-replicated within the ack timeout".to_string(),
-                            ))
-                        }
-                    }
-                    CompletionKind::Reply(response) => Ok(response),
-                };
-                (completion.reply)(result);
-            }
+            self.acknowledge(batch, |reply, result| reply(result));
             self.finish_inflight(slots);
         }
     }
@@ -1183,48 +1140,66 @@ mod tests {
         w.into_bytes()
     }
 
-    fn db_with_config(config: DbConfig) -> Arc<Database> {
+    fn db_builder(config: DbConfig) -> tebaldi_core::DatabaseBuilder {
         let mut procedures = ProcedureSet::new();
         procedures.insert(ProcedureInfo::new(
             TY,
             "bump",
             vec![(TABLE, AccessMode::Write)],
         ));
-        Arc::new(
-            Database::builder(config)
-                .procedures(procedures)
-                .cc_spec(CcTreeSpec::monolithic(CcKind::TwoPl, vec![TY]))
-                .build()
-                .unwrap(),
-        )
+        Database::builder(config)
+            .procedures(procedures)
+            .cc_spec(CcTreeSpec::monolithic(CcKind::TwoPl, vec![TY]))
     }
 
     fn db() -> Arc<Database> {
-        db_with_config(DbConfig::for_tests())
+        Arc::new(db_builder(DbConfig::for_tests()).build().unwrap())
+    }
+
+    /// A synchronous-durability database over `device`.
+    fn durable_db(device: Arc<dyn tebaldi_storage::wal::LogDevice>) -> Arc<Database> {
+        let mut config = DbConfig::for_tests();
+        config.durability = tebaldi_core::DurabilityMode::Synchronous;
+        Arc::new(db_builder(config).log_device(device).build().unwrap())
+    }
+
+    /// Queues `request` on the pool and returns the ticket for its reply.
+    fn submit(pool: &ShardWorkers, request: ShardRequest) -> Ticket<ShardResult> {
+        let (tx, ticket) = Ticket::pending();
+        pool.submit_request(
+            request,
+            Box::new(move |result| {
+                let _ = tx.send(result);
+            }),
+        );
+        ticket
+    }
+
+    fn prepare_put5(global: u64, key_id: u64) -> ShardRequest {
+        ShardRequest::Prepare {
+            global,
+            proc: PUT5,
+            call: ProcedureCall::new(TY),
+            args: args(key_id),
+            trace: TraceCtx::NONE,
+        }
+    }
+
+    fn execute(proc: ProcId, key_id: u64) -> ShardRequest {
+        ShardRequest::Execute {
+            proc,
+            call: ProcedureCall::new(TY),
+            args: args(key_id),
+            max_attempts: 20,
+            trace: TraceCtx::NONE,
+        }
     }
 
     #[test]
     fn mailbox_executes_data_requests() {
-        let pool = ShardWorkers::spawn(0, db(), 2, registry());
+        let pool = ShardWorkers::spawn(0, db(), 2, registry(), 2);
         pool.db().load(Key::simple(TABLE, 1), Value::Int(0));
-        let tickets: Vec<_> = (0..32)
-            .map(|_| {
-                let (tx, ticket) = Ticket::pending();
-                pool.submit_request(
-                    ShardRequest::Execute {
-                        proc: BUMP,
-                        call: ProcedureCall::new(TY),
-                        args: args(1),
-                        max_attempts: 20,
-                        trace: TraceCtx::NONE,
-                    },
-                    Box::new(move |result| {
-                        let _ = tx.send(result);
-                    }),
-                );
-                ticket
-            })
-            .collect();
+        let tickets: Vec<_> = (0..32).map(|_| submit(&pool, execute(BUMP, 1))).collect();
         for ticket in tickets {
             ticket.wait().unwrap().unwrap();
         }
@@ -1243,41 +1218,46 @@ mod tests {
 
     #[test]
     fn prepare_then_decide_roundtrip() {
-        let pool = ShardWorkers::spawn(0, db(), 1, registry());
-        let (value, vote, vote_hlc) = pool
-            .prepare_now(7, PUT5, &ProcedureCall::new(TY), &args(9))
-            .unwrap()
-            .into_prepared()
-            .unwrap();
-        assert!(vote_hlc > 0, "a read-write vote carries its vote clock");
-        assert_eq!(value, Value::Null);
-        assert_eq!(vote, Vote::ReadWrite);
-        assert_eq!(pool.in_doubt_count(), 1);
-        pool.decide(7, true);
+        let pool = ShardWorkers::spawn(0, db(), 1, registry(), 1);
+        // Inline on the caller's thread, then through the queue: both
+        // park the part and carry a vote clock.
+        let inline = pool.handle_inline(prepare_put5(7, 9));
+        let queued = submit(&pool, prepare_put5(8, 10)).wait().unwrap();
+        for result in [inline, queued] {
+            let (value, vote, vote_hlc) = result.unwrap().into_prepared().unwrap();
+            assert!(vote_hlc > 0, "a read-write vote carries its vote clock");
+            assert_eq!(value, Value::Null);
+            assert_eq!(vote, Vote::ReadWrite);
+        }
+        assert_eq!(pool.in_doubt_count(), 2);
+        pool.decide_stamped(7, true, 0);
+        pool.decide_stamped(8, false, 0);
         assert_eq!(pool.in_doubt_count(), 0);
-        let read = pool
-            .db()
-            .execute(&ProcedureCall::new(TY), |txn| {
-                txn.get(Key::simple(TABLE, 9))
-            })
-            .unwrap();
-        assert_eq!(read, Some(Value::Int(5)));
+        let read = |id| {
+            pool.db()
+                .execute(&ProcedureCall::new(TY), |txn| {
+                    txn.get(Key::simple(TABLE, id))
+                })
+                .unwrap()
+        };
+        assert_eq!(read(9), Some(Value::Int(5)));
+        assert_eq!(read(10), None, "the aborted part rolled back");
         pool.shutdown();
     }
 
     #[test]
     fn replayed_decisions_are_absorbed_idempotently() {
-        let pool = ShardWorkers::spawn(0, db(), 1, registry());
-        pool.prepare_now(7, PUT5, &ProcedureCall::new(TY), &args(9))
+        let pool = ShardWorkers::spawn(0, db(), 1, registry(), 1);
+        pool.handle_inline(prepare_put5(7, 9))
             .unwrap()
             .into_prepared()
             .unwrap();
-        pool.decide(7, true);
+        pool.decide_stamped(7, true, 0);
         // A duplicated Commit frame and a contradictory Abort replay are
         // both absorbed: the committed write stays and no orphan tombstone
         // is planted.
-        pool.decide(7, true);
-        pool.decide(7, false);
+        pool.decide_stamped(7, true, 0);
+        pool.decide_stamped(7, false, 0);
         let metrics = Arc::clone(pool.db().metrics());
         assert_eq!(metrics.counter("decisions.duplicate").get(), 1);
         assert_eq!(metrics.counter("decisions.conflict").get(), 1);
@@ -1290,7 +1270,9 @@ mod tests {
         assert_eq!(read, Some(Value::Int(5)));
         // The replayed Abort planted no orphan: a prepare reusing the id
         // parks normally instead of being killed on arrival.
-        pool.prepare_now(7, PUT5, &ProcedureCall::new(TY), &args(10))
+        submit(&pool, prepare_put5(7, 10))
+            .wait()
+            .unwrap()
             .unwrap()
             .into_prepared()
             .unwrap();
@@ -1299,49 +1281,65 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_prepares_overlap_and_harden_before_acking() {
+    fn quorum_gate_timeout_aborts_the_prepare_inline_and_queued() {
+        // One rule, two callers: a read-write prepare whose record the
+        // replicas never acknowledged must abort — not vote degraded —
+        // whether it was acknowledged on the caller's thread or by the
+        // completion loop.
+        let log: Arc<dyn tebaldi_storage::wal::LogDevice> =
+            Arc::new(tebaldi_storage::wal::MemLogDevice::new());
+        let replication = ShardReplication::spawn(
+            0,
+            crate::replication::ReplicationConfig {
+                replicas: 1,
+                quorum: 1,
+                ack_timeout_ms: 40,
+            },
+            log,
+            2,
+            &tebaldi_obs::MetricsRegistry::new(),
+            None,
+        )
+        .unwrap();
+        let pool = ShardWorkers::spawn(0, durable_db(replication.primary_log()), 1, registry(), 4);
+        pool.set_replication(Arc::clone(&replication));
+        replication.set_paused(true);
+        let inline = pool.handle_inline(prepare_put5(1, 9));
+        let queued = submit(&pool, prepare_put5(2, 9)).wait().unwrap();
+        for result in [inline, queued] {
+            match result {
+                Err(CcError::Internal(why)) => assert!(why.contains("not quorum-replicated")),
+                other => panic!("an unreplicated prepare must abort, got {other:?}"),
+            }
+        }
+        assert_eq!(pool.in_doubt_count(), 0);
+        // Both aborts released the key's lock: with shipping back, the
+        // same key prepares and parks.
+        replication.set_paused(false);
+        let (_, vote, _) = pool
+            .handle_inline(prepare_put5(3, 9))
+            .unwrap()
+            .into_prepared()
+            .unwrap();
+        assert_eq!(vote, Vote::ReadWrite);
+        assert_eq!(pool.pipeline_stats().hardened, 3);
+        pool.decide_stamped(3, true, 0);
+        pool.shutdown();
+        replication.shutdown();
+    }
+
+    #[test]
+    fn prepares_overlap_and_harden_before_acking() {
         // Sync durability on a flush device with real latency: the only way
         // many prepares finish fast is the pipeline (append now, one
         // coalesced flush per completion batch).
-        let mut config = DbConfig::for_tests();
-        config.durability = tebaldi_core::DurabilityMode::Synchronous;
         let device: Arc<dyn tebaldi_storage::wal::LogDevice> = Arc::new(
             tebaldi_storage::wal::MemLogDevice::with_flush_latency(Duration::from_millis(2)),
         );
-        let mut procedures = ProcedureSet::new();
-        procedures.insert(ProcedureInfo::new(
-            TY,
-            "bump",
-            vec![(TABLE, AccessMode::Write)],
-        ));
-        let db = Arc::new(
-            Database::builder(config)
-                .procedures(procedures)
-                .cc_spec(CcTreeSpec::monolithic(CcKind::TwoPl, vec![TY]))
-                .log_device(Arc::clone(&device))
-                .build()
-                .unwrap(),
-        );
-        let pool = ShardWorkers::spawn_with_window(0, db, 1, registry(), 16);
-        assert!(pool.pipelined());
+        let pool = ShardWorkers::spawn(0, durable_db(Arc::clone(&device)), 1, registry(), 16);
         let n = 8u64;
         let tickets: Vec<_> = (0..n)
-            .map(|i| {
-                let (tx, ticket) = Ticket::pending();
-                pool.submit_request(
-                    ShardRequest::Prepare {
-                        global: 100 + i,
-                        proc: PUT5,
-                        call: ProcedureCall::new(TY),
-                        args: args(1000 + i),
-                        trace: TraceCtx::NONE,
-                    },
-                    Box::new(move |result| {
-                        let _ = tx.send(result);
-                    }),
-                );
-                ticket
-            })
+            .map(|i| submit(&pool, prepare_put5(100 + i, 1000 + i)))
             .collect();
         for ticket in tickets {
             let (_, vote, _) = ticket.wait().unwrap().unwrap().into_prepared().unwrap();
@@ -1364,7 +1362,7 @@ mod tests {
             stats.max_depth
         );
         for i in 0..n {
-            pool.decide(100 + i, true);
+            pool.decide_stamped(100 + i, true, 0);
         }
         assert_eq!(pool.in_doubt_count(), 0);
         pool.shutdown();
@@ -1397,7 +1395,7 @@ mod tests {
                 .unwrap(),
         );
         db.load(Key::simple(TABLE, 1), Value::Int(0));
-        let pool = ShardWorkers::spawn_with_window(0, db, 1, registry(), 16);
+        let pool = ShardWorkers::spawn(0, db, 1, registry(), 16);
         let submit = |proc: ProcId| {
             let (tx, ticket) = Ticket::pending();
             pool.submit_request(
@@ -1437,27 +1435,52 @@ mod tests {
     }
 
     #[test]
-    fn window_bounds_inflight_bodies() {
-        let pool = ShardWorkers::spawn_with_window(0, db(), 2, registry(), 4);
+    fn snapshot_read_ack_waits_for_deferred_commits_it_may_have_read() {
+        // The same hole through the zero-2PC read path: a queued execute
+        // publishes before its flush, and a snapshot read takes no locks
+        // and appends nothing — its answer must wait out the read barrier.
+        let device: Arc<dyn tebaldi_storage::wal::LogDevice> = Arc::new(
+            tebaldi_storage::wal::MemLogDevice::with_flush_latency(Duration::from_millis(20)),
+        );
+        let pool = ShardWorkers::spawn(0, durable_db(Arc::clone(&device)), 1, registry(), 16);
         pool.db().load(Key::simple(TABLE, 1), Value::Int(0));
-        let tickets: Vec<_> = (0..64)
-            .map(|_| {
-                let (tx, ticket) = Ticket::pending();
-                pool.submit_request(
-                    ShardRequest::Execute {
-                        proc: BUMP,
-                        call: ProcedureCall::new(TY),
-                        args: args(1),
-                        max_attempts: 20,
-                        trace: TraceCtx::NONE,
-                    },
-                    Box::new(move |result| {
-                        let _ = tx.send(result);
-                    }),
-                );
-                ticket
-            })
-            .collect();
+        let write_ticket = submit(&pool, execute(BUMP, 1));
+        let read_ticket = submit(
+            &pool,
+            ShardRequest::SnapshotRead {
+                // A minute ahead of the shard clock: above the stamp the
+                // queued write is about to draw.
+                snapshot: pool.db().hlc().now() + (60_000 << tebaldi_core::hlc::LOGICAL_BITS),
+                wait_ms: 1_000,
+                keys: vec![Key::simple(TABLE, 1)],
+            },
+        );
+        match read_ticket.wait().unwrap().unwrap() {
+            ShardResponse::Snapshot { values, .. } => {
+                assert_eq!(
+                    values,
+                    vec![Value::Int(1)],
+                    "the read saw the published write"
+                )
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+        assert!(
+            device
+                .read_back()
+                .iter()
+                .any(|r| matches!(r, tebaldi_storage::wal::LogRecord::Commit { .. })),
+            "snapshot-read ack must wait out the read barrier"
+        );
+        write_ticket.wait().unwrap().unwrap();
+        pool.shutdown();
+    }
+
+    #[test]
+    fn window_bounds_inflight_bodies() {
+        let pool = ShardWorkers::spawn(0, db(), 2, registry(), 4);
+        pool.db().load(Key::simple(TABLE, 1), Value::Int(0));
+        let tickets: Vec<_> = (0..64).map(|_| submit(&pool, execute(BUMP, 1))).collect();
         for ticket in tickets {
             ticket.wait().unwrap().unwrap();
         }
@@ -1470,7 +1493,7 @@ mod tests {
 
     #[test]
     fn unknown_procedure_is_a_clean_error() {
-        let pool = ShardWorkers::spawn(0, db(), 1, registry());
+        let pool = ShardWorkers::spawn(0, db(), 1, registry(), 1);
         let err = pool
             .execute_now(ProcId(999), &ProcedureCall::new(TY), &[], 1)
             .unwrap_err();
@@ -1480,7 +1503,7 @@ mod tests {
 
     #[test]
     fn metrics_and_flush_admin_requests() {
-        let pool = ShardWorkers::spawn(0, db(), 1, registry());
+        let pool = ShardWorkers::spawn(0, db(), 1, registry(), 1);
         pool.db().load(Key::simple(TABLE, 1), Value::Int(0));
         pool.execute_now(BUMP, &ProcedureCall::new(TY), &args(1), 5)
             .unwrap();

@@ -314,6 +314,24 @@ impl Database {
     /// worker hands the sequence to its completion loop and immediately
     /// starts the next transaction's body. `None` means the commit is
     /// already as durable as the flushing policy requires.
+    ///
+    /// The two forms are kept on purpose (unlike `prepare`, whose blocking
+    /// form is this one plus a wait: a prepared transaction keeps its
+    /// locks either way). [`execute`](Database::execute) is
+    /// durable-then-visible, so nobody can read a version a crash would
+    /// lose and in-process snapshot reads never wait on a flush;
+    /// `execute_deferred` is visible-then-durable, so the flush leaves the
+    /// lock window and every read-only acknowledgement takes the read
+    /// barrier instead. The shard selects by what it observes — an inline
+    /// caller (in-process `execute_single`) blocks, a queued worker (all
+    /// of TCP, every 2PC prepare) defers — and the benchmark sits on both
+    /// sides (`cluster_inproc`/`cluster_readmix_snap` vs
+    /// `cluster_tcp_repl`). Measured at PR 19, 10 alternating pairs: with
+    /// `execute` rewritten as this plus a wait, `cluster_inproc` stays
+    /// inside its spread (tps +1.5 %, p50 −3.5 %) but
+    /// `cluster_readmix_snap` p50 rises 16.0 % in 10/10 pairs (0.0576 →
+    /// 0.0669 ms, parent IQR 1.3 %) once its snapshot reads honour the
+    /// barrier.
     pub fn execute_deferred<R>(
         &self,
         call: &ProcedureCall,
@@ -418,6 +436,15 @@ impl Database {
         }
     }
 
+    /// Blocks until the deferred record behind `seq` (returned by
+    /// [`prepare_deferred`](Database::prepare_deferred) or
+    /// [`execute_deferred`](Database::execute_deferred)) is durable.
+    /// Waiting on the highest sequence of a batch hardens the whole batch
+    /// with at most one device flush.
+    pub fn wait_hardened(&self, seq: u64) {
+        self.durability.wait_group_seq(seq);
+    }
+
     /// Runs one transaction attempt up to the *prepared* state — the
     /// participant half of the cluster's cross-shard two-phase commit.
     ///
@@ -443,18 +470,17 @@ impl Database {
         global: u64,
         body: impl FnOnce(&mut Txn<'_>) -> CcResult<R>,
     ) -> CcResult<(R, crate::prepared::ParticipantVote)> {
-        self.prepare_inner(call, global, false, body)
-            .map(|(value, vote, harden)| {
-                debug_assert!(harden.is_none(), "undeferred prepare left a harden seq");
-                (value, vote)
-            })
+        let (value, vote, harden) = self.prepare_deferred(call, global, body)?;
+        if let Some(seq) = harden {
+            self.wait_hardened(seq);
+        }
+        Ok((value, vote))
     }
 
-    /// The pipelined variant of [`prepare`](Database::prepare): identical up
-    /// to the durability hardening, but instead of blocking until the
-    /// `Prepare` WAL record is flushed, it appends the record into the
-    /// group-commit funnel and returns the funnel sequence. The caller —
-    /// a shard worker's completion loop — **must** call
+    /// [`prepare`](Database::prepare) without the wait at the edge: the
+    /// `Prepare` WAL record is appended into the group-commit funnel and
+    /// its funnel sequence returned instead of blocking until the flush.
+    /// The caller — a shard's acknowledgement path — **must** call
     /// [`wait_hardened`](Database::wait_hardened) with that sequence
     /// before acknowledging the yes-vote to anyone: a vote on an unflushed
     /// prepare record could be silently lost by a crash. A `None` sequence
@@ -465,25 +491,6 @@ impl Database {
         self: &Arc<Self>,
         call: &ProcedureCall,
         global: u64,
-        body: impl FnOnce(&mut Txn<'_>) -> CcResult<R>,
-    ) -> CcResult<(R, crate::prepared::ParticipantVote, Option<u64>)> {
-        self.prepare_inner(call, global, true, body)
-    }
-
-    /// Blocks until the deferred record behind `seq` (returned by
-    /// [`prepare_deferred`](Database::prepare_deferred) or
-    /// [`execute_deferred`](Database::execute_deferred)) is durable.
-    /// Waiting on the highest sequence of a batch hardens the whole batch
-    /// with at most one device flush.
-    pub fn wait_hardened(&self, seq: u64) {
-        self.durability.wait_group_seq(seq);
-    }
-
-    fn prepare_inner<R>(
-        self: &Arc<Self>,
-        call: &ProcedureCall,
-        global: u64,
-        defer_harden: bool,
         body: impl FnOnce(&mut Txn<'_>) -> CcResult<R>,
     ) -> CcResult<(R, crate::prepared::ParticipantVote, Option<u64>)> {
         let tree = self.current_tree();
@@ -534,19 +541,14 @@ impl Database {
                 let read_only = txn.ctx().write_keys.is_empty();
                 let mut harden = None;
                 if !read_only && self.durability.is_enabled() {
-                    // Harden the yes-vote: the prepare record is group-
-                    // commit flushed so a crash after this point leaves the
-                    // transaction in doubt (resolvable), never silently
-                    // lost. The deferred path appends the record now (log
-                    // order is fixed) but leaves the flush wait to the
-                    // caller's completion loop, freeing this thread for the
-                    // next transaction's body.
+                    // Harden the yes-vote: once the prepare record is
+                    // flushed, a crash leaves the transaction in doubt
+                    // (resolvable), never silently lost. The record is
+                    // appended now (log order is fixed); the flush wait is
+                    // the caller's, so a shard worker is free for the next
+                    // transaction's body meanwhile.
                     let writes = crate::txn::collect_writes(self, txn.ctx());
-                    if defer_harden {
-                        harden = self.durability.prepare_deferred(txn_id, global, writes);
-                    } else {
-                        self.durability.prepare(txn_id, global, writes);
-                    }
+                    harden = self.durability.prepare(txn_id, global, writes);
                 }
                 let (path, ctx) = txn.into_parts();
                 let prepared = crate::prepared::PreparedTxn::new(
@@ -561,16 +563,12 @@ impl Database {
                     // Read-only participant optimization: the decision
                     // cannot change anything this part did, so commit now,
                     // release the locks, and skip phase two entirely (no
-                    // prepare record, nothing in doubt at recovery). On the
-                    // deferred path the vote still carries the read
-                    // barrier: the part's result may reflect a published
-                    // deferred commit whose flush is pending.
+                    // prepare record, nothing in doubt at recovery). The
+                    // vote still carries the read barrier: the part's
+                    // result may reflect a published deferred commit whose
+                    // flush is pending.
                     prepared.commit();
-                    let barrier = if defer_harden {
-                        self.durability.read_barrier()
-                    } else {
-                        None
-                    };
+                    let barrier = self.durability.read_barrier();
                     Ok((value, crate::prepared::ParticipantVote::ReadOnly, barrier))
                 } else {
                     Ok((

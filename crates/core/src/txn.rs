@@ -393,13 +393,15 @@ fn apply_commit_inner(
                 .commit_stamped(ctx.txn, db.durability.current_epoch(), commit_ts, hlc);
         } else {
             let by_shard: Vec<_> = collect_writes_by_shard(db, ctx).into_iter().collect();
-            if defer_harden {
-                harden = db
-                    .durability
-                    .commit_transaction_deferred_stamped(ctx.txn, by_shard, commit_ts, hlc);
-            } else {
+            harden =
                 db.durability
-                    .commit_transaction_stamped(ctx.txn, by_shard, commit_ts, hlc);
+                    .commit_transaction(ctx.txn, by_shard, commit_ts, hlc, defer_harden);
+            if !defer_harden {
+                // Durable-then-visible: wait the flush out here, before the
+                // versions are published below.
+                if let Some(seq) = harden.take() {
+                    db.durability.wait_group_seq(seq);
+                }
             }
         }
     } else if defer_harden {

@@ -2,10 +2,10 @@
 //!
 //! The manager implements both flushing modes discussed in the paper:
 //!
-//! * **Synchronous** — every precommit record is flushed before the call
-//!   returns, so a committed transaction is durable immediately. This is
-//!   the conservative baseline and is what Table 4.2's "expensive" option
-//!   corresponds to without batching.
+//! * **Synchronous** — every commit is flushed before it is acknowledged,
+//!   so an acknowledged transaction is durable. This is the conservative
+//!   baseline and is what Table 4.2's "expensive" option corresponds to
+//!   without batching.
 //! * **Asynchronous with GCP epochs** — records are buffered and flushed in
 //!   batches called *global checkpoint (GCP) epochs*. Commit notification is
 //!   decoupled from durable notification: to the CC mechanisms a committed
@@ -231,7 +231,6 @@ pub struct DurabilityManager {
     group: GroupCommit,
     current_epoch: AtomicU64,
     sealed: Mutex<EpochState>,
-    sealed_cv: Condvar,
     stop: Arc<AtomicBool>,
     flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
     operations: Arc<Counter>,
@@ -285,7 +284,6 @@ impl DurabilityManager {
             policy: policy.clone(),
             current_epoch: AtomicU64::new(1),
             sealed: Mutex::new(EpochState { sealed: 0 }),
-            sealed_cv: Condvar::new(),
             stop: Arc::new(AtomicBool::new(false)),
             flusher: Mutex::new(None),
             operations: metrics.counter("durability.operations"),
@@ -359,47 +357,45 @@ impl DurabilityManager {
         self.group.append_durable(records);
     }
 
-    /// Hardens one transaction's whole commit — every per-data-server
-    /// precommit record plus the commit notification — as a single batch:
-    /// one (coalesced) flush under the synchronous policy instead of one
-    /// per record — stamped with the cluster-wide HLC persisted in the
-    /// commit record. The blocking half of
-    /// [`commit_transaction_deferred_stamped`](DurabilityManager::commit_transaction_deferred_stamped).
-    pub fn commit_transaction_stamped(
+    /// Appends one transaction's whole commit — every per-data-server
+    /// precommit record plus the commit notification, stamped with the
+    /// cluster-wide HLC persisted in the commit record — as a single batch
+    /// into the group-commit funnel, *without waiting for the flush*, and
+    /// returns the funnel sequence to pass to
+    /// [`wait_group_seq`](DurabilityManager::wait_group_seq): one
+    /// (coalesced) flush hardens the whole transaction. The records take
+    /// their place in the log order immediately, so any dependent
+    /// transaction's flush hardens them first (the durable log is always a
+    /// prefix of the append order) — a crash can lose an *unacknowledged*
+    /// suffix but never an acknowledged commit or a read-from edge.
+    ///
+    /// `publishes_before_flush` says which side of the flush the caller
+    /// makes the versions visible on. A caller that publishes first and
+    /// waits later raises the [read barrier](DurabilityManager::read_barrier)
+    /// to this commit; a caller that waits first and publishes after must
+    /// not — no reader can see its versions until they are durable, and
+    /// raising the barrier would make every read-only acknowledgement wait
+    /// on flushes of versions it cannot have read.
+    ///
+    /// Returns `None` when there is nothing left to wait for: durability
+    /// disabled, or a non-synchronous policy (the background sealer owns
+    /// the flush).
+    pub fn commit_transaction(
         &self,
         txn: TxnId,
         by_shard: Vec<(u32, Vec<(Key, Value)>)>,
         commit_ts: Timestamp,
         hlc: u64,
-    ) {
-        if let Some(seq) = self.commit_transaction_deferred_stamped(txn, by_shard, commit_ts, hlc) {
-            self.wait_group_seq(seq);
-        }
-    }
-
-    /// The pipelined variant of
-    /// [`commit_transaction_stamped`](DurabilityManager::commit_transaction_stamped):
-    /// appends the whole batch into the group-commit funnel *without
-    /// waiting for the flush* and returns the funnel sequence to pass to
-    /// [`wait_group_seq`](DurabilityManager::wait_group_seq) before
-    /// acknowledging the commit to the client. Deferring only the wait is
-    /// safe: the records take their place in the log order immediately, so
-    /// any dependent transaction's flush hardens them first (the durable
-    /// log is always a prefix of the append order) — a crash can lose an
-    /// *unacknowledged* suffix but never an acknowledged commit or a
-    /// read-from edge. Returns `None` when there is nothing left to wait
-    /// for: durability disabled, or a non-synchronous policy (the
-    /// background sealer owns the flush).
-    pub fn commit_transaction_deferred_stamped(
-        &self,
-        txn: TxnId,
-        by_shard: Vec<(u32, Vec<(Key, Value)>)>,
-        commit_ts: Timestamp,
-        hlc: u64,
+        publishes_before_flush: bool,
     ) -> Option<u64> {
         if !self.is_enabled() {
             return None;
         }
+        // Synchronous flushing needs no GCP epochs: every record is durable
+        // before its commit is acknowledged, so recovery must never
+        // epoch-discard it. Epoch 0 marks "durable by policy" (recovery's
+        // unsealed-epoch rule only discards records with an epoch above
+        // the last seal).
         let epoch = if self.policy == FlushPolicy::Synchronous {
             0
         } else {
@@ -431,12 +427,14 @@ impl DurabilityManager {
             return None;
         }
         let seq = self.group.append(&records);
-        self.last_deferred_commit_seq
-            .fetch_max(seq, Ordering::Relaxed);
+        if publishes_before_flush {
+            self.last_deferred_commit_seq
+                .fetch_max(seq, Ordering::Relaxed);
+        }
         Some(seq)
     }
 
-    /// The read-only acknowledgement barrier of the pipelined path. A
+    /// The read-only acknowledgement barrier. A
     /// deferred commit publishes its versions *before* its flush, so a
     /// read-only transaction may compute its result from
     /// committed-but-not-yet-durable data; writing dependents are safe
@@ -474,74 +472,15 @@ impl DurabilityManager {
         });
     }
 
-    /// Logs the precommit record of one participating shard and returns the
-    /// GCP epoch id assigned to it. Under the synchronous policy this call
-    /// also flushes.
-    pub fn precommit(
-        &self,
-        txn: TxnId,
-        shard: u32,
-        participants: u32,
-        writes: Vec<(Key, Value)>,
-    ) -> u64 {
-        if !self.is_enabled() {
-            return 0;
-        }
-        // Synchronous flushing needs no GCP epochs: every record is durable
-        // before the call returns, so recovery must never epoch-discard it.
-        // Epoch 0 marks "durable by policy" (recovery's unsealed-epoch rule
-        // only discards records with an epoch above the last seal).
-        let epoch = if self.policy == FlushPolicy::Synchronous {
-            0
-        } else {
-            self.current_epoch()
-        };
-        self.precommits.inc();
-        let record = LogRecord::Precommit {
-            txn,
-            participants,
-            shard,
-            gcp_epoch: epoch,
-            writes,
-        };
-        if self.policy == FlushPolicy::Synchronous {
-            self.flush_coalesced(std::slice::from_ref(&record));
-        } else {
-            self.device.append(&record);
-        }
-        epoch
-    }
-
-    /// Logs the commit notification. `global_epoch` is the maximum of the
-    /// epoch ids returned by the participants' precommit calls.
     /// Appends the cross-shard two-phase-commit *prepare* record for local
-    /// transaction `txn` acting for cluster-global transaction `global`, and
-    /// flushes it synchronously regardless of the flushing policy: the shard
-    /// may vote "yes" to the coordinator only once the prepare record is
-    /// durable. Returns `true` when a record was written (durability on).
-    pub fn prepare(&self, txn: TxnId, global: u64, writes: Vec<(Key, Value)>) -> bool {
-        if !self.is_enabled() {
-            return false;
-        }
-        if let Some(seq) = self.prepare_deferred(txn, global, writes) {
-            self.wait_group_seq(seq);
-        }
-        true
-    }
-
-    /// The pipelined variant of [`prepare`](DurabilityManager::prepare):
-    /// appends the prepare record into the group-commit funnel *without
-    /// waiting for the flush* and returns the funnel sequence to pass to
-    /// [`wait_group_seq`](DurabilityManager::wait_group_seq). The record —
-    /// and therefore the shard's yes-vote — is durable only after that wait
-    /// completes. Returns `None` when durability is disabled (no record at
-    /// all, nothing to wait for).
-    pub fn prepare_deferred(
-        &self,
-        txn: TxnId,
-        global: u64,
-        writes: Vec<(Key, Value)>,
-    ) -> Option<u64> {
+    /// transaction `txn` acting for cluster-global transaction `global`
+    /// into the group-commit funnel — under every flushing policy, *without
+    /// waiting for the flush* — and returns the funnel sequence to pass to
+    /// [`wait_group_seq`](DurabilityManager::wait_group_seq). The shard may
+    /// vote "yes" to the coordinator only once that wait has completed: the
+    /// record, and therefore the vote, is durable no earlier. Returns `None`
+    /// when durability is disabled (no record at all, nothing to wait for).
+    pub fn prepare(&self, txn: TxnId, global: u64, writes: Vec<(Key, Value)>) -> Option<u64> {
         if !self.is_enabled() {
             return None;
         }
@@ -555,7 +494,8 @@ impl DurabilityManager {
     }
 
     /// Blocks until the funnel sequence returned by
-    /// [`prepare_deferred`](DurabilityManager::prepare_deferred) is durable,
+    /// [`prepare`](DurabilityManager::prepare) or
+    /// [`commit_transaction`](DurabilityManager::commit_transaction) is durable,
     /// electing a group-commit flush leader if no flush is in flight.
     /// Waiting on the highest sequence of a batch hardens the whole batch
     /// with at most one device flush.
@@ -577,13 +517,12 @@ impl DurabilityManager {
         }
     }
 
-    pub fn commit(&self, txn: TxnId, global_epoch: u64, commit_ts: Timestamp) {
-        self.commit_stamped(txn, global_epoch, commit_ts, 0);
-    }
-
-    /// [`commit`](DurabilityManager::commit) carrying the cluster-wide HLC
-    /// stamp persisted in the commit record (2PC phase two delivers the
-    /// coordinator's decision stamp here).
+    /// Logs the commit notification of a transaction whose writes are
+    /// already in the log (a decided 2PC participant: its `Prepare` record
+    /// carries them), flushing it under the synchronous policy.
+    /// `global_epoch` is the maximum of the participants' GCP epoch ids;
+    /// `hlc` is the cluster-wide stamp persisted in the commit record (2PC
+    /// phase two delivers the coordinator's decision stamp here).
     pub fn commit_stamped(&self, txn: TxnId, global_epoch: u64, commit_ts: Timestamp, hlc: u64) {
         if !self.is_enabled() {
             return;
@@ -617,8 +556,8 @@ impl DurabilityManager {
         }
     }
 
-    /// Seals the current epoch: flushes the device, records the seal marker
-    /// and wakes up waiters. Invoked by the background flusher and by
+    /// Seals the current epoch: flushes the device and records the seal
+    /// marker. Invoked by the background flusher and by
     /// [`DurabilityManager::shutdown`].
     pub fn seal_current_epoch(&self) {
         if !self.is_enabled() {
@@ -633,27 +572,6 @@ impl DurabilityManager {
         if sealing > sealed.sealed {
             sealed.sealed = sealing;
         }
-        self.sealed_cv.notify_all();
-    }
-
-    /// Blocks until the given epoch has been sealed (the transaction that
-    /// received this epoch at precommit time is durable), or until the
-    /// timeout elapses. Returns `true` when durable.
-    pub fn wait_durable(&self, epoch: u64, timeout: Duration) -> bool {
-        if !self.is_enabled() || self.policy == FlushPolicy::Synchronous || epoch == 0 {
-            return true;
-        }
-        let mut sealed = self.sealed.lock();
-        if sealed.sealed >= epoch {
-            return true;
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        while sealed.sealed < epoch {
-            if self.sealed_cv.wait_until(&mut sealed, deadline).timed_out() {
-                return sealed.sealed >= epoch;
-            }
-        }
-        true
     }
 
     /// Stops the background flusher (sealing one final epoch first).
@@ -710,22 +628,68 @@ mod tests {
     fn disabled_manager_is_noop() {
         let mgr = DurabilityManager::disabled();
         mgr.log_operation(TxnId(1), k(1), &Value::Int(1));
-        assert_eq!(mgr.precommit(TxnId(1), 0, 1, vec![]), 0);
-        mgr.commit(TxnId(1), 0, Timestamp(1));
-        assert_eq!(mgr.stats().precommits, 0);
-        assert!(mgr.wait_durable(0, Duration::from_millis(1)));
+        assert_eq!(
+            mgr.commit_transaction(TxnId(1), vec![(0, vec![])], Timestamp(1), 0, false),
+            None
+        );
+        assert_eq!(mgr.prepare(TxnId(2), 9, vec![]), None);
+        mgr.commit_stamped(TxnId(2), 0, Timestamp(2), 0);
+        let stats = mgr.stats();
+        assert_eq!(
+            (
+                stats.precommits,
+                stats.prepares,
+                stats.commits,
+                stats.flushes
+            ),
+            (0, 0, 0, 0)
+        );
     }
 
     #[test]
-    fn synchronous_flushes_on_precommit() {
+    fn synchronous_commit_is_durable_once_its_sequence_is_waited() {
         let dev = Arc::new(MemLogDevice::new());
         let mgr = DurabilityManager::new(dev.clone(), FlushPolicy::Synchronous);
         mgr.log_operation(TxnId(1), k(1), &Value::Int(5));
-        let epoch = mgr.precommit(TxnId(1), 0, 1, vec![(k(1), Value::Int(5))]);
-        mgr.commit(TxnId(1), epoch, Timestamp(3));
-        // Everything appended before the flush is durable.
-        assert!(dev.read_back().len() >= 2);
-        assert!(mgr.wait_durable(epoch, Duration::from_millis(1)));
+        let seq = mgr
+            .commit_transaction(
+                TxnId(1),
+                vec![(0, vec![(k(1), Value::Int(5))])],
+                Timestamp(3),
+                0,
+                false,
+            )
+            .expect("a synchronous commit has a flush to wait for");
+        assert!(dev.read_back().is_empty(), "appending does not flush");
+        mgr.wait_group_seq(seq);
+        // Operation, precommit and commit: everything appended before the
+        // flush is durable.
+        assert_eq!(dev.read_back().len(), 3);
+    }
+
+    #[test]
+    fn only_a_commit_published_before_its_flush_raises_the_read_barrier() {
+        let dev = Arc::new(MemLogDevice::new());
+        let mgr = DurabilityManager::new(dev, FlushPolicy::Synchronous);
+        let commit = |txn: u64, publishes_before_flush: bool| {
+            mgr.commit_transaction(
+                TxnId(txn),
+                vec![(0, vec![(k(txn), Value::Int(1))])],
+                Timestamp(txn),
+                0,
+                publishes_before_flush,
+            )
+            .unwrap()
+        };
+        // Durable-then-visible: no reader can have seen it, nothing to gate.
+        let blocking = commit(1, false);
+        assert_eq!(mgr.read_barrier(), None);
+        // Visible-then-durable: read-only acks wait for exactly this flush.
+        let deferred = commit(2, true);
+        assert!(deferred > blocking);
+        assert_eq!(mgr.read_barrier(), Some(deferred));
+        mgr.wait_group_seq(deferred);
+        assert_eq!(mgr.read_barrier(), None);
     }
 
     #[test]
@@ -737,13 +701,24 @@ mod tests {
                 epoch_interval: Duration::from_millis(5),
             },
         );
-        let epoch = mgr.precommit(TxnId(1), 0, 1, vec![(k(1), Value::Int(5))]);
+        let epoch = mgr.current_epoch();
         assert!(epoch >= 1);
-        assert!(
-            mgr.wait_durable(epoch, Duration::from_secs(2)),
-            "background flusher must seal the epoch"
+        let waits = mgr.commit_transaction(
+            TxnId(1),
+            vec![(0, vec![(k(1), Value::Int(5))])],
+            Timestamp(1),
+            0,
+            false,
         );
-        assert!(mgr.sealed_epoch() >= epoch);
+        assert_eq!(waits, None, "the background sealer owns the flush");
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while mgr.sealed_epoch() < epoch {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "background flusher must seal the epoch"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         mgr.shutdown();
         let records = dev.read_back();
         assert!(records
@@ -759,14 +734,17 @@ mod tests {
             .map(|i| {
                 let mgr = Arc::clone(&mgr);
                 std::thread::spawn(move || {
-                    mgr.prepare(TxnId(i + 1), 100 + i, vec![(k(i), Value::Int(i as i64))]);
+                    let seq = mgr
+                        .prepare(TxnId(i + 1), 100 + i, vec![(k(i), Value::Int(i as i64))])
+                        .unwrap();
+                    mgr.wait_group_seq(seq);
                 })
             })
             .collect();
         for t in threads {
             t.join().unwrap();
         }
-        // Every acknowledged prepare is durable the moment the call returns.
+        // Every prepare is durable once its sequence has been waited on.
         let durable = dev.read_back();
         assert_eq!(
             durable
@@ -815,10 +793,10 @@ mod tests {
         let dev = Arc::new(MemLogDevice::new());
         let mgr = DurabilityManager::new(dev, FlushPolicy::Synchronous);
         assert_eq!(mgr.current_epoch(), 1);
-        mgr.commit(TxnId(1), 7, Timestamp(1));
+        mgr.commit_stamped(TxnId(1), 7, Timestamp(1), 0);
         assert_eq!(mgr.current_epoch(), 7);
         // Smaller global epochs never move the epoch backwards.
-        mgr.commit(TxnId(2), 3, Timestamp(2));
+        mgr.commit_stamped(TxnId(2), 3, Timestamp(2), 0);
         assert_eq!(mgr.current_epoch(), 7);
     }
 }

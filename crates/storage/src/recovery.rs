@@ -294,19 +294,51 @@ mod tests {
         Key::simple(TableId(0), id)
     }
 
+    /// Logs a whole single-data-server commit through the engine's entry
+    /// point and hardens it.
+    fn commit(mgr: &DurabilityManager, txn: u64, writes: Vec<(Key, Value)>, commit_ts: u64) {
+        let seq = mgr.commit_transaction(
+            TxnId(txn),
+            vec![(0, writes)],
+            Timestamp(commit_ts),
+            0,
+            false,
+        );
+        if let Some(seq) = seq {
+            mgr.wait_group_seq(seq);
+        }
+    }
+
+    /// Logs and hardens a 2PC prepare record.
+    fn prepare(mgr: &DurabilityManager, txn: u64, global: u64, writes: Vec<(Key, Value)>) {
+        let seq = mgr.prepare(TxnId(txn), global, writes).unwrap();
+        mgr.wait_group_seq(seq);
+    }
+
+    /// A torn commit: one precommit record of `participants`, no commit
+    /// notification — what a crash between the records leaves behind, which
+    /// the engine's batched entry point can never write.
+    fn lone_precommit(dev: &MemLogDevice, txn: u64, participants: u32, writes: Vec<(Key, Value)>) {
+        dev.append(&LogRecord::Precommit {
+            txn: TxnId(txn),
+            participants,
+            shard: 0,
+            gcp_epoch: 0,
+            writes,
+        });
+    }
+
     #[test]
     fn recovers_committed_transactions() {
         let dev = Arc::new(MemLogDevice::new());
         let mgr = DurabilityManager::new(dev.clone(), FlushPolicy::Synchronous);
-        let epoch = mgr.precommit(TxnId(1), 0, 1, vec![(k(1), Value::Int(11))]);
-        mgr.commit(TxnId(1), epoch, Timestamp(5));
-        let e2 = mgr.precommit(
-            TxnId(2),
-            0,
-            1,
+        commit(&mgr, 1, vec![(k(1), Value::Int(11))], 5);
+        commit(
+            &mgr,
+            2,
             vec![(k(1), Value::Int(22)), (k(2), Value::Int(2))],
+            9,
         );
-        mgr.commit(TxnId(2), e2, Timestamp(9));
         mgr.seal_current_epoch();
 
         let (store, report) = recover(dev.as_ref());
@@ -331,7 +363,7 @@ mod tests {
         let mgr = DurabilityManager::new(dev.clone(), FlushPolicy::Synchronous);
         // Transaction claims two participants but only one precommit record
         // was made durable before the crash.
-        mgr.precommit(TxnId(3), 0, 2, vec![(k(3), Value::Int(3))]);
+        lone_precommit(&dev, 3, 2, vec![(k(3), Value::Int(3))]);
         mgr.seal_current_epoch();
         let (store, report) = recover(dev.as_ref());
         assert_eq!(report.recovered_txns, 0);
@@ -349,12 +381,10 @@ mod tests {
             },
         );
         // Sealed epoch: this transaction survives.
-        let e1 = mgr.precommit(TxnId(1), 0, 1, vec![(k(1), Value::Int(1))]);
-        mgr.commit(TxnId(1), e1, Timestamp(1));
+        commit(&mgr, 1, vec![(k(1), Value::Int(1))], 1);
         mgr.seal_current_epoch();
         // Unsealed epoch: this one is lost even though it "committed".
-        let e2 = mgr.precommit(TxnId(2), 0, 1, vec![(k(2), Value::Int(2))]);
-        mgr.commit(TxnId(2), e2, Timestamp(2));
+        commit(&mgr, 2, vec![(k(2), Value::Int(2))], 2);
         // Crash before the second seal: flush whatever was appended so the
         // records exist, but no EpochSeal for e2.
         mgr.device().flush();
@@ -376,9 +406,9 @@ mod tests {
         let mgr = DurabilityManager::new(dev.clone(), FlushPolicy::Synchronous);
         // Two prepared transactions crash before any decision record lands;
         // a third prepared one aborted explicitly.
-        mgr.prepare(TxnId(7), 42, vec![(k(7), Value::Int(70))]);
-        mgr.prepare(TxnId(8), 43, vec![(k(8), Value::Int(80))]);
-        mgr.prepare(TxnId(9), 44, vec![(k(9), Value::Int(90))]);
+        prepare(&mgr, 7, 42, vec![(k(7), Value::Int(70))]);
+        prepare(&mgr, 8, 43, vec![(k(8), Value::Int(80))]);
+        prepare(&mgr, 9, 44, vec![(k(9), Value::Int(90))]);
         mgr.log_abort(TxnId(9));
         mgr.seal_current_epoch();
 
@@ -413,8 +443,8 @@ mod tests {
         // pair must recover even under the presumed-abort resolver.
         let dev = Arc::new(MemLogDevice::new());
         let mgr = DurabilityManager::new(dev.clone(), FlushPolicy::Synchronous);
-        mgr.prepare(TxnId(6), 40, vec![(k(6), Value::Int(60))]);
-        mgr.commit(TxnId(6), mgr.current_epoch(), Timestamp(4));
+        prepare(&mgr, 6, 40, vec![(k(6), Value::Int(60))]);
+        mgr.commit_stamped(TxnId(6), mgr.current_epoch(), Timestamp(4), 0);
         mgr.seal_current_epoch();
         let (store, report) = recover(dev.as_ref());
         assert_eq!(report.in_doubt, 0, "locally decided, not in doubt");
@@ -434,10 +464,9 @@ mod tests {
         // the ts-9 value visible regardless of replay bookkeeping order.
         let dev = Arc::new(MemLogDevice::new());
         let mgr = DurabilityManager::new(dev.clone(), FlushPolicy::Synchronous);
-        mgr.prepare(TxnId(2), 50, vec![(k(1), Value::Int(20))]);
-        mgr.commit(TxnId(2), mgr.current_epoch(), Timestamp(4));
-        let epoch = mgr.precommit(TxnId(3), 0, 1, vec![(k(1), Value::Int(30))]);
-        mgr.commit(TxnId(3), epoch, Timestamp(9));
+        prepare(&mgr, 2, 50, vec![(k(1), Value::Int(20))]);
+        mgr.commit_stamped(TxnId(2), mgr.current_epoch(), Timestamp(4), 0);
+        commit(&mgr, 3, vec![(k(1), Value::Int(30))], 9);
         mgr.seal_current_epoch();
         let (store, report) = recover(dev.as_ref());
         assert_eq!(report.recovered_txns, 2);
@@ -454,9 +483,8 @@ mod tests {
     fn prepared_then_committed_locally_is_not_in_doubt() {
         let dev = Arc::new(MemLogDevice::new());
         let mgr = DurabilityManager::new(dev.clone(), FlushPolicy::Synchronous);
-        mgr.prepare(TxnId(5), 41, vec![(k(5), Value::Int(50))]);
-        let epoch = mgr.precommit(TxnId(5), 0, 1, vec![(k(5), Value::Int(50))]);
-        mgr.commit(TxnId(5), epoch, Timestamp(3));
+        prepare(&mgr, 5, 41, vec![(k(5), Value::Int(50))]);
+        commit(&mgr, 5, vec![(k(5), Value::Int(50))], 3);
         mgr.seal_current_epoch();
         let (store, report) = recover(dev.as_ref());
         assert_eq!(report.in_doubt, 0);
@@ -472,7 +500,7 @@ mod tests {
     fn precommitted_without_commit_record_is_replayed() {
         let dev = Arc::new(MemLogDevice::new());
         let mgr = DurabilityManager::new(dev.clone(), FlushPolicy::Synchronous);
-        mgr.precommit(TxnId(4), 0, 1, vec![(k(4), Value::Int(44))]);
+        lone_precommit(&dev, 4, 1, vec![(k(4), Value::Int(44))]);
         mgr.seal_current_epoch();
         let (store, report) = recover(dev.as_ref());
         assert_eq!(report.recovered_txns, 1);

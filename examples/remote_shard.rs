@@ -16,6 +16,7 @@
 //! ```
 
 use std::sync::Arc;
+use std::time::Duration;
 use tebaldi_suite::cc::{AccessMode, CcKind, CcTreeSpec, ProcedureInfo, ProcedureSet};
 use tebaldi_suite::cluster::{
     procs, Cluster, ClusterConfig, ShardRequest, ShardResponse, ShardTransport, ShardWorkers,
@@ -95,11 +96,15 @@ fn main() {
     db.load(Key::simple(ACCOUNTS, 0), Value::Int(10));
     let mut registry = ProcRegistry::new();
     procs::register_builtins(&mut registry);
-    let workers = ShardWorkers::spawn(0, Arc::clone(&db), 2, Arc::new(registry));
-    let server = TcpShardServer::spawn(0, Arc::clone(&workers)).expect("shard server");
+    // One in-flight window end to end: the shard's pipeline, the server's
+    // per-connection admission budget and the client's outstanding requests.
+    const WINDOW: usize = 32;
+    let workers = ShardWorkers::spawn(0, Arc::clone(&db), 2, Arc::new(registry), WINDOW);
+    let server = TcpShardServer::spawn(0, Arc::clone(&workers), WINDOW).expect("shard server");
     println!("standalone shard serving at {}", server.addr());
 
-    let client = TcpTransport::connect(&[server.addr()]).expect("connect");
+    let client =
+        TcpTransport::connect(&[server.addr()], WINDOW, Duration::from_secs(10)).expect("connect");
     let reply = client
         .call(
             0,

@@ -346,13 +346,12 @@ fn killed_shard_server_mid_prepare_recovers_in_doubt_and_reconnects() {
                 let mut spawned = Vec::new();
                 for (index, pool) in shards.iter().enumerate() {
                     spawned.push(
-                        TcpShardServer::spawn_with_window(index, Arc::clone(pool), 32)
+                        TcpShardServer::spawn(index, Arc::clone(pool), 32)
                             .map_err(|e| e.to_string())?,
                     );
                 }
                 let addrs: Vec<_> = spawned.iter().map(|s| s.addr()).collect();
-                let mut transport =
-                    TcpTransport::connect_with_window(&addrs, 32, Duration::from_secs(5))?;
+                let mut transport = TcpTransport::connect(&addrs, 32, Duration::from_secs(5))?;
                 transport.set_reconnect_policy(ReconnectPolicy::new(
                     Duration::from_millis(5),
                     Duration::from_millis(50),
@@ -421,8 +420,7 @@ fn killed_shard_server_mid_prepare_recovers_in_doubt_and_reconnects() {
 
     // Restart shard 1 on a fresh port and re-point the same transport —
     // the cluster object is never rebuilt.
-    let restarted =
-        TcpShardServer::spawn_with_window(1, Arc::clone(&workers.lock()[1]), 32).unwrap();
+    let restarted = TcpShardServer::spawn(1, Arc::clone(&workers.lock()[1]), 32).unwrap();
     transport.set_shard_addr(1, restarted.addr());
 
     // Traffic to shard 1 resumes (single-shard increments on an account

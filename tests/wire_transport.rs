@@ -300,14 +300,14 @@ mod pipelining {
                 .unwrap(),
         );
         (
-            ShardWorkers::spawn_with_window(0, db, 1, Arc::new(registry()), window),
+            ShardWorkers::spawn(0, db, 1, Arc::new(registry()), window),
             device,
         )
     }
 
     /// One TCP connection, two outstanding requests: a prepare whose
-    /// hardening takes ~100ms and a fast execute submitted after it. With
-    /// the pipeline on, the execute's reply overtakes the prepare's on the
+    /// hardening takes ~100ms and a fast execute submitted after it. The
+    /// execute's reply overtakes the prepare's on the
     /// same connection — out-of-order completion — because the worker
     /// defers the flush wait to the completion loop and picks up the next
     /// body immediately.
@@ -315,10 +315,9 @@ mod pipelining {
     fn replies_complete_out_of_order_on_one_connection() {
         let flush = Duration::from_millis(100);
         let (workers, _device) = slow_flush_pool(16, flush);
-        let server = TcpShardServer::spawn(0, Arc::clone(&workers)).unwrap();
+        let server = TcpShardServer::spawn(0, Arc::clone(&workers), 16).unwrap();
         let transport =
-            TcpTransport::connect_with_window(&[server.addr()], 16, Duration::from_secs(5))
-                .unwrap();
+            TcpTransport::connect(&[server.addr()], 16, Duration::from_secs(5)).unwrap();
         workers.db().load(Key::simple(TABLE, 5), Value::Int(41));
 
         let started = Instant::now();
@@ -371,7 +370,7 @@ mod pipelining {
             "hardening cannot beat the flush"
         );
         assert_eq!(workers.in_doubt_count(), 1);
-        workers.decide(1, true);
+        workers.decide_stamped(1, true, 0);
         assert_eq!(workers.in_doubt_count(), 0);
         assert!(
             workers.pipeline_stats().max_depth >= 2,
@@ -389,10 +388,9 @@ mod pipelining {
     fn inflight_window_bounds_concurrent_prepares() {
         const WINDOW: usize = 4;
         let (workers, device) = slow_flush_pool(WINDOW, Duration::from_millis(2));
-        let server = TcpShardServer::spawn_with_window(0, Arc::clone(&workers), WINDOW).unwrap();
+        let server = TcpShardServer::spawn(0, Arc::clone(&workers), WINDOW).unwrap();
         let transport = Arc::new(
-            TcpTransport::connect_with_window(&[server.addr()], WINDOW, Duration::from_secs(10))
-                .unwrap(),
+            TcpTransport::connect(&[server.addr()], WINDOW, Duration::from_secs(10)).unwrap(),
         );
         let n = 24u64;
         let handles: Vec<_> = (0..n)
@@ -442,7 +440,7 @@ mod pipelining {
             stats.max_depth
         );
         for i in 0..n {
-            workers.decide(100 + i, false);
+            workers.decide_stamped(100 + i, false, 0);
         }
         ShardTransport::shutdown(&*transport);
         server.shutdown();
@@ -556,14 +554,16 @@ mod pipelining {
                 .unwrap(),
         );
         db.load(Key::simple(TABLE, 1), Value::Int(9));
-        let workers = ShardWorkers::spawn_with_window(0, db, 1, Arc::new(registry()), 8);
+        let workers = ShardWorkers::spawn(0, db, 1, Arc::new(registry()), 8);
         // Small per-connection budget: at most 4 of the burster's requests
         // may occupy the shard queue at once.
-        let server = TcpShardServer::spawn_with_window(0, Arc::clone(&workers), 4).unwrap();
+        let server = TcpShardServer::spawn(0, Arc::clone(&workers), 4).unwrap();
 
         // The burster: 40 slow executes (~10ms each) down one connection,
-        // no client-side window (a misbehaving client).
-        let burster = Arc::new(TcpTransport::connect(&[server.addr()]).unwrap());
+        // with a client-side window wider than the whole burst (a
+        // misbehaving client that does not match the server's budget).
+        let window_wait = Duration::from_secs(10);
+        let burster = Arc::new(TcpTransport::connect(&[server.addr()], 64, window_wait).unwrap());
         let burst_tickets: Vec<_> = (0..40)
             .map(|_| {
                 burster.submit(
@@ -582,7 +582,7 @@ mod pipelining {
         std::thread::sleep(Duration::from_millis(30));
 
         // The victim: one fast request on its own connection.
-        let victim = TcpTransport::connect(&[server.addr()]).unwrap();
+        let victim = TcpTransport::connect(&[server.addr()], 4, window_wait).unwrap();
         let started = Instant::now();
         let (value, _) = victim
             .submit(
@@ -847,9 +847,10 @@ mod stall {
         );
         let mut registry = ProcRegistry::new();
         procs::register_builtins(&mut registry);
-        let workers = ShardWorkers::spawn(0, db, 2, Arc::new(registry));
-        let server = TcpShardServer::spawn(0, Arc::clone(&workers)).unwrap();
-        let transport = TcpTransport::connect(&[server.addr()]).unwrap();
+        let workers = ShardWorkers::spawn(0, db, 2, Arc::new(registry), 32);
+        let server = TcpShardServer::spawn(0, Arc::clone(&workers), 32).unwrap();
+        let transport =
+            TcpTransport::connect(&[server.addr()], 32, Duration::from_secs(10)).unwrap();
         hammer("one link, one shard server", |client| {
             let request = ShardRequest::Execute {
                 proc: procs::KV_INCREMENT,
