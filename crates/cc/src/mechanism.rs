@@ -16,7 +16,6 @@ use crate::events::{BlockingEvent, EventSink};
 use crate::oracle::TsOracle;
 use crate::registry::TxnRegistry;
 use crate::topology::{LaneSel, Topology};
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -79,7 +78,7 @@ impl VersionPick {
             writer: v.writer,
             value: v.value.clone(),
             committed: v.is_committed(),
-            commit_ts: v.commit_ts,
+            commit_ts: v.commit_ts(),
         }
     }
 }
@@ -115,6 +114,10 @@ pub struct TxnCtx {
     /// Set by a mechanism that wants the whole transaction aborted even if
     /// the current call cannot return an error (e.g. pivot marking).
     pub must_abort: bool,
+    /// The transaction's record at each SSI node of its path, pushed by
+    /// that node's `begin` and dropped by its commit/abort — so the node's
+    /// calls on behalf of this transaction need no lookup in shared state.
+    pub ssi: Vec<crate::ssi::SsiHandle>,
 }
 
 impl TxnCtx {
@@ -129,6 +132,7 @@ impl TxnCtx {
             write_keys: Vec::new(),
             order_ts: None,
             must_abort: false,
+            ssi: Vec::new(),
         }
     }
 
@@ -242,15 +246,12 @@ impl NodeEnv {
 /// fixture; the value is the writer's id).
 #[cfg(test)]
 pub(crate) fn uncommitted_version(writer: u64, order_ts: Option<Timestamp>) -> Version {
-    Version {
-        id: tebaldi_storage::VersionId(writer),
-        writer: TxnId(writer),
-        value: Value::Int(writer as i64),
-        state: tebaldi_storage::VersionState::Uncommitted,
-        commit_ts: None,
+    Version::uncommitted(
+        tebaldi_storage::VersionId(writer),
+        TxnId(writer),
+        Value::Int(writer as i64),
         order_ts,
-        hlc: 0,
-    }
+    )
 }
 
 /// The read rule of every node (§4.2.1, consistent ordering) — the one place
@@ -426,40 +427,6 @@ pub trait CcMechanism: Send + Sync {
     }
 }
 
-/// A small helper holding a shared abort flag used by mechanisms that mark
-/// *other* transactions for death (SSI pivots, TSO read-stamp violations).
-#[derive(Debug, Default)]
-pub struct DoomList {
-    doomed: Mutex<HashSet<TxnId>>,
-}
-
-impl DoomList {
-    /// Creates an empty list.
-    pub fn new() -> Self {
-        DoomList::default()
-    }
-
-    /// Marks a transaction for abort.
-    pub fn doom(&self, txn: TxnId) {
-        self.doomed.lock().insert(txn);
-    }
-
-    /// True when the transaction was marked; the mark is consumed.
-    pub fn take(&self, txn: TxnId) -> bool {
-        self.doomed.lock().remove(&txn)
-    }
-
-    /// True when the transaction is currently marked (not consumed).
-    pub fn is_doomed(&self, txn: TxnId) -> bool {
-        self.doomed.lock().contains(&txn)
-    }
-
-    /// Forgets a transaction (called on commit/abort cleanup).
-    pub fn forget(&self, txn: TxnId) {
-        self.doomed.lock().remove(&txn);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,15 +448,6 @@ mod tests {
         ctx.add_dep(TxnId(7));
         assert_eq!(ctx.deps.len(), 1);
         assert!(ctx.deps.contains(&TxnId(7)));
-    }
-
-    #[test]
-    fn doom_list_take_consumes() {
-        let d = DoomList::new();
-        d.doom(TxnId(1));
-        assert!(d.is_doomed(TxnId(1)));
-        assert!(d.take(TxnId(1)));
-        assert!(!d.take(TxnId(1)));
     }
 
     #[test]

@@ -24,23 +24,19 @@ mod tests {
     use super::*;
     use crate::mechanism::{Lane, TxnCtx};
     use tebaldi_storage::{
-        GroupId, Key, TableId, Timestamp, TxnId, TxnTypeId, Value, Version, VersionChain,
-        VersionId, VersionState,
+        GroupId, Key, TableId, Timestamp, TxnId, TxnTypeId, Value, Version, VersionChain, VersionId,
     };
 
     #[test]
     fn proposes_latest_committed() {
         let cc = NoCc;
         let mut chain = VersionChain::new();
-        chain.install(Version {
-            id: VersionId(1),
-            writer: TxnId(1),
-            value: Value::Int(7),
-            state: VersionState::Uncommitted,
-            commit_ts: None,
-            order_ts: None,
-            hlc: 0,
-        });
+        chain.install(Version::uncommitted(
+            VersionId(1),
+            TxnId(1),
+            Value::Int(7),
+            None,
+        ));
         chain.commit(TxnId(1), Timestamp(1));
         let mut ctx = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         let pick = cc

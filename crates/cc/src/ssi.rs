@@ -20,13 +20,45 @@
 //!   and update-side start timestamps are all unnecessary: read-only
 //!   transactions read a consistent snapshot, update transactions see the
 //!   latest committed state and are ordered by their own subtree.
+//!
+//! # State and locking
+//!
+//! There is no node-wide lock. What the node knows about a transaction is
+//! one [`SsiTxn`] **record** — its snapshot, its lane and a single atomic
+//! flag word `IN | OUT | PREPARED` — shared by `Arc` between the
+//! transaction's own [`TxnCtx`] (so its own calls reach it without a
+//! lookup) and the places other transactions find it:
+//!
+//! * the **SIREAD table**, [`READER_STRIPES`] stripes of `Key → [(TxnId,
+//!   record)]` chosen by [`Key::mix64`]: a key's stripe lock serializes
+//!   "reader registers on the key" against "writer scans the key's
+//!   readers" — the one ordering edge detection needs from a lock;
+//! * the **directory**, sharded by transaction id, used only for the rare
+//!   "which record belongs to the writer of the version I just passed
+//!   over" lookup, for the GC watermark and for diagnostics.
+//!
+//! | call | locks |
+//! |---|---|
+//! | `begin` | one directory shard (+ the `batches` mutex for a batched lane) |
+//! | `choose_version` | the key's reader stripe; a directory shard only when a writer was missed |
+//! | `before_write` | the key's reader stripe |
+//! | `validate_write`, `validate`, `mark_prepared` | none — the transaction's own record |
+//! | `commit` / `abort` | one directory shard, one reader stripe per key read (+ `batches`) |
+//!
+//! Every decision is taken on one record's flag word: "give `R` an edge,
+//! unless `R` is prepared and the edge would make it a pivot" is one CAS
+//! loop ([`SsiTxn::add_edge`]), "prepare unless already a pivot" another. A
+//! transaction is **doomed** exactly when its word holds both edges — there
+//! is no separate doom list to keep in step with the flags.
 
 use crate::error::{CcError, CcResult};
-use crate::mechanism::{CcKind, CcMechanism, DoomList, Lane, NodeEnv, TxnCtx, VersionPick};
+use crate::mechanism::{CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
 use crate::topology::LaneSel;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use tebaldi_storage::{ChainRead, Key, Timestamp, TxnId};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Arc;
+use tebaldi_storage::{ChainRead, Key, KeyMap, NodeId, Timestamp, TxnId};
 
 /// Configuration of one SSI node.
 #[derive(Clone, Debug)]
@@ -58,18 +90,91 @@ impl SsiConfig {
     }
 }
 
+/// Stripes of the SIREAD table and shards of the directory.
+const READER_STRIPES: usize = 64;
+const DIRECTORY_SHARDS: usize = 64;
+
+/// Incoming read-write anti-dependency: someone read what this
+/// transaction overwrote.
+const IN: u8 = 1;
+/// Outgoing anti-dependency: this transaction read what someone overwrote.
+const OUT: u8 = 2;
+/// Voted yes in a cross-shard two-phase commit: the vote is stable, so a
+/// transaction that would turn this one into a pivot aborts itself instead
+/// (prepared transactions have priority).
+const PREPARED: u8 = 4;
+
+fn is_pivot(flags: u8) -> bool {
+    flags & (IN | OUT) == IN | OUT
+}
+
+/// What one SSI node knows about one transaction (see the module docs).
 #[derive(Debug)]
-struct SsiTxnState {
+pub struct SsiTxn {
     start_ts: Timestamp,
     lane: Option<u32>,
     read_only_lane: bool,
-    in_conflict: bool,
-    out_conflict: bool,
-    /// Voted yes in a cross-shard two-phase commit: the vote is stable, so
-    /// a transaction that would turn this one into a pivot aborts itself
-    /// instead (prepared transactions have priority).
-    prepared: bool,
-    write_keys: Vec<Key>,
+    /// `IN | OUT | PREPARED`. Every decision is taken on this word's own
+    /// modification order and publishes no other memory; `AcqRel` is kept
+    /// so a reader of the word also sees whatever its writer saw.
+    flags: AtomicU8,
+}
+
+impl SsiTxn {
+    fn flags(&self) -> u8 {
+        self.flags.load(Ordering::Acquire)
+    }
+
+    /// Gives the transaction the anti-dependency `edge` (`IN` or `OUT`) and
+    /// returns the resulting word — which is a pivot's, i.e. the
+    /// transaction is now doomed, when the other edge was already there.
+    /// Refuses with `None`, changing nothing, when the transaction is
+    /// prepared and the edge would complete its pivot: a stable yes-vote
+    /// cannot be doomed, the discoverer must give way.
+    fn add_edge(&self, edge: u8) -> Option<u8> {
+        let mut cur = self.flags();
+        loop {
+            let new = cur | edge;
+            if cur & PREPARED != 0 && is_pivot(new) {
+                return None;
+            }
+            match self
+                .flags
+                .compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => return Some(new),
+                Err(actual) => cur = actual,
+            }
+        }
+    }
+
+    /// Stabilizes the yes-vote unless the transaction is already a pivot.
+    fn prepare(&self) -> bool {
+        let mut cur = self.flags();
+        loop {
+            if is_pivot(cur) {
+                return false;
+            }
+            match self.flags.compare_exchange_weak(
+                cur,
+                cur | PREPARED,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return true,
+                Err(actual) => cur = actual,
+            }
+        }
+    }
+}
+
+/// A transaction's handle on its record at one SSI node, carried in
+/// [`TxnCtx::ssi`] (a path may cross several SSI nodes).
+#[derive(Clone, Debug)]
+pub struct SsiHandle {
+    node: NodeId,
+    txn: Arc<SsiTxn>,
+    /// Keys this transaction is registered on in the SIREAD table.
     read_keys: Vec<Key>,
 }
 
@@ -79,21 +184,24 @@ struct Batch {
     active: usize,
 }
 
+/// Keeps neighbouring stripes off each other's cache line.
+#[repr(align(64))]
 #[derive(Default)]
-struct SsiShared {
-    txns: HashMap<TxnId, SsiTxnState>,
-    /// Active readers per key (reader, snapshot ts) used for pivot marking.
-    readers: HashMap<Key, Vec<(TxnId, Timestamp)>>,
-    /// Open batch per child lane.
-    batches: HashMap<u32, Batch>,
-}
+struct Padded<T>(T);
+
+type Readers = KeyMap<Vec<(TxnId, Arc<SsiTxn>)>>;
+type Directory = HashMap<TxnId, Arc<SsiTxn>>;
 
 /// A serializable-snapshot-isolation node.
 pub struct Ssi {
     env: NodeEnv,
     config: SsiConfig,
-    shared: Mutex<SsiShared>,
-    doomed: DoomList,
+    /// The SIREAD table: active readers per key, striped by key.
+    readers: Box<[Padded<Mutex<Readers>>]>,
+    /// Every active transaction's record, sharded by transaction id.
+    directory: Box<[Padded<Mutex<Directory>>]>,
+    /// Open batch per child lane; touched at begin and clean-up only.
+    batches: Mutex<HashMap<u32, Batch>>,
 }
 
 impl Ssi {
@@ -102,8 +210,9 @@ impl Ssi {
         Ssi {
             env,
             config,
-            shared: Mutex::new(SsiShared::default()),
-            doomed: DoomList::new(),
+            readers: (0..READER_STRIPES).map(|_| Padded::default()).collect(),
+            directory: (0..DIRECTORY_SHARDS).map(|_| Padded::default()).collect(),
+            batches: Mutex::new(HashMap::new()),
         }
     }
 
@@ -131,14 +240,66 @@ impl Ssi {
         }
     }
 
+    /// The stripe of the SIREAD table holding `key`. Taken from the middle
+    /// of the mix: the stripe's own map spreads on the low bits and tags on
+    /// the high ones.
+    fn reader_stripe(&self, key: &Key) -> &Mutex<Readers> {
+        &self.readers[(key.mix64() >> 32) as usize % READER_STRIPES].0
+    }
+
+    fn directory_shard(&self, txn: TxnId) -> &Mutex<Directory> {
+        &self.directory[txn.0 as usize % DIRECTORY_SHARDS].0
+    }
+
+    /// This node's record of the executing transaction.
+    fn record<'c>(&self, ctx: &'c TxnCtx) -> Option<&'c SsiTxn> {
+        ctx.ssi
+            .iter()
+            .find(|h| h.node == self.env.node)
+            .map(|h| &*h.txn)
+    }
+
+    /// Whether an uncommitted version of another transaction on `chain`
+    /// comes from outside the reader's own child lane (a sibling group's
+    /// write, or any other transaction's at a leaf).
+    fn foreign_uncommitted_writer(
+        &self,
+        me: TxnId,
+        my_lane: Option<u32>,
+        chain: &dyn ChainRead,
+    ) -> Option<TxnId> {
+        // `has_other_uncommitted` answers in O(1) when the chain carries no
+        // uncommitted versions at all — the common case on long committed
+        // tails between GC cycles.
+        if !chain.has_other_uncommitted(me) {
+            return None;
+        }
+        chain
+            .find_newest_first(&mut |v| {
+                !v.is_committed() && v.writer != me && {
+                    let writer_lane = self
+                        .env
+                        .group_of(v.writer)
+                        .and_then(|g| self.env.topology.child_lane(self.env.node, g));
+                    writer_lane.is_none() || writer_lane != my_lane
+                }
+            })
+            .map(|v| v.writer)
+    }
+
     /// Smallest snapshot timestamp still in use (GC bound).
     fn min_active_start_ts(&self) -> Timestamp {
-        self.shared
-            .lock()
-            .txns
-            .values()
-            .map(|s| s.start_ts)
-            .filter(|ts| *ts != Timestamp::MAX)
+        self.directory
+            .iter()
+            .filter_map(|shard| {
+                shard
+                    .0
+                    .lock()
+                    .values()
+                    .map(|t| t.start_ts)
+                    .filter(|ts| *ts != Timestamp::MAX)
+                    .min()
+            })
             .min()
             .unwrap_or(Timestamp::MAX)
     }
@@ -152,73 +313,64 @@ impl CcMechanism for Ssi {
     fn begin(&self, ctx: &mut TxnCtx, lane: Lane) -> CcResult<()> {
         let read_only_lane = self.is_read_only_lane(lane);
         let lane_idx = Self::lane_index(lane);
-        let mut shared = self.shared.lock();
-        let start_ts = if lane_idx.is_none() {
+        let start_ts = match lane_idx {
             // Leaf usage ("monolithic SSI"): every transaction is its own
             // batch and needs a real snapshot. `snapshot_ts` stays below any
             // commit whose versions are still being applied, so the snapshot
             // is never half of a multi-key commit.
-            self.env.oracle.snapshot_ts()
-        } else if read_only_lane || !self.config.batching {
-            if read_only_lane {
-                // Read-only transactions need a real snapshot.
-                self.env.oracle.snapshot_ts()
-            } else {
-                // Update transactions under the read-only-root optimisation
-                // observe the latest committed state; their mutual ordering
-                // is delegated to their subtree.
-                Timestamp::MAX
-            }
-        } else {
+            None => self.env.oracle.snapshot_ts(),
+            // Read-only transactions need a real snapshot.
+            Some(_) if read_only_lane => self.env.oracle.snapshot_ts(),
+            // Update transactions under the read-only-root optimisation
+            // observe the latest committed state; their mutual ordering is
+            // delegated to their subtree.
+            Some(_) if !self.config.batching => Timestamp::MAX,
             // Batching: join the open batch of this child lane or open a new
             // one with a fresh timestamp.
-            let lane_key = lane_idx.unwrap_or(u32::MAX);
-            let batch = shared.batches.entry(lane_key).or_insert_with(|| Batch {
-                ts: self.env.oracle.snapshot_ts(),
-                active: 0,
-            });
-            batch.active += 1;
-            batch.ts
+            Some(lane_key) => {
+                let mut batches = self.batches.lock();
+                let batch = batches.entry(lane_key).or_insert_with(|| Batch {
+                    ts: self.env.oracle.snapshot_ts(),
+                    active: 0,
+                });
+                batch.active += 1;
+                batch.ts
+            }
         };
-        shared.txns.insert(
-            ctx.txn,
-            SsiTxnState {
-                start_ts,
-                lane: lane_idx,
-                read_only_lane,
-                in_conflict: false,
-                out_conflict: false,
-                prepared: false,
-                write_keys: Vec::new(),
-                read_keys: Vec::new(),
-            },
-        );
+        let txn = Arc::new(SsiTxn {
+            start_ts,
+            lane: lane_idx,
+            read_only_lane,
+            flags: AtomicU8::new(0),
+        });
+        self.directory_shard(ctx.txn)
+            .lock()
+            .insert(ctx.txn, Arc::clone(&txn));
+        ctx.ssi.push(SsiHandle {
+            node: self.env.node,
+            txn,
+            read_keys: Vec::new(),
+        });
         Ok(())
     }
 
     fn before_write(&self, ctx: &mut TxnCtx, lane: Lane, key: &Key) -> CcResult<()> {
-        let mut shared = self.shared.lock();
+        let me = self
+            .record(ctx)
+            .ok_or(CcError::Internal("SSI: write before begin".to_string()))?;
+        let my_lane = Self::lane_index(lane);
         // Readers of this key that did not (and will not) see our write have
         // an anti-dependency towards us: reader --rw--> writer.
-        let mut doomed_readers: Vec<TxnId> = Vec::new();
         let mut we_gain_in = false;
-        if let Some(readers) = shared.readers.get(key) {
-            for (reader, _) in readers.iter().filter(|(r, _)| *r != ctx.txn) {
-                doomed_readers.push(*reader);
+        if let Some(readers) = self.reader_stripe(key).lock().get(key) {
+            for (_, reader) in readers.iter().filter(|(r, _)| *r != ctx.txn) {
                 we_gain_in = true;
-            }
-        }
-        let my_lane = Self::lane_index(lane);
-        for reader in doomed_readers {
-            // Readers from our own child group are ordered by our child CC,
-            // not by SSI.
-            if let Some(state) = shared.txns.get(&reader) {
-                if state.lane.is_some() && state.lane == my_lane {
+                // Readers from our own child group are ordered by our child
+                // CC, not by SSI.
+                if reader.lane.is_some() && reader.lane == my_lane {
                     continue;
                 }
-            }
-            if let Some(state) = shared.txns.get_mut(&reader) {
-                if state.prepared && state.in_conflict {
+                if reader.add_edge(OUT).is_none() {
                     // This write would make a prepared (voted-yes)
                     // transaction a pivot, but its vote can no longer be
                     // revoked — the discovering writer aborts instead.
@@ -227,26 +379,14 @@ impl CcMechanism for Ssi {
                         reason: "write would doom a prepared transaction",
                     });
                 }
-                state.out_conflict = true;
-                if state.in_conflict {
-                    self.doomed.doom(reader);
-                }
             }
         }
-        let state = shared
-            .txns
-            .get_mut(&ctx.txn)
-            .ok_or(CcError::Internal("SSI: write before begin".to_string()))?;
-        if we_gain_in {
-            state.in_conflict = true;
-            if state.out_conflict {
-                return Err(CcError::Conflict {
-                    mechanism: "SSI",
-                    reason: "pivot (incoming and outgoing anti-dependencies)",
-                });
-            }
+        if we_gain_in && me.add_edge(IN).is_some_and(is_pivot) {
+            return Err(CcError::Conflict {
+                mechanism: "SSI",
+                reason: "pivot (incoming and outgoing anti-dependencies)",
+            });
         }
-        state.write_keys.push(*key);
         Ok(())
     }
 
@@ -265,69 +405,45 @@ impl CcMechanism for Ssi {
                 return candidate;
             }
         }
-        let mut shared = self.shared.lock();
-        let (start_ts, my_lane) = match shared.txns.get(&ctx.txn) {
-            Some(s) => (s.start_ts, s.lane),
+        let reader = ctx.txn;
+        let mine = ctx.ssi.iter_mut().find(|h| h.node == self.env.node);
+        let (start_ts, my_lane) = match &mine {
+            Some(h) => (h.txn.start_ts, h.txn.lane),
             None => (Timestamp::MAX, None),
         };
-        // Register the read so later writers can mark the anti-dependency.
-        shared
-            .readers
-            .entry(*key)
-            .or_default()
-            .push((ctx.txn, start_ts));
-        if let Some(s) = shared.txns.get_mut(&ctx.txn) {
-            s.read_keys.push(*key);
+        // Register the read — before walking the chain — so later writers
+        // can mark the anti-dependency. Once per key: a second read of the
+        // same key adds nothing a writer's scan could use.
+        if let Some(h) = mine {
+            let mut stripe = self.reader_stripe(key).lock();
+            let readers = stripe.entry(*key).or_default();
+            if !readers.iter().any(|(r, _)| *r == reader) {
+                readers.push((reader, Arc::clone(&h.txn)));
+                h.read_keys.push(*key);
+            }
         }
 
         // Snapshot visibility: the latest version committed at or before our
         // start timestamp (the start timestamp is the newest fully applied
         // commit at begin time, so it is inclusive). Missing a newer
         // committed write or an uncommitted write from a sibling group
-        // creates an outgoing anti-dependency.
+        // creates an outgoing anti-dependency. The newest committed version
+        // carries the chain's largest commit timestamp (position-order
+        // invariant), so it alone says whether a commit was missed.
         let visible = chain.committed_at_or_before(start_ts);
-        let mut missed_writer: Option<TxnId> = None;
-        if chain.committed_after(start_ts) {
-            missed_writer = chain
-                .find_newest_first(&mut |v| {
-                    v.is_committed() && matches!(v.commit_ts, Some(c) if c > start_ts)
-                })
-                .map(|v| v.writer);
-        } else if chain.has_other_uncommitted(ctx.txn) {
-            // The scan below only matches uncommitted foreign versions, and
-            // `has_other_uncommitted` answers in O(1) when the chain carries
-            // no uncommitted versions at all — the common case on long
-            // committed tails between GC cycles.
-            if let Some(other) = chain.find_newest_first(&mut |v| {
-                !v.is_committed() && v.writer != ctx.txn && {
-                    let writer_lane = self
-                        .env
-                        .group_of(v.writer)
-                        .and_then(|g| self.env.topology.child_lane(self.env.node, g));
-                    writer_lane.is_none() || writer_lane != my_lane
-                }
-            }) {
-                missed_writer = Some(other.writer);
-            }
-        }
+        let missed_writer = match chain.latest_committed() {
+            Some(v) if v.commit_ts().is_some_and(|c| c > start_ts) => Some(v.writer),
+            _ => self.foreign_uncommitted_writer(reader, my_lane, chain),
+        };
         if let Some(writer) = missed_writer {
-            if let Some(me) = shared.txns.get_mut(&ctx.txn) {
-                me.out_conflict = true;
-                if me.in_conflict {
-                    self.doomed.doom(ctx.txn);
-                }
+            if let Some(me) = self.record(ctx) {
+                me.add_edge(OUT);
             }
-            if let Some(them) = shared.txns.get_mut(&writer) {
-                if them.prepared && them.out_conflict {
-                    // Dooming a prepared transaction is forbidden (stable
-                    // yes-vote): the reader sacrifices itself instead.
-                    ctx.must_abort = true;
-                } else {
-                    them.in_conflict = true;
-                    if them.out_conflict {
-                        self.doomed.doom(writer);
-                    }
-                }
+            let them = self.directory_shard(writer).lock().get(&writer).cloned();
+            if them.is_some_and(|them| them.add_edge(IN).is_none()) {
+                // Dooming a prepared transaction is forbidden (stable
+                // yes-vote): the reader sacrifices itself instead.
+                ctx.must_abort = true;
             }
         }
         visible.map(VersionPick::from_version).or(candidate)
@@ -347,20 +463,10 @@ impl CcMechanism for Ssi {
         if self.is_read_only_lane(lane) {
             return Ok(());
         }
-        if self.doomed.take(ctx.txn) {
+        if self.record(ctx).is_some_and(|me| is_pivot(me.flags())) {
             return Err(CcError::Conflict {
                 mechanism: "SSI",
                 reason: "pivot detected",
-            });
-        }
-        let shared = self.shared.lock();
-        let Some(state) = shared.txns.get(&ctx.txn) else {
-            return Ok(());
-        };
-        if state.in_conflict && state.out_conflict {
-            return Err(CcError::Conflict {
-                mechanism: "SSI",
-                reason: "pivot (validation)",
             });
         }
         Ok(())
@@ -370,36 +476,25 @@ impl CcMechanism for Ssi {
         if self.is_read_only_lane(lane) {
             return Ok(());
         }
-        let mut shared = self.shared.lock();
-        // Re-check under the shared lock: a doom may have landed between
-        // validation and this call.
-        if self.doomed.take(ctx.txn) {
+        // One CAS loop re-checks and stabilizes: an edge that landed between
+        // validation and this call is caught, and from here on conflict
+        // discovery that would doom this transaction aborts the discoverer
+        // instead.
+        if self.record(ctx).is_some_and(|me| !me.prepare()) {
             return Err(CcError::Conflict {
                 mechanism: "SSI",
                 reason: "pivot detected at prepare",
             });
         }
-        let Some(state) = shared.txns.get_mut(&ctx.txn) else {
-            return Ok(());
-        };
-        if state.in_conflict && state.out_conflict {
-            return Err(CcError::Conflict {
-                mechanism: "SSI",
-                reason: "pivot (prepare)",
-            });
-        }
-        // From here on the yes-vote is stable: conflict discovery that
-        // would doom this transaction aborts the discoverer instead.
-        state.prepared = true;
         Ok(())
     }
 
     fn commit(&self, ctx: &mut TxnCtx, _lane: Lane, _commit_ts: Timestamp) {
-        self.cleanup(ctx.txn);
+        self.cleanup(ctx);
     }
 
     fn abort(&self, ctx: &mut TxnCtx, _lane: Lane) {
-        self.cleanup(ctx.txn);
+        self.cleanup(ctx);
     }
 
     fn low_watermark(&self) -> Timestamp {
@@ -419,34 +514,21 @@ impl Ssi {
         if self.is_read_only_lane(lane) {
             return Ok(());
         }
-        let shared = self.shared.lock();
-        let Some(state) = shared.txns.get(&ctx.txn) else {
+        let Some(me) = self.record(ctx) else {
             return Ok(());
         };
         // Visibility is `commit_ts <= start_ts`, so only commits strictly
         // after the snapshot count as concurrent.
-        if chain.committed_after(state.start_ts) {
+        if chain.committed_after(me.start_ts) {
             return Err(CcError::Conflict {
                 mechanism: "SSI",
                 reason: "first-committer-wins (concurrent committed write)",
             });
         }
-        let my_lane = state.lane;
-        // Same O(1) gate as the read-side scan: no uncommitted versions on
-        // the chain means no foreign uncommitted version to conflict with.
-        let foreign_uncommitted = chain.has_other_uncommitted(ctx.txn)
-            && chain
-                .find_newest_first(&mut |v| {
-                    !v.is_committed() && v.writer != ctx.txn && {
-                        let writer_lane = self
-                            .env
-                            .group_of(v.writer)
-                            .and_then(|g| self.env.topology.child_lane(self.env.node, g));
-                        writer_lane.is_none() || writer_lane != my_lane
-                    }
-                })
-                .is_some();
-        if foreign_uncommitted {
+        if self
+            .foreign_uncommitted_writer(ctx.txn, me.lane, chain)
+            .is_some()
+        {
             return Err(CcError::Conflict {
                 mechanism: "SSI",
                 reason: "cross-group write-write conflict",
@@ -455,37 +537,39 @@ impl Ssi {
         Ok(())
     }
 
-    fn cleanup(&self, txn: TxnId) {
-        let mut shared = self.shared.lock();
-        if let Some(state) = shared.txns.remove(&txn) {
-            for key in &state.read_keys {
-                if let Some(readers) = shared.readers.get_mut(key) {
-                    readers.retain(|(r, _)| *r != txn);
-                    if readers.is_empty() {
-                        shared.readers.remove(key);
-                    }
+    /// Forgets the transaction: its directory entry, its SIREAD
+    /// registrations and its seat in a batch.
+    fn cleanup(&self, ctx: &mut TxnCtx) {
+        let Some(at) = ctx.ssi.iter().position(|h| h.node == self.env.node) else {
+            return;
+        };
+        let handle = ctx.ssi.swap_remove(at);
+        self.directory_shard(ctx.txn).lock().remove(&ctx.txn);
+        for key in &handle.read_keys {
+            let mut stripe = self.reader_stripe(key).lock();
+            if let Some(readers) = stripe.get_mut(key) {
+                readers.retain(|(r, _)| *r != ctx.txn);
+                if readers.is_empty() {
+                    stripe.remove(key);
                 }
             }
-            if let Some(lane) = state.lane {
-                if self.config.batching && !state.read_only_lane {
-                    let remove = if let Some(batch) = shared.batches.get_mut(&lane) {
-                        batch.active = batch.active.saturating_sub(1);
-                        batch.active == 0
-                    } else {
-                        false
-                    };
-                    if remove {
-                        shared.batches.remove(&lane);
+        }
+        if let Some(lane) = handle.txn.lane {
+            if self.config.batching && !handle.txn.read_only_lane {
+                let mut batches = self.batches.lock();
+                if let Some(batch) = batches.get_mut(&lane) {
+                    batch.active = batch.active.saturating_sub(1);
+                    if batch.active == 0 {
+                        batches.remove(&lane);
                     }
                 }
             }
         }
-        self.doomed.forget(txn);
     }
 
     /// Number of transactions currently tracked (diagnostics).
     pub fn active_count(&self) -> usize {
-        self.shared.lock().txns.len()
+        self.directory.iter().map(|s| s.0.lock().len()).sum()
     }
 }
 
@@ -496,7 +580,7 @@ mod tests {
     use crate::topology::Topology;
     use std::sync::Arc;
     use tebaldi_storage::{
-        GroupId, NodeId, TableId, TxnTypeId, Value, Version, VersionChain, VersionId, VersionState,
+        GroupId, NodeId, TableId, TxnTypeId, Value, Version, VersionChain, VersionId,
     };
 
     fn setup(batching: bool) -> (Ssi, Arc<TxnRegistry>) {
@@ -516,17 +600,19 @@ mod tests {
         Key::simple(TableId(0), id)
     }
 
+    /// The node's record of a begun transaction.
+    fn rec<'c>(ssi: &Ssi, ctx: &'c TxnCtx) -> &'c SsiTxn {
+        ssi.record(ctx).expect("begun at this node")
+    }
+
     fn committed_version(writer: u64, val: i64, ts: u64) -> VersionChain {
         let mut chain = VersionChain::new();
-        chain.install(Version {
-            id: VersionId(writer),
-            writer: TxnId(writer),
-            value: Value::Int(val),
-            state: VersionState::Uncommitted,
-            commit_ts: None,
-            order_ts: None,
-            hlc: 0,
-        });
+        chain.install(Version::uncommitted(
+            VersionId(writer),
+            TxnId(writer),
+            Value::Int(val),
+            None,
+        ));
         chain.commit(TxnId(writer), Timestamp(ts));
         chain
     }
@@ -570,15 +656,12 @@ mod tests {
         ssi.begin(&mut a, Lane::child(0)).unwrap();
         // Transaction from the other group installed an uncommitted write.
         let mut chain = VersionChain::new();
-        chain.install(Version {
-            id: VersionId(1),
-            writer: TxnId(2),
-            value: Value::Int(9),
-            state: VersionState::Uncommitted,
-            commit_ts: None,
-            order_ts: None,
-            hlc: 0,
-        });
+        chain.install(Version::uncommitted(
+            VersionId(1),
+            TxnId(2),
+            Value::Int(9),
+            None,
+        ));
         assert!(ssi
             .check_first_committer_wins(&a, &chain, Lane::child(0))
             .is_err());
@@ -604,15 +687,12 @@ mod tests {
         // U reads y and misses T's uncommitted write: U -rw-> T gives T the
         // incoming edge.
         let mut y_chain = VersionChain::new();
-        y_chain.install(Version {
-            id: VersionId(10),
-            writer: TxnId(1),
-            value: Value::Int(1),
-            state: VersionState::Uncommitted,
-            commit_ts: None,
-            order_ts: None,
-            hlc: 0,
-        });
+        y_chain.install(Version::uncommitted(
+            VersionId(10),
+            TxnId(1),
+            Value::Int(1),
+            None,
+        ));
         let _ = ssi.choose_version(&mut u, Lane::child(1), &k(2), None, &y_chain);
 
         // T validates and stabilizes its yes-vote.
@@ -624,7 +704,7 @@ mod tests {
         let result = ssi.before_write(&mut u, Lane::child(1), &k(1));
         assert!(result.is_err(), "writer dooming a prepared txn must abort");
         ssi.abort(&mut u, Lane::child(1));
-        assert!(!ssi.doomed.is_doomed(TxnId(1)), "prepared txn stays clean");
+        assert!(!is_pivot(rec(&ssi, &t).flags()), "prepared txn stays clean");
         ssi.commit(&mut t, Lane::child(0), Timestamp(5));
     }
 
@@ -635,7 +715,9 @@ mod tests {
         let mut t = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         ssi.begin(&mut t, Lane::child(0)).unwrap();
         // A doom that lands between validate and mark_prepared is caught.
-        ssi.doomed.doom(TxnId(1));
+        ssi.validate(&mut t, Lane::child(0)).unwrap();
+        rec(&ssi, &t).add_edge(IN);
+        rec(&ssi, &t).add_edge(OUT);
         assert!(ssi.mark_prepared(&mut t, Lane::child(0)).is_err());
     }
 
@@ -680,16 +762,16 @@ mod tests {
         ssi.begin(&mut a, Lane::child(0)).unwrap();
         ssi.begin(&mut b, Lane::child(0)).unwrap();
         ssi.begin(&mut c, Lane::child(1)).unwrap();
-        let shared = ssi.shared.lock();
-        let ts_a = shared.txns.get(&TxnId(1)).unwrap().start_ts;
-        let ts_b = shared.txns.get(&TxnId(2)).unwrap().start_ts;
+        let ts_a = rec(&ssi, &a).start_ts;
+        let ts_b = rec(&ssi, &b).start_ts;
         assert_eq!(ts_a, ts_b, "same lane, same batch, same timestamp");
         // Different lanes are tracked as separate batches (their members may
         // still share a snapshot timestamp when no commit happened between
         // the two batch openings).
-        assert_eq!(shared.batches.len(), 2, "one open batch per child lane");
-        assert_eq!(shared.batches.get(&0).unwrap().active, 2);
-        assert_eq!(shared.batches.get(&1).unwrap().active, 1);
+        let batches = ssi.batches.lock();
+        assert_eq!(batches.len(), 2, "one open batch per child lane");
+        assert_eq!(batches.get(&0).unwrap().active, 2);
+        assert_eq!(batches.get(&1).unwrap().active, 1);
     }
 
     #[test]
@@ -708,12 +790,9 @@ mod tests {
         let mut writer = TxnCtx::new(TxnId(2), TxnTypeId(1), GroupId(1));
         ssi.begin(&mut reader, Lane::child(0)).unwrap();
         ssi.begin(&mut writer, Lane::child(1)).unwrap();
-        {
-            let shared = ssi.shared.lock();
-            assert_ne!(shared.txns.get(&TxnId(1)).unwrap().start_ts, Timestamp::MAX);
-            assert_eq!(shared.txns.get(&TxnId(2)).unwrap().start_ts, Timestamp::MAX);
-            assert!(shared.batches.is_empty());
-        }
+        assert_ne!(rec(&ssi, &reader).start_ts, Timestamp::MAX);
+        assert_eq!(rec(&ssi, &writer).start_ts, Timestamp::MAX);
+        assert!(ssi.batches.lock().is_empty());
         // Update transactions see the latest committed version.
         let chain = committed_version(9, 7, 5);
         let pick = ssi
@@ -722,5 +801,136 @@ mod tests {
         assert_eq!(pick.value, Value::Int(7));
         // Read-only transactions never fail validation.
         assert!(ssi.validate(&mut reader, Lane::child(0)).is_ok());
+    }
+
+    /// Both prepared-priority rules, each on the edge that would complete
+    /// the pivot and on the edge that does not.
+    #[test]
+    fn prepared_priority_on_both_rules() {
+        let (ssi, registry) = setup(false);
+        for id in 1..=6u64 {
+            registry.register(TxnId(id), TxnTypeId(0), GroupId((id % 2) as u32));
+        }
+        let empty = VersionChain::new();
+        let begin = |id: u64| {
+            let mut ctx = TxnCtx::new(TxnId(id), TxnTypeId(0), GroupId((id % 2) as u32));
+            ssi.begin(&mut ctx, Lane::child((id % 2) as u32)).unwrap();
+            ctx
+        };
+
+        // Rule 1 (`before_write`): P is prepared with IN; a writer on a key
+        // P read would add OUT — refused, P untouched. A prepared reader
+        // *without* IN just gains OUT, and the writer proceeds.
+        let (mut p, mut clean, mut w) = (begin(1), begin(3), begin(2));
+        let _ = ssi.choose_version(&mut p, Lane::child(1), &k(1), None, &empty);
+        let _ = ssi.choose_version(&mut clean, Lane::child(1), &k(2), None, &empty);
+        rec(&ssi, &p).add_edge(IN);
+        ssi.mark_prepared(&mut p, Lane::child(1)).unwrap();
+        ssi.mark_prepared(&mut clean, Lane::child(1)).unwrap();
+        let err = ssi.before_write(&mut w, Lane::child(0), &k(1)).unwrap_err();
+        assert!(err.to_string().contains("doom a prepared"), "{err}");
+        assert_eq!(rec(&ssi, &p).flags(), IN | PREPARED);
+        assert_eq!(
+            rec(&ssi, &w).flags(),
+            0,
+            "the refused writer gained nothing"
+        );
+        ssi.before_write(&mut w, Lane::child(0), &k(2)).unwrap();
+        assert_eq!(rec(&ssi, &clean).flags(), OUT | PREPARED);
+        assert_eq!(rec(&ssi, &w).flags(), IN);
+
+        // Rule 2 (`choose_version`): Q is prepared with OUT and an
+        // uncommitted write on y; a reader that misses it would add IN —
+        // the reader marks itself for abort, Q untouched. With only
+        // IN | PREPARED on the writer the reader survives.
+        let mut q = begin(4);
+        rec(&ssi, &q).add_edge(OUT);
+        ssi.mark_prepared(&mut q, Lane::child(0)).unwrap();
+        let mut y = VersionChain::new();
+        y.install(Version::uncommitted(
+            VersionId(1),
+            TxnId(4),
+            Value::Int(1),
+            None,
+        ));
+        let mut r1 = begin(5);
+        let _ = ssi.choose_version(&mut r1, Lane::child(1), &k(9), None, &y);
+        assert!(r1.must_abort, "reader gives way to a prepared writer");
+        assert_eq!(rec(&ssi, &q).flags(), OUT | PREPARED);
+        let mut z = VersionChain::new();
+        z.install(Version::uncommitted(
+            VersionId(2),
+            TxnId(1),
+            Value::Int(1),
+            None,
+        ));
+        // P already holds IN: one more incoming edge changes nothing and
+        // refuses nothing.
+        let mut r2 = begin(6);
+        let _ = ssi.choose_version(&mut r2, Lane::child(0), &k(8), None, &z);
+        assert!(!r2.must_abort);
+        assert_eq!(rec(&ssi, &p).flags(), IN | PREPARED);
+        assert_eq!(rec(&ssi, &r2).flags(), OUT);
+    }
+
+    /// Two threads on one key, lock-stepped so every round runs the reader's
+    /// registration and the writer's scan concurrently: whichever the key's
+    /// stripe lock orders first, each rw pair must leave its edge exactly
+    /// where the single-lock version did — OUT on the reader and IN on the
+    /// writer when the writer's scan saw the registration, nothing at all
+    /// when it did not (the writer's version is not on the chain yet, so
+    /// the reader misses nothing either).
+    #[test]
+    fn same_key_reader_and_writer_race_leaves_each_edge_exactly() {
+        use std::sync::Barrier;
+        const ROUNDS: u64 = 2_000;
+        let (ssi, registry) = setup(false);
+        let start = Barrier::new(2);
+        let done = Barrier::new(2);
+        let (mut seen, mut unseen) = (0u64, 0u64);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let empty = VersionChain::new();
+                let mut flags = Vec::with_capacity(ROUNDS as usize);
+                for round in 0..ROUNDS {
+                    let id = TxnId(2 * round + 1);
+                    registry.register(id, TxnTypeId(0), GroupId(0));
+                    let mut r = TxnCtx::new(id, TxnTypeId(0), GroupId(0));
+                    ssi.begin(&mut r, Lane::child(0)).unwrap();
+                    start.wait();
+                    let _ = ssi.choose_version(&mut r, Lane::child(0), &k(7), None, &empty);
+                    done.wait();
+                    flags.push(rec(&ssi, &r).flags());
+                    ssi.abort(&mut r, Lane::child(0));
+                }
+                flags
+            });
+            let writer = scope.spawn(|| {
+                let mut flags = Vec::with_capacity(ROUNDS as usize);
+                for round in 0..ROUNDS {
+                    let id = TxnId(2 * round + 2);
+                    registry.register(id, TxnTypeId(1), GroupId(1));
+                    let mut w = TxnCtx::new(id, TxnTypeId(1), GroupId(1));
+                    ssi.begin(&mut w, Lane::child(1)).unwrap();
+                    start.wait();
+                    ssi.before_write(&mut w, Lane::child(1), &k(7)).unwrap();
+                    done.wait();
+                    flags.push(rec(&ssi, &w).flags());
+                    ssi.abort(&mut w, Lane::child(1));
+                }
+                flags
+            });
+            let (reader, writer) = (reader.join().unwrap(), writer.join().unwrap());
+            for (r, w) in reader.into_iter().zip(writer) {
+                match (r, w) {
+                    (OUT, IN) => seen += 1,
+                    (0, 0) => unseen += 1,
+                    other => panic!("half an edge: reader/writer flags {other:?}"),
+                }
+            }
+        });
+        assert_eq!(seen + unseen, ROUNDS);
+        assert_eq!(ssi.active_count(), 0);
+        assert!(ssi.readers.iter().all(|s| s.0.lock().is_empty()));
     }
 }

@@ -326,7 +326,7 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
     use tebaldi_storage::{
-        GroupId, NodeId, TableId, TxnTypeId, Value, Version, VersionChain, VersionId, VersionState,
+        GroupId, NodeId, TableId, TxnTypeId, Value, Version, VersionChain, VersionId,
     };
 
     /// A TSO leaf owning group 0; transactions 1..=8 are pre-registered as
@@ -390,15 +390,12 @@ mod tests {
         // Simulate the installed (uncommitted) version carrying early's
         // ordering timestamp.
         let mut chain = VersionChain::new();
-        chain.install(Version {
-            id: VersionId(1),
-            writer: TxnId(1),
-            value: Value::Int(10),
-            state: VersionState::Uncommitted,
-            commit_ts: None,
-            order_ts: early.order_ts,
-            hlc: 0,
-        });
+        chain.install(Version::uncommitted(
+            VersionId(1),
+            TxnId(1),
+            Value::Int(10),
+            early.order_ts,
+        ));
         let pick = tso
             .choose_version(&mut late, Lane::leaf(), &k(1), None, &chain)
             .unwrap();
@@ -449,15 +446,13 @@ mod tests {
         let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         tso.begin(&mut reader, Lane::leaf()).unwrap();
         let mut chain = VersionChain::new();
-        chain.install(Version {
-            id: VersionId(1),
-            writer: TxnId(900), // not registered: cross-group
-            value: Value::Int(77),
-            state: VersionState::Uncommitted,
-            commit_ts: None,
-            order_ts: None,
-            hlc: 0,
-        });
+        // Writer 900 is not registered: cross-group.
+        chain.install(Version::uncommitted(
+            VersionId(1),
+            TxnId(900),
+            Value::Int(77),
+            None,
+        ));
         chain.commit(TxnId(900), Timestamp(1_000_000));
         let pick = tso
             .choose_version(&mut reader, Lane::leaf(), &k(9), None, &chain)
@@ -472,15 +467,13 @@ mod tests {
         let mut writer = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         tso.begin(&mut writer, Lane::leaf()).unwrap();
         let mut chain = VersionChain::new();
-        chain.install(Version {
-            id: VersionId(1),
-            writer: TxnId(901), // cross-group writer
-            value: Value::Int(3),
-            state: VersionState::Uncommitted,
-            commit_ts: None,
-            order_ts: None,
-            hlc: 0,
-        });
+        // Writer 901 is a cross-group writer.
+        chain.install(Version::uncommitted(
+            VersionId(1),
+            TxnId(901),
+            Value::Int(3),
+            None,
+        ));
         chain.commit(TxnId(901), Timestamp(1_000_000));
         let err = tso
             .validate_write(&mut writer, Lane::leaf(), &k(3), &chain)

@@ -107,7 +107,6 @@ mod tests {
     use std::sync::Arc;
     use tebaldi_storage::{
         GroupId, NodeId, TableId, TxnId, TxnTypeId, Value, Version, VersionChain, VersionId,
-        VersionState,
     };
 
     fn make_env(topology: Topology, registry: Arc<TxnRegistry>) -> NodeEnv {
@@ -119,15 +118,7 @@ mod tests {
     }
 
     fn uncommitted(writer: u64, val: i64) -> Version {
-        Version {
-            id: VersionId(writer),
-            writer: TxnId(writer),
-            value: Value::Int(val),
-            state: VersionState::Uncommitted,
-            commit_ts: None,
-            order_ts: None,
-            hlc: 0,
-        }
+        Version::uncommitted(VersionId(writer), TxnId(writer), Value::Int(val), None)
     }
 
     #[test]

@@ -1,0 +1,729 @@
+//! Differential test of the SSI node against the implementation it
+//! replaced.
+//!
+//! [`Ssi`] keeps a transaction's anti-dependency flags in one atomic word
+//! and its SIREAD table in stripes; until PR 22 the node was one
+//! `Mutex` over three maps plus a doom list. That single-lock version is
+//! kept here, verbatim but for names, as an **executable specification of
+//! the decisions**: both are driven through the same random schedules —
+//! begin, read, write, validate, prepare, commit, abort, interleaved over up
+//! to six transactions and five keys, at a leaf, under batching, under the
+//! read-only-root optimisation — and must return the same picks, the same
+//! errors with the same reasons, the same `must_abort` marks, the same
+//! active counts and the same GC watermark at every step.
+//!
+//! Why it is worth its lines: SSI's abort *rate* moves with the speed of
+//! everything around it (a faster read meets more writers still in flight),
+//! so a rate cannot tell a faster engine from a laxer one. Decisions on a
+//! fixed interleaving can. A change that means to alter SSI's policy
+//! deletes this test along with the reference.
+
+use parking_lot::Mutex;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+use std::time::Duration;
+use tebaldi_cc::ssi::{Ssi, SsiConfig};
+use tebaldi_cc::topology::LaneSel;
+use tebaldi_cc::{
+    CcError, CcKind, CcMechanism, CcResult, Lane, NodeEnv, NullSink, Topology, TsOracle, TxnCtx,
+    TxnRegistry, VersionPick,
+};
+use tebaldi_storage::{
+    ChainRead, GroupId, Key, NodeId, TableId, Timestamp, TxnId, TxnTypeId, Value, Version,
+    VersionChain, VersionId,
+};
+
+// ---------------------------------------------------------------------------
+// The reference: the single-lock SSI node as it stood at e11a609.
+// ---------------------------------------------------------------------------
+
+#[derive(Debug)]
+struct ReferenceTxn {
+    start_ts: Timestamp,
+    lane: Option<u32>,
+    read_only_lane: bool,
+    in_conflict: bool,
+    out_conflict: bool,
+    /// Voted yes in a cross-shard two-phase commit: the vote is stable, so
+    /// a transaction that would turn this one into a pivot aborts itself
+    /// instead (prepared transactions have priority).
+    prepared: bool,
+    write_keys: Vec<Key>,
+    read_keys: Vec<Key>,
+}
+
+#[derive(Debug)]
+struct Batch {
+    ts: Timestamp,
+    active: usize,
+}
+
+#[derive(Default)]
+struct ReferenceState {
+    txns: HashMap<TxnId, ReferenceTxn>,
+    /// Active readers per key (reader, snapshot ts) used for pivot marking.
+    readers: HashMap<Key, Vec<(TxnId, Timestamp)>>,
+    /// Open batch per child lane.
+    batches: HashMap<u32, Batch>,
+}
+
+/// The single-lock SSI node: one mutex over every map, one doom list.
+struct ReferenceSsi {
+    env: NodeEnv,
+    config: SsiConfig,
+    shared: Mutex<ReferenceState>,
+    doomed: DoomList,
+}
+
+impl ReferenceSsi {
+    /// Creates an SSI mechanism bound to a CC-tree node.
+    fn new(env: NodeEnv, config: SsiConfig) -> Self {
+        ReferenceSsi {
+            env,
+            config,
+            shared: Mutex::new(ReferenceState::default()),
+            doomed: DoomList::new(),
+        }
+    }
+
+    fn lane_index(lane: Lane) -> Option<u32> {
+        match lane.sel {
+            LaneSel::Child(c) => Some(c),
+            LaneSel::Leaf => None,
+        }
+    }
+
+    fn is_read_only_lane(&self, lane: Lane) -> bool {
+        Self::lane_index(lane)
+            .map(|c| self.config.read_only_lanes.contains(&c))
+            .unwrap_or(false)
+    }
+
+    /// Whether a version written by `writer` belongs to the same *delegated*
+    /// group as a transaction on `lane`. At a leaf node SSI delegates
+    /// nothing: every transaction is its own group, so only the
+    /// transaction's own writes qualify (handled by the caller).
+    fn delegated_same_group(&self, lane: Lane, writer: TxnId) -> bool {
+        match lane.sel {
+            LaneSel::Child(_) => self.env.same_group(lane, writer),
+            LaneSel::Leaf => false,
+        }
+    }
+
+    /// Smallest snapshot timestamp still in use (GC bound).
+    fn min_active_start_ts(&self) -> Timestamp {
+        self.shared
+            .lock()
+            .txns
+            .values()
+            .map(|s| s.start_ts)
+            .filter(|ts| *ts != Timestamp::MAX)
+            .min()
+            .unwrap_or(Timestamp::MAX)
+    }
+}
+
+impl CcMechanism for ReferenceSsi {
+    fn kind(&self) -> CcKind {
+        CcKind::Ssi
+    }
+
+    fn begin(&self, ctx: &mut TxnCtx, lane: Lane) -> CcResult<()> {
+        let read_only_lane = self.is_read_only_lane(lane);
+        let lane_idx = Self::lane_index(lane);
+        let mut shared = self.shared.lock();
+        let start_ts = if lane_idx.is_none() {
+            // Leaf usage ("monolithic SSI"): every transaction is its own
+            // batch and needs a real snapshot. `snapshot_ts` stays below any
+            // commit whose versions are still being applied, so the snapshot
+            // is never half of a multi-key commit.
+            self.env.oracle.snapshot_ts()
+        } else if read_only_lane || !self.config.batching {
+            if read_only_lane {
+                // Read-only transactions need a real snapshot.
+                self.env.oracle.snapshot_ts()
+            } else {
+                // Update transactions under the read-only-root optimisation
+                // observe the latest committed state; their mutual ordering
+                // is delegated to their subtree.
+                Timestamp::MAX
+            }
+        } else {
+            // Batching: join the open batch of this child lane or open a new
+            // one with a fresh timestamp.
+            let lane_key = lane_idx.unwrap_or(u32::MAX);
+            let batch = shared.batches.entry(lane_key).or_insert_with(|| Batch {
+                ts: self.env.oracle.snapshot_ts(),
+                active: 0,
+            });
+            batch.active += 1;
+            batch.ts
+        };
+        shared.txns.insert(
+            ctx.txn,
+            ReferenceTxn {
+                start_ts,
+                lane: lane_idx,
+                read_only_lane,
+                in_conflict: false,
+                out_conflict: false,
+                prepared: false,
+                write_keys: Vec::new(),
+                read_keys: Vec::new(),
+            },
+        );
+        Ok(())
+    }
+
+    fn before_write(&self, ctx: &mut TxnCtx, lane: Lane, key: &Key) -> CcResult<()> {
+        let mut shared = self.shared.lock();
+        // Readers of this key that did not (and will not) see our write have
+        // an anti-dependency towards us: reader --rw--> writer.
+        let mut doomed_readers: Vec<TxnId> = Vec::new();
+        let mut we_gain_in = false;
+        if let Some(readers) = shared.readers.get(key) {
+            for (reader, _) in readers.iter().filter(|(r, _)| *r != ctx.txn) {
+                doomed_readers.push(*reader);
+                we_gain_in = true;
+            }
+        }
+        let my_lane = Self::lane_index(lane);
+        for reader in doomed_readers {
+            // Readers from our own child group are ordered by our child CC,
+            // not by SSI.
+            if let Some(state) = shared.txns.get(&reader) {
+                if state.lane.is_some() && state.lane == my_lane {
+                    continue;
+                }
+            }
+            if let Some(state) = shared.txns.get_mut(&reader) {
+                if state.prepared && state.in_conflict {
+                    // This write would make a prepared (voted-yes)
+                    // transaction a pivot, but its vote can no longer be
+                    // revoked — the discovering writer aborts instead.
+                    return Err(CcError::Conflict {
+                        mechanism: "SSI",
+                        reason: "write would doom a prepared transaction",
+                    });
+                }
+                state.out_conflict = true;
+                if state.in_conflict {
+                    self.doomed.doom(reader);
+                }
+            }
+        }
+        let state = shared
+            .txns
+            .get_mut(&ctx.txn)
+            .ok_or(CcError::Internal("SSI: write before begin".to_string()))?;
+        if we_gain_in {
+            state.in_conflict = true;
+            if state.out_conflict {
+                return Err(CcError::Conflict {
+                    mechanism: "SSI",
+                    reason: "pivot (incoming and outgoing anti-dependencies)",
+                });
+            }
+        }
+        state.write_keys.push(*key);
+        Ok(())
+    }
+
+    fn choose_version(
+        &self,
+        ctx: &mut TxnCtx,
+        lane: Lane,
+        key: &Key,
+        candidate: Option<VersionPick>,
+        chain: &dyn ChainRead,
+    ) -> Option<VersionPick> {
+        // Accept the child's proposal when it comes from this transaction's
+        // own child group (their ordering is the child's business).
+        if let Some(pick) = &candidate {
+            if pick.writer == ctx.txn || self.delegated_same_group(lane, pick.writer) {
+                return candidate;
+            }
+        }
+        let mut shared = self.shared.lock();
+        let (start_ts, my_lane) = match shared.txns.get(&ctx.txn) {
+            Some(s) => (s.start_ts, s.lane),
+            None => (Timestamp::MAX, None),
+        };
+        // Register the read so later writers can mark the anti-dependency.
+        shared
+            .readers
+            .entry(*key)
+            .or_default()
+            .push((ctx.txn, start_ts));
+        if let Some(s) = shared.txns.get_mut(&ctx.txn) {
+            s.read_keys.push(*key);
+        }
+
+        // Snapshot visibility: the latest version committed at or before our
+        // start timestamp (the start timestamp is the newest fully applied
+        // commit at begin time, so it is inclusive). Missing a newer
+        // committed write or an uncommitted write from a sibling group
+        // creates an outgoing anti-dependency.
+        let visible = chain.committed_at_or_before(start_ts);
+        let mut missed_writer: Option<TxnId> = None;
+        if chain.committed_after(start_ts) {
+            missed_writer = chain
+                .find_newest_first(&mut |v| {
+                    v.is_committed() && matches!(v.commit_ts(), Some(c) if c > start_ts)
+                })
+                .map(|v| v.writer);
+        } else if chain.has_other_uncommitted(ctx.txn) {
+            // The scan below only matches uncommitted foreign versions, and
+            // `has_other_uncommitted` answers in O(1) when the chain carries
+            // no uncommitted versions at all — the common case on long
+            // committed tails between GC cycles.
+            if let Some(other) = chain.find_newest_first(&mut |v| {
+                !v.is_committed() && v.writer != ctx.txn && {
+                    let writer_lane = self
+                        .env
+                        .group_of(v.writer)
+                        .and_then(|g| self.env.topology.child_lane(self.env.node, g));
+                    writer_lane.is_none() || writer_lane != my_lane
+                }
+            }) {
+                missed_writer = Some(other.writer);
+            }
+        }
+        if let Some(writer) = missed_writer {
+            if let Some(me) = shared.txns.get_mut(&ctx.txn) {
+                me.out_conflict = true;
+                if me.in_conflict {
+                    self.doomed.doom(ctx.txn);
+                }
+            }
+            if let Some(them) = shared.txns.get_mut(&writer) {
+                if them.prepared && them.out_conflict {
+                    // Dooming a prepared transaction is forbidden (stable
+                    // yes-vote): the reader sacrifices itself instead.
+                    ctx.must_abort = true;
+                } else {
+                    them.in_conflict = true;
+                    if them.out_conflict {
+                        self.doomed.doom(writer);
+                    }
+                }
+            }
+        }
+        visible.map(VersionPick::from_version).or(candidate)
+    }
+
+    fn validate_write(
+        &self,
+        ctx: &mut TxnCtx,
+        lane: Lane,
+        _key: &Key,
+        chain: &dyn ChainRead,
+    ) -> CcResult<()> {
+        self.check_first_committer_wins(ctx, chain, lane)
+    }
+
+    fn validate(&self, ctx: &mut TxnCtx, lane: Lane) -> CcResult<()> {
+        if self.is_read_only_lane(lane) {
+            return Ok(());
+        }
+        if self.doomed.take(ctx.txn) {
+            return Err(CcError::Conflict {
+                mechanism: "SSI",
+                reason: "pivot detected",
+            });
+        }
+        let shared = self.shared.lock();
+        let Some(state) = shared.txns.get(&ctx.txn) else {
+            return Ok(());
+        };
+        if state.in_conflict && state.out_conflict {
+            return Err(CcError::Conflict {
+                mechanism: "SSI",
+                reason: "pivot (validation)",
+            });
+        }
+        Ok(())
+    }
+
+    fn mark_prepared(&self, ctx: &mut TxnCtx, lane: Lane) -> CcResult<()> {
+        if self.is_read_only_lane(lane) {
+            return Ok(());
+        }
+        let mut shared = self.shared.lock();
+        // Re-check under the shared lock: a doom may have landed between
+        // validation and this call.
+        if self.doomed.take(ctx.txn) {
+            return Err(CcError::Conflict {
+                mechanism: "SSI",
+                reason: "pivot detected at prepare",
+            });
+        }
+        let Some(state) = shared.txns.get_mut(&ctx.txn) else {
+            return Ok(());
+        };
+        if state.in_conflict && state.out_conflict {
+            return Err(CcError::Conflict {
+                mechanism: "SSI",
+                reason: "pivot (prepare)",
+            });
+        }
+        // From here on the yes-vote is stable: conflict discovery that
+        // would doom this transaction aborts the discoverer instead.
+        state.prepared = true;
+        Ok(())
+    }
+
+    fn commit(&self, ctx: &mut TxnCtx, _lane: Lane, _commit_ts: Timestamp) {
+        self.cleanup(ctx.txn);
+    }
+
+    fn abort(&self, ctx: &mut TxnCtx, _lane: Lane) {
+        self.cleanup(ctx.txn);
+    }
+
+    fn low_watermark(&self) -> Timestamp {
+        self.min_active_start_ts()
+    }
+}
+
+impl ReferenceSsi {
+    /// The first-committer-wins check, exposed separately so the engine can
+    /// run it with the freshest chain state right before installing a write.
+    fn check_first_committer_wins(
+        &self,
+        ctx: &TxnCtx,
+        chain: &dyn ChainRead,
+        lane: Lane,
+    ) -> CcResult<()> {
+        if self.is_read_only_lane(lane) {
+            return Ok(());
+        }
+        let shared = self.shared.lock();
+        let Some(state) = shared.txns.get(&ctx.txn) else {
+            return Ok(());
+        };
+        // Visibility is `commit_ts <= start_ts`, so only commits strictly
+        // after the snapshot count as concurrent.
+        if chain.committed_after(state.start_ts) {
+            return Err(CcError::Conflict {
+                mechanism: "SSI",
+                reason: "first-committer-wins (concurrent committed write)",
+            });
+        }
+        let my_lane = state.lane;
+        // Same O(1) gate as the read-side scan: no uncommitted versions on
+        // the chain means no foreign uncommitted version to conflict with.
+        let foreign_uncommitted = chain.has_other_uncommitted(ctx.txn)
+            && chain
+                .find_newest_first(&mut |v| {
+                    !v.is_committed() && v.writer != ctx.txn && {
+                        let writer_lane = self
+                            .env
+                            .group_of(v.writer)
+                            .and_then(|g| self.env.topology.child_lane(self.env.node, g));
+                        writer_lane.is_none() || writer_lane != my_lane
+                    }
+                })
+                .is_some();
+        if foreign_uncommitted {
+            return Err(CcError::Conflict {
+                mechanism: "SSI",
+                reason: "cross-group write-write conflict",
+            });
+        }
+        Ok(())
+    }
+
+    fn cleanup(&self, txn: TxnId) {
+        let mut shared = self.shared.lock();
+        if let Some(state) = shared.txns.remove(&txn) {
+            for key in &state.read_keys {
+                if let Some(readers) = shared.readers.get_mut(key) {
+                    readers.retain(|(r, _)| *r != txn);
+                    if readers.is_empty() {
+                        shared.readers.remove(key);
+                    }
+                }
+            }
+            if let Some(lane) = state.lane {
+                if self.config.batching && !state.read_only_lane {
+                    let remove = if let Some(batch) = shared.batches.get_mut(&lane) {
+                        batch.active = batch.active.saturating_sub(1);
+                        batch.active == 0
+                    } else {
+                        false
+                    };
+                    if remove {
+                        shared.batches.remove(&lane);
+                    }
+                }
+            }
+        }
+        self.doomed.forget(txn);
+    }
+
+    /// Number of transactions currently tracked (diagnostics).
+    fn active_count(&self) -> usize {
+        self.shared.lock().txns.len()
+    }
+}
+
+#[derive(Debug, Default)]
+struct DoomList {
+    doomed: Mutex<HashSet<TxnId>>,
+}
+impl DoomList {
+    fn new() -> Self {
+        DoomList::default()
+    }
+    fn doom(&self, txn: TxnId) {
+        self.doomed.lock().insert(txn);
+    }
+    fn take(&self, txn: TxnId) -> bool {
+        self.doomed.lock().remove(&txn)
+    }
+    fn forget(&self, txn: TxnId) {
+        self.doomed.lock().remove(&txn);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The driver.
+// ---------------------------------------------------------------------------
+
+struct Rng(u64);
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+fn env(registry: &Arc<TxnRegistry>, topo: &Arc<Topology>) -> NodeEnv {
+    NodeEnv {
+        node: NodeId(0),
+        registry: Arc::clone(registry),
+        topology: Arc::clone(topo),
+        events: Arc::new(NullSink),
+        oracle: Arc::new(TsOracle::new()),
+        wait_timeout: Duration::from_millis(10),
+    }
+}
+
+struct Live {
+    a: TxnCtx,
+    b: TxnCtx,
+    lane: Lane,
+    writes: Vec<Key>,
+    prepared: bool,
+}
+
+fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize) -> (u64, u64) {
+    let registry = Arc::new(TxnRegistry::default());
+    let mut topo = Topology::new();
+    for g in 0..3 {
+        topo.record_child(NodeId(0), GroupId(g), g);
+    }
+    let topo = Arc::new(topo);
+    let (ea, eb) = (env(&registry, &topo), env(&registry, &topo));
+    let (oa, ob) = (Arc::clone(&ea.oracle), Arc::clone(&eb.oracle));
+    let ro: std::collections::HashSet<u32> = if read_only_lane {
+        [2u32].into()
+    } else {
+        Default::default()
+    };
+    let new = Ssi::new(
+        ea,
+        SsiConfig {
+            batching,
+            read_only_lanes: ro.clone(),
+        },
+    );
+    let old = ReferenceSsi::new(
+        eb,
+        SsiConfig {
+            batching,
+            read_only_lanes: ro,
+        },
+    );
+    let mut chains: HashMap<Key, VersionChain> = HashMap::new();
+    let keys: Vec<Key> = (0..5).map(|i| Key::simple(TableId(0), i)).collect();
+    let mut live: Vec<Live> = Vec::new();
+    let mut next_id = 1u64;
+    let mut rng = Rng(seed | 1);
+    let (mut aborts, mut commits) = (0u64, 0u64);
+    let mut vid = 1u64;
+
+    for step in 0..steps {
+        let op = rng.below(100);
+        if live.len() < 2 || (op < 12 && live.len() < 6) {
+            let id = TxnId(next_id);
+            next_id += 1;
+            let g = rng.below(3) as u32;
+            registry.register(id, TxnTypeId(g), GroupId(g));
+            let lane = if leaf { Lane::leaf() } else { Lane::child(g) };
+            let mut a = TxnCtx::new(id, TxnTypeId(g), GroupId(g));
+            let mut b = a.clone();
+            assert_eq!(
+                new.begin(&mut a, lane).is_ok(),
+                old.begin(&mut b, lane).is_ok()
+            );
+            live.push(Live {
+                a,
+                b,
+                lane,
+                writes: vec![],
+                prepared: false,
+            });
+            continue;
+        }
+        let i = rng.below(live.len() as u64) as usize;
+        let key = keys[rng.below(keys.len() as u64) as usize];
+        let mut finish: Option<bool> = None; // Some(true)=commit, Some(false)=abort
+        {
+            let t = &mut live[i];
+            let id = t.a.txn;
+            match op {
+                12..=49 if !t.prepared => {
+                    // read
+                    let chain = chains.entry(key).or_default();
+                    let own = chain.uncommitted_by(id).is_some();
+                    if !own {
+                        let pa = new.choose_version(&mut t.a, t.lane, &key, None, &*chain);
+                        let pb = old.choose_version(&mut t.b, t.lane, &key, None, &*chain);
+                        assert_eq!(pa, pb, "pick step {step}");
+                        assert_eq!(t.a.must_abort, t.b.must_abort, "must_abort step {step}");
+                    }
+                }
+                50..=79 if !t.prepared => {
+                    // write
+                    let ra = new.before_write(&mut t.a, t.lane, &key);
+                    let rb = old.before_write(&mut t.b, t.lane, &key);
+                    assert_eq!(ra, rb, "before_write step {step}");
+                    if ra.is_err() {
+                        finish = Some(false);
+                    } else {
+                        let chain = chains.entry(key).or_default();
+                        let va = new.validate_write(&mut t.a, t.lane, &key, &*chain);
+                        let vb = old.validate_write(&mut t.b, t.lane, &key, &*chain);
+                        assert_eq!(va, vb, "validate_write step {step}");
+                        if va.is_err() {
+                            finish = Some(false);
+                        } else {
+                            chain.install(Version::uncommitted(
+                                VersionId(vid),
+                                id,
+                                Value::Int(vid as i64),
+                                None,
+                            ));
+                            vid += 1;
+                            if !t.writes.contains(&key) {
+                                t.writes.push(key);
+                            }
+                        }
+                    }
+                }
+                80..=84 if !t.prepared => {
+                    // prepare (2PC)
+                    let ok = if t.a.must_abort {
+                        false
+                    } else {
+                        let va = new.validate(&mut t.a, t.lane);
+                        let vb = old.validate(&mut t.b, t.lane);
+                        assert_eq!(va, vb, "validate(prep) step {step}");
+                        va.is_ok()
+                    };
+                    if !ok {
+                        finish = Some(false);
+                    } else {
+                        let pa = new.mark_prepared(&mut t.a, t.lane);
+                        let pb = old.mark_prepared(&mut t.b, t.lane);
+                        assert_eq!(
+                            pa.is_ok(),
+                            pb.is_ok(),
+                            "mark_prepared step {step}: {pa:?} {pb:?}"
+                        );
+                        if pa.is_err() {
+                            finish = Some(false);
+                        } else {
+                            t.prepared = true;
+                        }
+                    }
+                }
+                85..=94 => {
+                    // commit attempt
+                    if t.prepared {
+                        finish = Some(true);
+                    } else if t.a.must_abort {
+                        finish = Some(false);
+                    } else {
+                        let va = new.validate(&mut t.a, t.lane);
+                        let vb = old.validate(&mut t.b, t.lane);
+                        assert_eq!(va, vb, "validate step {step}");
+                        finish = Some(va.is_ok());
+                    }
+                }
+                95..=99 if !t.prepared => finish = Some(false),
+                _ => {}
+            }
+        }
+        if let Some(commit) = finish {
+            let mut t = live.swap_remove(i);
+            let id = t.a.txn;
+            if commit {
+                let (ca, cb) = (oa.begin_commit(), ob.begin_commit());
+                assert_eq!(ca, cb);
+                for k in &t.writes {
+                    chains.get_mut(k).unwrap().commit(id, ca);
+                }
+                registry.mark_committed(id, ca);
+                oa.end_commit(ca);
+                ob.end_commit(cb);
+                new.commit(&mut t.a, t.lane, ca);
+                old.commit(&mut t.b, t.lane, cb);
+                commits += 1;
+            } else {
+                for k in &t.writes {
+                    chains.get_mut(k).unwrap().abort(id);
+                }
+                registry.mark_aborted(id);
+                new.abort(&mut t.a, t.lane);
+                old.abort(&mut t.b, t.lane);
+                aborts += 1;
+            }
+            assert_eq!(new.active_count(), old.active_count());
+            assert_eq!(
+                new.low_watermark(),
+                old.low_watermark(),
+                "watermark step {step}"
+            );
+        }
+    }
+    (commits, aborts)
+}
+
+/// Sixty schedules of 20 000 steps: a leaf node ("monolithic SSI"), an
+/// inner node with batching, one without, and both with a read-only lane.
+#[test]
+fn striped_ssi_decides_as_the_single_lock_reference_did() {
+    for seed in 1..=12u64 {
+        for (leaf, batching, read_only_lane) in [
+            (true, true, false),
+            (false, true, false),
+            (false, false, false),
+            (false, false, true),
+            (false, true, true),
+        ] {
+            let (commits, aborts) = run(seed * 7919, leaf, batching, read_only_lane, 20_000);
+            assert!(
+                commits > 100 && aborts > 100,
+                "a schedule must exercise both outcomes: {commits} commits, {aborts} aborts"
+            );
+        }
+    }
+}

@@ -46,7 +46,6 @@ pub struct Database {
     pub(crate) stats: DbStats,
     pub(crate) gate: ReconfigGate,
     pub(crate) txn_ids: AtomicU64,
-    pub(crate) version_ids: AtomicU64,
     pub(crate) reconfigurations: AtomicU64,
     pub(crate) metrics: Arc<MetricsRegistry>,
     /// Per-procedure commit-latency histograms, cached by type id so the
@@ -177,7 +176,6 @@ impl DatabaseBuilder {
             stats: DbStats::new(),
             gate: ReconfigGate::new(),
             txn_ids: AtomicU64::new(1),
-            version_ids: AtomicU64::new(1),
             reconfigurations: AtomicU64::new(0),
             metrics,
             proc_latency: RwLock::new(HashMap::new()),
@@ -645,10 +643,6 @@ impl Database {
     /// Gracefully shuts down background machinery (durability flusher).
     pub fn shutdown(&self) {
         self.durability.shutdown();
-    }
-
-    pub(crate) fn next_version_id(&self) -> u64 {
-        self.version_ids.fetch_add(1, Ordering::Relaxed)
     }
 }
 

@@ -19,9 +19,7 @@
 
 use crate::db::Database;
 use tebaldi_cc::{CcError, CcResult, CcTree, PathEntry, TxnCtx, VersionPick};
-use tebaldi_storage::{
-    GroupId, Key, Timestamp, TxnId, TxnTypeId, Value, Version, VersionId, VersionState,
-};
+use tebaldi_storage::{GroupId, Key, Timestamp, TxnId, TxnTypeId, Value, Version, VersionId};
 
 /// Outcome of a transaction (internal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,26 +31,45 @@ enum TxnPhase {
 /// A handle through which the transaction body reads and writes.
 pub struct Txn<'a> {
     db: &'a Database,
-    path: Vec<PathEntry>,
+    /// Root→leaf path of the transaction's group, borrowed from the tree
+    /// the attempt runs on (an attempt holds its tree for its whole life).
+    path: &'a [PathEntry],
     ctx: TxnCtx,
     phase: TxnPhase,
+    /// Bloom filter over `ctx.write_keys` (one bit per key, from
+    /// [`Key::mix64`]): most reads are of keys the transaction never wrote,
+    /// and one `AND` lets them skip the read-your-own-writes probe.
+    written: [u64; 4],
+}
+
+/// The bit of the write-set Bloom filter that stands for `key`.
+fn written_bit(key: &Key) -> (usize, u64) {
+    let b = (key.mix64() >> 48) as u8;
+    ((b >> 6) as usize, 1u64 << (b & 63))
 }
 
 impl<'a> Txn<'a> {
     pub(crate) fn new(
         db: &'a Database,
-        tree: &CcTree,
+        tree: &'a CcTree,
         txn: TxnId,
         ty: TxnTypeId,
         group: GroupId,
     ) -> Self {
-        let path = tree.path(group).map(|p| p.to_vec()).unwrap_or_default();
         Txn {
             db,
-            path,
+            path: tree.path(group).unwrap_or_default(),
             ctx: TxnCtx::new(txn, ty, group),
             phase: TxnPhase::Running,
+            written: [0; 4],
         }
+    }
+
+    /// Whether this transaction has written `key`. Exact: the filter only
+    /// screens out the common "never written" case before the scan.
+    fn wrote(&self, key: &Key) -> bool {
+        let (word, bit) = written_bit(key);
+        self.written[word] & bit != 0 && self.ctx.write_keys.contains(key)
     }
 
     /// The transaction id.
@@ -70,7 +87,7 @@ impl<'a> Txn<'a> {
         if self.path.is_empty() {
             return Err(CcError::Internal("empty CC path".to_string()));
         }
-        for entry in &self.path {
+        for entry in self.path {
             entry.mechanism.begin(&mut self.ctx, entry.lane)?;
         }
         Ok(())
@@ -87,16 +104,20 @@ impl<'a> Txn<'a> {
     /// its visible version is a delete).
     pub fn get(&mut self, key: Key) -> CcResult<Option<Value>> {
         // Top-down pass: every mechanism may block or abort the read.
-        for entry in &self.path {
+        for entry in self.path {
             entry
                 .mechanism
                 .before_read(&mut self.ctx, entry.lane, &key)?;
         }
         // Bottom-up pass inside the storage access: the leaf proposes, the
         // ancestors amend.
+        // Read-your-own-writes first — decided from the write set, not by
+        // probing the chain: a lock-free probe for a version that is not
+        // there cannot trust the racing uncommitted count, so whenever
+        // *another* writer is in flight on the key it walks the whole chain.
+        let wrote = self.wrote(&key);
         let pick: Option<VersionPick> = self.db.store.with_chain(&key, |chain| {
-            // Read-your-own-writes first.
-            if let Some(own) = chain.uncommitted_by(self.ctx.txn) {
+            if let Some(own) = wrote.then(|| chain.uncommitted_by(self.ctx.txn)).flatten() {
                 return Some(VersionPick::from_version(own));
             }
             let mut candidate: Option<VersionPick> = None;
@@ -136,41 +157,42 @@ impl<'a> Txn<'a> {
     /// Writes a key.
     pub fn put(&mut self, key: Key, value: Value) -> CcResult<()> {
         // Top-down pass: locks, timestamp checks.
-        for entry in &self.path {
+        for entry in self.path {
             entry
                 .mechanism
                 .before_write(&mut self.ctx, entry.lane, &key)?;
         }
         // Validation against the live chain plus installation, under the
-        // chain's own lock so no other writer can slip in between.
-        let version_id = self.db.next_version_id();
-        let install: CcResult<()> = self.db.store.with_chain_mut(&key, |chain| {
+        // chain's own lock so no other writer can slip in between. Version
+        // ids are diagnostics: the writer's id and the ordinal of the key in
+        // its write set name a version uniquely without a store-wide counter
+        // (an overwrite keeps the id of the version it replaces).
+        let version_id = VersionId((self.ctx.txn.0 << 16) | self.ctx.write_keys.len() as u64);
+        let first_write: CcResult<bool> = self.db.store.with_chain_mut(&key, |chain| {
             for entry in self.path.iter() {
                 entry
                     .mechanism
                     .validate_write(&mut self.ctx, entry.lane, &key, chain)?;
             }
-            chain.install(Version {
-                id: VersionId(version_id),
-                writer: self.ctx.txn,
-                value: value.clone(),
-                state: VersionState::Uncommitted,
-                commit_ts: None,
-                order_ts: self.ctx.order_ts,
-                hlc: 0,
-            });
-            Ok(())
+            Ok(chain.install(Version::uncommitted(
+                version_id,
+                self.ctx.txn,
+                value.clone(),
+                self.ctx.order_ts,
+            )))
         });
-        install?;
-
-        if !self.ctx.write_keys.contains(&key) {
+        // The chain already knows whether this writer had a version on the
+        // key: the write set needs no scan to stay duplicate-free.
+        if first_write? {
             self.ctx.write_keys.push(key);
+            let (word, bit) = written_bit(&key);
+            self.written[word] |= bit;
         }
         self.db.durability.log_operation(self.ctx.txn, key, &value);
         if let Some(history) = &self.db.history {
             history.write(self.ctx.txn, key);
         }
-        for entry in &self.path {
+        for entry in self.path {
             entry.mechanism.after_write(&mut self.ctx, entry.lane, &key);
         }
         Ok(())
@@ -213,7 +235,7 @@ impl<'a> Txn<'a> {
     /// Validation + commit. Returns the commit timestamp.
     pub(crate) fn commit(&mut self) -> CcResult<Timestamp> {
         self.validate_and_wait_deps()?;
-        let commit_ts = apply_commit(self.db, &self.path, &mut self.ctx);
+        let commit_ts = apply_commit(self.db, self.path, &mut self.ctx);
         self.phase = TxnPhase::Finished;
         Ok(commit_ts)
     }
@@ -225,7 +247,7 @@ impl<'a> Txn<'a> {
     /// commit is already as durable as the policy requires.
     pub(crate) fn commit_deferred(&mut self) -> CcResult<(Timestamp, Option<u64>)> {
         self.validate_and_wait_deps()?;
-        let (commit_ts, harden) = apply_commit_deferred(self.db, &self.path, &mut self.ctx);
+        let (commit_ts, harden) = apply_commit_deferred(self.db, self.path, &mut self.ctx);
         self.phase = TxnPhase::Finished;
         Ok((commit_ts, harden))
     }
@@ -243,7 +265,7 @@ impl<'a> Txn<'a> {
             });
         }
         // Validation phase, top-down.
-        for entry in &self.path {
+        for entry in self.path {
             entry.mechanism.validate(&mut self.ctx, entry.lane)?;
         }
         // Dependency wait: every transaction we read from (or trail in a
@@ -280,7 +302,7 @@ impl<'a> Txn<'a> {
         if self.phase == TxnPhase::Finished {
             return;
         }
-        apply_abort(self.db, &self.path, &mut self.ctx);
+        apply_abort(self.db, self.path, &mut self.ctx);
         self.phase = TxnPhase::Finished;
     }
 
@@ -288,7 +310,7 @@ impl<'a> Txn<'a> {
     /// transaction's yes-vote cannot be invalidated by concurrent
     /// transactions while it is parked awaiting the coordinator's decision.
     pub(crate) fn mark_prepared(&mut self) -> CcResult<()> {
-        for entry in &self.path {
+        for entry in self.path {
             entry.mechanism.mark_prepared(&mut self.ctx, entry.lane)?;
         }
         Ok(())
@@ -297,7 +319,7 @@ impl<'a> Txn<'a> {
     /// Decomposes the handle into the pieces a
     /// [`PreparedTxn`](crate::prepared::PreparedTxn) carries across threads.
     pub(crate) fn into_parts(self) -> (Vec<PathEntry>, TxnCtx) {
-        (self.path, self.ctx)
+        (self.path.to_vec(), self.ctx)
     }
 
     /// The per-transaction context (engine-internal).

@@ -2,7 +2,11 @@
 //!
 //! Everything here is built for the transaction hot path:
 //!
-//! * [`Counter`] and [`MaxGauge`] are single relaxed atomics;
+//! * [`Counter`] is a few relaxed atomics, one per recording stripe and
+//!   each on its own cache line, summed on read — exact, and an increment
+//!   from one worker thread does not take the line from another;
+//! * [`MaxGauge`] is a single relaxed atomic that is only *written* when an
+//!   observation raises it;
 //! * [`Histogram`] is a log-bucketed (HDR-style) histogram striped across a
 //!   few cache-line-independent shards, so concurrent recorders from
 //!   different worker threads do not serialize on one cache line. Recording
@@ -28,9 +32,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A monotonically increasing counter.
+/// One stripe's share of a [`Counter`], alone on its cache line.
+#[repr(align(64))]
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+struct CounterCell(AtomicU64);
+
+/// A monotonically increasing counter, striped like [`Histogram`]: a thread
+/// adds to its own stripe's cell, a reader sums the cells.
+#[derive(Debug, Default)]
+pub struct Counter([CounterCell; STRIPES]);
 
 impl Counter {
     /// A fresh zeroed counter (standalone, not registered anywhere).
@@ -41,7 +51,7 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0[stripe_id()].0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
@@ -50,10 +60,10 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value.
+    /// Current value: every `add` that happened-before the call is in it.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -67,10 +77,15 @@ impl MaxGauge {
         MaxGauge::default()
     }
 
-    /// Raises the gauge to `v` if larger than anything seen so far.
+    /// Raises the gauge to `v` if larger than anything seen so far. A value
+    /// that does not raise it only *loads* the cell, so a gauge observed on
+    /// a hot path from many threads stays a shared, unwritten cache line
+    /// once it has warmed up.
     #[inline]
     pub fn observe(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
+        if v > self.0.load(Ordering::Relaxed) {
+            self.0.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// The maximum observed so far.

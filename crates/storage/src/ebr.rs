@@ -20,6 +20,13 @@
 //!
 //! The store keeps the per-epoch limbo lists (retired slot handles); this
 //! module only tracks epochs and pins.
+//!
+//! A thread's pin slot doubles as its **stripe**: slots are claimed
+//! lowest-free-first, so concurrently live threads hold distinct small
+//! indices, and the store and the arena key their per-thread state (limbo
+//! bags, vacant-slot caches, statistics) by [`stripe`]. Up to
+//! [`STRIPES`] live threads never share a stripe; beyond that they share
+//! correctly, just not for free.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,6 +36,9 @@ use std::sync::OnceLock;
 /// Slots are released when a thread exits, so this bounds concurrent
 /// threads, not total threads over the process lifetime.
 const MAX_THREADS: usize = 512;
+
+/// Stripes the store and the arena spread per-thread state over.
+pub(crate) const STRIPES: usize = 64;
 
 /// Slot states below the first real epoch.
 const SLOT_FREE: u64 = 0;
@@ -159,6 +169,12 @@ thread_local! {
 /// only the outermost pays the announcement stores.
 pub struct PinGuard {
     _not_send: std::marker::PhantomData<*const ()>,
+}
+
+/// The calling thread's stripe (see the module docs), `< STRIPES`.
+#[inline]
+pub(crate) fn stripe() -> usize {
+    THREAD_SLOT.with(|ts| ts.idx % STRIPES)
 }
 
 /// Pins the current thread to the global epoch. Cheap when already pinned.

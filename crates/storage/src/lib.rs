@@ -35,11 +35,11 @@ pub mod wal;
 
 pub mod durability;
 
-pub use key::Key;
+pub use key::{Key, KeyMap};
 pub use mvstore::{
     ChainRef, ChainWrite, MvStore, ReadSpec, SnapshotRead, StoreStats, WriteOutcome,
 };
 pub use schema::{Schema, TableDef, TableId};
 pub use types::{GroupId, NodeId, Timestamp, TxnId, TxnTypeId};
 pub use value::Value;
-pub use version::{ChainRead, Version, VersionChain, VersionId, VersionState};
+pub use version::{ChainRead, Version, VersionChain, VersionId};

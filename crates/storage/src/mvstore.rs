@@ -7,23 +7,47 @@
 //! append-only entry lists, and each entry points at a version chain of
 //! [`VersionArena`] slots linked by atomic generation-tagged handles.
 //!
+//! The rule of this module: **one chain access touches no process-global
+//! lock and no process-global read-modify-write.** What is shared is read;
+//! what is written is per key or per thread.
+//!
 //! * **Readers take no lock at all.** [`MvStore::with_chain`] pins the
 //!   reclamation epoch ([`crate::ebr`]), walks bucket → entry → chain with
 //!   `Acquire` loads, and hands the closure a [`ChainRead`] view. A reader
 //!   completes even while another thread holds the write latch of the same
 //!   key (or any other).
 //! * **Writers serialize per key**, not per shard: [`MvStore::with_chain_mut`]
-//!   takes a tiny per-entry spin latch. Chain mutation is splice-based —
-//!   commit/overwrite allocate a replacement slot, link it in place and
-//!   retire the old slot to the epoch limbo list, so concurrent readers
-//!   always observe fully formed versions.
-//! * **Reclamation is epoch-based**: retired slots park on per-epoch limbo
-//!   bins and are freed only when the global epoch and every pinned thread
-//!   have advanced two epochs past the retirement (no global pause).
-//!
-//! Aggregate statistics (`keys` / `versions` / `uncommitted`) are O(1)
-//! atomics maintained by the mutation paths; [`MvStore::stats_scanned`]
-//! recomputes them by full scan so tests can assert consistency.
+//!   takes a tiny per-entry spin latch. Installing, overwriting and
+//!   aborting are splices — a new slot is linked in, or an old one linked
+//!   out and retired — so a reader always observes fully formed versions.
+//!   **Committing is not a splice**: it flips the version's commit word in
+//!   place (two stores under the latch, see [`Version`]), allocating and
+//!   retiring nothing and leaving the chain position alone.
+//! * **What a reader may observe mid-commit.** A walk can meet a version
+//!   uncommitted and, a step later in the same walk (the chain head is
+//!   re-loaded per traversal), committed — the race of meeting a commit
+//!   one step earlier or later: "committed" and its
+//!   timestamp are one `Acquire` load of one word, and the HLC stamp is
+//!   stored before that word, so a version is never seen committed without
+//!   its timestamp or with a stale stamp. A multi-key commit becomes
+//!   visible key by key; snapshot readers stay below it through the
+//!   oracle's in-flight set, HLC readers through `Blocked`.
+//! * **Per-thread state is striped** by the caller's epoch pin slot
+//!   ([`ebr::stripe`]): the limbo bags of retired slots, the
+//!   arena's vacant-slot caches, and the statistics (`reads`, `writes`,
+//!   `keys`, `versions`, `uncommitted`). Each stripe sits on its own cache
+//!   lines; up to [`ebr::STRIPES`] live threads never write the same one.
+//!   Readers of the statistics sum the stripes, so [`MvStore::stats`],
+//!   [`MvStore::access_counts`], [`MvStore::limbo_stats`] and
+//!   [`MvStore::arena_occupied`] stay exact ([`MvStore::stats_scanned`]
+//!   recomputes by full scan so tests can assert it).
+//! * **Reclamation is epoch-based and per stripe**: a retired slot parks in
+//!   its retiring thread's limbo bag, in per-epoch bins, and is freed —
+//!   into the sweeping thread's arena cache — once the global epoch and
+//!   every pinned thread have advanced two epochs past the retirement (no
+//!   global pause). Every [`SWEEP_EVERY`] retires of a stripe — and every
+//!   GC cycle — run [`MvStore::reclaim`], which frees what has ripened in
+//!   any stripe.
 //!
 //! An optional [`sim`](crate::sim) delay emulates the datacenter network
 //! round trip between coordinator and data server.
@@ -33,11 +57,10 @@ use crate::ebr;
 use crate::key::Key;
 use crate::types::{Sequence, Timestamp, TxnId};
 use crate::value::Value;
-use crate::version::{ChainRead, Version, VersionId, VersionState};
+use crate::version::{ChainRead, Version, VersionId};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 use tebaldi_obs::metrics::{Counter, MaxGauge, MetricsRegistry};
 
@@ -274,12 +297,45 @@ impl Shard {
     }
 }
 
+/// A stripe runs the reclamation sweep every this many retires.
+const SWEEP_EVERY: u32 = 64;
+
 /// One retired-slot bin, reclaimable once every epoch pin has advanced two
-/// epochs past `epoch`.
+/// epochs past `epoch`. Each handle carries the bytes its version held, as
+/// sized by the retiring writer (which had the version in hand).
 struct LimboBin {
     epoch: u64,
-    handles: Vec<u64>,
-    bytes: u64,
+    handles: Vec<(u64, u32)>,
+}
+
+/// One stripe's limbo bag: bins in retirement-epoch order.
+#[derive(Default)]
+struct Limbo {
+    bins: VecDeque<LimboBin>,
+    since_sweep: u32,
+}
+
+/// The per-thread share of the store's mutable state (see the module
+/// docs), alone on its cache lines. Counters are deltas: an install counted
+/// on one stripe may be undone on another, only the sum means anything.
+#[repr(align(128))]
+#[derive(Default)]
+struct Stripe {
+    reads: AtomicU64,
+    writes: AtomicU64,
+    keys: AtomicI64,
+    versions: AtomicI64,
+    uncommitted: AtomicI64,
+    bag: Mutex<Limbo>,
+    /// Slots and bytes parked in `bag`; written under its lock, summed
+    /// without it.
+    limbo_nodes: AtomicU64,
+    limbo_bytes: AtomicU64,
+}
+
+/// Bytes a version holds, as reported by [`MvStore::limbo_stats`].
+fn version_bytes(v: &Version) -> u32 {
+    (std::mem::size_of::<Version>() + v.value.approx_size()) as u32
 }
 
 /// Lock-free read view of one key's version chain (possibly empty).
@@ -318,14 +374,16 @@ impl ChainRead for ChainRef<'_> {
         }
     }
 
-    /// Read-your-own-writes probe, on the read path of every `get`. When
-    /// the uncommitted count is zero the chain cannot hold our version, so
-    /// the walk is skipped outright — the common case on a hot key whose
-    /// chain has grown long between GC cycles. (The count is only a
-    /// fast-path filter here: this view is lock-free, so a non-zero count
-    /// falls back to the plain walk rather than trusting a racing value.
-    /// The zero case is sound because our own install happened-before this
-    /// read on the same thread, so it is always included in the load.)
+    /// Read-your-own-writes probe. When the uncommitted count is zero the
+    /// chain cannot hold our version, so the walk is skipped outright. (The
+    /// count is only a fast-path filter here: this view is lock-free, so a
+    /// non-zero count falls back to the plain walk rather than trusting a
+    /// racing value. The zero case is sound because our own install
+    /// happened-before this read on the same thread, so it is always
+    /// included in the load.) The walk ends at the writer's version, near
+    /// the head — or, **when the writer has none, at the end of the chain**
+    /// whenever any other writer is in flight on the key: callers that know
+    /// their write set (the engine's `get`) ask only for keys in it.
     fn uncommitted_by(&self, writer: TxnId) -> Option<&Version> {
         let entry = self.entry?;
         if entry.uncommitted.load(Ordering::Relaxed) == 0 {
@@ -347,11 +405,14 @@ impl ChainRead for ChainRef<'_> {
 }
 
 /// Exclusive (per-key latched) view of one key's version chain, with the
-/// mutation primitives of the old `VersionChain` — implemented as slot
-/// replacement/splicing so lock-free readers stay safe mid-mutation.
+/// mutation primitives of the owned `VersionChain` — splices for install,
+/// overwrite and abort, an in-place flip of the commit word for commit — so
+/// lock-free readers stay safe mid-mutation.
 pub struct ChainWrite<'a> {
     store: &'a MvStore,
     entry: &'a KeyEntry,
+    /// The latching thread's stripe.
+    stripe: usize,
 }
 
 impl ChainRead for ChainWrite<'_> {
@@ -455,69 +516,66 @@ impl<'a> ChainWrite<'a> {
         None
     }
 
-    /// Splices `replacement` into `old`'s chain position and retires `old`.
-    fn replace(&mut self, prev: u64, old: u64, old_next: u64, replacement: Version) {
-        let store = self.store;
-        let new_h = store.arena.alloc(replacement);
-        store.arena.set_next(new_h, old_next);
-        if prev == NIL {
-            self.entry.head.store(new_h, Ordering::Release);
-        } else {
-            store.arena.set_next(prev, new_h);
-        }
-        store.retire(old);
+    fn stats(&self) -> &'a Stripe {
+        &self.store.stripes[self.stripe]
     }
 
-    /// Unlinks a node and retires it (does not touch the uncommitted
-    /// counter; callers know the node's state).
-    fn unlink(&mut self, prev: u64, cur: u64, next: u64) {
+    /// Unlinks the node `cur` (holding `v`) and retires it (does not touch
+    /// the uncommitted counter; callers know the node's state).
+    fn unlink(&mut self, prev: u64, cur: u64, next: u64, v: &Version) {
         let store = self.store;
         if prev == NIL {
             self.entry.head.store(next, Ordering::Release);
         } else {
             store.arena.set_next(prev, next);
         }
-        store.retire(cur);
+        store.retire(self.stripe, cur, version_bytes(v));
         self.entry.versions.fetch_sub(1, Ordering::Relaxed);
-        store.n_versions.fetch_sub(1, Ordering::Relaxed);
+        self.stats().versions.fetch_sub(1, Ordering::Relaxed);
     }
 
     fn push_head(&mut self, version: Version) {
         let store = self.store;
-        let new_h = store.arena.alloc(version);
+        let new_h = store.arena.alloc(self.stripe, version);
         store.arena.set_next(new_h, self.head());
         self.entry.head.store(new_h, Ordering::Release);
         self.count_installed();
     }
 
     fn count_installed(&self) {
-        let store = self.store;
         let len = self.entry.versions.fetch_add(1, Ordering::Relaxed) + 1;
-        store.n_versions.fetch_add(1, Ordering::Relaxed);
-        store.m_chain_len.observe(len);
+        self.stats().versions.fetch_add(1, Ordering::Relaxed);
+        self.store.m_chain_len.observe(len);
     }
 
-    /// Installs a new uncommitted version. If the writer already has an
-    /// uncommitted version on this key it is replaced in place (last write
-    /// of a transaction wins), otherwise the version is inserted at its
+    /// Installs a new uncommitted version and returns `true` when it is the
+    /// writer's first on this key. If the writer already has an uncommitted
+    /// version here, a replacement carrying the new value is spliced into
+    /// its chain position (last write of a transaction wins; the payload of
+    /// a linked version never changes, so the old slot is retired) and the
+    /// call returns `false`. Otherwise the version is inserted at its
     /// ordering position.
-    pub fn install(&mut self, version: Version) {
+    pub fn install(&mut self, version: Version) -> bool {
         let store: &'a MvStore = self.store;
         if let Some((prev, cur, next)) = self.find_uncommitted_node(version.writer) {
             let (existing, _) = store.arena.read(cur).expect("latched chain node");
-            let replacement = Version {
-                id: existing.id,
-                writer: version.writer,
-                value: version.value,
-                state: VersionState::Uncommitted,
-                commit_ts: None,
-                order_ts: version.order_ts.or(existing.order_ts),
-                hlc: 0,
-            };
-            self.replace(prev, cur, next, replacement);
-            return;
+            let replacement = Version::uncommitted(
+                existing.id,
+                version.writer,
+                version.value,
+                version.order_ts.or(existing.order_ts),
+            );
+            let new_h = store.arena.alloc(self.stripe, replacement);
+            store.arena.set_next(new_h, next);
+            if prev == NIL {
+                self.entry.head.store(new_h, Ordering::Release);
+            } else {
+                store.arena.set_next(prev, new_h);
+            }
+            store.retire(self.stripe, cur, version_bytes(existing));
+            return false;
         }
-        store.n_uncommitted.fetch_add(1, Ordering::Relaxed);
+        self.stats().uncommitted.fetch_add(1, Ordering::Relaxed);
         self.entry.uncommitted.fetch_add(1, Ordering::Relaxed);
         match version.order_ts {
             Some(ts) => {
@@ -543,7 +601,7 @@ impl<'a> ChainWrite<'a> {
                 }
                 match deepest {
                     Some((d, d_next)) => {
-                        let new_h = arena.alloc(version);
+                        let new_h = arena.alloc(self.stripe, version);
                         arena.set_next(new_h, d_next);
                         arena.set_next(d, new_h);
                         self.count_installed();
@@ -553,6 +611,7 @@ impl<'a> ChainWrite<'a> {
             }
             None => self.push_head(version),
         }
+        true
     }
 
     /// Installs an already-committed version at the head of the chain
@@ -565,36 +624,29 @@ impl<'a> ChainWrite<'a> {
     /// Marks the version written by `writer` as committed with `commit_ts`.
     /// Returns `true` if a version was found.
     ///
-    /// The replacement keeps the old slot's chain position: position order
-    /// is the order in which the concurrency-control tree serialized the
-    /// installs, and the mechanisms' dependency waits make per-key commit
-    /// order follow it. Moving the version (e.g. to the head) would jump
-    /// over uncommitted versions installed after it, hiding a later write
-    /// from position-based readers — the lost-update bug this comment
-    /// guards against.
+    /// The version is committed where it stands: position order is the
+    /// order in which the concurrency-control tree serialized the installs,
+    /// and the mechanisms' dependency waits make per-key commit order
+    /// follow it. Moving the version (e.g. to the head) would jump over
+    /// uncommitted versions installed after it, hiding a later write from
+    /// position-based readers — the lost-update bug this comment guards
+    /// against.
     pub fn commit(&mut self, writer: TxnId, commit_ts: Timestamp) -> bool {
         self.commit_stamped(writer, commit_ts, 0)
     }
 
     /// [`commit`](ChainWrite::commit) carrying the cluster-wide HLC stamp
     /// of the commit (see [`Version::hlc`]).
+    ///
+    /// In place: the stamp, then the commit word (see
+    /// [`Version`]) — no slot is allocated, copied or retired.
     pub fn commit_stamped(&mut self, writer: TxnId, commit_ts: Timestamp, hlc: u64) -> bool {
-        let store: &'a MvStore = self.store;
-        let Some((prev, cur, next)) = self.find_uncommitted_node(writer) else {
+        let Some((_, cur, _)) = self.find_uncommitted_node(writer) else {
             return false;
         };
-        let (existing, _) = store.arena.read(cur).expect("latched chain node");
-        let replacement = Version {
-            id: existing.id,
-            writer: existing.writer,
-            value: existing.value.clone(),
-            state: VersionState::Committed,
-            commit_ts: Some(commit_ts),
-            order_ts: existing.order_ts,
-            hlc,
-        };
-        self.replace(prev, cur, next, replacement);
-        store.n_uncommitted.fetch_sub(1, Ordering::Relaxed);
+        let (version, _) = self.store.arena.read(cur).expect("latched chain node");
+        version.mark_committed(commit_ts, hlc);
+        self.stats().uncommitted.fetch_sub(1, Ordering::Relaxed);
         self.entry.uncommitted.fetch_sub(1, Ordering::Relaxed);
         true
     }
@@ -605,8 +657,9 @@ impl<'a> ChainWrite<'a> {
         let store: &'a MvStore = self.store;
         let mut removed = false;
         while let Some((prev, cur, next)) = self.find_uncommitted_node(writer) {
-            self.unlink(prev, cur, next);
-            store.n_uncommitted.fetch_sub(1, Ordering::Relaxed);
+            let (v, _) = store.arena.read(cur).expect("latched chain node");
+            self.unlink(prev, cur, next, v);
+            self.stats().uncommitted.fetch_sub(1, Ordering::Relaxed);
             self.entry.uncommitted.fetch_sub(1, Ordering::Relaxed);
             removed = true;
         }
@@ -618,7 +671,7 @@ impl<'a> ChainWrite<'a> {
     /// versions removed.
     pub fn prune(&mut self, keep_after: Timestamp) -> usize {
         let store: &'a MvStore = self.store;
-        let latest_commit_ts = ChainRead::latest_committed(self).and_then(|v| v.commit_ts);
+        let latest_commit_ts = ChainRead::latest_committed(self).and_then(|v| v.commit_ts());
         let arena = &store.arena;
         let mut removed = 0;
         let mut prev = NIL;
@@ -627,10 +680,9 @@ impl<'a> ChainWrite<'a> {
             let Some((v, next)) = arena.read(cur) else {
                 break;
             };
-            let ts = v.commit_ts.unwrap_or(Timestamp::ZERO);
-            let drop_it = v.is_committed() && ts < keep_after && Some(ts) != latest_commit_ts;
+            let drop_it = matches!(v.commit_ts(), Some(ts) if ts < keep_after && Some(ts) != latest_commit_ts);
             if drop_it {
-                self.unlink(prev, cur, next);
+                self.unlink(prev, cur, next, v);
                 removed += 1;
             } else {
                 prev = cur;
@@ -646,17 +698,9 @@ pub struct MvStore {
     shards: Vec<Shard>,
     entries: EntryArena,
     arena: VersionArena,
-    limbo: Mutex<VecDeque<LimboBin>>,
-    limbo_nodes: AtomicU64,
-    limbo_bytes: AtomicU64,
-    retired_since_reclaim: AtomicU64,
+    /// Per-thread statistics and limbo bags, indexed by [`ebr::stripe`].
+    stripes: Box<[Stripe]>,
     version_ids: Sequence,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    // O(1) aggregate statistics.
-    n_keys: AtomicU64,
-    n_versions: AtomicU64,
-    n_uncommitted: AtomicU64,
     // Metrics (standalone by default; `attach_metrics` rebinds them to a
     // registry so they surface in snapshots/Prometheus).
     m_retired: Arc<Counter>,
@@ -681,16 +725,8 @@ impl MvStore {
             shards: (0..shards).map(|_| Shard::new()).collect(),
             entries: EntryArena::new(),
             arena: VersionArena::new(),
-            limbo: Mutex::new(VecDeque::new()),
-            limbo_nodes: AtomicU64::new(0),
-            limbo_bytes: AtomicU64::new(0),
-            retired_since_reclaim: AtomicU64::new(0),
+            stripes: (0..ebr::STRIPES).map(|_| Stripe::default()).collect(),
             version_ids: Sequence::default(),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            n_keys: AtomicU64::new(0),
-            n_versions: AtomicU64::new(0),
-            n_uncommitted: AtomicU64::new(0),
             m_retired: Arc::new(Counter::new()),
             m_limbo_bytes: Arc::new(MaxGauge::new()),
             m_epoch_lag: Arc::new(MaxGauge::new()),
@@ -713,28 +749,23 @@ impl MvStore {
         self.shards.len()
     }
 
-    fn hash_key(key: &Key) -> u64 {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        hasher.finish()
-    }
-
     /// The index of the shard ("data server") holding `key`. Exposed so the
-    /// durability layer can attribute precommit records to participants.
+    /// durability layer can label precommit records by participant.
     pub fn shard_index(&self, key: &Key) -> usize {
-        (Self::hash_key(key) as usize) % self.shards.len()
+        self.locate(key.mix64()).0
     }
 
-    fn locate(&self, key: &Key) -> (u64, usize, usize) {
-        let h = Self::hash_key(key);
+    /// `(shard, bucket)` of a key whose [`Key::mix64`] is `h` — computed
+    /// once per access and passed down.
+    fn locate(&self, h: u64) -> (usize, usize) {
         let shard = (h as usize) % self.shards.len();
         let bucket = ((h >> 32) as usize ^ h as usize) & BUCKET_MASK;
-        (h, shard, bucket)
+        (shard, bucket)
     }
 
     /// Lock-free index lookup (no shard lock, no latch).
-    fn lookup(&self, key: &Key) -> Option<&KeyEntry> {
-        let (_, shard, bucket) = self.locate(key);
+    fn lookup(&self, key: &Key, h: u64) -> Option<&KeyEntry> {
+        let (shard, bucket) = self.locate(h);
         let mut idx = self.shards[shard].buckets[bucket].load(Ordering::Acquire);
         while idx != NIL {
             let entry = self.entries.get(idx);
@@ -746,15 +777,16 @@ impl MvStore {
         None
     }
 
-    fn lookup_or_insert(&self, key: &Key) -> &KeyEntry {
-        if let Some(entry) = self.lookup(key) {
+    fn lookup_or_insert(&self, key: &Key, stripe: usize) -> &KeyEntry {
+        let h = key.mix64();
+        if let Some(entry) = self.lookup(key, h) {
             return entry;
         }
-        let (_, shard_idx, bucket) = self.locate(key);
+        let (shard_idx, bucket) = self.locate(h);
         let shard = &self.shards[shard_idx];
         let _g = shard.insert_lock.lock();
         // Re-check under the insert lock: another writer may have raced us.
-        if let Some(entry) = self.lookup(key) {
+        if let Some(entry) = self.lookup(key, h) {
             return entry;
         }
         let (idx, entry) = self.entries.alloc();
@@ -766,7 +798,7 @@ impl MvStore {
         // Publish: the insert lock serializes writers on this shard, so a
         // plain Release store suffices for the bucket head.
         head.store(idx, Ordering::Release);
-        self.n_keys.fetch_add(1, Ordering::Relaxed);
+        self.stripes[stripe].keys.fetch_add(1, Ordering::Relaxed);
         entry
     }
 
@@ -775,11 +807,13 @@ impl MvStore {
     /// call pins the reclamation epoch for its duration; no shard or chain
     /// lock is taken.
     pub fn with_chain<R>(&self, key: &Key, f: impl FnOnce(&dyn ChainRead) -> R) -> R {
-        self.reads.fetch_add(1, Ordering::Relaxed);
         let _pin = ebr::pin();
+        self.stripes[ebr::stripe()]
+            .reads
+            .fetch_add(1, Ordering::Relaxed);
         f(&ChainRef {
             arena: &self.arena,
-            entry: self.lookup(key),
+            entry: self.lookup(key, key.mix64()),
         })
     }
 
@@ -787,11 +821,16 @@ impl MvStore {
     /// the key's write latch), creating the chain if needed. Other keys —
     /// including keys of the same shard — stay fully accessible.
     pub fn with_chain_mut<R>(&self, key: &Key, f: impl FnOnce(&mut ChainWrite<'_>) -> R) -> R {
-        self.writes.fetch_add(1, Ordering::Relaxed);
         let _pin = ebr::pin();
-        let entry = self.lookup_or_insert(key);
+        let stripe = ebr::stripe();
+        self.stripes[stripe].writes.fetch_add(1, Ordering::Relaxed);
+        let entry = self.lookup_or_insert(key, stripe);
         let _latch = entry.lock_latch();
-        let mut chain = ChainWrite { store: self, entry };
+        let mut chain = ChainWrite {
+            store: self,
+            entry,
+            stripe,
+        };
         f(&mut chain)
     }
 
@@ -813,17 +852,9 @@ impl MvStore {
         self.with_chain_mut(key, |chain| {
             let outcome = WriteOutcome {
                 other_uncommitted: chain.has_other_uncommitted(txn),
-                latest_committed_ts: chain.latest_committed().and_then(|v| v.commit_ts),
+                latest_committed_ts: chain.latest_committed().and_then(|v| v.commit_ts()),
             };
-            chain.install(Version {
-                id,
-                writer: txn,
-                value,
-                state: VersionState::Uncommitted,
-                commit_ts: None,
-                order_ts,
-                hlc: 0,
-            });
+            chain.install(Version::uncommitted(id, txn, value, order_ts));
             outcome
         })
     }
@@ -884,32 +915,25 @@ impl MvStore {
     /// a ww-predecessor commits before its successor's vote leaves the
     /// shard, and the decision stamp is drawn after observing that vote.
     pub fn read_snapshot_hlc(&self, key: &Key, h: u64) -> SnapshotRead {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        let _pin = ebr::pin();
-        let Some(entry) = self.lookup(key) else {
-            return SnapshotRead::Value(None);
-        };
-        let chain = ChainRef {
-            arena: &self.arena,
-            entry: Some(entry),
-        };
-        let mut result = SnapshotRead::Value(None);
-        chain.for_each_newest_first(&mut |v| {
-            if !v.is_committed() {
-                result = SnapshotRead::Blocked;
-                return false;
-            }
-            if v.hlc <= h {
-                result = SnapshotRead::Value(if v.value.is_null() {
-                    None
-                } else {
-                    Some(v.value.clone())
-                });
-                return false;
-            }
-            true
-        });
-        result
+        self.with_chain(key, |chain| {
+            let mut result = SnapshotRead::Value(None);
+            chain.for_each_newest_first(&mut |v| {
+                if !v.is_committed() {
+                    result = SnapshotRead::Blocked;
+                    return false;
+                }
+                if v.hlc() <= h {
+                    result = SnapshotRead::Value(if v.value.is_null() {
+                        None
+                    } else {
+                        Some(v.value.clone())
+                    });
+                    return false;
+                }
+                true
+            });
+            result
+        })
     }
 
     /// Removes `txn`'s uncommitted versions on `keys`.
@@ -926,15 +950,12 @@ impl MvStore {
     pub fn load(&self, key: &Key, value: Value) {
         let id = VersionId(self.version_ids.issue());
         self.with_chain_mut(key, |chain| {
-            chain.install_committed(Version {
+            chain.install_committed(Version::committed(
                 id,
-                writer: TxnId::BOOTSTRAP,
+                TxnId::BOOTSTRAP,
                 value,
-                state: VersionState::Committed,
-                commit_ts: Some(Timestamp::ZERO),
-                order_ts: None,
-                hlc: 0,
-            });
+                Timestamp::ZERO,
+            ));
         });
     }
 
@@ -946,6 +967,7 @@ impl MvStore {
     /// individually, so readers and writers keep running throughout.
     pub fn prune_before(&self, horizon: Timestamp) -> usize {
         let _pin = ebr::pin();
+        let stripe = ebr::stripe();
         let mut removed = 0;
         let n = self.entries.len();
         for idx in 0..n {
@@ -954,7 +976,11 @@ impl MvStore {
                 continue;
             }
             let _latch = entry.lock_latch();
-            let mut chain = ChainWrite { store: self, entry };
+            let mut chain = ChainWrite {
+                store: self,
+                entry,
+                stripe,
+            };
             removed += chain.prune(horizon);
         }
         removed
@@ -975,13 +1001,21 @@ impl MvStore {
         }
     }
 
-    /// Aggregate statistics, maintained as O(1) atomics by the mutation
-    /// paths (no scan).
+    /// Aggregate statistics: the sum of the per-stripe deltas the mutation
+    /// paths maintain (no scan). Exact whenever no mutation is in flight.
     pub fn stats(&self) -> StoreStats {
+        let sum = |f: fn(&Stripe) -> &AtomicI64| -> usize {
+            let net: i64 = self
+                .stripes
+                .iter()
+                .map(|s| f(s).load(Ordering::Relaxed))
+                .sum();
+            net.max(0) as usize
+        };
         StoreStats {
-            keys: self.n_keys.load(Ordering::Relaxed) as usize,
-            versions: self.n_versions.load(Ordering::Relaxed) as usize,
-            uncommitted: self.n_uncommitted.load(Ordering::Relaxed) as usize,
+            keys: sum(|s| &s.keys),
+            versions: sum(|s| &s.versions),
+            uncommitted: sum(|s| &s.uncommitted),
         }
     }
 
@@ -1005,90 +1039,100 @@ impl MvStore {
     /// Number of chain accesses performed so far (reads, writes). Exposed
     /// for the overhead experiments of §4.6.5.
     pub fn access_counts(&self) -> (u64, u64) {
-        (
-            self.reads.load(Ordering::Relaxed),
-            self.writes.load(Ordering::Relaxed),
-        )
+        self.stripes.iter().fold((0, 0), |(r, w), s| {
+            (
+                r + s.reads.load(Ordering::Relaxed),
+                w + s.writes.load(Ordering::Relaxed),
+            )
+        })
     }
 
-    /// Retires a version slot to the current epoch's limbo bin.
-    fn retire(&self, handle: u64) {
-        let bytes = self
-            .arena
-            .read(handle)
-            .map(|(v, _)| (std::mem::size_of::<Version>() + v.value.approx_size()) as u64)
-            .unwrap_or(std::mem::size_of::<Version>() as u64);
+    /// Retires a version slot holding `bytes` to the current epoch's bin of
+    /// `stripe`'s limbo bag.
+    fn retire(&self, stripe: usize, handle: u64, bytes: u32) {
         let epoch = ebr::domain().epoch();
-        {
-            let mut limbo = self.limbo.lock();
-            match limbo.back_mut() {
+        let mine = &self.stripes[stripe];
+        let sweep = {
+            let mut limbo = mine.bag.lock();
+            match limbo.bins.back_mut() {
                 // `>=` keeps bins sorted even when a racing retire read a
                 // stale (older) epoch after a newer bin was opened.
-                Some(back) if back.epoch >= epoch => {
-                    back.handles.push(handle);
-                    back.bytes += bytes;
-                }
-                _ => limbo.push_back(LimboBin {
+                Some(back) if back.epoch >= epoch => back.handles.push((handle, bytes)),
+                _ => limbo.bins.push_back(LimboBin {
                     epoch,
-                    handles: vec![handle],
-                    bytes,
+                    handles: vec![(handle, bytes)],
                 }),
             }
-        }
-        self.limbo_nodes.fetch_add(1, Ordering::Relaxed);
-        let total = self.limbo_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+            mine.limbo_nodes.fetch_add(1, Ordering::Relaxed);
+            mine.limbo_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+            limbo.since_sweep = limbo.since_sweep.wrapping_add(1);
+            limbo.since_sweep.is_multiple_of(SWEEP_EVERY)
+        };
         self.m_retired.inc();
-        self.m_limbo_bytes.observe(total);
-        // Amortized housekeeping: advance the epoch and sweep reclaimable
-        // bins every few dozen retirements.
-        if self.retired_since_reclaim.fetch_add(1, Ordering::Relaxed) % 64 == 63 {
-            ebr::domain().try_advance();
-            self.collect_limbo();
+        // Amortized housekeeping: every few dozen retirements of a stripe,
+        // advance the epoch and free whatever has ripened anywhere.
+        if sweep {
+            self.reclaim();
         }
     }
 
-    /// Frees every limbo bin that is two epochs behind both the global
-    /// epoch and every pinned thread. Returns the number of slots freed.
-    fn collect_limbo(&self) -> usize {
+    /// Tries to advance the reclamation epoch and frees — into the calling
+    /// thread's arena cache — every limbo bin, of any stripe, that is two
+    /// epochs behind both the global epoch and every pinned thread. Sweeping
+    /// all stripes (empty ones cost one load) keeps the garbage of a thread
+    /// that retires in bursts, like the GC cycle's prune, from waiting for
+    /// that thread's next burst. Called by every stripe's periodic
+    /// housekeeping and by the GC cycle; safe to call at any time. Returns
+    /// the number of version slots freed.
+    pub fn reclaim(&self) -> usize {
         let domain = ebr::domain();
+        domain.try_advance();
+        let into = ebr::stripe();
         let global = domain.epoch();
         let min_pin = domain.min_pin();
+        self.m_limbo_bytes.observe(self.limbo_stats().1);
         let mut freed = 0;
-        let mut limbo = self.limbo.lock();
-        if let Some(front) = limbo.front() {
-            self.m_epoch_lag.observe(global.saturating_sub(front.epoch));
-        }
-        while let Some(front) = limbo.front() {
-            let e = front.epoch;
-            if global < e + 2 || min_pin.is_some_and(|m| m < e + 2) {
-                break;
+        for stripe in self.stripes.iter() {
+            if stripe.limbo_nodes.load(Ordering::Relaxed) == 0 {
+                continue;
             }
-            let bin = limbo.pop_front().expect("front checked");
-            self.limbo_nodes
-                .fetch_sub(bin.handles.len() as u64, Ordering::Relaxed);
-            self.limbo_bytes.fetch_sub(bin.bytes, Ordering::Relaxed);
-            for h in &bin.handles {
-                self.arena.free(*h);
+            let mut ripe = Vec::new();
+            {
+                let mut limbo = stripe.bag.lock();
+                if let Some(front) = limbo.bins.front() {
+                    self.m_epoch_lag.observe(global.saturating_sub(front.epoch));
+                }
+                while let Some(front) = limbo.bins.front() {
+                    let e = front.epoch;
+                    if global < e + 2 || min_pin.is_some_and(|m| m < e + 2) {
+                        break;
+                    }
+                    ripe.push(limbo.bins.pop_front().expect("front checked"));
+                }
             }
-            freed += bin.handles.len();
+            for bin in ripe {
+                let bytes: u64 = bin.handles.iter().map(|&(_, b)| b as u64).sum();
+                stripe
+                    .limbo_nodes
+                    .fetch_sub(bin.handles.len() as u64, Ordering::Relaxed);
+                stripe.limbo_bytes.fetch_sub(bytes, Ordering::Relaxed);
+                for &(h, _) in &bin.handles {
+                    self.arena.free(into, h);
+                }
+                freed += bin.handles.len();
+            }
         }
         freed
     }
 
-    /// Tries to advance the reclamation epoch and sweep limbo bins whose
-    /// grace period has passed. Called by the GC cycle; also safe to call
-    /// at any time. Returns the number of version slots freed.
-    pub fn reclaim(&self) -> usize {
-        ebr::domain().try_advance();
-        self.collect_limbo()
-    }
-
     /// (retired-but-not-yet-freed slots, their approximate bytes).
     pub fn limbo_stats(&self) -> (u64, u64) {
-        (
-            self.limbo_nodes.load(Ordering::Relaxed),
-            self.limbo_bytes.load(Ordering::Relaxed),
-        )
+        self.stripes.iter().fold((0, 0), |(n, b), s| {
+            (
+                n + s.limbo_nodes.load(Ordering::Relaxed),
+                b + s.limbo_bytes.load(Ordering::Relaxed),
+            )
+        })
     }
 
     /// Generation-mismatched chain dereferences observed so far. Stays zero
@@ -1108,17 +1152,20 @@ impl MvStore {
     /// epoch pins (the old locked-map implementation blocked stragglers on
     /// the shard locks; this one recycles entries in place).
     pub fn clear(&self) {
+        let into = ebr::stripe();
         // Free everything parked in limbo first.
-        {
-            let mut limbo = self.limbo.lock();
-            while let Some(bin) = limbo.pop_front() {
-                for h in &bin.handles {
-                    self.arena.free(*h);
+        for stripe in self.stripes.iter() {
+            for bin in stripe.bag.lock().bins.drain(..) {
+                for &(h, _) in &bin.handles {
+                    self.arena.free(into, h);
                 }
             }
+            stripe.limbo_nodes.store(0, Ordering::Relaxed);
+            stripe.limbo_bytes.store(0, Ordering::Relaxed);
+            stripe.keys.store(0, Ordering::Relaxed);
+            stripe.versions.store(0, Ordering::Relaxed);
+            stripe.uncommitted.store(0, Ordering::Relaxed);
         }
-        self.limbo_nodes.store(0, Ordering::Relaxed);
-        self.limbo_bytes.store(0, Ordering::Relaxed);
         // Free every chain node and reset the entries.
         let n = self.entries.len();
         for idx in 0..n {
@@ -1126,7 +1173,7 @@ impl MvStore {
             let mut cur = entry.head.swap(NIL, Ordering::Relaxed);
             while cur != NIL {
                 let next = self.arena.read(cur).map(|(_, n)| n).unwrap_or(NIL);
-                self.arena.free(cur);
+                self.arena.free(into, cur);
                 cur = next;
             }
             entry.versions.store(0, Ordering::Relaxed);
@@ -1137,9 +1184,6 @@ impl MvStore {
             }
         }
         self.entries.bump.store(0, Ordering::Release);
-        self.n_keys.store(0, Ordering::Relaxed);
-        self.n_versions.store(0, Ordering::Relaxed);
-        self.n_uncommitted.store(0, Ordering::Relaxed);
     }
 }
 
@@ -1306,7 +1350,9 @@ mod tests {
             store.write(&k, TxnId(i), Value::Int(i as i64));
             store.commit_writes(TxnId(i), &[k], Timestamp(i));
         }
-        // 20 commits retired 20 uncommitted slots; prune retires 19 more.
+        // The 20 commits flipped their versions in place and retired
+        // nothing; prune unlinks and retires the 19 superseded ones.
+        assert_eq!(store.limbo_stats(), (0, 0));
         assert_eq!(store.prune_before(Timestamp(100)), 19);
         let (nodes_before, _) = store.limbo_stats();
         assert!(nodes_before > 0);
@@ -1324,6 +1370,152 @@ mod tests {
         // Only the single surviving committed version is still allocated.
         assert_eq!(store.arena_occupied(), 1);
         assert_eq!(store.stats(), store.stats_scanned());
+    }
+
+    /// Committing is two stores into the version itself: it allocates no
+    /// slot, retires none and leaves the chain where it was.
+    #[test]
+    fn commit_in_place_allocates_and_retires_nothing() {
+        let registry = MetricsRegistry::new();
+        let mut store = MvStore::new(2);
+        store.attach_metrics(&registry);
+        let keys: Vec<Key> = (0..8).map(key).collect();
+        for k in &keys {
+            store.load(k, Value::Int(0));
+            store.write(k, TxnId(7), Value::row(&[1, 2, 3]));
+        }
+        let retired = registry.counter("gc.versions_retired");
+        let before = (
+            store.arena_occupied(),
+            store.limbo_stats(),
+            retired.get(),
+            store.stats().versions,
+        );
+        store.commit_writes_stamped(TxnId(7), &keys, Timestamp(5), 99);
+        let after = (
+            store.arena_occupied(),
+            store.limbo_stats(),
+            retired.get(),
+            store.stats().versions,
+        );
+        assert_eq!(before, after);
+        assert_eq!(store.stats().uncommitted, 0);
+        for k in &keys {
+            store.with_chain(k, |chain| {
+                let v = chain.latest_committed().unwrap();
+                assert_eq!(
+                    (v.writer, v.commit_ts(), v.hlc()),
+                    (TxnId(7), Some(Timestamp(5)), 99)
+                );
+                assert_eq!(chain.len(), 2);
+            });
+        }
+        assert_eq!(store.stats(), store.stats_scanned());
+    }
+
+    /// Writers install, overwrite, commit and abort on a few hot keys while
+    /// readers walk the same chains: whatever a walk meets mid-commit, it
+    /// never meets a committed version without its timestamp or — every
+    /// commit here is stamped — without its stamp, and never a recycled
+    /// slot. Afterwards every striped counter agrees with a full scan and
+    /// with the number of calls made.
+    #[test]
+    fn commit_in_place_hammer_keeps_readers_and_counters_exact() {
+        const KEYS: u64 = 4;
+        const WRITERS: u64 = 2;
+        const READERS: u64 = 2;
+        const TXNS: u64 = 3_000;
+        let store = MvStore::new(4);
+        for k in 0..KEYS {
+            store.load(&key(k), Value::Int(0));
+        }
+        let (base_reads, base_writes) = store.access_counts();
+        let done = AtomicBool::new(false);
+        let reads_made = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for r in 0..READERS {
+                let (store, done, reads_made) = (&store, &done, &reads_made);
+                scope.spawn(move || {
+                    let mut reads = 0u64;
+                    let mut i = r;
+                    while !done.load(Ordering::Acquire) {
+                        let k = key(i % KEYS);
+                        i += 1;
+                        store.with_chain(&k, |chain| {
+                            let mut newest_commit = None;
+                            chain.for_each_newest_first(&mut |v| {
+                                if v.is_committed() {
+                                    let ts = v.commit_ts().expect("committed without a timestamp");
+                                    if !v.writer.is_bootstrap() {
+                                        assert_eq!(
+                                            v.hlc(),
+                                            ts.0 + 1_000,
+                                            "commit without its stamp"
+                                        );
+                                    }
+                                    // Position order: commit timestamps
+                                    // descend along the walk.
+                                    assert!(newest_commit.is_none_or(|n| ts <= n));
+                                    newest_commit = Some(ts);
+                                }
+                                true
+                            });
+                        });
+                        match store.read_snapshot_hlc(&k, u64::MAX) {
+                            SnapshotRead::Value(v) => assert!(v.is_some()),
+                            SnapshotRead::Blocked => {}
+                        }
+                        reads += 2;
+                    }
+                    reads_made.fetch_add(reads, Ordering::Relaxed);
+                });
+            }
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let store = &store;
+                    scope.spawn(move || {
+                        let mut writes = 0u64;
+                        for n in 0..TXNS {
+                            // Each writer owns its keys (per-key commit
+                            // order is the mechanisms' job, not the store's).
+                            let k = key((n % (KEYS / WRITERS)) * WRITERS + w);
+                            let txn = TxnId(1 + w * TXNS + n);
+                            store.write(&k, txn, Value::Int(n as i64));
+                            store.write(&k, txn, Value::Int(-(n as i64)));
+                            writes += 3;
+                            if n % 5 == 0 {
+                                store.abort_writes(txn, &[k]);
+                            } else {
+                                let ts = 1 + n * WRITERS + w;
+                                store.commit_writes_stamped(txn, &[k], Timestamp(ts), ts + 1_000);
+                            }
+                        }
+                        writes
+                    })
+                })
+                .collect();
+            let writes_made: u64 = writers.into_iter().map(|h| h.join().unwrap()).sum();
+            done.store(true, Ordering::Release);
+            // Readers are joined by the scope; their count is read below.
+            assert_eq!(store.access_counts().1 - base_writes, writes_made);
+        });
+        assert_eq!(
+            store.access_counts().0 - base_reads,
+            reads_made.load(Ordering::Relaxed)
+        );
+        assert_eq!(store.gen_mismatches(), 0);
+        let stats = store.stats();
+        assert_eq!(stats, store.stats_scanned());
+        assert_eq!(stats.uncommitted, 0);
+        // One load per key plus every transaction that committed.
+        assert_eq!(
+            stats.versions as u64,
+            KEYS + WRITERS * (TXNS - TXNS.div_ceil(5))
+        );
+        // Every overwrite and every abort retired exactly one slot, and the
+        // arena holds the linked versions plus what is still in limbo.
+        let (limbo_nodes, _) = store.limbo_stats();
+        assert_eq!(store.arena_occupied(), stats.versions as u64 + limbo_nodes);
     }
 
     #[test]

@@ -9,22 +9,27 @@
 use crate::types::{Timestamp, TxnId};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Unique identifier of a version (diagnostics only).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub struct VersionId(pub u64);
 
-/// Lifecycle state of a version.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum VersionState {
-    /// Installed by an in-flight transaction.
-    Uncommitted,
-    /// The writing transaction committed.
-    Committed,
-}
+/// Commit word of a version whose writer has not committed. No commit is
+/// ever stamped with it ([`Timestamp::MAX`] is the "no constraint"
+/// sentinel, never an issued timestamp).
+const UNCOMMITTED: u64 = u64::MAX;
 
 /// One version of one key.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// The **payload** (`id`, `writer`, `value`, `order_ts`) never changes once
+/// the version is linked into a chain. The **commit word** does, exactly
+/// once: committing a version stores its HLC stamp and then its commit
+/// timestamp into the version itself, in place. State and timestamp live in
+/// one atomic word, so a reader that sees "committed" has the timestamp in
+/// the same load, and — the word being stored `Release` after the stamp and
+/// loaded `Acquire` — the stamp with it.
+#[derive(Debug)]
 pub struct Version {
     /// Diagnostics identifier, unique within the store.
     pub id: VersionId,
@@ -32,33 +37,83 @@ pub struct Version {
     pub writer: TxnId,
     /// The value; [`Value::Null`] models a delete.
     pub value: Value,
-    /// Current state.
-    pub state: VersionState,
-    /// Commit timestamp, set when the writer commits.
-    pub commit_ts: Option<Timestamp>,
     /// Ordering timestamp used by timestamp-ordering CCs, assigned at write
     /// time (before commit). `None` for CCs that order at commit time.
     pub order_ts: Option<Timestamp>,
+    /// [`UNCOMMITTED`], or the commit timestamp.
+    commit: AtomicU64,
     /// Cluster-wide hybrid-logical-clock stamp assigned at commit. `0`
     /// means "unstamped" (bootstrap loads, pre-HLC recovered state, CC
-    /// unit tests) and is visible to every snapshot. Unlike `commit_ts` —
-    /// which is shard-local — equal stamps on different shards name the
-    /// same global commit, which is what makes cross-shard snapshot reads
-    /// consistent (see `tebaldi_core::hlc`).
-    pub hlc: u64,
+    /// unit tests) and is visible to every snapshot. Unlike the commit
+    /// timestamp — which is shard-local — equal stamps on different shards
+    /// name the same global commit, which is what makes cross-shard
+    /// snapshot reads consistent (see `tebaldi_core::hlc`).
+    hlc: AtomicU64,
 }
 
 impl Version {
+    /// A version as its writer installs it: not yet committed.
+    pub fn uncommitted(
+        id: VersionId,
+        writer: TxnId,
+        value: Value,
+        order_ts: Option<Timestamp>,
+    ) -> Version {
+        Version {
+            id,
+            writer,
+            value,
+            order_ts,
+            commit: AtomicU64::new(UNCOMMITTED),
+            hlc: AtomicU64::new(0),
+        }
+    }
+
+    /// A version born committed at `commit_ts`, unstamped (bootstrap loads).
+    pub fn committed(id: VersionId, writer: TxnId, value: Value, commit_ts: Timestamp) -> Version {
+        let v = Version::uncommitted(id, writer, value, None);
+        v.mark_committed(commit_ts, 0);
+        v
+    }
+
     /// True if the writer has committed.
+    #[inline]
     pub fn is_committed(&self) -> bool {
-        self.state == VersionState::Committed
+        self.commit.load(Ordering::Acquire) != UNCOMMITTED
+    }
+
+    /// Commit timestamp; `None` until the writer commits.
+    #[inline]
+    pub fn commit_ts(&self) -> Option<Timestamp> {
+        match self.commit.load(Ordering::Acquire) {
+            UNCOMMITTED => None,
+            ts => Some(Timestamp(ts)),
+        }
+    }
+
+    /// The HLC stamp of the commit (`0`: unstamped, or not committed yet).
+    /// Meaningful after [`is_committed`](Version::is_committed) or
+    /// [`commit_ts`](Version::commit_ts) said "committed" — their `Acquire`
+    /// load orders this one after the committer's stamp.
+    #[inline]
+    pub fn hlc(&self) -> u64 {
+        self.hlc.load(Ordering::Relaxed)
+    }
+
+    /// Commits the version in place: the stamp first, then the commit word
+    /// with `Release`. The caller is the one writer allowed to touch the
+    /// chain (it holds the key latch, or owns the chain).
+    pub(crate) fn mark_committed(&self, commit_ts: Timestamp, hlc: u64) {
+        assert_ne!(commit_ts.0, UNCOMMITTED, "Timestamp::MAX is not a commit");
+        self.hlc.store(hlc, Ordering::Relaxed);
+        self.commit.store(commit_ts.0, Ordering::Release);
     }
 
     /// The timestamp used to order this version in the chain: the explicit
     /// ordering timestamp when present, otherwise the commit timestamp,
     /// otherwise "not yet ordered".
     pub fn sort_ts(&self) -> Option<Timestamp> {
-        self.order_ts.or(self.commit_ts)
+        self.order_ts.or(self.commit_ts())
     }
 }
 
@@ -123,7 +178,7 @@ pub trait ChainRead {
         // representation's last-maximal `max_by_key`).
         let mut best: Option<&Version> = None;
         self.for_each_newest_first(&mut |v| {
-            if v.is_committed() && matches!(v.commit_ts, Some(c) if c < ts) {
+            if matches!(v.commit_ts(), Some(c) if c < ts) {
                 best = Some(v);
                 return false;
             }
@@ -140,7 +195,7 @@ pub trait ChainRead {
         // order makes the first match the visible one.
         let mut best: Option<&Version> = None;
         self.for_each_newest_first(&mut |v| {
-            if v.is_committed() && matches!(v.commit_ts, Some(c) if c <= ts) {
+            if matches!(v.commit_ts(), Some(c) if c <= ts) {
                 best = Some(v);
                 return false;
             }
@@ -184,12 +239,12 @@ pub trait ChainRead {
         // The first committed version seen carries the chain's largest
         // commit timestamp (position-order invariant), so it alone decides.
         let mut found = false;
-        self.for_each_newest_first(&mut |v| {
-            if v.is_committed() {
-                found = matches!(v.commit_ts, Some(c) if c > ts);
-                return false;
+        self.for_each_newest_first(&mut |v| match v.commit_ts() {
+            Some(c) => {
+                found = c > ts;
+                false
             }
-            true
+            None => true,
         });
         found
     }
@@ -197,12 +252,12 @@ pub trait ChainRead {
     /// True if a version committed with a timestamp `>= ts` exists.
     fn committed_at_or_after(&self, ts: Timestamp) -> bool {
         let mut found = false;
-        self.for_each_newest_first(&mut |v| {
-            if v.is_committed() {
-                found = matches!(v.commit_ts, Some(c) if c >= ts);
-                return false;
+        self.for_each_newest_first(&mut |v| match v.commit_ts() {
+            Some(c) => {
+                found = c >= ts;
+                false
             }
-            true
+            None => true,
         });
         found
     }
@@ -229,7 +284,7 @@ impl ChainRead for VersionChain {
 /// * versions carrying an `order_ts` (TSO) are kept sorted by that
 ///   timestamp,
 /// * at most one uncommitted version per writer.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct VersionChain {
     versions: Vec<Version>,
 }
@@ -302,16 +357,10 @@ impl VersionChain {
     /// [`commit`](VersionChain::commit) carrying the cluster-wide HLC
     /// stamp of the commit (see [`Version::hlc`]).
     pub fn commit_stamped(&mut self, writer: TxnId, commit_ts: Timestamp, hlc: u64) -> bool {
-        let Some(v) = self
-            .versions
-            .iter_mut()
-            .find(|v| v.writer == writer && !v.is_committed())
-        else {
+        let Some(v) = self.uncommitted_by(writer) else {
             return false;
         };
-        v.state = VersionState::Committed;
-        v.commit_ts = Some(commit_ts);
-        v.hlc = hlc;
+        v.mark_committed(commit_ts, hlc);
         true
     }
 
@@ -334,9 +383,8 @@ impl VersionChain {
     pub fn committed_before(&self, ts: Timestamp) -> Option<&Version> {
         self.versions
             .iter()
-            .filter(|v| v.is_committed())
-            .filter(|v| matches!(v.commit_ts, Some(c) if c < ts))
-            .max_by_key(|v| v.commit_ts)
+            .filter(|v| matches!(v.commit_ts(), Some(c) if c < ts))
+            .max_by_key(|v| v.commit_ts())
     }
 
     /// The latest committed version whose commit timestamp is `<= ts`.
@@ -347,9 +395,8 @@ impl VersionChain {
     pub fn committed_at_or_before(&self, ts: Timestamp) -> Option<&Version> {
         self.versions
             .iter()
-            .filter(|v| v.is_committed())
-            .filter(|v| matches!(v.commit_ts, Some(c) if c <= ts))
-            .max_by_key(|v| v.commit_ts)
+            .filter(|v| matches!(v.commit_ts(), Some(c) if c <= ts))
+            .max_by_key(|v| v.commit_ts())
     }
 
     /// The latest version (committed or not) whose ordering timestamp is
@@ -387,7 +434,7 @@ impl VersionChain {
     pub fn committed_after(&self, ts: Timestamp) -> bool {
         self.versions
             .iter()
-            .any(|v| v.is_committed() && matches!(v.commit_ts, Some(c) if c > ts))
+            .any(|v| matches!(v.commit_ts(), Some(c) if c > ts))
     }
 
     /// True if a version committed with a timestamp `>= ts` exists. Snapshot
@@ -398,7 +445,7 @@ impl VersionChain {
     pub fn committed_at_or_after(&self, ts: Timestamp) -> bool {
         self.versions
             .iter()
-            .any(|v| v.is_committed() && matches!(v.commit_ts, Some(c) if c >= ts))
+            .any(|v| matches!(v.commit_ts(), Some(c) if c >= ts))
     }
 
     /// The most recent version regardless of state, in chain order.
@@ -411,14 +458,11 @@ impl VersionChain {
     /// versions removed. This is the per-key primitive used by the GC
     /// service (§4.5.3).
     pub fn prune(&mut self, keep_after: Timestamp) -> usize {
-        let latest_commit_ts = self.latest_committed().and_then(|v| v.commit_ts);
+        let latest_commit_ts = self.latest_committed().and_then(|v| v.commit_ts());
         let before = self.versions.len();
-        self.versions.retain(|v| {
-            if !v.is_committed() {
-                return true;
-            }
-            let ts = v.commit_ts.unwrap_or(Timestamp::ZERO);
-            ts >= keep_after || Some(ts) == latest_commit_ts
+        self.versions.retain(|v| match v.commit_ts() {
+            None => true,
+            Some(ts) => ts >= keep_after || Some(ts) == latest_commit_ts,
         });
         before - self.versions.len()
     }
@@ -429,15 +473,7 @@ mod tests {
     use super::*;
 
     fn ver(id: u64, writer: u64, val: i64) -> Version {
-        Version {
-            id: VersionId(id),
-            writer: TxnId(writer),
-            value: Value::Int(val),
-            state: VersionState::Uncommitted,
-            commit_ts: None,
-            order_ts: None,
-            hlc: 0,
-        }
+        Version::uncommitted(VersionId(id), TxnId(writer), Value::Int(val), None)
     }
 
     /// The trait-object query paths stop walks early by relying on the

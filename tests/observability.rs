@@ -395,12 +395,35 @@ fn cluster_metrics_exposition_covers_2pc_phases() {
     }
     // Shard-side instruments merge into the same snapshot.
     assert!(snap.counter("durability.operations").unwrap_or(0) > 0);
-    // Version-store / GC instruments: the committed increments replaced
-    // their uncommitted versions, retiring the old slots to limbo, and the
-    // chain-length gauge saw the installs.
+    // Version-store / GC instruments. Commits flip their versions in place
+    // and retire nothing; an abort unlinks its version and retires the
+    // slot to limbo, and the chain-length gauge saw the installs.
+    assert_eq!(
+        snap.counter("gc.versions_retired").unwrap_or(0),
+        0,
+        "a commit retires no slot"
+    );
+    cluster
+        .execute_multi(vec![
+            procs::increment_part(
+                cluster.shard_of(1),
+                ProcedureCall::new(TRANSFER),
+                Key::simple(TABLE, 1),
+                0,
+                -10,
+            ),
+            ShardPart::new(
+                cluster.shard_of(2),
+                ProcedureCall::new(TRANSFER),
+                POISON,
+                procs::key_args(Key::simple(TABLE, 2)),
+            ),
+        ])
+        .unwrap_err();
+    let snap = cluster.metrics();
     assert!(
         snap.counter("gc.versions_retired").unwrap_or(0) > 0,
-        "commit-time replacement must retire superseded slots"
+        "an abort must retire the slots it unlinks"
     );
     assert!(
         snap.gauge("store.chain_len").unwrap_or(0) >= 1,

@@ -4,19 +4,11 @@ use proptest::prelude::*;
 use tebaldi_suite::cc::procinfo::{AccessMode, ProcedureInfo};
 use tebaldi_suite::cc::rp_analysis::analyze;
 use tebaldi_suite::storage::{
-    Key, TableId, Timestamp, TxnId, Value, Version, VersionChain, VersionId, VersionState,
+    Key, TableId, Timestamp, TxnId, Value, Version, VersionChain, VersionId,
 };
 
 fn version(writer: u64, value: i64) -> Version {
-    Version {
-        id: VersionId(writer),
-        writer: TxnId(writer),
-        value: Value::Int(value),
-        state: VersionState::Uncommitted,
-        commit_ts: None,
-        order_ts: None,
-        hlc: 0,
-    }
+    Version::uncommitted(VersionId(writer), TxnId(writer), Value::Int(value), None)
 }
 
 proptest! {
@@ -44,16 +36,16 @@ proptest! {
         // The positionally-latest committed version has the maximal commit
         // timestamp.
         let latest = chain.latest_committed().unwrap();
-        prop_assert_eq!(latest.commit_ts.unwrap().0, max_ts);
+        prop_assert_eq!(latest.commit_ts().unwrap().0, max_ts);
         prop_assert_eq!(latest.writer.0, *installed.last().unwrap());
         // Snapshot visibility: strict and inclusive variants respect their
         // bounds.
         for snapshot in [1u64, max_ts / 2 + 1, max_ts, max_ts + 1] {
             if let Some(v) = chain.committed_before(Timestamp(snapshot)) {
-                prop_assert!(v.commit_ts.unwrap().0 < snapshot);
+                prop_assert!(v.commit_ts().unwrap().0 < snapshot);
             }
             if let Some(v) = chain.committed_at_or_before(Timestamp(snapshot)) {
-                prop_assert!(v.commit_ts.unwrap().0 <= snapshot);
+                prop_assert!(v.commit_ts().unwrap().0 <= snapshot);
             }
             prop_assert_eq!(
                 chain.committed_after(Timestamp(snapshot)),
@@ -82,14 +74,14 @@ proptest! {
         for writer in &uncommitted_writers {
             chain.install(version(*writer, -1));
         }
-        let latest_before = chain.latest_committed().unwrap().commit_ts;
+        let latest_before = chain.latest_committed().unwrap().commit_ts();
         chain.prune(Timestamp(horizon));
-        prop_assert_eq!(chain.latest_committed().unwrap().commit_ts, latest_before);
+        prop_assert_eq!(chain.latest_committed().unwrap().commit_ts(), latest_before);
         prop_assert_eq!(chain.uncommitted().count(), uncommitted_writers.len());
         // Every remaining committed version (other than the latest) is at or
         // above the horizon.
         for v in chain.versions().iter().filter(|v| v.is_committed()) {
-            let ts = v.commit_ts.unwrap();
+            let ts = v.commit_ts().unwrap();
             prop_assert!(ts >= Timestamp(horizon) || Some(ts) == latest_before);
         }
     }

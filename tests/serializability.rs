@@ -243,14 +243,22 @@ fn monolithic_2pl_is_serializable() {
     );
 }
 
+/// Twenty rounds at one and at four threads: SSI keeps its anti-dependency
+/// flags in per-transaction atomic words and a striped reader table, so its
+/// decisions are only as good as their interleavings — every round is a new
+/// one, each checked by the DSG oracle and the conservation invariant.
 #[test]
 fn monolithic_ssi_is_serializable() {
-    run_and_check(
-        CcTreeSpec::monolithic(CcKind::Ssi, vec![TRANSFER, AUDIT]),
-        4,
-        120,
-        Mix::TransfersAndAudits,
-    );
+    for _round in 0..20 {
+        for threads in [1, 4] {
+            run_and_check(
+                CcTreeSpec::monolithic(CcKind::Ssi, vec![TRANSFER, AUDIT]),
+                threads,
+                120,
+                Mix::TransfersAndAudits,
+            );
+        }
+    }
 }
 
 #[test]
