@@ -1,7 +1,7 @@
 //! Engine configuration.
 //!
 //! A [`DbConfig`] bundles everything that is *not* the MCC configuration:
-//! how many data-server shards to create, how long internal waits may last
+//! how many hash stripes the store has, how long internal waits may last
 //! before a transaction is timed out (deadlock resolution), whether and how
 //! durability is enabled, and whether the history recorder is active.
 
@@ -28,7 +28,10 @@ pub enum DurabilityMode {
 /// Static engine configuration.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DbConfig {
-    /// Number of storage shards ("data servers").
+    /// Number of hash stripes of the store's key space. They are not the
+    /// paper's data servers: a `Database` is one data server (it has one
+    /// log); the many-server protocol of this tree is the cluster crate's
+    /// `Prepare`/`Decision` two-phase commit.
     pub shards: usize,
     /// Bound on internal waits (locks, pipeline steps, dependency commits).
     pub wait_timeout_ms: u64,

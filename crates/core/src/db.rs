@@ -344,10 +344,51 @@ impl Database {
         defer_harden: bool,
         body: impl FnOnce(&mut Txn<'_>) -> CcResult<R>,
     ) -> CcResult<(R, Option<u64>)> {
+        let timer = self.metrics.is_enabled().then(Instant::now);
+        let result = self.attempt(
+            call,
+            |txn| {
+                let value = body(txn)?;
+                let (commit_ts, harden) = if defer_harden {
+                    txn.commit_deferred()?
+                } else {
+                    (txn.commit()?, None)
+                };
+                Ok((value, commit_ts, harden))
+            },
+            |_txn, (value, commit_ts, harden), gate_group, gc_epoch| {
+                self.gc.transaction_finished(gc_epoch, Some(commit_ts));
+                self.stats.record_commit();
+                self.gate.exit(gate_group);
+                (value, harden)
+            },
+        );
+        if let (Some(started), Ok(_)) = (timer, &result) {
+            self.proc_latency_histogram(call.ty)
+                .record_duration(started.elapsed());
+        }
+        result
+    }
+
+    /// The prologue of every transaction attempt, and its abort path:
+    /// admission through the reconfiguration gate, the start phase, then
+    /// `run` — the body plus whatever else of the caller's may still abort
+    /// the attempt (the commit, or a 2PC part's validation). When `run`
+    /// fails, the attempt is aborted, accounted for and its gate slot
+    /// released here. When it succeeds the attempt can no longer abort and
+    /// `epilogue` takes over the transaction, its gate group (whose slot it
+    /// must release, now or at the 2PC decision) and its GC epoch.
+    fn attempt<V, T>(
+        &self,
+        call: &ProcedureCall,
+        run: impl FnOnce(&mut Txn<'_>) -> CcResult<V>,
+        epilogue: impl FnOnce(Txn<'_>, V, GroupId, u64) -> T,
+    ) -> CcResult<T> {
+        let no_group = || CcError::Internal(format!("no group for {:?}", call.ty));
         let tree = self.current_tree();
         let gate_group = tree
             .group_for(call.ty, call.instance_seed)
-            .ok_or_else(|| CcError::Internal(format!("no group for {:?}", call.ty)))?;
+            .ok_or_else(no_group)?;
 
         // Admission: blocked while the group is being drained for a
         // reconfiguration.
@@ -364,30 +405,14 @@ impl Database {
         // Once admitted, the drain protocol waits for us, so this read is
         // stable for the whole execution.
         let tree = self.current_tree();
-        let timer = self.metrics.is_enabled().then(Instant::now);
-        let result = match tree.group_for(call.ty, call.instance_seed) {
-            Some(group) => self.execute_admitted(&tree, group, call, defer_harden, body),
-            None => Err(CcError::Internal(format!("no group for {:?}", call.ty))),
+        let Some(group) = tree.group_for(call.ty, call.instance_seed) else {
+            self.gate.exit(gate_group);
+            return Err(no_group());
         };
-        self.gate.exit(gate_group);
-        if let (Some(started), Ok(_)) = (timer, &result) {
-            self.proc_latency_histogram(call.ty)
-                .record_duration(started.elapsed());
-        }
-        result
-    }
 
-    fn execute_admitted<R>(
-        &self,
-        tree: &Arc<CcTree>,
-        group: GroupId,
-        call: &ProcedureCall,
-        defer_harden: bool,
-        body: impl FnOnce(&mut Txn<'_>) -> CcResult<R>,
-    ) -> CcResult<(R, Option<u64>)> {
         let txn_id = TxnId(self.txn_ids.fetch_add(1, Ordering::Relaxed));
         let gc_epoch = self.gc.transaction_started(txn_id);
-        // Pin the reclamation epoch once for the whole transaction: every
+        // Pin the reclamation epoch once for the whole attempt: every
         // store access inside is then a cheap nested pin (one refcount
         // bump) instead of an announcement store.
         let _epoch_pin = tebaldi_storage::ebr::pin();
@@ -396,39 +421,20 @@ impl Database {
             history.begin(txn_id, call.ty, group);
         }
 
-        let mut txn = Txn::new(self, tree, txn_id, call.ty, group);
+        let mut txn = Txn::new(self, &tree, txn_id, call.ty, group);
         let outcome = txn.begin().and_then(|()| {
             if !call.promised_keys.is_empty() {
                 txn.promise_writes(&call.promised_keys);
             }
-            body(&mut txn)
+            run(&mut txn)
         });
-
         match outcome {
-            Ok(value) => {
-                let committed = if defer_harden {
-                    txn.commit_deferred()
-                } else {
-                    txn.commit().map(|commit_ts| (commit_ts, None))
-                };
-                match committed {
-                    Ok((commit_ts, harden)) => {
-                        self.gc.transaction_finished(gc_epoch, Some(commit_ts));
-                        self.stats.record_commit();
-                        Ok((value, harden))
-                    }
-                    Err(err) => {
-                        txn.abort();
-                        self.gc.transaction_finished(gc_epoch, None);
-                        self.stats.record_abort(err.mechanism());
-                        Err(err)
-                    }
-                }
-            }
+            Ok(value) => Ok(epilogue(txn, value, gate_group, gc_epoch)),
             Err(err) => {
                 txn.abort();
                 self.gc.transaction_finished(gc_epoch, None);
                 self.stats.record_abort(err.mechanism());
+                self.gate.exit(gate_group);
                 Err(err)
             }
         }
@@ -491,51 +497,18 @@ impl Database {
         global: u64,
         body: impl FnOnce(&mut Txn<'_>) -> CcResult<R>,
     ) -> CcResult<(R, crate::prepared::ParticipantVote, Option<u64>)> {
-        let tree = self.current_tree();
-        let gate_group = tree
-            .group_for(call.ty, call.instance_seed)
-            .ok_or_else(|| CcError::Internal(format!("no group for {:?}", call.ty)))?;
-        if !self.gate.enter(
-            gate_group,
-            self.config.wait_timeout().max(Duration::from_millis(500)),
-        ) {
-            return Err(CcError::Requested);
-        }
-        // See `execute`: the tree may have been swapped while waiting at
-        // the gate; re-read after admission so the prepared transaction
-        // holds locks in the mechanisms every concurrent transaction sees.
-        let tree = self.current_tree();
-        let Some(group) = tree.group_for(call.ty, call.instance_seed) else {
-            self.gate.exit(gate_group);
-            return Err(CcError::Internal(format!("no group for {:?}", call.ty)));
-        };
-
-        let txn_id = TxnId(self.txn_ids.fetch_add(1, Ordering::Relaxed));
-        let gc_epoch = self.gc.transaction_started(txn_id);
-        // One reclamation pin for the whole phase-one execution (see
-        // `execute_admitted`).
-        let _epoch_pin = tebaldi_storage::ebr::pin();
-        self.registry.register(txn_id, call.ty, group);
-        if let Some(history) = &self.history {
-            history.begin(txn_id, call.ty, group);
-        }
-
-        let mut txn = Txn::new(self, &tree, txn_id, call.ty, group);
-        let outcome = txn
-            .begin()
-            .and_then(|()| {
-                if !call.promised_keys.is_empty() {
-                    txn.promise_writes(&call.promised_keys);
-                }
-                body(&mut txn)
-            })
-            .and_then(|value| txn.validate_and_wait_deps().map(|()| value))
-            // Stabilize the yes-vote: every mechanism must guarantee the
-            // parked transaction can still commit when the decision arrives.
-            .and_then(|value| txn.mark_prepared().map(|()| value));
-
-        match outcome {
-            Ok(value) => {
+        self.attempt(
+            call,
+            |txn| {
+                let value = body(txn)?;
+                txn.validate_and_wait_deps()?;
+                // Stabilize the yes-vote: every mechanism must guarantee the
+                // parked transaction can still commit when the decision
+                // arrives.
+                txn.mark_prepared()?;
+                Ok(value)
+            },
+            |txn, value, gate_group, gc_epoch| {
                 let read_only = txn.ctx().write_keys.is_empty();
                 let mut harden = None;
                 if !read_only && self.durability.is_enabled() {
@@ -546,9 +519,11 @@ impl Database {
                     // the caller's, so a shard worker is free for the next
                     // transaction's body meanwhile.
                     let writes = crate::txn::collect_writes(self, txn.ctx());
-                    harden = self.durability.prepare(txn_id, global, writes);
+                    harden = self.durability.prepare(txn.id(), global, writes);
                 }
                 let (path, ctx) = txn.into_parts();
+                // The parked transaction keeps its gate slot until the
+                // decision.
                 let prepared = crate::prepared::PreparedTxn::new(
                     Arc::clone(self),
                     path,
@@ -567,23 +542,16 @@ impl Database {
                     // flush is pending.
                     prepared.commit();
                     let barrier = self.durability.read_barrier();
-                    Ok((value, crate::prepared::ParticipantVote::ReadOnly, barrier))
+                    (value, crate::prepared::ParticipantVote::ReadOnly, barrier)
                 } else {
-                    Ok((
+                    (
                         value,
                         crate::prepared::ParticipantVote::ReadWrite(prepared),
                         harden,
-                    ))
+                    )
                 }
-            }
-            Err(err) => {
-                txn.abort();
-                self.gc.transaction_finished(gc_epoch, None);
-                self.stats.record_abort(err.mechanism());
-                self.gate.exit(gate_group);
-                Err(err)
-            }
-        }
+            },
+        )
     }
 
     /// Executes a transaction, retrying aborted attempts like the paper's

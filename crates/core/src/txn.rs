@@ -177,7 +177,7 @@ impl<'a> Txn<'a> {
             Ok(chain.install(Version::uncommitted(
                 version_id,
                 self.ctx.txn,
-                value.clone(),
+                value,
                 self.ctx.order_ts,
             )))
         });
@@ -188,7 +188,6 @@ impl<'a> Txn<'a> {
             let (word, bit) = written_bit(&key);
             self.written[word] |= bit;
         }
-        self.db.durability.log_operation(self.ctx.txn, key, &value);
         if let Some(history) = &self.db.history {
             history.write(self.ctx.txn, key);
         }
@@ -402,9 +401,8 @@ fn apply_commit_inner(
         }
     };
 
-    // Durability: one precommit record per participating data server,
-    // then the commit notification carrying the global epoch — appended as
-    // one batch so the whole transaction hardens with a single (group-
+    // Durability: the write set, then the commit notification — appended
+    // as one batch so the whole transaction hardens with a single (group-
     // commit coalesced) flush. A prepared transaction already hardened its
     // writes in the Prepare record, so only the commit notification is
     // logged.
@@ -414,10 +412,13 @@ fn apply_commit_inner(
             db.durability
                 .commit_stamped(ctx.txn, db.durability.current_epoch(), commit_ts, hlc);
         } else {
-            let by_shard: Vec<_> = collect_writes_by_shard(db, ctx).into_iter().collect();
-            harden =
-                db.durability
-                    .commit_transaction(ctx.txn, by_shard, commit_ts, hlc, defer_harden);
+            harden = db.durability.commit_transaction(
+                ctx.txn,
+                collect_writes(db, ctx),
+                commit_ts,
+                hlc,
+                defer_harden,
+            );
             if !defer_harden {
                 // Durable-then-visible: wait the flush out here, before the
                 // versions are published below.
@@ -464,8 +465,8 @@ pub(crate) fn apply_abort(db: &Database, path: &[PathEntry], ctx: &mut TxnCtx) {
     }
 }
 
-/// The transaction's writes with the values they will commit, in write
-/// order — the payload of the cross-shard `Prepare` record.
+/// The transaction's writes with the values they will commit, each key
+/// once, in first-write order — what the log carries for it.
 pub(crate) fn collect_writes(db: &Database, ctx: &TxnCtx) -> Vec<(Key, Value)> {
     ctx.write_keys
         .iter()
@@ -477,23 +478,4 @@ pub(crate) fn collect_writes(db: &Database, ctx: &TxnCtx) -> Vec<(Key, Value)> {
             (*key, value)
         })
         .collect()
-}
-
-/// Groups the transaction's writes by data-server shard with the values
-/// they will commit, as logged in precommit records.
-pub(crate) fn collect_writes_by_shard(
-    db: &Database,
-    ctx: &TxnCtx,
-) -> std::collections::HashMap<u32, Vec<(Key, Value)>> {
-    let mut by_shard: std::collections::HashMap<u32, Vec<(Key, Value)>> =
-        std::collections::HashMap::new();
-    for key in &ctx.write_keys {
-        let shard = db.store.shard_index(key) as u32;
-        let value = db
-            .store
-            .read(key, tebaldi_storage::ReadSpec::OwnOrCommitted(ctx.txn))
-            .unwrap_or(Value::Null);
-        by_shard.entry(shard).or_default().push((*key, value));
-    }
-    by_shard
 }

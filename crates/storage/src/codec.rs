@@ -164,14 +164,10 @@ impl ByteWriter {
 
     /// Appends a [`LogRecord`] with a one-byte variant tag — what the log
     /// shipper puts on the wire (the file device keeps its JSON lines).
+    /// Tag `0` belonged to the retired per-operation record and stays
+    /// unassigned.
     pub fn put_log_record(&mut self, record: &LogRecord) {
         match record {
-            LogRecord::Operation { txn, key, value } => {
-                self.put_u8(0);
-                self.put_u64(txn.0);
-                self.put_key(*key);
-                self.put_value(value);
-            }
             LogRecord::Precommit {
                 txn,
                 participants,
@@ -370,11 +366,6 @@ impl<'a> ByteReader<'a> {
     /// [`put_log_record`](ByteWriter::put_log_record).
     pub fn log_record(&mut self) -> CodecResult<LogRecord> {
         Ok(match self.u8()? {
-            0 => LogRecord::Operation {
-                txn: TxnId(self.u64()?),
-                key: self.key()?,
-                value: self.value()?,
-            },
             1 => LogRecord::Precommit {
                 txn: TxnId(self.u64()?),
                 participants: self.u32()?,
@@ -417,13 +408,9 @@ mod tests {
             (Key::simple(TableId(2), 5), Value::Int(50)),
             (Key::composite(TableId(3), &[1, 2]), Value::row(&[7, -8, 9])),
             (Key::simple(TableId(4), 0), Value::Null),
+            (Key::simple(TableId(1), 3), Value::Str(Arc::from("payload"))),
         ];
         let records = [
-            LogRecord::Operation {
-                txn: TxnId(9),
-                key: Key::simple(TableId(1), 3),
-                value: Value::Str(Arc::from("payload")),
-            },
             LogRecord::Precommit {
                 txn: TxnId(9),
                 participants: 3,
@@ -464,10 +451,14 @@ mod tests {
                 );
             }
         }
-        assert_eq!(
-            ByteReader::new(&[0xEE]).log_record(),
-            Err(CodecError::Malformed("log record tag"))
-        );
+        // Garbage, and tag 0 — the retired per-operation record, never
+        // reassigned — are both malformed.
+        for tag in [0xEE, 0] {
+            assert_eq!(
+                ByteReader::new(&[tag]).log_record(),
+                Err(CodecError::Malformed("log record tag"))
+            );
+        }
         // A hostile write count cannot make the decoder allocate for it.
         let mut w = ByteWriter::new();
         w.put_u8(4);

@@ -1,5 +1,11 @@
 //! The durability protocol (§4.5.4).
 //!
+//! This module is the one place that knows which records a shard log
+//! holds: a commit is one `Precommit` (the transaction's write set) plus
+//! one `Commit`, appended as one batch; a 2PC vote is one `Prepare`; a
+//! decided prepare adds its `Commit` or `Abort`. The engine hands over
+//! `(txn, writes)` at the commit point and nothing before it.
+//!
 //! The manager implements both flushing modes discussed in the paper:
 //!
 //! * **Synchronous** — every commit is flushed before it is acknowledged,
@@ -46,7 +52,10 @@ pub enum FlushPolicy {
 /// Counters exposed for the durability-overhead experiment (Table 4.2).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DurabilityStats {
-    /// Operation records appended.
+    /// Always 0: the log holds no per-operation records (see
+    /// [`crate::wal`]). The field exists only because the frozen
+    /// `benchmark/` ledger reads it; the `benchmark` change that drops the
+    /// read drops the field.
     pub operations: u64,
     /// Precommit records appended.
     pub precommits: u64,
@@ -233,7 +242,6 @@ pub struct DurabilityManager {
     sealed: Mutex<EpochState>,
     stop: Arc<AtomicBool>,
     flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
-    operations: Arc<Counter>,
     precommits: Arc<Counter>,
     prepares: Arc<Counter>,
     commits: Arc<Counter>,
@@ -286,7 +294,6 @@ impl DurabilityManager {
             sealed: Mutex::new(EpochState { sealed: 0 }),
             stop: Arc::new(AtomicBool::new(false)),
             flusher: Mutex::new(None),
-            operations: metrics.counter("durability.operations"),
             precommits: metrics.counter("durability.precommits"),
             prepares: metrics.counter("durability.prepares"),
             commits: metrics.counter("durability.commits"),
@@ -357,10 +364,11 @@ impl DurabilityManager {
         self.group.append_durable(records);
     }
 
-    /// Appends one transaction's whole commit — every per-data-server
-    /// precommit record plus the commit notification, stamped with the
-    /// cluster-wide HLC persisted in the commit record — as a single batch
-    /// into the group-commit funnel, *without waiting for the flush*, and
+    /// Appends one transaction's whole commit — the precommit record
+    /// carrying its write set (`writes`, each key once with the value it
+    /// commits) plus the commit notification, stamped with the cluster-wide
+    /// HLC persisted in the commit record — as a single batch into the
+    /// group-commit funnel, *without waiting for the flush*, and
     /// returns the funnel sequence to pass to
     /// [`wait_group_seq`](DurabilityManager::wait_group_seq): one
     /// (coalesced) flush hardens the whole transaction. The records take
@@ -383,7 +391,7 @@ impl DurabilityManager {
     pub fn commit_transaction(
         &self,
         txn: TxnId,
-        by_shard: Vec<(u32, Vec<(Key, Value)>)>,
+        writes: Vec<(Key, Value)>,
         commit_ts: Timestamp,
         hlc: u64,
         publishes_before_flush: bool,
@@ -401,25 +409,27 @@ impl DurabilityManager {
         } else {
             self.current_epoch()
         };
-        let participants = by_shard.len() as u32;
-        let mut records = Vec::with_capacity(by_shard.len() + 1);
-        for (shard, writes) in by_shard {
-            self.precommits.inc();
-            records.push(LogRecord::Precommit {
+        // A `Database` is one data server with one log, so its precommit
+        // is the transaction's only one. Recovery's completeness rule still
+        // earns its keep: a crash can tear this batch between the two
+        // records (another thread's flush may land between the appends).
+        self.precommits.inc();
+        self.commits.inc();
+        let records = [
+            LogRecord::Precommit {
                 txn,
-                participants,
-                shard,
+                participants: 1,
+                shard: 0,
                 gcp_epoch: epoch,
                 writes,
-            });
-        }
-        self.commits.inc();
-        records.push(LogRecord::Commit {
-            txn,
-            global_epoch: epoch,
-            commit_ts,
-            hlc,
-        });
+            },
+            LogRecord::Commit {
+                txn,
+                global_epoch: epoch,
+                commit_ts,
+                hlc,
+            },
+        ];
         if self.policy != FlushPolicy::Synchronous {
             for record in &records {
                 self.device.append(record);
@@ -457,19 +467,6 @@ impl DurabilityManager {
         } else {
             Some(seq)
         }
-    }
-
-    /// Logs one write operation.
-    pub fn log_operation(&self, txn: TxnId, key: Key, value: &Value) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.operations.inc();
-        self.device.append(&LogRecord::Operation {
-            txn,
-            key,
-            value: value.clone(),
-        });
     }
 
     /// Appends the cross-shard two-phase-commit *prepare* record for local
@@ -589,7 +586,7 @@ impl DurabilityManager {
     /// epoch seals and group-commit leader flushes.
     pub fn stats(&self) -> DurabilityStats {
         DurabilityStats {
-            operations: self.operations.get(),
+            operations: 0,
             precommits: self.precommits.get(),
             prepares: self.prepares.get(),
             commits: self.commits.get(),
@@ -627,9 +624,8 @@ mod tests {
     #[test]
     fn disabled_manager_is_noop() {
         let mgr = DurabilityManager::disabled();
-        mgr.log_operation(TxnId(1), k(1), &Value::Int(1));
         assert_eq!(
-            mgr.commit_transaction(TxnId(1), vec![(0, vec![])], Timestamp(1), 0, false),
+            mgr.commit_transaction(TxnId(1), vec![], Timestamp(1), 0, false),
             None
         );
         assert_eq!(mgr.prepare(TxnId(2), 9, vec![]), None);
@@ -650,11 +646,10 @@ mod tests {
     fn synchronous_commit_is_durable_once_its_sequence_is_waited() {
         let dev = Arc::new(MemLogDevice::new());
         let mgr = DurabilityManager::new(dev.clone(), FlushPolicy::Synchronous);
-        mgr.log_operation(TxnId(1), k(1), &Value::Int(5));
         let seq = mgr
             .commit_transaction(
                 TxnId(1),
-                vec![(0, vec![(k(1), Value::Int(5))])],
+                vec![(k(1), Value::Int(5))],
                 Timestamp(3),
                 0,
                 false,
@@ -662,9 +657,8 @@ mod tests {
             .expect("a synchronous commit has a flush to wait for");
         assert!(dev.read_back().is_empty(), "appending does not flush");
         mgr.wait_group_seq(seq);
-        // Operation, precommit and commit: everything appended before the
-        // flush is durable.
-        assert_eq!(dev.read_back().len(), 3);
+        // Precommit and commit: the whole batch is durable.
+        assert_eq!(dev.read_back().len(), 2);
     }
 
     #[test]
@@ -674,7 +668,7 @@ mod tests {
         let commit = |txn: u64, publishes_before_flush: bool| {
             mgr.commit_transaction(
                 TxnId(txn),
-                vec![(0, vec![(k(txn), Value::Int(1))])],
+                vec![(k(txn), Value::Int(1))],
                 Timestamp(txn),
                 0,
                 publishes_before_flush,
@@ -705,7 +699,7 @@ mod tests {
         assert!(epoch >= 1);
         let waits = mgr.commit_transaction(
             TxnId(1),
-            vec![(0, vec![(k(1), Value::Int(5))])],
+            vec![(k(1), Value::Int(5))],
             Timestamp(1),
             0,
             false,

@@ -2,7 +2,8 @@
 //!
 //! The paper's cluster architecture (§4.5.1) splits the database across
 //! *data servers* holding partitions of the data. In this reproduction a
-//! data server is a shard. Since the main-memory rework the shard is **not**
+//! data server is a whole database — one store, one log — and the store's
+//! shards are hash stripes of that one server's keys. A shard is **not**
 //! a locked map: keys hash into a fixed array of lock-free buckets holding
 //! append-only entry lists, and each entry points at a version chain of
 //! [`VersionArena`] slots linked by atomic generation-tagged handles.
@@ -744,15 +745,9 @@ impl MvStore {
         self.m_chain_len = registry.max_gauge("store.chain_len");
     }
 
-    /// Number of shards ("data servers").
+    /// Number of shards (hash stripes of the key space).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The index of the shard ("data server") holding `key`. Exposed so the
-    /// durability layer can label precommit records by participant.
-    pub fn shard_index(&self, key: &Key) -> usize {
-        self.locate(key.mix64()).0
     }
 
     /// `(shard, bucket)` of a key whose [`Key::mix64`] is `h` — computed

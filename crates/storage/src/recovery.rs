@@ -6,7 +6,12 @@
 //! 2. reconstruct the database state: discard any transaction that has
 //!    fewer precommit records than its number of participating data servers
 //!    or whose global epoch id is newer than the latest sealed epoch, then
-//!    keep the latest committed version of each object,
+//!    keep the latest committed version of each object. What is replayed
+//!    is the write list of the `Precommit` / `Prepare` records (the log
+//!    holds nothing per operation). The engine writes one precommit per
+//!    transaction (`participants: 1`), and the completeness rule still
+//!    decides a batch a crash tore between `Precommit` and `Commit`:
+//!    precommitted everywhere means guaranteed to commit, so it is replayed,
 //! 3. reconstruct the (root) concurrency control's internal state — in this
 //!    reproduction the CC state is rebuilt lazily by the engine when it
 //!    re-opens the recovered store, which matches the paper's observation
@@ -108,10 +113,6 @@ pub fn recover_with_resolver(
     for record in &records {
         match record {
             LogRecord::EpochSeal { epoch } => sealed_epoch = sealed_epoch.max(*epoch),
-            LogRecord::Operation { .. } => {
-                // Operation records are informational; the authoritative
-                // write list is in the precommit record.
-            }
             LogRecord::Precommit {
                 txn,
                 participants,
@@ -218,9 +219,12 @@ pub fn recover_with_resolver(
     let mut restored_keys: HashSet<Key> = HashSet::new();
     for (txn, log) in &recoverable {
         report.recovered_txns += 1;
-        if let Some(ts) = log.commit_ts {
-            report.max_commit_ts = report.max_commit_ts.max(ts);
-        }
+        // A transaction replayed without its commit record (sorted last,
+        // by id) takes the next timestamp above everything replayed so
+        // far; raising the mark keeps two of them — and the first new
+        // transaction after recovery — from sharing one.
+        let commit_ts = log.commit_ts.unwrap_or(report.max_commit_ts.next());
+        report.max_commit_ts = report.max_commit_ts.max(commit_ts);
         report.max_hlc = report.max_hlc.max(log.hlc);
         for (key, value) in &log.writes {
             restored_keys.insert(*key);
@@ -230,12 +234,7 @@ pub fn recover_with_resolver(
                 chain.abort(*txn);
             });
             store.write(key, *txn, value.clone());
-            store.commit_writes_stamped(
-                *txn,
-                &[*key],
-                log.commit_ts.unwrap_or(report.max_commit_ts.next()),
-                log.hlc,
-            );
+            store.commit_writes_stamped(*txn, &[*key], commit_ts, log.hlc);
         }
     }
 
@@ -297,13 +296,7 @@ mod tests {
     /// Logs a whole single-data-server commit through the engine's entry
     /// point and hardens it.
     fn commit(mgr: &DurabilityManager, txn: u64, writes: Vec<(Key, Value)>, commit_ts: u64) {
-        let seq = mgr.commit_transaction(
-            TxnId(txn),
-            vec![(0, writes)],
-            Timestamp(commit_ts),
-            0,
-            false,
-        );
+        let seq = mgr.commit_transaction(TxnId(txn), writes, Timestamp(commit_ts), 0, false);
         if let Some(seq) = seq {
             mgr.wait_group_seq(seq);
         }
@@ -501,12 +494,65 @@ mod tests {
         let dev = Arc::new(MemLogDevice::new());
         let mgr = DurabilityManager::new(dev.clone(), FlushPolicy::Synchronous);
         lone_precommit(&dev, 4, 1, vec![(k(4), Value::Int(44))]);
+        // The same tear in a batch the engine wrote: another thread's flush
+        // landed between the two appends, so the precommit is durable and
+        // the commit notification is lost.
+        let whole = Arc::new(MemLogDevice::new());
+        commit(
+            &DurabilityManager::new(whole.clone(), FlushPolicy::Synchronous),
+            5,
+            vec![(k(5), Value::Int(55)), (k(6), Value::Int(66))],
+            9,
+        );
+        let batch = whole.read_back();
+        assert!(matches!(
+            batch[..],
+            [LogRecord::Precommit { .. }, LogRecord::Commit { .. }]
+        ));
+        dev.append(&batch[0]);
         mgr.seal_current_epoch();
         let (store, report) = recover(dev.as_ref());
-        assert_eq!(report.recovered_txns, 1);
+        assert_eq!(report.recovered_txns, 2);
+        assert_eq!(report.discarded_incomplete, 0);
         assert_eq!(
             store.read(&k(4), ReadSpec::LatestCommitted),
             Some(Value::Int(44))
+        );
+        assert_eq!(
+            store.read(&k(5), ReadSpec::LatestCommitted),
+            Some(Value::Int(55))
+        );
+        assert_eq!(
+            store.read(&k(6), ReadSpec::LatestCommitted),
+            Some(Value::Int(66))
+        );
+        assert_eq!(store.stats().versions, 3, "each write replayed once");
+    }
+
+    #[test]
+    fn replays_without_a_commit_record_take_distinct_timestamps() {
+        let dev = Arc::new(MemLogDevice::new());
+        let mgr = DurabilityManager::new(dev.clone(), FlushPolicy::Synchronous);
+        commit(&mgr, 1, vec![(k(1), Value::Int(10))], 5);
+        lone_precommit(&dev, 3, 1, vec![(k(1), Value::Int(30))]);
+        lone_precommit(&dev, 2, 1, vec![(k(1), Value::Int(20))]);
+        mgr.seal_current_epoch();
+        let (store, report) = recover(dev.as_ref());
+        assert_eq!(report.recovered_txns, 3);
+        // Replayed after the committed one, in id order, one timestamp each.
+        let at = |ts| store.read(&k(1), ReadSpec::SnapshotBefore(Timestamp(ts)));
+        assert_eq!(at(6), Some(Value::Int(10)));
+        assert_eq!(at(7), Some(Value::Int(20)));
+        assert_eq!(at(8), Some(Value::Int(30)));
+        assert_eq!(
+            store.read(&k(1), ReadSpec::LatestCommitted),
+            Some(Value::Int(30)),
+            "the later transaction id wins"
+        );
+        assert_eq!(
+            report.max_commit_ts,
+            Timestamp(7),
+            "the oracle must restart above every timestamp handed out"
         );
     }
 }

@@ -1,10 +1,18 @@
 //! Write-ahead logging.
 //!
 //! Tebaldi's durability module (§4.5.4) is based on write-ahead logging and
-//! two-phase commit. Data servers create *operation logs* for writes during
-//! execution and a *precommit log* per participating data server when all
-//! CCs pass precommit; a transaction is guaranteed to commit once all its
-//! precommit logs are persistent.
+//! two-phase commit: a *precommit log* per participating data server is
+//! written when all CCs pass precommit, and a transaction is guaranteed to
+//! commit once all its precommit logs are persistent.
+//!
+//! A shard log carries each committed write **once**: the transaction's
+//! write set travels in its `Precommit` record (or, for a 2PC participant,
+//! its `Prepare` record), generated at commit. This deliberately departs
+//! from the paper's wording, which also has data servers write an
+//! *operation log* per write during execution: recovery replays the
+//! precommit's write list and never needed a per-operation record, so there
+//! is none — the execution path does not touch the log, and an attempt that
+//! aborts before its commit point logs nothing.
 //!
 //! Tebaldi does not implement its own persistent storage: it outsources
 //! persistence to any key-value-ish backend. Here the backend is a
@@ -25,15 +33,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// A single log record.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
 pub enum LogRecord {
-    /// A write operation performed during the execution phase.
-    Operation {
-        /// Writing transaction.
-        txn: TxnId,
-        /// Written key.
-        key: Key,
-        /// Written value.
-        value: Value,
-    },
     /// Precommit record emitted by one participating data server.
     Precommit {
         /// Committing transaction.
@@ -362,23 +361,24 @@ mod tests {
     use super::*;
     use crate::schema::TableId;
 
-    fn op(txn: u64, id: u64) -> LogRecord {
-        LogRecord::Operation {
+    /// A one-write record to fill a device with.
+    fn rec(txn: u64, id: u64) -> LogRecord {
+        LogRecord::Prepare {
             txn: TxnId(txn),
-            key: Key::simple(TableId(0), id),
-            value: Value::Int(id as i64),
+            global: 0,
+            writes: vec![(Key::simple(TableId(0), id), Value::Int(id as i64))],
         }
     }
 
     #[test]
     fn mem_device_flush_and_crash() {
         let dev = MemLogDevice::new();
-        dev.append(&op(1, 1));
-        dev.append(&op(1, 2));
+        dev.append(&rec(1, 1));
+        dev.append(&rec(1, 2));
         assert_eq!(dev.read_back().len(), 0);
         dev.flush();
         assert_eq!(dev.read_back().len(), 2);
-        dev.append(&op(2, 3));
+        dev.append(&rec(2, 3));
         dev.crash();
         assert_eq!(dev.read_back().len(), 2, "unflushed records are lost");
     }
@@ -387,18 +387,18 @@ mod tests {
     fn mem_device_incremental_read_and_truncate() {
         let dev = MemLogDevice::new();
         for i in 0..5 {
-            dev.append(&op(1, i));
+            dev.append(&rec(1, i));
         }
         dev.flush();
         assert_eq!(dev.durable_len(), 5);
         assert_eq!(dev.read_from(0).len(), 5);
-        assert_eq!(dev.read_from(3), vec![op(1, 3), op(1, 4)]);
+        assert_eq!(dev.read_from(3), vec![rec(1, 3), rec(1, 4)]);
         assert_eq!(dev.read_from(5), Vec::new());
         assert_eq!(dev.read_from(99), Vec::new());
         // Truncation cuts the durable suffix and any buffered tail.
-        dev.append(&op(2, 9));
+        dev.append(&rec(2, 9));
         assert!(dev.truncate_to(2));
-        assert_eq!(dev.read_back(), vec![op(1, 0), op(1, 1)]);
+        assert_eq!(dev.read_back(), vec![rec(1, 0), rec(1, 1)]);
         dev.flush();
         assert_eq!(dev.durable_len(), 2, "buffered tail was discarded too");
         // No-op truncation past the end still succeeds.
@@ -413,7 +413,7 @@ mod tests {
         let path = dir.join("wal.log");
         let _ = std::fs::remove_file(&path);
         let dev = FileLogDevice::open(&path).unwrap();
-        dev.append(&op(1, 1));
+        dev.append(&rec(1, 1));
         dev.append(&LogRecord::Commit {
             txn: TxnId(1),
             global_epoch: 3,
@@ -423,7 +423,7 @@ mod tests {
         dev.flush();
         let records = dev.read_back();
         assert_eq!(records.len(), 2);
-        assert_eq!(records[0], op(1, 1));
+        assert_eq!(records[0], rec(1, 1));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -435,30 +435,30 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let dev = FileLogDevice::open(&path).unwrap();
         for i in 0..3 {
-            dev.append(&op(1, i));
+            dev.append(&rec(1, i));
         }
         dev.flush();
-        dev.append(&op(2, 3));
-        dev.append(&op(2, 4));
+        dev.append(&rec(2, 3));
+        dev.append(&rec(2, 4));
         // Neither accessor moves the durable prefix, however often asked.
         for _ in 0..3 {
             assert_eq!(dev.durable_len(), 3);
-            assert_eq!(dev.read_from(0), vec![op(1, 0), op(1, 1), op(1, 2)]);
-            assert_eq!(dev.read_from(2), vec![op(1, 2)]);
+            assert_eq!(dev.read_from(0), vec![rec(1, 0), rec(1, 1), rec(1, 2)]);
+            assert_eq!(dev.read_from(2), vec![rec(1, 2)]);
             assert_eq!(dev.read_from(3), Vec::new());
             assert_eq!(dev.read_from(99), Vec::new());
         }
         dev.flush();
         assert_eq!(dev.durable_len(), 5);
-        assert_eq!(dev.read_from(3), vec![op(2, 3), op(2, 4)]);
+        assert_eq!(dev.read_from(3), vec![rec(2, 3), rec(2, 4)]);
         drop(dev);
         // Reopening indexes what the file holds: indices keep their meaning.
         let dev = FileLogDevice::open(&path).unwrap();
         assert_eq!(dev.durable_len(), 5);
-        dev.append(&op(3, 5));
-        assert_eq!(dev.read_from(4), vec![op(2, 4)]);
+        dev.append(&rec(3, 5));
+        assert_eq!(dev.read_from(4), vec![rec(2, 4)]);
         dev.flush();
-        assert_eq!(dev.read_from(4), vec![op(2, 4), op(3, 5)]);
+        assert_eq!(dev.read_from(4), vec![rec(2, 4), rec(3, 5)]);
         assert_eq!(dev.read_back().len(), 6);
         let _ = std::fs::remove_file(&path);
     }

@@ -394,7 +394,7 @@ fn cluster_metrics_exposition_covers_2pc_phases() {
         assert!(hist.count >= 1, "{name} must have recorded a phase");
     }
     // Shard-side instruments merge into the same snapshot.
-    assert!(snap.counter("durability.operations").unwrap_or(0) > 0);
+    assert!(snap.counter("durability.commits").unwrap_or(0) > 0);
     // Version-store / GC instruments. Commits flip their versions in place
     // and retire nothing; an abort unlinks its version and retires the
     // slot to limbo, and the chain-length gauge saw the installs.
