@@ -16,9 +16,8 @@ use crate::error::{CcError, CcResult};
 use crate::mechanism::{NodeEnv, TxnCtx};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::time::Instant;
-use tebaldi_storage::{Key, TxnId};
+use tebaldi_storage::{Key, KeyMap, TxnId};
 
 /// Lock mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,7 +74,7 @@ impl LockEntry {
 }
 
 struct Shard {
-    entries: Mutex<HashMap<Key, LockEntry>>,
+    entries: Mutex<KeyMap<LockEntry>>,
     released: Condvar,
 }
 
@@ -106,7 +105,7 @@ impl LockManager {
         LockManager {
             shards: (0..shards)
                 .map(|_| Shard {
-                    entries: Mutex::new(HashMap::new()),
+                    entries: Mutex::new(KeyMap::default()),
                     released: Condvar::new(),
                 })
                 .collect(),
@@ -114,10 +113,10 @@ impl LockManager {
         }
     }
 
+    /// The shard holding `key`'s entry. Taken from the middle of the mix:
+    /// the shard's own map spreads on the low bits and tags on the high ones.
     fn shard_of(&self, key: &Key) -> &Shard {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
+        &self.shards[(key.mix64() >> 32) as usize % self.shards.len()]
     }
 
     fn held_of(&self, txn: TxnId) -> &Mutex<HashMap<TxnId, Vec<Key>>> {

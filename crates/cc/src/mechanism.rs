@@ -19,9 +19,7 @@ use crate::topology::{LaneSel, Topology};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tebaldi_storage::{
-    ChainRead, GroupId, Key, NodeId, Timestamp, TxnId, TxnTypeId, Value, Version,
-};
+use tebaldi_storage::{Chain, GroupId, Key, NodeId, Timestamp, TxnId, TxnTypeId, Value, Version};
 
 /// The relation between the executing transaction and the node whose
 /// mechanism is being invoked (see [`LaneSel`]). A `Lane` is passed to every
@@ -242,16 +240,19 @@ impl NodeEnv {
     }
 }
 
-/// A version as `writer` leaves it on a chain before committing (test
-/// fixture; the value is the writer's id).
+/// What `cc` alone makes of a read of `key` by `ctx`, on the key's real chain
+/// in `store` (the unit tests' one-node stand-in for `Txn::get`).
 #[cfg(test)]
-pub(crate) fn uncommitted_version(writer: u64, order_ts: Option<Timestamp>) -> Version {
-    Version::uncommitted(
-        tebaldi_storage::VersionId(writer),
-        TxnId(writer),
-        Value::Int(writer as i64),
-        order_ts,
-    )
+pub(crate) fn read_at(
+    cc: &dyn CcMechanism,
+    store: &tebaldi_storage::MvStore,
+    ctx: &mut TxnCtx,
+    lane: Lane,
+    key: Key,
+) -> Option<VersionPick> {
+    store.with_chain(&key, |chain| {
+        cc.choose_version(ctx, lane, &key, None, chain)
+    })
 }
 
 /// The read rule of every node (§4.2.1, consistent ordering) — the one place
@@ -276,7 +277,7 @@ pub(crate) fn uncommitted_version(writer: u64, order_ts: Option<Timestamp>) -> V
 /// passes over, so its `choose_version` stays a separate rule.
 pub fn visible_version(
     candidate: Option<VersionPick>,
-    chain: &dyn ChainRead,
+    chain: &Chain<'_>,
     accept: impl FnOnce(&VersionPick) -> bool,
     mut judge: impl FnMut(&Version) -> Option<bool>,
 ) -> Option<VersionPick> {
@@ -284,7 +285,8 @@ pub fn visible_version(
         return candidate;
     }
     chain
-        .find_newest_first(&mut |v| judge(v).unwrap_or_else(|| v.is_committed()))
+        .iter()
+        .find(|v| judge(v).unwrap_or_else(|| v.is_committed()))
         .map(VersionPick::from_version)
         .or(candidate)
 }
@@ -366,7 +368,7 @@ pub trait CcMechanism: Send + Sync {
         _lane: Lane,
         _key: &Key,
         candidate: Option<VersionPick>,
-        chain: &dyn ChainRead,
+        chain: &Chain<'_>,
     ) -> Option<VersionPick> {
         visible_version(candidate, chain, |_| true, |_| None)
     }
@@ -379,7 +381,7 @@ pub trait CcMechanism: Send + Sync {
         _ctx: &mut TxnCtx,
         _lane: Lane,
         _key: &Key,
-        _chain: &dyn ChainRead,
+        _chain: &Chain<'_>,
     ) -> CcResult<()> {
         Ok(())
     }

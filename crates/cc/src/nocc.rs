@@ -22,32 +22,17 @@ impl CcMechanism for NoCc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanism::{Lane, TxnCtx};
-    use tebaldi_storage::{
-        GroupId, Key, TableId, Timestamp, TxnId, TxnTypeId, Value, Version, VersionChain, VersionId,
-    };
+    use crate::mechanism::{read_at, Lane, TxnCtx};
+    use tebaldi_storage::{GroupId, Key, MvStore, TableId, Timestamp, TxnId, TxnTypeId, Value};
 
     #[test]
     fn proposes_latest_committed() {
         let cc = NoCc;
-        let mut chain = VersionChain::new();
-        chain.install(Version::uncommitted(
-            VersionId(1),
-            TxnId(1),
-            Value::Int(7),
-            None,
-        ));
-        chain.commit(TxnId(1), Timestamp(1));
+        let (store, key) = (MvStore::new(1), Key::simple(TableId(0), 1));
+        store.write(&key, TxnId(1), Value::Int(7));
+        store.commit_writes(TxnId(1), &[key], Timestamp(1));
         let mut ctx = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        let pick = cc
-            .choose_version(
-                &mut ctx,
-                Lane::leaf(),
-                &Key::simple(TableId(0), 1),
-                None,
-                &chain,
-            )
-            .unwrap();
+        let pick = read_at(&cc, &store, &mut ctx, Lane::leaf(), key).unwrap();
         assert_eq!(pick.value, Value::Int(7));
         // All other phases are no-ops and must not fail.
         assert!(cc.begin(&mut ctx, Lane::leaf()).is_ok());

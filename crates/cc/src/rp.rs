@@ -22,7 +22,7 @@ use crate::rp_analysis::RpPlan;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
-use tebaldi_storage::{ChainRead, Key, Timestamp, TxnId, Version};
+use tebaldi_storage::{Chain, Key, Timestamp, TxnId, Version};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Progress {
@@ -200,7 +200,7 @@ impl CcMechanism for Rp {
         lane: Lane,
         _key: &Key,
         candidate: Option<VersionPick>,
-        chain: &dyn ChainRead,
+        chain: &Chain<'_>,
     ) -> Option<VersionPick> {
         // Accept the child's proposal if it comes from this node's group.
         let accept = |pick: &VersionPick| {
@@ -226,14 +226,14 @@ impl CcMechanism for Rp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanism::uncommitted_version;
+    use crate::mechanism::read_at;
     use crate::procinfo::{AccessMode, ProcedureInfo};
     use crate::registry::TxnRegistry;
     use crate::rp_analysis::analyze;
     use crate::topology::Topology;
     use std::sync::Arc;
     use std::time::Duration;
-    use tebaldi_storage::{GroupId, NodeId, TableId, TxnTypeId, VersionChain};
+    use tebaldi_storage::{GroupId, MvStore, NodeId, TableId, TxnTypeId, Value};
 
     fn plan() -> RpPlan {
         // Three tables accessed in a fixed order by a single procedure.
@@ -362,45 +362,41 @@ mod tests {
         Rp::new(NodeEnv::for_test(topology, registry, 30), plan())
     }
 
-    fn install(chain: &mut VersionChain, writer: u64, commit: Option<u64>) {
-        chain.install(uncommitted_version(writer, None));
+    fn install(store: &MvStore, key: Key, writer: u64, commit: Option<u64>) {
+        store.write(&key, TxnId(writer), Value::Int(writer as i64));
         if let Some(ts) = commit {
-            chain.commit(TxnId(writer), Timestamp(ts));
+            store.commit_writes(TxnId(writer), &[key], Timestamp(ts));
         }
+    }
+
+    /// What T2 reads on `key` at the leaf.
+    fn read(rp: &Rp, store: &MvStore, key: Key) -> VersionPick {
+        let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
+        read_at(rp, store, &mut reader, Lane::leaf(), key).unwrap()
     }
 
     #[test]
     fn newer_foreign_committed_version_beats_older_in_group_one() {
         let rp = read_rule_leaf();
-        let mut chain = VersionChain::new();
-        install(&mut chain, 1, Some(1)); // in-group, committed long ago
-        install(&mut chain, 9, Some(2)); // sibling group, committed after it
-        let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        let pick = rp
-            .choose_version(&mut reader, Lane::leaf(), &k(0, 1), None, &chain)
-            .unwrap();
+        let store = MvStore::new(1);
+        install(&store, k(0, 1), 1, Some(1)); // in-group, committed long ago
+        install(&store, k(0, 1), 9, Some(2)); // sibling group, committed after it
+        let pick = read(&rp, &store, k(0, 1));
         assert_eq!(pick.writer, TxnId(9), "the parent ordered T9 after T1");
     }
 
     #[test]
     fn newest_in_group_version_is_exposed_uncommitted() {
         let rp = read_rule_leaf();
-        let mut chain = VersionChain::new();
-        install(&mut chain, 9, Some(1));
-        install(&mut chain, 3, None); // step-committed by a pipeline member
-        let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        let pick = rp
-            .choose_version(&mut reader, Lane::leaf(), &k(0, 1), None, &chain)
-            .unwrap();
+        let store = MvStore::new(1);
+        install(&store, k(0, 1), 9, Some(1));
+        install(&store, k(0, 1), 3, None); // step-committed by a pipeline member
+        let pick = read(&rp, &store, k(0, 1));
         assert_eq!(pick.writer, TxnId(3));
         assert!(!pick.committed);
         // A foreign uncommitted version on top is skipped, not exposed.
-        let mut chain = VersionChain::new();
-        install(&mut chain, 1, Some(1));
-        install(&mut chain, 9, None);
-        let pick = rp
-            .choose_version(&mut reader, Lane::leaf(), &k(0, 1), None, &chain)
-            .unwrap();
-        assert_eq!(pick.writer, TxnId(1));
+        install(&store, k(0, 2), 1, Some(1));
+        install(&store, k(0, 2), 9, None);
+        assert_eq!(read(&rp, &store, k(0, 2)).writer, TxnId(1));
     }
 }

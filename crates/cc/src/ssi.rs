@@ -58,7 +58,7 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
-use tebaldi_storage::{ChainRead, Key, KeyMap, NodeId, Timestamp, TxnId};
+use tebaldi_storage::{Chain, Key, KeyMap, NodeId, Timestamp, TxnId};
 
 /// Configuration of one SSI node.
 #[derive(Clone, Debug)]
@@ -266,17 +266,14 @@ impl Ssi {
         &self,
         me: TxnId,
         my_lane: Option<u32>,
-        chain: &dyn ChainRead,
+        chain: &Chain<'_>,
     ) -> Option<TxnId> {
-        // `has_other_uncommitted` answers in O(1) when the chain carries no
-        // uncommitted versions at all — the common case on long committed
-        // tails between GC cycles.
-        if !chain.has_other_uncommitted(me) {
-            return None;
-        }
+        // One probe: free when the chain carries no uncommitted version at
+        // all — the common case on long committed tails between GC cycles —
+        // and, under the write latch, bounded by the writers in flight.
         chain
-            .find_newest_first(&mut |v| {
-                !v.is_committed() && v.writer != me && {
+            .find_uncommitted(|v| {
+                v.writer != me && {
                     let writer_lane = self
                         .env
                         .group_of(v.writer)
@@ -396,7 +393,7 @@ impl CcMechanism for Ssi {
         lane: Lane,
         key: &Key,
         candidate: Option<VersionPick>,
-        chain: &dyn ChainRead,
+        chain: &Chain<'_>,
     ) -> Option<VersionPick> {
         // Accept the child's proposal when it comes from this transaction's
         // own child group (their ordering is the child's business).
@@ -454,7 +451,7 @@ impl CcMechanism for Ssi {
         ctx: &mut TxnCtx,
         lane: Lane,
         _key: &Key,
-        chain: &dyn ChainRead,
+        chain: &Chain<'_>,
     ) -> CcResult<()> {
         self.check_first_committer_wins(ctx, chain, lane)
     }
@@ -508,7 +505,7 @@ impl Ssi {
     pub fn check_first_committer_wins(
         &self,
         ctx: &TxnCtx,
-        chain: &dyn ChainRead,
+        chain: &Chain<'_>,
         lane: Lane,
     ) -> CcResult<()> {
         if self.is_read_only_lane(lane) {
@@ -576,12 +573,11 @@ impl Ssi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::read_at as read;
     use crate::registry::TxnRegistry;
     use crate::topology::Topology;
     use std::sync::Arc;
-    use tebaldi_storage::{
-        GroupId, NodeId, TableId, TxnTypeId, Value, Version, VersionChain, VersionId,
-    };
+    use tebaldi_storage::{GroupId, MvStore, NodeId, TableId, TxnTypeId, Value};
 
     fn setup(batching: bool) -> (Ssi, Arc<TxnRegistry>) {
         let registry = Arc::new(TxnRegistry::default());
@@ -605,16 +601,12 @@ mod tests {
         ssi.record(ctx).expect("begun at this node")
     }
 
-    fn committed_version(writer: u64, val: i64, ts: u64) -> VersionChain {
-        let mut chain = VersionChain::new();
-        chain.install(Version::uncommitted(
-            VersionId(writer),
-            TxnId(writer),
-            Value::Int(val),
-            None,
-        ));
-        chain.commit(TxnId(writer), Timestamp(ts));
-        chain
+    /// A store where `writer` committed `val` on `key` at `ts`.
+    fn committed_version(key: Key, writer: u64, val: i64, ts: u64) -> MvStore {
+        let store = MvStore::new(1);
+        store.write(&key, TxnId(writer), Value::Int(val));
+        store.commit_writes(TxnId(writer), &[key], Timestamp(ts));
+        store
     }
 
     #[test]
@@ -626,8 +618,8 @@ mod tests {
 
         // A version committed *after* the snapshot must not be visible.
         let later = ssi.env.oracle.issue().0 + 10;
-        let chain = committed_version(99, 42, later);
-        let pick = ssi.choose_version(&mut ctx, Lane::child(0), &k(1), None, &chain);
+        let store = committed_version(k(1), 99, 42, later);
+        let pick = read(&ssi, &store, &mut ctx, Lane::child(0), k(1));
         assert!(pick.is_none(), "nothing visible before the snapshot");
         ssi.commit(&mut ctx, Lane::child(0), Timestamp(100));
         assert_eq!(ssi.active_count(), 0);
@@ -640,11 +632,17 @@ mod tests {
         let mut ctx = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         ssi.begin(&mut ctx, Lane::child(0)).unwrap();
         let later = ssi.env.oracle.issue().0 + 5;
-        let chain = committed_version(50, 1, later);
-        let err = ssi
-            .check_first_committer_wins(&ctx, &chain, Lane::child(0))
-            .unwrap_err();
-        assert!(matches!(err, CcError::Conflict { .. }));
+        let store = committed_version(k(1), 50, 1, later);
+        // The lock-free view and the latched one the engine validates
+        // under decide alike.
+        let lock_free = store.with_chain(&k(1), |chain| {
+            ssi.check_first_committer_wins(&ctx, chain, Lane::child(0))
+        });
+        let latched = store.with_chain_mut(&k(1), |chain| {
+            ssi.validate_write(&mut ctx, Lane::child(0), &k(1), chain)
+        });
+        assert!(matches!(lock_free, Err(CcError::Conflict { .. })));
+        assert_eq!(lock_free, latched);
     }
 
     #[test]
@@ -655,16 +653,24 @@ mod tests {
         let mut a = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         ssi.begin(&mut a, Lane::child(0)).unwrap();
         // Transaction from the other group installed an uncommitted write.
-        let mut chain = VersionChain::new();
-        chain.install(Version::uncommitted(
-            VersionId(1),
-            TxnId(2),
-            Value::Int(9),
-            None,
-        ));
-        assert!(ssi
-            .check_first_committer_wins(&a, &chain, Lane::child(0))
-            .is_err());
+        let store = MvStore::new(1);
+        store.write(&k(1), TxnId(2), Value::Int(9));
+        let lock_free = store.with_chain(&k(1), |chain| {
+            ssi.check_first_committer_wins(&a, chain, Lane::child(0))
+        });
+        let latched = store.with_chain_mut(&k(1), |chain| {
+            ssi.validate_write(&mut a, Lane::child(0), &k(1), chain)
+        });
+        assert!(lock_free.is_err());
+        assert_eq!(lock_free, latched);
+        // A same-lane writer in flight is the child's business, not SSI's.
+        registry.register(TxnId(3), TxnTypeId(0), GroupId(0));
+        store.abort_writes(TxnId(2), &[k(1)]);
+        store.write(&k(1), TxnId(3), Value::Int(9));
+        store.with_chain_mut(&k(1), |chain| {
+            ssi.validate_write(&mut a, Lane::child(0), &k(1), chain)
+                .unwrap()
+        });
     }
 
     #[test]
@@ -680,20 +686,14 @@ mod tests {
         ssi.begin(&mut t, Lane::child(0)).unwrap();
         ssi.begin(&mut u, Lane::child(1)).unwrap();
 
-        let empty = VersionChain::new();
+        let store = MvStore::new(1);
         // T reads x (registers as reader of x) and writes y.
-        let _ = ssi.choose_version(&mut t, Lane::child(0), &k(1), None, &empty);
+        let _ = read(&ssi, &store, &mut t, Lane::child(0), k(1));
         ssi.before_write(&mut t, Lane::child(0), &k(2)).unwrap();
+        store.write(&k(2), TxnId(1), Value::Int(1));
         // U reads y and misses T's uncommitted write: U -rw-> T gives T the
         // incoming edge.
-        let mut y_chain = VersionChain::new();
-        y_chain.install(Version::uncommitted(
-            VersionId(10),
-            TxnId(1),
-            Value::Int(1),
-            None,
-        ));
-        let _ = ssi.choose_version(&mut u, Lane::child(1), &k(2), None, &y_chain);
+        let _ = read(&ssi, &store, &mut u, Lane::child(1), k(2));
 
         // T validates and stabilizes its yes-vote.
         ssi.validate(&mut t, Lane::child(0)).unwrap();
@@ -735,11 +735,11 @@ mod tests {
         ssi.begin(&mut t3, Lane::child(0)).unwrap();
 
         // T2 reads key A (registers as reader), then T1 writes A: T2 -rw-> T1.
-        let empty = VersionChain::new();
-        let _ = ssi.choose_version(&mut t2, Lane::child(1), &k(1), None, &empty);
+        let store = MvStore::new(1);
+        let _ = read(&ssi, &store, &mut t2, Lane::child(1), k(1));
         ssi.before_write(&mut t1, Lane::child(0), &k(1)).unwrap();
         // T3 reads key B, T2 writes B: T3 -rw-> T2; now T2 has in and out.
-        let _ = ssi.choose_version(&mut t3, Lane::child(0), &k(2), None, &empty);
+        let _ = read(&ssi, &store, &mut t3, Lane::child(0), k(2));
         // T2 is the pivot: it is rejected as soon as the second
         // anti-dependency appears (at the write or, at the latest, during
         // validation).
@@ -794,10 +794,8 @@ mod tests {
         assert_eq!(rec(&ssi, &writer).start_ts, Timestamp::MAX);
         assert!(ssi.batches.lock().is_empty());
         // Update transactions see the latest committed version.
-        let chain = committed_version(9, 7, 5);
-        let pick = ssi
-            .choose_version(&mut writer, Lane::child(1), &k(3), None, &chain)
-            .unwrap();
+        let store = committed_version(k(3), 9, 7, 5);
+        let pick = read(&ssi, &store, &mut writer, Lane::child(1), k(3)).unwrap();
         assert_eq!(pick.value, Value::Int(7));
         // Read-only transactions never fail validation.
         assert!(ssi.validate(&mut reader, Lane::child(0)).is_ok());
@@ -811,7 +809,7 @@ mod tests {
         for id in 1..=6u64 {
             registry.register(TxnId(id), TxnTypeId(0), GroupId((id % 2) as u32));
         }
-        let empty = VersionChain::new();
+        let store = MvStore::new(1);
         let begin = |id: u64| {
             let mut ctx = TxnCtx::new(TxnId(id), TxnTypeId(0), GroupId((id % 2) as u32));
             ssi.begin(&mut ctx, Lane::child((id % 2) as u32)).unwrap();
@@ -822,8 +820,8 @@ mod tests {
         // P read would add OUT — refused, P untouched. A prepared reader
         // *without* IN just gains OUT, and the writer proceeds.
         let (mut p, mut clean, mut w) = (begin(1), begin(3), begin(2));
-        let _ = ssi.choose_version(&mut p, Lane::child(1), &k(1), None, &empty);
-        let _ = ssi.choose_version(&mut clean, Lane::child(1), &k(2), None, &empty);
+        let _ = read(&ssi, &store, &mut p, Lane::child(1), k(1));
+        let _ = read(&ssi, &store, &mut clean, Lane::child(1), k(2));
         rec(&ssi, &p).add_edge(IN);
         ssi.mark_prepared(&mut p, Lane::child(1)).unwrap();
         ssi.mark_prepared(&mut clean, Lane::child(1)).unwrap();
@@ -846,28 +844,16 @@ mod tests {
         let mut q = begin(4);
         rec(&ssi, &q).add_edge(OUT);
         ssi.mark_prepared(&mut q, Lane::child(0)).unwrap();
-        let mut y = VersionChain::new();
-        y.install(Version::uncommitted(
-            VersionId(1),
-            TxnId(4),
-            Value::Int(1),
-            None,
-        ));
+        store.write(&k(9), TxnId(4), Value::Int(1));
         let mut r1 = begin(5);
-        let _ = ssi.choose_version(&mut r1, Lane::child(1), &k(9), None, &y);
+        let _ = read(&ssi, &store, &mut r1, Lane::child(1), k(9));
         assert!(r1.must_abort, "reader gives way to a prepared writer");
         assert_eq!(rec(&ssi, &q).flags(), OUT | PREPARED);
-        let mut z = VersionChain::new();
-        z.install(Version::uncommitted(
-            VersionId(2),
-            TxnId(1),
-            Value::Int(1),
-            None,
-        ));
+        store.write(&k(8), TxnId(1), Value::Int(1));
         // P already holds IN: one more incoming edge changes nothing and
         // refuses nothing.
         let mut r2 = begin(6);
-        let _ = ssi.choose_version(&mut r2, Lane::child(0), &k(8), None, &z);
+        let _ = read(&ssi, &store, &mut r2, Lane::child(0), k(8));
         assert!(!r2.must_abort);
         assert_eq!(rec(&ssi, &p).flags(), IN | PREPARED);
         assert_eq!(rec(&ssi, &r2).flags(), OUT);
@@ -885,12 +871,12 @@ mod tests {
         use std::sync::Barrier;
         const ROUNDS: u64 = 2_000;
         let (ssi, registry) = setup(false);
+        let store = MvStore::new(1);
         let start = Barrier::new(2);
         let done = Barrier::new(2);
         let (mut seen, mut unseen) = (0u64, 0u64);
         std::thread::scope(|scope| {
             let reader = scope.spawn(|| {
-                let empty = VersionChain::new();
                 let mut flags = Vec::with_capacity(ROUNDS as usize);
                 for round in 0..ROUNDS {
                     let id = TxnId(2 * round + 1);
@@ -898,7 +884,7 @@ mod tests {
                     let mut r = TxnCtx::new(id, TxnTypeId(0), GroupId(0));
                     ssi.begin(&mut r, Lane::child(0)).unwrap();
                     start.wait();
-                    let _ = ssi.choose_version(&mut r, Lane::child(0), &k(7), None, &empty);
+                    let _ = read(&ssi, &store, &mut r, Lane::child(0), k(7));
                     done.wait();
                     flags.push(rec(&ssi, &r).flags());
                     ssi.abort(&mut r, Lane::child(0));

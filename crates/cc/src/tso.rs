@@ -22,16 +22,16 @@ use crate::mechanism::{visible_version, CcKind, CcMechanism, Lane, NodeEnv, TxnC
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::time::Instant;
-use tebaldi_storage::{ChainRead, Key, Timestamp, TxnId, Version};
+use tebaldi_storage::{Chain, Key, KeyMap, Timestamp, TxnId, Version};
 
 #[derive(Debug, Default)]
 struct TsoShared {
     /// Serialization timestamp of each active transaction.
     txn_ts: HashMap<TxnId, Timestamp>,
     /// Largest timestamp that has read each key.
-    max_read_ts: HashMap<Key, Timestamp>,
+    max_read_ts: KeyMap<Timestamp>,
     /// Outstanding promises: key → (writer, writer's timestamp, fulfilled).
-    promises: HashMap<Key, Vec<(TxnId, Timestamp, bool)>>,
+    promises: KeyMap<Vec<(TxnId, Timestamp, bool)>>,
 }
 
 /// A multiversion timestamp-ordering node.
@@ -145,9 +145,9 @@ impl CcMechanism for Tso {
     fn validate_write(
         &self,
         ctx: &mut TxnCtx,
-        _lane: Lane,
+        lane: Lane,
         key: &Key,
-        _chain: &dyn ChainRead,
+        chain: &Chain<'_>,
     ) -> CcResult<()> {
         // The reader-abort rule must run while the engine holds the key's
         // chain lock (this hook is the only point where that is true):
@@ -177,12 +177,9 @@ impl CcMechanism for Tso {
         // possible — installing "into the past" would contradict it (and
         // hide the newer value from position-based readers). Abort and let
         // the retry pick a fresh, larger timestamp.
-        let violation = _chain
-            .find_newest_first(&mut |v| {
-                !self.in_group(ctx.txn, _lane, v.writer)
-                    && matches!(v.sort_ts(), Some(ts) if ts > my_ts)
-            })
-            .is_some();
+        let violation = chain.iter().any(|v| {
+            !self.in_group(ctx.txn, lane, v.writer) && v.sort_ts().is_some_and(|ts| ts > my_ts)
+        });
         if violation {
             return Err(CcError::Conflict {
                 mechanism: "TSO",
@@ -251,7 +248,7 @@ impl CcMechanism for Tso {
         lane: Lane,
         key: &Key,
         candidate: Option<VersionPick>,
-        chain: &dyn ChainRead,
+        chain: &Chain<'_>,
     ) -> Option<VersionPick> {
         let mut shared = self.shared.lock();
         let my_ts = shared
@@ -320,14 +317,12 @@ impl Tso {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanism::uncommitted_version;
+    use crate::mechanism::read_at;
     use crate::registry::TxnRegistry;
     use crate::topology::Topology;
     use std::sync::Arc;
     use std::time::Duration;
-    use tebaldi_storage::{
-        GroupId, NodeId, TableId, TxnTypeId, Value, Version, VersionChain, VersionId,
-    };
+    use tebaldi_storage::{GroupId, MvStore, NodeId, TableId, TxnTypeId, Value};
 
     /// A TSO leaf owning group 0; transactions 1..=8 are pre-registered as
     /// members of that group so `same_group` resolves as in a real tree.
@@ -346,6 +341,34 @@ mod tests {
         Key::simple(TableId(0), id)
     }
 
+    /// A read of `key` by `ctx` at the leaf.
+    fn read(tso: &Tso, store: &MvStore, ctx: &mut TxnCtx, key: Key) -> Option<VersionPick> {
+        read_at(tso, store, ctx, Lane::leaf(), key)
+    }
+
+    /// `validate_write` of `key` by `ctx`, under the key's write latch as the
+    /// engine runs it.
+    fn validate_write(tso: &Tso, store: &MvStore, ctx: &mut TxnCtx, key: Key) -> CcResult<()> {
+        store.with_chain_mut(&key, |chain| {
+            tso.validate_write(ctx, Lane::leaf(), &key, chain)
+        })
+    }
+
+    /// `writer` installs its id on `key`, stamped with `order_ts`, and
+    /// commits at `commit_ts` if given.
+    fn install(
+        store: &MvStore,
+        key: Key,
+        writer: u64,
+        order_ts: Option<Timestamp>,
+        commit_ts: Option<u64>,
+    ) {
+        store.write_with_order_ts(&key, TxnId(writer), Value::Int(writer as i64), order_ts);
+        if let Some(ts) = commit_ts {
+            store.commit_writes(TxnId(writer), &[key], Timestamp(ts));
+        }
+    }
+
     #[test]
     fn late_reader_aborts_earlier_writer() {
         let (tso, _registry) = setup();
@@ -354,17 +377,13 @@ mod tests {
         tso.begin(&mut early, Lane::leaf()).unwrap();
         tso.begin(&mut late, Lane::leaf()).unwrap();
         // The later transaction reads the key first...
-        let chain = VersionChain::new();
-        let _ = tso.choose_version(&mut late, Lane::leaf(), &k(1), None, &chain);
+        let store = MvStore::new(1);
+        let _ = read(&tso, &store, &mut late, k(1));
         // ...so the earlier writer must abort when it validates its write.
-        let err = tso
-            .validate_write(&mut early, Lane::leaf(), &k(1), &chain)
-            .unwrap_err();
+        let err = validate_write(&tso, &store, &mut early, k(1)).unwrap_err();
         assert!(matches!(err, CcError::Conflict { .. }));
         // Writing a different key is still fine.
-        assert!(tso
-            .validate_write(&mut early, Lane::leaf(), &k(2), &chain)
-            .is_ok());
+        assert!(validate_write(&tso, &store, &mut early, k(2)).is_ok());
     }
 
     #[test]
@@ -387,18 +406,11 @@ mod tests {
         let mut late = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         tso.begin(&mut early, Lane::leaf()).unwrap();
         tso.begin(&mut late, Lane::leaf()).unwrap();
-        // Simulate the installed (uncommitted) version carrying early's
-        // ordering timestamp.
-        let mut chain = VersionChain::new();
-        chain.install(Version::uncommitted(
-            VersionId(1),
-            TxnId(1),
-            Value::Int(10),
-            early.order_ts,
-        ));
-        let pick = tso
-            .choose_version(&mut late, Lane::leaf(), &k(1), None, &chain)
-            .unwrap();
+        // The installed (uncommitted) version carries early's ordering
+        // timestamp.
+        let store = MvStore::new(1);
+        install(&store, k(1), 1, early.order_ts, None);
+        let pick = read(&tso, &store, &mut late, k(1)).unwrap();
         assert_eq!(pick.writer, TxnId(1));
         assert!(!pick.committed, "TSO exposes uncommitted values");
     }
@@ -445,18 +457,10 @@ mod tests {
         let (tso, _registry) = setup();
         let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         tso.begin(&mut reader, Lane::leaf()).unwrap();
-        let mut chain = VersionChain::new();
+        let store = MvStore::new(1);
         // Writer 900 is not registered: cross-group.
-        chain.install(Version::uncommitted(
-            VersionId(1),
-            TxnId(900),
-            Value::Int(77),
-            None,
-        ));
-        chain.commit(TxnId(900), Timestamp(1_000_000));
-        let pick = tso
-            .choose_version(&mut reader, Lane::leaf(), &k(9), None, &chain)
-            .unwrap();
+        install(&store, k(9), 900, None, Some(1_000_000));
+        let pick = read(&tso, &store, &mut reader, k(9)).unwrap();
         assert_eq!(pick.writer, TxnId(900));
         assert!(pick.committed);
     }
@@ -466,18 +470,10 @@ mod tests {
         let (tso, _registry) = setup();
         let mut writer = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         tso.begin(&mut writer, Lane::leaf()).unwrap();
-        let mut chain = VersionChain::new();
+        let store = MvStore::new(1);
         // Writer 901 is a cross-group writer.
-        chain.install(Version::uncommitted(
-            VersionId(1),
-            TxnId(901),
-            Value::Int(3),
-            None,
-        ));
-        chain.commit(TxnId(901), Timestamp(1_000_000));
-        let err = tso
-            .validate_write(&mut writer, Lane::leaf(), &k(3), &chain)
-            .unwrap_err();
+        install(&store, k(3), 901, None, Some(1_000_000));
+        let err = validate_write(&tso, &store, &mut writer, k(3)).unwrap_err();
         assert!(matches!(err, CcError::Conflict { .. }));
     }
 
@@ -505,15 +501,12 @@ mod tests {
         let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         tso.begin(&mut writer, Lane::leaf()).unwrap();
         tso.begin(&mut reader, Lane::leaf()).unwrap();
-        let mut chain = VersionChain::new();
+        let store = MvStore::new(1);
         for (id, order_ts) in [(1, writer.order_ts), (900, None)] {
             // 900 is unregistered: cross-group.
-            chain.install(uncommitted_version(id, order_ts));
-            chain.commit(TxnId(id), Timestamp(1_000_000 + id));
+            install(&store, k(4), id, order_ts, Some(1_000_000 + id));
         }
-        let pick = tso
-            .choose_version(&mut reader, Lane::leaf(), &k(4), None, &chain)
-            .unwrap();
+        let pick = read(&tso, &store, &mut reader, k(4)).unwrap();
         assert_eq!(pick.writer, TxnId(900), "the parent ordered T900 last");
     }
 
@@ -524,16 +517,12 @@ mod tests {
         let mut later = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         tso.begin(&mut reader, Lane::leaf()).unwrap();
         tso.begin(&mut later, Lane::leaf()).unwrap();
-        let mut chain = VersionChain::new();
-        chain.install(uncommitted_version(2, later.order_ts));
+        let store = MvStore::new(1);
+        install(&store, k(7), 2, later.order_ts, None);
         // Hidden while uncommitted and still hidden once committed: the
         // timestamp order, not the commit, decides inside the group.
-        assert!(tso
-            .choose_version(&mut reader, Lane::leaf(), &k(7), None, &chain)
-            .is_none());
-        chain.commit(TxnId(2), Timestamp(1_000_000));
-        assert!(tso
-            .choose_version(&mut reader, Lane::leaf(), &k(7), None, &chain)
-            .is_none());
+        assert!(read(&tso, &store, &mut reader, k(7)).is_none());
+        store.commit_writes(TxnId(2), &[k(7)], Timestamp(1_000_000));
+        assert!(read(&tso, &store, &mut reader, k(7)).is_none());
     }
 }

@@ -20,7 +20,7 @@
 use crate::error::CcResult;
 use crate::lock::{LockManager, LockMode};
 use crate::mechanism::{visible_version, CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
-use tebaldi_storage::{ChainRead, Key, Timestamp};
+use tebaldi_storage::{Chain, Key, Timestamp};
 
 /// A two-phase-locking node.
 pub struct TwoPl {
@@ -78,7 +78,7 @@ impl CcMechanism for TwoPl {
         lane: Lane,
         _key: &Key,
         candidate: Option<VersionPick>,
-        chain: &dyn ChainRead,
+        chain: &Chain<'_>,
     ) -> Option<VersionPick> {
         // Accept the child's proposal when it comes from inside this node's
         // own group (the child is responsible for those conflicts); 2PL
@@ -105,9 +105,7 @@ mod tests {
     use crate::registry::TxnRegistry;
     use crate::topology::Topology;
     use std::sync::Arc;
-    use tebaldi_storage::{
-        GroupId, NodeId, TableId, TxnId, TxnTypeId, Value, Version, VersionChain, VersionId,
-    };
+    use tebaldi_storage::{GroupId, MvStore, NodeId, TableId, TxnId, TxnTypeId, Value};
 
     fn make_env(topology: Topology, registry: Arc<TxnRegistry>) -> NodeEnv {
         NodeEnv::for_test(topology, registry, 25)
@@ -115,10 +113,6 @@ mod tests {
 
     fn key(id: u64) -> Key {
         Key::simple(TableId(0), id)
-    }
-
-    fn uncommitted(writer: u64, val: i64) -> Version {
-        Version::uncommitted(VersionId(writer), TxnId(writer), Value::Int(val), None)
     }
 
     #[test]
@@ -163,31 +157,25 @@ mod tests {
         registry.register(TxnId(20), TxnTypeId(1), GroupId(1));
         let cc = TwoPl::new(make_env(topo, registry));
 
-        let mut chain = VersionChain::new();
-        chain.install(uncommitted(5, 50));
-        chain.commit(TxnId(5), Timestamp(1));
-        chain.install(uncommitted(20, 99)); // uncommitted write by group 1
+        let store = MvStore::new(1);
+        store.write(&key(1), TxnId(5), Value::Int(50));
+        store.commit_writes(TxnId(5), &[key(1)], Timestamp(1));
+        store.write(&key(1), TxnId(20), Value::Int(99)); // uncommitted write by group 1
+        store.write(&key(2), TxnId(10), Value::Int(7)); // and one by the reader's group
 
         let mut reader = TxnCtx::new(TxnId(11), TxnTypeId(0), GroupId(0));
-        // Candidate proposes the foreign uncommitted version; 2PL overrides
-        // it with the latest committed one.
-        let candidate = Some(VersionPick::from_version(
-            chain.uncommitted_by(TxnId(20)).unwrap(),
-        ));
-        let pick = cc
-            .choose_version(&mut reader, Lane::child(0), &key(1), candidate, &chain)
-            .unwrap();
-        assert_eq!(pick.writer, TxnId(5));
-
-        // A proposal from the reader's own group is accepted.
-        let mut chain2 = VersionChain::new();
-        chain2.install(uncommitted(10, 7));
-        let candidate = Some(VersionPick::from_version(
-            chain2.uncommitted_by(TxnId(10)).unwrap(),
-        ));
-        let pick = cc
-            .choose_version(&mut reader, Lane::child(0), &key(1), candidate, &chain2)
-            .unwrap();
-        assert_eq!(pick.writer, TxnId(10));
+        // The child's proposal is `writer`'s uncommitted version on `key`.
+        let mut read = |key: Key, writer: u64| {
+            store.with_chain(&key, |chain| {
+                let proposal = chain.uncommitted_by(TxnId(writer)).unwrap();
+                let candidate = Some(VersionPick::from_version(proposal));
+                cc.choose_version(&mut reader, Lane::child(0), &key, candidate, chain)
+                    .unwrap()
+            })
+        };
+        // A foreign uncommitted version is overridden with the latest
+        // committed one; a proposal from the reader's own group stands.
+        assert_eq!(read(key(1), 20).writer, TxnId(5));
+        assert_eq!(read(key(2), 10).writer, TxnId(10));
     }
 }

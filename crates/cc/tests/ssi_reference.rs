@@ -7,7 +7,9 @@
 //! kept here, verbatim but for names, as an **executable specification of
 //! the decisions**: both are driven through the same random schedules —
 //! begin, read, write, validate, prepare, commit, abort, interleaved over up
-//! to six transactions and five keys, at a leaf, under batching, under the
+//! to six transactions and five keys of one real [`MvStore`] (reads on the
+//! lock-free chain view, write validation and installs under the key latch,
+//! as the engine does), at a leaf, under batching, under the
 //! read-only-root optimisation — and must return the same picks, the same
 //! errors with the same reasons, the same `must_abort` marks, the same
 //! active counts and the same GC watermark at every step.
@@ -29,8 +31,8 @@ use tebaldi_cc::{
     TxnRegistry, VersionPick,
 };
 use tebaldi_storage::{
-    ChainRead, GroupId, Key, NodeId, TableId, Timestamp, TxnId, TxnTypeId, Value, Version,
-    VersionChain, VersionId,
+    Chain, GroupId, Key, MvStore, NodeId, TableId, Timestamp, TxnId, TxnTypeId, Value, Version,
+    VersionId,
 };
 
 // ---------------------------------------------------------------------------
@@ -235,7 +237,7 @@ impl CcMechanism for ReferenceSsi {
         lane: Lane,
         key: &Key,
         candidate: Option<VersionPick>,
-        chain: &dyn ChainRead,
+        chain: &Chain<'_>,
     ) -> Option<VersionPick> {
         // Accept the child's proposal when it comes from this transaction's
         // own child group (their ordering is the child's business).
@@ -268,16 +270,15 @@ impl CcMechanism for ReferenceSsi {
         let mut missed_writer: Option<TxnId> = None;
         if chain.committed_after(start_ts) {
             missed_writer = chain
-                .find_newest_first(&mut |v| {
-                    v.is_committed() && matches!(v.commit_ts(), Some(c) if c > start_ts)
-                })
+                .iter()
+                .find(|v| v.is_committed() && matches!(v.commit_ts(), Some(c) if c > start_ts))
                 .map(|v| v.writer);
         } else if chain.has_other_uncommitted(ctx.txn) {
             // The scan below only matches uncommitted foreign versions, and
             // `has_other_uncommitted` answers in O(1) when the chain carries
             // no uncommitted versions at all — the common case on long
             // committed tails between GC cycles.
-            if let Some(other) = chain.find_newest_first(&mut |v| {
+            if let Some(other) = chain.iter().find(|v| {
                 !v.is_committed() && v.writer != ctx.txn && {
                     let writer_lane = self
                         .env
@@ -317,7 +318,7 @@ impl CcMechanism for ReferenceSsi {
         ctx: &mut TxnCtx,
         lane: Lane,
         _key: &Key,
-        chain: &dyn ChainRead,
+        chain: &Chain<'_>,
     ) -> CcResult<()> {
         self.check_first_committer_wins(ctx, chain, lane)
     }
@@ -392,7 +393,7 @@ impl ReferenceSsi {
     fn check_first_committer_wins(
         &self,
         ctx: &TxnCtx,
-        chain: &dyn ChainRead,
+        chain: &Chain<'_>,
         lane: Lane,
     ) -> CcResult<()> {
         if self.is_read_only_lane(lane) {
@@ -414,17 +415,15 @@ impl ReferenceSsi {
         // Same O(1) gate as the read-side scan: no uncommitted versions on
         // the chain means no foreign uncommitted version to conflict with.
         let foreign_uncommitted = chain.has_other_uncommitted(ctx.txn)
-            && chain
-                .find_newest_first(&mut |v| {
-                    !v.is_committed() && v.writer != ctx.txn && {
-                        let writer_lane = self
-                            .env
-                            .group_of(v.writer)
-                            .and_then(|g| self.env.topology.child_lane(self.env.node, g));
-                        writer_lane.is_none() || writer_lane != my_lane
-                    }
-                })
-                .is_some();
+            && chain.iter().any(|v| {
+                !v.is_committed() && v.writer != ctx.txn && {
+                    let writer_lane = self
+                        .env
+                        .group_of(v.writer)
+                        .and_then(|g| self.env.topology.child_lane(self.env.node, g));
+                    writer_lane.is_none() || writer_lane != my_lane
+                }
+            });
         if foreign_uncommitted {
             return Err(CcError::Conflict {
                 mechanism: "SSI",
@@ -551,7 +550,7 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
             read_only_lanes: ro,
         },
     );
-    let mut chains: HashMap<Key, VersionChain> = HashMap::new();
+    let store = MvStore::new(2);
     let keys: Vec<Key> = (0..5).map(|i| Key::simple(TableId(0), i)).collect();
     let mut live: Vec<Live> = Vec::new();
     let mut next_id = 1u64;
@@ -589,16 +588,16 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
             let t = &mut live[i];
             let id = t.a.txn;
             match op {
-                12..=49 if !t.prepared => {
-                    // read
-                    let chain = chains.entry(key).or_default();
-                    let own = chain.uncommitted_by(id).is_some();
-                    if !own {
-                        let pa = new.choose_version(&mut t.a, t.lane, &key, None, &*chain);
-                        let pb = old.choose_version(&mut t.b, t.lane, &key, None, &*chain);
-                        assert_eq!(pa, pb, "pick step {step}");
-                        assert_eq!(t.a.must_abort, t.b.must_abort, "must_abort step {step}");
-                    }
+                // A read — SSI is not asked about a transaction's own write.
+                12..=49 if !t.prepared && !t.writes.contains(&key) => {
+                    let (pa, pb) = store.with_chain(&key, |chain| {
+                        (
+                            new.choose_version(&mut t.a, t.lane, &key, None, chain),
+                            old.choose_version(&mut t.b, t.lane, &key, None, chain),
+                        )
+                    });
+                    assert_eq!(pa, pb, "pick step {step}");
+                    assert_eq!(t.a.must_abort, t.b.must_abort, "must_abort step {step}");
                 }
                 50..=79 if !t.prepared => {
                     // write
@@ -608,22 +607,25 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
                     if ra.is_err() {
                         finish = Some(false);
                     } else {
-                        let chain = chains.entry(key).or_default();
-                        let va = new.validate_write(&mut t.a, t.lane, &key, &*chain);
-                        let vb = old.validate_write(&mut t.b, t.lane, &key, &*chain);
-                        assert_eq!(va, vb, "validate_write step {step}");
-                        if va.is_err() {
-                            finish = Some(false);
-                        } else {
-                            chain.install(Version::uncommitted(
-                                VersionId(vid),
-                                id,
-                                Value::Int(vid as i64),
-                                None,
-                            ));
-                            vid += 1;
-                            if !t.writes.contains(&key) {
-                                t.writes.push(key);
+                        // Validated and installed under one hold of the
+                        // key latch, like `Txn::put`.
+                        let first_write = store.with_chain_mut(&key, |chain| {
+                            let va = new.validate_write(&mut t.a, t.lane, &key, chain);
+                            let vb = old.validate_write(&mut t.b, t.lane, &key, chain);
+                            assert_eq!(va, vb, "validate_write step {step}");
+                            va.ok().map(|()| {
+                                let value = Value::Int(vid as i64);
+                                chain.install(Version::uncommitted(VersionId(vid), id, value, None))
+                            })
+                        });
+                        vid += 1;
+                        match first_write {
+                            None => finish = Some(false),
+                            Some(first) => {
+                                assert_eq!(first, !t.writes.contains(&key));
+                                if first {
+                                    t.writes.push(key);
+                                }
                             }
                         }
                     }
@@ -678,9 +680,7 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
             if commit {
                 let (ca, cb) = (oa.begin_commit(), ob.begin_commit());
                 assert_eq!(ca, cb);
-                for k in &t.writes {
-                    chains.get_mut(k).unwrap().commit(id, ca);
-                }
+                store.commit_writes(id, &t.writes, ca);
                 registry.mark_committed(id, ca);
                 oa.end_commit(ca);
                 ob.end_commit(cb);
@@ -688,9 +688,7 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
                 old.commit(&mut t.b, t.lane, cb);
                 commits += 1;
             } else {
-                for k in &t.writes {
-                    chains.get_mut(k).unwrap().abort(id);
-                }
+                store.abort_writes(id, &t.writes);
                 registry.mark_aborted(id);
                 new.abort(&mut t.a, t.lane);
                 old.abort(&mut t.b, t.lane);

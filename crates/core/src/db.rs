@@ -28,7 +28,7 @@ use tebaldi_obs::{Histogram, MetricsRegistry};
 use tebaldi_storage::durability::{DurabilityManager, FlushPolicy};
 use tebaldi_storage::gc::GcManager;
 use tebaldi_storage::wal::{LogDevice, MemLogDevice};
-use tebaldi_storage::{GroupId, MvStore, Timestamp, TxnId, TxnTypeId};
+use tebaldi_storage::{GroupId, MvStore, TxnId, TxnTypeId};
 
 /// The transactional key-value store.
 pub struct Database {
@@ -411,7 +411,7 @@ impl Database {
         };
 
         let txn_id = TxnId(self.txn_ids.fetch_add(1, Ordering::Relaxed));
-        let gc_epoch = self.gc.transaction_started(txn_id);
+        let gc_epoch = self.gc.transaction_started();
         // Pin the reclamation epoch once for the whole attempt: every
         // store access inside is then a cheap nested pin (one refcount
         // bump) instead of an announcement store.
@@ -586,18 +586,8 @@ impl Database {
     /// compacts the transaction directory.
     pub fn run_gc_cycle(&self) -> tebaldi_storage::gc::GcReport {
         self.gc.advance_epoch();
-        let tree = self.current_tree();
-        let tree_watermark = tree.low_watermark();
-        struct TreeWatermark(Timestamp);
-        impl tebaldi_storage::gc::GcParticipant for TreeWatermark {
-            fn low_watermark(&self) -> Timestamp {
-                self.0
-            }
-        }
-        self.gc.clear_participants();
-        self.gc
-            .register_participant(Arc::new(TreeWatermark(tree_watermark)));
-        let report = self.gc.collect(&self.store);
+        let low_watermark = self.current_tree().low_watermark();
+        let report = self.gc.collect(&self.store, low_watermark);
         self.registry.compact();
         report
     }

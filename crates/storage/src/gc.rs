@@ -8,9 +8,9 @@
 //! ordered before the epoch's transactions, and then prunes every version
 //! the epoch made stale.
 //!
-//! The CC mechanisms participate through the [`GcParticipant`] trait: each
-//! returns a *low watermark* timestamp below which it will never order a new
-//! transaction. The collectable horizon is the minimum watermark.
+//! Each CC mechanism reports a *low watermark* timestamp below which it will
+//! never order a new transaction; the engine passes the minimum over its CC
+//! tree to [`GcManager::collect`], which never prunes at or above it.
 //!
 //! Since the main-memory rework, epoch tracking is a fixed ring of atomic
 //! counters instead of mutex-guarded hash maps: [`GcManager::transaction_started`]
@@ -19,30 +19,16 @@
 //! responsibilities with [`crate::ebr`]:
 //!
 //! * this manager decides **logical** collectability — which committed
-//!   versions no mechanism will ever read again (participant watermarks and
-//!   fully-retired GC epochs bound the prune horizon);
+//!   versions no mechanism will ever read again (the CC tree's watermark
+//!   and fully-retired GC epochs bound the prune horizon);
 //! * the store's epoch-based reclamation decides **physical** reuse — a
 //!   pruned version parks on a limbo list until every pinned reader thread
 //!   has moved two reclamation epochs past it.
 
 use crate::mvstore::MvStore;
-use crate::types::{Timestamp, TxnId};
+use crate::types::Timestamp;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// A party that must confirm a GC horizon before versions are pruned.
-pub trait GcParticipant: Send + Sync {
-    /// The smallest timestamp this participant may still need to read at or
-    /// after. Versions committed strictly before the returned timestamp
-    /// (except the latest committed one per key) may be pruned.
-    fn low_watermark(&self) -> Timestamp;
-
-    /// A short name for diagnostics.
-    fn name(&self) -> &str {
-        "cc"
-    }
-}
 
 /// Summary of one collection cycle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -85,7 +71,6 @@ pub struct GcManager {
     /// with respect to each other; the transaction fast path never takes
     /// this).
     collect_lock: Mutex<()>,
-    participants: Mutex<Vec<Arc<dyn GcParticipant>>>,
     retired_epochs: AtomicU64,
 }
 
@@ -116,25 +101,12 @@ impl GcManager {
                 })
                 .collect(),
             collect_lock: Mutex::new(()),
-            participants: Mutex::new(Vec::new()),
             retired_epochs: AtomicU64::new(0),
         }
     }
 
     fn slot(&self, epoch: u64) -> &EpochSlot {
         &self.ring[(epoch % EPOCH_RING as u64) as usize]
-    }
-
-    /// Registers a CC mechanism (or any other component) whose watermark
-    /// bounds collection.
-    pub fn register_participant(&self, p: Arc<dyn GcParticipant>) {
-        self.participants.lock().push(p);
-    }
-
-    /// Removes all registered participants (used when the CC tree is
-    /// rebuilt during reconfiguration).
-    pub fn clear_participants(&self) {
-        self.participants.lock().clear();
     }
 
     /// The current GC epoch id.
@@ -145,7 +117,7 @@ impl GcManager {
     /// Tags a starting transaction with the current epoch. Returns the
     /// epoch id, which must be passed back to [`GcManager::transaction_finished`].
     /// Lock-free: one atomic increment.
-    pub fn transaction_started(&self, _txn: TxnId) -> u64 {
+    pub fn transaction_started(&self) -> u64 {
         let epoch = self.current_epoch();
         self.slot(epoch).active.fetch_add(1, Ordering::AcqRel);
         epoch
@@ -188,12 +160,15 @@ impl GcManager {
 
     /// Attempts one collection cycle on `store`.
     ///
-    /// The collectable horizon is the minimum of (a) every participant's low
-    /// watermark and (b) the highest commit timestamp of fully-retired
-    /// epochs; when no epoch has fully retired nothing is pruned. Every
-    /// cycle also runs a physical reclamation sweep so limbo lists drain
-    /// even on quiet cycles.
-    pub fn collect(&self, store: &MvStore) -> GcReport {
+    /// `low_watermark` is the smallest timestamp any concurrency control may
+    /// still need to read at or after (`Timestamp::MAX`: no constraint). The
+    /// collectable horizon is the minimum of (a) that watermark and (b) the
+    /// highest commit timestamp of fully-retired epochs; versions committed
+    /// strictly before it, except the latest committed one per key, are
+    /// pruned, and when no epoch has fully retired nothing is. Every cycle
+    /// also runs a physical reclamation sweep so limbo lists drain even on
+    /// quiet cycles.
+    pub fn collect(&self, store: &MvStore, low_watermark: Timestamp) -> GcReport {
         let current = self.current_epoch();
         let mut retired_horizon = Timestamp::ZERO;
         let mut retired_count = 0u64;
@@ -227,13 +202,7 @@ impl GcManager {
             };
         }
 
-        let mut horizon = retired_horizon;
-        for participant in self.participants.lock().iter() {
-            let wm = participant.low_watermark();
-            if wm < horizon {
-                horizon = wm;
-            }
-        }
+        let horizon = retired_horizon.min(low_watermark);
         if horizon == Timestamp::ZERO {
             return GcReport {
                 reclaimed: store.reclaim(),
@@ -265,14 +234,8 @@ mod tests {
     use crate::key::Key;
     use crate::mvstore::ReadSpec;
     use crate::schema::TableId;
+    use crate::types::TxnId;
     use crate::value::Value;
-
-    struct FixedWatermark(Timestamp);
-    impl GcParticipant for FixedWatermark {
-        fn low_watermark(&self) -> Timestamp {
-            self.0
-        }
-    }
 
     fn k(id: u64) -> Key {
         Key::simple(TableId(0), id)
@@ -288,19 +251,19 @@ mod tests {
         let store = MvStore::new(2);
         let gc = GcManager::new();
 
-        let e1 = gc.transaction_started(TxnId(1));
+        let e1 = gc.transaction_started();
         committed_write(&store, 1, 1, 10, 10);
         gc.transaction_finished(e1, Some(Timestamp(10)));
 
-        let e2 = gc.transaction_started(TxnId(2));
+        let e2 = gc.transaction_started();
         committed_write(&store, 2, 1, 20, 20);
         // Epoch not advanced yet: nothing retires.
-        let report = gc.collect(&store);
+        let report = gc.collect(&store, Timestamp::MAX);
         assert_eq!(report.removed, 0);
 
         gc.advance_epoch();
         gc.transaction_finished(e2, Some(Timestamp(20)));
-        let report = gc.collect(&store);
+        let report = gc.collect(&store, Timestamp::MAX);
         assert!(report.epochs_retired >= 1);
         assert_eq!(report.removed, 1, "old version of key 1 collected");
         assert_eq!(
@@ -312,20 +275,19 @@ mod tests {
     }
 
     #[test]
-    fn participant_watermark_bounds_collection() {
+    fn watermark_bounds_collection() {
         let store = MvStore::new(2);
         let gc = GcManager::new();
-        gc.register_participant(Arc::new(FixedWatermark(Timestamp(5))));
 
-        let e = gc.transaction_started(TxnId(1));
+        let e = gc.transaction_started();
         committed_write(&store, 1, 1, 10, 10);
         committed_write(&store, 1, 1, 11, 11);
         gc.transaction_finished(e, Some(Timestamp(11)));
         gc.advance_epoch();
 
-        // Participant says it may still read at ts 5, so only versions below
-        // 5 may go; none exist, so nothing is removed.
-        let report = gc.collect(&store);
+        // A mechanism may still read at ts 5, so only versions below 5 may
+        // go; none exist, so nothing is removed.
+        let report = gc.collect(&store, Timestamp(5));
         assert_eq!(report.removed, 0);
         assert_eq!(report.horizon, Timestamp(5));
         assert_eq!(store.stats(), store.stats_scanned());
@@ -334,7 +296,7 @@ mod tests {
     #[test]
     fn active_transactions_block_their_epoch() {
         let gc = GcManager::new();
-        let e = gc.transaction_started(TxnId(1));
+        let e = gc.transaction_started();
         assert_eq!(gc.oldest_active_epoch(), Some(e));
         gc.transaction_finished(e, None);
         assert_eq!(gc.oldest_active_epoch(), None);
@@ -346,11 +308,11 @@ mod tests {
         let gc = GcManager::new();
         let mut expected_removed = 0usize;
         for round in 1..=10u64 {
-            let e = gc.transaction_started(TxnId(round));
+            let e = gc.transaction_started();
             committed_write(&store, round, 1, round as i64, round * 10);
             gc.transaction_finished(e, Some(Timestamp(round * 10)));
             gc.advance_epoch();
-            let report = gc.collect(&store);
+            let report = gc.collect(&store, Timestamp::MAX);
             // Each cycle prunes every superseded version of key 1 exactly
             // once: one per round after the first.
             expected_removed += report.removed;

@@ -49,8 +49,9 @@ impl Key {
 
     /// One cheap 64-bit mix of `(table, row)` (multiply–xorshift, the
     /// `splitmix64` finalizer). Every place that spreads keys uses it: the
-    /// store's shard and bucket index, the SSI reader-table stripes and —
-    /// through [`Hash`] — every `HashMap` keyed by `Key`. Workload keys are
+    /// store's shard and bucket index, the SSI reader-table stripes, the
+    /// lock-table shards and — through [`Hash`] — every `HashMap` keyed by
+    /// `Key`. Workload keys are
     /// composites of small integers built by the program itself, so a keyed
     /// hash against crafted collisions buys nothing here.
     #[inline]

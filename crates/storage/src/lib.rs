@@ -12,9 +12,11 @@
 //!
 //! * [`MvStore`] — a sharded, multiversion key-value store ("data servers"
 //!   in the paper's cluster architecture are modelled as partitions/shards).
+//!   A key's history is one chain of [`Version`]s, read through [`Chain`]
+//!   and mutated through [`ChainWrite`].
 //! * [`schema`] — a table registry used by workloads and by runtime
 //!   pipelining's static analysis.
-//! * [`wal`] / [`durability`] — write-ahead operation/precommit logging and
+//! * [`wal`] / [`durability`] — write-ahead precommit/commit logging and
 //!   the asynchronous-flushing protocol with global-checkpoint (GCP) epochs
 //!   of §4.5.4.
 //! * [`recovery`] — the three-step recovery protocol of §4.5.4.
@@ -36,10 +38,8 @@ pub mod wal;
 pub mod durability;
 
 pub use key::{Key, KeyMap};
-pub use mvstore::{
-    ChainRef, ChainWrite, MvStore, ReadSpec, SnapshotRead, StoreStats, WriteOutcome,
-};
+pub use mvstore::{Chain, ChainWrite, MvStore, ReadSpec, SnapshotRead, StoreStats, WriteOutcome};
 pub use schema::{Schema, TableDef, TableId};
 pub use types::{GroupId, NodeId, Timestamp, TxnId, TxnTypeId};
 pub use value::Value;
-pub use version::{ChainRead, Version, VersionChain, VersionId};
+pub use version::{Version, VersionId};

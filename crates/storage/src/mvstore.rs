@@ -14,7 +14,7 @@
 //!
 //! * **Readers take no lock at all.** [`MvStore::with_chain`] pins the
 //!   reclamation epoch ([`crate::ebr`]), walks bucket → entry → chain with
-//!   `Acquire` loads, and hands the closure a [`ChainRead`] view. A reader
+//!   `Acquire` loads, and hands the closure a [`Chain`] view. A reader
 //!   completes even while another thread holds the write latch of the same
 //!   key (or any other).
 //! * **Writers serialize per key**, not per shard: [`MvStore::with_chain_mut`]
@@ -49,16 +49,13 @@
 //!   global pause). Every [`SWEEP_EVERY`] retires of a stripe — and every
 //!   GC cycle — run [`MvStore::reclaim`], which frees what has ripened in
 //!   any stripe.
-//!
-//! An optional [`sim`](crate::sim) delay emulates the datacenter network
-//! round trip between coordinator and data server.
 
 use crate::arena::{VersionArena, NIL};
 use crate::ebr;
 use crate::key::Key;
 use crate::types::{Sequence, Timestamp, TxnId};
 use crate::value::Value;
-use crate::version::{ChainRead, Version, VersionId};
+use crate::version::{Version, VersionId};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
@@ -153,6 +150,21 @@ struct KeyEntry {
 }
 
 impl KeyEntry {
+    /// An entry with no key and an empty chain: what a fresh arena chunk is
+    /// made of, and ([`NO_ENTRY`]) what a lookup of an absent key views.
+    const fn vacant() -> KeyEntry {
+        KeyEntry {
+            key_table: AtomicU64::new(0),
+            key_row_hi: AtomicU64::new(0),
+            key_row_lo: AtomicU64::new(0),
+            bucket_next: AtomicU64::new(NIL),
+            head: AtomicU64::new(NIL),
+            versions: AtomicU64::new(0),
+            uncommitted: AtomicU64::new(0),
+            latch: AtomicBool::new(false),
+        }
+    }
+
     fn init(&self, key: &Key) {
         self.key_table.store(key.table.0 as u64, Ordering::Relaxed);
         self.key_row_hi
@@ -248,18 +260,8 @@ impl EntryArena {
         if self.spine[chunk_idx].load(Ordering::Acquire).is_null() {
             let _g = self.grow_lock.lock();
             if self.spine[chunk_idx].load(Ordering::Acquire).is_null() {
-                let chunk: Box<[KeyEntry]> = (0..ENTRY_CHUNK_SIZE)
-                    .map(|_| KeyEntry {
-                        key_table: AtomicU64::new(0),
-                        key_row_hi: AtomicU64::new(0),
-                        key_row_lo: AtomicU64::new(0),
-                        bucket_next: AtomicU64::new(NIL),
-                        head: AtomicU64::new(NIL),
-                        versions: AtomicU64::new(0),
-                        uncommitted: AtomicU64::new(0),
-                        latch: AtomicBool::new(false),
-                    })
-                    .collect();
+                let chunk: Box<[KeyEntry]> =
+                    (0..ENTRY_CHUNK_SIZE).map(|_| KeyEntry::vacant()).collect();
                 let ptr = Box::into_raw(chunk) as *mut KeyEntry;
                 self.spine[chunk_idx].store(ptr, Ordering::Release);
             }
@@ -339,7 +341,48 @@ fn version_bytes(v: &Version) -> u32 {
     (std::mem::size_of::<Version>() + v.value.approx_size()) as u32
 }
 
-/// Lock-free read view of one key's version chain (possibly empty).
+/// What a lookup of a key that was never written views: an empty chain.
+static NO_ENTRY: KeyEntry = KeyEntry::vacant();
+
+/// One linked version of a chain: its arena handle, the version, and the
+/// handle of the next older one.
+struct Node<'a> {
+    handle: u64,
+    version: &'a Version,
+    next: u64,
+}
+
+/// The newest-first walk over a chain's arena nodes — every traversal of a
+/// chain, reading or splicing, is this iterator.
+struct Nodes<'a> {
+    arena: &'a VersionArena,
+    cur: u64,
+}
+
+impl<'a> Iterator for Nodes<'a> {
+    type Item = Node<'a>;
+
+    fn next(&mut self) -> Option<Node<'a>> {
+        if self.cur == NIL {
+            return None;
+        }
+        let (version, next) = self.arena.read(self.cur)?;
+        #[cfg(test)]
+        tests::NODES_VISITED.with(|n| n.set(n.get() + 1));
+        let node = Node {
+            handle: self.cur,
+            version,
+            next,
+        };
+        self.cur = next;
+        Some(node)
+    }
+}
+
+/// Read view of one key's version chain (possibly empty), newest version
+/// first — the one way concurrency-control mechanisms look at a key's
+/// history, whether they got it lock-free from [`MvStore::with_chain`] or
+/// under the key's write latch from [`MvStore::with_chain_mut`].
 ///
 /// The chain head is re-loaded (`Acquire`) on every traversal rather than
 /// captured once: mechanisms interleave their own bookkeeping (reader
@@ -347,206 +390,221 @@ fn version_bytes(v: &Version) -> u32 {
 /// correctness arguments need walks to observe every version installed
 /// before the walk started — a cached head would silently pin an older
 /// snapshot.
-pub struct ChainRef<'a> {
+///
+/// The store maintains the **position-order invariant**: walking
+/// newest-first, committed versions appear in descending commit-timestamp
+/// order and `order_ts`-carrying versions in descending `order_ts` order
+/// (installs splice at the ordering position; commits keep the install
+/// position, and the mechanisms' dependency waits make per-key commit order
+/// follow it). The timestamp queries below exploit the invariant to stop a
+/// walk at the first decisive version instead of scanning the whole chain —
+/// on a hot key between GC cycles that is the difference between O(1) and
+/// O(thousands) per access.
+pub struct Chain<'a> {
     arena: &'a VersionArena,
-    entry: Option<&'a KeyEntry>,
-}
-
-impl ChainRead for ChainRef<'_> {
-    fn len(&self) -> usize {
-        self.entry
-            .map(|e| e.versions.load(Ordering::Relaxed) as usize)
-            .unwrap_or(0)
-    }
-
-    fn for_each_newest_first<'s>(&'s self, f: &mut dyn FnMut(&'s Version) -> bool) {
-        let Some(entry) = self.entry else {
-            return;
-        };
-        let mut cur = entry.head.load(Ordering::Acquire);
-        while cur != NIL {
-            let Some((v, next)) = self.arena.read(cur) else {
-                break;
-            };
-            if !f(v) {
-                return;
-            }
-            cur = next;
-        }
-    }
-
-    /// Read-your-own-writes probe. When the uncommitted count is zero the
-    /// chain cannot hold our version, so the walk is skipped outright. (The
-    /// count is only a fast-path filter here: this view is lock-free, so a
-    /// non-zero count falls back to the plain walk rather than trusting a
-    /// racing value. The zero case is sound because our own install
-    /// happened-before this read on the same thread, so it is always
-    /// included in the load.) The walk ends at the writer's version, near
-    /// the head — or, **when the writer has none, at the end of the chain**
-    /// whenever any other writer is in flight on the key: callers that know
-    /// their write set (the engine's `get`) ask only for keys in it.
-    fn uncommitted_by(&self, writer: TxnId) -> Option<&Version> {
-        let entry = self.entry?;
-        if entry.uncommitted.load(Ordering::Relaxed) == 0 {
-            return None;
-        }
-        self.find_newest_first(&mut |v| v.writer == writer && !v.is_committed())
-    }
-
-    fn has_other_uncommitted(&self, txn: TxnId) -> bool {
-        let Some(entry) = self.entry else {
-            return false;
-        };
-        if entry.uncommitted.load(Ordering::Relaxed) == 0 {
-            return false;
-        }
-        self.find_newest_first(&mut |v| !v.is_committed() && v.writer != txn)
-            .is_some()
-    }
-}
-
-/// Exclusive (per-key latched) view of one key's version chain, with the
-/// mutation primitives of the owned `VersionChain` — splices for install,
-/// overwrite and abort, an in-place flip of the commit word for commit — so
-/// lock-free readers stay safe mid-mutation.
-pub struct ChainWrite<'a> {
-    store: &'a MvStore,
     entry: &'a KeyEntry,
-    /// The latching thread's stripe.
-    stripe: usize,
+    /// Whether the viewer holds the key's write latch, which makes the
+    /// entry's uncommitted count exact instead of a racing hint.
+    latched: bool,
 }
 
-impl ChainRead for ChainWrite<'_> {
-    fn len(&self) -> usize {
-        self.entry.versions.load(Ordering::Relaxed) as usize
-    }
-
-    fn for_each_newest_first<'s>(&'s self, f: &mut dyn FnMut(&'s Version) -> bool) {
-        let mut cur = self.entry.head.load(Ordering::Acquire);
-        while cur != NIL {
-            let Some((v, next)) = self.store.arena.read(cur) else {
-                break;
-            };
-            if !f(v) {
-                return;
-            }
-            cur = next;
-        }
-    }
-
-    /// Exact bounded scan: the latch makes the uncommitted count stable,
-    /// so the walk stops once every uncommitted version has been seen
-    /// instead of running to the end of the chain.
-    fn uncommitted_by(&self, writer: TxnId) -> Option<&Version> {
-        let mut remaining = self.entry.uncommitted.load(Ordering::Relaxed);
-        if remaining == 0 {
-            return None;
-        }
-        let mut found = None;
-        self.for_each_newest_first(&mut |v| {
-            if !v.is_committed() {
-                if v.writer == writer {
-                    found = Some(v);
-                    return false;
-                }
-                remaining -= 1;
-                if remaining == 0 {
-                    return false;
-                }
-            }
-            true
-        });
-        found
-    }
-
-    fn has_other_uncommitted(&self, txn: TxnId) -> bool {
-        let mut remaining = self.entry.uncommitted.load(Ordering::Relaxed);
-        if remaining == 0 {
-            return false;
-        }
-        let mut found = false;
-        self.for_each_newest_first(&mut |v| {
-            if !v.is_committed() {
-                if v.writer != txn {
-                    found = true;
-                    return false;
-                }
-                remaining -= 1;
-                if remaining == 0 {
-                    return false;
-                }
-            }
-            true
-        });
-        found
-    }
-}
-
-impl<'a> ChainWrite<'a> {
+// No caller asks whether a chain is empty; `len` exists for statistics.
+#[allow(clippy::len_without_is_empty)]
+impl<'a> Chain<'a> {
+    /// Handle of the newest version ([`NIL`]: none), loaded afresh.
     fn head(&self) -> u64 {
         self.entry.head.load(Ordering::Acquire)
     }
 
-    /// Finds `writer`'s uncommitted version; returns
-    /// `(prev_handle_or_NIL, handle, next_handle)`. The latch-stable
-    /// uncommitted count bounds the walk: once every uncommitted version
-    /// has been seen the target cannot be deeper, so long committed tails
-    /// are never scanned.
-    fn find_uncommitted_node(&self, writer: TxnId) -> Option<(u64, u64, u64)> {
+    fn nodes(&self) -> Nodes<'a> {
+        Nodes {
+            arena: self.arena,
+            cur: self.head(),
+        }
+    }
+
+    /// The versions, newest first.
+    pub fn iter(&self) -> impl Iterator<Item = &'a Version> + 'a {
+        self.nodes().map(|node| node.version)
+    }
+
+    /// Number of versions (committed and uncommitted).
+    pub fn len(&self) -> usize {
+        self.entry.versions.load(Ordering::Relaxed) as usize
+    }
+
+    /// The most recently committed version (by chain position).
+    pub fn latest_committed(&self) -> Option<&'a Version> {
+        self.iter().find(|v| v.is_committed())
+    }
+
+    /// The latest committed version whose commit timestamp is strictly
+    /// smaller than `ts` (snapshot-isolation visibility rule). Committed
+    /// versions run newest-first in descending commit-timestamp order, so
+    /// the first one below `ts` is the visible one (for equal timestamps,
+    /// the newest by position).
+    pub fn committed_before(&self, ts: Timestamp) -> Option<&'a Version> {
+        self.iter()
+            .find(|v| matches!(v.commit_ts(), Some(c) if c < ts))
+    }
+
+    /// The latest committed version whose commit timestamp is `<= ts`
+    /// (visibility rule for snapshot timestamps that *are* commit
+    /// timestamps of applied commits). Same early exit as
+    /// [`committed_before`](Chain::committed_before).
+    pub fn committed_at_or_before(&self, ts: Timestamp) -> Option<&'a Version> {
+        self.iter()
+            .find(|v| matches!(v.commit_ts(), Some(c) if c <= ts))
+    }
+
+    /// True if a version committed with a timestamp `> ts` exists
+    /// (first-committer-wins check of snapshot isolation). The first
+    /// committed version of the walk carries the chain's largest commit
+    /// timestamp, so it alone decides.
+    pub fn committed_after(&self, ts: Timestamp) -> bool {
+        self.iter()
+            .find_map(|v| v.commit_ts())
+            .is_some_and(|c| c > ts)
+    }
+
+    /// The newest uncommitted version `want` accepts, with the handle of
+    /// the node before it ([`NIL`] at the head) — the one probe behind every
+    /// question about in-flight writers.
+    ///
+    /// A zero uncommitted count skips the walk outright. That is sound even
+    /// lock-free: a caller asking for its own version installed it earlier
+    /// on the same thread, so the load includes it. Beyond zero the count
+    /// bounds the walk only under the latch, which makes it exact: once
+    /// every uncommitted version has been seen the target cannot be deeper,
+    /// so a long committed tail is never scanned. A lock-free viewer cannot
+    /// trust a racing count and, **when nothing matches, walks to the end
+    /// of the chain** whenever any writer is in flight on the key — callers
+    /// that know their write set (the engine's `get`) ask only for keys in
+    /// it.
+    fn probe_uncommitted(&self, mut want: impl FnMut(&Version) -> bool) -> Option<(u64, Node<'a>)> {
         let mut remaining = self.entry.uncommitted.load(Ordering::Relaxed);
         if remaining == 0 {
             return None;
         }
-        let arena = &self.store.arena;
         let mut prev = NIL;
-        let mut cur = self.head();
-        while cur != NIL {
-            let (v, next) = arena.read(cur)?;
-            if !v.is_committed() {
-                if v.writer == writer {
-                    return Some((prev, cur, next));
+        for node in self.nodes() {
+            if !node.version.is_committed() {
+                if want(node.version) {
+                    return Some((prev, node));
                 }
-                remaining -= 1;
-                if remaining == 0 {
-                    return None;
+                if self.latched {
+                    remaining -= 1;
+                    if remaining == 0 {
+                        return None;
+                    }
                 }
             }
-            prev = cur;
-            cur = next;
+            prev = node.handle;
         }
         None
+    }
+
+    /// The newest uncommitted version `want` accepts (see
+    /// [`uncommitted_by`](Chain::uncommitted_by) for what the walk costs).
+    pub fn find_uncommitted(&self, want: impl FnMut(&Version) -> bool) -> Option<&'a Version> {
+        self.probe_uncommitted(want).map(|(_, node)| node.version)
+    }
+
+    /// The uncommitted version written by `writer`, if any (chains hold at
+    /// most one uncommitted version per writer). Free when no writer is in
+    /// flight on the key, bounded by the number of in-flight writers under
+    /// the latch; a lock-free miss walks the whole chain.
+    pub fn uncommitted_by(&self, writer: TxnId) -> Option<&'a Version> {
+        self.find_uncommitted(|v| v.writer == writer)
+    }
+
+    /// True if some transaction other than `txn` has an uncommitted
+    /// version on this key.
+    pub fn has_other_uncommitted(&self, txn: TxnId) -> bool {
+        self.find_uncommitted(|v| v.writer != txn).is_some()
+    }
+}
+
+/// Exclusive (per-key latched) view of one key's version chain: everything
+/// [`Chain`] answers (it derefs to one, with exact uncommitted probes) plus
+/// the mutation primitives — splices for install, overwrite and abort, an
+/// in-place flip of the commit word for commit — so lock-free readers stay
+/// safe mid-mutation.
+pub struct ChainWrite<'a> {
+    chain: Chain<'a>,
+    store: &'a MvStore,
+    /// The latching thread's stripe.
+    stripe: usize,
+}
+
+impl<'a> std::ops::Deref for ChainWrite<'a> {
+    type Target = Chain<'a>;
+
+    fn deref(&self) -> &Chain<'a> {
+        &self.chain
+    }
+}
+
+impl<'a> ChainWrite<'a> {
+    /// The caller holds `entry`'s latch.
+    fn latched(store: &'a MvStore, entry: &'a KeyEntry, stripe: usize) -> Self {
+        ChainWrite {
+            chain: Chain {
+                arena: &store.arena,
+                entry,
+                latched: true,
+            },
+            store,
+            stripe,
+        }
     }
 
     fn stats(&self) -> &'a Stripe {
         &self.store.stripes[self.stripe]
     }
 
-    /// Unlinks the node `cur` (holding `v`) and retires it (does not touch
-    /// the uncommitted counter; callers know the node's state).
-    fn unlink(&mut self, prev: u64, cur: u64, next: u64, v: &Version) {
-        let store = self.store;
+    /// Points the link after `prev` — the chain head when `prev` is
+    /// [`NIL`] — at `to`.
+    fn set_link(&self, prev: u64, to: u64) {
         if prev == NIL {
-            self.entry.head.store(next, Ordering::Release);
+            self.chain.entry.head.store(to, Ordering::Release);
         } else {
-            store.arena.set_next(prev, next);
+            self.store.arena.set_next(prev, to);
         }
-        store.retire(self.stripe, cur, version_bytes(v));
-        self.entry.versions.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Links `version` in between `prev` ([`NIL`]: at the head) and `next`.
+    /// The new node is fully formed before the link that publishes it.
+    fn link(&mut self, prev: u64, version: Version, next: u64) {
+        let new_h = self.store.arena.alloc(self.stripe, version);
+        self.store.arena.set_next(new_h, next);
+        self.set_link(prev, new_h);
+    }
+
+    /// Unlinks `node` and retires it (does not touch the uncommitted
+    /// counter; callers know the node's state).
+    fn unlink(&mut self, prev: u64, node: &Node<'_>) {
+        self.set_link(prev, node.next);
+        self.store
+            .retire(self.stripe, node.handle, version_bytes(node.version));
+        self.chain.entry.versions.fetch_sub(1, Ordering::Relaxed);
         self.stats().versions.fetch_sub(1, Ordering::Relaxed);
     }
 
-    fn push_head(&mut self, version: Version) {
-        let store = self.store;
-        let new_h = store.arena.alloc(self.stripe, version);
-        store.arena.set_next(new_h, self.head());
-        self.entry.head.store(new_h, Ordering::Release);
-        self.count_installed();
-    }
-
     fn count_installed(&self) {
-        let len = self.entry.versions.fetch_add(1, Ordering::Relaxed) + 1;
+        let len = self.chain.entry.versions.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats().versions.fetch_add(1, Ordering::Relaxed);
         self.store.m_chain_len.observe(len);
+    }
+
+    /// `delta` is +1 or -1 (as `u64` the latter wraps the add into a
+    /// subtraction).
+    fn count_uncommitted(&self, delta: i64) {
+        self.stats().uncommitted.fetch_add(delta, Ordering::Relaxed);
+        self.chain
+            .entry
+            .uncommitted
+            .fetch_add(delta as u64, Ordering::Relaxed);
     }
 
     /// Installs a new uncommitted version and returns `true` when it is the
@@ -557,61 +615,37 @@ impl<'a> ChainWrite<'a> {
     /// call returns `false`. Otherwise the version is inserted at its
     /// ordering position.
     pub fn install(&mut self, version: Version) -> bool {
-        let store: &'a MvStore = self.store;
-        if let Some((prev, cur, next)) = self.find_uncommitted_node(version.writer) {
-            let (existing, _) = store.arena.read(cur).expect("latched chain node");
+        let writer = version.writer;
+        if let Some((prev, old)) = self.chain.probe_uncommitted(|v| v.writer == writer) {
             let replacement = Version::uncommitted(
-                existing.id,
-                version.writer,
+                old.version.id,
+                writer,
                 version.value,
-                version.order_ts.or(existing.order_ts),
+                version.order_ts.or(old.version.order_ts),
             );
-            let new_h = store.arena.alloc(self.stripe, replacement);
-            store.arena.set_next(new_h, next);
-            if prev == NIL {
-                self.entry.head.store(new_h, Ordering::Release);
-            } else {
-                store.arena.set_next(prev, new_h);
-            }
-            store.retire(self.stripe, cur, version_bytes(existing));
+            self.link(prev, replacement, old.next);
+            self.store
+                .retire(self.stripe, old.handle, version_bytes(old.version));
             return false;
         }
-        self.stats().uncommitted.fetch_add(1, Ordering::Relaxed);
-        self.entry.uncommitted.fetch_add(1, Ordering::Relaxed);
-        match version.order_ts {
-            Some(ts) => {
-                // Keep order_ts-carrying versions sorted among themselves:
-                // insert before (older than) the first — in oldest-first
-                // terms — version with a larger order_ts. Walking newest
-                // first, that is "after the deepest node with order_ts >
-                // ts"; order_ts versions run descending, so the walk stops
-                // at the first one at or below ts.
-                let arena = &store.arena;
-                let mut deepest: Option<(u64, u64)> = None;
-                let mut cur = self.head();
-                while cur != NIL {
-                    let Some((v, next)) = arena.read(cur) else {
-                        break;
-                    };
-                    match v.order_ts {
-                        Some(other) if other > ts => deepest = Some((cur, next)),
-                        Some(_) => break,
-                        None => {}
-                    }
-                    cur = next;
-                }
-                match deepest {
-                    Some((d, d_next)) => {
-                        let new_h = arena.alloc(self.stripe, version);
-                        arena.set_next(new_h, d_next);
-                        arena.set_next(d, new_h);
-                        self.count_installed();
-                    }
-                    None => self.push_head(version),
+        self.count_uncommitted(1);
+        // A version without an `order_ts` goes to the head (it is ordered
+        // by its commit later). One with an `order_ts` keeps those sorted
+        // among themselves: it goes right after the deepest node carrying a
+        // larger one. They run descending, so the walk stops at the first
+        // one at or below `ts`.
+        let (mut prev, mut next) = (NIL, self.chain.head());
+        if let Some(ts) = version.order_ts {
+            for node in self.chain.nodes() {
+                match node.version.order_ts {
+                    Some(other) if other > ts => (prev, next) = (node.handle, node.next),
+                    Some(_) => break,
+                    None => {}
                 }
             }
-            None => self.push_head(version),
         }
+        self.link(prev, version, next);
+        self.count_installed();
         true
     }
 
@@ -619,7 +653,8 @@ impl<'a> ChainWrite<'a> {
     /// (bootstrap loads and recovery).
     pub fn install_committed(&mut self, version: Version) {
         debug_assert!(version.is_committed());
-        self.push_head(version);
+        self.link(NIL, version, self.chain.head());
+        self.count_installed();
     }
 
     /// Marks the version written by `writer` as committed with `commit_ts`.
@@ -642,53 +677,45 @@ impl<'a> ChainWrite<'a> {
     /// In place: the stamp, then the commit word (see
     /// [`Version`]) — no slot is allocated, copied or retired.
     pub fn commit_stamped(&mut self, writer: TxnId, commit_ts: Timestamp, hlc: u64) -> bool {
-        let Some((_, cur, _)) = self.find_uncommitted_node(writer) else {
+        let Some(version) = self.chain.uncommitted_by(writer) else {
             return false;
         };
-        let (version, _) = self.store.arena.read(cur).expect("latched chain node");
         version.mark_committed(commit_ts, hlc);
-        self.stats().uncommitted.fetch_sub(1, Ordering::Relaxed);
-        self.entry.uncommitted.fetch_sub(1, Ordering::Relaxed);
+        self.count_uncommitted(-1);
         true
     }
 
     /// Removes the uncommitted version installed by `writer`, if any.
     /// Returns `true` if a version was removed.
     pub fn abort(&mut self, writer: TxnId) -> bool {
-        let store: &'a MvStore = self.store;
-        let mut removed = false;
-        while let Some((prev, cur, next)) = self.find_uncommitted_node(writer) {
-            let (v, _) = store.arena.read(cur).expect("latched chain node");
-            self.unlink(prev, cur, next, v);
-            self.stats().uncommitted.fetch_sub(1, Ordering::Relaxed);
-            self.entry.uncommitted.fetch_sub(1, Ordering::Relaxed);
-            removed = true;
-        }
-        removed
+        let Some((prev, node)) = self.chain.probe_uncommitted(|v| v.writer == writer) else {
+            return false;
+        };
+        self.unlink(prev, &node);
+        self.count_uncommitted(-1);
+        true
     }
 
     /// Drops committed versions strictly older than `keep_after`, always
     /// keeping at least the latest committed version. Returns the number of
     /// versions removed.
     pub fn prune(&mut self, keep_after: Timestamp) -> usize {
-        let store: &'a MvStore = self.store;
-        let latest_commit_ts = ChainRead::latest_committed(self).and_then(|v| v.commit_ts());
-        let arena = &store.arena;
+        let latest_commit_ts = self.chain.latest_committed().and_then(|v| v.commit_ts());
+        let stale = |v: &Version| {
+            v.commit_ts()
+                .is_some_and(|ts| ts < keep_after && Some(ts) != latest_commit_ts)
+        };
         let mut removed = 0;
         let mut prev = NIL;
-        let mut cur = self.head();
-        while cur != NIL {
-            let Some((v, next)) = arena.read(cur) else {
-                break;
-            };
-            let drop_it = matches!(v.commit_ts(), Some(ts) if ts < keep_after && Some(ts) != latest_commit_ts);
-            if drop_it {
-                self.unlink(prev, cur, next, v);
+        // A node's successor is read before the node is unlinked, so the
+        // walk carries on over the splice.
+        for node in self.chain.nodes() {
+            if stale(node.version) {
+                self.unlink(prev, &node);
                 removed += 1;
             } else {
-                prev = cur;
+                prev = node.handle;
             }
-            cur = next;
         }
         removed
     }
@@ -797,19 +824,25 @@ impl MvStore {
         entry
     }
 
+    /// The lock-free view of `entry`'s chain; the caller holds an epoch pin.
+    fn chain_of<'a>(&'a self, entry: &'a KeyEntry) -> Chain<'a> {
+        Chain {
+            arena: &self.arena,
+            entry,
+            latched: false,
+        }
+    }
+
     /// Runs `f` with a lock-free shared view of the version chain of `key`
     /// (an empty chain is provided if the key has never been written). The
     /// call pins the reclamation epoch for its duration; no shard or chain
     /// lock is taken.
-    pub fn with_chain<R>(&self, key: &Key, f: impl FnOnce(&dyn ChainRead) -> R) -> R {
+    pub fn with_chain<R>(&self, key: &Key, f: impl FnOnce(&Chain<'_>) -> R) -> R {
         let _pin = ebr::pin();
         self.stripes[ebr::stripe()]
             .reads
             .fetch_add(1, Ordering::Relaxed);
-        f(&ChainRef {
-            arena: &self.arena,
-            entry: self.lookup(key, key.mix64()),
-        })
+        f(&self.chain_of(self.lookup(key, key.mix64()).unwrap_or(&NO_ENTRY)))
     }
 
     /// Runs `f` with exclusive access to the version chain of `key` (via
@@ -821,12 +854,7 @@ impl MvStore {
         self.stripes[stripe].writes.fetch_add(1, Ordering::Relaxed);
         let entry = self.lookup_or_insert(key, stripe);
         let _latch = entry.lock_latch();
-        let mut chain = ChainWrite {
-            store: self,
-            entry,
-            stripe,
-        };
-        f(&mut chain)
+        f(&mut ChainWrite::latched(self, entry, stripe))
     }
 
     /// Installs an uncommitted version for `txn` on `key`.
@@ -911,23 +939,15 @@ impl MvStore {
     /// shard, and the decision stamp is drawn after observing that vote.
     pub fn read_snapshot_hlc(&self, key: &Key, h: u64) -> SnapshotRead {
         self.with_chain(key, |chain| {
-            let mut result = SnapshotRead::Value(None);
-            chain.for_each_newest_first(&mut |v| {
+            for v in chain.iter() {
                 if !v.is_committed() {
-                    result = SnapshotRead::Blocked;
-                    return false;
+                    return SnapshotRead::Blocked;
                 }
                 if v.hlc() <= h {
-                    result = SnapshotRead::Value(if v.value.is_null() {
-                        None
-                    } else {
-                        Some(v.value.clone())
-                    });
-                    return false;
+                    return SnapshotRead::Value((!v.value.is_null()).then(|| v.value.clone()));
                 }
-                true
-            });
-            result
+            }
+            SnapshotRead::Value(None)
         })
     }
 
@@ -971,28 +991,18 @@ impl MvStore {
                 continue;
             }
             let _latch = entry.lock_latch();
-            let mut chain = ChainWrite {
-                store: self,
-                entry,
-                stripe,
-            };
-            removed += chain.prune(horizon);
+            removed += ChainWrite::latched(self, entry, stripe).prune(horizon);
         }
         removed
     }
 
     /// Visits every key currently present in the store.
-    pub fn for_each_key(&self, mut f: impl FnMut(&Key, &dyn ChainRead)) {
+    pub fn for_each_key(&self, mut f: impl FnMut(&Key, &Chain<'_>)) {
         let _pin = ebr::pin();
         let n = self.entries.len();
         for idx in 0..n {
             let entry = self.entries.get(idx);
-            let key = entry.key();
-            let chain = ChainRef {
-                arena: &self.arena,
-                entry: Some(entry),
-            };
-            f(&key, &chain);
+            f(&entry.key(), &self.chain_of(entry));
         }
     }
 
@@ -1021,12 +1031,7 @@ impl MvStore {
         self.for_each_key(|_, chain| {
             s.keys += 1;
             s.versions += chain.len();
-            chain.for_each_newest_first(&mut |v| {
-                if !v.is_committed() {
-                    s.uncommitted += 1;
-                }
-                true
-            });
+            s.uncommitted += chain.iter().filter(|v| !v.is_committed()).count();
         });
         s
     }
@@ -1187,8 +1192,227 @@ mod tests {
     use super::*;
     use crate::schema::TableId;
 
+    thread_local! {
+        /// Chain nodes this thread's walks have visited (see `Nodes::next`).
+        pub(super) static NODES_VISITED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Chain nodes visited by `f` on this thread.
+    fn nodes_visited(f: impl FnOnce()) -> u64 {
+        let before = NODES_VISITED.with(|n| n.get());
+        f();
+        NODES_VISITED.with(|n| n.get()) - before
+    }
+
     fn key(id: u64) -> Key {
         Key::simple(TableId(0), id)
+    }
+
+    fn ver(writer: u64) -> Version {
+        Version::uncommitted(
+            VersionId(writer),
+            TxnId(writer),
+            Value::Int(writer as i64),
+            None,
+        )
+    }
+
+    /// The writers on `k`'s chain, newest first.
+    fn writers(store: &MvStore, k: &Key) -> Vec<u64> {
+        store.with_chain(k, |chain| chain.iter().map(|v| v.writer.0).collect())
+    }
+
+    #[test]
+    fn commit_keeps_position_before_later_uncommitted_writes() {
+        // T1 installs, then T2 installs (a later write exposed by a
+        // pipelining CC). T1 committing must NOT move its version past T2's
+        // uncommitted one: the chain's newest version must stay T2's so
+        // position-based readers keep seeing the newer write.
+        let store = MvStore::new(2);
+        let k = key(1);
+        store.with_chain_mut(&k, |chain| {
+            assert!(chain.install(ver(1)));
+            assert!(chain.install(ver(2)));
+            assert!(chain.commit(TxnId(1), Timestamp(5)));
+            assert!(
+                !chain.commit(TxnId(1), Timestamp(6)),
+                "nothing left to commit"
+            );
+            assert_eq!(chain.iter().next().unwrap().writer, TxnId(2));
+            assert_eq!(chain.latest_committed().unwrap().writer, TxnId(1));
+            // T2 then commits with a larger timestamp; position and commit
+            // order agree.
+            assert!(chain.commit(TxnId(2), Timestamp(7)));
+            assert_eq!(chain.latest_committed().unwrap().writer, TxnId(2));
+            let at_6 = chain.committed_at_or_before(Timestamp(6)).unwrap();
+            assert_eq!(at_6.writer, TxnId(1));
+        });
+        assert_eq!(writers(&store, &k), [2, 1]);
+    }
+
+    #[test]
+    fn overwrite_replaces_in_position_and_abort_unlinks() {
+        let store = MvStore::new(2);
+        let k = key(2);
+        store.with_chain_mut(&k, |chain| {
+            chain.install(ver(1));
+            chain.install(ver(2));
+            // Same writer again: replaced where it stands, same id, new
+            // value; not a first write.
+            let again = Version::uncommitted(VersionId(77), TxnId(1), Value::Int(20), None);
+            assert!(!chain.install(again));
+            assert_eq!(chain.len(), 2);
+            let mine = chain.uncommitted_by(TxnId(1)).unwrap();
+            assert_eq!((mine.id, mine.value.as_int()), (VersionId(1), Some(20)));
+            assert!(chain.abort(TxnId(1)));
+            assert!(!chain.abort(TxnId(1)));
+            assert_eq!(chain.len(), 1);
+            assert!(chain.has_other_uncommitted(TxnId(1)));
+            assert!(!chain.has_other_uncommitted(TxnId(2)));
+        });
+        assert_eq!(writers(&store, &k), [2]);
+        assert_eq!(store.stats(), store.stats_scanned());
+    }
+
+    #[test]
+    fn snapshot_visibility_ordering() {
+        let store = MvStore::new(2);
+        let k = key(3);
+        for (txn, ts) in [(1, 10), (2, 20)] {
+            store.write(&k, TxnId(txn), Value::Int(ts as i64));
+            store.commit_writes(TxnId(txn), &[k], Timestamp(ts));
+        }
+        store.with_chain(&k, |chain| {
+            let before = |ts| chain.committed_before(Timestamp(ts)).map(|v| v.writer.0);
+            assert_eq!(before(10), None);
+            assert_eq!(before(15), Some(1));
+            assert_eq!(before(20), Some(1));
+            assert_eq!(before(25), Some(2));
+            let at = |ts| {
+                chain
+                    .committed_at_or_before(Timestamp(ts))
+                    .map(|v| v.writer.0)
+            };
+            assert_eq!((at(9), at(10), at(20)), (None, Some(1), Some(2)));
+            assert!(chain.committed_after(Timestamp(15)));
+            assert!(!chain.committed_after(Timestamp(20)));
+            assert!(!chain.committed_after(Timestamp(25)));
+        });
+    }
+
+    /// The mid-chain splice: a version carrying an `order_ts` goes below
+    /// every one carrying a larger, wherever the untimed versions sit, and
+    /// an overwrite keeps both its position and its `order_ts`.
+    #[test]
+    fn order_ts_installs_splice_at_their_ordering_position() {
+        let store = MvStore::new(2);
+        let k = key(4);
+        store.load(&k, Value::Int(0));
+        store.write_with_order_ts(&k, TxnId(1), Value::Int(1), Some(Timestamp(100)));
+        // An earlier timestamp lands below the later one, above the load.
+        store.write_with_order_ts(&k, TxnId(2), Value::Int(2), Some(Timestamp(50)));
+        assert_eq!(writers(&store, &k), [1, 2, 0]);
+        // An untimed write goes to the head; timed ones splice past it.
+        store.write(&k, TxnId(3), Value::Int(3));
+        store.write_with_order_ts(&k, TxnId(4), Value::Int(4), Some(Timestamp(75)));
+        store.write_with_order_ts(&k, TxnId(5), Value::Int(5), Some(Timestamp(200)));
+        store.write_with_order_ts(&k, TxnId(6), Value::Int(6), Some(Timestamp(10)));
+        assert_eq!(writers(&store, &k), [5, 3, 1, 4, 2, 6, 0]);
+        // Overwrite without a timestamp: position and `order_ts` both stay.
+        store.write(&k, TxnId(4), Value::Int(44));
+        assert_eq!(writers(&store, &k), [5, 3, 1, 4, 2, 6, 0]);
+        store.with_chain(&k, |chain| {
+            let mine = chain.uncommitted_by(TxnId(4)).unwrap();
+            assert_eq!(
+                (mine.order_ts, mine.value.as_int()),
+                (Some(Timestamp(75)), Some(44))
+            );
+            // The MVTO read rule over the walk: the newest version ordered
+            // at or below the reader.
+            let visible = |ts| {
+                chain
+                    .iter()
+                    .find(|v| v.sort_ts().is_some_and(|o| o <= Timestamp(ts)))
+                    .map(|v| v.writer.0)
+            };
+            assert_eq!(
+                (visible(60), visible(99), visible(500)),
+                (Some(2), Some(4), Some(5))
+            );
+        });
+        // Committing in timestamp order keeps both orders descending.
+        for txn in [6, 2, 4, 1] {
+            store.commit_writes(TxnId(txn), &[k], Timestamp(txn + 1_000));
+        }
+        store.abort_writes(TxnId(3), &[k]);
+        assert_eq!(writers(&store, &k), [5, 1, 4, 2, 6, 0]);
+        assert_eq!(store.stats(), store.stats_scanned());
+    }
+
+    #[test]
+    fn prune_keeps_latest_committed_and_uncommitted() {
+        let store = MvStore::new(2);
+        let k = key(5);
+        store.with_chain_mut(&k, |chain| {
+            for i in 1..=5u64 {
+                chain.install(ver(i));
+                chain.commit(TxnId(i), Timestamp(i * 10));
+            }
+            chain.install(ver(99));
+            assert_eq!(chain.prune(Timestamp(45)), 4);
+            assert_eq!(chain.latest_committed().unwrap().writer, TxnId(5));
+            assert!(chain.uncommitted_by(TxnId(99)).is_some());
+            // A horizon beyond everything still keeps the latest.
+            assert_eq!(chain.prune(Timestamp(1_000)), 0);
+            assert_eq!(chain.len(), 2);
+        });
+        assert_eq!(writers(&store, &k), [99, 5]);
+        assert_eq!(store.stats(), store.stats_scanned());
+    }
+
+    /// A hot row between GC cycles: a thousand committed versions under one
+    /// in-flight foreign write. Under the latch the uncommitted count is
+    /// exact, so a probe that cannot match stops once it has seen that one
+    /// version; the lock-free view cannot trust the count, walks the tail
+    /// and answers the same.
+    #[test]
+    fn latched_probe_stops_at_the_uncommitted_count() {
+        let store = MvStore::new(2);
+        let k = key(6);
+        for i in 1..=1_000u64 {
+            store.write(&k, TxnId(i), Value::Int(i as i64));
+            store.commit_writes(TxnId(i), &[k], Timestamp(i));
+        }
+        store.write(&k, TxnId(5_000), Value::Int(0));
+        let me = TxnId(6_000);
+        let probe = |chain: &Chain<'_>| {
+            assert!(chain.uncommitted_by(me).is_none());
+            assert!(chain.has_other_uncommitted(me));
+            assert!(!chain.has_other_uncommitted(TxnId(5_000)));
+            assert!(chain.find_uncommitted(|v| v.writer.0 > 5_000).is_none());
+        };
+        let latched = nodes_visited(|| store.with_chain_mut(&k, |chain| probe(chain)));
+        assert_eq!(latched, 4, "one node per probe: the head");
+        let lock_free = nodes_visited(|| store.with_chain(&k, probe));
+        assert_eq!(lock_free, 3 * 1_001 + 1, "three misses walk the chain");
+        // The timestamp queries stop at the first decisive version in
+        // either view.
+        let early = nodes_visited(|| {
+            store.with_chain(&k, |chain| {
+                assert_eq!(chain.latest_committed().unwrap().writer, TxnId(1_000));
+                assert!(chain.committed_after(Timestamp(999)));
+                assert_eq!(
+                    chain.committed_before(Timestamp(1_000)).unwrap().writer,
+                    TxnId(999)
+                );
+            })
+        });
+        assert_eq!(early, 2 + 2 + 3);
+        // An absent key views the shared empty chain.
+        store.with_chain(&key(7), |chain| {
+            assert_eq!((chain.len(), chain.iter().count()), (0, 0));
+            assert!(chain.latest_committed().is_none() && !chain.has_other_uncommitted(me));
+        });
     }
 
     #[test]
@@ -1438,23 +1662,16 @@ mod tests {
                         i += 1;
                         store.with_chain(&k, |chain| {
                             let mut newest_commit = None;
-                            chain.for_each_newest_first(&mut |v| {
-                                if v.is_committed() {
-                                    let ts = v.commit_ts().expect("committed without a timestamp");
-                                    if !v.writer.is_bootstrap() {
-                                        assert_eq!(
-                                            v.hlc(),
-                                            ts.0 + 1_000,
-                                            "commit without its stamp"
-                                        );
-                                    }
-                                    // Position order: commit timestamps
-                                    // descend along the walk.
-                                    assert!(newest_commit.is_none_or(|n| ts <= n));
-                                    newest_commit = Some(ts);
+                            for v in chain.iter().filter(|v| v.is_committed()) {
+                                let ts = v.commit_ts().expect("committed without a timestamp");
+                                if !v.writer.is_bootstrap() {
+                                    assert_eq!(v.hlc(), ts.0 + 1_000, "commit without its stamp");
                                 }
-                                true
-                            });
+                                // Position order: commit timestamps descend
+                                // along the walk.
+                                assert!(newest_commit.is_none_or(|n| ts <= n));
+                                newest_commit = Some(ts);
+                            }
                         });
                         match store.read_snapshot_hlc(&k, u64::MAX) {
                             SnapshotRead::Value(v) => assert!(v.is_some()),

@@ -4,85 +4,199 @@ use proptest::prelude::*;
 use tebaldi_suite::cc::procinfo::{AccessMode, ProcedureInfo};
 use tebaldi_suite::cc::rp_analysis::analyze;
 use tebaldi_suite::storage::{
-    Key, TableId, Timestamp, TxnId, Value, Version, VersionChain, VersionId,
+    Chain, Key, MvStore, TableId, Timestamp, TxnId, Value, Version, VersionId,
 };
 
-fn version(writer: u64, value: i64) -> Version {
-    Version::uncommitted(VersionId(writer), TxnId(writer), Value::Int(value), None)
+/// Holds one view of a chain to everything a full scan of its own walk
+/// says: the position-order invariant, one uncommitted version per writer,
+/// `len`, and every early-exit query against the exhaustive answer — at each
+/// probe timestamp and for each writer asked about. Returns what the view
+/// said about those writers' in-flight versions.
+fn check_chain(
+    chain: &Chain<'_>,
+    probes: &[u64],
+    writers: &[u64],
+) -> Vec<(Option<VersionId>, bool)> {
+    let all: Vec<&Version> = chain.iter().collect();
+    assert_eq!(chain.len(), all.len());
+    let commits: Vec<Timestamp> = all.iter().filter_map(|v| v.commit_ts()).collect();
+    assert!(commits.windows(2).all(|w| w[0] >= w[1]), "{commits:?}");
+    let orders: Vec<Timestamp> = all.iter().filter_map(|v| v.order_ts).collect();
+    assert!(orders.windows(2).all(|w| w[0] >= w[1]), "{orders:?}");
+    let uncommitted = |keep: &dyn Fn(u64) -> bool| -> Vec<VersionId> {
+        let in_flight = all.iter().filter(|v| !v.is_committed());
+        in_flight
+            .filter(|v| keep(v.writer.0))
+            .map(|v| v.id)
+            .collect()
+    };
+    // The committed version with the largest timestamp `keep` admits, the
+    // newest by position among equals.
+    let newest = |keep: &dyn Fn(Timestamp) -> bool| {
+        let admitted = all.iter().rev().filter(|v| v.commit_ts().is_some_and(keep));
+        admitted.max_by_key(|v| v.commit_ts()).map(|v| v.id)
+    };
+    let id = |v: Option<&Version>| v.map(|v| v.id);
+    assert_eq!(id(chain.latest_committed()), newest(&|_| true));
+    for ts in probes.iter().map(|p| Timestamp(*p)) {
+        assert_eq!(id(chain.committed_before(ts)), newest(&|c| c < ts));
+        assert_eq!(id(chain.committed_at_or_before(ts)), newest(&|c| c <= ts));
+        assert_eq!(chain.committed_after(ts), commits.iter().any(|c| *c > ts));
+    }
+    writers
+        .iter()
+        .map(|&w| {
+            let mine = uncommitted(&|writer| writer == w);
+            assert!(mine.len() <= 1, "two uncommitted versions of writer {w}");
+            let others = !uncommitted(&|writer| writer != w).is_empty();
+            assert_eq!(id(chain.uncommitted_by(TxnId(w))), mine.first().copied());
+            assert_eq!(chain.has_other_uncommitted(TxnId(w)), others);
+            (mine.first().copied(), others)
+        })
+        .collect()
+}
+
+/// Lock-free readers stay safe mid-mutation, with the interleaving forced:
+/// a walk stops on the head, the chain is spliced, overwritten, aborted and
+/// pruned underneath it (the epoch pin is re-entrant, the walk holds no
+/// latch), and the walk carries on. It may meet versions that have since
+/// been replaced or unlinked — its pin keeps their slots — but it ends, in
+/// position order, on live memory.
+#[test]
+fn a_walk_begun_before_the_splices_finishes_in_order() {
+    let store = MvStore::new(1);
+    let key = Key::simple(TableId(0), 1);
+    store.load(&key, Value::Int(0));
+    for (txn, ts) in [(1, 10), (2, 20)] {
+        store.write(&key, TxnId(txn), Value::Int(0));
+        store.commit_writes(TxnId(txn), &[key], Timestamp(ts));
+    }
+    for txn in [300, 200, 100] {
+        store.write_with_order_ts(&key, TxnId(txn), Value::Int(0), Some(Timestamp(txn)));
+    }
+    let writers = |chain: &Chain<'_>| chain.iter().map(|v| v.writer.0).collect::<Vec<_>>();
+    store.with_chain(&key, |chain| {
+        assert_eq!(writers(chain), [300, 200, 100, 2, 1, 0]);
+        let mut walk = chain.iter();
+        assert_eq!(walk.next().unwrap().writer, TxnId(300));
+        // The walk now stands on T200's node. Underneath it:
+        store.write_with_order_ts(&key, TxnId(250), Value::Int(0), Some(Timestamp(250)));
+        store.write(&key, TxnId(200), Value::Int(7)); // replaces that node
+        store.abort_writes(TxnId(100), &[key]);
+        assert_eq!(store.prune_before(Timestamp(20)), 2);
+        // It still sees the chain it set out on, minus what was pruned
+        // ahead of it, and T200's value as it was.
+        let rest: Vec<(u64, Option<i64>)> = walk.map(|v| (v.writer.0, v.value.as_int())).collect();
+        assert_eq!(rest, [(200, Some(0)), (100, Some(0)), (2, Some(0))]);
+        // A walk begun now sees every splice (the head is re-loaded).
+        assert_eq!(writers(chain), [300, 250, 200, 2]);
+        assert_eq!(
+            chain.uncommitted_by(TxnId(200)).unwrap().value.as_int(),
+            Some(7)
+        );
+    });
+    assert_eq!(store.gen_mismatches(), 0);
+    assert_eq!(store.stats(), store.stats_scanned());
 }
 
 proptest! {
-    /// Commit order per key follows install order in the engine (mechanisms
-    /// enforce it through locks and dependency waits), so the chain commits
-    /// versions in place: the positionally-latest committed version carries
-    /// the maximal commit timestamp, commit never reorders versions, and
-    /// snapshot reads never return a version committed after the snapshot.
+    /// Random installs (with and without an `order_ts`), same-writer
+    /// overwrites, commits, aborts and prunes on one key of a real store,
+    /// the way the engine drives a chain: per-key commit order follows chain
+    /// position (mechanisms enforce it through locks and dependency waits)
+    /// and a timestamp-ordered install never lands below a committed
+    /// version (TSO aborts a write "into the past"). After every step the
+    /// latched view and the lock-free view each pass `check_chain`, agree
+    /// with each other, and the store's O(1) counters equal a full scan.
+    /// A step is `(kind, a, b)`, read against the chain's state when it runs.
     #[test]
-    fn version_chain_snapshot_visibility(deltas in proptest::collection::vec((1u64..50, 1u64..40), 1..30)) {
-        let mut chain = VersionChain::new();
-        let mut ts = 0u64;
-        let mut installed: Vec<u64> = Vec::new(); // writers, install order
-        for (i, (writer_seed, delta)) in deltas.iter().enumerate() {
-            let writer = 1_000 + i as u64 * 100 + writer_seed;
-            chain.install(version(writer, ts as i64));
-            ts += delta;
-            chain.commit(TxnId(writer), Timestamp(ts));
-            installed.push(writer);
-            // Committing must not reorder the chain.
-            let order: Vec<u64> = chain.versions().iter().map(|v| v.writer.0).collect();
-            prop_assert_eq!(&order, &installed);
-        }
-        let max_ts = ts;
-        // The positionally-latest committed version has the maximal commit
-        // timestamp.
-        let latest = chain.latest_committed().unwrap();
-        prop_assert_eq!(latest.commit_ts().unwrap().0, max_ts);
-        prop_assert_eq!(latest.writer.0, *installed.last().unwrap());
-        // Snapshot visibility: strict and inclusive variants respect their
-        // bounds.
-        for snapshot in [1u64, max_ts / 2 + 1, max_ts, max_ts + 1] {
-            if let Some(v) = chain.committed_before(Timestamp(snapshot)) {
-                prop_assert!(v.commit_ts().unwrap().0 < snapshot);
-            }
-            if let Some(v) = chain.committed_at_or_before(Timestamp(snapshot)) {
-                prop_assert!(v.commit_ts().unwrap().0 <= snapshot);
-            }
-            prop_assert_eq!(
-                chain.committed_after(Timestamp(snapshot)),
-                max_ts > snapshot
-            );
-        }
-    }
-
-    /// Pruning never removes the latest committed version and never removes
-    /// uncommitted versions.
-    #[test]
-    fn version_chain_prune_preserves_latest(
-        committed in proptest::collection::vec(1u64..1000, 1..20),
-        horizon in 1u64..1500,
-        uncommitted_writers in proptest::collection::vec(5_000u64..5_010, 0..3),
+    fn version_chain_operations_keep_every_invariant(
+        ops in proptest::collection::vec((0u32..8, 0u64..1000, 0u64..1000), 1..60),
     ) {
-        let mut chain = VersionChain::new();
-        for (i, ts) in committed.iter().enumerate() {
-            let writer = 100 + i as u64;
-            chain.install(version(writer, *ts as i64));
-            chain.commit(TxnId(writer), Timestamp(*ts));
-        }
-        let mut uncommitted_writers = uncommitted_writers;
-        uncommitted_writers.sort_unstable();
-        uncommitted_writers.dedup();
-        for writer in &uncommitted_writers {
-            chain.install(version(*writer, -1));
-        }
-        let latest_before = chain.latest_committed().unwrap().commit_ts();
-        chain.prune(Timestamp(horizon));
-        prop_assert_eq!(chain.latest_committed().unwrap().commit_ts(), latest_before);
-        prop_assert_eq!(chain.uncommitted().count(), uncommitted_writers.len());
-        // Every remaining committed version (other than the latest) is at or
-        // above the horizon.
-        for v in chain.versions().iter().filter(|v| v.is_committed()) {
-            let ts = v.commit_ts().unwrap();
-            prop_assert!(ts >= Timestamp(horizon) || Some(ts) == latest_before);
+        let store = MvStore::new(1);
+        let key = Key::simple(TableId(0), 1);
+        let (mut next_id, mut clock) = (1u64, 0u64);
+        for (kind, a, b) in ops {
+            // (writer, order_ts) of the versions in flight, newest first;
+            // the largest `order_ts` already committed.
+            let (in_flight, floor) = store.with_chain(&key, |chain| {
+                let in_flight: Vec<(u64, Option<Timestamp>)> = chain
+                    .iter()
+                    .filter(|v| !v.is_committed())
+                    .map(|v| (v.writer.0, v.order_ts))
+                    .collect();
+                let committed = chain.iter().filter(|v| v.is_committed());
+                (in_flight, committed.filter_map(|v| v.order_ts).max())
+            });
+            let picked = in_flight.get(a as usize % in_flight.len().max(1)).copied();
+            store.with_chain_mut(&key, |chain| {
+                let order = |chain: &Chain<'_>| chain.iter().map(|v| v.id).collect::<Vec<_>>();
+                let (len, before) = (chain.len(), order(chain));
+                match (kind, picked) {
+                    // Overwrite: not a first write; position, id and — when
+                    // the new version names none — `order_ts` all stay.
+                    (4, Some((writer, order_ts))) => {
+                        let order_ts = order_ts.filter(|_| b % 2 == 0);
+                        let (writer, value) = (TxnId(writer), Value::Int(b as i64));
+                        let again = Version::uncommitted(VersionId(0), writer, value, order_ts);
+                        prop_assert!(!chain.install(again));
+                        prop_assert_eq!(order(chain), before);
+                        let mine = chain.uncommitted_by(writer).unwrap();
+                        prop_assert_eq!(mine.value.as_int(), Some(b as i64));
+                    }
+                    // Commit the deepest version in flight, in place.
+                    (5, Some(_)) => {
+                        let writer = TxnId(in_flight.last().unwrap().0);
+                        clock += 1 + b % 5;
+                        prop_assert!(chain.commit(writer, Timestamp(clock)));
+                        prop_assert_eq!(order(chain), before);
+                        let latest = chain.latest_committed().unwrap();
+                        prop_assert_eq!(latest.writer, writer);
+                        prop_assert_eq!(latest.commit_ts(), Some(Timestamp(clock)));
+                    }
+                    (6, Some((writer, _))) => {
+                        prop_assert!(chain.abort(TxnId(writer)));
+                        prop_assert!(!chain.abort(TxnId(writer)));
+                        prop_assert_eq!(chain.len(), len - 1);
+                    }
+                    // Prune never removes the latest committed version or
+                    // one in flight, and everything else it leaves is at or
+                    // above the horizon.
+                    (7, _) => {
+                        let horizon = Timestamp(a % (clock + 10));
+                        let latest = chain.latest_committed().map(|v| v.id);
+                        prop_assert_eq!(chain.prune(horizon), len - chain.len());
+                        prop_assert_eq!(chain.latest_committed().map(|v| v.id), latest);
+                        for v in chain.iter().filter(|v| Some(v.id) != latest) {
+                            prop_assert!(v.commit_ts().is_none_or(|ts| ts >= horizon));
+                        }
+                        let kept = chain.iter().filter(|v| !v.is_committed()).count();
+                        prop_assert_eq!(kept, in_flight.len());
+                    }
+                    // A new writer: at the head, or at its `order_ts`
+                    // position above everything committed.
+                    _ => {
+                        let order_ts = (kind % 2 == 1)
+                            .then(|| Timestamp(floor.map_or(0, |f| f.0) + 1 + b % 40));
+                        let (id, writer) = (VersionId(next_id), TxnId(next_id));
+                        next_id += 1;
+                        let version = Version::uncommitted(id, writer, Value::Int(0), order_ts);
+                        prop_assert!(chain.install(version));
+                        prop_assert_eq!(chain.len(), len + 1);
+                        if order_ts.is_none() {
+                            prop_assert_eq!(chain.iter().next().unwrap().id, id);
+                        }
+                    }
+                }
+            });
+            let probes = [0, a % (clock + 2), clock / 2, clock, clock + 1];
+            // Everyone who was in flight, the newest writer, one never seen.
+            let writers = in_flight.iter().map(|w| w.0).chain([next_id - 1, next_id]);
+            let writers: Vec<u64> = writers.collect();
+            let latched = store.with_chain_mut(&key, |c| check_chain(c, &probes, &writers));
+            let lock_free = store.with_chain(&key, |c| check_chain(c, &probes, &writers));
+            prop_assert_eq!(latched, lock_free);
+            prop_assert_eq!(store.stats(), store.stats_scanned());
         }
     }
 
