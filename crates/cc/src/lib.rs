@@ -22,6 +22,9 @@
 //! * [`registry`] — the shared transaction directory (status, type, group)
 //!   used for dependency waiting and group membership tests,
 //! * [`lock`] — the group-aware lock manager shared by 2PL and RP,
+//! * [`wait`] — the one bounded wait every blocking rule goes through
+//!   (lock, pipeline step, promise, commit order), with its deadline, its
+//!   timeout error and its blocking event,
 //! * [`events`] — blocking-event instrumentation consumed by the automatic
 //!   configuration profiler (§5.3.2),
 //! * [`history`] / [`dsg`] — Adya-style execution histories and direct
@@ -45,6 +48,7 @@ pub mod topology;
 pub mod tree;
 pub mod tso;
 pub mod twopl;
+pub mod wait;
 
 pub use error::{CcError, CcResult};
 pub use events::{BlockingEvent, EventSink, NullSink, VecSink};

@@ -8,15 +8,15 @@
 //! shared/exclusive compatibility matrix. At a leaf node every transaction
 //! has its own lane, which turns the table into a plain 2PL lock table.
 //!
-//! Waits are bounded by a timeout (the paper resolves deadlocks by timing
-//! out transactions, §4.4.1) and every wait produces a blocking event for
-//! the profiler.
+//! A request that conflicts sleeps in [`cc::wait`](crate::wait) — the
+//! deadline (the paper resolves deadlocks by timing out transactions,
+//! §4.4.1) and the profiler's blocking event are that module's.
 
-use crate::error::{CcError, CcResult};
+use crate::error::CcResult;
 use crate::mechanism::{NodeEnv, TxnCtx};
+use crate::wait::{self, Step, Wait};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::time::Instant;
 use tebaldi_storage::{Key, KeyMap, TxnId};
 
 /// Lock mode.
@@ -125,10 +125,9 @@ impl LockManager {
 
     /// Acquires (or upgrades) a lock on `key` for the transaction in `ctx`.
     ///
-    /// Returns the transactions that were holding a conflicting lock when the
-    /// request first had to wait — callers such as runtime pipelining turn
-    /// these into pipeline dependencies. Waits longer than
-    /// `env.wait_timeout` fail with [`CcError::Timeout`].
+    /// Returns the transactions that were holding a conflicting lock while
+    /// the request had to wait — callers such as runtime pipelining turn
+    /// these into pipeline dependencies.
     pub fn acquire(
         &self,
         env: &NodeEnv,
@@ -139,55 +138,31 @@ impl LockManager {
         mechanism: &'static str,
     ) -> CcResult<Vec<TxnId>> {
         let shard = self.shard_of(key);
-        let mut entries = shard.entries.lock();
         let mut blockers: Vec<TxnId> = Vec::new();
-        let mut wait_started: Option<Instant> = None;
-        let mut first_blocker: Option<TxnId> = None;
-        let deadline = Instant::now() + env.wait_timeout;
-
-        loop {
-            let entry = entries.entry(*key).or_default();
-            match entry.conflict_with(ctx.txn, lane, mode) {
-                None => {
-                    let newly = entry.grant(ctx.txn, lane, mode);
-                    drop(entries);
-                    if newly {
-                        self.held_of(ctx.txn)
-                            .lock()
-                            .entry(ctx.txn)
-                            .or_default()
-                            .push(*key);
-                    }
-                    if let (Some(start), Some(blocker)) = (wait_started, first_blocker) {
-                        env.record_block(ctx, blocker, start, Instant::now());
-                    }
-                    return Ok(blockers);
-                }
-                Some(holder) => {
-                    if wait_started.is_none() {
-                        wait_started = Some(Instant::now());
-                        first_blocker = Some(holder.txn);
-                    }
-                    if !blockers.contains(&holder.txn) {
-                        blockers.push(holder.txn);
-                    }
-                    if shard
-                        .released
-                        .wait_until(&mut entries, deadline)
-                        .timed_out()
-                    {
-                        drop(entries);
-                        if let (Some(start), Some(blocker)) = (wait_started, first_blocker) {
-                            env.record_block(ctx, blocker, start, Instant::now());
+        let newly = Wait::at(env, ctx, (mechanism, wait::LOCK)).until(
+            &shard.entries,
+            &shard.released,
+            |entries| {
+                let entry = entries.entry(*key).or_default();
+                match entry.conflict_with(ctx.txn, lane, mode) {
+                    None => Step::Done(entry.grant(ctx.txn, lane, mode)),
+                    Some(holder) => {
+                        if !blockers.contains(&holder.txn) {
+                            blockers.push(holder.txn);
                         }
-                        return Err(CcError::Timeout {
-                            mechanism,
-                            what: "lock",
-                        });
+                        Step::BlockedOn(holder.txn)
                     }
                 }
-            }
+            },
+        )?;
+        if newly {
+            self.held_of(ctx.txn)
+                .lock()
+                .entry(ctx.txn)
+                .or_default()
+                .push(*key);
         }
+        Ok(blockers)
     }
 
     /// Releases the locks held by `txn` on the given keys.
@@ -256,6 +231,7 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CcError;
     use crate::events::VecSink;
     use crate::mechanism::Lane;
     use crate::registry::TxnRegistry;

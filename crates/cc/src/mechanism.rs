@@ -12,13 +12,13 @@
 //! unaware of each other, which is what preserves MCC's modularity.
 
 use crate::error::CcResult;
-use crate::events::{BlockingEvent, EventSink};
+use crate::events::EventSink;
 use crate::oracle::TsOracle;
 use crate::registry::TxnRegistry;
 use crate::topology::{LaneSel, Topology};
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tebaldi_storage::{Chain, GroupId, Key, NodeId, Timestamp, TxnId, TxnTypeId, Value, Version};
 
 /// The relation between the executing transaction and the node whose
@@ -113,7 +113,7 @@ pub struct TxnCtx {
     /// the current call cannot return an error (e.g. pivot marking).
     pub must_abort: bool,
     /// The transaction's record at each SSI node of its path, pushed by
-    /// that node's `begin` and dropped by its commit/abort — so the node's
+    /// that node's `begin` and dropped by its `finish` — so the node's
     /// calls on behalf of this transaction need no lookup in shared state.
     pub ssi: Vec<crate::ssi::SsiHandle>,
 }
@@ -163,7 +163,8 @@ pub struct NodeEnv {
     pub events: Arc<dyn EventSink>,
     /// Timestamp oracle.
     pub oracle: Arc<TsOracle>,
-    /// Bound on every internal wait; doubles as deadlock resolution.
+    /// Bound on every internal wait ([`cc::wait`](crate::wait)); doubles as
+    /// deadlock resolution.
     pub wait_timeout: Duration,
 }
 
@@ -197,26 +198,6 @@ impl NodeEnv {
         self.group_of(writer)
             .map(|g| self.topology.in_subtree(self.node, g))
             .unwrap_or(false)
-    }
-
-    /// Records a blocking event if profiling is enabled.
-    pub fn record_block(&self, blocked: &TxnCtx, blocking: TxnId, start: Instant, end: Instant) {
-        if !self.events.enabled() {
-            return;
-        }
-        let blocking_type = self
-            .registry
-            .type_of(blocking)
-            .unwrap_or(TxnTypeId(u32::MAX));
-        self.events.record(BlockingEvent {
-            blocked: blocked.txn,
-            blocked_type: blocked.ty,
-            blocking,
-            blocking_type,
-            node: self.node,
-            start,
-            end,
-        });
     }
 }
 
@@ -309,7 +290,7 @@ pub enum CcKind {
 
 impl CcKind {
     /// Short display name.
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         match self {
             CcKind::TwoPl => "2PL",
             CcKind::Rp => "RP",
@@ -339,9 +320,6 @@ impl CcKind {
 /// Default implementations are no-ops so trivial mechanisms (e.g.
 /// [`NoCc`](crate::nocc::NoCc)) only override what they need.
 pub trait CcMechanism: Send + Sync {
-    /// Which kind of mechanism this is.
-    fn kind(&self) -> CcKind;
-
     /// Start phase, top-down pass.
     fn begin(&self, _ctx: &mut TxnCtx, _lane: Lane) -> CcResult<()> {
         Ok(())
@@ -412,14 +390,12 @@ pub trait CcMechanism: Send + Sync {
         Ok(())
     }
 
-    /// Commit phase (chained leaf→root). Versions have already been marked
-    /// committed in storage when this is called; mechanisms release their
-    /// resources here.
-    fn commit(&self, _ctx: &mut TxnCtx, _lane: Lane, _commit_ts: Timestamp) {}
-
-    /// Abort notification; mechanisms must release every resource held on
-    /// behalf of the transaction.
-    fn abort(&self, _ctx: &mut TxnCtx, _lane: Lane) {}
+    /// Commit phase (chained leaf→root) or abort notification: the
+    /// transaction is over and the mechanism must release every resource
+    /// held on its behalf. `outcome` is the commit timestamp — the versions
+    /// have already been marked committed in storage — or `None` for an
+    /// abort.
+    fn finish(&self, _ctx: &mut TxnCtx, _lane: Lane, _outcome: Option<Timestamp>) {}
 
     /// GC low watermark: the smallest timestamp this mechanism may still
     /// need to read at or after (§4.5.3). `Timestamp::MAX` means "no

@@ -8,16 +8,12 @@
 //! and the automatic configurator only assign it to groups whose transaction
 //! types are all read-only.
 
-use crate::mechanism::{CcKind, CcMechanism};
+use crate::mechanism::CcMechanism;
 
 /// The no-op mechanism for read-only groups.
 pub struct NoCc;
 
-impl CcMechanism for NoCc {
-    fn kind(&self) -> CcKind {
-        CcKind::NoCc
-    }
-}
+impl CcMechanism for NoCc {}
 
 #[cfg(test)]
 mod tests {
@@ -37,7 +33,6 @@ mod tests {
         // All other phases are no-ops and must not fail.
         assert!(cc.begin(&mut ctx, Lane::leaf()).is_ok());
         assert!(cc.validate(&mut ctx, Lane::leaf()).is_ok());
-        cc.commit(&mut ctx, Lane::leaf(), Timestamp(2));
-        cc.abort(&mut ctx, Lane::leaf());
+        cc.finish(&mut ctx, Lane::leaf(), Some(Timestamp(2)));
     }
 }

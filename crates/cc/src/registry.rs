@@ -5,7 +5,8 @@
 //!
 //! * their status (active / committed / aborted), to implement dependency
 //!   waiting ("delay commit until all in-group dependencies have
-//!   committed", §4.4.1) and cascading-abort prevention,
+//!   committed", §4.4.1 — a [`cc::wait`](crate::wait) on the dependency's
+//!   status) and cascading-abort prevention,
 //! * their static type, to label blocking events for the profiler, and
 //! * their leaf group, so a parent CC can tell whether a version proposed by
 //!   a child was written inside or outside the child's subtree (§4.3.1's
@@ -13,10 +14,10 @@
 //!
 //! The registry is sharded to keep it off the contention critical path.
 
-use crate::error::{CcError, CcResult};
+use crate::error::CcResult;
+use crate::wait::{Step, Wait};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 use tebaldi_storage::{GroupId, Timestamp, TxnId, TxnTypeId};
 
 /// Lifecycle status of a transaction.
@@ -144,36 +145,18 @@ impl TxnRegistry {
         self.shard(txn).txns.lock().get(&txn).map(|i| i.ty)
     }
 
-    /// Blocks until `txn` is no longer active, or until `timeout` elapses.
-    ///
-    /// Returns the final status on success. A timeout is surfaced as a
-    /// [`CcError::Timeout`] so callers abort rather than deadlock.
-    pub fn wait_finished(&self, txn: TxnId, timeout: Duration) -> CcResult<TxnStatus> {
+    /// Blocks `wait`'s transaction until `txn` is no longer active and
+    /// returns `txn`'s final status. Unknown transactions count as
+    /// committed, as in [`status`](TxnRegistry::status).
+    pub fn wait_finished(&self, wait: &mut Wait<'_>, txn: TxnId) -> CcResult<TxnStatus> {
         let shard = self.shard(txn);
-        let deadline = Instant::now() + timeout;
-        let mut txns = shard.txns.lock();
-        loop {
-            let status = txns
-                .get(&txn)
-                .map(|i| i.status)
-                .unwrap_or(TxnStatus::Committed(Timestamp::ZERO));
-            if !status.is_active() {
-                return Ok(status);
+        wait.until(&shard.txns, &shard.finished, |txns| {
+            match txns.get(&txn).map(|i| i.status) {
+                Some(TxnStatus::Active) => Step::BlockedOn(txn),
+                Some(status) => Step::Done(status),
+                None => Step::Done(TxnStatus::Committed(Timestamp::ZERO)),
             }
-            if shard.finished.wait_until(&mut txns, deadline).timed_out() {
-                let status = txns
-                    .get(&txn)
-                    .map(|i| i.status)
-                    .unwrap_or(TxnStatus::Committed(Timestamp::ZERO));
-                if !status.is_active() {
-                    return Ok(status);
-                }
-                return Err(CcError::Timeout {
-                    mechanism: "registry",
-                    what: "dependency commit",
-                });
-            }
-        }
+        })
     }
 
     /// Number of transactions currently marked active.
@@ -214,7 +197,6 @@ impl TxnRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn register_and_query() {
@@ -232,32 +214,6 @@ mod tests {
     fn unknown_is_committed() {
         let r = TxnRegistry::default();
         assert!(r.status(TxnId(999)).is_committed());
-        assert!(r
-            .wait_finished(TxnId(999), Duration::from_millis(1))
-            .unwrap()
-            .is_committed());
-    }
-
-    #[test]
-    fn wait_finished_times_out_on_active() {
-        let r = TxnRegistry::default();
-        r.register(TxnId(5), TxnTypeId(0), GroupId(0));
-        let err = r
-            .wait_finished(TxnId(5), Duration::from_millis(10))
-            .unwrap_err();
-        assert!(matches!(err, CcError::Timeout { .. }));
-    }
-
-    #[test]
-    fn wait_finished_wakes_on_commit() {
-        let r = Arc::new(TxnRegistry::default());
-        r.register(TxnId(7), TxnTypeId(0), GroupId(0));
-        let r2 = Arc::clone(&r);
-        let waiter =
-            std::thread::spawn(move || r2.wait_finished(TxnId(7), Duration::from_secs(2)).unwrap());
-        std::thread::sleep(Duration::from_millis(20));
-        r.mark_committed(TxnId(7), Timestamp(1));
-        assert!(waiter.join().unwrap().is_committed());
     }
 
     #[test]

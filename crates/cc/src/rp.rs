@@ -10,25 +10,20 @@
 //!
 //! * once `T2` becomes dependent on `T1`, `T2` may execute step `i` only
 //!   after `T1` has terminated or is already executing a step beyond `i`
-//!   (the *trailing rule*),
+//!   (the *trailing rule* — a [`cc::wait`](crate::wait) on the whole
+//!   dependency set),
 //! * a transaction's commit is delayed until every transaction it depends on
 //!   has committed (cascading-abort prevention / consistent ordering) —
 //!   enforced by the engine's dependency wait on the reported set.
 
-use crate::error::{CcError, CcResult};
+use crate::error::CcResult;
 use crate::lock::{LockManager, LockMode};
 use crate::mechanism::{visible_version, CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
 use crate::rp_analysis::RpPlan;
+use crate::wait::{self, Step, Wait};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 use tebaldi_storage::{Chain, Key, Timestamp, TxnId, Version};
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Progress {
-    step: usize,
-    finished: bool,
-}
 
 #[derive(Debug, Default)]
 struct RpTxnState {
@@ -41,8 +36,9 @@ struct RpTxnState {
 
 #[derive(Default)]
 struct RpShared {
+    /// The transactions in the pipeline; an entry lives from `begin` to
+    /// `finish`.
     txns: HashMap<TxnId, RpTxnState>,
-    progress: HashMap<TxnId, Progress>,
 }
 
 /// A runtime-pipelining node.
@@ -74,7 +70,7 @@ impl Rp {
     /// Advances `ctx.txn` to `target_step`, step-committing everything
     /// before it and honouring the trailing rule.
     fn advance_to(&self, ctx: &mut TxnCtx, target_step: usize) -> CcResult<()> {
-        let (released, deps): (Vec<Key>, Vec<TxnId>) = {
+        let (released, mut deps): (Vec<Key>, Vec<TxnId>) = {
             let mut shared = self.shared.lock();
             let state = shared.txns.entry(ctx.txn).or_default();
             if target_step <= state.current_step {
@@ -83,13 +79,6 @@ impl Rp {
             let released = std::mem::take(&mut state.step_keys);
             let deps: Vec<TxnId> = state.rp_deps.iter().copied().collect();
             state.current_step = target_step;
-            shared.progress.insert(
-                ctx.txn,
-                Progress {
-                    step: target_step,
-                    finished: false,
-                },
-            );
             (released, deps)
         };
         // Step commit: release the previous step's locks and wake trailers.
@@ -98,30 +87,19 @@ impl Rp {
 
         // Trailing rule: wait until every dependency has terminated or has
         // entered `target_step` (or beyond).
-        let deadline = Instant::now() + self.env.wait_timeout;
-        let mut shared = self.shared.lock();
-        for dep in deps {
-            loop {
-                let done = match shared.progress.get(&dep) {
-                    None => true,
-                    Some(p) => p.finished || p.step >= target_step,
-                } || !self.env.registry.status(dep).is_active();
-                if done {
-                    break;
-                }
-                let wait_start = Instant::now();
-                if self.advanced.wait_until(&mut shared, deadline).timed_out() {
-                    drop(shared);
-                    self.env.record_block(ctx, dep, wait_start, Instant::now());
-                    return Err(CcError::Timeout {
-                        mechanism: "RP",
-                        what: "pipeline step",
-                    });
-                }
-                self.env.record_block(ctx, dep, wait_start, Instant::now());
-            }
-        }
-        Ok(())
+        Wait::at(&self.env, ctx, wait::PIPELINE_STEP).until(
+            &self.shared,
+            &self.advanced,
+            |shared| {
+                deps.retain(|dep| {
+                    let behind = |state: &RpTxnState| state.current_step < target_step;
+                    shared.txns.get(dep).is_some_and(behind)
+                        && self.env.registry.status(*dep).is_active()
+                });
+                deps.first()
+                    .map_or(Step::Done(()), |dep| Step::BlockedOn(*dep))
+            },
+        )
     }
 
     fn operation(&self, ctx: &mut TxnCtx, lane: Lane, key: &Key, mode: LockMode) -> CcResult<()> {
@@ -138,9 +116,14 @@ impl Rp {
         };
         self.advance_to(ctx, target)?;
 
-        let blockers =
-            self.locks
-                .acquire(&self.env, ctx, key, lane.lock_lane(ctx.txn), mode, "RP")?;
+        let blockers = self.locks.acquire(
+            &self.env,
+            ctx,
+            key,
+            lane.lock_lane(ctx.txn),
+            mode,
+            CcKind::Rp.name(),
+        )?;
         let mut shared = self.shared.lock();
         let state = shared.txns.entry(ctx.txn).or_default();
         state.step_keys.push(*key);
@@ -157,7 +140,6 @@ impl Rp {
         self.locks.release_all(txn);
         let mut shared = self.shared.lock();
         shared.txns.remove(&txn);
-        shared.progress.remove(&txn);
         drop(shared);
         self.advanced.notify_all();
     }
@@ -169,20 +151,9 @@ impl Rp {
 }
 
 impl CcMechanism for Rp {
-    fn kind(&self) -> CcKind {
-        CcKind::Rp
-    }
-
     fn begin(&self, ctx: &mut TxnCtx, _lane: Lane) -> CcResult<()> {
         let mut shared = self.shared.lock();
         shared.txns.insert(ctx.txn, RpTxnState::default());
-        shared.progress.insert(
-            ctx.txn,
-            Progress {
-                step: 0,
-                finished: false,
-            },
-        );
         Ok(())
     }
 
@@ -214,11 +185,7 @@ impl CcMechanism for Rp {
         visible_version(candidate, chain, accept, judge)
     }
 
-    fn commit(&self, ctx: &mut TxnCtx, _lane: Lane, _commit_ts: Timestamp) {
-        self.cleanup(ctx.txn);
-    }
-
-    fn abort(&self, ctx: &mut TxnCtx, _lane: Lane) {
+    fn finish(&self, ctx: &mut TxnCtx, _lane: Lane, _outcome: Option<Timestamp>) {
         self.cleanup(ctx.txn);
     }
 }
@@ -226,6 +193,7 @@ impl CcMechanism for Rp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CcError;
     use crate::mechanism::read_at;
     use crate::procinfo::{AccessMode, ProcedureInfo};
     use crate::registry::TxnRegistry;
@@ -259,6 +227,15 @@ mod tests {
         Key::simple(TableId(table), id)
     }
 
+    impl Rp {
+        /// Makes `txn` trail `dep` without the lock wait that normally
+        /// records the dependency (fixture of the `cc::wait` table test).
+        pub(crate) fn trail(&self, txn: TxnId, dep: TxnId) {
+            let mut shared = self.shared.lock();
+            shared.txns.entry(txn).or_default().rp_deps.insert(dep);
+        }
+    }
+
     #[test]
     fn step_commit_releases_previous_step_locks() {
         let (rp, registry) = make_rp(40);
@@ -281,8 +258,8 @@ mod tests {
             "a step-committed lock is granted without blocking, so no \
              lock-wait dependency is recorded"
         );
-        rp.commit(&mut t1, Lane::leaf(), Timestamp(1));
-        rp.commit(&mut t2, Lane::leaf(), Timestamp(2));
+        rp.finish(&mut t1, Lane::leaf(), Some(Timestamp(1)));
+        rp.finish(&mut t2, Lane::leaf(), Some(Timestamp(2)));
         assert_eq!(rp.active_count(), 0);
     }
 
@@ -309,7 +286,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         // Let T1 advance to step 1 and finish; the trailer may then proceed.
         rp.before_write(&mut t1, Lane::leaf(), &k(1, 7)).unwrap();
-        rp.commit(&mut t1, Lane::leaf(), Timestamp(1));
+        rp.finish(&mut t1, Lane::leaf(), Some(Timestamp(1)));
         let t2 = trailer.join().unwrap();
         assert!(t2.deps.contains(&TxnId(1)));
     }
@@ -329,8 +306,8 @@ mod tests {
             .before_write(&mut t2, Lane::leaf(), &k(0, 3))
             .unwrap_err();
         assert!(matches!(err, CcError::Timeout { .. }));
-        rp.abort(&mut t2, Lane::leaf());
-        rp.abort(&mut t1, Lane::leaf());
+        rp.finish(&mut t2, Lane::leaf(), None);
+        rp.finish(&mut t1, Lane::leaf(), None);
     }
 
     #[test]
@@ -345,8 +322,8 @@ mod tests {
         rp.before_write(&mut t1, Lane::child(0), &k(0, 5)).unwrap();
         // Same child subtree: the conflict is the child's business.
         rp.before_write(&mut t2, Lane::child(0), &k(0, 5)).unwrap();
-        rp.commit(&mut t1, Lane::child(0), Timestamp(1));
-        rp.commit(&mut t2, Lane::child(0), Timestamp(2));
+        rp.finish(&mut t1, Lane::child(0), Some(Timestamp(1)));
+        rp.finish(&mut t2, Lane::child(0), Some(Timestamp(2)));
     }
 
     /// An RP leaf (node 0, group 0) with T1..T3 as members and T9 in a

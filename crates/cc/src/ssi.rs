@@ -52,7 +52,7 @@
 //! is no separate doom list to keep in step with the flags.
 
 use crate::error::{CcError, CcResult};
-use crate::mechanism::{CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
+use crate::mechanism::{CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
 use crate::topology::LaneSel;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -303,10 +303,6 @@ impl Ssi {
 }
 
 impl CcMechanism for Ssi {
-    fn kind(&self) -> CcKind {
-        CcKind::Ssi
-    }
-
     fn begin(&self, ctx: &mut TxnCtx, lane: Lane) -> CcResult<()> {
         let read_only_lane = self.is_read_only_lane(lane);
         let lane_idx = Self::lane_index(lane);
@@ -486,11 +482,7 @@ impl CcMechanism for Ssi {
         Ok(())
     }
 
-    fn commit(&self, ctx: &mut TxnCtx, _lane: Lane, _commit_ts: Timestamp) {
-        self.cleanup(ctx);
-    }
-
-    fn abort(&self, ctx: &mut TxnCtx, _lane: Lane) {
+    fn finish(&self, ctx: &mut TxnCtx, _lane: Lane, _outcome: Option<Timestamp>) {
         self.cleanup(ctx);
     }
 
@@ -621,7 +613,7 @@ mod tests {
         let store = committed_version(k(1), 99, 42, later);
         let pick = read(&ssi, &store, &mut ctx, Lane::child(0), k(1));
         assert!(pick.is_none(), "nothing visible before the snapshot");
-        ssi.commit(&mut ctx, Lane::child(0), Timestamp(100));
+        ssi.finish(&mut ctx, Lane::child(0), Some(Timestamp(100)));
         assert_eq!(ssi.active_count(), 0);
     }
 
@@ -703,9 +695,9 @@ mod tests {
         // must be rejected, T must stay committable.
         let result = ssi.before_write(&mut u, Lane::child(1), &k(1));
         assert!(result.is_err(), "writer dooming a prepared txn must abort");
-        ssi.abort(&mut u, Lane::child(1));
+        ssi.finish(&mut u, Lane::child(1), None);
         assert!(!is_pivot(rec(&ssi, &t).flags()), "prepared txn stays clean");
-        ssi.commit(&mut t, Lane::child(0), Timestamp(5));
+        ssi.finish(&mut t, Lane::child(0), Some(Timestamp(5)));
     }
 
     #[test]
@@ -887,7 +879,7 @@ mod tests {
                     let _ = read(&ssi, &store, &mut r, Lane::child(0), k(7));
                     done.wait();
                     flags.push(rec(&ssi, &r).flags());
-                    ssi.abort(&mut r, Lane::child(0));
+                    ssi.finish(&mut r, Lane::child(0), None);
                 }
                 flags
             });
@@ -902,7 +894,7 @@ mod tests {
                     ssi.before_write(&mut w, Lane::child(1), &k(7)).unwrap();
                     done.wait();
                     flags.push(rec(&ssi, &w).flags());
-                    ssi.abort(&mut w, Lane::child(1));
+                    ssi.finish(&mut w, Lane::child(1), None);
                 }
                 flags
             });

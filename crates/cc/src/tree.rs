@@ -236,16 +236,10 @@ pub struct PathEntry {
     pub lane: Lane,
 }
 
-struct TreeNode {
-    id: NodeId,
-    label: String,
-    mechanism: Arc<dyn CcMechanism>,
-}
-
 /// The runtime CC tree.
 pub struct CcTree {
     spec: CcTreeSpec,
-    nodes: Vec<TreeNode>,
+    nodes: Vec<Arc<dyn CcMechanism>>,
     paths: HashMap<GroupId, Vec<PathEntry>>,
     group_map: GroupMap,
     topology: Arc<Topology>,
@@ -288,7 +282,6 @@ impl CcTree {
             node: NodeId,
             group: GroupId,
             kind: CcKind,
-            label: String,
             types: Vec<TxnTypeId>,
             /// (ancestor node, child index at that ancestor), root first.
             ancestors: Vec<(NodeId, u32)>,
@@ -296,7 +289,6 @@ impl CcTree {
         struct FlatInner {
             node: NodeId,
             kind: CcKind,
-            label: String,
             /// Types in this node's subtree (for RP analysis).
             subtree_types: Vec<TxnTypeId>,
             /// Child lanes whose subtree is entirely read-only (for SSI).
@@ -327,7 +319,7 @@ impl CcTree {
         ) -> Vec<GroupId> {
             if spec_node.is_leaf() {
                 let mut groups = Vec::new();
-                for copy in 0..spec_node.instance_partitions.max(1) {
+                for _ in 0..spec_node.instance_partitions.max(1) {
                     let node = NodeId(*next_node);
                     *next_node += 1;
                     let group = GroupId(*next_group);
@@ -336,16 +328,10 @@ impl CcTree {
                     for (anc, lane) in ancestors {
                         topology.record_child(*anc, group, *lane);
                     }
-                    let label = if spec_node.instance_partitions > 1 {
-                        format!("{}#{}", spec_node.label, copy)
-                    } else {
-                        spec_node.label.clone()
-                    };
                     leaves.push(FlatLeaf {
                         node,
                         group,
                         kind: spec_node.kind,
-                        label,
                         types: spec_node.txn_types.clone(),
                         ancestors: ancestors.to_vec(),
                     });
@@ -366,7 +352,7 @@ impl CcTree {
                     } else {
                         1
                     };
-                    for copy in 0..copies {
+                    for _ in 0..copies {
                         let lane = child_count;
                         child_count += 1;
                         let mut anc = ancestors.to_vec();
@@ -375,9 +361,6 @@ impl CcTree {
                             // Expand exactly one copy at a time.
                             let mut single = child.clone();
                             single.instance_partitions = 1;
-                            if copies > 1 {
-                                single.label = format!("{}#{}", child.label, copy);
-                            }
                             expand(
                                 &single, &anc, false, procedures, topology, leaves, inners,
                                 next_node, next_group,
@@ -397,7 +380,6 @@ impl CcTree {
                 inners.push(FlatInner {
                     node,
                     kind: spec_node.kind,
-                    label: spec_node.label.clone(),
                     subtree_types: spec_node.all_types(),
                     read_only_lanes,
                     child_count,
@@ -466,7 +448,7 @@ impl CcTree {
             })
         };
 
-        let mut nodes: Vec<TreeNode> = Vec::new();
+        let mut nodes: Vec<Arc<dyn CcMechanism>> = Vec::new();
         let mut mechanism_of: HashMap<NodeId, Arc<dyn CcMechanism>> = HashMap::new();
         for inner in &inners {
             let mech = build_mechanism(
@@ -478,11 +460,7 @@ impl CcTree {
                 inner.child_count,
             )?;
             mechanism_of.insert(inner.node, Arc::clone(&mech));
-            nodes.push(TreeNode {
-                id: inner.node,
-                label: inner.label.clone(),
-                mechanism: mech,
-            });
+            nodes.push(mech);
         }
         for leaf in &leaves {
             let mech = build_mechanism(
@@ -494,13 +472,8 @@ impl CcTree {
                 0,
             )?;
             mechanism_of.insert(leaf.node, Arc::clone(&mech));
-            nodes.push(TreeNode {
-                id: leaf.node,
-                label: leaf.label.clone(),
-                mechanism: mech,
-            });
+            nodes.push(mech);
         }
-        nodes.sort_by_key(|n| n.id);
 
         // Pass 3: per-group paths and group map.
         let mut paths: HashMap<GroupId, Vec<PathEntry>> = HashMap::new();
@@ -569,14 +542,6 @@ impl CcTree {
         self.read_only_groups.contains(&group)
     }
 
-    /// All mechanisms with their node ids and labels (GC registration,
-    /// diagnostics).
-    pub fn mechanisms(&self) -> impl Iterator<Item = (NodeId, &str, &Arc<dyn CcMechanism>)> {
-        self.nodes
-            .iter()
-            .map(|n| (n.id, n.label.as_str(), &n.mechanism))
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -591,7 +556,7 @@ impl CcTree {
     pub fn low_watermark(&self) -> tebaldi_storage::Timestamp {
         self.nodes
             .iter()
-            .map(|n| n.mechanism.low_watermark())
+            .map(|mechanism| mechanism.low_watermark())
             .min()
             .unwrap_or(tebaldi_storage::Timestamp::MAX)
     }
@@ -686,9 +651,10 @@ mod tests {
         let g = tree.group_for(TxnTypeId(0), 0).unwrap();
         let path = tree.path(g).unwrap();
         assert_eq!(path.len(), 3);
-        assert_eq!(path[0].mechanism.kind(), CcKind::Ssi);
-        assert_eq!(path[1].mechanism.kind(), CcKind::TwoPl);
-        assert_eq!(path[2].mechanism.kind(), CcKind::Rp);
+        let root = &tree.spec().root;
+        assert_eq!(root.kind, CcKind::Ssi);
+        assert_eq!(root.children[1].kind, CcKind::TwoPl);
+        assert_eq!(root.children[1].children[0].kind, CcKind::Rp);
         assert_eq!(path[2].lane, Lane::leaf());
         // The read-only group is recognised.
         let readers = tree.group_for(TxnTypeId(2), 0).unwrap();

@@ -8,8 +8,8 @@
 //!
 //! The paper adds the *promises* optimisation (inspired by Faleiro et al.):
 //! a transaction may declare at start time the keys it will write, and
-//! readers with larger timestamps wait for the promised write instead of
-//! eventually aborting the writer.
+//! readers with larger timestamps wait for the promised write (a
+//! [`cc::wait`](crate::wait)) instead of eventually aborting the writer.
 //!
 //! TSO is most efficient as a leaf mechanism (per-flight groups in SEATS,
 //! §4.6.2). As an inner node it would need batching like SSI; this
@@ -18,10 +18,10 @@
 //! exercised by the paper's experiments.
 
 use crate::error::{CcError, CcResult};
-use crate::mechanism::{visible_version, CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
+use crate::mechanism::{visible_version, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
+use crate::wait::{self, Step, Wait};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::time::Instant;
 use tebaldi_storage::{Chain, Key, KeyMap, Timestamp, TxnId, Version};
 
 #[derive(Debug, Default)]
@@ -74,10 +74,6 @@ impl Tso {
         writer == reader || self.env.same_group(lane, writer)
     }
 
-    fn my_ts(&self, txn: TxnId) -> Option<Timestamp> {
-        self.shared.lock().txn_ts.get(&txn).copied()
-    }
-
     /// Number of active transactions (diagnostics).
     pub fn active_count(&self) -> usize {
         self.shared.lock().txn_ts.len()
@@ -85,10 +81,6 @@ impl Tso {
 }
 
 impl CcMechanism for Tso {
-    fn kind(&self) -> CcKind {
-        CcKind::Tso
-    }
-
     fn begin(&self, ctx: &mut TxnCtx, _lane: Lane) -> CcResult<()> {
         let ts = self.env.oracle.issue();
         self.shared.lock().txn_ts.insert(ctx.txn, ts);
@@ -107,39 +99,23 @@ impl CcMechanism for Tso {
         // promised a write to this key and has not performed it yet, wait
         // for it instead of reading an older version (which would later
         // force the promiser to abort).
-        let my_ts = match self.my_ts(ctx.txn) {
-            Some(ts) => ts,
-            None => return Ok(()),
-        };
-        let deadline = Instant::now() + self.env.wait_timeout;
-        let mut shared = self.shared.lock();
-        loop {
-            let pending: Option<TxnId> = shared.promises.get(key).and_then(|list| {
-                list.iter()
-                    .find(|(writer, wts, fulfilled)| {
-                        !*fulfilled && *wts < my_ts && *writer != ctx.txn
-                    })
-                    .map(|(writer, _, _)| *writer)
-            });
-            let Some(writer) = pending else {
-                return Ok(());
-            };
-            let wait_start = Instant::now();
-            if self
-                .promise_cv
-                .wait_until(&mut shared, deadline)
-                .timed_out()
-            {
-                self.env
-                    .record_block(ctx, writer, wait_start, Instant::now());
-                return Err(CcError::Timeout {
-                    mechanism: "TSO",
-                    what: "promised write",
+        Wait::at(&self.env, ctx, wait::PROMISED_WRITE).until(
+            &self.shared,
+            &self.promise_cv,
+            |shared| {
+                let Some(my_ts) = shared.txn_ts.get(&ctx.txn).copied() else {
+                    return Step::Done(());
+                };
+                let pending = shared.promises.get(key).and_then(|list| {
+                    list.iter()
+                        .find(|(writer, wts, fulfilled)| {
+                            !*fulfilled && *wts < my_ts && *writer != ctx.txn
+                        })
+                        .map(|(writer, _, _)| *writer)
                 });
-            }
-            self.env
-                .record_block(ctx, writer, wait_start, Instant::now());
-        }
+                pending.map_or(Step::Done(()), Step::BlockedOn)
+            },
+        )
     }
 
     fn validate_write(
@@ -276,11 +252,7 @@ impl CcMechanism for Tso {
         visible_version(candidate, chain, |pick| in_group(pick.writer), judge)
     }
 
-    fn commit(&self, ctx: &mut TxnCtx, _lane: Lane, _commit_ts: Timestamp) {
-        self.cleanup(ctx.txn);
-    }
-
-    fn abort(&self, ctx: &mut TxnCtx, _lane: Lane) {
+    fn finish(&self, ctx: &mut TxnCtx, _lane: Lane, _outcome: Option<Timestamp>) {
         self.cleanup(ctx.txn);
     }
 
@@ -421,7 +393,7 @@ mod tests {
         let mut ctx = TxnCtx::new(TxnId(7), TxnTypeId(0), GroupId(0));
         tso.begin(&mut ctx, Lane::leaf()).unwrap();
         assert!(ctx.order_ts.is_some());
-        tso.commit(&mut ctx, Lane::leaf(), Timestamp(9));
+        tso.finish(&mut ctx, Lane::leaf(), Some(Timestamp(9)));
         assert_eq!(tso.active_count(), 0);
     }
 
@@ -490,7 +462,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CcError::Timeout { .. }));
         // Aborting the promiser releases the promise.
-        tso.abort(&mut writer, Lane::leaf());
+        tso.finish(&mut writer, Lane::leaf(), None);
         assert!(tso.before_read(&mut reader, Lane::leaf(), &k(6)).is_ok());
     }
 

@@ -44,10 +44,6 @@ impl TwoPl {
 }
 
 impl CcMechanism for TwoPl {
-    fn kind(&self) -> CcKind {
-        CcKind::TwoPl
-    }
-
     fn before_read(&self, ctx: &mut TxnCtx, lane: Lane, key: &Key) -> CcResult<()> {
         self.locks.acquire(
             &self.env,
@@ -55,7 +51,7 @@ impl CcMechanism for TwoPl {
             key,
             lane.lock_lane(ctx.txn),
             LockMode::Shared,
-            "2PL",
+            CcKind::TwoPl.name(),
         )?;
         Ok(())
     }
@@ -67,7 +63,7 @@ impl CcMechanism for TwoPl {
             key,
             lane.lock_lane(ctx.txn),
             LockMode::Exclusive,
-            "2PL",
+            CcKind::TwoPl.name(),
         )?;
         Ok(())
     }
@@ -90,11 +86,7 @@ impl CcMechanism for TwoPl {
         visible_version(candidate, chain, accept, |_| None)
     }
 
-    fn commit(&self, ctx: &mut TxnCtx, _lane: Lane, _commit_ts: Timestamp) {
-        self.locks.release_all(ctx.txn);
-    }
-
-    fn abort(&self, ctx: &mut TxnCtx, _lane: Lane) {
+    fn finish(&self, ctx: &mut TxnCtx, _lane: Lane, _outcome: Option<Timestamp>) {
         self.locks.release_all(ctx.txn);
     }
 }
@@ -126,11 +118,11 @@ mod tests {
         // A third transaction from another child blocks and times out.
         let mut c = TxnCtx::new(TxnId(3), TxnTypeId(1), GroupId(1));
         assert!(cc.before_write(&mut c, Lane::child(1), &key(1)).is_err());
-        cc.commit(&mut a, Lane::child(0), Timestamp(1));
-        cc.commit(&mut b, Lane::child(0), Timestamp(2));
+        cc.finish(&mut a, Lane::child(0), Some(Timestamp(1)));
+        cc.finish(&mut b, Lane::child(0), Some(Timestamp(2)));
         // Now the other child can acquire it.
         cc.before_write(&mut c, Lane::child(1), &key(1)).unwrap();
-        cc.abort(&mut c, Lane::child(1));
+        cc.finish(&mut c, Lane::child(1), None);
         assert_eq!(cc.locked_keys(), 0);
     }
 
@@ -142,7 +134,7 @@ mod tests {
         let mut b = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         cc.before_write(&mut a, Lane::leaf(), &key(2)).unwrap();
         assert!(cc.before_write(&mut b, Lane::leaf(), &key(2)).is_err());
-        cc.abort(&mut a, Lane::leaf());
+        cc.finish(&mut a, Lane::leaf(), None);
         cc.before_write(&mut b, Lane::leaf(), &key(2)).unwrap();
     }
 

@@ -27,7 +27,7 @@ use std::time::Duration;
 use tebaldi_cc::ssi::{Ssi, SsiConfig};
 use tebaldi_cc::topology::LaneSel;
 use tebaldi_cc::{
-    CcError, CcKind, CcMechanism, CcResult, Lane, NodeEnv, NullSink, Topology, TsOracle, TxnCtx,
+    CcError, CcMechanism, CcResult, Lane, NodeEnv, NullSink, Topology, TsOracle, TxnCtx,
     TxnRegistry, VersionPick,
 };
 use tebaldi_storage::{
@@ -126,10 +126,6 @@ impl ReferenceSsi {
 }
 
 impl CcMechanism for ReferenceSsi {
-    fn kind(&self) -> CcKind {
-        CcKind::Ssi
-    }
-
     fn begin(&self, ctx: &mut TxnCtx, lane: Lane) -> CcResult<()> {
         let read_only_lane = self.is_read_only_lane(lane);
         let lane_idx = Self::lane_index(lane);
@@ -374,11 +370,7 @@ impl CcMechanism for ReferenceSsi {
         Ok(())
     }
 
-    fn commit(&self, ctx: &mut TxnCtx, _lane: Lane, _commit_ts: Timestamp) {
-        self.cleanup(ctx.txn);
-    }
-
-    fn abort(&self, ctx: &mut TxnCtx, _lane: Lane) {
+    fn finish(&self, ctx: &mut TxnCtx, _lane: Lane, _outcome: Option<Timestamp>) {
         self.cleanup(ctx.txn);
     }
 
@@ -684,14 +676,14 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
                 registry.mark_committed(id, ca);
                 oa.end_commit(ca);
                 ob.end_commit(cb);
-                new.commit(&mut t.a, t.lane, ca);
-                old.commit(&mut t.b, t.lane, cb);
+                new.finish(&mut t.a, t.lane, Some(ca));
+                old.finish(&mut t.b, t.lane, Some(cb));
                 commits += 1;
             } else {
                 store.abort_writes(id, &t.writes);
                 registry.mark_aborted(id);
-                new.abort(&mut t.a, t.lane);
-                old.abort(&mut t.b, t.lane);
+                new.finish(&mut t.a, t.lane, None);
+                old.finish(&mut t.b, t.lane, None);
                 aborts += 1;
             }
             assert_eq!(new.active_count(), old.active_count());

@@ -1752,36 +1752,30 @@ impl Cluster {
         max_attempts: usize,
         mut parts: impl FnMut() -> Vec<ShardPart>,
     ) -> CcResult<(Vec<Value>, usize)> {
-        let mut aborts = 0;
-        loop {
-            let attempt = parts();
-            // One part is a single-shard transaction, not a 2PC — route it
-            // down the fast path (which carries its own retry budget).
+        // One part is a single-shard transaction, not a 2PC — it goes down
+        // the fast path, which carries its own retry budget: whatever it
+        // returns is final.
+        let single = std::cell::Cell::new(false);
+        // Unreachable errors are coordinator-retry-safe even when
+        // `maybe_delivered` is true: a prepare whose vote was lost counts as
+        // "no", the transaction presumed-aborts, and any shard that did
+        // prepare aborts on resolution — so a fresh attempt under a new
+        // transaction id cannot double-apply.
+        let retry_if = |err: &tebaldi_cc::CcError| {
+            !single.get() && (err.is_retryable() || err.is_unreachable())
+        };
+        tebaldi_core::retry_attempts(max_attempts, retry_if, || {
+            let mut attempt = parts();
             if attempt.len() == 1 {
-                let part = attempt.into_iter().next().expect("one part");
+                single.set(true);
+                let part = attempt.pop().expect("one part");
                 return self
                     .execute_single(part.shard, part.proc, &part.call, part.args, max_attempts)
-                    .map(|(value, part_aborts)| (vec![value], aborts + part_aborts));
+                    .map(|(value, part_aborts)| (vec![value], part_aborts));
             }
-            match self.execute_multi(attempt) {
-                Ok(values) => return Ok((values, aborts)),
-                // Unreachable errors are coordinator-retry-safe even when
-                // `maybe_delivered` is true: a prepare whose vote was lost
-                // counts as "no", the transaction presumed-aborts, and any
-                // shard that did prepare aborts on resolution — so a fresh
-                // attempt under a new transaction id cannot double-apply.
-                Err(err)
-                    if (err.is_retryable() || err.is_unreachable())
-                        && aborts + 1 < max_attempts =>
-                {
-                    aborts += 1;
-                    std::thread::sleep(std::time::Duration::from_micros(
-                        200 * aborts.min(10) as u64,
-                    ));
-                }
-                Err(err) => return Err(err),
-            }
-        }
+            self.execute_multi(attempt).map(|values| (values, 0))
+        })
+        .map(|((values, part_aborts), aborts)| (values, aborts + part_aborts))
     }
 
     /// Loads a key on the shard owning `partition_key`, bypassing

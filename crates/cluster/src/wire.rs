@@ -17,7 +17,7 @@ use crate::api::{ShardRequest, ShardResponse};
 use crate::worker::Vote;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use tebaldi_cc::CcError;
+use tebaldi_cc::{wait, CcError, CcKind};
 use tebaldi_core::{ProcId, ProcedureCall};
 use tebaldi_obs::{HistogramSnapshot, MetricsSnapshot, TraceCtx};
 use tebaldi_storage::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
@@ -31,25 +31,38 @@ pub const MAX_FRAME_LEN: usize = 16 << 20;
 // Mechanism-string interning
 // ---------------------------------------------------------------------------
 
-/// The mechanism/reason strings that normally cross the wire. Decoding maps
+/// The strings of every `Timeout` and `Conflict` this tree builds: the
+/// labels of the four waits (`cc::wait`) and the literals of `ssi.rs`,
+/// `tso.rs`, `core/txn.rs`, `worker.rs` and the SEATS no-op vote (a test
+/// reads those files and fails on a literal missing here). Decoding maps
 /// onto these without allocation; a string outside the set is interned once
-/// (leaked) per distinct value — the set of mechanism names in a process is
-/// small and fixed, so this is bounded.
-const WELL_KNOWN: &[&str] = &[
-    "2pl",
-    "ssi",
-    "tso",
-    "nocc",
-    "rp",
+/// (leaked) per distinct value.
+static WELL_KNOWN: &[&str] = &[
+    // Mechanisms.
+    CcKind::TwoPl.name(),
+    CcKind::Rp.name(),
+    CcKind::Ssi.name(),
+    CcKind::Tso.name(),
+    wait::DEPENDENCY_COMMIT.0,
     "engine",
-    "dependency",
-    "internal",
-    "gate",
-    "lock",
-    "write lock",
-    "read lock",
-    "pipeline",
+    "snapshot",
     "seats-workload",
+    // What a `Timeout` waited for.
+    wait::LOCK,
+    wait::PIPELINE_STEP.1,
+    wait::PROMISED_WRITE.1,
+    wait::DEPENDENCY_COMMIT.1,
+    "an in-flight writer overlapping the snapshot",
+    // Why a `Conflict` aborted.
+    "first-committer-wins (concurrent committed write)",
+    "cross-group write-write conflict",
+    "write would doom a prepared transaction",
+    "pivot (incoming and outgoing anti-dependencies)",
+    "pivot detected",
+    "pivot detected at prepare",
+    "a later reader already read the prior version",
+    "a cross-group version is ordered after this timestamp",
+    "marked for abort",
     "reservation no-op",
 ];
 
@@ -757,7 +770,7 @@ mod tests {
                 reason: "reservation no-op",
             }),
             Err(CcError::Timeout {
-                mechanism: "2pl",
+                mechanism: "2PL",
                 what: "lock",
             }),
         ];
@@ -796,6 +809,59 @@ mod tests {
         let payload = encode_result(0, 0, &Err(odd.clone()));
         let (_, _, back) = decode_result(&payload).unwrap();
         assert_eq!(back, Err(odd));
+    }
+
+    #[test]
+    fn every_abort_cause_of_the_tree_decodes_onto_the_table() {
+        // Every `mechanism:` / `reason:` / `what:` literal of the non-test
+        // code that builds a `Timeout` or `Conflict`, plus the labels of
+        // the four waits.
+        let sources = [
+            include_str!("../../cc/src/ssi.rs"),
+            include_str!("../../cc/src/tso.rs"),
+            include_str!("../../core/src/txn.rs"),
+            include_str!("worker.rs"),
+            include_str!("../../workloads/src/seats/cluster.rs"),
+        ];
+        let waits = [
+            wait::PIPELINE_STEP,
+            wait::PROMISED_WRITE,
+            wait::DEPENDENCY_COMMIT,
+            ("2PL", wait::LOCK),
+        ];
+        let mut causes: Vec<&'static str> = waits
+            .iter()
+            .flat_map(|(mechanism, what)| [*mechanism, *what])
+            .collect();
+        for source in sources {
+            let code = source.split("#[cfg(test)]").next().unwrap();
+            for line in code.lines().map(str::trim) {
+                let field = ["mechanism: \"", "reason: \"", "what: \""]
+                    .iter()
+                    .find_map(|field| line.strip_prefix(field));
+                if let Some(literal) = field.and_then(|rest| rest.strip_suffix("\",")) {
+                    causes.push(literal);
+                }
+            }
+        }
+        assert!(causes.len() >= 8 + 20, "found only {}", causes.len());
+        for cause in causes {
+            let err = CcError::Timeout {
+                mechanism: cause,
+                what: cause,
+            };
+            let (_, _, back) = decode_result(&encode_result(0, 0, &Err(err))).unwrap();
+            let Err(CcError::Timeout { mechanism, .. }) = back else {
+                panic!("{cause}: decoded as {back:?}");
+            };
+            // By pointer: the table's own entry, not a leaked copy.
+            assert!(
+                WELL_KNOWN
+                    .iter()
+                    .any(|known| std::ptr::eq(*known, mechanism)),
+                "{cause:?} is not in WELL_KNOWN"
+            );
+        }
     }
 
     #[test]

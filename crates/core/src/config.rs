@@ -33,7 +33,9 @@ pub struct DbConfig {
     /// log); the many-server protocol of this tree is the cluster crate's
     /// `Prepare`/`Decision` two-phase commit.
     pub shards: usize,
-    /// Bound on internal waits (locks, pipeline steps, dependency commits).
+    /// Bound on each internal wait (`tebaldi_cc::wait`): a lock, a pipeline
+    /// step, a promised write — and the validation-phase wait on the
+    /// transaction's *whole* dependency set, not each dependency in turn.
     pub wait_timeout_ms: u64,
     /// Durability mode.
     pub durability: DurabilityMode,

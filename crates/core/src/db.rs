@@ -563,7 +563,9 @@ impl Database {
         max_attempts: usize,
         mut body: impl FnMut(&mut Txn<'_>) -> CcResult<R>,
     ) -> CcResult<(R, usize)> {
-        retry_attempts(max_attempts, || self.execute(call, &mut body))
+        retry_attempts(max_attempts, CcError::is_retryable, || {
+            self.execute(call, &mut body)
+        })
     }
 
     /// [`execute_with_retry`](Database::execute_with_retry) over the
@@ -577,8 +579,10 @@ impl Database {
         max_attempts: usize,
         mut body: impl FnMut(&mut Txn<'_>) -> CcResult<R>,
     ) -> CcResult<(R, usize, Option<u64>)> {
-        retry_attempts(max_attempts, || self.execute_deferred(call, &mut body))
-            .map(|((value, harden), aborts)| (value, aborts, harden))
+        retry_attempts(max_attempts, CcError::is_retryable, || {
+            self.execute_deferred(call, &mut body)
+        })
+        .map(|((value, harden), aborts)| (value, aborts, harden))
     }
 
     /// Runs one garbage-collection cycle: advances the GC epoch, collects
@@ -610,19 +614,22 @@ impl Drop for Database {
     }
 }
 
-/// The closed-loop retry policy shared by the blocking and pipelined
-/// execute entry points: retry retryable aborts up to `max_attempts` with
-/// a short backoff (as the paper does for SSI retries), and report how
-/// many attempts aborted.
-fn retry_attempts<R>(
+/// The closed-loop retry policy — the one loop that follows an abort, for
+/// the engine's execute entry points, the cluster's multi-shard
+/// transactions and workload drivers alike: run `attempt` up to
+/// `max_attempts` times (1 = no retry), retrying an error `retry_if`
+/// accepts after a short back-off (as the paper does for SSI retries), and
+/// report how many attempts aborted.
+pub fn retry_attempts<R>(
     max_attempts: usize,
+    retry_if: impl Fn(&CcError) -> bool,
     mut attempt: impl FnMut() -> CcResult<R>,
 ) -> CcResult<(R, usize)> {
     let mut aborts = 0;
     loop {
         match attempt() {
             Ok(value) => return Ok((value, aborts)),
-            Err(err) if err.is_retryable() && aborts + 1 < max_attempts => {
+            Err(err) if retry_if(&err) && aborts + 1 < max_attempts => {
                 aborts += 1;
                 std::thread::sleep(Duration::from_micros(200 * aborts.min(10) as u64));
             }

@@ -61,7 +61,7 @@ pub mod stats;
 pub mod txn;
 
 pub use config::{DbConfig, DurabilityMode};
-pub use db::{Database, DatabaseBuilder};
+pub use db::{retry_attempts, Database, DatabaseBuilder};
 pub use hlc::{Hlc, HLC_ZERO};
 pub use prepared::{ParticipantVote, PreparedTxn};
 pub use procedure::{ProcId, ProcRegistry, ProcedureCall, ShardProcedure};

@@ -12,13 +12,14 @@
 //!
 //! Commit runs validation top-down, then waits for the transaction's
 //! dependency set (the adoption strategy that makes 2PL/RP respect their
-//! children's ordering, §4.2.2), then installs the commit in storage,
-//! notifies durability, and finally runs every mechanism's commit phase
-//! leaf→root so resources are released only after the new versions are
-//! visible.
+//! children's ordering, §4.2.2 — one [`tebaldi_cc::wait`] over the whole
+//! set), then installs the commit in storage, notifies durability, and
+//! finally runs every mechanism's `finish` leaf→root so resources are
+//! released only after the new versions are visible.
 
 use crate::db::Database;
-use tebaldi_cc::{CcError, CcResult, CcTree, PathEntry, TxnCtx, VersionPick};
+use tebaldi_cc::wait::{Wait, DEPENDENCY_COMMIT};
+use tebaldi_cc::{CcError, CcResult, CcTree, PathEntry, TxnCtx, TxnStatus, VersionPick};
 use tebaldi_storage::{GroupId, Key, Timestamp, TxnId, TxnTypeId, Value, Version, VersionId};
 
 /// Outcome of a transaction (internal).
@@ -267,31 +268,28 @@ impl<'a> Txn<'a> {
         for entry in self.path {
             entry.mechanism.validate(&mut self.ctx, entry.lane)?;
         }
-        // Dependency wait: every transaction we read from (or trail in a
+        // Dependency wait, at the transaction's leaf and under one deadline
+        // for the whole set: every transaction we read from (or trail in a
         // pipeline) must commit first; if any aborted, we must abort too.
-        let deps: Vec<TxnId> = self.ctx.deps.iter().copied().collect();
-        for dep in deps {
-            let status = self
-                .db
-                .registry
-                .wait_finished(dep, self.db.config.wait_timeout())?;
-            if status == tebaldi_cc::TxnStatus::Aborted {
+        let registry = &self.db.registry;
+        let leaf = self.path.last().expect("begin rejects an empty path");
+        let mut wait = Wait::new(
+            registry,
+            &*self.db.events,
+            leaf.node,
+            self.db.config.wait_timeout(),
+            &self.ctx,
+            DEPENDENCY_COMMIT,
+        );
+        for dep in &self.ctx.deps {
+            if registry.wait_finished(&mut wait, *dep)? == TxnStatus::Aborted {
                 return Err(CcError::DependencyAborted);
             }
         }
         // Ordering-only dependencies (e.g. TSO's smaller-timestamp set) must
         // merely finish before we commit; their abort is harmless to us.
-        let order_deps: Vec<TxnId> = self
-            .ctx
-            .order_deps
-            .iter()
-            .filter(|d| !self.ctx.deps.contains(d))
-            .copied()
-            .collect();
-        for dep in order_deps {
-            self.db
-                .registry
-                .wait_finished(dep, self.db.config.wait_timeout())?;
+        for dep in self.ctx.order_deps.difference(&self.ctx.deps) {
+            registry.wait_finished(&mut wait, *dep)?;
         }
         Ok(())
     }
@@ -447,7 +445,7 @@ fn apply_commit_inner(
         history.commit(ctx.txn, commit_ts);
     }
     for entry in path.iter().rev() {
-        entry.mechanism.commit(ctx, entry.lane, commit_ts);
+        entry.mechanism.finish(ctx, entry.lane, Some(commit_ts));
     }
     (commit_ts, harden)
 }
@@ -461,7 +459,7 @@ pub(crate) fn apply_abort(db: &Database, path: &[PathEntry], ctx: &mut TxnCtx) {
         history.abort(ctx.txn);
     }
     for entry in path.iter().rev() {
-        entry.mechanism.abort(ctx, entry.lane);
+        entry.mechanism.finish(ctx, entry.lane, None);
     }
 }
 

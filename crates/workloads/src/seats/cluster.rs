@@ -303,10 +303,6 @@ impl ClusterSeats {
     }
 
     /// Runs a decomposed reservation transaction through 2PC with retries.
-    /// This deliberately does not reuse `execute_multi_with_retry`: the
-    /// workload's no-op vote must be intercepted before the generic
-    /// retryable-error check, or a taken seat would be retried to
-    /// exhaustion.
     fn run_multi(
         &self,
         cluster: &Cluster,
@@ -314,23 +310,19 @@ impl ClusterSeats {
         mut parts: impl FnMut() -> Vec<ShardPart>,
     ) -> WorkUnit {
         let max_attempts = self.inner.max_attempts;
-        let mut aborts = 0;
-        loop {
-            match cluster.execute_multi(parts()) {
-                Ok(_) => return WorkUnit::committed(ty, aborts),
-                // The flight part hit the workload-level no-op condition:
-                // the distributed transaction rolled back everywhere and
-                // the unit counts as committed work, exactly like the
-                // single-node no-op commit.
-                Err(err) if is_no_op_vote(&err) => return WorkUnit::committed(ty, aborts),
-                Err(err) if err.is_retryable() && aborts + 1 < max_attempts => {
-                    aborts += 1;
-                    std::thread::sleep(std::time::Duration::from_micros(
-                        200 * aborts.min(10) as u64,
-                    ));
-                }
-                Err(_) => return WorkUnit::failed(ty, max_attempts),
-            }
+        let attempt = || match cluster.execute_multi(parts()) {
+            // The flight part hit the workload-level no-op condition: the
+            // distributed transaction rolled back everywhere and the unit
+            // counts as committed work, exactly like the single-node no-op
+            // commit. Mapped to success *inside* the attempt: the vote is a
+            // retryable `Conflict`, and a taken seat must not be retried to
+            // exhaustion.
+            Err(err) if is_no_op_vote(&err) => Ok(()),
+            outcome => outcome.map(drop),
+        };
+        match tebaldi_core::retry_attempts(max_attempts, CcError::is_retryable, attempt) {
+            Ok(((), aborts)) => WorkUnit::committed(ty, aborts),
+            Err(_) => WorkUnit::failed(ty, max_attempts),
         }
     }
 

@@ -199,3 +199,99 @@ fn cascading_aborts_do_not_lose_committed_state() {
     assert!(report.serializable);
     db.shutdown();
 }
+
+#[test]
+fn dependency_wait_is_bounded_once_and_visible_to_the_profiler() {
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+    use tebaldi_suite::cc::{CcError, VecSink};
+
+    // A TSO group exposes uncommitted writes and orders commits by
+    // timestamp, so a reader depends on every earlier writer still active.
+    const TIMEOUT: Duration = Duration::from_millis(400);
+    let sink = Arc::new(VecSink::new());
+    let db = Arc::new(
+        Database::builder(DbConfig {
+            wait_timeout_ms: TIMEOUT.as_millis() as u64,
+            ..DbConfig::for_tests()
+        })
+        .procedures(procedures())
+        .cc_spec(CcTreeSpec::monolithic(CcKind::Tso, vec![UPDATE, READ]))
+        .events(sink.clone())
+        .build()
+        .unwrap(),
+    );
+
+    // Three writers, begun one after the other, each parked inside its body
+    // after its write.
+    let (wrote_tx, wrote_rx) = mpsc::channel();
+    let writers: Vec<_> = (0..3u64)
+        .map(|i| {
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            let (db, wrote_tx) = (Arc::clone(&db), wrote_tx.clone());
+            let writer = std::thread::spawn(move || {
+                db.execute(&ProcedureCall::new(UPDATE), |txn| {
+                    txn.put(Key::simple(TABLE, i), Value::Int(1))?;
+                    wrote_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Ok(())
+                })
+            });
+            wrote_rx.recv().unwrap();
+            (writer, release_tx)
+        })
+        .collect();
+
+    // The reader reads the first writer's uncommitted value (a read-from
+    // dependency, waited for first); the other two writers are ordering
+    // dependencies. The first writer commits at 0.7 × TIMEOUT, the others
+    // not before the reader is done: a clock restarted per dependency
+    // would let the reader wait 1.7 × TIMEOUT.
+    let (committing_tx, committing_rx) = mpsc::channel();
+    let first_release = writers[0].1.clone();
+    let timer = std::thread::spawn(move || {
+        committing_rx.recv().unwrap();
+        std::thread::sleep(TIMEOUT.mul_f64(0.7));
+        first_release.send(()).unwrap();
+    });
+    let mut commit_started = None;
+    let outcome = db.execute(&ProcedureCall::new(READ), |txn| {
+        assert_eq!(txn.get(Key::simple(TABLE, 0))?, Some(Value::Int(1)));
+        commit_started = Some(Instant::now());
+        committing_tx.send(()).unwrap();
+        Ok(())
+    });
+    let waited = commit_started.unwrap().elapsed();
+    assert_eq!(
+        outcome.unwrap_err(),
+        CcError::Timeout {
+            mechanism: "registry",
+            what: "dependency commit"
+        }
+    );
+    assert!(waited >= TIMEOUT, "{waited:?}");
+    assert!(waited < TIMEOUT.mul_f64(1.35), "{waited:?}");
+
+    // The commit-order wait is a blocking event like any other: one per
+    // dependency the reader slept on, at the reader's leaf.
+    let leaf = db
+        .current_tree()
+        .path(tebaldi_suite::storage::GroupId(0))
+        .unwrap()[0]
+        .node;
+    let events = sink.drain();
+    assert_eq!(events.len(), 2, "{events:?}");
+    for event in &events {
+        assert_eq!((event.blocked_type, event.blocking_type), (READ, UPDATE));
+        assert_eq!(event.node, leaf);
+    }
+    let total: Duration = events.iter().map(|e| e.duration()).sum();
+    assert!(total >= TIMEOUT.mul_f64(0.9), "{total:?}");
+
+    timer.join().unwrap();
+    for (writer, release) in writers {
+        let _ = release.send(());
+        let _ = writer.join().unwrap();
+    }
+    db.shutdown();
+}
