@@ -34,6 +34,36 @@ fn bench_storage(c: &mut Criterion) {
     group.finish();
 }
 
+/// One index lookup (`with_chain` of an existing key, no version to read)
+/// in a store holding 64 k and 4 M keys shaped like TPC-C order lines: the
+/// directory doubles with the key count, so the two should differ by what
+/// the cache misses cost and nothing else. Keys are visited in a scrambled
+/// order so neither case is served from a warm line.
+fn bench_store_lookup(c: &mut Criterion) {
+    let mut group = c.benchmark_group("store_lookup");
+    for (name, orders) in [("64k_keys", 160u32), ("4M_keys", 10_000)] {
+        let keys: Vec<Key> = (1..=4u32)
+            .flat_map(|w| (1..=10u32).map(move |d| (w, d)))
+            .flat_map(|(w, d)| (1..=orders).map(move |o| (w, d, o)))
+            .flat_map(|(w, d, o)| {
+                (1..=10u32).map(move |ol| Key::composite(TableId(8), &[w, d, o, ol]))
+            })
+            .collect();
+        let store = MvStore::new(32);
+        for key in &keys {
+            store.with_chain_mut(key, |_| ());
+        }
+        group.bench_function(name, |b| {
+            let mut i = 0usize;
+            b.iter(|| {
+                i = (i + 7_919) % keys.len();
+                store.with_chain(&keys[i], |chain| chain.len())
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_lock_manager(c: &mut Criterion) {
     use tebaldi_cc::lock::{LockManager, LockMode};
     use tebaldi_cc::{NodeEnv, Topology, TsOracle, TxnCtx, TxnRegistry};
@@ -87,6 +117,6 @@ criterion_group! {
         .sample_size(20)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(1_000));
-    targets = bench_storage, bench_lock_manager, bench_profiler
+    targets = bench_storage, bench_store_lookup, bench_lock_manager, bench_profiler
 }
 criterion_main!(benches);

@@ -32,6 +32,13 @@ pub struct DbConfig {
     /// paper's data servers: a `Database` is one data server (it has one
     /// log); the many-server protocol of this tree is the cluster crate's
     /// `Prepare`/`Decision` two-phase commit.
+    ///
+    /// What the number buys: one insert lock per stripe (how many *first*
+    /// writes of new keys can proceed at once) and the granularity of
+    /// directory growth (a stripe rebuilds its own table, stalling new
+    /// keys of that stripe only). Nothing else — lookups, chain reads and
+    /// writes to existing keys are lock-free at any count, and the
+    /// directory sizes itself from the key count, not from this.
     pub shards: usize,
     /// Bound on each internal wait (`tebaldi_cc::wait`): a lock, a pipeline
     /// step, a promised write — and the validation-phase wait on the

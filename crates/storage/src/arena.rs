@@ -1,5 +1,7 @@
-//! The version arena: a chunked slab of version slots addressed by
-//! generation-tagged handles.
+//! The version arena: a slab of version slots addressed by
+//! generation-tagged handles — and [`Segments`], the growth rule it shares
+//! with the store's key-entry slab (geometric segments of zeroed memory,
+//! bounded only by the 32-bit index).
 //!
 //! Version chains are singly-linked lists of arena slots (newest first),
 //! linked by atomic packed handles, so readers traverse a chain with plain
@@ -30,22 +32,31 @@
 use crate::ebr::STRIPES;
 use crate::version::Version;
 use parking_lot::Mutex;
+use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicI64, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 
-/// Slots per chunk (2^12 = 4096).
-const CHUNK_BITS: u32 = 12;
-const CHUNK_SIZE: usize = 1 << CHUNK_BITS;
-const CHUNK_MASK: u32 = (CHUNK_SIZE as u32) - 1;
-/// Maximum chunks: 4096 chunks * 4096 slots = ~16.7M live versions.
-const MAX_CHUNKS: usize = 1 << 12;
+/// Slots in the first segment of a [`Segments`] slab (shrunk under test so
+/// unit tests cross segment boundaries).
+#[cfg(not(test))]
+const BASE_BITS: u32 = 12;
+#[cfg(test)]
+const BASE_BITS: u32 = 6;
+const BASE: u64 = 1 << BASE_BITS;
+/// Segment `k` holds `BASE << k` slots, so twenty of them hold
+/// `BASE * (2^20 - 1)` — with the production base, every 32-bit index but
+/// the last 4096.
+const SEGMENTS: usize = 20;
 /// Slots moved between a stripe cache and the shared side at a time.
-/// Divides [`CHUNK_SIZE`], so a fresh block never straddles two chunks.
+/// Divides [`BASE`], so a fresh block never straddles two segments.
 const BLOCK: usize = 64;
+const _: () = assert!((BASE as usize).is_multiple_of(BLOCK));
 
-/// The nil handle, used as the end-of-chain / empty-list marker.
-pub const NIL: u64 = u64::MAX;
+/// The nil handle, used as the end-of-chain / empty-list marker. No live
+/// handle is zero: a live slot's generation is odd. That makes all-zero
+/// bytes a vacant [`Slot`] and a vacant key entry with an empty chain.
+pub const NIL: u64 = 0;
 
 #[inline]
 pub(crate) fn pack(gen: u32, idx: u32) -> u64 {
@@ -55,6 +66,121 @@ pub(crate) fn pack(gen: u32, idx: u32) -> u64 {
 #[inline]
 pub(crate) fn unpack(handle: u64) -> (u32, u32) {
     ((handle >> 32) as u32, handle as u32)
+}
+
+/// A type whose all-zero byte pattern is a valid, *vacant* value, so a
+/// slab of it can be handed out as untouched zero pages.
+///
+/// # Safety
+///
+/// All-zero bytes must be a valid `Self`, and `Self` must hold no resource
+/// a slab would have to drop (a [`Segments`] frees its memory without
+/// running destructors).
+pub(crate) unsafe trait ZeroVacant {}
+
+/// The growth rule of both slabs (version slots here, key entries in the
+/// store): an append-only sequence of `T` addressed by a 32-bit index, in
+/// geometric segments — segment `k` holds `BASE << k` slots. A segment is
+/// allocated zeroed on first use and never moves or shrinks, so `&T` stay
+/// valid for the slab's life and a large segment costs nothing until its
+/// pages are touched.
+pub(crate) struct Segments<T> {
+    /// Segment base pointers, published with `Release` so `get` needs no
+    /// lock.
+    spine: [AtomicPtr<T>; SEGMENTS],
+    /// Serializes segment allocation only.
+    grow_lock: Mutex<()>,
+}
+
+// SAFETY: the slab owns its `T`s like a `Vec<T>` (the raw pointers are its
+// allocations, published once, freed only in `Drop`); it hands out `&T`
+// across threads (`T: Sync`) and is dropped wherever its owner is
+// (`T: Send`).
+unsafe impl<T: Send> Send for Segments<T> {}
+unsafe impl<T: Send + Sync> Sync for Segments<T> {}
+
+impl<T> Segments<T> {
+    fn layout(segment: usize) -> Layout {
+        Layout::array::<T>((BASE as usize) << segment).expect("segment size fits a Layout")
+    }
+}
+
+impl<T: ZeroVacant> Segments<T> {
+    /// Indices below this are addressable.
+    pub(crate) const CAPACITY: u64 = (BASE << SEGMENTS) - BASE;
+
+    pub(crate) fn new() -> Self {
+        Segments {
+            spine: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
+            grow_lock: Mutex::new(()),
+        }
+    }
+
+    /// `(segment, offset within it)` of `idx`: adding `BASE` makes the
+    /// segment number the position of the top set bit.
+    #[inline]
+    fn locate(idx: u32) -> (usize, usize) {
+        let shifted = idx as u64 + BASE;
+        let top = 63 - shifted.leading_zeros();
+        ((top - BASE_BITS) as usize, (shifted ^ (1 << top)) as usize)
+    }
+
+    /// Makes `idx` addressable, allocating its segment if this is the first
+    /// index in it. Panics past [`CAPACITY`](Self::CAPACITY).
+    pub(crate) fn ensure(&self, idx: u64) {
+        assert!(
+            idx < Self::CAPACITY,
+            "slab of {} exhausted ({} slots)",
+            std::any::type_name::<T>(),
+            Self::CAPACITY
+        );
+        let (segment, _) = Self::locate(idx as u32);
+        if !self.spine[segment].load(Ordering::Acquire).is_null() {
+            return;
+        }
+        let _g = self.grow_lock.lock();
+        if !self.spine[segment].load(Ordering::Acquire).is_null() {
+            return;
+        }
+        let layout = Self::layout(segment);
+        // SAFETY: `layout` has non-zero size (`BASE << segment` slots of a
+        // sized, non-ZST `T` — both users are tens of bytes).
+        let ptr = unsafe { alloc_zeroed(layout) } as *mut T;
+        if ptr.is_null() {
+            handle_alloc_error(layout);
+        }
+        self.spine[segment].store(ptr, Ordering::Release);
+    }
+
+    /// The slot at `idx`, which an earlier [`ensure`](Self::ensure) (that
+    /// happened-before this call) made addressable.
+    #[inline]
+    pub(crate) fn get(&self, idx: u32) -> &T {
+        let (segment, offset) = Self::locate(idx);
+        let base = self.spine[segment].load(Ordering::Acquire);
+        assert!(
+            !base.is_null(),
+            "slab index {idx} beyond allocated segments"
+        );
+        // SAFETY: `base` is a live allocation of `BASE << segment` slots,
+        // `offset` is below that by construction of `locate`, and zeroed
+        // memory is a valid `T` (`ZeroVacant`). Segments are freed only in
+        // `Drop`.
+        unsafe { &*base.add(offset) }
+    }
+}
+
+impl<T> Drop for Segments<T> {
+    fn drop(&mut self) {
+        for (segment, slot) in self.spine.iter().enumerate() {
+            let ptr = slot.load(Ordering::Relaxed);
+            if !ptr.is_null() {
+                // SAFETY: allocated in `ensure` with this very layout; `T`
+                // needs no drop (`ZeroVacant`).
+                unsafe { dealloc(ptr as *mut u8, Self::layout(segment)) };
+            }
+        }
+    }
 }
 
 /// One version slot.
@@ -72,6 +198,18 @@ pub(crate) struct Slot {
     data: UnsafeCell<MaybeUninit<Version>>,
 }
 
+// SAFETY: zeroed, a slot has generation 0 (even: vacant), a `NIL` link and
+// an uninitialized data cell. The version of an occupied slot is dropped by
+// `free` or by `VersionArena::drop`, never by the slab.
+unsafe impl ZeroVacant for Slot {}
+
+// SAFETY: slots hold `UnsafeCell` data, but the occupancy protocol above
+// makes cross-thread access race-free: a slot's data is written only by the
+// thread that popped its index out of a cache (exclusive ownership) and
+// read only while occupied; `Version` itself is `Send + Sync` (plain data
+// and atomics).
+unsafe impl Sync for Slot {}
+
 /// One stripe's private share of the arena, on its own cache lines.
 #[repr(align(128))]
 struct ArenaStripe {
@@ -83,31 +221,18 @@ struct ArenaStripe {
     occupied: AtomicI64,
 }
 
-/// A chunked slab of [`Slot`]s with generation-tagged handles.
+/// A slab of [`Slot`]s with generation-tagged handles.
 pub struct VersionArena {
-    /// Two-level spine: chunk pointers, published with `Release` so slot
-    /// dereferences need no lock.
-    spine: Box<[AtomicPtr<Slot>]>,
+    slots: Segments<Slot>,
     /// Next never-used slot index; advanced a [`BLOCK`] at a time.
     bump: AtomicU64,
     /// Whole blocks of vacant slots handed back by overflowing stripes.
     pool: Mutex<Vec<Vec<u32>>>,
     stripes: Box<[ArenaStripe]>,
-    /// Serializes chunk allocation only.
-    grow_lock: Mutex<()>,
     /// Reads that found a generation mismatch. Must stay zero while every
     /// reader holds an epoch pin; the reclamation proptest asserts on it.
     gen_mismatches: AtomicU64,
 }
-
-// SAFETY: slots hold `UnsafeCell` data, but the occupancy protocol above
-// makes cross-thread access race-free: a slot's data is written only by the
-// thread that popped its index out of a cache (exclusive ownership) and
-// read only while occupied; `Version` itself is `Send + Sync` (plain data
-// and atomics). The spine's raw chunk pointers are published once and
-// freed only in `Drop`.
-unsafe impl Send for VersionArena {}
-unsafe impl Sync for VersionArena {}
 
 impl Default for VersionArena {
     fn default() -> Self {
@@ -118,9 +243,7 @@ impl Default for VersionArena {
 impl VersionArena {
     pub fn new() -> Self {
         VersionArena {
-            spine: (0..MAX_CHUNKS)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
+            slots: Segments::new(),
             bump: AtomicU64::new(0),
             pool: Mutex::new(Vec::new()),
             stripes: (0..STRIPES)
@@ -129,43 +252,15 @@ impl VersionArena {
                     occupied: AtomicI64::new(0),
                 })
                 .collect(),
-            grow_lock: Mutex::new(()),
             gen_mismatches: AtomicU64::new(0),
         }
     }
 
+    /// Every index handed out by `refill` was made addressable there before
+    /// it entered a cache.
     #[inline]
     fn slot(&self, idx: u32) -> &Slot {
-        let chunk = self.spine[(idx >> CHUNK_BITS) as usize].load(Ordering::Acquire);
-        debug_assert!(!chunk.is_null(), "slot index {idx} beyond allocated chunks");
-        // SAFETY: every index handed out by `refill` lies in a chunk that
-        // `ensure_chunk` published before the index entered a cache, and
-        // chunks are freed only in `Drop`.
-        unsafe { &*chunk.add((idx & CHUNK_MASK) as usize) }
-    }
-
-    fn ensure_chunk(&self, chunk_idx: usize) {
-        assert!(
-            chunk_idx < MAX_CHUNKS,
-            "version arena exhausted ({} slots)",
-            MAX_CHUNKS * CHUNK_SIZE
-        );
-        if !self.spine[chunk_idx].load(Ordering::Acquire).is_null() {
-            return;
-        }
-        let _g = self.grow_lock.lock();
-        if !self.spine[chunk_idx].load(Ordering::Acquire).is_null() {
-            return;
-        }
-        let chunk: Box<[Slot]> = (0..CHUNK_SIZE)
-            .map(|_| Slot {
-                gen: AtomicU32::new(0),
-                next: AtomicU64::new(NIL),
-                data: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
-        let ptr = Box::into_raw(chunk) as *mut Slot;
-        self.spine[chunk_idx].store(ptr, Ordering::Release);
+        self.slots.get(idx)
     }
 
     /// Refills an empty stripe cache with one block: a recycled one from
@@ -176,13 +271,17 @@ impl VersionArena {
             return;
         }
         let base = self.bump.fetch_add(BLOCK as u64, Ordering::Relaxed);
-        assert!(
-            base + BLOCK as u64 <= (MAX_CHUNKS * CHUNK_SIZE) as u64,
-            "version arena exhausted"
-        );
-        self.ensure_chunk((base >> CHUNK_BITS) as usize);
+        // The block lies in one segment, so its last slot vouches for all.
+        self.slots.ensure(base + BLOCK as u64 - 1);
+        let block = base as u32..base as u32 + BLOCK as u32;
+        // Make the first touch of never-used memory a write: `alloc` reads
+        // a slot's generation first, and a read of an untouched zero page
+        // maps the shared zero page only to fault again on the write.
+        for idx in block.clone() {
+            self.slot(idx).gen.store(0, Ordering::Relaxed);
+        }
         // Reversed, so pops walk the block in ascending address order.
-        vacant.extend((base as u32..base as u32 + BLOCK as u32).rev());
+        vacant.extend(block.rev());
     }
 
     /// Allocates a slot holding `version` through `stripe`'s cache and
@@ -292,25 +391,20 @@ impl VersionArena {
 
 impl Drop for VersionArena {
     fn drop(&mut self) {
+        // Drop the versions still occupied (odd generation); the slab
+        // frees the memory. A bump that ran past the capacity panicked in
+        // `refill` before handing anything out.
         let used = self
             .bump
             .load(Ordering::Relaxed)
-            .min((MAX_CHUNKS * CHUNK_SIZE) as u64);
-        for chunk_idx in 0..MAX_CHUNKS {
-            let ptr = self.spine[chunk_idx].load(Ordering::Relaxed);
-            if ptr.is_null() {
-                continue;
+            .min(Segments::<Slot>::CAPACITY);
+        for idx in 0..used as u32 {
+            let slot = self.slot(idx);
+            if slot.gen.load(Ordering::Relaxed) & 1 == 1 {
+                // SAFETY: an odd generation marks an initialized version,
+                // and `&mut self` means no one else can reach it.
+                unsafe { (*slot.data.get()).assume_init_drop() };
             }
-            let base = (chunk_idx << CHUNK_BITS) as u64;
-            let in_use = used.saturating_sub(base).min(CHUNK_SIZE as u64) as usize;
-            // Drop any still-occupied versions (odd generation).
-            let chunk = unsafe { std::slice::from_raw_parts_mut(ptr, CHUNK_SIZE) };
-            for slot in chunk.iter_mut().take(in_use) {
-                if slot.gen.load(Ordering::Relaxed) & 1 == 1 {
-                    unsafe { (*slot.data.get()).assume_init_drop() };
-                }
-            }
-            drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, CHUNK_SIZE)) });
         }
     }
 }
@@ -370,15 +464,51 @@ mod tests {
         assert_eq!(end, NIL);
     }
 
+    /// The one growth rule of both slabs: with the base shrunk to 64 under
+    /// test, 64 + 128 + 256 slots fill three segments and the next index
+    /// opens a fourth. Every handle resolves to its own version, addresses
+    /// never move, and untouched slots read as vacant zeroes.
     #[test]
-    fn bump_crosses_chunks() {
+    fn slab_grows_across_segment_boundaries() {
+        let base = BASE as u32;
+        assert_eq!(Segments::<Slot>::locate(0), (0, 0));
+        assert_eq!(Segments::<Slot>::locate(base - 1), (0, base as usize - 1));
+        assert_eq!(Segments::<Slot>::locate(base), (1, 0));
+        assert_eq!(Segments::<Slot>::locate(3 * base), (2, 0));
+        assert_eq!(Segments::<Slot>::locate(7 * base), (3, 0));
+        let last = (Segments::<Slot>::CAPACITY - 1) as u32;
+        assert_eq!(
+            Segments::<Slot>::locate(last),
+            (SEGMENTS - 1, (BASE << (SEGMENTS - 1)) as usize - 1)
+        );
+
         let a = VersionArena::new();
-        let n = CHUNK_SIZE + 10;
-        let handles: Vec<u64> = (0..n as u64).map(|i| a.alloc(0, ver(i))).collect();
+        let n = 7 * BASE + 10;
+        let handles: Vec<u64> = (0..n).map(|i| a.alloc(0, ver(i))).collect();
+        let first = a.read(handles[0]).unwrap().0 as *const Version;
+        assert!(!a.slots.spine[3].load(Ordering::Relaxed).is_null());
+        assert!(a.slots.spine[4].load(Ordering::Relaxed).is_null());
         for (i, &h) in handles.iter().enumerate() {
+            assert_ne!(h, NIL);
             assert_eq!(a.read(h).unwrap().0.id, VersionId(i as u64));
         }
-        assert_eq!(a.occupied(), n as u64);
+        assert_eq!(a.read(handles[0]).unwrap().0 as *const Version, first);
+        assert_eq!(a.occupied(), n);
+        // The tail of the last block was never allocated: still zeroed.
+        let untouched = a.slot(a.bump.load(Ordering::Relaxed) as u32 - 1);
+        assert_eq!(
+            (
+                untouched.gen.load(Ordering::Relaxed),
+                untouched.next.load(Ordering::Relaxed)
+            ),
+            (0, NIL)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "exhausted")]
+    fn slab_refuses_indices_past_its_capacity() {
+        Segments::<Slot>::new().ensure(Segments::<Slot>::CAPACITY);
     }
 
     #[test]

@@ -38,7 +38,9 @@ pub mod wal;
 pub mod durability;
 
 pub use key::{Key, KeyMap};
-pub use mvstore::{Chain, ChainWrite, MvStore, ReadSpec, SnapshotRead, StoreStats, WriteOutcome};
+pub use mvstore::{
+    Chain, ChainWrite, IndexStats, MvStore, ReadSpec, SnapshotRead, StoreStats, WriteOutcome,
+};
 pub use schema::{Schema, TableDef, TableId};
 pub use types::{GroupId, NodeId, Timestamp, TxnId, TxnTypeId};
 pub use value::Value;

@@ -4,23 +4,44 @@
 //! *data servers* holding partitions of the data. In this reproduction a
 //! data server is a whole database — one store, one log — and the store's
 //! shards are hash stripes of that one server's keys. A shard is **not**
-//! a locked map: keys hash into a fixed array of lock-free buckets holding
-//! append-only entry lists, and each entry points at a version chain of
+//! a locked map: it is a *directory* — an open-addressed table of atomic
+//! slots, each naming an append-only key entry — that doubles as its key
+//! count grows, and each entry points at a version chain of
 //! [`VersionArena`] slots linked by atomic generation-tagged handles.
+//!
+//! **The directory.** A key's [`Key::mix64`] picks the shard with its lower
+//! half and, with its upper half (the *tag*), the home position in that
+//! shard's table; a lookup compares tags slot by slot from there and stops
+//! at the key or at an empty slot. A table is at most half full and no key
+//! sits more than 32 slots from its home — an insert that would break
+//! either rule first rebuilds the table at twice the size — so a lookup
+//! costs the same however many keys the store holds, and an empty store is
+//! a few KiB. Two publication orders make it safe without a reader lock:
+//! *entry initialized → slot stored (`Release`)*, so a reader that sees a
+//! slot sees the key it names; and *new table filled → table pointer stored
+//! (`Release`)*, so a reader sees a table complete or not at all. Slots are
+//! written once and superseded tables are parked until the store drops, not
+//! retired through the epoch machinery: they are never reused, a reader
+//! still probing one can only miss a key whose insert had not yet returned,
+//! and together they are smaller than the live table.
 //!
 //! The rule of this module: **one chain access touches no process-global
 //! lock and no process-global read-modify-write.** What is shared is read;
 //! what is written is per key or per thread.
 //!
 //! * **Readers take no lock at all.** [`MvStore::with_chain`] pins the
-//!   reclamation epoch ([`crate::ebr`]), walks bucket → entry → chain with
-//!   `Acquire` loads, and hands the closure a [`Chain`] view. A reader
+//!   reclamation epoch ([`crate::ebr`]), walks table → slot → entry → chain
+//!   with `Acquire` loads, and hands the closure a [`Chain`] view. A reader
 //!   completes even while another thread holds the write latch of the same
 //!   key (or any other).
 //! * **Writers serialize per key**, not per shard: [`MvStore::with_chain_mut`]
-//!   takes a tiny per-entry spin latch. Installing, overwriting and
-//!   aborting are splices — a new slot is linked in, or an old one linked
-//!   out and retired — so a reader always observes fully formed versions.
+//!   takes a tiny per-entry spin latch. Only the *first* write of a key
+//!   takes its shard's insert lock, to add the entry and its slot (and,
+//!   now and then, to rebuild the table — the one pause in the store, and
+//!   it stops nothing but other first writes to that shard). Installing,
+//!   overwriting and aborting are splices — a new slot is linked in, or an
+//!   old one linked out and retired — so a reader always observes fully
+//!   formed versions.
 //!   **Committing is not a splice**: it flips the version's commit word in
 //!   place (two stores under the latch, see [`Version`]), allocating and
 //!   retiring nothing and leaving the chain position alone.
@@ -50,7 +71,7 @@
 //!   GC cycle — run [`MvStore::reclaim`], which frees what has ripened in
 //!   any stripe.
 
-use crate::arena::{VersionArena, NIL};
+use crate::arena::{Segments, VersionArena, ZeroVacant, NIL};
 use crate::ebr;
 use crate::key::Key;
 use crate::types::{Sequence, Timestamp, TxnId};
@@ -112,28 +133,33 @@ pub struct StoreStats {
     pub uncommitted: usize,
 }
 
-/// Buckets per shard (power of two).
-const BUCKET_BITS: usize = 14;
-const BUCKETS: usize = 1 << BUCKET_BITS;
-const BUCKET_MASK: usize = BUCKETS - 1;
+/// Slots of a shard's first table: 2^6 of them, 512 B a shard, so a store
+/// costs next to nothing until it holds keys.
+const INITIAL_BITS: u32 = 6;
 
-/// Key entries per chunk of the entry arena.
-const ENTRY_CHUNK_BITS: u32 = 12;
-const ENTRY_CHUNK_SIZE: usize = 1 << ENTRY_CHUNK_BITS;
-const ENTRY_CHUNK_MASK: u64 = (ENTRY_CHUNK_SIZE as u64) - 1;
-const ENTRY_MAX_CHUNKS: usize = 1 << 12;
+/// A table is rebuilt at twice the size before an insert would fill more
+/// than half of it: successful lookups then examine 1.5 slots on average.
+fn over_limit(keys: usize, slots: usize) -> bool {
+    2 * keys > slots
+}
 
-/// One key's slot in the lock-free index. Entries are append-only: once
-/// published into a bucket list they are never unlinked (only [`MvStore::clear`]
-/// recycles them, under documented quiescence).
+/// No lookup examines more slots than this: an insert that would land
+/// further from its home doubles the table instead. Linear probing's
+/// longest run grows with the logarithm of the key count (at half full,
+/// past 32 from about a million keys), so this is what keeps the tail of a
+/// large store where the tail of a small one is; it costs the few shards
+/// that hit it a doubling somewhat before they are half full.
+const MAX_PROBE: u64 = 32;
+
+/// One key's entry in the index. Entries are append-only: once a directory
+/// slot names one it is never unlinked or recycled, so
+/// [`init`](KeyEntry::init) only ever runs on a never-published entry.
 struct KeyEntry {
-    /// The key, split into atomics so index readers are race-free even
-    /// against entry recycling.
+    /// The key, split into atomics so a scan of the slab racing an insert
+    /// is race-free.
     key_table: AtomicU64,
     key_row_hi: AtomicU64,
     key_row_lo: AtomicU64,
-    /// Next entry in the same bucket (entry index, or [`NIL`]).
-    bucket_next: AtomicU64,
     /// Head of the version chain (packed arena handle, or [`NIL`]).
     /// Newest version first.
     head: AtomicU64,
@@ -149,15 +175,18 @@ struct KeyEntry {
     latch: AtomicBool,
 }
 
+// SAFETY: all-zero bytes are `KeyEntry::vacant()` (`NIL` is zero): plain
+// atomics, nothing to drop.
+unsafe impl ZeroVacant for KeyEntry {}
+
 impl KeyEntry {
-    /// An entry with no key and an empty chain: what a fresh arena chunk is
+    /// An entry with no key and an empty chain: what a fresh slab segment is
     /// made of, and ([`NO_ENTRY`]) what a lookup of an absent key views.
     const fn vacant() -> KeyEntry {
         KeyEntry {
             key_table: AtomicU64::new(0),
             key_row_hi: AtomicU64::new(0),
             key_row_lo: AtomicU64::new(0),
-            bucket_next: AtomicU64::new(NIL),
             head: AtomicU64::new(NIL),
             versions: AtomicU64::new(0),
             uncommitted: AtomicU64::new(0),
@@ -165,16 +194,12 @@ impl KeyEntry {
         }
     }
 
+    /// Names a vacant entry (the rest of it is already an empty chain).
     fn init(&self, key: &Key) {
         self.key_table.store(key.table.0 as u64, Ordering::Relaxed);
         self.key_row_hi
             .store((key.row >> 64) as u64, Ordering::Relaxed);
         self.key_row_lo.store(key.row as u64, Ordering::Relaxed);
-        self.head.store(NIL, Ordering::Relaxed);
-        self.versions.store(0, Ordering::Relaxed);
-        self.uncommitted.store(0, Ordering::Relaxed);
-        self.latch.store(false, Ordering::Relaxed);
-        self.bucket_next.store(NIL, Ordering::Relaxed);
     }
 
     fn key(&self) -> Key {
@@ -217,85 +242,173 @@ impl Drop for LatchGuard<'_> {
     }
 }
 
-/// Chunked, append-only arena of [`KeyEntry`]s. Entries are addressed by a
-/// plain index (no generation: they are never freed while the store is
-/// live).
+/// Append-only slab of [`KeyEntry`]s, addressed by a plain index (no
+/// generation: entries are never freed while the store is live).
 struct EntryArena {
-    spine: Box<[AtomicPtr<KeyEntry>]>,
+    slab: Segments<KeyEntry>,
     bump: AtomicU64,
-    grow_lock: Mutex<()>,
 }
-
-unsafe impl Send for EntryArena {}
-unsafe impl Sync for EntryArena {}
 
 impl EntryArena {
     fn new() -> Self {
         EntryArena {
-            spine: (0..ENTRY_MAX_CHUNKS)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
+            slab: Segments::new(),
             bump: AtomicU64::new(0),
-            grow_lock: Mutex::new(()),
         }
     }
 
-    fn len(&self) -> u64 {
-        self.bump.load(Ordering::Acquire)
+    /// Entries handed out so far; every index below it is addressable
+    /// (though an insert may still be naming the newest ones).
+    fn len(&self) -> u32 {
+        self.bump.load(Ordering::Acquire) as u32
     }
 
-    fn get(&self, idx: u64) -> &KeyEntry {
-        let chunk = self.spine[(idx >> ENTRY_CHUNK_BITS) as usize].load(Ordering::Acquire);
-        debug_assert!(!chunk.is_null());
-        unsafe { &*chunk.add((idx & ENTRY_CHUNK_MASK) as usize) }
+    fn get(&self, idx: u32) -> &KeyEntry {
+        self.slab.get(idx)
     }
 
-    fn alloc(&self) -> (u64, &KeyEntry) {
-        let idx = self.bump.fetch_add(1, Ordering::AcqRel);
-        assert!(
-            idx < (ENTRY_MAX_CHUNKS * ENTRY_CHUNK_SIZE) as u64,
-            "key-entry arena exhausted"
-        );
-        let chunk_idx = (idx >> ENTRY_CHUNK_BITS) as usize;
-        if self.spine[chunk_idx].load(Ordering::Acquire).is_null() {
-            let _g = self.grow_lock.lock();
-            if self.spine[chunk_idx].load(Ordering::Acquire).is_null() {
-                let chunk: Box<[KeyEntry]> =
-                    (0..ENTRY_CHUNK_SIZE).map(|_| KeyEntry::vacant()).collect();
-                let ptr = Box::into_raw(chunk) as *mut KeyEntry;
-                self.spine[chunk_idx].store(ptr, Ordering::Release);
-            }
-        }
-        (idx, self.get(idx))
-    }
-}
-
-impl Drop for EntryArena {
-    fn drop(&mut self) {
-        for slot in self.spine.iter() {
-            let ptr = slot.load(Ordering::Relaxed);
-            if !ptr.is_null() {
-                drop(unsafe {
-                    Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, ENTRY_CHUNK_SIZE))
-                });
+    /// The next vacant entry. The bump pointer passes an index only after
+    /// that index is addressable, so a scan up to [`len`](EntryArena::len)
+    /// never meets an unallocated segment.
+    fn alloc(&self) -> (u32, &KeyEntry) {
+        let mut idx = self.bump.load(Ordering::Relaxed);
+        loop {
+            self.slab.ensure(idx);
+            match self
+                .bump
+                .compare_exchange_weak(idx, idx + 1, Ordering::AcqRel, Ordering::Relaxed)
+            {
+                Ok(_) => return (idx as u32, self.slab.get(idx as u32)),
+                Err(now) => idx = now,
             }
         }
     }
 }
 
+/// One generation of a shard's directory: an open-addressed table of
+/// `1 << bits` slots, linearly probed. A slot is `0` (empty — a fresh table
+/// is zeroed memory) or `tag << 32 | entry index + 1`, where `tag` is the
+/// upper half of the key's [`Key::mix64`]. A slot is written once, by the
+/// holder of the shard's insert lock, and never changes again.
+///
+/// A key's home position is the *top* `bits` bits of its tag: independent
+/// of the shard choice (which reads the lower half of the hash), and
+/// order-preserving across a doubling — home `p` becomes `2p` or `2p + 1`,
+/// so a rebuild reads the old table and writes the new one front to back.
+struct Table {
+    /// `32 - bits`.
+    shift: u32,
+    slots: Box<[AtomicU64]>,
+    /// The table this one superseded (owned, see [`Shard`]), or null.
+    older: *mut Table,
+}
+
+// SAFETY: `older` is an owning pointer that only `Shard::drop` follows;
+// everything else is atomics.
+unsafe impl Send for Table {}
+unsafe impl Sync for Table {}
+
+// The cast in `Table::new` needs the two to agree (they do wherever
+// `AtomicU64` exists with the natural alignment; this rules out the rest).
+const _: () = assert!(std::mem::align_of::<AtomicU64>() == std::mem::align_of::<u64>());
+
+impl Table {
+    fn new(bits: u32, older: *mut Table) -> Box<Table> {
+        assert!(bits <= 32, "directory outgrew its 32-bit tags");
+        let zeroed = Box::into_raw(vec![0u64; 1 << bits].into_boxed_slice());
+        // SAFETY: `AtomicU64` has the size and bit validity of `u64`, and
+        // (asserted above) its alignment, so the allocation is reinterpreted
+        // in place and later freed with the layout it was made with. Going
+        // through `vec![0; n]` gets zero pages from the allocator instead
+        // of writing them.
+        let slots: Box<[AtomicU64]> = unsafe { Box::from_raw(zeroed as *mut [AtomicU64]) };
+        // Make the first touch of each fresh page a write: a probe reads
+        // before it stores, and a read of an untouched zero page maps the
+        // shared zero page only to fault again on the store.
+        for page in slots.chunks(4096 / std::mem::size_of::<AtomicU64>()) {
+            page[0].store(0, Ordering::Relaxed);
+        }
+        Box::new(Table {
+            shift: 32 - bits,
+            slots,
+            older,
+        })
+    }
+
+    #[inline]
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    #[inline]
+    fn home(&self, tag: u64) -> usize {
+        (tag >> self.shift) as usize
+    }
+
+    /// Slots a lookup examines before it is done with position `pos`,
+    /// probing for a key tagged `tag`.
+    #[inline]
+    fn probes(&self, tag: u64, pos: usize) -> u64 {
+        (pos.wrapping_sub(self.home(tag)) & self.mask()) as u64 + 1
+    }
+
+    /// The first empty position at or after `from`. Only for the shard's
+    /// insert-lock holder (or the builder of a table not yet published);
+    /// the load limit guarantees there is one.
+    fn vacancy(&self, from: usize) -> usize {
+        let mut pos = from;
+        while self.slots[pos].load(Ordering::Relaxed) != 0 {
+            pos = (pos + 1) & self.mask();
+        }
+        pos
+    }
+}
+
+/// One hash stripe of the key space: its directory and the lock that
+/// serializes changes to it.
+///
+/// The shard owns its tables through raw pointers — the live one in
+/// `table`, each superseded one in its successor's `older` — because
+/// lock-free readers hold plain `&Table`s. Superseded tables are parked
+/// until `drop` (why that is enough: the module docs).
 struct Shard {
-    /// Bucket heads: entry index or [`NIL`].
-    buckets: Box<[AtomicU64]>,
-    /// Serializes new-key insertion only; lookups and chain access never
-    /// touch it.
-    insert_lock: Mutex<()>,
+    /// Readers load it `Acquire`; only the holder of `insert` stores it
+    /// (`Release`, after filling the new table).
+    table: AtomicPtr<Table>,
+    /// Keys in this shard. The lock serializes new-key insertion and table
+    /// growth only; lookups and chain access never touch it.
+    insert: Mutex<usize>,
 }
 
 impl Shard {
     fn new() -> Self {
         Shard {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(NIL)).collect(),
-            insert_lock: Mutex::new(()),
+            table: AtomicPtr::new(Box::into_raw(Table::new(
+                INITIAL_BITS,
+                std::ptr::null_mut(),
+            ))),
+            insert: Mutex::new(0),
+        }
+    }
+
+    #[inline]
+    fn table(&self) -> &Table {
+        // SAFETY: `table` always holds a pointer leaked from a `Box` by
+        // `Shard::new` or `MvStore::grow`, and tables are freed only in
+        // `drop`, which `&self` outlives.
+        unsafe { &*self.table.load(Ordering::Acquire) }
+    }
+}
+
+impl Drop for Shard {
+    fn drop(&mut self) {
+        let mut table = *self.table.get_mut();
+        while !table.is_null() {
+            // SAFETY: each table was leaked from a `Box` exactly once and
+            // is owned through this list alone; `&mut self` rules out
+            // readers.
+            let boxed = unsafe { Box::from_raw(table) };
+            table = boxed.older;
         }
     }
 }
@@ -721,6 +834,24 @@ impl<'a> ChainWrite<'a> {
     }
 }
 
+/// What the directory of a store looks like right now (see
+/// [`MvStore::index_stats`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IndexStats {
+    /// Directory slots over all shards (live tables only).
+    pub slots: u64,
+    /// Keys indexed (`stats().keys`).
+    pub keys: u64,
+    /// Table doublings so far, over all shards.
+    pub grows: u64,
+    /// Most slots any lookup has to examine to find a key, as observed when
+    /// keys were placed.
+    pub probe_max: u64,
+    /// Longest single table rebuild, in microseconds: how long new-key
+    /// inserts of one shard have ever stalled.
+    pub grow_us_max: u64,
+}
+
 /// The multiversion key-value store.
 pub struct MvStore {
     shards: Vec<Shard>,
@@ -735,6 +866,11 @@ pub struct MvStore {
     m_limbo_bytes: Arc<MaxGauge>,
     m_epoch_lag: Arc<MaxGauge>,
     m_chain_len: Arc<MaxGauge>,
+    m_index_slots: Arc<MaxGauge>,
+    m_index_keys: Arc<MaxGauge>,
+    m_index_grows: Arc<Counter>,
+    m_index_probe_max: Arc<MaxGauge>,
+    m_index_grow_us: Arc<MaxGauge>,
 }
 
 impl std::fmt::Debug for MvStore {
@@ -746,7 +882,10 @@ impl std::fmt::Debug for MvStore {
 }
 
 impl MvStore {
-    /// Creates a store with `shards` data-server partitions.
+    /// Creates a store with `shards` hash stripes of the key space. A
+    /// stripe is the unit of new-key insertion (one lock) and of directory
+    /// growth (one table); lookups and chain access are lock-free whatever
+    /// the count.
     pub fn new(shards: usize) -> Self {
         assert!(shards > 0, "at least one shard is required");
         MvStore {
@@ -759,69 +898,165 @@ impl MvStore {
             m_limbo_bytes: Arc::new(MaxGauge::new()),
             m_epoch_lag: Arc::new(MaxGauge::new()),
             m_chain_len: Arc::new(MaxGauge::new()),
+            m_index_slots: Arc::new(MaxGauge::new()),
+            m_index_keys: Arc::new(MaxGauge::new()),
+            m_index_grows: Arc::new(Counter::new()),
+            m_index_probe_max: Arc::new(MaxGauge::new()),
+            m_index_grow_us: Arc::new(MaxGauge::new()),
         }
     }
 
-    /// Rebinds the store's GC/arena instruments to `registry` so they show
-    /// up in metric snapshots (`gc.versions_retired`, `gc.limbo_bytes`,
-    /// `gc.epoch_lag`, `store.chain_len`).
+    /// Rebinds the store's instruments to `registry` so they show up in
+    /// metric snapshots: the GC/arena ones (`gc.versions_retired`,
+    /// `gc.limbo_bytes`, `gc.epoch_lag`, `store.chain_len`) and the
+    /// directory's (`store.index.slots`, `store.index.keys`,
+    /// `store.index.grows`, `store.index.probe_max`,
+    /// `store.index.grow_us_max`; see [`IndexStats`]). The two size gauges
+    /// are refreshed when a table grows and by every [`MvStore::reclaim`]
+    /// (so at least once per GC cycle), not per insert.
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
         self.m_retired = registry.counter("gc.versions_retired");
         self.m_limbo_bytes = registry.max_gauge("gc.limbo_bytes");
         self.m_epoch_lag = registry.max_gauge("gc.epoch_lag");
         self.m_chain_len = registry.max_gauge("store.chain_len");
+        self.m_index_slots = registry.max_gauge("store.index.slots");
+        self.m_index_keys = registry.max_gauge("store.index.keys");
+        self.m_index_grows = registry.counter("store.index.grows");
+        self.m_index_probe_max = registry.max_gauge("store.index.probe_max");
+        self.m_index_grow_us = registry.max_gauge("store.index.grow_us_max");
+        self.observe_index();
     }
 
-    /// Number of shards (hash stripes of the key space).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// `(shard, bucket)` of a key whose [`Key::mix64`] is `h` — computed
-    /// once per access and passed down.
-    fn locate(&self, h: u64) -> (usize, usize) {
-        let shard = (h as usize) % self.shards.len();
-        let bucket = ((h >> 32) as usize ^ h as usize) & BUCKET_MASK;
-        (shard, bucket)
-    }
-
-    /// Lock-free index lookup (no shard lock, no latch).
-    fn lookup(&self, key: &Key, h: u64) -> Option<&KeyEntry> {
-        let (shard, bucket) = self.locate(h);
-        let mut idx = self.shards[shard].buckets[bucket].load(Ordering::Acquire);
-        while idx != NIL {
-            let entry = self.entries.get(idx);
-            if entry.key_matches(key) {
-                return Some(entry);
-            }
-            idx = entry.bucket_next.load(Ordering::Acquire);
+    /// Size, occupancy and growth history of the directory.
+    pub fn index_stats(&self) -> IndexStats {
+        IndexStats {
+            slots: self.index_slots(),
+            keys: self.stats().keys as u64,
+            grows: self.m_index_grows.get(),
+            probe_max: self.m_index_probe_max.get(),
+            grow_us_max: self.m_index_grow_us.get(),
         }
-        None
+    }
+
+    fn index_slots(&self) -> u64 {
+        let live = |shard: &Shard| shard.table().slots.len() as u64;
+        self.shards.iter().map(live).sum()
+    }
+
+    /// Brings the two size gauges up to date (both only ever rise).
+    fn observe_index(&self) {
+        self.m_index_slots.observe(self.index_slots());
+        self.m_index_keys.observe(self.stats().keys as u64);
+    }
+
+    /// The shard of a key whose [`Key::mix64`] is `h`: the lower half of
+    /// the hash scaled onto the shard count (no division). The upper half
+    /// is the key's directory tag, so keys of one shard still differ in
+    /// every position bit.
+    #[inline]
+    fn shard_of(&self, h: u64) -> &Shard {
+        &self.shards[(((h & 0xFFFF_FFFF) * self.shards.len() as u64) >> 32) as usize]
+    }
+
+    /// Probes `table` for `key`, tagged `tag`, from its home. `Err` carries
+    /// the empty position that ended the probe. No lock, no write.
+    #[inline]
+    fn probe<'a>(&'a self, table: &Table, key: &Key, tag: u64) -> Result<&'a KeyEntry, usize> {
+        let mask = table.mask();
+        let mut pos = table.home(tag);
+        loop {
+            // `Acquire` pairs with the `Release` store of the insert that
+            // wrote the slot after initializing the entry it names.
+            let slot = table.slots[pos].load(Ordering::Acquire);
+            if slot == 0 {
+                return Err(pos);
+            }
+            if slot >> 32 == tag {
+                let entry = self.entries.get(slot as u32 - 1);
+                if entry.key_matches(key) {
+                    return Ok(entry);
+                }
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// Lock-free index lookup (no shard lock, no latch) of a key whose
+    /// [`Key::mix64`] is `h` — computed once per access and passed down.
+    #[inline]
+    fn lookup(&self, key: &Key, h: u64) -> Option<&KeyEntry> {
+        let table = self.shard_of(h).table();
+        self.probe(table, key, h >> 32).ok()
     }
 
     fn lookup_or_insert(&self, key: &Key, stripe: usize) -> &KeyEntry {
         let h = key.mix64();
+        let tag = h >> 32;
         if let Some(entry) = self.lookup(key, h) {
             return entry;
         }
-        let (shard_idx, bucket) = self.locate(h);
-        let shard = &self.shards[shard_idx];
-        let _g = shard.insert_lock.lock();
-        // Re-check under the insert lock: another writer may have raced us.
-        if let Some(entry) = self.lookup(key, h) {
-            return entry;
+        let shard = self.shard_of(h);
+        let mut keys = shard.insert.lock();
+        // Probe again under the lock (another first write may have raced us,
+        // or grown the table); the miss leaves us at the key's position.
+        let mut table = shard.table();
+        let mut pos = match self.probe(table, key, tag) {
+            Ok(entry) => return entry,
+            Err(vacant) => vacant,
+        };
+        while over_limit(*keys + 1, table.slots.len()) || table.probes(tag, pos) > MAX_PROBE {
+            table = self.grow(shard, table);
+            pos = table.vacancy(table.home(tag));
         }
         let (idx, entry) = self.entries.alloc();
         entry.init(key);
-        let head = &shard.buckets[bucket];
-        entry
-            .bucket_next
-            .store(head.load(Ordering::Relaxed), Ordering::Relaxed);
-        // Publish: the insert lock serializes writers on this shard, so a
-        // plain Release store suffices for the bucket head.
-        head.store(idx, Ordering::Release);
+        // Publish: the entry is initialized before the `Release` store of
+        // the slot that names it. The insert lock makes this thread the
+        // only writer of the table.
+        table.slots[pos].store(tag << 32 | (idx as u64 + 1), Ordering::Release);
+        *keys += 1;
+        self.m_index_probe_max.observe(table.probes(tag, pos));
         self.stripes[stripe].keys.fetch_add(1, Ordering::Relaxed);
         entry
+    }
+
+    /// Replaces `old`, the live table of `shard`, with one twice its size
+    /// holding the same slots (four times, and so on, in the event that a
+    /// rebuilt table still holds a probe past [`MAX_PROBE`]); the caller
+    /// holds the shard's insert lock. The new table is filled first and
+    /// published with one `Release` store, so a reader sees either table
+    /// complete. Stalls new-key inserts of this one shard for the duration;
+    /// readers and writers of existing keys never wait.
+    fn grow<'a>(&'a self, shard: &'a Shard, old: &Table) -> &'a Table {
+        let started = std::time::Instant::now();
+        let mut bits = 32 - old.shift;
+        let (new, probe_max) = loop {
+            bits += 1;
+            let new = Table::new(bits, old as *const Table as *mut Table);
+            let probe_max = old
+                .slots
+                .iter()
+                // Written by earlier holders of the lock this thread holds.
+                .map(|slot| slot.load(Ordering::Relaxed))
+                .filter(|&slot| slot != 0)
+                .map(|slot| {
+                    let pos = new.vacancy(new.home(slot >> 32));
+                    new.slots[pos].store(slot, Ordering::Relaxed);
+                    new.probes(slot >> 32, pos)
+                })
+                .max()
+                .unwrap_or(0);
+            if probe_max <= MAX_PROBE {
+                break (new, probe_max);
+            }
+        };
+        shard.table.store(Box::into_raw(new), Ordering::Release);
+        self.m_index_probe_max.observe(probe_max);
+        self.m_index_grows.inc();
+        self.m_index_grow_us
+            .observe(started.elapsed().as_micros() as u64);
+        self.observe_index();
+        shard.table()
     }
 
     /// The lock-free view of `entry`'s chain; the caller holds an epoch pin.
@@ -987,7 +1222,12 @@ impl MvStore {
         let n = self.entries.len();
         for idx in 0..n {
             let entry = self.entries.get(idx);
-            if entry.versions.load(Ordering::Relaxed) == 0 {
+            // A chain of one has nothing to prune (its only version is
+            // uncommitted or the latest committed), and most keys of an
+            // insert-heavy workload are never written twice: skipping them
+            // here leaves the scan a sequential read of the slab instead of
+            // a latch and a chain walk per key.
+            if entry.versions.load(Ordering::Relaxed) < 2 {
                 continue;
             }
             let _latch = entry.lock_latch();
@@ -1091,6 +1331,7 @@ impl MvStore {
         let global = domain.epoch();
         let min_pin = domain.min_pin();
         self.m_limbo_bytes.observe(self.limbo_stats().1);
+        self.observe_index();
         let mut freed = 0;
         for stripe in self.stripes.iter() {
             if stripe.limbo_nodes.load(Ordering::Relaxed) == 0 {
@@ -1144,46 +1385,6 @@ impl MvStore {
     /// Live version slots currently allocated in the arena.
     pub fn arena_occupied(&self) -> u64 {
         self.arena.occupied()
-    }
-
-    /// Drops every chain. Used between benchmark configurations.
-    ///
-    /// **Requires quiescence**: no concurrent store access and no live
-    /// epoch pins (the old locked-map implementation blocked stragglers on
-    /// the shard locks; this one recycles entries in place).
-    pub fn clear(&self) {
-        let into = ebr::stripe();
-        // Free everything parked in limbo first.
-        for stripe in self.stripes.iter() {
-            for bin in stripe.bag.lock().bins.drain(..) {
-                for &(h, _) in &bin.handles {
-                    self.arena.free(into, h);
-                }
-            }
-            stripe.limbo_nodes.store(0, Ordering::Relaxed);
-            stripe.limbo_bytes.store(0, Ordering::Relaxed);
-            stripe.keys.store(0, Ordering::Relaxed);
-            stripe.versions.store(0, Ordering::Relaxed);
-            stripe.uncommitted.store(0, Ordering::Relaxed);
-        }
-        // Free every chain node and reset the entries.
-        let n = self.entries.len();
-        for idx in 0..n {
-            let entry = self.entries.get(idx);
-            let mut cur = entry.head.swap(NIL, Ordering::Relaxed);
-            while cur != NIL {
-                let next = self.arena.read(cur).map(|(_, n)| n).unwrap_or(NIL);
-                self.arena.free(into, cur);
-                cur = next;
-            }
-            entry.versions.store(0, Ordering::Relaxed);
-        }
-        for shard in &self.shards {
-            for bucket in shard.buckets.iter() {
-                bucket.store(NIL, Ordering::Relaxed);
-            }
-        }
-        self.entries.bump.store(0, Ordering::Release);
     }
 }
 
@@ -1730,23 +1931,183 @@ mod tests {
         assert_eq!(store.arena_occupied(), stats.versions as u64 + limbo_nodes);
     }
 
-    #[test]
-    fn clear_resets_everything() {
-        let store = MvStore::new(2);
-        for i in 0..50 {
-            store.load(&key(i), Value::Int(i as i64));
-            store.write(&key(i), TxnId(i + 1), Value::Int(0));
+    /// A key shaped like TPC-C's `order_line(w, d, o, ol)`: small integers
+    /// packed 32 bits apiece, the input the directory has to spread.
+    fn order_line(w: u32, d: u32, o: u32, ol: u32) -> Key {
+        Key::composite(TableId(8), &[w, d, o, ol])
+    }
+
+    /// Slots a lookup of `k`, which is indexed, examines in the live table
+    /// of its shard.
+    fn probe_len(store: &MvStore, k: &Key) -> u64 {
+        let tag = k.mix64() >> 32;
+        let table = store.shard_of(k.mix64()).table();
+        let found = store.probe(table, k, tag).unwrap();
+        let mut pos = table.home(tag);
+        loop {
+            let slot = table.slots[pos].load(Ordering::Relaxed);
+            if slot >> 32 == tag && std::ptr::eq(store.entries.get(slot as u32 - 1), found) {
+                return table.probes(tag, pos);
+            }
+            pos = (pos + 1) & table.mask();
         }
-        store.clear();
-        assert_eq!(store.stats(), StoreStats::default());
-        assert_eq!(store.arena_occupied(), 0);
-        assert_eq!(store.read(&key(3), ReadSpec::LatestCommitted), None);
-        // The store is fully usable after clear.
-        store.load(&key(3), Value::Int(33));
-        assert_eq!(
-            store.read(&key(3), ReadSpec::LatestCommitted),
-            Some(Value::Int(33))
-        );
+    }
+
+    /// Tables double under the feet of readers: every key whose insert had
+    /// returned before a read began is found (a table published before it
+    /// is filled, or a slot before its entry is named, loses one), keys
+    /// never inserted stay absent, and afterwards the counters, the slab
+    /// scan and the directory agree on the key set.
+    #[test]
+    fn directory_grows_under_readers_without_losing_a_key() {
+        const SHARDS: usize = 4;
+        const WRITERS: u32 = 4;
+        const READERS: u32 = 2;
+        const PER_WRITER: u32 = 12_000;
+        // Writer `w` inserts its `i`-th key; `w + 100` never writes.
+        let nth = |w: u32, i: u32| order_line(w, 1 + i % 10, 1 + i / 100, 1 + (i / 10) % 10);
+        let registry = MetricsRegistry::new();
+        let mut store = MvStore::new(SHARDS);
+        store.attach_metrics(&registry);
+        let inserted: Vec<AtomicU64> = (0..WRITERS).map(|_| AtomicU64::new(0)).collect();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for r in 0..READERS {
+                let (store, inserted, done) = (&store, &inserted, &done);
+                scope.spawn(move || {
+                    let mut x = 0x9E37_79B9u32.wrapping_mul(r + 1);
+                    while !done.load(Ordering::Acquire) {
+                        for w in 0..WRITERS {
+                            // Everything below `n` was inserted before this
+                            // load, hence before the reads that follow.
+                            let n = inserted[w as usize].load(Ordering::Acquire) as u32;
+                            if n == 0 {
+                                continue;
+                            }
+                            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                            for i in [x % n, n - 1] {
+                                assert_eq!(
+                                    store.read(&nth(w, i), ReadSpec::LatestCommitted),
+                                    Some(Value::Int(i as i64)),
+                                    "writer {w}'s key {i} of {n} went missing"
+                                );
+                                assert_eq!(
+                                    store.read(&nth(w + 100, i), ReadSpec::LatestCommitted),
+                                    None
+                                );
+                            }
+                        }
+                    }
+                });
+            }
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (store, inserted) = (&store, &inserted);
+                    scope.spawn(move || {
+                        for i in 0..PER_WRITER {
+                            store.load(&nth(w, i), Value::Int(i as i64));
+                            inserted[w as usize].store(i as u64 + 1, Ordering::Release);
+                        }
+                    })
+                })
+                .collect();
+            for writer in writers {
+                writer.join().unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
+        assert_eq!(store.gen_mismatches(), 0);
+        for shard in &store.shards {
+            let doublings = shard.table().slots.len().trailing_zeros() - INITIAL_BITS;
+            assert!(doublings >= 8, "a shard doubled only {doublings} times");
+            assert!(!over_limit(*shard.insert.lock(), shard.table().slots.len()));
+        }
+
+        // The counters, the slab scan and the directory agree.
+        let total = (WRITERS * PER_WRITER) as usize;
         assert_eq!(store.stats(), store.stats_scanned());
+        assert_eq!(store.stats().keys, total);
+        let mut visited = std::collections::HashSet::new();
+        store.for_each_key(|k, chain| {
+            assert!(visited.insert(*k), "{k:?} visited twice");
+            assert_eq!(chain.len(), 1);
+        });
+        let expected: std::collections::HashSet<Key> = (0..WRITERS)
+            .flat_map(|w| (0..PER_WRITER).map(move |i| nth(w, i)))
+            .collect();
+        assert_eq!(visited, expected);
+        let keyed: usize = store.shards.iter().map(|s| *s.insert.lock()).sum();
+        assert_eq!(keyed, total);
+
+        // And the instruments say the same as the accessor.
+        let index = store.index_stats();
+        let live: usize = store.shards.iter().map(|s| s.table().slots.len()).sum();
+        assert_eq!((index.slots, index.keys), (live as u64, total as u64));
+        assert!(index.grows >= 8 * SHARDS as u64);
+        let longest = expected.iter().map(|k| probe_len(&store, k)).max().unwrap();
+        assert!(longest <= index.probe_max && index.probe_max <= MAX_PROBE);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.gauge("store.index.slots"), Some(index.slots));
+        assert_eq!(
+            snapshot.gauge("store.index.probe_max"),
+            Some(index.probe_max)
+        );
+        assert_eq!(snapshot.counter("store.index.grows"), Some(index.grows));
+        // The key gauge is refreshed by growth and by `reclaim`, not per insert.
+        store.reclaim();
+        assert_eq!(
+            registry.snapshot().gauge("store.index.keys"),
+            Some(index.keys)
+        );
+    }
+
+    /// A million keys built the way TPC-C builds order lines, over the
+    /// benchmark's 32 shards: lookups stay short. Position bits that repeat
+    /// the shard choice would leave all keys of a shard in 1/32 of its
+    /// table and fail both bounds.
+    #[test]
+    fn directory_spreads_a_million_composite_keys() {
+        let store = MvStore::new(32);
+        let keys: Vec<Key> = (1..=4u32)
+            .flat_map(|w| (1..=10u32).map(move |d| (w, d)))
+            .flat_map(|(w, d)| (1..=2_500u32).map(move |o| (w, d, o)))
+            .flat_map(|(w, d, o)| (1..=10u32).map(move |ol| order_line(w, d, o, ol)))
+            .collect();
+        assert_eq!(keys.len(), 1_000_000);
+        for k in &keys {
+            store.with_chain_mut(k, |_| ());
+        }
+        let index = store.index_stats();
+        assert_eq!(index.keys, 1_000_000);
+        // Half full at most, and no shard ran from a long probe into a table
+        // far larger than its keys need.
+        assert!(!over_limit(index.keys as usize, index.slots as usize));
+        assert!(index.slots <= 8 * index.keys, "{index:?}");
+        let probes: Vec<u64> = keys.iter().map(|k| probe_len(&store, k)).collect();
+        let mean = probes.iter().sum::<u64>() as f64 / probes.len() as f64;
+        let max = *probes.iter().max().unwrap();
+        assert!(mean <= 2.0, "mean probe {mean:.2}");
+        assert!(
+            max <= index.probe_max && index.probe_max <= MAX_PROBE,
+            "max probe {max}, {index:?}"
+        );
+        // Shards fill evenly: none holds more than 1.25x its share.
+        let fullest = store.shards.iter().map(|s| *s.insert.lock()).max().unwrap();
+        assert!(
+            fullest <= 1_000_000 / 32 * 5 / 4,
+            "a shard holds {fullest} keys"
+        );
+    }
+
+    /// An empty store is cheap: the `crates/cc` fixtures build dozens.
+    #[test]
+    fn empty_store_allocates_almost_no_index() {
+        for shards in [1, 32] {
+            let store = MvStore::new(shards);
+            let bytes = store.index_stats().slots * std::mem::size_of::<AtomicU64>() as u64;
+            assert!(bytes < 64 * 1024, "{shards} shard(s): {bytes} B of slots");
+            assert_eq!(store.entries.len(), 0);
+            assert_eq!(store.read(&key(1), ReadSpec::LatestCommitted), None);
+        }
     }
 }
