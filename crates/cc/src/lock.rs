@@ -8,14 +8,18 @@
 //! shared/exclusive compatibility matrix. At a leaf node every transaction
 //! has its own lane, which turns the table into a plain 2PL lock table.
 //!
-//! A request that conflicts sleeps in [`cc::wait`](crate::wait) — the
-//! deadline (the paper resolves deadlocks by timing out transactions,
-//! §4.4.1) and the profiler's blocking event are that module's.
+//! A request that conflicts sleeps in [`cc::wait`](crate::wait) on the
+//! holder in its way — the deadline (the paper resolves deadlocks by timing
+//! out transactions, §4.4.1) and the profiler's blocking event are that
+//! module's. A release wakes no one: the holder's end, or RP's step commit,
+//! wakes its waiters through the [`TxnRegistry`], so an uncontended acquire
+//! or release touches no registry lock.
 
 use crate::error::CcResult;
 use crate::mechanism::{NodeEnv, TxnCtx};
+use crate::registry::TxnRegistry;
 use crate::wait::{self, Step, Wait};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use tebaldi_storage::{Key, KeyMap, TxnId};
 
@@ -65,18 +69,9 @@ impl LockEntry {
             true
         }
     }
-
-    fn release(&mut self, txn: TxnId) -> bool {
-        let before = self.holders.len();
-        self.holders.retain(|h| h.txn != txn);
-        before != self.holders.len()
-    }
 }
 
-struct Shard {
-    entries: Mutex<KeyMap<LockEntry>>,
-    released: Condvar,
-}
+type Shard = Mutex<KeyMap<LockEntry>>;
 
 /// A lock table.
 pub struct LockManager {
@@ -103,12 +98,7 @@ impl LockManager {
     pub fn new(shards: usize) -> Self {
         assert!(shards > 0);
         LockManager {
-            shards: (0..shards)
-                .map(|_| Shard {
-                    entries: Mutex::new(KeyMap::default()),
-                    released: Condvar::new(),
-                })
-                .collect(),
+            shards: (0..shards).map(|_| Mutex::new(KeyMap::default())).collect(),
             held: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
         }
     }
@@ -137,24 +127,16 @@ impl LockManager {
         mode: LockMode,
         mechanism: &'static str,
     ) -> CcResult<Vec<TxnId>> {
-        let shard = self.shard_of(key);
         let mut blockers: Vec<TxnId> = Vec::new();
-        let newly = Wait::at(env, ctx, (mechanism, wait::LOCK)).until(
-            &shard.entries,
-            &shard.released,
-            |entries| {
-                let entry = entries.entry(*key).or_default();
-                match entry.conflict_with(ctx.txn, lane, mode) {
-                    None => Step::Done(entry.grant(ctx.txn, lane, mode)),
-                    Some(holder) => {
-                        if !blockers.contains(&holder.txn) {
-                            blockers.push(holder.txn);
-                        }
-                        Step::BlockedOn(holder.txn)
-                    }
+        let newly = Wait::at(env, ctx, (mechanism, wait::LOCK)).until(|| {
+            let step = self.request(&env.registry, ctx.txn, key, lane, mode);
+            if let Step::BlockedOn(ticket) = &step {
+                if !blockers.contains(&ticket.blocker()) {
+                    blockers.push(ticket.blocker());
                 }
-            },
-        )?;
+            }
+            step
+        })?;
         if newly {
             self.held_of(ctx.txn)
                 .lock()
@@ -165,22 +147,28 @@ impl LockManager {
         Ok(blockers)
     }
 
+    /// One evaluation of a request: grant it, or name the first holder in
+    /// its way — with the ticket taken under the shard lock that showed it.
+    pub(crate) fn request(
+        &self,
+        registry: &TxnRegistry,
+        txn: TxnId,
+        key: &Key,
+        lane: u64,
+        mode: LockMode,
+    ) -> Step<bool> {
+        let mut entries = self.shard_of(key).lock();
+        let entry = entries.entry(*key).or_default();
+        match entry.conflict_with(txn, lane, mode) {
+            None => Step::Done(entry.grant(txn, lane, mode)),
+            Some(holder) => Step::BlockedOn(registry.ticket(holder.txn)),
+        }
+    }
+
     /// Releases the locks held by `txn` on the given keys.
     pub fn release_keys(&self, txn: TxnId, keys: &[Key]) {
         for key in keys {
-            let shard = self.shard_of(key);
-            let mut entries = shard.entries.lock();
-            let mut emptied = false;
-            if let Some(entry) = entries.get_mut(key) {
-                if entry.release(txn) {
-                    emptied = entry.holders.is_empty();
-                }
-            }
-            if emptied {
-                entries.remove(key);
-            }
-            drop(entries);
-            shard.released.notify_all();
+            self.release(txn, key);
         }
         let mut held = self.held_of(txn).lock();
         if let Some(list) = held.get_mut(&txn) {
@@ -193,38 +181,20 @@ impl LockManager {
 
     /// Releases every lock held by `txn`.
     pub fn release_all(&self, txn: TxnId) {
-        let keys = {
-            let mut held = self.held_of(txn).lock();
-            held.remove(&txn).unwrap_or_default()
-        };
+        let keys = self.held_of(txn).lock().remove(&txn).unwrap_or_default();
         for key in &keys {
-            let shard = self.shard_of(key);
-            let mut entries = shard.entries.lock();
-            let mut emptied = false;
-            if let Some(entry) = entries.get_mut(key) {
-                entry.release(txn);
-                emptied = entry.holders.is_empty();
-            }
-            if emptied {
-                entries.remove(key);
-            }
-            drop(entries);
-            shard.released.notify_all();
+            self.release(txn, key);
         }
     }
 
-    /// Keys currently locked by `txn`.
-    pub fn keys_held_by(&self, txn: TxnId) -> Vec<Key> {
-        self.held_of(txn)
-            .lock()
-            .get(&txn)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Total number of keys with at least one holder (diagnostics).
-    pub fn locked_key_count(&self) -> usize {
-        self.shards.iter().map(|s| s.entries.lock().len()).sum()
+    fn release(&self, txn: TxnId, key: &Key) {
+        let mut entries = self.shard_of(key).lock();
+        if let Some(entry) = entries.get_mut(key) {
+            entry.holders.retain(|h| h.txn != txn);
+            if entry.holders.is_empty() {
+                entries.remove(key);
+            }
+        }
     }
 }
 
@@ -238,7 +208,7 @@ mod tests {
     use crate::topology::Topology;
     use std::sync::Arc;
     use std::time::Duration;
-    use tebaldi_storage::{GroupId, TableId, TxnTypeId};
+    use tebaldi_storage::{GroupId, TableId, Timestamp, TxnTypeId};
 
     fn env(timeout_ms: u64) -> (NodeEnv, Arc<VecSink>) {
         let sink = Arc::new(VecSink::new());
@@ -261,6 +231,22 @@ mod tests {
 
     fn k(id: u64) -> Key {
         Key::simple(TableId(0), id)
+    }
+
+    impl LockManager {
+        /// Keys currently locked by `txn`.
+        fn keys_held_by(&self, txn: TxnId) -> Vec<Key> {
+            self.held_of(txn)
+                .lock()
+                .get(&txn)
+                .cloned()
+                .unwrap_or_default()
+        }
+
+        /// Total number of keys with at least one holder.
+        pub(crate) fn locked_key_count(&self) -> usize {
+            self.shards.iter().map(|s| s.lock().len()).sum()
+        }
     }
 
     #[test]
@@ -304,7 +290,9 @@ mod tests {
             lm2.acquire(&env2, &ctx(2), &k(7), 2, LockMode::Exclusive, "t")
         });
         std::thread::sleep(Duration::from_millis(30));
+        // T1's end as the engine runs it: release, then wake T1's waiters.
         lm.release_all(TxnId(1));
+        env.registry.mark_committed(TxnId(1), Timestamp(1));
         let blockers = waiter.join().unwrap().unwrap();
         assert_eq!(blockers, vec![TxnId(1)]);
         // The wait produced a blocking event attributed to T1.

@@ -109,6 +109,9 @@ pub struct TxnCtx {
     /// Ordering timestamp assigned by a timestamp-ordering mechanism at
     /// start time; the engine tags installed versions with it.
     pub order_ts: Option<Timestamp>,
+    /// Keys the transaction promises to write, set before the start phase
+    /// (TSO promises, §4.4.4; the leaf's `begin` registers them).
+    pub promised_keys: Vec<Key>,
     /// Set by a mechanism that wants the whole transaction aborted even if
     /// the current call cannot return an error (e.g. pivot marking).
     pub must_abort: bool,
@@ -129,6 +132,7 @@ impl TxnCtx {
             order_deps: HashSet::new(),
             write_keys: Vec::new(),
             order_ts: None,
+            promised_keys: Vec::new(),
             must_abort: false,
             ssi: Vec::new(),
         }
@@ -367,10 +371,6 @@ pub trait CcMechanism: Send + Sync {
     /// Execution phase: called after the engine installed a write of `key`.
     fn after_write(&self, _ctx: &mut TxnCtx, _lane: Lane, _key: &Key) {}
 
-    /// Start phase: keys the transaction promises to write (TSO promises,
-    /// §4.4.4). Default is to ignore promises.
-    fn promise_writes(&self, _ctx: &TxnCtx, _keys: &[Key]) {}
-
     /// Validation phase: decide whether the transaction may commit. The
     /// engine separately waits for the transaction's dependency set, so
     /// mechanisms only check their own conditions here.
@@ -386,6 +386,12 @@ pub trait CcMechanism: Send + Sync {
     /// the transaction — conflicting transactions discovered later abort
     /// themselves instead. Lock-based mechanisms are stable by construction
     /// and keep the default.
+    ///
+    /// A hook of its own, not part of [`validate`](CcMechanism::validate):
+    /// the engine's dependency wait runs between the two. `validate` must
+    /// run before it — TSO's feeds it the `order_deps` — and this one after
+    /// it: the vote is stable only once nothing, that wait included, can
+    /// still abort the transaction.
     fn mark_prepared(&self, _ctx: &mut TxnCtx, _lane: Lane) -> CcResult<()> {
         Ok(())
     }

@@ -15,13 +15,16 @@
 //! * a transaction's commit is delayed until every transaction it depends on
 //!   has committed (cascading-abort prevention / consistent ordering) —
 //!   enforced by the engine's dependency wait on the reported set.
+//!
+//! A step commit wakes exactly the transactions waiting on the advancing
+//! one ([`TxnRegistry::wake`](crate::registry::TxnRegistry::wake)).
 
 use crate::error::CcResult;
 use crate::lock::{LockManager, LockMode};
 use crate::mechanism::{visible_version, CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
 use crate::rp_analysis::RpPlan;
 use crate::wait::{self, Step, Wait};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use tebaldi_storage::{Chain, Key, Timestamp, TxnId, Version};
 
@@ -47,7 +50,6 @@ pub struct Rp {
     plan: RpPlan,
     locks: LockManager,
     shared: Mutex<RpShared>,
-    advanced: Condvar,
 }
 
 impl Rp {
@@ -58,13 +60,7 @@ impl Rp {
             plan,
             locks: LockManager::default(),
             shared: Mutex::new(RpShared::default()),
-            advanced: Condvar::new(),
         }
-    }
-
-    /// The pipeline plan (exposed for diagnostics and tests).
-    pub fn plan(&self) -> &RpPlan {
-        &self.plan
     }
 
     /// Advances `ctx.txn` to `target_step`, step-committing everything
@@ -81,25 +77,21 @@ impl Rp {
             state.current_step = target_step;
             (released, deps)
         };
-        // Step commit: release the previous step's locks and wake trailers.
+        // Step commit: release the previous step's locks and wake the
+        // transactions waiting on this one.
         self.locks.release_keys(ctx.txn, &released);
-        self.advanced.notify_all();
+        self.env.registry.wake(ctx.txn);
 
-        // Trailing rule: wait until every dependency has terminated or has
-        // entered `target_step` (or beyond).
-        Wait::at(&self.env, ctx, wait::PIPELINE_STEP).until(
-            &self.shared,
-            &self.advanced,
-            |shared| {
-                deps.retain(|dep| {
-                    let behind = |state: &RpTxnState| state.current_step < target_step;
-                    shared.txns.get(dep).is_some_and(behind)
-                        && self.env.registry.status(*dep).is_active()
-                });
-                deps.first()
-                    .map_or(Step::Done(()), |dep| Step::BlockedOn(*dep))
-            },
-        )
+        // Trailing rule: wait until every dependency has terminated (left
+        // the pipeline) or has entered `target_step` (or beyond).
+        let registry = &self.env.registry;
+        Wait::at(&self.env, ctx, wait::PIPELINE_STEP).until(|| {
+            let shared = self.shared.lock();
+            let behind = |state: &RpTxnState| state.current_step < target_step;
+            deps.retain(|dep| shared.txns.get(dep).is_some_and(behind));
+            deps.first()
+                .map_or(Step::Done(()), |dep| Step::BlockedOn(registry.ticket(*dep)))
+        })
     }
 
     fn operation(&self, ctx: &mut TxnCtx, lane: Lane, key: &Key, mode: LockMode) -> CcResult<()> {
@@ -138,15 +130,7 @@ impl Rp {
 
     fn cleanup(&self, txn: TxnId) {
         self.locks.release_all(txn);
-        let mut shared = self.shared.lock();
-        shared.txns.remove(&txn);
-        drop(shared);
-        self.advanced.notify_all();
-    }
-
-    /// Number of transactions currently in the pipeline (diagnostics).
-    pub fn active_count(&self) -> usize {
-        self.shared.lock().txns.len()
+        self.shared.lock().txns.remove(&txn);
     }
 }
 
@@ -234,6 +218,11 @@ mod tests {
             let mut shared = self.shared.lock();
             shared.txns.entry(txn).or_default().rp_deps.insert(dep);
         }
+
+        /// Number of transactions currently in the pipeline.
+        fn active_count(&self) -> usize {
+            self.shared.lock().txns.len()
+        }
     }
 
     #[test]
@@ -287,6 +276,7 @@ mod tests {
         // Let T1 advance to step 1 and finish; the trailer may then proceed.
         rp.before_write(&mut t1, Lane::leaf(), &k(1, 7)).unwrap();
         rp.finish(&mut t1, Lane::leaf(), Some(Timestamp(1)));
+        registry.mark_committed(TxnId(1), Timestamp(1));
         let t2 = trailer.join().unwrap();
         assert!(t2.deps.contains(&TxnId(1)));
     }

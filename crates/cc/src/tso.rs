@@ -7,9 +7,11 @@
 //! if a reader with a larger timestamp has already read the prior version.
 //!
 //! The paper adds the *promises* optimisation (inspired by Faleiro et al.):
-//! a transaction may declare at start time the keys it will write, and
+//! a transaction may declare at start time the keys it will write
+//! ([`TxnCtx::promised_keys`], registered by the leaf's `begin`), and
 //! readers with larger timestamps wait for the promised write (a
-//! [`cc::wait`](crate::wait)) instead of eventually aborting the writer.
+//! [`cc::wait`](crate::wait) on the promiser, woken by that write or by the
+//! promiser's end) instead of eventually aborting the writer.
 //!
 //! TSO is most efficient as a leaf mechanism (per-flight groups in SEATS,
 //! §4.6.2). As an inner node it would need batching like SSI; this
@@ -19,8 +21,9 @@
 
 use crate::error::{CcError, CcResult};
 use crate::mechanism::{visible_version, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
+use crate::topology::LaneSel;
 use crate::wait::{self, Step, Wait};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use tebaldi_storage::{Chain, Key, KeyMap, Timestamp, TxnId, Version};
 
@@ -38,7 +41,6 @@ struct TsoShared {
 pub struct Tso {
     env: NodeEnv,
     shared: Mutex<TsoShared>,
-    promise_cv: Condvar,
 }
 
 impl Tso {
@@ -47,24 +49,6 @@ impl Tso {
         Tso {
             env,
             shared: Mutex::new(TsoShared::default()),
-            promise_cv: Condvar::new(),
-        }
-    }
-
-    /// Registers promised write keys for a transaction (must be called after
-    /// `begin`). Readers with larger timestamps will wait for these writes
-    /// instead of forcing the writer to abort.
-    pub fn register_promises(&self, ctx: &TxnCtx, keys: &[Key]) {
-        let mut shared = self.shared.lock();
-        let Some(ts) = shared.txn_ts.get(&ctx.txn).copied() else {
-            return;
-        };
-        for key in keys {
-            shared
-                .promises
-                .entry(*key)
-                .or_default()
-                .push((ctx.txn, ts, false));
         }
     }
 
@@ -73,25 +57,29 @@ impl Tso {
     fn in_group(&self, reader: TxnId, lane: Lane, writer: TxnId) -> bool {
         writer == reader || self.env.same_group(lane, writer)
     }
-
-    /// Number of active transactions (diagnostics).
-    pub fn active_count(&self) -> usize {
-        self.shared.lock().txn_ts.len()
-    }
 }
 
 impl CcMechanism for Tso {
-    fn begin(&self, ctx: &mut TxnCtx, _lane: Lane) -> CcResult<()> {
+    fn begin(&self, ctx: &mut TxnCtx, lane: Lane) -> CcResult<()> {
         let ts = self.env.oracle.issue();
-        self.shared.lock().txn_ts.insert(ctx.txn, ts);
+        let mut shared = self.shared.lock();
+        shared.txn_ts.insert(ctx.txn, ts);
+        // Promises are the leaf's: readers with larger timestamps will wait
+        // for these writes instead of forcing the writer to abort.
+        if lane.sel == LaneSel::Leaf {
+            for key in &ctx.promised_keys {
+                shared
+                    .promises
+                    .entry(*key)
+                    .or_default()
+                    .push((ctx.txn, ts, false));
+            }
+        }
+        drop(shared);
         // The engine tags installed versions with the ordering timestamp so
         // the storage layer keeps the chain in serialization order.
         ctx.order_ts = Some(ts);
         Ok(())
-    }
-
-    fn promise_writes(&self, ctx: &TxnCtx, keys: &[Key]) {
-        self.register_promises(ctx, keys);
     }
 
     fn before_read(&self, ctx: &mut TxnCtx, _lane: Lane, key: &Key) -> CcResult<()> {
@@ -99,23 +87,22 @@ impl CcMechanism for Tso {
         // promised a write to this key and has not performed it yet, wait
         // for it instead of reading an older version (which would later
         // force the promiser to abort).
-        Wait::at(&self.env, ctx, wait::PROMISED_WRITE).until(
-            &self.shared,
-            &self.promise_cv,
-            |shared| {
-                let Some(my_ts) = shared.txn_ts.get(&ctx.txn).copied() else {
-                    return Step::Done(());
-                };
-                let pending = shared.promises.get(key).and_then(|list| {
-                    list.iter()
-                        .find(|(writer, wts, fulfilled)| {
-                            !*fulfilled && *wts < my_ts && *writer != ctx.txn
-                        })
-                        .map(|(writer, _, _)| *writer)
-                });
-                pending.map_or(Step::Done(()), Step::BlockedOn)
-            },
-        )
+        Wait::at(&self.env, ctx, wait::PROMISED_WRITE).until(|| {
+            let shared = self.shared.lock();
+            let Some(my_ts) = shared.txn_ts.get(&ctx.txn).copied() else {
+                return Step::Done(());
+            };
+            let pending = shared.promises.get(key).and_then(|list| {
+                list.iter()
+                    .find(|(writer, wts, fulfilled)| {
+                        !*fulfilled && *wts < my_ts && *writer != ctx.txn
+                    })
+                    .map(|(writer, _, _)| *writer)
+            });
+            pending.map_or(Step::Done(()), |writer| {
+                Step::BlockedOn(self.env.registry.ticket(writer))
+            })
+        })
     }
 
     fn validate_write(
@@ -186,13 +173,20 @@ impl CcMechanism for Tso {
         // Mark our promise on this key (if any) as fulfilled only after the
         // version is actually installed, so a woken reader cannot pick an
         // older version in the gap.
+        let mut fulfilled = false;
         if let Some(list) = shared.promises.get_mut(key) {
-            for entry in list.iter_mut().filter(|(w, _, _)| *w == ctx.txn) {
+            for entry in list
+                .iter_mut()
+                .filter(|(w, _, done)| *w == ctx.txn && !*done)
+            {
                 entry.2 = true;
+                fulfilled = true;
             }
         }
         drop(shared);
-        self.promise_cv.notify_all();
+        if fulfilled {
+            self.env.registry.wake(ctx.txn);
+        }
     }
 
     fn validate(&self, ctx: &mut TxnCtx, _lane: Lane) -> CcResult<()> {
@@ -281,8 +275,6 @@ impl Tso {
         for key in emptied {
             shared.promises.remove(&key);
         }
-        drop(shared);
-        self.promise_cv.notify_all();
     }
 }
 
@@ -311,6 +303,13 @@ mod tests {
 
     fn k(id: u64) -> Key {
         Key::simple(TableId(0), id)
+    }
+
+    impl Tso {
+        /// Number of active transactions.
+        fn active_count(&self) -> usize {
+            self.shared.lock().txn_ts.len()
+        }
     }
 
     /// A read of `key` by `ctx` at the leaf.
@@ -403,8 +402,8 @@ mod tests {
         let (tso, _registry) = setup();
         let tso = StdArc::new(tso);
         let mut writer = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
+        writer.promised_keys = vec![k(5)];
         tso.begin(&mut writer, Lane::leaf()).unwrap();
-        tso.register_promises(&writer, &[k(5)]);
 
         let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         tso.begin(&mut reader, Lane::leaf()).unwrap();
@@ -453,8 +452,8 @@ mod tests {
     fn promise_wait_times_out_if_never_written() {
         let (tso, _registry) = setup();
         let mut writer = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
+        writer.promised_keys = vec![k(6)];
         tso.begin(&mut writer, Lane::leaf()).unwrap();
-        tso.register_promises(&writer, &[k(6)]);
         let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         tso.begin(&mut reader, Lane::leaf()).unwrap();
         let err = tso
@@ -464,6 +463,17 @@ mod tests {
         // Aborting the promiser releases the promise.
         tso.finish(&mut writer, Lane::leaf(), None);
         assert!(tso.before_read(&mut reader, Lane::leaf(), &k(6)).is_ok());
+    }
+
+    #[test]
+    fn only_the_leaf_registers_promises() {
+        let (tso, _registry) = setup();
+        let mut writer = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
+        writer.promised_keys = vec![k(8)];
+        tso.begin(&mut writer, Lane::child(0)).unwrap();
+        let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
+        tso.begin(&mut reader, Lane::child(0)).unwrap();
+        assert!(tso.before_read(&mut reader, Lane::child(0), &k(8)).is_ok());
     }
 
     #[test]

@@ -36,11 +36,6 @@ impl TwoPl {
             locks: LockManager::default(),
         }
     }
-
-    /// Number of currently locked keys (diagnostics).
-    pub fn locked_keys(&self) -> usize {
-        self.locks.locked_key_count()
-    }
 }
 
 impl CcMechanism for TwoPl {
@@ -123,7 +118,7 @@ mod tests {
         // Now the other child can acquire it.
         cc.before_write(&mut c, Lane::child(1), &key(1)).unwrap();
         cc.finish(&mut c, Lane::child(1), None);
-        assert_eq!(cc.locked_keys(), 0);
+        assert_eq!(cc.locks.locked_key_count(), 0);
     }
 
     #[test]

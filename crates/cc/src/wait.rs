@@ -5,23 +5,24 @@
 //! wait (§4.4.4) and the commit-order wait that makes a parent adopt its
 //! child's order (§4.2.2) — is the same act: *transaction A sleeps until
 //! transaction B makes progress or a deadline passes*. [`Wait::until`] is
-//! that act, and the only place in this crate that sleeps on a condition
-//! variable, builds a [`CcError::Timeout`] or constructs a
-//! [`BlockingEvent`].
+//! that act, and the only place in this crate that puts a transaction to
+//! sleep, builds a [`CcError::Timeout`] or constructs a [`BlockingEvent`].
 //!
-//! A mechanism keeps its state, its `Condvar` and its wake-up sites; it
-//! hands the sleeping side here as a *step* evaluated under its lock, which
-//! either finishes or names **the transaction currently in the way**. The
-//! waiter → blocker edge is therefore known at the single place a
-//! transaction sleeps — where a wait-for / wound-wait policy or a stall
-//! watchdog would read it. Today's policy is the paper's: wait, bounded by
-//! `wait_timeout`.
+//! A mechanism keeps only its state. It hands the sleeping side here as a
+//! *step*: a closure that takes the mechanism's own lock and either
+//! finishes or names **the transaction currently in the way**, as a
+//! [`Ticket`] read from the [`TxnRegistry`] while that lock is still held.
+//! The waiter then sleeps on the blocker's parking spot in the registry,
+//! holding no lock, and only the blocker moving wakes it (the registry's
+//! module docs list the moves and why no wake-up is lost). The waiter →
+//! blocker edges are the registry's wait-for graph — where a wound-wait
+//! policy or a stall watchdog would read them. Today's policy is the
+//! paper's: wait, bounded by `wait_timeout`.
 
 use crate::error::{CcError, CcResult};
 use crate::events::{BlockingEvent, EventSink};
 use crate::mechanism::{CcKind, NodeEnv, TxnCtx};
-use crate::registry::TxnRegistry;
-use parking_lot::{Condvar, Mutex};
+use crate::registry::{Ticket, TxnRegistry};
 use std::time::{Duration, Instant};
 use tebaldi_storage::{NodeId, TxnId, TxnTypeId};
 
@@ -43,8 +44,9 @@ pub const DEPENDENCY_COMMIT: Label = ("registry", "dependency commit");
 pub enum Step<T> {
     /// The wait is over, with this result (e.g. "lock granted").
     Done(T),
-    /// This transaction is in the way.
-    BlockedOn(TxnId),
+    /// This transaction is in the way ([`TxnRegistry::ticket`], taken under
+    /// the lock that showed it).
+    BlockedOn(Ticket),
 }
 
 /// One bounded wait of the transaction in `ctx`.
@@ -98,38 +100,30 @@ impl<'a> Wait<'a> {
         )
     }
 
-    /// Evaluates `step` under `state`'s lock until it is [`Step::Done`],
-    /// sleeping on `wake` whenever it names a blocker and re-evaluating
-    /// after every wake-up (and once more when the deadline passes).
-    /// Fails with the wait's [`CcError::Timeout`] when the deadline passes
-    /// first.
+    /// Evaluates `step` until it is [`Step::Done`], parking on the named
+    /// blocker whenever it blocks and re-evaluating after every wake-up
+    /// (and once more when the deadline passes). Fails with the wait's
+    /// [`CcError::Timeout`] when the deadline passes first.
     ///
-    /// A call that slept emits exactly one [`BlockingEvent`] — from its
-    /// first block to its return, attributed to its first blocker — after
-    /// the lock is released, and only when the sink is enabled.
-    pub fn until<S, T>(
-        &mut self,
-        state: &Mutex<S>,
-        wake: &Condvar,
-        mut step: impl FnMut(&mut S) -> Step<T>,
-    ) -> CcResult<T> {
-        let mut guard = state.lock();
+    /// A call that blocked emits exactly one [`BlockingEvent`] — from its
+    /// first block to its return, attributed to its first blocker — and
+    /// only when the sink is enabled.
+    pub fn until<T>(&mut self, mut step: impl FnMut() -> Step<T>) -> CcResult<T> {
         let mut slept: Option<(TxnId, Instant)> = None;
         let mut timed_out = false;
         let result = loop {
-            let blocker = match step(&mut guard) {
+            let ticket = match step() {
                 Step::Done(value) => break Ok(value),
-                Step::BlockedOn(blocker) => blocker,
+                Step::BlockedOn(ticket) => ticket,
             };
             if timed_out {
                 let (mechanism, what) = self.label;
                 break Err(CcError::Timeout { mechanism, what });
             }
-            let (_, since) = *slept.get_or_insert_with(|| (blocker, Instant::now()));
+            let (_, since) = *slept.get_or_insert_with(|| (ticket.blocker(), Instant::now()));
             let deadline = *self.deadline.get_or_insert(since + self.timeout);
-            timed_out = wake.wait_until(&mut guard, deadline).timed_out();
+            timed_out = self.registry.park(self.ctx.txn, ticket, deadline);
         };
-        drop(guard);
         if let Some((blocking, start)) = slept.filter(|_| self.events.enabled()) {
             self.events.record(BlockingEvent {
                 blocked: self.ctx.txn,
@@ -159,12 +153,13 @@ mod tests {
     use crate::rp_analysis::analyze;
     use crate::topology::Topology;
     use crate::tso::Tso;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use tebaldi_storage::{GroupId, Key, TableId, Timestamp};
 
     /// The waiter (T2), the transaction in its way (T1) and a bystander
-    /// whose activity wakes the sleeper without unblocking it (T3); the
-    /// type of `TxnId(n)` is `TxnTypeId(10 + n)`.
+    /// whose activity touches the waiter's shard without unblocking it
+    /// (T3); the type of `TxnId(n)` is `TxnTypeId(10 + n)`.
     const T1: TxnId = TxnId(1);
     const T2: TxnId = TxnId(2);
     const T3: TxnId = TxnId(3);
@@ -197,7 +192,7 @@ mod tests {
         label: Label,
         /// T2's wait.
         block: Box<dyn Fn() -> CcResult<()> + Send + Sync>,
-        /// A wake-up that changes nothing for T2.
+        /// Progress of a bystander, which changes nothing for T2.
         nudge: Box<dyn Fn() + Send + Sync>,
         /// The progress of T1 that T2 waits for.
         release: Box<dyn Fn() + Send + Sync>,
@@ -206,13 +201,13 @@ mod tests {
 
     fn lock_case(timeout_ms: u64) -> Case {
         let (env, sink) = env(timeout_ms);
-        // One shard: every release wakes every waiter of the table.
+        // One shard: T3's release is on T2's lock shard.
         let locks = Arc::new(LockManager::new(1));
         let exclusive = |locks: &LockManager, env: &NodeEnv, txn: TxnId, key: Key| {
             locks.acquire(env, &ctx(txn), &key, txn.0, LockMode::Exclusive, "2PL")
         };
         exclusive(&locks, &env, T1, k(0, 1)).unwrap();
-        let (l1, l2, e1, e2) = (locks.clone(), locks.clone(), env.clone(), env);
+        let (l1, l2, e1, e2) = (locks.clone(), locks.clone(), env.clone(), env.clone());
         Case {
             label: ("2PL", LOCK),
             block: Box::new(move || exclusive(&l1, &e1, T2, k(0, 1)).map(drop)),
@@ -220,7 +215,11 @@ mod tests {
                 exclusive(&l2, &e2, T3, k(0, 2)).unwrap();
                 l2.release_all(T3);
             }),
-            release: Box::new(move || locks.release_all(T1)),
+            // What the engine does at T1's end: release, then wake.
+            release: Box::new(move || {
+                locks.release_all(T1);
+                env.registry.mark_committed(T1, Timestamp(1));
+            }),
             sink,
         }
     }
@@ -260,8 +259,9 @@ mod tests {
         let (env, sink) = env(timeout_ms);
         let tso = Arc::new(Tso::new(env));
         // T1 (the smaller timestamp) promised the key T2 wants to read.
-        tso.begin(&mut ctx(T1), Lane::leaf()).unwrap();
-        tso.promise_writes(&ctx(T1), &[k(0, 1)]);
+        let mut promiser = ctx(T1);
+        promiser.promised_keys = vec![k(0, 1)];
+        tso.begin(&mut promiser, Lane::leaf()).unwrap();
         tso.begin(&mut ctx(T2), Lane::leaf()).unwrap();
         let (tso1, tso2) = (tso.clone(), tso.clone());
         Case {
@@ -381,5 +381,107 @@ mod tests {
         // One event per dependency that was waited for.
         let blockers: Vec<TxnId> = sink.drain().iter().map(|e| e.blocking).collect();
         assert_eq!(blockers, vec![T1, T3]);
+    }
+
+    /// How often T2's wait on T1 evaluates `step`: up to `release` — with
+    /// three bystander `nudge`s while it sleeps — and in total.
+    fn evaluations<T>(
+        env: &NodeEnv,
+        step: impl Fn() -> Step<T> + Sync,
+        nudge: impl Fn(),
+        release: impl FnOnce(),
+    ) -> (usize, usize) {
+        let count = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let t2 = ctx(T2);
+                let mut wait = Wait::at(env, &t2, DEPENDENCY_COMMIT);
+                wait.until(|| {
+                    count.fetch_add(1, Ordering::Relaxed);
+                    step()
+                })
+                .is_ok()
+            });
+            while env.registry.wait_for() != [(T2, T1)] {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            for _ in 0..3 {
+                nudge();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let before = count.load(Ordering::Relaxed);
+            release();
+            assert!(waiter.join().unwrap());
+            (before, count.load(Ordering::Relaxed))
+        })
+    }
+
+    #[test]
+    fn a_bystander_moving_evaluates_no_sleeping_step() {
+        // A commit on T1's directory shard.
+        let (deps, _) = env(10_000);
+        let neighbour = TxnId(T1.0 + 64);
+        deps.registry.register(neighbour, TxnTypeId(0), GroupId(0));
+        let evaluated = evaluations(
+            &deps,
+            || deps.registry.finished(T1),
+            || deps.registry.mark_committed(neighbour, Timestamp(1)),
+            || deps.registry.mark_committed(T1, Timestamp(2)),
+        );
+        assert_eq!(evaluated, (1, 2), "dependency wait");
+
+        // A lock released, and its holder's end, on T2's lock shard.
+        let (lock_env, _) = env(10_000);
+        let locks = LockManager::new(1);
+        let exclusive = |txn: TxnId, key: Key| {
+            locks
+                .acquire(
+                    &lock_env,
+                    &ctx(txn),
+                    &key,
+                    txn.0,
+                    LockMode::Exclusive,
+                    "2PL",
+                )
+                .unwrap()
+        };
+        exclusive(T1, k(0, 1));
+        let registry = &lock_env.registry;
+        let evaluated = evaluations(
+            &lock_env,
+            || locks.request(registry, T2, &k(0, 1), T2.0, LockMode::Exclusive),
+            || {
+                exclusive(T3, k(0, 2));
+                locks.release_all(T3);
+                registry.mark_committed(T3, Timestamp(1));
+            },
+            || {
+                locks.release_all(T1);
+                registry.mark_committed(T1, Timestamp(2));
+            },
+        );
+        assert_eq!(evaluated, (1, 2), "lock wait");
+    }
+
+    #[test]
+    fn a_blocker_that_moves_after_the_ticket_is_not_slept_on() {
+        let (env, _) = env(10_000);
+        let waiter = ctx(T2);
+        let (mut moved, mut evaluated) = (false, 0);
+        let started = Instant::now();
+        let result = Wait::at(&env, &waiter, DEPENDENCY_COMMIT).until(|| {
+            evaluated += 1;
+            if moved {
+                return Step::Done(());
+            }
+            let ticket = env.registry.ticket(T1);
+            // T1 moves between the decision and the sleep.
+            env.registry.wake(T1);
+            moved = true;
+            Step::BlockedOn(ticket)
+        });
+        assert_eq!(result, Ok(()));
+        assert_eq!(evaluated, 2);
+        assert!(started.elapsed() < Duration::from_millis(500));
     }
 }

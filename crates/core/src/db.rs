@@ -422,12 +422,7 @@ impl Database {
         }
 
         let mut txn = Txn::new(self, &tree, txn_id, call.ty, group);
-        let outcome = txn.begin().and_then(|()| {
-            if !call.promised_keys.is_empty() {
-                txn.promise_writes(&call.promised_keys);
-            }
-            run(&mut txn)
-        });
+        let outcome = txn.begin(&call.promised_keys).and_then(|()| run(&mut txn));
         match outcome {
             Ok(value) => Ok(epilogue(txn, value, gate_group, gc_epoch)),
             Err(err) => {

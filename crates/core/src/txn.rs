@@ -13,9 +13,10 @@
 //! Commit runs validation top-down, then waits for the transaction's
 //! dependency set (the adoption strategy that makes 2PL/RP respect their
 //! children's ordering, §4.2.2 — one [`tebaldi_cc::wait`] over the whole
-//! set), then installs the commit in storage, notifies durability, and
-//! finally runs every mechanism's `finish` leaf→root so resources are
-//! released only after the new versions are visible.
+//! set), then installs the commit in storage, notifies durability, runs
+//! every mechanism's `finish` leaf→root so resources are released only after
+//! the new versions are visible, and finally marks the transaction finished
+//! in the registry, which wakes the transactions waiting on it.
 
 use crate::db::Database;
 use tebaldi_cc::wait::{Wait, DEPENDENCY_COMMIT};
@@ -83,22 +84,17 @@ impl<'a> Txn<'a> {
         self.ctx.group
     }
 
-    /// Start phase: top-down pass over the path.
-    pub(crate) fn begin(&mut self) -> CcResult<()> {
+    /// Start phase: top-down pass over the path, for a transaction that
+    /// promises to write `promised_keys`.
+    pub(crate) fn begin(&mut self, promised_keys: &[Key]) -> CcResult<()> {
         if self.path.is_empty() {
             return Err(CcError::Internal("empty CC path".to_string()));
         }
+        self.ctx.promised_keys = promised_keys.to_vec();
         for entry in self.path {
             entry.mechanism.begin(&mut self.ctx, entry.lane)?;
         }
         Ok(())
-    }
-
-    /// Registers promised write keys with the leaf mechanism.
-    pub(crate) fn promise_writes(&mut self, keys: &[Key]) {
-        if let Some(leaf) = self.path.last() {
-            leaf.mechanism.promise_writes(&self.ctx, keys);
-        }
     }
 
     /// Reads a key. Returns `None` when the key has never been written (or
@@ -434,12 +430,12 @@ fn apply_commit_inner(
         harden = db.durability.read_barrier();
     }
 
-    // Make the new versions visible, then mark the transaction committed
-    // (which wakes dependency waiters), then let mechanisms release
-    // their resources leaf→root.
+    // Make the new versions visible, let mechanisms release their resources
+    // leaf→root, then mark the transaction committed — which wakes every
+    // transaction waiting on it, lock waiters included, so it must come
+    // after the locks are gone.
     db.store
         .commit_writes_stamped(ctx.txn, &ctx.write_keys, commit_ts, hlc);
-    db.registry.mark_committed(ctx.txn, commit_ts);
     db.oracle.end_commit(commit_ts);
     if let Some(history) = &db.history {
         history.commit(ctx.txn, commit_ts);
@@ -447,20 +443,21 @@ fn apply_commit_inner(
     for entry in path.iter().rev() {
         entry.mechanism.finish(ctx, entry.lane, Some(commit_ts));
     }
+    db.registry.mark_committed(ctx.txn, commit_ts);
     (commit_ts, harden)
 }
 
-/// Applies an abort: discards writes, marks the transaction aborted, and
-/// releases every mechanism resource leaf→root.
+/// Applies an abort: discards writes, releases every mechanism resource
+/// leaf→root, then marks the transaction aborted (waking its waiters).
 pub(crate) fn apply_abort(db: &Database, path: &[PathEntry], ctx: &mut TxnCtx) {
     db.store.abort_writes(ctx.txn, &ctx.write_keys);
-    db.registry.mark_aborted(ctx.txn);
     if let Some(history) = &db.history {
         history.abort(ctx.txn);
     }
     for entry in path.iter().rev() {
         entry.mechanism.finish(ctx, entry.lane, None);
     }
+    db.registry.mark_aborted(ctx.txn);
 }
 
 /// The transaction's writes with the values they will commit, each key

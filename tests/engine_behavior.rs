@@ -1,9 +1,13 @@
 //! Engine-level behavioural tests: garbage collection, read-only
 //! non-blocking behaviour under the SSI root, cascading-abort prevention,
-//! and partition-by-instance group routing.
+//! partition-by-instance group routing, and who wakes whom.
 
+use std::sync::mpsc;
 use std::sync::Arc;
-use tebaldi_suite::cc::{AccessMode, CcKind, CcNodeSpec, CcTreeSpec, ProcedureInfo, ProcedureSet};
+use std::time::{Duration, Instant};
+use tebaldi_suite::cc::{
+    AccessMode, CcError, CcKind, CcNodeSpec, CcTreeSpec, ProcedureInfo, ProcedureSet,
+};
 use tebaldi_suite::core::{Database, DbConfig, ProcedureCall};
 use tebaldi_suite::storage::{Key, TableId, TxnTypeId, Value};
 
@@ -202,9 +206,7 @@ fn cascading_aborts_do_not_lose_committed_state() {
 
 #[test]
 fn dependency_wait_is_bounded_once_and_visible_to_the_profiler() {
-    use std::sync::mpsc;
-    use std::time::{Duration, Instant};
-    use tebaldi_suite::cc::{CcError, VecSink};
+    use tebaldi_suite::cc::VecSink;
 
     // A TSO group exposes uncommitted writes and orders commits by
     // timestamp, so a reader depends on every earlier writer still active.
@@ -293,5 +295,140 @@ fn dependency_wait_is_bounded_once_and_visible_to_the_profiler() {
         let _ = release.send(());
         let _ = writer.join().unwrap();
     }
+    db.shutdown();
+}
+
+/// A monolithic database of `kind` whose waits are bounded by 10 s: a
+/// missed wake-up shows as a stall long past every bound below.
+fn patient_db(kind: CcKind) -> Arc<Database> {
+    Arc::new(
+        Database::builder(DbConfig {
+            wait_timeout_ms: 10_000,
+            ..DbConfig::for_tests()
+        })
+        .procedures(procedures())
+        .cc_spec(CcTreeSpec::monolithic(kind, vec![UPDATE, READ]))
+        .build()
+        .unwrap(),
+    )
+}
+
+/// Polls until some transaction of `db` is asleep on another.
+fn await_a_sleeper(db: &Database) {
+    let started = Instant::now();
+    while db.registry().wait_for().is_empty() {
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "nobody fell asleep"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn a_lock_holders_end_wakes_its_waiter() {
+    // T1 takes the contended key last of many, so its finish releases it
+    // last, milliseconds after its first release: a wake-up sent before the
+    // locks are gone finds the key still held, and T2 sleeps to its deadline.
+    let db = patient_db(CcKind::TwoPl);
+    let key = Key::simple(TABLE, 11);
+    let (held_tx, held_rx) = mpsc::channel();
+    let (go_tx, go_rx) = mpsc::channel::<()>();
+    let holder = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            db.execute(&ProcedureCall::new(UPDATE), |txn| {
+                for filler in 1_000..21_000 {
+                    txn.put(Key::simple(TABLE, filler), Value::Int(0))?;
+                }
+                txn.put(key, Value::Int(1))?;
+                held_tx.send(()).unwrap();
+                go_rx.recv().unwrap();
+                Ok(())
+            })
+            .unwrap();
+            Instant::now()
+        })
+    };
+    held_rx.recv().unwrap();
+    let waiter = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            db.execute(&ProcedureCall::new(UPDATE), |txn| {
+                txn.put(key, Value::Int(2))
+            })
+            .unwrap();
+            Instant::now()
+        })
+    };
+    await_a_sleeper(&db);
+    go_tx.send(()).unwrap();
+    let holder_done = holder.join().unwrap();
+    let waiter_done = waiter.join().unwrap();
+    let lag = waiter_done.saturating_duration_since(holder_done);
+    assert!(lag < Duration::from_millis(200), "{lag:?}");
+    db.shutdown();
+}
+
+#[test]
+fn compaction_does_not_turn_an_aborted_dependency_into_a_committed_one() {
+    // TSO exposes T1's uncommitted write to the later T2; T1 aborts and a
+    // GC cycle compacts the directory before T2 commits.
+    let db = patient_db(CcKind::Tso);
+    let key = Key::simple(TABLE, 12);
+    db.load(key, Value::Int(0));
+    let (wrote_tx, wrote_rx) = mpsc::channel();
+    let (abort_tx, abort_rx) = mpsc::channel::<()>();
+    let writer = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            db.execute(&ProcedureCall::new(UPDATE), |txn| {
+                txn.put(key, Value::Int(1))?;
+                wrote_tx.send(()).unwrap();
+                abort_rx.recv().unwrap();
+                Err::<(), _>(txn.request_abort())
+            })
+        })
+    };
+    wrote_rx.recv().unwrap();
+    let outcome = db.execute(&ProcedureCall::new(READ), |txn| {
+        assert_eq!(txn.get(key)?, Some(Value::Int(1)));
+        abort_tx.send(()).unwrap();
+        assert_eq!(writer.join().unwrap(), Err(CcError::Requested));
+        db.run_gc_cycle();
+        Ok(())
+    });
+    assert_eq!(outcome, Err(CcError::DependencyAborted));
+    db.shutdown();
+}
+
+#[test]
+fn a_later_reader_waits_for_a_promised_write_and_reads_it() {
+    let db = patient_db(CcKind::Tso);
+    let key = Key::simple(TABLE, 13);
+    db.load(key, Value::Int(0));
+    let (began_tx, began_rx) = mpsc::channel();
+    let (go_tx, go_rx) = mpsc::channel::<()>();
+    let promiser = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            let call = ProcedureCall::new(UPDATE).with_promises(vec![key]);
+            db.execute(&call, |txn| {
+                began_tx.send(()).unwrap();
+                go_rx.recv().unwrap();
+                txn.put(key, Value::Int(7))
+            })
+        })
+    };
+    began_rx.recv().unwrap();
+    let reader = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || db.execute(&ProcedureCall::new(READ), |txn| txn.get(key)))
+    };
+    // The reader sleeps on the promiser before the promised write exists.
+    await_a_sleeper(&db);
+    go_tx.send(()).unwrap();
+    assert_eq!(promiser.join().unwrap(), Ok(()));
+    assert_eq!(reader.join().unwrap(), Ok(Some(Value::Int(7))));
     db.shutdown();
 }
