@@ -22,6 +22,8 @@
 //! * [`registry`] — the shared transaction directory (status, type, group)
 //!   used for dependency waiting and group membership tests,
 //! * [`lock`] — the group-aware lock manager shared by 2PL and RP,
+//! * [`error`] — the closed list of abort causes: [`CcError`], the
+//!   [`WaitLabel`] of a timeout and the [`Reason`] of a conflict,
 //! * [`wait`] — the one bounded wait every blocking rule goes through
 //!   (lock, pipeline step, promise, commit order), with its deadline, its
 //!   timeout error and its blocking event,
@@ -50,7 +52,7 @@ pub mod tso;
 pub mod twopl;
 pub mod wait;
 
-pub use error::{CcError, CcResult};
+pub use error::{CcError, CcResult, Reason, WaitLabel};
 pub use events::{BlockingEvent, EventSink, NullSink, VecSink};
 pub use mechanism::{CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
 pub use oracle::TsOracle;

@@ -15,10 +15,10 @@
 //! wakes its waiters through the [`TxnRegistry`], so an uncontended acquire
 //! or release touches no registry lock.
 
-use crate::error::CcResult;
-use crate::mechanism::{NodeEnv, TxnCtx};
+use crate::error::{CcResult, WaitLabel};
+use crate::mechanism::{CcKind, NodeEnv, TxnCtx};
 use crate::registry::TxnRegistry;
-use crate::wait::{self, Step, Wait};
+use crate::wait::{Step, Wait};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use tebaldi_storage::{Key, KeyMap, TxnId};
@@ -75,6 +75,9 @@ type Shard = Mutex<KeyMap<LockEntry>>;
 
 /// A lock table.
 pub struct LockManager {
+    /// The mechanism whose table this is: its lock waits time out as
+    /// [`WaitLabel::Lock`]`(owner)`.
+    owner: CcKind,
     shards: Vec<Shard>,
     held: Vec<Mutex<HashMap<TxnId, Vec<Key>>>>,
 }
@@ -82,22 +85,30 @@ pub struct LockManager {
 impl std::fmt::Debug for LockManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LockManager")
+            .field("owner", &self.owner)
             .field("shards", &self.shards.len())
             .finish()
     }
 }
 
 impl Default for LockManager {
+    /// 2PL's lock table.
     fn default() -> Self {
-        LockManager::new(64)
+        LockManager::owned_by(CcKind::TwoPl)
     }
 }
 
 impl LockManager {
-    /// Creates a lock table with the given number of shards.
-    pub fn new(shards: usize) -> Self {
+    /// The lock table of mechanism `owner`.
+    pub fn owned_by(owner: CcKind) -> Self {
+        LockManager::new(owner, 64)
+    }
+
+    /// The lock table of mechanism `owner`, with the given number of shards.
+    pub fn new(owner: CcKind, shards: usize) -> Self {
         assert!(shards > 0);
         LockManager {
+            owner,
             shards: (0..shards).map(|_| Mutex::new(KeyMap::default())).collect(),
             held: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
         }
@@ -118,6 +129,9 @@ impl LockManager {
     /// Returns the transactions that were holding a conflicting lock while
     /// the request had to wait — callers such as runtime pipelining turn
     /// these into pipeline dependencies.
+    ///
+    /// The trailing label is ignored (the table's owner names its waits);
+    /// only the benchmark's frozen lock probe still passes one.
     pub fn acquire(
         &self,
         env: &NodeEnv,
@@ -125,10 +139,10 @@ impl LockManager {
         key: &Key,
         lane: u64,
         mode: LockMode,
-        mechanism: &'static str,
+        _label: &'static str,
     ) -> CcResult<Vec<TxnId>> {
         let mut blockers: Vec<TxnId> = Vec::new();
-        let newly = Wait::at(env, ctx, (mechanism, wait::LOCK)).until(|| {
+        let newly = Wait::at(env, ctx, WaitLabel::Lock(self.owner)).until(|| {
             let step = self.request(&env.registry, ctx.txn, key, lane, mode);
             if let Step::BlockedOn(ticket) = &step {
                 if !blockers.contains(&ticket.blocker()) {
@@ -273,7 +287,7 @@ mod tests {
         let err = lm
             .acquire(&env, &ctx(3), &k(1), 1, LockMode::Exclusive, "t")
             .unwrap_err();
-        assert!(matches!(err, CcError::Timeout { .. }));
+        assert_eq!(err, CcError::Timeout(WaitLabel::Lock(CcKind::TwoPl)));
     }
 
     #[test]

@@ -331,9 +331,9 @@ impl TxnRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::WaitLabel;
     use crate::events::NullSink;
     use crate::mechanism::TxnCtx;
-    use crate::wait::DEPENDENCY_COMMIT;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
     use tebaldi_storage::NodeId;
@@ -408,7 +408,7 @@ mod tests {
             NodeId(0),
             Duration::from_millis(timeout_ms),
             ctx,
-            DEPENDENCY_COMMIT,
+            WaitLabel::DependencyCommit,
         )
     }
 

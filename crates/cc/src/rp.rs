@@ -19,11 +19,11 @@
 //! A step commit wakes exactly the transactions waiting on the advancing
 //! one ([`TxnRegistry::wake`](crate::registry::TxnRegistry::wake)).
 
-use crate::error::CcResult;
+use crate::error::{CcResult, WaitLabel};
 use crate::lock::{LockManager, LockMode};
 use crate::mechanism::{visible_version, CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
 use crate::rp_analysis::RpPlan;
-use crate::wait::{self, Step, Wait};
+use crate::wait::{Step, Wait};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use tebaldi_storage::{Chain, Key, Timestamp, TxnId, Version};
@@ -58,7 +58,7 @@ impl Rp {
         Rp {
             env,
             plan,
-            locks: LockManager::default(),
+            locks: LockManager::owned_by(CcKind::Rp),
             shared: Mutex::new(RpShared::default()),
         }
     }
@@ -85,7 +85,7 @@ impl Rp {
         // Trailing rule: wait until every dependency has terminated (left
         // the pipeline) or has entered `target_step` (or beyond).
         let registry = &self.env.registry;
-        Wait::at(&self.env, ctx, wait::PIPELINE_STEP).until(|| {
+        Wait::at(&self.env, ctx, WaitLabel::PipelineStep).until(|| {
             let shared = self.shared.lock();
             let behind = |state: &RpTxnState| state.current_step < target_step;
             deps.retain(|dep| shared.txns.get(dep).is_some_and(behind));
@@ -108,14 +108,9 @@ impl Rp {
         };
         self.advance_to(ctx, target)?;
 
-        let blockers = self.locks.acquire(
-            &self.env,
-            ctx,
-            key,
-            lane.lock_lane(ctx.txn),
-            mode,
-            CcKind::Rp.name(),
-        )?;
+        let blockers =
+            self.locks
+                .acquire(&self.env, ctx, key, lane.lock_lane(ctx.txn), mode, "")?;
         let mut shared = self.shared.lock();
         let state = shared.txns.entry(ctx.txn).or_default();
         state.step_keys.push(*key);
@@ -295,7 +290,7 @@ mod tests {
         let err = rp
             .before_write(&mut t2, Lane::leaf(), &k(0, 3))
             .unwrap_err();
-        assert!(matches!(err, CcError::Timeout { .. }));
+        assert_eq!(err, CcError::Timeout(WaitLabel::Lock(CcKind::Rp)));
         rp.finish(&mut t2, Lane::leaf(), None);
         rp.finish(&mut t1, Lane::leaf(), None);
     }

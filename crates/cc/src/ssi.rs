@@ -51,7 +51,7 @@
 //! transaction is **doomed** exactly when its word holds both edges — there
 //! is no separate doom list to keep in step with the flags.
 
-use crate::error::{CcError, CcResult};
+use crate::error::{CcError, CcResult, Reason};
 use crate::mechanism::{CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
 use crate::topology::LaneSel;
 use parking_lot::Mutex;
@@ -367,18 +367,12 @@ impl CcMechanism for Ssi {
                     // This write would make a prepared (voted-yes)
                     // transaction a pivot, but its vote can no longer be
                     // revoked — the discovering writer aborts instead.
-                    return Err(CcError::Conflict {
-                        mechanism: "SSI",
-                        reason: "write would doom a prepared transaction",
-                    });
+                    return Err(CcError::Conflict(Reason::DoomsPrepared));
                 }
             }
         }
         if we_gain_in && me.add_edge(IN).is_some_and(is_pivot) {
-            return Err(CcError::Conflict {
-                mechanism: "SSI",
-                reason: "pivot (incoming and outgoing anti-dependencies)",
-            });
+            return Err(CcError::Conflict(Reason::PivotOnWrite));
         }
         Ok(())
     }
@@ -457,10 +451,7 @@ impl CcMechanism for Ssi {
             return Ok(());
         }
         if self.record(ctx).is_some_and(|me| is_pivot(me.flags())) {
-            return Err(CcError::Conflict {
-                mechanism: "SSI",
-                reason: "pivot detected",
-            });
+            return Err(CcError::Conflict(Reason::Pivot));
         }
         Ok(())
     }
@@ -474,10 +465,7 @@ impl CcMechanism for Ssi {
         // discovery that would doom this transaction aborts the discoverer
         // instead.
         if self.record(ctx).is_some_and(|me| !me.prepare()) {
-            return Err(CcError::Conflict {
-                mechanism: "SSI",
-                reason: "pivot detected at prepare",
-            });
+            return Err(CcError::Conflict(Reason::PivotAtPrepare));
         }
         Ok(())
     }
@@ -509,19 +497,13 @@ impl Ssi {
         // Visibility is `commit_ts <= start_ts`, so only commits strictly
         // after the snapshot count as concurrent.
         if chain.committed_after(me.start_ts) {
-            return Err(CcError::Conflict {
-                mechanism: "SSI",
-                reason: "first-committer-wins (concurrent committed write)",
-            });
+            return Err(CcError::Conflict(Reason::FirstCommitterWins));
         }
         if self
             .foreign_uncommitted_writer(ctx.txn, me.lane, chain)
             .is_some()
         {
-            return Err(CcError::Conflict {
-                mechanism: "SSI",
-                reason: "cross-group write-write conflict",
-            });
+            return Err(CcError::Conflict(Reason::CrossGroupWriteWrite));
         }
         Ok(())
     }
@@ -633,7 +615,10 @@ mod tests {
         let latched = store.with_chain_mut(&k(1), |chain| {
             ssi.validate_write(&mut ctx, Lane::child(0), &k(1), chain)
         });
-        assert!(matches!(lock_free, Err(CcError::Conflict { .. })));
+        assert_eq!(
+            lock_free,
+            Err(CcError::Conflict(Reason::FirstCommitterWins))
+        );
         assert_eq!(lock_free, latched);
     }
 

@@ -19,10 +19,10 @@
 //! own timestamp, which is correct for the leaf/instance-partitioned usage
 //! exercised by the paper's experiments.
 
-use crate::error::{CcError, CcResult};
+use crate::error::{CcError, CcResult, Reason, WaitLabel};
 use crate::mechanism::{visible_version, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
 use crate::topology::LaneSel;
-use crate::wait::{self, Step, Wait};
+use crate::wait::{Step, Wait};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use tebaldi_storage::{Chain, Key, KeyMap, Timestamp, TxnId, Version};
@@ -87,7 +87,7 @@ impl CcMechanism for Tso {
         // promised a write to this key and has not performed it yet, wait
         // for it instead of reading an older version (which would later
         // force the promiser to abort).
-        Wait::at(&self.env, ctx, wait::PROMISED_WRITE).until(|| {
+        Wait::at(&self.env, ctx, WaitLabel::PromisedWrite).until(|| {
             let shared = self.shared.lock();
             let Some(my_ts) = shared.txn_ts.get(&ctx.txn).copied() else {
                 return Step::Done(());
@@ -126,10 +126,7 @@ impl CcMechanism for Tso {
             .ok_or(CcError::Internal("TSO: write before begin".to_string()))?;
         if let Some(read_ts) = shared.max_read_ts.get(key) {
             if *read_ts > my_ts {
-                return Err(CcError::Conflict {
-                    mechanism: "TSO",
-                    reason: "a later reader already read the prior version",
-                });
+                return Err(CcError::Conflict(Reason::LaterReader));
             }
         }
         drop(shared);
@@ -144,10 +141,7 @@ impl CcMechanism for Tso {
             !self.in_group(ctx.txn, lane, v.writer) && v.sort_ts().is_some_and(|ts| ts > my_ts)
         });
         if violation {
-            return Err(CcError::Conflict {
-                mechanism: "TSO",
-                reason: "a cross-group version is ordered after this timestamp",
-            });
+            return Err(CcError::Conflict(Reason::OrderedAfter));
         }
         Ok(())
     }
@@ -352,7 +346,7 @@ mod tests {
         let _ = read(&tso, &store, &mut late, k(1));
         // ...so the earlier writer must abort when it validates its write.
         let err = validate_write(&tso, &store, &mut early, k(1)).unwrap_err();
-        assert!(matches!(err, CcError::Conflict { .. }));
+        assert_eq!(err, CcError::Conflict(Reason::LaterReader));
         // Writing a different key is still fine.
         assert!(validate_write(&tso, &store, &mut early, k(2)).is_ok());
     }
@@ -445,7 +439,7 @@ mod tests {
         // Writer 901 is a cross-group writer.
         install(&store, k(3), 901, None, Some(1_000_000));
         let err = validate_write(&tso, &store, &mut writer, k(3)).unwrap_err();
-        assert!(matches!(err, CcError::Conflict { .. }));
+        assert_eq!(err, CcError::Conflict(Reason::OrderedAfter));
     }
 
     #[test]
@@ -459,7 +453,7 @@ mod tests {
         let err = tso
             .before_read(&mut reader, Lane::leaf(), &k(6))
             .unwrap_err();
-        assert!(matches!(err, CcError::Timeout { .. }));
+        assert_eq!(err, CcError::Timeout(WaitLabel::PromisedWrite));
         // Aborting the promiser releases the promise.
         tso.finish(&mut writer, Lane::leaf(), None);
         assert!(tso.before_read(&mut reader, Lane::leaf(), &k(6)).is_ok());

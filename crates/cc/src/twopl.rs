@@ -19,7 +19,7 @@
 
 use crate::error::CcResult;
 use crate::lock::{LockManager, LockMode};
-use crate::mechanism::{visible_version, CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
+use crate::mechanism::{visible_version, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
 use tebaldi_storage::{Chain, Key, Timestamp};
 
 /// A two-phase-locking node.
@@ -46,7 +46,7 @@ impl CcMechanism for TwoPl {
             key,
             lane.lock_lane(ctx.txn),
             LockMode::Shared,
-            CcKind::TwoPl.name(),
+            "",
         )?;
         Ok(())
     }
@@ -58,7 +58,7 @@ impl CcMechanism for TwoPl {
             key,
             lane.lock_lane(ctx.txn),
             LockMode::Exclusive,
-            CcKind::TwoPl.name(),
+            "",
         )?;
         Ok(())
     }

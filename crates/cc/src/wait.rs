@@ -18,27 +18,16 @@
 //! blocker edges are the registry's wait-for graph — where a wound-wait
 //! policy or a stall watchdog would read them. Today's policy is the
 //! paper's: wait, bounded by `wait_timeout`.
+//!
+//! Each wait carries its [`WaitLabel`] — which rule, and for a lock wait
+//! which mechanism's table — and that label is its timeout's cause.
 
-use crate::error::{CcError, CcResult};
+use crate::error::{CcError, CcResult, WaitLabel};
 use crate::events::{BlockingEvent, EventSink};
-use crate::mechanism::{CcKind, NodeEnv, TxnCtx};
+use crate::mechanism::{NodeEnv, TxnCtx};
 use crate::registry::{Ticket, TxnRegistry};
 use std::time::{Duration, Instant};
 use tebaldi_storage::{NodeId, TxnId, TxnTypeId};
-
-/// `(mechanism, what)` of a wait: the two strings of its
-/// [`CcError::Timeout`].
-pub type Label = (&'static str, &'static str);
-
-/// `what` of a lock wait; its `mechanism` is the name of the lock table's
-/// owner ([`CcKind::TwoPl`] or [`CcKind::Rp`]).
-pub const LOCK: &str = "lock";
-/// RP's trailing rule: a dependency has not entered the step yet.
-pub const PIPELINE_STEP: Label = (CcKind::Rp.name(), "pipeline step");
-/// TSO's promise wait: an earlier transaction promised this key.
-pub const PROMISED_WRITE: Label = (CcKind::Tso.name(), "promised write");
-/// The engine's commit-order wait on a transaction's dependency set.
-pub const DEPENDENCY_COMMIT: Label = ("registry", "dependency commit");
 
 /// What a wait's step found under the mechanism's lock.
 pub enum Step<T> {
@@ -61,7 +50,7 @@ pub struct Wait<'a> {
     node: NodeId,
     timeout: Duration,
     ctx: &'a TxnCtx,
-    label: Label,
+    label: WaitLabel,
     deadline: Option<Instant>,
 }
 
@@ -75,7 +64,7 @@ impl<'a> Wait<'a> {
         node: NodeId,
         timeout: Duration,
         ctx: &'a TxnCtx,
-        label: Label,
+        label: WaitLabel,
     ) -> Self {
         Wait {
             registry,
@@ -89,7 +78,7 @@ impl<'a> Wait<'a> {
     }
 
     /// A wait inside the mechanism that owns `env`.
-    pub fn at(env: &'a NodeEnv, ctx: &'a TxnCtx, label: Label) -> Self {
+    pub fn at(env: &'a NodeEnv, ctx: &'a TxnCtx, label: WaitLabel) -> Self {
         Wait::new(
             &env.registry,
             &*env.events,
@@ -117,8 +106,7 @@ impl<'a> Wait<'a> {
                 Step::BlockedOn(ticket) => ticket,
             };
             if timed_out {
-                let (mechanism, what) = self.label;
-                break Err(CcError::Timeout { mechanism, what });
+                break Err(CcError::Timeout(self.label));
             }
             let (_, since) = *slept.get_or_insert_with(|| (ticket.blocker(), Instant::now()));
             let deadline = *self.deadline.get_or_insert(since + self.timeout);
@@ -147,7 +135,7 @@ mod tests {
     use super::*;
     use crate::events::VecSink;
     use crate::lock::{LockManager, LockMode};
-    use crate::mechanism::{CcMechanism, Lane};
+    use crate::mechanism::{CcKind, CcMechanism, Lane};
     use crate::procinfo::{AccessMode, ProcedureInfo};
     use crate::rp::Rp;
     use crate::rp_analysis::analyze;
@@ -189,7 +177,7 @@ mod tests {
 
     /// One of the four waits, set up so that T2 blocks on T1.
     struct Case {
-        label: Label,
+        label: WaitLabel,
         /// T2's wait.
         block: Box<dyn Fn() -> CcResult<()> + Send + Sync>,
         /// Progress of a bystander, which changes nothing for T2.
@@ -202,14 +190,14 @@ mod tests {
     fn lock_case(timeout_ms: u64) -> Case {
         let (env, sink) = env(timeout_ms);
         // One shard: T3's release is on T2's lock shard.
-        let locks = Arc::new(LockManager::new(1));
+        let locks = Arc::new(LockManager::new(CcKind::TwoPl, 1));
         let exclusive = |locks: &LockManager, env: &NodeEnv, txn: TxnId, key: Key| {
-            locks.acquire(env, &ctx(txn), &key, txn.0, LockMode::Exclusive, "2PL")
+            locks.acquire(env, &ctx(txn), &key, txn.0, LockMode::Exclusive, "")
         };
         exclusive(&locks, &env, T1, k(0, 1)).unwrap();
         let (l1, l2, e1, e2) = (locks.clone(), locks.clone(), env.clone(), env.clone());
         Case {
-            label: ("2PL", LOCK),
+            label: WaitLabel::Lock(CcKind::TwoPl),
             block: Box::new(move || exclusive(&l1, &e1, T2, k(0, 1)).map(drop)),
             nudge: Box::new(move || {
                 exclusive(&l2, &e2, T3, k(0, 2)).unwrap();
@@ -241,7 +229,7 @@ mod tests {
         rp.trail(T2, T1);
         let (rp1, rp2) = (rp.clone(), rp.clone());
         Case {
-            label: PIPELINE_STEP,
+            label: WaitLabel::PipelineStep,
             block: Box::new(move || rp1.before_write(&mut ctx(T2), Lane::leaf(), &k(1, 2))),
             nudge: Box::new(move || {
                 rp2.begin(&mut ctx(T3), Lane::leaf()).unwrap();
@@ -265,7 +253,7 @@ mod tests {
         tso.begin(&mut ctx(T2), Lane::leaf()).unwrap();
         let (tso1, tso2) = (tso.clone(), tso.clone());
         Case {
-            label: PROMISED_WRITE,
+            label: WaitLabel::PromisedWrite,
             block: Box::new(move || tso1.before_read(&mut ctx(T2), Lane::leaf(), &k(0, 1))),
             nudge: Box::new(move || {
                 tso2.begin(&mut ctx(T3), Lane::leaf()).unwrap();
@@ -284,10 +272,10 @@ mod tests {
         registry.register(neighbour, TxnTypeId(0), GroupId(0));
         let (r1, r2) = (registry.clone(), registry.clone());
         Case {
-            label: DEPENDENCY_COMMIT,
+            label: WaitLabel::DependencyCommit,
             block: Box::new(move || {
                 let waiter = ctx(T2);
-                let mut wait = Wait::at(&env, &waiter, DEPENDENCY_COMMIT);
+                let mut wait = Wait::at(&env, &waiter, WaitLabel::DependencyCommit);
                 r1.wait_finished(&mut wait, T1).map(drop)
             }),
             nudge: Box::new(move || r2.mark_committed(neighbour, Timestamp(1))),
@@ -315,11 +303,7 @@ mod tests {
         let timeout = Duration::from_millis(40);
         for case in CASES.map(|case| case(40)) {
             let started = Instant::now();
-            let (mechanism, what) = case.label;
-            assert_eq!(
-                (case.block)().unwrap_err(),
-                CcError::Timeout { mechanism, what }
-            );
+            assert_eq!((case.block)().unwrap_err(), CcError::Timeout(case.label));
             assert!(started.elapsed() >= timeout, "{:?}", case.label);
             assert_one_event(&case, timeout);
         }
@@ -351,7 +335,7 @@ mod tests {
     fn a_step_that_finishes_at_once_sets_no_deadline_and_emits_nothing() {
         let (env, sink) = env(40);
         let waiter = ctx(T2);
-        let mut wait = Wait::at(&env, &waiter, DEPENDENCY_COMMIT);
+        let mut wait = Wait::at(&env, &waiter, WaitLabel::DependencyCommit);
         // Unknown to the directory: committed long ago.
         let status = env.registry.wait_finished(&mut wait, TxnId(999)).unwrap();
         assert!(status.is_committed());
@@ -363,7 +347,7 @@ mod tests {
     fn waits_on_one_wait_share_its_deadline() {
         let (env, sink) = env(200);
         let waiter = ctx(T2);
-        let mut wait = Wait::at(&env, &waiter, DEPENDENCY_COMMIT);
+        let mut wait = Wait::at(&env, &waiter, WaitLabel::DependencyCommit);
         let started = Instant::now();
         std::thread::scope(|scope| {
             // T1 finishes well inside the bound; T3 never does.
@@ -395,7 +379,7 @@ mod tests {
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| {
                 let t2 = ctx(T2);
-                let mut wait = Wait::at(env, &t2, DEPENDENCY_COMMIT);
+                let mut wait = Wait::at(env, &t2, WaitLabel::DependencyCommit);
                 wait.until(|| {
                     count.fetch_add(1, Ordering::Relaxed);
                     step()
@@ -432,17 +416,10 @@ mod tests {
 
         // A lock released, and its holder's end, on T2's lock shard.
         let (lock_env, _) = env(10_000);
-        let locks = LockManager::new(1);
+        let locks = LockManager::new(CcKind::TwoPl, 1);
         let exclusive = |txn: TxnId, key: Key| {
             locks
-                .acquire(
-                    &lock_env,
-                    &ctx(txn),
-                    &key,
-                    txn.0,
-                    LockMode::Exclusive,
-                    "2PL",
-                )
+                .acquire(&lock_env, &ctx(txn), &key, txn.0, LockMode::Exclusive, "")
                 .unwrap()
         };
         exclusive(T1, k(0, 1));
@@ -469,7 +446,7 @@ mod tests {
         let waiter = ctx(T2);
         let (mut moved, mut evaluated) = (false, 0);
         let started = Instant::now();
-        let result = Wait::at(&env, &waiter, DEPENDENCY_COMMIT).until(|| {
+        let result = Wait::at(&env, &waiter, WaitLabel::DependencyCommit).until(|| {
             evaluated += 1;
             if moved {
                 return Step::Done(());

@@ -27,7 +27,7 @@ use std::time::Duration;
 use tebaldi_cc::ssi::{Ssi, SsiConfig};
 use tebaldi_cc::topology::LaneSel;
 use tebaldi_cc::{
-    CcError, CcMechanism, CcResult, Lane, NodeEnv, NullSink, Topology, TsOracle, TxnCtx,
+    CcError, CcMechanism, CcResult, Lane, NodeEnv, NullSink, Reason, Topology, TsOracle, TxnCtx,
     TxnRegistry, VersionPick,
 };
 use tebaldi_storage::{
@@ -199,10 +199,7 @@ impl CcMechanism for ReferenceSsi {
                     // This write would make a prepared (voted-yes)
                     // transaction a pivot, but its vote can no longer be
                     // revoked — the discovering writer aborts instead.
-                    return Err(CcError::Conflict {
-                        mechanism: "SSI",
-                        reason: "write would doom a prepared transaction",
-                    });
+                    return Err(CcError::Conflict(Reason::DoomsPrepared));
                 }
                 state.out_conflict = true;
                 if state.in_conflict {
@@ -217,10 +214,7 @@ impl CcMechanism for ReferenceSsi {
         if we_gain_in {
             state.in_conflict = true;
             if state.out_conflict {
-                return Err(CcError::Conflict {
-                    mechanism: "SSI",
-                    reason: "pivot (incoming and outgoing anti-dependencies)",
-                });
+                return Err(CcError::Conflict(Reason::PivotOnWrite));
             }
         }
         state.write_keys.push(*key);
@@ -324,20 +318,14 @@ impl CcMechanism for ReferenceSsi {
             return Ok(());
         }
         if self.doomed.take(ctx.txn) {
-            return Err(CcError::Conflict {
-                mechanism: "SSI",
-                reason: "pivot detected",
-            });
+            return Err(CcError::Conflict(Reason::Pivot));
         }
         let shared = self.shared.lock();
         let Some(state) = shared.txns.get(&ctx.txn) else {
             return Ok(());
         };
         if state.in_conflict && state.out_conflict {
-            return Err(CcError::Conflict {
-                mechanism: "SSI",
-                reason: "pivot (validation)",
-            });
+            return Err(CcError::Conflict(Reason::Pivot));
         }
         Ok(())
     }
@@ -350,19 +338,13 @@ impl CcMechanism for ReferenceSsi {
         // Re-check under the shared lock: a doom may have landed between
         // validation and this call.
         if self.doomed.take(ctx.txn) {
-            return Err(CcError::Conflict {
-                mechanism: "SSI",
-                reason: "pivot detected at prepare",
-            });
+            return Err(CcError::Conflict(Reason::PivotAtPrepare));
         }
         let Some(state) = shared.txns.get_mut(&ctx.txn) else {
             return Ok(());
         };
         if state.in_conflict && state.out_conflict {
-            return Err(CcError::Conflict {
-                mechanism: "SSI",
-                reason: "pivot (prepare)",
-            });
+            return Err(CcError::Conflict(Reason::PivotAtPrepare));
         }
         // From here on the yes-vote is stable: conflict discovery that
         // would doom this transaction aborts the discoverer instead.
@@ -398,10 +380,7 @@ impl ReferenceSsi {
         // Visibility is `commit_ts <= start_ts`, so only commits strictly
         // after the snapshot count as concurrent.
         if chain.committed_after(state.start_ts) {
-            return Err(CcError::Conflict {
-                mechanism: "SSI",
-                reason: "first-committer-wins (concurrent committed write)",
-            });
+            return Err(CcError::Conflict(Reason::FirstCommitterWins));
         }
         let my_lane = state.lane;
         // Same O(1) gate as the read-side scan: no uncommitted versions on
@@ -417,10 +396,7 @@ impl ReferenceSsi {
                 }
             });
         if foreign_uncommitted {
-            return Err(CcError::Conflict {
-                mechanism: "SSI",
-                reason: "cross-group write-write conflict",
-            });
+            return Err(CcError::Conflict(Reason::CrossGroupWriteWrite));
         }
         Ok(())
     }
@@ -637,11 +613,7 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
                     } else {
                         let pa = new.mark_prepared(&mut t.a, t.lane);
                         let pb = old.mark_prepared(&mut t.b, t.lane);
-                        assert_eq!(
-                            pa.is_ok(),
-                            pb.is_ok(),
-                            "mark_prepared step {step}: {pa:?} {pb:?}"
-                        );
+                        assert_eq!(pa, pb, "mark_prepared step {step}");
                         if pa.is_err() {
                             finish = Some(false);
                         } else {

@@ -11,7 +11,7 @@ use crate::tcp::TcpShardServer;
 use crate::transport::{
     InProcessTransport, ShardTransport, TransportFactory, TransportKind, TransportStats,
 };
-use crate::worker::{error_status, ShardWorkers, Ticket, Vote};
+use crate::worker::{ShardWorkers, Ticket, Vote};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1541,7 +1541,7 @@ impl Cluster {
                 // the vote failed (mechanism or timeout) when it did.
                 let status = match &vote {
                     Ok(Ok(_)) => "ok",
-                    Ok(Err(err)) => error_status(err),
+                    Ok(Err(err)) => err.mechanism(),
                     Err(_) => "timeout",
                 };
                 obs::record_span(

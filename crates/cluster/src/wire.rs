@@ -17,7 +17,7 @@ use crate::api::{ShardRequest, ShardResponse};
 use crate::worker::Vote;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use tebaldi_cc::{wait, CcError, CcKind};
+use tebaldi_cc::{CcError, Reason, WaitLabel};
 use tebaldi_core::{ProcId, ProcedureCall};
 use tebaldi_obs::{HistogramSnapshot, MetricsSnapshot, TraceCtx};
 use tebaldi_storage::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
@@ -28,90 +28,22 @@ use tebaldi_storage::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
 pub const MAX_FRAME_LEN: usize = 16 << 20;
 
 // ---------------------------------------------------------------------------
-// Mechanism-string interning
-// ---------------------------------------------------------------------------
-
-/// The strings of every `Timeout` and `Conflict` this tree builds: the
-/// labels of the four waits (`cc::wait`) and the literals of `ssi.rs`,
-/// `tso.rs`, `core/txn.rs`, `worker.rs` and the SEATS no-op vote (a test
-/// reads those files and fails on a literal missing here). Decoding maps
-/// onto these without allocation; a string outside the set is interned once
-/// (leaked) per distinct value.
-static WELL_KNOWN: &[&str] = &[
-    // Mechanisms.
-    CcKind::TwoPl.name(),
-    CcKind::Rp.name(),
-    CcKind::Ssi.name(),
-    CcKind::Tso.name(),
-    wait::DEPENDENCY_COMMIT.0,
-    "engine",
-    "snapshot",
-    "seats-workload",
-    // What a `Timeout` waited for.
-    wait::LOCK,
-    wait::PIPELINE_STEP.1,
-    wait::PROMISED_WRITE.1,
-    wait::DEPENDENCY_COMMIT.1,
-    "an in-flight writer overlapping the snapshot",
-    // Why a `Conflict` aborted.
-    "first-committer-wins (concurrent committed write)",
-    "cross-group write-write conflict",
-    "write would doom a prepared transaction",
-    "pivot (incoming and outgoing anti-dependencies)",
-    "pivot detected",
-    "pivot detected at prepare",
-    "a later reader already read the prior version",
-    "a cross-group version is ordered after this timestamp",
-    "marked for abort",
-    "reservation no-op",
-];
-
-/// Interned strings are remote-controlled input, so both the per-string
-/// length and the table size are capped — a hostile peer streaming unique
-/// mechanism strings must not grow coordinator memory without bound.
-/// Legitimate mechanism names are short and few; anything past the caps
-/// collapses onto this placeholder.
-const FOREIGN_MECHANISM: &str = "remote-mechanism";
-const MAX_INTERNED_LEN: usize = 64;
-const MAX_INTERNED_STRINGS: usize = 256;
-
-fn intern(s: &str) -> &'static str {
-    if let Some(known) = WELL_KNOWN.iter().find(|k| **k == s) {
-        return known;
-    }
-    if s.len() > MAX_INTERNED_LEN {
-        return FOREIGN_MECHANISM;
-    }
-    use parking_lot::Mutex;
-    use std::collections::BTreeSet;
-    static TABLE: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    let mut table = TABLE.lock();
-    if let Some(existing) = table.get(s) {
-        return existing;
-    }
-    if table.len() >= MAX_INTERNED_STRINGS {
-        return FOREIGN_MECHANISM;
-    }
-    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    table.insert(leaked);
-    leaked
-}
-
-// ---------------------------------------------------------------------------
 // CcError codec
 // ---------------------------------------------------------------------------
 
+// An abort's cause travels as tag bytes: the variant, then a `Timeout`'s
+// label or a `Conflict`'s reason by its place in `WaitLabel::ALL` /
+// `Reason::ALL`. A byte no variant owns is `CodecError::Malformed`.
+
 fn put_cc_error(w: &mut ByteWriter, err: &CcError) {
     match err {
-        CcError::Timeout { mechanism, what } => {
+        CcError::Timeout(label) => {
             w.put_u8(0);
-            w.put_str(mechanism);
-            w.put_str(what);
+            w.put_u8(label.index() as u8);
         }
-        CcError::Conflict { mechanism, reason } => {
+        CcError::Conflict(reason) => {
             w.put_u8(1);
-            w.put_str(mechanism);
-            w.put_str(reason);
+            w.put_u8(*reason as u8);
         }
         CcError::DependencyAborted => w.put_u8(2),
         CcError::Requested => w.put_u8(3),
@@ -132,14 +64,8 @@ fn put_cc_error(w: &mut ByteWriter, err: &CcError) {
 
 fn get_cc_error(r: &mut ByteReader<'_>) -> CodecResult<CcError> {
     Ok(match r.u8()? {
-        0 => CcError::Timeout {
-            mechanism: intern(&r.str()?),
-            what: intern(&r.str()?),
-        },
-        1 => CcError::Conflict {
-            mechanism: intern(&r.str()?),
-            reason: intern(&r.str()?),
-        },
+        0 => CcError::Timeout(tagged(&WaitLabel::ALL, r.u8()?, "wait label")?),
+        1 => CcError::Conflict(tagged(&Reason::ALL, r.u8()?, "conflict reason")?),
         2 => CcError::DependencyAborted,
         3 => CcError::Requested,
         4 => CcError::Internal(r.str()?),
@@ -149,6 +75,13 @@ fn get_cc_error(r: &mut ByteReader<'_>) -> CodecResult<CcError> {
         },
         _ => return Err(CodecError::Malformed("error tag")),
     })
+}
+
+/// The entry of `all` that tag byte `tag` names.
+fn tagged<T: Copy>(all: &[T], tag: u8, what: &'static str) -> CodecResult<T> {
+    all.get(usize::from(tag))
+        .copied()
+        .ok_or(CodecError::Malformed(what))
 }
 
 // ---------------------------------------------------------------------------
@@ -658,6 +591,7 @@ impl<R: Read> FrameReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tebaldi_cc::CcKind;
     use tebaldi_storage::{Key, TableId, TxnTypeId, Value};
 
     fn sample_call() -> ProcedureCall {
@@ -765,14 +699,8 @@ mod tests {
                 target: "connection".to_string(),
                 maybe_delivered: false,
             }),
-            Err(CcError::Conflict {
-                mechanism: "seats-workload",
-                reason: "reservation no-op",
-            }),
-            Err(CcError::Timeout {
-                mechanism: "2PL",
-                what: "lock",
-            }),
+            Err(CcError::Conflict(Reason::BodyNoOp)),
+            Err(CcError::Timeout(WaitLabel::Lock(CcKind::TwoPl))),
         ];
         for result in &results {
             let payload = encode_result(77, 0xC0FFEE, result);
@@ -783,84 +711,123 @@ mod tests {
         }
     }
 
-    #[test]
-    fn decoded_static_strings_pattern_match() {
-        // The SEATS workload matches on mechanism string content to tell
-        // its own no-op votes from engine aborts: the content must survive
-        // the wire even though the type is `&'static str`.
-        let err = CcError::Conflict {
-            mechanism: "seats-workload",
-            reason: "reservation no-op",
-        };
-        let payload = encode_result(0, 0, &Err(err));
-        let (_, _, back) = decode_result(&payload).unwrap();
-        assert!(matches!(
-            back,
-            Err(CcError::Conflict {
-                mechanism: "seats-workload",
-                ..
-            })
-        ));
-        // Unknown mechanism strings intern without loss.
-        let odd = CcError::Conflict {
-            mechanism: intern("custom-mechanism-xyz"),
-            reason: intern("because"),
-        };
-        let payload = encode_result(0, 0, &Err(odd.clone()));
-        let (_, _, back) = decode_result(&payload).unwrap();
-        assert_eq!(back, Err(odd));
+    /// Every abort cause: each wait label (a lock wait once per owner),
+    /// each conflict reason, each other variant once.
+    fn every_cause() -> Vec<CcError> {
+        use CcKind::{NoCc, Rp, Ssi, Tso, TwoPl};
+        use Reason::*;
+        use WaitLabel::{DependencyCommit, Lock, PipelineStep, PromisedWrite, SnapshotWriter};
+        let causes: Vec<CcError> = [TwoPl, Rp, Ssi, Tso, NoCc]
+            .map(Lock)
+            .into_iter()
+            .chain([
+                PipelineStep,
+                PromisedWrite,
+                DependencyCommit,
+                SnapshotWriter,
+            ])
+            .map(CcError::Timeout)
+            .chain(
+                [
+                    FirstCommitterWins,
+                    CrossGroupWriteWrite,
+                    DoomsPrepared,
+                    PivotOnWrite,
+                    Pivot,
+                    PivotAtPrepare,
+                    LaterReader,
+                    OrderedAfter,
+                    MarkedForAbort,
+                    BodyNoOp,
+                ]
+                .map(CcError::Conflict),
+            )
+            .chain([
+                CcError::DependencyAborted,
+                CcError::Requested,
+                CcError::Internal("boom".to_string()),
+                CcError::unreachable("shard 3", true),
+            ])
+            .collect();
+        // No wildcard: a new variant stops this compiling until it is
+        // listed above.
+        for cause in &causes {
+            match cause {
+                CcError::Timeout(
+                    Lock(TwoPl | Rp | Ssi | Tso | NoCc)
+                    | PipelineStep
+                    | PromisedWrite
+                    | DependencyCommit
+                    | SnapshotWriter,
+                )
+                | CcError::Conflict(
+                    FirstCommitterWins | CrossGroupWriteWrite | DoomsPrepared | PivotOnWrite
+                    | Pivot | PivotAtPrepare | LaterReader | OrderedAfter | MarkedForAbort
+                    | BodyNoOp,
+                )
+                | CcError::DependencyAborted
+                | CcError::Requested
+                | CcError::Internal(_)
+                | CcError::Unreachable { .. } => {}
+            }
+        }
+        assert_eq!(causes.len(), CcError::CAUSES, "a cause is missing above");
+        causes
     }
 
     #[test]
-    fn every_abort_cause_of_the_tree_decodes_onto_the_table() {
-        // Every `mechanism:` / `reason:` / `what:` literal of the non-test
-        // code that builds a `Timeout` or `Conflict`, plus the labels of
-        // the four waits.
-        let sources = [
-            include_str!("../../cc/src/ssi.rs"),
-            include_str!("../../cc/src/tso.rs"),
-            include_str!("../../core/src/txn.rs"),
-            include_str!("worker.rs"),
-            include_str!("../../workloads/src/seats/cluster.rs"),
-        ];
-        let waits = [
-            wait::PIPELINE_STEP,
-            wait::PROMISED_WRITE,
-            wait::DEPENDENCY_COMMIT,
-            ("2PL", wait::LOCK),
-        ];
-        let mut causes: Vec<&'static str> = waits
-            .iter()
-            .flat_map(|(mechanism, what)| [*mechanism, *what])
-            .collect();
-        for source in sources {
-            let code = source.split("#[cfg(test)]").next().unwrap();
-            for line in code.lines().map(str::trim) {
-                let field = ["mechanism: \"", "reason: \"", "what: \""]
-                    .iter()
-                    .find_map(|field| line.strip_prefix(field));
-                if let Some(literal) = field.and_then(|rest| rest.strip_suffix("\",")) {
-                    causes.push(literal);
-                }
-            }
+    fn every_abort_cause_roundtrips() {
+        for cause in every_cause() {
+            let payload = encode_result(0, 0, &Err(cause.clone()));
+            let (_, _, back) = decode_result(&payload).unwrap();
+            assert_eq!(back, Err(cause));
         }
-        assert!(causes.len() >= 8 + 20, "found only {}", causes.len());
-        for cause in causes {
-            let err = CcError::Timeout {
-                mechanism: cause,
-                what: cause,
-            };
-            let (_, _, back) = decode_result(&encode_result(0, 0, &Err(err))).unwrap();
-            let Err(CcError::Timeout { mechanism, .. }) = back else {
-                panic!("{cause}: decoded as {back:?}");
-            };
-            // By pointer: the table's own entry, not a leaked copy.
-            assert!(
-                WELL_KNOWN
-                    .iter()
-                    .any(|known| std::ptr::eq(*known, mechanism)),
-                "{cause:?} is not in WELL_KNOWN"
-            );
+    }
+
+    /// Counts the calling thread's allocations.
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOCATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    // SAFETY: every call is forwarded unchanged to `System`, which upholds
+    // the `GlobalAlloc` contract; the count is a const-initialized
+    // thread-local `Cell`, which allocates nothing and is touched by no
+    // other thread.
+    unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+            // SAFETY: the caller's guarantees for `layout` are `System`'s.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: `ptr` came from `alloc` above, i.e. from `System`.
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: CountingAlloc = CountingAlloc;
+
+    #[test]
+    fn a_cause_byte_out_of_range_is_malformed_and_allocates_nothing() {
+        // An error reply up to its variant tag.
+        let mut head = encode_result(1, 2, &Err(CcError::Requested));
+        head.pop();
+        for (cause, what) in [
+            (&[6][..], "error tag"),
+            (&[0, 9], "wait label"),
+            (&[1, 10], "conflict reason"),
+            (&[1, 0xFF], "conflict reason"),
+        ] {
+            let frame = [&head[..], cause].concat();
+            let before = ALLOCATIONS.with(|n| n.get());
+            let decoded = decode_result(&frame);
+            let allocated = ALLOCATIONS.with(|n| n.get()) - before;
+            assert_eq!(decoded, Err(CodecError::Malformed(what)), "{cause:?}");
+            assert_eq!(allocated, 0, "{cause:?}");
         }
     }
 

@@ -73,7 +73,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-use tebaldi_cc::{CcError, CcResult};
+use tebaldi_cc::{CcError, CcResult, WaitLabel};
 use tebaldi_core::{Database, ParticipantVote, PreparedTxn, ProcId, ProcRegistry, ProcedureCall};
 use tebaldi_obs::{self as obs, Counter, Histogram, MaxGauge, TraceCtx};
 use tebaldi_storage::{SnapshotRead, Value};
@@ -297,18 +297,6 @@ impl DecisionMemory {
         }
         self.current.insert(global, commit);
         None
-    }
-}
-
-/// Maps an abort reason onto a span status tag: the mechanism that aborted
-/// the transaction where one is known, the error class otherwise.
-pub(crate) fn error_status(err: &CcError) -> &'static str {
-    match err {
-        CcError::Timeout { mechanism, .. } | CcError::Conflict { mechanism, .. } => mechanism,
-        CcError::DependencyAborted => "dependency",
-        CcError::Requested => "requested",
-        CcError::Internal(_) => "internal",
-        CcError::Unreachable { .. } => "unreachable",
     }
 }
 
@@ -935,10 +923,7 @@ impl ShardWorkers {
                         if Instant::now() >= deadline {
                             self.snapshot_reads.inc();
                             self.snapshot_read_wait_ns.add(wait_ns);
-                            return Err(CcError::Timeout {
-                                mechanism: "snapshot",
-                                what: "an in-flight writer overlapping the snapshot",
-                            });
+                            return Err(CcError::Timeout(WaitLabel::SnapshotWriter));
                         }
                         let wait_start = Instant::now();
                         std::thread::sleep(Duration::from_micros(50));
@@ -1027,7 +1012,7 @@ impl ShardWorkers {
             let outcome = self.run_body(request);
             if let Some(start) = exec_start {
                 let status = match &outcome {
-                    Err(err) => error_status(err),
+                    Err(err) => err.mechanism(),
                     Ok(_) => "ok",
                 };
                 obs::record_span(

@@ -12,7 +12,7 @@ use crate::config::{DbConfig, DurabilityMode};
 use crate::gate::ReconfigGate;
 use crate::hlc::Hlc;
 use crate::procedure::ProcedureCall;
-use crate::stats::{DbStats, StatsSnapshot};
+use crate::stats::AbortCounters;
 use crate::txn::Txn;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -24,6 +24,7 @@ use tebaldi_cc::{
     CcError, CcResult, CcTree, CcTreeSpec, EventSink, NullSink, ProcedureSet, TreeServices,
     TsOracle, TxnRegistry,
 };
+use tebaldi_obs::metrics::Counter;
 use tebaldi_obs::{Histogram, MetricsRegistry};
 use tebaldi_storage::durability::{DurabilityManager, FlushPolicy};
 use tebaldi_storage::gc::GcManager;
@@ -43,7 +44,9 @@ pub struct Database {
     pub(crate) durability: Arc<DurabilityManager>,
     pub(crate) gc: GcManager,
     pub(crate) history: Option<Arc<HistoryRecorder>>,
-    pub(crate) stats: DbStats,
+    /// `db.committed` and the abort counters of [`crate::stats`].
+    pub(crate) committed: Arc<Counter>,
+    pub(crate) aborts: AbortCounters,
     pub(crate) gate: ReconfigGate,
     pub(crate) txn_ids: AtomicU64,
     pub(crate) reconfigurations: AtomicU64,
@@ -119,8 +122,8 @@ impl DatabaseBuilder {
 
     /// Uses a specific metrics registry (default: a fresh enabled one).
     /// Pass [`MetricsRegistry::disabled`] for the obs-off configuration:
-    /// histograms stop recording while the counters backing
-    /// [`Database::stats`] and durability stats stay live.
+    /// histograms stop recording while counters — the commit and abort
+    /// counts [`Database::stats`] reads, durability stats — stay live.
     pub fn metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
         self
@@ -173,7 +176,8 @@ impl DatabaseBuilder {
             durability,
             gc: GcManager::new(),
             history,
-            stats: DbStats::new(),
+            committed: metrics.counter("db.committed"),
+            aborts: std::array::from_fn(|_| Default::default()),
             gate: ReconfigGate::new(),
             txn_ids: AtomicU64::new(1),
             reconfigurations: AtomicU64::new(0),
@@ -256,8 +260,9 @@ impl Database {
         &self.durability
     }
 
-    /// The metrics registry: durability counters, shard-pipeline
-    /// instruments and per-procedure latency histograms all live here.
+    /// The metrics registry: commit and abort counters, durability
+    /// counters, shard-pipeline instruments and per-procedure latency
+    /// histograms all live here.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -273,11 +278,6 @@ impl Database {
             self.metrics
                 .histogram(&format!("proc.{}.latency_ns", self.procedures.name(ty)))
         }))
-    }
-
-    /// Engine counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
     }
 
     /// Number of reconfigurations applied so far.
@@ -358,7 +358,7 @@ impl Database {
             },
             |_txn, (value, commit_ts, harden), gate_group, gc_epoch| {
                 self.gc.transaction_finished(gc_epoch, Some(commit_ts));
-                self.stats.record_commit();
+                self.record_commit();
                 self.gate.exit(gate_group);
                 (value, harden)
             },
@@ -428,7 +428,7 @@ impl Database {
             Err(err) => {
                 txn.abort();
                 self.gc.transaction_finished(gc_epoch, None);
-                self.stats.record_abort(err.mechanism());
+                self.record_abort(&err);
                 self.gate.exit(gate_group);
                 Err(err)
             }

@@ -48,7 +48,8 @@
 //!   partition-by-instance, TSO promises),
 //! * [`reconfig`] — the partial-restart and online-update protocols (§5.5),
 //! * [`gate`] — the admission gate those protocols use to drain groups,
-//! * [`stats`] — commit/abort counters used by the evaluation harness.
+//! * [`stats`] — the commit and per-cause abort counters, kept in the
+//!   database's metrics registry and read by the evaluation harness.
 
 pub mod config;
 pub mod db;
@@ -66,5 +67,5 @@ pub use hlc::{Hlc, HLC_ZERO};
 pub use prepared::{ParticipantVote, PreparedTxn};
 pub use procedure::{ProcId, ProcRegistry, ProcedureCall, ShardProcedure};
 pub use reconfig::{diff_specs, ReconfigProtocol, ReconfigReport, SpecDiff};
-pub use stats::{DbStats, StatsSnapshot};
+pub use stats::StatsSnapshot;
 pub use txn::Txn;

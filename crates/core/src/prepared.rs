@@ -137,7 +137,7 @@ impl PreparedTxn {
 
     fn commit_inner(mut self, stamp: Option<u64>) -> Timestamp {
         let commit_ts = txn::apply_commit_prepared(&self.db, &self.path, &mut self.ctx, stamp);
-        self.db.stats.record_commit();
+        self.db.record_commit();
         self.finish(Some(commit_ts));
         commit_ts
     }
@@ -154,7 +154,7 @@ impl PreparedTxn {
         }
         self.db.durability.log_abort(self.ctx.txn);
         txn::apply_abort(&self.db, &self.path, &mut self.ctx);
-        self.db.stats.record_abort("2pc");
+        self.db.record_decided_abort();
         self.finish(None);
     }
 

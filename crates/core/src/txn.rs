@@ -19,8 +19,10 @@
 //! in the registry, which wakes the transactions waiting on it.
 
 use crate::db::Database;
-use tebaldi_cc::wait::{Wait, DEPENDENCY_COMMIT};
-use tebaldi_cc::{CcError, CcResult, CcTree, PathEntry, TxnCtx, TxnStatus, VersionPick};
+use tebaldi_cc::wait::Wait;
+use tebaldi_cc::{
+    CcError, CcResult, CcTree, PathEntry, Reason, TxnCtx, TxnStatus, VersionPick, WaitLabel,
+};
 use tebaldi_storage::{GroupId, Key, Timestamp, TxnId, TxnTypeId, Value, Version, VersionId};
 
 /// Outcome of a transaction (internal).
@@ -255,10 +257,7 @@ impl<'a> Txn<'a> {
     /// two-phase commit.
     pub(crate) fn validate_and_wait_deps(&mut self) -> CcResult<()> {
         if self.ctx.must_abort {
-            return Err(CcError::Conflict {
-                mechanism: "engine",
-                reason: "marked for abort",
-            });
+            return Err(CcError::Conflict(Reason::MarkedForAbort));
         }
         // Validation phase, top-down.
         for entry in self.path {
@@ -275,7 +274,7 @@ impl<'a> Txn<'a> {
             leaf.node,
             self.db.config.wait_timeout(),
             &self.ctx,
-            DEPENDENCY_COMMIT,
+            WaitLabel::DependencyCommit,
         );
         for dep in &self.ctx.deps {
             if registry.wait_finished(&mut wait, *dep)? == TxnStatus::Aborted {

@@ -94,7 +94,8 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// Span end, same clock.
     pub end_ns: u64,
-    /// Outcome tag: `"ok"`, a `CcError::mechanism()` string, `"timeout"`, …
+    /// Outcome tag: `"ok"`, the failure's `CcError::mechanism()` (the name
+    /// its abort is counted under), `"timeout"`, `"abort"`, …
     pub status: &'static str,
 }
 

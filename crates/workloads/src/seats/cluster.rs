@@ -26,14 +26,14 @@
 //! rolls the unconditional customer part back on its shard — so the
 //! cross-shard invariant "seats sold = reservation rows = customer
 //! reservation counts" can never be violated, crash or no crash. The no-op
-//! vote survives the wire: its `Conflict { mechanism: "seats-workload" }`
-//! encoding decodes back to a pattern-matchable static string.
+//! vote is [`Reason::BodyNoOp`], a body's own conditional abort, and
+//! crosses the wire as a tag like every other abort cause.
 
 use super::{finish, types, Seats, SeatsTables};
 use crate::workload::{ClusterWorkload, WorkUnit};
 use rand::rngs::StdRng;
 use rand::Rng;
-use tebaldi_cc::{AccessMode, CcError, CcResult, ProcedureInfo, ProcedureSet};
+use tebaldi_cc::{AccessMode, CcError, CcResult, ProcedureInfo, ProcedureSet, Reason};
 use tebaldi_cluster::{Cluster, ReadConsistency, ReadPart, ShardPart};
 use tebaldi_core::{ProcId, ProcRegistry, ProcedureCall, Txn};
 use tebaldi_storage::codec::{ByteReader, ByteWriter, CodecError};
@@ -78,21 +78,12 @@ pub mod procs {
 /// distinguishable from the engine's own [`CcError::Requested`] aborts
 /// (reconfiguration drains, gate timeouts), which must keep retrying.
 fn no_op_vote() -> CcError {
-    CcError::Conflict {
-        mechanism: "seats-workload",
-        reason: "reservation no-op",
-    }
+    CcError::Conflict(Reason::BodyNoOp)
 }
 
 /// Whether a 2PC failure was this workload's own no-op vote.
 fn is_no_op_vote(err: &CcError) -> bool {
-    matches!(
-        err,
-        CcError::Conflict {
-            mechanism: "seats-workload",
-            ..
-        }
-    )
+    *err == no_op_vote()
 }
 
 fn bad_args(err: CodecError) -> CcError {

@@ -6,7 +6,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tebaldi_suite::cc::{
-    AccessMode, CcError, CcKind, CcNodeSpec, CcTreeSpec, ProcedureInfo, ProcedureSet,
+    AccessMode, CcError, CcKind, CcNodeSpec, CcTreeSpec, ProcedureInfo, ProcedureSet, WaitLabel,
 };
 use tebaldi_suite::core::{Database, DbConfig, ProcedureCall};
 use tebaldi_suite::storage::{Key, TableId, TxnTypeId, Value};
@@ -266,10 +266,7 @@ fn dependency_wait_is_bounded_once_and_visible_to_the_profiler() {
     let waited = commit_started.unwrap().elapsed();
     assert_eq!(
         outcome.unwrap_err(),
-        CcError::Timeout {
-            mechanism: "registry",
-            what: "dependency commit"
-        }
+        CcError::Timeout(WaitLabel::DependencyCommit)
     );
     assert!(waited >= TIMEOUT, "{waited:?}");
     assert!(waited < TIMEOUT.mul_f64(1.35), "{waited:?}");

@@ -4,7 +4,7 @@
 //! cross-shard transaction over the real TCP transport must leave a
 //! reconstructable trace — coordinator phase spans plus both shards'
 //! queue/execute/harden spans — and failed transactions must tag their
-//! vote spans with the abort mechanism ("requested", "timeout", ...).
+//! vote spans with the abort mechanism ("engine", "timeout", ...).
 //! The metrics side gets a histogram-merge property test and an
 //! overhead smoke test: a disabled registry must not cost an order of
 //! magnitude on the hot path, and must collect nothing.
@@ -163,8 +163,9 @@ fn sampled_cross_shard_tcp_transaction_leaves_complete_trace() {
     cluster.shutdown();
 }
 
-/// A participant that aborts itself tags its vote span with the
-/// "requested" mechanism, and the decision/finalize spans read "abort".
+/// A participant that aborts itself tags its vote span with the mechanism
+/// its abort is counted under (`Requested` is the engine's), and the
+/// decision/finalize spans read "abort".
 #[test]
 fn self_aborted_participant_tags_trace_with_mechanism() {
     let cluster = traced_cluster(TransportKind::InProcess, 10_000);
@@ -189,7 +190,7 @@ fn self_aborted_participant_tags_trace_with_mechanism() {
 
     let spans = obs::collect(cluster.last_trace_id());
     assert!(
-        span_with(&spans, "coord.vote", |s| s.status == "requested").is_some(),
+        span_with(&spans, "coord.vote", |s| s.status == "engine").is_some(),
         "poisoned vote must carry the abort mechanism: {spans:?}"
     );
     assert!(

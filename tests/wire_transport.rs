@@ -7,7 +7,7 @@
 //! transaction), never the shard.
 
 use proptest::prelude::*;
-use tebaldi_suite::cc::CcError;
+use tebaldi_suite::cc::{CcError, Reason};
 use tebaldi_suite::cluster::wire;
 use tebaldi_suite::cluster::{ShardRequest, ShardResponse, Vote};
 use tebaldi_suite::core::{ProcId, ProcedureCall};
@@ -156,10 +156,7 @@ fn result_from_seed((variant, a, b): (u32, u64, u64)) -> Result<ShardResponse, C
                 },
             )],
         }))),
-        6 => Err(CcError::Conflict {
-            mechanism: "seats-workload",
-            reason: "reservation no-op",
-        }),
+        6 => Err(CcError::Conflict(Reason::BodyNoOp)),
         7 => Err(CcError::Internal(format!("remote failure {a}"))),
         8 => Err(CcError::Unreachable {
             target: format!("shard {}", a % 16),
