@@ -10,9 +10,15 @@
 //! [`Reason`]. Each knows its mechanism name and its text; the wire, the
 //! engine's abort counters and trace spans match on the variants instead of
 //! keeping copies of the strings.
+//!
+//! A write-write conflict also names its **winner**: the transaction whose
+//! version made the loser abort. The winner is payload, not cause — it does
+//! not change [`CcError::cause`] or the abort's counter — and it is what the
+//! engine's retry loop waits on instead of a clock.
 
 use crate::mechanism::CcKind;
 use std::fmt;
+use tebaldi_storage::TxnId;
 
 /// Result alias used throughout the CC layer.
 pub type CcResult<T> = Result<T, CcError>;
@@ -25,7 +31,14 @@ pub enum CcError {
     Timeout(WaitLabel),
     /// A mechanism detected a conflict it resolves by aborting (write-write
     /// conflict under SSI, stale write under TSO, pivot structure, ...).
-    Conflict(Reason),
+    Conflict {
+        /// The rule that decided the abort.
+        reason: Reason,
+        /// The transaction the conflict was lost to, when the rule names
+        /// one: the committed or in-flight writer of a write-write conflict
+        /// ([`Reason::FirstCommitterWins`], [`Reason::CrossGroupWriteWrite`]).
+        winner: Option<TxnId>,
+    },
     /// A transaction this one depends on (read-from, pipeline order) aborted,
     /// so this transaction must abort too (cascading abort prevention).
     DependencyAborted,
@@ -201,6 +214,22 @@ impl CcError {
     /// How many causes [`cause`](CcError::cause) tells apart.
     pub const CAUSES: usize = LABELLED + 4;
 
+    /// A [`Conflict`](CcError::Conflict) with no winner.
+    pub const fn conflict(reason: Reason) -> CcError {
+        CcError::Conflict {
+            reason,
+            winner: None,
+        }
+    }
+
+    /// The transaction a conflict was lost to, if it names one.
+    pub fn winner(&self) -> Option<TxnId> {
+        match self {
+            CcError::Conflict { winner, .. } => *winner,
+            _ => None,
+        }
+    }
+
     /// Builds an [`Unreachable`](CcError::Unreachable) error.
     pub fn unreachable(target: impl Into<String>, maybe_delivered: bool) -> CcError {
         CcError::Unreachable {
@@ -213,7 +242,7 @@ impl CcError {
     pub fn mechanism(&self) -> &'static str {
         match self {
             CcError::Timeout(label) => label.mechanism(),
-            CcError::Conflict(reason) => reason.mechanism(),
+            CcError::Conflict { reason, .. } => reason.mechanism(),
             CcError::DependencyAborted => "dependency",
             CcError::Requested => "engine",
             CcError::Internal(_) => "internal",
@@ -223,12 +252,13 @@ impl CcError {
 
     /// The abort's cause as an index below [`CAUSES`](CcError::CAUSES):
     /// the variant, told apart further by a `Timeout`'s label and a
-    /// `Conflict`'s reason (payloads are not causes). The engine counts
+    /// `Conflict`'s reason (payloads, a winner included, are not causes).
+    /// The engine counts
     /// aborts in a table indexed by it.
     pub fn cause(&self) -> usize {
         match self {
             CcError::Timeout(label) => label.index(),
-            CcError::Conflict(reason) => WaitLabel::ALL.len() + *reason as usize,
+            CcError::Conflict { reason, .. } => WaitLabel::ALL.len() + *reason as usize,
             CcError::DependencyAborted => LABELLED,
             CcError::Requested => LABELLED + 1,
             CcError::Internal(_) => LABELLED + 2,
@@ -269,7 +299,9 @@ impl fmt::Display for CcError {
                 label.mechanism(),
                 label.what()
             ),
-            CcError::Conflict(reason) => write!(f, "{}: {}", reason.mechanism(), reason.text()),
+            CcError::Conflict { reason, .. } => {
+                write!(f, "{}: {}", reason.mechanism(), reason.text())
+            }
             CcError::DependencyAborted => write!(f, "a dependency aborted"),
             CcError::Requested => write!(f, "abort requested"),
             CcError::Internal(msg) => write!(f, "internal error: {msg}"),
@@ -298,7 +330,8 @@ mod tests {
     /// Every cause with its `mechanism()` and `to_string()`: benchmark
     /// buckets and log lines key on these exact strings.
     fn every_cause() -> Vec<(CcError, &'static str, &'static str)> {
-        use CcError::{Conflict, Timeout};
+        use CcError::Timeout;
+        let conflict = CcError::conflict;
         let table = vec![
             (
                 Timeout(WaitLabel::Lock(CcKind::TwoPl)),
@@ -331,48 +364,48 @@ mod tests {
                 "snapshot: timed out waiting for an in-flight writer overlapping the snapshot",
             ),
             (
-                Conflict(Reason::FirstCommitterWins),
+                conflict(Reason::FirstCommitterWins),
                 "SSI",
                 "SSI: first-committer-wins (concurrent committed write)",
             ),
             (
-                Conflict(Reason::CrossGroupWriteWrite),
+                conflict(Reason::CrossGroupWriteWrite),
                 "SSI",
                 "SSI: cross-group write-write conflict",
             ),
             (
-                Conflict(Reason::DoomsPrepared),
+                conflict(Reason::DoomsPrepared),
                 "SSI",
                 "SSI: write would doom a prepared transaction",
             ),
             (
-                Conflict(Reason::PivotOnWrite),
+                conflict(Reason::PivotOnWrite),
                 "SSI",
                 "SSI: pivot (incoming and outgoing anti-dependencies)",
             ),
-            (Conflict(Reason::Pivot), "SSI", "SSI: pivot detected"),
+            (conflict(Reason::Pivot), "SSI", "SSI: pivot detected"),
             (
-                Conflict(Reason::PivotAtPrepare),
+                conflict(Reason::PivotAtPrepare),
                 "SSI",
                 "SSI: pivot detected at prepare",
             ),
             (
-                Conflict(Reason::LaterReader),
+                conflict(Reason::LaterReader),
                 "TSO",
                 "TSO: a later reader already read the prior version",
             ),
             (
-                Conflict(Reason::OrderedAfter),
+                conflict(Reason::OrderedAfter),
                 "TSO",
                 "TSO: a cross-group version is ordered after this timestamp",
             ),
             (
-                Conflict(Reason::MarkedForAbort),
+                conflict(Reason::MarkedForAbort),
                 "engine",
                 "engine: marked for abort",
             ),
             (
-                Conflict(Reason::BodyNoOp),
+                conflict(Reason::BodyNoOp),
                 "seats-workload",
                 "seats-workload: reservation no-op",
             ),
@@ -404,18 +437,20 @@ mod tests {
                     | WaitLabel::DependencyCommit
                     | WaitLabel::SnapshotWriter,
                 )
-                | Conflict(
-                    Reason::FirstCommitterWins
-                    | Reason::CrossGroupWriteWrite
-                    | Reason::DoomsPrepared
-                    | Reason::PivotOnWrite
-                    | Reason::Pivot
-                    | Reason::PivotAtPrepare
-                    | Reason::LaterReader
-                    | Reason::OrderedAfter
-                    | Reason::MarkedForAbort
-                    | Reason::BodyNoOp,
-                )
+                | CcError::Conflict {
+                    reason:
+                        Reason::FirstCommitterWins
+                        | Reason::CrossGroupWriteWrite
+                        | Reason::DoomsPrepared
+                        | Reason::PivotOnWrite
+                        | Reason::Pivot
+                        | Reason::PivotAtPrepare
+                        | Reason::LaterReader
+                        | Reason::OrderedAfter
+                        | Reason::MarkedForAbort
+                        | Reason::BodyNoOp,
+                    ..
+                }
                 | CcError::DependencyAborted
                 | CcError::Requested
                 | CcError::Internal(_)
@@ -454,10 +489,19 @@ mod tests {
         for (place, reason) in Reason::ALL.into_iter().enumerate() {
             assert_eq!(reason as usize, place, "{reason:?}");
         }
-        // Payloads are not causes.
+        // Payloads are not causes: neither a target nor a winner.
         assert_eq!(
             CcError::unreachable("a", true).cause(),
             CcError::unreachable("b", false).cause()
+        );
+        let lost_to = |winner| CcError::Conflict {
+            reason: Reason::CrossGroupWriteWrite,
+            winner,
+        };
+        assert_eq!(lost_to(Some(TxnId(7))).cause(), lost_to(None).cause());
+        assert_eq!(
+            lost_to(Some(TxnId(7))).to_string(),
+            lost_to(None).to_string()
         );
     }
 

@@ -356,8 +356,9 @@ pub trait CcMechanism: Send + Sync {
     }
 
     /// Execution phase: called with the key's version chain right before the
-    /// engine installs a write. Mechanisms that abort on write-write
-    /// overlap (SSI's first-committer-wins) check here.
+    /// engine installs a write, under the key's latch. Mechanisms that abort
+    /// on write-write overlap (SSI's first-committer-wins) check here, before
+    /// any `after_write` of the same write has run.
     fn validate_write(
         &self,
         _ctx: &mut TxnCtx,
@@ -368,8 +369,16 @@ pub trait CcMechanism: Send + Sync {
         Ok(())
     }
 
-    /// Execution phase: called after the engine installed a write of `key`.
-    fn after_write(&self, _ctx: &mut TxnCtx, _lane: Lane, _key: &Key) {}
+    /// Execution phase: called after the engine installed a write of `key`
+    /// and released the key's latch. Checks that must see every reader that
+    /// could have missed the new version (SSI's reader scan, TSO's re-check
+    /// of the reader rule) run here: a reader either registered before this
+    /// call or walks a chain that already holds the version. An error
+    /// aborts the transaction; the installed version is already in its
+    /// write set and is discarded with the rest.
+    fn after_write(&self, _ctx: &mut TxnCtx, _lane: Lane, _key: &Key) -> CcResult<()> {
+        Ok(())
+    }
 
     /// Validation phase: decide whether the transaction may commit. The
     /// engine separately waits for the transaction's dependency set, so

@@ -18,7 +18,9 @@
 //! *moving* wakes it: its end ([`mark_committed`] / [`mark_aborted`], which
 //! the engine calls after every mechanism has released its resources), RP's
 //! step commit or a fulfilled TSO promise ([`wake`]). The waiter lists are
-//! the wait-for graph ([`wait_for`]).
+//! the wait-for graph ([`wait_for`]). The engine's retry loop parks here
+//! too: a transaction that lost a write-write conflict waits for the winner
+//! it named to end ([`await_end`]) before it tries again.
 //!
 //! A wake-up cannot be lost: a move bumps the entry's *epoch*, and a blocked
 //! step reads the epoch into a [`Ticket`] while it still holds the lock that
@@ -33,6 +35,7 @@
 //! [`mark_aborted`]: TxnRegistry::mark_aborted
 //! [`wake`]: TxnRegistry::wake
 //! [`wait_for`]: TxnRegistry::wait_for
+//! [`await_end`]: TxnRegistry::await_end
 //! [`compact`]: TxnRegistry::compact
 
 use crate::error::CcResult;
@@ -274,6 +277,23 @@ impl TxnRegistry {
     /// committed, as in [`status`](TxnRegistry::status).
     pub fn wait_finished(&self, wait: &mut Wait<'_>, txn: TxnId) -> CcResult<TxnStatus> {
         wait.until(|| self.finished(txn))
+    }
+
+    /// Sleeps the calling thread, listed as `waiter`, until `txn` has ended
+    /// or `deadline` passes, and returns `txn`'s status then (`Active` when
+    /// the deadline came first). The pause of the engine's retry loop on the
+    /// winner of a lost conflict: not a [`Wait`] — a transaction that
+    /// already aborted is not blocked in a mechanism, so the pause raises no
+    /// blocking event and no timeout.
+    pub fn await_end(&self, waiter: TxnId, txn: TxnId, deadline: Instant) -> TxnStatus {
+        let mut timed_out = false;
+        loop {
+            match self.finished(txn) {
+                Step::Done(status) => return status,
+                Step::BlockedOn(_) if timed_out => return TxnStatus::Active,
+                Step::BlockedOn(ticket) => timed_out = self.park(waiter, ticket, deadline),
+            }
+        }
     }
 
     /// One evaluation of [`wait_finished`](TxnRegistry::wait_finished).

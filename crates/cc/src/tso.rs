@@ -126,7 +126,7 @@ impl CcMechanism for Tso {
             .ok_or(CcError::Internal("TSO: write before begin".to_string()))?;
         if let Some(read_ts) = shared.max_read_ts.get(key) {
             if *read_ts > my_ts {
-                return Err(CcError::Conflict(Reason::LaterReader));
+                return Err(CcError::conflict(Reason::LaterReader));
             }
         }
         drop(shared);
@@ -141,12 +141,12 @@ impl CcMechanism for Tso {
             !self.in_group(ctx.txn, lane, v.writer) && v.sort_ts().is_some_and(|ts| ts > my_ts)
         });
         if violation {
-            return Err(CcError::Conflict(Reason::OrderedAfter));
+            return Err(CcError::conflict(Reason::OrderedAfter));
         }
         Ok(())
     }
 
-    fn after_write(&self, ctx: &mut TxnCtx, _lane: Lane, key: &Key) {
+    fn after_write(&self, ctx: &mut TxnCtx, _lane: Lane, key: &Key) -> CcResult<()> {
         let mut shared = self.shared.lock();
         // Post-install re-check of the reader-abort rule. Chain readers are
         // lock-free, so a reader may record its timestamp after
@@ -161,7 +161,7 @@ impl CcMechanism for Tso {
         // microseconds, so such collisions are rare.
         if let Some(my_ts) = shared.txn_ts.get(&ctx.txn).copied() {
             if matches!(shared.max_read_ts.get(key), Some(read_ts) if *read_ts > my_ts) {
-                ctx.must_abort = true;
+                return Err(CcError::conflict(Reason::LaterReader));
             }
         }
         // Mark our promise on this key (if any) as fulfilled only after the
@@ -181,6 +181,7 @@ impl CcMechanism for Tso {
         if fulfilled {
             self.env.registry.wake(ctx.txn);
         }
+        Ok(())
     }
 
     fn validate(&self, ctx: &mut TxnCtx, _lane: Lane) -> CcResult<()> {
@@ -346,9 +347,29 @@ mod tests {
         let _ = read(&tso, &store, &mut late, k(1));
         // ...so the earlier writer must abort when it validates its write.
         let err = validate_write(&tso, &store, &mut early, k(1)).unwrap_err();
-        assert_eq!(err, CcError::Conflict(Reason::LaterReader));
+        assert_eq!(err, CcError::conflict(Reason::LaterReader));
         // Writing a different key is still fine.
         assert!(validate_write(&tso, &store, &mut early, k(2)).is_ok());
+    }
+
+    #[test]
+    fn a_later_read_inside_the_install_window_aborts_the_writer_at_after_write() {
+        let (tso, _registry) = setup();
+        let mut early = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
+        let mut late = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
+        tso.begin(&mut early, Lane::leaf()).unwrap();
+        tso.begin(&mut late, Lane::leaf()).unwrap();
+        let store = MvStore::new(1);
+        validate_write(&tso, &store, &mut early, k(2)).unwrap();
+        // The later reader records its read after the check, before the
+        // version lands.
+        assert!(read(&tso, &store, &mut late, k(2)).is_none());
+        install(&store, k(2), 1, early.order_ts, None);
+        assert_eq!(
+            tso.after_write(&mut early, Lane::leaf(), &k(2)),
+            Err(CcError::conflict(Reason::LaterReader))
+        );
+        assert!(!early.must_abort, "the cause is the error, not a mark");
     }
 
     #[test]
@@ -410,7 +431,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         // Fulfil the promise (post-install hook); the reader wakes up and
         // proceeds.
-        tso.after_write(&mut writer, Lane::leaf(), &k(5));
+        tso.after_write(&mut writer, Lane::leaf(), &k(5)).unwrap();
         assert!(handle.join().unwrap().is_ok());
     }
 
@@ -439,7 +460,7 @@ mod tests {
         // Writer 901 is a cross-group writer.
         install(&store, k(3), 901, None, Some(1_000_000));
         let err = validate_write(&tso, &store, &mut writer, k(3)).unwrap_err();
-        assert_eq!(err, CcError::Conflict(Reason::OrderedAfter));
+        assert_eq!(err, CcError::conflict(Reason::OrderedAfter));
     }
 
     #[test]

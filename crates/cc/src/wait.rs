@@ -259,7 +259,10 @@ mod tests {
                 tso2.begin(&mut ctx(T3), Lane::leaf()).unwrap();
                 tso2.finish(&mut ctx(T3), Lane::leaf(), None);
             }),
-            release: Box::new(move || tso.after_write(&mut ctx(T1), Lane::leaf(), &k(0, 1))),
+            release: Box::new(move || {
+                tso.after_write(&mut ctx(T1), Lane::leaf(), &k(0, 1))
+                    .unwrap()
+            }),
             sink,
         }
     }

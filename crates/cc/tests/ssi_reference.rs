@@ -4,21 +4,22 @@
 //! [`Ssi`] keeps a transaction's anti-dependency flags in one atomic word
 //! and its SIREAD table in stripes; until PR 22 the node was one
 //! `Mutex` over three maps plus a doom list. That single-lock version is
-//! kept here, verbatim but for names, as an **executable specification of
-//! the decisions**: both are driven through the same random schedules —
-//! begin, read, write, validate, prepare, commit, abort, interleaved over up
-//! to six transactions and five keys of one real [`MvStore`] (reads on the
-//! lock-free chain view, write validation and installs under the key latch,
-//! as the engine does), at a leaf, under batching, under the
+//! kept here as an **executable specification of the decisions**: both are
+//! driven through the same random schedules — begin, read, write, validate,
+//! prepare, commit, abort, interleaved over up to six transactions and five
+//! keys of one real [`MvStore`] (reads on the lock-free chain view; a write
+//! in the engine's order: validation and install under the key latch, then
+//! the reader scan of `after_write`), at a leaf, under batching, under the
 //! read-only-root optimisation — and must return the same picks, the same
-//! errors with the same reasons, the same `must_abort` marks, the same
-//! active counts and the same GC watermark at every step.
+//! errors with the same reasons and winners, the same `must_abort` marks,
+//! the same active counts and the same GC watermark at every step.
 //!
 //! Why it is worth its lines: SSI's abort *rate* moves with the speed of
 //! everything around it (a faster read meets more writers still in flight),
 //! so a rate cannot tell a faster engine from a laxer one. Decisions on a
-//! fixed interleaving can. A change that means to alter SSI's policy
-//! deletes this test along with the reference.
+//! fixed interleaving can. A change to SSI's policy changes the reference
+//! in the same commit — the reader scan moved after the install in both —
+//! so the schedules keep comparing the two.
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -36,7 +37,7 @@ use tebaldi_storage::{
 };
 
 // ---------------------------------------------------------------------------
-// The reference: the single-lock SSI node as it stood at e11a609.
+// The reference: the single-lock SSI node, its reader scan after the install.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug)]
@@ -50,7 +51,6 @@ struct ReferenceTxn {
     /// a transaction that would turn this one into a pivot aborts itself
     /// instead (prepared transactions have priority).
     prepared: bool,
-    write_keys: Vec<Key>,
     read_keys: Vec<Key>,
 }
 
@@ -166,14 +166,13 @@ impl CcMechanism for ReferenceSsi {
                 in_conflict: false,
                 out_conflict: false,
                 prepared: false,
-                write_keys: Vec::new(),
                 read_keys: Vec::new(),
             },
         );
         Ok(())
     }
 
-    fn before_write(&self, ctx: &mut TxnCtx, lane: Lane, key: &Key) -> CcResult<()> {
+    fn after_write(&self, ctx: &mut TxnCtx, lane: Lane, key: &Key) -> CcResult<()> {
         let mut shared = self.shared.lock();
         // Readers of this key that did not (and will not) see our write have
         // an anti-dependency towards us: reader --rw--> writer.
@@ -199,7 +198,7 @@ impl CcMechanism for ReferenceSsi {
                     // This write would make a prepared (voted-yes)
                     // transaction a pivot, but its vote can no longer be
                     // revoked — the discovering writer aborts instead.
-                    return Err(CcError::Conflict(Reason::DoomsPrepared));
+                    return Err(CcError::conflict(Reason::DoomsPrepared));
                 }
                 state.out_conflict = true;
                 if state.in_conflict {
@@ -214,10 +213,9 @@ impl CcMechanism for ReferenceSsi {
         if we_gain_in {
             state.in_conflict = true;
             if state.out_conflict {
-                return Err(CcError::Conflict(Reason::PivotOnWrite));
+                return Err(CcError::conflict(Reason::PivotOnWrite));
             }
         }
-        state.write_keys.push(*key);
         Ok(())
     }
 
@@ -258,7 +256,7 @@ impl CcMechanism for ReferenceSsi {
         // creates an outgoing anti-dependency.
         let visible = chain.committed_at_or_before(start_ts);
         let mut missed_writer: Option<TxnId> = None;
-        if chain.committed_after(start_ts) {
+        if chain.committed_after(start_ts).is_some() {
             missed_writer = chain
                 .iter()
                 .find(|v| v.is_committed() && matches!(v.commit_ts(), Some(c) if c > start_ts))
@@ -318,14 +316,14 @@ impl CcMechanism for ReferenceSsi {
             return Ok(());
         }
         if self.doomed.take(ctx.txn) {
-            return Err(CcError::Conflict(Reason::Pivot));
+            return Err(CcError::conflict(Reason::Pivot));
         }
         let shared = self.shared.lock();
         let Some(state) = shared.txns.get(&ctx.txn) else {
             return Ok(());
         };
         if state.in_conflict && state.out_conflict {
-            return Err(CcError::Conflict(Reason::Pivot));
+            return Err(CcError::conflict(Reason::Pivot));
         }
         Ok(())
     }
@@ -338,13 +336,13 @@ impl CcMechanism for ReferenceSsi {
         // Re-check under the shared lock: a doom may have landed between
         // validation and this call.
         if self.doomed.take(ctx.txn) {
-            return Err(CcError::Conflict(Reason::PivotAtPrepare));
+            return Err(CcError::conflict(Reason::PivotAtPrepare));
         }
         let Some(state) = shared.txns.get_mut(&ctx.txn) else {
             return Ok(());
         };
         if state.in_conflict && state.out_conflict {
-            return Err(CcError::Conflict(Reason::PivotAtPrepare));
+            return Err(CcError::conflict(Reason::PivotAtPrepare));
         }
         // From here on the yes-vote is stable: conflict discovery that
         // would doom this transaction aborts the discoverer instead.
@@ -378,15 +376,19 @@ impl ReferenceSsi {
             return Ok(());
         };
         // Visibility is `commit_ts <= start_ts`, so only commits strictly
-        // after the snapshot count as concurrent.
-        if chain.committed_after(state.start_ts) {
-            return Err(CcError::Conflict(Reason::FirstCommitterWins));
+        // after the snapshot count as concurrent; the loser names the newest
+        // committed writer.
+        if let Some(newer) = chain.committed_after(state.start_ts) {
+            return Err(CcError::Conflict {
+                reason: Reason::FirstCommitterWins,
+                winner: Some(newer.writer),
+            });
         }
         let my_lane = state.lane;
         // Same O(1) gate as the read-side scan: no uncommitted versions on
         // the chain means no foreign uncommitted version to conflict with.
-        let foreign_uncommitted = chain.has_other_uncommitted(ctx.txn)
-            && chain.iter().any(|v| {
+        let foreign_uncommitted = chain.has_other_uncommitted(ctx.txn).then(|| {
+            chain.iter().find(|v| {
                 !v.is_committed() && v.writer != ctx.txn && {
                     let writer_lane = self
                         .env
@@ -394,11 +396,15 @@ impl ReferenceSsi {
                         .and_then(|g| self.env.topology.child_lane(self.env.node, g));
                     writer_lane.is_none() || writer_lane != my_lane
                 }
-            });
-        if foreign_uncommitted {
-            return Err(CcError::Conflict(Reason::CrossGroupWriteWrite));
+            })
+        });
+        match foreign_uncommitted.flatten() {
+            Some(v) => Err(CcError::Conflict {
+                reason: Reason::CrossGroupWriteWrite,
+                winner: Some(v.writer),
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn cleanup(&self, txn: TxnId) {
@@ -568,32 +574,31 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
                     assert_eq!(t.a.must_abort, t.b.must_abort, "must_abort step {step}");
                 }
                 50..=79 if !t.prepared => {
-                    // write
-                    let ra = new.before_write(&mut t.a, t.lane, &key);
-                    let rb = old.before_write(&mut t.b, t.lane, &key);
-                    assert_eq!(ra, rb, "before_write step {step}");
-                    if ra.is_err() {
-                        finish = Some(false);
-                    } else {
-                        // Validated and installed under one hold of the
-                        // key latch, like `Txn::put`.
-                        let first_write = store.with_chain_mut(&key, |chain| {
-                            let va = new.validate_write(&mut t.a, t.lane, &key, chain);
-                            let vb = old.validate_write(&mut t.b, t.lane, &key, chain);
-                            assert_eq!(va, vb, "validate_write step {step}");
-                            va.ok().map(|()| {
-                                let value = Value::Int(vid as i64);
-                                chain.install(Version::uncommitted(VersionId(vid), id, value, None))
-                            })
-                        });
-                        vid += 1;
-                        match first_write {
-                            None => finish = Some(false),
-                            Some(first) => {
-                                assert_eq!(first, !t.writes.contains(&key));
-                                if first {
-                                    t.writes.push(key);
-                                }
+                    // A write in the engine's order (`Txn::put`): validated
+                    // and installed under one hold of the key latch, then
+                    // the reader scan.
+                    let first_write = store.with_chain_mut(&key, |chain| {
+                        let va = new.validate_write(&mut t.a, t.lane, &key, chain);
+                        let vb = old.validate_write(&mut t.b, t.lane, &key, chain);
+                        assert_eq!(va, vb, "validate_write step {step}");
+                        va.ok().map(|()| {
+                            let value = Value::Int(vid as i64);
+                            chain.install(Version::uncommitted(VersionId(vid), id, value, None))
+                        })
+                    });
+                    vid += 1;
+                    match first_write {
+                        None => finish = Some(false),
+                        Some(first) => {
+                            assert_eq!(first, !t.writes.contains(&key));
+                            if first {
+                                t.writes.push(key);
+                            }
+                            let ra = new.after_write(&mut t.a, t.lane, &key);
+                            let rb = old.after_write(&mut t.b, t.lane, &key);
+                            assert_eq!(ra, rb, "after_write step {step}");
+                            if ra.is_err() {
+                                finish = Some(false);
                             }
                         }
                     }

@@ -21,6 +21,7 @@ use tebaldi_cc::{CcError, Reason, WaitLabel};
 use tebaldi_core::{ProcId, ProcedureCall};
 use tebaldi_obs::{HistogramSnapshot, MetricsSnapshot, TraceCtx};
 use tebaldi_storage::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
+use tebaldi_storage::TxnId;
 
 /// Upper bound on one frame's payload. Workload requests are tiny (ids +
 /// argument buffers); anything past this is corrupt or hostile and drops
@@ -33,7 +34,9 @@ pub const MAX_FRAME_LEN: usize = 16 << 20;
 
 // An abort's cause travels as tag bytes: the variant, then a `Timeout`'s
 // label or a `Conflict`'s reason by its place in `WaitLabel::ALL` /
-// `Reason::ALL`. A byte no variant owns is `CodecError::Malformed`.
+// `Reason::ALL`. A byte no variant owns is `CodecError::Malformed`. A
+// `Conflict`'s winner follows its reason as an optional `u64`: a presence
+// byte, then the id when present.
 
 fn put_cc_error(w: &mut ByteWriter, err: &CcError) {
     match err {
@@ -41,9 +44,13 @@ fn put_cc_error(w: &mut ByteWriter, err: &CcError) {
             w.put_u8(0);
             w.put_u8(label.index() as u8);
         }
-        CcError::Conflict(reason) => {
+        CcError::Conflict { reason, winner } => {
             w.put_u8(1);
             w.put_u8(*reason as u8);
+            w.put_bool(winner.is_some());
+            if let Some(winner) = winner {
+                w.put_u64(winner.0);
+            }
         }
         CcError::DependencyAborted => w.put_u8(2),
         CcError::Requested => w.put_u8(3),
@@ -65,7 +72,14 @@ fn put_cc_error(w: &mut ByteWriter, err: &CcError) {
 fn get_cc_error(r: &mut ByteReader<'_>) -> CodecResult<CcError> {
     Ok(match r.u8()? {
         0 => CcError::Timeout(tagged(&WaitLabel::ALL, r.u8()?, "wait label")?),
-        1 => CcError::Conflict(tagged(&Reason::ALL, r.u8()?, "conflict reason")?),
+        1 => CcError::Conflict {
+            reason: tagged(&Reason::ALL, r.u8()?, "conflict reason")?,
+            winner: if r.bool()? {
+                Some(TxnId(r.u64()?))
+            } else {
+                None
+            },
+        },
         2 => CcError::DependencyAborted,
         3 => CcError::Requested,
         4 => CcError::Internal(r.str()?),
@@ -699,7 +713,11 @@ mod tests {
                 target: "connection".to_string(),
                 maybe_delivered: false,
             }),
-            Err(CcError::Conflict(Reason::BodyNoOp)),
+            Err(CcError::conflict(Reason::BodyNoOp)),
+            Err(CcError::Conflict {
+                reason: Reason::CrossGroupWriteWrite,
+                winner: Some(TxnId(u64::MAX - 3)),
+            }),
             Err(CcError::Timeout(WaitLabel::Lock(CcKind::TwoPl))),
         ];
         for result in &results {
@@ -740,7 +758,7 @@ mod tests {
                     MarkedForAbort,
                     BodyNoOp,
                 ]
-                .map(CcError::Conflict),
+                .map(CcError::conflict),
             )
             .chain([
                 CcError::DependencyAborted,
@@ -760,11 +778,12 @@ mod tests {
                     | DependencyCommit
                     | SnapshotWriter,
                 )
-                | CcError::Conflict(
-                    FirstCommitterWins | CrossGroupWriteWrite | DoomsPrepared | PivotOnWrite
-                    | Pivot | PivotAtPrepare | LaterReader | OrderedAfter | MarkedForAbort
-                    | BodyNoOp,
-                )
+                | CcError::Conflict {
+                    reason:
+                        FirstCommitterWins | CrossGroupWriteWrite | DoomsPrepared | PivotOnWrite | Pivot
+                        | PivotAtPrepare | LaterReader | OrderedAfter | MarkedForAbort | BodyNoOp,
+                    ..
+                }
                 | CcError::DependencyAborted
                 | CcError::Requested
                 | CcError::Internal(_)
@@ -775,9 +794,17 @@ mod tests {
         causes
     }
 
+    /// Every cause, and every conflict once more with a winner.
     #[test]
     fn every_abort_cause_roundtrips() {
-        for cause in every_cause() {
+        let with_winners = every_cause().into_iter().filter_map(|cause| match cause {
+            CcError::Conflict { reason, .. } => Some(CcError::Conflict {
+                reason,
+                winner: Some(TxnId(0x0102_0304_0506_0708)),
+            }),
+            _ => None,
+        });
+        for cause in every_cause().into_iter().chain(with_winners) {
             let payload = encode_result(0, 0, &Err(cause.clone()));
             let (_, _, back) = decode_result(&payload).unwrap();
             assert_eq!(back, Err(cause));

@@ -15,6 +15,7 @@ use crate::procedure::ProcedureCall;
 use crate::stats::AbortCounters;
 use crate::txn::Txn;
 use parking_lot::RwLock;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,7 +23,7 @@ use std::time::{Duration, Instant};
 use tebaldi_cc::history::HistoryRecorder;
 use tebaldi_cc::{
     CcError, CcResult, CcTree, CcTreeSpec, EventSink, NullSink, ProcedureSet, TreeServices,
-    TsOracle, TxnRegistry,
+    TsOracle, TxnRegistry, TxnStatus,
 };
 use tebaldi_obs::metrics::Counter;
 use tebaldi_obs::{Histogram, MetricsRegistry};
@@ -552,14 +553,24 @@ impl Database {
     /// Executes a transaction, retrying aborted attempts like the paper's
     /// closed-loop clients. Returns the result together with the number of
     /// aborted attempts.
+    ///
+    /// The back-off after an abort is [`retry_attempts`]'s, with one rule
+    /// on top: an attempt that lost a conflict to a named winner
+    /// ([`CcError::winner`]) waits for that winner to end instead, on the
+    /// winner's parking spot in the [`TxnRegistry`] and never longer than
+    /// the back-off, and retries as soon as a fresh snapshot can see the
+    /// winner's outcome.
     pub fn execute_with_retry<R>(
         &self,
         call: &ProcedureCall,
         max_attempts: usize,
         mut body: impl FnMut(&mut Txn<'_>) -> CcResult<R>,
     ) -> CcResult<(R, usize)> {
-        retry_attempts(max_attempts, CcError::is_retryable, || {
-            self.execute(call, &mut body)
+        self.retry_on_winner(max_attempts, |attempt| {
+            self.execute(call, |txn| {
+                attempt.set(txn.id());
+                body(txn)
+            })
         })
     }
 
@@ -574,10 +585,52 @@ impl Database {
         max_attempts: usize,
         mut body: impl FnMut(&mut Txn<'_>) -> CcResult<R>,
     ) -> CcResult<(R, usize, Option<u64>)> {
-        retry_attempts(max_attempts, CcError::is_retryable, || {
-            self.execute_deferred(call, &mut body)
+        self.retry_on_winner(max_attempts, |attempt| {
+            self.execute_deferred(call, |txn| {
+                attempt.set(txn.id());
+                body(txn)
+            })
         })
         .map(|((value, harden), aborts)| (value, aborts, harden))
+    }
+
+    /// The engine's retry loop: [`retry_attempts`], where `attempt` records
+    /// the id of the transaction it runs, and a loser that names its winner
+    /// pauses on it, listed under it in the wait-for graph. The retry starts
+    /// as soon as the winner has aborted, or has committed at a timestamp a
+    /// fresh snapshot covers; otherwise the rest of the back-off runs as
+    /// usual. So does a loss to an ended winner the loop already retried
+    /// past once: the snapshot the retry took did not cover that winner
+    /// after all (a batched SSI lane keeps its batch's), and trying again at
+    /// once would only lose again.
+    ///
+    /// Without the snapshot test a loser would spin: a durable-then-visible
+    /// commit holds [`TsOracle::snapshot_ts`] below its timestamp while it
+    /// flushes, so the winner of a first-committer-wins conflict can be
+    /// marked committed while every new snapshot still misses it.
+    fn retry_on_winner<T>(
+        &self,
+        max_attempts: usize,
+        mut attempt: impl FnMut(&Cell<TxnId>) -> CcResult<T>,
+    ) -> CcResult<(T, usize)> {
+        let loser = Cell::new(TxnId::BOOTSTRAP);
+        let mut rushed = None;
+        retry_paused(
+            max_attempts,
+            CcError::is_retryable,
+            || attempt(&loser),
+            |err, deadline| {
+                let Some(winner) = err.winner() else {
+                    return false;
+                };
+                let visible = match self.registry.await_end(loser.get(), winner, deadline) {
+                    TxnStatus::Committed(ts) => self.oracle.snapshot_ts() >= ts,
+                    TxnStatus::Aborted => true,
+                    TxnStatus::Active => false,
+                };
+                visible && rushed.replace(winner) != Some(winner)
+            },
+        )
     }
 
     /// Runs one garbage-collection cycle: advances the GC epoch, collects
@@ -614,11 +667,26 @@ impl Drop for Database {
 /// transactions and workload drivers alike: run `attempt` up to
 /// `max_attempts` times (1 = no retry), retrying an error `retry_if`
 /// accepts after a short back-off (as the paper does for SSI retries), and
-/// report how many attempts aborted.
+/// report how many attempts aborted. The back-off is `200 µs × min(aborts,
+/// 10)`.
 pub fn retry_attempts<R>(
     max_attempts: usize,
     retry_if: impl Fn(&CcError) -> bool,
+    attempt: impl FnMut() -> CcResult<R>,
+) -> CcResult<(R, usize)> {
+    retry_paused(max_attempts, retry_if, attempt, |_, _| false)
+}
+
+/// [`retry_attempts`] with a `pause` that may cut an abort's back-off
+/// short: handed the error and the back-off's deadline, it may wait — until
+/// the deadline at most — for whatever the error names, and returns true
+/// when the retry may start at once. Otherwise the rest of the back-off is
+/// slept.
+fn retry_paused<R>(
+    max_attempts: usize,
+    retry_if: impl Fn(&CcError) -> bool,
     mut attempt: impl FnMut() -> CcResult<R>,
+    mut pause: impl FnMut(&CcError, Instant) -> bool,
 ) -> CcResult<(R, usize)> {
     let mut aborts = 0;
     loop {
@@ -626,7 +694,11 @@ pub fn retry_attempts<R>(
             Ok(value) => return Ok((value, aborts)),
             Err(err) if retry_if(&err) && aborts + 1 < max_attempts => {
                 aborts += 1;
-                std::thread::sleep(Duration::from_micros(200 * aborts.min(10) as u64));
+                let backoff = Duration::from_micros(200 * aborts.min(10) as u64);
+                let deadline = Instant::now() + backoff;
+                if !pause(&err, deadline) {
+                    std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+                }
             }
             Err(err) => return Err(err),
         }

@@ -68,7 +68,7 @@ impl Database {
         let mechanism = err.mechanism();
         self.count_abort(err.cause(), mechanism, || match err {
             CcError::Timeout(label) => format!("db.aborts.{mechanism}.{}", label.what()),
-            CcError::Conflict(reason) => format!("db.aborts.{mechanism}.{}", reason.text()),
+            CcError::Conflict { reason, .. } => format!("db.aborts.{mechanism}.{}", reason.text()),
             _ => format!("db.aborts.{mechanism}"),
         });
     }
@@ -154,7 +154,7 @@ mod tests {
         drop(prepared);
         let requested = db.execute(&call(), |txn| Err::<(), _>(txn.request_abort()));
         assert_eq!(requested, Err(CcError::Requested));
-        let vetoed = CcError::Conflict(Reason::BodyNoOp);
+        let vetoed = CcError::conflict(Reason::BodyNoOp);
         assert_eq!(
             db.execute(&call(), |_| Err::<(), _>(vetoed.clone())),
             Err(vetoed)
@@ -216,8 +216,8 @@ mod tests {
     fn each_cause_counts_alone_under_concurrency() {
         let db = db(MetricsRegistry::new());
         let causes = [
-            CcError::Conflict(Reason::Pivot),
-            CcError::Conflict(Reason::FirstCommitterWins),
+            CcError::conflict(Reason::Pivot),
+            CcError::conflict(Reason::FirstCommitterWins),
             CcError::Timeout(WaitLabel::Lock(CcKind::TwoPl)),
             CcError::DependencyAborted,
         ];

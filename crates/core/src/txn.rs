@@ -155,7 +155,7 @@ impl<'a> Txn<'a> {
 
     /// Writes a key.
     pub fn put(&mut self, key: Key, value: Value) -> CcResult<()> {
-        // Top-down pass: locks, timestamp checks.
+        // Top-down pass: locks, pipeline steps.
         for entry in self.path {
             entry
                 .mechanism
@@ -190,8 +190,13 @@ impl<'a> Txn<'a> {
         if let Some(history) = &self.db.history {
             history.write(self.ctx.txn, key);
         }
+        // Checks that must see the installed version (SSI's reader scan).
+        // The key is already in the write set, so an abort here discards
+        // the version with the rest.
         for entry in self.path {
-            entry.mechanism.after_write(&mut self.ctx, entry.lane, &key);
+            entry
+                .mechanism
+                .after_write(&mut self.ctx, entry.lane, &key)?;
         }
         Ok(())
     }
@@ -257,7 +262,7 @@ impl<'a> Txn<'a> {
     /// two-phase commit.
     pub(crate) fn validate_and_wait_deps(&mut self) -> CcResult<()> {
         if self.ctx.must_abort {
-            return Err(CcError::Conflict(Reason::MarkedForAbort));
+            return Err(CcError::conflict(Reason::MarkedForAbort));
         }
         // Validation phase, top-down.
         for entry in self.path {

@@ -570,14 +570,14 @@ impl<'a> Chain<'a> {
             .find(|v| matches!(v.commit_ts(), Some(c) if c <= ts))
     }
 
-    /// True if a version committed with a timestamp `> ts` exists
-    /// (first-committer-wins check of snapshot isolation). The first
-    /// committed version of the walk carries the chain's largest commit
-    /// timestamp, so it alone decides.
-    pub fn committed_after(&self, ts: Timestamp) -> bool {
-        self.iter()
-            .find_map(|v| v.commit_ts())
-            .is_some_and(|c| c > ts)
+    /// The newest committed version, if it committed with a timestamp
+    /// `> ts` (first-committer-wins check of snapshot isolation; its writer
+    /// is the one a later writer loses to). The first committed version of
+    /// the walk carries the chain's largest commit timestamp, so it alone
+    /// decides.
+    pub fn committed_after(&self, ts: Timestamp) -> Option<&'a Version> {
+        self.latest_committed()
+            .filter(|v| v.commit_ts().is_some_and(|c| c > ts))
     }
 
     /// The newest uncommitted version `want` accepts, with the handle of
@@ -1495,9 +1495,8 @@ mod tests {
                     .map(|v| v.writer.0)
             };
             assert_eq!((at(9), at(10), at(20)), (None, Some(1), Some(2)));
-            assert!(chain.committed_after(Timestamp(15)));
-            assert!(!chain.committed_after(Timestamp(20)));
-            assert!(!chain.committed_after(Timestamp(25)));
+            let after = |ts| chain.committed_after(Timestamp(ts)).map(|v| v.writer.0);
+            assert_eq!((after(15), after(20), after(25)), (Some(2), None, None));
         });
     }
 
@@ -1601,7 +1600,7 @@ mod tests {
         let early = nodes_visited(|| {
             store.with_chain(&k, |chain| {
                 assert_eq!(chain.latest_committed().unwrap().writer, TxnId(1_000));
-                assert!(chain.committed_after(Timestamp(999)));
+                assert!(chain.committed_after(Timestamp(999)).is_some());
                 assert_eq!(
                     chain.committed_before(Timestamp(1_000)).unwrap().writer,
                     TxnId(999)

@@ -78,7 +78,7 @@ pub mod procs {
 /// distinguishable from the engine's own [`CcError::Requested`] aborts
 /// (reconfiguration drains, gate timeouts), which must keep retrying.
 fn no_op_vote() -> CcError {
-    CcError::Conflict(Reason::BodyNoOp)
+    CcError::conflict(Reason::BodyNoOp)
 }
 
 /// Whether a 2PC failure was this workload's own no-op vote.

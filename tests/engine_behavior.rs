@@ -1,15 +1,17 @@
 //! Engine-level behavioural tests: garbage collection, read-only
 //! non-blocking behaviour under the SSI root, cascading-abort prevention,
-//! partition-by-instance group routing, and who wakes whom.
+//! partition-by-instance group routing, who wakes whom, and what the retry
+//! loop waits on after an abort.
 
-use std::sync::mpsc;
 use std::sync::Arc;
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 use tebaldi_suite::cc::{
-    AccessMode, CcError, CcKind, CcNodeSpec, CcTreeSpec, ProcedureInfo, ProcedureSet, WaitLabel,
+    AccessMode, CcError, CcKind, CcNodeSpec, CcResult, CcTreeSpec, ProcedureInfo, ProcedureSet,
+    Reason, WaitLabel,
 };
 use tebaldi_suite::core::{Database, DbConfig, ProcedureCall};
-use tebaldi_suite::storage::{Key, TableId, TxnTypeId, Value};
+use tebaldi_suite::storage::{Key, TableId, TxnId, TxnTypeId, Value};
 
 const TABLE: TableId = TableId(0);
 const UPDATE: TxnTypeId = TxnTypeId(0);
@@ -427,5 +429,301 @@ fn a_later_reader_waits_for_a_promised_write_and_reads_it() {
     go_tx.send(()).unwrap();
     assert_eq!(promiser.join().unwrap(), Ok(()));
     assert_eq!(reader.join().unwrap(), Ok(Some(Value::Int(7))));
+    db.shutdown();
+}
+
+/// The back-off `n` aborts into a unit: `200 µs × min(n, 10)`.
+fn backoff(aborts: usize) -> Duration {
+    Duration::from_micros(200 * aborts.min(10) as u64)
+}
+
+/// Asserts that retry `n` (1-based, from `first` on) of a unit began no
+/// sooner than its back-off after attempt `n - 1` lost; `attempts` holds
+/// (body entered, losing write returned) per attempt.
+fn assert_retries_backed_off(attempts: &[(Instant, Instant)], first: usize) {
+    for (n, pair) in attempts.windows(2).enumerate().skip(first - 1) {
+        let gap = pair[1].0.duration_since(pair[0].1);
+        assert!(gap >= backoff(n + 1), "retry {} after {gap:?}", n + 1);
+    }
+}
+
+/// The value of `key` as a fresh transaction reads it.
+fn read_int(db: &Database, key: Key) -> Option<i64> {
+    db.execute(&ProcedureCall::new(READ), |txn| {
+        Ok(txn.get(key)?.and_then(|v| v.as_int()))
+    })
+    .unwrap()
+}
+
+#[test]
+fn a_write_write_loser_waits_on_its_winner_and_retries_once_it_has_ended() {
+    let db = patient_db(CcKind::Ssi);
+    let key = Key::simple(TABLE, 14);
+    db.load(key, Value::Int(0));
+    let lost_to = |winner| {
+        move |result: &CcResult<()>| match result {
+            Err(CcError::Conflict {
+                reason: Reason::CrossGroupWriteWrite | Reason::FirstCommitterWins,
+                winner: Some(w),
+            }) => *w == winner,
+            _ => false,
+        }
+    };
+
+    // While the winner is open, its loser sleeps listed under it.
+    let (wrote_tx, wrote_rx) = mpsc::channel();
+    let (go_tx, go_rx) = mpsc::channel::<()>();
+    let winner = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            db.execute(&ProcedureCall::new(UPDATE), |txn| {
+                txn.put(key, Value::Int(1))?;
+                wrote_tx.send(txn.id()).unwrap();
+                go_rx.recv().unwrap();
+                Ok(())
+            })
+        })
+    };
+    let w = wrote_rx.recv().unwrap();
+    // Each attempt of the loser: its id and how its write went.
+    let attempts = Arc::new(Mutex::new(Vec::<(TxnId, CcResult<()>)>::new()));
+    let loser = {
+        let (db, attempts) = (Arc::clone(&db), Arc::clone(&attempts));
+        std::thread::spawn(move || {
+            db.execute_with_retry(&ProcedureCall::new(UPDATE), 100_000, |txn| {
+                let result = txn.put(key, Value::Int(2));
+                attempts.lock().unwrap().push((txn.id(), result.clone()));
+                result
+            })
+        })
+    };
+    let started = Instant::now();
+    let edge = loop {
+        if let Some(&edge) = db.registry().wait_for().first() {
+            break edge;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the loser never slept"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert_eq!(edge.1, w, "the loser sleeps on its winner");
+    go_tx.send(()).unwrap();
+    assert_eq!(winner.join().unwrap(), Ok(()));
+    let (_, aborts) = loser.join().unwrap().unwrap();
+    let attempts = attempts.lock().unwrap();
+    assert!(attempts.iter().any(|(id, _)| *id == edge.0), "{edge:?}");
+    let (last, aborted) = attempts.split_last().unwrap();
+    assert_eq!(aborted.len(), aborts);
+    assert!(
+        aborted.iter().all(|(_, result)| lost_to(w)(result)),
+        "{aborted:?}"
+    );
+    assert_eq!(last.1, Ok(()));
+    assert_eq!(read_int(&db, key), Some(2));
+    drop(attempts);
+
+    // A winner that has ended by the time its loser pauses: the second
+    // attempt commits.
+    let (wrote_tx, wrote_rx) = mpsc::channel();
+    let (go_tx, go_rx) = mpsc::channel::<()>();
+    let winner = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            db.execute(&ProcedureCall::new(UPDATE), |txn| {
+                txn.put(key, Value::Int(3))?;
+                wrote_tx.send(txn.id()).unwrap();
+                go_rx.recv().unwrap();
+                Ok(())
+            })
+        })
+    };
+    let w = wrote_rx.recv().unwrap();
+    let mut winner = Some(winner);
+    let (_, aborts) = db
+        .execute_with_retry(&ProcedureCall::new(UPDATE), 100_000, |txn| {
+            let result = txn.put(key, Value::Int(4));
+            if let Some(winner) = winner.take() {
+                assert!(lost_to(w)(&result), "{result:?}");
+                go_tx.send(()).unwrap();
+                assert_eq!(winner.join().unwrap(), Ok(()));
+            }
+            result
+        })
+        .unwrap();
+    assert_eq!(aborts, 1);
+    assert_eq!(read_int(&db, key), Some(4));
+    db.shutdown();
+}
+
+#[test]
+fn a_loser_whose_winner_is_not_yet_under_the_snapshot_backs_off() {
+    let db = patient_db(CcKind::Ssi);
+    let key = Key::simple(TABLE, 15);
+    db.load(key, Value::Int(0));
+    // An earlier commit still in flight holds every new snapshot below the
+    // winner's commit: each attempt of the loser loses to it again.
+    let held = db.oracle().begin_commit();
+    db.execute(&ProcedureCall::new(UPDATE), |txn| {
+        txn.put(key, Value::Int(1))
+    })
+    .unwrap();
+    let attempts = Mutex::new(Vec::new());
+    let aborts = std::thread::scope(|scope| {
+        let loser = scope.spawn(|| {
+            db.execute_with_retry(&ProcedureCall::new(UPDATE), 1_000_000, |txn| {
+                let entered = Instant::now();
+                let result = txn.put(key, Value::Int(2));
+                attempts.lock().unwrap().push((entered, Instant::now()));
+                result
+            })
+        });
+        while attempts.lock().unwrap().len() < 12 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        db.oracle().end_commit(held);
+        loser.join().unwrap().unwrap().1
+    });
+    // The winner had ended every time, but no retry could see it: each
+    // slept its back-off out instead of trying again at once. (The last
+    // retry may start at once: the held commit may end just before it.)
+    let attempts = attempts.into_inner().unwrap();
+    assert!(aborts >= 11, "{aborts}");
+    assert_eq!(attempts.len(), aborts + 1);
+    assert_retries_backed_off(&attempts[..aborts], 1);
+    assert_eq!(read_int(&db, key), Some(2));
+    db.shutdown();
+}
+
+#[test]
+fn a_pivot_abort_still_backs_off() {
+    // Write skew: T1 reads x and writes y, T2 reads y and writes x. While
+    // T1 is open every attempt of T2 is a pivot — a conflict with no
+    // winner to wait on.
+    let db = patient_db(CcKind::Ssi);
+    let (x, y) = (Key::simple(TABLE, 16), Key::simple(TABLE, 17));
+    db.load(x, Value::Int(0));
+    db.load(y, Value::Int(0));
+    let (read_tx, read_rx) = mpsc::channel();
+    let (write_tx, write_rx) = mpsc::channel::<()>();
+    let (wrote_tx, wrote_rx) = mpsc::channel();
+    let (end_tx, end_rx) = mpsc::channel::<()>();
+    let t1 = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            db.execute(&ProcedureCall::new(UPDATE), |txn| {
+                txn.get(x)?;
+                read_tx.send(()).unwrap();
+                write_rx.recv().unwrap();
+                txn.put(y, Value::Int(1))?;
+                wrote_tx.send(()).unwrap();
+                end_rx.recv().unwrap();
+                Ok(())
+            })
+        })
+    };
+    read_rx.recv().unwrap();
+    let mut attempts = Vec::new();
+    let mut results = Vec::new();
+    let mut end = Some(end_tx);
+    let (_, aborts) = db
+        .execute_with_retry(&ProcedureCall::new(UPDATE), 1_000, |txn| {
+            let entered = Instant::now();
+            txn.get(y)?;
+            if attempts.is_empty() {
+                write_tx.send(()).unwrap();
+                wrote_rx.recv().unwrap();
+            }
+            let result = txn.put(x, Value::Int(2));
+            attempts.push((entered, Instant::now()));
+            results.push(result.clone());
+            if attempts.len() == 4 {
+                end.take().unwrap().send(()).unwrap();
+            }
+            result
+        })
+        .unwrap();
+    assert_eq!(t1.join().unwrap(), Err(CcError::conflict(Reason::Pivot)));
+    assert!(aborts >= 4, "{aborts}");
+    assert_eq!(attempts.len(), aborts + 1);
+    let pivot = Err(CcError::conflict(Reason::PivotOnWrite));
+    assert!(results[..aborts].iter().all(|r| *r == pivot), "{results:?}");
+    assert_retries_backed_off(&attempts, 1);
+    assert_eq!(read_int(&db, x), Some(2));
+    db.shutdown();
+}
+
+#[test]
+fn a_loser_retries_at_once_only_once_past_the_same_ended_winner() {
+    // Under a batching SSI root a retry joins its lane's open batch and
+    // keeps the batch's snapshot: a fresh oracle snapshot that covers the
+    // winner does not mean the retry's does.
+    const OTHER: TxnTypeId = TxnTypeId(2);
+    let mut procedures = procedures();
+    procedures.insert(ProcedureInfo::new(
+        OTHER,
+        "other update",
+        vec![(TABLE, AccessMode::Write)],
+    ));
+    let spec = CcTreeSpec::new(CcNodeSpec::inner(
+        CcKind::Ssi,
+        "root",
+        vec![
+            CcNodeSpec::leaf(CcKind::TwoPl, "updates", vec![UPDATE]),
+            CcNodeSpec::leaf(CcKind::TwoPl, "others", vec![OTHER]),
+            CcNodeSpec::leaf(CcKind::NoCc, "readers", vec![READ]),
+        ],
+    ));
+    let db = Database::builder(DbConfig {
+        wait_timeout_ms: 10_000,
+        ..DbConfig::for_tests()
+    })
+    .procedures(procedures)
+    .cc_spec(spec)
+    .build()
+    .unwrap();
+    let key = Key::simple(TABLE, 18);
+    db.load(key, Value::Int(0));
+    let attempts = Mutex::new(Vec::new());
+    let (began_tx, began_rx) = mpsc::channel();
+    let (end_tx, end_rx) = mpsc::channel::<()>();
+    let aborts = std::thread::scope(|scope| {
+        // A member of the loser's lane holds the lane's batch open.
+        let db = &db;
+        let holder = scope.spawn(move || {
+            db.execute(&ProcedureCall::new(UPDATE), |_| {
+                began_tx.send(()).unwrap();
+                end_rx.recv().unwrap();
+                Ok(())
+            })
+        });
+        began_rx.recv().unwrap();
+        // The winner, from the other lane, commits after the batch began.
+        db.execute(&ProcedureCall::new(OTHER), |txn| {
+            txn.put(key, Value::Int(1))
+        })
+        .unwrap();
+        let loser = scope.spawn(|| {
+            db.execute_with_retry(&ProcedureCall::new(UPDATE), 1_000_000, |txn| {
+                let entered = Instant::now();
+                let result = txn.put(key, Value::Int(2));
+                attempts.lock().unwrap().push((entered, Instant::now()));
+                result
+            })
+        });
+        while attempts.lock().unwrap().len() < 12 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        end_tx.send(()).unwrap();
+        assert_eq!(holder.join().unwrap(), Ok(()));
+        loser.join().unwrap().unwrap().1
+    });
+    // The first loss retried at once; every later one slept its back-off.
+    let attempts = attempts.into_inner().unwrap();
+    assert!(aborts >= 11, "{aborts}");
+    assert_eq!(attempts.len(), aborts + 1);
+    assert_retries_backed_off(&attempts, 2);
+    assert_eq!(read_int(&db, key), Some(2));
     db.shutdown();
 }

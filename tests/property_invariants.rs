@@ -41,7 +41,7 @@ fn check_chain(
     for ts in probes.iter().map(|p| Timestamp(*p)) {
         assert_eq!(id(chain.committed_before(ts)), newest(&|c| c < ts));
         assert_eq!(id(chain.committed_at_or_before(ts)), newest(&|c| c <= ts));
-        assert_eq!(chain.committed_after(ts), commits.iter().any(|c| *c > ts));
+        assert_eq!(id(chain.committed_after(ts)), newest(&|c| c > ts));
     }
     writers
         .iter()

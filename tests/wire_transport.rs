@@ -156,7 +156,7 @@ fn result_from_seed((variant, a, b): (u32, u64, u64)) -> Result<ShardResponse, C
                 },
             )],
         }))),
-        6 => Err(CcError::Conflict(Reason::BodyNoOp)),
+        6 => Err(CcError::conflict(Reason::BodyNoOp)),
         7 => Err(CcError::Internal(format!("remote failure {a}"))),
         8 => Err(CcError::Unreachable {
             target: format!("shard {}", a % 16),
