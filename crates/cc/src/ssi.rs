@@ -29,8 +29,12 @@
 //! transaction's own [`TxnCtx`] (so its own calls reach it without a
 //! lookup) and the places other transactions find it:
 //!
-//! * the **SIREAD table**, [`READER_STRIPES`] stripes of `Key → [(TxnId,
-//!   record)]` chosen by [`Key::mix64`]: a key's stripe lock serializes
+//! * the **SIREAD table**, [`READER_STRIPES`] stripes of `Key → readers`
+//!   chosen by [`Key::mix64`], where a key's readers are `(TxnId, record)`
+//!   pairs held as none, one in the table's own slot, or many in a `Vec`
+//!   (nearly every key has one reader at a time, so registering a read and
+//!   forgetting it allocate nothing; a key with none leaves the table).
+//!   A key's stripe lock serializes
 //!   "reader registers on the key" against "writer scans the key's
 //!   readers" — the one ordering edge detection needs from a lock. The
 //!   writer scans *after* installing its version: a reader that registers
@@ -201,7 +205,56 @@ struct Batch {
 #[derive(Default)]
 struct Padded<T>(T);
 
-type Readers = KeyMap<Vec<(TxnId, Arc<SsiTxn>)>>;
+/// One reader registered on a key: its id and its record.
+type Reader = (TxnId, Arc<SsiTxn>);
+
+/// The SIREAD readers of one key. Nearly every key has exactly one reader
+/// at a time, and that one lives in the table's own slot: registering it
+/// and forgetting it allocate nothing.
+#[derive(Default)]
+enum KeyReaders {
+    #[default]
+    None,
+    One(Reader),
+    Many(Vec<Reader>),
+}
+
+impl KeyReaders {
+    fn iter(&self) -> std::slice::Iter<'_, Reader> {
+        match self {
+            KeyReaders::None => [].iter(),
+            KeyReaders::One(reader) => std::slice::from_ref(reader).iter(),
+            KeyReaders::Many(readers) => readers.iter(),
+        }
+    }
+
+    fn has(&self, txn: TxnId) -> bool {
+        self.iter().any(|(r, _)| *r == txn)
+    }
+
+    fn push(&mut self, reader: Reader) {
+        *self = match std::mem::take(self) {
+            KeyReaders::None => KeyReaders::One(reader),
+            KeyReaders::One(first) => KeyReaders::Many(vec![first, reader]),
+            KeyReaders::Many(mut readers) => {
+                readers.push(reader);
+                KeyReaders::Many(readers)
+            }
+        };
+    }
+
+    /// Forgets `txn`; true when no reader is left.
+    fn remove(&mut self, txn: TxnId) -> bool {
+        match self {
+            KeyReaders::One((r, _)) if *r == txn => *self = KeyReaders::None,
+            KeyReaders::Many(readers) => readers.retain(|(r, _)| *r != txn),
+            _ => {}
+        }
+        self.iter().len() == 0
+    }
+}
+
+type Readers = KeyMap<KeyReaders>;
 type Directory = HashMap<TxnId, Arc<SsiTxn>>;
 
 /// A serializable-snapshot-isolation node.
@@ -386,7 +439,7 @@ impl CcMechanism for Ssi {
         if let Some(h) = mine {
             let mut stripe = self.reader_stripe(key).lock();
             let readers = stripe.entry(*key).or_default();
-            if !readers.iter().any(|(r, _)| *r == reader) {
+            if !readers.has(reader) {
                 readers.push((reader, Arc::clone(&h.txn)));
                 h.read_keys.push(*key);
             }
@@ -537,11 +590,8 @@ impl Ssi {
         self.directory_shard(ctx.txn).lock().remove(&ctx.txn);
         for key in &handle.read_keys {
             let mut stripe = self.reader_stripe(key).lock();
-            if let Some(readers) = stripe.get_mut(key) {
-                readers.retain(|(r, _)| *r != ctx.txn);
-                if readers.is_empty() {
-                    stripe.remove(key);
-                }
+            if stripe.get_mut(key).is_some_and(|r| r.remove(ctx.txn)) {
+                stripe.remove(key);
             }
         }
         if let Some(lane) = handle.txn.lane {

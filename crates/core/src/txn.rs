@@ -217,10 +217,9 @@ impl<'a> Txn<'a> {
         let current = self.get(key)?;
         let old = current.as_ref().and_then(|v| v.field(idx)).unwrap_or(0);
         let new = f(old);
-        let updated = match current {
-            Some(v) => v.with_field(idx, new),
-            None => Value::Int(new).with_field(idx, new),
-        };
+        // An absent key reads as zeros: `Int(new)` for field 0, otherwise a
+        // row of zeros with `new` at `idx`.
+        let updated = current.unwrap_or(Value::Int(0)).with_field(idx, new);
         self.put(key, updated)?;
         Ok(new)
     }

@@ -13,7 +13,7 @@
 use crate::key::Key;
 use crate::schema::TableId;
 use crate::types::{Timestamp, TxnId};
-use crate::value::Value;
+use crate::value::{Row, Value};
 use crate::wal::LogRecord;
 use bytes::Bytes;
 use std::sync::Arc;
@@ -334,14 +334,12 @@ impl<'a> ByteReader<'a> {
                 let len = self.len_prefix()?;
                 // Each field costs 8 bytes: bound the allocation by what the
                 // buffer can actually hold.
-                if self.remaining() < len * 8 {
-                    return Err(CodecError::Truncated);
-                }
-                let mut fields = Vec::with_capacity(len);
-                for _ in 0..len {
-                    fields.push(self.i64()?);
-                }
-                Ok(Value::Row(Arc::from(fields.as_slice())))
+                let raw = self.take(len * 8)?;
+                Ok(Value::Row(Row::build(len, |fields| {
+                    for (field, bytes) in fields.iter_mut().zip(raw.chunks_exact(8)) {
+                        *field = i64::from_le_bytes(bytes.try_into().unwrap());
+                    }
+                })))
             }
             3 => Ok(Value::Str(Arc::from(self.str()?.as_str()))),
             4 => Ok(Value::Bytes(Bytes::from(self.bytes()?.to_vec()))),
@@ -499,6 +497,8 @@ mod tests {
             Value::Null,
             Value::Int(-7),
             Value::row(&[1, -2, 3]),
+            Value::row(&[]),
+            Value::row(&[1, 2, 3, 4, 5]),
             Value::str("tebaldi"),
             Value::Bytes(Bytes::from_static(b"\x00\xff\x01")),
         ];

@@ -163,9 +163,10 @@ impl GcManager {
     /// `low_watermark` is the smallest timestamp any concurrency control may
     /// still need to read at or after (`Timestamp::MAX`: no constraint). The
     /// collectable horizon is the minimum of (a) that watermark and (b) the
-    /// highest commit timestamp of fully-retired epochs; versions committed
-    /// strictly before it, except the latest committed one per key, are
-    /// pruned, and when no epoch has fully retired nothing is. Every cycle
+    /// highest commit timestamp of fully-retired epochs; every version no
+    /// read at or above it can return is pruned (each key keeps the newest
+    /// committed below it, see [`ChainWrite::prune`](crate::ChainWrite::prune)),
+    /// and when no epoch has fully retired nothing is. Every cycle
     /// also runs a physical reclamation sweep so limbo lists drain even on
     /// quiet cycles.
     pub fn collect(&self, store: &MvStore, low_watermark: Timestamp) -> GcReport {
@@ -252,6 +253,7 @@ mod tests {
         let gc = GcManager::new();
 
         let e1 = gc.transaction_started();
+        committed_write(&store, 3, 1, 5, 5);
         committed_write(&store, 1, 1, 10, 10);
         gc.transaction_finished(e1, Some(Timestamp(10)));
 
@@ -265,6 +267,9 @@ mod tests {
         gc.transaction_finished(e2, Some(Timestamp(20)));
         let report = gc.collect(&store, Timestamp::MAX);
         assert!(report.epochs_retired >= 1);
+        // The horizon is 20: 10 stays for a reader whose snapshot is the
+        // horizon, 5 goes.
+        assert_eq!(report.horizon, Timestamp(20));
         assert_eq!(report.removed, 1, "old version of key 1 collected");
         assert_eq!(
             store.read(&k(1), ReadSpec::LatestCommitted),
@@ -313,13 +318,14 @@ mod tests {
             gc.transaction_finished(e, Some(Timestamp(round * 10)));
             gc.advance_epoch();
             let report = gc.collect(&store, Timestamp::MAX);
-            // Each cycle prunes every superseded version of key 1 exactly
-            // once: one per round after the first.
+            // Each cycle's horizon is its own commit, so key 1 keeps that
+            // version and the one below it: every older version is pruned
+            // exactly once, one per round from the third on.
             expected_removed += report.removed;
             assert_eq!(store.stats(), store.stats_scanned());
         }
-        assert_eq!(expected_removed, 9);
-        assert_eq!(store.stats().versions, 1);
+        assert_eq!(expected_removed, 8);
+        assert_eq!(store.stats().versions, 2);
         // Physical reclamation eventually frees everything pruned.
         for _ in 0..8 {
             store.reclaim();

@@ -43,5 +43,5 @@ pub use mvstore::{
 };
 pub use schema::{Schema, TableDef, TableId};
 pub use types::{GroupId, NodeId, Timestamp, TxnId, TxnTypeId};
-pub use value::Value;
+pub use value::{Row, Value};
 pub use version::{Version, VersionId};

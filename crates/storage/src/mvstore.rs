@@ -809,14 +809,21 @@ impl<'a> ChainWrite<'a> {
         true
     }
 
-    /// Drops committed versions strictly older than `keep_after`, always
-    /// keeping at least the latest committed version. Returns the number of
-    /// versions removed.
-    pub fn prune(&mut self, keep_after: Timestamp) -> usize {
-        let latest_commit_ts = self.chain.latest_committed().and_then(|v| v.commit_ts());
-        let stale = |v: &Version| {
-            v.commit_ts()
-                .is_some_and(|ts| ts < keep_after && Some(ts) != latest_commit_ts)
+    /// Drops the committed versions no read at or after `horizon` can
+    /// return: every one older than the newest committed strictly below
+    /// `horizon`. That one stays — a reader whose snapshot is the horizon
+    /// sees it — and so does everything newer and everything in flight.
+    /// Returns the number of versions removed.
+    pub fn prune(&mut self, horizon: Timestamp) -> usize {
+        // Committed versions run newest-first in descending commit order
+        // (position-order invariant): the first one below the horizon is the
+        // floor, and every committed one after it is stale.
+        let mut floor_seen = false;
+        let mut stale = |v: &Version| {
+            let below = v.commit_ts().is_some_and(|ts| ts < horizon);
+            let past_floor = below && floor_seen;
+            floor_seen |= below;
+            past_floor
         };
         let mut removed = 0;
         let mut prev = NIL;
@@ -1209,8 +1216,9 @@ impl MvStore {
         });
     }
 
-    /// Prunes committed versions older than `horizon` from every chain,
-    /// keeping at least the latest committed version of each key. Returns
+    /// Prunes every chain at `horizon` (see [`ChainWrite::prune`]): a read
+    /// at any timestamp at or above it returns the same version before and
+    /// after, and each key keeps its latest committed version. Returns
     /// the number of versions removed (retired to the epoch limbo lists —
     /// the memory is reclaimed once every pin has moved on). Unlike the old
     /// locked-map store this takes no shard-wide lock: each key is latched
@@ -1559,14 +1567,41 @@ mod tests {
                 chain.commit(TxnId(i), Timestamp(i * 10));
             }
             chain.install(ver(99));
-            assert_eq!(chain.prune(Timestamp(45)), 4);
+            // 40 is what a reader at 45 sees: it stays with 50.
+            assert_eq!(chain.prune(Timestamp(45)), 3);
             assert_eq!(chain.latest_committed().unwrap().writer, TxnId(5));
             assert!(chain.uncommitted_by(TxnId(99)).is_some());
+            assert_eq!(chain.len(), 3);
             // A horizon beyond everything still keeps the latest.
+            assert_eq!(chain.prune(Timestamp(1_000)), 1);
             assert_eq!(chain.prune(Timestamp(1_000)), 0);
             assert_eq!(chain.len(), 2);
         });
         assert_eq!(writers(&store, &k), [99, 5]);
+        assert_eq!(store.stats(), store.stats_scanned());
+    }
+
+    /// A chain committed at 5, 8 and 12, pruned at 10: a read at the
+    /// horizon must still find 8. Only 5 goes.
+    #[test]
+    fn prune_keeps_the_version_a_reader_at_the_horizon_sees() {
+        let store = MvStore::new(1);
+        let k = key(8);
+        for ts in [5, 8, 12] {
+            store.write(&k, TxnId(ts), Value::Int(ts as i64));
+            store.commit_writes(TxnId(ts), &[k], Timestamp(ts));
+        }
+        let at_horizon = |store: &MvStore| {
+            store.with_chain(&k, |chain| {
+                let seen = |ts| chain.committed_at_or_before(Timestamp(ts));
+                [10, 11, 12].map(|ts| seen(ts).map(|v| v.value.clone()))
+            })
+        };
+        let before = at_horizon(&store);
+        assert_eq!(before[0], Some(Value::Int(8)));
+        assert_eq!(store.prune_before(Timestamp(10)), 1);
+        assert_eq!(at_horizon(&store), before);
+        assert_eq!(writers(&store, &k), [12, 8]);
         assert_eq!(store.stats(), store.stats_scanned());
     }
 

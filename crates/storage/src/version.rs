@@ -53,6 +53,9 @@ pub struct Version {
     hlc: AtomicU64,
 }
 
+// One arena slot: the header words and the value, inline rows included.
+const _: () = assert!(std::mem::size_of::<Version>() == 88);
+
 impl Version {
     /// A version as its writer installs it: not yet committed.
     pub fn uncommitted(

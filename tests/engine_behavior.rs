@@ -4,7 +4,7 @@
 //! loop waits on after an abort.
 
 use std::sync::Arc;
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 use tebaldi_suite::cc::{
     AccessMode, CcError, CcKind, CcNodeSpec, CcResult, CcTreeSpec, ProcedureInfo, ProcedureSet,
@@ -75,6 +75,79 @@ fn gc_prunes_old_versions_between_epochs() {
         })
         .unwrap();
     assert_eq!(value, 50);
+    db.shutdown();
+}
+
+/// GC's horizon is the smaller of the retired epochs' top commit and the
+/// oldest live snapshot, so it *is* a reader's snapshot whenever an older
+/// epoch retires holding a commit after it. Y holds epoch 1 open across a
+/// GC cycle; R begins in epoch 2 with a snapshot above k's version; W
+/// overwrites k; Y commits last. The next cycle retires epoch 1 at Y's
+/// commit and prunes at R's snapshot — and R must still read k's version.
+#[test]
+fn a_reader_whose_snapshot_is_the_gc_horizon_keeps_its_version() {
+    let db = patient_db(CcKind::Ssi);
+    let (k, other, y_key) = (
+        Key::simple(TABLE, 18),
+        Key::simple(TABLE, 19),
+        Key::simple(TABLE, 20),
+    );
+    let put = |key, v| {
+        db.execute(&ProcedureCall::new(UPDATE), |txn| {
+            txn.put(key, Value::Int(v))
+        })
+        .unwrap()
+    };
+    put(k, 1);
+    // A later commit anywhere moves every new snapshot past k's version.
+    put(other, 1);
+    // Each gate is passed twice by its transaction's body: once on entry,
+    // once when the test lets it go on.
+    let (y_gate, r_gate) = (Barrier::new(2), Barrier::new(2));
+    std::thread::scope(|scope| {
+        let y = scope.spawn(|| {
+            db.execute(&ProcedureCall::new(UPDATE), |txn| {
+                y_gate.wait();
+                y_gate.wait();
+                txn.put(y_key, Value::Int(1))
+            })
+        });
+        y_gate.wait();
+        db.run_gc_cycle();
+        let r = scope.spawn(|| {
+            db.execute(&ProcedureCall::new(READ), |txn| {
+                r_gate.wait();
+                r_gate.wait();
+                txn.get(k)
+            })
+        });
+        r_gate.wait();
+        put(k, 2);
+        y_gate.wait();
+        assert_eq!(y.join().unwrap(), Ok(()));
+        let report = db.run_gc_cycle();
+        assert_eq!(report.epochs_retired, 1);
+        r_gate.wait();
+        assert_eq!(r.join().unwrap(), Ok(Some(Value::Int(1))));
+    });
+    db.shutdown();
+}
+
+#[test]
+fn incrementing_an_absent_field_writes_only_that_field() {
+    let db = patient_db(CcKind::Ssi);
+    let (row, counter) = (Key::simple(TABLE, 21), Key::simple(TABLE, 22));
+    db.execute(&ProcedureCall::new(UPDATE), |txn| {
+        txn.increment(row, 2, 5)?;
+        txn.increment(counter, 0, 5)
+    })
+    .unwrap();
+    let read = |key| {
+        db.execute(&ProcedureCall::new(READ), |txn| txn.get(key))
+            .unwrap()
+    };
+    assert_eq!(read(row), Some(Value::row(&[0, 0, 5])));
+    assert_eq!(read(counter), Some(Value::Int(5)));
     db.shutdown();
 }
 

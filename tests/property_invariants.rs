@@ -83,13 +83,18 @@ fn a_walk_begun_before_the_splices_finishes_in_order() {
         store.write_with_order_ts(&key, TxnId(250), Value::Int(0), Some(Timestamp(250)));
         store.write(&key, TxnId(200), Value::Int(7)); // replaces that node
         store.abort_writes(TxnId(100), &[key]);
-        assert_eq!(store.prune_before(Timestamp(20)), 2);
+        // T1's version is what a read strictly before 20 returns: only the
+        // load goes.
+        assert_eq!(store.prune_before(Timestamp(20)), 1);
         // It still sees the chain it set out on, minus what was pruned
         // ahead of it, and T200's value as it was.
         let rest: Vec<(u64, Option<i64>)> = walk.map(|v| (v.writer.0, v.value.as_int())).collect();
-        assert_eq!(rest, [(200, Some(0)), (100, Some(0)), (2, Some(0))]);
+        assert_eq!(
+            rest,
+            [(200, Some(0)), (100, Some(0)), (2, Some(0)), (1, Some(0))]
+        );
         // A walk begun now sees every splice (the head is re-loaded).
-        assert_eq!(writers(chain), [300, 250, 200, 2]);
+        assert_eq!(writers(chain), [300, 250, 200, 2, 1]);
         assert_eq!(
             chain.uncommitted_by(TxnId(200)).unwrap().value.as_int(),
             Some(7)
@@ -159,17 +164,31 @@ proptest! {
                         prop_assert!(!chain.abort(TxnId(writer)));
                         prop_assert_eq!(chain.len(), len - 1);
                     }
-                    // Prune never removes the latest committed version or
-                    // one in flight, and everything else it leaves is at or
-                    // above the horizon.
+                    // A read at any timestamp at or above the horizon returns
+                    // the same version before and after a prune (probed at
+                    // the horizon and where each answer can change: at every
+                    // commit and just past it). Prune keeps every version in
+                    // flight and at most one committed below the horizon.
                     (7, _) => {
                         let horizon = Timestamp(a % (clock + 10));
-                        let latest = chain.latest_committed().map(|v| v.id);
+                        let commits = chain.iter().filter_map(|v| v.commit_ts());
+                        let probes: Vec<Timestamp> = commits
+                            .flat_map(|c| [c, Timestamp(c.0 + 1)])
+                            .chain([horizon])
+                            .filter(|ts| *ts >= horizon)
+                            .collect();
+                        let reads = |chain: &Chain<'_>| {
+                            let id = |v: Option<&Version>| v.map(|v| v.id);
+                            let read = |ts| {
+                                (id(chain.committed_before(ts)), id(chain.committed_at_or_before(ts)))
+                            };
+                            probes.iter().map(|&ts| read(ts)).collect::<Vec<_>>()
+                        };
+                        let seen = reads(chain);
                         prop_assert_eq!(chain.prune(horizon), len - chain.len());
-                        prop_assert_eq!(chain.latest_committed().map(|v| v.id), latest);
-                        for v in chain.iter().filter(|v| Some(v.id) != latest) {
-                            prop_assert!(v.commit_ts().is_none_or(|ts| ts >= horizon));
-                        }
+                        prop_assert_eq!(reads(chain), seen);
+                        let below = chain.iter().filter(|v| v.commit_ts().is_some_and(|ts| ts < horizon));
+                        prop_assert!(below.count() <= 1);
                         let kept = chain.iter().filter(|v| !v.is_committed()).count();
                         prop_assert_eq!(kept, in_flight.len());
                     }
