@@ -114,6 +114,19 @@ pub struct NewOrderInput {
     pub lines: Vec<(u32, u32, i64)>,
 }
 
+/// Takes the district's `NEXT_O_ID` as the new order's id and advances it.
+/// `increment` returns the advanced value, so the id is one below it: the
+/// first order of a district is order 1, which `delivery` (starting from
+/// `NEXT_DELIVERY_O_ID = 1`) delivers first.
+fn allocate_order_id(txn: &mut Txn<'_>, keys: &TpccKeys, input: &NewOrderInput) -> CcResult<u32> {
+    let next = txn.increment(
+        keys.district(input.w, input.d),
+        district_fields::NEXT_O_ID,
+        1,
+    )?;
+    Ok((next - 1) as u32)
+}
+
 /// The new_order transaction.
 pub fn new_order(txn: &mut Txn<'_>, keys: &TpccKeys, input: &NewOrderInput) -> CcResult<u32> {
     new_order_filtered(txn, keys, input, |_| true)
@@ -132,12 +145,7 @@ pub fn new_order_filtered(
 ) -> CcResult<u32> {
     // Warehouse tax rate (read only).
     let _ = txn.get(keys.warehouse(input.w))?;
-    // Allocate the order id from the district.
-    let o_id = txn.increment(
-        keys.district(input.w, input.d),
-        district_fields::NEXT_O_ID,
-        1,
-    )? as u32;
+    let o_id = allocate_order_id(txn, keys, input)?;
     // Customer discount / credit (read only).
     let _ = txn.get(keys.customer(input.w, input.d, input.c))?;
     // Insert the order and its new_order marker.
@@ -223,11 +231,7 @@ pub fn new_order_stock_first(
         txn.increment(stock_key, 1, *qty)?;
         txn.increment(stock_key, 2, 1)?;
     }
-    let o_id = txn.increment(
-        keys.district(input.w, input.d),
-        district_fields::NEXT_O_ID,
-        1,
-    )? as u32;
+    let o_id = allocate_order_id(txn, keys, input)?;
     let _ = txn.get(keys.customer(input.w, input.d, input.c))?;
     txn.put(
         keys.order(input.w, input.d, o_id),
@@ -455,5 +459,85 @@ pub fn load_partition(
         if params.with_hot_item {
             db.load(keys.item_stats(item), Value::Int(0));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tpcc::configs;
+    use crate::tpcc::schema::{procedures, types, TpccTables};
+    use tebaldi_core::{Database, DbConfig, ProcedureCall};
+
+    #[test]
+    fn order_ids_start_at_one_and_every_order_is_delivered() {
+        let params = TpccParams::tiny();
+        let keys = TpccKeys {
+            tables: TpccTables::default(),
+        };
+        let db = Database::builder(DbConfig::for_tests())
+            .procedures(procedures(&keys.tables, false))
+            .cc_spec(configs::monolithic_2pl())
+            .build()
+            .expect("database build");
+        load(&db, &keys, &params);
+        let (w, d, k) = (0, 1, 5u32);
+        let read = |key| {
+            db.execute(&ProcedureCall::new(types::ORDER_STATUS), |txn| txn.get(key))
+                .expect("read")
+        };
+
+        let input = NewOrderInput {
+            w,
+            d,
+            c: 3,
+            lines: vec![(7, w, 2), (8, w, 1)],
+        };
+        for i in 1..=k {
+            let o_id = db
+                .execute(&ProcedureCall::new(types::NEW_ORDER), |txn| {
+                    if i % 2 == 0 {
+                        new_order_stock_first(txn, &keys, &input)
+                    } else {
+                        new_order(txn, &keys, &input)
+                    }
+                })
+                .expect("new_order");
+            assert_eq!(o_id, i, "the i-th order of a district is order i");
+        }
+        for o_id in 1..=k {
+            assert!(read(keys.order(w, d, o_id)).is_some(), "order {o_id}");
+            assert!(read(keys.new_order(w, d, o_id)).is_some(), "marker {o_id}");
+        }
+        assert!(read(keys.order(w, d, k + 1)).is_none());
+
+        let delivery_input = DeliveryInput {
+            w,
+            carrier: 4,
+            districts: params.districts_per_warehouse,
+        };
+        for _ in 0..k {
+            let delivered = db
+                .execute(&ProcedureCall::new(types::DELIVERY), |txn| {
+                    delivery(txn, &keys, &delivery_input)
+                })
+                .expect("delivery");
+            assert_eq!(delivered, 1, "only district {d} has an order pending");
+        }
+        for o_id in 1..=k {
+            assert!(read(keys.new_order(w, d, o_id)).is_none(), "marker {o_id}");
+            let order = read(keys.order(w, d, o_id)).expect("order");
+            assert_eq!(order.field(2), Some(4), "order {o_id} carries the carrier");
+        }
+        let district = read(keys.district(w, d)).expect("district");
+        assert_eq!(
+            district.field(district_fields::NEXT_O_ID),
+            Some(k as i64 + 1)
+        );
+        assert_eq!(
+            district.field(district_fields::NEXT_DELIVERY_O_ID),
+            Some(k as i64 + 1)
+        );
+        db.shutdown();
     }
 }
