@@ -54,7 +54,7 @@ pub mod wait;
 
 pub use error::{CcError, CcResult, Reason, WaitLabel};
 pub use events::{BlockingEvent, EventSink, NullSink, VecSink};
-pub use mechanism::{CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
+pub use mechanism::{Access, CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
 pub use oracle::TsOracle;
 pub use procinfo::{AccessMode, ProcedureInfo, ProcedureSet};
 pub use registry::{TxnRegistry, TxnStatus};

@@ -14,9 +14,17 @@
 //! module's. A release wakes no one: the holder's end, or RP's step commit,
 //! wakes its waiters through the [`TxnRegistry`], so an uncontended acquire
 //! or release touches no registry lock.
+//!
+//! A shared holder that asks for the exclusive mode is granted an
+//! **upgrade**. Two readers of one key that both upgrade wait on each other
+//! until the deadline, so the engine declares a read-modify-write's intent
+//! up front ([`Access::Update`] takes the exclusive mode at once) and the
+//! table counts every upgrade it grants in the registry
+//! ([`TxnRegistry::lock_upgrades`]): on a workload whose procedures read
+//! what they update through `Txn::update`, the count stays 0.
 
 use crate::error::{CcResult, WaitLabel};
-use crate::mechanism::{CcKind, NodeEnv, TxnCtx};
+use crate::mechanism::{Access, CcKind, NodeEnv, TxnCtx};
 use crate::registry::TxnRegistry;
 use crate::wait::{Step, Wait};
 use parking_lot::Mutex;
@@ -30,6 +38,29 @@ pub enum LockMode {
     Shared,
     /// Exclusive (write) lock.
     Exclusive,
+}
+
+impl LockMode {
+    /// The mode an operation takes: exclusive when it may write the key
+    /// (a read-modify-write included), shared for a read.
+    pub fn of(access: Access) -> LockMode {
+        if access.writes() {
+            LockMode::Exclusive
+        } else {
+            LockMode::Shared
+        }
+    }
+}
+
+/// What a granted request changed in the key's entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Grant {
+    /// The transaction is a new holder of the key.
+    New,
+    /// It already held the key in a mode covering the request.
+    Held,
+    /// It held the key shared and now holds it exclusive.
+    Upgraded,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -58,15 +89,17 @@ impl LockEntry {
             .copied()
     }
 
-    fn grant(&mut self, txn: TxnId, lane: u64, mode: LockMode) -> bool {
-        if let Some(existing) = self.holders.iter_mut().find(|h| h.txn == txn) {
-            if mode == LockMode::Exclusive {
+    fn grant(&mut self, txn: TxnId, lane: u64, mode: LockMode) -> Grant {
+        match self.holders.iter_mut().find(|h| h.txn == txn) {
+            Some(existing) if existing.mode == LockMode::Shared && mode == LockMode::Exclusive => {
                 existing.mode = LockMode::Exclusive;
+                Grant::Upgraded
             }
-            false
-        } else {
-            self.holders.push(Holder { txn, lane, mode });
-            true
+            Some(_) => Grant::Held,
+            None => {
+                self.holders.push(Holder { txn, lane, mode });
+                Grant::New
+            }
         }
     }
 }
@@ -142,7 +175,7 @@ impl LockManager {
         _label: &'static str,
     ) -> CcResult<Vec<TxnId>> {
         let mut blockers: Vec<TxnId> = Vec::new();
-        let newly = Wait::at(env, ctx, WaitLabel::Lock(self.owner)).until(|| {
+        let grant = Wait::at(env, ctx, WaitLabel::Lock(self.owner)).until(|| {
             let step = self.request(&env.registry, ctx.txn, key, lane, mode);
             if let Step::BlockedOn(ticket) = &step {
                 if !blockers.contains(&ticket.blocker()) {
@@ -151,12 +184,15 @@ impl LockManager {
             }
             step
         })?;
-        if newly {
-            self.held_of(ctx.txn)
+        match grant {
+            Grant::New => self
+                .held_of(ctx.txn)
                 .lock()
                 .entry(ctx.txn)
                 .or_default()
-                .push(*key);
+                .push(*key),
+            Grant::Upgraded => env.registry.count_lock_upgrade(),
+            Grant::Held => {}
         }
         Ok(blockers)
     }
@@ -170,7 +206,7 @@ impl LockManager {
         key: &Key,
         lane: u64,
         mode: LockMode,
-    ) -> Step<bool> {
+    ) -> Step<Grant> {
         let mut entries = self.shard_of(key).lock();
         let entry = entries.entry(*key).or_default();
         match entry.conflict_with(txn, lane, mode) {
@@ -323,8 +359,15 @@ mod tests {
         let lm = LockManager::default();
         lm.acquire(&env, &ctx(1), &k(3), 10, LockMode::Shared, "t")
             .unwrap();
+        assert_eq!(env.registry.lock_upgrades(), 0);
         lm.acquire(&env, &ctx(1), &k(3), 10, LockMode::Exclusive, "t")
             .unwrap();
+        assert_eq!(env.registry.lock_upgrades(), 1, "S -> X is counted");
+        // Asking again for a mode already held is no upgrade.
+        for mode in [LockMode::Shared, LockMode::Exclusive] {
+            lm.acquire(&env, &ctx(1), &k(3), 10, mode, "t").unwrap();
+        }
+        assert_eq!(env.registry.lock_upgrades(), 1);
         // Another lane can no longer share.
         assert!(lm
             .acquire(&env, &ctx(2), &k(3), 11, LockMode::Shared, "t")

@@ -56,6 +56,34 @@ impl Lane {
     }
 }
 
+/// What an operation does to its key: the intent the top-down pass of the
+/// execution phase acts on ([`CcMechanism::before_access`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Access {
+    /// A read.
+    Read,
+    /// A blind write (or delete).
+    Write,
+    /// A read-modify-write: the read and the write of one key as one
+    /// operation. Its write intent is declared before the read, so a
+    /// mechanism that orders writes more strictly than reads takes the
+    /// stricter order at once instead of upgrading after the read (two
+    /// readers that both upgrade deadlock).
+    Update,
+}
+
+impl Access {
+    /// Whether the operation reads the key.
+    pub fn reads(self) -> bool {
+        self != Access::Write
+    }
+
+    /// Whether the operation may write the key.
+    pub fn writes(self) -> bool {
+        self != Access::Read
+    }
+}
+
 /// A candidate version proposed during the bottom-up read pass.
 #[derive(Clone, Debug, PartialEq)]
 pub struct VersionPick {
@@ -329,13 +357,17 @@ pub trait CcMechanism: Send + Sync {
         Ok(())
     }
 
-    /// Execution phase, top-down pass, before a read of `key`.
-    fn before_read(&self, _ctx: &mut TxnCtx, _lane: Lane, _key: &Key) -> CcResult<()> {
-        Ok(())
-    }
-
-    /// Execution phase, top-down pass, before a write of `key`.
-    fn before_write(&self, _ctx: &mut TxnCtx, _lane: Lane, _key: &Key) -> CcResult<()> {
+    /// Execution phase, top-down pass, before an operation on `key` that
+    /// reads it, writes it, or both ([`Access`]): locks, pipeline steps,
+    /// promise waits. A read-modify-write comes here once, as
+    /// [`Access::Update`], before anything of it touches the chain.
+    fn before_access(
+        &self,
+        _ctx: &mut TxnCtx,
+        _lane: Lane,
+        _key: &Key,
+        _access: Access,
+    ) -> CcResult<()> {
         Ok(())
     }
 
@@ -358,7 +390,9 @@ pub trait CcMechanism: Send + Sync {
     /// Execution phase: called with the key's version chain right before the
     /// engine installs a write, under the key's latch. Mechanisms that abort
     /// on write-write overlap (SSI's first-committer-wins) check here, before
-    /// any `after_write` of the same write has run.
+    /// any `after_write` of the same write has run. A read-modify-write runs
+    /// it before its read, under the same hold of the latch as the read and
+    /// the install: a write-write loser is decided before it reads anything.
     fn validate_write(
         &self,
         _ctx: &mut TxnCtx,

@@ -42,7 +42,7 @@ use crate::error::CcResult;
 use crate::wait::{Step, Wait};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::thread::{self, Thread};
 use std::time::Instant;
 use tebaldi_storage::{GroupId, Timestamp, TxnId, TxnTypeId};
@@ -101,6 +101,9 @@ pub struct TxnRegistry {
     /// all shards, and read under one: the shard mutexes order it, so it is
     /// accessed `Relaxed`.
     generation: AtomicU32,
+    /// Shared-to-exclusive lock upgrades granted by every lock table of the
+    /// database's tree (see [`lock`](crate::lock)).
+    lock_upgrades: AtomicU64,
 }
 
 /// A blocker's epoch as a waiter saw it: a wait on it ends when the blocker
@@ -135,6 +138,7 @@ impl Default for TxnRegistry {
         TxnRegistry {
             shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
             generation: AtomicU32::new(0),
+            lock_upgrades: AtomicU64::new(0),
         }
     }
 }
@@ -142,6 +146,17 @@ impl Default for TxnRegistry {
 impl TxnRegistry {
     fn shard(&self, txn: TxnId) -> &Mutex<Shard> {
         &self.shards[(txn.0 as usize) % self.shards.len()]
+    }
+
+    /// Counts a shared-to-exclusive lock upgrade.
+    pub(crate) fn count_lock_upgrade(&self) {
+        self.lock_upgrades.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Shared-to-exclusive lock upgrades granted so far, by any lock table
+    /// whose node shares this directory.
+    pub fn lock_upgrades(&self) -> u64 {
+        self.lock_upgrades.load(Ordering::Relaxed)
     }
 
     /// Registers a starting transaction.

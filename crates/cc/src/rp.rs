@@ -21,7 +21,9 @@
 
 use crate::error::{CcResult, WaitLabel};
 use crate::lock::{LockManager, LockMode};
-use crate::mechanism::{visible_version, CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
+use crate::mechanism::{
+    visible_version, Access, CcKind, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick,
+};
 use crate::rp_analysis::RpPlan;
 use crate::wait::{Step, Wait};
 use parking_lot::Mutex;
@@ -136,12 +138,14 @@ impl CcMechanism for Rp {
         Ok(())
     }
 
-    fn before_read(&self, ctx: &mut TxnCtx, lane: Lane, key: &Key) -> CcResult<()> {
-        self.operation(ctx, lane, key, LockMode::Shared)
-    }
-
-    fn before_write(&self, ctx: &mut TxnCtx, lane: Lane, key: &Key) -> CcResult<()> {
-        self.operation(ctx, lane, key, LockMode::Exclusive)
+    fn before_access(
+        &self,
+        ctx: &mut TxnCtx,
+        lane: Lane,
+        key: &Key,
+        access: Access,
+    ) -> CcResult<()> {
+        self.operation(ctx, lane, key, LockMode::of(access))
     }
 
     fn choose_version(
@@ -232,11 +236,14 @@ mod tests {
 
         // T1 writes table 0 (step 0) then moves on to table 1 (step 1),
         // step-committing table 0's lock.
-        rp.before_write(&mut t1, Lane::leaf(), &k(0, 1)).unwrap();
-        rp.before_write(&mut t1, Lane::leaf(), &k(1, 1)).unwrap();
+        rp.before_access(&mut t1, Lane::leaf(), &k(0, 1), Access::Write)
+            .unwrap();
+        rp.before_access(&mut t1, Lane::leaf(), &k(1, 1), Access::Write)
+            .unwrap();
         // T2 can now take the step-0 lock even though T1 is uncommitted —
         // the pipelining benefit 2PL does not have.
-        rp.before_write(&mut t2, Lane::leaf(), &k(0, 1)).unwrap();
+        rp.before_access(&mut t2, Lane::leaf(), &k(0, 1), Access::Write)
+            .unwrap();
         assert!(
             t2.deps.is_empty(),
             "a step-committed lock is granted without blocking, so no \
@@ -254,7 +261,8 @@ mod tests {
         registry.register(TxnId(2), TxnTypeId(0), GroupId(0));
         let mut t1 = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         rp.begin(&mut t1, Lane::leaf()).unwrap();
-        rp.before_write(&mut t1, Lane::leaf(), &k(0, 7)).unwrap();
+        rp.before_access(&mut t1, Lane::leaf(), &k(0, 7), Access::Write)
+            .unwrap();
 
         // T2 conflicts with T1 on step 0 (waits for T1's step commit), so T2
         // trails T1 afterwards.
@@ -262,14 +270,17 @@ mod tests {
         let trailer = std::thread::spawn(move || {
             let mut t2 = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
             rp2.begin(&mut t2, Lane::leaf()).unwrap();
-            rp2.before_write(&mut t2, Lane::leaf(), &k(0, 7)).unwrap();
+            rp2.before_access(&mut t2, Lane::leaf(), &k(0, 7), Access::Write)
+                .unwrap();
             // Entering step 1 requires T1 to have reached step 1 too.
-            rp2.before_write(&mut t2, Lane::leaf(), &k(1, 7)).unwrap();
+            rp2.before_access(&mut t2, Lane::leaf(), &k(1, 7), Access::Write)
+                .unwrap();
             t2
         });
         std::thread::sleep(Duration::from_millis(30));
         // Let T1 advance to step 1 and finish; the trailer may then proceed.
-        rp.before_write(&mut t1, Lane::leaf(), &k(1, 7)).unwrap();
+        rp.before_access(&mut t1, Lane::leaf(), &k(1, 7), Access::Write)
+            .unwrap();
         rp.finish(&mut t1, Lane::leaf(), Some(Timestamp(1)));
         registry.mark_committed(TxnId(1), Timestamp(1));
         let t2 = trailer.join().unwrap();
@@ -283,12 +294,13 @@ mod tests {
         registry.register(TxnId(2), TxnTypeId(0), GroupId(0));
         let mut t1 = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         rp.begin(&mut t1, Lane::leaf()).unwrap();
-        rp.before_write(&mut t1, Lane::leaf(), &k(0, 3)).unwrap();
+        rp.before_access(&mut t1, Lane::leaf(), &k(0, 3), Access::Write)
+            .unwrap();
         // T1 holds step 0; T2 requests the same key and times out.
         let mut t2 = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         rp.begin(&mut t2, Lane::leaf()).unwrap();
         let err = rp
-            .before_write(&mut t2, Lane::leaf(), &k(0, 3))
+            .before_access(&mut t2, Lane::leaf(), &k(0, 3), Access::Write)
             .unwrap_err();
         assert_eq!(err, CcError::Timeout(WaitLabel::Lock(CcKind::Rp)));
         rp.finish(&mut t2, Lane::leaf(), None);
@@ -304,9 +316,11 @@ mod tests {
         let mut t2 = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         rp.begin(&mut t1, Lane::child(0)).unwrap();
         rp.begin(&mut t2, Lane::child(0)).unwrap();
-        rp.before_write(&mut t1, Lane::child(0), &k(0, 5)).unwrap();
+        rp.before_access(&mut t1, Lane::child(0), &k(0, 5), Access::Write)
+            .unwrap();
         // Same child subtree: the conflict is the child's business.
-        rp.before_write(&mut t2, Lane::child(0), &k(0, 5)).unwrap();
+        rp.before_access(&mut t2, Lane::child(0), &k(0, 5), Access::Write)
+            .unwrap();
         rp.finish(&mut t1, Lane::child(0), Some(Timestamp(1)));
         rp.finish(&mut t2, Lane::child(0), Some(Timestamp(2)));
     }

@@ -60,6 +60,9 @@
 //! when two transactions read a key and both write it, the second writer
 //! loses on write-write alone, naming the first as its winner, and the
 //! first keeps only the incoming edge of the second's read — it commits.
+//! A read-modify-write (`Txn::update`) runs `validate_write` before its
+//! read, under the same hold of the latch as the read and the install: the
+//! second writer loses before it registers the read at all.
 //!
 //! Every decision is taken on one record's flag word: "give `R` an edge,
 //! unless `R` is prepared and the edge would make it a pivot" is one CAS
@@ -616,7 +619,7 @@ impl Ssi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanism::read_at as read;
+    use crate::mechanism::{read_at as read, Access};
     use crate::registry::TxnRegistry;
     use crate::topology::Topology;
     use std::sync::Arc;
@@ -652,6 +655,20 @@ mod tests {
     fn write(ssi: &Ssi, store: &MvStore, ctx: &mut TxnCtx, lane: Lane, key: Key) -> CcResult<()> {
         store.with_chain_mut(&key, |chain| {
             ssi.validate_write(ctx, lane, &key, chain)?;
+            let value = Value::Int(ctx.txn.0 as i64);
+            chain.install(Version::uncommitted(VersionId(0), ctx.txn, value, None));
+            Ok(())
+        })?;
+        ssi.after_write(ctx, lane, &key)
+    }
+
+    /// A read-modify-write of `key` by `ctx` in the engine's order
+    /// (`Txn::update`): `validate_write`, the read and the install under one
+    /// hold of the key's latch, then `after_write`.
+    fn update(ssi: &Ssi, store: &MvStore, ctx: &mut TxnCtx, lane: Lane, key: Key) -> CcResult<()> {
+        store.with_chain_mut(&key, |chain| {
+            ssi.validate_write(ctx, lane, &key, chain)?;
+            let _ = ssi.choose_version(ctx, lane, &key, None, chain);
             let value = Value::Int(ctx.txn.0 as i64);
             chain.install(Version::uncommitted(VersionId(0), ctx.txn, value, None));
             Ok(())
@@ -970,9 +987,50 @@ mod tests {
         assert_eq!(ssi.active_count(), 0);
     }
 
+    /// The same race between two read-modify-writes (`Txn::update`): the
+    /// loser is decided before its read, so it never registers one and the
+    /// winner does not even gain the incoming edge.
+    #[test]
+    fn an_update_race_loser_never_reads_and_the_winner_stays_clean() {
+        let (ssi, registry) = setup(false);
+        let store = MvStore::new(1);
+        store.load(&k(1), Value::Int(0));
+        let mut t = [1u64, 2].map(|id| {
+            registry.register(TxnId(id), TxnTypeId(0), GroupId(0));
+            let mut ctx = TxnCtx::new(TxnId(id), TxnTypeId(0), GroupId(0));
+            ssi.begin(&mut ctx, Lane::leaf()).unwrap();
+            ctx
+        });
+        let [t1, t2] = &mut t;
+        update(&ssi, &store, t1, Lane::leaf(), k(1)).unwrap();
+        assert_eq!(
+            update(&ssi, &store, t2, Lane::leaf(), k(1)),
+            Err(CcError::Conflict {
+                reason: Reason::CrossGroupWriteWrite,
+                winner: Some(TxnId(1)),
+            })
+        );
+        let readers = |key: &Key| {
+            let stripe = ssi.reader_stripe(key).lock();
+            stripe
+                .get(key)
+                .map_or(vec![], |r| r.iter().map(|(id, _)| *id).collect())
+        };
+        assert_eq!(
+            readers(&k(1)),
+            vec![TxnId(1)],
+            "the loser registered no read"
+        );
+        assert_eq!(rec(&ssi, t1).flags(), 0);
+        ssi.finish(t2, Lane::leaf(), None);
+        ssi.finish(t1, Lane::leaf(), None);
+        assert_eq!(ssi.active_count(), 0);
+    }
+
     /// A reader that registers and walks the chain after the point where
-    /// the writer's reader scan used to run (`before_write`) but before the
-    /// install sees nothing to miss, and used to be seen by neither side.
+    /// the writer's reader scan used to run (its top-down pass,
+    /// `before_access`) but before the install sees nothing to miss, and
+    /// used to be seen by neither side.
     /// The scan after the install marks the edge.
     #[test]
     fn a_read_between_the_old_scan_point_and_the_install_gets_its_edge() {
@@ -984,7 +1042,8 @@ mod tests {
         ssi.begin(&mut r, Lane::child(0)).unwrap();
         ssi.begin(&mut w, Lane::child(1)).unwrap();
         let store = MvStore::new(1);
-        ssi.before_write(&mut w, Lane::child(1), &k(1)).unwrap();
+        ssi.before_access(&mut w, Lane::child(1), &k(1), Access::Write)
+            .unwrap();
         assert!(read(&ssi, &store, &mut r, Lane::child(0), k(1)).is_none());
         assert_eq!((rec(&ssi, &r).flags(), rec(&ssi, &w).flags()), (0, 0));
         write(&ssi, &store, &mut w, Lane::child(1), k(1)).unwrap();

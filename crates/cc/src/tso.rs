@@ -20,7 +20,7 @@
 //! exercised by the paper's experiments.
 
 use crate::error::{CcError, CcResult, Reason, WaitLabel};
-use crate::mechanism::{visible_version, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
+use crate::mechanism::{visible_version, Access, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
 use crate::topology::LaneSel;
 use crate::wait::{Step, Wait};
 use parking_lot::Mutex;
@@ -82,11 +82,21 @@ impl CcMechanism for Tso {
         Ok(())
     }
 
-    fn before_read(&self, ctx: &mut TxnCtx, _lane: Lane, key: &Key) -> CcResult<()> {
+    fn before_access(
+        &self,
+        ctx: &mut TxnCtx,
+        _lane: Lane,
+        key: &Key,
+        access: Access,
+    ) -> CcResult<()> {
         // Promise handling: if a transaction with a *smaller* timestamp
-        // promised a write to this key and has not performed it yet, wait
-        // for it instead of reading an older version (which would later
-        // force the promiser to abort).
+        // promised a write to this key and has not performed it yet, a read
+        // (a read-modify-write's too) waits for it instead of reading an
+        // older version, which would later force the promiser to abort. A
+        // blind write is ordered by its timestamp and needs no wait.
+        if !access.reads() {
+            return Ok(());
+        }
         Wait::at(&self.env, ctx, WaitLabel::PromisedWrite).until(|| {
             let shared = self.shared.lock();
             let Some(my_ts) = shared.txn_ts.get(&ctx.txn).copied() else {
@@ -426,7 +436,7 @@ mod tests {
         let tso2 = StdArc::clone(&tso);
         let handle = std::thread::spawn(move || {
             let mut reader = reader;
-            tso2.before_read(&mut reader, Lane::leaf(), &k(5))
+            tso2.before_access(&mut reader, Lane::leaf(), &k(5), Access::Read)
         });
         std::thread::sleep(Duration::from_millis(5));
         // Fulfil the promise (post-install hook); the reader wakes up and
@@ -472,12 +482,14 @@ mod tests {
         let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         tso.begin(&mut reader, Lane::leaf()).unwrap();
         let err = tso
-            .before_read(&mut reader, Lane::leaf(), &k(6))
+            .before_access(&mut reader, Lane::leaf(), &k(6), Access::Read)
             .unwrap_err();
         assert_eq!(err, CcError::Timeout(WaitLabel::PromisedWrite));
         // Aborting the promiser releases the promise.
         tso.finish(&mut writer, Lane::leaf(), None);
-        assert!(tso.before_read(&mut reader, Lane::leaf(), &k(6)).is_ok());
+        assert!(tso
+            .before_access(&mut reader, Lane::leaf(), &k(6), Access::Read)
+            .is_ok());
     }
 
     #[test]
@@ -488,7 +500,9 @@ mod tests {
         tso.begin(&mut writer, Lane::child(0)).unwrap();
         let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         tso.begin(&mut reader, Lane::child(0)).unwrap();
-        assert!(tso.before_read(&mut reader, Lane::child(0), &k(8)).is_ok());
+        assert!(tso
+            .before_access(&mut reader, Lane::child(0), &k(8), Access::Read)
+            .is_ok());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::error::CcResult;
 use crate::lock::{LockManager, LockMode};
-use crate::mechanism::{visible_version, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
+use crate::mechanism::{visible_version, Access, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
 use tebaldi_storage::{Chain, Key, Timestamp};
 
 /// A two-phase-locking node.
@@ -39,27 +39,16 @@ impl TwoPl {
 }
 
 impl CcMechanism for TwoPl {
-    fn before_read(&self, ctx: &mut TxnCtx, lane: Lane, key: &Key) -> CcResult<()> {
-        self.locks.acquire(
-            &self.env,
-            ctx,
-            key,
-            lane.lock_lane(ctx.txn),
-            LockMode::Shared,
-            "",
-        )?;
-        Ok(())
-    }
-
-    fn before_write(&self, ctx: &mut TxnCtx, lane: Lane, key: &Key) -> CcResult<()> {
-        self.locks.acquire(
-            &self.env,
-            ctx,
-            key,
-            lane.lock_lane(ctx.txn),
-            LockMode::Exclusive,
-            "",
-        )?;
+    fn before_access(
+        &self,
+        ctx: &mut TxnCtx,
+        lane: Lane,
+        key: &Key,
+        access: Access,
+    ) -> CcResult<()> {
+        let mode = LockMode::of(access);
+        self.locks
+            .acquire(&self.env, ctx, key, lane.lock_lane(ctx.txn), mode, "")?;
         Ok(())
     }
 
@@ -108,15 +97,20 @@ mod tests {
         let cc = TwoPl::new(make_env(Topology::new(), registry));
         let mut a = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut b = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        cc.before_write(&mut a, Lane::child(0), &key(1)).unwrap();
-        cc.before_write(&mut b, Lane::child(0), &key(1)).unwrap();
+        cc.before_access(&mut a, Lane::child(0), &key(1), Access::Write)
+            .unwrap();
+        cc.before_access(&mut b, Lane::child(0), &key(1), Access::Write)
+            .unwrap();
         // A third transaction from another child blocks and times out.
         let mut c = TxnCtx::new(TxnId(3), TxnTypeId(1), GroupId(1));
-        assert!(cc.before_write(&mut c, Lane::child(1), &key(1)).is_err());
+        assert!(cc
+            .before_access(&mut c, Lane::child(1), &key(1), Access::Write)
+            .is_err());
         cc.finish(&mut a, Lane::child(0), Some(Timestamp(1)));
         cc.finish(&mut b, Lane::child(0), Some(Timestamp(2)));
         // Now the other child can acquire it.
-        cc.before_write(&mut c, Lane::child(1), &key(1)).unwrap();
+        cc.before_access(&mut c, Lane::child(1), &key(1), Access::Write)
+            .unwrap();
         cc.finish(&mut c, Lane::child(1), None);
         assert_eq!(cc.locks.locked_key_count(), 0);
     }
@@ -127,10 +121,14 @@ mod tests {
         let cc = TwoPl::new(make_env(Topology::new(), registry));
         let mut a = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut b = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        cc.before_write(&mut a, Lane::leaf(), &key(2)).unwrap();
-        assert!(cc.before_write(&mut b, Lane::leaf(), &key(2)).is_err());
+        cc.before_access(&mut a, Lane::leaf(), &key(2), Access::Write)
+            .unwrap();
+        assert!(cc
+            .before_access(&mut b, Lane::leaf(), &key(2), Access::Write)
+            .is_err());
         cc.finish(&mut a, Lane::leaf(), None);
-        cc.before_write(&mut b, Lane::leaf(), &key(2)).unwrap();
+        cc.before_access(&mut b, Lane::leaf(), &key(2), Access::Write)
+            .unwrap();
     }
 
     #[test]

@@ -135,7 +135,7 @@ mod tests {
     use super::*;
     use crate::events::VecSink;
     use crate::lock::{LockManager, LockMode};
-    use crate::mechanism::{CcKind, CcMechanism, Lane};
+    use crate::mechanism::{Access, CcKind, CcMechanism, Lane};
     use crate::procinfo::{AccessMode, ProcedureInfo};
     use crate::rp::Rp;
     use crate::rp_analysis::analyze;
@@ -230,13 +230,15 @@ mod tests {
         let (rp1, rp2) = (rp.clone(), rp.clone());
         Case {
             label: WaitLabel::PipelineStep,
-            block: Box::new(move || rp1.before_write(&mut ctx(T2), Lane::leaf(), &k(1, 2))),
+            block: Box::new(move || {
+                rp1.before_access(&mut ctx(T2), Lane::leaf(), &k(1, 2), Access::Write)
+            }),
             nudge: Box::new(move || {
                 rp2.begin(&mut ctx(T3), Lane::leaf()).unwrap();
                 rp2.finish(&mut ctx(T3), Lane::leaf(), None);
             }),
             release: Box::new(move || {
-                rp.before_write(&mut ctx(T1), Lane::leaf(), &k(1, 1))
+                rp.before_access(&mut ctx(T1), Lane::leaf(), &k(1, 1), Access::Write)
                     .unwrap()
             }),
             sink,
@@ -254,7 +256,9 @@ mod tests {
         let (tso1, tso2) = (tso.clone(), tso.clone());
         Case {
             label: WaitLabel::PromisedWrite,
-            block: Box::new(move || tso1.before_read(&mut ctx(T2), Lane::leaf(), &k(0, 1))),
+            block: Box::new(move || {
+                tso1.before_access(&mut ctx(T2), Lane::leaf(), &k(0, 1), Access::Read)
+            }),
             nudge: Box::new(move || {
                 tso2.begin(&mut ctx(T3), Lane::leaf()).unwrap();
                 tso2.finish(&mut ctx(T3), Lane::leaf(), None);

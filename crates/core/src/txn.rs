@@ -10,6 +10,13 @@
 //!   writer of the finally-chosen version becomes a dependency when it has
 //!   not committed yet.
 //!
+//! A write validates against the key's chain and installs under one hold of
+//! the key's latch. A read-modify-write ([`Txn::update`]) is one operation,
+//! not a read followed by a write: its top-down pass declares the write
+//! intent before anything is read, and validation, the bottom-up read and
+//! the install all happen under that one hold of the latch — one chain
+//! access per row update.
+//!
 //! Commit runs validation top-down, then waits for the transaction's
 //! dependency set (the adoption strategy that makes 2PL/RP respect their
 //! children's ordering, §4.2.2 — one [`tebaldi_cc::wait`] over the whole
@@ -20,10 +27,14 @@
 
 use crate::db::Database;
 use tebaldi_cc::wait::Wait;
+#[cfg(debug_assertions)]
+use tebaldi_cc::AccessMode;
 use tebaldi_cc::{
-    CcError, CcResult, CcTree, PathEntry, Reason, TxnCtx, TxnStatus, VersionPick, WaitLabel,
+    Access, CcError, CcResult, CcTree, PathEntry, Reason, TxnCtx, TxnStatus, VersionPick, WaitLabel,
 };
-use tebaldi_storage::{GroupId, Key, Timestamp, TxnId, TxnTypeId, Value, Version, VersionId};
+use tebaldi_storage::{
+    Chain, GroupId, Key, Timestamp, TxnId, TxnTypeId, Value, Version, VersionId,
+};
 
 /// Outcome of a transaction (internal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,6 +55,10 @@ pub struct Txn<'a> {
     /// [`Key::mix64`]): most reads are of keys the transaction never wrote,
     /// and one `AND` lets them skip the read-your-own-writes probe.
     written: [u64; 4],
+    /// Keys read with a plain [`get`](Txn::get) (debug builds only: see
+    /// `assert_not_upgrading`).
+    #[cfg(debug_assertions)]
+    plain_reads: Vec<Key>,
 }
 
 /// The bit of the write-set Bloom filter that stands for `key`.
@@ -66,6 +81,8 @@ impl<'a> Txn<'a> {
             ctx: TxnCtx::new(txn, ty, group),
             phase: TxnPhase::Running,
             written: [0; 4],
+            #[cfg(debug_assertions)]
+            plain_reads: Vec::new(),
         }
     }
 
@@ -102,87 +119,190 @@ impl<'a> Txn<'a> {
     /// Reads a key. Returns `None` when the key has never been written (or
     /// its visible version is a delete).
     pub fn get(&mut self, key: Key) -> CcResult<Option<Value>> {
-        // Top-down pass: every mechanism may block or abort the read.
-        for entry in self.path {
-            entry
-                .mechanism
-                .before_read(&mut self.ctx, entry.lane, &key)?;
-        }
-        // Bottom-up pass inside the storage access: the leaf proposes, the
-        // ancestors amend.
-        // Read-your-own-writes first — decided from the write set, not by
-        // probing the chain: a lock-free probe for a version that is not
-        // there cannot trust the racing uncommitted count, so whenever
-        // *another* writer is in flight on the key it walks the whole chain.
+        self.before(&key, Access::Read)?;
+        // Read-your-own-writes is decided from the write set, not by probing
+        // the chain: a lock-free probe for a version that is not there
+        // cannot trust the racing uncommitted count, so whenever *another*
+        // writer is in flight on the key it walks the whole chain.
         let wrote = self.wrote(&key);
-        let pick: Option<VersionPick> = self.db.store.with_chain(&key, |chain| {
-            if let Some(own) = wrote.then(|| chain.uncommitted_by(self.ctx.txn)).flatten() {
-                return Some(VersionPick::from_version(own));
-            }
-            let mut candidate: Option<VersionPick> = None;
-            for entry in self.path.iter().rev() {
-                candidate = entry.mechanism.choose_version(
-                    &mut self.ctx,
-                    entry.lane,
-                    &key,
-                    candidate,
-                    chain,
-                );
-            }
-            candidate
-        });
-
-        let Some(pick) = pick else {
-            if let Some(history) = &self.db.history {
-                history.read(self.ctx.txn, key, TxnId::BOOTSTRAP);
-            }
-            return Ok(None);
-        };
-        // Reading an uncommitted version creates a read-from dependency: we
-        // may only commit after the writer does (aborted-read prevention).
-        if !pick.committed && pick.writer != self.ctx.txn {
-            self.ctx.add_dep(pick.writer);
+        let db = self.db;
+        let pick = db
+            .store
+            .with_chain(&key, |chain| self.pick(wrote, &key, chain));
+        #[cfg(debug_assertions)]
+        if !wrote {
+            self.plain_reads.push(key);
         }
-        if let Some(history) = &self.db.history {
-            history.read(self.ctx.txn, key, pick.writer);
-        }
-        if pick.value.is_null() {
-            Ok(None)
-        } else {
-            Ok(Some(pick.value))
-        }
+        Ok(self.saw(key, pick))
     }
 
     /// Writes a key.
     pub fn put(&mut self, key: Key, value: Value) -> CcResult<()> {
-        // Top-down pass: locks, pipeline steps.
+        self.before(&key, Access::Write)?;
+        let (_, first) = self.write_latched(key, false, |_| Some(value))?;
+        self.installed(key, first == Some(true))
+    }
+
+    /// Deletes a key (writes a null version).
+    pub fn delete(&mut self, key: Key) -> CcResult<()> {
+        self.put(key, Value::Null)
+    }
+
+    /// Read-modify-write of `key` in one chain access: `f` maps the current
+    /// value (`None` when the key is absent or deleted) to the value written
+    /// back, or to `None` to leave the key as it is. Returns what `f`
+    /// returned.
+    ///
+    /// The write intent comes first: the top-down pass sees
+    /// [`Access::Update`], so a locking node takes the key exclusive at once
+    /// instead of sharing it for the read and upgrading for the write (two
+    /// transactions that both upgrade one key deadlock until the wait
+    /// deadline). Then, under one hold of the key's latch, every
+    /// mechanism's `validate_write` runs — a write-write loser aborts before
+    /// it reads — followed by the read and the install. Declining to write
+    /// keeps the intent: the key stays locked, and a write-write conflict
+    /// has already aborted the transaction (a read for update).
+    pub fn update(
+        &mut self,
+        key: Key,
+        f: impl FnOnce(Option<&Value>) -> Option<Value>,
+    ) -> CcResult<Option<Value>> {
+        self.before(&key, Access::Update)?;
+        let mut written = None;
+        let (pick, first) = self.write_latched(key, true, |current| {
+            written = f(current);
+            written.clone()
+        })?;
+        self.saw(key, pick);
+        if let Some(first) = first {
+            self.installed(key, first)?;
+        }
+        Ok(written)
+    }
+
+    /// Reads `key` with the intent to write it later in the transaction:
+    /// [`update`](Txn::update) that writes nothing. For a read whose write
+    /// depends on other operations in between; a read followed directly by
+    /// its write is one `update`.
+    pub fn get_for_update(&mut self, key: Key) -> CcResult<Option<Value>> {
+        let mut current = None;
+        self.update(key, |value| {
+            current = value.cloned();
+            None
+        })?;
+        Ok(current)
+    }
+
+    /// Adds `delta` to field `idx` of `key` and returns the field's new
+    /// value: one [`update`](Txn::update).
+    pub fn increment(&mut self, key: Key, idx: usize, delta: i64) -> CcResult<i64> {
+        let mut new = 0;
+        self.update(key, |current| {
+            new = current.and_then(|v| v.field(idx)).unwrap_or(0) + delta;
+            // An absent key reads as zeros: `Int(new)` for field 0,
+            // otherwise a row of zeros with `new` at `idx`.
+            Some(current.unwrap_or(&Value::Int(0)).with_field(idx, new))
+        })?;
+        Ok(new)
+    }
+
+    /// The top-down pass of an operation: every mechanism may block or
+    /// abort it.
+    fn before(&mut self, key: &Key, access: Access) -> CcResult<()> {
+        #[cfg(debug_assertions)]
+        if access.writes() {
+            self.assert_not_upgrading(key);
+        }
         for entry in self.path {
             entry
                 .mechanism
-                .before_write(&mut self.ctx, entry.lane, &key)?;
+                .before_access(&mut self.ctx, entry.lane, key, access)?;
         }
-        // Validation against the live chain plus installation, under the
-        // chain's own lock so no other writer can slip in between. Version
-        // ids are diagnostics: the writer's id and the ordinal of the key in
-        // its write set name a version uniquely without a store-wide counter
-        // (an overwrite keeps the id of the version it replaces).
+        Ok(())
+    }
+
+    /// The version a read of `key` sees on `chain`: the transaction's own
+    /// write when it has one there, otherwise the bottom-up pass — the leaf
+    /// proposes, the ancestors amend.
+    fn pick(&mut self, wrote: bool, key: &Key, chain: &Chain<'_>) -> Option<VersionPick> {
+        if let Some(own) = wrote.then(|| chain.uncommitted_by(self.ctx.txn)).flatten() {
+            return Some(VersionPick::from_version(own));
+        }
+        let mut candidate = None;
+        for entry in self.path.iter().rev() {
+            candidate =
+                entry
+                    .mechanism
+                    .choose_version(&mut self.ctx, entry.lane, key, candidate, chain);
+        }
+        candidate
+    }
+
+    /// Accounts for a read that saw `pick` and returns its value (`None`
+    /// for an absent key or a delete). Reading an uncommitted version
+    /// creates a read-from dependency: we may only commit after the writer
+    /// does (aborted-read prevention).
+    fn saw(&mut self, key: Key, pick: Option<VersionPick>) -> Option<Value> {
+        if let Some(history) = &self.db.history {
+            let writer = pick.as_ref().map_or(TxnId::BOOTSTRAP, |p| p.writer);
+            history.read(self.ctx.txn, key, writer);
+        }
+        let pick = pick?;
+        if !pick.committed {
+            self.ctx.add_dep(pick.writer);
+        }
+        Some(pick.value).filter(|value| !value.is_null())
+    }
+
+    /// The part of a write that holds `key`'s latch, so no other writer can
+    /// slip in between: every mechanism's validation against the live
+    /// chain, the read of a read-modify-write (`read`), then the install of
+    /// what `make` returns for the value read. Returns the read's pick and,
+    /// when a version was installed, whether it is the transaction's first
+    /// on the key — the chain knows, so the write set needs no scan to stay
+    /// duplicate-free.
+    fn write_latched(
+        &mut self,
+        key: Key,
+        read: bool,
+        make: impl FnOnce(Option<&Value>) -> Option<Value>,
+    ) -> CcResult<(Option<VersionPick>, Option<bool>)> {
+        let wrote = self.wrote(&key);
+        // Version ids are diagnostics: the writer's id and the ordinal of the
+        // key in its write set name a version uniquely without a store-wide
+        // counter (an overwrite keeps the id of the version it replaces).
         let version_id = VersionId((self.ctx.txn.0 << 16) | self.ctx.write_keys.len() as u64);
-        let first_write: CcResult<bool> = self.db.store.with_chain_mut(&key, |chain| {
-            for entry in self.path.iter() {
+        let db = self.db;
+        db.store.with_chain_mut(&key, |chain| {
+            for entry in self.path {
                 entry
                     .mechanism
                     .validate_write(&mut self.ctx, entry.lane, &key, chain)?;
             }
-            Ok(chain.install(Version::uncommitted(
-                version_id,
-                self.ctx.txn,
-                value,
-                self.ctx.order_ts,
-            )))
-        });
-        // The chain already knows whether this writer had a version on the
-        // key: the write set needs no scan to stay duplicate-free.
-        if first_write? {
+            let pick = if read {
+                self.pick(wrote, &key, chain)
+            } else {
+                None
+            };
+            let current = pick.as_ref().map(|p| &p.value).filter(|v| !v.is_null());
+            let first = make(current).map(|value| {
+                chain.install(Version::uncommitted(
+                    version_id,
+                    self.ctx.txn,
+                    value,
+                    self.ctx.order_ts,
+                ))
+            });
+            Ok((pick, first))
+        })
+    }
+
+    /// What follows an install, with the key's latch released: the write
+    /// set (on the key's `first` write) and the checks that must see the
+    /// installed version (SSI's reader scan). The key is already in the
+    /// write set, so an abort here discards the version with the rest.
+    fn installed(&mut self, key: Key, first: bool) -> CcResult<()> {
+        if first {
             self.ctx.write_keys.push(key);
             let (word, bit) = written_bit(&key);
             self.written[word] |= bit;
@@ -190,9 +310,6 @@ impl<'a> Txn<'a> {
         if let Some(history) = &self.db.history {
             history.write(self.ctx.txn, key);
         }
-        // Checks that must see the installed version (SSI's reader scan).
-        // The key is already in the write set, so an abort here discards
-        // the version with the rest.
         for entry in self.path {
             entry
                 .mechanism
@@ -201,32 +318,26 @@ impl<'a> Txn<'a> {
         Ok(())
     }
 
-    /// Deletes a key (writes a null version).
-    pub fn delete(&mut self, key: Key) -> CcResult<()> {
-        self.put(key, Value::Null)
-    }
-
-    /// Read-modify-write of a single field: applies `f` to the current value
-    /// of field `idx` (0 when absent) and writes the updated row back.
-    pub fn update_field(
-        &mut self,
-        key: Key,
-        idx: usize,
-        f: impl FnOnce(i64) -> i64,
-    ) -> CcResult<i64> {
-        let current = self.get(key)?;
-        let old = current.as_ref().and_then(|v| v.field(idx)).unwrap_or(0);
-        let new = f(old);
-        // An absent key reads as zeros: `Int(new)` for field 0, otherwise a
-        // row of zeros with `new` at `idx`.
-        let updated = current.unwrap_or(Value::Int(0)).with_field(idx, new);
-        self.put(key, updated)?;
-        Ok(new)
-    }
-
-    /// Adds `delta` to field `idx` of `key` and returns the new value.
-    pub fn increment(&mut self, key: Key, idx: usize, delta: i64) -> CcResult<i64> {
-        self.update_field(key, idx, |v| v + delta)
+    /// Debug builds check that a procedure never reads a key with a plain
+    /// [`get`](Txn::get) and then writes it on a table its
+    /// [`ProcedureInfo`](tebaldi_cc::ProcedureInfo) declares written
+    /// ([`AccessMode::Write`](tebaldi_cc::AccessMode::Write) means "writes
+    /// or read-modify-writes"): under a locking node that read takes the key
+    /// shared and the write upgrades it, the pattern [`update`](Txn::update)
+    /// and [`get_for_update`](Txn::get_for_update) exist to avoid.
+    #[cfg(debug_assertions)]
+    fn assert_not_upgrading(&self, key: &Key) {
+        let declared_written = self.db.procedures.get(self.ctx.ty).is_some_and(|p| {
+            p.table_sequence
+                .iter()
+                .any(|&(table, mode)| table == key.table && mode == AccessMode::Write)
+        });
+        assert!(
+            !declared_written || !self.plain_reads.contains(key),
+            "{} reads {key:?} with `get` and then writes it: read it with \
+             `update` or `get_for_update`, or a locking node upgrades the lock",
+            self.db.procedures.name(self.ctx.ty)
+        );
     }
 
     /// Requests an abort from inside the transaction body.

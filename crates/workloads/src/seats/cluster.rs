@@ -29,7 +29,7 @@
 //! vote is [`Reason::BodyNoOp`], a body's own conditional abort, and
 //! crosses the wire as a tag like every other abort cause.
 
-use super::{finish, types, Seats, SeatsTables};
+use super::{book_seat, finish, release_seat, types, Seats, SeatsTables};
 use crate::workload::{ClusterWorkload, WorkUnit};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -137,15 +137,14 @@ pub fn register_procedures(
 ) {
     registry.register_fn(procs::NR_SINGLE, move |txn, args| {
         let (flight, seat, customer) = get_fsc(args)?;
+        // The seat is the window's first probe: booking it first, the verify
+        // reads it as this transaction's own write instead of taking it
+        // shared before the update.
+        let booked = book_seat(txn, &t, flight, seat, customer)?;
         verify_window(txn, &t, flight, seat, probes, seats_per_flight)?;
-        let existing = txn.get(t.reservation_key(flight, seat))?;
-        if existing.is_none() {
+        if booked {
             txn.increment(t.flight_key(flight), 0, 1)?;
             txn.increment(t.customer_key(customer), 1, 1)?;
-            txn.put(
-                t.reservation_key(flight, seat),
-                Value::row(&[customer as i64, 300, 0]),
-            )?;
             txn.put(
                 t.customer_res_key(customer),
                 Value::row(&[flight as i64, seat as i64]),
@@ -155,15 +154,11 @@ pub fn register_procedures(
     });
     registry.register_fn(procs::NR_FLIGHT, move |txn, args| {
         let (flight, seat, customer) = get_fsc(args)?;
-        verify_window(txn, &t, flight, seat, probes, seats_per_flight)?;
-        if txn.get(t.reservation_key(flight, seat))?.is_some() {
+        if !book_seat(txn, &t, flight, seat, customer)? {
             return Err(no_op_vote());
         }
+        verify_window(txn, &t, flight, seat, probes, seats_per_flight)?;
         txn.increment(t.flight_key(flight), 0, 1)?;
-        txn.put(
-            t.reservation_key(flight, seat),
-            Value::row(&[customer as i64, 300, 0]),
-        )?;
         Ok(Value::Null)
     });
     registry.register_fn(procs::NR_CUSTOMER, move |txn, args| {
@@ -177,27 +172,19 @@ pub fn register_procedures(
     });
     registry.register_fn(procs::DR_SINGLE, move |txn, args| {
         let (flight, seat, customer) = get_fsc(args)?;
-        let owner = txn
-            .get(t.reservation_key(flight, seat))?
-            .and_then(|row| row.field(0));
-        if owner == Some(customer as i64) {
+        if release_seat(txn, &t, flight, seat, customer)? {
             txn.increment(t.flight_key(flight), 0, -1)?;
             txn.increment(t.customer_key(customer), 1, -1)?;
-            txn.delete(t.reservation_key(flight, seat))?;
             txn.delete(t.customer_res_key(customer))?;
         }
         Ok(Value::Null)
     });
     registry.register_fn(procs::DR_FLIGHT, move |txn, args| {
         let (flight, seat, customer) = get_fsc(args)?;
-        let owner = txn
-            .get(t.reservation_key(flight, seat))?
-            .and_then(|row| row.field(0));
-        if owner != Some(customer as i64) {
+        if !release_seat(txn, &t, flight, seat, customer)? {
             return Err(no_op_vote());
         }
         txn.increment(t.flight_key(flight), 0, -1)?;
-        txn.delete(t.reservation_key(flight, seat))?;
         Ok(Value::Null)
     });
     registry.register_fn(procs::DR_CUSTOMER, move |txn, args| {
@@ -210,21 +197,19 @@ pub fn register_procedures(
         let (flight, seat, customer) = get_fsc(args)?;
         let _ = txn.get(t.flight_key(flight))?;
         let _ = txn.get(t.customer_key(customer))?;
-        if let Some(row) = txn.get(t.reservation_key(flight, seat))? {
-            txn.put(t.reservation_key(flight, seat), row.with_field(2, 1))?;
-        }
+        txn.update(t.reservation_key(flight, seat), |row| {
+            row.map(|r| r.with_field(2, 1))
+        })?;
         Ok(Value::Null)
     });
     registry.register_fn(procs::UR_FLIGHT, move |txn, args| {
         let (flight, seat, _) = get_fsc(args)?;
         let _ = txn.get(t.flight_key(flight))?;
-        match txn.get(t.reservation_key(flight, seat))? {
-            Some(row) => {
-                txn.put(t.reservation_key(flight, seat), row.with_field(2, 1))?;
-                Ok(Value::Null)
-            }
-            None => Err(no_op_vote()),
-        }
+        txn.update(t.reservation_key(flight, seat), |row| {
+            row.map(|r| r.with_field(2, 1))
+        })?
+        .map(|_| Value::Null)
+        .ok_or_else(no_op_vote)
     });
     // Read-only customer part: fetch the profile, write nothing.
     registry.register_fn(procs::UR_CUSTOMER, move |txn, args| {

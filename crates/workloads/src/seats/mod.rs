@@ -12,8 +12,10 @@
 use crate::workload::{WorkUnit, Workload};
 use rand::rngs::StdRng;
 use rand::Rng;
-use tebaldi_cc::{AccessMode, CcKind, CcNodeSpec, CcTreeSpec, ProcedureInfo, ProcedureSet};
-use tebaldi_core::{Database, ProcedureCall};
+use tebaldi_cc::{
+    AccessMode, CcKind, CcNodeSpec, CcResult, CcTreeSpec, ProcedureInfo, ProcedureSet,
+};
+use tebaldi_core::{Database, ProcedureCall, Txn};
 use tebaldi_storage::{Key, TableId, TxnTypeId, Value};
 
 pub mod cluster;
@@ -156,15 +158,12 @@ impl Seats {
         let call = ProcedureCall::new(types::NEW_RESERVATION).with_instance_seed(flight as u64);
         let flight_key = self.tables.flight_key(flight);
         let customer_key = self.tables.customer_key(customer);
-        let reservation_key = self.tables.reservation_key(flight, seat);
         let customer_res_key = self.tables.customer_res_key(customer);
         let result = db
             .execute_with_retry(&call, self.max_attempts, |txn| {
-                let existing = txn.get(reservation_key)?;
-                if existing.is_none() {
+                if book_seat(txn, &self.tables, flight, seat, customer)? {
                     txn.increment(flight_key, 0, 1)?;
                     txn.increment(customer_key, 1, 1)?;
-                    txn.put(reservation_key, Value::row(&[customer as i64, 300, 0]))?;
                     txn.put(customer_res_key, Value::row(&[flight as i64, seat as i64]))?;
                 }
                 Ok(())
@@ -187,15 +186,12 @@ impl Seats {
         let call = ProcedureCall::new(types::DELETE_RESERVATION).with_instance_seed(flight as u64);
         let flight_key = self.tables.flight_key(flight);
         let customer_key = self.tables.customer_key(customer);
-        let reservation_key = self.tables.reservation_key(flight, seat);
         let customer_res_key = self.tables.customer_res_key(customer);
         let result = db
             .execute_with_retry(&call, self.max_attempts, |txn| {
-                let owner = txn.get(reservation_key)?.and_then(|row| row.field(0));
-                if owner == Some(customer as i64) {
+                if release_seat(txn, &self.tables, flight, seat, customer)? {
                     txn.increment(flight_key, 0, -1)?;
                     txn.increment(customer_key, 1, -1)?;
-                    txn.delete(reservation_key)?;
                     txn.delete(customer_res_key)?;
                 }
                 Ok(())
@@ -310,9 +306,7 @@ impl Workload for Seats {
             t if t == types::UPDATE_RESERVATION => db
                 .execute_with_retry(&call, self.max_attempts, |txn| {
                     let _ = txn.get(flight_key)?;
-                    if let Some(row) = txn.get(reservation_key)? {
-                        txn.put(reservation_key, row.with_field(2, 1))?;
-                    }
+                    txn.update(reservation_key, |row| row.map(|r| r.with_field(2, 1)))?;
                     Ok(())
                 })
                 .map(|(_, a)| a),
@@ -344,6 +338,39 @@ impl Workload for Seats {
         };
         finish(ty, result, self.max_attempts)
     }
+}
+
+/// Books `seat` for `customer` if it is free, as one update of its
+/// reservation row; true when it was.
+fn book_seat(
+    txn: &mut Txn<'_>,
+    t: &SeatsTables,
+    flight: u32,
+    seat: u32,
+    customer: u32,
+) -> CcResult<bool> {
+    let booked = txn.update(t.reservation_key(flight, seat), |existing| {
+        existing
+            .is_none()
+            .then(|| Value::row(&[customer as i64, 300, 0]))
+    })?;
+    Ok(booked.is_some())
+}
+
+/// Deletes `seat`'s reservation if `customer` holds it, as one update of
+/// the row; true when it did.
+fn release_seat(
+    txn: &mut Txn<'_>,
+    t: &SeatsTables,
+    flight: u32,
+    seat: u32,
+    customer: u32,
+) -> CcResult<bool> {
+    let released = txn.update(t.reservation_key(flight, seat), |row| {
+        let owner = row.and_then(|row| row.field(0));
+        (owner == Some(customer as i64)).then_some(Value::Null)
+    })?;
+    Ok(released.is_some())
 }
 
 /// Converts a retried execution result into a [`WorkUnit`].

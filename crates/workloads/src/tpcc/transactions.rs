@@ -7,11 +7,27 @@
 //! explicit secondary-index table, and delivery finds pending orders through
 //! the district's `next_delivery_o_id` cursor instead of scanning the
 //! new_order table.
+//!
+//! Every row a procedure updates is updated once, by one [`Txn::update`]:
+//! the read and the write of the row are one operation (a locking node
+//! takes the row exclusive before reading it, never shared and then
+//! upgraded), and a row whose fields change together — a stock row's
+//! quantity, year-to-date and order count; a customer's balance and
+//! counters — gets one new version, not one per field.
 
 use super::schema::{TpccKeys, TpccParams};
 use tebaldi_cc::CcResult;
 use tebaldi_core::Txn;
 use tebaldi_storage::Value;
+
+/// `row` (zeros when absent) with each `(field, delta)` added.
+fn add_fields(row: Option<&Value>, deltas: &[(usize, i64)]) -> Value {
+    let base = row.cloned().unwrap_or(Value::Int(0));
+    deltas.iter().fold(base, |row, &(idx, delta)| {
+        let v = row.field(idx).unwrap_or(0) + delta;
+        row.with_field(idx, v)
+    })
+}
 
 /// District row fields.
 pub mod district_fields {
@@ -96,8 +112,9 @@ pub fn payment_customer(
     c: u32,
     amount: i64,
 ) -> CcResult<()> {
-    txn.increment(keys.customer(c_w, c_d, c), 0, -amount)?;
-    txn.increment(keys.customer(c_w, c_d, c), 1, 1)?;
+    txn.update(keys.customer(c_w, c_d, c), |row| {
+        Some(add_fields(row, &[(0, -amount), (1, 1)]))
+    })?;
     Ok(())
 }
 
@@ -112,6 +129,25 @@ pub struct NewOrderInput {
     pub c: u32,
     /// Ordered items: (item id, supplying warehouse, quantity).
     pub lines: Vec<(u32, u32, i64)>,
+}
+
+/// One order line's stock update, as one write of the stock row: the
+/// quantity falls by `qty` (restocked by 91 when it would drop below 10),
+/// the year-to-date quantity rises by `qty` and the order count by one.
+fn take_stock(
+    txn: &mut Txn<'_>,
+    keys: &TpccKeys,
+    item: u32,
+    supply_w: u32,
+    qty: i64,
+) -> CcResult<()> {
+    txn.update(keys.stock(supply_w, item), |row| {
+        let field = |idx| row.and_then(|v| v.field(idx)).unwrap_or(0);
+        let left = field(0) - qty;
+        let quantity = if left >= 10 { left } else { left + 91 };
+        Some(Value::row(&[quantity, field(1) + qty, field(2) + 1]))
+    })?;
+    Ok(())
 }
 
 /// Takes the district's `NEXT_O_ID` as the new order's id and advances it.
@@ -161,17 +197,7 @@ pub fn new_order_filtered(
             .and_then(|v| v.field(0))
             .unwrap_or(100);
         if stock_local(*supply_w) {
-            let stock_key = keys.stock(*supply_w, *item);
-            let remaining = txn.update_field(stock_key, 0, |q| {
-                if q - qty >= 10 {
-                    q - qty
-                } else {
-                    q - qty + 91
-                }
-            })?;
-            debug_assert!(remaining > -1_000_000);
-            txn.increment(stock_key, 1, *qty)?;
-            txn.increment(stock_key, 2, 1)?;
+            take_stock(txn, keys, *item, *supply_w, *qty)?;
         }
         txn.put(
             keys.order_line(input.w, input.d, o_id, line_no as u32),
@@ -194,16 +220,7 @@ pub fn new_order_remote_stock(
     lines: &[(u32, u32, i64)],
 ) -> CcResult<()> {
     for (item, supply_w, qty) in lines {
-        let stock_key = keys.stock(*supply_w, *item);
-        txn.update_field(stock_key, 0, |q| {
-            if q - qty >= 10 {
-                q - qty
-            } else {
-                q - qty + 91
-            }
-        })?;
-        txn.increment(stock_key, 1, *qty)?;
-        txn.increment(stock_key, 2, 1)?;
+        take_stock(txn, keys, *item, *supply_w, *qty)?;
     }
     Ok(())
 }
@@ -220,16 +237,7 @@ pub fn new_order_stock_first(
     let _ = txn.get(keys.warehouse(input.w))?;
     // Stock updates first (the deadlock-prone order).
     for (item, supply_w, qty) in &input.lines {
-        let stock_key = keys.stock(*supply_w, *item);
-        txn.update_field(stock_key, 0, |q| {
-            if q - qty >= 10 {
-                q - qty
-            } else {
-                q - qty + 91
-            }
-        })?;
-        txn.increment(stock_key, 1, *qty)?;
-        txn.increment(stock_key, 2, 1)?;
+        take_stock(txn, keys, *item, *supply_w, *qty)?;
     }
     let o_id = allocate_order_id(txn, keys, input)?;
     let _ = txn.get(keys.customer(input.w, input.d, input.c))?;
@@ -269,51 +277,45 @@ pub struct DeliveryInput {
 /// The delivery transaction: delivers the oldest undelivered order of every
 /// district of a warehouse.
 pub fn delivery(txn: &mut Txn<'_>, keys: &TpccKeys, input: &DeliveryInput) -> CcResult<u32> {
+    use district_fields::{NEXT_DELIVERY_O_ID, NEXT_O_ID};
     let mut delivered = 0;
     for d in 0..input.districts {
-        let district_key = keys.district(input.w, d);
-        let district = txn.get(district_key)?;
-        let next_o_id = district
-            .as_ref()
-            .and_then(|v| v.field(district_fields::NEXT_O_ID))
-            .unwrap_or(1);
-        let next_delivery = district
-            .as_ref()
-            .and_then(|v| v.field(district_fields::NEXT_DELIVERY_O_ID))
-            .unwrap_or(1);
-        if next_delivery >= next_o_id {
-            continue; // nothing pending in this district
-        }
-        let o_id = next_delivery as u32;
-        txn.update_field(district_key, district_fields::NEXT_DELIVERY_O_ID, |v| v + 1)?;
+        // Take the district's oldest undelivered order and advance the
+        // cursor past it; a district with nothing pending is left as it is.
+        let mut pending = None;
+        txn.update(keys.district(input.w, d), |district| {
+            let field = |idx| district.and_then(|v| v.field(idx)).unwrap_or(1);
+            let next_delivery = field(NEXT_DELIVERY_O_ID);
+            if next_delivery >= field(NEXT_O_ID) {
+                return None;
+            }
+            pending = Some(next_delivery as u32);
+            district.map(|row| row.with_field(NEXT_DELIVERY_O_ID, next_delivery + 1))
+        })?;
+        let Some(o_id) = pending else {
+            continue;
+        };
         // Remove the new_order marker.
         txn.delete(keys.new_order(input.w, d, o_id))?;
         // Stamp the carrier on the order.
-        let order = txn.get(keys.order(input.w, d, o_id))?;
-        let (ol_cnt, c_id) = match &order {
-            Some(v) => (v.field(0).unwrap_or(0), v.field(1).unwrap_or(0)),
-            None => (0, 0),
-        };
-        if let Some(order_row) = order {
-            txn.put(
-                keys.order(input.w, d, o_id),
-                order_row.with_field(2, input.carrier),
-            )?;
-        }
+        let order = txn.update(keys.order(input.w, d, o_id), |order| {
+            order.map(|row| row.with_field(2, input.carrier))
+        })?;
+        let field = |idx| order.as_ref().and_then(|v| v.field(idx)).unwrap_or(0);
+        let (ol_cnt, c_id) = (field(0), field(1));
         // Stamp delivery on each order line and sum the amounts.
         let mut amount = 0i64;
         for line in 0..ol_cnt.max(0) as u32 {
             let key = keys.order_line(input.w, d, o_id, line);
-            if let Some(row) = txn.get(key)? {
+            if let Some(row) = txn.update(key, |row| row.map(|r| r.with_field(2, 1)))? {
                 amount += row.field(3).unwrap_or(0);
-                txn.put(key, row.with_field(2, 1))?;
             }
         }
         // Credit the customer.
         if c_id > 0 {
-            let customer_key = keys.customer(input.w, d, c_id as u32);
-            txn.increment(customer_key, 0, amount)?;
-            txn.increment(customer_key, 2, 1)?;
+            txn.update(keys.customer(input.w, d, c_id as u32), |row| {
+                Some(add_fields(row, &[(0, amount), (2, 1)]))
+            })?;
         }
         delivered += 1;
     }
