@@ -7,8 +7,8 @@
 //! * [`twopl`] — two-phase locking with group-aware *nexus* locks,
 //! * [`rp`] — runtime pipelining (static table-order analysis + pipelined
 //!   step execution),
-//! * [`ssi`] — serializable snapshot isolation with per-group batching and
-//!   the read-only-root optimisation,
+//! * [`ssi`] — serializable snapshot isolation with per-group batching,
+//!   the read-only-root optimisation and safe read-only snapshots,
 //! * [`tso`] — multiversion timestamp ordering with promises,
 //! * [`nocc`] — the empty mechanism used for read-only groups.
 //!

@@ -147,6 +147,20 @@ pub struct TxnCtx {
     /// that node's `begin` and dropped by its `finish` — so the node's
     /// calls on behalf of this transaction need no lookup in shared state.
     pub ssi: Vec<crate::ssi::SsiHandle>,
+    /// Declared read-only: the engine sets it, before the start phase, from
+    /// [`ProcedureInfo::read_only`](crate::ProcedureInfo::read_only) when
+    /// the transaction runs whole on this database — never for one part of
+    /// a distributed transaction, whose other parts may write. The engine
+    /// refuses a write of such a transaction before anything of it runs.
+    pub read_only: bool,
+    /// Set by the engine while it picks the read of a read-modify-write,
+    /// under the key's latch and after every `validate_write` of the write
+    /// passed: a write installed under the same hold may follow. A
+    /// mechanism that tracks readers for later writers (SSI's SIREAD table)
+    /// may register nothing for such a read; when the update declines to
+    /// write, the engine clears the flag and picks again, as a plain read,
+    /// under the same hold.
+    pub update_read: bool,
 }
 
 impl TxnCtx {
@@ -163,6 +177,8 @@ impl TxnCtx {
             promised_keys: Vec::new(),
             must_abort: false,
             ssi: Vec::new(),
+            read_only: false,
+            update_read: false,
         }
     }
 

@@ -24,10 +24,10 @@
 //! # State and locking
 //!
 //! There is no node-wide lock. What the node knows about a transaction is
-//! one [`SsiTxn`] **record** — its snapshot, its lane and a single atomic
-//! flag word `IN | OUT | PREPARED` — shared by `Arc` between the
-//! transaction's own [`TxnCtx`] (so its own calls reach it without a
-//! lookup) and the places other transactions find it:
+//! one [`SsiTxn`] **record** — its snapshot, its lane, whether it writes at
+//! all and a single atomic flag word `IN | OUT | PREPARED` — shared by `Arc`
+//! between the transaction's own [`TxnCtx`] (so its own calls reach it
+//! without a lookup) and the places other transactions find it:
 //!
 //! * the **SIREAD table**, [`READER_STRIPES`] stripes of `Key → readers`
 //!   chosen by [`Key::mix64`], where a key's readers are `(TxnId, record)`
@@ -40,14 +40,15 @@
 //!   writer scans *after* installing its version: a reader that registers
 //!   after the scan walks a chain that already holds the version and marks
 //!   the edge itself, so no read slips between scan and install;
-//! * the **directory**, sharded by transaction id, used only for the rare
+//! * the **directory**, sharded by transaction id, used for the rare
 //!   "which record belongs to the writer of the version I just passed
-//!   over" lookup, for the GC watermark and for diagnostics.
+//!   over" lookup, for the GC watermark, for the safe-snapshot check below
+//!   and for diagnostics.
 //!
 //! | call | locks |
 //! |---|---|
 //! | `begin` | one directory shard (+ the `batches` mutex for a batched lane) |
-//! | `choose_version` | the key's reader stripe; a directory shard only when a writer was missed |
+//! | `choose_version` | the key's reader stripe, or none for an update's read at a leaf and for a safe snapshot; a directory shard only when a writer was missed; every directory shard and the read's reader stripes for a safe-snapshot check |
 //! | `validate_write` | none — the key's latch, held by the engine |
 //! | `after_write` | the key's reader stripe |
 //! | `validate`, `mark_prepared` | none — the transaction's own record |
@@ -69,14 +70,54 @@
 //! loop ([`SsiTxn::add_edge`]), "prepare unless already a pivot" another. A
 //! transaction is **doomed** exactly when its word holds both edges — there
 //! is no separate doom list to keep in step with the flags.
+//!
+//! # Where a read registers
+//!
+//! A SIREAD entry exists so that a later concurrent writer of the key can
+//! mark `reader --rw--> writer`. Two kinds of read take none, because no
+//! such edge could still close a cycle:
+//!
+//! * **An update's read at a leaf.** The engine flags the read of a
+//!   read-modify-write ([`TxnCtx::update_read`]); its `validate_write`
+//!   already passed and the install follows under the same hold of the
+//!   key's latch, so every later concurrent writer of the key loses on
+//!   write-write before it could scan. An update that declines to write is
+//!   picked again as a plain read under that hold, and registers. At an
+//!   inner node a writer of the reader's own lane does not lose on
+//!   write-write, so there the read registers as before.
+//! * **A read-only transaction on a safe snapshot** (Ports & Grittner,
+//!   VLDB 2012, §4.2), at a node that tracks them
+//!   ([`SsiConfig::safe_snapshots`], the monolithic node). A transaction
+//!   the engine declared read-only ([`TxnCtx::read_only`]) checks after
+//!   every [`SAFE_CHECK_EVERY`] reads whether its snapshot `s` is safe
+//!   (one with fewer reads is never checked: the check takes every
+//!   directory shard, more than registering them costs): no read-write
+//!   record with a snapshot below `s` is left in the directory, and no
+//!   read-write transaction has committed with `OUT` at a timestamp above
+//!   `s` (once one has, `s` stays unsafe and is not checked again). Then
+//!   no read-write transaction it could still meet can be a pivot whose
+//!   outgoing edge points at a commit its snapshot sees, so it releases
+//!   its entries and reads the snapshot with no registration and no edge
+//!   marking. A record enters the directory
+//!   before its snapshot is taken, with a start at or below any snapshot
+//!   meanwhile, so a check never misses a transaction caught between the
+//!   two; a committer with `OUT` publishes its commit before its record
+//!   leaves the directory, so a check that misses the record sees the
+//!   commit.
+//!
+//! The node counts, once per transaction at `finish`, the SIREAD entries it
+//! took and each checked read-only transaction as ending on a safe or an
+//! unsafe snapshot ([`SsiCounters`]).
 
 use crate::error::{CcError, CcResult, Reason};
 use crate::mechanism::{CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
 use crate::topology::LaneSel;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
+use tebaldi_obs::metrics::Counter;
+use tebaldi_obs::MetricsRegistry;
 use tebaldi_storage::{Chain, Key, KeyMap, NodeId, Timestamp, TxnId};
 
 /// Configuration of one SSI node.
@@ -87,6 +128,12 @@ pub struct SsiConfig {
     /// Child lanes whose groups are entirely read-only (they always read a
     /// consistent snapshot, never batch, and never abort).
     pub read_only_lanes: HashSet<u32>,
+    /// Whether a declared read-only transaction stops registering its reads
+    /// once its snapshot is safe (see the module docs). Only for a node
+    /// every transaction of the database passes through as a leaf — the
+    /// monolithic node — whose directory then holds every read-write
+    /// transaction the check must see.
+    pub safe_snapshots: bool,
 }
 
 impl Default for SsiConfig {
@@ -94,6 +141,7 @@ impl Default for SsiConfig {
         SsiConfig {
             batching: true,
             read_only_lanes: HashSet::new(),
+            safe_snapshots: false,
         }
     }
 }
@@ -105,6 +153,44 @@ impl SsiConfig {
         SsiConfig {
             batching: false,
             read_only_lanes: read_only_lanes.into_iter().collect(),
+            safe_snapshots: false,
+        }
+    }
+
+    /// The node of monolithic SSI: the only node of the tree, so every
+    /// transaction is its own group (no batching) and read-only
+    /// transactions track safe snapshots.
+    pub fn monolithic() -> Self {
+        SsiConfig {
+            batching: false,
+            read_only_lanes: HashSet::new(),
+            safe_snapshots: true,
+        }
+    }
+}
+
+/// What one SSI node counts, each once per transaction at `finish`.
+#[derive(Clone, Debug, Default)]
+pub struct SsiCounters {
+    /// SIREAD entries taken (`cc.ssi.<node>.siread_entries`).
+    pub siread_entries: Arc<Counter>,
+    /// Declared read-only transactions that ended on a safe snapshot
+    /// (`cc.ssi.<node>.safe_snapshots`).
+    pub safe_snapshots: Arc<Counter>,
+    /// Declared read-only transactions that ended on a snapshot their
+    /// checks found unsafe (`cc.ssi.<node>.unsafe_snapshots`); one that
+    /// ended before its first check counts in neither.
+    pub unsafe_snapshots: Arc<Counter>,
+}
+
+impl SsiCounters {
+    /// The counters of node `node`, registered in `metrics`.
+    pub(crate) fn registered(metrics: &MetricsRegistry, node: NodeId) -> Self {
+        let counter = |what: &str| metrics.counter(&format!("cc.ssi.{}.{what}", node.0));
+        SsiCounters {
+            siread_entries: counter("siread_entries"),
+            safe_snapshots: counter("safe_snapshots"),
+            unsafe_snapshots: counter("unsafe_snapshots"),
         }
     }
 }
@@ -112,6 +198,10 @@ impl SsiConfig {
 /// Stripes of the SIREAD table and shards of the directory.
 const READER_STRIPES: usize = 64;
 const DIRECTORY_SHARDS: usize = 64;
+
+/// Reads of a declared read-only transaction before its first
+/// safe-snapshot check, and between two checks.
+pub const SAFE_CHECK_EVERY: u32 = 64;
 
 /// Incoming read-write anti-dependency: someone read what this
 /// transaction overwrote.
@@ -130,9 +220,13 @@ fn is_pivot(flags: u8) -> bool {
 /// What one SSI node knows about one transaction (see the module docs).
 #[derive(Debug)]
 pub struct SsiTxn {
-    start_ts: Timestamp,
+    /// The snapshot timestamp; `0`, at or below any snapshot, from the
+    /// record's entry into the directory until `begin` has taken it.
+    start: AtomicU64,
     lane: Option<u32>,
-    read_only_lane: bool,
+    /// Writes nothing at this node: on a read-only lane, or declared
+    /// read-only by the engine.
+    read_only: bool,
     /// `IN | OUT | PREPARED`. Every decision is taken on this word's own
     /// modification order and publishes no other memory; `AcqRel` is kept
     /// so a reader of the word also sees whatever its writer saw.
@@ -142,6 +236,10 @@ pub struct SsiTxn {
 impl SsiTxn {
     fn flags(&self) -> u8 {
         self.flags.load(Ordering::Acquire)
+    }
+
+    fn start_ts(&self) -> Timestamp {
+        Timestamp(self.start.load(Ordering::Acquire))
     }
 
     /// Gives the transaction the anti-dependency `edge` (`IN` or `OUT`) and
@@ -193,8 +291,30 @@ impl SsiTxn {
 pub struct SsiHandle {
     node: NodeId,
     txn: Arc<SsiTxn>,
+    /// The record's snapshot, for the transaction's own calls.
+    start_ts: Timestamp,
     /// Keys this transaction is registered on in the SIREAD table.
     read_keys: Vec<Key>,
+    /// SIREAD entries taken, those a safe snapshot released included.
+    entries: u64,
+    snapshot: Snapshot,
+}
+
+/// Where a transaction stands on the safe-snapshot rule.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Snapshot {
+    /// Not a declared read-only transaction at a node that tracks safe
+    /// snapshots: never checked, every read registers.
+    Unchecked,
+    /// Declared read-only, not (yet) found safe, after `reads` reads:
+    /// checked once `reads` passed [`SAFE_CHECK_EVERY`].
+    Pending { reads: u32 },
+    /// Declared read-only, and a read-write transaction committed with
+    /// `OUT` above the snapshot: it can never turn safe, so it is not
+    /// checked again.
+    Unsafe,
+    /// Declared read-only on a safe snapshot: reads register nothing.
+    Safe,
 }
 
 #[derive(Debug)]
@@ -270,6 +390,10 @@ pub struct Ssi {
     directory: Box<[Padded<Mutex<Directory>>]>,
     /// Open batch per child lane; touched at begin and clean-up only.
     batches: Mutex<HashMap<u32, Batch>>,
+    /// The largest commit timestamp of a read-write transaction that
+    /// committed with `OUT` (kept only with `safe_snapshots`).
+    out_committed: Padded<AtomicU64>,
+    counters: SsiCounters,
 }
 
 impl Ssi {
@@ -281,7 +405,20 @@ impl Ssi {
             readers: (0..READER_STRIPES).map(|_| Padded::default()).collect(),
             directory: (0..DIRECTORY_SHARDS).map(|_| Padded::default()).collect(),
             batches: Mutex::new(HashMap::new()),
+            out_committed: Padded::default(),
+            counters: SsiCounters::default(),
         }
+    }
+
+    /// Counts into `counters` instead of the node's own unregistered ones.
+    pub(crate) fn with_counters(mut self, counters: SsiCounters) -> Self {
+        self.counters = counters;
+        self
+    }
+
+    /// What the node has counted so far.
+    pub fn counters(&self) -> &SsiCounters {
+        &self.counters
     }
 
     fn lane_index(lane: Lane) -> Option<u32> {
@@ -319,12 +456,14 @@ impl Ssi {
         &self.directory[txn.0 as usize % DIRECTORY_SHARDS].0
     }
 
+    /// The executing transaction's handle on its record at this node.
+    fn handle<'c>(&self, ctx: &'c TxnCtx) -> Option<&'c SsiHandle> {
+        ctx.ssi.iter().find(|h| h.node == self.env.node)
+    }
+
     /// This node's record of the executing transaction.
     fn record<'c>(&self, ctx: &'c TxnCtx) -> Option<&'c SsiTxn> {
-        ctx.ssi
-            .iter()
-            .find(|h| h.node == self.env.node)
-            .map(|h| &*h.txn)
+        self.handle(ctx).map(|h| &*h.txn)
     }
 
     /// Whether an uncommitted version of another transaction on `chain`
@@ -361,12 +500,69 @@ impl Ssi {
                     .0
                     .lock()
                     .values()
-                    .map(|t| t.start_ts)
+                    .map(|t| t.start_ts())
                     .filter(|ts| *ts != Timestamp::MAX)
                     .min()
             })
             .min()
             .unwrap_or(Timestamp::MAX)
+    }
+
+    /// Where snapshot `s` of a read-only transaction stands: safe when no
+    /// read-write record with an older snapshot is left in the directory
+    /// and no read-write transaction committed with `OUT` above `s`; for
+    /// good unsafe once one has (the bound only grows). The directory is
+    /// read before the bound that decides "safe": a committer publishes its
+    /// commit before its record leaves, so a record the scan misses has
+    /// published.
+    fn check_snapshot(&self, s: Timestamp, reads: u32) -> Snapshot {
+        let out_above = || Timestamp(self.out_committed.0.load(Ordering::Acquire)) > s;
+        if out_above() {
+            return Snapshot::Unsafe;
+        }
+        let older_writer = self.directory.iter().any(|shard| {
+            shard
+                .0
+                .lock()
+                .values()
+                .any(|t| !t.read_only && t.start_ts() < s)
+        });
+        match (older_writer, out_above()) {
+            (_, true) => Snapshot::Unsafe,
+            (true, false) => Snapshot::Pending { reads },
+            (false, false) => Snapshot::Safe,
+        }
+    }
+
+    /// Whether the next read of `handle`'s transaction may skip the SIREAD
+    /// table: it is on a safe snapshot, or its check, due after every
+    /// [`SAFE_CHECK_EVERY`] reads, finds it safe now — then its entries are
+    /// released.
+    fn read_on_safe_snapshot(&self, reader: TxnId, handle: &mut SsiHandle) -> bool {
+        let Snapshot::Pending { reads } = handle.snapshot else {
+            return handle.snapshot == Snapshot::Safe;
+        };
+        handle.snapshot = if reads > 0 && reads % SAFE_CHECK_EVERY == 0 {
+            self.check_snapshot(handle.start_ts, reads + 1)
+        } else {
+            Snapshot::Pending { reads: reads + 1 }
+        };
+        if handle.snapshot != Snapshot::Safe {
+            return false;
+        }
+        self.forget_reads(reader, &handle.read_keys);
+        handle.read_keys.clear();
+        true
+    }
+
+    /// Takes `reader` off the SIREAD readers of `keys`.
+    fn forget_reads(&self, reader: TxnId, keys: &[Key]) {
+        for key in keys {
+            let mut stripe = self.reader_stripe(key).lock();
+            if stripe.get_mut(key).is_some_and(|r| r.remove(reader)) {
+                stripe.remove(key);
+            }
+        }
     }
 }
 
@@ -374,6 +570,18 @@ impl CcMechanism for Ssi {
     fn begin(&self, ctx: &mut TxnCtx, lane: Lane) -> CcResult<()> {
         let read_only_lane = self.is_read_only_lane(lane);
         let lane_idx = Self::lane_index(lane);
+        // The record enters the directory before its snapshot is taken, its
+        // start at or below any snapshot meanwhile: a safe-snapshot check
+        // running in between counts it as an older writer.
+        let txn = Arc::new(SsiTxn {
+            start: AtomicU64::new(0),
+            lane: lane_idx,
+            read_only: read_only_lane || ctx.read_only,
+            flags: AtomicU8::new(0),
+        });
+        self.directory_shard(ctx.txn)
+            .lock()
+            .insert(ctx.txn, Arc::clone(&txn));
         let start_ts = match lane_idx {
             // Leaf usage ("monolithic SSI"): every transaction is its own
             // batch and needs a real snapshot. `snapshot_ts` stays below any
@@ -398,19 +606,19 @@ impl CcMechanism for Ssi {
                 batch.ts
             }
         };
-        let txn = Arc::new(SsiTxn {
-            start_ts,
-            lane: lane_idx,
-            read_only_lane,
-            flags: AtomicU8::new(0),
-        });
-        self.directory_shard(ctx.txn)
-            .lock()
-            .insert(ctx.txn, Arc::clone(&txn));
+        txn.start.store(start_ts.0, Ordering::Release);
+        let snapshot = if self.config.safe_snapshots && ctx.read_only && lane_idx.is_none() {
+            Snapshot::Pending { reads: 0 }
+        } else {
+            Snapshot::Unchecked
+        };
         ctx.ssi.push(SsiHandle {
             node: self.env.node,
             txn,
+            start_ts,
             read_keys: Vec::new(),
+            entries: 0,
+            snapshot,
         });
         Ok(())
     }
@@ -431,20 +639,33 @@ impl CcMechanism for Ssi {
             }
         }
         let reader = ctx.txn;
+        // An update's read at a leaf: the install follows under this hold of
+        // the key's latch, and every later writer of the key loses on
+        // write-write, so no scan could use an entry (see the module docs).
+        let installs = ctx.update_read && lane.sel == LaneSel::Leaf;
         let mine = ctx.ssi.iter_mut().find(|h| h.node == self.env.node);
         let (start_ts, my_lane) = match &mine {
-            Some(h) => (h.txn.start_ts, h.txn.lane),
+            Some(h) => (h.start_ts, h.txn.lane),
             None => (Timestamp::MAX, None),
         };
-        // Register the read — before walking the chain — so later writers
-        // can mark the anti-dependency. Once per key: a second read of the
-        // same key adds nothing a writer's scan could use.
         if let Some(h) = mine {
-            let mut stripe = self.reader_stripe(key).lock();
-            let readers = stripe.entry(*key).or_default();
-            if !readers.has(reader) {
-                readers.push((reader, Arc::clone(&h.txn)));
-                h.read_keys.push(*key);
+            if self.read_on_safe_snapshot(reader, h) {
+                return chain
+                    .committed_at_or_before(start_ts)
+                    .map(VersionPick::from_version)
+                    .or(candidate);
+            }
+            // Register the read — before walking the chain — so later
+            // writers can mark the anti-dependency. Once per key: a second
+            // read of the same key adds nothing a writer's scan could use.
+            if !installs {
+                let mut stripe = self.reader_stripe(key).lock();
+                let readers = stripe.entry(*key).or_default();
+                if !readers.has(reader) {
+                    readers.push((reader, Arc::clone(&h.txn)));
+                    h.read_keys.push(*key);
+                    h.entries += 1;
+                }
             }
         }
 
@@ -540,8 +761,8 @@ impl CcMechanism for Ssi {
         Ok(())
     }
 
-    fn finish(&self, ctx: &mut TxnCtx, _lane: Lane, _outcome: Option<Timestamp>) {
-        self.cleanup(ctx);
+    fn finish(&self, ctx: &mut TxnCtx, lane: Lane, outcome: Option<Timestamp>) {
+        self.cleanup(ctx, lane, outcome);
     }
 
     fn low_watermark(&self) -> Timestamp {
@@ -563,7 +784,7 @@ impl Ssi {
         if self.is_read_only_lane(lane) {
             return Ok(());
         }
-        let Some(me) = self.record(ctx) else {
+        let Some(me) = self.handle(ctx) else {
             return Ok(());
         };
         // Visibility is `commit_ts <= start_ts`, so only commits strictly
@@ -574,7 +795,7 @@ impl Ssi {
                 winner: Some(newer.writer),
             });
         }
-        match self.foreign_uncommitted_writer(ctx.txn, me.lane, chain) {
+        match self.foreign_uncommitted_writer(ctx.txn, me.txn.lane, chain) {
             Some(writer) => Err(CcError::Conflict {
                 reason: Reason::CrossGroupWriteWrite,
                 winner: Some(writer),
@@ -584,29 +805,46 @@ impl Ssi {
     }
 
     /// Forgets the transaction: its directory entry, its SIREAD
-    /// registrations and its seat in a batch.
-    fn cleanup(&self, ctx: &mut TxnCtx) {
+    /// registrations and its seat in a batch; counts what it did. A
+    /// read-write transaction that commits with `OUT` publishes its commit
+    /// first (see [`snapshot_is_safe`](Ssi::snapshot_is_safe)).
+    fn cleanup(&self, ctx: &mut TxnCtx, lane: Lane, outcome: Option<Timestamp>) {
         let Some(at) = ctx.ssi.iter().position(|h| h.node == self.env.node) else {
             return;
         };
         let handle = ctx.ssi.swap_remove(at);
-        self.directory_shard(ctx.txn).lock().remove(&ctx.txn);
-        for key in &handle.read_keys {
-            let mut stripe = self.reader_stripe(key).lock();
-            if stripe.get_mut(key).is_some_and(|r| r.remove(ctx.txn)) {
-                stripe.remove(key);
+        if let Some(commit_ts) = outcome {
+            if self.config.safe_snapshots && !handle.txn.read_only && handle.txn.flags() & OUT != 0
+            {
+                self.out_committed
+                    .0
+                    .fetch_max(commit_ts.0, Ordering::AcqRel);
             }
         }
-        if let Some(lane) = handle.txn.lane {
-            if self.config.batching && !handle.txn.read_only_lane {
+        self.directory_shard(ctx.txn).lock().remove(&ctx.txn);
+        self.forget_reads(ctx.txn, &handle.read_keys);
+        if let Some(lane_key) = handle.txn.lane {
+            if self.config.batching && !self.is_read_only_lane(lane) {
                 let mut batches = self.batches.lock();
-                if let Some(batch) = batches.get_mut(&lane) {
+                if let Some(batch) = batches.get_mut(&lane_key) {
                     batch.active = batch.active.saturating_sub(1);
                     if batch.active == 0 {
-                        batches.remove(&lane);
+                        batches.remove(&lane_key);
                     }
                 }
             }
+        }
+        if handle.entries > 0 {
+            self.counters.siread_entries.add(handle.entries);
+        }
+        match handle.snapshot {
+            Snapshot::Unchecked => {}
+            Snapshot::Pending { reads } if reads > SAFE_CHECK_EVERY => {
+                self.counters.unsafe_snapshots.inc()
+            }
+            Snapshot::Pending { .. } => {}
+            Snapshot::Unsafe => self.counters.unsafe_snapshots.inc(),
+            Snapshot::Safe => self.counters.safe_snapshots.inc(),
         }
     }
 
@@ -635,7 +873,7 @@ mod tests {
         let env = NodeEnv::for_test(topo, Arc::clone(&registry), 20);
         let config = SsiConfig {
             batching,
-            read_only_lanes: HashSet::new(),
+            ..SsiConfig::default()
         };
         (Ssi::new(env, config), registry)
     }
@@ -853,8 +1091,8 @@ mod tests {
         ssi.begin(&mut a, Lane::child(0)).unwrap();
         ssi.begin(&mut b, Lane::child(0)).unwrap();
         ssi.begin(&mut c, Lane::child(1)).unwrap();
-        let ts_a = rec(&ssi, &a).start_ts;
-        let ts_b = rec(&ssi, &b).start_ts;
+        let ts_a = rec(&ssi, &a).start_ts();
+        let ts_b = rec(&ssi, &b).start_ts();
         assert_eq!(ts_a, ts_b, "same lane, same batch, same timestamp");
         // Different lanes are tracked as separate batches (their members may
         // still share a snapshot timestamp when no commit happened between
@@ -881,8 +1119,8 @@ mod tests {
         let mut writer = TxnCtx::new(TxnId(2), TxnTypeId(1), GroupId(1));
         ssi.begin(&mut reader, Lane::child(0)).unwrap();
         ssi.begin(&mut writer, Lane::child(1)).unwrap();
-        assert_ne!(rec(&ssi, &reader).start_ts, Timestamp::MAX);
-        assert_eq!(rec(&ssi, &writer).start_ts, Timestamp::MAX);
+        assert_ne!(rec(&ssi, &reader).start_ts(), Timestamp::MAX);
+        assert_eq!(rec(&ssi, &writer).start_ts(), Timestamp::MAX);
         assert!(ssi.batches.lock().is_empty());
         // Update transactions see the latest committed version.
         let store = committed_version(k(3), 9, 7, 5);

@@ -22,7 +22,7 @@ use crate::procinfo::ProcedureSet;
 use crate::registry::TxnRegistry;
 use crate::rp::Rp;
 use crate::rp_analysis::analyze;
-use crate::ssi::{Ssi, SsiConfig};
+use crate::ssi::{Ssi, SsiConfig, SsiCounters};
 use crate::topology::Topology;
 use crate::tso::Tso;
 use crate::twopl::TwoPl;
@@ -30,6 +30,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
+use tebaldi_obs::MetricsRegistry;
 use tebaldi_storage::{GroupId, NodeId, TxnTypeId};
 
 /// One node of a CC-tree specification.
@@ -266,6 +267,9 @@ pub struct TreeServices {
     pub events: Arc<dyn EventSink>,
     /// Bound on internal waits.
     pub wait_timeout: Duration,
+    /// Where the nodes count what they do (an SSI node's
+    /// [`SsiCounters`](crate::ssi::SsiCounters)).
+    pub metrics: Arc<MetricsRegistry>,
 }
 
 impl CcTree {
@@ -435,15 +439,19 @@ impl CcTree {
                     // at most one update child subtree, batching is
                     // unnecessary.
                     let update_lanes = child_count.saturating_sub(read_only_lanes.len() as u32);
-                    let config = if is_root && update_lanes <= 1 {
+                    let config = if is_root && child_count == 0 {
+                        SsiConfig::monolithic()
+                    } else if is_root && update_lanes <= 1 {
                         SsiConfig::root_read_only(read_only_lanes.iter().copied())
                     } else {
                         SsiConfig {
                             batching: true,
                             read_only_lanes: read_only_lanes.clone(),
+                            safe_snapshots: false,
                         }
                     };
-                    Arc::new(Ssi::new(make_env(node), config))
+                    let counters = SsiCounters::registered(&services.metrics, node);
+                    Arc::new(Ssi::new(make_env(node), config).with_counters(counters))
                 }
             })
         };
@@ -601,6 +609,7 @@ mod tests {
             oracle: Arc::new(TsOracle::new()),
             events: Arc::new(NullSink),
             wait_timeout: Duration::from_millis(50),
+            metrics: Arc::new(MetricsRegistry::new()),
         }
     }
 

@@ -14,6 +14,14 @@
 //! errors with the same reasons and winners, the same `must_abort` marks,
 //! the same active counts and the same GC watermark at every step.
 //!
+//! Both take SIREAD entries only where a later write can still close a
+//! cycle: an update's read at a leaf registers nothing when the update
+//! installs, and a transaction declared read-only stops registering once
+//! its snapshot is safe (monolithic node only). So the schedules also run
+//! read-modify-writes — some install, some decline and are picked again as
+//! plain reads — and declared read-only transactions that read in bursts,
+//! and the two nodes must agree on which of those snapshots ended safe.
+//!
 //! Why it is worth its lines: SSI's abort *rate* moves with the speed of
 //! everything around it (a faster read meets more writers still in flight),
 //! so a rate cannot tell a faster engine from a laxer one. Decisions on a
@@ -25,7 +33,7 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
-use tebaldi_cc::ssi::{Ssi, SsiConfig};
+use tebaldi_cc::ssi::{Ssi, SsiConfig, SAFE_CHECK_EVERY};
 use tebaldi_cc::topology::LaneSel;
 use tebaldi_cc::{
     CcError, CcMechanism, CcResult, Lane, NodeEnv, NullSink, Reason, Topology, TsOracle, TxnCtx,
@@ -45,6 +53,9 @@ struct ReferenceTxn {
     start_ts: Timestamp,
     lane: Option<u32>,
     read_only_lane: bool,
+    /// Writes nothing: on a read-only lane, or declared read-only.
+    read_only: bool,
+    snapshot: SnapshotState,
     in_conflict: bool,
     out_conflict: bool,
     /// Voted yes in a cross-shard two-phase commit: the vote is stable, so
@@ -52,6 +63,17 @@ struct ReferenceTxn {
     /// instead (prepared transactions have priority).
     prepared: bool,
     read_keys: Vec<Key>,
+}
+
+/// A declared read-only transaction's standing on the safe-snapshot rule.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SnapshotState {
+    /// Not subject to the rule.
+    Unchecked,
+    /// Not (yet) safe, after `reads` reads.
+    Pending { reads: u32 },
+    /// Safe: reads register nothing.
+    Safe,
 }
 
 #[derive(Debug)]
@@ -67,6 +89,32 @@ struct ReferenceState {
     readers: HashMap<Key, Vec<(TxnId, Timestamp)>>,
     /// Open batch per child lane.
     batches: HashMap<u32, Batch>,
+    /// Largest commit timestamp of a read-write transaction that
+    /// committed with an outgoing edge.
+    out_committed: Timestamp,
+    /// Declared read-only transactions that ended safe / unsafe.
+    safe: u64,
+    unsafe_: u64,
+}
+
+impl ReferenceState {
+    /// The safe-snapshot test, on the one lock: no read-write transaction
+    /// with an older snapshot active, none committed with an outgoing edge
+    /// above `s`.
+    fn is_safe(&self, s: Timestamp) -> bool {
+        !self.txns.values().any(|t| !t.read_only && t.start_ts < s) && self.out_committed <= s
+    }
+
+    fn forget_reads(&mut self, txn: TxnId, keys: &[Key]) {
+        for key in keys {
+            if let Some(readers) = self.readers.get_mut(key) {
+                readers.retain(|(r, _)| *r != txn);
+                if readers.is_empty() {
+                    self.readers.remove(key);
+                }
+            }
+        }
+    }
 }
 
 /// The single-lock SSI node: one mutex over every map, one doom list.
@@ -157,12 +205,19 @@ impl CcMechanism for ReferenceSsi {
             batch.active += 1;
             batch.ts
         };
+        let snapshot = if self.config.safe_snapshots && ctx.read_only && lane_idx.is_none() {
+            SnapshotState::Pending { reads: 0 }
+        } else {
+            SnapshotState::Unchecked
+        };
         shared.txns.insert(
             ctx.txn,
             ReferenceTxn {
                 start_ts,
                 lane: lane_idx,
                 read_only_lane,
+                read_only: read_only_lane || ctx.read_only,
+                snapshot,
                 in_conflict: false,
                 out_conflict: false,
                 prepared: false,
@@ -235,18 +290,46 @@ impl CcMechanism for ReferenceSsi {
             }
         }
         let mut shared = self.shared.lock();
-        let (start_ts, my_lane) = match shared.txns.get(&ctx.txn) {
-            Some(s) => (s.start_ts, s.lane),
-            None => (Timestamp::MAX, None),
+        let (start_ts, my_lane, snapshot) = match shared.txns.get(&ctx.txn) {
+            Some(s) => (s.start_ts, s.lane, s.snapshot),
+            None => (Timestamp::MAX, None, SnapshotState::Unchecked),
         };
-        // Register the read so later writers can mark the anti-dependency.
-        shared
-            .readers
-            .entry(*key)
-            .or_default()
-            .push((ctx.txn, start_ts));
-        if let Some(s) = shared.txns.get_mut(&ctx.txn) {
-            s.read_keys.push(*key);
+        // A declared read-only transaction checks its snapshot after every
+        // SAFE_CHECK_EVERY reads; once safe it drops its entries and reads
+        // the snapshot, registering and marking nothing.
+        let safe = match snapshot {
+            SnapshotState::Unchecked => false,
+            SnapshotState::Safe => true,
+            SnapshotState::Pending { reads } => {
+                let safe = reads > 0 && reads % SAFE_CHECK_EVERY == 0 && shared.is_safe(start_ts);
+                let me = shared.txns.get_mut(&ctx.txn).expect("begun");
+                if safe {
+                    me.snapshot = SnapshotState::Safe;
+                    let keys = std::mem::take(&mut me.read_keys);
+                    shared.forget_reads(ctx.txn, &keys);
+                } else {
+                    me.snapshot = SnapshotState::Pending { reads: reads + 1 };
+                }
+                safe
+            }
+        };
+        if safe {
+            return chain
+                .committed_at_or_before(start_ts)
+                .map(VersionPick::from_version)
+                .or(candidate);
+        }
+        // Register the read so later writers can mark the anti-dependency
+        // — unless it is an update's at a leaf, whose install follows.
+        if !(ctx.update_read && lane.sel == LaneSel::Leaf) {
+            shared
+                .readers
+                .entry(*key)
+                .or_default()
+                .push((ctx.txn, start_ts));
+            if let Some(s) = shared.txns.get_mut(&ctx.txn) {
+                s.read_keys.push(*key);
+            }
         }
 
         // Snapshot visibility: the latest version committed at or before our
@@ -350,8 +433,8 @@ impl CcMechanism for ReferenceSsi {
         Ok(())
     }
 
-    fn finish(&self, ctx: &mut TxnCtx, _lane: Lane, _outcome: Option<Timestamp>) {
-        self.cleanup(ctx.txn);
+    fn finish(&self, ctx: &mut TxnCtx, _lane: Lane, outcome: Option<Timestamp>) {
+        self.cleanup(ctx.txn, outcome);
     }
 
     fn low_watermark(&self) -> Timestamp {
@@ -407,17 +490,21 @@ impl ReferenceSsi {
         }
     }
 
-    fn cleanup(&self, txn: TxnId) {
+    fn cleanup(&self, txn: TxnId, outcome: Option<Timestamp>) {
         let mut shared = self.shared.lock();
         if let Some(state) = shared.txns.remove(&txn) {
-            for key in &state.read_keys {
-                if let Some(readers) = shared.readers.get_mut(key) {
-                    readers.retain(|(r, _)| *r != txn);
-                    if readers.is_empty() {
-                        shared.readers.remove(key);
-                    }
+            if let Some(commit_ts) = outcome {
+                if self.config.safe_snapshots && !state.read_only && state.out_conflict {
+                    shared.out_committed = shared.out_committed.max(commit_ts);
                 }
             }
+            match state.snapshot {
+                SnapshotState::Unchecked => {}
+                SnapshotState::Pending { reads } if reads > SAFE_CHECK_EVERY => shared.unsafe_ += 1,
+                SnapshotState::Pending { .. } => {}
+                SnapshotState::Safe => shared.safe += 1,
+            }
+            shared.forget_reads(txn, &state.read_keys);
             if let Some(lane) = state.lane {
                 if self.config.batching && !state.read_only_lane {
                     let remove = if let Some(batch) = shared.batches.get_mut(&lane) {
@@ -496,7 +583,15 @@ struct Live {
     prepared: bool,
 }
 
-fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize) -> (u64, u64) {
+/// What one schedule did: commits, aborts, and the declared read-only
+/// transactions that ended on a safe snapshot.
+struct Outcome {
+    commits: u64,
+    aborts: u64,
+    safe: u64,
+}
+
+fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize) -> Outcome {
     let registry = Arc::new(TxnRegistry::default());
     let mut topo = Topology::new();
     for g in 0..3 {
@@ -510,11 +605,13 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
     } else {
         Default::default()
     };
+    // A leaf is the monolithic node: it tracks safe snapshots.
     let new = Ssi::new(
         ea,
         SsiConfig {
             batching,
             read_only_lanes: ro.clone(),
+            safe_snapshots: leaf,
         },
     );
     let old = ReferenceSsi::new(
@@ -522,6 +619,7 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
         SsiConfig {
             batching,
             read_only_lanes: ro,
+            safe_snapshots: leaf,
         },
     );
     let store = MvStore::new(2);
@@ -541,6 +639,9 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
             registry.register(id, TxnTypeId(g), GroupId(g));
             let lane = if leaf { Lane::leaf() } else { Lane::child(g) };
             let mut a = TxnCtx::new(id, TxnTypeId(g), GroupId(g));
+            // One in four is declared read-only, as the engine declares a
+            // whole transaction of a read-only procedure.
+            a.read_only = rng.below(4) == 0;
             let mut b = a.clone();
             assert_eq!(
                 new.begin(&mut a, lane).is_ok(),
@@ -556,24 +657,91 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
             continue;
         }
         let i = rng.below(live.len() as u64) as usize;
-        let key = keys[rng.below(keys.len() as u64) as usize];
+        let ki = rng.below(keys.len() as u64) as usize;
+        let key = keys[ki];
         let mut finish: Option<bool> = None; // Some(true)=commit, Some(false)=abort
         {
             let t = &mut live[i];
             let id = t.a.txn;
             match op {
                 // A read — SSI is not asked about a transaction's own write.
+                // A declared read-only transaction reads a burst, so it
+                // reaches its later safe-snapshot checks.
                 12..=49 if !t.prepared && !t.writes.contains(&key) => {
-                    let (pa, pb) = store.with_chain(&key, |chain| {
-                        (
-                            new.choose_version(&mut t.a, t.lane, &key, None, chain),
-                            old.choose_version(&mut t.b, t.lane, &key, None, chain),
-                        )
-                    });
-                    assert_eq!(pa, pb, "pick step {step}");
-                    assert_eq!(t.a.must_abort, t.b.must_abort, "must_abort step {step}");
+                    let burst = if t.a.read_only { 16 } else { 1 };
+                    for n in 0..burst {
+                        let key = keys[(ki + n) % keys.len()];
+                        let (pa, pb) = store.with_chain(&key, |chain| {
+                            (
+                                new.choose_version(&mut t.a, t.lane, &key, None, chain),
+                                old.choose_version(&mut t.b, t.lane, &key, None, chain),
+                            )
+                        });
+                        assert_eq!(pa, pb, "pick step {step}");
+                        assert_eq!(t.a.must_abort, t.b.must_abort, "must_abort step {step}");
+                    }
                 }
-                50..=79 if !t.prepared => {
+                // The engine refuses a declared read-only transaction's
+                // write before SSI sees it.
+                50..=84 if t.a.read_only => {}
+                65..=79 if !t.prepared => {
+                    // A read-modify-write in the engine's order
+                    // (`Txn::update`): validation, the read and the install
+                    // under one hold of the key latch, then the reader scan.
+                    // One in three declines to write and is picked again as
+                    // a plain read.
+                    let installs = rng.below(3) != 0;
+                    let own = t.writes.contains(&key);
+                    let first_write = store.with_chain_mut(&key, |chain| {
+                        let va = new.validate_write(&mut t.a, t.lane, &key, chain);
+                        let vb = old.validate_write(&mut t.b, t.lane, &key, chain);
+                        assert_eq!(va, vb, "update validate_write step {step}");
+                        va.ok()?;
+                        let mut pick = |update_read: bool| {
+                            if own {
+                                return;
+                            }
+                            t.a.update_read = update_read;
+                            t.b.update_read = update_read;
+                            let pa = new.choose_version(&mut t.a, t.lane, &key, None, chain);
+                            let pb = old.choose_version(&mut t.b, t.lane, &key, None, chain);
+                            t.a.update_read = false;
+                            t.b.update_read = false;
+                            assert_eq!(pa, pb, "update pick step {step}");
+                            assert_eq!(t.a.must_abort, t.b.must_abort, "must_abort step {step}");
+                        };
+                        pick(true);
+                        if !installs {
+                            pick(false);
+                            return Some(None);
+                        }
+                        let value = Value::Int(vid as i64);
+                        Some(Some(chain.install(Version::uncommitted(
+                            VersionId(vid),
+                            id,
+                            value,
+                            None,
+                        ))))
+                    });
+                    vid += 1;
+                    match first_write {
+                        None => finish = Some(false),
+                        Some(None) => {}
+                        Some(Some(first)) => {
+                            assert_eq!(first, !own);
+                            if first {
+                                t.writes.push(key);
+                            }
+                            let ra = new.after_write(&mut t.a, t.lane, &key);
+                            let rb = old.after_write(&mut t.b, t.lane, &key);
+                            assert_eq!(ra, rb, "update after_write step {step}");
+                            if ra.is_err() {
+                                finish = Some(false);
+                            }
+                        }
+                    }
+                }
+                50..=64 if !t.prepared => {
                     // A write in the engine's order (`Txn::put`): validated
                     // and installed under one hold of the key latch, then
                     // the reader scan.
@@ -604,7 +772,7 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
                     }
                 }
                 80..=84 if !t.prepared => {
-                    // prepare (2PC)
+                    // prepare (2PC); a 2PC part is never declared read-only
                     let ok = if t.a.must_abort {
                         false
                     } else {
@@ -671,7 +839,18 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
             );
         }
     }
-    (commits, aborts)
+    let counted = new.counters();
+    let (safe, unsafe_) = {
+        let shared = old.shared.lock();
+        (shared.safe, shared.unsafe_)
+    };
+    assert_eq!(counted.safe_snapshots.get(), safe, "safe snapshots");
+    assert_eq!(counted.unsafe_snapshots.get(), unsafe_, "unsafe snapshots");
+    Outcome {
+        commits,
+        aborts,
+        safe,
+    }
 }
 
 /// Sixty schedules of 20 000 steps: a leaf node ("monolithic SSI"), an
@@ -686,11 +865,17 @@ fn striped_ssi_decides_as_the_single_lock_reference_did() {
             (false, false, true),
             (false, true, true),
         ] {
-            let (commits, aborts) = run(seed * 7919, leaf, batching, read_only_lane, 20_000);
+            let Outcome {
+                commits,
+                aborts,
+                safe,
+            } = run(seed * 7919, leaf, batching, read_only_lane, 20_000);
             assert!(
                 commits > 100 && aborts > 100,
                 "a schedule must exercise both outcomes: {commits} commits, {aborts} aborts"
             );
+            // The monolithic node must meet safe snapshots, and only it.
+            assert_eq!(safe > 0, leaf, "{safe} safe snapshots, leaf: {leaf}");
         }
     }
 }

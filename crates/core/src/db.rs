@@ -138,11 +138,15 @@ impl DatabaseBuilder {
             .unwrap_or_else(|| MvStore::new(self.config.shards));
         let registry = Arc::new(TxnRegistry::default());
         let oracle = Arc::new(TsOracle::new());
+        let metrics = self
+            .metrics
+            .unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
         let services = TreeServices {
             registry: Arc::clone(&registry),
             oracle: Arc::clone(&oracle),
             events: Arc::clone(&self.events),
             wait_timeout: self.config.wait_timeout(),
+            metrics: Arc::clone(&metrics),
         };
         let tree = CcTree::build(spec, &self.procedures, &services)?;
         let policy = match self.config.durability {
@@ -155,9 +159,6 @@ impl DatabaseBuilder {
         let device: Arc<dyn LogDevice> = self
             .log_device
             .unwrap_or_else(|| Arc::new(MemLogDevice::new()));
-        let metrics = self
-            .metrics
-            .unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
         store.attach_metrics(&metrics);
         let durability = DurabilityManager::with_metrics(device, policy, &metrics);
         let history = if self.config.record_history {
@@ -346,8 +347,12 @@ impl Database {
         body: impl FnOnce(&mut Txn<'_>) -> CcResult<R>,
     ) -> CcResult<(R, Option<u64>)> {
         let timer = self.metrics.is_enabled().then(Instant::now);
+        // Declared read-only only when it runs whole here: a 2PC part
+        // (`prepare`) may be the read-only half of a writing transaction.
+        let read_only = self.procedures.get(call.ty).is_some_and(|p| p.read_only);
         let result = self.attempt(
             call,
+            read_only,
             |txn| {
                 let value = body(txn)?;
                 let (commit_ts, harden) = if defer_harden {
@@ -372,7 +377,8 @@ impl Database {
     }
 
     /// The prologue of every transaction attempt, and its abort path:
-    /// admission through the reconfiguration gate, the start phase, then
+    /// admission through the reconfiguration gate, the start phase (of a
+    /// transaction declared read-only when `read_only` is set), then
     /// `run` — the body plus whatever else of the caller's may still abort
     /// the attempt (the commit, or a 2PC part's validation). When `run`
     /// fails, the attempt is aborted, accounted for and its gate slot
@@ -382,6 +388,7 @@ impl Database {
     fn attempt<V, T>(
         &self,
         call: &ProcedureCall,
+        read_only: bool,
         run: impl FnOnce(&mut Txn<'_>) -> CcResult<V>,
         epilogue: impl FnOnce(Txn<'_>, V, GroupId, u64) -> T,
     ) -> CcResult<T> {
@@ -422,7 +429,7 @@ impl Database {
             history.begin(txn_id, call.ty, group);
         }
 
-        let mut txn = Txn::new(self, &tree, txn_id, call.ty, group);
+        let mut txn = Txn::new(self, &tree, txn_id, call.ty, group, read_only);
         let outcome = txn.begin(&call.promised_keys).and_then(|()| run(&mut txn));
         match outcome {
             Ok(value) => Ok(epilogue(txn, value, gate_group, gc_epoch)),
@@ -495,6 +502,7 @@ impl Database {
     ) -> CcResult<(R, crate::prepared::ParticipantVote, Option<u64>)> {
         self.attempt(
             call,
+            false,
             |txn| {
                 let value = body(txn)?;
                 txn.validate_and_wait_deps()?;

@@ -207,6 +207,7 @@ impl Database {
             oracle: Arc::clone(&self.oracle),
             events: Arc::clone(&self.events),
             wait_timeout: self.config.wait_timeout(),
+            metrics: Arc::clone(&self.metrics),
         };
         CcTree::build(spec.clone(), &self.procedures, &services)
     }

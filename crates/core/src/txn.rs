@@ -74,11 +74,14 @@ impl<'a> Txn<'a> {
         txn: TxnId,
         ty: TxnTypeId,
         group: GroupId,
+        read_only: bool,
     ) -> Self {
+        let mut ctx = TxnCtx::new(txn, ty, group);
+        ctx.read_only = read_only;
         Txn {
             db,
             path: tree.path(group).unwrap_or_default(),
-            ctx: TxnCtx::new(txn, ty, group),
+            ctx,
             phase: TxnPhase::Running,
             written: [0; 4],
             #[cfg(debug_assertions)]
@@ -207,8 +210,16 @@ impl<'a> Txn<'a> {
     }
 
     /// The top-down pass of an operation: every mechanism may block or
-    /// abort it.
+    /// abort it. A write of a transaction declared read-only
+    /// ([`TxnCtx::read_only`]) fails first, before any mechanism or the
+    /// chain sees it: SSI lets such a transaction read without registering.
     fn before(&mut self, key: &Key, access: Access) -> CcResult<()> {
+        if access.writes() && self.ctx.read_only {
+            return Err(CcError::Internal(format!(
+                "{} is declared read-only and writes {key:?}",
+                self.db.procedures.name(self.ctx.ty)
+            )));
+        }
         #[cfg(debug_assertions)]
         if access.writes() {
             self.assert_not_upgrading(key);
@@ -257,7 +268,9 @@ impl<'a> Txn<'a> {
     /// The part of a write that holds `key`'s latch, so no other writer can
     /// slip in between: every mechanism's validation against the live
     /// chain, the read of a read-modify-write (`read`), then the install of
-    /// what `make` returns for the value read. Returns the read's pick and,
+    /// what `make` returns for the value read. The read is picked as an
+    /// update's ([`TxnCtx::update_read`]); when `make` declines to write,
+    /// it is picked again as a plain read. Returns the read's pick and,
     /// when a version was installed, whether it is the transaction's first
     /// on the key — the chain knows, so the write set needs no scan to stay
     /// duplicate-free.
@@ -280,20 +293,25 @@ impl<'a> Txn<'a> {
                     .validate_write(&mut self.ctx, entry.lane, &key, chain)?;
             }
             let pick = if read {
-                self.pick(wrote, &key, chain)
+                self.ctx.update_read = true;
+                let pick = self.pick(wrote, &key, chain);
+                self.ctx.update_read = false;
+                pick
             } else {
                 None
             };
             let current = pick.as_ref().map(|p| &p.value).filter(|v| !v.is_null());
-            let first = make(current).map(|value| {
-                chain.install(Version::uncommitted(
-                    version_id,
-                    self.ctx.txn,
-                    value,
-                    self.ctx.order_ts,
-                ))
-            });
-            Ok((pick, first))
+            let Some(value) = make(current) else {
+                // A declined update is a plain read: picked again as one.
+                return Ok((read.then(|| self.pick(wrote, &key, chain)).flatten(), None));
+            };
+            let first = chain.install(Version::uncommitted(
+                version_id,
+                self.ctx.txn,
+                value,
+                self.ctx.order_ts,
+            ));
+            Ok((pick, Some(first)))
         })
     }
 

@@ -22,8 +22,10 @@ use tebaldi_suite::workloads::Workload;
 const TABLE: TableId = TableId(0);
 /// Declares `TABLE` written.
 const UPDATE: TxnTypeId = TxnTypeId(0);
-/// Declares `TABLE` only read.
+/// Declares `TABLE` only read. It also declares `OTHER` written, so it is
+/// not a read-only procedure: the engine refuses any write of one of those.
 const READ: TxnTypeId = TxnTypeId(1);
+const OTHER: TableId = TableId(1);
 
 fn db(kind: CcKind, wait_timeout_ms: u64) -> Arc<Database> {
     let mut procedures = ProcedureSet::new();
@@ -35,7 +37,7 @@ fn db(kind: CcKind, wait_timeout_ms: u64) -> Arc<Database> {
     procedures.insert(ProcedureInfo::new(
         READ,
         "read",
-        vec![(TABLE, AccessMode::Read)],
+        vec![(TABLE, AccessMode::Read), (OTHER, AccessMode::Write)],
     ));
     Arc::new(
         Database::builder(DbConfig {
