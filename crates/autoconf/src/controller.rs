@@ -15,10 +15,11 @@
 //! throughput, or the iteration budget is exhausted.
 
 use crate::optimizer::{propose, OptimizerOptions};
-use crate::profiler::{analyze, EventCollector};
+use crate::profiler::analyze;
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Duration;
+use tebaldi_cc::VecSink;
 use tebaldi_core::{Database, ReconfigProtocol};
 
 /// A function that applies the live workload to the database for roughly the
@@ -116,7 +117,7 @@ impl AutoConfReport {
 /// the first iteration).
 pub fn run_auto_configuration(
     db: &Arc<Database>,
-    collector: &Arc<EventCollector>,
+    collector: &Arc<VecSink>,
     load: &LoadFn<'_>,
     options: &AutoConfOptions,
 ) -> AutoConfReport {
@@ -236,7 +237,7 @@ mod tests {
     #[test]
     fn autoconf_improves_or_keeps_tpcc_configuration() {
         let workload = Arc::new(Tpcc::new(TpccParams::tiny()));
-        let collector = Arc::new(EventCollector::new());
+        let collector = Arc::new(VecSink::new());
         let db = Arc::new(
             Database::builder(DbConfig::for_tests())
                 .procedures(workload.procedures())
@@ -282,7 +283,7 @@ mod tests {
     fn stops_immediately_without_blocking_events() {
         // Uncontended single-client workload: no bottleneck is found.
         let workload = Arc::new(Tpcc::new(TpccParams::tiny()));
-        let collector = Arc::new(EventCollector::new());
+        let collector = Arc::new(VecSink::new());
         let db = Arc::new(
             Database::builder(DbConfig::for_tests())
                 .procedures(workload.procedures())

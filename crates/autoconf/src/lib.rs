@@ -22,4 +22,4 @@ pub mod profiler;
 
 pub use controller::{run_auto_configuration, AutoConfOptions, AutoConfReport, IterationRecord};
 pub use optimizer::{propose, Candidate, OptimizerOptions};
-pub use profiler::{analyze, ConflictEdge, EventCollector, ProfileReport};
+pub use profiler::{analyze, ConflictEdge, ProfileReport};

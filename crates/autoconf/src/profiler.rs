@@ -1,74 +1,19 @@
 //! The blocking-time profiler (§5.3.2).
 //!
-//! The sampling side is an [`EventSink`] that collects the blocking events
-//! produced by the CC mechanisms; the analysis side computes, for every
-//! ordered pair of transaction types, the total time instances of the
-//! second type spent waiting for instances of the first — *re-attributing
-//! nested waits to their root cause*: when `A` blocks `B` while `A` is
-//! itself blocked by `C`, that sub-interval is charged to the `(C, A)`
-//! pair, recursively. This is what lets the analysis see through the
+//! The sampling side is a [`VecSink`](tebaldi_cc::VecSink) that collects
+//! the blocking events produced by the CC mechanisms; the analysis side
+//! computes, for every ordered pair of transaction types, the total time
+//! instances of the second type spent waiting for instances of the first —
+//! *re-attributing nested waits to their root cause*: when `A` blocks `B`
+//! while `A` is itself blocked by `C`, that sub-interval is charged to the
+//! `(C, A)` pair, recursively. This is what lets the analysis see through the
 //! cascading-blocking effect that fools the latency-based technique of
 //! §5.3.1 (the payment/stock_level case study).
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-use tebaldi_cc::{BlockingEvent, EventSink};
+use tebaldi_cc::BlockingEvent;
 use tebaldi_storage::{TxnId, TxnTypeId};
-
-/// The event sink installed into the database when profiling is on.
-#[derive(Debug, Default)]
-pub struct EventCollector {
-    events: Mutex<Vec<BlockingEvent>>,
-    enabled: std::sync::atomic::AtomicBool,
-}
-
-impl EventCollector {
-    /// Creates an enabled collector.
-    pub fn new() -> Self {
-        let c = EventCollector::default();
-        c.enabled.store(true, std::sync::atomic::Ordering::Relaxed);
-        c
-    }
-
-    /// Creates a collector that starts disabled (no sampling overhead).
-    pub fn disabled() -> Self {
-        EventCollector::default()
-    }
-
-    /// Enables or disables sampling.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled
-            .store(enabled, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Takes every collected event.
-    pub fn drain(&self) -> Vec<BlockingEvent> {
-        std::mem::take(&mut self.events.lock())
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// True when no event is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl EventSink for EventCollector {
-    fn record(&self, event: BlockingEvent) {
-        if self.enabled() {
-            self.events.lock().push(event);
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.enabled.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
 
 /// An undirected conflict edge between two transaction types with its
 /// blocking-time score.
@@ -293,21 +238,6 @@ mod tests {
         let top = report.top_edge().unwrap();
         assert!(top.is_self_conflict());
         assert_eq!(top.score, Duration::from_millis(5));
-    }
-
-    #[test]
-    fn collector_enable_disable() {
-        let c = EventCollector::new();
-        assert!(c.enabled());
-        let origin = Instant::now();
-        c.record(event(1, 0, 2, 1, 0, 1, origin));
-        assert_eq!(c.len(), 1);
-        c.set_enabled(false);
-        c.record(event(1, 0, 2, 1, 0, 1, origin));
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.drain().len(), 1);
-        assert!(c.is_empty());
-        assert!(!EventCollector::disabled().enabled());
     }
 
     #[test]

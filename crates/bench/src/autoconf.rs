@@ -10,8 +10,8 @@ use crate::row;
 use serde::Json;
 use std::sync::Arc;
 use std::time::Duration;
-use tebaldi_autoconf::{run_auto_configuration, AutoConfOptions, AutoConfReport, EventCollector};
-use tebaldi_cc::CcTreeSpec;
+use tebaldi_autoconf::{run_auto_configuration, AutoConfOptions, AutoConfReport};
+use tebaldi_cc::{CcTreeSpec, VecSink};
 use tebaldi_core::{Database, DbConfig};
 use tebaldi_workloads::{bench_config, run_benchmark, Workload};
 
@@ -63,7 +63,7 @@ pub fn run(options: &Options, experiment: Autoconf) -> Report {
     );
 
     let workload = (experiment.workload)();
-    let collector = Arc::new(EventCollector::new());
+    let collector = Arc::new(VecSink::new());
     let db = live_db(
         &*workload,
         experiment.initial,

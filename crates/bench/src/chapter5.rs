@@ -10,9 +10,9 @@ use serde::Json;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tebaldi_autoconf::analyze;
 use tebaldi_autoconf::latency_profiler::{diagnose, sample_from_histograms};
-use tebaldi_autoconf::{analyze, EventCollector};
-use tebaldi_cc::{CcKind, CcNodeSpec, CcTreeSpec};
+use tebaldi_cc::{CcKind, CcNodeSpec, CcTreeSpec, VecSink};
 use tebaldi_core::{ReconfigProtocol, ReconfigReport};
 use tebaldi_obs::{HistogramSnapshot, MetricsRegistry};
 use tebaldi_storage::TxnTypeId;
@@ -65,7 +65,7 @@ pub fn fig_5_5(options: &Options) -> Report {
         Tpcc::new(TpccParams::default())
             .with_mix(vec![(types::PAYMENT, 0.8), (types::STOCK_LEVEL, 0.2)]),
     );
-    let collector = Arc::new(EventCollector::new());
+    let collector = Arc::new(VecSink::new());
     let db = live_db(&*workload, spec, collector.clone(), Arc::default());
     let sweep = options.pick(vec![2, 16], vec![2, 8, 32, 64]);
     let (mut samples, mut rows, mut last_events) = (Vec::new(), Vec::new(), Vec::new());
@@ -140,11 +140,10 @@ fn overhead_row(setting: &str, result: &BenchResult, events_collected: usize) ->
 fn overhead_trial(options: &Options, leg: usize) -> Json {
     let (setting, sampler, monitor, registry) = OVERHEAD_LEGS[leg];
     let workload: Arc<dyn Workload> = Arc::new(Tpcc::new(TpccParams::default()));
-    let collector = Arc::new(if sampler {
-        EventCollector::new()
-    } else {
-        EventCollector::disabled()
-    });
+    // A leg without the sampler keeps a switched-off sink installed, so
+    // the figure measures what an installed, disabled sink costs.
+    let collector = Arc::new(VecSink::new());
+    collector.set_enabled(sampler);
     let metrics = Arc::new(if registry {
         MetricsRegistry::new()
     } else {
@@ -281,12 +280,9 @@ fn protocol_row(
 fn run_protocol(options: &Options, protocol: ReconfigProtocol, clients: usize) -> Json {
     let workload: Arc<dyn Workload> = Arc::new(Tpcc::new(TpccParams::default()));
     let before = reconfig_spec("before", CcKind::TwoPl);
-    let db = live_db(
-        &*workload,
-        before,
-        Arc::new(EventCollector::disabled()),
-        Arc::default(),
-    );
+    let events = Arc::new(VecSink::new());
+    events.set_enabled(false);
+    let db = live_db(&*workload, before, events, Arc::default());
     let (bucket_ms, buckets) = (100, options.pick(20, 40));
     let bucket = Duration::from_millis(bucket_ms);
     // The clients outlast the sampling by a few buckets: the switch itself

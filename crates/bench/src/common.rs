@@ -132,21 +132,6 @@ fn git_commit() -> String {
     }
 }
 
-/// User + system CPU time of this process in milliseconds
-/// (`/proc/self/stat` fields 14 and 15, 10 ms ticks).
-pub fn process_cpu_ms() -> f64 {
-    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
-    // The command name may hold spaces; fields are counted after its ')'.
-    let after = stat.rsplit_once(')').map(|(_, rest)| rest).unwrap_or("");
-    let ticks: f64 = after
-        .split_whitespace()
-        .skip(11)
-        .take(2)
-        .filter_map(|f| f.parse::<f64>().ok())
-        .sum();
-    ticks * 10.0
-}
-
 /// One experiment's trajectory: provenance, the experiment's own top-level
 /// fields, and its rows.
 pub struct Report {

@@ -9,8 +9,7 @@
 use crate::common::{fmt_tput, print_table, Options};
 use serde::{Json, Serialize};
 use std::sync::Arc;
-use tebaldi_autoconf::EventCollector;
-use tebaldi_cc::CcTreeSpec;
+use tebaldi_cc::{CcTreeSpec, VecSink};
 use tebaldi_core::{Database, DbConfig};
 use tebaldi_obs::MetricsRegistry;
 use tebaldi_workloads::{bench_config, BenchResult, Workload};
@@ -74,7 +73,7 @@ impl Leg {
 pub fn live_db(
     workload: &dyn Workload,
     spec: CcTreeSpec,
-    events: Arc<EventCollector>,
+    events: Arc<VecSink>,
     metrics: Arc<MetricsRegistry>,
 ) -> Arc<Database> {
     let db = Database::builder(DbConfig::for_benchmarks())

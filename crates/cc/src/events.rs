@@ -4,11 +4,12 @@
 //! blocking-based CC mechanisms to log all blocking events that are caused
 //! by data contention". Each log entry carries the affected transaction, the
 //! blocking transaction, their static types and the begin/end instants of
-//! the wait. Mechanisms report events through an [`EventSink`]; the
-//! production sink lives in `tebaldi-autoconf`, while [`NullSink`] (no
-//! overhead) and [`VecSink`] (tests) are provided here.
+//! the wait. Mechanisms report events through an [`EventSink`]: [`NullSink`]
+//! drops them at no cost, and [`VecSink`] buffers them for the profiler in
+//! `tebaldi-autoconf`.
 
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 use tebaldi_storage::{NodeId, TxnId, TxnTypeId};
 
@@ -64,16 +65,33 @@ impl EventSink for NullSink {
     }
 }
 
-/// Sink that appends events to an in-memory vector (tests and examples).
-#[derive(Debug, Default)]
+/// Sink that appends events to an in-memory vector: the blocking-time
+/// profiler's buffer (§5.3.2), with a switch that turns sampling off while
+/// the sink stays installed.
+#[derive(Debug)]
 pub struct VecSink {
     events: Mutex<Vec<BlockingEvent>>,
+    enabled: AtomicBool,
+}
+
+impl Default for VecSink {
+    fn default() -> Self {
+        VecSink {
+            events: Mutex::new(Vec::new()),
+            enabled: AtomicBool::new(true),
+        }
+    }
 }
 
 impl VecSink {
-    /// Creates an empty sink.
+    /// Creates an empty, enabled sink.
     pub fn new() -> Self {
         VecSink::default()
+    }
+
+    /// Turns sampling on or off.
+    pub fn set_enabled(&self, enabled: bool) {
+        self.enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Takes all recorded events, leaving the sink empty.
@@ -94,7 +112,13 @@ impl VecSink {
 
 impl EventSink for VecSink {
     fn record(&self, event: BlockingEvent) {
-        self.events.lock().push(event);
+        if self.enabled() {
+            self.events.lock().push(event);
+        }
+    }
+
+    fn enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
     }
 }
 
@@ -133,5 +157,20 @@ mod tests {
         assert_eq!(drained.len(), 2);
         assert!(s.is_empty());
         assert!(drained[0].duration() >= std::time::Duration::from_millis(3));
+    }
+
+    #[test]
+    fn a_disabled_vec_sink_drops_events() {
+        let s = VecSink::new();
+        s.record(sample());
+        assert_eq!(s.len(), 1);
+        s.set_enabled(false);
+        assert!(!s.enabled());
+        s.record(sample());
+        assert_eq!(s.len(), 1);
+        s.set_enabled(true);
+        s.record(sample());
+        assert_eq!(s.drain().len(), 2);
+        assert!(s.is_empty());
     }
 }

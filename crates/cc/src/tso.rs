@@ -252,7 +252,18 @@ impl CcMechanism for Tso {
     }
 
     fn finish(&self, ctx: &mut TxnCtx, _lane: Lane, _outcome: Option<Timestamp>) {
-        self.cleanup(ctx.txn);
+        // Only the keys `begin` registered can hold this transaction's
+        // promises, so only their lists are visited.
+        let mut shared = self.shared.lock();
+        shared.txn_ts.remove(&ctx.txn);
+        for key in &ctx.promised_keys {
+            if let Some(list) = shared.promises.get_mut(key) {
+                list.retain(|(w, _, _)| *w != ctx.txn);
+                if list.is_empty() {
+                    shared.promises.remove(key);
+                }
+            }
+        }
     }
 
     fn low_watermark(&self) -> Timestamp {
@@ -263,23 +274,6 @@ impl CcMechanism for Tso {
             .copied()
             .min()
             .unwrap_or(Timestamp::MAX)
-    }
-}
-
-impl Tso {
-    fn cleanup(&self, txn: TxnId) {
-        let mut shared = self.shared.lock();
-        shared.txn_ts.remove(&txn);
-        let mut emptied: Vec<Key> = Vec::new();
-        for (key, list) in shared.promises.iter_mut() {
-            list.retain(|(w, _, _)| *w != txn);
-            if list.is_empty() {
-                emptied.push(*key);
-            }
-        }
-        for key in emptied {
-            shared.promises.remove(&key);
-        }
     }
 }
 
@@ -490,6 +484,30 @@ mod tests {
         assert!(tso
             .before_access(&mut reader, Lane::leaf(), &k(6), Access::Read)
             .is_ok());
+    }
+
+    #[test]
+    fn finishing_a_promiser_leaves_another_keys_promise_standing() {
+        let (tso, _registry) = setup();
+        let mut first = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
+        first.promised_keys = vec![k(10)];
+        tso.begin(&mut first, Lane::leaf()).unwrap();
+        let mut second = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
+        second.promised_keys = vec![k(11)];
+        tso.begin(&mut second, Lane::leaf()).unwrap();
+        let mut reader = TxnCtx::new(TxnId(3), TxnTypeId(0), GroupId(0));
+        tso.begin(&mut reader, Lane::leaf()).unwrap();
+
+        tso.finish(&mut first, Lane::leaf(), None);
+        assert!(!tso.shared.lock().promises.contains_key(&k(10)));
+        assert!(tso
+            .before_access(&mut reader, Lane::leaf(), &k(10), Access::Read)
+            .is_ok());
+        // The survivor's promise still holds the later reader.
+        assert_eq!(
+            tso.before_access(&mut reader, Lane::leaf(), &k(11), Access::Read),
+            Err(CcError::Timeout(WaitLabel::PromisedWrite))
+        );
     }
 
     #[test]

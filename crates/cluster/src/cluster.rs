@@ -8,9 +8,7 @@ use crate::faults::{FaultPlan, FaultyTransport};
 use crate::replication::{ReplicationConfig, ShardReplication};
 use crate::router::{Partitioning, Routing, ShardRouter};
 use crate::tcp::TcpShardServer;
-use crate::transport::{
-    InProcessTransport, ShardTransport, TransportFactory, TransportKind, TransportStats,
-};
+use crate::transport::{InProcessTransport, ShardTransport, TransportFactory, TransportKind};
 use crate::worker::{ShardWorkers, Ticket, Vote};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -86,8 +84,8 @@ pub struct ClusterConfig {
     /// their own. `0` arms nothing.
     pub slow_trace_threshold_ms: u64,
     /// When set, the cluster's transport is wrapped in a
-    /// [`FaultyTransport`](crate::faults::FaultyTransport) injecting the
-    /// plan's deterministic drop/delay/duplicate/partition schedule.
+    /// [`FaultyTransport`] injecting the plan's deterministic
+    /// drop/delay/duplicate/partition schedule.
     /// Chaos-test machinery; `None` in every production configuration.
     pub fault_plan: Option<FaultPlan>,
     /// When set, every shard primary ships its WAL to
@@ -329,7 +327,8 @@ impl BatchTxn {
     }
 }
 
-/// Aggregate counters across the cluster.
+/// Aggregate counters across the cluster: a view of the merged metrics
+/// snapshot ([`ClusterStats::from_metrics`] of [`Cluster::metrics`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ClusterStats {
     /// Transactions committed across all shards (single- and multi-shard
@@ -414,6 +413,60 @@ pub struct ClusterStats {
     pub replica_acks_timed_out: u64,
     /// Coordinator activity.
     pub coordinator: CoordinatorStats,
+}
+
+impl ClusterStats {
+    /// Reads the counters out of a merged cluster snapshot. `flushes` sums
+    /// every shard WAL's device flushes (`durability.flushes` and
+    /// `durability.group_flushes`) with the decision log's
+    /// (`coord.decision_flushes`); `flushes_per_commit` divides by the
+    /// committed transactions across all shards (`db.committed`, where each
+    /// multi-shard part counts on its shard). The `transport.*` counters
+    /// are zero in process.
+    pub fn from_metrics(metrics: &MetricsSnapshot) -> Self {
+        let count = |name: &str| metrics.counter(name).unwrap_or(0);
+        let mean = |sum: &str, n: &str| count(sum).checked_div(count(n)).unwrap_or(0);
+        let coordinator = CoordinatorStats::from_metrics(metrics);
+        let committed = count("db.committed");
+        let flushes = count("durability.flushes")
+            + count("durability.group_flushes")
+            + coordinator.decision_flushes;
+        ClusterStats {
+            committed,
+            aborted: metrics
+                .counters
+                .iter()
+                .filter(|(name, _)| name.starts_with("db.aborts."))
+                .map(|&(_, n)| n)
+                .sum(),
+            single_shard: count("cluster.single_shard"),
+            multi_shard: count("cluster.multi_shard"),
+            flushes,
+            flushes_per_commit: if committed > 0 {
+                flushes as f64 / committed as f64
+            } else {
+                0.0
+            },
+            prepared_lock_window_ns: mean("cluster.lock_window_ns", "cluster.lock_windows"),
+            read_only_votes: count("cluster.read_only_votes"),
+            coalesced_flushes: count("durability.coalesced"),
+            messages_sent: count("transport.messages_sent"),
+            bytes_on_wire: count("transport.bytes_on_wire"),
+            reconnects: count("transport.reconnects"),
+            decision_ack_timeouts: count("cluster.decision_ack_timeouts"),
+            prepare_queue_wait_ns: mean("pipeline.queue_wait_ns", "pipeline.queued"),
+            prepare_hardening_ns: mean("pipeline.hardening_ns", "pipeline.hardened"),
+            max_pipeline_depth: metrics.gauge("pipeline.max_depth").unwrap_or(0),
+            batch_scheduled: count("cluster.batch_scheduled"),
+            batch_aborts: count("cluster.batch_aborts"),
+            follower_reads: count("replication.follower_reads"),
+            snapshot_reads: count("snapshot.reads"),
+            snapshot_read_wait_ns: count("snapshot.read_wait_ns"),
+            failovers: count("replication.failovers"),
+            replica_acks_timed_out: count("replication.acks_timed_out"),
+            coordinator,
+        }
+    }
 }
 
 /// Builder for a [`Cluster`].
@@ -632,13 +685,14 @@ impl ClusterBuilder {
         }
 
         let mut transport: Arc<dyn ShardTransport> = match self.transport_factory {
-            Some(factory) => factory(&shards)?,
+            Some(factory) => factory(&shards, &metrics)?,
             None => match self.config.transport {
                 TransportKind::InProcess => Arc::new(InProcessTransport::new(shards.clone())),
                 TransportKind::Tcp => Arc::new(crate::tcp::TcpTransport::over_loopback(
                     &shards,
                     self.config.max_inflight_per_shard,
                     self.config.prepare_timeout(),
+                    &metrics,
                 )?),
             },
         };
@@ -666,7 +720,7 @@ impl ClusterBuilder {
         }
         Ok(Cluster {
             router: ShardRouter::new(n, self.config.partitioning),
-            coordinator: TxnCoordinator::new(decision_log),
+            coordinator: TxnCoordinator::new(decision_log, &metrics),
             shards: RwLock::new(shards),
             transport,
             shard_logs: RwLock::new(shard_logs),
@@ -1166,7 +1220,7 @@ impl Cluster {
             MetricsRegistry::disabled()
         });
         // The promoted primary carries the failover count so the shard's
-        // stats reply reports it.
+        // metrics reply reports it.
         shard_metrics.counter("replication.failovers").inc();
         let db = Arc::new(
             Database::builder(self.config.db_config.clone())
@@ -1784,68 +1838,10 @@ impl Cluster {
         self.shard(self.shard_of(partition_key)).load(key, value);
     }
 
-    /// Aggregate counters. `flushes` sums every shard WAL's device flushes
-    /// with the coordinator's decision-log flushes; `flushes_per_commit`
-    /// divides by the committed transactions across all shards (each
-    /// multi-shard part counts on its shard). `messages_sent` and
-    /// `bytes_on_wire` come from the transport (zero in process).
+    /// Aggregate counters: [`ClusterStats::from_metrics`] of
+    /// [`Cluster::metrics`].
     pub fn stats(&self) -> ClusterStats {
-        let coordinator = self.coordinator.stats();
-        let TransportStats {
-            messages_sent,
-            bytes_on_wire,
-            reconnects,
-        } = self.transport.stats();
-        let mut stats = ClusterStats {
-            single_shard: self.single_shard.get(),
-            multi_shard: self.multi_shard.get(),
-            read_only_votes: self.read_only_votes.get(),
-            batch_scheduled: self.batch_scheduled.get(),
-            batch_aborts: self.batch_aborts.get(),
-            decision_ack_timeouts: self.decision_ack_timeouts.get(),
-            flushes: coordinator.decision_flushes,
-            messages_sent,
-            bytes_on_wire,
-            reconnects,
-            coordinator,
-            ..ClusterStats::default()
-        };
-        let mut queued = 0u64;
-        let mut queue_wait_ns = 0u64;
-        let mut hardened = 0u64;
-        let mut hardening_ns = 0u64;
-        let shards = self.shards.read().clone();
-        for shard in &shards {
-            let snapshot = shard.db().stats();
-            stats.committed += snapshot.committed;
-            stats.aborted += snapshot.aborted;
-            let durability = shard.db().durability().stats();
-            stats.flushes += durability.flushes;
-            stats.coalesced_flushes += durability.coalesced;
-            let pipeline = shard.pipeline_stats();
-            queued += pipeline.queued;
-            queue_wait_ns += pipeline.queue_wait_ns;
-            hardened += pipeline.hardened;
-            hardening_ns += pipeline.hardening_ns;
-            stats.max_pipeline_depth = stats.max_pipeline_depth.max(pipeline.max_depth);
-            let registry = shard.db().metrics();
-            stats.follower_reads += registry.counter("replication.follower_reads").get();
-            stats.snapshot_reads += registry.counter("snapshot.reads").get();
-            stats.snapshot_read_wait_ns += registry.counter("snapshot.read_wait_ns").get();
-            stats.failovers += registry.counter("replication.failovers").get();
-            stats.replica_acks_timed_out += registry.counter("replication.acks_timed_out").get();
-        }
-        stats.prepare_queue_wait_ns = queue_wait_ns.checked_div(queued).unwrap_or(0);
-        stats.prepare_hardening_ns = hardening_ns.checked_div(hardened).unwrap_or(0);
-        if stats.committed > 0 {
-            stats.flushes_per_commit = stats.flushes as f64 / stats.committed as f64;
-        }
-        stats.prepared_lock_window_ns = self
-            .lock_window_ns
-            .get()
-            .checked_div(self.lock_windows.get())
-            .unwrap_or(0);
-        stats
+        ClusterStats::from_metrics(&self.metrics())
     }
 
     /// One merged metrics snapshot for the whole cluster: the coordinator
@@ -1863,16 +1859,6 @@ impl Cluster {
             }
         }
         merged
-    }
-
-    /// The merged cluster metrics in Prometheus text exposition format.
-    pub fn metrics_prometheus(&self) -> String {
-        self.metrics().to_prometheus()
-    }
-
-    /// The merged cluster metrics as a JSON document.
-    pub fn metrics_json(&self) -> String {
-        serde_json::to_string_pretty(&self.metrics()).unwrap_or_default()
     }
 
     /// Number of prepared transactions currently in doubt across shards.
@@ -2071,7 +2057,7 @@ mod tests {
         assert_eq!(balance(&cluster, 2), 130);
         assert_eq!(cluster.in_doubt_count(), 0);
         assert_eq!(cluster.stats().multi_shard, 1);
-        assert_eq!(cluster.coordinator().stats().committed, 1);
+        assert_eq!(cluster.stats().coordinator.committed, 1);
     }
 
     #[test]
@@ -2233,7 +2219,7 @@ mod tests {
         config.db_config.durability = tebaldi_core::DurabilityMode::Synchronous;
         config.prepare_timeout_ms = 150;
         let cluster = builder_with_test_procs(config)
-            .transport_factory(Box::new(|shards| {
+            .transport_factory(Box::new(|shards, _| {
                 Ok(Arc::new(DecisionBlackhole {
                     inner: InProcessTransport::new(shards.to_vec()),
                     reject: false,
@@ -2290,7 +2276,7 @@ mod tests {
         config.db_config.durability = tebaldi_core::DurabilityMode::Synchronous;
         config.prepare_timeout_ms = 150;
         let cluster = builder_with_test_procs(config)
-            .transport_factory(Box::new(|shards| {
+            .transport_factory(Box::new(|shards, _| {
                 Ok(Arc::new(DecisionBlackhole {
                     inner: InProcessTransport::new(shards.to_vec()),
                     reject: false,
@@ -2346,7 +2332,7 @@ mod tests {
         let mut config = ClusterConfig::for_tests(2);
         config.db_config.durability = tebaldi_core::DurabilityMode::Synchronous;
         let cluster = builder_with_test_procs(config)
-            .transport_factory(Box::new(|shards| {
+            .transport_factory(Box::new(|shards, _| {
                 Ok(Arc::new(DecisionBlackhole {
                     inner: InProcessTransport::new(shards.to_vec()),
                     reject: true,
@@ -2677,7 +2663,7 @@ mod tests {
         assert_eq!(balance(&cluster, 1), 100, "debit must roll back");
         assert_eq!(balance(&cluster, 2), 100, "credit must roll back");
         assert_eq!(cluster.in_doubt_count(), 0);
-        assert_eq!(cluster.coordinator().stats().aborted, 1);
+        assert_eq!(cluster.stats().coordinator.aborted, 1);
     }
 
     #[test]
@@ -2836,7 +2822,7 @@ mod tests {
         let prepares_before: u64 = (0..4)
             .map(|shard| cluster.shard(shard).durability().stats().prepares)
             .sum();
-        let decisions_before = cluster.coordinator().stats().decisions_logged;
+        let decisions_before = cluster.stats().coordinator.decisions_logged;
         let decision_log_len = cluster.coordinator().decision_log().read_back().len();
 
         let keys: Vec<(u64, Key)> = (1..=4u64)
@@ -2851,7 +2837,7 @@ mod tests {
             .sum();
         assert_eq!(prepares_after, prepares_before, "zero prepare records");
         assert_eq!(
-            cluster.coordinator().stats().decisions_logged,
+            cluster.stats().coordinator.decisions_logged,
             decisions_before,
             "zero decisions logged"
         );

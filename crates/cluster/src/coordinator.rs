@@ -31,11 +31,13 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use tebaldi_obs::{Counter, MetricsRegistry, MetricsSnapshot};
 use tebaldi_storage::durability::GroupCommit;
-use tebaldi_storage::wal::{LogDevice, LogRecord, MemLogDevice};
+use tebaldi_storage::wal::{LogDevice, LogRecord};
 use tebaldi_storage::{Timestamp, TxnId};
 
-/// Counters describing coordinator activity.
+/// Coordinator activity: a view of the `coord.*` counters of a metrics
+/// snapshot ([`CoordinatorStats::from_metrics`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CoordinatorStats {
     /// Global transactions that reached the commit point (including the
@@ -55,6 +57,21 @@ pub struct CoordinatorStats {
     pub decision_flushes: u64,
 }
 
+impl CoordinatorStats {
+    /// The `coord.*` counters of `metrics`.
+    pub fn from_metrics(metrics: &MetricsSnapshot) -> Self {
+        let count = |name: &str| metrics.counter(name).unwrap_or(0);
+        CoordinatorStats {
+            committed: count("coord.committed"),
+            aborted: count("coord.aborted"),
+            one_phase: count("coord.one_phase"),
+            read_only: count("coord.read_only"),
+            decisions_logged: count("coord.decisions_logged"),
+            decision_flushes: count("coord.decision_flushes"),
+        }
+    }
+}
+
 /// Assigns global transaction ids and owns the decision log.
 pub struct TxnCoordinator {
     next_global: AtomicU64,
@@ -64,11 +81,11 @@ pub struct TxnCoordinator {
     reserve_lock: Mutex<()>,
     decision_log: Arc<dyn LogDevice>,
     group: GroupCommit,
-    committed: AtomicU64,
-    aborted: AtomicU64,
-    one_phase: AtomicU64,
-    read_only: AtomicU64,
-    decisions_logged: AtomicU64,
+    committed: Arc<Counter>,
+    aborted: Arc<Counter>,
+    one_phase: Arc<Counter>,
+    read_only: Arc<Counter>,
+    decisions_logged: Arc<Counter>,
 }
 
 impl std::fmt::Debug for TxnCoordinator {
@@ -91,8 +108,9 @@ const ID_BLOCK: u64 = 1 << 20;
 
 impl TxnCoordinator {
     /// A coordinator over the given decision-log device, with decision
-    /// flushes coalesced across concurrent transactions.
-    pub fn new(decision_log: Arc<dyn LogDevice>) -> Self {
+    /// flushes coalesced across concurrent transactions, counting under
+    /// `coord.*` in `metrics`.
+    pub fn new(decision_log: Arc<dyn LogDevice>, metrics: &MetricsRegistry) -> Self {
         // Resume the id sequence above anything already decided *or
         // reserved*: every id ever handed out lies below some logged
         // record (decision or reservation marker), so restarts can never
@@ -107,24 +125,23 @@ impl TxnCoordinator {
             next_global: AtomicU64::new(floor),
             reserved: AtomicU64::new(floor),
             reserve_lock: Mutex::new(()),
-            group: GroupCommit::new(Arc::clone(&decision_log)),
+            group: GroupCommit::with_counters(
+                Arc::clone(&decision_log),
+                metrics.counter("coord.decision_flushes"),
+                metrics.counter("coord.decision_appends"),
+                metrics.counter("coord.decision_coalesced"),
+            ),
             decision_log,
-            committed: AtomicU64::new(0),
-            aborted: AtomicU64::new(0),
-            one_phase: AtomicU64::new(0),
-            read_only: AtomicU64::new(0),
-            decisions_logged: AtomicU64::new(0),
+            committed: metrics.counter("coord.committed"),
+            aborted: metrics.counter("coord.aborted"),
+            one_phase: metrics.counter("coord.one_phase"),
+            read_only: metrics.counter("coord.read_only"),
+            decisions_logged: metrics.counter("coord.decisions_logged"),
         }
     }
 
-    /// A coordinator with an in-memory decision log (tests, durability-off
-    /// clusters).
-    pub fn in_memory() -> Self {
-        TxnCoordinator::new(Arc::new(MemLogDevice::new()))
-    }
-
     /// Starts a new global transaction. The id is covered by a durable
-    /// reservation before it is returned (see [`ID_BLOCK`]), so even a
+    /// reservation before it is returned (see `ID_BLOCK`), so even a
     /// commit that never logs a decision cannot be reused after a
     /// coordinator restart.
     pub fn begin_global(&self) -> u64 {
@@ -155,7 +172,7 @@ impl TxnCoordinator {
             commit: true,
             hlc,
         };
-        self.decisions_logged.fetch_add(1, Ordering::Relaxed);
+        self.decisions_logged.inc();
         self.group.append_durable(std::slice::from_ref(&record));
     }
 
@@ -166,7 +183,7 @@ impl TxnCoordinator {
     /// persisting the stamp here lets in-doubt recovery re-install it.
     pub fn log_commit(&self, global: u64, hlc: u64) {
         self.append_commit_durable(global, hlc);
-        self.committed.fetch_add(1, Ordering::Relaxed);
+        self.committed.inc();
     }
 
     /// Durably records a commit decision for a one-phase commit whose
@@ -184,34 +201,34 @@ impl TxnCoordinator {
     /// for diagnostics and to stop recovery from re-asking about well-known
     /// aborts.
     pub fn log_abort(&self, global: u64) {
-        self.decisions_logged.fetch_add(1, Ordering::Relaxed);
+        self.decisions_logged.inc();
         self.decision_log.append(&LogRecord::Decision {
             global,
             commit: false,
             hlc: 0,
         });
-        self.aborted.fetch_add(1, Ordering::Relaxed);
+        self.aborted.inc();
     }
 
     /// Registers a global abort that needed no decision record (every part
     /// self-aborted or was read-only, so nothing is prepared anywhere).
     pub fn note_abort(&self) {
-        self.aborted.fetch_add(1, Ordering::Relaxed);
+        self.aborted.inc();
     }
 
     /// Registers a one-phase commit (exactly one read-write participant):
     /// the participant's own commit record is the commit point, so nothing
     /// is appended to the decision log.
     pub fn commit_one_phase(&self) {
-        self.one_phase.fetch_add(1, Ordering::Relaxed);
-        self.committed.fetch_add(1, Ordering::Relaxed);
+        self.one_phase.inc();
+        self.committed.inc();
     }
 
     /// Registers a fully-read-only commit (every participant voted
     /// `ReadOnly` and already finished): no log traffic at all.
     pub fn commit_read_only(&self) {
-        self.read_only.fetch_add(1, Ordering::Relaxed);
-        self.committed.fetch_add(1, Ordering::Relaxed);
+        self.read_only.inc();
+        self.committed.inc();
     }
 
     /// The set of global ids with a durable commit decision.
@@ -242,18 +259,6 @@ impl TxnCoordinator {
     pub fn decision_log(&self) -> Arc<dyn LogDevice> {
         Arc::clone(&self.decision_log)
     }
-
-    /// Activity counters.
-    pub fn stats(&self) -> CoordinatorStats {
-        CoordinatorStats {
-            committed: self.committed.load(Ordering::Relaxed),
-            aborted: self.aborted.load(Ordering::Relaxed),
-            one_phase: self.one_phase.load(Ordering::Relaxed),
-            read_only: self.read_only.load(Ordering::Relaxed),
-            decisions_logged: self.decisions_logged.load(Ordering::Relaxed),
-            decision_flushes: self.group.flush_count(),
-        }
-    }
 }
 
 /// Marker values some diagnostics use when a coordinator-side pseudo
@@ -265,10 +270,23 @@ pub const COORDINATOR_TS: Timestamp = Timestamp(0);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tebaldi_storage::wal::MemLogDevice;
+
+    /// A coordinator over an in-memory decision log, counting into its own
+    /// registry.
+    fn in_memory() -> (TxnCoordinator, MetricsRegistry) {
+        let metrics = MetricsRegistry::new();
+        let coord = TxnCoordinator::new(Arc::new(MemLogDevice::new()), &metrics);
+        (coord, metrics)
+    }
+
+    fn stats(metrics: &MetricsRegistry) -> CoordinatorStats {
+        CoordinatorStats::from_metrics(&metrics.snapshot())
+    }
 
     #[test]
     fn decision_log_roundtrip() {
-        let coord = TxnCoordinator::in_memory();
+        let (coord, metrics) = in_memory();
         let a = coord.begin_global();
         let b = coord.begin_global();
         assert_ne!(a, b);
@@ -283,19 +301,20 @@ mod tests {
             Some(&0xBEEF),
             "the decision stamp survives the log roundtrip"
         );
-        assert_eq!(coord.stats().committed, 1);
-        assert_eq!(coord.stats().aborted, 1);
-        assert_eq!(coord.stats().decisions_logged, 2);
-        assert_eq!(coord.stats().decision_flushes, 1, "only the commit flushed");
+        let stats = stats(&metrics);
+        assert_eq!(stats.committed, 1);
+        assert_eq!(stats.aborted, 1);
+        assert_eq!(stats.decisions_logged, 2);
+        assert_eq!(stats.decision_flushes, 1, "only the commit flushed");
     }
 
     #[test]
     fn one_phase_commit_logs_no_decision_records() {
-        let coord = TxnCoordinator::in_memory();
+        let (coord, metrics) = in_memory();
         let global = coord.begin_global();
         coord.commit_one_phase();
         coord.commit_read_only();
-        let stats = coord.stats();
+        let stats = stats(&metrics);
         assert_eq!(stats.committed, 2);
         assert_eq!(stats.one_phase, 1);
         assert_eq!(stats.read_only, 1);
@@ -319,12 +338,12 @@ mod tests {
     fn global_ids_resume_above_logged_decisions() {
         let log: Arc<dyn LogDevice> = Arc::new(MemLogDevice::new());
         let highest = {
-            let coord = TxnCoordinator::new(Arc::clone(&log));
+            let coord = TxnCoordinator::new(Arc::clone(&log), &MetricsRegistry::new());
             let g = coord.begin_global();
             coord.log_commit(g, 0);
             g
         };
-        let restarted = TxnCoordinator::new(Arc::clone(&log));
+        let restarted = TxnCoordinator::new(Arc::clone(&log), &MetricsRegistry::new());
         let next = restarted.begin_global();
         assert!(next > highest, "restarted coordinator must not reuse ids");
     }
@@ -336,7 +355,7 @@ mod tests {
         // out: the durable block-reservation marker guarantees it.
         let log: Arc<dyn LogDevice> = Arc::new(MemLogDevice::new());
         let handed_out: Vec<u64> = {
-            let coord = TxnCoordinator::new(Arc::clone(&log));
+            let coord = TxnCoordinator::new(Arc::clone(&log), &MetricsRegistry::new());
             (0..100)
                 .map(|_| {
                     let g = coord.begin_global();
@@ -345,7 +364,7 @@ mod tests {
                 })
                 .collect()
         };
-        let restarted = TxnCoordinator::new(Arc::clone(&log));
+        let restarted = TxnCoordinator::new(Arc::clone(&log), &MetricsRegistry::new());
         let next = restarted.begin_global();
         assert!(
             handed_out.iter().all(|&g| next > g),

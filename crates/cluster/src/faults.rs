@@ -35,7 +35,7 @@
 //! metrics registry the transport was built with.
 
 use crate::api::{ShardRequest, ShardResult};
-use crate::transport::{ShardTransport, TransportStats};
+use crate::transport::ShardTransport;
 use crate::worker::Ticket;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -391,10 +391,6 @@ impl ShardTransport for FaultyTransport {
                 ticket
             }
         }
-    }
-
-    fn stats(&self) -> TransportStats {
-        self.inner.stats()
     }
 
     fn shutdown(&self) {

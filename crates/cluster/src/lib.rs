@@ -51,10 +51,13 @@
 //!
 //! Every layer records into `tebaldi-obs`: shard engines keep per-procedure
 //! latency histograms and pipeline counters in their own
-//! [`MetricsRegistry`](tebaldi_obs::MetricsRegistry), the coordinator keeps
-//! 2PC-phase histograms, and [`Cluster::metrics`] merges everything into
-//! one [`MetricsSnapshot`](tebaldi_obs::MetricsSnapshot) by fetching each
-//! shard's registry through the transport ([`ShardRequest::Metrics`]).
+//! [`MetricsRegistry`](tebaldi_obs::MetricsRegistry); the coordinator
+//! (`cluster.*`, `coord.*`, 2PC-phase histograms) and the TCP transport
+//! (`transport.*`) count in the cluster's. [`Cluster::metrics`] merges
+//! everything into one [`MetricsSnapshot`](tebaldi_obs::MetricsSnapshot) by
+//! fetching each shard's registry through the transport
+//! ([`ShardRequest::Metrics`]), and [`ClusterStats`] and
+//! [`CoordinatorStats`] are views of that snapshot.
 //! Sampled transactions (`ClusterConfig::trace_sample_every`) additionally
 //! carry a trace id across the shard boundary — including over the TCP wire
 //! format — and leave coordinator + shard spans in the process trace sink
@@ -85,5 +88,5 @@ pub use replication::{
 };
 pub use router::{Partitioning, Routing, ShardRouter};
 pub use tcp::{ReconnectPolicy, TcpShardServer, TcpTransport};
-pub use transport::{InProcessTransport, ShardTransport, TransportKind, TransportStats};
+pub use transport::{InProcessTransport, ShardTransport, TransportKind};
 pub use worker::{ShardWorkers, Ticket, Vote};

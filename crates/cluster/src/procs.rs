@@ -4,7 +4,7 @@
 //! in every cluster's [`ProcRegistry`]. They give tests, examples, and ad
 //! hoc tooling a data-only way to touch shards without declaring a
 //! workload-specific procedure first — a cross-shard bank transfer is just
-//! two [`increment`] parts.
+//! two [`increment_part`]s.
 //!
 //! Ids live in the reserved `0xFFFF_00xx` range; workload ranges (TPC-C
 //! 100.., SEATS 200..) never collide with them.

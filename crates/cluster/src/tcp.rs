@@ -36,7 +36,7 @@
 //! tickets as reply frames arrive. A lost connection fails every pending ticket with a clean
 //! [`CcError::Unreachable`] (the waiting transactions abort) instead of
 //! hanging them — and then the transport *re-dials*: the next submission
-//! establishes a fresh connection (a new [`Link`] generation) under a
+//! establishes a fresh connection (a new `Link` generation) under a
 //! capped exponential backoff ([`ReconnectPolicy`]), so a restarted
 //! [`TcpShardServer`] becomes reachable again without rebuilding the
 //! transport. While the backoff window is closed, submissions fail fast
@@ -45,7 +45,7 @@
 //! new address (a server restarted on a different port).
 
 use crate::api::{ShardRequest, ShardResult};
-use crate::transport::{ShardTransport, TransportStats};
+use crate::transport::ShardTransport;
 use crate::wire;
 use crate::worker::{ShardWorkers, Ticket};
 use parking_lot::{Condvar, Mutex};
@@ -57,6 +57,7 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use tebaldi_cc::CcError;
 use tebaldi_core::Hlc;
+use tebaldi_obs::{Counter, MetricsRegistry};
 
 /// How long the server waits for a connection's admission budget to open
 /// before giving up on the connection entirely. A client that keeps its
@@ -476,12 +477,13 @@ struct ShardConn {
     next_id: AtomicU64,
 }
 
-/// Counters shared between connections.
-#[derive(Default)]
+/// The `transport.*` counters, shared between connections: request
+/// messages sent, frame bytes moved in either direction, and successful
+/// re-dials after a lost connection.
 struct WireCounters {
-    messages_sent: AtomicU64,
-    bytes_on_wire: AtomicU64,
-    reconnects: AtomicU64,
+    messages_sent: Arc<Counter>,
+    bytes_on_wire: Arc<Counter>,
+    reconnects: Arc<Counter>,
 }
 
 /// Dials `addr` and spawns the reader thread that resolves this link's
@@ -511,9 +513,7 @@ fn dial(
         .spawn(move || {
             let mut frames = wire::FrameReader::new(reader_stream);
             while let Ok(Some(payload)) = frames.next_frame() {
-                counters
-                    .bytes_on_wire
-                    .fetch_add(payload.len() as u64 + 4, Ordering::Relaxed);
+                counters.bytes_on_wire.add(payload.len() as u64 + 4);
                 let Ok((req_id, frame_hlc, result)) = wire::decode_result(payload) else {
                     // Garbage reply: the stream is no longer trustworthy.
                     break;
@@ -574,11 +574,13 @@ impl TcpTransport {
     /// shard connection, waiting at most `window_wait` for a slot before
     /// failing the submission (a full pipeline on a wedged shard must not
     /// turn into an unbounded head-of-line hang). The same bound is
-    /// installed server-side as each connection's admission budget.
+    /// installed server-side as each connection's admission budget. The
+    /// `transport.*` counters go into `metrics`.
     pub fn over_loopback(
         shards: &[Arc<ShardWorkers>],
         window: usize,
         window_wait: Duration,
+        metrics: &MetricsRegistry,
     ) -> Result<Self, String> {
         let mut servers = Vec::with_capacity(shards.len());
         for (index, workers) in shards.iter().enumerate() {
@@ -588,20 +590,26 @@ impl TcpTransport {
             );
         }
         let addrs: Vec<SocketAddr> = servers.iter().map(|s| s.addr()).collect();
-        let mut transport = TcpTransport::connect(&addrs, window, window_wait)?;
+        let mut transport = TcpTransport::connect(&addrs, window, window_wait, metrics)?;
         transport.servers = servers;
         Ok(transport)
     }
 
     /// Connects to already-running shard servers (which may live in other
     /// processes; this client does not own them), with the in-flight
-    /// window of [`over_loopback`](TcpTransport::over_loopback).
+    /// window of [`over_loopback`](TcpTransport::over_loopback), counting
+    /// `transport.*` into `metrics`.
     pub fn connect(
         addrs: &[SocketAddr],
         window: usize,
         window_wait: Duration,
+        metrics: &MetricsRegistry,
     ) -> Result<Self, String> {
-        let counters = Arc::new(WireCounters::default());
+        let counters = Arc::new(WireCounters {
+            messages_sent: metrics.counter("transport.messages_sent"),
+            bytes_on_wire: metrics.counter("transport.bytes_on_wire"),
+            reconnects: metrics.counter("transport.reconnects"),
+        });
         let clock = Arc::new(Hlc::new());
         let mut conns = Vec::with_capacity(addrs.len());
         for (shard, addr) in addrs.iter().enumerate() {
@@ -712,7 +720,7 @@ impl TcpTransport {
                 state.live = Some(Arc::clone(&link));
                 state.failures = 0;
                 state.next_attempt = None;
-                self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
+                self.counters.reconnects.inc();
                 Ok(link)
             }
             Err(err) => {
@@ -810,10 +818,8 @@ impl ShardTransport for TcpTransport {
         let written = link.writer.lock().write_all(&frame);
         match written {
             Ok(()) => {
-                self.counters.messages_sent.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .bytes_on_wire
-                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
+                self.counters.messages_sent.inc();
+                self.counters.bytes_on_wire.add(frame.len() as u64);
                 ticket
             }
             Err(err) => {
@@ -832,14 +838,6 @@ impl ShardTransport for TcpTransport {
                     false,
                 )))
             }
-        }
-    }
-
-    fn stats(&self) -> TransportStats {
-        TransportStats {
-            messages_sent: self.counters.messages_sent.load(Ordering::Relaxed),
-            bytes_on_wire: self.counters.bytes_on_wire.load(Ordering::Relaxed),
-            reconnects: self.counters.reconnects.load(Ordering::Relaxed),
         }
     }
 
@@ -919,8 +917,10 @@ mod tests {
     #[test]
     fn loopback_roundtrip_counts_wire_traffic() {
         let workers = pool();
+        let metrics = MetricsRegistry::new();
         let transport =
-            TcpTransport::over_loopback(&[Arc::clone(&workers)], WINDOW, WINDOW_WAIT).unwrap();
+            TcpTransport::over_loopback(&[Arc::clone(&workers)], WINDOW, WINDOW_WAIT, &metrics)
+                .unwrap();
         let (value, _) = transport
             .call(0, execute())
             .unwrap()
@@ -929,9 +929,8 @@ mod tests {
         assert_eq!(value, Value::Int(1));
         let ticket = transport.submit(0, execute());
         ticket.wait().unwrap().unwrap();
-        let stats = ShardTransport::stats(&transport);
-        assert_eq!(stats.messages_sent, 2);
-        assert!(stats.bytes_on_wire > 0);
+        assert_eq!(metrics.counter("transport.messages_sent").get(), 2);
+        assert!(metrics.counter("transport.bytes_on_wire").get() > 0);
         ShardTransport::shutdown(&transport);
         workers.shutdown();
     }
@@ -1035,7 +1034,13 @@ mod tests {
         }
 
         // A well-formed client still gets served afterwards.
-        let transport = TcpTransport::connect(&[server.addr()], WINDOW, WINDOW_WAIT).unwrap();
+        let transport = TcpTransport::connect(
+            &[server.addr()],
+            WINDOW,
+            WINDOW_WAIT,
+            &MetricsRegistry::new(),
+        )
+        .unwrap();
         let (value, _) = transport
             .call(0, execute())
             .unwrap()
@@ -1051,7 +1056,13 @@ mod tests {
     fn lost_connection_fails_pending_tickets_cleanly() {
         let workers = pool();
         let server = TcpShardServer::spawn(0, Arc::clone(&workers), WINDOW).unwrap();
-        let transport = TcpTransport::connect(&[server.addr()], WINDOW, WINDOW_WAIT).unwrap();
+        let transport = TcpTransport::connect(
+            &[server.addr()],
+            WINDOW,
+            WINDOW_WAIT,
+            &MetricsRegistry::new(),
+        )
+        .unwrap();
         // Kill the server, then submit: either the send fails or the
         // pending ticket resolves with a shard-unreachable error — never a
         // hang, and never a generic internal error a retry loop cannot
@@ -1072,7 +1083,9 @@ mod tests {
     fn reconnects_to_restarted_server_without_rebuilding() {
         let workers = pool();
         let server = TcpShardServer::spawn(0, Arc::clone(&workers), WINDOW).unwrap();
-        let mut transport = TcpTransport::connect(&[server.addr()], WINDOW, WINDOW_WAIT).unwrap();
+        let metrics = MetricsRegistry::new();
+        let mut transport =
+            TcpTransport::connect(&[server.addr()], WINDOW, WINDOW_WAIT, &metrics).unwrap();
         transport.set_reconnect_policy(ReconnectPolicy::new(
             Duration::from_millis(5),
             Duration::from_millis(50),
@@ -1120,7 +1133,7 @@ mod tests {
         };
         assert_eq!(value, Value::Int(2));
         assert!(
-            ShardTransport::stats(&transport).reconnects >= 1,
+            metrics.counter("transport.reconnects").get() >= 1,
             "the re-dial must be counted"
         );
         ShardTransport::shutdown(&transport);
@@ -1132,7 +1145,13 @@ mod tests {
     fn backoff_fails_fast_while_the_window_is_closed() {
         let workers = pool();
         let server = TcpShardServer::spawn(0, Arc::clone(&workers), WINDOW).unwrap();
-        let mut transport = TcpTransport::connect(&[server.addr()], WINDOW, WINDOW_WAIT).unwrap();
+        let mut transport = TcpTransport::connect(
+            &[server.addr()],
+            WINDOW,
+            WINDOW_WAIT,
+            &MetricsRegistry::new(),
+        )
+        .unwrap();
         transport.set_reconnect_policy(ReconnectPolicy::new(
             Duration::from_secs(60),
             Duration::from_secs(60),

@@ -8,21 +8,23 @@
 //!   worker mailboxes. `Execute` calls run inline on the calling thread
 //!   (exactly the pre-transport behavior of `Cluster::execute_single`),
 //!   decisions apply inline, asynchronous submissions go through the
-//!   batched mailbox. Nothing is serialized, so `messages_sent` and
-//!   `bytes_on_wire` stay zero.
+//!   batched mailbox. Nothing is serialized, so nothing is counted under
+//!   `transport.*`.
 //! * [`crate::tcp::TcpTransport`] — length-prefixed frames over
 //!   loopback/network sockets, one multiplexed connection per shard, with
 //!   a per-shard server loop (`crate::tcp::TcpShardServer`) in front of
-//!   the same worker pools.
+//!   the same worker pools. It counts `transport.messages_sent`,
+//!   `transport.bytes_on_wire` and `transport.reconnects` into the metrics
+//!   registry it is built with.
 //!
 //! Everything above the trait — `Cluster::execute_multi`, the 2PC
 //! coordinator, both cluster workloads — is transport-agnostic.
 
 use crate::api::{ShardRequest, ShardResult};
 use crate::worker::{ShardWorkers, Ticket};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tebaldi_cc::{CcError, CcResult};
+use tebaldi_obs::MetricsRegistry;
 
 /// Which transport a [`crate::ClusterConfig`] selects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,20 +34,6 @@ pub enum TransportKind {
     /// Length-prefixed frames over TCP loopback sockets, one server loop
     /// per shard.
     Tcp,
-}
-
-/// Wire-traffic counters. The in-process transport reports zeros; the TCP
-/// transport counts every framed message and the bytes in both directions,
-/// so the transport cost of 2PC is regression-trackable.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Request messages sent to shards.
-    pub messages_sent: u64,
-    /// Frame bytes moved in either direction (requests + replies).
-    pub bytes_on_wire: u64,
-    /// Successful re-dials after a lost connection (zero for in-process;
-    /// a nonzero value means the cluster survived connection churn).
-    pub reconnects: u64,
 }
 
 /// A connection to the cluster's shards.
@@ -78,11 +66,6 @@ pub trait ShardTransport: Send + Sync {
         false
     }
 
-    /// Wire-traffic counters (zeros for in-process).
-    fn stats(&self) -> TransportStats {
-        TransportStats::default()
-    }
-
     /// Whether [`ShardTransport::repoint`] can succeed — checked before a
     /// failover stops the old primary, so an unsupporting transport fails
     /// the promotion closed instead of half-way.
@@ -103,34 +86,25 @@ pub trait ShardTransport: Send + Sync {
     fn shutdown(&self) {}
 }
 
-/// Builds a transport over already-spawned shard worker pools. The
-/// [`crate::ClusterBuilder`] applies this after it has created the shards;
-/// tests inject custom factories to wrap or replace the default transports
-/// (e.g. to delay decision acks).
-pub type TransportFactory =
-    Box<dyn FnOnce(&[Arc<ShardWorkers>]) -> Result<Arc<dyn ShardTransport>, String>>;
+/// Builds a transport over already-spawned shard worker pools, counting
+/// into the cluster's metrics registry. The [`crate::ClusterBuilder`]
+/// applies this after it has created the shards; tests inject custom
+/// factories to wrap or replace the default transports (e.g. to delay
+/// decision acks).
+pub type TransportFactory = Box<
+    dyn FnOnce(&[Arc<ShardWorkers>], &MetricsRegistry) -> Result<Arc<dyn ShardTransport>, String>,
+>;
 
 /// The in-process transport: requests are enum values handed straight to
 /// the shard worker pools, no serialization.
 pub struct InProcessTransport {
     shards: Vec<Arc<ShardWorkers>>,
-    /// Requests delivered (not serialized, so no bytes are counted; kept
-    /// internally for debugging, reported as zero wire messages).
-    delivered: AtomicU64,
 }
 
 impl InProcessTransport {
     /// Wraps the given worker pools.
     pub fn new(shards: Vec<Arc<ShardWorkers>>) -> Self {
-        InProcessTransport {
-            shards,
-            delivered: AtomicU64::new(0),
-        }
-    }
-
-    /// Requests delivered so far (diagnostics; not a wire-traffic number).
-    pub fn delivered(&self) -> u64 {
-        self.delivered.load(Ordering::Relaxed)
+        InProcessTransport { shards }
     }
 
     fn shard(&self, shard: usize) -> CcResult<&Arc<ShardWorkers>> {
@@ -149,7 +123,6 @@ impl ShardTransport for InProcessTransport {
     }
 
     fn submit(&self, shard: usize, request: ShardRequest) -> Ticket<ShardResult> {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
         let workers = match self.shard(shard) {
             Ok(workers) => workers,
             Err(err) => return Ticket::ready(Err(err)),
@@ -175,7 +148,6 @@ impl ShardTransport for InProcessTransport {
         // Zero-copy fast path: run the request inline on the calling
         // thread (single-shard executions bypass the mailbox hop exactly
         // as they did before the transport existed).
-        self.delivered.fetch_add(1, Ordering::Relaxed);
         self.shard(shard)?.handle_inline(request)
     }
 
@@ -252,7 +224,6 @@ mod tests {
         );
         // Out-of-range shard is a clean error.
         assert!(transport.call(9, ShardRequest::Flush).is_err());
-        assert_eq!(transport.stats(), TransportStats::default());
         workers.shutdown();
     }
 }

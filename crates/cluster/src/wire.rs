@@ -6,7 +6,7 @@
 //! the sender's `u64` HLC reading (every frame carries a clock sample in
 //! both directions; the receiver merges it, which is what keeps the
 //! cluster's hybrid logical clocks within one message delay of each other),
-//! and an encoded [`ShardRequest`] or [`ShardResult`].
+//! and an encoded [`ShardRequest`] or [`ShardResult`](crate::api::ShardResult).
 //!
 //! Decoding is total: truncated, oversized, or garbage input yields a
 //! [`CodecError`], never a panic — the server answers by dropping the

@@ -224,27 +224,6 @@ struct PipeState {
     stopping: bool,
 }
 
-/// Aggregate pipeline counters of one shard (totals; divide by the counts
-/// for means). Snapshot via [`ShardWorkers::pipeline_stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PipelineStats {
-    /// Body-running requests that passed through the submission queue.
-    pub queued: u64,
-    /// Total nanoseconds those requests waited in the queue before a
-    /// worker picked them up (the *execute-wait* share of the prepare
-    /// latency).
-    pub queue_wait_ns: u64,
-    /// Read-write prepares acknowledged (parked, or aborted at the quorum
-    /// gate).
-    pub hardened: u64,
-    /// Total nanoseconds between those prepares' body completion and
-    /// their durable acknowledgement (the *hardening* share).
-    pub hardening_ns: u64,
-    /// Peak number of simultaneously in-flight bodies (executing or
-    /// awaiting hardening) observed on this shard.
-    pub max_depth: u64,
-}
-
 /// How long an orphaned abort decision (the coordinator gave up on a
 /// prepare that had not answered yet) is remembered so the late prepare
 /// can be aborted when it finally lands. Generous: timeouts are rare and
@@ -464,17 +443,6 @@ impl ShardWorkers {
     /// The configured in-flight window.
     pub fn max_inflight(&self) -> usize {
         self.max_inflight
-    }
-
-    /// Snapshot of the pipeline counters.
-    pub fn pipeline_stats(&self) -> PipelineStats {
-        PipelineStats {
-            queued: self.queued.get(),
-            queue_wait_ns: self.queue_wait_ns.get(),
-            hardened: self.hardened.get(),
-            hardening_ns: self.hardening_ns.get(),
-            max_depth: self.max_depth.get(),
-        }
     }
 
     /// Queues a body-running request ([`Execute`](ShardRequest::Execute) or
@@ -1095,6 +1063,12 @@ mod tests {
     const PUT5: ProcId = ProcId(2);
     const GET: ProcId = ProcId(3);
 
+    /// A `pipeline.*` counter or gauge of `pool`, as its shard reports it.
+    fn pipeline(pool: &ShardWorkers, name: &str) -> u64 {
+        let snapshot = pool.db().metrics().snapshot();
+        snapshot.counter(name).or(snapshot.gauge(name)).unwrap_or(0)
+    }
+
     fn registry() -> Arc<ProcRegistry> {
         let mut reg = ProcRegistry::new();
         // bump(key_id): increment field 0 by 1.
@@ -1195,9 +1169,9 @@ mod tests {
             })
             .unwrap();
         assert_eq!(sum, Some(Value::Int(32)));
-        let stats = pool.pipeline_stats();
-        assert_eq!(stats.queued, 32);
-        assert!(stats.max_depth >= 1 && stats.max_depth <= 2);
+        assert_eq!(pipeline(&pool, "pipeline.queued"), 32);
+        let depth = pipeline(&pool, "pipeline.max_depth");
+        assert!((1..=2).contains(&depth));
         pool.shutdown();
     }
 
@@ -1307,7 +1281,7 @@ mod tests {
             .into_prepared()
             .unwrap();
         assert_eq!(vote, Vote::ReadWrite);
-        assert_eq!(pool.pipeline_stats().hardened, 3);
+        assert_eq!(pipeline(&pool, "pipeline.hardened"), 3);
         pool.decide_stamped(3, true, 0);
         pool.shutdown();
         replication.shutdown();
@@ -1339,12 +1313,15 @@ mod tests {
             .filter(|r| matches!(r, tebaldi_storage::wal::LogRecord::Prepare { .. }))
             .count();
         assert_eq!(prepares, n as usize);
-        let stats = pool.pipeline_stats();
-        assert_eq!(stats.hardened, n, "every prepare went through the pipeline");
+        assert_eq!(
+            pipeline(&pool, "pipeline.hardened"),
+            n,
+            "every prepare went through the pipeline"
+        );
+        let depth = pipeline(&pool, "pipeline.max_depth");
         assert!(
-            stats.max_depth > 1,
-            "a single worker must overlap in-flight prepares, depth={}",
-            stats.max_depth
+            depth > 1,
+            "a single worker must overlap in-flight prepares, depth={depth}"
         );
         for i in 0..n {
             pool.decide_stamped(100 + i, true, 0);
@@ -1470,7 +1447,7 @@ mod tests {
             ticket.wait().unwrap().unwrap();
         }
         assert!(
-            pool.pipeline_stats().max_depth <= 4,
+            pipeline(&pool, "pipeline.max_depth") <= 4,
             "admission must respect the in-flight window"
         );
         pool.shutdown();

@@ -410,8 +410,8 @@ impl MetricsRegistry {
 
     /// A registry whose histograms drop samples (the obs-off leg).
     /// Counters and gauges stay live: they back engine statistics
-    /// (`DurabilityStats`, pipeline stats, `ClusterStats`) whose
-    /// correctness is not optional.
+    /// (`DurabilityStats`, `ClusterStats`) whose correctness is not
+    /// optional.
     pub fn disabled() -> Self {
         MetricsRegistry::with_enabled(false)
     }

@@ -5,16 +5,23 @@
 //! attempts), then immediately issues the next. Increasing the number of
 //! clients increases contention — that is the x-axis of Figures 4.7, 4.8
 //! and 4.11.
+//!
+//! Every experiment's clients run here. A unit counts when it *starts*
+//! inside the measured window, whether or not it finishes there: a closed
+//! loop that only counts what finished in time hides a stall as a missing
+//! unit. The window is cut into sixths, so a run also says whether it was
+//! as fast late as it was early.
 
-use crate::metrics::{BenchResult, LatencyRecorder};
-use crate::workload::Workload;
+use crate::metrics::{process_cpu_ms, BenchResult, LatencyStats};
+use crate::workload::{WorkUnit, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tebaldi_core::Database;
+use tebaldi_obs::{Histogram, HistogramSnapshot};
 
 /// Options of one benchmark run.
 #[derive(Clone, Debug)]
@@ -61,11 +68,23 @@ impl BenchOptions {
     }
 }
 
+/// The slices the measured window is cut into.
+const SLICES: u32 = 6;
+
+/// One client's count of units started inside the window, alone on its
+/// cache lines: the client stores it, the main thread samples it at every
+/// slice boundary.
+#[repr(align(128))]
+#[derive(Default)]
+struct Started(AtomicU64);
+
+/// What one client measured: units started, aborted attempts, and the
+/// latency of every committed unit by type (each histogram's count is the
+/// type's commits).
 struct ClientOutcome {
-    latencies: LatencyRecorder,
-    committed: u64,
+    started: u64,
     aborted: u64,
-    committed_by_type: HashMap<u32, u64>,
+    latencies: HashMap<u32, Histogram>,
 }
 
 /// The shared closed-loop harness: spawns one thread per client running
@@ -76,36 +95,47 @@ struct ClientOutcome {
 fn run_closed_loop(
     workload_name: &str,
     options: &BenchOptions,
-    make_runner: impl Fn(u64) -> Box<dyn FnMut(&mut StdRng) -> crate::workload::WorkUnit + Send>,
+    make_runner: impl Fn(u64) -> Box<dyn FnMut(&mut StdRng) -> WorkUnit + Send>,
 ) -> BenchResult {
     let stop = Arc::new(AtomicBool::new(false));
     let measuring = Arc::new(AtomicBool::new(false));
+    let started: Arc<Vec<Started>> =
+        Arc::new((0..options.clients).map(|_| Started::default()).collect());
 
     let mut handles = Vec::with_capacity(options.clients);
     for client in 0..options.clients {
-        let stop = Arc::clone(&stop);
-        let measuring = Arc::clone(&measuring);
+        let (stop, measuring, started) = (
+            Arc::clone(&stop),
+            Arc::clone(&measuring),
+            Arc::clone(&started),
+        );
         let seed = options.seed + client as u64;
         let mut run_once = make_runner(seed);
         handles.push(std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut outcome = ClientOutcome {
-                latencies: LatencyRecorder::new(),
-                committed: 0,
+                started: 0,
                 aborted: 0,
-                committed_by_type: HashMap::new(),
+                latencies: HashMap::new(),
             };
             while !stop.load(Ordering::Relaxed) {
-                let started = Instant::now();
+                let in_window = measuring.load(Ordering::Relaxed);
+                if in_window {
+                    outcome.started += 1;
+                    started[client].0.store(outcome.started, Ordering::Relaxed);
+                }
+                let begun = Instant::now();
                 let unit = run_once(&mut rng);
-                if !measuring.load(Ordering::Relaxed) {
+                if !in_window {
                     continue;
                 }
                 outcome.aborted += unit.aborts as u64;
                 if unit.committed {
-                    outcome.committed += 1;
-                    *outcome.committed_by_type.entry(unit.ty.0).or_insert(0) += 1;
-                    outcome.latencies.record(unit.ty, started.elapsed());
+                    outcome
+                        .latencies
+                        .entry(unit.ty.0)
+                        .or_default()
+                        .record_duration(begun.elapsed());
                 }
             }
             outcome
@@ -113,48 +143,65 @@ fn run_closed_loop(
     }
 
     std::thread::sleep(options.warmup);
+    let cpu_before = process_cpu_ms();
     measuring.store(true, Ordering::Relaxed);
-    let measure_started = Instant::now();
-    std::thread::sleep(options.duration);
+    let opened = Instant::now();
+    // The first five slices are sampled at their ends; the last is what
+    // the clients report beyond them, so a unit that started just as the
+    // window closed still lands in it.
+    let mut sampled = 0;
+    let mut started_by_sixth: Vec<u64> = (1..SLICES)
+        .map(|slice| {
+            std::thread::sleep(
+                (options.duration * slice / SLICES).saturating_sub(opened.elapsed()),
+            );
+            let before = sampled;
+            sampled = started.iter().map(|s| s.0.load(Ordering::Relaxed)).sum();
+            sampled - before
+        })
+        .collect();
+    std::thread::sleep(options.duration.saturating_sub(opened.elapsed()));
     measuring.store(false, Ordering::Relaxed);
-    let measured = measure_started.elapsed();
+    let measured = opened.elapsed();
+    let cpu_ms = process_cpu_ms() - cpu_before;
     stop.store(true, Ordering::Relaxed);
 
-    let mut latencies = LatencyRecorder::new();
-    let mut committed = 0u64;
-    let mut aborted = 0u64;
-    let mut committed_by_type: HashMap<u32, u64> = HashMap::new();
+    let mut by_type: HashMap<u32, HistogramSnapshot> = HashMap::new();
+    let (mut units, mut aborted) = (0u64, 0u64);
     for handle in handles {
         let outcome = handle.join().expect("benchmark client panicked");
-        latencies.merge(outcome.latencies);
-        committed += outcome.committed;
+        units += outcome.started;
         aborted += outcome.aborted;
-        for (ty, count) in outcome.committed_by_type {
-            *committed_by_type.entry(ty).or_insert(0) += count;
+        for (ty, histogram) in outcome.latencies {
+            by_type.entry(ty).or_default().merge(&histogram.snapshot());
         }
     }
+    started_by_sixth.push(units - sampled);
 
+    let mut overall = HistogramSnapshot::default();
+    for histogram in by_type.values() {
+        overall.merge(histogram);
+    }
+    let committed = overall.count;
     let duration_s = measured.as_secs_f64().max(1e-9);
     BenchResult {
         workload: workload_name.to_string(),
         config: options.config_label.clone(),
         clients: options.clients,
         duration_s,
+        started: units,
+        started_by_sixth,
+        cpu_ms,
         committed,
         aborted,
         throughput: committed as f64 / duration_s,
-        latency_by_type: latencies
-            .stats()
-            .into_iter()
-            .map(|(ty, s)| (ty.0, s))
+        latency_by_type: by_type
+            .iter()
+            .map(|(&ty, h)| (ty, LatencyStats::from_snapshot(h)))
             .collect(),
-        latency_hist_by_type: latencies
-            .snapshots()
-            .into_iter()
-            .map(|(ty, h)| (ty.0, h))
-            .collect(),
-        latency_overall: latencies.overall(),
-        committed_by_type,
+        latency_overall: LatencyStats::from_snapshot(&overall),
+        committed_by_type: by_type.iter().map(|(&ty, h)| (ty, h.count)).collect(),
+        latency_hist_by_type: by_type,
     }
 }
 
@@ -237,7 +284,6 @@ pub fn bench_cluster_config(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{WorkUnit, Workload};
     use tebaldi_cc::{AccessMode, CcKind, CcTreeSpec, ProcedureInfo, ProcedureSet};
     use tebaldi_core::{DbConfig, ProcedureCall};
     use tebaldi_storage::{Key, TableId, TxnTypeId};
@@ -291,5 +337,24 @@ mod tests {
         assert_eq!(result.config, "2PL");
         assert_eq!(result.clients, 4);
         assert!(result.latency_overall.count > 0);
+    }
+
+    #[test]
+    fn a_run_counts_units_by_their_start() {
+        let workload: Arc<dyn Workload> = Arc::new(Counters);
+        let result = bench_config(
+            &workload,
+            CcTreeSpec::monolithic(CcKind::TwoPl, vec![TxnTypeId(0)]),
+            DbConfig::for_tests(),
+            &BenchOptions::quick(2),
+        );
+        assert!(result.started >= result.committed);
+        assert_eq!(result.started_by_sixth.len(), 6);
+        assert_eq!(result.started_by_sixth.iter().sum::<u64>(), result.started);
+        assert!(result.cpu_ms > 0.0, "two busy clients burn CPU");
+        assert_eq!(
+            result.committed_by_type.values().sum::<u64>(),
+            result.committed
+        );
     }
 }

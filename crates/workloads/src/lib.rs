@@ -24,5 +24,5 @@ pub mod workload;
 pub use driver::{
     bench_cluster_config, bench_config, run_benchmark, run_cluster_benchmark, BenchOptions,
 };
-pub use metrics::{BenchResult, LatencyRecorder, LatencyStats};
+pub use metrics::{process_cpu_ms, BenchResult, LatencyStats};
 pub use workload::{ClusterWorkload, WorkUnit, Workload};

@@ -2,19 +2,17 @@
 //!
 //! The paper reports throughput (committed transactions per second),
 //! per-transaction-type latency, and abort behaviour, all measured at the
-//! closed-loop clients (§4.6). [`LatencyRecorder`] collects latencies per
-//! type into the shared log-bucketed histogram from `tebaldi-obs` — the
-//! same instrument the engine uses internally — so memory stays fixed
-//! regardless of run length and percentiles match the engine's own
-//! exposition (~1.6% relative bucket error; count, mean, and max are
-//! exact). [`BenchResult`] is the merged, printable outcome of one
+//! closed-loop clients (§4.6). The driver records latencies per type into
+//! the shared log-bucketed [`Histogram`](tebaldi_obs::Histogram) from
+//! `tebaldi-obs` — the same instrument the engine uses internally — so
+//! memory stays fixed regardless of run length and percentiles match the
+//! engine's own exposition (~1.6% relative bucket error; count, mean, and
+//! max are exact). [`BenchResult`] is the merged, printable outcome of one
 //! benchmark run.
 
 use serde::Serialize;
 use std::collections::HashMap;
-use std::time::Duration;
-use tebaldi_obs::{Histogram, HistogramSnapshot};
-use tebaldi_storage::TxnTypeId;
+use tebaldi_obs::HistogramSnapshot;
 
 const NS_PER_MS: f64 = 1e6;
 
@@ -49,81 +47,19 @@ impl LatencyStats {
     }
 }
 
-/// Collects latency samples for one client thread.
-#[derive(Debug, Default)]
-pub struct LatencyRecorder {
-    histograms: HashMap<TxnTypeId, Histogram>,
-}
-
-impl LatencyRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        LatencyRecorder::default()
-    }
-
-    /// Records one committed transaction's latency.
-    pub fn record(&mut self, ty: TxnTypeId, latency: Duration) {
-        self.histograms
-            .entry(ty)
-            .or_default()
-            .record_duration(latency);
-    }
-
-    /// Merges another recorder into this one (exact: bucket counts, sums,
-    /// and maxima carry over unchanged).
-    pub fn merge(&mut self, other: LatencyRecorder) {
-        for (ty, histogram) in other.histograms {
-            self.histograms
-                .entry(ty)
-                .or_default()
-                .merge_snapshot(&histogram.snapshot());
-        }
-    }
-
-    /// Computes per-type statistics.
-    pub fn stats(&self) -> HashMap<TxnTypeId, LatencyStats> {
-        self.histograms
-            .iter()
-            .map(|(ty, h)| (*ty, LatencyStats::from_snapshot(&h.snapshot())))
-            .collect()
-    }
-
-    /// The raw per-type histograms (nanosecond samples), for consumers
-    /// that analyse distributions rather than summary statistics.
-    pub fn snapshots(&self) -> HashMap<TxnTypeId, HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .map(|(ty, h)| (*ty, h.snapshot()))
-            .collect()
-    }
-
-    /// Statistics over all types combined.
-    pub fn overall(&self) -> LatencyStats {
-        LatencyStats::from_snapshot(&self.overall_snapshot())
-    }
-
-    /// The merged histogram over all types, for callers that want raw
-    /// nanosecond quantiles rather than millisecond statistics.
-    pub fn overall_snapshot(&self) -> HistogramSnapshot {
-        let mut all = HistogramSnapshot::default();
-        for histogram in self.histograms.values() {
-            all.merge(&histogram.snapshot());
-        }
-        all
-    }
-
-    /// Total number of samples.
-    pub fn len(&self) -> usize {
-        self.histograms
-            .values()
-            .map(|h| h.snapshot().count as usize)
-            .sum()
-    }
-
-    /// True when no sample was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+/// User + system CPU time of this process in milliseconds
+/// (`/proc/self/stat` fields 14 and 15, 10 ms ticks).
+pub fn process_cpu_ms() -> f64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    // The command name may hold spaces; fields are counted after its ')'.
+    let after = stat.rsplit_once(')').map(|(_, rest)| rest).unwrap_or("");
+    let ticks: f64 = after
+        .split_whitespace()
+        .skip(11)
+        .take(2)
+        .filter_map(|f| f.parse::<f64>().ok())
+        .sum();
+    ticks * 10.0
 }
 
 /// The merged result of one benchmark run.
@@ -137,7 +73,15 @@ pub struct BenchResult {
     pub clients: usize,
     /// Measured wall-clock duration in seconds.
     pub duration_s: f64,
-    /// Committed transactions.
+    /// Units started inside the window (each counted whether or not it
+    /// committed, and even when it finished after the window closed).
+    pub started: u64,
+    /// [`BenchResult::started`] split by the sixth of the window each unit
+    /// started in; the six sum to `started`.
+    pub started_by_sixth: Vec<u64>,
+    /// Process CPU time (user + system) over the window, in milliseconds.
+    pub cpu_ms: f64,
+    /// Units started inside the window that committed.
     pub committed: u64,
     /// Aborted attempts (before the retry succeeded or gave up).
     pub aborted: u64,
@@ -184,33 +128,22 @@ impl BenchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+    use tebaldi_obs::Histogram;
 
     #[test]
-    fn recorder_statistics() {
-        let mut rec = LatencyRecorder::new();
+    fn latency_statistics_from_a_histogram() {
+        let histogram = Histogram::new();
         for i in 1..=100u64 {
-            rec.record(TxnTypeId(0), Duration::from_millis(i));
+            histogram.record_duration(Duration::from_millis(i));
         }
-        let stats = rec.stats();
-        let s = &stats[&TxnTypeId(0)];
+        let s = LatencyStats::from_snapshot(&histogram.snapshot());
         assert_eq!(s.count, 100);
         assert!((s.mean_ms - 50.5).abs() < 0.5);
         assert!(s.p50_ms >= 49.0 && s.p50_ms <= 52.0);
         assert!(s.p95_ms >= 93.0 && s.p95_ms <= 97.0);
         assert!(s.p99_ms >= 98.0);
         assert_eq!(s.max_ms, 100.0);
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = LatencyRecorder::new();
-        a.record(TxnTypeId(0), Duration::from_millis(1));
-        let mut b = LatencyRecorder::new();
-        b.record(TxnTypeId(0), Duration::from_millis(3));
-        b.record(TxnTypeId(1), Duration::from_millis(5));
-        a.merge(b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.overall().count, 3);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! The transaction bodies are registered once per cluster (see
 //! [`register_procedures`]) under the ids in [`procs`]; every invocation
-//! ships a [`ProcId`](tebaldi_core::ProcId) plus a `(flight, seat,
+//! ships a [`ProcId`] plus a `(flight, seat,
 //! customer)` argument buffer, so the workload runs unchanged over the
 //! in-process transport and over TCP.
 //!
@@ -732,7 +732,7 @@ mod tests {
                 .new_reservation(&cluster, flight, 3, customer)
                 .committed
         );
-        let after_booking = cluster.coordinator().stats().decisions_logged;
+        let after_booking = cluster.stats().coordinator.decisions_logged;
         assert!(after_booking >= 1, "booking logs a commit decision");
 
         // The tier-check update: read-only customer part + read-write

@@ -18,27 +18,27 @@ use tebaldi_storage::{Key, TableId, TxnTypeId};
 /// TPC-C tables.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TpccTables {
-    /// warehouse(w) → [ytd]
+    /// `warehouse(w) → [ytd]`
     pub warehouse: TableId,
-    /// district(w, d) → [next_o_id, ytd, next_delivery_o_id]
+    /// `district(w, d) → [next_o_id, ytd, next_delivery_o_id]`
     pub district: TableId,
-    /// customer(w, d, c) → [balance, payment_cnt, delivery_cnt]
+    /// `customer(w, d, c) → [balance, payment_cnt, delivery_cnt]`
     pub customer: TableId,
-    /// history(w, d, seq) → [amount]
+    /// `history(w, d, seq) → [amount]`
     pub history: TableId,
-    /// order(w, d, o) → [ol_cnt, c_id, carrier]
+    /// `order(w, d, o) → [ol_cnt, c_id, carrier]`
     pub order: TableId,
-    /// new_order(w, d, o) → [1]
+    /// `new_order(w, d, o) → [1]`
     pub new_order: TableId,
-    /// order_line(w, d, o, line) → [item_id, qty, delivered]
+    /// `order_line(w, d, o, line) → [item_id, qty, delivered]`
     pub order_line: TableId,
-    /// stock(w, item) → [quantity, ytd, order_cnt]
+    /// `stock(w, item) → [quantity, ytd, order_cnt]`
     pub stock: TableId,
-    /// item(item) → [price]
+    /// `item(item) → [price]`
     pub item: TableId,
-    /// customer_order_index(w, d, c) → [latest_o_id]  (secondary index)
+    /// `customer_order_index(w, d, c) → [latest_o_id]`  (secondary index)
     pub customer_order_index: TableId,
-    /// item_stats(item) → [sale_count]  (hot_item extension, §4.6.3)
+    /// `item_stats(item) → [sale_count]`  (hot_item extension, §4.6.3)
     pub item_stats: TableId,
 }
 

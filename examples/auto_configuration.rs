@@ -10,7 +10,8 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use tebaldi_suite::autoconf::{run_auto_configuration, AutoConfOptions, EventCollector};
+use tebaldi_suite::autoconf::{run_auto_configuration, AutoConfOptions};
+use tebaldi_suite::cc::VecSink;
 use tebaldi_suite::core::{Database, DbConfig};
 use tebaldi_suite::workloads::tpcc::{configs, schema::TpccParams, Tpcc};
 use tebaldi_suite::workloads::{run_benchmark, BenchOptions, Workload};
@@ -18,7 +19,7 @@ use tebaldi_suite::workloads::{run_benchmark, BenchOptions, Workload};
 fn main() {
     let params = TpccParams::default();
     let workload = Arc::new(Tpcc::new(params));
-    let collector = Arc::new(EventCollector::new());
+    let collector = Arc::new(VecSink::new());
     let db = Arc::new(
         Database::builder(DbConfig::for_benchmarks())
             .procedures(workload.procedures())

@@ -23,6 +23,7 @@ use tebaldi_suite::cluster::{
     TcpShardServer, TcpTransport, TransportKind,
 };
 use tebaldi_suite::core::{Database, DbConfig, ProcRegistry, ProcedureCall};
+use tebaldi_suite::obs::MetricsRegistry;
 use tebaldi_suite::storage::{Key, TableId, TxnTypeId, Value};
 
 const ACCOUNTS: TableId = TableId(0);
@@ -103,8 +104,14 @@ fn main() {
     let server = TcpShardServer::spawn(0, Arc::clone(&workers), WINDOW).expect("shard server");
     println!("standalone shard serving at {}", server.addr());
 
-    let client =
-        TcpTransport::connect(&[server.addr()], WINDOW, Duration::from_secs(10)).expect("connect");
+    let client_metrics = MetricsRegistry::new();
+    let client = TcpTransport::connect(
+        &[server.addr()],
+        WINDOW,
+        Duration::from_secs(10),
+        &client_metrics,
+    )
+    .expect("connect");
     let reply = client
         .call(
             0,

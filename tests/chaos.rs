@@ -342,7 +342,7 @@ fn killed_shard_server_mid_prepare_recovers_in_doubt_and_reconnects() {
         let (servers, workers, tcp) =
             (Arc::clone(&servers), Arc::clone(&workers), Arc::clone(&tcp));
         builder(config)
-            .transport_factory(Box::new(move |shards| {
+            .transport_factory(Box::new(move |shards, metrics| {
                 let mut spawned = Vec::new();
                 for (index, pool) in shards.iter().enumerate() {
                     spawned.push(
@@ -351,7 +351,8 @@ fn killed_shard_server_mid_prepare_recovers_in_doubt_and_reconnects() {
                     );
                 }
                 let addrs: Vec<_> = spawned.iter().map(|s| s.addr()).collect();
-                let mut transport = TcpTransport::connect(&addrs, 32, Duration::from_secs(5))?;
+                let mut transport =
+                    TcpTransport::connect(&addrs, 32, Duration::from_secs(5), metrics)?;
                 transport.set_reconnect_policy(ReconnectPolicy::new(
                     Duration::from_millis(5),
                     Duration::from_millis(50),

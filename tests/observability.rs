@@ -432,7 +432,7 @@ fn cluster_metrics_exposition_covers_2pc_phases() {
     );
     assert!(snap.gauge("gc.limbo_bytes").is_some());
 
-    let text = cluster.metrics_prometheus();
+    let text = cluster.metrics().to_prometheus();
     assert!(text.contains("cluster_multi_shard"), "prometheus: {text}");
     assert!(text.contains("2pc_prepare_fanout_ns"), "prometheus: {text}");
     assert!(text.contains("gc_versions_retired"), "prometheus: {text}");
@@ -442,9 +442,153 @@ fn cluster_metrics_exposition_covers_2pc_phases() {
         "prometheus: {text}"
     );
 
-    let json = cluster.metrics_json();
+    let json = serde_json::to_string_pretty(&cluster.metrics()).unwrap();
     let doc = serde_json::parse(&json).expect("metrics JSON must parse");
     assert!(doc.get("counters").is_some(), "json: {json}");
+    cluster.shutdown();
+}
+
+/// `ClusterStats` is a view of the merged metrics snapshot: a fixed
+/// single-threaded script on a two-shard cluster — single-shard
+/// increments, a two-participant 2PC commit, a one-phase commit, a fully
+/// read-only cross-shard read and a part that votes abort — and every
+/// field that does not depend on the transport equals the script's own
+/// count. Over TCP the shards are reached only through
+/// `ShardRequest::Metrics`, and the wire counters are live.
+#[test]
+fn cluster_stats_count_what_the_script_did() {
+    let mut config = ClusterConfig::for_tests(2);
+    config.db_config.durability = DurabilityMode::Synchronous;
+    let transport = config.transport;
+    let cluster = Cluster::builder(config)
+        .procedures(procedures())
+        .cc_spec(CcTreeSpec::monolithic(CcKind::TwoPl, vec![TRANSFER]))
+        .shard_procedure(POISON, |txn, args| {
+            let mut r = ByteReader::new(args);
+            let key = r.key().map_err(|e| CcError::Internal(e.to_string()))?;
+            txn.increment(key, 0, 30)?;
+            Err(txn.request_abort())
+        })
+        .build()
+        .unwrap();
+    // One account on each shard, whatever the routing.
+    let a = 0u64;
+    let b = (1..)
+        .find(|&k| cluster.shard_of(k) != cluster.shard_of(a))
+        .unwrap();
+    let (shard_a, shard_b) = (cluster.shard_of(a), cluster.shard_of(b));
+    for account in [a, b] {
+        cluster.load(account, Key::simple(TABLE, account), Value::Int(100));
+    }
+    let call = || ProcedureCall::new(TRANSFER);
+    let increment =
+        |shard, account| procs::increment_part(shard, call(), Key::simple(TABLE, account), 0, 1);
+    let get = |shard, account| procs::get_part(shard, call(), Key::simple(TABLE, account));
+
+    const SINGLE: u64 = 3;
+    for _ in 0..SINGLE {
+        cluster
+            .execute_single(
+                shard_a,
+                procs::KV_INCREMENT,
+                &call(),
+                procs::increment_args(Key::simple(TABLE, a), 0, 1),
+                1,
+            )
+            .unwrap();
+    }
+    // Two read-write participants: a flushed commit decision.
+    cluster
+        .execute_multi(vec![increment(shard_a, a), increment(shard_b, b)])
+        .unwrap();
+    // One read-write participant beside a read-only one: one-phase.
+    cluster
+        .execute_multi(vec![increment(shard_a, a), get(shard_b, b)])
+        .unwrap();
+    // Every participant read-only: nothing to decide.
+    cluster
+        .execute_multi(vec![get(shard_a, a), get(shard_b, b)])
+        .unwrap();
+    // A prepared participant beside one that votes abort: an abort
+    // decision, appended but not flushed.
+    let poisoned = ShardPart::new(
+        shard_b,
+        call(),
+        POISON,
+        procs::key_args(Key::simple(TABLE, b)),
+    );
+    assert!(cluster
+        .execute_multi(vec![increment(shard_a, a), poisoned])
+        .is_err());
+
+    let metrics = cluster.metrics();
+    let stats = cluster.stats();
+    let coordinator = stats.coordinator;
+    assert_eq!(coordinator.committed, 3);
+    assert_eq!(coordinator.aborted, 1);
+    assert_eq!(coordinator.one_phase, 1);
+    assert_eq!(coordinator.read_only, 1);
+    assert_eq!(coordinator.decisions_logged, 2, "the commit and the abort");
+    assert_eq!(coordinator.decision_flushes, 1, "only the commit flushes");
+
+    // Every part commits on its own shard: the single-shard units, then
+    // two parts each of the three committed globals.
+    assert_eq!(stats.committed, SINGLE + 3 * 2);
+    // The poisoned part aborts itself; its prepared partner is aborted by
+    // the coordinator's decision.
+    assert_eq!(stats.aborted, 2);
+    assert_eq!(stats.single_shard, SINGLE);
+    assert_eq!(stats.multi_shard, 4);
+    assert_eq!(stats.read_only_votes, 3);
+    // Synchronous durability, one client: every record batch is one
+    // device flush. A single-shard commit flushes once; a prepared part
+    // flushes its prepare, then its commit or abort record; the read-only
+    // parts and the self-aborted one log nothing; and the decision log
+    // flushes its one commit decision.
+    let shard_flushes = SINGLE + 2 * 2 + 2 + 2;
+    assert_eq!(stats.flushes, shard_flushes + coordinator.decision_flushes);
+    assert_eq!(stats.coalesced_flushes, 0);
+    assert_eq!(
+        stats.flushes_per_commit,
+        stats.flushes as f64 / stats.committed as f64
+    );
+    // The 2PC commit, the one-phase commit and the abort parked a prepared
+    // participant; the read-only global did not.
+    assert_eq!(metrics.counter("cluster.lock_windows"), Some(3));
+    assert_eq!(
+        stats.prepared_lock_window_ns,
+        metrics.counter("cluster.lock_window_ns").unwrap() / 3
+    );
+    // Four read-write prepares were hardened before their yes-vote.
+    assert_eq!(metrics.counter("pipeline.hardened"), Some(4));
+    assert_eq!(
+        stats.prepare_hardening_ns,
+        metrics.counter("pipeline.hardening_ns").unwrap() / 4
+    );
+    let queued = metrics.counter("pipeline.queued").unwrap();
+    assert_eq!(
+        stats.prepare_queue_wait_ns,
+        metrics.counter("pipeline.queue_wait_ns").unwrap() / queued
+    );
+    // Prepares ran through the shard pipelines (a reply may leave before
+    // its body is retired, so one client can still see two in flight).
+    assert!(stats.max_pipeline_depth >= 1);
+    assert_eq!(
+        metrics.gauge("pipeline.max_depth"),
+        Some(stats.max_pipeline_depth)
+    );
+    assert_eq!(stats.decision_ack_timeouts, 0);
+    assert_eq!(stats.batch_scheduled, 0);
+    assert_eq!(stats.batch_aborts, 0);
+    assert_eq!(stats.follower_reads, 0);
+    assert_eq!(stats.snapshot_reads, 0);
+    assert_eq!(stats.snapshot_read_wait_ns, 0);
+    assert_eq!(stats.failovers, 0);
+    assert_eq!(stats.replica_acks_timed_out, 0);
+    if transport == TransportKind::Tcp {
+        assert!(stats.messages_sent > 0);
+        assert!(stats.bytes_on_wire > 0);
+    }
     cluster.shutdown();
 }
 

@@ -240,6 +240,7 @@ mod pipelining {
         TcpTransport, TransportKind,
     };
     use tebaldi_suite::core::{Database, DbConfig, ProcId, ProcRegistry, ProcedureCall};
+    use tebaldi_suite::obs::MetricsRegistry;
     use tebaldi_suite::storage::wal::{LogDevice, MemLogDevice};
     use tebaldi_suite::storage::{Key, TableId, TxnTypeId, Value};
 
@@ -247,6 +248,16 @@ mod pipelining {
     const TY: TxnTypeId = TxnTypeId(0);
     const PUT7: ProcId = ProcId(50);
     const NAP_GET: ProcId = ProcId(51);
+
+    /// The peak number of bodies the shard had in flight, as it reports it.
+    fn max_depth(workers: &ShardWorkers) -> u64 {
+        workers
+            .db()
+            .metrics()
+            .snapshot()
+            .gauge("pipeline.max_depth")
+            .unwrap_or(0)
+    }
 
     fn registry() -> ProcRegistry {
         let mut reg = ProcRegistry::new();
@@ -313,8 +324,13 @@ mod pipelining {
         let flush = Duration::from_millis(100);
         let (workers, _device) = slow_flush_pool(16, flush);
         let server = TcpShardServer::spawn(0, Arc::clone(&workers), 16).unwrap();
-        let transport =
-            TcpTransport::connect(&[server.addr()], 16, Duration::from_secs(5)).unwrap();
+        let transport = TcpTransport::connect(
+            &[server.addr()],
+            16,
+            Duration::from_secs(5),
+            &MetricsRegistry::new(),
+        )
+        .unwrap();
         workers.db().load(Key::simple(TABLE, 5), Value::Int(41));
 
         let started = Instant::now();
@@ -370,7 +386,7 @@ mod pipelining {
         workers.decide_stamped(1, true, 0);
         assert_eq!(workers.in_doubt_count(), 0);
         assert!(
-            workers.pipeline_stats().max_depth >= 2,
+            max_depth(&workers) >= 2,
             "one worker must have had both bodies in flight"
         );
         ShardTransport::shutdown(&transport);
@@ -387,7 +403,13 @@ mod pipelining {
         let (workers, device) = slow_flush_pool(WINDOW, Duration::from_millis(2));
         let server = TcpShardServer::spawn(0, Arc::clone(&workers), WINDOW).unwrap();
         let transport = Arc::new(
-            TcpTransport::connect(&[server.addr()], WINDOW, Duration::from_secs(10)).unwrap(),
+            TcpTransport::connect(
+                &[server.addr()],
+                WINDOW,
+                Duration::from_secs(10),
+                &MetricsRegistry::new(),
+            )
+            .unwrap(),
         );
         let n = 24u64;
         let handles: Vec<_> = (0..n)
@@ -425,16 +447,14 @@ mod pipelining {
             .filter(|r| matches!(r, tebaldi_suite::storage::wal::LogRecord::Prepare { .. }))
             .count();
         assert_eq!(prepares, n as usize);
-        let stats = workers.pipeline_stats();
+        let depth = max_depth(&workers);
         assert!(
-            stats.max_depth as usize <= WINDOW,
-            "admission exceeded the window: {} > {WINDOW}",
-            stats.max_depth
+            depth as usize <= WINDOW,
+            "admission exceeded the window: {depth} > {WINDOW}"
         );
         assert!(
-            stats.max_depth >= 2,
-            "a 1-worker shard must still overlap prepares, depth={}",
-            stats.max_depth
+            depth >= 2,
+            "a 1-worker shard must still overlap prepares, depth={depth}"
         );
         for i in 0..n {
             workers.decide_stamped(100 + i, false, 0);
@@ -560,7 +580,10 @@ mod pipelining {
         // with a client-side window wider than the whole burst (a
         // misbehaving client that does not match the server's budget).
         let window_wait = Duration::from_secs(10);
-        let burster = Arc::new(TcpTransport::connect(&[server.addr()], 64, window_wait).unwrap());
+        let burster = Arc::new(
+            TcpTransport::connect(&[server.addr()], 64, window_wait, &MetricsRegistry::new())
+                .unwrap(),
+        );
         let burst_tickets: Vec<_> = (0..40)
             .map(|_| {
                 burster.submit(
@@ -579,7 +602,9 @@ mod pipelining {
         std::thread::sleep(Duration::from_millis(30));
 
         // The victim: one fast request on its own connection.
-        let victim = TcpTransport::connect(&[server.addr()], 4, window_wait).unwrap();
+        let victim =
+            TcpTransport::connect(&[server.addr()], 4, window_wait, &MetricsRegistry::new())
+                .unwrap();
         let started = Instant::now();
         let (value, _) = victim
             .submit(
@@ -756,7 +781,7 @@ mod stall {
         ShardWorkers, TcpShardServer, TcpTransport, TransportKind,
     };
     use tebaldi_suite::core::{Database, DbConfig, DurabilityMode, ProcRegistry, ProcedureCall};
-    use tebaldi_suite::obs::TraceCtx;
+    use tebaldi_suite::obs::{MetricsRegistry, TraceCtx};
     use tebaldi_suite::storage::{Key, TableId, TxnTypeId};
 
     const TABLE: TableId = TableId(0);
@@ -846,8 +871,13 @@ mod stall {
         procs::register_builtins(&mut registry);
         let workers = ShardWorkers::spawn(0, db, 2, Arc::new(registry), 32);
         let server = TcpShardServer::spawn(0, Arc::clone(&workers), 32).unwrap();
-        let transport =
-            TcpTransport::connect(&[server.addr()], 32, Duration::from_secs(10)).unwrap();
+        let transport = TcpTransport::connect(
+            &[server.addr()],
+            32,
+            Duration::from_secs(10),
+            &MetricsRegistry::new(),
+        )
+        .unwrap();
         hammer("one link, one shard server", |client| {
             let request = ShardRequest::Execute {
                 proc: procs::KV_INCREMENT,
