@@ -215,20 +215,6 @@ impl LockManager {
         }
     }
 
-    /// Releases the locks held by `txn` on the given keys.
-    pub fn release_keys(&self, txn: TxnId, keys: &[Key]) {
-        for key in keys {
-            self.release(txn, key);
-        }
-        let mut held = self.held_of(txn).lock();
-        if let Some(list) = held.get_mut(&txn) {
-            list.retain(|k| !keys.contains(k));
-            if list.is_empty() {
-                held.remove(&txn);
-            }
-        }
-    }
-
     /// Releases every lock held by `txn`.
     pub fn release_all(&self, txn: TxnId) {
         let keys = self.held_of(txn).lock().remove(&txn).unwrap_or_default();
@@ -375,21 +361,6 @@ mod tests {
         assert_eq!(lm.keys_held_by(TxnId(1)), vec![k(3)]);
         lm.release_all(TxnId(1));
         assert!(lm.keys_held_by(TxnId(1)).is_empty());
-    }
-
-    #[test]
-    fn release_keys_partial() {
-        let (env, _) = env(30);
-        let lm = LockManager::default();
-        lm.acquire(&env, &ctx(1), &k(1), 1, LockMode::Exclusive, "t")
-            .unwrap();
-        lm.acquire(&env, &ctx(1), &k(2), 1, LockMode::Exclusive, "t")
-            .unwrap();
-        lm.release_keys(TxnId(1), &[k(1)]);
-        assert_eq!(lm.keys_held_by(TxnId(1)), vec![k(2)]);
-        // Key 1 is free for another lane now.
-        lm.acquire(&env, &ctx(2), &k(1), 2, LockMode::Exclusive, "t")
-            .unwrap();
     }
 
     #[test]

@@ -33,8 +33,6 @@ use tebaldi_storage::{Chain, Key, Timestamp, TxnId, Version};
 #[derive(Debug, Default)]
 struct RpTxnState {
     current_step: usize,
-    /// Keys locked in the current step (released on step commit).
-    step_keys: Vec<Key>,
     /// Transactions this one trails in the pipeline.
     rp_deps: HashSet<TxnId>,
 }
@@ -68,20 +66,19 @@ impl Rp {
     /// Advances `ctx.txn` to `target_step`, step-committing everything
     /// before it and honouring the trailing rule.
     fn advance_to(&self, ctx: &mut TxnCtx, target_step: usize) -> CcResult<()> {
-        let (released, mut deps): (Vec<Key>, Vec<TxnId>) = {
+        let mut deps: Vec<TxnId> = {
             let mut shared = self.shared.lock();
             let state = shared.txns.entry(ctx.txn).or_default();
             if target_step <= state.current_step {
                 return Ok(());
             }
-            let released = std::mem::take(&mut state.step_keys);
-            let deps: Vec<TxnId> = state.rp_deps.iter().copied().collect();
             state.current_step = target_step;
-            (released, deps)
+            state.rp_deps.iter().copied().collect()
         };
-        // Step commit: release the previous step's locks and wake the
+        // Step commit: release the previous step's locks — this node's lock
+        // table holds only the current step's keys — and wake the
         // transactions waiting on this one.
-        self.locks.release_keys(ctx.txn, &released);
+        self.locks.release_all(ctx.txn);
         self.env.registry.wake(ctx.txn);
 
         // Trailing rule: wait until every dependency has terminated (left
@@ -115,7 +112,6 @@ impl Rp {
                 .acquire(&self.env, ctx, key, lane.lock_lane(ctx.txn), mode, "")?;
         let mut shared = self.shared.lock();
         let state = shared.txns.entry(ctx.txn).or_default();
-        state.step_keys.push(*key);
         for blocker in blockers {
             state.rp_deps.insert(blocker);
             // Pipeline order implies commit order: report the dependency so

@@ -58,8 +58,8 @@ pub enum ShardRequest {
         hlc: u64,
     },
     /// 2PC phase two: abort `global` (also delivered for timed-out votes,
-    /// where the shard may not have prepared yet — see the orphan-abort
-    /// table in [`crate::worker`]).
+    /// where the shard may not have prepared yet: a late prepare finds the
+    /// decided abort and aborts — see [`crate::worker`]).
     Abort {
         /// Cluster-global transaction id.
         global: u64,

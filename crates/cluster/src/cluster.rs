@@ -3,7 +3,7 @@
 //! and the cross-shard 2PC coordinator.
 
 use crate::api::{ShardRequest, ShardResponse, ShardResult};
-use crate::coordinator::{CoordinatorStats, TxnCoordinator};
+use crate::coordinator::{committed_decisions, CoordinatorStats, TxnCoordinator};
 use crate::faults::{FaultPlan, FaultyTransport};
 use crate::replication::{ReplicationConfig, ShardReplication};
 use crate::router::{Partitioning, Routing, ShardRouter};
@@ -11,7 +11,7 @@ use crate::tcp::TcpShardServer;
 use crate::transport::{InProcessTransport, ShardTransport, TransportFactory, TransportKind};
 use crate::worker::{ShardWorkers, Ticket, Vote};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -676,10 +676,8 @@ impl ClusterBuilder {
                 self.config.workers_per_shard,
                 Arc::clone(&registry),
                 self.config.max_inflight_per_shard,
+                group.clone(),
             );
-            if let Some(group) = &group {
-                workers.set_replication(Arc::clone(group));
-            }
             shards.push(workers);
             replication.push(group);
         }
@@ -1249,6 +1247,7 @@ impl Cluster {
             self.config.workers_per_shard,
             Arc::clone(&self.proc_registry),
             self.config.max_inflight_per_shard,
+            None,
         );
         let server = TcpShardServer::spawn(
             shard,
@@ -1368,8 +1367,8 @@ impl Cluster {
     /// A prepare vote that does not arrive within the configured
     /// `prepare_timeout` counts as a "no": the transaction aborts with
     /// `CcError::Internal` instead of hanging on a wedged shard (the late
-    /// prepare, if it ever lands, is aborted by the shard's orphan-decision
-    /// check). Phase-two decision *acknowledgements* are bounded by the
+    /// prepare, if it ever lands, finds the shard's decided abort and
+    /// aborts). Phase-two decision *acknowledgements* are bounded by the
     /// same timeout, so a shard that wedges after voting cannot hang the
     /// finalize step either — the outcome is already durable and the
     /// straggler resolves it on recovery. Returns the parts' results in
@@ -1938,18 +1937,7 @@ pub fn recover_cluster(
     decision_log: &dyn LogDevice,
     shards_per_store: usize,
 ) -> Vec<(MvStore, RecoveryReport)> {
-    let decisions: HashMap<u64, u64> = decision_log
-        .read_back()
-        .into_iter()
-        .filter_map(|record| match record {
-            tebaldi_storage::wal::LogRecord::Decision {
-                global,
-                commit: true,
-                hlc,
-            } => Some((global, hlc)),
-            _ => None,
-        })
-        .collect();
+    let decisions = committed_decisions(decision_log);
     shard_logs
         .iter()
         .map(|log| {
@@ -2164,8 +2152,8 @@ mod tests {
             "a vote timeout surfaces as CcError::Internal, got {err:?}"
         );
         assert_eq!(balance(&cluster, 1), 100, "prepared part must roll back");
-        // Give the wedged prepare time to land and hit the orphaned abort
-        // decision: it must abort rather than park holding locks.
+        // Give the wedged prepare time to land and find the decided
+        // abort: it must abort rather than park holding locks.
         std::thread::sleep(std::time::Duration::from_millis(600));
         assert_eq!(cluster.in_doubt_count(), 0, "late prepare must not park");
         assert_eq!(balance(&cluster, 2), 100);
@@ -2303,7 +2291,7 @@ mod tests {
         assert_eq!(stats.coordinator.one_phase, 1);
         assert_eq!(stats.decision_ack_timeouts, 1);
         assert_eq!(
-            cluster.coordinator().committed_globals().len(),
+            cluster.coordinator().committed_globals_with_stamps().len(),
             1,
             "the fallback decision record must be durable"
         );
@@ -2361,7 +2349,7 @@ mod tests {
             "a failed send counts as an undelivered ack"
         );
         assert_eq!(
-            cluster.coordinator().committed_globals().len(),
+            cluster.coordinator().committed_globals_with_stamps().len(),
             1,
             "the fallback decision record must be durable"
         );

@@ -28,7 +28,7 @@
 //! log (see `tebaldi_storage::recovery::recover_with_resolver`).
 
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tebaldi_obs::{Counter, MetricsRegistry, MetricsSnapshot};
@@ -231,34 +231,35 @@ impl TxnCoordinator {
         self.committed.inc();
     }
 
-    /// The set of global ids with a durable commit decision.
-    pub fn committed_globals(&self) -> HashSet<u64> {
-        self.committed_globals_with_stamps().into_keys().collect()
-    }
-
-    /// Global ids with a durable commit decision, mapped to the HLC
-    /// decision stamp each was committed under (`0` for pre-HLC records).
-    /// In-doubt resolution re-installs the stamp so a recovered shard's
-    /// chains answer snapshot reads identically to the surviving ones.
+    /// Global ids with a durable commit decision in this coordinator's
+    /// log, mapped to their HLC decision stamps ([`committed_decisions`]).
     pub fn committed_globals_with_stamps(&self) -> HashMap<u64, u64> {
-        self.decision_log
-            .read_back()
-            .into_iter()
-            .filter_map(|record| match record {
-                LogRecord::Decision {
-                    global,
-                    commit: true,
-                    hlc,
-                } => Some((global, hlc)),
-                _ => None,
-            })
-            .collect()
+        committed_decisions(self.decision_log.as_ref())
     }
 
     /// The decision-log device (shared with recovery).
     pub fn decision_log(&self) -> Arc<dyn LogDevice> {
         Arc::clone(&self.decision_log)
     }
+}
+
+/// Global ids with a durable commit decision in `decision_log`, mapped to
+/// the HLC decision stamp each was committed under (`0` for pre-HLC
+/// records). In-doubt resolution re-installs the stamp so a recovered
+/// shard's chains answer snapshot reads identically to the surviving ones.
+pub fn committed_decisions(decision_log: &dyn LogDevice) -> HashMap<u64, u64> {
+    decision_log
+        .read_back()
+        .into_iter()
+        .filter_map(|record| match record {
+            LogRecord::Decision {
+                global,
+                commit: true,
+                hlc,
+            } => Some((global, hlc)),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Marker values some diagnostics use when a coordinator-side pseudo
@@ -292,10 +293,9 @@ mod tests {
         assert_ne!(a, b);
         coord.log_commit(a, 0xBEEF);
         coord.log_abort(b);
-        let committed = coord.committed_globals();
-        assert!(committed.contains(&a));
-        assert!(!committed.contains(&b));
         let stamps = coord.committed_globals_with_stamps();
+        assert!(stamps.contains_key(&a));
+        assert!(!stamps.contains_key(&b));
         assert_eq!(
             stamps.get(&a),
             Some(&0xBEEF),

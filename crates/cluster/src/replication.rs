@@ -24,6 +24,11 @@
 //! Only *durable* records are ever shipped, in order (ship-after-flush), so
 //! a follower's log is always a durable prefix of the primary's.
 //!
+//! A [`ReplicaNode`] accepts shipper connections on the same loopback
+//! acceptor as the shard RPC server (`wire::Acceptor`): each connection is
+//! applied on its own thread and forgotten when it ends, so a replica that
+//! sees its shipper redial many times holds only the live connection.
+//!
 //! The protocol is deliberately idempotent. A replica applies a batch only
 //! where it extends its applied prefix — overlapping resends are
 //! deduplicated, gapped batches refused — and answers every batch with its
@@ -53,7 +58,7 @@ use crate::wire::{self, FrameReader};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -228,10 +233,7 @@ pub struct ReplicaNode {
     log: Arc<MemLogDevice>,
     applied: Mutex<u64>,
     applied_cv: Condvar,
-    addr: SocketAddr,
-    stopping: Arc<AtomicBool>,
-    accept_handle: Mutex<Option<JoinHandle<()>>>,
-    conns: Mutex<Vec<TcpStream>>,
+    acceptor: Arc<wire::Acceptor>,
     store_shards: usize,
     cache: Mutex<SnapshotCache>,
 }
@@ -246,50 +248,25 @@ impl ReplicaNode {
 
     /// [`spawn`](ReplicaNode::spawn) over a given follower log.
     fn spawn_on(log: Arc<MemLogDevice>, store_shards: usize) -> std::io::Result<Arc<Self>> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
         let node = Arc::new(ReplicaNode {
             log,
             applied: Mutex::new(0),
             applied_cv: Condvar::new(),
-            addr,
-            stopping: Arc::new(AtomicBool::new(false)),
-            accept_handle: Mutex::new(None),
-            conns: Mutex::new(Vec::new()),
+            acceptor: wire::Acceptor::bind()?,
             store_shards,
             cache: Mutex::new(SnapshotCache::default()),
         });
-        let accept_node = Arc::clone(&node);
-        let named = |name: &str| std::thread::Builder::new().name(name.to_string());
-        let handle = named("tebaldi-replica-accept").spawn(move || {
-            let mut serving = Vec::new();
-            for conn in listener.incoming() {
-                let Ok(stream) = conn else { continue };
-                wire::tune(&stream);
-                if accept_node.stopping.load(Ordering::SeqCst) {
-                    break;
-                }
-                if let Ok(clone) = stream.try_clone() {
-                    accept_node.conns.lock().push(clone);
-                }
-                let serve_node = Arc::clone(&accept_node);
-                if let Ok(h) =
-                    named("tebaldi-replica-apply").spawn(move || serve_node.serve(stream))
-                {
-                    serving.push(h);
-                }
-            }
-            for h in serving {
-                let _ = h.join();
-            }
-        })?;
-        *node.accept_handle.lock() = Some(handle);
+        let serving = Arc::clone(&node);
+        node.acceptor
+            .start("tebaldi-replica", move |stream, stopping| {
+                serving.serve(stream, stopping)
+            })?;
         Ok(node)
     }
 
     /// The listener address a shipper connects to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Records applied so far (the follower's LSN).
@@ -334,13 +311,13 @@ impl ReplicaNode {
 
     /// One shipper connection: apply each batch of the stream, answer each
     /// with the applied LSN.
-    fn serve(&self, stream: TcpStream) {
+    fn serve(&self, stream: TcpStream, stopping: &AtomicBool) {
         let Ok(mut acks) = stream.try_clone() else {
             return;
         };
         let mut frames = FrameReader::new(stream);
         let mut ack = Vec::new();
-        while !self.stopping.load(Ordering::SeqCst) {
+        while !stopping.load(Ordering::SeqCst) {
             let applied = match frames.next_frame() {
                 Ok(Some(payload)) => match decode_batch(payload) {
                     Ok((start, records)) => self.apply(start, records),
@@ -376,19 +353,9 @@ impl ReplicaNode {
         *applied
     }
 
-    /// Stops the listener and all connection threads.
+    /// Stops the listener and closes every connection.
     pub fn shutdown(&self) {
-        if self.stopping.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        for conn in self.conns.lock().drain(..) {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(handle) = self.accept_handle.lock().take() {
-            let _ = handle.join();
-        }
+        self.acceptor.shutdown();
     }
 }
 
@@ -1236,12 +1203,43 @@ mod tests {
             }
             assert!(repl.sync());
             // The replica hangs up; the next records find a dead link.
-            for conn in repl.replica(0).unwrap().conns.lock().drain(..) {
-                let _ = conn.shutdown(std::net::Shutdown::Both);
-            }
+            repl.replica(0).unwrap().acceptor.hang_up();
         }
         assert_eq!(repl.replica(0).unwrap().log().read_back(), log.read_back());
         repl.shutdown();
+    }
+
+    #[test]
+    fn a_replica_holds_only_its_live_connection_across_reconnects() {
+        const RECONNECTS: u64 = 4;
+        let log: Arc<dyn LogDevice> = Arc::new(MemLogDevice::new());
+        let reg = metrics();
+        let repl = group_with_slow_replica(&log, Duration::ZERO, &reg, None);
+        let node = Arc::clone(repl.replica(0).unwrap());
+        let primary = repl.primary_log();
+        for round in 0..=RECONNECTS {
+            if round > 0 {
+                // The replica hangs up; the shipper redials for this round.
+                node.acceptor.hang_up();
+            }
+            for record in committed_write(round, round, 1, 1) {
+                primary.append(&record);
+            }
+            primary.flush();
+            assert!(repl.sync());
+        }
+        // Each hung-up connection's handler removed its own entry.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while node.acceptor.live_connections() != 1 {
+            let live = node.acceptor.live_connections();
+            assert!(
+                Instant::now() < deadline,
+                "{live} connections after {RECONNECTS} reconnects"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        repl.shutdown();
+        assert_eq!(node.acceptor.live_connections(), 0);
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //!
 //! ## Server
 //!
-//! A [`TcpShardServer`] owns a listener bound to `127.0.0.1:0` and accepts
-//! any number of connections. Each connection gets a reader thread and a
-//! writer thread joined by an outbox channel:
+//! A [`TcpShardServer`] runs on the crate's one loopback acceptor
+//! (`wire::Acceptor`, which the replica of `replication.rs` runs on too):
+//! it accepts any number of connections on `127.0.0.1:0`, registers each
+//! so shutdown can close it, and forgets it when its handler returns. Each
+//! connection gets a reader thread and a writer thread joined by an outbox
+//! channel:
 //!
 //! * the reader decodes `(req_id, ShardRequest)` frames. Body-running
 //!   requests (`Execute`, `Prepare`) go through the shard's batched
@@ -51,7 +54,7 @@ use crate::worker::{ShardWorkers, Ticket};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -72,14 +75,7 @@ const CONN_BUDGET_DEADLINE: Duration = Duration::from_secs(30);
 
 /// One shard's RPC server loop.
 pub struct TcpShardServer {
-    addr: SocketAddr,
-    stopping: Arc<AtomicBool>,
-    /// Streams of live connections, keyed by a connection id, kept so
-    /// shutdown can unblock their reader threads. Each connection handler
-    /// removes its own entry when it exits — a long-running server with
-    /// client churn must not accumulate dead descriptors.
-    conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
-    accept_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    acceptor: Arc<wire::Acceptor>,
 }
 
 impl TcpShardServer {
@@ -96,89 +92,23 @@ impl TcpShardServer {
         workers: Arc<ShardWorkers>,
         conn_inflight: usize,
     ) -> std::io::Result<Arc<Self>> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let server = Arc::new(TcpShardServer {
-            addr,
-            stopping: Arc::new(AtomicBool::new(false)),
-            conns: Arc::new(Mutex::new(HashMap::new())),
-            accept_thread: Mutex::new(None),
-        });
-        let stopping = Arc::clone(&server.stopping);
-        let conns = Arc::clone(&server.conns);
-        let handle = std::thread::Builder::new()
-            .name(format!("tebaldi-shard-{shard_index}-rpc-accept"))
-            .spawn(move || {
-                let mut next_conn_id = 0u64;
-                for stream in listener.incoming() {
-                    let Ok(stream) = stream else { continue };
-                    wire::tune(&stream);
-                    if stopping.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let conn_id = next_conn_id;
-                    next_conn_id += 1;
-                    match stream.try_clone() {
-                        Ok(clone) => {
-                            conns.lock().insert(conn_id, clone);
-                        }
-                        Err(_) => {
-                            // Serving a connection that is not registered
-                            // in `conns` would leave its reader thread
-                            // invisible to shutdown(), which could then
-                            // never unblock it. Refuse the connection
-                            // instead; the client sees a disconnect and
-                            // reconnects.
-                            let _ = stream.shutdown(std::net::Shutdown::Both);
-                            continue;
-                        }
-                    }
-                    // Re-check after registering: shutdown() may have set
-                    // `stopping` and drained the map between the loop-top
-                    // check and the insert, in which case nobody else will
-                    // ever close this socket.
-                    if stopping.load(Ordering::SeqCst) {
-                        let _ = stream.shutdown(std::net::Shutdown::Both);
-                        conns.lock().remove(&conn_id);
-                        return;
-                    }
-                    let workers = Arc::clone(&workers);
-                    let conns = Arc::clone(&conns);
-                    let conn_stopping = Arc::clone(&stopping);
-                    let _ = std::thread::Builder::new()
-                        .name(format!("tebaldi-shard-{shard_index}-rpc-conn"))
-                        .spawn(move || {
-                            serve_connection(stream, workers, conn_inflight, conn_stopping);
-                            // Drop this connection's shutdown handle so a
-                            // long-running server never leaks descriptors.
-                            conns.lock().remove(&conn_id);
-                        });
-                }
-            })
-            .expect("spawn shard rpc acceptor");
-        *server.accept_thread.lock() = Some(handle);
-        Ok(server)
+        let acceptor = wire::Acceptor::bind()?;
+        acceptor.start(
+            &format!("tebaldi-shard-{shard_index}-rpc"),
+            move |stream, stopping| serve_connection(stream, &workers, conn_inflight, stopping),
+        )?;
+        Ok(Arc::new(TcpShardServer { acceptor }))
     }
 
     /// The bound loopback address clients connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Stops accepting, closes every live connection, and joins the
     /// acceptor.
     pub fn shutdown(&self) {
-        if self.stopping.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unblock the acceptor with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        for (_, conn) in self.conns.lock().drain() {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(handle) = self.accept_thread.lock().take() {
-            let _ = handle.join();
-        }
+        self.acceptor.shutdown();
     }
 }
 
@@ -192,9 +122,9 @@ impl Drop for TcpShardServer {
 /// on the first I/O or protocol error.
 fn serve_connection(
     stream: TcpStream,
-    workers: Arc<ShardWorkers>,
+    workers: &ShardWorkers,
     conn_inflight: usize,
-    stopping: Arc<AtomicBool>,
+    stopping: &AtomicBool,
 ) {
     let mut frames = match stream.try_clone() {
         Ok(clone) => wire::FrameReader::new(clone),
@@ -901,7 +831,7 @@ mod tests {
         reg.register_fn(BUMP, |txn, _args| {
             txn.increment(Key::simple(TABLE, 1), 0, 1).map(Value::Int)
         });
-        ShardWorkers::spawn(0, db, 2, Arc::new(reg), WINDOW)
+        ShardWorkers::spawn(0, db, 2, Arc::new(reg), WINDOW, None)
     }
 
     fn execute() -> ShardRequest {

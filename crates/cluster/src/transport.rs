@@ -187,7 +187,7 @@ mod tests {
         reg.register_fn(BUMP, |txn, _args| {
             txn.increment(Key::simple(TABLE, 1), 0, 1).map(Value::Int)
         });
-        ShardWorkers::spawn(0, db, 2, Arc::new(reg), 8)
+        ShardWorkers::spawn(0, db, 2, Arc::new(reg), 8, None)
     }
 
     #[test]

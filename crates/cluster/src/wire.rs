@@ -12,11 +12,20 @@
 //! [`CodecError`], never a panic — the server answers by dropping the
 //! connection, the client by failing the affected tickets with a clean
 //! `CcError::Internal` (which aborts the transaction that was waiting).
+//!
+//! The socket plumbing the shard RPC link and the WAL-shipping link share
+//! lives here too: `tune`, applied at every end, and the one loopback
+//! `Acceptor` both the RPC server and the replica accept on.
 
 use crate::api::{ShardRequest, ShardResponse};
 use crate::worker::Vote;
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use tebaldi_cc::{CcError, Reason, WaitLabel};
 use tebaldi_core::{ProcId, ProcedureCall};
 use tebaldi_obs::{HistogramSnapshot, MetricsSnapshot, TraceCtx};
@@ -475,6 +484,107 @@ pub(crate) fn tune(stream: &TcpStream) {
     stream.set_nodelay(true).ok();
 }
 
+/// The crate's one loopback accept loop, under the shard RPC server and the
+/// replica alike: each connection is tuned, registered so
+/// [`shutdown`](Acceptor::shutdown) can close it, served on its own thread,
+/// and forgotten when its handler returns.
+pub(crate) struct Acceptor {
+    addr: SocketAddr,
+    /// Bound, until [`start`](Acceptor::start) hands it to the accept thread.
+    listener: Mutex<Option<TcpListener>>,
+    stopping: AtomicBool,
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    thread: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl Acceptor {
+    /// Binds a loopback listener. Connections wait in the kernel's backlog
+    /// until [`start`](Acceptor::start), so the owner can be built first.
+    pub(crate) fn bind() -> std::io::Result<Arc<Self>> {
+        let listener = TcpListener::bind(("127.0.0.1", 0))?;
+        Ok(Arc::new(Acceptor {
+            addr: listener.local_addr()?,
+            listener: Mutex::new(Some(listener)),
+            stopping: AtomicBool::new(false),
+            conns: Mutex::default(),
+            thread: Mutex::default(),
+        }))
+    }
+
+    /// The bound address peers connect to.
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Accepts on thread `{name}-accept`; each connection runs
+    /// `serve(stream, stopping)` on a thread `{name}-conn`, `stopping`
+    /// turning true once shutdown began.
+    pub(crate) fn start(
+        self: &Arc<Self>,
+        name: &str,
+        serve: impl Fn(TcpStream, &AtomicBool) + Send + Sync + 'static,
+    ) -> std::io::Result<()> {
+        let listener = self.listener.lock().take().expect("started twice");
+        let (acceptor, serve) = (Arc::clone(self), Arc::new(serve));
+        let conn_name = format!("{name}-conn");
+        let accept = move || {
+            for (id, stream) in (0u64..).zip(listener.incoming()) {
+                let Ok(stream) = stream else { continue };
+                tune(&stream);
+                if acceptor.stopping.load(Ordering::SeqCst) {
+                    return;
+                }
+                // A connection shutdown cannot reach would keep its handler
+                // blocked forever: refuse it, and the peer redials.
+                let Ok(clone) = stream.try_clone() else {
+                    let _ = stream.shutdown(Shutdown::Both);
+                    continue;
+                };
+                acceptor.conns.lock().insert(id, clone);
+                // Re-check after registering: shutdown may have drained the
+                // map between the check above and the insert.
+                if acceptor.stopping.load(Ordering::SeqCst) {
+                    let _ = stream.shutdown(Shutdown::Both);
+                    acceptor.conns.lock().remove(&id);
+                    return;
+                }
+                let (owner, serve) = (Arc::clone(&acceptor), Arc::clone(&serve));
+                let handler =
+                    std::thread::Builder::new()
+                        .name(conn_name.clone())
+                        .spawn(move || {
+                            serve(stream, &owner.stopping);
+                            owner.conns.lock().remove(&id);
+                        });
+                if handler.is_err() {
+                    acceptor.conns.lock().remove(&id);
+                }
+            }
+        };
+        let thread = std::thread::Builder::new()
+            .name(format!("{name}-accept"))
+            .spawn(accept)?;
+        *self.thread.lock() = Some(thread);
+        Ok(())
+    }
+
+    /// Stops accepting, closes every live connection, and joins the accept
+    /// thread.
+    pub(crate) fn shutdown(&self) {
+        if self.stopping.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // Unblock the accept thread with a throwaway connection.
+        let _ = TcpStream::connect(self.addr);
+        for (_, conn) in self.conns.lock().drain() {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+        if let Some(thread) = self.thread.lock().take() {
+            let _ = thread.join();
+        }
+    }
+}
+
 /// Appends one frame to `buf`: reserves the length prefix, lets `encode`
 /// write the payload behind it, then fills the length in place — so a
 /// burst of frames shares one buffer and goes out in one `write`.
@@ -607,6 +717,20 @@ mod tests {
     use super::*;
     use tebaldi_cc::CcKind;
     use tebaldi_storage::{Key, TableId, TxnTypeId, Value};
+
+    impl Acceptor {
+        /// Connections registered and not yet ended.
+        pub(crate) fn live_connections(&self) -> usize {
+            self.conns.lock().len()
+        }
+
+        /// Hangs up on every live connection, as a crashed peer would.
+        pub(crate) fn hang_up(&self) {
+            for conn in self.conns.lock().values() {
+                let _ = conn.shutdown(Shutdown::Both);
+            }
+        }
+    }
 
     fn sample_call() -> ProcedureCall {
         ProcedureCall::new(TxnTypeId(3))

@@ -55,7 +55,7 @@
 //! A *queued* execute commits visible-then-durable
 //! ([`Database::execute_deferred`]): its versions are published and its
 //! locks released before the flush, and only the acknowledgement waits.
-//! An *inline* execute ([`ShardWorkers::execute_now`], the in-process
+//! An *inline* execute ([`ShardWorkers::handle_inline`], the in-process
 //! single-shard path) commits durable-then-visible. So a read may observe
 //! a version a crash could still lose only if a queued execute wrote it,
 //! and every read-only answer — execute, read-only vote, snapshot read —
@@ -66,6 +66,30 @@
 //! (prepares of one global transaction run on their shards in parallel);
 //! decisions apply inline on the delivering thread so they never queue
 //! behind blocking prepares.
+//!
+//! ## One table per global
+//!
+//! The shard keeps one entry per 2PC global under one lock: a parked
+//! prepare awaiting its decision, or a decision applied within the last
+//! TTL. A decision and a late-finishing prepare of the same global
+//! therefore serialize, and exactly one of them wins the id. An abort that
+//! finds nothing parked — the coordinator timed the vote out while the
+//! prepare still ran or hardened — is just a decided abort: the late
+//! prepare looks it up and aborts instead of parking. A replayed or
+//! duplicated decision frame finds the earlier decision and changes
+//! nothing. The prepared transaction itself is committed or aborted
+//! outside the lock.
+//!
+//! ## Snapshot reads wait on the writer
+//!
+//! A snapshot read at HLC `h` that meets an uncommitted version may not
+//! skip it — the writer's decision stamp could still land at or below `h` —
+//! so it parks on the writer's entry in the database's transaction
+//! registry ([`TxnRegistry::await_end`](tebaldi_cc::TxnRegistry::await_end),
+//! listed as `TxnId::BOOTSTRAP` in the wait-for graph) until the writer
+//! ends or the read's `wait_ms` budget runs out. A writer's end is marked
+//! only after its versions were committed or removed, so the wake-up and
+//! the re-read that follows cannot miss the resolution. Nothing polls.
 
 use crate::api::{ShardRequest, ShardResponse, ShardResult};
 use crate::replication::ShardReplication;
@@ -76,7 +100,7 @@ use std::time::{Duration, Instant};
 use tebaldi_cc::{CcError, CcResult, WaitLabel};
 use tebaldi_core::{Database, ParticipantVote, PreparedTxn, ProcId, ProcRegistry, ProcedureCall};
 use tebaldi_obs::{self as obs, Counter, Histogram, MaxGauge, TraceCtx};
-use tebaldi_storage::{SnapshotRead, Value};
+use tebaldi_storage::{SnapshotRead, TxnId, Value};
 
 /// A participant's phase-one vote class, as reported back to the
 /// coordinator alongside the part's result value.
@@ -224,39 +248,41 @@ struct PipeState {
     stopping: bool,
 }
 
-/// How long an orphaned abort decision (the coordinator gave up on a
-/// prepare that had not answered yet) is remembered so the late prepare
-/// can be aborted when it finally lands. Generous: timeouts are rare and
-/// the entries are tiny.
-const ORPHAN_DECISION_TTL: Duration = Duration::from_secs(30);
-
-/// How long an applied Commit/Abort decision is remembered so replayed or
+/// How long an applied Commit/Abort decision is remembered: so replayed or
 /// duplicated decision frames (hostile network, coordinator retry) are
-/// recognized as no-ops instead of being re-applied. Without this memory a
-/// replayed Abort would plant an orphan-abort tombstone for a global that
-/// was already decided. Matches the orphan TTL: both bound how long the
-/// network may replay a frame.
+/// recognized as no-ops instead of being re-applied, and so a prepare that
+/// lands after the coordinator already aborted its global (a timed-out
+/// vote) aborts instead of parking. Generous: timeouts are rare and the
+/// entries are tiny.
 const DECISION_MEMORY_TTL: Duration = Duration::from_secs(30);
 
-/// Recently applied decisions (global id → committed?), remembered so a
-/// replayed frame is recognized. Two generations rotated every
-/// [`DECISION_MEMORY_TTL`] give O(1) amortized insert/lookup/expiry (a
-/// per-decision TTL scan would be O(n) on every decision under bench
-/// load): an entry survives between one and two TTLs, which only errs on
-/// the safe side (remembering longer).
-struct DecisionMemory {
-    current: HashMap<u64, bool>,
+/// What the shard knows about its 2PC globals (see the module docs): the
+/// prepares parked awaiting their decision, and the decisions applied
+/// recently (global id → committed?). The decisions sit in two generations
+/// rotated every [`DECISION_MEMORY_TTL`], giving O(1) amortized
+/// insert/lookup/expiry: an entry survives between one and two TTLs, which
+/// only errs on the safe side (remembering longer).
+struct Globals {
+    in_doubt: HashMap<u64, PreparedTxn>,
+    decided: HashMap<u64, bool>,
     previous: HashMap<u64, bool>,
     rotated_at: Instant,
 }
 
-impl DecisionMemory {
+impl Globals {
     fn new() -> Self {
-        DecisionMemory {
-            current: HashMap::new(),
+        Globals {
+            in_doubt: HashMap::new(),
+            decided: HashMap::new(),
             previous: HashMap::new(),
             rotated_at: Instant::now(),
         }
+    }
+
+    /// The remembered decision for `global`, if any.
+    fn decision(&self, global: u64) -> Option<bool> {
+        let decided = self.decided.get(&global);
+        decided.or_else(|| self.previous.get(&global)).copied()
     }
 
     /// Records `commit` for `global` unless a decision is already
@@ -264,18 +290,14 @@ impl DecisionMemory {
     fn record(&mut self, global: u64, commit: bool) -> Option<bool> {
         let now = Instant::now();
         if now.duration_since(self.rotated_at) >= DECISION_MEMORY_TTL {
-            self.previous = std::mem::take(&mut self.current);
+            self.previous = std::mem::take(&mut self.decided);
             self.rotated_at = now;
         }
-        if let Some(&prior) = self
-            .current
-            .get(&global)
-            .or_else(|| self.previous.get(&global))
-        {
-            return Some(prior);
+        let prior = self.decision(global);
+        if prior.is_none() {
+            self.decided.insert(global, commit);
         }
-        self.current.insert(global, commit);
-        None
+        prior
     }
 }
 
@@ -289,16 +311,8 @@ pub struct ShardWorkers {
     work_cv: Condvar,
     /// Wakes the completion loop: completions non-empty or stopping.
     done_cv: Condvar,
-    in_doubt: Arc<Mutex<HashMap<u64, PreparedTxn>>>,
-    /// Abort decisions that arrived before their prepare finished (the
-    /// coordinator timed the vote out). The late prepare consults this and
-    /// aborts instead of parking, so no prepared transaction can leak its
-    /// locks. Global id → when the decision arrived (for TTL pruning).
-    orphan_aborts: Mutex<HashMap<u64, Instant>>,
-    /// Recently applied decisions, kept for at least
-    /// [`DECISION_MEMORY_TTL`] so duplicated/replayed decision frames are
-    /// absorbed idempotently rather than re-applied.
-    decided: Mutex<DecisionMemory>,
+    /// Parked prepares and recent decisions, one entry per global.
+    globals: Mutex<Globals>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     stopping: std::sync::atomic::AtomicBool,
     /// Upper bound on in-flight bodies — executing on a worker or parked
@@ -322,7 +336,7 @@ pub struct ShardWorkers {
     /// Primary-side replication for this shard, when configured: the
     /// quorum gate the ack paths call before a hardened batch (or an
     /// inline execute) is acknowledged.
-    replication: Mutex<Option<Arc<ShardReplication>>>,
+    replication: Option<Arc<ShardReplication>>,
     /// `snapshot.*` instruments for the zero-2PC HLC read path: requests
     /// served, total nanoseconds spent waiting out in-flight writers, and
     /// the per-request service latency distribution.
@@ -335,13 +349,16 @@ impl ShardWorkers {
     /// Spawns `workers` threads serving `db`'s submission queue, resolving
     /// procedure ids against `registry`, plus the shard's completion loop,
     /// with up to `max_inflight` (at least 1) body-running requests in
-    /// flight at once.
+    /// flight at once. With a `replication` group every durability wait on
+    /// the ack paths also waits out the replica quorum (bounded by the
+    /// group's ack timeout).
     pub fn spawn(
         shard_index: usize,
         db: Arc<Database>,
         workers: usize,
         registry: Arc<ProcRegistry>,
         max_inflight: usize,
+        replication: Option<Arc<ShardReplication>>,
     ) -> Arc<Self> {
         let workers = workers.max(1);
         let metrics = Arc::clone(db.metrics());
@@ -356,9 +373,7 @@ impl ShardWorkers {
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            in_doubt: Arc::new(Mutex::new(HashMap::new())),
-            orphan_aborts: Mutex::new(HashMap::new()),
-            decided: Mutex::new(DecisionMemory::new()),
+            globals: Mutex::new(Globals::new()),
             handles: Mutex::new(Vec::new()),
             stopping: std::sync::atomic::AtomicBool::new(false),
             max_inflight: max_inflight.max(1),
@@ -370,7 +385,7 @@ impl ShardWorkers {
             max_depth: metrics.max_gauge("pipeline.max_depth"),
             dup_decisions: metrics.counter("decisions.duplicate"),
             conflict_decisions: metrics.counter("decisions.conflict"),
-            replication: Mutex::new(None),
+            replication,
             snapshot_reads: metrics.counter("snapshot.reads"),
             snapshot_read_wait_ns: metrics.counter("snapshot.read_wait_ns"),
             snapshot_read_latency: metrics.histogram("snapshot.read_ns"),
@@ -408,19 +423,7 @@ impl ShardWorkers {
 
     /// Number of prepared transactions currently awaiting a decision.
     pub fn in_doubt_count(&self) -> usize {
-        self.in_doubt.lock().len()
-    }
-
-    /// Installs the shard's replication group: from here on every
-    /// durability wait on the ack paths also waits out the replica
-    /// quorum (bounded by the configured ack timeout).
-    pub fn set_replication(&self, replication: Arc<ShardReplication>) {
-        *self.replication.lock() = Some(replication);
-    }
-
-    /// This shard's replication group, if configured.
-    pub fn replication(&self) -> Option<Arc<ShardReplication>> {
-        self.replication.lock().clone()
+        self.globals.lock().in_doubt.len()
     }
 
     /// The quorum gate, called once the caller's own records are durable:
@@ -434,7 +437,7 @@ impl ShardWorkers {
     /// could commit a cross-shard transaction whose part dies with this
     /// primary.
     fn quorum_gate(&self) -> bool {
-        match self.replication() {
+        match &self.replication {
             Some(replication) => replication.wait_quorum(replication.durable_lsn()),
             None => true,
         }
@@ -522,7 +525,7 @@ impl ShardWorkers {
     }
 
     /// Closed-loop execution with engine-side retry, on the calling thread.
-    pub fn execute_now(
+    fn execute_now(
         &self,
         proc: ProcId,
         call: &ProcedureCall,
@@ -564,37 +567,34 @@ impl ShardWorkers {
 
     /// Parks a hardened read-write prepare in the in-doubt table, unless
     /// the coordinator already aborted the global while the part was
-    /// validating or hardening (the orphan-abort race).
+    /// validating or hardening (its vote timed out).
     fn park_prepared(
         &self,
         global: u64,
         value: tebaldi_storage::Value,
         prepared: PreparedTxn,
     ) -> ShardResult {
-        // Re-check under the in-doubt lock: a timed-out vote's abort
-        // decision may have raced in while the part was validating (or,
-        // pipelined, while its record was waiting for the flush).
-        let mut in_doubt = self.in_doubt.lock();
-        if self.orphan_aborts.lock().remove(&global).is_some() {
-            drop(in_doubt);
+        let mut globals = self.globals.lock();
+        if globals.decision(global) == Some(false) {
+            drop(globals);
             prepared.abort();
-            Err(CcError::Internal(
+            return Err(CcError::Internal(
                 "coordinator aborted the transaction during its prepare".to_string(),
-            ))
-        } else {
-            in_doubt.insert(global, prepared);
-            // The vote clock is drawn after the prepare hardened and its
-            // versions were installed: any decision stamp `d` the
-            // coordinator derives from this clock therefore satisfies
-            // "d <= h implies the prepared version was already on the
-            // chain when a snapshot reader at h traversed it" — the
-            // atomic-visibility argument of cross-shard snapshot reads.
-            Ok(ShardResponse::Prepared {
-                value,
-                vote: Vote::ReadWrite,
-                hlc: self.db.hlc().now(),
-            })
+            ));
         }
+        globals.in_doubt.insert(global, prepared);
+        drop(globals);
+        // The vote clock is drawn after the prepare hardened and its
+        // versions were installed: any decision stamp `d` the coordinator
+        // derives from this clock therefore satisfies "d <= h implies the
+        // prepared version was already on the chain when a snapshot reader
+        // at h traversed it" — the atomic-visibility argument of
+        // cross-shard snapshot reads.
+        Ok(ShardResponse::Prepared {
+            value,
+            vote: Vote::ReadWrite,
+            hlc: self.db.hlc().now(),
+        })
     }
 
     /// Runs a body-running request up to the point where only its
@@ -661,7 +661,7 @@ impl ShardWorkers {
         let body = self.resolve(proc)?;
         // The coordinator may already have aborted this global (vote
         // timeout): don't waste the execution.
-        if self.orphan_aborts.lock().remove(&global).is_some() {
+        if self.globals.lock().decision(global) == Some(false) {
             return Err(CcError::Internal(
                 "coordinator aborted the transaction before its prepare ran".to_string(),
             ));
@@ -789,46 +789,32 @@ impl ShardWorkers {
     /// which the prepared transaction holds its locks and convoy the whole
     /// shard.
     ///
-    /// An abort decision that finds nothing parked is remembered: the
-    /// coordinator may have timed the vote out while the prepare was still
-    /// running (or hardening), and the late prepare must abort instead of
-    /// parking forever.
+    /// An abort decision that finds nothing parked is still a decided
+    /// abort: the coordinator may have timed the vote out while the prepare
+    /// was still running (or hardening), and the late prepare finds the
+    /// decision and aborts instead of parking forever.
     ///
     /// `hlc` is the coordinator's decision stamp: a commit stamps its
     /// versions with exactly `hlc` (after merging it into the shard
     /// clock), which is what makes the cross-shard commit atomically
     /// visible to snapshot reads (`0` draws a fresh local stamp).
     pub fn decide_stamped(&self, global: u64, commit: bool, hlc: u64) {
-        // Replay guard first: a duplicated or replayed decision frame must
-        // be absorbed without side effects. In particular a replayed Abort
-        // for an already-decided global must not plant a fresh orphan
-        // tombstone (which could later kill an unrelated prepare that
-        // reuses the id), and a contradictory replay must not override the
-        // outcome already applied.
-        match self.decided.lock().record(global, commit) {
-            Some(prior) if prior == commit => {
-                self.dup_decisions.inc();
-                return;
-            }
-            Some(_) => {
-                self.conflict_decisions.inc();
-                return;
-            }
-            None => {}
-        }
-        // Lock order (in_doubt, then orphan_aborts) matches the prepare
-        // handler's parking path, so a decision and a late-finishing
-        // prepare serialize: exactly one of them wins the global id.
         let prepared = {
-            let mut in_doubt = self.in_doubt.lock();
-            let prepared = in_doubt.remove(&global);
-            if prepared.is_none() && !commit {
-                let mut orphans = self.orphan_aborts.lock();
-                let now = Instant::now();
-                orphans.retain(|_, arrived| now.duration_since(*arrived) < ORPHAN_DECISION_TTL);
-                orphans.insert(global, now);
+            let mut globals = self.globals.lock();
+            // A duplicated or replayed decision frame is absorbed without
+            // side effects; a contradictory replay must not override the
+            // outcome already applied.
+            match globals.record(global, commit) {
+                Some(prior) if prior == commit => {
+                    self.dup_decisions.inc();
+                    return;
+                }
+                Some(_) => {
+                    self.conflict_decisions.inc();
+                    return;
+                }
+                None => globals.in_doubt.remove(&global),
             }
-            prepared
         };
         if let Some(prepared) = prepared {
             if commit {
@@ -849,7 +835,7 @@ impl ShardWorkers {
     /// no vote. The answer is held until the read barrier is durable: a
     /// queued execute publishes before its flush, and an acknowledged read
     /// must not reflect a commit a crash could still lose.
-    pub fn snapshot_read_now(
+    fn snapshot_read_now(
         &self,
         snapshot: u64,
         wait_ms: u64,
@@ -875,6 +861,7 @@ impl ShardWorkers {
         self.db.hlc().observe(snapshot);
         let deadline = started + Duration::from_millis(wait_ms);
         let store = Arc::clone(self.db.store());
+        let registry = self.db.registry();
         let mut values = Vec::with_capacity(keys.len());
         let mut wait_ns = 0u64;
         for key in keys {
@@ -884,17 +871,20 @@ impl ShardWorkers {
                         values.push(value.unwrap_or(Value::Null));
                         break;
                     }
-                    SnapshotRead::Blocked => {
+                    SnapshotRead::Blocked(writer) => {
                         // An uncommitted writer overlaps the snapshot: its
                         // decision stamp may land below `snapshot`, so the
-                        // read cannot skip it — wait for the decision.
-                        if Instant::now() >= deadline {
+                        // read cannot skip it — park on the writer until it
+                        // ends. Its end is marked only after its versions
+                        // were committed or removed, so the re-read sees
+                        // them resolved.
+                        let wait_start = Instant::now();
+                        if wait_start >= deadline {
                             self.snapshot_reads.inc();
                             self.snapshot_read_wait_ns.add(wait_ns);
                             return Err(CcError::Timeout(WaitLabel::SnapshotWriter));
                         }
-                        let wait_start = Instant::now();
-                        std::thread::sleep(Duration::from_micros(50));
+                        registry.await_end(TxnId::BOOTSTRAP, writer, deadline);
                         wait_ns += wait_start.elapsed().as_nanos() as u64;
                     }
                 }
@@ -1156,7 +1146,7 @@ mod tests {
 
     #[test]
     fn mailbox_executes_data_requests() {
-        let pool = ShardWorkers::spawn(0, db(), 2, registry(), 2);
+        let pool = ShardWorkers::spawn(0, db(), 2, registry(), 2, None);
         pool.db().load(Key::simple(TABLE, 1), Value::Int(0));
         let tickets: Vec<_> = (0..32).map(|_| submit(&pool, execute(BUMP, 1))).collect();
         for ticket in tickets {
@@ -1177,7 +1167,7 @@ mod tests {
 
     #[test]
     fn prepare_then_decide_roundtrip() {
-        let pool = ShardWorkers::spawn(0, db(), 1, registry(), 1);
+        let pool = ShardWorkers::spawn(0, db(), 1, registry(), 1, None);
         // Inline on the caller's thread, then through the queue: both
         // park the part and carry a vote clock.
         let inline = pool.handle_inline(prepare_put5(7, 9));
@@ -1206,15 +1196,15 @@ mod tests {
 
     #[test]
     fn replayed_decisions_are_absorbed_idempotently() {
-        let pool = ShardWorkers::spawn(0, db(), 1, registry(), 1);
+        let pool = ShardWorkers::spawn(0, db(), 1, registry(), 1, None);
         pool.handle_inline(prepare_put5(7, 9))
             .unwrap()
             .into_prepared()
             .unwrap();
         pool.decide_stamped(7, true, 0);
         // A duplicated Commit frame and a contradictory Abort replay are
-        // both absorbed: the committed write stays and no orphan tombstone
-        // is planted.
+        // both absorbed: the committed write stays and the remembered
+        // decision stays a commit.
         pool.decide_stamped(7, true, 0);
         pool.decide_stamped(7, false, 0);
         let metrics = Arc::clone(pool.db().metrics());
@@ -1227,7 +1217,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(read, Some(Value::Int(5)));
-        // The replayed Abort planted no orphan: a prepare reusing the id
+        // The replayed Abort decided nothing: a prepare reusing the id
         // parks normally instead of being killed on arrival.
         submit(&pool, prepare_put5(7, 10))
             .wait()
@@ -1236,6 +1226,75 @@ mod tests {
             .into_prepared()
             .unwrap();
         assert_eq!(pool.in_doubt_count(), 1);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn an_abort_before_its_prepare_aborts_the_late_prepare() {
+        let pool = ShardWorkers::spawn(0, db(), 1, registry(), 1, None);
+        // The coordinator timed the vote out before the prepare ran.
+        pool.handle_inline(ShardRequest::Abort { global: 7 })
+            .unwrap();
+        let late = submit(&pool, prepare_put5(7, 9)).wait().unwrap();
+        assert!(matches!(late, Err(CcError::Internal(_))), "{late:?}");
+        assert_eq!(pool.in_doubt_count(), 0);
+        // The late prepare left the key free: another global parks on it.
+        pool.handle_inline(prepare_put5(8, 9))
+            .unwrap()
+            .into_prepared()
+            .unwrap();
+        assert_eq!(pool.in_doubt_count(), 1);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_snapshot_read_parks_on_a_prepared_writer_until_its_decision() {
+        let pool = ShardWorkers::spawn(0, db(), 1, registry(), 1, None);
+        let snapshot_read = |id: u64, snapshot: u64, wait_ms: u64| {
+            pool.handle_inline(ShardRequest::SnapshotRead {
+                snapshot,
+                wait_ms,
+                keys: vec![Key::simple(TABLE, id)],
+            })
+        };
+        pool.handle_inline(prepare_put5(7, 9)).unwrap();
+        let h = pool.db().hlc().now();
+        let SnapshotRead::Blocked(writer) = pool
+            .db()
+            .store()
+            .read_snapshot_hlc(&Key::simple(TABLE, 9), h)
+        else {
+            panic!("the prepared version blocks the snapshot");
+        };
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| snapshot_read(9, h, 10_000));
+            let started = Instant::now();
+            while pool.db().registry().wait_for() != [(TxnId::BOOTSTRAP, writer)] {
+                assert!(started.elapsed() < Duration::from_secs(5));
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // The decision stamp lands inside the snapshot.
+            pool.decide_stamped(7, true, h);
+            match reader.join().unwrap().unwrap() {
+                ShardResponse::Snapshot { values, .. } => assert_eq!(values, vec![Value::Int(5)]),
+                other => panic!("unexpected reply {other:?}"),
+            }
+        });
+        assert!(pool.db().registry().wait_for().is_empty());
+        // No decision within `wait_ms`: the read gives up.
+        pool.handle_inline(prepare_put5(8, 10)).unwrap();
+        let started = Instant::now();
+        let h = pool.db().hlc().now();
+        assert_eq!(
+            snapshot_read(10, h, 50),
+            Err(CcError::Timeout(WaitLabel::SnapshotWriter))
+        );
+        assert!(started.elapsed() >= Duration::from_millis(50));
+        assert!(
+            pipeline(&pool, "snapshot.read_wait_ns") > 0,
+            "the wait is counted"
+        );
+        pool.decide_stamped(8, false, 0);
         pool.shutdown();
     }
 
@@ -1260,8 +1319,14 @@ mod tests {
             None,
         )
         .unwrap();
-        let pool = ShardWorkers::spawn(0, durable_db(replication.primary_log()), 1, registry(), 4);
-        pool.set_replication(Arc::clone(&replication));
+        let pool = ShardWorkers::spawn(
+            0,
+            durable_db(replication.primary_log()),
+            1,
+            registry(),
+            4,
+            Some(Arc::clone(&replication)),
+        );
         replication.set_paused(true);
         let inline = pool.handle_inline(prepare_put5(1, 9));
         let queued = submit(&pool, prepare_put5(2, 9)).wait().unwrap();
@@ -1295,7 +1360,7 @@ mod tests {
         let device: Arc<dyn tebaldi_storage::wal::LogDevice> = Arc::new(
             tebaldi_storage::wal::MemLogDevice::with_flush_latency(Duration::from_millis(2)),
         );
-        let pool = ShardWorkers::spawn(0, durable_db(Arc::clone(&device)), 1, registry(), 16);
+        let pool = ShardWorkers::spawn(0, durable_db(Arc::clone(&device)), 1, registry(), 16, None);
         let n = 8u64;
         let tickets: Vec<_> = (0..n)
             .map(|i| submit(&pool, prepare_put5(100 + i, 1000 + i)))
@@ -1357,7 +1422,7 @@ mod tests {
                 .unwrap(),
         );
         db.load(Key::simple(TABLE, 1), Value::Int(0));
-        let pool = ShardWorkers::spawn(0, db, 1, registry(), 16);
+        let pool = ShardWorkers::spawn(0, db, 1, registry(), 16, None);
         let submit = |proc: ProcId| {
             let (tx, ticket) = Ticket::pending();
             pool.submit_request(
@@ -1404,7 +1469,7 @@ mod tests {
         let device: Arc<dyn tebaldi_storage::wal::LogDevice> = Arc::new(
             tebaldi_storage::wal::MemLogDevice::with_flush_latency(Duration::from_millis(20)),
         );
-        let pool = ShardWorkers::spawn(0, durable_db(Arc::clone(&device)), 1, registry(), 16);
+        let pool = ShardWorkers::spawn(0, durable_db(Arc::clone(&device)), 1, registry(), 16, None);
         pool.db().load(Key::simple(TABLE, 1), Value::Int(0));
         let write_ticket = submit(&pool, execute(BUMP, 1));
         let read_ticket = submit(
@@ -1440,7 +1505,7 @@ mod tests {
 
     #[test]
     fn window_bounds_inflight_bodies() {
-        let pool = ShardWorkers::spawn(0, db(), 2, registry(), 4);
+        let pool = ShardWorkers::spawn(0, db(), 2, registry(), 4, None);
         pool.db().load(Key::simple(TABLE, 1), Value::Int(0));
         let tickets: Vec<_> = (0..64).map(|_| submit(&pool, execute(BUMP, 1))).collect();
         for ticket in tickets {
@@ -1455,7 +1520,7 @@ mod tests {
 
     #[test]
     fn unknown_procedure_is_a_clean_error() {
-        let pool = ShardWorkers::spawn(0, db(), 1, registry(), 1);
+        let pool = ShardWorkers::spawn(0, db(), 1, registry(), 1, None);
         let err = pool
             .execute_now(ProcId(999), &ProcedureCall::new(TY), &[], 1)
             .unwrap_err();
@@ -1465,7 +1530,7 @@ mod tests {
 
     #[test]
     fn metrics_and_flush_admin_requests() {
-        let pool = ShardWorkers::spawn(0, db(), 1, registry(), 1);
+        let pool = ShardWorkers::spawn(0, db(), 1, registry(), 1, None);
         pool.db().load(Key::simple(TABLE, 1), Value::Int(0));
         pool.execute_now(BUMP, &ProcedureCall::new(TY), &args(1), 5)
             .unwrap();

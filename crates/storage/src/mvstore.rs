@@ -105,10 +105,11 @@ pub enum ReadSpec {
 pub enum SnapshotRead {
     /// The value visible at the snapshot (`None`: key absent or deleted).
     Value(Option<Value>),
-    /// An uncommitted writer newer than the visible candidate is still in
-    /// flight and may commit with a stamp inside the snapshot; the caller
-    /// must wait it out (or refuse) and retry.
-    Blocked,
+    /// An uncommitted writer — the carried transaction — newer than the
+    /// visible candidate is still in flight and may commit with a stamp
+    /// inside the snapshot; the caller must wait it out (or refuse) and
+    /// retry.
+    Blocked(TxnId),
 }
 
 /// Result of installing a write.
@@ -1183,7 +1184,7 @@ impl MvStore {
         self.with_chain(key, |chain| {
             for v in chain.iter() {
                 if !v.is_committed() {
-                    return SnapshotRead::Blocked;
+                    return SnapshotRead::Blocked(v.writer);
                 }
                 if v.hlc() <= h {
                     return SnapshotRead::Value((!v.value.is_null()).then(|| v.value.clone()));
@@ -1910,7 +1911,7 @@ mod tests {
                         });
                         match store.read_snapshot_hlc(&k, u64::MAX) {
                             SnapshotRead::Value(v) => assert!(v.is_some()),
-                            SnapshotRead::Blocked => {}
+                            SnapshotRead::Blocked(_) => {}
                         }
                         reads += 2;
                     }

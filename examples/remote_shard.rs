@@ -100,7 +100,7 @@ fn main() {
     // One in-flight window end to end: the shard's pipeline, the server's
     // per-connection admission budget and the client's outstanding requests.
     const WINDOW: usize = 32;
-    let workers = ShardWorkers::spawn(0, Arc::clone(&db), 2, Arc::new(registry), WINDOW);
+    let workers = ShardWorkers::spawn(0, Arc::clone(&db), 2, Arc::new(registry), WINDOW, None);
     let server = TcpShardServer::spawn(0, Arc::clone(&workers), WINDOW).expect("shard server");
     println!("standalone shard serving at {}", server.addr());
 

@@ -308,7 +308,7 @@ mod pipelining {
                 .unwrap(),
         );
         (
-            ShardWorkers::spawn(0, db, 1, Arc::new(registry()), window),
+            ShardWorkers::spawn(0, db, 1, Arc::new(registry()), window, None),
             device,
         )
     }
@@ -571,7 +571,7 @@ mod pipelining {
                 .unwrap(),
         );
         db.load(Key::simple(TABLE, 1), Value::Int(9));
-        let workers = ShardWorkers::spawn(0, db, 1, Arc::new(registry()), 8);
+        let workers = ShardWorkers::spawn(0, db, 1, Arc::new(registry()), 8, None);
         // Small per-connection budget: at most 4 of the burster's requests
         // may occupy the shard queue at once.
         let server = TcpShardServer::spawn(0, Arc::clone(&workers), 4).unwrap();
@@ -869,7 +869,7 @@ mod stall {
         );
         let mut registry = ProcRegistry::new();
         procs::register_builtins(&mut registry);
-        let workers = ShardWorkers::spawn(0, db, 2, Arc::new(registry), 32);
+        let workers = ShardWorkers::spawn(0, db, 2, Arc::new(registry), 32, None);
         let server = TcpShardServer::spawn(0, Arc::clone(&workers), 32).unwrap();
         let transport = TcpTransport::connect(
             &[server.addr()],
