@@ -10,7 +10,7 @@ use crate::router::{Partitioning, Routing, ShardRouter};
 use crate::tcp::TcpShardServer;
 use crate::transport::{InProcessTransport, ShardTransport, TransportFactory, TransportKind};
 use crate::worker::{ShardWorkers, Ticket, Vote};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -190,6 +190,12 @@ pub fn test_read_consistency() -> ReadConsistency {
         },
         _ => ReadConsistency::Strong,
     }
+}
+
+/// A read's answer for one key: a tombstone reads as absent, at every
+/// consistency level.
+fn present(value: Value) -> Option<Value> {
+    (value != Value::Null).then_some(value)
 }
 
 /// The phase-one vote tickets of one multi-shard transaction, tagged with
@@ -477,7 +483,6 @@ pub struct ClusterBuilder {
     spec: Option<CcTreeSpec>,
     shard_logs: Option<Vec<Arc<dyn LogDevice>>>,
     decision_log: Option<Arc<dyn LogDevice>>,
-    stores: Option<Vec<MvStore>>,
     clock: Option<ClusterClock>,
     transport_factory: Option<TransportFactory>,
     metrics: Option<Arc<MetricsRegistry>>,
@@ -496,7 +501,6 @@ impl ClusterBuilder {
             spec: None,
             shard_logs: None,
             decision_log: None,
-            stores: None,
             clock: None,
             transport_factory: None,
             metrics: None,
@@ -542,12 +546,6 @@ impl ClusterBuilder {
     /// Uses a specific coordinator decision-log device.
     pub fn decision_log(mut self, log: Arc<dyn LogDevice>) -> Self {
         self.decision_log = Some(log);
-        self
-    }
-
-    /// Opens the shards over existing (e.g. recovered) stores.
-    pub fn stores(mut self, stores: Vec<MvStore>) -> Self {
-        self.stores = Some(stores);
         self
     }
 
@@ -614,78 +612,32 @@ impl ClusterBuilder {
                 .map(|_| Arc::new(MemLogDevice::new()) as Arc<dyn LogDevice>)
                 .collect(),
         };
-        let stores: Vec<Option<MvStore>> = match self.stores {
-            Some(stores) => {
-                if stores.len() != n {
-                    return Err(format!("expected {n} stores, got {}", stores.len()));
-                }
-                stores.into_iter().map(Some).collect()
-            }
-            None => (0..n).map(|_| None).collect(),
-        };
-
         let metrics = self
             .metrics
             .unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
-        let registry = Arc::new(self.registry);
+        let recipe = ShardRecipe {
+            procedures: self.procedures,
+            spec,
+            registry: Arc::new(self.registry),
+            metrics_enabled: metrics.is_enabled(),
+        };
         let replicas = self.config.replication.filter(|rcfg| rcfg.replicas > 0);
-        let mut shards = Vec::with_capacity(n);
-        let mut replication = Vec::with_capacity(n);
-        for (index, (log, store)) in shard_logs.iter().zip(stores).enumerate() {
-            let shard_metrics = Arc::new(if metrics.is_enabled() {
-                MetricsRegistry::new()
-            } else {
-                MetricsRegistry::disabled()
+        let mut slots = Vec::with_capacity(n);
+        for (index, log) in shard_logs.into_iter().enumerate() {
+            let workers = recipe.open(&self.config, index, &log, replicas, None)?;
+            slots.push(ShardSlot {
+                workers,
+                log,
+                server: None,
             });
-            // A replication group follows the shard's WAL device: it ships
-            // only what `log.durable_len()` covers, so a follower's log is
-            // always a durable prefix of its primary's. The database writes
-            // through the group's handle on that device, whose every flush
-            // wakes the shippers.
-            let group = match replicas {
-                Some(rcfg) => Some(ShardReplication::spawn(
-                    index,
-                    rcfg,
-                    Arc::clone(log),
-                    self.config.db_config.shards,
-                    &shard_metrics,
-                    self.config.fault_plan.as_ref(),
-                )?),
-                None => None,
-            };
-            let device = match &group {
-                Some(group) => group.primary_log(),
-                None => Arc::clone(log),
-            };
-            let mut builder = Database::builder(self.config.db_config.clone())
-                .procedures(self.procedures.clone())
-                .cc_spec(spec.clone())
-                .metrics(shard_metrics)
-                .log_device(device);
-            if let Some(store) = store {
-                builder = builder.store(store);
-            }
-            let db = Arc::new(builder.build().inspect_err(|_| {
-                if let Some(group) = &group {
-                    group.shutdown();
-                }
-            })?);
-            let workers = ShardWorkers::spawn(
-                index,
-                db,
-                self.config.workers_per_shard,
-                Arc::clone(&registry),
-                self.config.max_inflight_per_shard,
-                group.clone(),
-            );
-            shards.push(workers);
-            replication.push(group);
         }
+        let shards: Vec<Arc<ShardWorkers>> =
+            slots.iter().map(|slot| Arc::clone(&slot.workers)).collect();
 
         let mut transport: Arc<dyn ShardTransport> = match self.transport_factory {
             Some(factory) => factory(&shards, &metrics)?,
             None => match self.config.transport {
-                TransportKind::InProcess => Arc::new(InProcessTransport::new(shards.clone())),
+                TransportKind::InProcess => Arc::new(InProcessTransport::new(shards)),
                 TransportKind::Tcp => Arc::new(crate::tcp::TcpTransport::over_loopback(
                     &shards,
                     self.config.max_inflight_per_shard,
@@ -719,14 +671,9 @@ impl ClusterBuilder {
         Ok(Cluster {
             router: ShardRouter::new(n, self.config.partitioning),
             coordinator: TxnCoordinator::new(decision_log, &metrics),
-            shards: RwLock::new(shards),
+            shards: RwLock::new(slots),
             transport,
-            shard_logs: RwLock::new(shard_logs),
-            replication: RwLock::new(replication),
-            promoted_servers: Mutex::new(Vec::new()),
-            procedures: self.procedures,
-            spec,
-            proc_registry: registry,
+            recipe,
             clock: self.clock.unwrap_or_else(default_clock),
             hlc: Arc::new(Hlc::new()),
             single_shard: metrics.counter("cluster.single_shard"),
@@ -751,26 +698,121 @@ impl ClusterBuilder {
     }
 }
 
-/// N database shards, a router, worker pools, a transport, and a 2PC
-/// coordinator.
+/// What every shard opens with besides its log, kept by the cluster so a
+/// failover rebuilds a shard exactly as [`ClusterBuilder::build`] did.
+struct ShardRecipe {
+    procedures: ProcedureSet,
+    spec: CcTreeSpec,
+    registry: Arc<ProcRegistry>,
+    /// Whether shard metrics registries record histograms (they follow
+    /// the coordinator's).
+    metrics_enabled: bool,
+}
+
+impl ShardRecipe {
+    /// Opens shard `index` over `log`: its metrics registry, its
+    /// replication group when `replicas` is set, its database and its
+    /// worker pool. `recovered` is a promoted backup's replayed store and
+    /// report: the database opens over that store, counts the failover,
+    /// and moves its generators past everything the replay saw.
+    fn open(
+        &self,
+        config: &ClusterConfig,
+        index: usize,
+        log: &Arc<dyn LogDevice>,
+        replicas: Option<ReplicationConfig>,
+        recovered: Option<(MvStore, &RecoveryReport)>,
+    ) -> Result<Arc<ShardWorkers>, String> {
+        let metrics = Arc::new(if self.metrics_enabled {
+            MetricsRegistry::new()
+        } else {
+            MetricsRegistry::disabled()
+        });
+        // A replication group follows the shard's WAL device: it ships
+        // only what `log.durable_len()` covers, so a follower's log is
+        // always a durable prefix of its primary's. The database writes
+        // through the group's handle on that device, whose every flush
+        // wakes the shippers.
+        let group = match replicas {
+            Some(rcfg) => Some(ShardReplication::spawn(
+                index,
+                rcfg,
+                Arc::clone(log),
+                config.db_config.shards,
+                &metrics,
+                config.fault_plan.as_ref(),
+            )?),
+            None => None,
+        };
+        let device = match &group {
+            Some(group) => group.primary_log(),
+            None => Arc::clone(log),
+        };
+        let mut builder = Database::builder(config.db_config.clone())
+            .procedures(self.procedures.clone())
+            .cc_spec(self.spec.clone())
+            .log_device(device);
+        let mut report = None;
+        if let Some((store, replayed)) = recovered {
+            // The promoted primary carries the failover count so the
+            // shard's metrics reply reports it.
+            metrics.counter("replication.failovers").inc();
+            builder = builder.store(store);
+            report = Some(replayed);
+        }
+        let db = Arc::new(builder.metrics(metrics).build().inspect_err(|_| {
+            if let Some(group) = &group {
+                group.shutdown();
+            }
+        })?);
+        if let Some(report) = report {
+            // A fresh database starts its timestamp oracle and txn-id
+            // allocator at zero; new commits must order above every
+            // recovered version, and new records appended to the inherited
+            // log must not reuse txn ids the shipped prefix already holds
+            // (a collision would corrupt the next replay of this log). The
+            // HLC re-bases alongside them: new commits must stamp above
+            // every recovered stamp, or a snapshot read could see a
+            // post-failover commit ordered below a pre-failover one.
+            db.oracle().advance_past(report.max_commit_ts);
+            db.advance_txn_ids_past(report.max_txn_id);
+            db.hlc().advance_past(report.max_hlc);
+        }
+        Ok(ShardWorkers::spawn(
+            index,
+            db,
+            config.workers_per_shard,
+            Arc::clone(&self.registry),
+            config.max_inflight_per_shard,
+            group,
+        ))
+    }
+}
+
+/// One shard as the coordinator holds it.
+#[derive(Clone)]
+struct ShardSlot {
+    /// The worker pool, which owns the shard's database and, on a
+    /// replicated primary, its replication group.
+    workers: Arc<ShardWorkers>,
+    /// The shard's WAL device: the raw log the group ships from, or the
+    /// promoted backup's log after a failover.
+    log: Arc<dyn LogDevice>,
+    /// The RPC server a failover started in front of the promoted shard.
+    server: Option<Arc<TcpShardServer>>,
+}
+
+/// N database shards, a router, a transport, and a 2PC coordinator. Each
+/// shard is one slot — its worker pool (database and replication group
+/// inside), its WAL device and, after a failover, the server in front of
+/// it — and every slot sits behind one lock, so a failover swaps one
+/// entry.
 pub struct Cluster {
     router: ShardRouter,
     coordinator: TxnCoordinator,
-    /// Shard worker pools, behind a lock because failover replaces a
-    /// shard's pool with one rebuilt over the promoted backup's log.
-    shards: RwLock<Vec<Arc<ShardWorkers>>>,
+    shards: RwLock<Vec<ShardSlot>>,
     transport: Arc<dyn ShardTransport>,
-    shard_logs: RwLock<Vec<Arc<dyn LogDevice>>>,
-    /// Per-shard replication groups; `None` per slot when the cluster is
-    /// unreplicated or after that shard's backup was promoted.
-    replication: RwLock<Vec<Option<Arc<ShardReplication>>>>,
-    /// TCP server loops started by promotions, torn down with the cluster.
-    promoted_servers: Mutex<Vec<Arc<TcpShardServer>>>,
-    /// Retained so a promotion can rebuild the shard `Database` with the
-    /// same procedures, CC spec, and procedure registry the builder used.
-    procedures: ProcedureSet,
-    spec: CcTreeSpec,
-    proc_registry: Arc<ProcRegistry>,
+    recipe: ShardRecipe,
     clock: ClusterClock,
     /// Coordinator-side hybrid logical clock. Safety does not depend on
     /// frame-level convergence: every decision stamp is drawn *after*
@@ -837,38 +879,30 @@ impl Cluster {
         &self.config
     }
 
-    /// The router (workloads use it to place their partition keys).
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
     /// The 2PC coordinator.
     pub fn coordinator(&self) -> &TxnCoordinator {
         &self.coordinator
-    }
-
-    /// The transport in use.
-    pub fn transport(&self) -> &Arc<dyn ShardTransport> {
-        &self.transport
     }
 
     /// A shard's database (loaders write through it directly; crash and
     /// recovery tests drive `Database::prepare` by hand). Owned because
     /// failover can replace the shard behind the handle.
     pub fn shard(&self, index: usize) -> Arc<Database> {
-        Arc::clone(self.shards.read()[index].db())
+        Arc::clone(self.shards.read()[index].workers.db())
     }
 
     /// A shard's WAL device (crash/recovery tests). After a failover this
     /// is the promoted backup's log.
     pub fn shard_log(&self, index: usize) -> Arc<dyn LogDevice> {
-        Arc::clone(&self.shard_logs.read()[index])
+        Arc::clone(&self.shards.read()[index].log)
     }
 
     /// The replication group shipping `shard`'s WAL, if the cluster is
-    /// replicated and the shard has not been failed over.
+    /// replicated and the shard has not been failed over (read from the
+    /// shard's worker pool, which owns it).
     pub fn replication(&self, shard: usize) -> Option<Arc<ShardReplication>> {
-        self.replication.read().get(shard).cloned().flatten()
+        let shards = self.shards.read();
+        shards.get(shard)?.workers.replication().cloned()
     }
 
     /// A bounded-staleness read served by backup `replica` of `shard`:
@@ -888,13 +922,41 @@ impl Cluster {
         key: &Key,
         wait: Duration,
     ) -> CcResult<Option<Value>> {
-        let group = self.replication(shard).ok_or_else(|| {
-            tebaldi_cc::CcError::Internal(format!("shard {shard} is not replicated"))
-        })?;
-        let min_lsn = self.shard_logs.read()[shard].durable_len() as u64;
-        group
-            .follower_read(replica, key, min_lsn, wait)
-            .map_err(|stale| tebaldi_cc::CcError::Internal(stale.to_string()))
+        let mut values =
+            self.replica_read(shard, Some(replica), std::slice::from_ref(key), wait)?;
+        Ok(values.pop().flatten())
+    }
+
+    /// The one replica read: backup `replica` of `shard` — its most
+    /// caught-up backup when `None` — serves `keys` once it has applied
+    /// the primary's durable log as of this call, waiting up to `wait`;
+    /// a follower still behind then refuses with an error naming the LSN
+    /// gap.
+    fn replica_read(
+        &self,
+        shard: usize,
+        replica: Option<usize>,
+        keys: &[Key],
+        wait: Duration,
+    ) -> CcResult<Vec<Option<Value>>> {
+        let internal = tebaldi_cc::CcError::Internal;
+        let group = self
+            .replication(shard)
+            .ok_or_else(|| internal(format!("shard {shard} is not replicated")))?;
+        let min_lsn = self.shard_log(shard).durable_len() as u64;
+        let replica = match replica {
+            Some(replica) => replica,
+            None => (0..group.replica_count())
+                .max_by_key(|&index| group.acked_lsn(index))
+                .ok_or_else(|| internal(format!("shard {shard} has no backups")))?,
+        };
+        keys.iter()
+            .map(|key| {
+                group
+                    .follower_read(replica, key, min_lsn, wait)
+                    .map_err(|stale| internal(stale.to_string()))
+            })
+            .collect()
     }
 
     /// The consistency level default-consistency reads run at (from the
@@ -912,18 +974,17 @@ impl Cluster {
         keys: Vec<(u64, Key)>,
         consistency: ReadConsistency,
     ) -> CcResult<Vec<Option<Value>>> {
-        let (parts, order) = self.keyed_parts(&keys);
-        let flat = self.execute_read(parts, consistency)?;
-        let mut values = vec![None; keys.len()];
-        for (value, index) in flat.into_iter().zip(order) {
-            values[index] = value;
-        }
-        Ok(values)
+        self.read_keyed(&keys, |parts| self.execute_read(parts, consistency))
     }
 
-    /// Groups partition-keyed reads into per-shard [`ReadPart`]s plus the
-    /// flat-result-position → input-position mapping.
-    fn keyed_parts(&self, keys: &[(u64, Key)]) -> (Vec<ReadPart>, Vec<usize>) {
+    /// Groups partition-keyed reads into per-shard [`ReadPart`]s, reads
+    /// them through `read` (which returns the values flattened in part
+    /// order), and puts the values back in input order.
+    fn read_keyed(
+        &self,
+        keys: &[(u64, Key)],
+        read: impl FnOnce(Vec<ReadPart>) -> CcResult<Vec<Option<Value>>>,
+    ) -> CcResult<Vec<Option<Value>>> {
         let mut by_shard: BTreeMap<usize, (Vec<Key>, Vec<usize>)> = BTreeMap::new();
         for (index, &(partition_key, key)) in keys.iter().enumerate() {
             let entry = by_shard.entry(self.shard_of(partition_key)).or_default();
@@ -936,7 +997,11 @@ impl Cluster {
             parts.push(ReadPart::new(shard, keys));
             order.extend(indices);
         }
-        (parts, order)
+        let mut values = vec![None; keys.len()];
+        for (value, index) in read(parts)?.into_iter().zip(order) {
+            values[index] = value;
+        }
+        Ok(values)
     }
 
     /// Runs a multi-shard read at the requested consistency level.
@@ -970,7 +1035,12 @@ impl Cluster {
                 {
                     return self.snapshot_read_at(self.hlc.now(), parts);
                 }
-                self.bounded_read(&parts, max_lag)
+                let mut values = Vec::new();
+                for part in &parts {
+                    let read = self.replica_read(part.shard, None, &part.keys, max_lag)?;
+                    values.extend(read.into_iter().map(|value| value.and_then(present)));
+                }
+                Ok(values)
             }
         }
     }
@@ -987,29 +1057,24 @@ impl Cluster {
         }
     }
 
-    /// The vote-path read: one `KV_MULTI_GET` part per shard through the
-    /// regular execute/2PC machinery. Single-shard reads take the
-    /// single-shard fast path.
+    /// The vote-path read: one `KV_MULTI_GET` part per shard, run once
+    /// through [`Cluster::execute_multi_with_retry`] (a single part takes
+    /// the single-shard fast path).
     fn strong_read(&self, parts: Vec<ReadPart>) -> CcResult<Vec<Option<Value>>> {
         let call = ProcedureCall::new(crate::procs::KV_READ_TYPE);
-        let mut shard_parts = Vec::with_capacity(parts.len());
-        for part in &parts {
-            shard_parts.push(ShardPart::new(
-                part.shard,
-                call.clone(),
-                crate::procs::KV_MULTI_GET,
-                crate::procs::multi_get_args(&part.keys),
-            ));
-        }
-        let results = if shard_parts.len() == 1 {
-            let part = shard_parts.pop().expect("one part");
-            vec![
-                self.execute_single(part.shard, part.proc, &part.call, part.args, 1)?
-                    .0,
-            ]
-        } else {
-            self.execute_multi(shard_parts)?
-        };
+        let (results, _) = self.execute_multi_with_retry(1, || {
+            parts
+                .iter()
+                .map(|part| {
+                    ShardPart::new(
+                        part.shard,
+                        call.clone(),
+                        crate::procs::KV_MULTI_GET,
+                        crate::procs::multi_get_args(&part.keys),
+                    )
+                })
+                .collect()
+        })?;
         let mut values = Vec::new();
         for result in &results {
             values.extend(crate::procs::decode_multi_get(result)?);
@@ -1026,49 +1091,27 @@ impl Cluster {
         parts: Vec<ReadPart>,
     ) -> CcResult<Vec<Option<Value>>> {
         let wait_ms = self.config.prepare_timeout_ms;
-        // Single-shard hop on an inline transport: run the read on the
-        // calling thread. A snapshot read takes no locks and writes
-        // nothing, so it needs no worker; skipping the mailbox round-trip
-        // matters because the multi-hop read profiles (look up the order,
-        // then its lines) pay it once per hop. Only inline transports
-        // qualify — the generic `call` waits unboundedly on a ticket a
-        // faulty transport may drop.
-        if parts.len() == 1 && self.transport.call_is_inline() {
-            let part = &parts[0];
-            let (shard_values, hlc) = self
-                .transport
-                .call(
-                    part.shard,
-                    ShardRequest::SnapshotRead {
-                        snapshot,
-                        wait_ms,
-                        keys: part.keys.clone(),
-                    },
-                )
-                .and_then(|reply| reply.into_snapshot())?;
-            self.hlc.observe(hlc);
-            return Ok(shard_values
-                .into_iter()
-                .map(|value| {
-                    if value == Value::Null {
-                        None
-                    } else {
-                        Some(value)
-                    }
-                })
-                .collect());
-        }
+        // A single-shard hop on an inline transport runs on the calling
+        // thread and enters the drain below as a ready ticket. A snapshot
+        // read takes no locks and writes nothing, so it needs no worker;
+        // skipping the mailbox round-trip matters because the multi-hop
+        // read profiles (look up the order, then its lines) pay it once
+        // per hop. Only inline transports qualify — the generic `call`
+        // waits unboundedly on a ticket a faulty transport may drop.
+        let inline = parts.len() == 1 && self.transport.call_is_inline();
         let tickets: Vec<Ticket<ShardResult>> = parts
-            .iter()
+            .into_iter()
             .map(|part| {
-                self.transport.submit(
-                    part.shard,
-                    ShardRequest::SnapshotRead {
-                        snapshot,
-                        wait_ms,
-                        keys: part.keys.clone(),
-                    },
-                )
+                let request = ShardRequest::SnapshotRead {
+                    snapshot,
+                    wait_ms,
+                    keys: part.keys,
+                };
+                if inline {
+                    Ticket::ready(self.transport.call(part.shard, request))
+                } else {
+                    self.transport.submit(part.shard, request)
+                }
             })
             .collect();
         // The shard itself may spend up to `wait_ms` waiting out an
@@ -1083,22 +1126,14 @@ impl Cluster {
             // slot until the transport times it out.
             match ticket
                 .wait_timeout(timeout)
-                .map(|r| r.and_then(|r| r.into_snapshot()))
+                .and_then(|reply| reply?.into_snapshot())
             {
-                Ok(Ok((shard_values, hlc))) => {
+                Ok((shard_values, hlc)) => {
                     self.hlc.observe(hlc);
-                    values.extend(shard_values.into_iter().map(|value| {
-                        if value == Value::Null {
-                            None
-                        } else {
-                            Some(value)
-                        }
-                    }));
+                    values.extend(shard_values.into_iter().map(present));
                 }
-                Ok(Err(err)) | Err(err) => {
-                    if failure.is_none() {
-                        failure = Some(err);
-                    }
+                Err(err) => {
+                    failure.get_or_insert(err);
                 }
             }
         }
@@ -1108,41 +1143,15 @@ impl Cluster {
         }
     }
 
-    /// The follower-read fan-out behind
-    /// [`ReadConsistency::BoundedStaleness`]: each shard's most caught-up
-    /// replica serves its keys once it proves it holds the primary's
-    /// durable prefix as of this call.
-    fn bounded_read(&self, parts: &[ReadPart], max_lag: Duration) -> CcResult<Vec<Option<Value>>> {
-        let mut values = Vec::new();
-        for part in parts {
-            let group = self
-                .replication(part.shard)
-                .expect("caller checked every shard is replicated");
-            let replica = (0..group.replica_count())
-                .max_by_key(|&index| group.acked_lsn(index))
-                .ok_or_else(|| {
-                    tebaldi_cc::CcError::Internal(format!("shard {} has no backups", part.shard))
-                })?;
-            let min_lsn = self.shard_logs.read()[part.shard].durable_len() as u64;
-            for key in &part.keys {
-                let value = group
-                    .follower_read(replica, key, min_lsn, max_lag)
-                    .map_err(|stale| tebaldi_cc::CcError::Internal(stale.to_string()))?;
-                // Normalize tombstones to absence, matching the other
-                // consistency levels.
-                values.push(value.filter(|value| *value != Value::Null));
-            }
-        }
-        Ok(values)
-    }
-
     /// Fails `shard` over to its most caught-up backup: stops the old
     /// primary's worker pool, seals and recovers the follower's log
     /// (resolving in-doubt prepares against the coordinator's durable
-    /// decision log — presumed abort without a commit decision), rebases
-    /// the timestamp oracle past the recovered high-water mark, spawns a
-    /// fresh worker pool + TCP server loop over the recovered store, and
-    /// repoints the transport. Requires an addressed transport (TCP); the
+    /// decision log — presumed abort without a commit decision), opens the
+    /// recovered store through the same shard opener the builder uses
+    /// (which advances its timestamp oracle, txn ids and HLC past the
+    /// recovered high-water marks), starts a TCP server loop in front of
+    /// it, repoints the transport, and swaps the shard's one slot — pool,
+    /// log and server together. Requires an addressed transport (TCP); the
     /// in-process transport holds direct worker handles and cannot
     /// repoint. The old primary's WAL is untouched — rejoin it with
     /// [`crate::replication::truncate_divergent_suffix`].
@@ -1170,11 +1179,9 @@ impl Cluster {
             .ok_or_else(|| format!("shard {shard} has no backups"))?;
 
         // Stop the failed primary (idempotent if it already crashed).
-        {
-            let shards = self.shards.read();
-            shards[shard].shutdown();
-            shards[shard].db().shutdown();
-        }
+        let old = Arc::clone(&self.shards.read()[shard].workers);
+        old.shutdown();
+        old.db().shutdown();
 
         let follower_log: Arc<dyn LogDevice> = group.promote(best)?;
         group.shutdown();
@@ -1212,43 +1219,13 @@ impl Cluster {
             decisions = latest;
         };
 
-        let shard_metrics = Arc::new(if self.metrics.is_enabled() {
-            MetricsRegistry::new()
-        } else {
-            MetricsRegistry::disabled()
-        });
-        // The promoted primary carries the failover count so the shard's
-        // metrics reply reports it.
-        shard_metrics.counter("replication.failovers").inc();
-        let db = Arc::new(
-            Database::builder(self.config.db_config.clone())
-                .procedures(self.procedures.clone())
-                .cc_spec(self.spec.clone())
-                .metrics(shard_metrics)
-                .log_device(Arc::clone(&follower_log))
-                .store(store)
-                .build()?,
-        );
-        // A fresh database starts its timestamp oracle and txn-id
-        // allocator at zero; new commits must order above every recovered
-        // version, and new records appended to the inherited log must not
-        // reuse txn ids the shipped prefix already holds (a collision
-        // would corrupt the next replay of this log).
-        db.oracle().advance_past(report.max_commit_ts);
-        db.advance_txn_ids_past(report.max_txn_id);
-        // The HLC re-bases alongside the other generators: new commits must
-        // stamp above every recovered stamp, or a snapshot read could see a
-        // post-failover commit ordered below a pre-failover one.
-        db.hlc().advance_past(report.max_hlc);
-
-        let workers = ShardWorkers::spawn(
+        let workers = self.recipe.open(
+            &self.config,
             shard,
-            db,
-            self.config.workers_per_shard,
-            Arc::clone(&self.proc_registry),
-            self.config.max_inflight_per_shard,
+            &follower_log,
             None,
-        );
+            Some((store, &report)),
+        )?;
         let server = TcpShardServer::spawn(
             shard,
             Arc::clone(&workers),
@@ -1264,10 +1241,11 @@ impl Cluster {
             );
         }
 
-        self.shards.write()[shard] = workers;
-        self.shard_logs.write()[shard] = follower_log;
-        self.replication.write()[shard] = None;
-        self.promoted_servers.lock().push(server);
+        self.shards.write()[shard] = ShardSlot {
+            workers,
+            log: follower_log,
+            server: Some(server),
+        };
         Ok(report)
     }
 
@@ -1373,16 +1351,14 @@ impl Cluster {
     /// finalize step either — the outcome is already durable and the
     /// straggler resolves it on recovery. Returns the parts' results in
     /// submission order.
+    ///
+    /// This is a batch of one through the same 2PC driver as
+    /// [`execute_multi_batch_declared`](Cluster::execute_multi_batch_declared),
+    /// without the batch's wave schedule and counters.
     pub fn execute_multi(&self, parts: Vec<ShardPart>) -> CcResult<Vec<Value>> {
-        let trace = self.next_trace();
-        let started = trace.is_sampled().then(obs::now_ns);
-        let global = self.begin_phase_one(&parts)?;
-        let tickets = self.submit_phase_one(global, parts, trace);
-        let result = self.collect_and_decide(global, tickets, trace);
-        if let Some(start) = started {
-            obs::maybe_dump_slow(trace, obs::now_ns().saturating_sub(start));
-        }
-        result
+        self.run_two_phase(vec![parts])
+            .pop()
+            .expect("one result per transaction")
     }
 
     /// Overlaps phase one across a whole batch of multi-shard
@@ -1454,45 +1430,19 @@ impl Cluster {
         }
         let n_waves = wave.iter().max().map_or(0, |w| w + 1);
 
-        // Execute wave by wave. Within a wave: submit every phase one,
-        // then collect and decide — the same two-stage overlap as the
-        // undeclared path. Between waves: a barrier, so a deferred
-        // transaction only starts once its conflicting predecessors have
-        // released their write intents (committed or aborted).
+        // Execute wave by wave, each wave one run of the 2PC driver. Between
+        // waves: a barrier, so a deferred transaction only starts once its
+        // conflicting predecessors have released their write intents
+        // (committed or aborted).
         let mut results: Vec<Option<CcResult<Vec<Value>>>> = batch.iter().map(|_| None).collect();
-        let mut remaining: Vec<Option<BatchTxn>> = batch.into_iter().map(Some).collect();
-        // One staged phase-one submission: (global txn id, per-shard vote
-        // tickets, trace context, start ns).
-        type Staged = CcResult<(u64, VoteTickets, TraceCtx, u64)>;
-        for current in 0..n_waves {
-            let mut staged: Vec<(usize, Staged)> = Vec::new();
-            for (j, slot) in remaining.iter_mut().enumerate() {
-                if wave[j] != current {
-                    continue;
-                }
-                let txn = slot
-                    .take()
-                    .expect("each transaction runs in exactly one wave");
-                let trace = self.next_trace();
-                let started = if trace.is_sampled() { obs::now_ns() } else { 0 };
-                let stage = self.begin_phase_one(&txn.parts).map(|global| {
-                    (
-                        global,
-                        self.submit_phase_one(global, txn.parts, trace),
-                        trace,
-                        started,
-                    )
-                });
-                staged.push((j, stage));
-            }
-            for (j, stage) in staged {
-                let result = stage.and_then(|(global, tickets, trace, started)| {
-                    let result = self.collect_and_decide(global, tickets, trace);
-                    if trace.is_sampled() {
-                        obs::maybe_dump_slow(trace, obs::now_ns().saturating_sub(started));
-                    }
-                    result
-                });
+        let mut waves: Vec<(Vec<usize>, Vec<Vec<ShardPart>>)> =
+            (0..n_waves).map(|_| Default::default()).collect();
+        for (j, txn) in batch.into_iter().enumerate() {
+            waves[wave[j]].0.push(j);
+            waves[wave[j]].1.push(txn.parts);
+        }
+        for (members, txns) in waves {
+            for (j, result) in members.into_iter().zip(self.run_two_phase(txns)) {
                 if result.is_err() {
                     self.batch_aborts.inc();
                 }
@@ -1502,6 +1452,36 @@ impl Cluster {
         results
             .into_iter()
             .map(|r| r.expect("every transaction was assigned to a wave"))
+            .collect()
+    }
+
+    /// The one 2PC driver behind [`execute_multi`](Cluster::execute_multi)
+    /// (a run of one) and each wave of
+    /// [`execute_multi_batch_declared`](Cluster::execute_multi_batch_declared):
+    /// submits every transaction's phase one before collecting any vote,
+    /// then collects and decides each transaction on its own. Returns one
+    /// result per transaction, in input order.
+    fn run_two_phase(&self, txns: Vec<Vec<ShardPart>>) -> Vec<CcResult<Vec<Value>>> {
+        let staged: Vec<_> = txns
+            .into_iter()
+            .map(|parts| {
+                let trace = self.next_trace();
+                let started = trace.is_sampled().then(obs::now_ns);
+                let global = self.begin_phase_one(&parts)?;
+                let tickets = self.submit_phase_one(global, parts, trace);
+                Ok((global, tickets, trace, started))
+            })
+            .collect();
+        staged
+            .into_iter()
+            .map(|stage: CcResult<_>| {
+                let (global, tickets, trace, started) = stage?;
+                let result = self.collect_and_decide(global, tickets, trace);
+                if let Some(start) = started {
+                    obs::maybe_dump_slow(trace, obs::now_ns().saturating_sub(start));
+                }
+                result
+            })
             .collect()
     }
 
@@ -1862,25 +1842,27 @@ impl Cluster {
 
     /// Number of prepared transactions currently in doubt across shards.
     pub fn in_doubt_count(&self) -> usize {
-        self.shards.read().iter().map(|s| s.in_doubt_count()).sum()
+        self.shards
+            .read()
+            .iter()
+            .map(|slot| slot.workers.in_doubt_count())
+            .sum()
     }
 
-    /// Stops the transport, worker pools, replication groups, and every
-    /// shard.
+    /// Stops the transport, then each shard: its failover server, worker
+    /// pool, replication group and database.
     pub fn shutdown(&self) {
         self.transport.shutdown();
-        for server in self.promoted_servers.lock().iter() {
-            server.shutdown();
-        }
-        let shards = self.shards.read().clone();
-        for shard in &shards {
-            shard.shutdown();
-        }
-        for group in self.replication.read().iter().flatten() {
-            group.shutdown();
-        }
-        for shard in &shards {
-            shard.db().shutdown();
+        let slots = self.shards.read().clone();
+        for slot in &slots {
+            if let Some(server) = &slot.server {
+                server.shutdown();
+            }
+            slot.workers.shutdown();
+            if let Some(group) = slot.workers.replication() {
+                group.shutdown();
+            }
+            slot.workers.db().shutdown();
         }
     }
 }
@@ -1916,13 +1898,7 @@ impl SnapshotHandle<'_> {
     /// Reads partition-keyed `keys` as of the pinned stamp, values in
     /// input order.
     pub fn read_keyed(&self, keys: Vec<(u64, Key)>) -> CcResult<Vec<Option<Value>>> {
-        let (parts, order) = self.cluster.keyed_parts(&keys);
-        let flat = self.read(parts)?;
-        let mut values = vec![None; keys.len()];
-        for (value, index) in flat.into_iter().zip(order) {
-            values[index] = value;
-        }
-        Ok(values)
+        self.cluster.read_keyed(&keys, |parts| self.read(parts))
     }
 }
 
@@ -1930,8 +1906,9 @@ impl SnapshotHandle<'_> {
 /// transactions against the coordinator's decision log: a prepared global
 /// id commits iff the decision log holds a durable commit decision for it
 /// (presumed abort otherwise). Returns one `(store, report)` per shard, in
-/// shard order; reopen them with
-/// [`ClusterBuilder::stores`].
+/// shard order, for inspection: a cluster reopens a recovered store only
+/// through failover ([`Cluster::promote_backup`]), which also advances the
+/// store's timestamp oracle, txn ids and HLC past what it recovered.
 pub fn recover_cluster(
     shard_logs: &[Arc<dyn LogDevice>],
     decision_log: &dyn LogDevice,
@@ -2968,5 +2945,86 @@ mod tests {
         assert_eq!(values, vec![Value::Int(17)]);
         assert_eq!(aborts, 0);
         assert_eq!(balance(&cluster, 1), 17);
+    }
+
+    /// `execute_multi` is a batch of one through the batch's 2PC driver:
+    /// the same parts add the same `cluster.multi_shard` and
+    /// `cluster.read_only_votes` either way, and only the batch entry
+    /// point counts a failed transaction as a batch abort.
+    #[test]
+    fn execute_multi_is_a_batch_of_one_without_the_batch_counters() {
+        let cluster = cluster(2);
+        cluster.load(1, account_key(1), Value::Int(100));
+        cluster.load(2, account_key(2), Value::Int(100));
+        let count = |name: &str| cluster.metrics().counter(name).unwrap_or(0);
+        let votes = || {
+            (
+                count("cluster.multi_shard"),
+                count("cluster.read_only_votes"),
+            )
+        };
+        let parts = || {
+            vec![
+                procs::increment_part(
+                    cluster.shard_of(1),
+                    ProcedureCall::new(TY),
+                    account_key(1),
+                    0,
+                    5,
+                ),
+                procs::get_part(cluster.shard_of(2), ProcedureCall::new(TY), account_key(2)),
+            ]
+        };
+
+        let before = votes();
+        assert_eq!(
+            cluster.execute_multi(parts()).unwrap(),
+            vec![Value::Int(105), Value::Int(100)]
+        );
+        let after_single = votes();
+        let batched = cluster.execute_multi_batch_declared(vec![BatchTxn::undeclared(parts())]);
+        assert_eq!(
+            batched.into_iter().next().unwrap().unwrap(),
+            vec![Value::Int(110), Value::Int(100)]
+        );
+        let after_batch = votes();
+        let single = (after_single.0 - before.0, after_single.1 - before.1);
+        assert_eq!(single, (1, 1));
+        assert_eq!(
+            (
+                after_batch.0 - after_single.0,
+                after_batch.1 - after_single.1
+            ),
+            single
+        );
+
+        let poisoned = || {
+            vec![
+                procs::increment_part(
+                    cluster.shard_of(1),
+                    ProcedureCall::new(TY),
+                    account_key(1),
+                    0,
+                    -30,
+                ),
+                ShardPart::new(
+                    cluster.shard_of(2),
+                    ProcedureCall::new(TY),
+                    POISON,
+                    procs::key_args(account_key(2)),
+                ),
+            ]
+        };
+        assert!(cluster.execute_multi(poisoned()).is_err());
+        assert_eq!(count("cluster.batch_aborts"), 0);
+        let batched = cluster.execute_multi_batch_declared(vec![BatchTxn::undeclared(poisoned())]);
+        assert!(batched[0].is_err());
+        assert_eq!(count("cluster.batch_aborts"), 1);
+        assert_eq!(
+            balance(&cluster, 1),
+            110,
+            "both poisoned debits rolled back"
+        );
+        assert_eq!(cluster.in_doubt_count(), 0);
     }
 }

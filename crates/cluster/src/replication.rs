@@ -40,12 +40,12 @@
 //!
 //! Followers materialize a read snapshot from their shipped log via the
 //! standard recovery replay ([`recover_with_resolver`]) and serve
-//! bounded-staleness reads and read-only participant votes: a follower
-//! whose applied LSN is behind the caller's minimum refuses (or waits out)
-//! the read rather than serving a snapshot it cannot justify. Because the
-//! primary ships only *durable* records in order, sealing the epochs a
-//! follower holds before replay is exactly as safe as the primary's own
-//! group-commit ack discipline.
+//! bounded-staleness reads (participant votes always come from the
+//! primary): a follower whose applied LSN is behind the caller's minimum
+//! waits it out, then refuses the read rather than serve a snapshot it
+//! cannot justify. Because the primary ships only *durable* records in
+//! order, sealing the epochs a follower holds before replay is exactly as
+//! safe as the primary's own group-commit ack discipline.
 //!
 //! Failover: [`ShardReplication::promote`] stops shipping and hands back
 //! the chosen backup's log (sealed) for the cluster to recover a fresh
@@ -702,44 +702,20 @@ impl ShardReplication {
         min_lsn: u64,
         wait: Duration,
     ) -> Result<Option<Value>, StaleFollower> {
-        let applied = self.follower_vote_gate(index, min_lsn, wait)?;
-        let node = &self.replicas[index];
-        let (_lsn, store) = node.snapshot();
-        self.follower_reads.inc();
-        let _ = applied;
-        Ok(store.read_visible(key, ReadSpec::LatestCommitted))
-    }
-
-    /// The staleness gate behind a follower-served read-only participant
-    /// vote: succeeds (returning the follower's applied LSN, its vote
-    /// serialization point) only once the follower has applied at least
-    /// `min_lsn`. A refused vote falls back to the primary — the
-    /// ReadOnly-vote-serializes-at-vote-time contract is preserved
-    /// because the follower votes only on a prefix it actually holds.
-    pub fn follower_vote_gate(
-        &self,
-        index: usize,
-        min_lsn: u64,
-        wait: Duration,
-    ) -> Result<u64, StaleFollower> {
-        let node = match self.replicas.get(index) {
-            Some(node) => node,
-            None => {
-                self.follower_read_refusals.inc();
-                return Err(StaleFollower {
-                    applied: 0,
-                    required: min_lsn,
-                });
+        let refuse = |applied| {
+            self.follower_read_refusals.inc();
+            StaleFollower {
+                applied,
+                required: min_lsn,
             }
         };
+        let node = self.replicas.get(index).ok_or_else(|| refuse(0))?;
         if !node.wait_applied(min_lsn, wait) {
-            self.follower_read_refusals.inc();
-            return Err(StaleFollower {
-                applied: node.applied_lsn(),
-                required: min_lsn,
-            });
+            return Err(refuse(node.applied_lsn()));
         }
-        Ok(node.applied_lsn())
+        let (_lsn, store) = node.snapshot();
+        self.follower_reads.inc();
+        Ok(store.read_visible(key, ReadSpec::LatestCommitted))
     }
 
     /// Stops shipping and the replica listeners, then hands back the

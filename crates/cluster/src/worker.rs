@@ -421,6 +421,11 @@ impl ShardWorkers {
         &self.registry
     }
 
+    /// The replication group shipping this shard's WAL, when it has one.
+    pub(crate) fn replication(&self) -> Option<&Arc<ShardReplication>> {
+        self.replication.as_ref()
+    }
+
     /// Number of prepared transactions currently awaiting a decision.
     pub fn in_doubt_count(&self) -> usize {
         self.globals.lock().in_doubt.len()

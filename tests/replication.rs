@@ -7,11 +7,9 @@
 //!   acknowledged only after `quorum` backups have durably acknowledged
 //!   every WAL record the commit hardened, so losing the primary's WAL
 //!   after an ack loses nothing.
-//! * **bounded staleness** — a follower read (and a follower's read-only
-//!   vote) names the LSN it requires; a follower behind that LSN must
-//!   catch up within the wait budget or refuse. This preserves the
-//!   ReadOnly-vote-serializes-at-vote-time contract: a follower never
-//!   votes on state it does not actually hold.
+//! * **bounded staleness** — a follower read names the LSN it requires;
+//!   a follower behind that LSN must catch up within the wait budget or
+//!   refuse, so a follower never serves state it does not actually hold.
 //! * **promotion** — failing a shard over to its backup recovers every
 //!   acknowledged write from the shipped log, resumes traffic on the
 //!   same cluster object, and leaves the old primary's log a truncatable
@@ -22,13 +20,13 @@ use std::time::{Duration, Instant};
 use tebaldi_suite::cc::{AccessMode, CcKind, CcTreeSpec, ProcedureInfo, ProcedureSet};
 use tebaldi_suite::cluster::procs;
 use tebaldi_suite::cluster::{
-    truncate_divergent_suffix, Cluster, ClusterBuilder, ClusterConfig, ReplicationConfig,
-    ShardReplication, TransportKind,
+    truncate_divergent_suffix, Cluster, ClusterBuilder, ClusterConfig, ReadConsistency,
+    ReplicationConfig, ShardReplication, TransportKind,
 };
 use tebaldi_suite::core::{DurabilityMode, ProcedureCall};
 use tebaldi_suite::obs::MetricsRegistry;
 use tebaldi_suite::storage::wal::{LogDevice, LogRecord, MemLogDevice};
-use tebaldi_suite::storage::{Key, TableId, TxnId, TxnTypeId};
+use tebaldi_suite::storage::{Key, TableId, TxnId, TxnTypeId, Value};
 
 const TABLE: TableId = TableId(0);
 const TY: TxnTypeId = TxnTypeId(0);
@@ -201,8 +199,10 @@ fn flush_then_wait_quorum_never_sits_out_a_lost_wakeup() {
     group.shutdown();
 }
 
-/// A follower behind the required LSN refuses both reads and read-only
-/// votes until it catches up; resuming shipping heals it.
+/// A follower behind the required LSN refuses reads, through the group
+/// and through the cluster, until it catches up; resuming shipping heals
+/// it. Participant votes, read-only ones too, always come from the
+/// primary.
 #[test]
 fn stale_follower_refuses_reads_and_votes_until_caught_up() {
     let mut config = ClusterConfig::for_tests(1);
@@ -225,24 +225,24 @@ fn stale_follower_refuses_reads_and_votes_until_caught_up() {
     assert_eq!(increment(&cluster, 7, 1), 2);
     let required = cluster.shard_log(0).durable_len() as u64;
 
-    // The follower holds a stale prefix: the read-only vote gate must
-    // refuse rather than vote on state it does not hold (the vote would
-    // otherwise claim to serialize at an LSN the follower never saw).
+    // The follower holds a stale prefix: its catch-up wait must refuse
+    // rather than serve state it does not hold (the read would otherwise
+    // claim the durable prefix at an LSN the follower never saw).
     let refused = group
-        .follower_vote_gate(0, required, Duration::from_millis(50))
-        .expect_err("stale follower must refuse the vote");
+        .follower_read(0, &key(7), required, Duration::from_millis(50))
+        .expect_err("stale follower must refuse the read");
     assert!(refused.applied < refused.required);
     assert!(cluster
         .follower_read(0, 0, &key(7), Duration::from_millis(50))
         .is_err());
 
-    // Shipping resumes: the same gate admits the vote and the read sees
-    // the post-pause value.
+    // Shipping resumes: the same wait admits the read, the follower has
+    // applied the required prefix, and the read sees the post-pause value.
     group.set_paused(false);
-    let applied = group
-        .follower_vote_gate(0, required, Duration::from_secs(5))
-        .expect("caught-up follower votes");
-    assert!(applied >= required);
+    group
+        .follower_read(0, &key(7), required, Duration::from_secs(5))
+        .expect("caught-up follower reads");
+    assert!(group.replica(0).expect("one backup").applied_lsn() >= required);
     let value = cluster
         .follower_read(0, 0, &key(7), Duration::from_secs(5))
         .expect("caught-up follower reads");
@@ -289,6 +289,7 @@ fn promote_backup_preserves_acked_writes_and_resumes_traffic() {
     let group = cluster.replication(0).expect("shard 0 is replicated");
     let replicated = group.replicated_len();
     assert!(replicated > 0);
+    let backup_log = group.replica(0).expect("one backup").log();
 
     let report = cluster.promote_backup(0).expect("promotion succeeds");
     assert!(report.recovered_txns >= 2, "acked commits must recover");
@@ -303,6 +304,33 @@ fn promote_backup_preserves_acked_writes_and_resumes_traffic() {
     assert_eq!(increment(&cluster, a, 0), 10);
     assert_eq!(increment(&cluster, b, 0), 20);
     assert_eq!(increment(&cluster, other, 0), 30, "untouched shard intact");
+    assert!(
+        std::ptr::addr_eq(Arc::as_ptr(&cluster.shard_log(0)), Arc::as_ptr(&backup_log)),
+        "after the failover the shard's log is the promoted backup's"
+    );
+
+    // Without a replication group the promoted shard answers a
+    // `BoundedStaleness` read from its snapshot path, exactly as a
+    // `Snapshot` read.
+    let keys = vec![(a, key(a)), (b, key(b))];
+    let served_before = cluster.stats().snapshot_reads;
+    let bounded = cluster
+        .read(
+            keys.clone(),
+            ReadConsistency::BoundedStaleness {
+                max_lag: Duration::from_millis(500),
+            },
+        )
+        .expect("a bounded read of a failed-over shard falls back");
+    assert!(
+        cluster.stats().snapshot_reads > served_before,
+        "the fallback is served by the shard's snapshot path"
+    );
+    assert_eq!(bounded, vec![Some(Value::Int(10)), Some(Value::Int(20))]);
+    let snapshot = cluster
+        .read(keys, ReadConsistency::Snapshot)
+        .expect("snapshot read");
+    assert_eq!(bounded, snapshot);
 
     // New work commits on the promoted primary and orders above the
     // recovered versions.
