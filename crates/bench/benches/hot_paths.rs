@@ -38,7 +38,9 @@ fn bench_storage(c: &mut Criterion) {
 /// in a store holding 64 k and 4 M keys shaped like TPC-C order lines: the
 /// directory doubles with the key count, so the two should differ by what
 /// the cache misses cost and nothing else. Keys are visited in a scrambled
-/// order so neither case is served from a warm line.
+/// order so neither case is served from a warm line. `4M_keys_batch16` reads
+/// the 4 M store's keys sixteen to a call through
+/// `MvStore::read_snapshot_hlc` and reports the time per key.
 fn bench_store_lookup(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_lookup");
     for (name, orders) in [("64k_keys", 160u32), ("4M_keys", 10_000)] {
@@ -60,6 +62,28 @@ fn bench_store_lookup(c: &mut Criterion) {
                 store.with_chain(&keys[i], |chain| chain.len())
             });
         });
+        if name == "4M_keys" {
+            // The same lookups, sixteen at a time through the batched
+            // snapshot read (one prefetching pass), timed per key.
+            group.bench_function("4M_keys_batch16", |b| {
+                let mut i = 0usize;
+                let mut batch = [keys[0]; 16];
+                let mut reads = Vec::with_capacity(batch.len());
+                b.iter_custom(|iters| {
+                    let started = std::time::Instant::now();
+                    for _ in 0..iters {
+                        for key in &mut batch {
+                            i = (i + 7_919) % keys.len();
+                            *key = keys[i];
+                        }
+                        reads.clear();
+                        store.read_snapshot_hlc(&batch, u64::MAX, &mut reads);
+                        criterion::black_box(&reads);
+                    }
+                    started.elapsed() / batch.len() as u32
+                });
+            });
+        }
     }
     group.finish();
 }

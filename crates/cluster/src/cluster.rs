@@ -950,13 +950,9 @@ impl Cluster {
                 .max_by_key(|&index| group.acked_lsn(index))
                 .ok_or_else(|| internal(format!("shard {shard} has no backups")))?,
         };
-        keys.iter()
-            .map(|key| {
-                group
-                    .follower_read(replica, key, min_lsn, wait)
-                    .map_err(|stale| internal(stale.to_string()))
-            })
-            .collect()
+        group
+            .follower_read(replica, keys, min_lsn, wait)
+            .map_err(|stale| internal(stale.to_string()))
     }
 
     /// The consistency level default-consistency reads run at (from the

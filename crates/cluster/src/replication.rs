@@ -67,7 +67,7 @@ use tebaldi_obs::{Counter, MaxGauge, MetricsRegistry};
 use tebaldi_storage::codec::{ByteReader, ByteWriter, CodecResult};
 use tebaldi_storage::recovery::recover_with_resolver;
 use tebaldi_storage::wal::{LogDevice, LogRecord, MemLogDevice};
-use tebaldi_storage::{Key, MvStore, ReadSpec, Value};
+use tebaldi_storage::{Key, MvStore, Value};
 
 /// A shipped frame is full at this many records or [`SHIP_FRAME_BYTES`],
 /// whichever comes first: small enough that several fit the in-flight
@@ -691,17 +691,19 @@ impl ShardReplication {
         self.ship_cv.notify_all();
     }
 
-    /// A bounded-staleness read served by the replica at `index`: waits
-    /// up to `wait` for the follower to reach `min_lsn`, then reads the
-    /// latest committed version from its materialized snapshot. Refuses
-    /// with [`StaleFollower`] if the follower cannot catch up in time.
+    /// A bounded-staleness read of `keys` served by the replica at
+    /// `index`: waits once, up to `wait`, for the follower to reach
+    /// `min_lsn`, then reads each key's latest committed version from its
+    /// materialized snapshot in one pass ([`MvStore::read_many`]), a
+    /// delete reading as `None`. Answers in input order. Refuses with
+    /// [`StaleFollower`] if the follower cannot catch up in time.
     pub fn follower_read(
         &self,
         index: usize,
-        key: &Key,
+        keys: &[Key],
         min_lsn: u64,
         wait: Duration,
-    ) -> Result<Option<Value>, StaleFollower> {
+    ) -> Result<Vec<Option<Value>>, StaleFollower> {
         let refuse = |applied| {
             self.follower_read_refusals.inc();
             StaleFollower {
@@ -714,8 +716,13 @@ impl ShardReplication {
             return Err(refuse(node.applied_lsn()));
         }
         let (_lsn, store) = node.snapshot();
-        self.follower_reads.inc();
-        Ok(store.read_visible(key, ReadSpec::LatestCommitted))
+        self.follower_reads.add(keys.len() as u64);
+        let mut values = Vec::with_capacity(keys.len());
+        store.read_many(keys, &mut values, |chain| {
+            let latest = chain.latest_committed()?;
+            (!latest.value.is_null()).then(|| latest.value.clone())
+        });
+        Ok(values)
     }
 
     /// Stops shipping and the replica listeners, then hands back the
@@ -965,7 +972,7 @@ pub fn truncate_divergent_suffix(device: &dyn LogDevice, replicated_len: usize) 
 mod tests {
     use super::*;
     use tebaldi_storage::schema::TableId;
-    use tebaldi_storage::{Timestamp, TxnId};
+    use tebaldi_storage::{ReadSpec, Timestamp, TxnId};
 
     fn committed_write(txn: u64, id: u64, value: i64, epoch: u64) -> Vec<LogRecord> {
         vec![
@@ -1280,16 +1287,20 @@ mod tests {
         log.flush();
         assert!(repl.sync(), "both replicas must ack before the batch acks");
         assert_eq!(repl.quorum_lsn(), log.durable_len() as u64);
-        let value = repl
+        let values = repl
             .follower_read(
                 0,
-                &Key::simple(TableId(1), 5),
+                &[Key::simple(TableId(1), 5), Key::simple(TableId(1), 6)],
                 log.durable_len() as u64,
                 Duration::from_secs(1),
             )
             .unwrap();
-        assert_eq!(value, Some(Value::Int(50)));
-        assert!(reg.counter("replication.follower_reads").get() >= 1);
+        assert_eq!(values, vec![Some(Value::Int(50)), None]);
+        assert_eq!(
+            reg.counter("replication.follower_reads").get(),
+            2,
+            "follower reads count keys"
+        );
         assert!(reg.counter("replication.shipped_records").get() >= 2);
         repl.shutdown();
     }
@@ -1317,7 +1328,7 @@ mod tests {
         }
         log.flush();
         let want = log.durable_len() as u64;
-        let refused = repl.follower_read(0, &Key::simple(TableId(1), 8), want, Duration::ZERO);
+        let refused = repl.follower_read(0, &[Key::simple(TableId(1), 8)], want, Duration::ZERO);
         assert_eq!(
             refused,
             Err(StaleFollower {
@@ -1328,10 +1339,15 @@ mod tests {
         assert!(!repl.sync(), "paused shipping must time the quorum out");
         assert_eq!(reg.counter("replication.acks_timed_out").get(), 1);
         repl.set_paused(false);
-        let value = repl
-            .follower_read(0, &Key::simple(TableId(1), 8), want, Duration::from_secs(2))
+        let values = repl
+            .follower_read(
+                0,
+                &[Key::simple(TableId(1), 8)],
+                want,
+                Duration::from_secs(2),
+            )
             .unwrap();
-        assert_eq!(value, Some(Value::Int(80)));
+        assert_eq!(values, vec![Some(Value::Int(80))]);
         repl.shutdown();
     }
 

@@ -90,6 +90,20 @@
 //! ends or the read's `wait_ms` budget runs out. A writer's end is marked
 //! only after its versions were committed or removed, so the wake-up and
 //! the re-read that follows cannot miss the resolution. Nothing polls.
+//!
+//! A multi-key read first reads every key in one batched pass through the
+//! store ([`MvStore::read_snapshot_hlc`](tebaldi_storage::MvStore::read_snapshot_hlc)),
+//! then parks on the writer of each key the pass found blocked, in key
+//! order, and re-reads that key alone. Reading later keys before an
+//! earlier key's writer has ended is safe because each key's answer at
+//! `h` is fixed on its own once `h` is observed into the shard clock: a
+//! local commit then stamps above `h`, and a 2PC writer that installs a
+//! version after the observe draws its vote clock after that install, so
+//! its decision stamp lands above `h` too. The only versions that can
+//! still appear at or below `h` are those of writers already on the chain
+//! when the pass reads it, and the pass reports a key blocked whenever
+//! such a writer sits above the version it would answer. So a key read
+//! early gets the answer it would get read late.
 
 use crate::api::{ShardRequest, ShardResponse, ShardResult};
 use crate::replication::ShardReplication;
@@ -833,11 +847,12 @@ impl ShardWorkers {
     /// Serves a multi-key read at the global HLC snapshot `snapshot` — the
     /// zero-2PC, zero-lock read path. Merges the snapshot into the shard
     /// clock *first* (from here on every local commit stamps above it, so
-    /// the snapshot's visible set is frozen), then reads each key from the
-    /// newest committed version stamped `<= snapshot`, waiting out (up to
-    /// `wait_ms` in total) any in-flight writer whose outcome is still
-    /// unknown. Writes nothing: no prepare record, no decision-log entry,
-    /// no vote. The answer is held until the read barrier is durable: a
+    /// the snapshot's visible set is frozen), then reads every key in one
+    /// batched pass from the newest committed version stamped
+    /// `<= snapshot`, waiting out (up to `wait_ms` in total) any in-flight
+    /// writer whose outcome is still unknown and re-reading its key.
+    /// Writes nothing: no prepare record, no decision-log entry, no vote.
+    /// The answer is held until the read barrier is durable: a
     /// queued execute publishes before its flush, and an acknowledged read
     /// must not reflect a commit a crash could still lose.
     fn snapshot_read_now(
@@ -867,16 +882,24 @@ impl ShardWorkers {
         let deadline = started + Duration::from_millis(wait_ms);
         let store = Arc::clone(self.db.store());
         let registry = self.db.registry();
+        let read = |keys: &[tebaldi_storage::Key], reads: &mut Vec<SnapshotRead>| {
+            store.read_snapshot_hlc(keys, snapshot, reads)
+        };
+        // One pass over every key, then a park and a lone re-read per key
+        // the pass found blocked (module docs: each key's answer at
+        // `snapshot` is fixed on its own, so the order is free).
+        let mut reads = Vec::with_capacity(keys.len());
+        read(keys, &mut reads);
         let mut values = Vec::with_capacity(keys.len());
         let mut wait_ns = 0u64;
-        for key in keys {
+        for (i, key) in keys.iter().enumerate() {
             loop {
-                match store.read_snapshot_hlc(key, snapshot) {
+                match &mut reads[i] {
                     SnapshotRead::Value(value) => {
-                        values.push(value.unwrap_or(Value::Null));
+                        values.push(value.take().unwrap_or(Value::Null));
                         break;
                     }
-                    SnapshotRead::Blocked(writer) => {
+                    &mut SnapshotRead::Blocked(writer) => {
                         // An uncommitted writer overlaps the snapshot: its
                         // decision stamp may land below `snapshot`, so the
                         // read cannot skip it — park on the writer until it
@@ -891,6 +914,9 @@ impl ShardWorkers {
                         }
                         registry.await_end(TxnId::BOOTSTRAP, writer, deadline);
                         wait_ns += wait_start.elapsed().as_nanos() as u64;
+                        // The fresh answer lands last; move it into place.
+                        read(std::slice::from_ref(key), &mut reads);
+                        reads.swap_remove(i);
                     }
                 }
             }
@@ -1264,11 +1290,11 @@ mod tests {
         };
         pool.handle_inline(prepare_put5(7, 9)).unwrap();
         let h = pool.db().hlc().now();
-        let SnapshotRead::Blocked(writer) = pool
-            .db()
+        let mut reads = Vec::new();
+        pool.db()
             .store()
-            .read_snapshot_hlc(&Key::simple(TABLE, 9), h)
-        else {
+            .read_snapshot_hlc(&[Key::simple(TABLE, 9)], h, &mut reads);
+        let [SnapshotRead::Blocked(writer)] = reads[..] else {
             panic!("the prepared version blocks the snapshot");
         };
         std::thread::scope(|scope| {
@@ -1300,6 +1326,61 @@ mod tests {
             "the wait is counted"
         );
         pool.decide_stamped(8, false, 0);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_blocked_key_in_a_later_group_parks_and_the_rest_keep_their_order() {
+        let pool = ShardWorkers::spawn(0, db(), 1, registry(), 1, None);
+        // Forty keys, read in one request: the twentieth — in the store's
+        // second group of keys — has a prepared writer; the thirty-first
+        // was never written.
+        let ids: Vec<u64> = (100..140).collect();
+        for &id in &ids {
+            if id != 130 {
+                pool.db()
+                    .store()
+                    .load(&Key::simple(TABLE, id), Value::Int(id as i64));
+            }
+        }
+        pool.handle_inline(prepare_put5(7, ids[19])).unwrap();
+        let h = pool.db().hlc().now();
+        let mut reads = Vec::new();
+        pool.db()
+            .store()
+            .read_snapshot_hlc(&[Key::simple(TABLE, ids[19])], h, &mut reads);
+        let [SnapshotRead::Blocked(writer)] = reads[..] else {
+            panic!("the prepared version blocks the snapshot");
+        };
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                pool.handle_inline(ShardRequest::SnapshotRead {
+                    snapshot: h,
+                    wait_ms: 10_000,
+                    keys: ids.iter().map(|&id| Key::simple(TABLE, id)).collect(),
+                })
+            });
+            let started = Instant::now();
+            while pool.db().registry().wait_for() != [(TxnId::BOOTSTRAP, writer)] {
+                assert!(started.elapsed() < Duration::from_secs(5));
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(!reader.is_finished(), "the read parks until the decision");
+            pool.decide_stamped(7, true, h);
+            let want: Vec<Value> = ids
+                .iter()
+                .map(|&id| match id {
+                    119 => Value::Int(5),
+                    130 => Value::Null,
+                    _ => Value::Int(id as i64),
+                })
+                .collect();
+            match reader.join().unwrap().unwrap() {
+                ShardResponse::Snapshot { values, .. } => assert_eq!(values, want),
+                other => panic!("unexpected reply {other:?}"),
+            }
+        });
+        assert!(pool.db().registry().wait_for().is_empty());
         pool.shutdown();
     }
 

@@ -34,6 +34,20 @@
 //!   with `Acquire` loads, and hands the closure a [`Chain`] view. A reader
 //!   completes even while another thread holds the write latch of the same
 //!   key (or any other).
+//! * **Batched reads** ([`MvStore::read_many`], which
+//!   [`MvStore::read_snapshot_hlc`] and a replica's follower read go
+//!   through) walk many keys at once. A lookup is three dependent cache
+//!   misses — the directory slot, the key entry it names, the head version
+//!   the entry names — and one key at a time they queue: each waits for
+//!   the last. The batch walks the keys in groups of `READ_GROUP` (16), in
+//!   stages: hash every key and prefetch its home slot; read every slot and
+//!   prefetch its entry; finish every lookup and prefetch its head slot;
+//!   then pick every answer. Each stage's loads are independent of one
+//!   another, so the group's misses overlap. A group, not the whole batch:
+//!   a stage's lines must still be cached when the next stage reads them,
+//!   and a core tracks only so many misses at once. The pick is the same
+//!   chain walk a single read makes, so the batch changes when a line is
+//!   loaded, never what is read.
 //! * **Writers serialize per key**, not per shard: [`MvStore::with_chain_mut`]
 //!   takes a tiny per-entry spin latch. Only the *first* write of a key
 //!   takes its shard's insert lock, to add the entry and its slot (and,
@@ -71,7 +85,7 @@
 //!   GC cycle — run [`MvStore::reclaim`], which frees what has ripened in
 //!   any stripe.
 
-use crate::arena::{Segments, VersionArena, ZeroVacant, NIL};
+use crate::arena::{prefetch, Segments, VersionArena, ZeroVacant, NIL};
 use crate::ebr;
 use crate::key::Key;
 use crate::types::{Sequence, Timestamp, TxnId};
@@ -133,6 +147,12 @@ pub struct StoreStats {
     /// Number of uncommitted versions.
     pub uncommitted: usize,
 }
+
+/// Keys a [`MvStore::read_many`] walks in step: each stage issues this many
+/// independent loads before the next stage uses the first of them — a few
+/// more than the misses a core keeps in flight, and few enough that the
+/// group's lines are still cached when stage 4 reads them.
+const READ_GROUP: usize = 16;
 
 /// Slots of a shard's first table: 2^6 of them, 512 B a shard, so a store
 /// costs next to nothing until it holds keys.
@@ -1163,25 +1183,28 @@ impl MvStore {
         }
     }
 
-    /// Reads `key` at the global HLC snapshot `h`: the newest committed
-    /// version with stamp `<= h` (unstamped versions count as ancient and
-    /// are always visible). Lock-free — the walk takes no latch and pins
-    /// only the reclamation epoch.
+    /// Reads `keys` at the global HLC snapshot `h` and appends one answer
+    /// per key to `out`, in input order: the newest committed version with
+    /// stamp `<= h` (unstamped versions count as ancient and are always
+    /// visible). Lock-free — the walk takes no latch and pins only the
+    /// reclamation epoch. One pass over the keys ([`MvStore::read_many`]),
+    /// so a multi-key read overlaps its cache misses.
     ///
-    /// Returns [`SnapshotRead::Blocked`] when an uncommitted version sits
+    /// Answers [`SnapshotRead::Blocked`] when an uncommitted version sits
     /// at a chain position newer than the visible candidate: its writer may
     /// still commit with a 2PC decision stamp `<= h` (the caller observed
     /// `h` into the shard clock first, so only *already-voted* writers can
     /// do that — they resolve as soon as their decision arrives). Callers
-    /// wait out the writer and retry rather than taking a lock.
+    /// wait out the writer and read the key again rather than taking a
+    /// lock.
     ///
     /// Within one chain the first committed version with stamp `<= h` is
     /// the right answer: per-key commit order follows chain position (the
     /// position-order invariant) and HLC stamps are monotone along it —
     /// a ww-predecessor commits before its successor's vote leaves the
     /// shard, and the decision stamp is drawn after observing that vote.
-    pub fn read_snapshot_hlc(&self, key: &Key, h: u64) -> SnapshotRead {
-        self.with_chain(key, |chain| {
+    pub fn read_snapshot_hlc(&self, keys: &[Key], h: u64, out: &mut Vec<SnapshotRead>) {
+        self.read_many(keys, out, |chain| {
             for v in chain.iter() {
                 if !v.is_committed() {
                     return SnapshotRead::Blocked(v.writer);
@@ -1192,6 +1215,64 @@ impl MvStore {
             }
             SnapshotRead::Value(None)
         })
+    }
+
+    /// Runs `pick` on the chain of each of `keys` and appends its answers
+    /// to `out`, in input order — what [`MvStore::with_chain`] does for one
+    /// key, for many at once. The keys go through in groups of
+    /// `READ_GROUP` (16), and each group in stages; at each stage every
+    /// key of the group starts its load before any of them is used, so the
+    /// group's misses overlap instead of queueing (module docs, "Batched
+    /// reads"). One epoch pin covers the call; the stripe's `reads`
+    /// counter rises by one per key.
+    pub fn read_many<T>(
+        &self,
+        keys: &[Key],
+        out: &mut Vec<T>,
+        mut pick: impl FnMut(&Chain<'_>) -> T,
+    ) {
+        let _pin = ebr::pin();
+        self.stripes[ebr::stripe()]
+            .reads
+            .fetch_add(keys.len() as u64, Ordering::Relaxed);
+        out.reserve(keys.len());
+        // Per key of the group: its hash, the table stage 1 chose to probe
+        // (each slot is set in stage 1 before it is read), and its entry.
+        let mut hashes = [0u64; READ_GROUP];
+        let mut tables = [self.shards[0].table(); READ_GROUP];
+        let mut entries: [Option<&KeyEntry>; READ_GROUP] = [None; READ_GROUP];
+        for group in keys.chunks(READ_GROUP) {
+            // 1. Hash each key; start loading its home directory slot.
+            for (i, key) in group.iter().enumerate() {
+                let h = key.mix64();
+                let table = self.shard_of(h).table();
+                prefetch(&table.slots[table.home(h >> 32)]);
+                hashes[i] = h;
+                tables[i] = table;
+            }
+            // 2. Read the home slot; start loading the entry it names when
+            //    its tag is the key's (else the probe walks on in stage 3).
+            //    A hint only: stage 3 loads the slot again, `Acquire`.
+            for i in 0..group.len() {
+                let (tag, table) = (hashes[i] >> 32, tables[i]);
+                let slot = table.slots[table.home(tag)].load(Ordering::Relaxed);
+                if slot != 0 && slot >> 32 == tag {
+                    prefetch(self.entries.get(slot as u32 - 1));
+                }
+            }
+            // 3. Finish each lookup; start loading the chain's head slot.
+            for (i, key) in group.iter().enumerate() {
+                let entry = self.probe(tables[i], key, hashes[i] >> 32).ok();
+                if let Some(entry) = entry {
+                    self.arena.prefetch(entry.head.load(Ordering::Relaxed));
+                }
+                entries[i] = entry;
+            }
+            // 4. Pick each key's answer from its chain.
+            for entry in &entries[..group.len()] {
+                out.push(pick(&self.chain_of(entry.unwrap_or(&NO_ENTRY))));
+            }
+        }
     }
 
     /// Removes `txn`'s uncommitted versions on `keys`.
@@ -1430,6 +1511,95 @@ mod tests {
     /// The writers on `k`'s chain, newest first.
     fn writers(store: &MvStore, k: &Key) -> Vec<u64> {
         store.with_chain(k, |chain| chain.iter().map(|v| v.writer.0).collect())
+    }
+
+    /// The batched snapshot read answers each key exactly as a walk of that
+    /// key alone does: the newest-first pick, per key, written out here.
+    #[test]
+    fn batched_snapshot_reads_match_a_per_key_walk() {
+        fn reference(store: &MvStore, k: &Key, h: u64) -> SnapshotRead {
+            store.with_chain(k, |chain| {
+                for v in chain.iter() {
+                    if !v.is_committed() {
+                        return SnapshotRead::Blocked(v.writer);
+                    }
+                    if v.hlc() <= h {
+                        let value = v.value.clone();
+                        return SnapshotRead::Value((!value.is_null()).then_some(value));
+                    }
+                }
+                SnapshotRead::Value(None)
+            })
+        }
+        const WRITTEN: u64 = 90;
+        let store = MvStore::new(4);
+        let mut txn = 0;
+        let mut commit = |k: &Key, value: Value, hlc: u64| {
+            txn += 1;
+            store.write(k, TxnId(txn), value);
+            store.commit_writes_stamped(TxnId(txn), std::slice::from_ref(k), Timestamp(txn), hlc);
+        };
+        for id in 0..WRITTEN {
+            let k = key(id);
+            // Committed versions stamped 10, 20 and 30 (or a subset of
+            // them, by key), so a snapshot at 20 lands below, at and above
+            // some version of most keys.
+            for stamp in [10, 20, 30].into_iter().filter(|s| id % (s / 10 + 1) != 1) {
+                commit(&k, Value::Int((id * 100 + stamp) as i64), stamp);
+            }
+            match id % 6 {
+                // A tombstone on top: a delete the snapshot may or may not see.
+                0 => commit(&k, Value::Null, 25),
+                // An uncommitted head: the read must name its writer.
+                1 => {
+                    store.write(&k, TxnId(1_000 + id), Value::Int(-1));
+                }
+                // An uncommitted version under a committed one stamped 22:
+                // a snapshot below 22 meets the writer, one above does not.
+                2 => {
+                    store.write(&k, TxnId(2_000 + id), Value::Int(-2));
+                    commit(&k, Value::Int(22), 22);
+                }
+                _ => {}
+            }
+        }
+        // A key whose only version is uncommitted, and keys never written
+        // (ids WRITTEN..).
+        store.write(&key(WRITTEN + 1_000), TxnId(5_000), Value::Int(7));
+        let universe: Vec<Key> = (0..WRITTEN + 10)
+            .map(key)
+            .chain([key(WRITTEN + 1_000)])
+            .collect();
+        let (mut blocked, mut absent, mut visible) = (0, 0, 0);
+        for h in [0, 9, 10, 15, 20, 25, 30, u64::MAX] {
+            for len in [0usize, 1, 15, 16, 17, 200] {
+                // A stride through the universe: a 200-key batch repeats
+                // keys; every batch repeats its first key at its end.
+                let mut batch: Vec<Key> = (0..len)
+                    .map(|i| universe[(i * 37 + len) % universe.len()])
+                    .collect();
+                if len > 1 {
+                    batch[len - 1] = batch[0];
+                }
+                let (reads_before, _) = store.access_counts();
+                let mut got = vec![SnapshotRead::Value(Some(Value::Int(-7)))];
+                store.read_snapshot_hlc(&batch, h, &mut got);
+                assert_eq!(got.remove(0), SnapshotRead::Value(Some(Value::Int(-7))));
+                assert_eq!(store.access_counts().0 - reads_before, len as u64);
+                let want: Vec<SnapshotRead> =
+                    batch.iter().map(|k| reference(&store, k, h)).collect();
+                assert_eq!(got, want, "snapshot {h}, batch of {len}");
+                for read in &got {
+                    match read {
+                        SnapshotRead::Blocked(_) => blocked += 1,
+                        SnapshotRead::Value(None) => absent += 1,
+                        SnapshotRead::Value(Some(_)) => visible += 1,
+                    }
+                }
+            }
+        }
+        // Every kind of answer was exercised.
+        assert!(blocked > 0 && absent > 0 && visible > 0);
     }
 
     #[test]
@@ -1909,7 +2079,9 @@ mod tests {
                                 newest_commit = Some(ts);
                             }
                         });
-                        match store.read_snapshot_hlc(&k, u64::MAX) {
+                        let mut answer = Vec::with_capacity(1);
+                        store.read_snapshot_hlc(std::slice::from_ref(&k), u64::MAX, &mut answer);
+                        match answer.pop().expect("one answer per key") {
                             SnapshotRead::Value(v) => assert!(v.is_some()),
                             SnapshotRead::Blocked(_) => {}
                         }

@@ -229,7 +229,7 @@ fn stale_follower_refuses_reads_and_votes_until_caught_up() {
     // rather than serve state it does not hold (the read would otherwise
     // claim the durable prefix at an LSN the follower never saw).
     let refused = group
-        .follower_read(0, &key(7), required, Duration::from_millis(50))
+        .follower_read(0, &[key(7)], required, Duration::from_millis(50))
         .expect_err("stale follower must refuse the read");
     assert!(refused.applied < refused.required);
     assert!(cluster
@@ -240,7 +240,7 @@ fn stale_follower_refuses_reads_and_votes_until_caught_up() {
     // applied the required prefix, and the read sees the post-pause value.
     group.set_paused(false);
     group
-        .follower_read(0, &key(7), required, Duration::from_secs(5))
+        .follower_read(0, &[key(7)], required, Duration::from_secs(5))
         .expect("caught-up follower reads");
     assert!(group.replica(0).expect("one backup").applied_lsn() >= required);
     let value = cluster
