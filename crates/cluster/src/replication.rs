@@ -12,14 +12,17 @@
 //! ## The ship stream
 //!
 //! Each replica link is a *stream*, not a request/response exchange. The
-//! shipper thread follows the primary's durable watermark — the flush that
-//! advances it wakes the shipper ([`ShardReplication::primary_log`]) — and
-//! writes batch after batch without waiting for acknowledgements, bounded
-//! by a fixed window of unacknowledged bytes (`SHIP_WINDOW_BYTES`). An
-//! ack reader on the same connection advances the replica's acknowledged
-//! LSN, reopens the window and wakes exactly the quorum waiters that LSN
-//! now covers. Nothing on this path polls: every wait is a condition wait
-//! whose notifier holds the waiter's mutex, so a wake-up cannot be lost.
+//! shipper thread follows the primary's durable log without ever asking
+//! the device for its length: each flush that may have grown the log wakes
+//! the shipper ([`ShardReplication::primary_log`]), which reads the durable
+//! tail past its position once per wake-up (an empty tail: nothing new),
+//! and writes batch after batch without waiting for acknowledgements,
+//! bounded by a fixed window of unacknowledged bytes
+//! (`SHIP_WINDOW_BYTES`). An ack reader on the same connection advances
+//! the replica's acknowledged LSN, reopens the window and wakes exactly
+//! the quorum waiters that LSN now covers. Nothing on this path polls:
+//! every wait is a condition wait whose notifier holds the waiter's mutex,
+//! so a wake-up cannot be lost.
 //!
 //! Only *durable* records are ever shipped, in order (ship-after-flush), so
 //! a follower's log is always a durable prefix of the primary's.
@@ -396,6 +399,11 @@ struct Link {
 struct ShipState {
     paused: bool,
     stopping: bool,
+    /// How many times the durable log may have grown: counted by every
+    /// flush through `primary_log` and every quorum waiter a link has not
+    /// reached. A shipper reads the tail again whenever this moved since
+    /// its last read.
+    grown: u64,
     links: Vec<Link>,
     /// The LSNs `wait_quorum` callers are blocked on, so an ack wakes them
     /// only when it covers one.
@@ -517,6 +525,7 @@ impl ShardReplication {
             state: Mutex::new(ShipState {
                 paused: false,
                 stopping: false,
+                grown: 0,
                 links: replicas.iter().map(|_| Link::default()).collect(),
                 waiting: Vec::new(),
             }),
@@ -645,7 +654,7 @@ impl ShardReplication {
         // `primary_log`: a shipper that has not put it on the wire yet may
         // not know it is there.
         if state.links.iter().any(|link| link.next < lsn) {
-            self.ship_cv.notify_all();
+            self.report_growth(&mut state);
         }
         state.waiting.push(lsn);
         let ok = loop {
@@ -673,12 +682,17 @@ impl ShardReplication {
         self.wait_quorum(self.durable_lsn())
     }
 
-    /// Wakes the shippers to re-read the durable watermark. Taking the
-    /// state lock first is what makes this safe to call after any flush: a
-    /// shipper is either before its check (and will see the new length) or
-    /// already waiting (and gets the notification).
+    /// Wakes the shippers to read the durable tail again. Safe to call
+    /// after any flush: a shipper is either before its check (and will
+    /// read a tail that holds the flush) or already waiting (and gets the
+    /// notification).
     fn wake_shippers(&self) {
-        let _state = self.state.lock();
+        self.report_growth(&mut self.state.lock());
+    }
+
+    /// Counts a possible growth of the durable log and wakes the shippers.
+    fn report_growth(&self, state: &mut ShipState) {
+        state.grown += 1;
         self.ship_cv.notify_all();
     }
 
@@ -779,7 +793,12 @@ impl ShardReplication {
         let addr = self.replicas[index].addr();
         let mut conn: Option<ShipConn> = None;
         let mut frame = Vec::new();
-        'stream: while let Some(from) = self.next_to_ship(index, &mut conn) {
+        // The `grown` count as of the last tail put on the wire in full;
+        // `None` while a stream is cut short, so its tail is read (and
+        // judged) again.
+        let mut shipped_at = None;
+        'stream: while let Some((from, grown)) = self.next_to_ship(index, &mut conn, shipped_at) {
+            shipped_at = None;
             let records = self.log.read_from(from as usize);
             self.lag_records.observe(records.len() as u64);
             let mut tail_bytes = 0u64;
@@ -835,17 +854,25 @@ impl ShardReplication {
                 start = end;
                 unsent = &unsent[taken..];
             }
+            shipped_at = Some(grown);
         }
         if let Some(conn) = conn {
             conn.close();
         }
     }
 
-    /// Blocks until there is something for shipper `index` to send and
-    /// returns the LSN to send from; `None` once shipping is stopped. A
-    /// broken link is reset here: its connection closed, its stream
-    /// position moved back to the replica's acknowledged LSN.
-    fn next_to_ship(&self, index: usize, conn: &mut Option<ShipConn>) -> Option<u64> {
+    /// Blocks until shipper `index` has a tail to read — the log may have
+    /// grown since `shipped_at`, or the last stream was cut short — and
+    /// returns the LSN to read from with the `grown` count it reads at;
+    /// `None` once shipping is stopped. A broken link is reset here: its
+    /// connection closed, its stream position moved back to the replica's
+    /// acknowledged LSN.
+    fn next_to_ship(
+        &self,
+        index: usize,
+        conn: &mut Option<ShipConn>,
+        mut shipped_at: Option<u64>,
+    ) -> Option<(u64, u64)> {
         let mut state = self.state.lock();
         loop {
             if state.stopping {
@@ -864,11 +891,11 @@ impl ShardReplication {
                 link.inflight.clear();
                 link.inflight_bytes = 0;
                 link.next = self.acked[index].load(Ordering::Relaxed);
+                shipped_at = None;
                 continue;
             }
-            let next = state.links[index].next;
-            if !state.paused && self.durable_lsn() > next {
-                return Some(next);
+            if !state.paused && shipped_at != Some(state.grown) {
+                return Some((state.links[index].next, state.grown));
             }
             self.ship_cv.wait(&mut state);
         }
@@ -1117,6 +1144,64 @@ mod tests {
             "the window never filled ({bytes} bytes): the test is not testing the bound"
         );
         assert_eq!(repl.replica(0).unwrap().log().read_back(), log.read_back());
+        repl.shutdown();
+    }
+
+    /// A primary log that counts how often it is asked for its length and
+    /// for its tail.
+    #[derive(Default)]
+    struct CountingLog {
+        inner: MemLogDevice,
+        lengths: AtomicU64,
+        tails: AtomicU64,
+    }
+
+    impl LogDevice for CountingLog {
+        fn append(&self, record: &LogRecord) {
+            self.inner.append(record);
+        }
+        fn flush(&self) {
+            self.inner.flush();
+        }
+        fn read_back(&self) -> Vec<LogRecord> {
+            self.inner.read_back()
+        }
+        fn durable_len(&self) -> usize {
+            self.lengths.fetch_add(1, Ordering::SeqCst);
+            self.inner.durable_len()
+        }
+        fn read_from(&self, from: usize) -> Vec<LogRecord> {
+            self.tails.fetch_add(1, Ordering::SeqCst);
+            self.inner.read_from(from)
+        }
+    }
+
+    #[test]
+    fn the_shipper_reads_one_tail_per_report_and_never_the_length() {
+        let counting = Arc::new(CountingLog::default());
+        let log: Arc<dyn LogDevice> = counting.clone();
+        let reg = metrics();
+        let repl = group_with_slow_replica(&log, Duration::ZERO, &reg, None);
+        let primary = repl.primary_log();
+        for txn in 0..20 {
+            for record in committed_write(txn, txn, 1, 1) {
+                primary.append(&record);
+            }
+            primary.flush();
+            assert!(repl.wait_quorum(2 * (txn + 1)));
+        }
+        assert_eq!(repl.replica(0).unwrap().log().read_back(), log.read_back());
+        // One read at start, then at most one per report; an idle shipper
+        // reads nothing.
+        let reads_allowed = || 1 + repl.state.lock().grown;
+        assert!(counting.tails.load(Ordering::SeqCst) <= reads_allowed());
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(counting.tails.load(Ordering::SeqCst) <= reads_allowed());
+        assert_eq!(
+            counting.lengths.load(Ordering::SeqCst),
+            0,
+            "the ship path asked the device for its length"
+        );
         repl.shutdown();
     }
 
