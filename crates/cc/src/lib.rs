@@ -59,4 +59,4 @@ pub use oracle::TsOracle;
 pub use procinfo::{AccessMode, ProcedureInfo, ProcedureSet};
 pub use registry::{TxnRegistry, TxnStatus};
 pub use topology::Topology;
-pub use tree::{CcNodeSpec, CcTree, CcTreeSpec, GroupMap, PathEntry, TreeServices};
+pub use tree::{CcNodeSpec, CcTree, CcTreeSpec, PathEntry, TreeServices};

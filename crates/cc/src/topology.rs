@@ -32,10 +32,6 @@ pub struct Topology {
     child_of: HashMap<(NodeId, GroupId), u32>,
     /// Leaf node → group it hosts.
     leaf_group: HashMap<NodeId, GroupId>,
-    /// Group → leaf node hosting it.
-    group_leaf: HashMap<GroupId, NodeId>,
-    /// Every group below each node (including leaf's own group).
-    groups_below: HashMap<NodeId, Vec<GroupId>>,
 }
 
 impl Topology {
@@ -48,14 +44,11 @@ impl Topology {
     /// `node`.
     pub fn record_child(&mut self, node: NodeId, group: GroupId, child_idx: u32) {
         self.child_of.insert((node, group), child_idx);
-        self.groups_below.entry(node).or_default().push(group);
     }
 
     /// Records that `node` is the leaf hosting `group`.
     pub fn record_leaf(&mut self, node: NodeId, group: GroupId) {
         self.leaf_group.insert(node, group);
-        self.group_leaf.insert(group, node);
-        self.groups_below.entry(node).or_default().push(group);
     }
 
     /// Child index of the subtree of `node` containing `group`, if any.
@@ -68,28 +61,10 @@ impl Topology {
         self.leaf_group.get(&node).copied()
     }
 
-    /// The leaf node hosting `group`.
-    pub fn leaf_of_group(&self, group: GroupId) -> Option<NodeId> {
-        self.group_leaf.get(&group).copied()
-    }
-
     /// True when `group` lies anywhere below `node` (including `node` being
     /// its leaf).
     pub fn in_subtree(&self, node: NodeId, group: GroupId) -> bool {
         self.leaf_group(node) == Some(group) || self.child_of.contains_key(&(node, group))
-    }
-
-    /// All groups below `node`.
-    pub fn groups_below(&self, node: NodeId) -> &[GroupId] {
-        self.groups_below
-            .get(&node)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Number of distinct groups known to the topology.
-    pub fn group_count(&self) -> usize {
-        self.group_leaf.len()
     }
 }
 
@@ -136,9 +111,6 @@ mod tests {
     fn leaf_lookup() {
         let t = sample();
         assert_eq!(t.leaf_group(NodeId(4)), Some(GroupId(2)));
-        assert_eq!(t.leaf_of_group(GroupId(2)), Some(NodeId(4)));
         assert_eq!(t.leaf_group(NodeId(0)), None);
-        assert_eq!(t.group_count(), 3);
-        assert_eq!(t.groups_below(NodeId(2)).len(), 2);
     }
 }

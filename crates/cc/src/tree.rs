@@ -243,8 +243,6 @@ pub struct CcTree {
     nodes: Vec<Arc<dyn CcMechanism>>,
     paths: HashMap<GroupId, Vec<PathEntry>>,
     group_map: GroupMap,
-    topology: Arc<Topology>,
-    read_only_groups: HashSet<GroupId>,
 }
 
 impl std::fmt::Debug for CcTree {
@@ -486,7 +484,6 @@ impl CcTree {
         // Pass 3: per-group paths and group map.
         let mut paths: HashMap<GroupId, Vec<PathEntry>> = HashMap::new();
         let mut by_type: HashMap<TxnTypeId, Vec<GroupId>> = HashMap::new();
-        let mut read_only_groups: HashSet<GroupId> = HashSet::new();
         for leaf in &leaves {
             let mut path = Vec::new();
             for (anc, lane) in &leaf.ancestors {
@@ -505,9 +502,6 @@ impl CcTree {
             for ty in &leaf.types {
                 by_type.entry(*ty).or_default().push(leaf.group);
             }
-            if procedures.all_read_only(&leaf.types) {
-                read_only_groups.insert(leaf.group);
-            }
         }
 
         Ok(CcTree {
@@ -515,19 +509,12 @@ impl CcTree {
             nodes,
             paths,
             group_map: GroupMap { by_type },
-            topology,
-            read_only_groups,
         })
     }
 
     /// The specification this tree was built from.
     pub fn spec(&self) -> &CcTreeSpec {
         &self.spec
-    }
-
-    /// The static topology.
-    pub fn topology(&self) -> &Arc<Topology> {
-        &self.topology
     }
 
     /// Group assignment for a transaction instance.
@@ -543,11 +530,6 @@ impl CcTree {
     /// The root→leaf path of a group.
     pub fn path(&self, group: GroupId) -> Option<&[PathEntry]> {
         self.paths.get(&group).map(|p| p.as_slice())
-    }
-
-    /// True when the group only hosts read-only transaction types.
-    pub fn is_read_only_group(&self, group: GroupId) -> bool {
-        self.read_only_groups.contains(&group)
     }
 
     /// Number of nodes.
@@ -665,16 +647,16 @@ mod tests {
         assert_eq!(root.children[1].kind, CcKind::TwoPl);
         assert_eq!(root.children[1].children[0].kind, CcKind::Rp);
         assert_eq!(path[2].lane, Lane::leaf());
-        // The read-only group is recognised.
-        let readers = tree.group_for(TxnTypeId(2), 0).unwrap();
-        assert!(tree.is_read_only_group(readers));
-        assert!(!tree.is_read_only_group(g));
-        // Topology: both update groups live under the same child of the root.
-        let topo = tree.topology();
-        let g_b = tree.group_for(TxnTypeId(1), 0).unwrap();
-        let root = path[0].node;
-        assert_eq!(topo.child_lane(root, g), topo.child_lane(root, g_b));
-        assert_ne!(topo.child_lane(root, g), topo.child_lane(root, readers));
+        // The readers sit right below the root, in a lane of their own;
+        // both update groups share the root's other lane and the 2PL node.
+        let readers = tree.path(tree.group_for(TxnTypeId(2), 0).unwrap()).unwrap();
+        let b = tree.path(tree.group_for(TxnTypeId(1), 0).unwrap()).unwrap();
+        assert_eq!(readers.len(), 2);
+        assert_eq!(readers[0].node, path[0].node);
+        assert_eq!(b[0].lane, path[0].lane);
+        assert_ne!(readers[0].lane, path[0].lane);
+        assert_eq!(b[1].node, path[1].node);
+        assert_ne!(b[1].lane, path[1].lane);
     }
 
     #[test]

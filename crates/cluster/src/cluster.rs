@@ -1593,16 +1593,27 @@ impl Cluster {
                     values.push(value);
                     self.read_only_votes.inc();
                 }
-                Ok(Err(err)) => {
-                    // The part aborted itself; nothing is parked there.
+                Ok(Err(err))
+                    if !matches!(
+                        err,
+                        tebaldi_cc::CcError::Unreachable {
+                            maybe_delivered: true,
+                            ..
+                        }
+                    ) =>
+                {
+                    // The part aborted itself (or never reached the
+                    // shard); nothing is parked there.
                     if failure.is_none() {
                         failure = Some(err);
                     }
                 }
-                Err(err) => {
-                    // Timed out (or the connection died): the shard's vote
-                    // is unknown and a late prepare may still park, so the
-                    // abort decision must reach it.
+                Ok(Err(err)) | Err(err) => {
+                    // Timed out, or the reply was lost after the request
+                    // may have arrived (the connection died, the frame was
+                    // dropped): the shard's vote is unknown and its prepare
+                    // may have parked or still park, so the abort decision
+                    // must reach it.
                     unknown_shards.push(shard);
                     if failure.is_none() {
                         failure = Some(err);
@@ -1883,6 +1894,11 @@ impl SnapshotHandle<'_> {
     /// The pinned HLC stamp.
     pub fn hlc(&self) -> u64 {
         self.snapshot
+    }
+
+    /// The shard owning `partition_key` ([`Cluster::shard_of`]).
+    pub fn shard_of(&self, partition_key: u64) -> usize {
+        self.cluster.shard_of(partition_key)
     }
 
     /// Reads `parts` as of the pinned stamp (flattened in part order,

@@ -12,9 +12,12 @@
 //! * [`micro`] — the microbenchmarks of §4.6.4 (cross-group mechanisms and
 //!   hierarchies) and §4.6.5 (layer overhead),
 //! * [`driver`] / [`metrics`] — closed-loop clients, latency recording and
-//!   merged benchmark results.
+//!   merged benchmark results,
+//! * [`hops`] — the hop reader the read-only bodies are written against,
+//!   served by a [`Txn`](tebaldi_core::Txn) or by a cluster snapshot.
 
 pub mod driver;
+pub mod hops;
 pub mod metrics;
 pub mod micro;
 pub mod seats;
@@ -24,5 +27,6 @@ pub mod workload;
 pub use driver::{
     bench_cluster_config, bench_config, run_benchmark, run_cluster_benchmark, BenchOptions,
 };
+pub use hops::{HopReader, KeyGroup};
 pub use metrics::{process_cpu_ms, BenchResult, LatencyStats};
 pub use workload::{ClusterWorkload, WorkUnit, Workload};

@@ -18,7 +18,14 @@
 //! [`register_procedures`]) under the ids in [`procs`]; every invocation
 //! ships a [`ProcId`] plus a `(flight, seat,
 //! customer)` argument buffer, so the workload runs unchanged over the
-//! in-process transport and over TCP.
+//! in-process transport and over TCP. The registered bodies are the
+//! single-node workload's own: a single-shard invocation runs a whole
+//! procedure, a 2PC part one of its halves (flight or customer). Only
+//! arguments differ — new_reservation's flight half re-reads the seat
+//! window around the booked seat, and a co-located update_reservation reads
+//! the customer's profile in its flight half. Under a non-`Strong` default
+//! read consistency `find_flights` and `find_open_seats` read their one hop
+//! from a pinned HLC snapshot instead of a shard transaction.
 //!
 //! The flight part carries the workload-level conditional (seat already
 //! taken, reservation missing or owned by someone else): it votes to abort
@@ -29,13 +36,17 @@
 //! vote is [`Reason::BodyNoOp`], a body's own conditional abort, and
 //! crosses the wire as a tag like every other abort cause.
 
-use super::{book_seat, finish, release_seat, types, Seats, SeatsTables};
-use crate::workload::{ClusterWorkload, WorkUnit};
+use super::{
+    delete_reservation, find_flights, find_open_seats, finish, flag_reservation, new_reservation,
+    release_customer, release_flight, reserve_customer, reserve_flight, types, update_customer,
+    SeatWindow, Seats, SeatsTables,
+};
+use crate::workload::{ClusterWorkload, WorkUnit, Workload};
 use rand::rngs::StdRng;
 use rand::Rng;
 use tebaldi_cc::{AccessMode, CcError, CcResult, ProcedureInfo, ProcedureSet, Reason};
-use tebaldi_cluster::{Cluster, ReadConsistency, ReadPart, ShardPart};
-use tebaldi_core::{ProcId, ProcRegistry, ProcedureCall, Txn};
+use tebaldi_cluster::{Cluster, ReadConsistency, ShardPart};
+use tebaldi_core::{ProcId, ProcRegistry, ProcedureCall};
 use tebaldi_storage::codec::{ByteReader, ByteWriter, CodecError};
 use tebaldi_storage::{TxnTypeId, Value};
 
@@ -81,6 +92,16 @@ fn no_op_vote() -> CcError {
     CcError::conflict(Reason::BodyNoOp)
 }
 
+/// A flight part's answer: done when its half acted, the no-op vote when
+/// it found nothing to do.
+fn no_op_unless(acted: bool) -> CcResult<Value> {
+    if acted {
+        Ok(Value::Null)
+    } else {
+        Err(no_op_vote())
+    }
+}
+
 /// Whether a 2PC failure was this workload's own no-op vote.
 fn is_no_op_vote(err: &CcError) -> bool {
     *err == no_op_vote()
@@ -107,109 +128,43 @@ fn get_fsc(args: &[u8]) -> CcResult<(u32, u32, u32)> {
     Ok((flight, seat, customer))
 }
 
-/// The seat-window verify read set: like the full SEATS NewReservation,
-/// the cluster variant re-checks availability around the chosen seat, so a
-/// conflicted attempt wastes real work — the same contention shape that
-/// makes TPC-C's new_order collapse under a single hot shard.
-fn verify_window(
-    txn: &mut Txn<'_>,
-    t: &SeatsTables,
-    flight: u32,
-    seat: u32,
-    probes: u32,
-    seats_per_flight: u32,
-) -> CcResult<()> {
-    for probe in 0..probes {
-        let s = (seat + probe * 37) % seats_per_flight;
-        let _ = txn.get(t.reservation_key(flight, s))?;
-    }
-    Ok(())
-}
-
 /// Registers the cluster-SEATS transaction bodies under the ids in
-/// [`procs`]. The bodies capture the table set and scale parameters by
-/// value.
-pub fn register_procedures(
-    registry: &mut ProcRegistry,
-    t: SeatsTables,
-    probes: u32,
-    seats_per_flight: u32,
-) {
+/// [`procs`]: each calls the single-node workload's procedure halves, the
+/// new_reservation flight half with the seat `window` to re-read. The
+/// bodies capture the table set and the window by value.
+pub fn register_procedures(registry: &mut ProcRegistry, t: SeatsTables, window: SeatWindow) {
     registry.register_fn(procs::NR_SINGLE, move |txn, args| {
         let (flight, seat, customer) = get_fsc(args)?;
-        // The seat is the window's first probe: booking it first, the verify
-        // reads it as this transaction's own write instead of taking it
-        // shared before the update.
-        let booked = book_seat(txn, &t, flight, seat, customer)?;
-        verify_window(txn, &t, flight, seat, probes, seats_per_flight)?;
-        if booked {
-            txn.increment(t.flight_key(flight), 0, 1)?;
-            txn.increment(t.customer_key(customer), 1, 1)?;
-            txn.put(
-                t.customer_res_key(customer),
-                Value::row(&[flight as i64, seat as i64]),
-            )?;
-        }
-        Ok(Value::Null)
+        new_reservation(txn, &t, flight, seat, customer, Some(window)).map(|()| Value::Null)
     });
     registry.register_fn(procs::NR_FLIGHT, move |txn, args| {
         let (flight, seat, customer) = get_fsc(args)?;
-        if !book_seat(txn, &t, flight, seat, customer)? {
-            return Err(no_op_vote());
-        }
-        verify_window(txn, &t, flight, seat, probes, seats_per_flight)?;
-        txn.increment(t.flight_key(flight), 0, 1)?;
-        Ok(Value::Null)
+        let booked = reserve_flight(txn, &t, flight, seat, customer, Some(window))?;
+        no_op_unless(booked)
     });
     registry.register_fn(procs::NR_CUSTOMER, move |txn, args| {
         let (flight, seat, customer) = get_fsc(args)?;
-        txn.increment(t.customer_key(customer), 1, 1)?;
-        txn.put(
-            t.customer_res_key(customer),
-            Value::row(&[flight as i64, seat as i64]),
-        )?;
-        Ok(Value::Null)
+        reserve_customer(txn, &t, flight, seat, customer).map(|()| Value::Null)
     });
     registry.register_fn(procs::DR_SINGLE, move |txn, args| {
         let (flight, seat, customer) = get_fsc(args)?;
-        if release_seat(txn, &t, flight, seat, customer)? {
-            txn.increment(t.flight_key(flight), 0, -1)?;
-            txn.increment(t.customer_key(customer), 1, -1)?;
-            txn.delete(t.customer_res_key(customer))?;
-        }
-        Ok(Value::Null)
+        delete_reservation(txn, &t, flight, seat, customer).map(|()| Value::Null)
     });
     registry.register_fn(procs::DR_FLIGHT, move |txn, args| {
         let (flight, seat, customer) = get_fsc(args)?;
-        if !release_seat(txn, &t, flight, seat, customer)? {
-            return Err(no_op_vote());
-        }
-        txn.increment(t.flight_key(flight), 0, -1)?;
-        Ok(Value::Null)
+        no_op_unless(release_flight(txn, &t, flight, seat, customer)?)
     });
     registry.register_fn(procs::DR_CUSTOMER, move |txn, args| {
         let (_, _, customer) = get_fsc(args)?;
-        txn.increment(t.customer_key(customer), 1, -1)?;
-        txn.delete(t.customer_res_key(customer))?;
-        Ok(Value::Null)
+        release_customer(txn, &t, customer).map(|()| Value::Null)
     });
     registry.register_fn(procs::UR_SINGLE, move |txn, args| {
         let (flight, seat, customer) = get_fsc(args)?;
-        let _ = txn.get(t.flight_key(flight))?;
-        let _ = txn.get(t.customer_key(customer))?;
-        txn.update(t.reservation_key(flight, seat), |row| {
-            row.map(|r| r.with_field(2, 1))
-        })?;
-        Ok(Value::Null)
+        flag_reservation(txn, &t, flight, seat, Some(customer)).map(|_| Value::Null)
     });
     registry.register_fn(procs::UR_FLIGHT, move |txn, args| {
         let (flight, seat, _) = get_fsc(args)?;
-        let _ = txn.get(t.flight_key(flight))?;
-        txn.update(t.reservation_key(flight, seat), |row| {
-            row.map(|r| r.with_field(2, 1))
-        })?
-        .map(|_| Value::Null)
-        .ok_or_else(no_op_vote)
+        no_op_unless(flag_reservation(txn, &t, flight, seat, None)?)
     });
     // Read-only customer part: fetch the profile, write nothing.
     registry.register_fn(procs::UR_CUSTOMER, move |txn, args| {
@@ -218,20 +173,15 @@ pub fn register_procedures(
     });
     registry.register_fn(procs::UPDATE_CUSTOMER, move |txn, args| {
         let (_, _, customer) = get_fsc(args)?;
-        txn.increment(t.customer_key(customer), 0, 10)?;
-        Ok(Value::Null)
+        update_customer(txn, &t, customer).map(|()| Value::Null)
     });
     registry.register_fn(procs::FIND_FLIGHTS, move |txn, args| {
         let (flight, _, _) = get_fsc(args)?;
-        let _ = txn.get(t.flight_info_key(flight))?;
-        let _ = txn.get(t.flight_key(flight))?;
-        Ok(Value::Null)
+        find_flights(txn, &t, flight).map(|()| Value::Null)
     });
     registry.register_fn(procs::FIND_OPEN_SEATS, move |txn, args| {
         let (flight, seat, _) = get_fsc(args)?;
-        let _ = txn.get(t.flight_key(flight))?;
-        verify_window(txn, &t, flight, seat, probes, seats_per_flight)?;
-        Ok(Value::Null)
+        find_open_seats(txn, &t, window, flight, seat).map(|_| Value::Null)
     });
 }
 
@@ -296,7 +246,12 @@ impl ClusterSeats {
             Err(err) if is_no_op_vote(&err) => Ok(()),
             outcome => outcome.map(drop),
         };
-        match tebaldi_core::retry_attempts(max_attempts, CcError::is_retryable, attempt) {
+        // The cluster's retry rule (`Cluster::execute_multi_with_retry`):
+        // an unreachable shard is retried even when the prepare may have
+        // reached it, since presumed abort keeps the lost attempt from
+        // ever committing.
+        let retry_if = |err: &CcError| err.is_retryable() || err.is_unreachable();
+        match tebaldi_core::retry_attempts(max_attempts, retry_if, attempt) {
             Ok(((), aborts)) => WorkUnit::committed(ty, aborts),
             Err(_) => WorkUnit::failed(ty, max_attempts),
         }
@@ -439,10 +394,9 @@ impl ClusterSeats {
         )
     }
 
-    /// The two pure-read profiles (find_flights, find_open_seats) served
-    /// by the zero-2PC snapshot path: every key the procedure body would
-    /// touch is computable up front, so one batched snapshot read covers
-    /// the whole profile without locks or WAL records.
+    /// The two pure-read profiles (find_flights, find_open_seats) on the
+    /// zero-2PC snapshot path: the single-node bodies read their one hop
+    /// from a pinned snapshot, without locks or WAL records.
     fn snapshot_read_profile(
         &self,
         cluster: &Cluster,
@@ -451,25 +405,13 @@ impl ClusterSeats {
         seat: u32,
     ) -> WorkUnit {
         let t = &self.inner.tables;
-        let shard = cluster.shard_of(flight as u64);
-        let read_keys = if ty == types::FIND_FLIGHTS {
-            vec![t.flight_info_key(flight), t.flight_key(flight)]
+        let mut snapshot = cluster.snapshot();
+        let result = if ty == types::FIND_FLIGHTS {
+            find_flights(&mut snapshot, t, flight)
         } else {
-            // find_open_seats probes the same deterministic seat window
-            // the shard procedure walks.
-            let params = &self.inner.params;
-            let mut keys = vec![t.flight_key(flight)];
-            for probe in 0..params.open_seat_probes {
-                let s = (seat + probe * 37) % params.seats_per_flight;
-                keys.push(t.reservation_key(flight, s));
-            }
-            keys
+            find_open_seats(&mut snapshot, t, self.inner.params.window(), flight, seat).map(drop)
         };
-        let result = cluster
-            .snapshot()
-            .read(vec![ReadPart::new(shard, read_keys)])
-            .map(|_| 0);
-        finish(ty, result, self.inner.max_attempts)
+        finish(ty, result.map(|()| 0), self.inner.max_attempts)
     }
 
     fn run_single_shard(
@@ -517,53 +459,21 @@ impl ClusterSeats {
     }
 }
 
-/// The SEATS procedure set with the cluster-variant access lists:
+/// The SEATS procedure set with the cluster-variant access list:
 /// `update_reservation` additionally *reads* the customer table (the
 /// frequent-flyer tier check on the customer's home shard — a read-only
 /// 2PC participant).
 pub fn cluster_procedures(workload: &Seats) -> ProcedureSet {
-    use AccessMode::{Read, Write};
     let t = &workload.tables;
-    let mut set = ProcedureSet::new();
-    set.insert(ProcedureInfo::new(
-        types::NEW_RESERVATION,
-        "new_reservation",
-        vec![
-            (t.flight, Write),
-            (t.customer, Write),
-            (t.reservation, Write),
-            (t.customer_res_index, Write),
-        ],
-    ));
-    set.insert(ProcedureInfo::new(
-        types::DELETE_RESERVATION,
-        "delete_reservation",
-        vec![
-            (t.flight, Write),
-            (t.customer, Write),
-            (t.reservation, Write),
-            (t.customer_res_index, Write),
-        ],
-    ));
+    let mut set = workload.procedures();
     set.insert(ProcedureInfo::new(
         types::UPDATE_RESERVATION,
         "update_reservation",
-        vec![(t.flight, Read), (t.reservation, Write), (t.customer, Read)],
-    ));
-    set.insert(ProcedureInfo::new(
-        types::UPDATE_CUSTOMER,
-        "update_customer",
-        vec![(t.customer, Write)],
-    ));
-    set.insert(ProcedureInfo::new(
-        types::FIND_FLIGHTS,
-        "find_flights",
-        vec![(t.flight_info, Read), (t.flight, Read)],
-    ));
-    set.insert(ProcedureInfo::new(
-        types::FIND_OPEN_SEATS,
-        "find_open_seats",
-        vec![(t.flight, Read), (t.reservation, Read)],
+        vec![
+            (t.flight, AccessMode::Read),
+            (t.reservation, AccessMode::Write),
+            (t.customer, AccessMode::Read),
+        ],
     ));
     set
 }
@@ -578,12 +488,7 @@ impl ClusterWorkload for ClusterSeats {
     }
 
     fn register_procedures(&self, registry: &mut ProcRegistry) {
-        register_procedures(
-            registry,
-            self.inner.tables,
-            self.inner.params.open_seat_probes,
-            self.inner.params.seats_per_flight,
-        );
+        register_procedures(registry, self.inner.tables, self.inner.params.window());
     }
 
     fn load(&self, cluster: &Cluster) {
@@ -752,6 +657,75 @@ mod tests {
                 .and_then(|v| v.field(2)),
             Some(1),
             "the flag flip committed"
+        );
+        assert_eq!(cluster.in_doubt_count(), 0);
+        cluster.shutdown();
+    }
+
+    /// A seed under which the fault lane of `drop_shard` loses the reply to
+    /// its first message and no other message of the first `n` per lane is
+    /// touched. With only `drop_reply` armed, a lane draws one
+    /// `gen_bool(drop_reply)` per body-running or decision message (see
+    /// `FaultyTransport::judge`); lane `s` is seeded with `seed + s`.
+    fn seed_dropping_first_reply(drop_reply: f64, drop_shard: usize, n: usize) -> u64 {
+        use rand::SeedableRng;
+        let drops = |seed: u64, shard: usize| -> Vec<bool> {
+            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(shard as u64));
+            (0..n).map(|_| rng.gen_bool(drop_reply)).collect()
+        };
+        (0..10_000u64)
+            .find(|&seed| {
+                (0..2).all(|shard| {
+                    drops(seed, shard)
+                        .iter()
+                        .enumerate()
+                        .all(|(i, &dropped)| dropped == (shard == drop_shard && i == 0))
+                })
+            })
+            .expect("a seed dropping exactly the first reply")
+    }
+
+    #[test]
+    fn a_lost_prepare_reply_is_retried_by_the_cluster_rule() {
+        let workload = ClusterSeats::new(Seats::new(SeatsParams::tiny()));
+        let flight = 0u32;
+        let mut config = ClusterConfig::for_tests(2);
+        let flight_shard =
+            tebaldi_cluster::ShardRouter::new(2, config.partitioning).shard_of(flight as u64);
+        config.fault_plan = Some(tebaldi_cluster::FaultPlan {
+            drop_reply: 0.2,
+            ..tebaldi_cluster::FaultPlan::quiet(seed_dropping_first_reply(0.2, flight_shard, 8))
+        });
+        let cluster = build_cluster(&workload, config, configs::monolithic_ssi());
+        let t = workload.inner.tables;
+        let customer = (0..workload.inner.params.customers)
+            .find(|&c| cluster.shard_of(c as u64) != flight_shard)
+            .expect("a remote customer exists");
+
+        // The flight part prepares, but its vote is lost: the coordinator
+        // sees `Unreachable { maybe_delivered: true }`, presumes abort, and
+        // a second attempt under a new global id books the seat.
+        let unit = workload.new_reservation(&cluster, flight, 9, customer);
+        assert!(unit.committed, "a lost vote is retried");
+        assert_eq!(unit.aborts, 1);
+        let metrics = cluster.metrics();
+        assert_eq!(metrics.counter("transport.faults.dropped_replies"), Some(1));
+        let read = |shard: usize, key| {
+            cluster
+                .shard(shard)
+                .store()
+                .read_visible(&key, LatestCommitted)
+        };
+        let cs = cluster.shard_of(customer as u64);
+        assert_eq!(
+            read(flight_shard, t.flight_key(flight)).and_then(|v| v.field(0)),
+            Some(1),
+            "the seat is sold once"
+        );
+        assert_eq!(
+            read(cs, t.customer_key(customer)).and_then(|v| v.field(1)),
+            Some(1),
+            "the customer holds one reservation"
         );
         assert_eq!(cluster.in_doubt_count(), 0);
         cluster.shutdown();

@@ -9,6 +9,7 @@
 //! different flights rarely do — which is exactly what the per-flight TSO
 //! groups of the three-layer configuration exploit.
 
+use crate::hops::{HopReader, KeyGroup};
 use crate::workload::{WorkUnit, Workload};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -123,6 +124,34 @@ impl SeatsParams {
             open_seat_probes: 10,
         }
     }
+
+    /// The seat window find_open_seats probes.
+    pub fn window(&self) -> SeatWindow {
+        SeatWindow {
+            probes: self.open_seat_probes,
+            seats_per_flight: self.seats_per_flight,
+        }
+    }
+}
+
+/// The seats probed around a starting seat: `probes` seats, 37 apart,
+/// wrapping at `seats_per_flight`. find_open_seats reads the window, and the
+/// cluster's new_reservation re-reads it around the seat it books.
+#[derive(Clone, Copy, Debug)]
+pub struct SeatWindow {
+    /// Seats in the window.
+    pub probes: u32,
+    /// Seats per flight.
+    pub seats_per_flight: u32,
+}
+
+impl SeatWindow {
+    /// The window around `seat` as one key group of `flight`, after `first`.
+    fn group(self, t: &SeatsTables, flight: u32, seat: u32, first: Option<Key>) -> KeyGroup {
+        let window = (0..self.probes)
+            .map(|probe| t.reservation_key(flight, (seat + probe * 37) % self.seats_per_flight));
+        (flight as u64, first.into_iter().chain(window).collect())
+    }
 }
 
 /// The SEATS workload generator.
@@ -156,17 +185,9 @@ impl Seats {
         customer: u32,
     ) -> WorkUnit {
         let call = ProcedureCall::new(types::NEW_RESERVATION).with_instance_seed(flight as u64);
-        let flight_key = self.tables.flight_key(flight);
-        let customer_key = self.tables.customer_key(customer);
-        let customer_res_key = self.tables.customer_res_key(customer);
         let result = db
             .execute_with_retry(&call, self.max_attempts, |txn| {
-                if book_seat(txn, &self.tables, flight, seat, customer)? {
-                    txn.increment(flight_key, 0, 1)?;
-                    txn.increment(customer_key, 1, 1)?;
-                    txn.put(customer_res_key, Value::row(&[flight as i64, seat as i64]))?;
-                }
-                Ok(())
+                new_reservation(txn, &self.tables, flight, seat, customer, None)
             })
             .map(|(_, a)| a);
         finish(types::NEW_RESERVATION, result, self.max_attempts)
@@ -184,17 +205,9 @@ impl Seats {
         customer: u32,
     ) -> WorkUnit {
         let call = ProcedureCall::new(types::DELETE_RESERVATION).with_instance_seed(flight as u64);
-        let flight_key = self.tables.flight_key(flight);
-        let customer_key = self.tables.customer_key(customer);
-        let customer_res_key = self.tables.customer_res_key(customer);
         let result = db
             .execute_with_retry(&call, self.max_attempts, |txn| {
-                if release_seat(txn, &self.tables, flight, seat, customer)? {
-                    txn.increment(flight_key, 0, -1)?;
-                    txn.increment(customer_key, 1, -1)?;
-                    txn.delete(customer_res_key)?;
-                }
-                Ok(())
+                delete_reservation(txn, &self.tables, flight, seat, customer)
             })
             .map(|(_, a)| a);
         finish(types::DELETE_RESERVATION, result, self.max_attempts)
@@ -284,82 +297,116 @@ impl Workload for Seats {
         let flight = rng.gen_range(0..self.params.flights);
         let seat = rng.gen_range(0..self.params.seats_per_flight);
         let customer = rng.gen_range(0..self.params.customers);
-        let probes = self.params.open_seat_probes;
-        let seats_per_flight = self.params.seats_per_flight;
+        if ty == types::NEW_RESERVATION {
+            return self.new_reservation(db, flight, seat, customer);
+        }
+        if ty == types::DELETE_RESERVATION {
+            return self.delete_reservation(db, flight, seat, customer);
+        }
         // Partition-by-instance: the flight id is the instance seed, so
         // per-flight TSO groups receive exactly the transactions touching
         // their flight.
         let call = ProcedureCall::new(ty).with_instance_seed(flight as u64);
-
-        let flight_key = self.tables.flight_key(flight);
-        let flight_info_key = self.tables.flight_info_key(flight);
-        let customer_key = self.tables.customer_key(customer);
-        let reservation_key = self.tables.reservation_key(flight, seat);
-
-        let result = match ty {
-            t if t == types::NEW_RESERVATION => {
-                return self.new_reservation(db, flight, seat, customer)
-            }
-            t if t == types::DELETE_RESERVATION => {
-                return self.delete_reservation(db, flight, seat, customer)
-            }
-            t if t == types::UPDATE_RESERVATION => db
-                .execute_with_retry(&call, self.max_attempts, |txn| {
-                    let _ = txn.get(flight_key)?;
-                    txn.update(reservation_key, |row| row.map(|r| r.with_field(2, 1)))?;
-                    Ok(())
-                })
-                .map(|(_, a)| a),
-            t if t == types::UPDATE_CUSTOMER => db
-                .execute_with_retry(&call, self.max_attempts, |txn| {
-                    txn.increment(customer_key, 0, 10)?;
-                    Ok(())
-                })
-                .map(|(_, a)| a),
-            t if t == types::FIND_FLIGHTS => db
-                .execute_with_retry(&call, self.max_attempts, |txn| {
-                    let _ = txn.get(flight_info_key)?;
-                    let _ = txn.get(flight_key)?;
-                    Ok(())
-                })
-                .map(|(_, a)| a),
-            _ => db
-                .execute_with_retry(&call, self.max_attempts, |txn| {
-                    // find_open_seats: probe a window of seats of one flight.
-                    let _ = txn.get(flight_key)?;
-                    let start = seat;
-                    for probe in 0..probes {
-                        let s = (start + probe * 37) % seats_per_flight;
-                        let _ = txn.get(self.tables.reservation_key(flight, s))?;
-                    }
-                    Ok(())
-                })
-                .map(|(_, a)| a),
-        };
+        let t = &self.tables;
+        let result = db
+            .execute_with_retry(&call, self.max_attempts, |txn| match ty {
+                ty if ty == types::UPDATE_RESERVATION => {
+                    flag_reservation(txn, t, flight, seat, None).map(drop)
+                }
+                ty if ty == types::UPDATE_CUSTOMER => update_customer(txn, t, customer),
+                ty if ty == types::FIND_FLIGHTS => find_flights(txn, t, flight),
+                _ => find_open_seats(txn, t, self.params.window(), flight, seat).map(drop),
+            })
+            .map(|(_, a)| a);
         finish(ty, result, self.max_attempts)
     }
 }
 
-/// Books `seat` for `customer` if it is free, as one update of its
-/// reservation row; true when it was.
-fn book_seat(
+/// new_reservation: the flight half, then — when it booked the seat — the
+/// customer half. `window` is the verify window the cluster re-reads (see
+/// [`reserve_flight`]).
+fn new_reservation(
     txn: &mut Txn<'_>,
     t: &SeatsTables,
     flight: u32,
     seat: u32,
     customer: u32,
+    window: Option<SeatWindow>,
+) -> CcResult<()> {
+    if reserve_flight(txn, t, flight, seat, customer, window)? {
+        reserve_customer(txn, t, flight, seat, customer)?;
+    }
+    Ok(())
+}
+
+/// new_reservation's flight half: books `seat` for `customer` if it is
+/// free, as one update of its reservation row, and counts the sold seat;
+/// true when it booked. A taken seat writes and reads nothing more. With a
+/// `window` — the cluster variant, which like the full SEATS
+/// NewReservation re-checks availability around the chosen seat, so a
+/// conflicted attempt wastes real work — the window is read between the
+/// booking and the count. The seat is the window's first probe: booked
+/// first, the window reads it as this transaction's own write instead of
+/// taking it shared before the update.
+fn reserve_flight(
+    txn: &mut Txn<'_>,
+    t: &SeatsTables,
+    flight: u32,
+    seat: u32,
+    customer: u32,
+    window: Option<SeatWindow>,
 ) -> CcResult<bool> {
     let booked = txn.update(t.reservation_key(flight, seat), |existing| {
         existing
             .is_none()
             .then(|| Value::row(&[customer as i64, 300, 0]))
     })?;
-    Ok(booked.is_some())
+    if booked.is_none() {
+        return Ok(false);
+    }
+    if let Some(window) = window {
+        txn.read_hop(vec![window.group(t, flight, seat, None)])?;
+    }
+    txn.increment(t.flight_key(flight), 0, 1)?;
+    Ok(true)
 }
 
-/// Deletes `seat`'s reservation if `customer` holds it, as one update of
-/// the row; true when it did.
-fn release_seat(
+/// new_reservation's customer half: one more reservation on the customer
+/// and its index entry.
+fn reserve_customer(
+    txn: &mut Txn<'_>,
+    t: &SeatsTables,
+    flight: u32,
+    seat: u32,
+    customer: u32,
+) -> CcResult<()> {
+    txn.increment(t.customer_key(customer), 1, 1)?;
+    txn.put(
+        t.customer_res_key(customer),
+        Value::row(&[flight as i64, seat as i64]),
+    )?;
+    Ok(())
+}
+
+/// delete_reservation: the flight half, then — when it released the seat
+/// — the customer half.
+fn delete_reservation(
+    txn: &mut Txn<'_>,
+    t: &SeatsTables,
+    flight: u32,
+    seat: u32,
+    customer: u32,
+) -> CcResult<()> {
+    if release_flight(txn, t, flight, seat, customer)? {
+        release_customer(txn, t, customer)?;
+    }
+    Ok(())
+}
+
+/// delete_reservation's flight half: deletes `seat`'s reservation if
+/// `customer` holds it, as one update of the row, and counts the seat back;
+/// true when it did.
+fn release_flight(
     txn: &mut Txn<'_>,
     t: &SeatsTables,
     flight: u32,
@@ -370,7 +417,72 @@ fn release_seat(
         let owner = row.and_then(|row| row.field(0));
         (owner == Some(customer as i64)).then_some(Value::Null)
     })?;
-    Ok(released.is_some())
+    if released.is_none() {
+        return Ok(false);
+    }
+    txn.increment(t.flight_key(flight), 0, -1)?;
+    Ok(true)
+}
+
+/// delete_reservation's customer half: one reservation fewer on the
+/// customer, and its index entry deleted.
+fn release_customer(txn: &mut Txn<'_>, t: &SeatsTables, customer: u32) -> CcResult<()> {
+    txn.increment(t.customer_key(customer), 1, -1)?;
+    txn.delete(t.customer_res_key(customer))?;
+    Ok(())
+}
+
+/// update_reservation's flight half: reads the flight, then — in the
+/// cluster, when the customer is co-located — the `customer`'s profile,
+/// and flags the reservation; true when there was one to flag.
+fn flag_reservation(
+    txn: &mut Txn<'_>,
+    t: &SeatsTables,
+    flight: u32,
+    seat: u32,
+    customer: Option<u32>,
+) -> CcResult<bool> {
+    let _ = txn.get(t.flight_key(flight))?;
+    if let Some(customer) = customer {
+        let _ = txn.get(t.customer_key(customer))?;
+    }
+    let flagged = txn.update(t.reservation_key(flight, seat), |row| {
+        row.map(|r| r.with_field(2, 1))
+    })?;
+    Ok(flagged.is_some())
+}
+
+/// update_customer: credits the customer's balance.
+fn update_customer(txn: &mut Txn<'_>, t: &SeatsTables, customer: u32) -> CcResult<()> {
+    txn.increment(t.customer_key(customer), 0, 10)?;
+    Ok(())
+}
+
+/// find_flights: one hop reading the flight's side data and its row.
+pub fn find_flights(reader: &mut impl HopReader, t: &SeatsTables, flight: u32) -> CcResult<()> {
+    reader.read_hop(vec![(
+        flight as u64,
+        vec![t.flight_info_key(flight), t.flight_key(flight)],
+    )])?;
+    Ok(())
+}
+
+/// find_open_seats: one hop reading the flight row and the seat `window`
+/// around `seat`; returns how many of the window's seats are free.
+pub fn find_open_seats(
+    reader: &mut impl HopReader,
+    t: &SeatsTables,
+    window: SeatWindow,
+    flight: u32,
+    seat: u32,
+) -> CcResult<u32> {
+    let values = reader.read_hop(vec![window.group(
+        t,
+        flight,
+        seat,
+        Some(t.flight_key(flight)),
+    )])?;
+    Ok(values[1..].iter().filter(|row| row.is_none()).count() as u32)
 }
 
 /// Converts a retried execution result into a [`WorkUnit`].

@@ -20,18 +20,28 @@
 //! under the ids in [`procs`], and each call ships a
 //! [`ProcId`](tebaldi_core::ProcId) plus an encoded argument buffer — so
 //! the same workload runs unchanged over the in-process transport and over
-//! TCP. Multi-shard invocations decompose into a home part plus per-shard
-//! remote parts and run under the coordinator's two-phase commit.
+//! TCP. An invocation is a list of per-shard parts — its home part plus one
+//! part per other shard it touches — run by
+//! [`Cluster::execute_multi_with_retry`]: one part takes the single-shard
+//! path, several run under the coordinator's two-phase commit.
+//!
+//! Under a non-`Strong` default read consistency, `order_status` and
+//! `stock_level` run on a pinned HLC snapshot instead: the same bodies
+//! ([`transactions::order_status_at`], [`transactions::stock_level`]) read
+//! their hops through the [`SnapshotHandle`](tebaldi_cluster::SnapshotHandle)
+//! rather than a [`Txn`](tebaldi_core::Txn) — zero 2PC, zero locks, zero WAL
+//! records.
 
 use super::schema::types;
 use super::{transactions, Tpcc};
+use crate::hops::HopReader;
 use crate::workload::{ClusterWorkload, WorkUnit};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use tebaldi_cc::{CcError, CcResult, ProcedureSet};
-use tebaldi_cluster::{Cluster, ReadConsistency, ReadPart, ShardPart};
+use tebaldi_cluster::{Cluster, ReadConsistency, ShardPart};
 use tebaldi_core::{ProcRegistry, ProcedureCall};
 use tebaldi_storage::codec::{ByteReader, ByteWriter, CodecError};
 use tebaldi_storage::{TxnTypeId, Value};
@@ -44,18 +54,17 @@ type OrderLine = (u32, u32, i64);
 pub mod procs {
     use tebaldi_core::ProcId;
 
-    /// Full single-shard new_order.
+    /// new_order's home part: everything except the stock updates of the
+    /// supplying warehouses its arguments name as remote (all of new_order
+    /// when none is).
     pub const NEW_ORDER: ProcId = ProcId(100);
-    /// Home part of a cross-shard new_order: everything except the stock
-    /// updates of remote supplying warehouses.
-    pub const NEW_ORDER_HOME: ProcId = ProcId(101);
     /// Remote part of a cross-shard new_order: the stock updates owned by
     /// one remote shard.
     pub const NEW_ORDER_REMOTE_STOCK: ProcId = ProcId(102);
-    /// Full single-shard payment.
+    /// payment with its customer on the home shard.
     pub const PAYMENT: ProcId = ProcId(103);
     /// Home part of a cross-shard payment (warehouse/district totals +
-    /// history row).
+    /// history row, no customer).
     pub const PAYMENT_HOME: ProcId = ProcId(104);
     /// Customer part of a cross-shard payment (balance update on the
     /// customer's shard).
@@ -95,36 +104,18 @@ fn get_lines(r: &mut ByteReader<'_>) -> Result<Vec<OrderLine>, CodecError> {
     Ok(lines)
 }
 
-fn new_order_args(input: &transactions::NewOrderInput) -> Vec<u8> {
+/// new_order's home-part args: the input plus the supplying warehouses
+/// whose stock rows live on other shards. The router computes the set, so
+/// the shard body needs no routing knowledge at all.
+fn new_order_args(input: &transactions::NewOrderInput, remote_ws: &[u32]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u32(input.w);
     w.put_u32(input.d);
     w.put_u32(input.c);
     put_lines(&mut w, &input.lines);
-    w.into_bytes()
-}
-
-fn get_new_order_input(r: &mut ByteReader<'_>) -> Result<transactions::NewOrderInput, CodecError> {
-    Ok(transactions::NewOrderInput {
-        w: r.u32()?,
-        d: r.u32()?,
-        c: r.u32()?,
-        lines: get_lines(r)?,
-    })
-}
-
-/// Home-part args: the full input plus the set of supplying warehouses
-/// whose stock rows live on the home shard. The set is computed router-side
-/// by the caller, so the shard body needs no routing knowledge at all.
-fn new_order_home_args(input: &transactions::NewOrderInput, local_ws: &[u32]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u32(input.w);
-    w.put_u32(input.d);
-    w.put_u32(input.c);
-    put_lines(&mut w, &input.lines);
-    w.put_u32(local_ws.len() as u32);
-    for &lw in local_ws {
-        w.put_u32(lw);
+    w.put_u32(remote_ws.len() as u32);
+    for &rw in remote_ws {
+        w.put_u32(rw);
     }
     w.into_bytes()
 }
@@ -162,25 +153,42 @@ fn get_payment_input(
     Ok((input, c_w, c_d))
 }
 
+fn order_status_args(input: &transactions::OrderStatusInput) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_u32(input.w);
+    w.put_u32(input.d);
+    w.put_u32(input.c);
+    w.into_bytes()
+}
+
+fn stock_level_args(input: &transactions::StockLevelInput) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_u32(input.w);
+    w.put_u32(input.d);
+    w.put_i64(input.threshold);
+    w.put_u32(input.recent_orders);
+    w.into_bytes()
+}
+
 /// Registers the cluster-TPC-C transaction bodies under the ids in
 /// [`procs`]. `keys` is the workload's key-builder set; the bodies capture
 /// it by value.
 pub fn register_procedures(registry: &mut ProcRegistry, keys: super::schema::TpccKeys) {
     registry.register_fn(procs::NEW_ORDER, move |txn, args| {
         let mut r = ByteReader::new(args);
-        let input = get_new_order_input(&mut r).map_err(bad_args)?;
-        transactions::new_order(txn, &keys, &input).map(|o_id| Value::Int(o_id as i64))
-    });
-    registry.register_fn(procs::NEW_ORDER_HOME, move |txn, args| {
-        let mut r = ByteReader::new(args);
-        let input = get_new_order_input(&mut r).map_err(bad_args)?;
+        let input = transactions::NewOrderInput {
+            w: r.u32().map_err(bad_args)?,
+            d: r.u32().map_err(bad_args)?,
+            c: r.u32().map_err(bad_args)?,
+            lines: get_lines(&mut r).map_err(bad_args)?,
+        };
         let n = r.len_prefix().map_err(bad_args)?;
-        let mut local_ws = Vec::with_capacity(n.min(64));
+        let mut remote_ws = Vec::with_capacity(n.min(64));
         for _ in 0..n {
-            local_ws.push(r.u32().map_err(bad_args)?);
+            remote_ws.push(r.u32().map_err(bad_args)?);
         }
         transactions::new_order_filtered(txn, &keys, &input, |supply_w| {
-            local_ws.contains(&supply_w)
+            !remote_ws.contains(&supply_w)
         })
         .map(|o_id| Value::Int(o_id as i64))
     });
@@ -192,12 +200,12 @@ pub fn register_procedures(registry: &mut ProcRegistry, keys: super::schema::Tpc
     registry.register_fn(procs::PAYMENT, move |txn, args| {
         let mut r = ByteReader::new(args);
         let (input, c_w, c_d) = get_payment_input(&mut r).map_err(bad_args)?;
-        transactions::payment_local(txn, &keys, &input, c_w, c_d).map(|()| Value::Null)
+        transactions::payment_home(txn, &keys, &input, Some((c_w, c_d))).map(|()| Value::Null)
     });
     registry.register_fn(procs::PAYMENT_HOME, move |txn, args| {
         let mut r = ByteReader::new(args);
         let (input, _, _) = get_payment_input(&mut r).map_err(bad_args)?;
-        transactions::payment_home(txn, &keys, &input).map(|()| Value::Null)
+        transactions::payment_home(txn, &keys, &input, None).map(|()| Value::Null)
     });
     registry.register_fn(procs::PAYMENT_CUSTOMER, move |txn, args| {
         let mut r = ByteReader::new(args);
@@ -218,8 +226,7 @@ pub fn register_procedures(registry: &mut ProcRegistry, keys: super::schema::Tpc
         let mut r = ByteReader::new(args);
         let w = r.u32().map_err(bad_args)?;
         let d = r.u32().map_err(bad_args)?;
-        let _ = txn.get(keys.warehouse(w))?;
-        let _ = txn.get(keys.district(w, d))?;
+        txn.read_hop(vec![transactions::order_status_desk(&keys, w, d)])?;
         Ok(Value::Null)
     });
     registry.register_fn(procs::DELIVERY, move |txn, args| {
@@ -319,43 +326,22 @@ impl ClusterTpcc {
                 remote.entry(shard).or_default().push(*line);
             }
         }
+        // Supplying warehouses whose stock lives on another shard — the
+        // router decides here, once, and the shard bodies stay
+        // routing-agnostic.
+        let mut remote_ws: Vec<u32> = remote.values().flatten().map(|line| line.1).collect();
+        remote_ws.sort_unstable();
+        remote_ws.dedup();
 
         let call = ProcedureCall::new(types::NEW_ORDER);
         let input = transactions::NewOrderInput { w, d, c, lines };
-        if remote.is_empty() {
-            let result = cluster.execute_single(
-                home,
-                procs::NEW_ORDER,
-                &call,
-                new_order_args(&input),
-                self.inner.max_attempts,
-            );
-            return unit(
-                types::NEW_ORDER,
-                result.map(|(_, a)| a),
-                self.inner.max_attempts,
-            );
-        }
-
-        // Supplying warehouses whose stock stays on the home shard — the
-        // router decides here, once, and the shard bodies stay
-        // routing-agnostic.
-        let mut local_ws: Vec<u32> = input
-            .lines
-            .iter()
-            .map(|line| line.1)
-            .filter(|&sw| cluster.shard_of(sw as u64) == home)
-            .collect();
-        local_ws.sort_unstable();
-        local_ws.dedup();
-
         let result = cluster.execute_multi_with_retry(self.inner.max_attempts, || {
             let mut parts = Vec::with_capacity(1 + remote.len());
             parts.push(ShardPart::new(
                 home,
                 call.clone(),
-                procs::NEW_ORDER_HOME,
-                new_order_home_args(&input, &local_ws),
+                procs::NEW_ORDER,
+                new_order_args(&input, &remote_ws),
             ));
             for (&shard, shard_lines) in remote.iter() {
                 parts.push(ShardPart::new(
@@ -398,35 +384,14 @@ impl ClusterTpcc {
         let call = ProcedureCall::new(types::PAYMENT);
         let home = cluster.shard_of(w as u64);
         let customer_shard = cluster.shard_of(c_w as u64);
-        if home == customer_shard {
-            let result = cluster.execute_single(
-                home,
-                procs::PAYMENT,
-                &call,
-                payment_args(&input, c_w, c_d),
-                self.inner.max_attempts,
-            );
-            return unit(
-                types::PAYMENT,
-                result.map(|(_, a)| a),
-                self.inner.max_attempts,
-            );
-        }
-
         let result = cluster.execute_multi_with_retry(self.inner.max_attempts, || {
+            let args = payment_args(&input, c_w, c_d);
+            if home == customer_shard {
+                return vec![ShardPart::new(home, call.clone(), procs::PAYMENT, args)];
+            }
             vec![
-                ShardPart::new(
-                    home,
-                    call.clone(),
-                    procs::PAYMENT_HOME,
-                    payment_args(&input, c_w, c_d),
-                ),
-                ShardPart::new(
-                    customer_shard,
-                    call.clone(),
-                    procs::PAYMENT_CUSTOMER,
-                    payment_args(&input, c_w, c_d),
-                ),
+                ShardPart::new(home, call.clone(), procs::PAYMENT_HOME, args.clone()),
+                ShardPart::new(customer_shard, call.clone(), procs::PAYMENT_CUSTOMER, args),
             ]
         });
         unit(
@@ -456,61 +421,51 @@ impl ClusterTpcc {
         } else {
             (w, d)
         };
-        let call = ProcedureCall::new(types::ORDER_STATUS);
+        let status = transactions::OrderStatusInput { w: c_w, d: c_d, c };
         let home = cluster.shard_of(w as u64);
         let customer_shard = cluster.shard_of(c_w as u64);
         // Under a snapshot (or bounded-staleness) default consistency the
-        // pure read skips the procedure machinery entirely: a pinned
-        // snapshot traversal with zero 2PC, zero locks, and zero WAL
-        // records. BoundedStaleness routes here too — the multi-hop
-        // traversal needs one pinned cut, which per-replica bounded reads
-        // cannot provide.
+        // pure read skips the procedure machinery entirely: the body reads
+        // its hops from one pinned snapshot with zero 2PC, zero locks, and
+        // zero WAL records, and reads the home desk's rows in its first
+        // hop. BoundedStaleness routes here too — the multi-hop traversal
+        // needs one pinned cut, which per-replica bounded reads cannot
+        // provide.
         if !matches!(cluster.default_read_consistency(), ReadConsistency::Strong) {
             let desk = (home != customer_shard).then_some((w, d));
-            let result = self.snapshot_order_status(cluster, desk, c_w, c_d, c);
+            let result = transactions::order_status_at(
+                &mut cluster.snapshot(),
+                &self.inner.keys,
+                &status,
+                desk,
+            );
             return unit(
                 types::ORDER_STATUS,
                 result.map(|_| 0),
                 self.inner.max_attempts,
             );
         }
-        let status_args = || {
-            let mut buf = ByteWriter::new();
-            buf.put_u32(c_w);
-            buf.put_u32(c_d);
-            buf.put_u32(c);
-            buf.into_bytes()
-        };
-        if home == customer_shard {
-            let result = cluster.execute_single(
-                home,
-                procs::ORDER_STATUS,
-                &call,
-                status_args(),
-                self.inner.max_attempts,
-            );
-            return unit(
-                types::ORDER_STATUS,
-                result.map(|(_, a)| a),
-                self.inner.max_attempts,
-            );
-        }
+        let call = ProcedureCall::new(types::ORDER_STATUS);
         let result = cluster.execute_multi_with_retry(self.inner.max_attempts, || {
-            let desk_args = {
-                let mut buf = ByteWriter::new();
-                buf.put_u32(w);
-                buf.put_u32(d);
-                buf.into_bytes()
-            };
-            vec![
-                ShardPart::new(home, call.clone(), procs::ORDER_STATUS_DESK, desk_args),
-                ShardPart::new(
-                    customer_shard,
+            let mut parts = Vec::with_capacity(2);
+            if home != customer_shard {
+                let mut desk_args = ByteWriter::new();
+                desk_args.put_u32(w);
+                desk_args.put_u32(d);
+                parts.push(ShardPart::new(
+                    home,
                     call.clone(),
-                    procs::ORDER_STATUS,
-                    status_args(),
-                ),
-            ]
+                    procs::ORDER_STATUS_DESK,
+                    desk_args.into_bytes(),
+                ));
+            }
+            parts.push(ShardPart::new(
+                customer_shard,
+                call.clone(),
+                procs::ORDER_STATUS,
+                order_status_args(&status),
+            ));
+            parts
         });
         unit(
             types::ORDER_STATUS,
@@ -519,175 +474,54 @@ impl ClusterTpcc {
         )
     }
 
-    /// order_status served by the zero-2PC snapshot-read path: a pinned
-    /// [`tebaldi_cluster::SnapshotHandle`] keeps the multi-hop traversal
-    /// (customer → latest order → its lines) on one atomic cut without
-    /// prepare records, locks, or a decision-log entry. The cross-shard
-    /// variant reads the home desk's reference rows in the same cut,
-    /// mirroring the 2PC decomposition's access pattern.
-    fn snapshot_order_status(
-        &self,
-        cluster: &Cluster,
-        home_desk: Option<(u32, u32)>,
-        c_w: u32,
-        c_d: u32,
-        c: u32,
-    ) -> CcResult<i64> {
-        let keys = &self.inner.keys;
-        let shard = cluster.shard_of(c_w as u64);
-        let snap = cluster.snapshot();
-        let mut parts = vec![ReadPart::new(
-            shard,
-            vec![
-                keys.customer(c_w, c_d, c),
-                keys.customer_order_index(c_w, c_d, c),
-            ],
-        )];
-        if let Some((w, d)) = home_desk {
-            parts.push(ReadPart::new(
-                cluster.shard_of(w as u64),
-                vec![keys.warehouse(w), keys.district(w, d)],
-            ));
-        }
-        let first = snap.read(parts)?;
-        let balance = first[0].as_ref().and_then(|v| v.field(0)).unwrap_or(0);
-        if let Some(o_id) = first[1].as_ref().and_then(|v| v.as_int()) {
-            let order = snap.read(vec![ReadPart::new(
-                shard,
-                vec![keys.order(c_w, c_d, o_id as u32)],
-            )])?;
-            let ol_cnt = order[0].as_ref().and_then(|v| v.field(0)).unwrap_or(0);
-            if ol_cnt > 0 {
-                let line_keys = (0..ol_cnt as u32)
-                    .map(|line| keys.order_line(c_w, c_d, o_id as u32, line))
-                    .collect();
-                let _ = snap.read(vec![ReadPart::new(shard, line_keys)])?;
-            }
-        }
-        Ok(balance)
-    }
-
-    /// stock_level on the snapshot path: the district cursor, the recent
-    /// orders, their lines, and the referenced stock rows all read from
-    /// one pinned cut — four batched hops instead of one locked
-    /// procedure execution.
-    fn snapshot_stock_level(
-        &self,
-        cluster: &Cluster,
-        w: u32,
-        d: u32,
-        threshold: i64,
-        recent_orders: u32,
-    ) -> CcResult<u64> {
-        use super::transactions::district_fields;
-        let keys = &self.inner.keys;
-        let shard = cluster.shard_of(w as u64);
-        let snap = cluster.snapshot();
-        let district = snap.read(vec![ReadPart::new(shard, vec![keys.district(w, d)])])?;
-        let next_o_id = district[0]
-            .as_ref()
-            .and_then(|v| v.field(district_fields::NEXT_O_ID))
-            .unwrap_or(1);
-        let low = (next_o_id - recent_orders as i64).max(1);
-        let order_ids: Vec<u32> = (low..next_o_id).map(|o| o as u32).collect();
-        if order_ids.is_empty() {
-            return Ok(0);
-        }
-        let orders = snap.read(vec![ReadPart::new(
-            shard,
-            order_ids.iter().map(|&o| keys.order(w, d, o)).collect(),
-        )])?;
-        let mut line_keys = Vec::new();
-        for (&o_id, order) in order_ids.iter().zip(orders.iter()) {
-            let ol_cnt = order.as_ref().and_then(|v| v.field(0)).unwrap_or(0);
-            for line in 0..ol_cnt.max(0) as u32 {
-                line_keys.push(keys.order_line(w, d, o_id, line));
-            }
-        }
-        if line_keys.is_empty() {
-            return Ok(0);
-        }
-        let lines = snap.read(vec![ReadPart::new(shard, line_keys)])?;
-        let stock_keys = lines
-            .iter()
-            .map(|line| {
-                let item = line.as_ref().and_then(|v| v.field(0)).unwrap_or(0);
-                keys.stock(w, item as u32)
-            })
-            .collect();
-        let stocks = snap.read(vec![ReadPart::new(shard, stock_keys)])?;
-        Ok(stocks
-            .iter()
-            .filter(|stock| stock.as_ref().and_then(|v| v.field(0)).unwrap_or(0) < threshold)
-            .count() as u64)
-    }
-
     fn run_local(&self, cluster: &Cluster, ty: TxnTypeId, w: u32, rng: &mut StdRng) -> WorkUnit {
         let params = &self.inner.params;
         let d = rng.gen_range(0..params.districts_per_warehouse);
         let shard = cluster.shard_of(w as u64);
         let call = ProcedureCall::new(ty);
-        let result: CcResult<(Value, usize)> = match ty {
+        let (proc, args) = match ty {
             t if t == types::DELIVERY => {
                 let mut buf = ByteWriter::new();
                 buf.put_u32(w);
                 buf.put_i64(rng.gen_range(1..10));
                 buf.put_u32(params.districts_per_warehouse);
-                cluster.execute_single(
-                    shard,
-                    procs::DELIVERY,
-                    &call,
-                    buf.into_bytes(),
-                    self.inner.max_attempts,
-                )
+                (procs::DELIVERY, buf.into_bytes())
             }
             t if t == types::HOT_ITEM => {
                 let mut buf = ByteWriter::new();
                 buf.put_u32(w);
                 buf.put_u32(d);
                 buf.put_u32(10);
-                cluster.execute_single(
-                    shard,
-                    procs::HOT_ITEM,
-                    &call,
-                    buf.into_bytes(),
-                    self.inner.max_attempts,
-                )
+                (procs::HOT_ITEM, buf.into_bytes())
             }
             _ => {
+                let input = transactions::StockLevelInput {
+                    w,
+                    d,
+                    threshold: 50,
+                    recent_orders: 20,
+                };
                 // stock_level is a pure read: under a non-Strong default
                 // consistency it rides the zero-2PC snapshot path.
                 if !matches!(cluster.default_read_consistency(), ReadConsistency::Strong) {
-                    let result = self.snapshot_stock_level(cluster, w, d, 50, 20);
-                    return unit(
-                        types::STOCK_LEVEL,
-                        result.map(|_| 0),
-                        self.inner.max_attempts,
+                    let result = transactions::stock_level(
+                        &mut cluster.snapshot(),
+                        &self.inner.keys,
+                        &input,
                     );
+                    return unit(ty, result.map(|_| 0), self.inner.max_attempts);
                 }
-                let mut buf = ByteWriter::new();
-                buf.put_u32(w);
-                buf.put_u32(d);
-                buf.put_i64(50);
-                buf.put_u32(20);
-                cluster.execute_single(
-                    shard,
-                    procs::STOCK_LEVEL,
-                    &call,
-                    buf.into_bytes(),
-                    self.inner.max_attempts,
-                )
+                (procs::STOCK_LEVEL, stock_level_args(&input))
             }
         };
-        unit(ty, result.map(|(_, a)| a), self.inner.max_attempts)
+        let result = cluster
+            .execute_single(shard, proc, &call, args, self.inner.max_attempts)
+            .map(|(_, aborts)| aborts);
+        unit(ty, result, self.inner.max_attempts)
     }
 }
 
-fn unit(
-    ty: TxnTypeId,
-    result: Result<usize, tebaldi_cc::CcError>,
-    max_attempts: usize,
-) -> WorkUnit {
+fn unit(ty: TxnTypeId, result: CcResult<usize>, max_attempts: usize) -> WorkUnit {
     match result {
         Ok(aborts) => WorkUnit::committed(ty, aborts),
         Err(_) => WorkUnit::failed(ty, max_attempts),

@@ -8,6 +8,11 @@
 //! the district's `next_delivery_o_id` cursor instead of scanning the
 //! new_order table.
 //!
+//! The read-only bodies (`order_status`, `stock_level`) read through a
+//! [`HopReader`], one hop per table: the same code runs on a [`Txn`] — a
+//! single-node run or a cluster shard's procedure — and on a cluster's
+//! HLC snapshot.
+//!
 //! Every row a procedure updates is updated once, by one [`Txn::update`]:
 //! the read and the write of the row are one operation (a locking node
 //! takes the row exclusive before reading it, never shared and then
@@ -16,9 +21,10 @@
 //! counters — gets one new version, not one per field.
 
 use super::schema::{TpccKeys, TpccParams};
+use crate::hops::{HopReader, KeyGroup};
 use tebaldi_cc::CcResult;
 use tebaldi_core::Txn;
-use tebaldi_storage::Value;
+use tebaldi_storage::{Key, Value};
 
 /// `row` (zeros when absent) with each `(field, delta)` added.
 fn add_fields(row: Option<&Value>, deltas: &[(usize, i64)]) -> Value {
@@ -57,19 +63,21 @@ pub struct PaymentInput {
 /// The payment transaction: update warehouse and district year-to-date
 /// totals, update the customer's balance, insert a history record.
 pub fn payment(txn: &mut Txn<'_>, keys: &TpccKeys, input: &PaymentInput) -> CcResult<()> {
-    payment_local(txn, keys, input, input.w, input.d)
+    payment_home(txn, keys, input, Some((input.w, input.d)))
 }
 
-/// Payment with the paying customer resolved on the same shard (possibly a
-/// different warehouse than the home one). Preserves the declared table
+/// Payment on the home warehouse: the warehouse and district totals and
+/// the history record, with the paying customer's update between them when
+/// `customer` — the customer's (warehouse, district) — lives on the same
+/// shard. A remote customer is `None` here: in the cluster its shard runs
+/// [`payment_customer`] as a second 2PC part. Keeps the declared table
 /// order (warehouse → district → customer → history) that runtime
 /// pipelining's static analysis relies on.
-pub fn payment_local(
+pub fn payment_home(
     txn: &mut Txn<'_>,
     keys: &TpccKeys,
     input: &PaymentInput,
-    c_w: u32,
-    c_d: u32,
+    customer: Option<(u32, u32)>,
 ) -> CcResult<()> {
     txn.increment(keys.warehouse(input.w), 0, input.amount)?;
     txn.increment(
@@ -77,24 +85,9 @@ pub fn payment_local(
         district_fields::YTD,
         input.amount,
     )?;
-    payment_customer(txn, keys, c_w, c_d, input.c, input.amount)?;
-    txn.put(
-        keys.history(input.w, input.d, input.history_seq),
-        Value::row(&[input.amount]),
-    )?;
-    Ok(())
-}
-
-/// The home-warehouse part of payment (warehouse + district totals and the
-/// history record). In the cluster a remote-customer payment runs this part
-/// on the home shard and [`payment_customer`] on the customer's shard.
-pub fn payment_home(txn: &mut Txn<'_>, keys: &TpccKeys, input: &PaymentInput) -> CcResult<()> {
-    txn.increment(keys.warehouse(input.w), 0, input.amount)?;
-    txn.increment(
-        keys.district(input.w, input.d),
-        district_fields::YTD,
-        input.amount,
-    )?;
+    if let Some((c_w, c_d)) = customer {
+        payment_customer(txn, keys, c_w, c_d, input.c, input.amount)?;
+    }
     txn.put(
         keys.history(input.w, input.d, input.history_seq),
         Value::row(&[input.amount]),
@@ -333,21 +326,47 @@ pub struct OrderStatusInput {
     pub c: u32,
 }
 
-/// The order_status read-only transaction.
-pub fn order_status(txn: &mut Txn<'_>, keys: &TpccKeys, input: &OrderStatusInput) -> CcResult<i64> {
-    let balance = txn
-        .get(keys.customer(input.w, input.d, input.c))?
-        .and_then(|v| v.field(0))
-        .unwrap_or(0);
-    let latest = txn
-        .get(keys.customer_order_index(input.w, input.d, input.c))?
-        .and_then(|v| v.as_int());
-    if let Some(o_id) = latest {
-        let order = txn.get(keys.order(input.w, input.d, o_id as u32))?;
-        let ol_cnt = order.and_then(|v| v.field(0)).unwrap_or(0);
-        for line in 0..ol_cnt.max(0) as u32 {
-            let _ = txn.get(keys.order_line(input.w, input.d, o_id as u32, line))?;
-        }
+/// The order_status read-only transaction: the customer's balance, after
+/// reading its latest order and that order's lines.
+pub fn order_status(
+    reader: &mut impl HopReader,
+    keys: &TpccKeys,
+    input: &OrderStatusInput,
+) -> CcResult<i64> {
+    order_status_at(reader, keys, input, None)
+}
+
+/// The warehouse and district rows a remote customer's order_status reads
+/// at the home desk `(w, d)`.
+pub fn order_status_desk(keys: &TpccKeys, w: u32, d: u32) -> KeyGroup {
+    (w as u64, vec![keys.warehouse(w), keys.district(w, d)])
+}
+
+/// order_status in three hops — customer and latest-order index, the
+/// order, its lines — with the home desk's rows ([`order_status_desk`])
+/// read in the first hop when the customer belongs to a remote warehouse.
+pub fn order_status_at(
+    reader: &mut impl HopReader,
+    keys: &TpccKeys,
+    input: &OrderStatusInput,
+    desk: Option<(u32, u32)>,
+) -> CcResult<i64> {
+    let (w, d, c) = (input.w, input.d, input.c);
+    let mut first = vec![(
+        w as u64,
+        vec![keys.customer(w, d, c), keys.customer_order_index(w, d, c)],
+    )];
+    first.extend(desk.map(|(w, d)| order_status_desk(keys, w, d)));
+    let first = reader.read_hop(first)?;
+    let balance = first[0].as_ref().and_then(|v| v.field(0)).unwrap_or(0);
+    if let Some(o_id) = first[1].as_ref().and_then(|v| v.as_int()) {
+        let o_id = o_id as u32;
+        let order = reader.read_hop(vec![(w as u64, vec![keys.order(w, d, o_id)])])?;
+        let ol_cnt = order[0].as_ref().and_then(|v| v.field(0)).unwrap_or(0);
+        let lines = (0..ol_cnt.max(0) as u32)
+            .map(|line| keys.order_line(w, d, o_id, line))
+            .collect();
+        reader.read_hop(vec![(w as u64, lines)])?;
     }
     Ok(balance)
 }
@@ -366,32 +385,45 @@ pub struct StockLevelInput {
 }
 
 /// The stock_level read-only transaction: counts recently sold items whose
-/// stock is below the threshold.
-pub fn stock_level(txn: &mut Txn<'_>, keys: &TpccKeys, input: &StockLevelInput) -> CcResult<u64> {
-    let next_o_id = txn
-        .get(keys.district(input.w, input.d))?
+/// stock is below the threshold. Reads in its declared table order, one
+/// hop per table: the district's order cursor, the recent orders, their
+/// lines, the lines' stock rows.
+pub fn stock_level(
+    reader: &mut impl HopReader,
+    keys: &TpccKeys,
+    input: &StockLevelInput,
+) -> CcResult<u64> {
+    let (w, d) = (input.w, input.d);
+    let hop = |keys: Vec<Key>| vec![(w as u64, keys)];
+    let district = reader.read_hop(hop(vec![keys.district(w, d)]))?;
+    let next_o_id = district[0]
+        .as_ref()
         .and_then(|v| v.field(district_fields::NEXT_O_ID))
         .unwrap_or(1);
     let low = (next_o_id - input.recent_orders as i64).max(1);
-    let mut below = 0u64;
-    for o_id in low..next_o_id {
-        let order = txn.get(keys.order(input.w, input.d, o_id as u32))?;
-        let ol_cnt = order.and_then(|v| v.field(0)).unwrap_or(0);
-        for line in 0..ol_cnt.max(0) as u32 {
-            let item = txn
-                .get(keys.order_line(input.w, input.d, o_id as u32, line))?
-                .and_then(|v| v.field(0))
-                .unwrap_or(0);
-            let quantity = txn
-                .get(keys.stock(input.w, item as u32))?
-                .and_then(|v| v.field(0))
-                .unwrap_or(0);
-            if quantity < input.threshold {
-                below += 1;
-            }
-        }
+    let order_ids: Vec<u32> = (low..next_o_id).map(|o| o as u32).collect();
+    let orders = reader.read_hop(hop(order_ids
+        .iter()
+        .map(|&o_id| keys.order(w, d, o_id))
+        .collect()))?;
+    let mut line_keys = Vec::new();
+    for (&o_id, order) in order_ids.iter().zip(&orders) {
+        let ol_cnt = order.as_ref().and_then(|v| v.field(0)).unwrap_or(0);
+        line_keys.extend((0..ol_cnt.max(0) as u32).map(|line| keys.order_line(w, d, o_id, line)));
     }
-    Ok(below)
+    let lines = reader.read_hop(hop(line_keys))?;
+    let stock_keys = lines
+        .iter()
+        .map(|line| {
+            let item = line.as_ref().and_then(|v| v.field(0)).unwrap_or(0);
+            keys.stock(w, item as u32)
+        })
+        .collect();
+    let stocks = reader.read_hop(hop(stock_keys))?;
+    Ok(stocks
+        .iter()
+        .filter(|stock| stock.as_ref().and_then(|v| v.field(0)).unwrap_or(0) < input.threshold)
+        .count() as u64)
 }
 
 /// Inputs of one `hot_item` invocation (§4.6.3).
