@@ -40,7 +40,10 @@ fn bench_storage(c: &mut Criterion) {
 /// the cache misses cost and nothing else. Keys are visited in a scrambled
 /// order so neither case is served from a warm line. `4M_keys_batch16` reads
 /// the 4 M store's keys sixteen to a call through
-/// `MvStore::read_snapshot_hlc` and reports the time per key.
+/// `MvStore::read_snapshot_hlc` and reports the time per key;
+/// `4M_keys_prefetched16` looks the same keys up one at a time, as a
+/// transaction does, after one `MvStore::prefetch` of each sixteen, and
+/// reports the time per key with the hint included.
 fn bench_store_lookup(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_lookup");
     for (name, orders) in [("64k_keys", 160u32), ("4M_keys", 10_000)] {
@@ -79,6 +82,26 @@ fn bench_store_lookup(c: &mut Criterion) {
                         reads.clear();
                         store.read_snapshot_hlc(&batch, u64::MAX, &mut reads);
                         criterion::black_box(&reads);
+                    }
+                    started.elapsed() / batch.len() as u32
+                });
+            });
+            // The same lookups one `with_chain` at a time, each sixteen
+            // warmed first by one prefetch hint, timed per key.
+            group.bench_function("4M_keys_prefetched16", |b| {
+                let mut i = 0usize;
+                let mut batch = [keys[0]; 16];
+                b.iter_custom(|iters| {
+                    let started = std::time::Instant::now();
+                    for _ in 0..iters {
+                        for key in &mut batch {
+                            i = (i + 7_919) % keys.len();
+                            *key = keys[i];
+                        }
+                        store.prefetch(batch);
+                        for key in &batch {
+                            criterion::black_box(store.with_chain(key, |chain| chain.len()));
+                        }
                     }
                     started.elapsed() / batch.len() as u32
                 });

@@ -139,6 +139,17 @@ impl<'a> Txn<'a> {
         Ok(self.saw(key, pick))
     }
 
+    /// Starts loading the store lines the lookups of `keys` will touch
+    /// ([`MvStore::prefetch`](tebaldi_storage::MvStore::prefetch)), for a
+    /// body that knows keys before it accesses them. A hint, not an
+    /// access: no mechanism hears of it, nothing is read, locked or
+    /// recorded, and the accesses that follow run exactly as they would
+    /// without it, only with warm lines. A key never accessed afterwards
+    /// costs a wasted load.
+    pub fn prefetch(&self, keys: impl IntoIterator<Item = Key>) {
+        self.db.store.prefetch(keys);
+    }
+
     /// Writes a key.
     pub fn put(&mut self, key: Key, value: Value) -> CcResult<()> {
         self.before(&key, Access::Write)?;

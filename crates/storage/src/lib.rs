@@ -40,6 +40,7 @@ pub mod durability;
 pub use key::{Key, KeyMap};
 pub use mvstore::{
     Chain, ChainWrite, IndexStats, MvStore, ReadSpec, SnapshotRead, StoreStats, WriteOutcome,
+    READ_GROUP,
 };
 pub use schema::{Schema, TableDef, TableId};
 pub use types::{GroupId, NodeId, Timestamp, TxnId, TxnTypeId};

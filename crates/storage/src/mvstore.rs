@@ -48,6 +48,15 @@
 //!   and a core tracks only so many misses at once. The pick is the same
 //!   chain walk a single read makes, so the batch changes when a line is
 //!   loaded, never what is read.
+//!   **The prefetch hint** ([`MvStore::prefetch`]) is the same staged walk
+//!   without the pick, for a caller that knows its keys before it reads
+//!   them one at a time (a transaction under the CC tree, whose every read
+//!   runs the tree's hooks first): it leaves each key's three lines on
+//!   their way into the cache, and the single lookups that follow find
+//!   them there. It too changes when a line is loaded, never what is read:
+//!   it reads no version, counts no read and inserts no key, and a key
+//!   that is never looked up afterwards costs only the wasted loads. The
+//!   store has one walk (`MvStore::walk`) for both.
 //! * **Writers serialize per key**, not per shard: [`MvStore::with_chain_mut`]
 //!   takes a tiny per-entry spin latch. Only the *first* write of a key
 //!   takes its shard's insert lock, to add the entry and its slot (and,
@@ -88,6 +97,7 @@
 use crate::arena::{prefetch, Segments, VersionArena, ZeroVacant, NIL};
 use crate::ebr;
 use crate::key::Key;
+use crate::schema::TableId;
 use crate::types::{Sequence, Timestamp, TxnId};
 use crate::value::Value;
 use crate::version::{Version, VersionId};
@@ -148,11 +158,13 @@ pub struct StoreStats {
     pub uncommitted: usize,
 }
 
-/// Keys a [`MvStore::read_many`] walks in step: each stage issues this many
-/// independent loads before the next stage uses the first of them — a few
-/// more than the misses a core keeps in flight, and few enough that the
-/// group's lines are still cached when stage 4 reads them.
-const READ_GROUP: usize = 16;
+/// Keys a [`MvStore::read_many`] or [`MvStore::prefetch`] walks in step:
+/// each stage issues this many independent loads before the next stage
+/// uses the first of them — a few more than the misses a core keeps in
+/// flight, and few enough that the group's lines are still cached when the
+/// next stage reads them. A caller that prefetches ahead of single reads
+/// warms this many keys at a time, for the same reason.
+pub const READ_GROUP: usize = 16;
 
 /// Slots of a shard's first table: 2^6 of them, 512 B a shard, so a store
 /// costs next to nothing until it holds keys.
@@ -1219,12 +1231,10 @@ impl MvStore {
 
     /// Runs `pick` on the chain of each of `keys` and appends its answers
     /// to `out`, in input order — what [`MvStore::with_chain`] does for one
-    /// key, for many at once. The keys go through in groups of
-    /// `READ_GROUP` (16), and each group in stages; at each stage every
-    /// key of the group starts its load before any of them is used, so the
-    /// group's misses overlap instead of queueing (module docs, "Batched
-    /// reads"). One epoch pin covers the call; the stripe's `reads`
-    /// counter rises by one per key.
+    /// key, for many at once. The keys go through the staged walk (module
+    /// docs, "Batched reads"), and `pick` runs as each group's last stage.
+    /// One epoch pin covers the call; the stripe's `reads` counter rises by
+    /// one per key.
     pub fn read_many<T>(
         &self,
         keys: &[Key],
@@ -1236,14 +1246,55 @@ impl MvStore {
             .reads
             .fetch_add(keys.len() as u64, Ordering::Relaxed);
         out.reserve(keys.len());
-        // Per key of the group: its hash, the table stage 1 chose to probe
-        // (each slot is set in stage 1 before it is read), and its entry.
+        self.walk(keys.iter().copied(), |entry| {
+            out.push(pick(&self.chain_of(entry.unwrap_or(&NO_ENTRY))))
+        });
+    }
+
+    /// Starts loading what a lookup of each of `keys` will touch — its
+    /// directory slot, its key entry, its head version — so a later
+    /// [`MvStore::with_chain`] or [`MvStore::with_chain_mut`] of the key
+    /// finds those lines cached. The staged walk of
+    /// [`MvStore::read_many`] without its pick: a hint, never an access. It
+    /// reads no version, counts no read, inserts no absent key, allocates
+    /// nothing and takes no lock. It takes no epoch pin either: it loads
+    /// only directory slots, key entries and head handles, none of which is
+    /// freed while the store lives, and the head version it only
+    /// prefetches — a stale handle wastes that load and nothing else.
+    pub fn prefetch(&self, keys: impl IntoIterator<Item = Key>) {
+        self.walk(keys, |_| ());
+    }
+
+    /// The staged walk every batched lookup shares: the keys go through in
+    /// groups of `READ_GROUP` (16), and each group in stages; at each stage
+    /// every key of the group starts its load before any of them is used,
+    /// so the group's misses overlap instead of queueing. `found` gets each
+    /// key's entry (`None`: never written), in input order, as the group's
+    /// last stage.
+    fn walk<'s>(
+        &'s self,
+        keys: impl IntoIterator<Item = Key>,
+        mut found: impl FnMut(Option<&'s KeyEntry>),
+    ) {
+        let mut keys = keys.into_iter();
+        // Per key of the group: the key, its hash, the table stage 1 chose
+        // to probe (each slot is set in stage 1 before it is read), and its
+        // entry.
+        let mut group = [Key::new(TableId(0), 0); READ_GROUP];
         let mut hashes = [0u64; READ_GROUP];
         let mut tables = [self.shards[0].table(); READ_GROUP];
         let mut entries: [Option<&KeyEntry>; READ_GROUP] = [None; READ_GROUP];
-        for group in keys.chunks(READ_GROUP) {
+        loop {
+            let mut len = 0;
+            for (slot, key) in group.iter_mut().zip(keys.by_ref()) {
+                *slot = key;
+                len += 1;
+            }
+            if len == 0 {
+                return;
+            }
             // 1. Hash each key; start loading its home directory slot.
-            for (i, key) in group.iter().enumerate() {
+            for (i, key) in group[..len].iter().enumerate() {
                 let h = key.mix64();
                 let table = self.shard_of(h).table();
                 prefetch(&table.slots[table.home(h >> 32)]);
@@ -1253,7 +1304,7 @@ impl MvStore {
             // 2. Read the home slot; start loading the entry it names when
             //    its tag is the key's (else the probe walks on in stage 3).
             //    A hint only: stage 3 loads the slot again, `Acquire`.
-            for i in 0..group.len() {
+            for i in 0..len {
                 let (tag, table) = (hashes[i] >> 32, tables[i]);
                 let slot = table.slots[table.home(tag)].load(Ordering::Relaxed);
                 if slot != 0 && slot >> 32 == tag {
@@ -1261,16 +1312,19 @@ impl MvStore {
                 }
             }
             // 3. Finish each lookup; start loading the chain's head slot.
-            for (i, key) in group.iter().enumerate() {
+            for (i, key) in group[..len].iter().enumerate() {
                 let entry = self.probe(tables[i], key, hashes[i] >> 32).ok();
                 if let Some(entry) = entry {
                     self.arena.prefetch(entry.head.load(Ordering::Relaxed));
                 }
                 entries[i] = entry;
             }
-            // 4. Pick each key's answer from its chain.
-            for entry in &entries[..group.len()] {
-                out.push(pick(&self.chain_of(entry.unwrap_or(&NO_ENTRY))));
+            // 4. Hand each key's entry on.
+            for &entry in &entries[..len] {
+                found(entry);
+            }
+            if len < READ_GROUP {
+                return;
             }
         }
     }

@@ -365,7 +365,7 @@ fn reserve_flight(
         return Ok(false);
     }
     if let Some(window) = window {
-        txn.read_hop(vec![window.group(t, flight, seat, None)])?;
+        txn.read_hop(vec![window.group(t, flight, seat, None)], &mut Vec::new())?;
     }
     txn.increment(t.flight_key(flight), 0, 1)?;
     Ok(true)
@@ -460,10 +460,13 @@ fn update_customer(txn: &mut Txn<'_>, t: &SeatsTables, customer: u32) -> CcResul
 
 /// find_flights: one hop reading the flight's side data and its row.
 pub fn find_flights(reader: &mut impl HopReader, t: &SeatsTables, flight: u32) -> CcResult<()> {
-    reader.read_hop(vec![(
-        flight as u64,
-        vec![t.flight_info_key(flight), t.flight_key(flight)],
-    )])?;
+    reader.read_hop(
+        vec![(
+            flight as u64,
+            vec![t.flight_info_key(flight), t.flight_key(flight)],
+        )],
+        &mut Vec::new(),
+    )?;
     Ok(())
 }
 
@@ -476,12 +479,11 @@ pub fn find_open_seats(
     flight: u32,
     seat: u32,
 ) -> CcResult<u32> {
-    let values = reader.read_hop(vec![window.group(
-        t,
-        flight,
-        seat,
-        Some(t.flight_key(flight)),
-    )])?;
+    let mut values = Vec::new();
+    reader.read_hop(
+        vec![window.group(t, flight, seat, Some(t.flight_key(flight)))],
+        &mut values,
+    )?;
     Ok(values[1..].iter().filter(|row| row.is_none()).count() as u32)
 }
 

@@ -226,7 +226,10 @@ pub fn register_procedures(registry: &mut ProcRegistry, keys: super::schema::Tpc
         let mut r = ByteReader::new(args);
         let w = r.u32().map_err(bad_args)?;
         let d = r.u32().map_err(bad_args)?;
-        txn.read_hop(vec![transactions::order_status_desk(&keys, w, d)])?;
+        txn.read_hop(
+            vec![transactions::order_status_desk(&keys, w, d)],
+            &mut Vec::new(),
+        )?;
         Ok(Value::Null)
     });
     registry.register_fn(procs::DELIVERY, move |txn, args| {

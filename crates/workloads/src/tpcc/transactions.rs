@@ -13,6 +13,12 @@
 //! single-node run or a cluster shard's procedure — and on a cluster's
 //! HLC snapshot.
 //!
+//! The read-write bodies warm the rows they know before they touch them:
+//! one [`Txn::prefetch`] of every key known up front, another of each set
+//! of keys an earlier read reveals. A hint, not an access: the accesses
+//! that follow keep their order, so each body still follows its declared
+//! table sequence and no hook runs earlier or later than without it.
+//!
 //! Every row a procedure updates is updated once, by one [`Txn::update`]:
 //! the read and the write of the row are one operation (a locking node
 //! takes the row exclusive before reading it, never shared and then
@@ -79,6 +85,11 @@ pub fn payment_home(
     input: &PaymentInput,
     customer: Option<(u32, u32)>,
 ) -> CcResult<()> {
+    txn.prefetch(
+        [keys.warehouse(input.w), keys.district(input.w, input.d)]
+            .into_iter()
+            .chain(customer.map(|(c_w, c_d)| keys.customer(c_w, c_d, input.c))),
+    );
     txn.increment(keys.warehouse(input.w), 0, input.amount)?;
     txn.increment(
         keys.district(input.w, input.d),
@@ -172,9 +183,35 @@ pub fn new_order_filtered(
     input: &NewOrderInput,
     stock_local: impl Fn(u32) -> bool,
 ) -> CcResult<u32> {
+    let (w, d) = (input.w, input.d);
+    // Every row the order reads or updates is known up front: warm them
+    // all before the first access (a hint — the accesses below keep their
+    // order).
+    txn.prefetch(
+        [
+            keys.warehouse(w),
+            keys.district(w, d),
+            keys.customer(w, d, input.c),
+        ]
+        .into_iter()
+        .chain(input.lines.iter().flat_map(|&(item, supply_w, _)| {
+            let stock = stock_local(supply_w).then(|| keys.stock(supply_w, item));
+            std::iter::once(keys.item(item)).chain(stock)
+        })),
+    );
     // Warehouse tax rate (read only).
     let _ = txn.get(keys.warehouse(input.w))?;
     let o_id = allocate_order_id(txn, keys, input)?;
+    // The rows the order inserts are known once its id is.
+    txn.prefetch(
+        [
+            keys.order(w, d, o_id),
+            keys.new_order(w, d, o_id),
+            keys.customer_order_index(w, d, input.c),
+        ]
+        .into_iter()
+        .chain((0..input.lines.len() as u32).map(|line| keys.order_line(w, d, o_id, line))),
+    );
     // Customer discount / credit (read only).
     let _ = txn.get(keys.customer(input.w, input.d, input.c))?;
     // Insert the order and its new_order marker.
@@ -212,6 +249,11 @@ pub fn new_order_remote_stock(
     keys: &TpccKeys,
     lines: &[(u32, u32, i64)],
 ) -> CcResult<()> {
+    txn.prefetch(
+        lines
+            .iter()
+            .map(|&(item, supply_w, _)| keys.stock(supply_w, item)),
+    );
     for (item, supply_w, qty) in lines {
         take_stock(txn, keys, *item, *supply_w, *qty)?;
     }
@@ -272,6 +314,7 @@ pub struct DeliveryInput {
 pub fn delivery(txn: &mut Txn<'_>, keys: &TpccKeys, input: &DeliveryInput) -> CcResult<u32> {
     use district_fields::{NEXT_DELIVERY_O_ID, NEXT_O_ID};
     let mut delivered = 0;
+    txn.prefetch((0..input.districts).map(|d| keys.district(input.w, d)));
     for d in 0..input.districts {
         // Take the district's oldest undelivered order and advance the
         // cursor past it; a district with nothing pending is left as it is.
@@ -296,6 +339,11 @@ pub fn delivery(txn: &mut Txn<'_>, keys: &TpccKeys, input: &DeliveryInput) -> Cc
         })?;
         let field = |idx| order.as_ref().and_then(|v| v.field(idx)).unwrap_or(0);
         let (ol_cnt, c_id) = (field(0), field(1));
+        txn.prefetch(
+            (0..ol_cnt.max(0) as u32)
+                .map(|line| keys.order_line(input.w, d, o_id, line))
+                .chain((c_id > 0).then(|| keys.customer(input.w, d, c_id as u32))),
+        );
         // Stamp delivery on each order line and sum the amounts.
         let mut amount = 0i64;
         for line in 0..ol_cnt.max(0) as u32 {
@@ -357,16 +405,20 @@ pub fn order_status_at(
         vec![keys.customer(w, d, c), keys.customer_order_index(w, d, c)],
     )];
     first.extend(desk.map(|(w, d)| order_status_desk(keys, w, d)));
-    let first = reader.read_hop(first)?;
-    let balance = first[0].as_ref().and_then(|v| v.field(0)).unwrap_or(0);
-    if let Some(o_id) = first[1].as_ref().and_then(|v| v.as_int()) {
+    // One buffer for every hop: an order has at most 15 lines.
+    let mut values = Vec::with_capacity(16);
+    reader.read_hop(first, &mut values)?;
+    let balance = values[0].as_ref().and_then(|v| v.field(0)).unwrap_or(0);
+    if let Some(o_id) = values[1].as_ref().and_then(|v| v.as_int()) {
         let o_id = o_id as u32;
-        let order = reader.read_hop(vec![(w as u64, vec![keys.order(w, d, o_id)])])?;
-        let ol_cnt = order[0].as_ref().and_then(|v| v.field(0)).unwrap_or(0);
+        values.clear();
+        reader.read_hop(vec![(w as u64, vec![keys.order(w, d, o_id)])], &mut values)?;
+        let ol_cnt = values[0].as_ref().and_then(|v| v.field(0)).unwrap_or(0);
         let lines = (0..ol_cnt.max(0) as u32)
             .map(|line| keys.order_line(w, d, o_id, line))
             .collect();
-        reader.read_hop(vec![(w as u64, lines)])?;
+        values.clear();
+        reader.read_hop(vec![(w as u64, lines)], &mut values)?;
     }
     Ok(balance)
 }
@@ -395,32 +447,36 @@ pub fn stock_level(
 ) -> CcResult<u64> {
     let (w, d) = (input.w, input.d);
     let hop = |keys: Vec<Key>| vec![(w as u64, keys)];
-    let district = reader.read_hop(hop(vec![keys.district(w, d)]))?;
-    let next_o_id = district[0]
+    // One buffer for every hop: each hop's keys are built from the last
+    // hop's values before the buffer is cleared for its own.
+    let mut values = Vec::new();
+    reader.read_hop(hop(vec![keys.district(w, d)]), &mut values)?;
+    let next_o_id = values[0]
         .as_ref()
         .and_then(|v| v.field(district_fields::NEXT_O_ID))
         .unwrap_or(1);
     let low = (next_o_id - input.recent_orders as i64).max(1);
-    let order_ids: Vec<u32> = (low..next_o_id).map(|o| o as u32).collect();
-    let orders = reader.read_hop(hop(order_ids
-        .iter()
-        .map(|&o_id| keys.order(w, d, o_id))
-        .collect()))?;
+    let order_ids = (low..next_o_id).map(|o| o as u32);
+    let order_keys = order_ids.clone().map(|o_id| keys.order(w, d, o_id));
+    values.clear();
+    reader.read_hop(hop(order_keys.collect()), &mut values)?;
     let mut line_keys = Vec::new();
-    for (&o_id, order) in order_ids.iter().zip(&orders) {
+    for (o_id, order) in order_ids.zip(&values) {
         let ol_cnt = order.as_ref().and_then(|v| v.field(0)).unwrap_or(0);
         line_keys.extend((0..ol_cnt.max(0) as u32).map(|line| keys.order_line(w, d, o_id, line)));
     }
-    let lines = reader.read_hop(hop(line_keys))?;
-    let stock_keys = lines
+    values.clear();
+    reader.read_hop(hop(line_keys), &mut values)?;
+    let stock_keys = values
         .iter()
         .map(|line| {
             let item = line.as_ref().and_then(|v| v.field(0)).unwrap_or(0);
             keys.stock(w, item as u32)
         })
         .collect();
-    let stocks = reader.read_hop(hop(stock_keys))?;
-    Ok(stocks
+    values.clear();
+    reader.read_hop(hop(stock_keys), &mut values)?;
+    Ok(values
         .iter()
         .filter(|stock| stock.as_ref().and_then(|v| v.field(0)).unwrap_or(0) < input.threshold)
         .count() as u64)

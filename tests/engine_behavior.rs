@@ -1,7 +1,7 @@
 //! Engine-level behavioural tests: garbage collection, read-only
 //! non-blocking behaviour under the SSI root, cascading-abort prevention,
-//! partition-by-instance group routing, who wakes whom, and what the retry
-//! loop waits on after an abort.
+//! partition-by-instance group routing, who wakes whom, what the retry
+//! loop waits on after an abort, and that a prefetch is only a hint.
 
 use std::sync::Arc;
 use std::sync::{mpsc, Barrier, Mutex};
@@ -10,8 +10,13 @@ use tebaldi_suite::cc::{
     AccessMode, CcError, CcKind, CcNodeSpec, CcResult, CcTreeSpec, ProcedureInfo, ProcedureSet,
     Reason, WaitLabel,
 };
-use tebaldi_suite::core::{Database, DbConfig, ProcedureCall};
+use tebaldi_suite::core::{Database, DbConfig, ProcedureCall, Txn};
 use tebaldi_suite::storage::{Key, TableId, TxnId, TxnTypeId, Value};
+use tebaldi_suite::workloads::tpcc::configs;
+use tebaldi_suite::workloads::tpcc::schema::{
+    procedures as tpcc_procedures, standard_types, types, TpccKeys, TpccParams,
+};
+use tebaldi_suite::workloads::tpcc::transactions::{district_fields, load};
 
 const TABLE: TableId = TableId(0);
 const UPDATE: TxnTypeId = TxnTypeId(0);
@@ -799,4 +804,215 @@ fn a_loser_retries_at_once_only_once_past_the_same_ended_winner() {
     assert_retries_backed_off(&attempts, 2);
     assert_eq!(read_int(&db, key), Some(2));
     db.shutdown();
+}
+
+/// Every leaf kind as a monolithic tree, and the 2- and 3-layer TPC-C trees.
+fn hint_trees() -> Vec<(&'static str, CcTreeSpec)> {
+    let mut trees: Vec<_> = [
+        CcKind::TwoPl,
+        CcKind::Rp,
+        CcKind::Ssi,
+        CcKind::Tso,
+        CcKind::NoCc,
+    ]
+    .into_iter()
+    .map(|kind| (kind.name(), CcTreeSpec::monolithic(kind, standard_types())))
+    .collect();
+    trees.push(("tree2", configs::tebaldi_two_layer()));
+    trees.push(("tree3", configs::tebaldi_three_layer()));
+    trees
+}
+
+/// A tiny TPC-C database under `spec`.
+fn tpcc_db(spec: CcTreeSpec) -> Arc<Database> {
+    let keys = TpccKeys::default();
+    let db = Database::builder(DbConfig::for_tests())
+        .procedures(tpcc_procedures(&keys.tables, false))
+        .cc_spec(spec)
+        .build()
+        .unwrap();
+    load(&db, &keys, &TpccParams::tiny());
+    Arc::new(db)
+}
+
+/// Keys the payment-shaped body below reads or writes (the first four
+/// present, the fifth absent until it inserts it), one more absent key,
+/// and present keys it never touches.
+fn hint_keys(keys: &TpccKeys) -> Vec<Key> {
+    vec![
+        keys.warehouse(0),
+        keys.district(0, 1),
+        keys.customer(0, 1, 2),
+        keys.customer(0, 1, 3),
+        keys.history(0, 1, 9),
+        keys.order(0, 1, 999),
+        keys.stock(0, 5),
+        keys.item(7),
+        keys.customer(1, 0, 4),
+    ]
+}
+
+/// Prefetches `keys` and checks, around the call, that the store counted
+/// no access and inserted no key.
+fn prefetch_checked(db: &Database, txn: &Txn<'_>, keys: &[Key]) {
+    let store = db.store();
+    let before = (store.stats().keys, store.access_counts());
+    txn.prefetch(keys.iter().copied());
+    assert_eq!(
+        (store.stats().keys, store.access_counts()),
+        before,
+        "a prefetch reads, writes and inserts nothing"
+    );
+}
+
+/// A payment-shaped body in the declared table order (warehouse →
+/// district → customer → history), after prefetching `hint` when it has
+/// keys. Returns what it read.
+fn pay(db: &Database, hint: &[Key]) -> CcResult<Vec<Option<Value>>> {
+    let keys = TpccKeys::default();
+    db.execute(&ProcedureCall::new(types::PAYMENT), |txn| {
+        if !hint.is_empty() {
+            prefetch_checked(db, txn, hint);
+        }
+        let warehouse = txn.increment(keys.warehouse(0), 0, 7)?;
+        let district = txn.increment(keys.district(0, 1), district_fields::YTD, 7)?;
+        let neighbour = txn.get(keys.customer(0, 1, 3))?;
+        let customer = txn.update(keys.customer(0, 1, 2), |row| {
+            Some(row.cloned().unwrap_or(Value::Int(0)).with_field(0, -7))
+        })?;
+        txn.put(keys.history(0, 1, 9), Value::row(&[7]))?;
+        Ok(vec![
+            Some(Value::Int(warehouse)),
+            Some(Value::Int(district)),
+            neighbour,
+            customer,
+        ])
+    })
+}
+
+/// SIREAD entries counted by every SSI node of `db`.
+fn siread_entries(db: &Database) -> u64 {
+    db.metrics()
+        .snapshot()
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("cc.ssi.") && name.ends_with(".siread_entries"))
+        .map(|(_, n)| n)
+        .sum()
+}
+
+/// What a run left behind that a hint must not change: the store's key
+/// count and access counts, the SIREAD entries taken, and the recorded
+/// history's reads, writes and outcomes.
+fn footprint(db: &Database) -> String {
+    let history = db.take_history().expect("tests record history");
+    let records: Vec<_> = history
+        .txns
+        .iter()
+        .map(|t| (&t.reads, &t.writes, t.committed))
+        .collect();
+    format!(
+        "{:?} {:?} {} {records:?}",
+        db.store().stats(),
+        db.store().access_counts(),
+        siread_entries(db)
+    )
+}
+
+#[test]
+fn a_prefetch_changes_nothing_a_body_reads_or_leaves_behind() {
+    let keys = TpccKeys::default();
+    for (name, spec) in hint_trees() {
+        let hinted = tpcc_db(spec.clone());
+        let plain = tpcc_db(spec);
+        let with_hint = pay(&hinted, &hint_keys(&keys));
+        let without = pay(&plain, &[]);
+        assert!(without.is_ok(), "{name}: {without:?}");
+        assert_eq!(
+            format!("{with_hint:?}"),
+            format!("{without:?}"),
+            "{name}: values and outcome"
+        );
+        assert_eq!(footprint(&hinted), footprint(&plain), "{name}");
+        hinted.shutdown();
+        plain.shutdown();
+    }
+}
+
+/// Runs a warehouse update while another payment is open after `hold`;
+/// returns the update's outcome.
+fn update_beside_open_txn(db: &Arc<Database>, hold: fn(&mut Txn<'_>)) -> CcResult<i64> {
+    let keys = TpccKeys::default();
+    let (held_tx, held_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let holder = {
+        let db = Arc::clone(db);
+        std::thread::spawn(move || {
+            db.execute(&ProcedureCall::new(types::PAYMENT), |txn| {
+                hold(txn);
+                held_tx.send(()).unwrap();
+                let _ = done_rx.recv_timeout(Duration::from_secs(5));
+                Ok(())
+            })
+        })
+    };
+    held_rx.recv().unwrap();
+    let updated = db.execute(&ProcedureCall::new(types::PAYMENT), |txn| {
+        txn.increment(keys.warehouse(0), 0, 1)
+    });
+    done_tx.send(()).unwrap();
+    holder.join().unwrap().expect("the holder commits");
+    updated
+}
+
+#[test]
+fn a_transaction_that_only_prefetched_holds_no_lock() {
+    for (name, spec) in hint_trees() {
+        let hinted = tpcc_db(spec.clone());
+        let idle = tpcc_db(spec.clone());
+        let beside_hint = update_beside_open_txn(&hinted, |txn| {
+            let hint = hint_keys(&TpccKeys::default());
+            txn.prefetch(hint.iter().copied())
+        });
+        let beside_idle = update_beside_open_txn(&idle, |_| ());
+        assert_eq!(
+            format!("{beside_hint:?}"),
+            format!("{beside_idle:?}"),
+            "{name}: an open transaction that only prefetched acts as an idle one"
+        );
+        if name == CcKind::TwoPl.name() {
+            assert!(beside_hint.is_ok(), "{name}: {beside_hint:?}");
+            // The same holder reading the key does block the update: the
+            // check above would see a lock.
+            let reader = tpcc_db(spec);
+            let beside_read = update_beside_open_txn(&reader, |txn| {
+                txn.get(TpccKeys::default().warehouse(0)).unwrap();
+            });
+            assert!(beside_read.is_err(), "{beside_read:?}");
+            reader.shutdown();
+        }
+        hinted.shutdown();
+        idle.shutdown();
+    }
+}
+
+#[test]
+fn an_aborted_attempt_that_prefetched_leaves_nothing_behind() {
+    let keys = TpccKeys::default();
+    for (name, spec) in hint_trees() {
+        let db = tpcc_db(spec);
+        let before = db.store().stats();
+        let aborted: CcResult<()> = db.execute(&ProcedureCall::new(types::PAYMENT), |txn| {
+            prefetch_checked(&db, txn, &hint_keys(&keys));
+            txn.increment(keys.warehouse(0), 0, 1)?;
+            Err(CcError::Requested)
+        });
+        assert!(matches!(aborted, Err(CcError::Requested)), "{name}");
+        assert_eq!(db.store().stats(), before, "{name}: no key, no version");
+        // Nothing of the attempt is held: the body runs, first try, on the
+        // keys it prefetched, and sees the warehouse as loaded.
+        let values = pay(&db, &[]).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        assert_eq!(values[0], Some(Value::Int(7)), "{name}");
+        db.shutdown();
+    }
 }

@@ -35,9 +35,9 @@ impl<'r> Recording<'r> {
 }
 
 impl HopReader for Recording<'_> {
-    fn read_hop(&mut self, groups: Vec<KeyGroup>) -> CcResult<Vec<Option<Value>>> {
+    fn read_hop(&mut self, groups: Vec<KeyGroup>, out: &mut Vec<Option<Value>>) -> CcResult<()> {
         self.hops.push(groups.clone());
-        self.reader.read_hop(groups)
+        self.reader.read_hop(groups, out)
     }
 }
 
