@@ -249,9 +249,9 @@ mod tests {
     fn env(timeout_ms: u64) -> (NodeEnv, Arc<VecSink>) {
         let sink = Arc::new(VecSink::new());
         let registry = Arc::new(TxnRegistry::default());
-        registry.register(TxnId(1), TxnTypeId(1), GroupId(0));
-        registry.register(TxnId(2), TxnTypeId(2), GroupId(1));
-        registry.register(TxnId(3), TxnTypeId(3), GroupId(1));
+        registry.register(TxnId(1), TxnTypeId(1));
+        registry.register(TxnId(2), TxnTypeId(2));
+        registry.register(TxnId(3), TxnTypeId(3));
         (
             NodeEnv {
                 events: sink.clone(),

@@ -89,6 +89,8 @@ impl Access {
 pub struct VersionPick {
     /// Transaction that wrote the candidate.
     pub writer: TxnId,
+    /// The writer's leaf group ([`Version::group`](tebaldi_storage::Version::group)).
+    pub group: GroupId,
     /// The candidate value.
     pub value: Value,
     /// Whether the writer had committed at proposal time.
@@ -102,6 +104,7 @@ impl VersionPick {
     pub fn from_version(v: &tebaldi_storage::Version) -> VersionPick {
         VersionPick {
             writer: v.writer,
+            group: v.group,
             value: v.value.clone(),
             committed: v.is_committed(),
             commit_ts: v.commit_ts(),
@@ -223,29 +226,22 @@ impl std::fmt::Debug for NodeEnv {
 }
 
 impl NodeEnv {
-    /// The leaf group of another transaction, when still known.
-    pub fn group_of(&self, txn: TxnId) -> Option<GroupId> {
-        self.registry.group_of(txn)
-    }
-
-    /// True when `writer` belongs to the same "group" as a transaction on
-    /// `lane` from this node's point of view: the same child subtree for an
-    /// inner node, the node's own group for a leaf.
-    pub fn same_group(&self, lane: Lane, writer: TxnId) -> bool {
-        let Some(writer_group) = self.group_of(writer) else {
-            return false;
-        };
+    /// True when a version written in `group` (its
+    /// [`group`](tebaldi_storage::Version::group)) belongs to the same
+    /// "group" as a transaction on `lane` from this node's point of view:
+    /// the same child subtree for an inner node, the node's own group for a
+    /// leaf.
+    pub fn same_group(&self, lane: Lane, group: GroupId) -> bool {
         match lane.sel {
-            LaneSel::Child(c) => self.topology.child_lane(self.node, writer_group) == Some(c),
-            LaneSel::Leaf => self.topology.leaf_group(self.node) == Some(writer_group),
+            LaneSel::Child(c) => self.topology.child_lane(self.node, group) == Some(c),
+            LaneSel::Leaf => self.topology.leaf_group(self.node) == Some(group),
         }
     }
 
-    /// True when `writer` is anywhere in this node's subtree.
-    pub fn in_subtree(&self, writer: TxnId) -> bool {
-        self.group_of(writer)
-            .map(|g| self.topology.in_subtree(self.node, g))
-            .unwrap_or(false)
+    /// True when a version written in `group` comes from anywhere in this
+    /// node's subtree.
+    pub fn in_subtree(&self, group: GroupId) -> bool {
+        self.topology.in_subtree(self.node, group)
     }
 }
 
@@ -491,6 +487,75 @@ mod tests {
         ctx.add_dep(TxnId(7));
         assert_eq!(ctx.deps.len(), 1);
         assert!(ctx.deps.contains(&TxnId(7)));
+    }
+
+    /// A node reads a writer's group off its version, so dropping the
+    /// finished writers from the directory changes no answer. For 2PL, RP
+    /// and TSO at the leaf of group 0 and SSI at an inner node, a reader of
+    /// group 0 reads (on its own and on the candidate of its group's newest
+    /// write) and validates a write. The chain holds a sibling group's
+    /// version, committed before the reader began, and its own group's,
+    /// stamped (under TSO) and committed after. Compaction then forgets
+    /// both writers, and every answer stands.
+    #[test]
+    fn compaction_changes_no_answer() {
+        use crate::ssi::{Ssi, SsiConfig};
+        use crate::{rp::Rp, tso::Tso, twopl::TwoPl};
+        use tebaldi_storage::{MvStore, TableId};
+        let key = Key::simple(TableId(0), 1);
+        for kind in [CcKind::TwoPl, CcKind::Rp, CcKind::Tso, CcKind::Ssi] {
+            let registry = Arc::new(TxnRegistry::default());
+            let mut topology = Topology::new();
+            let lane = if kind == CcKind::Ssi {
+                topology.record_child(NodeId(0), GroupId(0), 0);
+                topology.record_child(NodeId(0), GroupId(1), 1);
+                Lane::child(0)
+            } else {
+                topology.record_leaf(NodeId(0), GroupId(0));
+                Lane::leaf()
+            };
+            let env = NodeEnv::for_test(topology, Arc::clone(&registry), 20);
+            let oracle = Arc::clone(&env.oracle);
+            let cc: Box<dyn CcMechanism> = match kind {
+                CcKind::TwoPl => Box::new(TwoPl::new(env)),
+                CcKind::Rp => Box::new(Rp::new(env, Default::default())),
+                CcKind::Tso => Box::new(Tso::new(env)),
+                _ => Box::new(Ssi::new(env, SsiConfig::default())),
+            };
+            let store = MvStore::new(1);
+            store.load(&key, Value::Int(0));
+            let commit = |writer: u64, group: GroupId| {
+                registry.register(TxnId(writer), TxnTypeId(0));
+                let order_ts = (kind == CcKind::Tso).then(|| oracle.issue());
+                let version = Version::uncommitted(group, TxnId(writer), Value::Int(1), order_ts);
+                store.with_chain_mut(&key, |chain| chain.install(version));
+                let ts = oracle.issue();
+                store.commit_writes(TxnId(writer), &[key], ts);
+                registry.mark_committed(TxnId(writer), ts);
+            };
+            commit(9, GroupId(1));
+            let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
+            cc.begin(&mut reader, lane).unwrap();
+            commit(1, GroupId(0));
+            let mut answer = || {
+                let newest =
+                    store.with_chain(&key, |c| c.iter().next().map(VersionPick::from_version));
+                let picks = [None, newest].map(|candidate| {
+                    let pick = store.with_chain(&key, |chain| {
+                        cc.choose_version(&mut reader, lane, &key, candidate, chain)
+                    });
+                    pick.map(|p| p.writer)
+                });
+                let write = store.with_chain_mut(&key, |chain| {
+                    cc.validate_write(&mut reader, lane, &key, chain)
+                });
+                (picks, write)
+            };
+            let registered = answer();
+            assert_eq!(registry.compact(), 2, "{kind:?}");
+            assert_eq!(registry.type_of(TxnId(1)), None, "{kind:?}");
+            assert_eq!(answer(), registered, "{kind:?}");
+        }
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! The shared transaction directory, and the one place a transaction sleeps.
 //!
-//! Mechanisms and the engine need three pieces of information about *other*
+//! Mechanisms and the engine need two pieces of information about *other*
 //! transactions:
 //!
 //! * their status (active / committed / aborted), to implement dependency
 //!   waiting ("delay commit until all in-group dependencies have
 //!   committed", §4.4.1 — a [`cc::wait`](crate::wait) on the dependency's
-//!   status) and cascading-abort prevention,
-//! * their static type, to label blocking events for the profiler, and
-//! * their leaf group, so a parent CC can tell whether a version proposed by
-//!   a child was written inside or outside the child's subtree (§4.3.1's
-//!   read logic).
+//!   status) and cascading-abort prevention, and
+//! * their static type, to label blocking events for the profiler.
+//!
+//! Which group a version's writer ran in is not asked here: the version
+//! names it ([`Version::group`](tebaldi_storage::Version::group)), so
+//! §4.3.1's read logic never depends on an entry that compaction may have
+//! dropped.
 //!
 //! Every entry is also a **parking spot**: a blocked transaction — behind a
 //! lock holder, a pipeline predecessor, a promiser or a dependency — sleeps
@@ -45,7 +47,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::thread::{self, Thread};
 use std::time::Instant;
-use tebaldi_storage::{GroupId, Timestamp, TxnId, TxnTypeId};
+use tebaldi_storage::{Timestamp, TxnId, TxnTypeId};
 
 /// Lifecycle status of a transaction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,7 +75,6 @@ impl TxnStatus {
 struct TxnInfo {
     status: TxnStatus,
     ty: TxnTypeId,
-    group: GroupId,
     /// The compaction generation of the registration, then of the finish.
     stamp: u32,
     /// Bumped by every move of the transaction.
@@ -160,11 +161,10 @@ impl TxnRegistry {
     }
 
     /// Registers a starting transaction.
-    pub fn register(&self, txn: TxnId, ty: TxnTypeId, group: GroupId) {
+    pub fn register(&self, txn: TxnId, ty: TxnTypeId) {
         let info = TxnInfo {
             status: TxnStatus::Active,
             ty,
-            group,
             stamp: self.generation.load(Ordering::Relaxed),
             epoch: 0,
         };
@@ -277,11 +277,6 @@ impl TxnRegistry {
             .unwrap_or(TxnStatus::Committed(Timestamp::ZERO))
     }
 
-    /// The leaf group a transaction was assigned to, if still known.
-    pub fn group_of(&self, txn: TxnId) -> Option<GroupId> {
-        self.shard(txn).lock().txns.get(&txn).map(|i| i.group)
-    }
-
     /// The static type of a transaction, if still known.
     pub fn type_of(&self, txn: TxnId) -> Option<TxnTypeId> {
         self.shard(txn).lock().txns.get(&txn).map(|i| i.ty)
@@ -371,7 +366,7 @@ mod tests {
     use crate::mechanism::TxnCtx;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
-    use tebaldi_storage::NodeId;
+    use tebaldi_storage::{GroupId, NodeId};
 
     impl TxnRegistry {
         fn active_count(&self) -> usize {
@@ -391,9 +386,8 @@ mod tests {
     #[test]
     fn register_and_query() {
         let r = TxnRegistry::default();
-        r.register(TxnId(1), TxnTypeId(3), GroupId(2));
+        r.register(TxnId(1), TxnTypeId(3));
         assert_eq!(r.status(TxnId(1)), TxnStatus::Active);
-        assert_eq!(r.group_of(TxnId(1)), Some(GroupId(2)));
         assert_eq!(r.type_of(TxnId(1)), Some(TxnTypeId(3)));
         r.mark_committed(TxnId(1), Timestamp(9));
         assert_eq!(r.status(TxnId(1)), TxnStatus::Committed(Timestamp(9)));
@@ -409,20 +403,20 @@ mod tests {
     #[test]
     fn compact_keeps_active() {
         let r = TxnRegistry::default();
-        r.register(TxnId(1), TxnTypeId(0), GroupId(0));
-        r.register(TxnId(2), TxnTypeId(0), GroupId(0));
+        r.register(TxnId(1), TxnTypeId(0));
+        r.register(TxnId(2), TxnTypeId(0));
         r.mark_aborted(TxnId(2));
         // T1 registered before T2 finished: it may have read T2's write and
         // will ask for T2's status at its commit.
         assert_eq!(r.compact(), 0);
         assert_eq!(r.status(TxnId(2)), TxnStatus::Aborted);
         // A transaction registered after T2 finished does not hold it.
-        r.register(TxnId(3), TxnTypeId(0), GroupId(0));
+        r.register(TxnId(3), TxnTypeId(0));
         r.mark_committed(TxnId(1), Timestamp(1));
         assert_eq!(r.compact(), 1);
-        assert_eq!(r.group_of(TxnId(2)), None);
+        assert_eq!(r.type_of(TxnId(2)), None);
         // T1 finished in a generation T3 may have seen it active in.
-        assert_eq!(r.group_of(TxnId(1)), Some(GroupId(0)));
+        assert_eq!(r.type_of(TxnId(1)), Some(TxnTypeId(0)));
         r.mark_committed(TxnId(3), Timestamp(2));
         assert_eq!(r.compact(), 2);
         assert_eq!(r.active_count(), 0);
@@ -463,8 +457,8 @@ mod tests {
     #[test]
     fn a_sleeper_is_an_edge_of_the_wait_for_graph_until_woken() {
         let r = TxnRegistry::default();
-        r.register(T1, TxnTypeId(0), GroupId(0));
-        r.register(T2, TxnTypeId(0), GroupId(0));
+        r.register(T1, TxnTypeId(0));
+        r.register(T2, TxnTypeId(0));
         thread::scope(|scope| {
             let sleeper = scope.spawn(|| {
                 let ctx = waiter_ctx();
@@ -500,7 +494,7 @@ mod tests {
         // The blocker finished with no transaction active: nothing keeps
         // its entry past the next compaction.
         let r = TxnRegistry::default();
-        r.register(T1, TxnTypeId(0), GroupId(0));
+        r.register(T1, TxnTypeId(0));
         r.mark_committed(T1, Timestamp(1));
         thread::scope(|scope| {
             let sleeper = scope.spawn(|| {

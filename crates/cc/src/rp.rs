@@ -154,13 +154,13 @@ impl CcMechanism for Rp {
     ) -> Option<VersionPick> {
         // Accept the child's proposal if it comes from this node's group.
         let accept = |pick: &VersionPick| {
-            pick.writer == ctx.txn || pick.committed || self.env.same_group(lane, pick.writer)
+            pick.writer == ctx.txn || pick.committed || self.env.same_group(lane, pick.group)
         };
         // Every write from inside this RP subtree is visible, committed or
         // only step-committed — exposing intermediate states is the
         // mechanism's whole point. A foreign write is not RP's to judge.
         let judge =
-            |v: &Version| (v.writer == ctx.txn || self.env.in_subtree(v.writer)).then_some(true);
+            |v: &Version| (v.writer == ctx.txn || self.env.in_subtree(v.group)).then_some(true);
         visible_version(candidate, chain, accept, judge)
     }
 
@@ -223,8 +223,8 @@ mod tests {
     #[test]
     fn step_commit_releases_previous_step_locks() {
         let (rp, registry) = make_rp(40);
-        registry.register(TxnId(1), TxnTypeId(0), GroupId(0));
-        registry.register(TxnId(2), TxnTypeId(0), GroupId(0));
+        registry.register(TxnId(1), TxnTypeId(0));
+        registry.register(TxnId(2), TxnTypeId(0));
         let mut t1 = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut t2 = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         rp.begin(&mut t1, Lane::leaf()).unwrap();
@@ -253,8 +253,8 @@ mod tests {
     #[test]
     fn trailing_rule_blocks_until_dependency_advances() {
         let (rp, registry) = make_rp(1_000);
-        registry.register(TxnId(1), TxnTypeId(0), GroupId(0));
-        registry.register(TxnId(2), TxnTypeId(0), GroupId(0));
+        registry.register(TxnId(1), TxnTypeId(0));
+        registry.register(TxnId(2), TxnTypeId(0));
         let mut t1 = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         rp.begin(&mut t1, Lane::leaf()).unwrap();
         rp.before_access(&mut t1, Lane::leaf(), &k(0, 7), Access::Write)
@@ -286,8 +286,8 @@ mod tests {
     #[test]
     fn timeout_when_dependency_never_advances() {
         let (rp, registry) = make_rp(30);
-        registry.register(TxnId(1), TxnTypeId(0), GroupId(0));
-        registry.register(TxnId(2), TxnTypeId(0), GroupId(0));
+        registry.register(TxnId(1), TxnTypeId(0));
+        registry.register(TxnId(2), TxnTypeId(0));
         let mut t1 = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         rp.begin(&mut t1, Lane::leaf()).unwrap();
         rp.before_access(&mut t1, Lane::leaf(), &k(0, 3), Access::Write)
@@ -306,8 +306,8 @@ mod tests {
     #[test]
     fn same_lane_transactions_do_not_conflict_at_inner_node() {
         let (rp, registry) = make_rp(30);
-        registry.register(TxnId(1), TxnTypeId(0), GroupId(0));
-        registry.register(TxnId(2), TxnTypeId(0), GroupId(0));
+        registry.register(TxnId(1), TxnTypeId(0));
+        registry.register(TxnId(2), TxnTypeId(0));
         let mut t1 = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut t2 = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         rp.begin(&mut t1, Lane::child(0)).unwrap();
@@ -321,21 +321,23 @@ mod tests {
         rp.finish(&mut t2, Lane::child(0), Some(Timestamp(2)));
     }
 
-    /// An RP leaf (node 0, group 0) with T1..T3 as members and T9 in a
-    /// sibling group.
+    /// The read-rule leaf's group, and a sibling group's.
+    const IN: GroupId = GroupId(0);
+    const SIBLING: GroupId = GroupId(1);
+
+    /// An RP leaf (node 0) hosting group [`IN`].
     fn read_rule_leaf() -> Rp {
         let mut topology = Topology::new();
-        topology.record_leaf(NodeId(0), GroupId(0));
+        topology.record_leaf(NodeId(0), IN);
         let registry = Arc::new(TxnRegistry::default());
-        for id in 1..=3 {
-            registry.register(TxnId(id), TxnTypeId(0), GroupId(0));
-        }
-        registry.register(TxnId(9), TxnTypeId(1), GroupId(1));
         Rp::new(NodeEnv::for_test(topology, registry, 30), plan())
     }
 
-    fn install(store: &MvStore, key: Key, writer: u64, commit: Option<u64>) {
-        store.write(&key, TxnId(writer), Value::Int(writer as i64));
+    /// `writer`, of `group`, installs its id on `key` and commits at
+    /// `commit` if given.
+    fn install(store: &MvStore, key: Key, (writer, group): (u64, GroupId), commit: Option<u64>) {
+        let version = Version::uncommitted(group, TxnId(writer), Value::Int(writer as i64), None);
+        store.with_chain_mut(&key, |chain| chain.install(version));
         if let Some(ts) = commit {
             store.commit_writes(TxnId(writer), &[key], Timestamp(ts));
         }
@@ -351,8 +353,8 @@ mod tests {
     fn newer_foreign_committed_version_beats_older_in_group_one() {
         let rp = read_rule_leaf();
         let store = MvStore::new(1);
-        install(&store, k(0, 1), 1, Some(1)); // in-group, committed long ago
-        install(&store, k(0, 1), 9, Some(2)); // sibling group, committed after it
+        install(&store, k(0, 1), (1, IN), Some(1)); // committed long ago
+        install(&store, k(0, 1), (9, SIBLING), Some(2)); // committed after it
         let pick = read(&rp, &store, k(0, 1));
         assert_eq!(pick.writer, TxnId(9), "the parent ordered T9 after T1");
     }
@@ -361,14 +363,14 @@ mod tests {
     fn newest_in_group_version_is_exposed_uncommitted() {
         let rp = read_rule_leaf();
         let store = MvStore::new(1);
-        install(&store, k(0, 1), 9, Some(1));
-        install(&store, k(0, 1), 3, None); // step-committed by a pipeline member
+        install(&store, k(0, 1), (9, SIBLING), Some(1));
+        install(&store, k(0, 1), (3, IN), None); // step-committed by a pipeline member
         let pick = read(&rp, &store, k(0, 1));
         assert_eq!(pick.writer, TxnId(3));
         assert!(!pick.committed);
         // A foreign uncommitted version on top is skipped, not exposed.
-        install(&store, k(0, 2), 1, Some(1));
-        install(&store, k(0, 2), 9, None);
+        install(&store, k(0, 2), (1, IN), Some(1));
+        install(&store, k(0, 2), (9, SIBLING), None);
         assert_eq!(read(&rp, &store, k(0, 2)).writer, TxnId(1));
     }
 }

@@ -118,7 +118,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use tebaldi_obs::metrics::Counter;
 use tebaldi_obs::MetricsRegistry;
-use tebaldi_storage::{Chain, Key, KeyMap, NodeId, Timestamp, TxnId};
+use tebaldi_storage::{Chain, GroupId, Key, KeyMap, NodeId, Timestamp, TxnId};
 
 /// Configuration of one SSI node.
 #[derive(Clone, Debug)]
@@ -434,13 +434,13 @@ impl Ssi {
             .unwrap_or(false)
     }
 
-    /// Whether a version written by `writer` belongs to the same *delegated*
+    /// Whether a version written in `group` belongs to the same *delegated*
     /// group as a transaction on `lane`. At a leaf node SSI delegates
     /// nothing: every transaction is its own group, so only the
     /// transaction's own writes qualify (handled by the caller).
-    fn delegated_same_group(&self, lane: Lane, writer: TxnId) -> bool {
+    fn delegated_same_group(&self, lane: Lane, group: GroupId) -> bool {
         match lane.sel {
-            LaneSel::Child(_) => self.env.same_group(lane, writer),
+            LaneSel::Child(_) => self.env.same_group(lane, group),
             LaneSel::Leaf => false,
         }
     }
@@ -481,10 +481,7 @@ impl Ssi {
         chain
             .find_uncommitted(|v| {
                 v.writer != me && {
-                    let writer_lane = self
-                        .env
-                        .group_of(v.writer)
-                        .and_then(|g| self.env.topology.child_lane(self.env.node, g));
+                    let writer_lane = self.env.topology.child_lane(self.env.node, v.group);
                     writer_lane.is_none() || writer_lane != my_lane
                 }
             })
@@ -634,7 +631,7 @@ impl CcMechanism for Ssi {
         // Accept the child's proposal when it comes from this transaction's
         // own child group (their ordering is the child's business).
         if let Some(pick) = &candidate {
-            if pick.writer == ctx.txn || self.delegated_same_group(lane, pick.writer) {
+            if pick.writer == ctx.txn || self.delegated_same_group(lane, pick.group) {
                 return candidate;
             }
         }
@@ -861,9 +858,7 @@ mod tests {
     use crate::registry::TxnRegistry;
     use crate::topology::Topology;
     use std::sync::Arc;
-    use tebaldi_storage::{
-        GroupId, MvStore, NodeId, TableId, TxnTypeId, Value, Version, VersionId,
-    };
+    use tebaldi_storage::{GroupId, MvStore, NodeId, TableId, TxnTypeId, Value, Version};
 
     fn setup(batching: bool) -> (Ssi, Arc<TxnRegistry>) {
         let registry = Arc::new(TxnRegistry::default());
@@ -894,7 +889,7 @@ mod tests {
         store.with_chain_mut(&key, |chain| {
             ssi.validate_write(ctx, lane, &key, chain)?;
             let value = Value::Int(ctx.txn.0 as i64);
-            chain.install(Version::uncommitted(VersionId(0), ctx.txn, value, None));
+            chain.install(Version::uncommitted(ctx.group, ctx.txn, value, None));
             Ok(())
         })?;
         ssi.after_write(ctx, lane, &key)
@@ -908,10 +903,16 @@ mod tests {
             ssi.validate_write(ctx, lane, &key, chain)?;
             let _ = ssi.choose_version(ctx, lane, &key, None, chain);
             let value = Value::Int(ctx.txn.0 as i64);
-            chain.install(Version::uncommitted(VersionId(0), ctx.txn, value, None));
+            chain.install(Version::uncommitted(ctx.group, ctx.txn, value, None));
             Ok(())
         })?;
         ssi.after_write(ctx, lane, &key)
+    }
+
+    /// `writer`, of `group`, installs an uncommitted version of `key`.
+    fn install(store: &MvStore, key: Key, writer: u64, group: GroupId) {
+        let version = Version::uncommitted(group, TxnId(writer), Value::Int(9), None);
+        store.with_chain_mut(&key, |chain| chain.install(version));
     }
 
     /// A store where `writer` committed `val` on `key` at `ts`.
@@ -925,7 +926,7 @@ mod tests {
     #[test]
     fn snapshot_read_ignores_later_commits() {
         let (ssi, registry) = setup(true);
-        registry.register(TxnId(1), TxnTypeId(0), GroupId(0));
+        registry.register(TxnId(1), TxnTypeId(0));
         let mut ctx = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         ssi.begin(&mut ctx, Lane::child(0)).unwrap();
 
@@ -941,7 +942,7 @@ mod tests {
     #[test]
     fn first_committer_wins_aborts() {
         let (ssi, registry) = setup(true);
-        registry.register(TxnId(1), TxnTypeId(0), GroupId(0));
+        registry.register(TxnId(1), TxnTypeId(0));
         let mut ctx = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         ssi.begin(&mut ctx, Lane::child(0)).unwrap();
         let later = ssi.env.oracle.issue().0 + 5;
@@ -967,13 +968,13 @@ mod tests {
     #[test]
     fn cross_group_uncommitted_write_conflict_aborts() {
         let (ssi, registry) = setup(true);
-        registry.register(TxnId(1), TxnTypeId(0), GroupId(0));
-        registry.register(TxnId(2), TxnTypeId(1), GroupId(1));
+        registry.register(TxnId(1), TxnTypeId(0));
+        registry.register(TxnId(2), TxnTypeId(1));
         let mut a = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         ssi.begin(&mut a, Lane::child(0)).unwrap();
         // Transaction from the other group installed an uncommitted write.
         let store = MvStore::new(1);
-        store.write(&k(1), TxnId(2), Value::Int(9));
+        install(&store, k(1), 2, GroupId(1));
         let lock_free = store.with_chain(&k(1), |chain| {
             ssi.check_first_committer_wins(&a, chain, Lane::child(0))
         });
@@ -989,9 +990,9 @@ mod tests {
         );
         assert_eq!(lock_free, latched);
         // A same-lane writer in flight is the child's business, not SSI's.
-        registry.register(TxnId(3), TxnTypeId(0), GroupId(0));
+        registry.register(TxnId(3), TxnTypeId(0));
         store.abort_writes(TxnId(2), &[k(1)]);
-        store.write(&k(1), TxnId(3), Value::Int(9));
+        install(&store, k(1), 3, GroupId(0));
         store.with_chain_mut(&k(1), |chain| {
             ssi.validate_write(&mut a, Lane::child(0), &k(1), chain)
                 .unwrap()
@@ -1004,8 +1005,8 @@ mod tests {
         // a later writer that would give T the outgoing edge — making it a
         // pivot after its vote — must abort itself instead.
         let (ssi, registry) = setup(false);
-        registry.register(TxnId(1), TxnTypeId(0), GroupId(0));
-        registry.register(TxnId(2), TxnTypeId(1), GroupId(1));
+        registry.register(TxnId(1), TxnTypeId(0));
+        registry.register(TxnId(2), TxnTypeId(1));
         let mut t = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut u = TxnCtx::new(TxnId(2), TxnTypeId(1), GroupId(1));
         ssi.begin(&mut t, Lane::child(0)).unwrap();
@@ -1040,7 +1041,7 @@ mod tests {
     #[test]
     fn doomed_before_prepare_is_rejected_at_prepare() {
         let (ssi, registry) = setup(false);
-        registry.register(TxnId(1), TxnTypeId(0), GroupId(0));
+        registry.register(TxnId(1), TxnTypeId(0));
         let mut t = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         ssi.begin(&mut t, Lane::child(0)).unwrap();
         // A doom that lands between validate and mark_prepared is caught.
@@ -1053,9 +1054,9 @@ mod tests {
     #[test]
     fn pivot_detection_dooms_reader_with_in_and_out() {
         let (ssi, registry) = setup(true);
-        registry.register(TxnId(1), TxnTypeId(0), GroupId(0));
-        registry.register(TxnId(2), TxnTypeId(1), GroupId(1));
-        registry.register(TxnId(3), TxnTypeId(2), GroupId(0));
+        registry.register(TxnId(1), TxnTypeId(0));
+        registry.register(TxnId(2), TxnTypeId(1));
+        registry.register(TxnId(3), TxnTypeId(2));
         let mut t1 = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut t2 = TxnCtx::new(TxnId(2), TxnTypeId(1), GroupId(1));
         let mut t3 = TxnCtx::new(TxnId(3), TxnTypeId(2), GroupId(0));
@@ -1082,9 +1083,9 @@ mod tests {
     #[test]
     fn batching_shares_start_timestamp_within_lane() {
         let (ssi, registry) = setup(true);
-        registry.register(TxnId(1), TxnTypeId(0), GroupId(0));
-        registry.register(TxnId(2), TxnTypeId(0), GroupId(0));
-        registry.register(TxnId(3), TxnTypeId(1), GroupId(1));
+        registry.register(TxnId(1), TxnTypeId(0));
+        registry.register(TxnId(2), TxnTypeId(0));
+        registry.register(TxnId(3), TxnTypeId(1));
         let mut a = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut b = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         let mut c = TxnCtx::new(TxnId(3), TxnTypeId(1), GroupId(1));
@@ -1106,8 +1107,8 @@ mod tests {
     #[test]
     fn read_only_root_optimisation_skips_batching() {
         let registry = Arc::new(TxnRegistry::default());
-        registry.register(TxnId(1), TxnTypeId(0), GroupId(0));
-        registry.register(TxnId(2), TxnTypeId(1), GroupId(1));
+        registry.register(TxnId(1), TxnTypeId(0));
+        registry.register(TxnId(2), TxnTypeId(1));
         let mut topo = Topology::new();
         topo.record_child(NodeId(0), GroupId(0), 0); // read-only child
         topo.record_child(NodeId(0), GroupId(1), 1); // update child
@@ -1136,7 +1137,7 @@ mod tests {
     fn prepared_priority_on_both_rules() {
         let (ssi, registry) = setup(false);
         for id in 1..=6u64 {
-            registry.register(TxnId(id), TxnTypeId(0), GroupId((id % 2) as u32));
+            registry.register(TxnId(id), TxnTypeId(0));
         }
         let store = MvStore::new(1);
         let begin = |id: u64| {
@@ -1173,12 +1174,12 @@ mod tests {
         let mut q = begin(4);
         rec(&ssi, &q).add_edge(OUT);
         ssi.mark_prepared(&mut q, Lane::child(0)).unwrap();
-        store.write(&k(9), TxnId(4), Value::Int(1));
+        install(&store, k(9), 4, q.group);
         let mut r1 = begin(5);
         let _ = read(&ssi, &store, &mut r1, Lane::child(1), k(9));
         assert!(r1.must_abort, "reader gives way to a prepared writer");
         assert_eq!(rec(&ssi, &q).flags(), OUT | PREPARED);
-        store.write(&k(8), TxnId(1), Value::Int(1));
+        install(&store, k(8), 1, p.group);
         // P already holds IN: one more incoming edge changes nothing and
         // refuses nothing.
         let mut r2 = begin(6);
@@ -1199,7 +1200,7 @@ mod tests {
         let store = MvStore::new(1);
         store.load(&k(1), Value::Int(0));
         let mut t = [1u64, 2].map(|id| {
-            registry.register(TxnId(id), TxnTypeId(0), GroupId(0));
+            registry.register(TxnId(id), TxnTypeId(0));
             let mut ctx = TxnCtx::new(TxnId(id), TxnTypeId(0), GroupId(0));
             ssi.begin(&mut ctx, Lane::leaf()).unwrap();
             ctx
@@ -1234,7 +1235,7 @@ mod tests {
         let store = MvStore::new(1);
         store.load(&k(1), Value::Int(0));
         let mut t = [1u64, 2].map(|id| {
-            registry.register(TxnId(id), TxnTypeId(0), GroupId(0));
+            registry.register(TxnId(id), TxnTypeId(0));
             let mut ctx = TxnCtx::new(TxnId(id), TxnTypeId(0), GroupId(0));
             ssi.begin(&mut ctx, Lane::leaf()).unwrap();
             ctx
@@ -1273,8 +1274,8 @@ mod tests {
     #[test]
     fn a_read_between_the_old_scan_point_and_the_install_gets_its_edge() {
         let (ssi, registry) = setup(false);
-        registry.register(TxnId(1), TxnTypeId(0), GroupId(0));
-        registry.register(TxnId(2), TxnTypeId(1), GroupId(1));
+        registry.register(TxnId(1), TxnTypeId(0));
+        registry.register(TxnId(2), TxnTypeId(1));
         let mut r = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut w = TxnCtx::new(TxnId(2), TxnTypeId(1), GroupId(1));
         ssi.begin(&mut r, Lane::child(0)).unwrap();
@@ -1307,7 +1308,7 @@ mod tests {
                 let mut flags = Vec::with_capacity(ROUNDS as usize);
                 for round in 0..ROUNDS {
                     let id = TxnId(2 * round + 1);
-                    registry.register(id, TxnTypeId(0), GroupId(0));
+                    registry.register(id, TxnTypeId(0));
                     let mut r = TxnCtx::new(id, TxnTypeId(0), GroupId(0));
                     ssi.begin(&mut r, Lane::child(0)).unwrap();
                     start.wait();
@@ -1322,7 +1323,7 @@ mod tests {
                 let mut flags = Vec::with_capacity(ROUNDS as usize);
                 for round in 0..ROUNDS {
                     let id = TxnId(2 * round + 2);
-                    registry.register(id, TxnTypeId(1), GroupId(1));
+                    registry.register(id, TxnTypeId(1));
                     let mut w = TxnCtx::new(id, TxnTypeId(1), GroupId(1));
                     ssi.begin(&mut w, Lane::child(1)).unwrap();
                     start.wait();

@@ -5,9 +5,10 @@
 //! as the reader — without learning anything else about the sibling's
 //! internals, which is what preserves modularity. The [`Topology`] answers
 //! exactly these membership questions from static data derived from the
-//! tree specification; the dynamic part (which group a given transaction
-//! instance belongs to) comes from the
-//! [`TxnRegistry`](crate::registry::TxnRegistry).
+//! tree specification; the dynamic part (which group wrote a given
+//! version) is stamped on the version itself
+//! ([`Version::group`](tebaldi_storage::Version::group)), so a membership
+//! test is a field read and a topology lookup.
 
 use std::collections::HashMap;
 use tebaldi_storage::{GroupId, NodeId};

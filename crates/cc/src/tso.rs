@@ -25,7 +25,7 @@ use crate::topology::LaneSel;
 use crate::wait::{Step, Wait};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use tebaldi_storage::{Chain, Key, KeyMap, Timestamp, TxnId, Version};
+use tebaldi_storage::{Chain, GroupId, Key, KeyMap, Timestamp, TxnId, Version};
 
 #[derive(Debug, Default)]
 struct TsoShared {
@@ -50,12 +50,6 @@ impl Tso {
             env,
             shared: Mutex::new(TsoShared::default()),
         }
-    }
-
-    /// True when `writer` is the reader itself or a member of its group at
-    /// this node: the versions TSO's timestamps order.
-    fn in_group(&self, reader: TxnId, lane: Lane, writer: TxnId) -> bool {
-        writer == reader || self.env.same_group(lane, writer)
     }
 }
 
@@ -147,13 +141,10 @@ impl CcMechanism for Tso {
         // possible — installing "into the past" would contradict it (and
         // hide the newer value from position-based readers). Abort and let
         // the retry pick a fresh, larger timestamp.
-        let violation = chain.iter().any(|v| {
-            !self.in_group(ctx.txn, lane, v.writer) && v.sort_ts().is_some_and(|ts| ts > my_ts)
-        });
-        if violation {
-            return Err(CcError::conflict(Reason::OrderedAfter));
+        match chain.ordered_after(my_ts, |v| self.env.same_group(lane, v.group)) {
+            Some(_) => Err(CcError::conflict(Reason::OrderedAfter)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn after_write(&self, ctx: &mut TxnCtx, _lane: Lane, key: &Key) -> CcResult<()> {
@@ -238,17 +229,18 @@ impl CcMechanism for Tso {
         }
         drop(shared);
 
-        // An in-group version is visible when its ordering timestamp is not
-        // after ours (the MVTO read rule — uncommitted values are exposed).
-        // A version from outside the group is not TSO's to judge: once it
-        // is committed the parent CC has ordered its writer before us, and
-        // skipping it would contradict that order (§4.2.1).
-        let in_group = |writer: TxnId| self.in_group(ctx.txn, lane, writer);
+        // An in-group version (the reader's own carry its group) is
+        // visible when it is the reader's own or its ordering timestamp is
+        // not after ours (the MVTO read rule — uncommitted values are
+        // exposed). A version from outside the group is not TSO's to judge:
+        // once it is committed the parent CC has ordered its writer before
+        // us, and skipping it would contradict that order (§4.2.1).
+        let in_group = |group: GroupId| self.env.same_group(lane, group);
         let judge = |v: &Version| {
-            in_group(v.writer)
+            in_group(v.group)
                 .then(|| v.writer == ctx.txn || matches!(v.sort_ts(), Some(ts) if ts <= my_ts))
         };
-        visible_version(candidate, chain, |pick| in_group(pick.writer), judge)
+        visible_version(candidate, chain, |pick| in_group(pick.group), judge)
     }
 
     fn finish(&self, ctx: &mut TxnCtx, _lane: Lane, _outcome: Option<Timestamp>) {
@@ -287,14 +279,17 @@ mod tests {
     use std::time::Duration;
     use tebaldi_storage::{GroupId, MvStore, NodeId, TableId, TxnTypeId, Value};
 
-    /// A TSO leaf owning group 0; transactions 1..=8 are pre-registered as
-    /// members of that group so `same_group` resolves as in a real tree.
+    /// The leaf's group: the versions written in it are TSO's to order.
+    const IN: GroupId = GroupId(0);
+
+    /// A TSO leaf owning group [`IN`]; transactions 1..=8 are registered,
+    /// so a wait on one parks and wakes as in a real tree.
     fn setup() -> (Tso, Arc<TxnRegistry>) {
         let mut topology = Topology::new();
-        topology.record_leaf(NodeId(0), GroupId(0));
+        topology.record_leaf(NodeId(0), IN);
         let registry = Arc::new(TxnRegistry::default());
         for id in 1..=8u64 {
-            registry.register(TxnId(id), TxnTypeId(0), GroupId(0));
+            registry.register(TxnId(id), TxnTypeId(0));
         }
         let env = NodeEnv::for_test(topology, Arc::clone(&registry), 30);
         (Tso::new(env), registry)
@@ -324,16 +319,18 @@ mod tests {
         })
     }
 
-    /// `writer` installs its id on `key`, stamped with `order_ts`, and
-    /// commits at `commit_ts` if given.
+    /// `writer`, of `group`, installs its id on `key`, stamped with
+    /// `order_ts`, and commits at `commit_ts` if given.
     fn install(
         store: &MvStore,
         key: Key,
-        writer: u64,
+        (writer, group): (u64, GroupId),
         order_ts: Option<Timestamp>,
         commit_ts: Option<u64>,
     ) {
-        store.write_with_order_ts(&key, TxnId(writer), Value::Int(writer as i64), order_ts);
+        let version =
+            Version::uncommitted(group, TxnId(writer), Value::Int(writer as i64), order_ts);
+        store.with_chain_mut(&key, |chain| chain.install(version));
         if let Some(ts) = commit_ts {
             store.commit_writes(TxnId(writer), &[key], Timestamp(ts));
         }
@@ -368,7 +365,7 @@ mod tests {
         // The later reader records its read after the check, before the
         // version lands.
         assert!(read(&tso, &store, &mut late, k(2)).is_none());
-        install(&store, k(2), 1, early.order_ts, None);
+        install(&store, k(2), (1, IN), early.order_ts, None);
         assert_eq!(
             tso.after_write(&mut early, Lane::leaf(), &k(2)),
             Err(CcError::conflict(Reason::LaterReader))
@@ -399,7 +396,7 @@ mod tests {
         // The installed (uncommitted) version carries early's ordering
         // timestamp.
         let store = MvStore::new(1);
-        install(&store, k(1), 1, early.order_ts, None);
+        install(&store, k(1), (1, IN), early.order_ts, None);
         let pick = read(&tso, &store, &mut late, k(1)).unwrap();
         assert_eq!(pick.writer, TxnId(1));
         assert!(!pick.committed, "TSO exposes uncommitted values");
@@ -441,15 +438,14 @@ mod tests {
 
     #[test]
     fn reads_do_not_skip_committed_cross_group_versions() {
-        // A committed version written outside the TSO group (its writer is
-        // unknown to the registry) must be returned even if its timestamp is
-        // larger than the reader's: the parent ordered that writer first.
+        // A committed version written outside the TSO group must be
+        // returned even if its timestamp is larger than the reader's: the
+        // parent ordered that writer first.
         let (tso, _registry) = setup();
         let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         tso.begin(&mut reader, Lane::leaf()).unwrap();
         let store = MvStore::new(1);
-        // Writer 900 is not registered: cross-group.
-        install(&store, k(9), 900, None, Some(1_000_000));
+        install(&store, k(9), (900, GroupId::NONE), None, Some(1_000_000));
         let pick = read(&tso, &store, &mut reader, k(9)).unwrap();
         assert_eq!(pick.writer, TxnId(900));
         assert!(pick.committed);
@@ -461,8 +457,7 @@ mod tests {
         let mut writer = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         tso.begin(&mut writer, Lane::leaf()).unwrap();
         let store = MvStore::new(1);
-        // Writer 901 is a cross-group writer.
-        install(&store, k(3), 901, None, Some(1_000_000));
+        install(&store, k(3), (901, GroupId::NONE), None, Some(1_000_000));
         let err = validate_write(&tso, &store, &mut writer, k(3)).unwrap_err();
         assert_eq!(err, CcError::conflict(Reason::OrderedAfter));
     }
@@ -531,9 +526,8 @@ mod tests {
         tso.begin(&mut writer, Lane::leaf()).unwrap();
         tso.begin(&mut reader, Lane::leaf()).unwrap();
         let store = MvStore::new(1);
-        for (id, order_ts) in [(1, writer.order_ts), (900, None)] {
-            // 900 is unregistered: cross-group.
-            install(&store, k(4), id, order_ts, Some(1_000_000 + id));
+        for (id, group, order_ts) in [(1, IN, writer.order_ts), (900, GroupId::NONE, None)] {
+            install(&store, k(4), (id, group), order_ts, Some(1_000_000 + id));
         }
         let pick = read(&tso, &store, &mut reader, k(4)).unwrap();
         assert_eq!(pick.writer, TxnId(900), "the parent ordered T900 last");
@@ -547,7 +541,7 @@ mod tests {
         tso.begin(&mut reader, Lane::leaf()).unwrap();
         tso.begin(&mut later, Lane::leaf()).unwrap();
         let store = MvStore::new(1);
-        install(&store, k(7), 2, later.order_ts, None);
+        install(&store, k(7), (2, IN), later.order_ts, None);
         // Hidden while uncommitted and still hidden once committed: the
         // timestamp order, not the commit, decides inside the group.
         assert!(read(&tso, &store, &mut reader, k(7)).is_none());

@@ -65,7 +65,7 @@ impl CcMechanism for TwoPl {
         // judges no version itself, so anything else is the newest
         // committed value.
         let accept = |pick: &VersionPick| {
-            pick.writer == ctx.txn || pick.committed || self.env.same_group(lane, pick.writer)
+            pick.writer == ctx.txn || pick.committed || self.env.same_group(lane, pick.group)
         };
         visible_version(candidate, chain, accept, |_| None)
     }
@@ -81,7 +81,7 @@ mod tests {
     use crate::registry::TxnRegistry;
     use crate::topology::Topology;
     use std::sync::Arc;
-    use tebaldi_storage::{GroupId, MvStore, NodeId, TableId, TxnId, TxnTypeId, Value};
+    use tebaldi_storage::{GroupId, MvStore, NodeId, TableId, TxnId, TxnTypeId, Value, Version};
 
     fn make_env(topology: Topology, registry: Arc<TxnRegistry>) -> NodeEnv {
         NodeEnv::for_test(topology, registry, 25)
@@ -137,16 +137,19 @@ mod tests {
         let mut topo = Topology::new();
         topo.record_child(NodeId(0), GroupId(0), 0);
         topo.record_child(NodeId(0), GroupId(1), 1);
-        let registry = Arc::new(TxnRegistry::default());
-        registry.register(TxnId(10), TxnTypeId(0), GroupId(0));
-        registry.register(TxnId(20), TxnTypeId(1), GroupId(1));
-        let cc = TwoPl::new(make_env(topo, registry));
+        let cc = TwoPl::new(make_env(topo, Arc::new(TxnRegistry::default())));
 
         let store = MvStore::new(1);
-        store.write(&key(1), TxnId(5), Value::Int(50));
-        store.commit_writes(TxnId(5), &[key(1)], Timestamp(1));
-        store.write(&key(1), TxnId(20), Value::Int(99)); // uncommitted write by group 1
-        store.write(&key(2), TxnId(10), Value::Int(7)); // and one by the reader's group
+        let write = |k: Key, writer: u64, group: u32| {
+            let version = Version::uncommitted(GroupId(group), TxnId(writer), Value::Int(1), None);
+            store.with_chain_mut(&k, |chain| chain.install(version));
+        };
+        for k in [key(1), key(2)] {
+            store.write(&k, TxnId(5), Value::Int(50));
+            store.commit_writes(TxnId(5), &[k], Timestamp(1));
+        }
+        write(key(1), 20, 1); // uncommitted write by group 1
+        write(key(2), 10, 0); // and one by the reader's group
 
         let mut reader = TxnCtx::new(TxnId(11), TxnTypeId(0), GroupId(0));
         // The child's proposal is `writer`'s uncommitted version on `key`.

@@ -161,7 +161,7 @@ mod tests {
         let sink = Arc::new(VecSink::new());
         let registry = Arc::new(TxnRegistry::default());
         for txn in [T1, T2, T3] {
-            registry.register(txn, ctx(txn).ty, GroupId(0));
+            registry.register(txn, ctx(txn).ty);
         }
         let env = NodeEnv {
             node: NODE,
@@ -276,7 +276,7 @@ mod tests {
         let registry = Arc::clone(&env.registry);
         // Same directory shard as T1: its commit wakes T1's waiters.
         let neighbour = TxnId(T1.0 + 64);
-        registry.register(neighbour, TxnTypeId(0), GroupId(0));
+        registry.register(neighbour, TxnTypeId(0));
         let (r1, r2) = (registry.clone(), registry.clone());
         Case {
             label: WaitLabel::DependencyCommit,
@@ -412,7 +412,7 @@ mod tests {
         // A commit on T1's directory shard.
         let (deps, _) = env(10_000);
         let neighbour = TxnId(T1.0 + 64);
-        deps.registry.register(neighbour, TxnTypeId(0), GroupId(0));
+        deps.registry.register(neighbour, TxnTypeId(0));
         let evaluated = evaluations(
             &deps,
             || deps.registry.finished(T1),

@@ -41,7 +41,6 @@ use tebaldi_cc::{
 };
 use tebaldi_storage::{
     Chain, GroupId, Key, MvStore, NodeId, TableId, Timestamp, TxnId, TxnTypeId, Value, Version,
-    VersionId,
 };
 
 // ---------------------------------------------------------------------------
@@ -149,13 +148,13 @@ impl ReferenceSsi {
             .unwrap_or(false)
     }
 
-    /// Whether a version written by `writer` belongs to the same *delegated*
+    /// Whether a version written in `group` belongs to the same *delegated*
     /// group as a transaction on `lane`. At a leaf node SSI delegates
     /// nothing: every transaction is its own group, so only the
     /// transaction's own writes qualify (handled by the caller).
-    fn delegated_same_group(&self, lane: Lane, writer: TxnId) -> bool {
+    fn delegated_same_group(&self, lane: Lane, group: GroupId) -> bool {
         match lane.sel {
-            LaneSel::Child(_) => self.env.same_group(lane, writer),
+            LaneSel::Child(_) => self.env.same_group(lane, group),
             LaneSel::Leaf => false,
         }
     }
@@ -285,7 +284,7 @@ impl CcMechanism for ReferenceSsi {
         // Accept the child's proposal when it comes from this transaction's
         // own child group (their ordering is the child's business).
         if let Some(pick) = &candidate {
-            if pick.writer == ctx.txn || self.delegated_same_group(lane, pick.writer) {
+            if pick.writer == ctx.txn || self.delegated_same_group(lane, pick.group) {
                 return candidate;
             }
         }
@@ -351,10 +350,7 @@ impl CcMechanism for ReferenceSsi {
             // committed tails between GC cycles.
             if let Some(other) = chain.iter().find(|v| {
                 !v.is_committed() && v.writer != ctx.txn && {
-                    let writer_lane = self
-                        .env
-                        .group_of(v.writer)
-                        .and_then(|g| self.env.topology.child_lane(self.env.node, g));
+                    let writer_lane = self.env.topology.child_lane(self.env.node, v.group);
                     writer_lane.is_none() || writer_lane != my_lane
                 }
             }) {
@@ -473,10 +469,7 @@ impl ReferenceSsi {
         let foreign_uncommitted = chain.has_other_uncommitted(ctx.txn).then(|| {
             chain.iter().find(|v| {
                 !v.is_committed() && v.writer != ctx.txn && {
-                    let writer_lane = self
-                        .env
-                        .group_of(v.writer)
-                        .and_then(|g| self.env.topology.child_lane(self.env.node, g));
+                    let writer_lane = self.env.topology.child_lane(self.env.node, v.group);
                     writer_lane.is_none() || writer_lane != my_lane
                 }
             })
@@ -636,7 +629,7 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
             let id = TxnId(next_id);
             next_id += 1;
             let g = rng.below(3) as u32;
-            registry.register(id, TxnTypeId(g), GroupId(g));
+            registry.register(id, TxnTypeId(g));
             let lane = if leaf { Lane::leaf() } else { Lane::child(g) };
             let mut a = TxnCtx::new(id, TxnTypeId(g), GroupId(g));
             // One in four is declared read-only, as the engine declares a
@@ -716,12 +709,9 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
                             return Some(None);
                         }
                         let value = Value::Int(vid as i64);
-                        Some(Some(chain.install(Version::uncommitted(
-                            VersionId(vid),
-                            id,
-                            value,
-                            None,
-                        ))))
+                        Some(Some(
+                            chain.install(Version::uncommitted(t.a.group, id, value, None)),
+                        ))
                     });
                     vid += 1;
                     match first_write {
@@ -751,7 +741,7 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
                         assert_eq!(va, vb, "validate_write step {step}");
                         va.ok().map(|()| {
                             let value = Value::Int(vid as i64);
-                            chain.install(Version::uncommitted(VersionId(vid), id, value, None))
+                            chain.install(Version::uncommitted(t.a.group, id, value, None))
                         })
                     });
                     vid += 1;

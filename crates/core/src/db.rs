@@ -424,7 +424,7 @@ impl Database {
         // store access inside is then a cheap nested pin (one refcount
         // bump) instead of an announcement store.
         let _epoch_pin = tebaldi_storage::ebr::pin();
-        self.registry.register(txn_id, call.ty, group);
+        self.registry.register(txn_id, call.ty);
         if let Some(history) = &self.history {
             history.begin(txn_id, call.ty, group);
         }

@@ -32,9 +32,7 @@ use tebaldi_cc::AccessMode;
 use tebaldi_cc::{
     Access, CcError, CcResult, CcTree, PathEntry, Reason, TxnCtx, TxnStatus, VersionPick, WaitLabel,
 };
-use tebaldi_storage::{
-    Chain, GroupId, Key, Timestamp, TxnId, TxnTypeId, Value, Version, VersionId,
-};
+use tebaldi_storage::{Chain, GroupId, Key, Timestamp, TxnId, TxnTypeId, Value, Version};
 
 /// Outcome of a transaction (internal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,10 +290,6 @@ impl<'a> Txn<'a> {
         make: impl FnOnce(Option<&Value>) -> Option<Value>,
     ) -> CcResult<(Option<VersionPick>, Option<bool>)> {
         let wrote = self.wrote(&key);
-        // Version ids are diagnostics: the writer's id and the ordinal of the
-        // key in its write set name a version uniquely without a store-wide
-        // counter (an overwrite keeps the id of the version it replaces).
-        let version_id = VersionId((self.ctx.txn.0 << 16) | self.ctx.write_keys.len() as u64);
         let db = self.db;
         db.store.with_chain_mut(&key, |chain| {
             for entry in self.path {
@@ -317,7 +311,7 @@ impl<'a> Txn<'a> {
                 return Ok((read.then(|| self.pick(wrote, &key, chain)).flatten(), None));
             };
             let first = chain.install(Version::uncommitted(
-                version_id,
+                self.ctx.group,
                 self.ctx.txn,
                 value,
                 self.ctx.order_ts,

@@ -449,15 +449,9 @@ mod tests {
     use super::*;
     use crate::types::{Timestamp, TxnId};
     use crate::value::Value;
-    use crate::version::VersionId;
 
     fn ver(id: u64) -> Version {
-        Version::committed(
-            VersionId(id),
-            TxnId(id),
-            Value::Int(id as i64),
-            Timestamp(id),
-        )
+        Version::committed(TxnId(id), Value::Int(id as i64), Timestamp(id))
     }
 
     #[test]
@@ -465,7 +459,7 @@ mod tests {
         let a = VersionArena::new();
         let h = a.alloc(0, ver(7));
         let (v, next) = a.read(h).unwrap();
-        assert_eq!(v.id, VersionId(7));
+        assert_eq!(v.writer, TxnId(7));
         assert_eq!(next, NIL);
         assert_eq!(a.occupied(), 1);
     }
@@ -482,7 +476,7 @@ mod tests {
         let h2 = a.alloc(0, ver(2));
         assert_ne!(h, h2);
         assert!(a.read(h).is_none());
-        assert_eq!(a.read(h2).unwrap().0.id, VersionId(2));
+        assert_eq!(a.read(h2).unwrap().0.writer, TxnId(2));
         assert_eq!(a.occupied(), 1);
     }
 
@@ -493,9 +487,9 @@ mod tests {
         let new = a.alloc(0, ver(2));
         a.set_next(new, old);
         let (v2, next) = a.read(new).unwrap();
-        assert_eq!(v2.id, VersionId(2));
+        assert_eq!(v2.writer, TxnId(2));
         let (v1, end) = a.read(next).unwrap();
-        assert_eq!(v1.id, VersionId(1));
+        assert_eq!(v1.writer, TxnId(1));
         assert_eq!(end, NIL);
     }
 
@@ -525,7 +519,7 @@ mod tests {
         assert!(a.slots.spine[4].load(Ordering::Relaxed).is_null());
         for (i, &h) in handles.iter().enumerate() {
             assert_ne!(h, NIL);
-            assert_eq!(a.read(h).unwrap().0.id, VersionId(i as u64));
+            assert_eq!(a.read(h).unwrap().0.writer, TxnId(i as u64));
         }
         assert_eq!(a.read(handles[0]).unwrap().0 as *const Version, first);
         assert_eq!(a.occupied(), n);

@@ -45,4 +45,4 @@ pub use mvstore::{
 pub use schema::{Schema, TableDef, TableId};
 pub use types::{GroupId, NodeId, Timestamp, TxnId, TxnTypeId};
 pub use value::{Row, Value};
-pub use version::{Version, VersionId};
+pub use version::Version;

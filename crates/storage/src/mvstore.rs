@@ -98,9 +98,9 @@ use crate::arena::{prefetch, Segments, VersionArena, ZeroVacant, NIL};
 use crate::ebr;
 use crate::key::Key;
 use crate::schema::TableId;
-use crate::types::{Sequence, Timestamp, TxnId};
+use crate::types::{GroupId, Timestamp, TxnId};
 use crate::value::Value;
-use crate::version::{Version, VersionId};
+use crate::version::Version;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
@@ -613,6 +613,43 @@ impl<'a> Chain<'a> {
             .filter(|v| v.commit_ts().is_some_and(|c| c > ts))
     }
 
+    /// The newest version that sorts after `ts` ([`Version::sort_ts`]) and
+    /// that `in_group` rejects: a version from outside a timestamp-ordering
+    /// writer's group that the writer, at `ts`, may not be installed
+    /// beneath. The timestamp is tested before the group.
+    ///
+    /// The walk stops at the first decisive version. An ordering timestamp
+    /// is drawn before its commit's (see `Version::mark_committed`), so a
+    /// committed version sorts at or below its commit timestamp, and
+    /// committed versions descend by commit timestamp: past the first
+    /// commit at or below `ts`, no committed version sorts after it. An
+    /// uncommitted one still may, so the walk goes on until it has passed
+    /// every writer in flight. As in `probe_uncommitted` that count is
+    /// exact under the latch; a lock-free view walks to the end whenever a
+    /// writer is in flight.
+    pub fn ordered_after(
+        &self,
+        ts: Timestamp,
+        mut in_group: impl FnMut(&Version) -> bool,
+    ) -> Option<&'a Version> {
+        let mut in_flight = self.entry.uncommitted.load(Ordering::Relaxed);
+        let mut past_commits = false;
+        for v in self.iter() {
+            if v.sort_ts().is_some_and(|s| s > ts) && !in_group(v) {
+                return Some(v);
+            }
+            match v.commit_ts() {
+                Some(c) => past_commits |= c <= ts,
+                None if self.latched => in_flight -= 1,
+                None => {}
+            }
+            if past_commits && in_flight == 0 {
+                return None;
+            }
+        }
+        None
+    }
+
     /// The newest uncommitted version `want` accepts, with the handle of
     /// the node before it ([`NIL`] at the head) — the one probe behind every
     /// question about in-flight writers.
@@ -764,7 +801,7 @@ impl<'a> ChainWrite<'a> {
         let writer = version.writer;
         if let Some((prev, old)) = self.chain.probe_uncommitted(|v| v.writer == writer) {
             let replacement = Version::uncommitted(
-                old.version.id,
+                old.version.group,
                 writer,
                 version.value,
                 version.order_ts.or(old.version.order_ts),
@@ -899,7 +936,6 @@ pub struct MvStore {
     arena: VersionArena,
     /// Per-thread statistics and limbo bags, indexed by [`ebr::stripe`].
     stripes: Box<[Stripe]>,
-    version_ids: Sequence,
     // Metrics (standalone by default; `attach_metrics` rebinds them to a
     // registry so they surface in snapshots/Prometheus).
     m_retired: Arc<Counter>,
@@ -933,7 +969,6 @@ impl MvStore {
             entries: EntryArena::new(),
             arena: VersionArena::new(),
             stripes: (0..ebr::STRIPES).map(|_| Stripe::default()).collect(),
-            version_ids: Sequence::default(),
             m_retired: Arc::new(Counter::new()),
             m_limbo_bytes: Arc::new(MaxGauge::new()),
             m_epoch_lag: Arc::new(MaxGauge::new()),
@@ -1132,13 +1167,14 @@ impl MvStore {
         f(&mut ChainWrite::latched(self, entry, stripe))
     }
 
-    /// Installs an uncommitted version for `txn` on `key`.
+    /// Installs an uncommitted version for `txn` on `key`, outside the CC
+    /// tree ([`GroupId::NONE`]).
     pub fn write(&self, key: &Key, txn: TxnId, value: Value) -> WriteOutcome {
         self.write_with_order_ts(key, txn, value, None)
     }
 
-    /// Installs an uncommitted version carrying an explicit ordering
-    /// timestamp (used by timestamp-ordering CCs).
+    /// [`write`](MvStore::write) carrying an explicit ordering timestamp
+    /// (as timestamp-ordering CCs stamp their versions).
     pub fn write_with_order_ts(
         &self,
         key: &Key,
@@ -1146,13 +1182,12 @@ impl MvStore {
         value: Value,
         order_ts: Option<Timestamp>,
     ) -> WriteOutcome {
-        let id = VersionId(self.version_ids.issue());
         self.with_chain_mut(key, |chain| {
             let outcome = WriteOutcome {
                 other_uncommitted: chain.has_other_uncommitted(txn),
                 latest_committed_ts: chain.latest_committed().and_then(|v| v.commit_ts()),
             };
-            chain.install(Version::uncommitted(id, txn, value, order_ts));
+            chain.install(Version::uncommitted(GroupId::NONE, txn, value, order_ts));
             outcome
         })
     }
@@ -1341,14 +1376,8 @@ impl MvStore {
     /// Installs an already-committed version, bypassing the uncommitted
     /// state. Used by the initial loader and by recovery.
     pub fn load(&self, key: &Key, value: Value) {
-        let id = VersionId(self.version_ids.issue());
         self.with_chain_mut(key, |chain| {
-            chain.install_committed(Version::committed(
-                id,
-                TxnId::BOOTSTRAP,
-                value,
-                Timestamp::ZERO,
-            ));
+            chain.install_committed(Version::committed(TxnId::BOOTSTRAP, value, Timestamp::ZERO));
         });
     }
 
@@ -1555,7 +1584,7 @@ mod tests {
 
     fn ver(writer: u64) -> Version {
         Version::uncommitted(
-            VersionId(writer),
+            GroupId(writer as u32),
             TxnId(writer),
             Value::Int(writer as i64),
             None,
@@ -1691,13 +1720,13 @@ mod tests {
         store.with_chain_mut(&k, |chain| {
             chain.install(ver(1));
             chain.install(ver(2));
-            // Same writer again: replaced where it stands, same id, new
+            // Same writer again: replaced where it stands, same group, new
             // value; not a first write.
-            let again = Version::uncommitted(VersionId(77), TxnId(1), Value::Int(20), None);
+            let again = Version::uncommitted(GroupId(77), TxnId(1), Value::Int(20), None);
             assert!(!chain.install(again));
             assert_eq!(chain.len(), 2);
             let mine = chain.uncommitted_by(TxnId(1)).unwrap();
-            assert_eq!((mine.id, mine.value.as_int()), (VersionId(1), Some(20)));
+            assert_eq!((mine.group, mine.value.as_int()), (GroupId(1), Some(20)));
             assert!(chain.abort(TxnId(1)));
             assert!(!chain.abort(TxnId(1)));
             assert_eq!(chain.len(), 1);
@@ -1873,6 +1902,84 @@ mod tests {
             assert_eq!((chain.len(), chain.iter().count()), (0, 0));
             assert!(chain.latest_committed().is_none() && !chain.has_other_uncommitted(me));
         });
+    }
+
+    /// TSO's order check of a write at `ts` on a 10,000-version chain: in
+    /// group 0's TSO versions alternate with foreign ones that carry no
+    /// `order_ts`, all committed at or below `ts`; three of the group's
+    /// commits land above it, and three writers are in flight on top. Under
+    /// the latch the query visits those six and the first commit at or
+    /// below `ts`, and no more.
+    #[test]
+    fn ordered_after_walks_past_the_newer_commits_and_the_writers_in_flight_only() {
+        let store = MvStore::new(1);
+        let k = key(1);
+        let put = |writer: u64, group: u32, order_ts: Option<u64>, commit: Option<u64>| {
+            let version = Version::uncommitted(
+                GroupId(group),
+                TxnId(writer),
+                Value::Int(0),
+                order_ts.map(Timestamp),
+            );
+            store.with_chain_mut(&k, |chain| {
+                chain.install(version);
+                if let Some(ts) = commit {
+                    chain.commit(TxnId(writer), Timestamp(ts));
+                }
+            });
+        };
+        let ts = 100_000;
+        for i in 1..=10_000u64 {
+            match i % 2 {
+                0 => put(i, 0, Some(10 * i - 5), Some(10 * i)),
+                _ => put(i, 1, None, Some(10 * i)),
+            }
+        }
+        for j in 1..=3 {
+            put(20_000 + j, 0, Some(ts + 10 * j - 5), Some(ts + 10 * j));
+        }
+        put(30_001, 0, Some(ts + 100), None);
+        put(30_002, 0, Some(ts + 101), None);
+        put(30_003, 1, None, None);
+        let in_group = |v: &Version| v.group == GroupId(0);
+        let mut answer = Some(TxnId(0));
+        let visited = nodes_visited(|| {
+            store.with_chain_mut(&k, |chain| {
+                answer = chain
+                    .ordered_after(Timestamp(ts), in_group)
+                    .map(|v| v.writer);
+            })
+        });
+        assert_eq!(answer, None);
+        assert!(visited <= 3 + 3 + 1, "visited {visited} versions");
+        // A foreign version stamped after `ts` decides at once.
+        put(30_004, 1, Some(ts + 102), None);
+        store.with_chain_mut(&k, |chain| {
+            let decisive = chain.ordered_after(Timestamp(ts), in_group);
+            assert_eq!(decisive.map(|v| v.writer), Some(TxnId(30_004)));
+        });
+    }
+
+    /// The first commit at or below `ts` settles the committed versions
+    /// only: a foreign writer in flight below it, stamped after `ts`, still
+    /// decides.
+    #[test]
+    fn ordered_after_finds_a_writer_in_flight_below_the_commits() {
+        let store = MvStore::new(1);
+        let k = key(1);
+        let late = Version::uncommitted(GroupId(1), TxnId(1), Value::Int(1), Some(Timestamp(50)));
+        store.with_chain_mut(&k, |chain| chain.install(late));
+        store.write(&k, TxnId(2), Value::Int(2));
+        store.commit_writes(TxnId(2), &[k], Timestamp(5));
+        let decisive = |chain: &Chain<'_>| {
+            let v = chain.ordered_after(Timestamp(10), |v| v.group == GroupId(0));
+            v.map(|v| v.writer)
+        };
+        assert_eq!(
+            store.with_chain_mut(&k, |chain| decisive(chain)),
+            Some(TxnId(1))
+        );
+        assert_eq!(store.with_chain(&k, decisive), Some(TxnId(1)));
     }
 
     #[test]

@@ -57,6 +57,12 @@ impl fmt::Debug for TxnTypeId {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct GroupId(pub u32);
 
+impl GroupId {
+    /// The group no tree has: what a version written outside the CC tree
+    /// carries (see [`Version::group`](crate::Version::group)).
+    pub const NONE: GroupId = GroupId(u32::MAX);
+}
+
 impl fmt::Debug for GroupId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "G{}", self.0)

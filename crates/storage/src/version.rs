@@ -8,14 +8,9 @@
 //! mechanisms decide *which* version a read returns, storage only maintains
 //! the chain.
 
-use crate::types::{Timestamp, TxnId};
+use crate::types::{GroupId, Timestamp, TxnId};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Unique identifier of a version (diagnostics only).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
-pub struct VersionId(pub u64);
 
 /// Commit word of a version whose writer has not committed. No commit is
 /// ever stamped with it ([`Timestamp::MAX`] is the "no constraint"
@@ -24,7 +19,7 @@ const UNCOMMITTED: u64 = u64::MAX;
 
 /// One version of one key.
 ///
-/// The **payload** (`id`, `writer`, `value`, `order_ts`) never changes once
+/// The **payload** (`group`, `writer`, `value`, `order_ts`) never changes once
 /// the version is linked into a chain. The **commit word** does, exactly
 /// once: committing a version stores its HLC stamp and then its commit
 /// timestamp into the version itself, in place. State and timestamp live in
@@ -33,8 +28,20 @@ const UNCOMMITTED: u64 = u64::MAX;
 /// loaded `Acquire` — the stamp with it.
 #[derive(Debug)]
 pub struct Version {
-    /// Diagnostics identifier, unique within the store.
-    pub id: VersionId,
+    /// The leaf group of the CC tree the writer ran in — the one fact the
+    /// read rule of every node asks of a version (§4.3.1: written inside
+    /// the reader's group or subtree?), so membership is a field read that
+    /// no directory compaction can change. [`GroupId::NONE`] for a version
+    /// written outside the tree (bootstrap loads, recovery, replica apply):
+    /// foreign to every node.
+    ///
+    /// Group ids restart at 0 in every tree a reconfiguration builds, so an
+    /// old version may carry an id that now names another group. That is
+    /// harmless: the swap drains every group first, so every such version
+    /// committed before any transaction of the new tree began, and every
+    /// node shows a committed version that precedes its reader whether it
+    /// judges it as its own or as foreign.
+    pub group: GroupId,
     /// Transaction that installed the version.
     pub writer: TxnId,
     /// The value; [`Value::Null`] models a delete.
@@ -59,13 +66,13 @@ const _: () = assert!(std::mem::size_of::<Version>() == 88);
 impl Version {
     /// A version as its writer installs it: not yet committed.
     pub fn uncommitted(
-        id: VersionId,
+        group: GroupId,
         writer: TxnId,
         value: Value,
         order_ts: Option<Timestamp>,
     ) -> Version {
         Version {
-            id,
+            group,
             writer,
             value,
             order_ts,
@@ -74,9 +81,10 @@ impl Version {
         }
     }
 
-    /// A version born committed at `commit_ts`, unstamped (bootstrap loads).
-    pub fn committed(id: VersionId, writer: TxnId, value: Value, commit_ts: Timestamp) -> Version {
-        let v = Version::uncommitted(id, writer, value, None);
+    /// A version born committed at `commit_ts`, unstamped and outside the
+    /// tree (bootstrap loads).
+    pub fn committed(writer: TxnId, value: Value, commit_ts: Timestamp) -> Version {
+        let v = Version::uncommitted(GroupId::NONE, writer, value, None);
         v.mark_committed(commit_ts, 0);
         v
     }
@@ -108,8 +116,17 @@ impl Version {
     /// Commits the version in place: the stamp first, then the commit word
     /// with `Release`. The caller is the one writer allowed to touch the
     /// chain (it holds the key latch).
+    ///
+    /// An ordering timestamp is drawn from the same oracle as the commit
+    /// timestamp, earlier, so it is below it — which is what lets
+    /// [`Chain::ordered_after`](crate::mvstore::Chain::ordered_after) stop
+    /// at the first commit at or below its bound.
     pub(crate) fn mark_committed(&self, commit_ts: Timestamp, hlc: u64) {
         assert_ne!(commit_ts.0, UNCOMMITTED, "Timestamp::MAX is not a commit");
+        debug_assert!(
+            self.order_ts.is_none_or(|ts| ts < commit_ts),
+            "{self:?} at {commit_ts:?}"
+        );
         self.hlc.store(hlc, Ordering::Relaxed);
         self.commit.store(commit_ts.0, Ordering::Release);
     }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use tebaldi_suite::cc::procinfo::{AccessMode, ProcedureInfo};
 use tebaldi_suite::cc::rp_analysis::analyze;
 use tebaldi_suite::storage::{
-    Chain, Key, MvStore, TableId, Timestamp, TxnId, Value, Version, VersionId,
+    Chain, GroupId, Key, MvStore, TableId, Timestamp, TxnId, Value, Version,
 };
 
 /// Holds one view of a chain to everything a full scan of its own walk
@@ -12,31 +12,27 @@ use tebaldi_suite::storage::{
 /// `len`, and every early-exit query against the exhaustive answer — at each
 /// probe timestamp and for each writer asked about. Returns what the view
 /// said about those writers' in-flight versions.
-fn check_chain(
-    chain: &Chain<'_>,
-    probes: &[u64],
-    writers: &[u64],
-) -> Vec<(Option<VersionId>, bool)> {
+fn check_chain(chain: &Chain<'_>, probes: &[u64], writers: &[u64]) -> Vec<(Option<TxnId>, bool)> {
     let all: Vec<&Version> = chain.iter().collect();
     assert_eq!(chain.len(), all.len());
     let commits: Vec<Timestamp> = all.iter().filter_map(|v| v.commit_ts()).collect();
     assert!(commits.windows(2).all(|w| w[0] >= w[1]), "{commits:?}");
     let orders: Vec<Timestamp> = all.iter().filter_map(|v| v.order_ts).collect();
     assert!(orders.windows(2).all(|w| w[0] >= w[1]), "{orders:?}");
-    let uncommitted = |keep: &dyn Fn(u64) -> bool| -> Vec<VersionId> {
+    let uncommitted = |keep: &dyn Fn(u64) -> bool| -> Vec<TxnId> {
         let in_flight = all.iter().filter(|v| !v.is_committed());
         in_flight
             .filter(|v| keep(v.writer.0))
-            .map(|v| v.id)
+            .map(|v| v.writer)
             .collect()
     };
     // The committed version with the largest timestamp `keep` admits, the
     // newest by position among equals.
     let newest = |keep: &dyn Fn(Timestamp) -> bool| {
         let admitted = all.iter().rev().filter(|v| v.commit_ts().is_some_and(keep));
-        admitted.max_by_key(|v| v.commit_ts()).map(|v| v.id)
+        admitted.max_by_key(|v| v.commit_ts()).map(|v| v.writer)
     };
-    let id = |v: Option<&Version>| v.map(|v| v.id);
+    let id = |v: Option<&Version>| v.map(|v| v.writer);
     assert_eq!(id(chain.latest_committed()), newest(&|_| true));
     for ts in probes.iter().map(|p| Timestamp(*p)) {
         assert_eq!(id(chain.committed_before(ts)), newest(&|c| c < ts));
@@ -104,119 +100,185 @@ fn a_walk_begun_before_the_splices_finishes_in_order() {
     assert_eq!(store.stats(), store.stats_scanned());
 }
 
+/// TSO's order check as a full scan: the first version of the chain from
+/// outside the group that sorts after `ts` — the reference
+/// [`Chain::ordered_after`] answers as.
+fn ordered_after_by_scan<'a>(
+    chain: &Chain<'a>,
+    ts: Timestamp,
+    in_group: impl Fn(&Version) -> bool,
+) -> Option<&'a Version> {
+    chain
+        .iter()
+        .find(|v| !in_group(v) && v.sort_ts().is_some_and(|s| s > ts))
+}
+
+/// One step of the random-chain generator, `(kind, a, b)`, read against the
+/// chain's state when it runs.
+type ChainOp = (u32, u64, u64);
+
+/// The random-chain generator: installs (with and without an `order_ts`),
+/// same-writer overwrites, commits, aborts and prunes on one key of a real
+/// store, the way the engine drives a chain: per-key commit order follows
+/// chain position (mechanisms enforce it through locks and dependency
+/// waits), a timestamp-ordered install never lands below a committed
+/// version (TSO aborts a write "into the past"), and an `order_ts` comes
+/// from the clock the commits do, so every commit after it is larger.
+/// Writer `w` runs in group `w % 3`. Each step asserts what it did; then
+/// `check` gets the store, the key, timestamps to probe at and writers to
+/// ask about.
+fn drive_chain(ops: &[ChainOp], mut check: impl FnMut(&MvStore, &Key, &[u64], &[u64])) {
+    let store = MvStore::new(1);
+    let key = Key::simple(TableId(0), 1);
+    let group = |writer: u64| GroupId((writer % 3) as u32);
+    let (mut next_id, mut clock) = (1u64, 0u64);
+    for &(kind, a, b) in ops {
+        // (writer, order_ts) of the versions in flight, newest first;
+        // the largest `order_ts` already committed.
+        let (in_flight, floor) = store.with_chain(&key, |chain| {
+            let in_flight: Vec<(u64, Option<Timestamp>)> = chain
+                .iter()
+                .filter(|v| !v.is_committed())
+                .map(|v| (v.writer.0, v.order_ts))
+                .collect();
+            let committed = chain.iter().filter(|v| v.is_committed());
+            (in_flight, committed.filter_map(|v| v.order_ts).max())
+        });
+        let picked = in_flight.get(a as usize % in_flight.len().max(1)).copied();
+        store.with_chain_mut(&key, |chain| {
+            let order = |chain: &Chain<'_>| chain.iter().map(|v| v.writer).collect::<Vec<_>>();
+            let (len, before) = (chain.len(), order(chain));
+            match (kind, picked) {
+                // Overwrite: not a first write; position and — when the new
+                // version names none — `order_ts` stay.
+                (4, Some((writer, order_ts))) => {
+                    let order_ts = order_ts.filter(|_| b % 2 == 0);
+                    let (value, writer) = (Value::Int(b as i64), TxnId(writer));
+                    let again = Version::uncommitted(group(writer.0), writer, value, order_ts);
+                    prop_assert!(!chain.install(again));
+                    prop_assert_eq!(order(chain), before);
+                    let mine = chain.uncommitted_by(writer).unwrap();
+                    prop_assert_eq!(mine.value.as_int(), Some(b as i64));
+                }
+                // Commit the deepest version in flight, in place.
+                (5, Some(_)) => {
+                    let writer = TxnId(in_flight.last().unwrap().0);
+                    clock += 1 + b % 5;
+                    prop_assert!(chain.commit(writer, Timestamp(clock)));
+                    prop_assert_eq!(order(chain), before);
+                    let latest = chain.latest_committed().unwrap();
+                    prop_assert_eq!(latest.writer, writer);
+                    prop_assert_eq!(latest.commit_ts(), Some(Timestamp(clock)));
+                }
+                (6, Some((writer, _))) => {
+                    prop_assert!(chain.abort(TxnId(writer)));
+                    prop_assert!(!chain.abort(TxnId(writer)));
+                    prop_assert_eq!(chain.len(), len - 1);
+                }
+                // A read at any timestamp at or above the horizon returns
+                // the same version before and after a prune (probed at the
+                // horizon and where each answer can change: at every commit
+                // and just past it). Prune keeps every version in flight and
+                // at most one committed below the horizon.
+                (7, _) => {
+                    let horizon = Timestamp(a % (clock + 10));
+                    let commits = chain.iter().filter_map(|v| v.commit_ts());
+                    let probes: Vec<Timestamp> = commits
+                        .flat_map(|c| [c, Timestamp(c.0 + 1)])
+                        .chain([horizon])
+                        .filter(|ts| *ts >= horizon)
+                        .collect();
+                    let reads = |chain: &Chain<'_>| {
+                        let id = |v: Option<&Version>| v.map(|v| v.writer);
+                        let read = |ts| {
+                            (
+                                id(chain.committed_before(ts)),
+                                id(chain.committed_at_or_before(ts)),
+                            )
+                        };
+                        probes.iter().map(|&ts| read(ts)).collect::<Vec<_>>()
+                    };
+                    let seen = reads(chain);
+                    prop_assert_eq!(chain.prune(horizon), len - chain.len());
+                    prop_assert_eq!(reads(chain), seen);
+                    let below = chain
+                        .iter()
+                        .filter(|v| v.commit_ts().is_some_and(|ts| ts < horizon));
+                    prop_assert!(below.count() <= 1);
+                    let kept = chain.iter().filter(|v| !v.is_committed()).count();
+                    prop_assert_eq!(kept, in_flight.len());
+                }
+                // A new writer: at the head, or at its `order_ts` position
+                // above everything committed.
+                _ => {
+                    let order_ts =
+                        (kind % 2 == 1).then(|| Timestamp(floor.map_or(0, |f| f.0) + 1 + b % 40));
+                    clock = clock.max(order_ts.map_or(0, |ts| ts.0));
+                    let writer = TxnId(next_id);
+                    next_id += 1;
+                    let version =
+                        Version::uncommitted(group(writer.0), writer, Value::Int(0), order_ts);
+                    prop_assert!(chain.install(version));
+                    prop_assert_eq!(chain.len(), len + 1);
+                    if order_ts.is_none() {
+                        prop_assert_eq!(chain.iter().next().unwrap().writer, writer);
+                    }
+                }
+            }
+        });
+        let probes = [0, a % (clock + 2), clock / 2, clock, clock + 1];
+        // Everyone who was in flight, the newest writer, one never seen.
+        let writers = in_flight.iter().map(|w| w.0).chain([next_id - 1, next_id]);
+        let writers: Vec<u64> = writers.collect();
+        check(&store, &key, &probes, &writers);
+    }
+}
+
 proptest! {
-    /// Random installs (with and without an `order_ts`), same-writer
-    /// overwrites, commits, aborts and prunes on one key of a real store,
-    /// the way the engine drives a chain: per-key commit order follows chain
-    /// position (mechanisms enforce it through locks and dependency waits)
-    /// and a timestamp-ordered install never lands below a committed
-    /// version (TSO aborts a write "into the past"). After every step the
-    /// latched view and the lock-free view each pass `check_chain`, agree
-    /// with each other, and the store's O(1) counters equal a full scan.
-    /// A step is `(kind, a, b)`, read against the chain's state when it runs.
+    /// After every step of the random-chain generator the latched view and
+    /// the lock-free view each pass `check_chain`, agree with each other,
+    /// and the store's O(1) counters equal a full scan.
     #[test]
     fn version_chain_operations_keep_every_invariant(
         ops in proptest::collection::vec((0u32..8, 0u64..1000, 0u64..1000), 1..60),
     ) {
-        let store = MvStore::new(1);
-        let key = Key::simple(TableId(0), 1);
-        let (mut next_id, mut clock) = (1u64, 0u64);
-        for (kind, a, b) in ops {
-            // (writer, order_ts) of the versions in flight, newest first;
-            // the largest `order_ts` already committed.
-            let (in_flight, floor) = store.with_chain(&key, |chain| {
-                let in_flight: Vec<(u64, Option<Timestamp>)> = chain
-                    .iter()
-                    .filter(|v| !v.is_committed())
-                    .map(|v| (v.writer.0, v.order_ts))
-                    .collect();
-                let committed = chain.iter().filter(|v| v.is_committed());
-                (in_flight, committed.filter_map(|v| v.order_ts).max())
-            });
-            let picked = in_flight.get(a as usize % in_flight.len().max(1)).copied();
-            store.with_chain_mut(&key, |chain| {
-                let order = |chain: &Chain<'_>| chain.iter().map(|v| v.id).collect::<Vec<_>>();
-                let (len, before) = (chain.len(), order(chain));
-                match (kind, picked) {
-                    // Overwrite: not a first write; position, id and — when
-                    // the new version names none — `order_ts` all stay.
-                    (4, Some((writer, order_ts))) => {
-                        let order_ts = order_ts.filter(|_| b % 2 == 0);
-                        let (writer, value) = (TxnId(writer), Value::Int(b as i64));
-                        let again = Version::uncommitted(VersionId(0), writer, value, order_ts);
-                        prop_assert!(!chain.install(again));
-                        prop_assert_eq!(order(chain), before);
-                        let mine = chain.uncommitted_by(writer).unwrap();
-                        prop_assert_eq!(mine.value.as_int(), Some(b as i64));
-                    }
-                    // Commit the deepest version in flight, in place.
-                    (5, Some(_)) => {
-                        let writer = TxnId(in_flight.last().unwrap().0);
-                        clock += 1 + b % 5;
-                        prop_assert!(chain.commit(writer, Timestamp(clock)));
-                        prop_assert_eq!(order(chain), before);
-                        let latest = chain.latest_committed().unwrap();
-                        prop_assert_eq!(latest.writer, writer);
-                        prop_assert_eq!(latest.commit_ts(), Some(Timestamp(clock)));
-                    }
-                    (6, Some((writer, _))) => {
-                        prop_assert!(chain.abort(TxnId(writer)));
-                        prop_assert!(!chain.abort(TxnId(writer)));
-                        prop_assert_eq!(chain.len(), len - 1);
-                    }
-                    // A read at any timestamp at or above the horizon returns
-                    // the same version before and after a prune (probed at
-                    // the horizon and where each answer can change: at every
-                    // commit and just past it). Prune keeps every version in
-                    // flight and at most one committed below the horizon.
-                    (7, _) => {
-                        let horizon = Timestamp(a % (clock + 10));
-                        let commits = chain.iter().filter_map(|v| v.commit_ts());
-                        let probes: Vec<Timestamp> = commits
-                            .flat_map(|c| [c, Timestamp(c.0 + 1)])
-                            .chain([horizon])
-                            .filter(|ts| *ts >= horizon)
-                            .collect();
-                        let reads = |chain: &Chain<'_>| {
-                            let id = |v: Option<&Version>| v.map(|v| v.id);
-                            let read = |ts| {
-                                (id(chain.committed_before(ts)), id(chain.committed_at_or_before(ts)))
-                            };
-                            probes.iter().map(|&ts| read(ts)).collect::<Vec<_>>()
-                        };
-                        let seen = reads(chain);
-                        prop_assert_eq!(chain.prune(horizon), len - chain.len());
-                        prop_assert_eq!(reads(chain), seen);
-                        let below = chain.iter().filter(|v| v.commit_ts().is_some_and(|ts| ts < horizon));
-                        prop_assert!(below.count() <= 1);
-                        let kept = chain.iter().filter(|v| !v.is_committed()).count();
-                        prop_assert_eq!(kept, in_flight.len());
-                    }
-                    // A new writer: at the head, or at its `order_ts`
-                    // position above everything committed.
-                    _ => {
-                        let order_ts = (kind % 2 == 1)
-                            .then(|| Timestamp(floor.map_or(0, |f| f.0) + 1 + b % 40));
-                        let (id, writer) = (VersionId(next_id), TxnId(next_id));
-                        next_id += 1;
-                        let version = Version::uncommitted(id, writer, Value::Int(0), order_ts);
-                        prop_assert!(chain.install(version));
-                        prop_assert_eq!(chain.len(), len + 1);
-                        if order_ts.is_none() {
-                            prop_assert_eq!(chain.iter().next().unwrap().id, id);
-                        }
-                    }
-                }
-            });
-            let probes = [0, a % (clock + 2), clock / 2, clock, clock + 1];
-            // Everyone who was in flight, the newest writer, one never seen.
-            let writers = in_flight.iter().map(|w| w.0).chain([next_id - 1, next_id]);
-            let writers: Vec<u64> = writers.collect();
-            let latched = store.with_chain_mut(&key, |c| check_chain(c, &probes, &writers));
-            let lock_free = store.with_chain(&key, |c| check_chain(c, &probes, &writers));
+        drive_chain(&ops, |store, key, probes, writers| {
+            let latched = store.with_chain_mut(key, |c| check_chain(c, probes, writers));
+            let lock_free = store.with_chain(key, |c| check_chain(c, probes, writers));
             prop_assert_eq!(latched, lock_free);
             prop_assert_eq!(store.stats(), store.stats_scanned());
-        }
+        });
+    }
+
+    /// TSO's order check stops at the first decisive version and still
+    /// answers as the full scan it replaced: on every chain of the
+    /// generator, latched and lock-free, at every timestamp where the
+    /// answer can change and for every split of the writers into the
+    /// writer's group and the rest (each of the three groups in turn, then
+    /// none).
+    #[test]
+    fn ordered_after_answers_as_the_full_scan(
+        ops in proptest::collection::vec((0u32..8, 0u64..1000, 0u64..1000), 1..60),
+    ) {
+        drive_chain(&ops, |store, key, probes, _| {
+            let check = |chain: &Chain<'_>| {
+                let sorts: Vec<u64> = chain.iter().filter_map(|v| v.sort_ts()).map(|ts| ts.0).collect();
+                let edges = sorts.iter().flat_map(|&ts| [ts.saturating_sub(1), ts]);
+                for ts in probes.iter().copied().chain(edges).map(Timestamp) {
+                    for split in 0..4 {
+                        let in_group = |v: &Version| v.group == GroupId(split);
+                        let writer = |v: Option<&Version>| v.map(|v| v.writer);
+                        prop_assert_eq!(
+                            writer(chain.ordered_after(ts, in_group)),
+                            writer(ordered_after_by_scan(chain, ts, in_group)),
+                            "ts {:?}, group {}", ts, split
+                        );
+                    }
+                }
+            };
+            store.with_chain_mut(key, |c| check(c));
+            store.with_chain(key, check);
+        });
     }
 
     /// Composite keys are injective over their parts.

@@ -54,6 +54,45 @@ fn updated_spec() -> CcTreeSpec {
     ))
 }
 
+/// The value of `row` as the store's last commit left it.
+fn last_commit(db: &Database, row: u64) -> i64 {
+    db.store()
+        .read(&Key::simple(TABLE, row), ReadSpec::LatestCommitted)
+        .and_then(|v| v.as_int())
+        .unwrap_or(0)
+}
+
+/// A transaction of every group of the tree in force reads every row as
+/// the old tree's last commits left it, and the update group's increments
+/// of every row commit.
+///
+/// A version names its writer's group by id, and ids restart at 0 in every
+/// tree: an old version may carry the id of another group of the new tree,
+/// or of none. Every such version committed before the new tree's first
+/// transaction began, so each node shows it whichever group it reads as.
+fn every_group_reads_the_last_commits(db: &Database) {
+    let before: Vec<i64> = (0..ROWS).map(|row| last_commit(db, row)).collect();
+    let scan = db.execute_with_retry(&ProcedureCall::new(SCAN), 30, |txn| {
+        (0..ROWS)
+            .map(|row| {
+                Ok(txn
+                    .get(Key::simple(TABLE, row))?
+                    .and_then(|v| v.as_int())
+                    .unwrap_or(0))
+            })
+            .collect::<Result<Vec<i64>, _>>()
+    });
+    assert_eq!(scan.expect("the scan commits").0, before);
+    let update = db.execute_with_retry(&ProcedureCall::new(HOT), 30, |txn| {
+        (0..ROWS)
+            .map(|row| Ok(txn.increment(Key::simple(TABLE, row), 0, 1)? - 1))
+            .collect::<Result<Vec<i64>, _>>()
+    });
+    assert_eq!(update.expect("the update commits").0, before);
+    let after: Vec<i64> = (0..ROWS).map(|row| last_commit(db, row)).collect();
+    assert_eq!(after, before.iter().map(|v| v + 1).collect::<Vec<_>>());
+}
+
 fn run_with_protocol(protocol: ReconfigProtocol) {
     let db = Arc::new(
         Database::builder(DbConfig::for_tests())
@@ -121,15 +160,9 @@ fn run_with_protocol(protocol: ReconfigProtocol) {
 
     // Invariant: the sum of the counters equals the number of committed
     // increments (no update lost or duplicated across the switch).
-    let mut total = 0i64;
-    for row in 0..ROWS {
-        total += db
-            .store()
-            .read(&Key::simple(TABLE, row), ReadSpec::LatestCommitted)
-            .and_then(|v| v.as_int())
-            .unwrap_or(0);
-    }
+    let total: i64 = (0..ROWS).map(|row| last_commit(&db, row)).sum();
     assert_eq!(total as u64, committed_increments);
+    every_group_reads_the_last_commits(&db);
 
     // Serializability across the switch.
     let history = db.take_history().unwrap();
@@ -152,6 +185,8 @@ fn online_update_preserves_correctness() {
     run_with_protocol(ReconfigProtocol::OnlineUpdate);
 }
 
+/// The fallback also moves every group id: the monolithic tree's one group
+/// (0) wrote the rows, and 0 names the new tree's scan group.
 #[test]
 fn online_update_falls_back_on_root_change() {
     let db = Database::builder(DbConfig::for_tests())
@@ -159,6 +194,13 @@ fn online_update_falls_back_on_root_change() {
         .cc_spec(CcTreeSpec::monolithic(CcKind::TwoPl, vec![HOT, SCAN]))
         .build()
         .unwrap();
+    for row in 0..ROWS {
+        let call = ProcedureCall::new(HOT);
+        db.execute_with_retry(&call, 30, |txn| {
+            txn.increment(Key::simple(TABLE, row), 0, row as i64)
+        })
+        .unwrap();
+    }
     let report = db
         .reconfigure(initial_spec(), ReconfigProtocol::OnlineUpdate)
         .unwrap();
@@ -167,5 +209,6 @@ fn online_update_falls_back_on_root_change() {
         "a root-level change must fall back to a partial restart"
     );
     assert_eq!(db.current_spec(), initial_spec());
+    every_group_reads_the_last_commits(&db);
     db.shutdown();
 }
