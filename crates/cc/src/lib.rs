@@ -19,9 +19,10 @@
 //!   per-transaction context threaded through the tree,
 //! * [`tree`] — CC-tree specifications (serializable configuration) and the
 //!   runtime tree with per-group root→leaf paths,
-//! * [`registry`] — the shared transaction directory (status, type, group)
-//!   used for dependency waiting and group membership tests,
-//! * [`lock`] — the group-aware lock manager shared by 2PL and RP,
+//! * [`registry`] — the shared transaction directory (status, type, RP
+//!   step) used for dependency waiting, RP's trailing rule and parking,
+//! * [`lock`] — the group-aware lock manager shared by 2PL and RP, and the
+//!   key stripes SSI and TSO keep their per-key state in,
 //! * [`error`] — the closed list of abort causes: [`CcError`], the
 //!   [`WaitLabel`] of a timeout and the [`Reason`] of a conflict,
 //! * [`wait`] — the one bounded wait every blocking rule goes through

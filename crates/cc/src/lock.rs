@@ -104,6 +104,38 @@ impl LockEntry {
     }
 }
 
+/// Keeps neighbouring stripes off each other's cache line.
+#[repr(align(64))]
+#[derive(Default)]
+pub(crate) struct Padded<T>(pub(crate) T);
+
+/// Stripes of a [`KeyStripes`].
+const STRIPES: usize = 64;
+
+/// Per-key state (SIREAD readers, TSO read timestamps) in [`STRIPES`]
+/// stripes, one mutex per cache line. A key's stripe is taken from the
+/// middle of its [`Key::mix64`]: the stripe's own map spreads on the low
+/// bits and tags on the high ones.
+pub(crate) struct KeyStripes<T>(Box<[Padded<Mutex<KeyMap<T>>>]>);
+
+impl<T> Default for KeyStripes<T> {
+    fn default() -> Self {
+        KeyStripes((0..STRIPES).map(|_| Padded::default()).collect())
+    }
+}
+
+impl<T> KeyStripes<T> {
+    /// The stripe holding `key`.
+    pub(crate) fn of(&self, key: &Key) -> &Mutex<KeyMap<T>> {
+        &self.0[(key.mix64() >> 32) as usize % STRIPES].0
+    }
+
+    /// Every stripe.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Mutex<KeyMap<T>>> {
+        self.0.iter().map(|stripe| &stripe.0)
+    }
+}
+
 type Shard = Mutex<KeyMap<LockEntry>>;
 
 /// A lock table.

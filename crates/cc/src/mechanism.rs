@@ -114,9 +114,9 @@ impl VersionPick {
 
 /// Per-transaction context threaded through every phase.
 ///
-/// The context is owned by the executing client thread; mechanisms keep any
-/// *shared* state (lock tables, read timestamps, batches) in their own
-/// structures keyed by [`TxnId`].
+/// Owned by the executing client thread: what the transaction's own calls
+/// need. What *other* transactions read of it (status, type, RP step) is on
+/// its [`TxnRegistry`] entry; per-key state sits in the mechanisms.
 #[derive(Clone, Debug)]
 pub struct TxnCtx {
     /// Transaction id.
@@ -137,8 +137,8 @@ pub struct TxnCtx {
     /// Keys written so far (needed for commit/abort in storage and for the
     /// durability precommit record).
     pub write_keys: Vec<Key>,
-    /// Ordering timestamp assigned by a timestamp-ordering mechanism at
-    /// start time; the engine tags installed versions with it.
+    /// Its TSO timestamp, stamped by the `begin` of the (leaf-only, so at
+    /// most one) TSO node on its path; the engine tags its versions with it.
     pub order_ts: Option<Timestamp>,
     /// Keys the transaction promises to write, set before the start phase
     /// (TSO promises, §4.4.4; the leaf's `begin` registers them).
@@ -150,6 +150,12 @@ pub struct TxnCtx {
     /// that node's `begin` and dropped by its `finish` — so the node's
     /// calls on behalf of this transaction need no lookup in shared state.
     pub ssi: Vec<crate::ssi::SsiHandle>,
+    /// Its step at each RP node where it step-committed, as `(node, step)`;
+    /// the node publishes each on the registry entry for its trailers.
+    pub rp_steps: Vec<(NodeId, usize)>,
+    /// The transactions it trails in the pipeline of each RP node, as
+    /// `(node, blocker)` pairs (§4.4.2's trailing rule).
+    pub rp_trails: Vec<(NodeId, TxnId)>,
     /// Declared read-only: the engine sets it, before the start phase, from
     /// [`ProcedureInfo::read_only`](crate::ProcedureInfo::read_only) when
     /// the transaction runs whole on this database — never for one part of
@@ -180,6 +186,8 @@ impl TxnCtx {
             promised_keys: Vec::new(),
             must_abort: false,
             ssi: Vec::new(),
+            rp_steps: Vec::new(),
+            rp_trails: Vec::new(),
             read_only: false,
             update_read: false,
         }
@@ -460,7 +468,9 @@ pub trait CcMechanism: Send + Sync {
 
     /// GC low watermark: the smallest timestamp this mechanism may still
     /// need to read at or after (§4.5.3). `Timestamp::MAX` means "no
-    /// constraint".
+    /// constraint". The GC cycle is its one caller, so an implementation
+    /// may also drop state there that nothing at or after the watermark
+    /// can need (TSO prunes its read timestamps).
     fn low_watermark(&self) -> Timestamp {
         Timestamp::MAX
     }

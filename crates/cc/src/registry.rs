@@ -1,13 +1,15 @@
 //! The shared transaction directory, and the one place a transaction sleeps.
 //!
-//! Mechanisms and the engine need two pieces of information about *other*
-//! transactions:
+//! An entry is what other transactions read of a transaction:
 //!
-//! * their status (active / committed / aborted), to implement dependency
+//! * its status (active / committed / aborted), to implement dependency
 //!   waiting ("delay commit until all in-group dependencies have
 //!   committed", §4.4.1 — a [`cc::wait`](crate::wait) on the dependency's
-//!   status) and cascading-abort prevention, and
-//! * their static type, to label blocking events for the profiler.
+//!   status) and cascading-abort prevention,
+//! * its static type, to label blocking events for the profiler, and
+//! * its pipeline step at each RP node where it step-committed, for RP's
+//!   trailing rule (`trailing`); one null pointer until its first step
+//!   commit.
 //!
 //! Which group a version's writer ran in is not asked here: the version
 //! names it ([`Version::group`](tebaldi_storage::Version::group)), so
@@ -19,8 +21,9 @@
 //! listed under the one transaction it named, and only that transaction
 //! *moving* wakes it: its end ([`mark_committed`] / [`mark_aborted`], which
 //! the engine calls after every mechanism has released its resources), RP's
-//! step commit or a fulfilled TSO promise ([`wake`]). The waiter lists are
-//! the wait-for graph ([`wait_for`]). The engine's retry loop parks here
+//! step commit (`advance_step`, which publishes the step first) or a
+//! fulfilled TSO promise ([`wake`]). The waiter lists are the wait-for
+//! graph ([`wait_for`]). The engine's retry loop parks here
 //! too: a transaction that lost a write-write conflict waits for the winner
 //! it named to end ([`await_end`]) before it tries again.
 //!
@@ -47,7 +50,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::thread::{self, Thread};
 use std::time::Instant;
-use tebaldi_storage::{Timestamp, TxnId, TxnTypeId};
+use tebaldi_storage::{NodeId, Timestamp, TxnId, TxnTypeId};
 
 /// Lifecycle status of a transaction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,7 +82,15 @@ struct TxnInfo {
     stamp: u32,
     /// Bumped by every move of the transaction.
     epoch: u32,
+    /// Its step at each RP node where it step-committed.
+    rp_steps: Option<Box<RpSteps>>,
 }
+
+/// `(node, step)` pairs. Its own type because the entry holds it behind one
+/// pointer, null until the first step commit, and clippy refuses a boxed
+/// `Vec` (`box_collection`).
+#[derive(Default)]
+struct RpSteps(Vec<(NodeId, usize)>);
 
 /// A transaction asleep on another.
 struct Parked {
@@ -167,6 +178,7 @@ impl TxnRegistry {
             ty,
             stamp: self.generation.load(Ordering::Relaxed),
             epoch: 0,
+            rp_steps: None,
         };
         self.shard(txn).lock().txns.insert(txn, info);
     }
@@ -174,31 +186,45 @@ impl TxnRegistry {
     /// Marks a transaction committed and wakes the transactions waiting on
     /// it.
     pub fn mark_committed(&self, txn: TxnId, ts: Timestamp) {
-        self.moved(txn, Some(TxnStatus::Committed(ts)));
+        self.end(txn, TxnStatus::Committed(ts));
     }
 
     /// Marks a transaction aborted and wakes the transactions waiting on
     /// it.
     pub fn mark_aborted(&self, txn: TxnId) {
-        self.moved(txn, Some(TxnStatus::Aborted));
+        self.end(txn, TxnStatus::Aborted);
     }
 
-    /// `txn` made progress its waiters may have been waiting for (RP's step
-    /// commit, a fulfilled TSO promise): wakes exactly them.
+    fn end(&self, txn: TxnId, status: TxnStatus) {
+        self.moved(txn, |info| {
+            info.status = status;
+            info.stamp = self.generation.load(Ordering::Relaxed);
+        });
+    }
+
+    /// `txn` made progress its waiters may have been waiting for (a
+    /// fulfilled TSO promise): wakes exactly them.
     pub fn wake(&self, txn: TxnId) {
-        self.moved(txn, None);
+        self.moved(txn, |_| {});
     }
 
-    fn moved(&self, txn: TxnId, end: Option<TxnStatus>) {
+    /// RP's step commit: publishes `txn`'s step at RP node `node` and wakes
+    /// the transactions waiting on `txn`.
+    pub(crate) fn advance_step(&self, txn: TxnId, node: NodeId, step: usize) {
+        self.moved(txn, |info| {
+            let steps = &mut info.rp_steps.get_or_insert_default().0;
+            steps.retain(|(n, _)| *n != node);
+            steps.push((node, step));
+        });
+    }
+
+    fn moved(&self, txn: TxnId, change: impl FnOnce(&mut TxnInfo)) {
         let woken: Vec<Parked> = {
             let mut shard = self.shard(txn).lock();
             let Some(info) = shard.txns.get_mut(&txn) else {
                 return;
             };
-            if let Some(status) = end {
-                info.status = status;
-                info.stamp = self.generation.load(Ordering::Relaxed);
-            }
+            change(info);
             info.epoch = info.epoch.wrapping_add(1);
             shard.parked.extract_if(.., |p| p.blocker == txn).collect()
         };
@@ -308,8 +334,25 @@ impl TxnRegistry {
 
     /// One evaluation of [`wait_finished`](TxnRegistry::wait_finished).
     pub(crate) fn finished(&self, txn: TxnId) -> Step<TxnStatus> {
+        self.finished_or(txn, |_| false)
+    }
+
+    /// One evaluation of RP's trailing rule for a transaction that trails
+    /// `dep` at RP node `node` and wants to enter `step`: over once `dep`
+    /// is at or past `step` there, or has ended.
+    pub(crate) fn trailing(&self, dep: TxnId, node: NodeId, step: usize) -> Step<TxnStatus> {
+        self.finished_or(dep, |info| {
+            let mut steps = info.rp_steps.iter().flat_map(|steps| &steps.0);
+            steps.any(|&(n, at)| n == node && at >= step)
+        })
+    }
+
+    /// `txn`'s status once it ended or `past` holds of its entry (unknown
+    /// counts as committed); blocked on it otherwise, with the ticket taken
+    /// under the shard lock that read the entry.
+    fn finished_or(&self, txn: TxnId, past: impl FnOnce(&TxnInfo) -> bool) -> Step<TxnStatus> {
         match self.shard(txn).lock().txns.get(&txn) {
-            Some(info) if info.status.is_active() => Step::BlockedOn(Ticket {
+            Some(info) if info.status.is_active() && !past(info) => Step::BlockedOn(Ticket {
                 blocker: txn,
                 epoch: Some(info.epoch),
             }),

@@ -16,8 +16,13 @@
 //!   has committed (cascading-abort prevention / consistent ordering) —
 //!   enforced by the engine's dependency wait on the reported set.
 //!
-//! A step commit wakes exactly the transactions waiting on the advancing
-//! one ([`TxnRegistry::wake`](crate::registry::TxnRegistry::wake)).
+//! The node keeps no per-transaction map and no node-wide lock. A
+//! transaction's step and the transactions it trails sit on its own
+//! [`TxnCtx`] (`rp_steps`, `rp_trails`); a step commit publishes the new
+//! step on its [`TxnRegistry`](crate::registry::TxnRegistry) entry, which
+//! wakes exactly the transactions waiting on it, and a trailer reads the
+//! step under the registry shard lock that issues its ticket
+//! (`TxnRegistry::trailing`).
 
 use crate::error::{CcResult, WaitLabel};
 use crate::lock::{LockManager, LockMode};
@@ -26,30 +31,13 @@ use crate::mechanism::{
 };
 use crate::rp_analysis::RpPlan;
 use crate::wait::{Step, Wait};
-use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
-use tebaldi_storage::{Chain, Key, Timestamp, TxnId, Version};
-
-#[derive(Debug, Default)]
-struct RpTxnState {
-    current_step: usize,
-    /// Transactions this one trails in the pipeline.
-    rp_deps: HashSet<TxnId>,
-}
-
-#[derive(Default)]
-struct RpShared {
-    /// The transactions in the pipeline; an entry lives from `begin` to
-    /// `finish`.
-    txns: HashMap<TxnId, RpTxnState>,
-}
+use tebaldi_storage::{Chain, Key, Timestamp, Version};
 
 /// A runtime-pipelining node.
 pub struct Rp {
     env: NodeEnv,
     plan: RpPlan,
     locks: LockManager,
-    shared: Mutex<RpShared>,
 }
 
 impl Rp {
@@ -59,81 +47,62 @@ impl Rp {
             env,
             plan,
             locks: LockManager::owned_by(CcKind::Rp),
-            shared: Mutex::new(RpShared::default()),
         }
     }
 
-    /// Advances `ctx.txn` to `target_step`, step-committing everything
-    /// before it and honouring the trailing rule.
-    fn advance_to(&self, ctx: &mut TxnCtx, target_step: usize) -> CcResult<()> {
-        let mut deps: Vec<TxnId> = {
-            let mut shared = self.shared.lock();
-            let state = shared.txns.entry(ctx.txn).or_default();
-            if target_step <= state.current_step {
-                return Ok(());
-            }
-            state.current_step = target_step;
-            state.rp_deps.iter().copied().collect()
-        };
+    /// Advances `ctx.txn` to `target` at this node, step-committing
+    /// everything before it and honouring the trailing rule.
+    fn advance_to(&self, ctx: &mut TxnCtx, target: usize) -> CcResult<()> {
+        let node = self.env.node;
+        // Clamp: a table observed out of plan order never moves the pipeline
+        // backwards; it is handled inside the current step.
+        let current = ctx.rp_steps.iter().find(|(n, _)| *n == node);
+        if target <= current.map_or(0, |(_, step)| *step) {
+            return Ok(());
+        }
+        ctx.rp_steps.retain(|(n, _)| *n != node);
+        ctx.rp_steps.push((node, target));
         // Step commit: release the previous step's locks — this node's lock
-        // table holds only the current step's keys — and wake the
-        // transactions waiting on this one.
+        // table holds only the current step's keys — then publish the step,
+        // which wakes the transactions waiting on this one.
         self.locks.release_all(ctx.txn);
-        self.env.registry.wake(ctx.txn);
+        self.env.registry.advance_step(ctx.txn, node, target);
 
-        // Trailing rule: wait until every dependency has terminated (left
-        // the pipeline) or has entered `target_step` (or beyond).
+        // Trailing rule: wait until every transaction this one trails here
+        // has ended or entered `target` (or beyond).
         let registry = &self.env.registry;
+        let trailed = ctx.rp_trails.iter().filter(|(n, _)| *n == node);
+        let mut trailed = trailed.map(|(_, dep)| *dep).peekable();
         Wait::at(&self.env, ctx, WaitLabel::PipelineStep).until(|| {
-            let shared = self.shared.lock();
-            let behind = |state: &RpTxnState| state.current_step < target_step;
-            deps.retain(|dep| shared.txns.get(dep).is_some_and(behind));
-            deps.first()
-                .map_or(Step::Done(()), |dep| Step::BlockedOn(registry.ticket(*dep)))
+            while let Some(dep) = trailed.peek() {
+                match registry.trailing(*dep, node, target) {
+                    Step::Done(_) => trailed.next(),
+                    Step::BlockedOn(ticket) => return Step::BlockedOn(ticket),
+                };
+            }
+            Step::Done(())
         })
     }
 
     fn operation(&self, ctx: &mut TxnCtx, lane: Lane, key: &Key, mode: LockMode) -> CcResult<()> {
-        let step = self.plan.step_of(key.table);
-        // Clamp: a table observed out of plan order never moves the pipeline
-        // backwards; it is handled inside the current step.
-        let target = {
-            let shared = self.shared.lock();
-            shared
-                .txns
-                .get(&ctx.txn)
-                .map(|s| s.current_step.max(step))
-                .unwrap_or(step)
-        };
-        self.advance_to(ctx, target)?;
-
+        self.advance_to(ctx, self.plan.step_of(key.table))?;
         let blockers =
             self.locks
                 .acquire(&self.env, ctx, key, lane.lock_lane(ctx.txn), mode, "")?;
-        let mut shared = self.shared.lock();
-        let state = shared.txns.entry(ctx.txn).or_default();
         for blocker in blockers {
-            state.rp_deps.insert(blocker);
+            let trail = (self.env.node, blocker);
+            if !ctx.rp_trails.contains(&trail) {
+                ctx.rp_trails.push(trail);
+            }
             // Pipeline order implies commit order: report the dependency so
             // the engine delays our commit until the blocker commits.
             ctx.add_dep(blocker);
         }
         Ok(())
     }
-
-    fn cleanup(&self, txn: TxnId) {
-        self.locks.release_all(txn);
-        self.shared.lock().txns.remove(&txn);
-    }
 }
 
 impl CcMechanism for Rp {
-    fn begin(&self, ctx: &mut TxnCtx, _lane: Lane) -> CcResult<()> {
-        let mut shared = self.shared.lock();
-        shared.txns.insert(ctx.txn, RpTxnState::default());
-        Ok(())
-    }
-
     fn before_access(
         &self,
         ctx: &mut TxnCtx,
@@ -165,7 +134,7 @@ impl CcMechanism for Rp {
     }
 
     fn finish(&self, ctx: &mut TxnCtx, _lane: Lane, _outcome: Option<Timestamp>) {
-        self.cleanup(ctx.txn);
+        self.locks.release_all(ctx.txn);
     }
 }
 
@@ -179,8 +148,8 @@ mod tests {
     use crate::rp_analysis::analyze;
     use crate::topology::Topology;
     use std::sync::Arc;
-    use std::time::Duration;
-    use tebaldi_storage::{GroupId, MvStore, NodeId, TableId, TxnTypeId, Value};
+    use std::time::{Duration, Instant};
+    use tebaldi_storage::{GroupId, MvStore, NodeId, TableId, TxnId, TxnTypeId, Value};
 
     fn plan() -> RpPlan {
         // Three tables accessed in a fixed order by a single procedure.
@@ -206,18 +175,12 @@ mod tests {
         Key::simple(TableId(table), id)
     }
 
-    impl Rp {
-        /// Makes `txn` trail `dep` without the lock wait that normally
-        /// records the dependency (fixture of the `cc::wait` table test).
-        pub(crate) fn trail(&self, txn: TxnId, dep: TxnId) {
-            let mut shared = self.shared.lock();
-            shared.txns.entry(txn).or_default().rp_deps.insert(dep);
-        }
-
-        /// Number of transactions currently in the pipeline.
-        fn active_count(&self) -> usize {
-            self.shared.lock().txns.len()
-        }
+    /// A context of `txn` that trails `dep` at `node`, without the lock
+    /// wait that normally records the trail.
+    fn trailing(txn: TxnId, dep: TxnId, node: NodeId) -> TxnCtx {
+        let mut ctx = TxnCtx::new(txn, TxnTypeId(0), GroupId(0));
+        ctx.rp_trails.push((node, dep));
+        ctx
     }
 
     #[test]
@@ -247,7 +210,7 @@ mod tests {
         );
         rp.finish(&mut t1, Lane::leaf(), Some(Timestamp(1)));
         rp.finish(&mut t2, Lane::leaf(), Some(Timestamp(2)));
-        assert_eq!(rp.active_count(), 0);
+        assert_eq!(rp.locks.locked_key_count(), 0);
     }
 
     #[test]
@@ -281,6 +244,39 @@ mod tests {
         registry.mark_committed(TxnId(1), Timestamp(1));
         let t2 = trailer.join().unwrap();
         assert!(t2.deps.contains(&TxnId(1)));
+    }
+
+    #[test]
+    fn compacting_a_trailed_dependency_releases_the_trailer() {
+        let (rp, registry) = make_rp(10_000);
+        // T1 stays in step 0; nothing active pins its entry once it ends.
+        registry.register(TxnId(1), TxnTypeId(0));
+        std::thread::scope(|scope| {
+            let trailer = scope.spawn(|| {
+                let mut t2 = trailing(TxnId(2), TxnId(1), NodeId(0));
+                let started = Instant::now();
+                let entered = rp.before_access(&mut t2, Lane::leaf(), &k(1, 2), Access::Write);
+                (entered, started.elapsed())
+            });
+            while registry.wait_for() != [(TxnId(2), TxnId(1))] {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // T1 ends and the next compaction forgets it: the trailer finds
+            // it ended or gone, whichever it looks at first.
+            registry.mark_aborted(TxnId(1));
+            assert_eq!(registry.compact(), 1);
+            let (entered, elapsed) = trailer.join().unwrap();
+            assert_eq!(entered, Ok(()));
+            assert!(elapsed < Duration::from_secs(1), "{elapsed:?}");
+        });
+        // A forgotten dependency holds nobody up, though its ticket would
+        // have no epoch to park on.
+        assert_eq!(registry.type_of(TxnId(1)), None);
+        let started = Instant::now();
+        let mut t3 = trailing(TxnId(3), TxnId(1), NodeId(0));
+        rp.before_access(&mut t3, Lane::leaf(), &k(1, 3), Access::Write)
+            .unwrap();
+        assert!(started.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! between the transaction's own [`TxnCtx`] (so its own calls reach it
 //! without a lookup) and the places other transactions find it:
 //!
-//! * the **SIREAD table**, [`READER_STRIPES`] stripes of `Key → readers`
-//!   chosen by [`Key::mix64`], where a key's readers are `(TxnId, record)`
+//! * the **SIREAD table**, key stripes of `Key → readers` chosen by
+//!   [`Key::mix64`], where a key's readers are `(TxnId, record)`
 //!   pairs held as none, one in the table's own slot, or many in a `Vec`
 //!   (nearly every key has one reader at a time, so registering a read and
 //!   forgetting it allocate nothing; a key with none leaves the table).
@@ -110,6 +110,7 @@
 //! unsafe snapshot ([`SsiCounters`]).
 
 use crate::error::{CcError, CcResult, Reason};
+use crate::lock::{KeyStripes, Padded};
 use crate::mechanism::{CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
 use crate::topology::LaneSel;
 use parking_lot::Mutex;
@@ -118,7 +119,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use tebaldi_obs::metrics::Counter;
 use tebaldi_obs::MetricsRegistry;
-use tebaldi_storage::{Chain, GroupId, Key, KeyMap, NodeId, Timestamp, TxnId};
+use tebaldi_storage::{Chain, GroupId, Key, NodeId, Timestamp, TxnId};
 
 /// Configuration of one SSI node.
 #[derive(Clone, Debug)]
@@ -195,8 +196,7 @@ impl SsiCounters {
     }
 }
 
-/// Stripes of the SIREAD table and shards of the directory.
-const READER_STRIPES: usize = 64;
+/// Shards of the directory.
 const DIRECTORY_SHARDS: usize = 64;
 
 /// Reads of a declared read-only transaction before its first
@@ -323,11 +323,6 @@ struct Batch {
     active: usize,
 }
 
-/// Keeps neighbouring stripes off each other's cache line.
-#[repr(align(64))]
-#[derive(Default)]
-struct Padded<T>(T);
-
 /// One reader registered on a key: its id and its record.
 type Reader = (TxnId, Arc<SsiTxn>);
 
@@ -377,7 +372,6 @@ impl KeyReaders {
     }
 }
 
-type Readers = KeyMap<KeyReaders>;
 type Directory = HashMap<TxnId, Arc<SsiTxn>>;
 
 /// A serializable-snapshot-isolation node.
@@ -385,7 +379,7 @@ pub struct Ssi {
     env: NodeEnv,
     config: SsiConfig,
     /// The SIREAD table: active readers per key, striped by key.
-    readers: Box<[Padded<Mutex<Readers>>]>,
+    readers: KeyStripes<KeyReaders>,
     /// Every active transaction's record, sharded by transaction id.
     directory: Box<[Padded<Mutex<Directory>>]>,
     /// Open batch per child lane; touched at begin and clean-up only.
@@ -402,7 +396,7 @@ impl Ssi {
         Ssi {
             env,
             config,
-            readers: (0..READER_STRIPES).map(|_| Padded::default()).collect(),
+            readers: KeyStripes::default(),
             directory: (0..DIRECTORY_SHARDS).map(|_| Padded::default()).collect(),
             batches: Mutex::new(HashMap::new()),
             out_committed: Padded::default(),
@@ -443,13 +437,6 @@ impl Ssi {
             LaneSel::Child(_) => self.env.same_group(lane, group),
             LaneSel::Leaf => false,
         }
-    }
-
-    /// The stripe of the SIREAD table holding `key`. Taken from the middle
-    /// of the mix: the stripe's own map spreads on the low bits and tags on
-    /// the high ones.
-    fn reader_stripe(&self, key: &Key) -> &Mutex<Readers> {
-        &self.readers[(key.mix64() >> 32) as usize % READER_STRIPES].0
     }
 
     fn directory_shard(&self, txn: TxnId) -> &Mutex<Directory> {
@@ -555,7 +542,7 @@ impl Ssi {
     /// Takes `reader` off the SIREAD readers of `keys`.
     fn forget_reads(&self, reader: TxnId, keys: &[Key]) {
         for key in keys {
-            let mut stripe = self.reader_stripe(key).lock();
+            let mut stripe = self.readers.of(key).lock();
             if stripe.get_mut(key).is_some_and(|r| r.remove(reader)) {
                 stripe.remove(key);
             }
@@ -656,7 +643,7 @@ impl CcMechanism for Ssi {
             // writers can mark the anti-dependency. Once per key: a second
             // read of the same key adds nothing a writer's scan could use.
             if !installs {
-                let mut stripe = self.reader_stripe(key).lock();
+                let mut stripe = self.readers.of(key).lock();
                 let readers = stripe.entry(*key).or_default();
                 if !readers.has(reader) {
                     readers.push((reader, Arc::clone(&h.txn)));
@@ -712,7 +699,7 @@ impl CcMechanism for Ssi {
         // after the install, so a reader is either registered by now or
         // walks a chain that holds our version and marks the edge itself.
         let mut we_gain_in = false;
-        if let Some(readers) = self.reader_stripe(key).lock().get(key) {
+        if let Some(readers) = self.readers.of(key).lock().get(key) {
             for (_, reader) in readers.iter().filter(|(r, _)| *r != ctx.txn) {
                 we_gain_in = true;
                 // Readers from our own child group are ordered by our child
@@ -1250,7 +1237,7 @@ mod tests {
             })
         );
         let readers = |key: &Key| {
-            let stripe = ssi.reader_stripe(key).lock();
+            let stripe = ssi.readers.of(key).lock();
             stripe
                 .get(key)
                 .map_or(vec![], |r| r.iter().map(|(id, _)| *id).collect())
@@ -1341,6 +1328,6 @@ mod tests {
             }
         });
         assert_eq!(ssi.active_count(), 0);
-        assert!(ssi.readers.iter().all(|s| s.0.lock().is_empty()));
+        assert!(ssi.readers.iter().all(|s| s.lock().is_empty()));
     }
 }

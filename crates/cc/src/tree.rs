@@ -154,7 +154,7 @@ impl CcTreeSpec {
 
     /// Checks structural well-formedness: every type appears exactly once,
     /// inner nodes have at least one child, leaf nodes have at least one
-    /// type.
+    /// type, and TSO runs only at leaves (see [`tso`](crate::tso)).
     pub fn validate(&self) -> Result<(), String> {
         fn walk(node: &CcNodeSpec, seen: &mut HashSet<TxnTypeId>) -> Result<(), String> {
             if node.is_leaf() {
@@ -166,6 +166,8 @@ impl CcTreeSpec {
                     "inner node {:?} must not own transaction types directly",
                     node.label
                 ));
+            } else if node.kind == CcKind::Tso {
+                return Err(format!("TSO node {:?} must be a leaf", node.label));
             }
             for ty in &node.txn_types {
                 if !seen.insert(*ty) {
@@ -634,6 +636,28 @@ mod tests {
     }
 
     #[test]
+    fn spec_validation_rejects_an_inner_tso() {
+        let leaf = |kind, ty| CcNodeSpec::leaf(kind, "leaf", vec![TxnTypeId(ty)]);
+        let inner_tso = CcTreeSpec::new(CcNodeSpec::inner(
+            CcKind::Tso,
+            "root",
+            vec![leaf(CcKind::TwoPl, 0), leaf(CcKind::Rp, 1)],
+        ));
+        assert_eq!(
+            inner_tso.validate(),
+            Err("TSO node \"root\" must be a leaf".to_string())
+        );
+        assert!(CcTree::build(inner_tso, &procedures(), &services()).is_err());
+        // The same leaves under 2PL, and TSO as a leaf, are fine.
+        let tso_leaf = CcTreeSpec::new(CcNodeSpec::inner(
+            CcKind::TwoPl,
+            "root",
+            vec![leaf(CcKind::Tso, 0), leaf(CcKind::Rp, 1)],
+        ));
+        assert!(tso_leaf.validate().is_ok());
+    }
+
+    #[test]
     fn build_three_layer_tree() {
         let tree = CcTree::build(three_layer_spec(), &procedures(), &services()).unwrap();
         assert_eq!(tree.group_count(), 3);
@@ -657,6 +681,57 @@ mod tests {
         assert_ne!(readers[0].lane, path[0].lane);
         assert_eq!(b[1].node, path[1].node);
         assert_ne!(b[1].lane, path[1].lane);
+    }
+
+    /// The path of Table 4.1's "RP - RP" tree (`OverheadMicro::layered`):
+    /// an RP node above an RP leaf. A transaction's step at one says
+    /// nothing of its step at the other.
+    #[test]
+    fn steps_at_two_rp_nodes_on_one_path_are_independent() {
+        use crate::mechanism::{Access, TxnCtx};
+        use crate::{CcError, WaitLabel};
+        use tebaldi_storage::{Key, TableId, TxnId};
+        let spec = CcTreeSpec::new(CcNodeSpec::inner(
+            CcKind::Rp,
+            "overhead",
+            vec![CcNodeSpec::leaf(CcKind::Rp, "rp", vec![TxnTypeId(0)])],
+        ));
+        let services = services();
+        let tree = CcTree::build(spec, &procedures(), &services).unwrap();
+        let [inner, leaf] = tree.path(tree.group_for(TxnTypeId(0), 0).unwrap()).unwrap() else {
+            panic!("a two-node path");
+        };
+        for id in 1..=3 {
+            services.registry.register(TxnId(id), TxnTypeId(0));
+        }
+        // Table 1 is step 1 of `update_a` at both nodes.
+        let enter_step_1 = |at: &PathEntry, ctx: &mut TxnCtx| {
+            let key = Key::simple(TableId(1), ctx.txn.0);
+            at.mechanism
+                .before_access(ctx, at.lane, &key, Access::Write)
+        };
+        let trailer = |id| {
+            let mut ctx = TxnCtx::new(TxnId(id), TxnTypeId(0), GroupId(0));
+            ctx.rp_trails = vec![(inner.node, TxnId(1)), (leaf.node, TxnId(1))];
+            ctx
+        };
+        // T1 enters step 1 at the leaf only.
+        let mut t1 = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
+        enter_step_1(leaf, &mut t1).unwrap();
+        assert_eq!(t1.rp_steps, vec![(leaf.node, 1)]);
+        // T2, trailing T1 at both nodes, follows it at the leaf at once and
+        // waits at the inner node, where T1 is still in step 0.
+        let mut t2 = trailer(2);
+        enter_step_1(leaf, &mut t2).unwrap();
+        assert_eq!(
+            enter_step_1(inner, &mut t2),
+            Err(CcError::Timeout(WaitLabel::PipelineStep))
+        );
+        // Once T1 enters step 1 at the inner node too, a trailer passes both.
+        enter_step_1(inner, &mut t1).unwrap();
+        let mut t3 = trailer(3);
+        enter_step_1(inner, &mut t3).unwrap();
+        enter_step_1(leaf, &mut t3).unwrap();
     }
 
     #[test]

@@ -8,39 +8,49 @@
 //!
 //! The paper adds the *promises* optimisation (inspired by Faleiro et al.):
 //! a transaction may declare at start time the keys it will write
-//! ([`TxnCtx::promised_keys`], registered by the leaf's `begin`), and
-//! readers with larger timestamps wait for the promised write (a
+//! ([`TxnCtx::promised_keys`], registered by `begin`), and readers with
+//! larger timestamps wait for the promised write (a
 //! [`cc::wait`](crate::wait) on the promiser, woken by that write or by the
 //! promiser's end) instead of eventually aborting the writer.
 //!
-//! TSO is most efficient as a leaf mechanism (per-flight groups in SEATS,
-//! §4.6.2). As an inner node it would need batching like SSI; this
-//! implementation orders whole child groups by giving every transaction its
-//! own timestamp, which is correct for the leaf/instance-partitioned usage
-//! exercised by the paper's experiments.
+//! TSO is a leaf mechanism (the per-flight groups of SEATS, §4.6.2): an
+//! inner TSO would need batching like SSI, so
+//! [`CcTreeSpec::validate`](crate::tree::CcTreeSpec::validate) refuses one.
+//!
+//! A transaction's timestamp is its [`TxnCtx::order_ts`]. Per key, the
+//! largest timestamp that read it and the promises on it sit in key
+//! stripes, whose lock orders a reader's record against a writer's check.
+//! The one whole-node lock is the **active set**, by timestamp: `begin`
+//! issues its timestamp under it, so `validate`'s range below its own
+//! timestamp misses no earlier transaction. Its first entry is the
+//! `low_watermark`; the GC cycle asking for it also prunes every read
+//! timestamp below a bound read under that lock (the first entry, or the
+//! next timestamp to issue when none is active), which no active or later
+//! writer can be below.
 
 use crate::error::{CcError, CcResult, Reason, WaitLabel};
+use crate::lock::KeyStripes;
 use crate::mechanism::{visible_version, Access, CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
-use crate::topology::LaneSel;
 use crate::wait::{Step, Wait};
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use tebaldi_storage::{Chain, GroupId, Key, KeyMap, Timestamp, TxnId, Version};
+use std::collections::BTreeMap;
+use tebaldi_storage::{Chain, GroupId, Key, Timestamp, TxnId, Version};
 
+/// What the node knows of one key.
 #[derive(Debug, Default)]
-struct TsoShared {
-    /// Serialization timestamp of each active transaction.
-    txn_ts: HashMap<TxnId, Timestamp>,
-    /// Largest timestamp that has read each key.
-    max_read_ts: KeyMap<Timestamp>,
-    /// Outstanding promises: key → (writer, writer's timestamp, fulfilled).
-    promises: KeyMap<Vec<(TxnId, Timestamp, bool)>>,
+struct KeyState {
+    /// The largest timestamp that has read the key.
+    read_ts: Timestamp,
+    /// Outstanding promises: (writer, writer's timestamp, fulfilled).
+    promises: Vec<(TxnId, Timestamp, bool)>,
 }
 
 /// A multiversion timestamp-ordering node.
 pub struct Tso {
     env: NodeEnv,
-    shared: Mutex<TsoShared>,
+    keys: KeyStripes<KeyState>,
+    /// The active transactions, by timestamp.
+    active: Mutex<BTreeMap<Timestamp, TxnId>>,
 }
 
 impl Tso {
@@ -48,30 +58,32 @@ impl Tso {
     pub fn new(env: NodeEnv) -> Self {
         Tso {
             env,
-            shared: Mutex::new(TsoShared::default()),
+            keys: KeyStripes::default(),
+            active: Mutex::default(),
         }
     }
 }
 
+/// The timestamp `begin` stamped on the transaction.
+fn ts_of(ctx: &TxnCtx) -> Timestamp {
+    ctx.order_ts.expect("TSO's begin stamps every transaction")
+}
+
 impl CcMechanism for Tso {
-    fn begin(&self, ctx: &mut TxnCtx, lane: Lane) -> CcResult<()> {
+    fn begin(&self, ctx: &mut TxnCtx, _lane: Lane) -> CcResult<()> {
+        let mut active = self.active.lock();
         let ts = self.env.oracle.issue();
-        let mut shared = self.shared.lock();
-        shared.txn_ts.insert(ctx.txn, ts);
-        // Promises are the leaf's: readers with larger timestamps will wait
-        // for these writes instead of forcing the writer to abort.
-        if lane.sel == LaneSel::Leaf {
-            for key in &ctx.promised_keys {
-                shared
-                    .promises
-                    .entry(*key)
-                    .or_default()
-                    .push((ctx.txn, ts, false));
-            }
+        active.insert(ts, ctx.txn);
+        // Readers with larger timestamps will wait for these writes instead
+        // of forcing the writer to abort. Listed before the active lock goes,
+        // so no later timestamp can read a promised key ahead of its promise
+        // (lock order: active set, then stripe).
+        for key in &ctx.promised_keys {
+            let mut stripe = self.keys.of(key).lock();
+            let state = stripe.entry(*key).or_default();
+            state.promises.push((ctx.txn, ts, false));
         }
-        drop(shared);
-        // The engine tags installed versions with the ordering timestamp so
-        // the storage layer keeps the chain in serialization order.
+        drop(active);
         ctx.order_ts = Some(ts);
         Ok(())
     }
@@ -91,20 +103,17 @@ impl CcMechanism for Tso {
         if !access.reads() {
             return Ok(());
         }
+        let my_ts = ts_of(ctx);
         Wait::at(&self.env, ctx, WaitLabel::PromisedWrite).until(|| {
-            let shared = self.shared.lock();
-            let Some(my_ts) = shared.txn_ts.get(&ctx.txn).copied() else {
-                return Step::Done(());
-            };
-            let pending = shared.promises.get(key).and_then(|list| {
-                list.iter()
-                    .find(|(writer, wts, fulfilled)| {
-                        !*fulfilled && *wts < my_ts && *writer != ctx.txn
-                    })
-                    .map(|(writer, _, _)| *writer)
+            let stripe = self.keys.of(key).lock();
+            let pending = stripe.get(key).and_then(|state| {
+                state
+                    .promises
+                    .iter()
+                    .find(|(_, wts, fulfilled)| !*fulfilled && *wts < my_ts)
             });
-            pending.map_or(Step::Done(()), |writer| {
-                Step::BlockedOn(self.env.registry.ticket(writer))
+            pending.map_or(Step::Done(()), |(writer, _, _)| {
+                Step::BlockedOn(self.env.registry.ticket(*writer))
             })
         })
     }
@@ -122,18 +131,12 @@ impl CcMechanism for Tso {
         // lock, so checking here closes the window in which a later reader
         // could record its read and miss a write that is about to be
         // installed.
-        let shared = self.shared.lock();
-        let my_ts = shared
-            .txn_ts
-            .get(&ctx.txn)
-            .copied()
-            .ok_or(CcError::Internal("TSO: write before begin".to_string()))?;
-        if let Some(read_ts) = shared.max_read_ts.get(key) {
-            if *read_ts > my_ts {
-                return Err(CcError::conflict(Reason::LaterReader));
-            }
+        let my_ts = ts_of(ctx);
+        let stripe = self.keys.of(key).lock();
+        if stripe.get(key).is_some_and(|state| state.read_ts > my_ts) {
+            return Err(CcError::conflict(Reason::LaterReader));
         }
-        drop(shared);
+        drop(stripe);
         // Consistent ordering with the parent: TSO's timestamps only order
         // transactions *within* this group. If the key already carries a
         // version from outside the group whose position is after our
@@ -148,37 +151,36 @@ impl CcMechanism for Tso {
     }
 
     fn after_write(&self, ctx: &mut TxnCtx, _lane: Lane, key: &Key) -> CcResult<()> {
-        let mut shared = self.shared.lock();
         // Post-install re-check of the reader-abort rule. Chain readers are
         // lock-free, so a reader may record its timestamp after
         // `validate_write`'s check yet walk the chain before our install
         // landed — reading the prior version without the check catching it.
-        // Any such reader's registration is ordered before this lock
-        // acquisition (it records under the same mutex before walking), so
-        // re-checking here closes the window; readers registering after us
+        // Any such reader's record is ordered before this re-check (it
+        // records under the key's stripe lock before walking), so
+        // re-checking here closes the window; readers recording after us
         // are guaranteed to observe the installed version (chain walks
         // re-load the head). Conservatively aborts a writer whose window
         // reader did see the new version — the window is a few
         // microseconds, so such collisions are rare.
-        if let Some(my_ts) = shared.txn_ts.get(&ctx.txn).copied() {
-            if matches!(shared.max_read_ts.get(key), Some(read_ts) if *read_ts > my_ts) {
-                return Err(CcError::conflict(Reason::LaterReader));
-            }
+        let my_ts = ts_of(ctx);
+        let mut stripe = self.keys.of(key).lock();
+        let Some(state) = stripe.get_mut(key) else {
+            return Ok(());
+        };
+        if state.read_ts > my_ts {
+            return Err(CcError::conflict(Reason::LaterReader));
         }
         // Mark our promise on this key (if any) as fulfilled only after the
         // version is actually installed, so a woken reader cannot pick an
         // older version in the gap.
         let mut fulfilled = false;
-        if let Some(list) = shared.promises.get_mut(key) {
-            for entry in list
-                .iter_mut()
-                .filter(|(w, _, done)| *w == ctx.txn && !*done)
-            {
-                entry.2 = true;
+        for (writer, _, done) in &mut state.promises {
+            if *writer == ctx.txn && !*done {
+                *done = true;
                 fulfilled = true;
             }
         }
-        drop(shared);
+        drop(stripe);
         if fulfilled {
             self.env.registry.wake(ctx.txn);
         }
@@ -191,19 +193,9 @@ impl CcMechanism for Tso {
         // dependency, so a parent CC (2PL adoption, SSI commit order) never
         // commits us ahead of a transaction the timestamp order places
         // before us.
-        let shared = self.shared.lock();
-        let Some(my_ts) = shared.txn_ts.get(&ctx.txn).copied() else {
-            return Ok(());
-        };
-        let earlier: Vec<TxnId> = shared
-            .txn_ts
-            .iter()
-            .filter(|(txn, ts)| **txn != ctx.txn && **ts < my_ts)
-            .map(|(txn, _)| *txn)
-            .collect();
-        drop(shared);
-        for txn in earlier {
-            ctx.add_order_dep(txn);
+        let my_ts = ts_of(ctx);
+        for (_, txn) in self.active.lock().range(..my_ts) {
+            ctx.add_order_dep(*txn);
         }
         Ok(())
     }
@@ -216,18 +208,13 @@ impl CcMechanism for Tso {
         candidate: Option<VersionPick>,
         chain: &Chain<'_>,
     ) -> Option<VersionPick> {
-        let mut shared = self.shared.lock();
-        let my_ts = shared
-            .txn_ts
-            .get(&ctx.txn)
-            .copied()
-            .unwrap_or(Timestamp::MAX);
         // Record the read timestamp for the writer-abort rule.
-        let entry = shared.max_read_ts.entry(*key).or_insert(Timestamp::ZERO);
-        if my_ts > *entry {
-            *entry = my_ts;
+        let my_ts = ts_of(ctx);
+        {
+            let mut stripe = self.keys.of(key).lock();
+            let state = stripe.entry(*key).or_default();
+            state.read_ts = state.read_ts.max(my_ts);
         }
-        drop(shared);
 
         // An in-group version (the reader's own carry its group) is
         // visible when it is the reader's own or its ordering timestamp is
@@ -244,28 +231,35 @@ impl CcMechanism for Tso {
     }
 
     fn finish(&self, ctx: &mut TxnCtx, _lane: Lane, _outcome: Option<Timestamp>) {
+        // A parent's `begin` may have failed before this node's ran.
+        if let Some(ts) = ctx.order_ts {
+            self.active.lock().remove(&ts);
+        }
         // Only the keys `begin` registered can hold this transaction's
-        // promises, so only their lists are visited.
-        let mut shared = self.shared.lock();
-        shared.txn_ts.remove(&ctx.txn);
+        // promises, so only their entries are visited.
         for key in &ctx.promised_keys {
-            if let Some(list) = shared.promises.get_mut(key) {
-                list.retain(|(w, _, _)| *w != ctx.txn);
-                if list.is_empty() {
-                    shared.promises.remove(key);
-                }
+            if let Some(state) = self.keys.of(key).lock().get_mut(key) {
+                state.promises.retain(|(writer, _, _)| *writer != ctx.txn);
             }
         }
     }
 
     fn low_watermark(&self) -> Timestamp {
-        self.shared
-            .lock()
-            .txn_ts
-            .values()
-            .copied()
-            .min()
-            .unwrap_or(Timestamp::MAX)
+        // The prune bound is read under the active lock, which `begin` issues
+        // under: the oldest active timestamp, or with none active the next
+        // one the oracle issues. No active or later writer is below it, so
+        // no read below it can still abort one.
+        let active = self.active.lock();
+        let oldest = active.keys().next().copied();
+        let bound = oldest.unwrap_or(Timestamp(self.env.oracle.latest().0 + 1));
+        drop(active);
+        // The GC cycle is the one caller: prune here (see the module docs).
+        for stripe in self.keys.iter() {
+            stripe
+                .lock()
+                .retain(|_, state| state.read_ts >= bound || !state.promises.is_empty());
+        }
+        oldest.unwrap_or(Timestamp::MAX)
     }
 }
 
@@ -302,7 +296,18 @@ mod tests {
     impl Tso {
         /// Number of active transactions.
         fn active_count(&self) -> usize {
-            self.shared.lock().txn_ts.len()
+            self.active.lock().len()
+        }
+
+        /// The key entries the node holds, and how many of them hold no
+        /// promise.
+        fn key_entries(&self) -> (usize, usize) {
+            let stripes = self.keys.iter().map(|stripe| {
+                let stripe = stripe.lock();
+                let bare = stripe.values().filter(|s| s.promises.is_empty()).count();
+                (stripe.len(), bare)
+            });
+            stripes.fold((0, 0), |(all, bare), (a, b)| (all + a, bare + b))
         }
     }
 
@@ -494,7 +499,7 @@ mod tests {
         tso.begin(&mut reader, Lane::leaf()).unwrap();
 
         tso.finish(&mut first, Lane::leaf(), None);
-        assert!(!tso.shared.lock().promises.contains_key(&k(10)));
+        assert_eq!(tso.key_entries(), (2, 1), "k(10)'s entry holds no promise");
         assert!(tso
             .before_access(&mut reader, Lane::leaf(), &k(10), Access::Read)
             .is_ok());
@@ -506,16 +511,66 @@ mod tests {
     }
 
     #[test]
-    fn only_the_leaf_registers_promises() {
+    fn a_gc_call_with_nothing_active_leaves_no_key_entry_without_a_promise() {
         let (tso, _registry) = setup();
-        let mut writer = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
-        writer.promised_keys = vec![k(8)];
-        tso.begin(&mut writer, Lane::child(0)).unwrap();
-        let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        tso.begin(&mut reader, Lane::child(0)).unwrap();
-        assert!(tso
-            .before_access(&mut reader, Lane::child(0), &k(8), Access::Read)
-            .is_ok());
+        let store = MvStore::new(1);
+        let mut old = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
+        old.promised_keys = vec![k(5)];
+        tso.begin(&mut old, Lane::leaf()).unwrap();
+        // Later transactions read, write and finish while `old` is active.
+        for id in 2..=4 {
+            let mut ctx = TxnCtx::new(TxnId(id), TxnTypeId(0), GroupId(0));
+            tso.begin(&mut ctx, Lane::leaf()).unwrap();
+            let _ = read(&tso, &store, &mut ctx, k(id));
+            validate_write(&tso, &store, &mut ctx, k(10 + id)).unwrap();
+            tso.after_write(&mut ctx, Lane::leaf(), &k(10 + id))
+                .unwrap();
+            tso.finish(&mut ctx, Lane::leaf(), Some(Timestamp(100 + id)));
+        }
+        // The GC call keeps every read above the oldest active timestamp:
+        // each can still abort `old`'s write.
+        assert_eq!(tso.low_watermark(), old.order_ts.unwrap());
+        assert_eq!(tso.key_entries(), (4, 3));
+        assert_eq!(
+            validate_write(&tso, &store, &mut old, k(3)),
+            Err(CcError::conflict(Reason::LaterReader))
+        );
+        tso.finish(&mut old, Lane::leaf(), None);
+        assert_eq!(tso.low_watermark(), Timestamp::MAX);
+        assert_eq!(tso.key_entries(), (0, 0));
+    }
+
+    #[test]
+    fn a_gc_call_with_nothing_active_keeps_a_read_made_during_it() {
+        // GC calls run back to back while, between them and with nothing
+        // active, an earlier and a later transaction begin, the later one
+        // reads, and the earlier one writes the key it read: a prune racing
+        // the read must not drop it.
+        let (tso, _registry) = setup();
+        let store = MvStore::new(1);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                    tso.low_watermark();
+                }
+            });
+            for round in 0..20_000 {
+                let mut early = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
+                let mut late = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
+                tso.begin(&mut early, Lane::leaf()).unwrap();
+                tso.begin(&mut late, Lane::leaf()).unwrap();
+                let _ = read(&tso, &store, &mut late, k(round));
+                let write = validate_write(&tso, &store, &mut early, k(round));
+                tso.finish(&mut late, Lane::leaf(), None);
+                tso.finish(&mut early, Lane::leaf(), None);
+                if write != Err(CcError::conflict(Reason::LaterReader)) {
+                    done.store(true, std::sync::atomic::Ordering::Relaxed);
+                    panic!("round {round}: the later read was pruned: {write:?}");
+                }
+            }
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+        });
     }
 
     #[test]

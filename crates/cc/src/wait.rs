@@ -9,9 +9,11 @@
 //! sleep, builds a [`CcError::Timeout`] or constructs a [`BlockingEvent`].
 //!
 //! A mechanism keeps only its state. It hands the sleeping side here as a
-//! *step*: a closure that takes the mechanism's own lock and either
+//! *step*: a closure that takes the lock over what it checks and either
 //! finishes or names **the transaction currently in the way**, as a
 //! [`Ticket`] read from the [`TxnRegistry`] while that lock is still held.
+//! For RP's trailing rule that lock is the registry shard itself: a step is
+//! published on the registry entry, and read with the ticket.
 //! The waiter then sleeps on the blocker's parking spot in the registry,
 //! holding no lock, and only the blocker moving wakes it (the registry's
 //! module docs list the moves and why no wake-up is lost). The waiter →
@@ -224,18 +226,21 @@ mod tests {
         );
         let rp = Arc::new(Rp::new(env, analyze(&[&pipeline])));
         // T1 is in step 0; T2 trails it and wants to enter step 1.
-        rp.begin(&mut ctx(T1), Lane::leaf()).unwrap();
-        rp.begin(&mut ctx(T2), Lane::leaf()).unwrap();
-        rp.trail(T2, T1);
+        let mut trailer = ctx(T2);
+        trailer.rp_trails.push((NODE, T1));
         let (rp1, rp2) = (rp.clone(), rp.clone());
         Case {
             label: WaitLabel::PipelineStep,
             block: Box::new(move || {
-                rp1.before_access(&mut ctx(T2), Lane::leaf(), &k(1, 2), Access::Write)
+                let mut t2 = trailer.clone();
+                rp1.before_access(&mut t2, Lane::leaf(), &k(1, 2), Access::Write)
             }),
+            // T3 step-commits: a move of T3, not of T1.
             nudge: Box::new(move || {
-                rp2.begin(&mut ctx(T3), Lane::leaf()).unwrap();
-                rp2.finish(&mut ctx(T3), Lane::leaf(), None);
+                let mut t3 = ctx(T3);
+                rp2.before_access(&mut t3, Lane::leaf(), &k(1, 3), Access::Write)
+                    .unwrap();
+                rp2.finish(&mut t3, Lane::leaf(), None);
             }),
             release: Box::new(move || {
                 rp.before_access(&mut ctx(T1), Lane::leaf(), &k(1, 1), Access::Write)
@@ -252,19 +257,21 @@ mod tests {
         let mut promiser = ctx(T1);
         promiser.promised_keys = vec![k(0, 1)];
         tso.begin(&mut promiser, Lane::leaf()).unwrap();
-        tso.begin(&mut ctx(T2), Lane::leaf()).unwrap();
+        let mut reader = ctx(T2);
+        tso.begin(&mut reader, Lane::leaf()).unwrap();
         let (tso1, tso2) = (tso.clone(), tso.clone());
         Case {
             label: WaitLabel::PromisedWrite,
             block: Box::new(move || {
-                tso1.before_access(&mut ctx(T2), Lane::leaf(), &k(0, 1), Access::Read)
+                let mut t2 = reader.clone();
+                tso1.before_access(&mut t2, Lane::leaf(), &k(0, 1), Access::Read)
             }),
             nudge: Box::new(move || {
                 tso2.begin(&mut ctx(T3), Lane::leaf()).unwrap();
                 tso2.finish(&mut ctx(T3), Lane::leaf(), None);
             }),
             release: Box::new(move || {
-                tso.after_write(&mut ctx(T1), Lane::leaf(), &k(0, 1))
+                tso.after_write(&mut promiser.clone(), Lane::leaf(), &k(0, 1))
                     .unwrap()
             }),
             sink,

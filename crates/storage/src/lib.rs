@@ -14,7 +14,7 @@
 //!   in the paper's cluster architecture are modelled as partitions/shards).
 //!   A key's history is one chain of [`Version`]s, read through [`Chain`]
 //!   and mutated through [`ChainWrite`].
-//! * [`schema`] — a table registry used by workloads and by runtime
+//! * [`schema`] — table identifiers, ordered by runtime
 //!   pipelining's static analysis.
 //! * [`wal`] / [`durability`] — write-ahead precommit/commit logging and
 //!   the asynchronous-flushing protocol with global-checkpoint (GCP) epochs
@@ -42,7 +42,7 @@ pub use mvstore::{
     Chain, ChainWrite, IndexStats, MvStore, ReadSpec, SnapshotRead, StoreStats, WriteOutcome,
     READ_GROUP,
 };
-pub use schema::{Schema, TableDef, TableId};
+pub use schema::TableId;
 pub use types::{GroupId, NodeId, Timestamp, TxnId, TxnTypeId};
 pub use value::{Row, Value};
 pub use version::Version;

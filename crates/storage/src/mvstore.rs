@@ -1170,24 +1170,12 @@ impl MvStore {
     /// Installs an uncommitted version for `txn` on `key`, outside the CC
     /// tree ([`GroupId::NONE`]).
     pub fn write(&self, key: &Key, txn: TxnId, value: Value) -> WriteOutcome {
-        self.write_with_order_ts(key, txn, value, None)
-    }
-
-    /// [`write`](MvStore::write) carrying an explicit ordering timestamp
-    /// (as timestamp-ordering CCs stamp their versions).
-    pub fn write_with_order_ts(
-        &self,
-        key: &Key,
-        txn: TxnId,
-        value: Value,
-        order_ts: Option<Timestamp>,
-    ) -> WriteOutcome {
         self.with_chain_mut(key, |chain| {
             let outcome = WriteOutcome {
                 other_uncommitted: chain.has_other_uncommitted(txn),
                 latest_committed_ts: chain.latest_committed().and_then(|v| v.commit_ts()),
             };
-            chain.install(Version::uncommitted(GroupId::NONE, txn, value, order_ts));
+            chain.install(Version::uncommitted(GroupId::NONE, txn, value, None));
             outcome
         })
     }
@@ -1770,15 +1758,22 @@ mod tests {
         let store = MvStore::new(2);
         let k = key(4);
         store.load(&k, Value::Int(0));
-        store.write_with_order_ts(&k, TxnId(1), Value::Int(1), Some(Timestamp(100)));
+        // T`txn` writes its id, stamped with `order_ts`.
+        let stamped = |txn: u64, order_ts: u64| {
+            let value = Value::Int(txn as i64);
+            let version =
+                Version::uncommitted(GroupId::NONE, TxnId(txn), value, Some(Timestamp(order_ts)));
+            store.with_chain_mut(&k, |chain| chain.install(version));
+        };
+        stamped(1, 100);
         // An earlier timestamp lands below the later one, above the load.
-        store.write_with_order_ts(&k, TxnId(2), Value::Int(2), Some(Timestamp(50)));
+        stamped(2, 50);
         assert_eq!(writers(&store, &k), [1, 2, 0]);
         // An untimed write goes to the head; timed ones splice past it.
         store.write(&k, TxnId(3), Value::Int(3));
-        store.write_with_order_ts(&k, TxnId(4), Value::Int(4), Some(Timestamp(75)));
-        store.write_with_order_ts(&k, TxnId(5), Value::Int(5), Some(Timestamp(200)));
-        store.write_with_order_ts(&k, TxnId(6), Value::Int(6), Some(Timestamp(10)));
+        stamped(4, 75);
+        stamped(5, 200);
+        stamped(6, 10);
         assert_eq!(writers(&store, &k), [5, 3, 1, 4, 2, 6, 0]);
         // Overwrite without a timestamp: position and `order_ts` both stay.
         store.write(&k, TxnId(4), Value::Int(44));

@@ -1,18 +1,9 @@
-//! Table registry.
+//! Table identifiers.
 //!
-//! Tables matter to the concurrency-control layer in two ways:
-//!
-//! * Runtime pipelining's static analysis orders *tables*, not keys
-//!   (§4.4.2): its pipeline steps are computed from the per-transaction-type
-//!   table access sequences.
-//! * The engine's garbage collector and the benchmark loaders iterate over
-//!   tables.
-//!
-//! A [`Schema`] is a small immutable registry mapping table names to
-//! [`TableId`]s plus per-table metadata.
+//! Runtime pipelining's static analysis orders *tables*, not keys
+//! (§4.4.2), and every [`Key`](crate::Key) names its table.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a table.
@@ -36,119 +27,5 @@ impl serde::JsonKey for TableId {
         s.parse()
             .map(TableId)
             .map_err(|_| serde::DeError::msg(format!("bad TableId key {s:?}")))
-    }
-}
-
-/// Static description of a table.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct TableDef {
-    /// Table identifier.
-    pub id: TableId,
-    /// Human-readable name (e.g. `"district"`).
-    pub name: String,
-    /// Whether rows of this table are frequently updated. Used only for
-    /// reporting; the CC layer discovers contention dynamically.
-    pub hot: bool,
-}
-
-/// An immutable set of table definitions.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct Schema {
-    tables: Vec<TableDef>,
-    by_name: HashMap<String, TableId>,
-}
-
-impl Schema {
-    /// Creates an empty schema.
-    pub fn new() -> Self {
-        Schema::default()
-    }
-
-    /// Adds a table and returns its id. Panics if the name already exists —
-    /// schemas are built once at workload setup time.
-    pub fn add_table(&mut self, name: &str) -> TableId {
-        self.add_table_with(name, false)
-    }
-
-    /// Adds a table, marking whether it is expected to be hot.
-    pub fn add_table_with(&mut self, name: &str, hot: bool) -> TableId {
-        assert!(
-            !self.by_name.contains_key(name),
-            "duplicate table name {name:?}"
-        );
-        let id = TableId(self.tables.len() as u32);
-        self.tables.push(TableDef {
-            id,
-            name: name.to_string(),
-            hot,
-        });
-        self.by_name.insert(name.to_string(), id);
-        id
-    }
-
-    /// Looks a table up by name.
-    pub fn table(&self, name: &str) -> Option<TableId> {
-        self.by_name.get(name).copied()
-    }
-
-    /// Returns the definition of a table.
-    pub fn def(&self, id: TableId) -> Option<&TableDef> {
-        self.tables.get(id.0 as usize)
-    }
-
-    /// Returns the name of a table, or `"<unknown>"`.
-    pub fn name(&self, id: TableId) -> &str {
-        self.def(id).map(|d| d.name.as_str()).unwrap_or("<unknown>")
-    }
-
-    /// Number of tables.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// True when no table has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-    }
-
-    /// Iterates over all table definitions.
-    pub fn iter(&self) -> impl Iterator<Item = &TableDef> {
-        self.tables.iter()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn add_and_lookup() {
-        let mut s = Schema::new();
-        let w = s.add_table("warehouse");
-        let d = s.add_table_with("district", true);
-        assert_eq!(s.table("warehouse"), Some(w));
-        assert_eq!(s.table("district"), Some(d));
-        assert_eq!(s.table("nope"), None);
-        assert_eq!(s.name(d), "district");
-        assert!(s.def(d).unwrap().hot);
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn ids_are_dense() {
-        let mut s = Schema::new();
-        for i in 0..10 {
-            let id = s.add_table(&format!("t{i}"));
-            assert_eq!(id.0, i);
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn duplicate_name_panics() {
-        let mut s = Schema::new();
-        s.add_table("a");
-        s.add_table("a");
     }
 }

@@ -67,8 +67,18 @@ fn a_walk_begun_before_the_splices_finishes_in_order() {
         store.write(&key, TxnId(txn), Value::Int(0));
         store.commit_writes(TxnId(txn), &[key], Timestamp(ts));
     }
+    // T`txn` writes 0, stamped with `txn`.
+    let stamped = |txn: u64| {
+        let version = Version::uncommitted(
+            GroupId::NONE,
+            TxnId(txn),
+            Value::Int(0),
+            Some(Timestamp(txn)),
+        );
+        store.with_chain_mut(&key, |chain| chain.install(version));
+    };
     for txn in [300, 200, 100] {
-        store.write_with_order_ts(&key, TxnId(txn), Value::Int(0), Some(Timestamp(txn)));
+        stamped(txn);
     }
     let writers = |chain: &Chain<'_>| chain.iter().map(|v| v.writer.0).collect::<Vec<_>>();
     store.with_chain(&key, |chain| {
@@ -76,7 +86,7 @@ fn a_walk_begun_before_the_splices_finishes_in_order() {
         let mut walk = chain.iter();
         assert_eq!(walk.next().unwrap().writer, TxnId(300));
         // The walk now stands on T200's node. Underneath it:
-        store.write_with_order_ts(&key, TxnId(250), Value::Int(0), Some(Timestamp(250)));
+        stamped(250);
         store.write(&key, TxnId(200), Value::Int(7)); // replaces that node
         store.abort_writes(TxnId(100), &[key]);
         // T1's version is what a read strictly before 20 returns: only the
