@@ -61,27 +61,6 @@ impl ProcedureInfo {
         self.promised_write_tables = tables;
         self
     }
-
-    /// Distinct tables written by this procedure.
-    pub fn written_tables(&self) -> Vec<TableId> {
-        let mut out: Vec<TableId> = self
-            .table_sequence
-            .iter()
-            .filter(|(_, m)| *m == AccessMode::Write)
-            .map(|(t, _)| *t)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Distinct tables accessed by this procedure.
-    pub fn accessed_tables(&self) -> Vec<TableId> {
-        let mut out: Vec<TableId> = self.table_sequence.iter().map(|(t, _)| *t).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 /// The set of procedure descriptions known to the database.
@@ -153,17 +132,6 @@ mod tests {
                 (TableId(1), AccessMode::Write),
             ],
         )
-    }
-
-    #[test]
-    fn derived_properties() {
-        let p = info();
-        assert!(!p.read_only);
-        assert_eq!(p.written_tables(), vec![TableId(0), TableId(1)]);
-        assert_eq!(
-            p.accessed_tables(),
-            vec![TableId(0), TableId(1), TableId(2)]
-        );
     }
 
     #[test]

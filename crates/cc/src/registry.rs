@@ -308,6 +308,20 @@ impl TxnRegistry {
         self.shard(txn).lock().txns.get(&txn).map(|i| i.ty)
     }
 
+    /// The active transactions whose type `of` selects: the ones a
+    /// reconfiguration drain waits out.
+    pub fn active_of(&self, of: impl Fn(TxnTypeId) -> bool) -> Vec<TxnId> {
+        let mut txns = Vec::new();
+        for shard in &self.shards {
+            for (txn, info) in &shard.lock().txns {
+                if info.status.is_active() && of(info.ty) {
+                    txns.push(*txn);
+                }
+            }
+        }
+        txns
+    }
+
     /// Blocks `wait`'s transaction until `txn` is no longer active and
     /// returns `txn`'s final status. Unknown transactions count as
     /// committed, as in [`status`](TxnRegistry::status).
@@ -411,30 +425,17 @@ mod tests {
     use std::time::Duration;
     use tebaldi_storage::{GroupId, NodeId};
 
-    impl TxnRegistry {
-        fn active_count(&self) -> usize {
-            self.shards
-                .iter()
-                .map(|s| {
-                    s.lock()
-                        .txns
-                        .values()
-                        .filter(|i| i.status.is_active())
-                        .count()
-                })
-                .sum()
-        }
-    }
-
     #[test]
     fn register_and_query() {
         let r = TxnRegistry::default();
         r.register(TxnId(1), TxnTypeId(3));
         assert_eq!(r.status(TxnId(1)), TxnStatus::Active);
         assert_eq!(r.type_of(TxnId(1)), Some(TxnTypeId(3)));
+        assert_eq!(r.active_of(|ty| ty == TxnTypeId(3)), vec![TxnId(1)]);
+        assert!(r.active_of(|ty| ty != TxnTypeId(3)).is_empty());
         r.mark_committed(TxnId(1), Timestamp(9));
         assert_eq!(r.status(TxnId(1)), TxnStatus::Committed(Timestamp(9)));
-        assert_eq!(r.active_count(), 0);
+        assert_eq!(r.active_of(|_| true).len(), 0);
     }
 
     #[test]
@@ -462,7 +463,7 @@ mod tests {
         assert_eq!(r.type_of(TxnId(1)), Some(TxnTypeId(0)));
         r.mark_committed(TxnId(3), Timestamp(2));
         assert_eq!(r.compact(), 2);
-        assert_eq!(r.active_count(), 0);
+        assert_eq!(r.active_of(|_| true).len(), 0);
     }
 
     const T1: TxnId = TxnId(1);

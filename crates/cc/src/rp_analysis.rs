@@ -44,11 +44,6 @@ impl RpPlan {
     pub fn covers(&self, table: TableId) -> bool {
         self.step_of.contains_key(&table)
     }
-
-    /// Number of tables covered by the plan.
-    pub fn table_count(&self) -> usize {
-        self.step_of.len()
-    }
 }
 
 /// Builds the pipeline plan for a set of procedures.
@@ -277,7 +272,6 @@ mod tests {
     fn empty_input_is_empty_plan() {
         let plan = analyze(&[]);
         assert_eq!(plan.num_steps, 0);
-        assert_eq!(plan.table_count(), 0);
         assert_eq!(plan.step_of(TableId(1)), 0);
     }
 }

@@ -791,7 +791,7 @@ impl Ssi {
     /// Forgets the transaction: its directory entry, its SIREAD
     /// registrations and its seat in a batch; counts what it did. A
     /// read-write transaction that commits with `OUT` publishes its commit
-    /// first (see [`snapshot_is_safe`](Ssi::snapshot_is_safe)).
+    /// first (see [`check_snapshot`](Ssi::check_snapshot)).
     fn cleanup(&self, ctx: &mut TxnCtx, lane: Lane, outcome: Option<Timestamp>) {
         let Some(at) = ctx.ssi.iter().position(|h| h.node == self.env.node) else {
             return;

@@ -1,12 +1,12 @@
 //! The Tebaldi database engine.
 //!
 //! A [`Database`] bundles the multiversion store, the transaction
-//! directory, the timestamp oracle, the durability manager, the GC manager
-//! and — behind a swappable handle — the current CC tree. Client threads
-//! (the paper's transaction coordinators) call [`Database::execute`] with a
-//! closure that issues reads and writes through a [`Txn`](crate::txn::Txn)
-//! handle; the engine drives the four-phase protocol across the
-//! transaction's root→leaf path.
+//! directory, the timestamp oracle, the durability manager and — behind a
+//! swappable handle — the current CC tree. Client threads (the paper's
+//! transaction coordinators) call [`Database::execute`] with a closure that
+//! issues reads and writes through a [`Txn`](crate::txn::Txn) handle; the
+//! engine drives the four-phase protocol across the transaction's
+//! root→leaf path.
 
 use crate::config::{DbConfig, DurabilityMode};
 use crate::gate::ReconfigGate;
@@ -28,9 +28,9 @@ use tebaldi_cc::{
 use tebaldi_obs::metrics::Counter;
 use tebaldi_obs::{Histogram, MetricsRegistry};
 use tebaldi_storage::durability::{DurabilityManager, FlushPolicy};
-use tebaldi_storage::gc::GcManager;
+use tebaldi_storage::gc::{self, GcReport};
 use tebaldi_storage::wal::{LogDevice, MemLogDevice};
-use tebaldi_storage::{GroupId, MvStore, TxnId, TxnTypeId};
+use tebaldi_storage::{MvStore, TxnId, TxnTypeId};
 
 /// The transactional key-value store.
 pub struct Database {
@@ -43,7 +43,6 @@ pub struct Database {
     pub(crate) procedures: ProcedureSet,
     pub(crate) tree: RwLock<Arc<CcTree>>,
     pub(crate) durability: Arc<DurabilityManager>,
-    pub(crate) gc: GcManager,
     pub(crate) history: Option<Arc<HistoryRecorder>>,
     /// `db.committed` and the abort counters of [`crate::stats`].
     pub(crate) committed: Arc<Counter>,
@@ -176,7 +175,6 @@ impl DatabaseBuilder {
             procedures: self.procedures,
             tree: RwLock::new(Arc::new(tree)),
             durability,
-            gc: GcManager::new(),
             history,
             committed: metrics.counter("db.committed"),
             aborts: std::array::from_fn(|_| Default::default()),
@@ -355,18 +353,17 @@ impl Database {
             read_only,
             |txn| {
                 let value = body(txn)?;
-                let (commit_ts, harden) = if defer_harden {
-                    txn.commit_deferred()?
+                let harden = if defer_harden {
+                    txn.commit_deferred()?.1
                 } else {
-                    (txn.commit()?, None)
+                    txn.commit()?;
+                    None
                 };
-                Ok((value, commit_ts, harden))
+                Ok((value, harden))
             },
-            |_txn, (value, commit_ts, harden), gate_group, gc_epoch| {
-                self.gc.transaction_finished(gc_epoch, Some(commit_ts));
+            |_txn, value_and_harden| {
                 self.record_commit();
-                self.gate.exit(gate_group);
-                (value, harden)
+                value_and_harden
             },
         );
         if let (Some(started), Ok(_)) = (timer, &result) {
@@ -381,50 +378,29 @@ impl Database {
     /// transaction declared read-only when `read_only` is set), then
     /// `run` — the body plus whatever else of the caller's may still abort
     /// the attempt (the commit, or a 2PC part's validation). When `run`
-    /// fails, the attempt is aborted, accounted for and its gate slot
-    /// released here. When it succeeds the attempt can no longer abort and
-    /// `epilogue` takes over the transaction, its gate group (whose slot it
-    /// must release, now or at the 2PC decision) and its GC epoch.
+    /// fails, the attempt is aborted and accounted for here. When it
+    /// succeeds the attempt can no longer abort and `epilogue` takes over
+    /// the transaction.
     fn attempt<V, T>(
         &self,
         call: &ProcedureCall,
         read_only: bool,
         run: impl FnOnce(&mut Txn<'_>) -> CcResult<V>,
-        epilogue: impl FnOnce(Txn<'_>, V, GroupId, u64) -> T,
+        epilogue: impl FnOnce(Txn<'_>, V) -> T,
     ) -> CcResult<T> {
-        let no_group = || CcError::Internal(format!("no group for {:?}", call.ty));
-        let tree = self.current_tree();
-        let gate_group = tree
-            .group_for(call.ty, call.instance_seed)
-            .ok_or_else(no_group)?;
-
-        // Admission: blocked while the group is being drained for a
-        // reconfiguration.
-        if !self.gate.enter(
-            gate_group,
-            self.config.wait_timeout().max(Duration::from_millis(500)),
-        ) {
-            return Err(CcError::Requested);
-        }
-        // Re-read the tree *after* admission: a reconfiguration may have
-        // swapped it while this transaction waited at the gate, and running
-        // on the stale tree's mechanism instances (with their own private
-        // lock tables) would let updates race past the new tree's locks.
-        // Once admitted, the drain protocol waits for us, so this read is
+        let txn_id = self.admit(call.ty)?;
+        // Read *after* admission: a reconfiguration swaps the tree only
+        // once it has drained every admitted transaction, so this read is
         // stable for the whole execution.
         let tree = self.current_tree();
         let Some(group) = tree.group_for(call.ty, call.instance_seed) else {
-            self.gate.exit(gate_group);
-            return Err(no_group());
+            self.registry.mark_aborted(txn_id);
+            return Err(CcError::Internal(format!("no group for {:?}", call.ty)));
         };
-
-        let txn_id = TxnId(self.txn_ids.fetch_add(1, Ordering::Relaxed));
-        let gc_epoch = self.gc.transaction_started();
         // Pin the reclamation epoch once for the whole attempt: every
         // store access inside is then a cheap nested pin (one refcount
         // bump) instead of an announcement store.
         let _epoch_pin = tebaldi_storage::ebr::pin();
-        self.registry.register(txn_id, call.ty);
         if let Some(history) = &self.history {
             history.begin(txn_id, call.ty, group);
         }
@@ -432,13 +408,33 @@ impl Database {
         let mut txn = Txn::new(self, &tree, txn_id, call.ty, group, read_only);
         let outcome = txn.begin(&call.promised_keys).and_then(|()| run(&mut txn));
         match outcome {
-            Ok(value) => Ok(epilogue(txn, value, gate_group, gc_epoch)),
+            Ok(value) => Ok(epilogue(txn, value)),
             Err(err) => {
                 txn.abort();
-                self.gc.transaction_finished(gc_epoch, None);
                 self.record_abort(&err);
-                self.gate.exit(gate_group);
                 Err(err)
+            }
+        }
+    }
+
+    /// Registers a new transaction of type `ty` in the directory and admits
+    /// it through the reconfiguration gate (see [`crate::gate`]). One the
+    /// gate holds back ends its entry while it waits, so the drain does not
+    /// wait for it, and tries again under a new id; `Requested` when the
+    /// gate stays closed past the admission timeout.
+    fn admit(&self, ty: TxnTypeId) -> CcResult<TxnId> {
+        let mut deadline = None;
+        loop {
+            let txn_id = TxnId(self.txn_ids.fetch_add(1, Ordering::Relaxed));
+            self.registry.register(txn_id, ty);
+            if self.gate.admits(ty) {
+                return Ok(txn_id);
+            }
+            self.registry.mark_aborted(txn_id);
+            let timeout = self.config.wait_timeout().max(Duration::from_millis(500));
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
+            if !self.gate.await_admission(ty, deadline) {
+                return Err(CcError::Requested);
             }
         }
     }
@@ -512,7 +508,7 @@ impl Database {
                 txn.mark_prepared()?;
                 Ok(value)
             },
-            |txn, value, gate_group, gc_epoch| {
+            |txn, value| {
                 let read_only = txn.ctx().write_keys.is_empty();
                 let mut harden = None;
                 if !read_only && self.durability.is_enabled() {
@@ -526,16 +522,10 @@ impl Database {
                     harden = self.durability.prepare(txn.id(), global, writes);
                 }
                 let (path, ctx) = txn.into_parts();
-                // The parked transaction keeps its gate slot until the
-                // decision.
-                let prepared = crate::prepared::PreparedTxn::new(
-                    Arc::clone(self),
-                    path,
-                    ctx,
-                    gate_group,
-                    gc_epoch,
-                    global,
-                );
+                // The parked transaction stays active in the directory, so
+                // a reconfiguration drain waits for its decision.
+                let prepared =
+                    crate::prepared::PreparedTxn::new(Arc::clone(self), path, ctx, global);
                 if read_only {
                     // Read-only participant optimization: the decision
                     // cannot change anything this part did, so commit now,
@@ -641,13 +631,15 @@ impl Database {
         )
     }
 
-    /// Runs one garbage-collection cycle: advances the GC epoch, collects
-    /// prunable versions bounded by every mechanism's low watermark, and
-    /// compacts the transaction directory.
-    pub fn run_gc_cycle(&self) -> tebaldi_storage::gc::GcReport {
-        self.gc.advance_epoch();
-        let low_watermark = self.current_tree().low_watermark();
-        let report = self.gc.collect(&self.store, low_watermark);
+    /// Runs one garbage-collection cycle: prunes below the oracle's
+    /// snapshot timestamp and every mechanism's low watermark (see
+    /// [`gc`]), then compacts the transaction directory.
+    pub fn run_gc_cycle(&self) -> GcReport {
+        // The snapshot timestamp first: a snapshot no watermark shows yet
+        // is taken after this read, so at or above it.
+        let snapshot = self.oracle.snapshot_ts();
+        let horizon = snapshot.min(self.current_tree().low_watermark());
+        let report = gc::collect(&self.store, horizon);
         self.registry.compact();
         report
     }

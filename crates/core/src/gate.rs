@@ -2,15 +2,21 @@
 //!
 //! Both reconfiguration protocols need to stop *some* transactions from
 //! entering while the configuration changes: the partial restart drains the
-//! whole database, the online update drains only the groups touched by the
-//! change. The gate tracks in-flight transactions per leaf group, blocks
-//! admission of drained groups, and lets a reconfiguration wait until the
-//! drained set is quiescent.
+//! whole database, the online update drains only the transaction types the
+//! change touches. The gate holds only that drain scope; who is in flight
+//! is the transaction directory's answer. An attempt registers in the
+//! [`TxnRegistry`] before it asks the gate, and a drain sets its scope
+//! before it lists the directory's active transactions of drained types and
+//! waits for each to end. The scan and the registration take the same
+//! directory shard lock, so either the drain's list holds the attempt or
+//! the attempt sees the scope. When nothing is draining, admission is one
+//! atomic load.
 
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-use tebaldi_storage::GroupId;
+use tebaldi_cc::TxnRegistry;
+use tebaldi_storage::{TxnId, TxnTypeId};
 
 /// What is currently being drained.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -18,35 +24,18 @@ enum DrainScope {
     /// Nothing — normal operation.
     #[default]
     None,
-    /// Every group (partial restart).
+    /// Every type (partial restart, and the swap of an online update).
     All,
-    /// Only the listed groups (online update).
-    Groups(HashSet<GroupId>),
+    /// Only the listed types (online update).
+    Types(Vec<TxnTypeId>),
 }
 
-#[derive(Default)]
-struct GateState {
-    scope: DrainScope,
-    active: HashMap<GroupId, usize>,
-}
-
-impl GateState {
-    fn blocks(&self, group: GroupId) -> bool {
-        match &self.scope {
+impl DrainScope {
+    fn blocks(&self, ty: TxnTypeId) -> bool {
+        match self {
             DrainScope::None => false,
             DrainScope::All => true,
-            DrainScope::Groups(set) => set.contains(&group),
-        }
-    }
-
-    fn active_in_scope(&self) -> usize {
-        match &self.scope {
-            DrainScope::None => 0,
-            DrainScope::All => self.active.values().sum(),
-            DrainScope::Groups(set) => set
-                .iter()
-                .map(|g| self.active.get(g).copied().unwrap_or(0))
-                .sum(),
+            DrainScope::Types(types) => types.contains(&ty),
         }
     }
 }
@@ -54,8 +43,14 @@ impl GateState {
 /// The admission gate.
 #[derive(Default)]
 pub struct ReconfigGate {
-    state: Mutex<GateState>,
-    changed: Condvar,
+    /// Set while a scope is: the load admission takes when it is clear.
+    /// Written under `scope`'s lock; its `Release` store pairs with the
+    /// `Acquire` load in [`admits`](ReconfigGate::admits). That a drain
+    /// never misses an attempt rests on the directory's shard locks (see
+    /// the module docs), not on this ordering.
+    draining: AtomicBool,
+    scope: Mutex<DrainScope>,
+    reopened: Condvar,
 }
 
 impl std::fmt::Debug for ReconfigGate {
@@ -70,134 +65,179 @@ impl ReconfigGate {
         ReconfigGate::default()
     }
 
-    /// Admits a transaction of `group`, blocking while the group is being
-    /// drained. Returns `false` if admission did not happen within
-    /// `timeout` (callers abort the attempt).
-    pub fn enter(&self, group: GroupId, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock();
-        while state.blocks(group) {
-            if self.changed.wait_until(&mut state, deadline).timed_out() {
-                return false;
+    /// Whether a transaction of type `ty` may start now. Ask only once the
+    /// transaction is registered in the directory (see the module docs).
+    pub fn admits(&self, ty: TxnTypeId) -> bool {
+        !self.draining.load(Ordering::Acquire) || !self.scope.lock().blocks(ty)
+    }
+
+    /// Sleeps until the gate admits `ty` or `deadline` passes; false on
+    /// timeout (callers abort the attempt).
+    pub fn await_admission(&self, ty: TxnTypeId, deadline: Instant) -> bool {
+        let mut scope = self.scope.lock();
+        while scope.blocks(ty) {
+            if self.reopened.wait_until(&mut scope, deadline).timed_out() {
+                return !scope.blocks(ty);
             }
         }
-        *state.active.entry(group).or_insert(0) += 1;
         true
     }
 
-    /// Marks a transaction of `group` finished.
-    pub fn exit(&self, group: GroupId) {
-        let mut state = self.state.lock();
-        if let Some(count) = state.active.get_mut(&group) {
-            *count = count.saturating_sub(1);
-            if *count == 0 {
-                state.active.remove(&group);
-            }
-        }
-        drop(state);
-        self.changed.notify_all();
+    /// Starts draining every type (partial restart's clean-up phase) and
+    /// waits until no transaction of `registry` is in flight. Returns
+    /// `false` on timeout (the caller may force-abort, as the paper
+    /// allows).
+    pub fn drain_all(&self, registry: &TxnRegistry, timeout: Duration) -> bool {
+        self.drain(registry, DrainScope::All, timeout)
     }
 
-    /// Starts draining every group (partial restart's clean-up phase) and
-    /// waits until no transaction is in flight. Returns `false` on timeout
-    /// (the caller may force-abort, as the paper allows).
-    pub fn drain_all(&self, timeout: Duration) -> bool {
-        self.drain(DrainScope::All, timeout)
-    }
-
-    /// Starts draining only `groups` (online update) and waits until none of
+    /// Starts draining only `types` (online update) and waits until none of
     /// their transactions is in flight.
-    pub fn drain_groups(
+    pub fn drain_types(
         &self,
-        groups: impl IntoIterator<Item = GroupId>,
+        registry: &TxnRegistry,
+        types: impl IntoIterator<Item = TxnTypeId>,
         timeout: Duration,
     ) -> bool {
-        self.drain(DrainScope::Groups(groups.into_iter().collect()), timeout)
+        self.drain(
+            registry,
+            DrainScope::Types(types.into_iter().collect()),
+            timeout,
+        )
     }
 
-    fn drain(&self, scope: DrainScope, timeout: Duration) -> bool {
+    fn drain(&self, registry: &TxnRegistry, scope: DrainScope, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock();
-        state.scope = scope;
-        while state.active_in_scope() > 0 {
-            if self.changed.wait_until(&mut state, deadline).timed_out() {
-                return state.active_in_scope() == 0;
-            }
+        {
+            let mut current = self.scope.lock();
+            *current = scope.clone();
+            self.draining.store(true, Ordering::Release);
         }
-        true
+        // The drain is no transaction: it waits listed as the bootstrap id.
+        registry
+            .active_of(|ty| scope.blocks(ty))
+            .into_iter()
+            .all(|txn| {
+                !registry
+                    .await_end(TxnId::BOOTSTRAP, txn, deadline)
+                    .is_active()
+            })
     }
 
     /// Re-opens the gate (apply phase).
     pub fn resume(&self) {
-        self.state.lock().scope = DrainScope::None;
-        self.changed.notify_all();
-    }
-
-    /// Number of in-flight transactions across all groups.
-    pub fn active_total(&self) -> usize {
-        self.state.lock().active.values().sum()
+        let mut scope = self.scope.lock();
+        *scope = DrainScope::None;
+        self.draining.store(false, Ordering::Release);
+        drop(scope);
+        self.reopened.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Database, DbConfig, ProcedureCall};
     use std::sync::Arc;
+    use tebaldi_cc::{AccessMode, CcKind, CcTreeSpec, ProcedureInfo, ProcedureSet};
+    use tebaldi_storage::{Key, TableId, Timestamp, Value};
 
-    #[test]
-    fn enter_exit_counts() {
-        let gate = ReconfigGate::new();
-        assert!(gate.enter(GroupId(0), Duration::from_millis(10)));
-        assert!(gate.enter(GroupId(1), Duration::from_millis(10)));
-        assert_eq!(gate.active_total(), 2);
-        gate.exit(GroupId(0));
-        gate.exit(GroupId(1));
-        assert_eq!(gate.active_total(), 0);
+    const A: TxnTypeId = TxnTypeId(0);
+    const B: TxnTypeId = TxnTypeId(1);
+
+    fn soon(ms: u64) -> Instant {
+        Instant::now() + Duration::from_millis(ms)
+    }
+
+    /// Polls until the drain sleeps on `txn`: its one wait-for edge.
+    fn await_drain_on(registry: &TxnRegistry, txn: TxnId) {
+        let started = Instant::now();
+        while registry.wait_for() != [(TxnId::BOOTSTRAP, txn)] {
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "no drain on {txn:?}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
-    fn drain_all_blocks_new_admissions() {
-        let gate = Arc::new(ReconfigGate::new());
-        assert!(gate.drain_all(Duration::from_millis(50)));
-        // New transactions are blocked until resume.
-        assert!(!gate.enter(GroupId(0), Duration::from_millis(20)));
+    fn a_drain_blocks_new_admissions() {
+        let (gate, registry) = (ReconfigGate::new(), TxnRegistry::default());
+        assert!(gate.admits(A));
+        assert!(gate.drain_all(&registry, Duration::from_millis(50)));
+        assert!(!gate.admits(A));
+        assert!(!gate.await_admission(A, soon(20)));
         gate.resume();
-        assert!(gate.enter(GroupId(0), Duration::from_millis(20)));
-        gate.exit(GroupId(0));
+        assert!(gate.admits(A));
+        assert!(gate.await_admission(A, soon(20)));
     }
 
     #[test]
-    fn drain_groups_only_blocks_affected() {
+    fn a_drain_of_some_types_lets_other_types_run() {
+        let (gate, registry) = (ReconfigGate::new(), TxnRegistry::default());
+        // An active transaction of the undrained type is not waited for.
+        registry.register(TxnId(1), A);
+        assert!(gate.drain_types(&registry, [B], Duration::from_millis(50)));
+        assert!(gate.admits(A), "unaffected type keeps running");
+        assert!(!gate.admits(B));
+        gate.resume();
+        assert!(gate.admits(B));
+    }
+
+    #[test]
+    fn a_drain_waits_for_an_admitted_transaction() {
         let gate = ReconfigGate::new();
-        assert!(gate.drain_groups([GroupId(1)], Duration::from_millis(50)));
-        assert!(
-            gate.enter(GroupId(0), Duration::from_millis(10)),
-            "unaffected group keeps running"
+        let registry = TxnRegistry::default();
+        registry.register(TxnId(2), A);
+        assert!(gate.admits(A));
+        std::thread::scope(|scope| {
+            let drain = scope.spawn(|| gate.drain_types(&registry, [A], Duration::from_secs(10)));
+            await_drain_on(&registry, TxnId(2));
+            registry.mark_committed(TxnId(2), Timestamp(1));
+            assert!(drain.join().unwrap());
+        });
+        gate.resume();
+    }
+
+    #[test]
+    fn a_drain_waits_for_a_prepared_transaction_until_its_decision() {
+        let table = TableId(0);
+        let mut procedures = ProcedureSet::new();
+        procedures.insert(ProcedureInfo::new(
+            A,
+            "write",
+            vec![(table, AccessMode::Write)],
+        ));
+        let db = Arc::new(
+            Database::builder(DbConfig::for_tests())
+                .procedures(procedures)
+                .cc_spec(CcTreeSpec::monolithic(CcKind::TwoPl, vec![A]))
+                .build()
+                .unwrap(),
         );
-        assert!(!gate.enter(GroupId(1), Duration::from_millis(10)));
-        gate.resume();
-        gate.exit(GroupId(0));
+        let (_, vote) = db
+            .prepare(&ProcedureCall::new(A), 7, |txn| {
+                txn.put(Key::simple(table, 1), Value::Int(1))
+            })
+            .unwrap();
+        let prepared = vote.expect_prepared();
+        std::thread::scope(|scope| {
+            let drain = scope.spawn(|| db.gate.drain_all(&db.registry, Duration::from_secs(10)));
+            await_drain_on(&db.registry, prepared.txn_id());
+            assert!(!drain.is_finished(), "a prepared transaction is in flight");
+            prepared.commit();
+            assert!(drain.join().unwrap());
+        });
+        db.gate.resume();
     }
 
     #[test]
-    fn drain_waits_for_inflight() {
-        let gate = Arc::new(ReconfigGate::new());
-        assert!(gate.enter(GroupId(2), Duration::from_millis(10)));
-        let g2 = Arc::clone(&gate);
-        let handle =
-            std::thread::spawn(move || g2.drain_groups([GroupId(2)], Duration::from_secs(2)));
-        std::thread::sleep(Duration::from_millis(30));
-        gate.exit(GroupId(2));
-        assert!(handle.join().unwrap());
+    fn a_stuck_drain_times_out() {
+        let (gate, registry) = (ReconfigGate::new(), TxnRegistry::default());
+        registry.register(TxnId(3), A);
+        assert!(!gate.drain_all(&registry, Duration::from_millis(30)));
         gate.resume();
-    }
-
-    #[test]
-    fn drain_times_out_when_stuck() {
-        let gate = ReconfigGate::new();
-        assert!(gate.enter(GroupId(3), Duration::from_millis(10)));
-        assert!(!gate.drain_all(Duration::from_millis(30)));
-        gate.resume();
-        gate.exit(GroupId(3));
+        registry.mark_aborted(TxnId(3));
     }
 }

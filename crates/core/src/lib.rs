@@ -47,7 +47,9 @@
 //! * [`procedure`] — per-invocation descriptors (instance seed for
 //!   partition-by-instance, TSO promises),
 //! * [`reconfig`] — the partial-restart and online-update protocols (§5.5),
-//! * [`gate`] — the admission gate those protocols use to drain groups,
+//! * [`gate`] — the admission gate those protocols use to drain
+//!   transaction types; it holds only the drain scope, the transaction
+//!   directory says who is in flight,
 //! * [`stats`] — the commit and per-cause abort counters, kept in the
 //!   database's metrics registry and read by the evaluation harness.
 

@@ -16,7 +16,7 @@ use crate::db::Database;
 use crate::txn;
 use std::sync::Arc;
 use tebaldi_cc::{PathEntry, TxnCtx};
-use tebaldi_storage::{GroupId, Timestamp, TxnId};
+use tebaldi_storage::{Timestamp, TxnId};
 
 /// A participant's phase-one vote in the cluster's cross-shard two-phase
 /// commit, as returned by [`Database::prepare`](crate::db::Database::prepare).
@@ -69,8 +69,6 @@ pub struct PreparedTxn {
     db: Arc<Database>,
     path: Vec<PathEntry>,
     ctx: TxnCtx,
-    group: GroupId,
-    gc_epoch: u64,
     global: u64,
     decided: bool,
 }
@@ -86,20 +84,11 @@ impl std::fmt::Debug for PreparedTxn {
 }
 
 impl PreparedTxn {
-    pub(crate) fn new(
-        db: Arc<Database>,
-        path: Vec<PathEntry>,
-        ctx: TxnCtx,
-        group: GroupId,
-        gc_epoch: u64,
-        global: u64,
-    ) -> Self {
+    pub(crate) fn new(db: Arc<Database>, path: Vec<PathEntry>, ctx: TxnCtx, global: u64) -> Self {
         PreparedTxn {
             db,
             path,
             ctx,
-            group,
-            gc_epoch,
             global,
             decided: false,
         }
@@ -138,7 +127,7 @@ impl PreparedTxn {
     fn commit_inner(mut self, stamp: Option<u64>) -> Timestamp {
         let commit_ts = txn::apply_commit_prepared(&self.db, &self.path, &mut self.ctx, stamp);
         self.db.record_commit();
-        self.finish(Some(commit_ts));
+        self.decided = true;
         commit_ts
     }
 
@@ -155,12 +144,6 @@ impl PreparedTxn {
         self.db.durability.log_abort(self.ctx.txn);
         txn::apply_abort(&self.db, &self.path, &mut self.ctx);
         self.db.record_decided_abort();
-        self.finish(None);
-    }
-
-    fn finish(&mut self, commit_ts: Option<Timestamp>) {
-        self.db.gc.transaction_finished(self.gc_epoch, commit_ts);
-        self.db.gate.exit(self.group);
         self.decided = true;
     }
 }

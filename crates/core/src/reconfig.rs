@@ -11,13 +11,14 @@
 //!   module and its data survive untouched.
 //! * **Online update** (§5.5.2) — when the change is contained in a proper
 //!   subtree of the CC tree, only the groups below the lowest changed node
-//!   need to drain; the rest of the database keeps executing while the new
-//!   subtree is prepared. The final swap still uses a brief global barrier
-//!   in this reproduction (so old and new mechanism instances never serve
-//!   overlapping transactions), which is documented as a substitution in
-//!   DESIGN.md; the measurable difference — a much smaller throughput dip
-//!   because the expensive preparation happens outside the barrier and only
-//!   the affected groups stop early — is preserved (Fig. 5.19).
+//!   need to drain (the gate drains their transaction types); the rest of
+//!   the database keeps executing while the new subtree is prepared. The
+//!   final swap still uses a brief global barrier in this reproduction (so
+//!   old and new mechanism instances never serve overlapping
+//!   transactions), which is documented as a substitution in DESIGN.md; the
+//!   measurable difference — a much smaller throughput dip because the
+//!   expensive preparation happens outside the barrier and only the
+//!   affected groups stop early — is preserved (Fig. 5.19).
 
 use crate::db::Database;
 use serde::{Deserialize, Serialize};
@@ -149,7 +150,7 @@ impl Database {
         match protocol {
             ReconfigProtocol::PartialRestart => {
                 let drain_started = Instant::now();
-                self.gate.drain_all(drain_timeout);
+                self.gate.drain_all(&self.registry, drain_timeout);
                 let scanned = self.rebuild_cc_module(&new_spec)?;
                 let drained_groups = self.current_tree().group_count();
                 self.gate.resume();
@@ -174,7 +175,8 @@ impl Database {
                 }
                 // Prepare the new tree while unaffected groups keep running.
                 let new_tree = self.build_tree(&new_spec)?;
-                // Drain only the groups below the change point.
+                // Drain only the groups below the change point: every group
+                // of each affected type.
                 let old_tree = self.current_tree();
                 let affected: HashSet<GroupId> = diff
                     .affected_types
@@ -182,10 +184,10 @@ impl Database {
                     .flat_map(|ty| old_tree.groups_of_type(*ty).iter().copied())
                     .collect();
                 let drain_started = Instant::now();
-                self.gate
-                    .drain_groups(affected.iter().copied(), drain_timeout);
+                let types = diff.affected_types.iter().copied();
+                self.gate.drain_types(&self.registry, types, drain_timeout);
                 // Brief global barrier for the swap itself.
-                self.gate.drain_all(drain_timeout);
+                self.gate.drain_all(&self.registry, drain_timeout);
                 *self.tree.write() = Arc::new(new_tree);
                 self.reconfigurations.fetch_add(1, Ordering::Relaxed);
                 self.gate.resume();

@@ -20,7 +20,8 @@
 //!   the asynchronous-flushing protocol with global-checkpoint (GCP) epochs
 //!   of §4.5.4.
 //! * [`recovery`] — the three-step recovery protocol of §4.5.4.
-//! * [`gc`] — the epoch-based garbage collection of §4.5.3.
+//! * [`gc`] — the garbage collection of §4.5.3, its horizon read from the
+//!   timestamp oracle and the CC tree's watermark instead of GC epochs.
 
 pub mod arena;
 pub mod codec;

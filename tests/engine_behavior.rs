@@ -11,7 +11,7 @@ use tebaldi_suite::cc::{
     Reason, WaitLabel,
 };
 use tebaldi_suite::core::{Database, DbConfig, ProcedureCall, Txn};
-use tebaldi_suite::storage::{Key, TableId, TxnId, TxnTypeId, Value};
+use tebaldi_suite::storage::{GroupId, Key, TableId, TxnId, TxnTypeId, Value, Version};
 use tebaldi_suite::workloads::tpcc::configs;
 use tebaldi_suite::workloads::tpcc::schema::{
     procedures as tpcc_procedures, standard_types, types, TpccKeys, TpccParams,
@@ -64,8 +64,7 @@ fn gc_prunes_old_versions_between_epochs() {
     }
     let before = db.store().stats();
     assert!(before.versions > 40, "versions accumulate before GC");
-    // Two GC cycles: the first retires the epoch, the second collects it.
-    db.run_gc_cycle();
+    // Nothing is in flight, so one cycle prunes up to the last commit.
     let report = db.run_gc_cycle();
     let after = db.store().stats();
     assert!(
@@ -83,12 +82,12 @@ fn gc_prunes_old_versions_between_epochs() {
     db.shutdown();
 }
 
-/// GC's horizon is the smaller of the retired epochs' top commit and the
-/// oldest live snapshot, so it *is* a reader's snapshot whenever an older
-/// epoch retires holding a commit after it. Y holds epoch 1 open across a
-/// GC cycle; R begins in epoch 2 with a snapshot above k's version; W
-/// overwrites k; Y commits last. The next cycle retires epoch 1 at Y's
-/// commit and prunes at R's snapshot — and R must still read k's version.
+/// GC's horizon is the smaller of the oracle's snapshot timestamp and the
+/// oldest live snapshot, so it *is* a reader's snapshot whenever that
+/// reader is the oldest. Y begins first and stays open across a GC cycle;
+/// R begins with a snapshot above k's version; W overwrites k; Y commits.
+/// The next cycle prunes at R's snapshot — and R must still read k's
+/// version.
 #[test]
 fn a_reader_whose_snapshot_is_the_gc_horizon_keeps_its_version() {
     let db = patient_db(CcKind::Ssi);
@@ -130,11 +129,55 @@ fn a_reader_whose_snapshot_is_the_gc_horizon_keeps_its_version() {
         put(k, 2);
         y_gate.wait();
         assert_eq!(y.join().unwrap(), Ok(()));
-        let report = db.run_gc_cycle();
-        assert_eq!(report.epochs_retired, 1);
+        db.run_gc_cycle();
         r_gate.wait();
         assert_eq!(r.join().unwrap(), Ok(Some(Value::Int(1))));
     });
+    db.shutdown();
+}
+
+/// A commit is applied key by key after it takes its timestamp, and the
+/// oracle's snapshot timestamp stays below it until it ends. C takes its
+/// timestamp and marks its version of k committed; D commits after it and
+/// finishes; then a GC cycle runs while C is still being applied. A read
+/// at the snapshot timestamp must still find k's version from before C.
+#[test]
+fn gc_never_prunes_past_a_commit_still_being_applied() {
+    let db = Database::builder(DbConfig::for_tests())
+        .procedures(procedures())
+        .cc_spec(CcTreeSpec::monolithic(CcKind::TwoPl, vec![UPDATE, READ]))
+        .build()
+        .unwrap();
+    let (k, other) = (Key::simple(TABLE, 23), Key::simple(TABLE, 24));
+    let put = |key, v| {
+        db.execute(&ProcedureCall::new(UPDATE), |txn| {
+            txn.put(key, Value::Int(v))
+        })
+        .unwrap()
+    };
+    put(k, 1);
+    let c = db.oracle().begin_commit();
+    let c_txn = TxnId(1_000_000);
+    db.store().with_chain_mut(&k, |chain| {
+        chain.install(Version::uncommitted(
+            GroupId::NONE,
+            c_txn,
+            Value::Int(2),
+            None,
+        ));
+        assert!(chain.commit(c_txn, c));
+    });
+    put(other, 1);
+    db.run_gc_cycle();
+    let snapshot = db.oracle().snapshot_ts();
+    assert!(snapshot < c, "C is still being applied");
+    let seen = db.store().with_chain(&k, |chain| {
+        chain
+            .committed_at_or_before(snapshot)
+            .map(|v| v.value.clone())
+    });
+    assert_eq!(seen, Some(Value::Int(1)));
+    db.oracle().end_commit(c);
     db.shutdown();
 }
 

@@ -93,7 +93,11 @@ fn every_group_reads_the_last_commits(db: &Database) {
     assert_eq!(after, before.iter().map(|v| v + 1).collect::<Vec<_>>());
 }
 
-fn run_with_protocol(protocol: ReconfigProtocol) {
+/// Runs four clients of hot updates and scans on a fresh database in the
+/// initial configuration while `switch` reconfigures it, then checks that
+/// no increment was lost or duplicated, that every group of the tree in
+/// force reads the last commits, and the DSG oracle.
+fn run_while(switch: impl FnOnce(&Database)) -> Arc<Database> {
     let db = Arc::new(
         Database::builder(DbConfig::for_tests())
             .procedures(procedures())
@@ -144,27 +148,17 @@ fn run_with_protocol(protocol: ReconfigProtocol) {
         }));
     }
 
-    // Let the workload warm up, then switch configurations mid-flight.
-    std::thread::sleep(std::time::Duration::from_millis(100));
-    let report = db
-        .reconfigure(updated_spec(), protocol)
-        .expect("reconfigure");
-    assert!(report.total_ms >= 0.0);
-    std::thread::sleep(std::time::Duration::from_millis(100));
+    switch(&db);
     stop.store(true, Ordering::Relaxed);
     let committed_increments: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
 
-    // The new configuration is in force.
-    assert_eq!(db.current_spec(), updated_spec());
-    assert_eq!(db.reconfiguration_count(), 1);
-
     // Invariant: the sum of the counters equals the number of committed
-    // increments (no update lost or duplicated across the switch).
+    // increments (no update lost or duplicated across the switches).
     let total: i64 = (0..ROWS).map(|row| last_commit(&db, row)).sum();
     assert_eq!(total as u64, committed_increments);
     every_group_reads_the_last_commits(&db);
 
-    // Serializability across the switch.
+    // Serializability across the switches.
     let history = db.take_history().unwrap();
     let report = dsg::check(&history);
     assert!(
@@ -173,6 +167,49 @@ fn run_with_protocol(protocol: ReconfigProtocol) {
         report.cycle, report.aborted_reads
     );
     db.shutdown();
+    db
+}
+
+fn run_with_protocol(protocol: ReconfigProtocol) {
+    let db = run_while(|db| {
+        // Let the workload warm up, then switch configurations mid-flight.
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let report = db
+            .reconfigure(updated_spec(), protocol)
+            .expect("reconfigure");
+        assert!(report.total_ms >= 0.0);
+        std::thread::sleep(std::time::Duration::from_millis(100));
+    });
+    // The new configuration is in force.
+    assert_eq!(db.current_spec(), updated_spec());
+    assert_eq!(db.reconfiguration_count(), 1);
+}
+
+/// Admission races drains: an attempt registers, then asks the gate, while
+/// a drain sets its scope, then lists who is registered. Switching back and
+/// forth hundreds of times under load, with both protocols, must neither
+/// let an attempt run on a swapped-out tree nor leave a drain waiting.
+#[test]
+fn admission_races_hundreds_of_reconfigurations() {
+    const SWITCHES: u64 = 200;
+    let db = run_while(|db| {
+        for i in 0..SWITCHES {
+            let spec = if i % 2 == 0 {
+                updated_spec()
+            } else {
+                initial_spec()
+            };
+            let protocol = if i / 2 % 2 == 0 {
+                ReconfigProtocol::PartialRestart
+            } else {
+                ReconfigProtocol::OnlineUpdate
+            };
+            let report = db.reconfigure(spec, protocol).expect("reconfigure");
+            assert!(!report.used_fallback, "every switch is below the root");
+        }
+    });
+    assert_eq!(db.current_spec(), initial_spec());
+    assert_eq!(db.reconfiguration_count(), SWITCHES);
 }
 
 #[test]
