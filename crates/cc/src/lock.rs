@@ -273,7 +273,6 @@ mod tests {
     use crate::events::VecSink;
     use crate::mechanism::Lane;
     use crate::registry::TxnRegistry;
-    use crate::topology::Topology;
     use std::sync::Arc;
     use std::time::Duration;
     use tebaldi_storage::{GroupId, TableId, Timestamp, TxnTypeId};
@@ -287,7 +286,7 @@ mod tests {
         (
             NodeEnv {
                 events: sink.clone(),
-                ..NodeEnv::for_test(Topology::new(), registry, timeout_ms)
+                ..NodeEnv::for_test(0, registry, timeout_ms)
             },
             sink,
         )
@@ -399,8 +398,8 @@ mod tests {
     fn leaf_lanes_conflict_per_transaction() {
         let (env, _) = env(20);
         let lm = LockManager::default();
-        let lane1 = Lane::leaf().lock_lane(TxnId(1));
-        let lane2 = Lane::leaf().lock_lane(TxnId(2));
+        let lane1 = Lane::Leaf.lock_lane(TxnId(1));
+        let lane2 = Lane::Leaf.lock_lane(TxnId(2));
         lm.acquire(&env, &ctx(1), &k(5), lane1, LockMode::Exclusive, "t")
             .unwrap();
         assert!(lm

@@ -15,43 +15,35 @@ use crate::error::CcResult;
 use crate::events::EventSink;
 use crate::oracle::TsOracle;
 use crate::registry::TxnRegistry;
-use crate::topology::{LaneSel, Topology};
+use crate::topology::Topology;
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 use tebaldi_storage::{Chain, GroupId, Key, NodeId, Timestamp, TxnId, TxnTypeId, Value, Version};
 
-/// The relation between the executing transaction and the node whose
-/// mechanism is being invoked (see [`LaneSel`]). A `Lane` is passed to every
+/// How a transaction relates to the node whose mechanism is being invoked,
+/// one per node of its root→leaf path. A `Lane` is passed to every
 /// mechanism call so the same mechanism instance can serve both as an inner
 /// node (conflicts between *child subtrees*) and as a leaf (conflicts
 /// between *individual transactions*).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Lane {
-    /// Static selector (child index or leaf membership).
-    pub sel: LaneSel,
+pub enum Lane {
+    /// At a non-leaf node the transaction belongs to the `i`-th child
+    /// subtree.
+    Child(u32),
+    /// At its leaf node the transaction is an individual member of the
+    /// group.
+    Leaf,
 }
 
 impl Lane {
-    /// Lane of a transaction that belongs to the `idx`-th child subtree.
-    pub fn child(idx: u32) -> Lane {
-        Lane {
-            sel: LaneSel::Child(idx),
-        }
-    }
-
-    /// Lane of a transaction directly owned by a leaf node.
-    pub fn leaf() -> Lane {
-        Lane { sel: LaneSel::Leaf }
-    }
-
     /// A numeric lane used by lock tables: transactions in the same child
     /// subtree share a lane (their conflicts are delegated to the child);
     /// at a leaf every transaction gets its own lane.
     pub fn lock_lane(&self, txn: TxnId) -> u64 {
-        match self.sel {
-            LaneSel::Child(c) => c as u64,
-            LaneSel::Leaf => (1u64 << 63) | txn.0,
+        match self {
+            Lane::Child(c) => *c as u64,
+            Lane::Leaf => (1u64 << 63) | txn.0,
         }
     }
 }
@@ -238,12 +230,9 @@ impl NodeEnv {
     /// [`group`](tebaldi_storage::Version::group)) belongs to the same
     /// "group" as a transaction on `lane` from this node's point of view:
     /// the same child subtree for an inner node, the node's own group for a
-    /// leaf.
+    /// leaf ([`Topology::same_group`]).
     pub fn same_group(&self, lane: Lane, group: GroupId) -> bool {
-        match lane.sel {
-            LaneSel::Child(c) => self.topology.child_lane(self.node, group) == Some(c),
-            LaneSel::Leaf => self.topology.leaf_group(self.node) == Some(group),
-        }
+        self.topology.same_group(self.node, lane, group)
     }
 
     /// True when a version written in `group` comes from anywhere in this
@@ -256,16 +245,24 @@ impl NodeEnv {
 #[cfg(test)]
 impl NodeEnv {
     /// The environment every unit test of this crate builds its mechanism
-    /// on: node 0, no profiler, a fresh oracle.
+    /// on: node 0, no profiler, a fresh oracle. With `lanes == 0` node 0 is
+    /// a leaf hosting group 0; otherwise it is the root over `lanes` leaves,
+    /// lane `i` holding group `i`.
     pub(crate) fn for_test(
-        topology: Topology,
+        lanes: u32,
         registry: Arc<TxnRegistry>,
         wait_timeout_ms: u64,
     ) -> NodeEnv {
+        use crate::tree::{CcNodeSpec, CcTreeSpec};
+        let leaf = |ty| CcNodeSpec::leaf(CcKind::NoCc, "", vec![TxnTypeId(ty)]);
+        let root = match lanes {
+            0 => leaf(0),
+            _ => CcNodeSpec::inner(CcKind::NoCc, "", (0..lanes).map(leaf).collect()),
+        };
         NodeEnv {
             node: NodeId(0),
             registry,
-            topology: Arc::new(topology),
+            topology: Arc::new(Topology::of(&CcTreeSpec::new(root)).0),
             events: Arc::new(crate::events::NullSink),
             oracle: Arc::new(TsOracle::new()),
             wait_timeout: Duration::from_millis(wait_timeout_ms),
@@ -482,8 +479,8 @@ mod tests {
 
     #[test]
     fn lane_lock_lanes_do_not_collide() {
-        let child = Lane::child(3);
-        let leaf = Lane::leaf();
+        let child = Lane::Child(3);
+        let leaf = Lane::Leaf;
         assert_eq!(child.lock_lane(TxnId(3)), 3);
         assert_ne!(leaf.lock_lane(TxnId(3)), 3);
         assert_ne!(leaf.lock_lane(TxnId(3)), leaf.lock_lane(TxnId(4)));
@@ -515,16 +512,11 @@ mod tests {
         let key = Key::simple(TableId(0), 1);
         for kind in [CcKind::TwoPl, CcKind::Rp, CcKind::Tso, CcKind::Ssi] {
             let registry = Arc::new(TxnRegistry::default());
-            let mut topology = Topology::new();
-            let lane = if kind == CcKind::Ssi {
-                topology.record_child(NodeId(0), GroupId(0), 0);
-                topology.record_child(NodeId(0), GroupId(1), 1);
-                Lane::child(0)
-            } else {
-                topology.record_leaf(NodeId(0), GroupId(0));
-                Lane::leaf()
+            let (lanes, lane) = match kind {
+                CcKind::Ssi => (2, Lane::Child(0)),
+                _ => (0, Lane::Leaf),
             };
-            let env = NodeEnv::for_test(topology, Arc::clone(&registry), 20);
+            let env = NodeEnv::for_test(lanes, Arc::clone(&registry), 20);
             let oracle = Arc::clone(&env.oracle);
             let cc: Box<dyn CcMechanism> = match kind {
                 CcKind::TwoPl => Box::new(TwoPl::new(env)),

@@ -28,11 +28,11 @@ mod tests {
         store.write(&key, TxnId(1), Value::Int(7));
         store.commit_writes(TxnId(1), &[key], Timestamp(1));
         let mut ctx = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        let pick = read_at(&cc, &store, &mut ctx, Lane::leaf(), key).unwrap();
+        let pick = read_at(&cc, &store, &mut ctx, Lane::Leaf, key).unwrap();
         assert_eq!(pick.value, Value::Int(7));
         // All other phases are no-ops and must not fail.
-        assert!(cc.begin(&mut ctx, Lane::leaf()).is_ok());
-        assert!(cc.validate(&mut ctx, Lane::leaf()).is_ok());
-        cc.finish(&mut ctx, Lane::leaf(), Some(Timestamp(2)));
+        assert!(cc.begin(&mut ctx, Lane::Leaf).is_ok());
+        assert!(cc.validate(&mut ctx, Lane::Leaf).is_ok());
+        cc.finish(&mut ctx, Lane::Leaf, Some(Timestamp(2)));
     }
 }

@@ -146,7 +146,6 @@ mod tests {
     use crate::procinfo::{AccessMode, ProcedureInfo};
     use crate::registry::TxnRegistry;
     use crate::rp_analysis::analyze;
-    use crate::topology::Topology;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
     use tebaldi_storage::{GroupId, MvStore, NodeId, TableId, TxnId, TxnTypeId, Value};
@@ -167,7 +166,7 @@ mod tests {
 
     fn make_rp(timeout_ms: u64) -> (Arc<Rp>, Arc<TxnRegistry>) {
         let registry = Arc::new(TxnRegistry::default());
-        let env = NodeEnv::for_test(Topology::new(), Arc::clone(&registry), timeout_ms);
+        let env = NodeEnv::for_test(0, Arc::clone(&registry), timeout_ms);
         (Arc::new(Rp::new(env, plan())), registry)
     }
 
@@ -190,26 +189,26 @@ mod tests {
         registry.register(TxnId(2), TxnTypeId(0));
         let mut t1 = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut t2 = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        rp.begin(&mut t1, Lane::leaf()).unwrap();
-        rp.begin(&mut t2, Lane::leaf()).unwrap();
+        rp.begin(&mut t1, Lane::Leaf).unwrap();
+        rp.begin(&mut t2, Lane::Leaf).unwrap();
 
         // T1 writes table 0 (step 0) then moves on to table 1 (step 1),
         // step-committing table 0's lock.
-        rp.before_access(&mut t1, Lane::leaf(), &k(0, 1), Access::Write)
+        rp.before_access(&mut t1, Lane::Leaf, &k(0, 1), Access::Write)
             .unwrap();
-        rp.before_access(&mut t1, Lane::leaf(), &k(1, 1), Access::Write)
+        rp.before_access(&mut t1, Lane::Leaf, &k(1, 1), Access::Write)
             .unwrap();
         // T2 can now take the step-0 lock even though T1 is uncommitted —
         // the pipelining benefit 2PL does not have.
-        rp.before_access(&mut t2, Lane::leaf(), &k(0, 1), Access::Write)
+        rp.before_access(&mut t2, Lane::Leaf, &k(0, 1), Access::Write)
             .unwrap();
         assert!(
             t2.deps.is_empty(),
             "a step-committed lock is granted without blocking, so no \
              lock-wait dependency is recorded"
         );
-        rp.finish(&mut t1, Lane::leaf(), Some(Timestamp(1)));
-        rp.finish(&mut t2, Lane::leaf(), Some(Timestamp(2)));
+        rp.finish(&mut t1, Lane::Leaf, Some(Timestamp(1)));
+        rp.finish(&mut t2, Lane::Leaf, Some(Timestamp(2)));
         assert_eq!(rp.locks.locked_key_count(), 0);
     }
 
@@ -219,8 +218,8 @@ mod tests {
         registry.register(TxnId(1), TxnTypeId(0));
         registry.register(TxnId(2), TxnTypeId(0));
         let mut t1 = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
-        rp.begin(&mut t1, Lane::leaf()).unwrap();
-        rp.before_access(&mut t1, Lane::leaf(), &k(0, 7), Access::Write)
+        rp.begin(&mut t1, Lane::Leaf).unwrap();
+        rp.before_access(&mut t1, Lane::Leaf, &k(0, 7), Access::Write)
             .unwrap();
 
         // T2 conflicts with T1 on step 0 (waits for T1's step commit), so T2
@@ -228,19 +227,19 @@ mod tests {
         let rp2 = Arc::clone(&rp);
         let trailer = std::thread::spawn(move || {
             let mut t2 = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-            rp2.begin(&mut t2, Lane::leaf()).unwrap();
-            rp2.before_access(&mut t2, Lane::leaf(), &k(0, 7), Access::Write)
+            rp2.begin(&mut t2, Lane::Leaf).unwrap();
+            rp2.before_access(&mut t2, Lane::Leaf, &k(0, 7), Access::Write)
                 .unwrap();
             // Entering step 1 requires T1 to have reached step 1 too.
-            rp2.before_access(&mut t2, Lane::leaf(), &k(1, 7), Access::Write)
+            rp2.before_access(&mut t2, Lane::Leaf, &k(1, 7), Access::Write)
                 .unwrap();
             t2
         });
         std::thread::sleep(Duration::from_millis(30));
         // Let T1 advance to step 1 and finish; the trailer may then proceed.
-        rp.before_access(&mut t1, Lane::leaf(), &k(1, 7), Access::Write)
+        rp.before_access(&mut t1, Lane::Leaf, &k(1, 7), Access::Write)
             .unwrap();
-        rp.finish(&mut t1, Lane::leaf(), Some(Timestamp(1)));
+        rp.finish(&mut t1, Lane::Leaf, Some(Timestamp(1)));
         registry.mark_committed(TxnId(1), Timestamp(1));
         let t2 = trailer.join().unwrap();
         assert!(t2.deps.contains(&TxnId(1)));
@@ -255,7 +254,7 @@ mod tests {
             let trailer = scope.spawn(|| {
                 let mut t2 = trailing(TxnId(2), TxnId(1), NodeId(0));
                 let started = Instant::now();
-                let entered = rp.before_access(&mut t2, Lane::leaf(), &k(1, 2), Access::Write);
+                let entered = rp.before_access(&mut t2, Lane::Leaf, &k(1, 2), Access::Write);
                 (entered, started.elapsed())
             });
             while registry.wait_for() != [(TxnId(2), TxnId(1))] {
@@ -274,7 +273,7 @@ mod tests {
         assert_eq!(registry.type_of(TxnId(1)), None);
         let started = Instant::now();
         let mut t3 = trailing(TxnId(3), TxnId(1), NodeId(0));
-        rp.before_access(&mut t3, Lane::leaf(), &k(1, 3), Access::Write)
+        rp.before_access(&mut t3, Lane::Leaf, &k(1, 3), Access::Write)
             .unwrap();
         assert!(started.elapsed() < Duration::from_secs(1));
     }
@@ -285,18 +284,18 @@ mod tests {
         registry.register(TxnId(1), TxnTypeId(0));
         registry.register(TxnId(2), TxnTypeId(0));
         let mut t1 = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
-        rp.begin(&mut t1, Lane::leaf()).unwrap();
-        rp.before_access(&mut t1, Lane::leaf(), &k(0, 3), Access::Write)
+        rp.begin(&mut t1, Lane::Leaf).unwrap();
+        rp.before_access(&mut t1, Lane::Leaf, &k(0, 3), Access::Write)
             .unwrap();
         // T1 holds step 0; T2 requests the same key and times out.
         let mut t2 = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        rp.begin(&mut t2, Lane::leaf()).unwrap();
+        rp.begin(&mut t2, Lane::Leaf).unwrap();
         let err = rp
-            .before_access(&mut t2, Lane::leaf(), &k(0, 3), Access::Write)
+            .before_access(&mut t2, Lane::Leaf, &k(0, 3), Access::Write)
             .unwrap_err();
         assert_eq!(err, CcError::Timeout(WaitLabel::Lock(CcKind::Rp)));
-        rp.finish(&mut t2, Lane::leaf(), None);
-        rp.finish(&mut t1, Lane::leaf(), None);
+        rp.finish(&mut t2, Lane::Leaf, None);
+        rp.finish(&mut t1, Lane::Leaf, None);
     }
 
     #[test]
@@ -306,15 +305,15 @@ mod tests {
         registry.register(TxnId(2), TxnTypeId(0));
         let mut t1 = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut t2 = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        rp.begin(&mut t1, Lane::child(0)).unwrap();
-        rp.begin(&mut t2, Lane::child(0)).unwrap();
-        rp.before_access(&mut t1, Lane::child(0), &k(0, 5), Access::Write)
+        rp.begin(&mut t1, Lane::Child(0)).unwrap();
+        rp.begin(&mut t2, Lane::Child(0)).unwrap();
+        rp.before_access(&mut t1, Lane::Child(0), &k(0, 5), Access::Write)
             .unwrap();
         // Same child subtree: the conflict is the child's business.
-        rp.before_access(&mut t2, Lane::child(0), &k(0, 5), Access::Write)
+        rp.before_access(&mut t2, Lane::Child(0), &k(0, 5), Access::Write)
             .unwrap();
-        rp.finish(&mut t1, Lane::child(0), Some(Timestamp(1)));
-        rp.finish(&mut t2, Lane::child(0), Some(Timestamp(2)));
+        rp.finish(&mut t1, Lane::Child(0), Some(Timestamp(1)));
+        rp.finish(&mut t2, Lane::Child(0), Some(Timestamp(2)));
     }
 
     /// The read-rule leaf's group, and a sibling group's.
@@ -323,10 +322,8 @@ mod tests {
 
     /// An RP leaf (node 0) hosting group [`IN`].
     fn read_rule_leaf() -> Rp {
-        let mut topology = Topology::new();
-        topology.record_leaf(NodeId(0), IN);
         let registry = Arc::new(TxnRegistry::default());
-        Rp::new(NodeEnv::for_test(topology, registry, 30), plan())
+        Rp::new(NodeEnv::for_test(0, registry, 30), plan())
     }
 
     /// `writer`, of `group`, installs its id on `key` and commits at
@@ -342,7 +339,7 @@ mod tests {
     /// What T2 reads on `key` at the leaf.
     fn read(rp: &Rp, store: &MvStore, key: Key) -> VersionPick {
         let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        read_at(rp, store, &mut reader, Lane::leaf(), key).unwrap()
+        read_at(rp, store, &mut reader, Lane::Leaf, key).unwrap()
     }
 
     #[test]

@@ -53,6 +53,7 @@
 //! | `after_write` | the key's reader stripe |
 //! | `validate`, `mark_prepared` | none — the transaction's own record |
 //! | `commit` / `abort` | one directory shard, one reader stripe per key read (+ `batches`) |
+//! | `low_watermark` (GC) | `batches`, then every directory shard |
 //!
 //! A write is decided in the engine's order: `validate_write`
 //! (first-committer-wins, or a foreign writer in flight) under the key's
@@ -112,7 +113,6 @@
 use crate::error::{CcError, CcResult, Reason};
 use crate::lock::{KeyStripes, Padded};
 use crate::mechanism::{CcMechanism, Lane, NodeEnv, TxnCtx, VersionPick};
-use crate::topology::LaneSel;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -223,7 +223,7 @@ pub struct SsiTxn {
     /// The snapshot timestamp; `0`, at or below any snapshot, from the
     /// record's entry into the directory until `begin` has taken it.
     start: AtomicU64,
-    lane: Option<u32>,
+    lane: Lane,
     /// Writes nothing at this node: on a read-only lane, or declared
     /// read-only by the engine.
     read_only: bool,
@@ -415,17 +415,8 @@ impl Ssi {
         &self.counters
     }
 
-    fn lane_index(lane: Lane) -> Option<u32> {
-        match lane.sel {
-            LaneSel::Child(c) => Some(c),
-            LaneSel::Leaf => None,
-        }
-    }
-
     fn is_read_only_lane(&self, lane: Lane) -> bool {
-        Self::lane_index(lane)
-            .map(|c| self.config.read_only_lanes.contains(&c))
-            .unwrap_or(false)
+        matches!(lane, Lane::Child(c) if self.config.read_only_lanes.contains(&c))
     }
 
     /// Whether a version written in `group` belongs to the same *delegated*
@@ -433,10 +424,7 @@ impl Ssi {
     /// nothing: every transaction is its own group, so only the
     /// transaction's own writes qualify (handled by the caller).
     fn delegated_same_group(&self, lane: Lane, group: GroupId) -> bool {
-        match lane.sel {
-            LaneSel::Child(_) => self.env.same_group(lane, group),
-            LaneSel::Leaf => false,
-        }
+        matches!(lane, Lane::Child(_)) && self.env.same_group(lane, group)
     }
 
     fn directory_shard(&self, txn: TxnId) -> &Mutex<Directory> {
@@ -453,25 +441,21 @@ impl Ssi {
         self.handle(ctx).map(|h| &*h.txn)
     }
 
-    /// Whether an uncommitted version of another transaction on `chain`
-    /// comes from outside the reader's own child lane (a sibling group's
-    /// write, or any other transaction's at a leaf).
+    /// The writer of an uncommitted version of another transaction on
+    /// `chain` from outside the delegated group of a transaction on `lane`
+    /// ([`delegated_same_group`](Ssi::delegated_same_group)): at a leaf any
+    /// other writer, on lane `c` one whose group child `c` does not hold.
     fn foreign_uncommitted_writer(
         &self,
         me: TxnId,
-        my_lane: Option<u32>,
+        lane: Lane,
         chain: &Chain<'_>,
     ) -> Option<TxnId> {
         // One probe: free when the chain carries no uncommitted version at
         // all — the common case on long committed tails between GC cycles —
         // and, under the write latch, bounded by the writers in flight.
         chain
-            .find_uncommitted(|v| {
-                v.writer != me && {
-                    let writer_lane = self.env.topology.child_lane(self.env.node, v.group);
-                    writer_lane.is_none() || writer_lane != my_lane
-                }
-            })
+            .find_uncommitted(|v| v.writer != me && !self.delegated_same_group(lane, v.group))
             .map(|v| v.writer)
     }
 
@@ -553,34 +537,33 @@ impl Ssi {
 impl CcMechanism for Ssi {
     fn begin(&self, ctx: &mut TxnCtx, lane: Lane) -> CcResult<()> {
         let read_only_lane = self.is_read_only_lane(lane);
-        let lane_idx = Self::lane_index(lane);
         // The record enters the directory before its snapshot is taken, its
         // start at or below any snapshot meanwhile: a safe-snapshot check
         // running in between counts it as an older writer.
         let txn = Arc::new(SsiTxn {
             start: AtomicU64::new(0),
-            lane: lane_idx,
+            lane,
             read_only: read_only_lane || ctx.read_only,
             flags: AtomicU8::new(0),
         });
         self.directory_shard(ctx.txn)
             .lock()
             .insert(ctx.txn, Arc::clone(&txn));
-        let start_ts = match lane_idx {
+        let start_ts = match lane {
             // Leaf usage ("monolithic SSI"): every transaction is its own
             // batch and needs a real snapshot. `snapshot_ts` stays below any
             // commit whose versions are still being applied, so the snapshot
             // is never half of a multi-key commit.
-            None => self.env.oracle.snapshot_ts(),
+            Lane::Leaf => self.env.oracle.snapshot_ts(),
             // Read-only transactions need a real snapshot.
-            Some(_) if read_only_lane => self.env.oracle.snapshot_ts(),
+            Lane::Child(_) if read_only_lane => self.env.oracle.snapshot_ts(),
             // Update transactions under the read-only-root optimisation
             // observe the latest committed state; their mutual ordering is
             // delegated to their subtree.
-            Some(_) if !self.config.batching => Timestamp::MAX,
+            Lane::Child(_) if !self.config.batching => Timestamp::MAX,
             // Batching: join the open batch of this child lane or open a new
             // one with a fresh timestamp.
-            Some(lane_key) => {
+            Lane::Child(lane_key) => {
                 let mut batches = self.batches.lock();
                 let batch = batches.entry(lane_key).or_insert_with(|| Batch {
                     ts: self.env.oracle.snapshot_ts(),
@@ -591,7 +574,7 @@ impl CcMechanism for Ssi {
             }
         };
         txn.start.store(start_ts.0, Ordering::Release);
-        let snapshot = if self.config.safe_snapshots && ctx.read_only && lane_idx.is_none() {
+        let snapshot = if self.config.safe_snapshots && ctx.read_only && lane == Lane::Leaf {
             Snapshot::Pending { reads: 0 }
         } else {
             Snapshot::Unchecked
@@ -626,11 +609,11 @@ impl CcMechanism for Ssi {
         // An update's read at a leaf: the install follows under this hold of
         // the key's latch, and every later writer of the key loses on
         // write-write, so no scan could use an entry (see the module docs).
-        let installs = ctx.update_read && lane.sel == LaneSel::Leaf;
+        let installs = ctx.update_read && lane == Lane::Leaf;
         let mine = ctx.ssi.iter_mut().find(|h| h.node == self.env.node);
         let (start_ts, my_lane) = match &mine {
             Some(h) => (h.start_ts, h.txn.lane),
-            None => (Timestamp::MAX, None),
+            None => (Timestamp::MAX, Lane::Leaf),
         };
         if let Some(h) = mine {
             if self.read_on_safe_snapshot(reader, h) {
@@ -693,7 +676,6 @@ impl CcMechanism for Ssi {
         let me = self
             .record(ctx)
             .ok_or(CcError::Internal("SSI: write before begin".to_string()))?;
-        let my_lane = Self::lane_index(lane);
         // Readers of this key that did not (and will not) see our write have
         // an anti-dependency towards us: reader --rw--> writer. The scan runs
         // after the install, so a reader is either registered by now or
@@ -704,7 +686,7 @@ impl CcMechanism for Ssi {
                 we_gain_in = true;
                 // Readers from our own child group are ordered by our child
                 // CC, not by SSI.
-                if reader.lane.is_some() && reader.lane == my_lane {
+                if matches!(reader.lane, Lane::Child(_)) && reader.lane == lane {
                     continue;
                 }
                 if reader.add_edge(OUT).is_none() {
@@ -749,8 +731,16 @@ impl CcMechanism for Ssi {
         self.cleanup(ctx, lane, outcome);
     }
 
+    /// The smallest snapshot of a record in the directory or of an open
+    /// batch. A member that joins a batch after the `batches` read joins one
+    /// that read saw, or opens one at a snapshot at or above any oracle read
+    /// the caller took before this call — even when the batch's last other
+    /// member left the directory before the scan reached it.
     fn low_watermark(&self) -> Timestamp {
-        self.min_active_start_ts()
+        let batches = self.batches.lock().values().map(|b| b.ts).min();
+        batches
+            .unwrap_or(Timestamp::MAX)
+            .min(self.min_active_start_ts())
     }
 }
 
@@ -807,7 +797,7 @@ impl Ssi {
         }
         self.directory_shard(ctx.txn).lock().remove(&ctx.txn);
         self.forget_reads(ctx.txn, &handle.read_keys);
-        if let Some(lane_key) = handle.txn.lane {
+        if let Lane::Child(lane_key) = handle.txn.lane {
             if self.config.batching && !self.is_read_only_lane(lane) {
                 let mut batches = self.batches.lock();
                 if let Some(batch) = batches.get_mut(&lane_key) {
@@ -843,16 +833,12 @@ mod tests {
     use super::*;
     use crate::mechanism::{read_at as read, Access};
     use crate::registry::TxnRegistry;
-    use crate::topology::Topology;
     use std::sync::Arc;
-    use tebaldi_storage::{GroupId, MvStore, NodeId, TableId, TxnTypeId, Value, Version};
+    use tebaldi_storage::{GroupId, MvStore, TableId, TxnTypeId, Value, Version};
 
     fn setup(batching: bool) -> (Ssi, Arc<TxnRegistry>) {
         let registry = Arc::new(TxnRegistry::default());
-        let mut topo = Topology::new();
-        topo.record_child(NodeId(0), GroupId(0), 0);
-        topo.record_child(NodeId(0), GroupId(1), 1);
-        let env = NodeEnv::for_test(topo, Arc::clone(&registry), 20);
+        let env = NodeEnv::for_test(2, Arc::clone(&registry), 20);
         let config = SsiConfig {
             batching,
             ..SsiConfig::default()
@@ -915,14 +901,14 @@ mod tests {
         let (ssi, registry) = setup(true);
         registry.register(TxnId(1), TxnTypeId(0));
         let mut ctx = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
-        ssi.begin(&mut ctx, Lane::child(0)).unwrap();
+        ssi.begin(&mut ctx, Lane::Child(0)).unwrap();
 
         // A version committed *after* the snapshot must not be visible.
         let later = ssi.env.oracle.issue().0 + 10;
         let store = committed_version(k(1), 99, 42, later);
-        let pick = read(&ssi, &store, &mut ctx, Lane::child(0), k(1));
+        let pick = read(&ssi, &store, &mut ctx, Lane::Child(0), k(1));
         assert!(pick.is_none(), "nothing visible before the snapshot");
-        ssi.finish(&mut ctx, Lane::child(0), Some(Timestamp(100)));
+        ssi.finish(&mut ctx, Lane::Child(0), Some(Timestamp(100)));
         assert_eq!(ssi.active_count(), 0);
     }
 
@@ -931,16 +917,16 @@ mod tests {
         let (ssi, registry) = setup(true);
         registry.register(TxnId(1), TxnTypeId(0));
         let mut ctx = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
-        ssi.begin(&mut ctx, Lane::child(0)).unwrap();
+        ssi.begin(&mut ctx, Lane::Child(0)).unwrap();
         let later = ssi.env.oracle.issue().0 + 5;
         let store = committed_version(k(1), 50, 1, later);
         // The lock-free view and the latched one the engine validates
         // under decide alike.
         let lock_free = store.with_chain(&k(1), |chain| {
-            ssi.check_first_committer_wins(&ctx, chain, Lane::child(0))
+            ssi.check_first_committer_wins(&ctx, chain, Lane::Child(0))
         });
         let latched = store.with_chain_mut(&k(1), |chain| {
-            ssi.validate_write(&mut ctx, Lane::child(0), &k(1), chain)
+            ssi.validate_write(&mut ctx, Lane::Child(0), &k(1), chain)
         });
         assert_eq!(
             lock_free,
@@ -958,15 +944,15 @@ mod tests {
         registry.register(TxnId(1), TxnTypeId(0));
         registry.register(TxnId(2), TxnTypeId(1));
         let mut a = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
-        ssi.begin(&mut a, Lane::child(0)).unwrap();
+        ssi.begin(&mut a, Lane::Child(0)).unwrap();
         // Transaction from the other group installed an uncommitted write.
         let store = MvStore::new(1);
         install(&store, k(1), 2, GroupId(1));
         let lock_free = store.with_chain(&k(1), |chain| {
-            ssi.check_first_committer_wins(&a, chain, Lane::child(0))
+            ssi.check_first_committer_wins(&a, chain, Lane::Child(0))
         });
         let latched = store.with_chain_mut(&k(1), |chain| {
-            ssi.validate_write(&mut a, Lane::child(0), &k(1), chain)
+            ssi.validate_write(&mut a, Lane::Child(0), &k(1), chain)
         });
         assert_eq!(
             lock_free,
@@ -981,7 +967,7 @@ mod tests {
         store.abort_writes(TxnId(2), &[k(1)]);
         install(&store, k(1), 3, GroupId(0));
         store.with_chain_mut(&k(1), |chain| {
-            ssi.validate_write(&mut a, Lane::child(0), &k(1), chain)
+            ssi.validate_write(&mut a, Lane::Child(0), &k(1), chain)
                 .unwrap()
         });
     }
@@ -996,33 +982,33 @@ mod tests {
         registry.register(TxnId(2), TxnTypeId(1));
         let mut t = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut u = TxnCtx::new(TxnId(2), TxnTypeId(1), GroupId(1));
-        ssi.begin(&mut t, Lane::child(0)).unwrap();
-        ssi.begin(&mut u, Lane::child(1)).unwrap();
+        ssi.begin(&mut t, Lane::Child(0)).unwrap();
+        ssi.begin(&mut u, Lane::Child(1)).unwrap();
 
         let store = MvStore::new(1);
         // T reads x (registers as reader of x) and writes y.
-        let _ = read(&ssi, &store, &mut t, Lane::child(0), k(1));
-        write(&ssi, &store, &mut t, Lane::child(0), k(2)).unwrap();
+        let _ = read(&ssi, &store, &mut t, Lane::Child(0), k(1));
+        write(&ssi, &store, &mut t, Lane::Child(0), k(2)).unwrap();
         // U reads y and misses T's uncommitted write: U -rw-> T gives T the
         // incoming edge.
-        let _ = read(&ssi, &store, &mut u, Lane::child(1), k(2));
+        let _ = read(&ssi, &store, &mut u, Lane::Child(1), k(2));
 
         // T validates and stabilizes its yes-vote.
-        ssi.validate(&mut t, Lane::child(0)).unwrap();
-        ssi.mark_prepared(&mut t, Lane::child(0)).unwrap();
+        ssi.validate(&mut t, Lane::Child(0)).unwrap();
+        ssi.mark_prepared(&mut t, Lane::Child(0)).unwrap();
 
         // U now writes x, which would complete T's pivot (T -rw-> U): U
         // must be rejected, T must stay committable.
-        let result = write(&ssi, &store, &mut u, Lane::child(1), k(1));
+        let result = write(&ssi, &store, &mut u, Lane::Child(1), k(1));
         assert_eq!(
             result,
             Err(CcError::conflict(Reason::DoomsPrepared)),
             "writer dooming a prepared txn must abort"
         );
         store.abort_writes(TxnId(2), &[k(1)]);
-        ssi.finish(&mut u, Lane::child(1), None);
+        ssi.finish(&mut u, Lane::Child(1), None);
         assert!(!is_pivot(rec(&ssi, &t).flags()), "prepared txn stays clean");
-        ssi.finish(&mut t, Lane::child(0), Some(Timestamp(5)));
+        ssi.finish(&mut t, Lane::Child(0), Some(Timestamp(5)));
     }
 
     #[test]
@@ -1030,12 +1016,12 @@ mod tests {
         let (ssi, registry) = setup(false);
         registry.register(TxnId(1), TxnTypeId(0));
         let mut t = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
-        ssi.begin(&mut t, Lane::child(0)).unwrap();
+        ssi.begin(&mut t, Lane::Child(0)).unwrap();
         // A doom that lands between validate and mark_prepared is caught.
-        ssi.validate(&mut t, Lane::child(0)).unwrap();
+        ssi.validate(&mut t, Lane::Child(0)).unwrap();
         rec(&ssi, &t).add_edge(IN);
         rec(&ssi, &t).add_edge(OUT);
-        assert!(ssi.mark_prepared(&mut t, Lane::child(0)).is_err());
+        assert!(ssi.mark_prepared(&mut t, Lane::Child(0)).is_err());
     }
 
     #[test]
@@ -1047,24 +1033,24 @@ mod tests {
         let mut t1 = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut t2 = TxnCtx::new(TxnId(2), TxnTypeId(1), GroupId(1));
         let mut t3 = TxnCtx::new(TxnId(3), TxnTypeId(2), GroupId(0));
-        ssi.begin(&mut t1, Lane::child(0)).unwrap();
-        ssi.begin(&mut t2, Lane::child(1)).unwrap();
-        ssi.begin(&mut t3, Lane::child(0)).unwrap();
+        ssi.begin(&mut t1, Lane::Child(0)).unwrap();
+        ssi.begin(&mut t2, Lane::Child(1)).unwrap();
+        ssi.begin(&mut t3, Lane::Child(0)).unwrap();
 
         // T2 reads key A (registers as reader), then T1 writes A: T2 -rw-> T1.
         let store = MvStore::new(1);
-        let _ = read(&ssi, &store, &mut t2, Lane::child(1), k(1));
-        write(&ssi, &store, &mut t1, Lane::child(0), k(1)).unwrap();
+        let _ = read(&ssi, &store, &mut t2, Lane::Child(1), k(1));
+        write(&ssi, &store, &mut t1, Lane::Child(0), k(1)).unwrap();
         // T3 reads key B, T2 writes B: T3 -rw-> T2; now T2 has in and out.
-        let _ = read(&ssi, &store, &mut t3, Lane::child(0), k(2));
+        let _ = read(&ssi, &store, &mut t3, Lane::Child(0), k(2));
         // T2 is the pivot: it is rejected as soon as the second
         // anti-dependency appears (at the write or, at the latest, during
         // validation).
-        let write_result = write(&ssi, &store, &mut t2, Lane::child(1), k(2));
-        assert!(write_result.is_err() || ssi.validate(&mut t2, Lane::child(1)).is_err());
+        let write_result = write(&ssi, &store, &mut t2, Lane::Child(1), k(2));
+        assert!(write_result.is_err() || ssi.validate(&mut t2, Lane::Child(1)).is_err());
         // The others are fine.
-        assert!(ssi.validate(&mut t1, Lane::child(0)).is_ok());
-        assert!(ssi.validate(&mut t3, Lane::child(0)).is_ok());
+        assert!(ssi.validate(&mut t1, Lane::Child(0)).is_ok());
+        assert!(ssi.validate(&mut t3, Lane::Child(0)).is_ok());
     }
 
     #[test]
@@ -1076,9 +1062,9 @@ mod tests {
         let mut a = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut b = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         let mut c = TxnCtx::new(TxnId(3), TxnTypeId(1), GroupId(1));
-        ssi.begin(&mut a, Lane::child(0)).unwrap();
-        ssi.begin(&mut b, Lane::child(0)).unwrap();
-        ssi.begin(&mut c, Lane::child(1)).unwrap();
+        ssi.begin(&mut a, Lane::Child(0)).unwrap();
+        ssi.begin(&mut b, Lane::Child(0)).unwrap();
+        ssi.begin(&mut c, Lane::Child(1)).unwrap();
         let ts_a = rec(&ssi, &a).start_ts();
         let ts_b = rec(&ssi, &b).start_ts();
         assert_eq!(ts_a, ts_b, "same lane, same batch, same timestamp");
@@ -1091,31 +1077,51 @@ mod tests {
         assert_eq!(batches.get(&1).unwrap().active, 1);
     }
 
+    /// The state a GC directory scan sees when it passes a joiner's shard
+    /// before the joiner inserts its record, and reaches the batch's last
+    /// other member after that member's `cleanup` removed its record: an
+    /// open batch and no record. The joiner reads at the batch's
+    /// timestamp, so the watermark must not pass it.
+    #[test]
+    fn watermark_holds_an_open_batch_whose_records_the_scan_missed() {
+        let (ssi, registry) = setup(true);
+        for _ in 0..5 {
+            ssi.env.oracle.issue();
+        }
+        registry.register(TxnId(1), TxnTypeId(0));
+        let mut member = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
+        ssi.begin(&mut member, Lane::Child(0)).unwrap();
+        let batch_ts = rec(&ssi, &member).start_ts();
+        assert_eq!(batch_ts, Timestamp(5));
+        assert_eq!(ssi.low_watermark(), batch_ts);
+        ssi.directory_shard(TxnId(1)).lock().remove(&TxnId(1));
+        assert_eq!(ssi.active_count(), 0);
+        assert!(ssi.low_watermark() <= batch_ts, "{:?}", ssi.low_watermark());
+    }
+
     #[test]
     fn read_only_root_optimisation_skips_batching() {
         let registry = Arc::new(TxnRegistry::default());
         registry.register(TxnId(1), TxnTypeId(0));
         registry.register(TxnId(2), TxnTypeId(1));
-        let mut topo = Topology::new();
-        topo.record_child(NodeId(0), GroupId(0), 0); // read-only child
-        topo.record_child(NodeId(0), GroupId(1), 1); // update child
+        // Lane 0 is the read-only child, lane 1 the update child.
         let ssi = Ssi::new(
-            NodeEnv::for_test(topo, registry, 20),
+            NodeEnv::for_test(2, registry, 20),
             SsiConfig::root_read_only([0]),
         );
         let mut reader = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut writer = TxnCtx::new(TxnId(2), TxnTypeId(1), GroupId(1));
-        ssi.begin(&mut reader, Lane::child(0)).unwrap();
-        ssi.begin(&mut writer, Lane::child(1)).unwrap();
+        ssi.begin(&mut reader, Lane::Child(0)).unwrap();
+        ssi.begin(&mut writer, Lane::Child(1)).unwrap();
         assert_ne!(rec(&ssi, &reader).start_ts(), Timestamp::MAX);
         assert_eq!(rec(&ssi, &writer).start_ts(), Timestamp::MAX);
         assert!(ssi.batches.lock().is_empty());
         // Update transactions see the latest committed version.
         let store = committed_version(k(3), 9, 7, 5);
-        let pick = read(&ssi, &store, &mut writer, Lane::child(1), k(3)).unwrap();
+        let pick = read(&ssi, &store, &mut writer, Lane::Child(1), k(3)).unwrap();
         assert_eq!(pick.value, Value::Int(7));
         // Read-only transactions never fail validation.
-        assert!(ssi.validate(&mut reader, Lane::child(0)).is_ok());
+        assert!(ssi.validate(&mut reader, Lane::Child(0)).is_ok());
     }
 
     /// Both prepared-priority rules, each on the edge that would complete
@@ -1129,7 +1135,7 @@ mod tests {
         let store = MvStore::new(1);
         let begin = |id: u64| {
             let mut ctx = TxnCtx::new(TxnId(id), TxnTypeId(0), GroupId((id % 2) as u32));
-            ssi.begin(&mut ctx, Lane::child((id % 2) as u32)).unwrap();
+            ssi.begin(&mut ctx, Lane::Child((id % 2) as u32)).unwrap();
             ctx
         };
 
@@ -1137,12 +1143,12 @@ mod tests {
         // P read would add OUT — refused, P untouched. A prepared reader
         // *without* IN just gains OUT, and the writer proceeds.
         let (mut p, mut clean, mut w) = (begin(1), begin(3), begin(2));
-        let _ = read(&ssi, &store, &mut p, Lane::child(1), k(1));
-        let _ = read(&ssi, &store, &mut clean, Lane::child(1), k(2));
+        let _ = read(&ssi, &store, &mut p, Lane::Child(1), k(1));
+        let _ = read(&ssi, &store, &mut clean, Lane::Child(1), k(2));
         rec(&ssi, &p).add_edge(IN);
-        ssi.mark_prepared(&mut p, Lane::child(1)).unwrap();
-        ssi.mark_prepared(&mut clean, Lane::child(1)).unwrap();
-        let err = write(&ssi, &store, &mut w, Lane::child(0), k(1)).unwrap_err();
+        ssi.mark_prepared(&mut p, Lane::Child(1)).unwrap();
+        ssi.mark_prepared(&mut clean, Lane::Child(1)).unwrap();
+        let err = write(&ssi, &store, &mut w, Lane::Child(0), k(1)).unwrap_err();
         assert!(err.to_string().contains("doom a prepared"), "{err}");
         assert_eq!(rec(&ssi, &p).flags(), IN | PREPARED);
         assert_eq!(
@@ -1150,7 +1156,7 @@ mod tests {
             0,
             "the refused writer gained nothing"
         );
-        write(&ssi, &store, &mut w, Lane::child(0), k(2)).unwrap();
+        write(&ssi, &store, &mut w, Lane::Child(0), k(2)).unwrap();
         assert_eq!(rec(&ssi, &clean).flags(), OUT | PREPARED);
         assert_eq!(rec(&ssi, &w).flags(), IN);
 
@@ -1160,17 +1166,17 @@ mod tests {
         // IN | PREPARED on the writer the reader survives.
         let mut q = begin(4);
         rec(&ssi, &q).add_edge(OUT);
-        ssi.mark_prepared(&mut q, Lane::child(0)).unwrap();
+        ssi.mark_prepared(&mut q, Lane::Child(0)).unwrap();
         install(&store, k(9), 4, q.group);
         let mut r1 = begin(5);
-        let _ = read(&ssi, &store, &mut r1, Lane::child(1), k(9));
+        let _ = read(&ssi, &store, &mut r1, Lane::Child(1), k(9));
         assert!(r1.must_abort, "reader gives way to a prepared writer");
         assert_eq!(rec(&ssi, &q).flags(), OUT | PREPARED);
         install(&store, k(8), 1, p.group);
         // P already holds IN: one more incoming edge changes nothing and
         // refuses nothing.
         let mut r2 = begin(6);
-        let _ = read(&ssi, &store, &mut r2, Lane::child(0), k(8));
+        let _ = read(&ssi, &store, &mut r2, Lane::Child(0), k(8));
         assert!(!r2.must_abort);
         assert_eq!(rec(&ssi, &p).flags(), IN | PREPARED);
         assert_eq!(rec(&ssi, &r2).flags(), OUT);
@@ -1189,27 +1195,27 @@ mod tests {
         let mut t = [1u64, 2].map(|id| {
             registry.register(TxnId(id), TxnTypeId(0));
             let mut ctx = TxnCtx::new(TxnId(id), TxnTypeId(0), GroupId(0));
-            ssi.begin(&mut ctx, Lane::leaf()).unwrap();
+            ssi.begin(&mut ctx, Lane::Leaf).unwrap();
             ctx
         });
         for ctx in &mut t {
-            assert!(read(&ssi, &store, ctx, Lane::leaf(), k(1)).is_some());
+            assert!(read(&ssi, &store, ctx, Lane::Leaf, k(1)).is_some());
         }
         let [t1, t2] = &mut t;
-        write(&ssi, &store, t1, Lane::leaf(), k(1)).unwrap();
+        write(&ssi, &store, t1, Lane::Leaf, k(1)).unwrap();
         assert_eq!(
-            write(&ssi, &store, t2, Lane::leaf(), k(1)),
+            write(&ssi, &store, t2, Lane::Leaf, k(1)),
             Err(CcError::Conflict {
                 reason: Reason::CrossGroupWriteWrite,
                 winner: Some(TxnId(1)),
             })
         );
-        ssi.finish(t2, Lane::leaf(), None);
+        ssi.finish(t2, Lane::Leaf, None);
         assert_eq!(rec(&ssi, t1).flags(), IN);
-        ssi.validate(t1, Lane::leaf()).unwrap();
-        ssi.mark_prepared(t1, Lane::leaf()).unwrap();
+        ssi.validate(t1, Lane::Leaf).unwrap();
+        ssi.mark_prepared(t1, Lane::Leaf).unwrap();
         store.commit_writes(TxnId(1), &[k(1)], Timestamp(2));
-        ssi.finish(t1, Lane::leaf(), Some(Timestamp(2)));
+        ssi.finish(t1, Lane::Leaf, Some(Timestamp(2)));
         assert_eq!(ssi.active_count(), 0);
     }
 
@@ -1224,13 +1230,13 @@ mod tests {
         let mut t = [1u64, 2].map(|id| {
             registry.register(TxnId(id), TxnTypeId(0));
             let mut ctx = TxnCtx::new(TxnId(id), TxnTypeId(0), GroupId(0));
-            ssi.begin(&mut ctx, Lane::leaf()).unwrap();
+            ssi.begin(&mut ctx, Lane::Leaf).unwrap();
             ctx
         });
         let [t1, t2] = &mut t;
-        update(&ssi, &store, t1, Lane::leaf(), k(1)).unwrap();
+        update(&ssi, &store, t1, Lane::Leaf, k(1)).unwrap();
         assert_eq!(
-            update(&ssi, &store, t2, Lane::leaf(), k(1)),
+            update(&ssi, &store, t2, Lane::Leaf, k(1)),
             Err(CcError::Conflict {
                 reason: Reason::CrossGroupWriteWrite,
                 winner: Some(TxnId(1)),
@@ -1248,8 +1254,8 @@ mod tests {
             "the loser registered no read"
         );
         assert_eq!(rec(&ssi, t1).flags(), 0);
-        ssi.finish(t2, Lane::leaf(), None);
-        ssi.finish(t1, Lane::leaf(), None);
+        ssi.finish(t2, Lane::Leaf, None);
+        ssi.finish(t1, Lane::Leaf, None);
         assert_eq!(ssi.active_count(), 0);
     }
 
@@ -1265,14 +1271,14 @@ mod tests {
         registry.register(TxnId(2), TxnTypeId(1));
         let mut r = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut w = TxnCtx::new(TxnId(2), TxnTypeId(1), GroupId(1));
-        ssi.begin(&mut r, Lane::child(0)).unwrap();
-        ssi.begin(&mut w, Lane::child(1)).unwrap();
+        ssi.begin(&mut r, Lane::Child(0)).unwrap();
+        ssi.begin(&mut w, Lane::Child(1)).unwrap();
         let store = MvStore::new(1);
-        ssi.before_access(&mut w, Lane::child(1), &k(1), Access::Write)
+        ssi.before_access(&mut w, Lane::Child(1), &k(1), Access::Write)
             .unwrap();
-        assert!(read(&ssi, &store, &mut r, Lane::child(0), k(1)).is_none());
+        assert!(read(&ssi, &store, &mut r, Lane::Child(0), k(1)).is_none());
         assert_eq!((rec(&ssi, &r).flags(), rec(&ssi, &w).flags()), (0, 0));
-        write(&ssi, &store, &mut w, Lane::child(1), k(1)).unwrap();
+        write(&ssi, &store, &mut w, Lane::Child(1), k(1)).unwrap();
         assert_eq!((rec(&ssi, &r).flags(), rec(&ssi, &w).flags()), (OUT, IN));
     }
 
@@ -1297,12 +1303,12 @@ mod tests {
                     let id = TxnId(2 * round + 1);
                     registry.register(id, TxnTypeId(0));
                     let mut r = TxnCtx::new(id, TxnTypeId(0), GroupId(0));
-                    ssi.begin(&mut r, Lane::child(0)).unwrap();
+                    ssi.begin(&mut r, Lane::Child(0)).unwrap();
                     start.wait();
-                    let _ = read(&ssi, &store, &mut r, Lane::child(0), k(7));
+                    let _ = read(&ssi, &store, &mut r, Lane::Child(0), k(7));
                     done.wait();
                     flags.push(rec(&ssi, &r).flags());
-                    ssi.finish(&mut r, Lane::child(0), None);
+                    ssi.finish(&mut r, Lane::Child(0), None);
                 }
                 flags
             });
@@ -1312,13 +1318,13 @@ mod tests {
                     let id = TxnId(2 * round + 2);
                     registry.register(id, TxnTypeId(1));
                     let mut w = TxnCtx::new(id, TxnTypeId(1), GroupId(1));
-                    ssi.begin(&mut w, Lane::child(1)).unwrap();
+                    ssi.begin(&mut w, Lane::Child(1)).unwrap();
                     start.wait();
-                    write(&ssi, &store, &mut w, Lane::child(1), k(7)).unwrap();
+                    write(&ssi, &store, &mut w, Lane::Child(1), k(7)).unwrap();
                     done.wait();
                     flags.push(rec(&ssi, &w).flags());
                     store.abort_writes(id, &[k(7)]);
-                    ssi.finish(&mut w, Lane::child(1), None);
+                    ssi.finish(&mut w, Lane::Child(1), None);
                 }
                 flags
             });

@@ -7,12 +7,14 @@
 //! data so the automatic configurator can generate, compare and persist
 //! them.
 //!
-//! [`CcTree::build`] turns a specification into a runtime tree: one
-//! mechanism instance per node, a root→leaf path (with lanes) per leaf
-//! group, and the static [`Topology`] every mechanism consults for
-//! subtree-membership questions. Building also runs the CC-specific
-//! preprocessing of §5.4.2: runtime pipelining's static analysis and SSI's
-//! read-only-lane / batching decision.
+//! [`CcTree::build`] turns a specification into a runtime tree.
+//! [`Topology::of`] numbers the nodes and groups and gives the static
+//! topology every mechanism consults for subtree-membership questions;
+//! then one loop over the nodes, in node-id order, builds each node's
+//! mechanism, running the CC-specific preprocessing of §5.4.2 off the
+//! node's spec (runtime pipelining's static analysis, SSI's read-only-lane
+//! / batching decision), and each group's root→leaf path (with lanes) is
+//! read off the parent links.
 
 use crate::events::EventSink;
 use crate::mechanism::{CcKind, CcMechanism, Lane, NodeEnv};
@@ -154,8 +156,16 @@ impl CcTreeSpec {
 
     /// Checks structural well-formedness: every type appears exactly once,
     /// inner nodes have at least one child, leaf nodes have at least one
-    /// type, and TSO runs only at leaves (see [`tso`](crate::tso)).
+    /// type, TSO runs only at leaves (see [`tso`](crate::tso)), and a root
+    /// leaf is not split by instance: its copies would have no common
+    /// ancestor to order their transactions against each other.
     pub fn validate(&self) -> Result<(), String> {
+        if self.root.is_leaf() && self.root.instance_partitions > 1 {
+            return Err(format!(
+                "root leaf {:?} must not be split by instance",
+                self.root.label
+            ));
+        }
         fn walk(node: &CcNodeSpec, seen: &mut HashSet<TxnTypeId>) -> Result<(), String> {
             if node.is_leaf() {
                 if node.txn_types.is_empty() {
@@ -197,37 +207,6 @@ impl CcTreeSpec {
     }
 }
 
-/// Assignment of transaction instances to leaf groups.
-#[derive(Clone, Debug, Default)]
-pub struct GroupMap {
-    /// type → groups (one entry per instance partition).
-    by_type: HashMap<TxnTypeId, Vec<GroupId>>,
-}
-
-impl GroupMap {
-    /// The leaf group of an instance of `ty` whose partition key hashes to
-    /// `instance_seed` (ignored when the leaf is not instance-partitioned).
-    pub fn group_for(&self, ty: TxnTypeId, instance_seed: u64) -> Option<GroupId> {
-        let groups = self.by_type.get(&ty)?;
-        if groups.is_empty() {
-            return None;
-        }
-        Some(groups[(instance_seed as usize) % groups.len()])
-    }
-
-    /// All groups hosting instances of `ty`.
-    pub fn groups_of_type(&self, ty: TxnTypeId) -> &[GroupId] {
-        self.by_type.get(&ty).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// All registered types.
-    pub fn types(&self) -> Vec<TxnTypeId> {
-        let mut tys: Vec<TxnTypeId> = self.by_type.keys().copied().collect();
-        tys.sort_unstable();
-        tys
-    }
-}
-
 /// One step of a root→leaf execution path.
 #[derive(Clone)]
 pub struct PathEntry {
@@ -243,8 +222,10 @@ pub struct PathEntry {
 pub struct CcTree {
     spec: CcTreeSpec,
     nodes: Vec<Arc<dyn CcMechanism>>,
-    paths: HashMap<GroupId, Vec<PathEntry>>,
-    group_map: GroupMap,
+    /// Indexed by group id.
+    paths: Vec<Vec<PathEntry>>,
+    /// type → its groups, one per instance copy of its leaf.
+    groups_of_type: HashMap<TxnTypeId, Vec<GroupId>>,
 }
 
 impl std::fmt::Debug for CcTree {
@@ -268,249 +249,96 @@ pub struct TreeServices {
     /// Bound on internal waits.
     pub wait_timeout: Duration,
     /// Where the nodes count what they do (an SSI node's
-    /// [`SsiCounters`](crate::ssi::SsiCounters)).
+    /// [`SsiCounters`]).
     pub metrics: Arc<MetricsRegistry>,
 }
 
 impl CcTree {
-    /// Builds the runtime tree for `spec`.
+    /// Builds the runtime tree for `spec`: one mechanism per node of
+    /// [`Topology::of`], in node-id order, and each group's path read off
+    /// the parent links.
     pub fn build(
         spec: CcTreeSpec,
         procedures: &ProcedureSet,
         services: &TreeServices,
     ) -> Result<CcTree, String> {
         spec.validate()?;
-
-        // Pass 1: assign node ids and group ids, record topology and lanes.
-        struct FlatLeaf {
-            node: NodeId,
-            group: GroupId,
-            kind: CcKind,
-            types: Vec<TxnTypeId>,
-            /// (ancestor node, child index at that ancestor), root first.
-            ancestors: Vec<(NodeId, u32)>,
-        }
-        struct FlatInner {
-            node: NodeId,
-            kind: CcKind,
-            /// Types in this node's subtree (for RP analysis).
-            subtree_types: Vec<TxnTypeId>,
-            /// Child lanes whose subtree is entirely read-only (for SSI).
-            read_only_lanes: HashSet<u32>,
-            /// Number of children (after instance-partition expansion).
-            child_count: u32,
-            is_root: bool,
-        }
-
-        let mut topology = Topology::new();
-        let mut leaves: Vec<FlatLeaf> = Vec::new();
-        let mut inners: Vec<FlatInner> = Vec::new();
-        let mut next_node: u32 = 0;
-        let mut next_group: u32 = 0;
-
-        // Recursive expansion. Returns the list of groups in the subtree.
-        #[allow(clippy::too_many_arguments)]
-        fn expand(
-            spec_node: &CcNodeSpec,
-            ancestors: &[(NodeId, u32)],
-            is_root: bool,
-            procedures: &ProcedureSet,
-            topology: &mut Topology,
-            leaves: &mut Vec<FlatLeaf>,
-            inners: &mut Vec<FlatInner>,
-            next_node: &mut u32,
-            next_group: &mut u32,
-        ) -> Vec<GroupId> {
-            if spec_node.is_leaf() {
-                let mut groups = Vec::new();
-                for _ in 0..spec_node.instance_partitions.max(1) {
-                    let node = NodeId(*next_node);
-                    *next_node += 1;
-                    let group = GroupId(*next_group);
-                    *next_group += 1;
-                    topology.record_leaf(node, group);
-                    for (anc, lane) in ancestors {
-                        topology.record_child(*anc, group, *lane);
-                    }
-                    leaves.push(FlatLeaf {
-                        node,
-                        group,
-                        kind: spec_node.kind,
-                        types: spec_node.txn_types.clone(),
-                        ancestors: ancestors.to_vec(),
-                    });
-                    groups.push(group);
-                }
-                groups
-            } else {
-                let node = NodeId(*next_node);
-                *next_node += 1;
-                let mut all_groups = Vec::new();
-                let mut read_only_lanes = HashSet::new();
-                let mut child_count = 0u32;
-                for child in &spec_node.children {
-                    // A leaf with instance partitions expands into several
-                    // sibling copies; each copy is its own lane.
-                    let copies = if child.is_leaf() {
-                        child.instance_partitions.max(1)
-                    } else {
-                        1
-                    };
-                    for _ in 0..copies {
-                        let lane = child_count;
-                        child_count += 1;
-                        let mut anc = ancestors.to_vec();
-                        anc.push((node, lane));
-                        let child_groups = if child.is_leaf() {
-                            // Expand exactly one copy at a time.
-                            let mut single = child.clone();
-                            single.instance_partitions = 1;
-                            expand(
-                                &single, &anc, false, procedures, topology, leaves, inners,
-                                next_node, next_group,
-                            )
-                        } else {
-                            expand(
-                                child, &anc, false, procedures, topology, leaves, inners,
-                                next_node, next_group,
-                            )
-                        };
-                        if procedures.all_read_only(&child.all_types()) {
-                            read_only_lanes.insert(lane);
-                        }
-                        all_groups.extend(child_groups);
-                    }
-                }
-                inners.push(FlatInner {
-                    node,
-                    kind: spec_node.kind,
-                    subtree_types: spec_node.all_types(),
-                    read_only_lanes,
-                    child_count,
-                    is_root,
-                });
-                all_groups
-            }
-        }
-
-        expand(
-            &spec.root,
-            &[],
-            true,
-            procedures,
-            &mut topology,
-            &mut leaves,
-            &mut inners,
-            &mut next_node,
-            &mut next_group,
-        );
-
+        let (topology, spec_nodes) = Topology::of(&spec);
         let topology = Arc::new(topology);
-
-        // Pass 2: instantiate mechanisms.
-        let make_env = |node: NodeId| NodeEnv {
-            node,
-            registry: Arc::clone(&services.registry),
-            topology: Arc::clone(&topology),
-            events: Arc::clone(&services.events),
-            oracle: Arc::clone(&services.oracle),
-            wait_timeout: services.wait_timeout,
-        };
-        let build_mechanism = |node: NodeId,
-                               kind: CcKind,
-                               subtree_types: &[TxnTypeId],
-                               read_only_lanes: &HashSet<u32>,
-                               is_root: bool,
-                               child_count: u32|
-         -> Result<Arc<dyn CcMechanism>, String> {
-            Ok(match kind {
-                CcKind::TwoPl => Arc::new(TwoPl::new(make_env(node))),
+        let mut nodes: Vec<Arc<dyn CcMechanism>> = Vec::new();
+        for (id, at) in spec_nodes.iter().enumerate() {
+            let node = NodeId(id as u32);
+            let env = NodeEnv {
+                node,
+                registry: Arc::clone(&services.registry),
+                topology: Arc::clone(&topology),
+                events: Arc::clone(&services.events),
+                oracle: Arc::clone(&services.oracle),
+                wait_timeout: services.wait_timeout,
+            };
+            nodes.push(match at.kind {
+                CcKind::TwoPl => Arc::new(TwoPl::new(env)),
                 CcKind::NoCc => Arc::new(NoCc),
-                CcKind::Tso => Arc::new(Tso::new(make_env(node))),
+                CcKind::Tso => Arc::new(Tso::new(env)),
                 CcKind::Rp => {
-                    let infos: Vec<&crate::procinfo::ProcedureInfo> = subtree_types
-                        .iter()
-                        .filter_map(|ty| procedures.get(*ty))
-                        .collect();
-                    Arc::new(Rp::new(make_env(node), analyze(&infos)))
+                    let types = at.all_types();
+                    let infos: Vec<_> = types.iter().filter_map(|ty| procedures.get(*ty)).collect();
+                    Arc::new(Rp::new(env, analyze(&infos)))
                 }
                 CcKind::Ssi => {
+                    let children = topology.children(node);
+                    let read_only_lanes: HashSet<u32> = (0..)
+                        .zip(children)
+                        .filter(|(_, c)| {
+                            procedures.all_read_only(&spec_nodes[c.0 as usize].all_types())
+                        })
+                        .map(|(lane, _)| lane)
+                        .collect();
                     // Read-only-root optimisation (§4.4.3): at the root with
                     // at most one update child subtree, batching is
                     // unnecessary.
-                    let update_lanes = child_count.saturating_sub(read_only_lanes.len() as u32);
-                    let config = if is_root && child_count == 0 {
+                    let update_lanes = children.len() - read_only_lanes.len();
+                    let config = if id == 0 && children.is_empty() {
                         SsiConfig::monolithic()
-                    } else if is_root && update_lanes <= 1 {
-                        SsiConfig::root_read_only(read_only_lanes.iter().copied())
+                    } else if id == 0 && update_lanes <= 1 {
+                        SsiConfig::root_read_only(read_only_lanes)
                     } else {
                         SsiConfig {
-                            batching: true,
-                            read_only_lanes: read_only_lanes.clone(),
-                            safe_snapshots: false,
+                            read_only_lanes,
+                            ..SsiConfig::default()
                         }
                     };
                     let counters = SsiCounters::registered(&services.metrics, node);
-                    Arc::new(Ssi::new(make_env(node), config).with_counters(counters))
+                    Arc::new(Ssi::new(env, config).with_counters(counters))
                 }
-            })
-        };
-
-        let mut nodes: Vec<Arc<dyn CcMechanism>> = Vec::new();
-        let mut mechanism_of: HashMap<NodeId, Arc<dyn CcMechanism>> = HashMap::new();
-        for inner in &inners {
-            let mech = build_mechanism(
-                inner.node,
-                inner.kind,
-                &inner.subtree_types,
-                &inner.read_only_lanes,
-                inner.is_root,
-                inner.child_count,
-            )?;
-            mechanism_of.insert(inner.node, Arc::clone(&mech));
-            nodes.push(mech);
-        }
-        for leaf in &leaves {
-            let mech = build_mechanism(
-                leaf.node,
-                leaf.kind,
-                &leaf.types,
-                &HashSet::new(),
-                leaf.ancestors.is_empty(),
-                0,
-            )?;
-            mechanism_of.insert(leaf.node, Arc::clone(&mech));
-            nodes.push(mech);
-        }
-
-        // Pass 3: per-group paths and group map.
-        let mut paths: HashMap<GroupId, Vec<PathEntry>> = HashMap::new();
-        let mut by_type: HashMap<TxnTypeId, Vec<GroupId>> = HashMap::new();
-        for leaf in &leaves {
-            let mut path = Vec::new();
-            for (anc, lane) in &leaf.ancestors {
-                path.push(PathEntry {
-                    node: *anc,
-                    mechanism: Arc::clone(&mechanism_of[anc]),
-                    lane: Lane::child(*lane),
-                });
-            }
-            path.push(PathEntry {
-                node: leaf.node,
-                mechanism: Arc::clone(&mechanism_of[&leaf.node]),
-                lane: Lane::leaf(),
             });
-            paths.insert(leaf.group, path);
-            for ty in &leaf.types {
-                by_type.entry(*ty).or_default().push(leaf.group);
+        }
+        let mut paths = Vec::new();
+        let mut groups_of_type: HashMap<TxnTypeId, Vec<GroupId>> = HashMap::new();
+        for (id, leaf) in spec_nodes.iter().enumerate().filter(|(_, n)| n.is_leaf()) {
+            let group = GroupId(paths.len() as u32);
+            let mut path = Vec::new();
+            let mut step = Some((NodeId(id as u32), Lane::Leaf));
+            while let Some((node, lane)) = step {
+                let mechanism = Arc::clone(&nodes[node.0 as usize]);
+                path.push(PathEntry {
+                    node,
+                    mechanism,
+                    lane,
+                });
+                step = topology.parent(node).map(|(p, c)| (p, Lane::Child(c)));
+            }
+            path.reverse();
+            paths.push(path);
+            for ty in &leaf.txn_types {
+                groups_of_type.entry(*ty).or_default().push(group);
             }
         }
-
         Ok(CcTree {
             spec,
             nodes,
             paths,
-            group_map: GroupMap { by_type },
+            groups_of_type,
         })
     }
 
@@ -519,19 +347,21 @@ impl CcTree {
         &self.spec
     }
 
-    /// Group assignment for a transaction instance.
+    /// The leaf group of an instance of `ty` whose partition key hashes to
+    /// `instance_seed` (ignored when the leaf is not split by instance).
     pub fn group_for(&self, ty: TxnTypeId, instance_seed: u64) -> Option<GroupId> {
-        self.group_map.group_for(ty, instance_seed)
+        let groups = self.groups_of_type(ty);
+        (!groups.is_empty()).then(|| groups[(instance_seed as usize) % groups.len()])
     }
 
     /// All groups hosting a type.
     pub fn groups_of_type(&self, ty: TxnTypeId) -> &[GroupId] {
-        self.group_map.groups_of_type(ty)
+        self.groups_of_type.get(&ty).map_or(&[], |v| v.as_slice())
     }
 
     /// The root→leaf path of a group.
     pub fn path(&self, group: GroupId) -> Option<&[PathEntry]> {
-        self.paths.get(&group).map(|p| p.as_slice())
+        self.paths.get(group.0 as usize).map(|p| p.as_slice())
     }
 
     /// Number of nodes.
@@ -657,6 +487,28 @@ mod tests {
         assert!(tso_leaf.validate().is_ok());
     }
 
+    /// The copies of a root leaf split by instance would each be a tree of
+    /// their own: two TSO copies could both install an uncommitted version
+    /// of one key and both commit.
+    #[test]
+    fn spec_validation_rejects_a_root_leaf_split_by_instance() {
+        let types = vec![TxnTypeId(0)];
+        let split = CcTreeSpec::new(CcNodeSpec::leaf_by_instance(CcKind::Tso, "all", types, 2));
+        assert_eq!(
+            split.validate(),
+            Err("root leaf \"all\" must not be split by instance".to_string())
+        );
+        assert!(CcTree::build(split, &procedures(), &services()).is_err());
+        // One copy is the monolithic leaf, and a split leaf below the root
+        // is fine.
+        let one = CcNodeSpec::leaf_by_instance(CcKind::Tso, "all", vec![TxnTypeId(0)], 1);
+        assert!(CcTreeSpec::new(one.clone()).validate().is_ok());
+        let mut below = one;
+        below.instance_partitions = 2;
+        let inner = CcTreeSpec::new(CcNodeSpec::inner(CcKind::TwoPl, "root", vec![below]));
+        assert!(inner.validate().is_ok());
+    }
+
     #[test]
     fn build_three_layer_tree() {
         let tree = CcTree::build(three_layer_spec(), &procedures(), &services()).unwrap();
@@ -670,7 +522,7 @@ mod tests {
         assert_eq!(root.kind, CcKind::Ssi);
         assert_eq!(root.children[1].kind, CcKind::TwoPl);
         assert_eq!(root.children[1].children[0].kind, CcKind::Rp);
-        assert_eq!(path[2].lane, Lane::leaf());
+        assert_eq!(path[2].lane, Lane::Leaf);
         // The readers sit right below the root, in a lane of their own;
         // both update groups share the root's other lane and the 2PL node.
         let readers = tree.path(tree.group_for(TxnTypeId(2), 0).unwrap()).unwrap();

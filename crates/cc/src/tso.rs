@@ -268,10 +268,9 @@ mod tests {
     use super::*;
     use crate::mechanism::read_at;
     use crate::registry::TxnRegistry;
-    use crate::topology::Topology;
     use std::sync::Arc;
     use std::time::Duration;
-    use tebaldi_storage::{GroupId, MvStore, NodeId, TableId, TxnTypeId, Value};
+    use tebaldi_storage::{GroupId, MvStore, TableId, TxnTypeId, Value};
 
     /// The leaf's group: the versions written in it are TSO's to order.
     const IN: GroupId = GroupId(0);
@@ -279,13 +278,11 @@ mod tests {
     /// A TSO leaf owning group [`IN`]; transactions 1..=8 are registered,
     /// so a wait on one parks and wakes as in a real tree.
     fn setup() -> (Tso, Arc<TxnRegistry>) {
-        let mut topology = Topology::new();
-        topology.record_leaf(NodeId(0), IN);
         let registry = Arc::new(TxnRegistry::default());
         for id in 1..=8u64 {
             registry.register(TxnId(id), TxnTypeId(0));
         }
-        let env = NodeEnv::for_test(topology, Arc::clone(&registry), 30);
+        let env = NodeEnv::for_test(0, Arc::clone(&registry), 30);
         (Tso::new(env), registry)
     }
 
@@ -313,14 +310,14 @@ mod tests {
 
     /// A read of `key` by `ctx` at the leaf.
     fn read(tso: &Tso, store: &MvStore, ctx: &mut TxnCtx, key: Key) -> Option<VersionPick> {
-        read_at(tso, store, ctx, Lane::leaf(), key)
+        read_at(tso, store, ctx, Lane::Leaf, key)
     }
 
     /// `validate_write` of `key` by `ctx`, under the key's write latch as the
     /// engine runs it.
     fn validate_write(tso: &Tso, store: &MvStore, ctx: &mut TxnCtx, key: Key) -> CcResult<()> {
         store.with_chain_mut(&key, |chain| {
-            tso.validate_write(ctx, Lane::leaf(), &key, chain)
+            tso.validate_write(ctx, Lane::Leaf, &key, chain)
         })
     }
 
@@ -346,8 +343,8 @@ mod tests {
         let (tso, _registry) = setup();
         let mut early = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut late = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        tso.begin(&mut early, Lane::leaf()).unwrap();
-        tso.begin(&mut late, Lane::leaf()).unwrap();
+        tso.begin(&mut early, Lane::Leaf).unwrap();
+        tso.begin(&mut late, Lane::Leaf).unwrap();
         // The later transaction reads the key first...
         let store = MvStore::new(1);
         let _ = read(&tso, &store, &mut late, k(1));
@@ -363,8 +360,8 @@ mod tests {
         let (tso, _registry) = setup();
         let mut early = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut late = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        tso.begin(&mut early, Lane::leaf()).unwrap();
-        tso.begin(&mut late, Lane::leaf()).unwrap();
+        tso.begin(&mut early, Lane::Leaf).unwrap();
+        tso.begin(&mut late, Lane::Leaf).unwrap();
         let store = MvStore::new(1);
         validate_write(&tso, &store, &mut early, k(2)).unwrap();
         // The later reader records its read after the check, before the
@@ -372,7 +369,7 @@ mod tests {
         assert!(read(&tso, &store, &mut late, k(2)).is_none());
         install(&store, k(2), (1, IN), early.order_ts, None);
         assert_eq!(
-            tso.after_write(&mut early, Lane::leaf(), &k(2)),
+            tso.after_write(&mut early, Lane::Leaf, &k(2)),
             Err(CcError::conflict(Reason::LaterReader))
         );
         assert!(!early.must_abort, "the cause is the error, not a mark");
@@ -383,11 +380,11 @@ mod tests {
         let (tso, _registry) = setup();
         let mut early = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut late = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        tso.begin(&mut early, Lane::leaf()).unwrap();
-        tso.begin(&mut late, Lane::leaf()).unwrap();
-        tso.validate(&mut late, Lane::leaf()).unwrap();
+        tso.begin(&mut early, Lane::Leaf).unwrap();
+        tso.begin(&mut late, Lane::Leaf).unwrap();
+        tso.validate(&mut late, Lane::Leaf).unwrap();
         assert!(late.order_deps.contains(&TxnId(1)));
-        tso.validate(&mut early, Lane::leaf()).unwrap();
+        tso.validate(&mut early, Lane::Leaf).unwrap();
         assert!(!early.order_deps.contains(&TxnId(2)));
     }
 
@@ -396,8 +393,8 @@ mod tests {
         let (tso, _registry) = setup();
         let mut early = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut late = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        tso.begin(&mut early, Lane::leaf()).unwrap();
-        tso.begin(&mut late, Lane::leaf()).unwrap();
+        tso.begin(&mut early, Lane::Leaf).unwrap();
+        tso.begin(&mut late, Lane::Leaf).unwrap();
         // The installed (uncommitted) version carries early's ordering
         // timestamp.
         let store = MvStore::new(1);
@@ -411,9 +408,9 @@ mod tests {
     fn order_ts_is_stamped_on_context() {
         let (tso, _registry) = setup();
         let mut ctx = TxnCtx::new(TxnId(7), TxnTypeId(0), GroupId(0));
-        tso.begin(&mut ctx, Lane::leaf()).unwrap();
+        tso.begin(&mut ctx, Lane::Leaf).unwrap();
         assert!(ctx.order_ts.is_some());
-        tso.finish(&mut ctx, Lane::leaf(), Some(Timestamp(9)));
+        tso.finish(&mut ctx, Lane::Leaf, Some(Timestamp(9)));
         assert_eq!(tso.active_count(), 0);
     }
 
@@ -424,20 +421,20 @@ mod tests {
         let tso = StdArc::new(tso);
         let mut writer = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         writer.promised_keys = vec![k(5)];
-        tso.begin(&mut writer, Lane::leaf()).unwrap();
+        tso.begin(&mut writer, Lane::Leaf).unwrap();
 
         let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        tso.begin(&mut reader, Lane::leaf()).unwrap();
+        tso.begin(&mut reader, Lane::Leaf).unwrap();
 
         let tso2 = StdArc::clone(&tso);
         let handle = std::thread::spawn(move || {
             let mut reader = reader;
-            tso2.before_access(&mut reader, Lane::leaf(), &k(5), Access::Read)
+            tso2.before_access(&mut reader, Lane::Leaf, &k(5), Access::Read)
         });
         std::thread::sleep(Duration::from_millis(5));
         // Fulfil the promise (post-install hook); the reader wakes up and
         // proceeds.
-        tso.after_write(&mut writer, Lane::leaf(), &k(5)).unwrap();
+        tso.after_write(&mut writer, Lane::Leaf, &k(5)).unwrap();
         assert!(handle.join().unwrap().is_ok());
     }
 
@@ -448,7 +445,7 @@ mod tests {
         // parent ordered that writer first.
         let (tso, _registry) = setup();
         let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        tso.begin(&mut reader, Lane::leaf()).unwrap();
+        tso.begin(&mut reader, Lane::Leaf).unwrap();
         let store = MvStore::new(1);
         install(&store, k(9), (900, GroupId::NONE), None, Some(1_000_000));
         let pick = read(&tso, &store, &mut reader, k(9)).unwrap();
@@ -460,7 +457,7 @@ mod tests {
     fn writes_cannot_be_installed_before_a_later_cross_group_version() {
         let (tso, _registry) = setup();
         let mut writer = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
-        tso.begin(&mut writer, Lane::leaf()).unwrap();
+        tso.begin(&mut writer, Lane::Leaf).unwrap();
         let store = MvStore::new(1);
         install(&store, k(3), (901, GroupId::NONE), None, Some(1_000_000));
         let err = validate_write(&tso, &store, &mut writer, k(3)).unwrap_err();
@@ -472,17 +469,17 @@ mod tests {
         let (tso, _registry) = setup();
         let mut writer = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         writer.promised_keys = vec![k(6)];
-        tso.begin(&mut writer, Lane::leaf()).unwrap();
+        tso.begin(&mut writer, Lane::Leaf).unwrap();
         let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        tso.begin(&mut reader, Lane::leaf()).unwrap();
+        tso.begin(&mut reader, Lane::Leaf).unwrap();
         let err = tso
-            .before_access(&mut reader, Lane::leaf(), &k(6), Access::Read)
+            .before_access(&mut reader, Lane::Leaf, &k(6), Access::Read)
             .unwrap_err();
         assert_eq!(err, CcError::Timeout(WaitLabel::PromisedWrite));
         // Aborting the promiser releases the promise.
-        tso.finish(&mut writer, Lane::leaf(), None);
+        tso.finish(&mut writer, Lane::Leaf, None);
         assert!(tso
-            .before_access(&mut reader, Lane::leaf(), &k(6), Access::Read)
+            .before_access(&mut reader, Lane::Leaf, &k(6), Access::Read)
             .is_ok());
     }
 
@@ -491,21 +488,21 @@ mod tests {
         let (tso, _registry) = setup();
         let mut first = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         first.promised_keys = vec![k(10)];
-        tso.begin(&mut first, Lane::leaf()).unwrap();
+        tso.begin(&mut first, Lane::Leaf).unwrap();
         let mut second = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
         second.promised_keys = vec![k(11)];
-        tso.begin(&mut second, Lane::leaf()).unwrap();
+        tso.begin(&mut second, Lane::Leaf).unwrap();
         let mut reader = TxnCtx::new(TxnId(3), TxnTypeId(0), GroupId(0));
-        tso.begin(&mut reader, Lane::leaf()).unwrap();
+        tso.begin(&mut reader, Lane::Leaf).unwrap();
 
-        tso.finish(&mut first, Lane::leaf(), None);
+        tso.finish(&mut first, Lane::Leaf, None);
         assert_eq!(tso.key_entries(), (2, 1), "k(10)'s entry holds no promise");
         assert!(tso
-            .before_access(&mut reader, Lane::leaf(), &k(10), Access::Read)
+            .before_access(&mut reader, Lane::Leaf, &k(10), Access::Read)
             .is_ok());
         // The survivor's promise still holds the later reader.
         assert_eq!(
-            tso.before_access(&mut reader, Lane::leaf(), &k(11), Access::Read),
+            tso.before_access(&mut reader, Lane::Leaf, &k(11), Access::Read),
             Err(CcError::Timeout(WaitLabel::PromisedWrite))
         );
     }
@@ -516,16 +513,15 @@ mod tests {
         let store = MvStore::new(1);
         let mut old = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         old.promised_keys = vec![k(5)];
-        tso.begin(&mut old, Lane::leaf()).unwrap();
+        tso.begin(&mut old, Lane::Leaf).unwrap();
         // Later transactions read, write and finish while `old` is active.
         for id in 2..=4 {
             let mut ctx = TxnCtx::new(TxnId(id), TxnTypeId(0), GroupId(0));
-            tso.begin(&mut ctx, Lane::leaf()).unwrap();
+            tso.begin(&mut ctx, Lane::Leaf).unwrap();
             let _ = read(&tso, &store, &mut ctx, k(id));
             validate_write(&tso, &store, &mut ctx, k(10 + id)).unwrap();
-            tso.after_write(&mut ctx, Lane::leaf(), &k(10 + id))
-                .unwrap();
-            tso.finish(&mut ctx, Lane::leaf(), Some(Timestamp(100 + id)));
+            tso.after_write(&mut ctx, Lane::Leaf, &k(10 + id)).unwrap();
+            tso.finish(&mut ctx, Lane::Leaf, Some(Timestamp(100 + id)));
         }
         // The GC call keeps every read above the oldest active timestamp:
         // each can still abort `old`'s write.
@@ -535,7 +531,7 @@ mod tests {
             validate_write(&tso, &store, &mut old, k(3)),
             Err(CcError::conflict(Reason::LaterReader))
         );
-        tso.finish(&mut old, Lane::leaf(), None);
+        tso.finish(&mut old, Lane::Leaf, None);
         assert_eq!(tso.low_watermark(), Timestamp::MAX);
         assert_eq!(tso.key_entries(), (0, 0));
     }
@@ -558,12 +554,12 @@ mod tests {
             for round in 0..20_000 {
                 let mut early = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
                 let mut late = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-                tso.begin(&mut early, Lane::leaf()).unwrap();
-                tso.begin(&mut late, Lane::leaf()).unwrap();
+                tso.begin(&mut early, Lane::Leaf).unwrap();
+                tso.begin(&mut late, Lane::Leaf).unwrap();
                 let _ = read(&tso, &store, &mut late, k(round));
                 let write = validate_write(&tso, &store, &mut early, k(round));
-                tso.finish(&mut late, Lane::leaf(), None);
-                tso.finish(&mut early, Lane::leaf(), None);
+                tso.finish(&mut late, Lane::Leaf, None);
+                tso.finish(&mut early, Lane::Leaf, None);
                 if write != Err(CcError::conflict(Reason::LaterReader)) {
                     done.store(true, std::sync::atomic::Ordering::Relaxed);
                     panic!("round {round}: the later read was pruned: {write:?}");
@@ -578,8 +574,8 @@ mod tests {
         let (tso, _registry) = setup();
         let mut writer = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut reader = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        tso.begin(&mut writer, Lane::leaf()).unwrap();
-        tso.begin(&mut reader, Lane::leaf()).unwrap();
+        tso.begin(&mut writer, Lane::Leaf).unwrap();
+        tso.begin(&mut reader, Lane::Leaf).unwrap();
         let store = MvStore::new(1);
         for (id, group, order_ts) in [(1, IN, writer.order_ts), (900, GroupId::NONE, None)] {
             install(&store, k(4), (id, group), order_ts, Some(1_000_000 + id));
@@ -593,8 +589,8 @@ mod tests {
         let (tso, _registry) = setup();
         let mut reader = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut later = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        tso.begin(&mut reader, Lane::leaf()).unwrap();
-        tso.begin(&mut later, Lane::leaf()).unwrap();
+        tso.begin(&mut reader, Lane::Leaf).unwrap();
+        tso.begin(&mut later, Lane::Leaf).unwrap();
         let store = MvStore::new(1);
         install(&store, k(7), (2, IN), later.order_ts, None);
         // Hidden while uncommitted and still hidden once committed: the

@@ -79,12 +79,11 @@ impl CcMechanism for TwoPl {
 mod tests {
     use super::*;
     use crate::registry::TxnRegistry;
-    use crate::topology::Topology;
     use std::sync::Arc;
-    use tebaldi_storage::{GroupId, MvStore, NodeId, TableId, TxnId, TxnTypeId, Value, Version};
+    use tebaldi_storage::{GroupId, MvStore, TableId, TxnId, TxnTypeId, Value, Version};
 
-    fn make_env(topology: Topology, registry: Arc<TxnRegistry>) -> NodeEnv {
-        NodeEnv::for_test(topology, registry, 25)
+    fn make_env(lanes: u32, registry: Arc<TxnRegistry>) -> NodeEnv {
+        NodeEnv::for_test(lanes, registry, 25)
     }
 
     fn key(id: u64) -> Key {
@@ -94,50 +93,47 @@ mod tests {
     #[test]
     fn same_lane_writes_do_not_conflict() {
         let registry = Arc::new(TxnRegistry::default());
-        let cc = TwoPl::new(make_env(Topology::new(), registry));
+        let cc = TwoPl::new(make_env(2, registry));
         let mut a = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut b = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        cc.before_access(&mut a, Lane::child(0), &key(1), Access::Write)
+        cc.before_access(&mut a, Lane::Child(0), &key(1), Access::Write)
             .unwrap();
-        cc.before_access(&mut b, Lane::child(0), &key(1), Access::Write)
+        cc.before_access(&mut b, Lane::Child(0), &key(1), Access::Write)
             .unwrap();
         // A third transaction from another child blocks and times out.
         let mut c = TxnCtx::new(TxnId(3), TxnTypeId(1), GroupId(1));
         assert!(cc
-            .before_access(&mut c, Lane::child(1), &key(1), Access::Write)
+            .before_access(&mut c, Lane::Child(1), &key(1), Access::Write)
             .is_err());
-        cc.finish(&mut a, Lane::child(0), Some(Timestamp(1)));
-        cc.finish(&mut b, Lane::child(0), Some(Timestamp(2)));
+        cc.finish(&mut a, Lane::Child(0), Some(Timestamp(1)));
+        cc.finish(&mut b, Lane::Child(0), Some(Timestamp(2)));
         // Now the other child can acquire it.
-        cc.before_access(&mut c, Lane::child(1), &key(1), Access::Write)
+        cc.before_access(&mut c, Lane::Child(1), &key(1), Access::Write)
             .unwrap();
-        cc.finish(&mut c, Lane::child(1), None);
+        cc.finish(&mut c, Lane::Child(1), None);
         assert_eq!(cc.locks.locked_key_count(), 0);
     }
 
     #[test]
     fn leaf_mode_conflicts_per_transaction() {
         let registry = Arc::new(TxnRegistry::default());
-        let cc = TwoPl::new(make_env(Topology::new(), registry));
+        let cc = TwoPl::new(make_env(0, registry));
         let mut a = TxnCtx::new(TxnId(1), TxnTypeId(0), GroupId(0));
         let mut b = TxnCtx::new(TxnId(2), TxnTypeId(0), GroupId(0));
-        cc.before_access(&mut a, Lane::leaf(), &key(2), Access::Write)
+        cc.before_access(&mut a, Lane::Leaf, &key(2), Access::Write)
             .unwrap();
         assert!(cc
-            .before_access(&mut b, Lane::leaf(), &key(2), Access::Write)
+            .before_access(&mut b, Lane::Leaf, &key(2), Access::Write)
             .is_err());
-        cc.finish(&mut a, Lane::leaf(), None);
-        cc.before_access(&mut b, Lane::leaf(), &key(2), Access::Write)
+        cc.finish(&mut a, Lane::Leaf, None);
+        cc.before_access(&mut b, Lane::Leaf, &key(2), Access::Write)
             .unwrap();
     }
 
     #[test]
     fn choose_version_rejects_foreign_uncommitted() {
         // Group 0 under child 0, group 1 under child 1.
-        let mut topo = Topology::new();
-        topo.record_child(NodeId(0), GroupId(0), 0);
-        topo.record_child(NodeId(0), GroupId(1), 1);
-        let cc = TwoPl::new(make_env(topo, Arc::new(TxnRegistry::default())));
+        let cc = TwoPl::new(make_env(2, Arc::new(TxnRegistry::default())));
 
         let store = MvStore::new(1);
         let write = |k: Key, writer: u64, group: u32| {
@@ -157,7 +153,7 @@ mod tests {
             store.with_chain(&key, |chain| {
                 let proposal = chain.uncommitted_by(TxnId(writer)).unwrap();
                 let candidate = Some(VersionPick::from_version(proposal));
-                cc.choose_version(&mut reader, Lane::child(0), &key, candidate, chain)
+                cc.choose_version(&mut reader, Lane::Child(0), &key, candidate, chain)
                     .unwrap()
             })
         };

@@ -141,7 +141,6 @@ mod tests {
     use crate::procinfo::{AccessMode, ProcedureInfo};
     use crate::rp::Rp;
     use crate::rp_analysis::analyze;
-    use crate::topology::Topology;
     use crate::tso::Tso;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -168,7 +167,7 @@ mod tests {
         let env = NodeEnv {
             node: NODE,
             events: sink.clone(),
-            ..NodeEnv::for_test(Topology::new(), registry, timeout_ms)
+            ..NodeEnv::for_test(0, registry, timeout_ms)
         };
         (env, sink)
     }
@@ -233,17 +232,17 @@ mod tests {
             label: WaitLabel::PipelineStep,
             block: Box::new(move || {
                 let mut t2 = trailer.clone();
-                rp1.before_access(&mut t2, Lane::leaf(), &k(1, 2), Access::Write)
+                rp1.before_access(&mut t2, Lane::Leaf, &k(1, 2), Access::Write)
             }),
             // T3 step-commits: a move of T3, not of T1.
             nudge: Box::new(move || {
                 let mut t3 = ctx(T3);
-                rp2.before_access(&mut t3, Lane::leaf(), &k(1, 3), Access::Write)
+                rp2.before_access(&mut t3, Lane::Leaf, &k(1, 3), Access::Write)
                     .unwrap();
-                rp2.finish(&mut t3, Lane::leaf(), None);
+                rp2.finish(&mut t3, Lane::Leaf, None);
             }),
             release: Box::new(move || {
-                rp.before_access(&mut ctx(T1), Lane::leaf(), &k(1, 1), Access::Write)
+                rp.before_access(&mut ctx(T1), Lane::Leaf, &k(1, 1), Access::Write)
                     .unwrap()
             }),
             sink,
@@ -256,22 +255,22 @@ mod tests {
         // T1 (the smaller timestamp) promised the key T2 wants to read.
         let mut promiser = ctx(T1);
         promiser.promised_keys = vec![k(0, 1)];
-        tso.begin(&mut promiser, Lane::leaf()).unwrap();
+        tso.begin(&mut promiser, Lane::Leaf).unwrap();
         let mut reader = ctx(T2);
-        tso.begin(&mut reader, Lane::leaf()).unwrap();
+        tso.begin(&mut reader, Lane::Leaf).unwrap();
         let (tso1, tso2) = (tso.clone(), tso.clone());
         Case {
             label: WaitLabel::PromisedWrite,
             block: Box::new(move || {
                 let mut t2 = reader.clone();
-                tso1.before_access(&mut t2, Lane::leaf(), &k(0, 1), Access::Read)
+                tso1.before_access(&mut t2, Lane::Leaf, &k(0, 1), Access::Read)
             }),
             nudge: Box::new(move || {
-                tso2.begin(&mut ctx(T3), Lane::leaf()).unwrap();
-                tso2.finish(&mut ctx(T3), Lane::leaf(), None);
+                tso2.begin(&mut ctx(T3), Lane::Leaf).unwrap();
+                tso2.finish(&mut ctx(T3), Lane::Leaf, None);
             }),
             release: Box::new(move || {
-                tso.after_write(&mut promiser.clone(), Lane::leaf(), &k(0, 1))
+                tso.after_write(&mut promiser.clone(), Lane::Leaf, &k(0, 1))
                     .unwrap()
             }),
             sink,

@@ -34,10 +34,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 use tebaldi_cc::ssi::{Ssi, SsiConfig, SAFE_CHECK_EVERY};
-use tebaldi_cc::topology::LaneSel;
 use tebaldi_cc::{
-    CcError, CcMechanism, CcResult, Lane, NodeEnv, NullSink, Reason, Topology, TsOracle, TxnCtx,
-    TxnRegistry, VersionPick,
+    CcError, CcKind, CcMechanism, CcNodeSpec, CcResult, CcTreeSpec, Lane, NodeEnv, NullSink,
+    Reason, Topology, TsOracle, TxnCtx, TxnRegistry, VersionPick,
 };
 use tebaldi_storage::{
     Chain, GroupId, Key, MvStore, NodeId, TableId, Timestamp, TxnId, TxnTypeId, Value, Version,
@@ -136,9 +135,9 @@ impl ReferenceSsi {
     }
 
     fn lane_index(lane: Lane) -> Option<u32> {
-        match lane.sel {
-            LaneSel::Child(c) => Some(c),
-            LaneSel::Leaf => None,
+        match lane {
+            Lane::Child(c) => Some(c),
+            Lane::Leaf => None,
         }
     }
 
@@ -153,9 +152,9 @@ impl ReferenceSsi {
     /// nothing: every transaction is its own group, so only the
     /// transaction's own writes qualify (handled by the caller).
     fn delegated_same_group(&self, lane: Lane, group: GroupId) -> bool {
-        match lane.sel {
-            LaneSel::Child(_) => self.env.same_group(lane, group),
-            LaneSel::Leaf => false,
+        match lane {
+            Lane::Child(_) => self.env.same_group(lane, group),
+            Lane::Leaf => false,
         }
     }
 
@@ -320,7 +319,7 @@ impl CcMechanism for ReferenceSsi {
         }
         // Register the read so later writers can mark the anti-dependency
         // — unless it is an update's at a leaf, whose install follows.
-        if !(ctx.update_read && lane.sel == LaneSel::Leaf) {
+        if !(ctx.update_read && lane == Lane::Leaf) {
             shared
                 .readers
                 .entry(*key)
@@ -350,8 +349,7 @@ impl CcMechanism for ReferenceSsi {
             // committed tails between GC cycles.
             if let Some(other) = chain.iter().find(|v| {
                 !v.is_committed() && v.writer != ctx.txn && {
-                    let writer_lane = self.env.topology.child_lane(self.env.node, v.group);
-                    writer_lane.is_none() || writer_lane != my_lane
+                    !my_lane.is_some_and(|c| self.env.same_group(Lane::Child(c), v.group))
                 }
             }) {
                 missed_writer = Some(other.writer);
@@ -469,8 +467,7 @@ impl ReferenceSsi {
         let foreign_uncommitted = chain.has_other_uncommitted(ctx.txn).then(|| {
             chain.iter().find(|v| {
                 !v.is_committed() && v.writer != ctx.txn && {
-                    let writer_lane = self.env.topology.child_lane(self.env.node, v.group);
-                    writer_lane.is_none() || writer_lane != my_lane
+                    !my_lane.is_some_and(|c| self.env.same_group(Lane::Child(c), v.group))
                 }
             })
         });
@@ -586,11 +583,10 @@ struct Outcome {
 
 fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize) -> Outcome {
     let registry = Arc::new(TxnRegistry::default());
-    let mut topo = Topology::new();
-    for g in 0..3 {
-        topo.record_child(NodeId(0), GroupId(g), g);
-    }
-    let topo = Arc::new(topo);
+    // Node 0 over three leaves, lane `g` holding group `g`.
+    let leaves = (0..3).map(|g| CcNodeSpec::leaf(CcKind::NoCc, "", vec![TxnTypeId(g)]));
+    let spec = CcTreeSpec::new(CcNodeSpec::inner(CcKind::Ssi, "", leaves.collect()));
+    let topo = Arc::new(Topology::of(&spec).0);
     let (ea, eb) = (env(&registry, &topo), env(&registry, &topo));
     let (oa, ob) = (Arc::clone(&ea.oracle), Arc::clone(&eb.oracle));
     let ro: std::collections::HashSet<u32> = if read_only_lane {
@@ -630,7 +626,7 @@ fn run(seed: u64, leaf: bool, batching: bool, read_only_lane: bool, steps: usize
             next_id += 1;
             let g = rng.below(3) as u32;
             registry.register(id, TxnTypeId(g));
-            let lane = if leaf { Lane::leaf() } else { Lane::child(g) };
+            let lane = if leaf { Lane::Leaf } else { Lane::Child(g) };
             let mut a = TxnCtx::new(id, TxnTypeId(g), GroupId(g));
             // One in four is declared read-only, as the engine declares a
             // whole transaction of a read-only procedure.

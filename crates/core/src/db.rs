@@ -36,10 +36,10 @@ use tebaldi_storage::{MvStore, TxnId, TxnTypeId};
 pub struct Database {
     pub(crate) config: DbConfig,
     pub(crate) store: Arc<MvStore>,
-    pub(crate) registry: Arc<TxnRegistry>,
-    pub(crate) oracle: Arc<TsOracle>,
+    /// The transaction directory, the oracle, the profiler sink and the
+    /// metrics registry: what every tree the database builds shares.
+    pub(crate) services: TreeServices,
     pub(crate) hlc: Arc<Hlc>,
-    pub(crate) events: Arc<dyn EventSink>,
     pub(crate) procedures: ProcedureSet,
     pub(crate) tree: RwLock<Arc<CcTree>>,
     pub(crate) durability: Arc<DurabilityManager>,
@@ -50,7 +50,6 @@ pub struct Database {
     pub(crate) gate: ReconfigGate,
     pub(crate) txn_ids: AtomicU64,
     pub(crate) reconfigurations: AtomicU64,
-    pub(crate) metrics: Arc<MetricsRegistry>,
     /// Per-procedure commit-latency histograms, cached by type id so the
     /// hot path never formats a metric name.
     proc_latency: RwLock<HashMap<TxnTypeId, Arc<Histogram>>>,
@@ -135,15 +134,13 @@ impl DatabaseBuilder {
         let mut store = self
             .store
             .unwrap_or_else(|| MvStore::new(self.config.shards));
-        let registry = Arc::new(TxnRegistry::default());
-        let oracle = Arc::new(TsOracle::new());
         let metrics = self
             .metrics
             .unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
         let services = TreeServices {
-            registry: Arc::clone(&registry),
-            oracle: Arc::clone(&oracle),
-            events: Arc::clone(&self.events),
+            registry: Arc::new(TxnRegistry::default()),
+            oracle: Arc::new(TsOracle::new()),
+            events: self.events,
             wait_timeout: self.config.wait_timeout(),
             metrics: Arc::clone(&metrics),
         };
@@ -168,10 +165,8 @@ impl DatabaseBuilder {
         Ok(Database {
             config: self.config,
             store: Arc::new(store),
-            registry,
-            oracle,
+            services,
             hlc: Arc::new(Hlc::new()),
-            events: self.events,
             procedures: self.procedures,
             tree: RwLock::new(Arc::new(tree)),
             durability,
@@ -181,7 +176,6 @@ impl DatabaseBuilder {
             gate: ReconfigGate::new(),
             txn_ids: AtomicU64::new(1),
             reconfigurations: AtomicU64::new(0),
-            metrics,
             proc_latency: RwLock::new(HashMap::new()),
         })
     }
@@ -220,12 +214,12 @@ impl Database {
 
     /// The transaction directory (exposed for the profiler and tests).
     pub fn registry(&self) -> &Arc<TxnRegistry> {
-        &self.registry
+        &self.services.registry
     }
 
     /// The timestamp oracle.
     pub fn oracle(&self) -> &Arc<TsOracle> {
-        &self.oracle
+        &self.services.oracle
     }
 
     /// The shard's hybrid logical clock (see [`crate::hlc`]). Commits are
@@ -264,7 +258,7 @@ impl Database {
     /// counters, shard-pipeline instruments and per-procedure latency
     /// histograms all live here.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
+        &self.services.metrics
     }
 
     /// The commit-latency histogram of procedure type `ty`
@@ -275,7 +269,8 @@ impl Database {
         }
         let mut map = self.proc_latency.write();
         Arc::clone(map.entry(ty).or_insert_with(|| {
-            self.metrics
+            self.services
+                .metrics
                 .histogram(&format!("proc.{}.latency_ns", self.procedures.name(ty)))
         }))
     }
@@ -344,7 +339,7 @@ impl Database {
         defer_harden: bool,
         body: impl FnOnce(&mut Txn<'_>) -> CcResult<R>,
     ) -> CcResult<(R, Option<u64>)> {
-        let timer = self.metrics.is_enabled().then(Instant::now);
+        let timer = self.services.metrics.is_enabled().then(Instant::now);
         // Declared read-only only when it runs whole here: a 2PC part
         // (`prepare`) may be the read-only half of a writing transaction.
         let read_only = self.procedures.get(call.ty).is_some_and(|p| p.read_only);
@@ -394,7 +389,7 @@ impl Database {
         // stable for the whole execution.
         let tree = self.current_tree();
         let Some(group) = tree.group_for(call.ty, call.instance_seed) else {
-            self.registry.mark_aborted(txn_id);
+            self.services.registry.mark_aborted(txn_id);
             return Err(CcError::Internal(format!("no group for {:?}", call.ty)));
         };
         // Pin the reclamation epoch once for the whole attempt: every
@@ -426,11 +421,11 @@ impl Database {
         let mut deadline = None;
         loop {
             let txn_id = TxnId(self.txn_ids.fetch_add(1, Ordering::Relaxed));
-            self.registry.register(txn_id, ty);
+            self.services.registry.register(txn_id, ty);
             if self.gate.admits(ty) {
                 return Ok(txn_id);
             }
-            self.registry.mark_aborted(txn_id);
+            self.services.registry.mark_aborted(txn_id);
             let timeout = self.config.wait_timeout().max(Duration::from_millis(500));
             let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
             if !self.gate.await_admission(ty, deadline) {
@@ -621,8 +616,12 @@ impl Database {
                 let Some(winner) = err.winner() else {
                     return false;
                 };
-                let visible = match self.registry.await_end(loser.get(), winner, deadline) {
-                    TxnStatus::Committed(ts) => self.oracle.snapshot_ts() >= ts,
+                let visible = match self
+                    .services
+                    .registry
+                    .await_end(loser.get(), winner, deadline)
+                {
+                    TxnStatus::Committed(ts) => self.services.oracle.snapshot_ts() >= ts,
                     TxnStatus::Aborted => true,
                     TxnStatus::Active => false,
                 };
@@ -637,10 +636,10 @@ impl Database {
     pub fn run_gc_cycle(&self) -> GcReport {
         // The snapshot timestamp first: a snapshot no watermark shows yet
         // is taken after this read, so at or above it.
-        let snapshot = self.oracle.snapshot_ts();
+        let snapshot = self.services.oracle.snapshot_ts();
         let horizon = snapshot.min(self.current_tree().low_watermark());
         let report = gc::collect(&self.store, horizon);
-        self.registry.compact();
+        self.services.registry.compact();
         report
     }
 

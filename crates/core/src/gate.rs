@@ -223,8 +223,11 @@ mod tests {
             .unwrap();
         let prepared = vote.expect_prepared();
         std::thread::scope(|scope| {
-            let drain = scope.spawn(|| db.gate.drain_all(&db.registry, Duration::from_secs(10)));
-            await_drain_on(&db.registry, prepared.txn_id());
+            let drain = scope.spawn(|| {
+                db.gate
+                    .drain_all(&db.services.registry, Duration::from_secs(10))
+            });
+            await_drain_on(&db.services.registry, prepared.txn_id());
             assert!(!drain.is_finished(), "a prepared transaction is in flight");
             prepared.commit();
             assert!(drain.join().unwrap());

@@ -26,7 +26,7 @@ use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tebaldi_cc::{CcNodeSpec, CcTree, CcTreeSpec, TreeServices};
+use tebaldi_cc::{CcNodeSpec, CcTree, CcTreeSpec};
 use tebaldi_storage::{GroupId, TxnTypeId};
 
 /// Which reconfiguration protocol to use.
@@ -150,7 +150,7 @@ impl Database {
         match protocol {
             ReconfigProtocol::PartialRestart => {
                 let drain_started = Instant::now();
-                self.gate.drain_all(&self.registry, drain_timeout);
+                self.gate.drain_all(&self.services.registry, drain_timeout);
                 let scanned = self.rebuild_cc_module(&new_spec)?;
                 let drained_groups = self.current_tree().group_count();
                 self.gate.resume();
@@ -185,9 +185,10 @@ impl Database {
                     .collect();
                 let drain_started = Instant::now();
                 let types = diff.affected_types.iter().copied();
-                self.gate.drain_types(&self.registry, types, drain_timeout);
+                self.gate
+                    .drain_types(&self.services.registry, types, drain_timeout);
                 // Brief global barrier for the swap itself.
-                self.gate.drain_all(&self.registry, drain_timeout);
+                self.gate.drain_all(&self.services.registry, drain_timeout);
                 *self.tree.write() = Arc::new(new_tree);
                 self.reconfigurations.fetch_add(1, Ordering::Relaxed);
                 self.gate.resume();
@@ -204,14 +205,7 @@ impl Database {
     }
 
     fn build_tree(&self, spec: &CcTreeSpec) -> Result<CcTree, String> {
-        let services = TreeServices {
-            registry: Arc::clone(&self.registry),
-            oracle: Arc::clone(&self.oracle),
-            events: Arc::clone(&self.events),
-            wait_timeout: self.config.wait_timeout(),
-            metrics: Arc::clone(&self.metrics),
-        };
-        CcTree::build(spec.clone(), &self.procedures, &services)
+        CcTree::build(spec.clone(), &self.procedures, &self.services)
     }
 
     /// Rebuilds the whole concurrency-control module: new mechanism
@@ -229,7 +223,7 @@ impl Database {
                 scanned += 1;
             }
         });
-        self.registry.compact();
+        self.services.registry.compact();
         *self.tree.write() = Arc::new(tree);
         self.reconfigurations.fetch_add(1, Ordering::Relaxed);
         Ok(scanned)

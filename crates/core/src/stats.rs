@@ -80,7 +80,7 @@ impl Database {
 
     fn count_abort(&self, slot: usize, mechanism: &'static str, name: impl FnOnce() -> String) {
         let (_, counter) =
-            self.aborts[slot].get_or_init(|| (mechanism, self.metrics.counter(&name())));
+            self.aborts[slot].get_or_init(|| (mechanism, self.services.metrics.counter(&name())));
         counter.inc();
     }
 

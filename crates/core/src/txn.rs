@@ -404,11 +404,11 @@ impl<'a> Txn<'a> {
         // Dependency wait, at the transaction's leaf and under one deadline
         // for the whole set: every transaction we read from (or trail in a
         // pipeline) must commit first; if any aborted, we must abort too.
-        let registry = &self.db.registry;
+        let registry = &self.db.services.registry;
         let leaf = self.path.last().expect("begin rejects an empty path");
         let mut wait = Wait::new(
             registry,
-            &*self.db.events,
+            &*self.db.services.events,
             leaf.node,
             self.db.config.wait_timeout(),
             &self.ctx,
@@ -510,7 +510,7 @@ fn apply_commit_inner(
     // Register the commit as in flight so snapshot readers (SSI) do not
     // take a start timestamp above it until every key is marked
     // committed; deregistered below once the commit is fully applied.
-    let commit_ts = db.oracle.begin_commit();
+    let commit_ts = db.services.oracle.begin_commit();
 
     // The cluster-wide HLC stamp of this commit. A 2PC participant is
     // handed the coordinator's decision stamp (drawn after observing every
@@ -573,14 +573,14 @@ fn apply_commit_inner(
     // after the locks are gone.
     db.store
         .commit_writes_stamped(ctx.txn, &ctx.write_keys, commit_ts, hlc);
-    db.oracle.end_commit(commit_ts);
+    db.services.oracle.end_commit(commit_ts);
     if let Some(history) = &db.history {
         history.commit(ctx.txn, commit_ts);
     }
     for entry in path.iter().rev() {
         entry.mechanism.finish(ctx, entry.lane, Some(commit_ts));
     }
-    db.registry.mark_committed(ctx.txn, commit_ts);
+    db.services.registry.mark_committed(ctx.txn, commit_ts);
     (commit_ts, harden)
 }
 
@@ -594,7 +594,7 @@ pub(crate) fn apply_abort(db: &Database, path: &[PathEntry], ctx: &mut TxnCtx) {
     for entry in path.iter().rev() {
         entry.mechanism.finish(ctx, entry.lane, None);
     }
-    db.registry.mark_aborted(ctx.txn);
+    db.services.registry.mark_aborted(ctx.txn);
 }
 
 /// The transaction's writes with the values they will commit, each key

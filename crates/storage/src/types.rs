@@ -6,7 +6,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A globally unique transaction identifier.
 ///
@@ -126,56 +125,6 @@ macro_rules! impl_json_key_newtype {
 }
 impl_json_key_newtype!(TxnId, TxnTypeId, GroupId, NodeId, Timestamp);
 
-/// A simple monotone id/timestamp generator backed by an atomic counter.
-///
-/// Used for transaction ids, commit timestamps and GC epochs. The paper uses
-/// a dedicated timestamp-server machine; inside a single process an atomic
-/// counter provides the same total order.
-#[derive(Debug)]
-pub struct Sequence {
-    next: AtomicU64,
-}
-
-impl Sequence {
-    /// Creates a sequence whose first issued value is `start`.
-    pub fn starting_at(start: u64) -> Self {
-        Sequence {
-            next: AtomicU64::new(start),
-        }
-    }
-
-    /// Issues the next value.
-    pub fn issue(&self) -> u64 {
-        self.next.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Returns the value that would be issued next, without consuming it.
-    pub fn peek(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
-    }
-
-    /// Advances the sequence so that the next issued value is at least
-    /// `floor`. Used by recovery to avoid reusing ids found in the log.
-    pub fn advance_to(&self, floor: u64) {
-        let mut cur = self.next.load(Ordering::Relaxed);
-        while cur < floor {
-            match self
-                .next
-                .compare_exchange(cur, floor, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-}
-
-impl Default for Sequence {
-    fn default() -> Self {
-        Sequence::starting_at(1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,38 +142,5 @@ mod tests {
         assert_eq!(Timestamp(3).next(), Timestamp(4));
         assert_eq!(Timestamp::MAX.next(), Timestamp::MAX);
         assert!(Timestamp::ZERO < Timestamp::MAX);
-    }
-
-    #[test]
-    fn sequence_is_monotone() {
-        let s = Sequence::default();
-        let a = s.issue();
-        let b = s.issue();
-        assert!(b > a);
-        s.advance_to(100);
-        assert!(s.issue() >= 100);
-        // advance_to never goes backwards
-        s.advance_to(5);
-        assert!(s.issue() >= 101);
-    }
-
-    #[test]
-    fn sequence_concurrent_unique() {
-        use std::sync::Arc;
-        let s = Arc::new(Sequence::default());
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let s = Arc::clone(&s);
-            handles.push(std::thread::spawn(move || {
-                (0..1000).map(|_| s.issue()).collect::<Vec<_>>()
-            }));
-        }
-        let mut all: Vec<u64> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 4000, "issued ids must be unique");
     }
 }

@@ -778,3 +778,200 @@ proptest! {
         store_hammer::run(n_keys, writer_threads, rounds);
     }
 }
+
+mod tree_shape {
+    use std::collections::HashMap;
+    use std::sync::Arc;
+    use std::time::Duration;
+    use tebaldi_suite::cc::{
+        CcKind, CcNodeSpec, CcTree, CcTreeSpec, Lane, NodeEnv, NullSink, ProcedureSet, Topology,
+        TreeServices, TsOracle, TxnRegistry,
+    };
+    use tebaldi_suite::obs::MetricsRegistry;
+    use tebaldi_suite::storage::{GroupId, NodeId, TxnTypeId};
+
+    /// The map-filling walk the tree builder numbered a tree with before a
+    /// subtree became a range of group ids, kept as the reference
+    /// [`Topology::of`] and [`CcTree::build`] answer as: node ids in
+    /// pre-order, a leaf split by instance expanded one copy at a time, and
+    /// every group recorded at its leaf and at each ancestor with its lane
+    /// there.
+    #[derive(Default)]
+    struct MapWalk {
+        /// `(node, group)` → the lane of `node` whose subtree holds `group`.
+        child_of: HashMap<(NodeId, GroupId), u32>,
+        /// Leaf node → the group it hosts.
+        leaf_group: HashMap<NodeId, GroupId>,
+        /// The label of each node's spec, by node id.
+        labels: Vec<String>,
+        /// Each group's root→leaf path, by group id.
+        paths: Vec<Vec<(NodeId, Lane)>>,
+        groups_of_type: HashMap<TxnTypeId, Vec<GroupId>>,
+    }
+
+    impl MapWalk {
+        fn of(spec: &CcTreeSpec) -> MapWalk {
+            let mut walk = MapWalk::default();
+            walk.expand(&spec.root, &[]);
+            walk
+        }
+
+        fn new_node(&mut self, spec: &CcNodeSpec) -> NodeId {
+            self.labels.push(spec.label.clone());
+            NodeId(self.labels.len() as u32 - 1)
+        }
+
+        fn expand(&mut self, spec: &CcNodeSpec, ancestors: &[(NodeId, u32)]) {
+            if spec.is_leaf() {
+                for _ in 0..spec.instance_partitions.max(1) {
+                    let node = self.new_node(spec);
+                    let group = GroupId(self.paths.len() as u32);
+                    self.leaf_group.insert(node, group);
+                    for (anc, lane) in ancestors {
+                        self.child_of.insert((*anc, group), *lane);
+                    }
+                    let mut path: Vec<_> = ancestors
+                        .iter()
+                        .map(|(anc, lane)| (*anc, Lane::Child(*lane)))
+                        .collect();
+                    path.push((node, Lane::Leaf));
+                    self.paths.push(path);
+                    for ty in &spec.txn_types {
+                        self.groups_of_type.entry(*ty).or_default().push(group);
+                    }
+                }
+                return;
+            }
+            let node = self.new_node(spec);
+            let mut lane = 0;
+            for child in &spec.children {
+                let copies = if child.is_leaf() {
+                    child.instance_partitions.max(1)
+                } else {
+                    1
+                };
+                for _ in 0..copies {
+                    let mut anc = ancestors.to_vec();
+                    anc.push((node, lane));
+                    lane += 1;
+                    let mut single = child.clone();
+                    if child.is_leaf() {
+                        single.instance_partitions = 1;
+                    }
+                    self.expand(&single, &anc);
+                }
+            }
+        }
+
+        fn same_group(&self, node: NodeId, lane: Lane, group: GroupId) -> bool {
+            match lane {
+                Lane::Child(c) => self.child_of.get(&(node, group)) == Some(&c),
+                Lane::Leaf => self.leaf_group.get(&node) == Some(&group),
+            }
+        }
+
+        fn in_subtree(&self, node: NodeId, group: GroupId) -> bool {
+            self.leaf_group.get(&node) == Some(&group) || self.child_of.contains_key(&(node, group))
+        }
+    }
+
+    /// A random spec read off `draws`, used in turn and cycled: depth at
+    /// most 4, one to three children per inner node, a leaf below the root
+    /// split into one to three instance copies, any mechanism at a leaf
+    /// and any but TSO at an inner node. Every node has a label of its
+    /// own and every leaf a transaction type of its own.
+    pub fn random_spec(draws: &[u64]) -> CcTreeSpec {
+        const KINDS: [CcKind; 5] = [
+            CcKind::TwoPl,
+            CcKind::Rp,
+            CcKind::Ssi,
+            CcKind::NoCc,
+            CcKind::Tso,
+        ];
+        let mut draws = draws.iter().cycle();
+        let mut draw = |n: u64| draws.next().unwrap() % n;
+        let mut labels = 0u32;
+        fn node(depth: usize, draw: &mut dyn FnMut(u64) -> u64, labels: &mut u32) -> CcNodeSpec {
+            *labels += 1;
+            let label = format!("n{labels}");
+            let leaf = depth == 4 || draw(if depth == 1 { 4 } else { 2 }) == 0;
+            if leaf {
+                let kind = KINDS[draw(5) as usize];
+                let copies = if depth == 1 { 1 } else { 1 + draw(3) as u32 };
+                CcNodeSpec::leaf_by_instance(kind, &label, vec![TxnTypeId(*labels)], copies)
+            } else {
+                let kind = KINDS[draw(4) as usize];
+                let children = (0..1 + draw(3)).map(|_| node(depth + 1, draw, labels));
+                CcNodeSpec::inner(kind, &label, children.collect())
+            }
+        }
+        CcTreeSpec::new(node(1, &mut draw, &mut labels))
+    }
+
+    /// Checks `spec`'s numbering, paths and membership answers against the
+    /// reference walk, for every node and lane and for every group id up
+    /// to two past the last, and [`GroupId::NONE`].
+    pub fn check(spec: CcTreeSpec) {
+        spec.validate().expect("the generator makes valid specs");
+        let reference = MapWalk::of(&spec);
+        let (topology, spec_nodes) = Topology::of(&spec);
+        let labels: Vec<&str> = spec_nodes.iter().map(|n| n.label.as_str()).collect();
+        assert_eq!(labels, reference.labels, "node ids");
+        let services = TreeServices {
+            registry: Arc::new(TxnRegistry::default()),
+            oracle: Arc::new(TsOracle::new()),
+            events: Arc::new(NullSink),
+            wait_timeout: Duration::from_millis(10),
+            metrics: Arc::new(MetricsRegistry::new()),
+        };
+        let tree = CcTree::build(spec.clone(), &ProcedureSet::new(), &services).unwrap();
+        assert_eq!(tree.node_count(), reference.labels.len());
+        assert_eq!(tree.group_count(), reference.paths.len());
+        for (g, expected) in reference.paths.iter().enumerate() {
+            let path = tree.path(GroupId(g as u32)).expect("a group of the tree");
+            let path: Vec<_> = path.iter().map(|e| (e.node, e.lane)).collect();
+            assert_eq!(&path, expected, "path of group {g}");
+        }
+        assert!(tree.path(GroupId(reference.paths.len() as u32)).is_none());
+        for (ty, groups) in &reference.groups_of_type {
+            assert_eq!(tree.groups_of_type(*ty), groups.as_slice(), "{ty:?}");
+        }
+        let topology = Arc::new(topology);
+        let groups = (0..reference.paths.len() as u32 + 2)
+            .map(GroupId)
+            .chain([GroupId::NONE]);
+        let groups: Vec<GroupId> = groups.collect();
+        let lanes: Vec<Lane> = (0..10).map(Lane::Child).chain([Lane::Leaf]).collect();
+        for node in (0..reference.labels.len() as u32 + 1).map(NodeId) {
+            let env = NodeEnv {
+                node,
+                topology: Arc::clone(&topology),
+                registry: Arc::clone(&services.registry),
+                events: Arc::clone(&services.events),
+                oracle: Arc::clone(&services.oracle),
+                wait_timeout: services.wait_timeout,
+            };
+            for &group in &groups {
+                let want = reference.in_subtree(node, group);
+                assert_eq!(env.in_subtree(group), want, "{node:?} {group:?}");
+                for &lane in &lanes {
+                    let want = reference.same_group(node, lane, group);
+                    let got = env.same_group(lane, group);
+                    assert_eq!(got, want, "{node:?} {lane:?} {group:?}");
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    /// A subtree is a range of group ids: on random specs the topology
+    /// numbers nodes and groups, lays out every group's path and answers
+    /// every membership question as the map-filling walk it replaced.
+    #[test]
+    fn the_tree_shape_answers_as_the_map_walk(
+        draws in proptest::collection::vec(0u64..1_000_000, 1..64),
+    ) {
+        tree_shape::check(tree_shape::random_spec(&draws));
+    }
+}
