@@ -127,7 +127,7 @@ pub struct TxnCtx {
     /// does not force this transaction to abort.
     pub order_deps: HashSet<TxnId>,
     /// Keys written so far (needed for commit/abort in storage and for the
-    /// durability precommit record).
+    /// write set of the transaction's commit record).
     pub write_keys: Vec<Key>,
     /// Its TSO timestamp, stamped by the `begin` of the (leaf-only, so at
     /// most one) TSO node on its path; the engine tags its versions with it.

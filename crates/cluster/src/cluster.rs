@@ -1197,7 +1197,7 @@ impl Cluster {
         let mut decisions = self.coordinator.committed_globals_with_stamps();
         let (store, report) = loop {
             let (store, report) = recover_with_resolver(
-                follower_log.as_ref(),
+                &follower_log.read_back(),
                 MvStore::new(self.config.db_config.shards),
                 &|global| decisions.get(&global).copied(),
             );
@@ -1930,9 +1930,11 @@ pub fn recover_cluster(
     shard_logs
         .iter()
         .map(|log| {
-            recover_with_resolver(log.as_ref(), MvStore::new(shards_per_store), &|global| {
-                decisions.get(&global).copied()
-            })
+            recover_with_resolver(
+                &log.read_back(),
+                MvStore::new(shards_per_store),
+                &|global| decisions.get(&global).copied(),
+            )
         })
         .collect()
 }

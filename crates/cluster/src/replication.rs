@@ -189,21 +189,6 @@ fn max_epoch(records: &[LogRecord]) -> u64 {
         .unwrap_or(0)
 }
 
-/// An immutable record list masquerading as a log device so recovery can
-/// replay it. Used to materialize follower snapshots without mutating the
-/// follower's real log.
-struct FrozenLog {
-    records: Vec<LogRecord>,
-}
-
-impl LogDevice for FrozenLog {
-    fn append(&self, _record: &LogRecord) {}
-    fn flush(&self) {}
-    fn read_back(&self) -> Vec<LogRecord> {
-        self.records.clone()
-    }
-}
-
 /// Replays `records` into a fresh store with all held epochs sealed.
 /// Sealing is sound because every shipped record was durable on the
 /// primary before it was sent (ship-after-flush discipline); in-doubt
@@ -217,9 +202,7 @@ fn materialize(
     records.push(LogRecord::EpochSeal {
         epoch: max_epoch(&records),
     });
-    let frozen = FrozenLog { records };
-    let (store, _report) = recover_with_resolver(&frozen, MvStore::new(store_shards), resolver);
-    store
+    recover_with_resolver(&records, MvStore::new(store_shards), resolver).0
 }
 
 /// Read-snapshot cache: rebuilt only when the applied LSN moves.
@@ -1001,22 +984,14 @@ mod tests {
     use tebaldi_storage::schema::TableId;
     use tebaldi_storage::{ReadSpec, Timestamp, TxnId};
 
-    fn committed_write(txn: u64, id: u64, value: i64, epoch: u64) -> Vec<LogRecord> {
-        vec![
-            LogRecord::Precommit {
-                txn: TxnId(txn),
-                participants: 1,
-                shard: 0,
-                gcp_epoch: epoch,
-                writes: vec![(Key::simple(TableId(1), id), Value::Int(value))],
-            },
-            LogRecord::Commit {
-                txn: TxnId(txn),
-                global_epoch: epoch,
-                commit_ts: Timestamp(txn),
-                hlc: 0,
-            },
-        ]
+    fn committed_write(txn: u64, id: u64, value: i64, epoch: u64) -> LogRecord {
+        LogRecord::Precommit {
+            txn: TxnId(txn),
+            gcp_epoch: epoch,
+            commit_ts: Timestamp(txn),
+            hlc: 0,
+            writes: vec![(Key::simple(TableId(1), id), Value::Int(value))],
+        }
     }
 
     fn metrics() -> MetricsRegistry {
@@ -1025,7 +1000,7 @@ mod tests {
 
     #[test]
     fn batch_and_ack_codecs_roundtrip() {
-        let records = committed_write(7, 3, 30, 2);
+        let records = vec![committed_write(7, 3, 30, 2), committed_write(8, 4, 40, 2)];
         let mut batch = Vec::new();
         let taken = wire::append_frame(&mut batch, |w| put_batch(w, 41, &records));
         assert_eq!(taken, records.len());
@@ -1064,9 +1039,7 @@ mod tests {
         let reg = metrics();
         let repl = group_with_slow_replica(&log, Duration::from_millis(20), &reg, None);
         let primary = repl.primary_log();
-        for record in committed_write(1, 1, 10, 1) {
-            primary.append(&record);
-        }
+        primary.append(&committed_write(1, 1, 10, 1));
         primary.flush();
         let lsn = repl.durable_lsn();
         // A writer keeps appending and flushing behind the caller's LSN.
@@ -1076,9 +1049,7 @@ mod tests {
             std::thread::spawn(move || {
                 let mut txn = 2;
                 while !stop.load(Ordering::SeqCst) {
-                    for record in committed_write(txn, txn, 1, 1) {
-                        primary.append(&record);
-                    }
+                    primary.append(&committed_write(txn, txn, 1, 1));
                     primary.flush();
                     txn += 1;
                     std::thread::sleep(Duration::from_micros(200));
@@ -1184,11 +1155,9 @@ mod tests {
         let repl = group_with_slow_replica(&log, Duration::ZERO, &reg, None);
         let primary = repl.primary_log();
         for txn in 0..20 {
-            for record in committed_write(txn, txn, 1, 1) {
-                primary.append(&record);
-            }
+            primary.append(&committed_write(txn, txn, 1, 1));
             primary.flush();
-            assert!(repl.wait_quorum(2 * (txn + 1)));
+            assert!(repl.wait_quorum(txn + 1));
         }
         assert_eq!(repl.replica(0).unwrap().log().read_back(), log.read_back());
         // One read at start, then at most one per report; an idle shipper
@@ -1215,9 +1184,7 @@ mod tests {
         let repl = group_with_slow_replica(&log, Duration::from_millis(1), &reg, Some(&plan));
         let primary = repl.primary_log();
         for txn in 0..60 {
-            for record in committed_write(txn, txn, txn as i64, 1) {
-                primary.append(&record);
-            }
+            primary.append(&committed_write(txn, txn, txn as i64, 1));
             primary.flush();
         }
         assert!(repl.sync(), "drops cost lag, not loss");
@@ -1242,7 +1209,7 @@ mod tests {
     fn replica_refuses_a_gap_and_reacks_until_the_stream_resumes_there() {
         let node = ReplicaNode::spawn(4).unwrap();
         let mut conn = TcpStream::connect(node.addr()).unwrap();
-        let records: Vec<LogRecord> = (0..6).flat_map(|t| committed_write(t, t, 1, 1)).collect();
+        let records: Vec<LogRecord> = (0..12).map(|t| committed_write(t, t, 1, 1)).collect();
         assert_eq!(ship_raw(&mut conn, 0, &records[..4]), 4);
         // Records 4..8 are lost on the way: what follows leaves a gap.
         assert_eq!(ship_raw(&mut conn, 8, &records[8..10]), 4, "gap refused");
@@ -1264,9 +1231,7 @@ mod tests {
         let primary = repl.primary_log();
         for round in 0..5u64 {
             for txn in 0..10 {
-                for record in committed_write(round * 10 + txn, txn, 1, 1) {
-                    primary.append(&record);
-                }
+                primary.append(&committed_write(round * 10 + txn, txn, 1, 1));
                 primary.flush();
             }
             assert!(repl.sync());
@@ -1290,9 +1255,7 @@ mod tests {
                 // The replica hangs up; the shipper redials for this round.
                 node.acceptor.hang_up();
             }
-            for record in committed_write(round, round, 1, 1) {
-                primary.append(&record);
-            }
+            primary.append(&committed_write(round, round, 1, 1));
             primary.flush();
             assert!(repl.sync());
         }
@@ -1320,8 +1283,8 @@ mod tests {
         let log: Arc<dyn LogDevice> = Arc::new(file);
         let reg = metrics();
         let repl = group_with_slow_replica(&log, Duration::ZERO, &reg, None);
-        let flushed = committed_write(1, 1, 10, 1);
-        let buffered = committed_write(2, 2, 20, 1);
+        let flushed = vec![committed_write(1, 1, 10, 1)];
+        let buffered = vec![committed_write(2, 2, 20, 1)];
         for record in &flushed {
             log.append(record);
         }
@@ -1366,9 +1329,7 @@ mod tests {
             None,
         )
         .unwrap();
-        for record in committed_write(1, 5, 50, 1) {
-            log.append(&record);
-        }
+        log.append(&committed_write(1, 5, 50, 1));
         log.flush();
         assert!(repl.sync(), "both replicas must ack before the batch acks");
         assert_eq!(repl.quorum_lsn(), log.durable_len() as u64);
@@ -1408,9 +1369,7 @@ mod tests {
         )
         .unwrap();
         repl.set_paused(true);
-        for record in committed_write(2, 8, 80, 1) {
-            log.append(&record);
-        }
+        log.append(&committed_write(2, 8, 80, 1));
         log.flush();
         let want = log.durable_len() as u64;
         let refused = repl.follower_read(0, &[Key::simple(TableId(1), 8)], want, Duration::ZERO);
@@ -1455,9 +1414,7 @@ mod tests {
         )
         .unwrap();
         for txn in 1..=20u64 {
-            for record in committed_write(txn, txn, txn as i64, 1) {
-                log.append(&record);
-            }
+            log.append(&committed_write(txn, txn, txn as i64, 1));
             log.flush();
         }
         assert!(repl.sync(), "drops and partitions cost lag, not loss");
@@ -1482,15 +1439,13 @@ mod tests {
             None,
         )
         .unwrap();
-        for record in committed_write(3, 11, 110, 4) {
-            log.append(&record);
-        }
+        log.append(&committed_write(3, 11, 110, 4));
         log.flush();
         assert!(repl.sync());
         // The primary's device dies here; the follower log is the truth.
         let follower_log = repl.promote(0).unwrap();
         let (store, report) =
-            recover_with_resolver(follower_log.as_ref(), MvStore::new(4), &|_| None);
+            recover_with_resolver(&follower_log.read_back(), MvStore::new(4), &|_| None);
         assert_eq!(report.recovered_txns, 1);
         assert_eq!(report.discarded_unsealed_epoch, 0, "promotion seals epochs");
         assert_eq!(
@@ -1499,7 +1454,7 @@ mod tests {
         );
         // Rejoin: the old primary had an unreplicated (never-acked,
         // never-shipped) suffix — truncate it to the replicated length.
-        log.append(&committed_write(9, 99, 990, 5)[0]);
+        log.append(&committed_write(9, 99, 990, 5));
         log.flush();
         let replicated = repl.replicated_len();
         assert!(truncate_divergent_suffix(log.as_ref(), replicated));

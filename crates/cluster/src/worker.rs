@@ -1540,7 +1540,7 @@ mod tests {
             device
                 .read_back()
                 .iter()
-                .any(|r| matches!(r, tebaldi_storage::wal::LogRecord::Commit { .. })),
+                .any(|r| matches!(r, tebaldi_storage::wal::LogRecord::Precommit { .. })),
             "read-only ack must wait out the read barrier"
         );
         write_ticket.wait().unwrap().unwrap();
@@ -1582,7 +1582,7 @@ mod tests {
             device
                 .read_back()
                 .iter()
-                .any(|r| matches!(r, tebaldi_storage::wal::LogRecord::Commit { .. })),
+                .any(|r| matches!(r, tebaldi_storage::wal::LogRecord::Precommit { .. })),
             "snapshot-read ack must wait out the read barrier"
         );
         write_ticket.wait().unwrap().unwrap();

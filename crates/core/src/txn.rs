@@ -532,16 +532,14 @@ fn apply_commit_inner(
         }
     };
 
-    // Durability: the write set, then the commit notification — appended
-    // as one batch so the whole transaction hardens with a single (group-
-    // commit coalesced) flush. A prepared transaction already hardened its
-    // writes in the Prepare record, so only the commit notification is
-    // logged.
+    // Durability: one record holds the write set and the commit stamp, so
+    // the whole transaction hardens with a single (group-commit coalesced)
+    // flush. A prepared transaction already hardened its writes in the
+    // Prepare record, so only the commit decision is logged.
     let mut harden = None;
     if db.durability.is_enabled() && !ctx.write_keys.is_empty() {
         if prepared {
-            db.durability
-                .commit_stamped(ctx.txn, db.durability.current_epoch(), commit_ts, hlc);
+            db.durability.commit_stamped(ctx.txn, commit_ts, hlc);
         } else {
             harden = db.durability.commit_transaction(
                 ctx.txn,

@@ -1,11 +1,10 @@
-//! A small self-describing binary codec for keys, values, and the
-//! primitive integers the cluster's wire protocol and procedure-argument
-//! encoding are built from.
+//! A small self-describing binary codec for keys, values, log records, and
+//! the primitive integers the cluster's wire protocol and procedure-argument
+//! encoding are built from. It is the one encoding of a [`LogRecord`]: the
+//! log shipper puts it on the wire and the file device on disk.
 //!
-//! The vendored `serde`/`serde_json` stubs serialize to JSON text, which is
-//! fine for the WAL's file device but too loose for a network boundary: a
-//! length-prefixed binary framing needs exact byte budgets and must reject
-//! truncated or hostile input without panicking. Everything here returns
+//! A length-prefixed binary framing needs exact byte budgets and must
+//! reject truncated or hostile input without panicking. Everything here returns
 //! [`CodecError`] instead of panicking, and every variable-length field is
 //! bounded by [`MAX_FIELD_LEN`] so a garbage length prefix cannot trigger a
 //! huge allocation.
@@ -163,23 +162,22 @@ impl ByteWriter {
     }
 
     /// Appends a [`LogRecord`] with a one-byte variant tag — what the log
-    /// shipper puts on the wire (the file device keeps its JSON lines).
-    /// Tag `0` belonged to the retired per-operation record and stays
-    /// unassigned.
+    /// shipper puts on the wire. Tag `0` belonged to the retired
+    /// per-operation record and stays unassigned.
     pub fn put_log_record(&mut self, record: &LogRecord) {
         match record {
             LogRecord::Precommit {
                 txn,
-                participants,
-                shard,
                 gcp_epoch,
+                commit_ts,
+                hlc,
                 writes,
             } => {
                 self.put_u8(1);
                 self.put_u64(txn.0);
-                self.put_u32(*participants);
-                self.put_u32(*shard);
                 self.put_u64(*gcp_epoch);
+                self.put_u64(commit_ts.0);
+                self.put_u64(*hlc);
                 self.put_writes(writes);
             }
             LogRecord::Commit {
@@ -223,6 +221,19 @@ impl ByteWriter {
                 self.put_u64(*hlc);
             }
         }
+    }
+
+    /// Appends `record` as one frame — a `u32` byte count, then
+    /// [`put_log_record`](ByteWriter::put_log_record)'s bytes — the unit a
+    /// file log holds.
+    pub fn put_log_frame(&mut self, record: &LogRecord) {
+        let at = self.buf.len();
+        self.put_u32(0);
+        self.put_log_record(record);
+        let len = self.buf.len() - at - 4;
+        // A frame the reader refuses would read back as a torn tail.
+        assert!(len <= MAX_FIELD_LEN, "a {len}-byte log record is too large");
+        self.buf[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
     }
 }
 
@@ -366,9 +377,9 @@ impl<'a> ByteReader<'a> {
         Ok(match self.u8()? {
             1 => LogRecord::Precommit {
                 txn: TxnId(self.u64()?),
-                participants: self.u32()?,
-                shard: self.u32()?,
                 gcp_epoch: self.u64()?,
+                commit_ts: Timestamp(self.u64()?),
+                hlc: self.u64()?,
                 writes: self.writes()?,
             },
             2 => LogRecord::Commit {
@@ -394,6 +405,16 @@ impl<'a> ByteReader<'a> {
             _ => return Err(CodecError::Malformed("log record tag")),
         })
     }
+
+    /// Reads one frame written by
+    /// [`put_log_frame`](ByteWriter::put_log_frame). A frame a crash cut
+    /// short is an error like any other malformed input.
+    pub fn log_frame(&mut self) -> CodecResult<LogRecord> {
+        let mut frame = ByteReader::new(self.bytes()?);
+        let record = frame.log_record()?;
+        frame.expect_end()?;
+        Ok(record)
+    }
 }
 
 #[cfg(test)]
@@ -411,9 +432,9 @@ mod tests {
         let records = [
             LogRecord::Precommit {
                 txn: TxnId(9),
-                participants: 3,
-                shard: 1,
                 gcp_epoch: 12,
+                commit_ts: Timestamp(77),
+                hlc: 0xABCD,
                 writes: writes.clone(),
             },
             LogRecord::Commit {
@@ -447,6 +468,15 @@ mod tests {
                     ByteReader::new(&bytes[..cut]).log_record().is_err(),
                     "{record:?} cut at {cut}"
                 );
+            }
+            // A file log's frame is the count, then the same bytes.
+            let mut w = ByteWriter::new();
+            w.put_log_frame(record);
+            let frame = w.into_bytes();
+            assert_eq!(frame[4..], bytes[..]);
+            assert_eq!(ByteReader::new(&frame).log_frame().as_ref(), Ok(record));
+            for cut in 0..frame.len() {
+                assert!(ByteReader::new(&frame[..cut]).log_frame().is_err());
             }
         }
         // Garbage, and tag 0 — the retired per-operation record, never

@@ -1,10 +1,10 @@
 //! The durability protocol (§4.5.4).
 //!
 //! This module is the one place that knows which records a shard log
-//! holds: a commit is one `Precommit` (the transaction's write set) plus
-//! one `Commit`, appended as one batch; a 2PC vote is one `Prepare`; a
-//! decided prepare adds its `Commit` or `Abort`. The engine hands over
-//! `(txn, writes)` at the commit point and nothing before it.
+//! holds: a local commit is one `Precommit` carrying the write set and the
+//! commit stamp; a 2PC vote is one `Prepare`; a decided prepare adds its
+//! `Commit` or `Abort`. The engine hands over `(txn, writes)` at the
+//! commit point and nothing before it.
 //!
 //! The manager implements both flushing modes discussed in the paper:
 //!
@@ -57,11 +57,11 @@ pub struct DurabilityStats {
     /// `benchmark/` ledger reads it; the `benchmark` change that drops the
     /// read drops the field.
     pub operations: u64,
-    /// Precommit records appended.
+    /// Local commit (`Precommit`) records appended.
     pub precommits: u64,
     /// Cross-shard 2PC prepare records appended.
     pub prepares: u64,
-    /// Commit records appended.
+    /// `Commit` records appended, one per prepare decided commit.
     pub commits: u64,
     /// Device flushes performed.
     pub flushes: u64,
@@ -364,18 +364,17 @@ impl DurabilityManager {
         self.group.append_durable(records);
     }
 
-    /// Appends one transaction's whole commit — the precommit record
+    /// Appends one transaction's whole commit — one `Precommit` record
     /// carrying its write set (`writes`, each key once with the value it
-    /// commits) plus the commit notification, stamped with the cluster-wide
-    /// HLC persisted in the commit record — as a single batch into the
-    /// group-commit funnel, *without waiting for the flush*, and
+    /// commits), its commit timestamp and its cluster-wide HLC stamp — into
+    /// the group-commit funnel, *without waiting for the flush*, and
     /// returns the funnel sequence to pass to
     /// [`wait_group_seq`](DurabilityManager::wait_group_seq): one
-    /// (coalesced) flush hardens the whole transaction. The records take
-    /// their place in the log order immediately, so any dependent
-    /// transaction's flush hardens them first (the durable log is always a
-    /// prefix of the append order) — a crash can lose an *unacknowledged*
-    /// suffix but never an acknowledged commit or a read-from edge.
+    /// (coalesced) flush hardens the transaction. The record takes its
+    /// place in the log order immediately, so any dependent transaction's
+    /// flush hardens it first (the durable log is always a prefix of the
+    /// append order) — a crash can lose an *unacknowledged* suffix but
+    /// never an acknowledged commit or a read-from edge.
     ///
     /// `publishes_before_flush` says which side of the flush the caller
     /// makes the versions visible on. A caller that publishes first and
@@ -404,39 +403,24 @@ impl DurabilityManager {
         // epoch-discard it. Epoch 0 marks "durable by policy" (recovery's
         // unsealed-epoch rule only discards records with an epoch above
         // the last seal).
-        let epoch = if self.policy == FlushPolicy::Synchronous {
+        let gcp_epoch = if self.policy == FlushPolicy::Synchronous {
             0
         } else {
             self.current_epoch()
         };
-        // A `Database` is one data server with one log, so its precommit
-        // is the transaction's only one. Recovery's completeness rule still
-        // earns its keep: a crash can tear this batch between the two
-        // records (another thread's flush may land between the appends).
         self.precommits.inc();
-        self.commits.inc();
-        let records = [
-            LogRecord::Precommit {
-                txn,
-                participants: 1,
-                shard: 0,
-                gcp_epoch: epoch,
-                writes,
-            },
-            LogRecord::Commit {
-                txn,
-                global_epoch: epoch,
-                commit_ts,
-                hlc,
-            },
-        ];
+        let record = LogRecord::Precommit {
+            txn,
+            gcp_epoch,
+            commit_ts,
+            hlc,
+            writes,
+        };
         if self.policy != FlushPolicy::Synchronous {
-            for record in &records {
-                self.device.append(record);
-            }
+            self.device.append(&record);
             return None;
         }
-        let seq = self.group.append(&records);
+        let seq = self.group.append(std::slice::from_ref(&record));
         if publishes_before_flush {
             self.last_deferred_commit_seq
                 .fetch_max(seq, Ordering::Relaxed);
@@ -514,35 +498,18 @@ impl DurabilityManager {
         }
     }
 
-    /// Logs the commit notification of a transaction whose writes are
-    /// already in the log (a decided 2PC participant: its `Prepare` record
-    /// carries them), flushing it under the synchronous policy.
-    /// `global_epoch` is the maximum of the participants' GCP epoch ids;
-    /// `hlc` is the cluster-wide stamp persisted in the commit record (2PC
-    /// phase two delivers the coordinator's decision stamp here).
-    pub fn commit_stamped(&self, txn: TxnId, global_epoch: u64, commit_ts: Timestamp, hlc: u64) {
+    /// Logs the commit decision of a prepared transaction, whose writes
+    /// its `Prepare` record already carries, flushing it under the
+    /// synchronous policy. `hlc` is the coordinator's decision stamp, which
+    /// 2PC phase two delivers here.
+    pub fn commit_stamped(&self, txn: TxnId, commit_ts: Timestamp, hlc: u64) {
         if !self.is_enabled() {
             return;
-        }
-        // GCP rule: a data server observing a larger global epoch advances
-        // its own epoch before running any commit phase, guaranteeing that a
-        // reader's epoch is never smaller than its writer's.
-        let mut cur = self.current_epoch.load(Ordering::Relaxed);
-        while global_epoch > cur {
-            match self.current_epoch.compare_exchange(
-                cur,
-                global_epoch,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
         }
         self.commits.inc();
         let record = LogRecord::Commit {
             txn,
-            global_epoch,
+            global_epoch: self.current_epoch(),
             commit_ts,
             hlc,
         };
@@ -629,7 +596,7 @@ mod tests {
             None
         );
         assert_eq!(mgr.prepare(TxnId(2), 9, vec![]), None);
-        mgr.commit_stamped(TxnId(2), 0, Timestamp(2), 0);
+        mgr.commit_stamped(TxnId(2), Timestamp(2), 0);
         let stats = mgr.stats();
         assert_eq!(
             (
@@ -657,8 +624,8 @@ mod tests {
             .expect("a synchronous commit has a flush to wait for");
         assert!(dev.read_back().is_empty(), "appending does not flush");
         mgr.wait_group_seq(seq);
-        // Precommit and commit: the whole batch is durable.
-        assert_eq!(dev.read_back().len(), 2);
+        // One record holds the whole commit.
+        assert_eq!(dev.read_back().len(), 1);
     }
 
     #[test]
@@ -714,10 +681,15 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         mgr.shutdown();
-        let records = dev.read_back();
-        assert!(records
-            .iter()
-            .any(|r| matches!(r, LogRecord::EpochSeal { .. })));
+        let (seals, commits): (Vec<_>, Vec<_>) = dev
+            .read_back()
+            .into_iter()
+            .partition(|r| matches!(r, LogRecord::EpochSeal { .. }));
+        assert!(!seals.is_empty());
+        assert!(
+            matches!(commits[..], [LogRecord::Precommit { .. }]),
+            "one record per commit: {commits:?}"
+        );
     }
 
     #[test]
@@ -780,17 +752,5 @@ mod tests {
             })
             .collect();
         assert_eq!(survivors, vec![1, 2]);
-    }
-
-    #[test]
-    fn commit_advances_epoch_to_global() {
-        let dev = Arc::new(MemLogDevice::new());
-        let mgr = DurabilityManager::new(dev, FlushPolicy::Synchronous);
-        assert_eq!(mgr.current_epoch(), 1);
-        mgr.commit_stamped(TxnId(1), 7, Timestamp(1), 0);
-        assert_eq!(mgr.current_epoch(), 7);
-        // Smaller global epochs never move the epoch backwards.
-        mgr.commit_stamped(TxnId(2), 3, Timestamp(2), 0);
-        assert_eq!(mgr.current_epoch(), 7);
     }
 }

@@ -16,9 +16,9 @@
 //!   and mutated through [`ChainWrite`].
 //! * [`schema`] — table identifiers, ordered by runtime
 //!   pipelining's static analysis.
-//! * [`wal`] / [`durability`] — write-ahead precommit/commit logging and
-//!   the asynchronous-flushing protocol with global-checkpoint (GCP) epochs
-//!   of §4.5.4.
+//! * [`wal`] / [`durability`] — write-ahead logging (one record per local
+//!   commit) and the asynchronous-flushing protocol with global-checkpoint
+//!   (GCP) epochs of §4.5.4.
 //! * [`recovery`] — the three-step recovery protocol of §4.5.4.
 //! * [`gc`] — the garbage collection of §4.5.3, its horizon read from the
 //!   timestamp oracle and the CC tree's watermark instead of GC epochs.

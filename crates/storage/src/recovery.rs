@@ -3,15 +3,13 @@
 //! Recovery is a three-step procedure:
 //!
 //! 1. retrieve logs from persistent storage,
-//! 2. reconstruct the database state: discard any transaction that has
-//!    fewer precommit records than its number of participating data servers
-//!    or whose global epoch id is newer than the latest sealed epoch, then
-//!    keep the latest committed version of each object. What is replayed
-//!    is the write list of the `Precommit` / `Prepare` records (the log
-//!    holds nothing per operation). The engine writes one precommit per
-//!    transaction (`participants: 1`), and the completeness rule still
-//!    decides a batch a crash tore between `Precommit` and `Commit`:
-//!    precommitted everywhere means guaranteed to commit, so it is replayed,
+//! 2. reconstruct the database state: discard any local commit whose GCP
+//!    epoch is newer than the latest sealed epoch, then keep the latest
+//!    committed version of each object. A `Precommit` record is a whole
+//!    local commit — its write list and its commit stamp — and a `Prepare`
+//!    replays its write list once its `Commit` record, or else the
+//!    coordinator's decision, commits it; the log holds nothing per
+//!    operation,
 //! 3. reconstruct the (root) concurrency control's internal state — in this
 //!    reproduction the CC state is rebuilt lazily by the engine when it
 //!    re-opens the recovered store, which matches the paper's observation
@@ -29,8 +27,6 @@ use std::collections::{HashMap, HashSet};
 pub struct RecoveryReport {
     /// Transactions whose writes were reinstalled.
     pub recovered_txns: usize,
-    /// Transactions discarded because precommit records were missing.
-    pub discarded_incomplete: usize,
     /// Transactions discarded because their epoch was not sealed.
     pub discarded_unsealed_epoch: usize,
     /// Cross-shard transactions found prepared but undecided in the log
@@ -65,195 +61,111 @@ pub struct RecoveryReport {
 /// abort. Plain standalone recovery uses presumed abort (`|_| None`).
 pub type DecisionResolver<'a> = dyn Fn(u64) -> Option<u64> + 'a;
 
-/// An in-doubt prepared transaction awaiting resolution: local id,
-/// cluster-global id, and the writes to replay on commit.
-type InDoubtTxn = (TxnId, u64, Vec<(Key, Value)>);
-
-#[derive(Default)]
-struct TxnLog {
-    shards_seen: HashSet<u32>,
-    participants: u32,
-    max_epoch: u64,
-    writes: Vec<(Key, Value)>,
-    commit_ts: Option<Timestamp>,
-    commit_epoch: Option<u64>,
-    hlc: u64,
-}
-
 /// Replays the durable records of `device` into a fresh store, resolving
 /// any in-doubt prepared transaction by presumed abort.
 pub fn recover(device: &dyn LogDevice) -> (MvStore, RecoveryReport) {
-    recover_into(device, MvStore::new(8))
+    recover_with_resolver(&device.read_back(), MvStore::new(8), &|_| None)
 }
 
-/// Replays the durable records of `device` into `store` (which is expected
-/// to be empty) and returns it together with a [`RecoveryReport`]. In-doubt
-/// prepared transactions are resolved by presumed abort; cluster recovery
-/// passes the coordinator's decision log through
-/// [`recover_with_resolver`] instead.
-pub fn recover_into(device: &dyn LogDevice, store: MvStore) -> (MvStore, RecoveryReport) {
-    recover_with_resolver(device, store, &|_| None)
-}
-
-/// Replays the durable records of `device` into `store`, consulting
-/// `resolver` for every prepared-but-undecided cross-shard transaction
-/// found in the log (2PC in-doubt resolution, §4.5.4 extended to the
-/// cluster layer).
+/// Replays `records` — a log's durable records, in append order — into
+/// `store` (which must be empty: the report counts its keys as the keys
+/// restored) and returns it together with a
+/// [`RecoveryReport`], consulting `resolver` for every prepared-but-
+/// undecided cross-shard transaction (2PC in-doubt resolution, §4.5.4
+/// extended to the cluster layer).
 pub fn recover_with_resolver(
-    device: &dyn LogDevice,
+    records: &[LogRecord],
     store: MvStore,
     resolver: &DecisionResolver<'_>,
 ) -> (MvStore, RecoveryReport) {
-    let records = device.read_back();
-    let mut txns: HashMap<TxnId, TxnLog> = HashMap::new();
-    let mut prepared: HashMap<TxnId, (u64, Vec<(Key, Value)>)> = HashMap::new();
-    let mut aborted: HashSet<TxnId> = HashSet::new();
+    let mut report = RecoveryReport::default();
     let mut sealed_epoch = 0u64;
-
-    for record in &records {
-        match record {
-            LogRecord::EpochSeal { epoch } => sealed_epoch = sealed_epoch.max(*epoch),
+    let mut local = Vec::new();
+    let mut prepared = HashMap::new();
+    let mut decided: HashMap<TxnId, (Timestamp, u64)> = HashMap::new();
+    let mut aborted: HashSet<TxnId> = HashSet::new();
+    for record in records {
+        let txn = match record {
+            LogRecord::EpochSeal { epoch } => {
+                sealed_epoch = sealed_epoch.max(*epoch);
+                continue;
+            }
+            // Coordinator-log record; never present in a shard's log. The
+            // cluster layer reads decision logs directly and feeds them in
+            // through `resolver`.
+            LogRecord::Decision { .. } => continue,
             LogRecord::Precommit {
                 txn,
-                participants,
-                shard,
                 gcp_epoch,
-                writes,
-            } => {
-                let entry = txns.entry(*txn).or_default();
-                entry.participants = (*participants).max(entry.participants);
-                entry.shards_seen.insert(*shard);
-                entry.max_epoch = entry.max_epoch.max(*gcp_epoch);
-                entry.writes.extend(writes.iter().cloned());
-            }
-            LogRecord::Commit {
-                txn,
-                global_epoch,
                 commit_ts,
                 hlc,
+                writes,
             } => {
-                let entry = txns.entry(*txn).or_default();
-                entry.commit_ts = Some(*commit_ts);
-                entry.commit_epoch = Some(*global_epoch);
-                entry.hlc = *hlc;
+                local.push((*txn, *gcp_epoch, *commit_ts, *hlc, writes.as_slice()));
+                txn
             }
             LogRecord::Prepare {
                 txn,
                 global,
                 writes,
             } => {
-                let entry = prepared
-                    .entry(*txn)
-                    .or_insert_with(|| (*global, Vec::new()));
-                entry.0 = *global;
-                entry.1.extend(writes.iter().cloned());
+                prepared.insert(*txn, (*global, writes.as_slice()));
+                txn
+            }
+            LogRecord::Commit {
+                txn,
+                commit_ts,
+                hlc,
+                ..
+            } => {
+                decided.insert(*txn, (*commit_ts, *hlc));
+                txn
             }
             LogRecord::Abort { txn } => {
                 aborted.insert(*txn);
+                txn
             }
-            LogRecord::Decision { .. } => {
-                // Coordinator-log record; never present in a shard's log.
-                // The cluster layer reads decision logs directly and feeds
-                // them in through `resolver`.
-            }
-        }
+        };
+        report.max_txn_id = report.max_txn_id.max(txn.0);
     }
 
-    let mut report = RecoveryReport::default();
-
-    // Local commit decisions: a prepared transaction logs only a Commit
-    // record at decide time (its writes are already in the Prepare record),
-    // so the commit record alone decides it without consulting the
-    // resolver.
-    let local_commit: HashMap<TxnId, (Timestamp, u64)> = txns
-        .iter()
-        .filter_map(|(txn, log)| log.commit_ts.map(|ts| (*txn, (ts, log.hlc))))
-        .collect();
-
-    // Order recoverable transactions by commit timestamp (transactions that
-    // precommitted on every participant but have no commit record are
-    // guaranteed to commit; they are replayed after the explicitly committed
-    // ones, ordered by id).
-    let mut recoverable: Vec<(TxnId, TxnLog)> = Vec::new();
-    for (txn, log) in txns {
-        report.max_txn_id = report.max_txn_id.max(txn.0);
-        let complete = log.participants > 0 && log.shards_seen.len() as u32 >= log.participants;
-        if !complete {
-            // Prepared transactions legitimately have no precommit records;
-            // they are handled by the in-doubt pass below.
-            if !prepared.contains_key(&txn) {
-                report.discarded_incomplete += 1;
-            }
-            continue;
-        }
-        let epoch = log.commit_epoch.unwrap_or(log.max_epoch);
+    // A local commit survives unless its epoch was never sealed; a prepare
+    // its own `Commit` record decided survives whatever that record's epoch.
+    let mut replay = Vec::new();
+    for (txn, epoch, commit_ts, hlc, writes) in local {
         if epoch > sealed_epoch {
             report.discarded_unsealed_epoch += 1;
-            continue;
-        }
-        recoverable.push((txn, log));
-    }
-    // Prepared transactions with a local commit record are fully decided:
-    // merge them into the timestamp-sorted replay so per-key version order
-    // follows commit order (replaying them after the sorted pass would let
-    // an older prepared commit positionally shadow a newer write).
-    let replayed_normally: HashSet<TxnId> = recoverable.iter().map(|(txn, _)| *txn).collect();
-    for (txn, (_global, writes)) in &prepared {
-        if aborted.contains(txn) || replayed_normally.contains(txn) {
-            continue;
-        }
-        if let Some((ts, hlc)) = local_commit.get(txn) {
-            recoverable.push((
-                *txn,
-                TxnLog {
-                    writes: writes.clone(),
-                    commit_ts: Some(*ts),
-                    hlc: *hlc,
-                    ..TxnLog::default()
-                },
-            ));
+        } else {
+            replay.push((txn, commit_ts, hlc, writes));
         }
     }
-    recoverable.sort_by_key(|(txn, log)| (log.commit_ts.unwrap_or(Timestamp::MAX), txn.0));
+    let committed_locally: HashSet<TxnId> = replay.iter().map(|(txn, ..)| *txn).collect();
+    // A prepare that neither aborted nor committed crashed inside the
+    // cross-shard 2PC window: its fate belongs to the coordinator.
+    let mut in_doubt = Vec::new();
+    for (txn, (global, writes)) in prepared {
+        if aborted.contains(&txn) || committed_locally.contains(&txn) {
+            continue;
+        }
+        match decided.get(&txn) {
+            Some(&(commit_ts, hlc)) => replay.push((txn, commit_ts, hlc, writes)),
+            None => in_doubt.push((txn, global, writes)),
+        }
+    }
 
-    let mut restored_keys: HashSet<Key> = HashSet::new();
-    for (txn, log) in &recoverable {
+    // Replay in commit order, so per-key version order follows it.
+    replay.sort_by_key(|&(txn, commit_ts, ..)| (commit_ts, txn.0));
+    for (txn, commit_ts, hlc, writes) in replay {
         report.recovered_txns += 1;
-        // A transaction replayed without its commit record (sorted last,
-        // by id) takes the next timestamp above everything replayed so
-        // far; raising the mark keeps two of them — and the first new
-        // transaction after recovery — from sharing one.
-        let commit_ts = log.commit_ts.unwrap_or(report.max_commit_ts.next());
         report.max_commit_ts = report.max_commit_ts.max(commit_ts);
-        report.max_hlc = report.max_hlc.max(log.hlc);
-        for (key, value) in &log.writes {
-            restored_keys.insert(*key);
-            // Later transactions in the replay order overwrite earlier ones,
-            // leaving the latest committed version as the visible value.
-            store.with_chain_mut(key, |chain| {
-                chain.abort(*txn);
-            });
-            store.write(key, *txn, value.clone());
-            store.commit_writes_stamped(*txn, &[*key], commit_ts, log.hlc);
-        }
+        report.max_hlc = report.max_hlc.max(hlc);
+        install(&store, txn, writes, commit_ts, hlc);
     }
 
-    // In-doubt resolution: a prepared transaction that neither aborted nor
-    // committed locally crashed inside the cross-shard 2PC window. Its fate
-    // belongs to the coordinator, so ask the resolver (backed by the
-    // coordinator's decision log; presumed abort when there is none).
-    let replayed: HashSet<TxnId> = recoverable.iter().map(|(txn, _)| *txn).collect();
-    for txn in prepared.keys().chain(aborted.iter()) {
-        report.max_txn_id = report.max_txn_id.max(txn.0);
-    }
-    let mut in_doubt: Vec<InDoubtTxn> = prepared
-        .into_iter()
-        .filter(|(txn, _)| !aborted.contains(txn) && !replayed.contains(txn))
-        .map(|(txn, (global, writes))| (txn, global, writes))
-        .collect();
-    in_doubt.sort_by_key(|(txn, _, _)| txn.0);
+    // In-doubt resolution: ask the resolver (backed by the coordinator's
+    // decision log; presumed abort when there is none).
+    in_doubt.sort_by_key(|(txn, ..)| txn.0);
     for (txn, global, writes) in in_doubt {
-        report.max_txn_id = report.max_txn_id.max(txn.0);
         report.in_doubt += 1;
         let Some(stamp) = resolver(global) else {
             report.in_doubt_aborted += 1;
@@ -263,20 +175,25 @@ pub fn recover_with_resolver(
         report.in_doubt_committed += 1;
         report.recovered_txns += 1;
         report.max_hlc = report.max_hlc.max(stamp);
-        let commit_ts = report.max_commit_ts.next();
-        report.max_commit_ts = commit_ts;
-        for (key, value) in &writes {
-            restored_keys.insert(*key);
-            store.with_chain_mut(key, |chain| {
-                chain.abort(txn);
-            });
-            store.write(key, txn, value.clone());
-            store.commit_writes_stamped(txn, &[*key], commit_ts, stamp);
-        }
+        report.max_commit_ts = report.max_commit_ts.next();
+        install(&store, txn, writes, report.max_commit_ts, stamp);
     }
 
-    report.keys_restored = restored_keys.len();
+    report.keys_restored = store.stats().keys;
     (store, report)
+}
+
+/// Installs `txn`'s writes as committed at `commit_ts`, stamped `hlc`.
+/// Later transactions in the replay order overwrite earlier ones, leaving
+/// the latest committed version as the visible value.
+fn install(store: &MvStore, txn: TxnId, writes: &[(Key, Value)], commit_ts: Timestamp, hlc: u64) {
+    for (key, value) in writes {
+        store.with_chain_mut(key, |chain| {
+            chain.abort(txn);
+        });
+        store.write(key, txn, value.clone());
+        store.commit_writes_stamped(txn, &[*key], commit_ts, hlc);
+    }
 }
 
 #[cfg(test)]
@@ -308,19 +225,6 @@ mod tests {
         mgr.wait_group_seq(seq);
     }
 
-    /// A torn commit: one precommit record of `participants`, no commit
-    /// notification — what a crash between the records leaves behind, which
-    /// the engine's batched entry point can never write.
-    fn lone_precommit(dev: &MemLogDevice, txn: u64, participants: u32, writes: Vec<(Key, Value)>) {
-        dev.append(&LogRecord::Precommit {
-            txn: TxnId(txn),
-            participants,
-            shard: 0,
-            gcp_epoch: 0,
-            writes,
-        });
-    }
-
     #[test]
     fn recovers_committed_transactions() {
         let dev = Arc::new(MemLogDevice::new());
@@ -348,20 +252,6 @@ mod tests {
             store.read(&k(2), ReadSpec::LatestCommitted),
             Some(Value::Int(2))
         );
-    }
-
-    #[test]
-    fn discards_incomplete_precommits() {
-        let dev = Arc::new(MemLogDevice::new());
-        let mgr = DurabilityManager::new(dev.clone(), FlushPolicy::Synchronous);
-        // Transaction claims two participants but only one precommit record
-        // was made durable before the crash.
-        lone_precommit(&dev, 3, 2, vec![(k(3), Value::Int(3))]);
-        mgr.seal_current_epoch();
-        let (store, report) = recover(dev.as_ref());
-        assert_eq!(report.recovered_txns, 0);
-        assert_eq!(report.discarded_incomplete, 1);
-        assert_eq!(store.read(&k(3), ReadSpec::LatestCommitted), None);
     }
 
     #[test]
@@ -413,7 +303,7 @@ mod tests {
         assert_eq!(store.read(&k(7), ReadSpec::LatestCommitted), None);
 
         // With the coordinator's decision log, global 42 commits.
-        let (store, report) = recover_with_resolver(dev.as_ref(), MvStore::new(4), &|global| {
+        let (store, report) = recover_with_resolver(&dev.read_back(), MvStore::new(4), &|global| {
             (global == 42).then_some(0)
         });
         assert_eq!(report.in_doubt, 2);
@@ -437,7 +327,7 @@ mod tests {
         let dev = Arc::new(MemLogDevice::new());
         let mgr = DurabilityManager::new(dev.clone(), FlushPolicy::Synchronous);
         prepare(&mgr, 6, 40, vec![(k(6), Value::Int(60))]);
-        mgr.commit_stamped(TxnId(6), mgr.current_epoch(), Timestamp(4), 0);
+        mgr.commit_stamped(TxnId(6), Timestamp(4), 0);
         mgr.seal_current_epoch();
         let (store, report) = recover(dev.as_ref());
         assert_eq!(report.in_doubt, 0, "locally decided, not in doubt");
@@ -458,7 +348,7 @@ mod tests {
         let dev = Arc::new(MemLogDevice::new());
         let mgr = DurabilityManager::new(dev.clone(), FlushPolicy::Synchronous);
         prepare(&mgr, 2, 50, vec![(k(1), Value::Int(20))]);
-        mgr.commit_stamped(TxnId(2), mgr.current_epoch(), Timestamp(4), 0);
+        mgr.commit_stamped(TxnId(2), Timestamp(4), 0);
         commit(&mgr, 3, vec![(k(1), Value::Int(30))], 9);
         mgr.seal_current_epoch();
         let (store, report) = recover(dev.as_ref());
@@ -487,72 +377,5 @@ mod tests {
             Some(Value::Int(50))
         );
         mgr.shutdown();
-    }
-
-    #[test]
-    fn precommitted_without_commit_record_is_replayed() {
-        let dev = Arc::new(MemLogDevice::new());
-        let mgr = DurabilityManager::new(dev.clone(), FlushPolicy::Synchronous);
-        lone_precommit(&dev, 4, 1, vec![(k(4), Value::Int(44))]);
-        // The same tear in a batch the engine wrote: another thread's flush
-        // landed between the two appends, so the precommit is durable and
-        // the commit notification is lost.
-        let whole = Arc::new(MemLogDevice::new());
-        commit(
-            &DurabilityManager::new(whole.clone(), FlushPolicy::Synchronous),
-            5,
-            vec![(k(5), Value::Int(55)), (k(6), Value::Int(66))],
-            9,
-        );
-        let batch = whole.read_back();
-        assert!(matches!(
-            batch[..],
-            [LogRecord::Precommit { .. }, LogRecord::Commit { .. }]
-        ));
-        dev.append(&batch[0]);
-        mgr.seal_current_epoch();
-        let (store, report) = recover(dev.as_ref());
-        assert_eq!(report.recovered_txns, 2);
-        assert_eq!(report.discarded_incomplete, 0);
-        assert_eq!(
-            store.read(&k(4), ReadSpec::LatestCommitted),
-            Some(Value::Int(44))
-        );
-        assert_eq!(
-            store.read(&k(5), ReadSpec::LatestCommitted),
-            Some(Value::Int(55))
-        );
-        assert_eq!(
-            store.read(&k(6), ReadSpec::LatestCommitted),
-            Some(Value::Int(66))
-        );
-        assert_eq!(store.stats().versions, 3, "each write replayed once");
-    }
-
-    #[test]
-    fn replays_without_a_commit_record_take_distinct_timestamps() {
-        let dev = Arc::new(MemLogDevice::new());
-        let mgr = DurabilityManager::new(dev.clone(), FlushPolicy::Synchronous);
-        commit(&mgr, 1, vec![(k(1), Value::Int(10))], 5);
-        lone_precommit(&dev, 3, 1, vec![(k(1), Value::Int(30))]);
-        lone_precommit(&dev, 2, 1, vec![(k(1), Value::Int(20))]);
-        mgr.seal_current_epoch();
-        let (store, report) = recover(dev.as_ref());
-        assert_eq!(report.recovered_txns, 3);
-        // Replayed after the committed one, in id order, one timestamp each.
-        let at = |ts| store.read(&k(1), ReadSpec::SnapshotBefore(Timestamp(ts)));
-        assert_eq!(at(6), Some(Value::Int(10)));
-        assert_eq!(at(7), Some(Value::Int(20)));
-        assert_eq!(at(8), Some(Value::Int(30)));
-        assert_eq!(
-            store.read(&k(1), ReadSpec::LatestCommitted),
-            Some(Value::Int(30)),
-            "the later transaction id wins"
-        );
-        assert_eq!(
-            report.max_commit_ts,
-            Timestamp(7),
-            "the oracle must restart above every timestamp handed out"
-        );
     }
 }

@@ -5,14 +5,17 @@
 //! written when all CCs pass precommit, and a transaction is guaranteed to
 //! commit once all its precommit logs are persistent.
 //!
-//! A shard log carries each committed write **once**: the transaction's
-//! write set travels in its `Precommit` record (or, for a 2PC participant,
-//! its `Prepare` record), generated at commit. This deliberately departs
-//! from the paper's wording, which also has data servers write an
-//! *operation log* per write during execution: recovery replays the
-//! precommit's write list and never needed a per-operation record, so there
-//! is none — the execution path does not touch the log, and an attempt that
-//! aborts before its commit point logs nothing.
+//! Here a `Database` is one data server, and a transaction spanning several
+//! is the cluster's `Prepare` / `Decision` two-phase commit. So a local
+//! commit is **one** record: its `Precommit` carries the write set and the
+//! commit stamp, and a crash keeps it whole or not at all. A 2PC
+//! participant logs its write set in a `Prepare` record, and its decision
+//! adds a `Commit` or an `Abort`. This departs from the paper's wording,
+//! which also has data servers write an *operation log* per write during
+//! execution: recovery replays the write lists and never needed a
+//! per-operation record, so there is none — the execution path does not
+//! touch the log, and an attempt that aborts before its commit point logs
+//! nothing.
 //!
 //! Tebaldi does not implement its own persistent storage: it outsources
 //! persistence to any key-value-ish backend. Here the backend is a
@@ -20,45 +23,46 @@
 //! full `read_back`. Two devices are provided: an in-memory device (for
 //! tests and for the durability-off configurations) and a file device.
 
+use crate::codec::{ByteReader, ByteWriter};
 use crate::key::Key;
 use crate::types::{Timestamp, TxnId};
 use crate::value::Value;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A single log record.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum LogRecord {
-    /// Precommit record emitted by one participating data server.
+    /// A whole local commit: the transaction's writes and its commit stamp.
     Precommit {
         /// Committing transaction.
         txn: TxnId,
-        /// Number of data servers participating in the transaction.
-        participants: u32,
-        /// Index of the data server that produced this record.
-        shard: u32,
-        /// GCP epoch the record belongs to (asynchronous flushing, §4.5.4).
+        /// GCP epoch the record belongs to (asynchronous flushing, §4.5.4);
+        /// `0` under synchronous flushing, which recovery never discards.
         gcp_epoch: u64,
-        /// Ordered writes of this transaction on this shard, used to
-        /// reconstruct the latest version of each object during recovery.
-        writes: Vec<(Key, Value)>,
-    },
-    /// Commit notification carrying the transaction's global epoch id and
-    /// commit timestamp.
-    Commit {
-        /// Committed transaction.
-        txn: TxnId,
-        /// The transaction's global GCP epoch (max over participants).
-        global_epoch: u64,
         /// Commit timestamp.
         commit_ts: Timestamp,
         /// Cluster-wide HLC stamp of the commit (`0` = unstamped; see
         /// `Version::hlc`). Recovery re-installs it on the recovered
         /// versions and re-bases the shard clock past the maximum seen.
+        hlc: u64,
+        /// Each key the transaction wrote, once, with the value it commits.
+        writes: Vec<(Key, Value)>,
+    },
+    /// The commit decision of a `Prepare`d transaction, whose writes the
+    /// `Prepare` record already carries.
+    Commit {
+        /// Committed transaction.
+        txn: TxnId,
+        /// The GCP epoch current when the decision was logged. Recovery
+        /// replays a decided prepare whatever this epoch is.
+        global_epoch: u64,
+        /// Commit timestamp.
+        commit_ts: Timestamp,
+        /// The coordinator's HLC decision stamp (`0` = unstamped).
         hlc: u64,
     },
     /// Marker appended when a GCP epoch has been fully flushed; records with
@@ -233,13 +237,15 @@ impl LogDevice for MemLogDevice {
     }
 }
 
-/// A file-backed log device writing one JSON record per line.
+/// A file-backed log device. Each record is one length-prefixed frame of
+/// the binary codec ([`ByteWriter::put_log_frame`]) — the encoding a log
+/// shipper puts on the wire.
 ///
 /// The device keeps a byte-offset index of the records it holds and the
 /// count `flush` last made durable, so a log shipper following it pays
 /// O(1) for [`durable_len`](LogDevice::durable_len) and reads only the
-/// tail it asks for — and, unlike [`read_back`](LogDevice::read_back),
-/// neither accessor flushes: a reader never moves the durable prefix.
+/// tail it asks for. No reader flushes: only `flush` moves the durable
+/// prefix.
 pub struct FileLogDevice {
     inner: Mutex<FileLogInner>,
     /// Records durable as of the last `flush` (or found at `open`).
@@ -249,50 +255,38 @@ pub struct FileLogDevice {
 
 struct FileLogInner {
     writer: BufWriter<File>,
-    /// `offsets[i]` is the byte offset where record `i`'s line starts; the
+    /// `offsets[i]` is the byte offset where record `i`'s frame starts; the
     /// final entry is the end of everything appended so far.
     offsets: Vec<u64>,
 }
 
-/// Parses the records of a one-JSON-record-per-line stream, skipping blank
-/// and unparsable (torn) lines.
-fn parse_lines(reader: impl Read) -> Vec<LogRecord> {
-    BufReader::new(reader)
-        .lines()
-        .map_while(Result::ok)
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| serde_json::from_str(&l).ok())
-        .collect()
+/// The whole frames at the head of `bytes`, each with the offset it ends
+/// at. The first torn or unreadable frame ends the log.
+fn frames(bytes: &[u8]) -> impl Iterator<Item = (u64, LogRecord)> + '_ {
+    let mut reader = ByteReader::new(bytes);
+    std::iter::from_fn(move || {
+        let record = reader.log_frame().ok()?;
+        Some(((bytes.len() - reader.remaining()) as u64, record))
+    })
 }
 
 impl FileLogDevice {
     /// Opens (or creates) the log file at `path`, appending to existing
-    /// content. Records already in the file count as durable.
+    /// content. Records already in the file count as durable; a torn frame
+    /// at its end (a crash mid-append) is cut off, so the next record
+    /// starts where the last whole one ends.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .create(true)
             .append(true)
             .read(true)
             .open(&path)?;
-        // Index what is already there with the same filter `read_back`
-        // applies, so record indices agree between the two.
-        let mut offsets = Vec::new();
-        let mut at = 0u64;
-        let mut existing = BufReader::new(File::open(&path)?);
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let n = existing.read_line(&mut line)?;
-            if n == 0 {
-                break;
-            }
-            if !line.trim().is_empty() && serde_json::from_str::<LogRecord>(&line).is_ok() {
-                offsets.push(at);
-            }
-            at += n as u64;
-        }
-        offsets.push(at);
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let mut offsets = vec![0];
+        offsets.extend(frames(&bytes).map(|(end, _)| end));
+        file.set_len(*offsets.last().expect("offsets hold the end"))?;
         Ok(FileLogDevice {
             durable: AtomicUsize::new(offsets.len() - 1),
             inner: Mutex::new(FileLogInner {
@@ -306,10 +300,12 @@ impl FileLogDevice {
 
 impl LogDevice for FileLogDevice {
     fn append(&self, record: &LogRecord) {
+        let mut frame = ByteWriter::new();
+        frame.put_log_frame(record);
+        let frame = frame.into_bytes();
         let mut inner = self.inner.lock();
-        let line = serde_json::to_string(record).expect("log records serialize");
-        writeln!(inner.writer, "{line}").expect("log append");
-        let end = inner.offsets.last().expect("offsets hold the end") + line.len() as u64 + 1;
+        inner.writer.write_all(&frame).expect("log append");
+        let end = inner.offsets.last().expect("offsets hold the end") + frame.len() as u64;
         inner.offsets.push(end);
     }
 
@@ -322,12 +318,7 @@ impl LogDevice for FileLogDevice {
     }
 
     fn read_back(&self) -> Vec<LogRecord> {
-        // Ensure buffered data is visible to the reader.
-        self.flush();
-        match File::open(&self.path) {
-            Ok(file) => parse_lines(file),
-            Err(_) => Vec::new(),
-        }
+        self.read_from(0)
     }
 
     fn durable_len(&self) -> usize {
@@ -337,7 +328,7 @@ impl LogDevice for FileLogDevice {
     fn read_from(&self, from: usize) -> Vec<LogRecord> {
         // The byte range of records `from..durable`: everything in it was
         // written out by the flush that advanced `durable`, and nothing
-        // below `from` is read, let alone parsed.
+        // below `from` is read, let alone decoded.
         let (start, end) = {
             let inner = self.inner.lock();
             let durable = self.durable.load(Ordering::Acquire);
@@ -346,13 +337,15 @@ impl LogDevice for FileLogDevice {
             }
             (inner.offsets[from], inner.offsets[durable])
         };
-        let Ok(mut file) = File::open(&self.path) else {
-            return Vec::new();
-        };
-        if file.seek(SeekFrom::Start(start)).is_err() {
+        let mut bytes = vec![0; (end - start) as usize];
+        let read = File::open(&self.path).and_then(|mut file| {
+            file.seek(SeekFrom::Start(start))?;
+            file.read_exact(&mut bytes)
+        });
+        if read.is_err() {
             return Vec::new();
         }
-        parse_lines(file.take(end - start))
+        frames(&bytes).map(|(_, record)| record).collect()
     }
 }
 
@@ -368,6 +361,15 @@ mod tests {
             global: 0,
             writes: vec![(Key::simple(TableId(0), id), Value::Int(id as i64))],
         }
+    }
+
+    /// A fresh log file path for one test.
+    fn log_path(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("tebaldi-wal-{test}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.log");
+        let _ = std::fs::remove_file(&path);
+        path
     }
 
     #[test]
@@ -408,10 +410,7 @@ mod tests {
 
     #[test]
     fn file_device_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("tebaldi-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
+        let path = log_path("roundtrip");
         let dev = FileLogDevice::open(&path).unwrap();
         dev.append(&rec(1, 1));
         dev.append(&LogRecord::Commit {
@@ -429,10 +428,7 @@ mod tests {
 
     #[test]
     fn file_device_tail_reads_never_flush() {
-        let dir = std::env::temp_dir().join(format!("tebaldi-wal-tail-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
+        let path = log_path("tail");
         let dev = FileLogDevice::open(&path).unwrap();
         for i in 0..3 {
             dev.append(&rec(1, i));
@@ -464,16 +460,52 @@ mod tests {
     }
 
     #[test]
-    fn precommit_record_roundtrip_serde() {
-        let rec = LogRecord::Precommit {
-            txn: TxnId(9),
-            participants: 3,
-            shard: 1,
-            gcp_epoch: 12,
-            writes: vec![(Key::simple(TableId(2), 5), Value::Int(50))],
-        };
-        let s = serde_json::to_string(&rec).unwrap();
-        let back: LogRecord = serde_json::from_str(&s).unwrap();
-        assert_eq!(rec, back);
+    fn file_device_cuts_a_torn_tail_before_appending() {
+        let path = log_path("torn");
+        let dev = FileLogDevice::open(&path).unwrap();
+        dev.append(&rec(1, 1));
+        dev.flush();
+        let whole = std::fs::metadata(&path).unwrap().len();
+        dev.append(&rec(2, 2));
+        dev.flush();
+        drop(dev);
+        // A crash in the middle of the second append leaves half of it.
+        let torn = whole + (std::fs::metadata(&path).unwrap().len() - whole) / 2;
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(torn).unwrap();
+        drop(file);
+
+        let dev = FileLogDevice::open(&path).unwrap();
+        assert_eq!(dev.durable_len(), 1, "the torn record is not a record");
+        dev.append(&rec(3, 3));
+        dev.flush();
+        assert_eq!(dev.durable_len(), 2);
+        assert_eq!(dev.read_from(1), vec![rec(3, 3)]);
+        assert_eq!(
+            dev.read_back(),
+            vec![rec(1, 1), rec(3, 3)],
+            "what recovery reads"
+        );
+        drop(dev);
+        let dev = FileLogDevice::open(&path).unwrap();
+        assert_eq!(dev.durable_len(), 2);
+        assert_eq!(dev.read_back(), vec![rec(1, 1), rec(3, 3)]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn file_device_read_back_holds_only_flushed_records() {
+        let path = log_path("read-back");
+        let dev = FileLogDevice::open(&path).unwrap();
+        dev.append(&rec(1, 1));
+        dev.flush();
+        dev.append(&rec(2, 2));
+        for _ in 0..2 {
+            assert_eq!(dev.read_back(), vec![rec(1, 1)], "appended, not flushed");
+            assert_eq!(dev.durable_len(), 1);
+        }
+        dev.flush();
+        assert_eq!(dev.read_back(), vec![rec(1, 1), rec(2, 2)]);
+        let _ = std::fs::remove_file(&path);
     }
 }

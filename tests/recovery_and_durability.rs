@@ -235,7 +235,7 @@ fn recovered_store_can_reopen_and_continue() {
 
 /// What a shard log holds (see `storage::wal`): a committed transaction is
 /// one `Precommit` carrying its write set — each key once, with the value
-/// it commits — plus one `Commit`; an aborted attempt is nothing at all.
+/// it commits — and its commit stamp; an aborted attempt is nothing at all.
 #[test]
 fn a_commit_logs_its_write_set_once_and_an_abort_logs_nothing() {
     use tebaldi_suite::storage::wal::{LogDevice, LogRecord};
@@ -280,15 +280,13 @@ fn a_commit_logs_its_write_set_once_and_an_abort_logs_nothing() {
         (key(2), Value::Int(20)),
     ];
     match &device.read_back()[..] {
-        [LogRecord::Precommit {
-            participants: 1,
-            writes,
-            ..
-        }, LogRecord::Commit { .. }] => assert_eq!(writes, &final_values_in_first_write_order),
-        other => panic!("expected one Precommit and one Commit, found {other:?}"),
+        [LogRecord::Precommit { writes, .. }] => {
+            assert_eq!(writes, &final_values_in_first_write_order)
+        }
+        other => panic!("expected one Precommit, found {other:?}"),
     }
     let stats = db.durability().stats();
-    assert_eq!((stats.precommits, stats.commits), (1, 1));
+    assert_eq!((stats.precommits, stats.commits), (1, 0));
     db.shutdown();
 }
 
